@@ -33,6 +33,7 @@ use dt_common::{DataType, Deadline, Row, Schema, Value};
 use dt_orcfile::{ColumnPredicate, PredicateOp};
 use dualtable::{
     DualTableConfig, DualTableEnv, DualTableStore, PlanMode, RatioHint, ShardSpec, ShardedTable,
+    UnionReadOptions,
 };
 
 const ROWS_PER_FILE: usize = 256;
@@ -216,7 +217,14 @@ fn main() {
     let mut grid: Vec<GridRow> = Vec::new();
     for &ratio in ratios {
         let hi = ((rows as f64) * ratio) as i64;
-        let pushdown = [ColumnPredicate::new(0, PredicateOp::Lt, Value::Int64(hi))];
+        let pushdown = UnionReadOptions {
+            predicates: Some(vec![ColumnPredicate::new(
+                0,
+                PredicateOp::Lt,
+                Value::Int64(hi),
+            )]),
+            ..UnionReadOptions::all()
+        };
 
         // Unsharded baseline.
         let env = DualTableEnv::in_memory();

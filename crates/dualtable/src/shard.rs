@@ -35,7 +35,7 @@ use std::sync::Arc;
 use dt_common::crc32::crc32;
 use dt_common::{DataType, Deadline, Error, Result, Row, Schema, Value};
 use dt_engine::JobConfig;
-use dt_orcfile::{ColumnPredicate, PredicateOp};
+use dt_orcfile::{ColumnBatch, ColumnPredicate, PredicateOp};
 
 use crate::config::DualTableConfig;
 use crate::cost::{PlanChoice, RatioHint};
@@ -44,10 +44,6 @@ use crate::store::{Assignment, DmlReport, DualTableStore};
 use crate::txn::Transaction;
 use crate::union_read::UnionReadOptions;
 use crate::FoldOutcome;
-
-/// Rows between two deadline checks inside a shard scan (same cadence as
-/// the query layer's scans).
-const DEADLINE_CHECK_ROWS: usize = 1024;
 
 /// Magic + version prefix of the durable shard map.
 const SHARD_MAP_MAGIC: &[u8; 8] = b"DTSHARD1";
@@ -520,77 +516,74 @@ impl ShardedTable {
         Ok(n)
     }
 
-    /// Scatter-gather scan: range pruning first (pruned shards see zero
-    /// I/O — their files are never opened), then the surviving shards
-    /// scan in parallel on the engine's job pool, then the gather
-    /// concatenates in shard order (= ordered merge; see module docs).
+    /// Scatter-gather UNION READ: range pruning first (pruned shards see
+    /// zero I/O — their files are never opened), then the surviving shards
+    /// scan in parallel on the engine's job pool, checking the deadline at
+    /// every batch, then the gather concatenates in shard order (= ordered
+    /// merge; see module docs).
+    pub fn scan_batches(
+        &self,
+        opts: &UnionReadOptions,
+        deadline: &Deadline,
+    ) -> Result<Vec<ColumnBatch>> {
+        let health = &self.inner.env.shard_health;
+        health.record_scatter_scan();
+        let matched = self.shards_matching(opts.predicates.as_deref());
+        health.record_shards_pruned((self.shard_count() - matched.len()) as u64);
+        let per_shard =
+            dt_engine::parallel_map_fallible(&JobConfig::default(), matched, |i: usize| {
+                let mut batches = Vec::new();
+                self.inner.shards[i].for_each_batch(opts, |_, batch| {
+                    deadline.check()?;
+                    batches.push(batch);
+                    Ok(ControlFlow::Continue(()))
+                })?;
+                Ok(batches)
+            })?;
+        Ok(per_shard.into_iter().flatten().collect())
+    }
+
+    /// [`ShardedTable::scan_batches`] unpacked into rows.
     pub fn scan_scatter(
         &self,
         projection: Option<&[usize]>,
         predicates: Option<&[ColumnPredicate]>,
         deadline: &Deadline,
     ) -> Result<Vec<Row>> {
-        let health = &self.inner.env.shard_health;
-        health.record_scatter_scan();
-        let matched = self.shards_matching(predicates);
-        health.record_shards_pruned((self.shard_count() - matched.len()) as u64);
         let mut opts = UnionReadOptions::all();
         opts.projection = projection.map(<[usize]>::to_vec);
         opts.predicates = predicates.map(<[ColumnPredicate]>::to_vec);
-        let per_shard = dt_engine::parallel_map_fallible(
-            &JobConfig::default(),
-            matched,
-            |i: usize| -> Result<Vec<Row>> {
-                let mut rows = Vec::new();
-                let mut since_check = 0usize;
-                self.inner.shards[i].for_each(&opts, |_, row| {
-                    since_check += 1;
-                    if since_check >= DEADLINE_CHECK_ROWS {
-                        since_check = 0;
-                        deadline.check()?;
-                    }
-                    rows.push(row);
-                    Ok(ControlFlow::Continue(()))
-                })?;
-                Ok(rows)
-            },
-        )?;
-        Ok(per_shard.into_iter().flatten().collect())
+        let batches = self.scan_batches(&opts, deadline)?;
+        Ok(batches
+            .iter()
+            .flat_map(ColumnBatch::selected_rows)
+            .collect())
     }
 
-    /// Total row count across shards.
+    /// Total row count across shards: a scatter scan that decodes no
+    /// column (see [`DualTableStore::count`]).
     pub fn count(&self) -> Result<u64> {
-        let mut n = 0u64;
-        for s in &self.inner.shards {
-            n += s.count()?;
-        }
-        Ok(n)
+        let opts = UnionReadOptions::all().with_projection(Vec::new());
+        let batches = self.scan_batches(&opts, &Deadline::never())?;
+        Ok(batches.iter().map(|b| b.selected_len() as u64).sum())
     }
 
-    /// Sharded UPDATE: range pruning via `pushdown`, then each surviving
-    /// shard runs its own cost model — different ranges may independently
-    /// choose EDIT vs OVERWRITE.
+    /// Sharded UPDATE: range pruning via `scan.predicates`, then each
+    /// surviving shard runs its own cost model — different ranges may
+    /// independently choose EDIT vs OVERWRITE. `scan` describes what the
+    /// statement reads (see [`DualTableStore::update_keyed`]); `None`
+    /// reads everything.
     pub fn update_keyed(
         &self,
         predicate: impl Fn(&Row) -> bool + Sync,
         assignments: &[Assignment<'_>],
         ratio: RatioHint,
         statement_key: Option<&str>,
-        pushdown: Option<&[ColumnPredicate]>,
+        scan: Option<&UnionReadOptions>,
     ) -> Result<ShardedDmlReport> {
-        let mut out = ShardedDmlReport {
-            rows_matched: 0,
-            rows_scanned: 0,
-            per_shard: Vec::new(),
-        };
-        for i in self.shards_matching(pushdown) {
-            let report =
-                self.inner.shards[i].update_keyed(&predicate, assignments, ratio, statement_key)?;
-            out.rows_matched += report.rows_matched;
-            out.rows_scanned += report.rows_scanned;
-            out.per_shard.push((i, report));
-        }
-        Ok(out)
+        self.dml(scan, |shard, scan| {
+            shard.update_keyed(&predicate, assignments, ratio, statement_key, scan)
+        })
     }
 
     /// Sharded DELETE (see [`ShardedTable::update_keyed`]).
@@ -599,15 +592,29 @@ impl ShardedTable {
         predicate: impl Fn(&Row) -> bool + Sync,
         ratio: RatioHint,
         statement_key: Option<&str>,
-        pushdown: Option<&[ColumnPredicate]>,
+        scan: Option<&UnionReadOptions>,
     ) -> Result<ShardedDmlReport> {
+        self.dml(scan, |shard, scan| {
+            shard.delete_keyed(&predicate, ratio, statement_key, scan)
+        })
+    }
+
+    /// Runs one statement on every shard its stripe predicates cannot
+    /// rule out and adds the reports up.
+    fn dml(
+        &self,
+        scan: Option<&UnionReadOptions>,
+        run: impl Fn(&DualTableStore, &UnionReadOptions) -> Result<DmlReport>,
+    ) -> Result<ShardedDmlReport> {
+        let all = UnionReadOptions::all();
+        let scan = scan.unwrap_or(&all);
         let mut out = ShardedDmlReport {
             rows_matched: 0,
             rows_scanned: 0,
             per_shard: Vec::new(),
         };
-        for i in self.shards_matching(pushdown) {
-            let report = self.inner.shards[i].delete_keyed(&predicate, ratio, statement_key)?;
+        for i in self.shards_matching(scan.predicates.as_deref()) {
+            let report = run(&self.inner.shards[i], scan)?;
             out.rows_matched += report.rows_matched;
             out.rows_scanned += report.rows_scanned;
             out.per_shard.push((i, report));

@@ -7,7 +7,8 @@ use std::sync::Arc;
 
 use dt_common::{Error, RecordId, Result, Row, Schema, Value};
 use dt_orcfile::{
-    ColumnPredicate, FooterCache, FooterCacheStats, OrcReader, OrcWriter, FILE_ID_METADATA_KEY,
+    ColumnBatch, ColumnPredicate, FooterCache, FooterCacheStats, OrcReader, OrcWriter,
+    FILE_ID_METADATA_KEY,
 };
 use parking_lot::{Mutex, RwLock};
 
@@ -25,7 +26,7 @@ use crate::presence::{
     PresenceIndex, PRESENCE_FILE_ID,
 };
 use crate::txn::{RewriteJob, RowPatch, Snapshot, Transaction};
-use crate::union_read::{merge_file, UnionReadOptions};
+use crate::union_read::{for_each_row, merge_file, BatchFn, UnionReadOptions};
 
 /// Aggregate statistics of one DualTable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,13 +121,6 @@ fn presence_column(qual: &[u8]) -> Result<Option<usize>> {
     Ok(Some(u16::from_be_bytes(bytes) as usize))
 }
 
-/// `true` iff the index proves `file_id` has no attached cells — UNION READ
-/// may skip its attached scan entirely. `None` (conservative fallback)
-/// proves nothing.
-fn file_is_clean(presence: Option<&PresenceIndex>, file_id: u32) -> bool {
-    presence.is_some_and(|idx| !idx.is_dirty(file_id))
-}
-
 /// The predicates that may be pushed down into `file_id`'s ORC reader: all
 /// of them for a clean file, those on columns without update overlays for a
 /// dirty one, none under the conservative fallback. Dropping conjuncts is
@@ -156,6 +150,17 @@ fn file_predicates<'a>(
             }
         }
     }
+}
+
+/// What every file of one UNION READ shares, resolved once per scan and
+/// borrowed by all of its (possibly parallel) per-file merges.
+struct ScanPlan<'a> {
+    gen: u64,
+    opts: &'a UnionReadOptions,
+    /// Decoded column ordinals (`opts.projection`, or every column).
+    projection: Cow<'a, [usize]>,
+    attached: dt_kvstore::Store,
+    presence: Option<PresenceIndex>,
 }
 
 /// One worker's slice of a parallel rewrite: the master files it reads
@@ -779,15 +784,27 @@ impl DualTableStore {
     // UNION READ
     // ------------------------------------------------------------------
 
-    /// Streams every visible row through `f` (which may stop the scan by
-    /// returning `Break`). This is the UNION READ operation.
+    /// Streams the table as merged column batches — this is the UNION READ
+    /// operation; every other scan entry point is an adapter over it. `f`
+    /// gets each master file's ID with one of its stripes and may stop the
+    /// scan by returning `Break`.
+    pub fn for_each_batch(
+        &self,
+        opts: &UnionReadOptions,
+        mut f: impl FnMut(u32, ColumnBatch) -> Result<ControlFlow<()>>,
+    ) -> Result<()> {
+        let _guard = self.inner.ops.read();
+        self.for_each_at(self.current_gen()?, opts, &mut f)
+    }
+
+    /// [`DualTableStore::for_each_batch`] unpacked into `(record id, row)`
+    /// pairs.
     pub fn for_each(
         &self,
         opts: &UnionReadOptions,
         mut f: impl FnMut(RecordId, Row) -> Result<ControlFlow<()>>,
     ) -> Result<()> {
-        let _guard = self.inner.ops.read();
-        self.for_each_locked(opts, &mut f)
+        self.for_each_batch(opts, |file_id, batch| for_each_row(file_id, &batch, &mut f))
     }
 
     /// UNION READ at a pinned epoch (`opts.snapshot_ts` must be the pin's
@@ -797,18 +814,9 @@ impl DualTableStore {
         &self,
         gen: u64,
         opts: &UnionReadOptions,
-        f: &mut dyn FnMut(RecordId, Row) -> Result<ControlFlow<()>>,
+        f: &mut BatchFn<'_>,
     ) -> Result<()> {
         let _guard = self.inner.ops.read();
-        self.for_each_at(gen, opts, f)
-    }
-
-    fn for_each_locked(
-        &self,
-        opts: &UnionReadOptions,
-        f: &mut dyn FnMut(RecordId, Row) -> Result<ControlFlow<()>>,
-    ) -> Result<()> {
-        let gen = self.current_gen()?;
         self.for_each_at(gen, opts, f)
     }
 
@@ -824,45 +832,81 @@ impl DualTableStore {
             .collect()
     }
 
-    /// [`DualTableStore::for_each_locked`] at an explicit `(generation,
-    /// opts.snapshot_ts)` epoch — the pinned-snapshot scan path.
-    fn for_each_at(
-        &self,
-        gen: u64,
-        opts: &UnionReadOptions,
-        f: &mut dyn FnMut(RecordId, Row) -> Result<ControlFlow<()>>,
-    ) -> Result<()> {
-        let projection: Vec<usize> = match &opts.projection {
-            Some(p) => p.clone(),
-            None => (0..self.inner.schema.len()).collect(),
-        };
-        let attached_store = self.attached()?;
-        let presence = self.load_presence(&attached_store)?;
+    /// Sequential UNION READ at an explicit `(generation,
+    /// opts.snapshot_ts)` epoch, ops lock already held.
+    fn for_each_at(&self, gen: u64, opts: &UnionReadOptions, f: &mut BatchFn<'_>) -> Result<()> {
+        let plan = self.scan_plan(gen, opts)?;
         for file_id in self.visible_files(gen, opts.snapshot_ts) {
-            let reader = self.open_master(gen, file_id)?;
-            let attached = if file_is_clean(presence.as_ref(), file_id) {
-                self.inner.env.health.record_attached_scan_skipped();
-                None
-            } else {
-                Some(attached_store.scan_at(
-                    Some(&RecordId::file_start(file_id).to_key()[..]),
-                    Some(&RecordId::file_start(file_id.wrapping_add(1)).to_key()[..]),
-                    opts.snapshot_ts,
-                )?)
-            };
-            let predicates =
-                file_predicates(presence.as_ref(), opts.predicates.as_deref(), file_id);
-            if let ControlFlow::Break(()) = merge_file(
-                file_id,
-                &reader,
-                &projection,
-                predicates.as_deref(),
-                attached,
-                f,
-            )? {
-                return Ok(());
+            if self.merge_master(&plan, file_id, f)?.is_break() {
+                break;
             }
         }
+        Ok(())
+    }
+
+    /// Resolves what every file of one UNION READ shares.
+    fn scan_plan<'a>(&self, gen: u64, opts: &'a UnionReadOptions) -> Result<ScanPlan<'a>> {
+        let attached = self.attached()?;
+        Ok(ScanPlan {
+            gen,
+            opts,
+            projection: match &opts.projection {
+                Some(p) => Cow::Borrowed(p),
+                None => (0..self.inner.schema.len()).collect(),
+            },
+            presence: self.load_presence(&attached)?,
+            attached,
+        })
+    }
+
+    /// The one place a master file meets its attached range: opens the
+    /// file (footer cache), skips the attached scan when the presence
+    /// index proves the file clean, keeps the stripe predicates the
+    /// file's overlays leave sound, and runs [`merge_file`].
+    fn merge_master(
+        &self,
+        plan: &ScanPlan<'_>,
+        file_id: u32,
+        f: &mut BatchFn<'_>,
+    ) -> Result<ControlFlow<()>> {
+        let reader = self.open_master(plan.gen, file_id)?;
+        let presence = plan.presence.as_ref();
+        let attached = if presence.is_some_and(|idx| !idx.is_dirty(file_id)) {
+            self.inner.env.health.record_attached_scan_skipped();
+            None
+        } else {
+            Some(plan.attached.scan_at(
+                Some(&RecordId::file_start(file_id).to_key()[..]),
+                Some(&RecordId::file_start(file_id.wrapping_add(1)).to_key()[..]),
+                plan.opts.snapshot_ts,
+            )?)
+        };
+        let predicates = file_predicates(presence, plan.opts.predicates.as_deref(), file_id);
+        merge_file(
+            file_id,
+            &reader,
+            &plan.projection,
+            predicates.as_deref(),
+            attached,
+            f,
+        )
+    }
+
+    /// [`Self::merge_master`] unpacked into rows, for the consumers that
+    /// take every one of them: the parallel scan and the rewrites.
+    fn merge_master_rows(
+        &self,
+        plan: &ScanPlan<'_>,
+        file_id: u32,
+        f: &mut dyn FnMut(RecordId, Row) -> Result<()>,
+    ) -> Result<()> {
+        let flow = self.merge_master(plan, file_id, &mut |file_id, batch| {
+            for_each_row(file_id, &batch, &mut |id, row| {
+                f(id, row)?;
+                Ok(ControlFlow::Continue(()))
+            })
+        })?;
+        debug_assert!(flow.is_continue(), "a take-every-row consumer never breaks");
         Ok(())
     }
 
@@ -959,55 +1003,17 @@ impl DualTableStore {
         job: &dt_engine::JobConfig,
     ) -> Result<Vec<(RecordId, Row)>> {
         let _guard = self.inner.ops.read();
-        // Shared read-only plan state: projection, predicates and the
-        // presence index are computed once and shared across all map tasks
-        // behind `Arc`s — no per-task deep clones.
-        let projection: Arc<[usize]> = match &opts.projection {
-            Some(p) => Arc::from(p.as_slice()),
-            None => (0..self.inner.schema.len()).collect(),
-        };
-        let predicates: Option<Arc<[ColumnPredicate]>> =
-            opts.predicates.as_ref().map(|p| Arc::from(p.as_slice()));
-        let attached_store = self.attached()?;
-        let presence = Arc::new(self.load_presence(&attached_store)?);
-        let snapshot_ts = opts.snapshot_ts;
         let gen = self.current_gen()?;
-        let per_file = dt_engine::parallel_map_fallible(
-            job,
-            self.visible_files(gen, snapshot_ts),
-            |file_id| {
-                let projection = Arc::clone(&projection);
-                let predicates = predicates.clone();
-                let presence = Arc::clone(&presence);
-                let reader = self.open_master(gen, file_id)?;
-                let attached = if file_is_clean(presence.as_ref().as_ref(), file_id) {
-                    self.inner.env.health.record_attached_scan_skipped();
-                    None
-                } else {
-                    Some(attached_store.scan_at(
-                        Some(&RecordId::file_start(file_id).to_key()[..]),
-                        Some(&RecordId::file_start(file_id.wrapping_add(1)).to_key()[..]),
-                        snapshot_ts,
-                    )?)
-                };
-                let predicates =
-                    file_predicates(presence.as_ref().as_ref(), predicates.as_deref(), file_id);
-                let mut out = Vec::new();
-                let flow = merge_file(
-                    file_id,
-                    &reader,
-                    &projection,
-                    predicates.as_deref(),
-                    attached,
-                    &mut |id, row| {
-                        out.push((id, row));
-                        Ok(ControlFlow::Continue(()))
-                    },
-                )?;
-                debug_assert!(flow.is_continue(), "collector never breaks");
-                Ok(out)
-            },
-        )?;
+        let plan = self.scan_plan(gen, opts)?;
+        let files = self.visible_files(gen, opts.snapshot_ts);
+        let per_file = dt_engine::parallel_map_fallible(job, files, |file_id| {
+            let mut out = Vec::new();
+            self.merge_master_rows(&plan, file_id, &mut |id, row| {
+                out.push((id, row));
+                Ok(())
+            })?;
+            Ok(out)
+        })?;
         Ok(per_file.into_iter().flatten().collect())
     }
 
@@ -1021,15 +1027,18 @@ impl DualTableStore {
         Ok(out)
     }
 
-    /// Counts visible rows.
+    /// Counts visible rows: a scan that decodes no column. A clean file
+    /// answers from its footer's row counts without any I/O; a dirty one
+    /// costs its attached scan, for the delete markers.
     pub fn count(&self) -> Result<u64> {
         let mut n = 0u64;
-        // Project a single column; the merge still sees delete markers.
-        let opts = UnionReadOptions::all().with_projection(vec![0]);
-        self.for_each(&opts, |_, _| {
-            n += 1;
-            Ok(ControlFlow::Continue(()))
-        })?;
+        self.for_each_batch(
+            &UnionReadOptions::all().with_projection(Vec::new()),
+            |_, batch| {
+                n += batch.selected_len() as u64;
+                Ok(ControlFlow::Continue(()))
+            },
+        )?;
         Ok(n)
     }
 
@@ -1085,6 +1094,7 @@ impl DualTableStore {
         hint: &RatioHint,
         statement_key: Option<&str>,
         predicate: &dyn Fn(&Row) -> bool,
+        scan: &UnionReadOptions,
     ) -> Result<f64> {
         match hint {
             RatioHint::Explicit(r) => Ok(r.clamp(0.0, 1.0)),
@@ -1094,19 +1104,32 @@ impl DualTableStore {
                         return Ok(r);
                     }
                 }
-                self.sample_ratio(predicate)
+                self.sample_ratio(predicate, scan)
             }
-            RatioHint::Sample => self.sample_ratio(predicate),
+            RatioHint::Sample => self.sample_ratio(predicate, scan),
         }
     }
 
-    fn sample_ratio(&self, predicate: &dyn Fn(&Row) -> bool) -> Result<f64> {
+    /// The share of the first `sample_rows` visible rows (in record-ID
+    /// order) that `predicate` matches. Reads only the columns `scan`
+    /// names but never its stripe predicates: skipping would bias the
+    /// sample towards matching rows.
+    fn sample_ratio(
+        &self,
+        predicate: &dyn Fn(&Row) -> bool,
+        scan: &UnionReadOptions,
+    ) -> Result<f64> {
         let limit = self.inner.config.sample_rows.max(1);
         let mut seen = 0u64;
         let mut matched = 0u64;
-        self.for_each(&UnionReadOptions::all(), |_, row| {
+        let unpushed = UnionReadOptions {
+            predicates: None,
+            ..scan.clone()
+        };
+        let _guard = self.inner.ops.read();
+        self.locate(&unpushed, &mut |_, row| {
             seen += 1;
-            if predicate(&row) {
+            if predicate(row) {
                 matched += 1;
             }
             Ok(if seen as usize >= limit {
@@ -1121,6 +1144,30 @@ impl DualTableStore {
         Ok(matched as f64 / seen as f64)
     }
 
+    /// The cost model's verdict on a statement that modifies `ratio` of the
+    /// table — equation (1) for an UPDATE, (2) for a DELETE: the plan, the
+    /// cost difference (positive favours EDIT) and the master size D.
+    fn cost_plan(&self, is_update: bool, ratio: f64) -> Result<(PlanChoice, f64, u64)> {
+        let stats = self.stats()?;
+        let model = self.cost_model();
+        let k = self.inner.config.k_successive_reads;
+        let d = stats.master_bytes;
+        if is_update {
+            return Ok((
+                model.choose_update(d, ratio, k),
+                model.update_cost_diff(d, ratio, k),
+                d,
+            ));
+        }
+        let avg_row = d.checked_div(stats.master_rows).map_or(1, |v| v.max(1));
+        let marker_ratio = self.inner.config.delete_marker_bytes as f64 / avg_row as f64;
+        Ok((
+            model.choose_delete(d, ratio, k, marker_ratio),
+            model.delete_cost_diff(d, ratio, k, marker_ratio),
+            d,
+        ))
+    }
+
     /// Previews the cost-model decision for an UPDATE (`is_update`) or
     /// DELETE with the given predicate, sampling the modification ratio —
     /// without executing anything. Powers `EXPLAIN UPDATE/DELETE`.
@@ -1129,26 +1176,8 @@ impl DualTableStore {
         predicate: &dyn Fn(&Row) -> bool,
         is_update: bool,
     ) -> Result<PlanPreview> {
-        let ratio = self.sample_ratio(predicate)?;
-        let stats = self.stats()?;
-        let model = self.cost_model();
-        let k = self.inner.config.k_successive_reads;
-        let (plan, cost_diff) = if is_update {
-            (
-                model.choose_update(stats.master_bytes, ratio, k),
-                model.update_cost_diff(stats.master_bytes, ratio, k),
-            )
-        } else {
-            let avg_row = stats
-                .master_bytes
-                .checked_div(stats.master_rows)
-                .map_or(1, |v| v.max(1));
-            let marker_ratio = self.inner.config.delete_marker_bytes as f64 / avg_row as f64;
-            (
-                model.choose_delete(stats.master_bytes, ratio, k, marker_ratio),
-                model.delete_cost_diff(stats.master_bytes, ratio, k, marker_ratio),
-            )
-        };
+        let ratio = self.sample_ratio(predicate, &UnionReadOptions::all())?;
+        let (plan, cost_diff, master_bytes) = self.cost_plan(is_update, ratio)?;
         let plan = match self.inner.config.plan_mode {
             PlanMode::CostBased => plan,
             PlanMode::AlwaysEdit => PlanChoice::Edit,
@@ -1158,7 +1187,7 @@ impl DualTableStore {
             plan,
             ratio,
             cost_diff,
-            master_bytes: stats.master_bytes,
+            master_bytes,
         })
     }
 
@@ -1175,117 +1204,198 @@ impl DualTableStore {
         assignments: &[Assignment<'_>],
         ratio: RatioHint,
     ) -> Result<DmlReport> {
-        self.update_keyed(predicate, assignments, ratio, None)
+        self.update_keyed(
+            predicate,
+            assignments,
+            ratio,
+            None,
+            &UnionReadOptions::all(),
+        )
     }
 
     /// Like [`DualTableStore::update`] with a statement key for the
-    /// historical-ratio log.
+    /// historical-ratio log and a description of what the statement reads:
+    /// `scan.projection` lists the columns `predicate` and the assignment
+    /// functions look at (they see NULL in every other column under the
+    /// EDIT plan, whose locate-scan decodes nothing else) and
+    /// `scan.predicates` holds conjuncts of `predicate` that let that scan
+    /// skip stripes.
     pub fn update_keyed(
         &self,
         predicate: impl Fn(&Row) -> bool + Sync,
         assignments: &[Assignment<'_>],
         ratio: RatioHint,
         statement_key: Option<&str>,
+        scan: &UnionReadOptions,
     ) -> Result<DmlReport> {
         for (col, _) in assignments {
             if *col >= self.inner.schema.len() {
                 return Err(Error::schema(format!("assignment to unknown column {col}")));
             }
         }
-        let alpha = self.resolve_ratio(&ratio, statement_key, &predicate)?;
-        let stats = self.stats()?;
-        let model = self.cost_model();
-        let k = self.inner.config.k_successive_reads;
+        self.dml(&predicate, Some(assignments), ratio, statement_key, scan)
+    }
+
+    /// Executes `DELETE FROM <table> WHERE <predicate>`.
+    pub fn delete(
+        &self,
+        predicate: impl Fn(&Row) -> bool + Sync,
+        ratio: RatioHint,
+    ) -> Result<DmlReport> {
+        self.delete_keyed(predicate, ratio, None, &UnionReadOptions::all())
+    }
+
+    /// Like [`DualTableStore::delete`] with a statement key and a scan
+    /// description (see [`DualTableStore::update_keyed`]).
+    pub fn delete_keyed(
+        &self,
+        predicate: impl Fn(&Row) -> bool + Sync,
+        ratio: RatioHint,
+        statement_key: Option<&str>,
+        scan: &UnionReadOptions,
+    ) -> Result<DmlReport> {
+        self.dml(&predicate, None, ratio, statement_key, scan)
+    }
+
+    /// One UPDATE (`assignments` given) or DELETE: resolve the ratio, let
+    /// the cost model pick the plan, run it, log the observed ratio.
+    fn dml(
+        &self,
+        predicate: &(dyn Fn(&Row) -> bool + Sync),
+        assignments: Option<&[Assignment<'_>]>,
+        ratio: RatioHint,
+        statement_key: Option<&str>,
+        scan: &UnionReadOptions,
+    ) -> Result<DmlReport> {
+        let ratio_used = self.resolve_ratio(&ratio, statement_key, predicate, scan)?;
+        let (by_cost, diff, _) = self.cost_plan(assignments.is_some(), ratio_used)?;
         let (plan, cost_diff) = match self.inner.config.plan_mode {
             PlanMode::AlwaysEdit => (PlanChoice::Edit, None),
             PlanMode::AlwaysOverwrite => (PlanChoice::Overwrite, None),
-            PlanMode::CostBased => {
-                let diff = model.update_cost_diff(stats.master_bytes, alpha, k);
-                (
-                    model.choose_update(stats.master_bytes, alpha, k),
-                    Some(diff),
-                )
-            }
+            PlanMode::CostBased => (by_cost, Some(diff)),
         };
-
         // `executed` can differ from the chosen `plan`: a pre-commit
         // OVERWRITE failure falls back to EDIT.
-        let (report, executed) = match plan {
-            PlanChoice::Edit => (self.update_edit(&predicate, assignments)?, PlanChoice::Edit),
-            PlanChoice::Overwrite => self.update_overwrite(&predicate, assignments)?,
+        let ((rows_matched, rows_scanned), executed) = match plan {
+            PlanChoice::Edit => {
+                let _guard = self.inner.ops.read();
+                let counts = self.edit_locked(predicate, assignments, scan)?;
+                (counts, PlanChoice::Edit)
+            }
+            PlanChoice::Overwrite => self.overwrite(predicate, assignments, scan)?,
         };
-        if let (Some(key), true) = (statement_key, report.1 > 0) {
+        if let (Some(key), true) = (statement_key, rows_scanned > 0) {
             self.inner
                 .env
                 .meta
-                .record_ratio(key, report.0 as f64 / report.1 as f64)?;
+                .record_ratio(key, rows_matched as f64 / rows_scanned as f64)?;
         }
         Ok(DmlReport {
             plan: executed,
-            rows_matched: report.0,
-            rows_scanned: report.1,
-            ratio_used: alpha,
+            rows_matched,
+            rows_scanned,
+            ratio_used,
             cost_diff,
         })
     }
 
-    /// EDIT plan for UPDATE: the UPDATE UDTF of §V-A — store the updated
-    /// columns' new values in the Attached Table.
-    fn update_edit(
-        &self,
-        predicate: &dyn Fn(&Row) -> bool,
-        assignments: &[Assignment<'_>],
-    ) -> Result<(u64, u64)> {
-        let _guard = self.inner.ops.read();
-        self.update_edit_locked(predicate, assignments)
+    /// Rejects an UPDATE value that does not fit its column.
+    fn check_assigned(&self, col: usize, value: &Value) -> Result<()> {
+        let field = self.inner.schema.field(col);
+        if value.conforms_to(field.data_type) {
+            return Ok(());
+        }
+        Err(Error::schema(format!(
+            "UPDATE value {value:?} does not fit column '{}'",
+            field.name
+        )))
     }
 
-    /// [`Self::update_edit`] with the ops lock already held — the form the
-    /// OVERWRITE→EDIT fallback needs (it runs under the write lock, and
-    /// the lock is not reentrant).
-    fn update_edit_locked(
+    /// The EDIT plan's locate-scan (ops lock held): UNION READ of the
+    /// columns `scan.projection` names, minus the stripes
+    /// `scan.predicates` rule out, handed to `f` as full-width rows — NULL
+    /// in every column not read. Returns the table's visible row count as
+    /// the cost model's α wants it: rows seen plus, from their footers, the
+    /// rows of the stripes skipped.
+    fn locate(
         &self,
-        predicate: &dyn Fn(&Row) -> bool,
-        assignments: &[Assignment<'_>],
-    ) -> Result<(u64, u64)> {
-        let mut matched = 0u64;
-        let mut scanned = 0u64;
-        let mut batch: Vec<(Vec<u8>, Vec<u8>, Vec<u8>)> = Vec::new();
-        let mut delta = PresenceDelta::new();
-        let mut flush_err: Option<Error> = None;
-        let mut touched: Vec<u64> = Vec::new();
-        let attached = self.attached()?;
-        self.for_each_locked(&UnionReadOptions::all(), &mut |record, row| {
-            scanned += 1;
-            if predicate(&row) {
-                matched += 1;
-                let values: Vec<(usize, Value)> =
-                    assignments.iter().map(|(col, f)| (*col, f(&row))).collect();
-                for (col, value) in &values {
-                    if !value.conforms_to(self.inner.schema.field(*col).data_type) {
-                        return Err(Error::schema(format!(
-                            "UPDATE value {value:?} does not fit column '{}'",
-                            self.inner.schema.field(*col).name
-                        )));
-                    }
-                    delta.add_updates(record.file_id, *col, 1);
+        scan: &UnionReadOptions,
+        f: &mut dyn FnMut(RecordId, &Row) -> Result<ControlFlow<()>>,
+    ) -> Result<u64> {
+        let gen = self.current_gen()?;
+        let width = self.inner.schema.len();
+        let columns: Vec<usize> = match &scan.projection {
+            Some(p) => p.clone(),
+            None => (0..width).collect(),
+        };
+        let mut row = vec![Value::Null; width];
+        let (mut seen, mut decoded) = (0u64, 0u64);
+        self.for_each_at(gen, scan, &mut |file_id, batch| {
+            decoded += batch.rows() as u64;
+            for i in batch.selected() {
+                seen += 1;
+                for (column, &ordinal) in batch.columns().iter().zip(&columns) {
+                    row[ordinal] = column.value(i);
                 }
-                touched.push(record.as_u64());
-                batch.extend(update_cells(record, &values));
-                if batch.len() >= 4096 {
-                    if let Err(e) =
-                        self.flush_edit_batch(&attached, &mut batch, &mut delta, &mut touched)
-                    {
-                        flush_err = Some(e);
-                        return Ok(ControlFlow::Break(()));
-                    }
+                let record = RecordId::new(file_id, (batch.row_start() + i as u64) as u32);
+                if f(record, &row)?.is_break() {
+                    return Ok(ControlFlow::Break(()));
                 }
             }
             Ok(ControlFlow::Continue(()))
         })?;
-        if let Some(e) = flush_err {
-            return Err(e);
+        if scan.predicates.is_none() {
+            return Ok(seen);
         }
+        let mut stored = 0u64;
+        for file_id in self.visible_files(gen, scan.snapshot_ts) {
+            stored += self.open_master(gen, file_id)?.num_rows();
+        }
+        Ok(seen + stored.saturating_sub(decoded))
+    }
+
+    /// The EDIT plan (ops lock held — the OVERWRITE→EDIT fallback runs
+    /// under the write lock, which is not reentrant): the UPDATE and
+    /// DELETE UDTFs of §V-A. An UPDATE stores the updated columns' new
+    /// values in the Attached Table, a DELETE (`assignments` absent) one
+    /// delete marker per removed row. Returns `(matched, scanned)`.
+    fn edit_locked(
+        &self,
+        predicate: &dyn Fn(&Row) -> bool,
+        assignments: Option<&[Assignment<'_>]>,
+        scan: &UnionReadOptions,
+    ) -> Result<(u64, u64)> {
+        let mut matched = 0u64;
+        let mut batch: Vec<(Vec<u8>, Vec<u8>, Vec<u8>)> = Vec::new();
+        let mut delta = PresenceDelta::new();
+        let mut touched: Vec<u64> = Vec::new();
+        let attached = self.attached()?;
+        let scanned = self.locate(scan, &mut |record, row| {
+            if !predicate(row) {
+                return Ok(ControlFlow::Continue(()));
+            }
+            matched += 1;
+            match assignments {
+                Some(assignments) => {
+                    let values: Vec<(usize, Value)> =
+                        assignments.iter().map(|(col, f)| (*col, f(row))).collect();
+                    for (col, value) in &values {
+                        self.check_assigned(*col, value)?;
+                        delta.add_updates(record.file_id, *col, 1);
+                    }
+                    batch.extend(update_cells(record, &values));
+                }
+                None => {
+                    batch.push(delete_cell(record));
+                    delta.add_delete(record.file_id);
+                }
+            }
+            touched.push(record.as_u64());
+            if batch.len() >= 4096 {
+                self.flush_edit_batch(&attached, &mut batch, &mut delta, &mut touched)?;
+            }
+            Ok(ControlFlow::Continue(()))
+        })?;
         self.flush_edit_batch(&attached, &mut batch, &mut delta, &mut touched)?;
         Ok((matched, scanned))
     }
@@ -1354,31 +1464,31 @@ impl DualTableStore {
         Ok(ts)
     }
 
-    /// OVERWRITE plan for UPDATE: Hive's INSERT OVERWRITE — rewrite the
-    /// master with updated values, then clear the attached table.
+    /// The OVERWRITE plan: Hive's INSERT OVERWRITE — rewrite the master
+    /// with the updated values (UPDATE) or without the matching rows
+    /// (DELETE, `assignments` absent), then clear the attached table.
     ///
     /// If the rewrite fails before its commit point the old generation is
     /// still fully live, so the statement falls back to the EDIT plan —
-    /// the update must still succeed (DESIGN.md §8). Returns the executed
-    /// plan alongside the counts.
-    fn update_overwrite(
+    /// it must still succeed (DESIGN.md §8). Returns the executed plan
+    /// alongside the `(matched, scanned)` counts.
+    fn overwrite(
         &self,
         predicate: &(dyn Fn(&Row) -> bool + Sync),
-        assignments: &[Assignment<'_>],
+        assignments: Option<&[Assignment<'_>]>,
+        scan: &UnionReadOptions,
     ) -> Result<((u64, u64), PlanChoice)> {
         let _guard = self.inner.ops.write();
         let transform = |_: RecordId, mut row: Row| {
             if !predicate(&row) {
                 return Ok((Some(row), false));
             }
+            let Some(assignments) = assignments else {
+                return Ok((None, true));
+            };
             for (col, f) in assignments {
                 let value = f(&row);
-                if !value.conforms_to(self.inner.schema.field(*col).data_type) {
-                    return Err(Error::schema(format!(
-                        "UPDATE value {value:?} does not fit column '{}'",
-                        self.inner.schema.field(*col).name
-                    )));
-                }
+                self.check_assigned(*col, &value)?;
                 row[*col] = value;
             }
             Ok((Some(row), true))
@@ -1400,146 +1510,11 @@ impl DualTableStore {
                 Err(e)
             }
             Err(_) => {
-                self.plan_fallback_cleanup();
-                let counts = self.update_edit_locked(predicate, assignments)?;
-                Ok((counts, PlanChoice::Edit))
-            }
-        }
-    }
-
-    /// Bookkeeping between a failed (pre-commit) OVERWRITE and its EDIT
-    /// fallback: count the fallback and sweep whatever the aborted rewrite
-    /// managed to write.
-    fn plan_fallback_cleanup(&self) {
-        self.inner.env.health.record_plan_fallback();
-        if let Ok(gen) = self.current_gen() {
-            self.cleanup_stale_generations(gen);
-        }
-    }
-
-    /// Executes `DELETE FROM <table> WHERE <predicate>`.
-    pub fn delete(
-        &self,
-        predicate: impl Fn(&Row) -> bool + Sync,
-        ratio: RatioHint,
-    ) -> Result<DmlReport> {
-        self.delete_keyed(predicate, ratio, None)
-    }
-
-    /// Like [`DualTableStore::delete`] with a statement key for the
-    /// historical-ratio log.
-    pub fn delete_keyed(
-        &self,
-        predicate: impl Fn(&Row) -> bool + Sync,
-        ratio: RatioHint,
-        statement_key: Option<&str>,
-    ) -> Result<DmlReport> {
-        let beta = self.resolve_ratio(&ratio, statement_key, &predicate)?;
-        let stats = self.stats()?;
-        let model = self.cost_model();
-        let k = self.inner.config.k_successive_reads;
-        let avg_row = stats
-            .master_bytes
-            .checked_div(stats.master_rows)
-            .map_or(1, |v| v.max(1));
-        let marker_ratio = self.inner.config.delete_marker_bytes as f64 / avg_row as f64;
-        let (plan, cost_diff) = match self.inner.config.plan_mode {
-            PlanMode::AlwaysEdit => (PlanChoice::Edit, None),
-            PlanMode::AlwaysOverwrite => (PlanChoice::Overwrite, None),
-            PlanMode::CostBased => {
-                let diff = model.delete_cost_diff(stats.master_bytes, beta, k, marker_ratio);
-                (
-                    model.choose_delete(stats.master_bytes, beta, k, marker_ratio),
-                    Some(diff),
-                )
-            }
-        };
-
-        let (report, executed) = match plan {
-            PlanChoice::Edit => (self.delete_edit(&predicate)?, PlanChoice::Edit),
-            PlanChoice::Overwrite => self.delete_overwrite(&predicate)?,
-        };
-        if let (Some(key), true) = (statement_key, report.1 > 0) {
-            self.inner
-                .env
-                .meta
-                .record_ratio(key, report.0 as f64 / report.1 as f64)?;
-        }
-        Ok(DmlReport {
-            plan: executed,
-            rows_matched: report.0,
-            rows_scanned: report.1,
-            ratio_used: beta,
-            cost_diff,
-        })
-    }
-
-    /// EDIT plan for DELETE: the DELETE UDTF — put a delete marker per
-    /// removed row.
-    fn delete_edit(&self, predicate: &dyn Fn(&Row) -> bool) -> Result<(u64, u64)> {
-        let _guard = self.inner.ops.read();
-        self.delete_edit_locked(predicate)
-    }
-
-    /// [`Self::delete_edit`] with the ops lock already held (see
-    /// [`Self::update_edit_locked`]).
-    fn delete_edit_locked(&self, predicate: &dyn Fn(&Row) -> bool) -> Result<(u64, u64)> {
-        let mut matched = 0u64;
-        let mut scanned = 0u64;
-        let mut batch: Vec<(Vec<u8>, Vec<u8>, Vec<u8>)> = Vec::new();
-        let mut delta = PresenceDelta::new();
-        let mut flush_err: Option<Error> = None;
-        let mut touched: Vec<u64> = Vec::new();
-        let attached = self.attached()?;
-        self.for_each_locked(&UnionReadOptions::all(), &mut |record, row| {
-            scanned += 1;
-            if predicate(&row) {
-                matched += 1;
-                touched.push(record.as_u64());
-                batch.push(delete_cell(record));
-                delta.add_delete(record.file_id);
-                if batch.len() >= 4096 {
-                    if let Err(e) =
-                        self.flush_edit_batch(&attached, &mut batch, &mut delta, &mut touched)
-                    {
-                        flush_err = Some(e);
-                        return Ok(ControlFlow::Break(()));
-                    }
+                self.inner.env.health.record_plan_fallback();
+                if let Ok(gen) = self.current_gen() {
+                    self.cleanup_stale_generations(gen);
                 }
-            }
-            Ok(ControlFlow::Continue(()))
-        })?;
-        if let Some(e) = flush_err {
-            return Err(e);
-        }
-        self.flush_edit_batch(&attached, &mut batch, &mut delta, &mut touched)?;
-        Ok((matched, scanned))
-    }
-
-    /// OVERWRITE plan for DELETE: rewrite the master keeping only
-    /// surviving rows. Falls back to the EDIT plan when the rewrite fails
-    /// pre-commit (see [`Self::update_overwrite`]).
-    fn delete_overwrite(
-        &self,
-        predicate: &(dyn Fn(&Row) -> bool + Sync),
-    ) -> Result<((u64, u64), PlanChoice)> {
-        let _guard = self.inner.ops.write();
-        let transform = |_: RecordId, row: Row| {
-            if predicate(&row) {
-                Ok((None, true))
-            } else {
-                Ok((Some(row), false))
-            }
-        };
-        let next = self.next_generation()?;
-        let attempt = self
-            .parallel_rewrite(next, &transform)
-            .and_then(|counts| self.commit_and_cleanup(next).map(|_| counts));
-        match attempt {
-            Ok((_, matched, scanned)) => Ok(((matched, scanned), PlanChoice::Overwrite)),
-            Err(_) => {
-                self.plan_fallback_cleanup();
-                let counts = self.delete_edit_locked(predicate)?;
+                let counts = self.edit_locked(predicate, assignments, scan)?;
                 Ok((counts, PlanChoice::Edit))
             }
         }
@@ -1671,13 +1646,12 @@ impl DualTableStore {
         if workers > 1 {
             self.record_write_workers(workers);
         }
-        let projection: Vec<usize> = (0..self.inner.schema.len()).collect();
-        let attached_store = self.attached()?;
-        let presence = self.load_presence(&attached_store)?;
-        // Shared read-only plan state, same as `scan_parallel`.
-        let projection = &projection;
-        let attached_store = &attached_store;
-        let presence = &presence;
+        let opts = UnionReadOptions {
+            snapshot_ts: at_ts,
+            ..UnionReadOptions::all()
+        };
+        let plan = self.scan_plan(gen, &opts)?;
+        let plan = &plan;
         let totals = pool.run(partitions, |_, part| {
             let RewritePartition {
                 files,
@@ -1688,36 +1662,17 @@ impl DualTableStore {
             let mut matched = 0u64;
             let mut scanned = 0u64;
             for file_id in files {
-                let reader = self.open_master(gen, file_id)?;
-                let attached = if file_is_clean(presence.as_ref(), file_id) {
-                    self.inner.env.health.record_attached_scan_skipped();
-                    None
-                } else {
-                    Some(attached_store.scan_at(
-                        Some(&RecordId::file_start(file_id).to_key()[..]),
-                        Some(&RecordId::file_start(file_id.wrapping_add(1)).to_key()[..]),
-                        at_ts,
-                    )?)
-                };
-                let flow = merge_file(
-                    file_id,
-                    &reader,
-                    projection,
-                    None,
-                    attached,
-                    &mut |id, row| {
-                        scanned += 1;
-                        let (out, hit) = transform(id, row)?;
-                        if hit {
-                            matched += 1;
-                        }
-                        if let Some(row) = out {
-                            sink.push(row)?;
-                        }
-                        Ok(ControlFlow::Continue(()))
-                    },
-                )?;
-                debug_assert!(flow.is_continue(), "rewrite never breaks");
+                self.merge_master_rows(plan, file_id, &mut |id, row| {
+                    scanned += 1;
+                    let (out, hit) = transform(id, row)?;
+                    if hit {
+                        matched += 1;
+                    }
+                    match out {
+                        Some(row) => sink.push(row),
+                        None => Ok(()),
+                    }
+                })?;
             }
             let written = sink.finish()?;
             Ok((written, matched, scanned))
@@ -2144,28 +2099,14 @@ impl DualTableStore {
                 .write_file(&self.file_path_at(next, file_id), &bytes)?;
             written += self.open_master(gen, file_id)?.num_rows();
         }
-        let projection: Vec<usize> = (0..self.inner.schema.len()).collect();
-        let attached_store = self.attached()?;
+        let opts = UnionReadOptions {
+            snapshot_ts: at_ts,
+            ..UnionReadOptions::all()
+        };
+        let plan = self.scan_plan(gen, &opts)?;
         let mut sink = MasterWriteSink::reserved(self, next, first_id, id_count);
         for &file_id in fold {
-            let reader = self.open_master(gen, file_id)?;
-            let attached = Some(attached_store.scan_at(
-                Some(&RecordId::file_start(file_id).to_key()[..]),
-                Some(&RecordId::file_start(file_id.wrapping_add(1)).to_key()[..]),
-                at_ts,
-            )?);
-            let flow = merge_file(
-                file_id,
-                &reader,
-                &projection,
-                None,
-                attached,
-                &mut |_, row| {
-                    sink.push(row)?;
-                    Ok(ControlFlow::Continue(()))
-                },
-            )?;
-            debug_assert!(flow.is_continue(), "fold never breaks");
+            self.merge_master_rows(&plan, file_id, &mut |_, row| sink.push(row))?;
         }
         written += sink.finish()?;
         Ok(written)
@@ -2785,6 +2726,7 @@ mod tests {
             &[(2, Box::new(|_| Value::Float64(9.0)))],
             RatioHint::Historical,
             Some(key),
+            &UnionReadOptions::all(),
         )
         .unwrap();
         let hist = t.env().meta.historical_ratio(key).unwrap().unwrap();
@@ -2796,9 +2738,60 @@ mod tests {
                 &[(2, Box::new(|_| Value::Float64(10.0)))],
                 RatioHint::Historical,
                 Some(key),
+                &UnionReadOptions::all(),
             )
             .unwrap();
         assert!((r.ratio_used - 0.05).abs() < 1e-9);
+    }
+
+    /// A skippable predicate must not move the cost model's inputs: the
+    /// logged α stays matched ÷ table rows (skipped stripes count through
+    /// their footers) and the sample stays un-pushed, so the same keyed
+    /// statement logs the same ratio and picks the same plans either way.
+    #[test]
+    fn stripe_skipping_keeps_the_logged_ratio_honest() {
+        let run = |scan: &UnionReadOptions| {
+            let mut config = small_files();
+            config.writer.stripe_rows = 8;
+            let t = table_with(100, config);
+            let statement = || {
+                t.update_keyed(
+                    |r| r[0].as_i64().unwrap() < 5,
+                    &[(2, Box::new(|_| Value::Float64(9.0)))],
+                    RatioHint::Historical,
+                    Some("stmt"),
+                    scan,
+                )
+                .unwrap()
+            };
+            let before = t.env().dfs.stats().snapshot().bytes_read;
+            let first = statement();
+            let read = t.env().dfs.stats().snapshot().bytes_read - before;
+            let logged = t.env().meta.historical_ratio("stmt").unwrap().unwrap();
+            let second = statement();
+            assert_eq!(second.ratio_used, logged, "the second run reads the log");
+            (
+                (first.plan, first.rows_matched, first.rows_scanned),
+                (first.ratio_used, logged, second.plan),
+                read,
+            )
+        };
+        let full = run(&UnionReadOptions::all());
+        let mut pushed = UnionReadOptions::all().with_projection(vec![0]);
+        pushed.predicates = Some(vec![ColumnPredicate::new(
+            0,
+            dt_orcfile::PredicateOp::Lt,
+            Value::Int64(5),
+        )]);
+        let pushed = run(&pushed);
+        assert_eq!((pushed.0, pushed.1), (full.0, full.1));
+        assert_eq!(full.0, (PlanChoice::Edit, 5, 100));
+        assert!(
+            pushed.2 * 2 < full.2,
+            "the pushed scan must actually skip: read {} vs {} bytes",
+            pushed.2,
+            full.2
+        );
     }
 
     #[test]

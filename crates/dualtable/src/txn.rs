@@ -32,9 +32,10 @@ use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 
 use dt_common::{Error, RecordId, Result, Row, Value};
+use dt_orcfile::ColumnBatch;
 
 use crate::store::{Assignment, DualTableStore};
-use crate::union_read::UnionReadOptions;
+use crate::union_read::{for_each_row, UnionReadOptions};
 
 /// A transaction's buffered effect on one committed record.
 #[derive(Debug, Clone, Default)]
@@ -74,16 +75,27 @@ impl Snapshot {
         &self.store
     }
 
-    /// UNION READ at the pin. `opts.snapshot_ts` is overridden by the
-    /// pin's timestamp — a snapshot has exactly one point in time.
+    /// UNION READ at the pin, as merged column batches (see
+    /// [`DualTableStore::for_each_batch`]). `opts.snapshot_ts` is
+    /// overridden by the pin's timestamp — a snapshot has exactly one
+    /// point in time.
+    pub fn for_each_batch(
+        &self,
+        opts: &UnionReadOptions,
+        mut f: impl FnMut(u32, ColumnBatch) -> Result<ControlFlow<()>>,
+    ) -> Result<()> {
+        let mut opts = opts.clone();
+        opts.snapshot_ts = self.ts;
+        self.store.pinned_for_each(self.gen, &opts, &mut f)
+    }
+
+    /// [`Snapshot::for_each_batch`] unpacked into `(record id, row)` pairs.
     pub fn for_each(
         &self,
         opts: &UnionReadOptions,
         mut f: impl FnMut(RecordId, Row) -> Result<ControlFlow<()>>,
     ) -> Result<()> {
-        let mut opts = opts.clone();
-        opts.snapshot_ts = self.ts;
-        self.store.pinned_for_each(self.gen, &opts, &mut f)
+        self.for_each_batch(opts, |file_id, batch| for_each_row(file_id, &batch, &mut f))
     }
 
     /// Materializes a scan at the pin.
@@ -101,12 +113,12 @@ impl Snapshot {
         self.scan(&UnionReadOptions::all())
     }
 
-    /// Counts rows visible at the pin.
+    /// Counts rows visible at the pin (see [`DualTableStore::count`]).
     pub fn count(&self) -> Result<u64> {
         let mut n = 0u64;
-        let opts = UnionReadOptions::all().with_projection(vec![0]);
-        self.for_each(&opts, |_, _| {
-            n += 1;
+        let opts = UnionReadOptions::all().with_projection(Vec::new());
+        self.for_each_batch(&opts, |_, batch| {
+            n += batch.selected_len() as u64;
             Ok(ControlFlow::Continue(()))
         })?;
         Ok(n)

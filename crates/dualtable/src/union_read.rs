@@ -10,7 +10,7 @@ use std::ops::ControlFlow;
 
 use dt_common::{Error, RecordId, Result, Row};
 use dt_kvstore::ScanIter;
-use dt_orcfile::{ColumnPredicate, OrcReader};
+use dt_orcfile::{ColumnBatch, ColumnPredicate, OrcReader};
 
 use crate::attached::AttachedEntry;
 
@@ -25,7 +25,7 @@ pub struct UnionReadOptions {
     /// is pushed down for file `f` unless the presence index says `f` has
     /// an update overlay on `c` (an overlay can move a row into a range
     /// its stripe statistics exclude). Delete markers never un-skip a
-    /// stripe, so they don't block push-down. See DESIGN.md §10 for the
+    /// stripe, so they don't block push-down. See DESIGN.md §18 for the
     /// soundness argument.
     pub predicates: Option<Vec<ColumnPredicate>>,
     /// Read at this attached-tier snapshot timestamp (`u64::MAX` = latest)
@@ -50,84 +50,90 @@ impl UnionReadOptions {
     }
 }
 
-/// Merges one master file with its attached entries, invoking `f` per
-/// surviving row. Returns `Break` if the callback stopped the scan.
+/// What a UNION READ hands its consumer: a master file's ID and one of its
+/// stripes as a merged [`ColumnBatch`]. `Break` stops the scan.
+pub(crate) type BatchFn<'a> = dyn FnMut(u32, ColumnBatch) -> Result<ControlFlow<()>> + 'a;
+
+/// Merges one master file with its attached entries, batch in, batch out:
+/// each surviving stripe gets its update overlays patched in by row number
+/// and its delete markers applied as the batch's selection vector, then
+/// goes to `f`. Returns `Break` if the callback stopped the scan.
 ///
 /// `attached` must be a scan over exactly this file's record-ID range, or
-/// `None` when the presence index proved the file clean — the merge then
-/// degenerates to a pure master scan with no KV work at all.
-/// `projection` is the list of materialized column ordinals (absolute),
-/// matching the ORC reader's projection; update overlays are mapped through
-/// it. `apply_pushdown` tells whether the ORC reader was given predicates
-/// (in which case skipped rows simply never surface here).
+/// `None` when the presence index proved the file clean — batches then
+/// pass through untouched, with no KV work at all. `projection` lists the
+/// decoded column ordinals (absolute); overlays on other columns are
+/// dropped. `predicates` only skip stripes; entries for rows in a skipped
+/// stripe are discarded.
 pub(crate) fn merge_file(
     file_id: u32,
     reader: &OrcReader,
     projection: &[usize],
     predicates: Option<&[ColumnPredicate]>,
     attached: Option<ScanIter>,
-    f: &mut dyn FnMut(RecordId, Row) -> Result<ControlFlow<()>>,
+    f: &mut BatchFn<'_>,
 ) -> Result<ControlFlow<()>> {
     let mut attached = attached.map(Iterator::peekable);
-    let mut rows = reader.rows(Some(projection), predicates)?;
-    // Position of each absolute column ordinal within the projected row.
-    let mut pos_of = vec![usize::MAX; reader.schema().len()];
+    // Position of each absolute column ordinal within the batch.
+    let mut pos_of = vec![None; reader.schema().len()];
     for (pos, col) in projection.iter().enumerate() {
-        pos_of[*col] = pos;
+        pos_of[*col] = Some(pos);
     }
-
-    loop {
-        let (row_number, mut row) = match rows.next() {
-            None => break,
-            Some(r) => r?,
-        };
-        let record = RecordId::new(
-            file_id,
-            u32::try_from(row_number)
-                .map_err(|_| Error::corrupt("row number exceeds record-ID range"))?,
-        );
-        let key = record.to_key();
-
-        // Advance the attached scan to this record, discarding any entries
-        // for record IDs the master scan has already passed (these can only
-        // be rows hidden by stripe skipping).
-        let mut entry: Option<AttachedEntry> = None;
-        while let Some(attached) = attached.as_mut() {
-            match attached.peek() {
-                None => break,
-                Some(Err(_)) => {
-                    // Surface the error.
-                    return Err(attached
-                        .next()
-                        .expect("peeked Some")
-                        .expect_err("peeked Err"));
-                }
-                Some(Ok(kv_row)) => {
-                    if kv_row.row.as_slice() < key.as_slice() {
-                        attached.next();
-                    } else if kv_row.row.as_slice() == key.as_slice() {
-                        let kv_row = attached.next().expect("peeked Some")?;
-                        entry = Some(AttachedEntry::from_row(&kv_row)?);
-                        break;
-                    } else {
-                        break;
-                    }
-                }
-            }
+    for batch in reader.batches(Some(projection), predicates)? {
+        let mut batch = batch?;
+        let start = batch.row_start();
+        let end = start + batch.rows() as u64;
+        if end > u64::from(u32::MAX) + 1 {
+            return Err(Error::corrupt("row number exceeds record-ID range"));
         }
-
-        if let Some(entry) = entry {
+        let mut deleted = Vec::new();
+        // Both inputs ascend by record ID: consume the entries up to this
+        // batch's last row, then leave the rest for the next batch.
+        while let Some(kv_row) = attached.as_mut().and_then(|a| {
+            a.next_if(|kv| {
+                let row = kv.as_ref().ok().and_then(|kv| RecordId::from_key(&kv.row));
+                row.is_none_or(|r| u64::from(r.row) < end)
+            })
+        }) {
+            let entry = AttachedEntry::from_row(&kv_row?)?;
+            let Some(i) = u64::from(entry.record.row).checked_sub(start) else {
+                continue; // a row some skipped stripe holds
+            };
             if entry.deleted {
+                deleted.push(i as u32);
                 continue;
             }
             for (column, value) in entry.updates {
-                let pos = pos_of.get(column).copied().unwrap_or(usize::MAX);
-                if pos != usize::MAX {
-                    row[pos] = value;
+                if let Some(pos) = pos_of.get(column).copied().flatten() {
+                    batch.column_mut(pos).set(i as usize, value)?;
                 }
             }
         }
-        if let ControlFlow::Break(()) = f(record, row)? {
+        if !deleted.is_empty() {
+            let mut deleted = deleted.into_iter().peekable();
+            batch.select(
+                (0..batch.rows() as u32)
+                    .filter(|i| deleted.next_if_eq(i).is_none())
+                    .collect(),
+            );
+        }
+        if f(file_id, batch)?.is_break() {
+            return Ok(ControlFlow::Break(()));
+        }
+    }
+    Ok(ControlFlow::Continue(()))
+}
+
+/// The row-at-a-time view of a merged batch: `(record id, row)` per
+/// surviving row.
+pub(crate) fn for_each_row(
+    file_id: u32,
+    batch: &ColumnBatch,
+    f: &mut dyn FnMut(RecordId, Row) -> Result<ControlFlow<()>>,
+) -> Result<ControlFlow<()>> {
+    for i in batch.selected() {
+        let record = RecordId::new(file_id, (batch.row_start() + i as u64) as u32);
+        if f(record, batch.row(i))?.is_break() {
             return Ok(ControlFlow::Break(()));
         }
     }

@@ -116,3 +116,319 @@ proptest! {
         }
     }
 }
+
+// ----------------------------------------------------------------------
+// Differential test of the batch merge: every scan entry point against
+// the full scan of the same epoch.
+// ----------------------------------------------------------------------
+
+mod differential {
+    use std::cmp::Ordering;
+
+    use dt_common::rng::Rng64;
+    use dt_common::{DataType, Deadline, Field, RecordId, Row, Schema, Value};
+    use dt_orcfile::{ColumnPredicate, PredicateOp, WriterOptions};
+    use dualtable::{
+        DualTableConfig, DualTableEnv, DualTableStore, PlanMode, RatioHint, ShardSpec,
+        ShardedTable, UnionReadOptions,
+    };
+    use proptest::prelude::*;
+
+    const TYPES: [DataType; 5] = [
+        DataType::Int64,
+        DataType::Float64,
+        DataType::Utf8,
+        DataType::Bool,
+        DataType::Date,
+    ];
+
+    /// A value of `ty`: NULL one time in five; strings from a pool of three
+    /// (a dictionary stream) when `column` is even, unique ones (a direct
+    /// stream) when it is odd.
+    fn value(rng: &mut Rng64, ty: DataType, column: usize) -> Value {
+        if rng.chance(0.2) {
+            return Value::Null;
+        }
+        match ty {
+            DataType::Int64 => Value::Int64(rng.range_i64(-20, 20)),
+            DataType::Float64 => Value::Float64(rng.range_i64(-40, 40) as f64 / 2.0),
+            DataType::Bool => Value::Bool(rng.chance(0.5)),
+            DataType::Date => Value::Date(rng.range_i64(18_000, 18_040) as i32),
+            DataType::Utf8 if column.is_multiple_of(2) => {
+                Value::from(*rng.choose(&["red", "green", "blüe"]))
+            }
+            DataType::Utf8 => Value::Utf8(format!("s-{}", rng.next_below(1 << 20))),
+        }
+    }
+
+    /// Column 0 is the unique, non-null key `k` (also the shard key).
+    fn schema(rng: &mut Rng64) -> Schema {
+        let mut fields = vec![Field::new("k", DataType::Int64)];
+        for c in 1..rng.range_i64(2, 6) as usize {
+            fields.push(Field::new(format!("c{c}"), *rng.choose(&TYPES)));
+        }
+        Schema::new(fields).unwrap()
+    }
+
+    fn rows(rng: &mut Rng64, schema: &Schema, first: i64, n: usize) -> Vec<Row> {
+        (0..n as i64)
+            .map(|i| {
+                let mut row = vec![Value::Int64(first + i)];
+                for c in 1..schema.len() {
+                    row.push(value(rng, schema.field(c).data_type, c));
+                }
+                row
+            })
+            .collect()
+    }
+
+    enum Dml {
+        Update {
+            d: i64,
+            r: i64,
+            column: usize,
+            value: Value,
+        },
+        Delete {
+            d: i64,
+            r: i64,
+        },
+    }
+
+    fn dml(rng: &mut Rng64, schema: &Schema) -> Dml {
+        let d = rng.range_i64(2, 6);
+        let r = rng.range_i64(0, d - 1);
+        if rng.chance(0.3) {
+            return Dml::Delete { d, r };
+        }
+        let column = rng.range_i64(1, schema.len() as i64 - 1) as usize;
+        Dml::Update {
+            d,
+            r,
+            column,
+            value: value(rng, schema.field(column).data_type, column),
+        }
+    }
+
+    fn hits(row: &Row, d: i64, r: i64) -> bool {
+        row[0].as_i64().unwrap().rem_euclid(d) == r
+    }
+
+    /// Runs `op` on the table and on its sharded twin.
+    fn apply(t: &DualTableStore, sharded: &ShardedTable, op: &Dml) {
+        let ratio = RatioHint::Explicit(0.1);
+        match op {
+            Dml::Update {
+                d,
+                r,
+                column,
+                value,
+            } => {
+                let assign = [(
+                    *column,
+                    Box::new(|_: &Row| value.clone()) as Box<dyn Fn(&Row) -> Value + Sync>,
+                )];
+                t.update(|row| hits(row, *d, *r), &assign, ratio).unwrap();
+                sharded
+                    .update_keyed(|row| hits(row, *d, *r), &assign, ratio, None, None)
+                    .unwrap();
+            }
+            Dml::Delete { d, r } => {
+                t.delete(|row| hits(row, *d, *r), ratio).unwrap();
+                sharded
+                    .delete_keyed(|row| hits(row, *d, *r), ratio, None, None)
+                    .unwrap();
+            }
+        }
+    }
+
+    /// Random projection order (possibly empty, no repeats) and up to two
+    /// stripe predicates on any column, projected or not.
+    fn scan_opts(rng: &mut Rng64, schema: &Schema) -> UnionReadOptions {
+        let mut opts = UnionReadOptions::all();
+        if rng.chance(0.8) {
+            let mut columns: Vec<usize> = (0..schema.len()).collect();
+            for i in (1..columns.len()).rev() {
+                columns.swap(i, rng.next_below(i as u64 + 1) as usize);
+            }
+            columns.truncate(rng.next_below(schema.len() as u64 + 1) as usize);
+            opts.projection = Some(columns);
+        }
+        let predicates: Vec<ColumnPredicate> = (0..rng.next_below(3))
+            .map(|_| {
+                let column = rng.next_below(schema.len() as u64) as usize;
+                let literal = match column {
+                    0 => Value::Int64(rng.range_i64(0, 60)),
+                    _ => loop {
+                        let v = value(rng, schema.field(column).data_type, column);
+                        if !v.is_null() {
+                            break v;
+                        }
+                    },
+                };
+                let ops = [
+                    PredicateOp::Eq,
+                    PredicateOp::Lt,
+                    PredicateOp::Le,
+                    PredicateOp::Gt,
+                    PredicateOp::Ge,
+                ];
+                ColumnPredicate::new(column, *rng.choose(&ops), literal)
+            })
+            .collect();
+        if !predicates.is_empty() {
+            opts.predicates = Some(predicates);
+        }
+        opts
+    }
+
+    fn satisfies(row: &Row, p: &ColumnPredicate) -> bool {
+        let v = &row[p.column];
+        if v.is_null() {
+            return false;
+        }
+        let ord = v.total_cmp(&p.literal);
+        match p.op {
+            PredicateOp::Eq => ord == Ordering::Equal,
+            PredicateOp::Lt => ord == Ordering::Less,
+            PredicateOp::Le => ord != Ordering::Greater,
+            PredicateOp::Gt => ord == Ordering::Greater,
+            PredicateOp::Ge => ord != Ordering::Less,
+        }
+    }
+
+    fn project(row: &Row, opts: &UnionReadOptions) -> Row {
+        match &opts.projection {
+            Some(p) => p.iter().map(|&c| row[c].clone()).collect(),
+            None => row.clone(),
+        }
+    }
+
+    /// `got` (a scan under `opts`) against `all` (the full scan of the same
+    /// epoch): every row it returns is the projection of the full row with
+    /// the same record ID, in the same order; it loses no row the
+    /// predicates accept (they may only skip stripes); and without
+    /// predicates it returns every row.
+    fn check(got: &[(RecordId, Row)], all: &[(RecordId, Row)], opts: &UnionReadOptions) {
+        let predicates = opts.predicates.as_deref().unwrap_or(&[]);
+        let mut got = got.iter().peekable();
+        for (id, full) in all {
+            match got.next_if(|(g, _)| g == id) {
+                Some((_, row)) => prop_assert_eq!(row, &project(full, opts), "row {:?}", id),
+                None => prop_assert!(
+                    !predicates.iter().all(|p| satisfies(full, p)),
+                    "lost row {:?} = {:?} under {:?}",
+                    id,
+                    full,
+                    opts
+                ),
+            }
+        }
+        prop_assert!(
+            got.next().is_none(),
+            "rows out of order or not in the table"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn every_scan_agrees_with_the_full_scan(seed in any::<u64>()) {
+            let mut rng = Rng64::new(seed);
+            let rng = &mut rng;
+            let schema = schema(rng);
+            let config = DualTableConfig {
+                rows_per_file: rng.range_i64(4, 24) as usize,
+                plan_mode: PlanMode::AlwaysEdit,
+                writer: WriterOptions {
+                    stripe_rows: rng.range_i64(1, 8) as usize,
+                    ..WriterOptions::default()
+                },
+                ..DualTableConfig::default()
+            };
+            let base_len = rng.next_below(60) as usize;
+            let base = rows(rng, &schema, 0, base_len);
+            let ops: Vec<Dml> = (0..rng.next_below(6)).map(|_| dml(rng, &schema)).collect();
+            let pinned_after = rng.next_below(ops.len() as u64 + 1) as usize;
+
+            let env = DualTableEnv::in_memory();
+            let t = DualTableStore::create(&env, "t", schema.clone(), config.clone()).unwrap();
+            let split = rng.range_i64(1, 50);
+            let spec = ShardSpec::new(0, vec![split, split + rng.range_i64(1, 20)]).unwrap();
+            let sharded =
+                ShardedTable::create(&env, "s", schema.clone(), config, spec).unwrap();
+            t.insert_rows(base.clone()).unwrap();
+            sharded.insert_rows(base).unwrap();
+
+            // A snapshot pinned mid-history, then a transactional insert it
+            // must never see (its files are staged, `file_visible` hides them).
+            for op in &ops[..pinned_after] {
+                apply(&t, &sharded, op);
+            }
+            let pinned = t.begin_snapshot().unwrap();
+            let pinned_all = pinned.scan_all().unwrap();
+            let extra_len = rng.next_below(12) as usize;
+            let extra = rows(rng, &schema, 1000, extra_len);
+            let mut txn = t.begin_transaction().unwrap();
+            txn.insert(extra.clone()).unwrap();
+            txn.commit().unwrap();
+            sharded.insert_rows(extra).unwrap();
+            for op in &ops[pinned_after..] {
+                apply(&t, &sharded, op);
+            }
+
+            let all = t.scan_all().unwrap();
+            prop_assert_eq!(t.count().unwrap(), all.len() as u64);
+            prop_assert_eq!(pinned.scan_all().unwrap(), pinned_all.clone());
+            prop_assert_eq!(pinned.count().unwrap(), pinned_all.len() as u64);
+            prop_assert_eq!(sharded.count().unwrap(), all.len() as u64);
+            let mut by_key: Vec<Row> = all.iter().map(|(_, row)| row.clone()).collect();
+            by_key.sort_by_key(|row| row[0].as_i64());
+
+            let job = dt_engine::JobConfig { max_mappers: 3, num_reducers: 1 };
+            for _ in 0..6 {
+                let opts = scan_opts(rng, &schema);
+                let got = t.scan(&opts).unwrap();
+                check(&got, &all, &opts);
+                prop_assert_eq!(t.scan_parallel(&opts, &job).unwrap(), got);
+
+                // The same scan at the pin, through the pinned snapshot and
+                // as a time-travel read of the live table.
+                let at_pin = pinned.scan(&opts).unwrap();
+                check(&at_pin, &pinned_all, &opts);
+                let travel = UnionReadOptions { snapshot_ts: pinned.ts(), ..opts.clone() };
+                let travelled = t.scan(&travel).unwrap();
+                let visible_then = |(id, _): &&(RecordId, Row)| {
+                    pinned_all.binary_search_by_key(id, |(p, _)| *p).is_ok()
+                };
+                let travelled: Vec<_> = travelled.iter().filter(visible_then).cloned().collect();
+                prop_assert_eq!(travelled, at_pin);
+
+                // Scatter over three shards: the unsharded table, shard by
+                // shard. Keys are unique, so rows compare by key.
+                let scattered = sharded
+                    .scan_scatter(None, opts.predicates.as_deref(), &Deadline::never())
+                    .unwrap();
+                let keys: Vec<Option<i64>> = scattered.iter().map(|r| r[0].as_i64()).collect();
+                prop_assert!(keys.windows(2).all(|w| w[0] < w[1]), "gather is key-ordered");
+                let predicates = opts.predicates.as_deref().unwrap_or(&[]);
+                let mut scattered = scattered.iter().peekable();
+                for full in &by_key {
+                    if scattered.next_if_eq(&full).is_none() {
+                        prop_assert!(
+                            !predicates.iter().all(|p| satisfies(full, p)),
+                            "scatter lost {:?} under {:?}", full, opts
+                        );
+                    }
+                }
+                prop_assert!(scattered.next().is_none(), "scatter invented a row");
+                let projected = sharded
+                    .scan_scatter(opts.projection.as_deref(), None, &Deadline::never())
+                    .unwrap();
+                let expect: Vec<Row> = by_key.iter().map(|row| project(row, &opts)).collect();
+                prop_assert_eq!(projected, expect);
+            }
+        }
+    }
+}

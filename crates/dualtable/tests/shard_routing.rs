@@ -21,7 +21,7 @@ use dt_common::{DataType, Deadline, Row, Schema, Value};
 use dt_orcfile::{ColumnPredicate, PredicateOp};
 use dualtable::{
     DualTableConfig, DualTableEnv, DualTableStore, PlanChoice, PlanMode, RatioHint, ShardMap,
-    ShardSpec, ShardedTable,
+    ShardSpec, ShardedTable, UnionReadOptions,
 };
 
 fn schema() -> Schema {
@@ -109,7 +109,10 @@ fn empty_shards_are_harmless() {
             &[(1, Box::new(|_| Value::Int64(-1)))],
             RatioHint::Explicit(0.01),
             None,
-            Some(&[pred(PredicateOp::Ge, 250)]),
+            Some(&UnionReadOptions {
+                predicates: Some(vec![pred(PredicateOp::Ge, 250)]),
+                ..UnionReadOptions::all()
+            }),
         )
         .unwrap();
     assert_eq!(report.rows_matched, 0);

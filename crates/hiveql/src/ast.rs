@@ -239,6 +239,9 @@ pub enum Expr {
         /// Column name.
         name: String,
     },
+    /// Planner-internal: a column reference resolved to its position in the
+    /// row layout the statement evaluates over (see [`Expr::bind`]).
+    Bound(usize),
     /// A literal value.
     Literal(Value),
     /// `left op right`
@@ -381,38 +384,129 @@ impl Expr {
         }
     }
 
-    /// `true` iff the expression tree contains an aggregate function call.
-    pub fn contains_aggregate(&self) -> bool {
+    /// The direct sub-expressions, in evaluation order (a subquery's own
+    /// expressions are not among them).
+    pub fn children(&self) -> Vec<&Expr> {
         match self {
-            Expr::Function { name, args, .. } => {
-                is_aggregate_name(name) || args.iter().any(Expr::contains_aggregate)
-            }
-            Expr::Binary { left, right, .. } => {
-                left.contains_aggregate() || right.contains_aggregate()
-            }
-            Expr::Unary { operand, .. } => operand.contains_aggregate(),
-            Expr::IsNull { expr, .. } => expr.contains_aggregate(),
-            Expr::InList { expr, list, .. } => {
-                expr.contains_aggregate() || list.iter().any(Expr::contains_aggregate)
-            }
+            Expr::Column { .. } | Expr::Bound(_) | Expr::Literal(_) => Vec::new(),
+            Expr::Binary { left, right, .. } => vec![left, right],
+            Expr::Unary { operand: expr, .. }
+            | Expr::IsNull { expr, .. }
+            | Expr::Like { expr, .. }
+            | Expr::InSet { expr, .. }
+            | Expr::InSubquery { expr, .. } => vec![expr],
+            Expr::Function { args, .. } => args.iter().collect(),
+            Expr::InList { expr, list, .. } => std::iter::once(&**expr).chain(list).collect(),
             Expr::Between {
                 expr, low, high, ..
-            } => expr.contains_aggregate() || low.contains_aggregate() || high.contains_aggregate(),
-            Expr::Like { expr, .. } => expr.contains_aggregate(),
+            } => vec![expr, low, high],
             Expr::Case {
                 operand,
                 branches,
                 else_result,
-            } => {
-                operand.as_ref().is_some_and(|o| o.contains_aggregate())
-                    || branches
-                        .iter()
-                        .any(|(w, t)| w.contains_aggregate() || t.contains_aggregate())
-                    || else_result.as_ref().is_some_and(|e| e.contains_aggregate())
-            }
-            Expr::InSubquery { expr, .. } | Expr::InSet { expr, .. } => expr.contains_aggregate(),
-            Expr::Column { .. } | Expr::Literal(_) => false,
+            } => operand
+                .iter()
+                .map(|o| &**o)
+                .chain(branches.iter().flat_map(|(w, t)| [w, t]))
+                .chain(else_result.iter().map(|e| &**e))
+                .collect(),
         }
+    }
+
+    /// Rebuilds the expression with `f` applied to every direct
+    /// sub-expression; the first error wins.
+    pub fn map_children<E>(self, f: &mut impl FnMut(Expr) -> Result<Expr, E>) -> Result<Expr, E> {
+        let mut boxed = |e: Box<Expr>| f(*e).map(Box::new);
+        Ok(match self {
+            leaf @ (Expr::Column { .. } | Expr::Bound(_) | Expr::Literal(_)) => leaf,
+            Expr::Binary { op, left, right } => Expr::Binary {
+                op,
+                left: boxed(left)?,
+                right: boxed(right)?,
+            },
+            Expr::Unary { op, operand } => Expr::Unary {
+                op,
+                operand: boxed(operand)?,
+            },
+            Expr::IsNull { expr, negated } => Expr::IsNull {
+                expr: boxed(expr)?,
+                negated,
+            },
+            Expr::Like {
+                expr,
+                pattern,
+                negated,
+            } => Expr::Like {
+                expr: boxed(expr)?,
+                pattern,
+                negated,
+            },
+            Expr::InSet {
+                expr,
+                set_index,
+                negated,
+            } => Expr::InSet {
+                expr: boxed(expr)?,
+                set_index,
+                negated,
+            },
+            Expr::InSubquery {
+                expr,
+                subquery,
+                negated,
+            } => Expr::InSubquery {
+                expr: boxed(expr)?,
+                subquery,
+                negated,
+            },
+            Expr::Function {
+                name,
+                args,
+                wildcard,
+            } => Expr::Function {
+                name,
+                args: args.into_iter().map(&mut *f).collect::<Result<_, E>>()?,
+                wildcard,
+            },
+            Expr::InList {
+                expr,
+                list,
+                negated,
+            } => Expr::InList {
+                expr: boxed(expr)?,
+                list: list.into_iter().map(&mut *f).collect::<Result<_, E>>()?,
+                negated,
+            },
+            Expr::Between {
+                expr,
+                low,
+                high,
+                negated,
+            } => Expr::Between {
+                expr: boxed(expr)?,
+                low: boxed(low)?,
+                high: boxed(high)?,
+                negated,
+            },
+            Expr::Case {
+                operand,
+                branches,
+                else_result,
+            } => Expr::Case {
+                operand: operand.map(&mut boxed).transpose()?,
+                branches: branches
+                    .into_iter()
+                    .map(|(w, t)| Ok((f(w)?, f(t)?)))
+                    .collect::<Result<_, E>>()?,
+                else_result: else_result.map(|e| f(*e).map(Box::new)).transpose()?,
+            },
+        })
+    }
+
+    /// `true` iff the expression tree contains an aggregate function call.
+    pub fn contains_aggregate(&self) -> bool {
+        matches!(self, Expr::Function { name, .. } if is_aggregate_name(name))
+            || self.children().into_iter().any(Expr::contains_aggregate)
     }
 }
 

@@ -11,17 +11,18 @@ use std::sync::Arc;
 
 use dt_baselines::{HiveAcidTable, HiveHbaseTable, HiveHdfsTable};
 use dt_common::{Deadline, Error, Result, Row, Schema};
-use dt_orcfile::ColumnPredicate;
+use dt_orcfile::{ColumnBatch, ColumnPredicate};
 use dualtable::{
     Assignment, DmlReport, DualTableStore, PlanChoice, RatioHint, ShardedDmlReport, ShardedTable,
+    UnionReadOptions,
 };
 use parking_lot::RwLock;
 
 use crate::ast::StorageKind;
 
-/// Rows scanned between two [`Deadline`] checks. Small enough that a
-/// timed-out statement aborts promptly; large enough that the atomic
-/// load disappears in scan cost.
+/// Rows scanned between two [`Deadline`] checks where storage hands back
+/// rows, not batches. Small enough that a timed-out statement aborts
+/// promptly; large enough that the atomic load disappears in scan cost.
 const DEADLINE_CHECK_ROWS: usize = 1024;
 
 /// A table's storage handler.
@@ -52,6 +53,36 @@ pub struct DmlOutcome {
     /// Per-shard plan reports, when the handler is range-sharded (each
     /// shard runs its own cost model).
     pub sharded: Option<ShardedDmlReport>,
+}
+
+impl DmlOutcome {
+    /// A baseline's full rewrite: `(matched, scanned)`, no plan.
+    fn rewrite((rows_matched, rows_scanned): (u64, u64)) -> Self {
+        DmlOutcome {
+            rows_matched,
+            rows_scanned,
+            report: None,
+            sharded: None,
+        }
+    }
+
+    fn planned(report: DmlReport) -> Self {
+        DmlOutcome {
+            rows_matched: report.rows_matched,
+            rows_scanned: report.rows_scanned,
+            report: Some(report),
+            sharded: None,
+        }
+    }
+
+    fn sharded(report: ShardedDmlReport) -> Self {
+        DmlOutcome {
+            rows_matched: report.rows_matched,
+            rows_scanned: report.rows_scanned,
+            report: None,
+            sharded: Some(report),
+        }
+    }
 }
 
 impl TableHandle {
@@ -88,8 +119,7 @@ impl TableHandle {
     }
 
     /// [`TableHandle::scan`] under a per-statement [`Deadline`]: the scan
-    /// checks the token at row-batch boundaries (every
-    /// [`DEADLINE_CHECK_ROWS`] rows) and aborts with
+    /// checks the token at batch boundaries and aborts with
     /// [`Error::Timeout`](dt_common::Error::Timeout) once it expires. No
     /// storage state is touched mid-batch, so a timed-out scan leaves the
     /// table — and the session — fully usable.
@@ -103,25 +133,6 @@ impl TableHandle {
         match self {
             TableHandle::Orc(t) => t.scan(projection, predicates),
             TableHandle::HBase(t) => t.scan(projection),
-            TableHandle::Dual(t) => {
-                let mut opts = dualtable::UnionReadOptions::all();
-                if let Some(p) = projection {
-                    opts.projection = Some(p.to_vec());
-                }
-                opts.predicates = predicates.map(<[ColumnPredicate]>::to_vec);
-                let mut out = Vec::new();
-                let mut since_check = 0usize;
-                t.for_each(&opts, |_, row| {
-                    since_check += 1;
-                    if since_check >= DEADLINE_CHECK_ROWS {
-                        since_check = 0;
-                        deadline.check()?;
-                    }
-                    out.push(row);
-                    Ok(ControlFlow::Continue(()))
-                })?;
-                Ok(out)
-            }
             TableHandle::Acid(t) => {
                 let mut out = Vec::new();
                 let mut since_check = 0usize;
@@ -139,10 +150,42 @@ impl TableHandle {
                 })?;
                 Ok(out)
             }
-            // Scatter-gather: range pruning drops whole shards before any
-            // I/O, survivors scan in parallel, results gather in range
-            // order. The deadline is checked inside each shard's scan.
-            TableHandle::Sharded(t) => t.scan_scatter(projection, predicates, deadline),
+            TableHandle::Dual(_) | TableHandle::Sharded(_) => {
+                let mut out = Vec::new();
+                self.for_each_batch(projection, predicates, deadline, &mut |batch| {
+                    out.extend(batch.selected_rows());
+                    Ok(())
+                })?;
+                Ok(out)
+            }
+        }
+    }
+
+    /// The DUALTABLE scan interface: UNION READ as merged column batches,
+    /// `projection` decoded and nothing else, the deadline checked at
+    /// every batch. A sharded table prunes whole shards by `predicates`
+    /// before any I/O and scans the survivors in parallel; its batches
+    /// arrive in range order.
+    pub fn for_each_batch(
+        &self,
+        projection: Option<&[usize]>,
+        predicates: Option<&[ColumnPredicate]>,
+        deadline: &Deadline,
+        f: &mut dyn FnMut(&ColumnBatch) -> Result<()>,
+    ) -> Result<()> {
+        let mut opts = UnionReadOptions::all();
+        opts.projection = projection.map(<[usize]>::to_vec);
+        opts.predicates = predicates.map(<[ColumnPredicate]>::to_vec);
+        match self {
+            TableHandle::Dual(t) => t.for_each_batch(&opts, |_, batch| {
+                deadline.check()?;
+                f(&batch)?;
+                Ok(ControlFlow::Continue(()))
+            }),
+            TableHandle::Sharded(t) => t.scan_batches(&opts, deadline)?.iter().try_for_each(f),
+            _ => Err(Error::Unsupported(
+                "column-batch scans are a DUALTABLE interface".into(),
+            )),
         }
     }
 
@@ -190,122 +233,50 @@ impl TableHandle {
         }
     }
 
-    /// Executes an UPDATE. `pushdown` carries the WHERE clause's
-    /// column-vs-literal conjuncts; a range-sharded handler uses them to
-    /// prune whole shards before scanning (other handlers already receive
-    /// them through their own scan paths).
+    /// Executes an UPDATE. `scan` says what the statement reads — the
+    /// columns `predicate` and `assignments` look at and the WHERE
+    /// clause's column-vs-literal conjuncts — so that DUALTABLE storage can
+    /// project its locate-scan, skip stripes and prune shards; the
+    /// baselines rewrite everything and ignore it.
     pub fn update(
         &self,
         predicate: &(dyn Fn(&Row) -> bool + Sync),
         assignments: &[Assignment<'_>],
         ratio: RatioHint,
         statement_key: Option<&str>,
-        pushdown: Option<&[ColumnPredicate]>,
+        scan: &UnionReadOptions,
     ) -> Result<DmlOutcome> {
         match self {
-            TableHandle::Orc(t) => {
-                let (m, s) = t.update(predicate, assignments)?;
-                Ok(DmlOutcome {
-                    rows_matched: m,
-                    rows_scanned: s,
-                    report: None,
-                    sharded: None,
-                })
-            }
-            TableHandle::HBase(t) => {
-                let (m, s) = t.update(predicate, assignments)?;
-                Ok(DmlOutcome {
-                    rows_matched: m,
-                    rows_scanned: s,
-                    report: None,
-                    sharded: None,
-                })
-            }
-            TableHandle::Acid(t) => {
-                let (m, s) = t.update(predicate, assignments)?;
-                Ok(DmlOutcome {
-                    rows_matched: m,
-                    rows_scanned: s,
-                    report: None,
-                    sharded: None,
-                })
-            }
-            TableHandle::Dual(t) => {
-                let report = t.update_keyed(predicate, assignments, ratio, statement_key)?;
-                Ok(DmlOutcome {
-                    rows_matched: report.rows_matched,
-                    rows_scanned: report.rows_scanned,
-                    report: Some(report),
-                    sharded: None,
-                })
-            }
-            TableHandle::Sharded(t) => {
-                let report =
-                    t.update_keyed(predicate, assignments, ratio, statement_key, pushdown)?;
-                Ok(DmlOutcome {
-                    rows_matched: report.rows_matched,
-                    rows_scanned: report.rows_scanned,
-                    report: None,
-                    sharded: Some(report),
-                })
-            }
+            TableHandle::Orc(t) => t.update(predicate, assignments).map(DmlOutcome::rewrite),
+            TableHandle::HBase(t) => t.update(predicate, assignments).map(DmlOutcome::rewrite),
+            TableHandle::Acid(t) => t.update(predicate, assignments).map(DmlOutcome::rewrite),
+            TableHandle::Dual(t) => t
+                .update_keyed(predicate, assignments, ratio, statement_key, scan)
+                .map(DmlOutcome::planned),
+            TableHandle::Sharded(t) => t
+                .update_keyed(predicate, assignments, ratio, statement_key, Some(scan))
+                .map(DmlOutcome::sharded),
         }
     }
 
-    /// Executes a DELETE (see [`TableHandle::update`] for `pushdown`).
+    /// Executes a DELETE (see [`TableHandle::update`] for `scan`).
     pub fn delete(
         &self,
         predicate: &(dyn Fn(&Row) -> bool + Sync),
         ratio: RatioHint,
         statement_key: Option<&str>,
-        pushdown: Option<&[ColumnPredicate]>,
+        scan: &UnionReadOptions,
     ) -> Result<DmlOutcome> {
         match self {
-            TableHandle::Orc(t) => {
-                let (m, s) = t.delete(predicate)?;
-                Ok(DmlOutcome {
-                    rows_matched: m,
-                    rows_scanned: s,
-                    report: None,
-                    sharded: None,
-                })
-            }
-            TableHandle::HBase(t) => {
-                let (m, s) = t.delete(predicate)?;
-                Ok(DmlOutcome {
-                    rows_matched: m,
-                    rows_scanned: s,
-                    report: None,
-                    sharded: None,
-                })
-            }
-            TableHandle::Acid(t) => {
-                let (m, s) = t.delete(predicate)?;
-                Ok(DmlOutcome {
-                    rows_matched: m,
-                    rows_scanned: s,
-                    report: None,
-                    sharded: None,
-                })
-            }
-            TableHandle::Dual(t) => {
-                let report = t.delete_keyed(predicate, ratio, statement_key)?;
-                Ok(DmlOutcome {
-                    rows_matched: report.rows_matched,
-                    rows_scanned: report.rows_scanned,
-                    report: Some(report),
-                    sharded: None,
-                })
-            }
-            TableHandle::Sharded(t) => {
-                let report = t.delete_keyed(predicate, ratio, statement_key, pushdown)?;
-                Ok(DmlOutcome {
-                    rows_matched: report.rows_matched,
-                    rows_scanned: report.rows_scanned,
-                    report: None,
-                    sharded: Some(report),
-                })
-            }
+            TableHandle::Orc(t) => t.delete(predicate).map(DmlOutcome::rewrite),
+            TableHandle::HBase(t) => t.delete(predicate).map(DmlOutcome::rewrite),
+            TableHandle::Acid(t) => t.delete(predicate).map(DmlOutcome::rewrite),
+            TableHandle::Dual(t) => t
+                .delete_keyed(predicate, ratio, statement_key, scan)
+                .map(DmlOutcome::planned),
+            TableHandle::Sharded(t) => t
+                .delete_keyed(predicate, ratio, statement_key, Some(scan))
+                .map(DmlOutcome::sharded),
         }
     }
 

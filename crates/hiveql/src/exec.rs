@@ -1,16 +1,16 @@
 //! Statement execution: SELECT pipelines and DML dispatch.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use dt_common::{DataType, Deadline, Error, Field, Result, Row, Schema, Value};
-use dt_engine::{run_map_reduce, JobConfig, JobCounters};
-use dt_orcfile::{ColumnPredicate, PredicateOp};
+use dt_orcfile::{ColumnBatch, ColumnPredicate, PredicateOp};
 use dualtable::RatioHint;
 
 use crate::ast::*;
-use crate::catalog::SharedCatalog;
+use crate::catalog::{SharedCatalog, TableHandle};
 use crate::expr::{
-    eval, is_true, normalize_numeric, Binding, EvalContext, GroupKey, HashableValue,
+    eval, is_true, normalize_numeric, BatchRow, Binding, EvalContext, GroupKey, HashableValue,
+    RowRef,
 };
 use crate::session::SessionTxn;
 
@@ -62,17 +62,19 @@ impl QueryResult {
     }
 }
 
+/// Rows evaluated between two [`Deadline`] checks: filter evaluation can
+/// dominate a scan (subquery sets, LIKE), so a batch boundary alone is not
+/// prompt enough.
+const DEADLINE_CHECK_ROWS: u64 = 1024;
+
 /// Executor configuration.
 #[derive(Debug, Clone)]
 pub struct ExecConfig {
-    /// Parallelism for aggregation jobs.
-    pub job: JobConfig,
     /// Ratio hint passed to DualTable DML.
     pub ratio_hint: RatioHint,
-    /// Rows per map split when aggregating.
-    pub agg_split_rows: usize,
-    /// Per-statement deadline token, checked at row-batch boundaries in
-    /// scans and filters. Defaults to never; installed per statement by
+    /// Per-statement deadline token, checked at batch boundaries in scans
+    /// and every [`DEADLINE_CHECK_ROWS`] rows in between. Defaults to
+    /// never; installed per statement by
     /// [`Session::execute_with_deadline`](crate::Session::execute_with_deadline).
     pub deadline: Deadline,
 }
@@ -80,9 +82,7 @@ pub struct ExecConfig {
 impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig {
-            job: JobConfig::default(),
             ratio_hint: RatioHint::Sample,
-            agg_split_rows: 64 * 1024,
             deadline: Deadline::never(),
         }
     }
@@ -116,63 +116,72 @@ impl Executor<'_> {
     }
 
     fn select_with_ctx(&self, stmt: &SelectStmt, ctx: &EvalContext) -> Result<QueryResult> {
-        // 1. FROM + JOIN → working set and its binding.
-        let (mut rows, binding) = self.scan_from(stmt, ctx)?;
-
-        // 2. WHERE. Filter evaluation can dominate scans (subquery sets,
-        // LIKE), so the deadline is re-checked per row batch here too.
-        if let Some(filter) = &stmt.where_clause {
-            let mut kept = Vec::with_capacity(rows.len());
-            for (i, row) in rows.into_iter().enumerate() {
-                if i % 1024 == 1023 {
-                    self.config.deadline.check()?;
-                }
-                if is_true(&eval(filter, &row, &binding, ctx)?) {
-                    kept.push(row);
-                }
-            }
-            rows = kept;
+        // 1. Resolve, before any I/O: the row layout of FROM + JOINs, the
+        // select list and every column reference.
+        let refs: Vec<&TableRef> = stmt
+            .from
+            .iter()
+            .chain(stmt.joins.iter().map(|j| &j.table))
+            .collect();
+        let mut tables = Vec::with_capacity(refs.len());
+        let mut binding = Binding::default();
+        for table in &refs {
+            let handle = self.catalog.get(&table.name)?;
+            binding = binding.join(&Binding::from_schema(table.binding_name(), handle.schema()));
+            tables.push(handle);
         }
-
-        // 3. Projection / aggregation.
         let items = expand_wildcards(&stmt.items, &binding)?;
-        for (expr, _) in &items {
-            validate_columns(expr, &binding)?;
-        }
-        if let Some(w) = &stmt.where_clause {
-            validate_columns(w, &binding)?;
-        }
-        for g in &stmt.group_by {
-            validate_columns(g, &binding)?;
-        }
-        let has_aggs = items.iter().any(|(e, _)| e.contains_aggregate())
-            || stmt.having.as_ref().is_some_and(Expr::contains_aggregate);
-        let (mut out_rows, out_names, mut order_keys) = if has_aggs || !stmt.group_by.is_empty() {
-            self.aggregate(stmt, &items, rows, &binding, ctx)?
-        } else {
-            let mut out = Vec::with_capacity(rows.len());
-            let mut order_keys = Vec::with_capacity(rows.len());
-            for row in &rows {
-                let mut projected = Vec::with_capacity(items.len());
-                for (expr, _) in &items {
-                    projected.push(eval(expr, row, &binding, ctx)?);
-                }
-                if !stmt.order_by.is_empty() {
-                    let mut key = Vec::with_capacity(stmt.order_by.len());
-                    for (expr, _) in &stmt.order_by {
-                        key.push(HashableValue(
-                            self.order_key(expr, row, &binding, &projected, &items, ctx)?,
-                        ));
-                    }
-                    order_keys.push(GroupKey(key));
-                }
-                out.push(projected);
-            }
-            let names = items.iter().map(|(_, n)| n.clone()).collect();
-            (out, names, order_keys)
-        };
 
-        // 3b. DISTINCT: keep the first occurrence of each output row.
+        // One table: read only the columns the statement references.
+        let projection: Option<Vec<usize>> = (tables.len() == 1).then(|| {
+            let mut used = BTreeSet::new();
+            let exprs = items
+                .iter()
+                .map(|(e, _)| e)
+                .chain(&stmt.where_clause)
+                .chain(&stmt.group_by)
+                .chain(&stmt.having)
+                .chain(stmt.order_by.iter().map(|(e, _)| e));
+            for expr in exprs {
+                expr.columns_into(&binding, &mut used);
+            }
+            used.into_iter().collect()
+        });
+        let deadline = &self.config.deadline;
+        let layout = match &projection {
+            Some(p) => binding.project(p),
+            None => binding.clone(),
+        };
+        let mut pipeline = Pipeline::new(stmt, items, layout, ctx, deadline)?;
+
+        // 2. Scan → WHERE → projection / aggregation, streamed.
+        match (&tables[..], &projection) {
+            ([base], Some(projection)) => {
+                // WHERE conjuncts of the form column <op> literal skip
+                // stripes (and shards) — except on the overlay path, where
+                // the WHERE clause re-filters every row anyway.
+                let predicates = stmt
+                    .where_clause
+                    .as_ref()
+                    .map(|w| extract_pushdown(w, &binding, base.schema()))
+                    .filter(|p| !p.is_empty());
+                let (projection, predicates) = (Some(&projection[..]), predicates.as_deref());
+                if let Some(txn) = self.txn_overlay(&refs[0].name) {
+                    deadline.check()?;
+                    pipeline.push_rows(&txn.rows(projection)?)?;
+                } else if base.storage_kind() == StorageKind::DualTable {
+                    base.for_each_batch(projection, predicates, deadline, &mut |batch| {
+                        pipeline.push_batch(batch)
+                    })?;
+                } else {
+                    pipeline.push_rows(&base.scan_deadline(projection, predicates, deadline)?)?;
+                }
+            }
+            _ => pipeline.push_rows(&self.joined_rows(stmt, &refs, &tables, ctx)?)?,
+        }
+        let (mut out_rows, out_names, mut order_keys) = pipeline.finish()?;
+
+        // 3. DISTINCT: keep the first occurrence of each output row.
         if stmt.distinct {
             let mut seen = std::collections::HashSet::new();
             let mut kept_rows = Vec::with_capacity(out_rows.len());
@@ -225,90 +234,43 @@ impl Executor<'_> {
         })
     }
 
-    /// Resolves an ORDER BY key: input binding first, then output aliases.
-    fn order_key(
+    /// The working set of a query over no table (one empty row) or over
+    /// joined tables, materialized: every table in full (through its
+    /// transaction overlay when it has one), joined left to right.
+    fn joined_rows(
         &self,
-        expr: &Expr,
-        row: &Row,
-        binding: &Binding,
-        projected: &Row,
-        items: &[(Expr, String)],
+        stmt: &SelectStmt,
+        refs: &[&TableRef],
+        tables: &[TableHandle],
         ctx: &EvalContext,
-    ) -> Result<Value> {
-        if let Ok(v) = eval(expr, row, binding, ctx) {
-            return Ok(v);
-        }
-        if let Expr::Column {
-            qualifier: None,
-            name,
-        } = expr
-        {
-            if let Some(pos) = items.iter().position(|(_, n)| n == name) {
-                return Ok(projected[pos].clone());
-            }
-        }
-        eval(expr, row, binding, ctx)
-    }
-
-    fn scan_from(&self, stmt: &SelectStmt, ctx: &EvalContext) -> Result<(Vec<Row>, Binding)> {
-        let Some(from) = &stmt.from else {
-            // SELECT without FROM: one empty row.
-            return Ok((vec![Vec::new()], Binding::default()));
-        };
-        let base = self.catalog.get(&from.name)?;
-        let base_binding = Binding::from_schema(from.binding_name(), base.schema());
-        // Push-down: only for single-table queries, from WHERE conjuncts of
-        // the form column <op> literal.
-        let predicates = if stmt.joins.is_empty() {
-            stmt.where_clause
-                .as_ref()
-                .map(|w| extract_pushdown(w, &base_binding, base.schema()))
-                .unwrap_or_default()
-        } else {
-            Vec::new()
-        };
-        let mut rows = match self.txn_overlay(&from.name) {
-            // Pushdown hints are skipped on the overlay path: the WHERE
-            // clause re-filters every row anyway.
-            Some(txn) => {
-                self.config.deadline.check()?;
-                txn.rows(None)?
-            }
-            None => base.scan_deadline(
-                None,
-                if predicates.is_empty() {
-                    None
-                } else {
-                    Some(&predicates)
-                },
-                &self.config.deadline,
-            )?,
-        };
-        let mut binding = base_binding;
-
-        for join in &stmt.joins {
-            let right = self.catalog.get(&join.table.name)?;
-            let right_binding = Binding::from_schema(join.table.binding_name(), right.schema());
-            let right_rows = match self.txn_overlay(&join.table.name) {
+    ) -> Result<Vec<Row>> {
+        let mut rows = vec![Vec::new()];
+        let mut binding = Binding::default();
+        for (i, (table, handle)) in refs.iter().zip(tables).enumerate() {
+            let right_binding = Binding::from_schema(table.binding_name(), handle.schema());
+            let right_rows = match self.txn_overlay(&table.name) {
                 Some(txn) => {
                     self.config.deadline.check()?;
                     txn.rows(None)?
                 }
-                None => right.scan_deadline(None, None, &self.config.deadline)?,
+                None => handle.scan_deadline(None, None, &self.config.deadline)?,
             };
             let joined_binding = binding.join(&right_binding);
-            rows = self.join_rows(
-                rows,
-                &binding,
-                right_rows,
-                &right_binding,
-                &joined_binding,
-                join,
-                ctx,
-            )?;
+            rows = match i.checked_sub(1) {
+                None => right_rows,
+                Some(j) => self.join_rows(
+                    rows,
+                    &binding,
+                    right_rows,
+                    &right_binding,
+                    &joined_binding,
+                    &stmt.joins[j],
+                    ctx,
+                )?,
+            };
             binding = joined_binding;
         }
-        Ok((rows, binding))
+        Ok(rows)
     }
 
     /// Hash join on equi-conditions where possible, else nested loop.
@@ -411,133 +373,6 @@ impl Executor<'_> {
         Ok(out)
     }
 
-    /// GROUP BY / aggregation through the MapReduce engine: map tasks
-    /// pre-aggregate row chunks (combiner-style), reducers merge partial
-    /// states — the same shape Hive compiles a GROUP BY into.
-    fn aggregate(
-        &self,
-        stmt: &SelectStmt,
-        items: &[(Expr, String)],
-        rows: Vec<Row>,
-        binding: &Binding,
-        ctx: &EvalContext,
-    ) -> Result<(Vec<Row>, Vec<String>, Vec<GroupKey>)> {
-        // Collect the distinct aggregate calls across items + HAVING.
-        let mut specs: Vec<Expr> = Vec::new();
-        for (e, _) in items {
-            collect_aggregates(e, &mut specs);
-        }
-        if let Some(h) = &stmt.having {
-            collect_aggregates(h, &mut specs);
-        }
-        for (e, _) in &stmt.order_by {
-            collect_aggregates(e, &mut specs);
-        }
-
-        let split_rows = self.config.agg_split_rows.max(1);
-        let splits: Vec<Vec<Row>> = if rows.is_empty() {
-            vec![Vec::new()]
-        } else {
-            rows.chunks(split_rows).map(<[Row]>::to_vec).collect()
-        };
-
-        let counters = JobCounters::new();
-        let group_by = &stmt.group_by;
-        let specs_ref = &specs;
-        // One group = (key, representative row, per-spec state).
-        type GroupVal = (Vec<Value>, Vec<AggState>);
-        let reduced: Vec<(GroupKey, GroupVal)> = run_map_reduce(
-            &self.config.job,
-            &counters,
-            splits,
-            |chunk: Vec<Row>, emit: &mut dyn FnMut(GroupKey, GroupVal)| {
-                let mut local: HashMap<GroupKey, GroupVal> = HashMap::new();
-                for row in &chunk {
-                    let mut key = Vec::with_capacity(group_by.len());
-                    for g in group_by {
-                        key.push(HashableValue(eval(g, row, binding, ctx)?));
-                    }
-                    let entry = local.entry(GroupKey(key)).or_insert_with(|| {
-                        (
-                            row.clone(),
-                            specs_ref.iter().map(AggState::for_spec).collect(),
-                        )
-                    });
-                    for (state, spec) in entry.1.iter_mut().zip(specs_ref) {
-                        state.update(spec, row, binding, ctx)?;
-                    }
-                }
-                // The global aggregate (no GROUP BY) needs a group even for
-                // empty input; handled after the job.
-                for (k, v) in local {
-                    emit(k, v);
-                }
-                Ok(())
-            },
-            |key, mut partials: Vec<GroupVal>| {
-                let mut merged = partials.pop().expect("at least one partial");
-                for partial in partials {
-                    for (into, from) in merged.1.iter_mut().zip(partial.1) {
-                        into.merge(from);
-                    }
-                }
-                Ok(vec![(key, merged)])
-            },
-        )?;
-
-        let mut groups: Vec<(GroupKey, GroupVal)> = reduced;
-        if groups.is_empty() && group_by.is_empty() {
-            // Global aggregate over zero rows: one empty group.
-            groups.push((
-                GroupKey(Vec::new()),
-                (Vec::new(), specs.iter().map(AggState::for_spec).collect()),
-            ));
-        }
-        groups.sort_by(|(a, _), (b, _)| a.cmp(b));
-
-        let mut out_rows = Vec::with_capacity(groups.len());
-        let mut order_keys = Vec::with_capacity(groups.len());
-        for (_, (rep, states)) in &groups {
-            let agg_values: Vec<Value> =
-                states.iter().map(AggState::finish).collect::<Result<_>>()?;
-            // HAVING.
-            if let Some(h) = &stmt.having {
-                let v = eval_with_aggs(h, rep, binding, &specs, &agg_values, ctx)?;
-                if !is_true(&v) {
-                    continue;
-                }
-            }
-            let mut projected = Vec::with_capacity(items.len());
-            for (e, _) in items {
-                projected.push(eval_with_aggs(e, rep, binding, &specs, &agg_values, ctx)?);
-            }
-            if !stmt.order_by.is_empty() {
-                let mut key = Vec::with_capacity(stmt.order_by.len());
-                for (e, _) in &stmt.order_by {
-                    // Aliases refer to projected columns; otherwise evaluate
-                    // with aggregates against the representative row.
-                    let v = if let Expr::Column {
-                        qualifier: None,
-                        name,
-                    } = e
-                    {
-                        match items.iter().position(|(_, n)| n == name) {
-                            Some(pos) => projected[pos].clone(),
-                            None => eval_with_aggs(e, rep, binding, &specs, &agg_values, ctx)?,
-                        }
-                    } else {
-                        eval_with_aggs(e, rep, binding, &specs, &agg_values, ctx)?
-                    };
-                    key.push(HashableValue(v));
-                }
-                order_keys.push(GroupKey(key));
-            }
-            out_rows.push(projected);
-        }
-        let names = items.iter().map(|(_, n)| n.clone()).collect();
-        Ok((out_rows, names, order_keys))
-    }
-
     // ------------------------------------------------------------------
     // Subquery planning
     // ------------------------------------------------------------------
@@ -585,32 +420,249 @@ impl Executor<'_> {
                     negated,
                 }
             }
-            Expr::Binary { op, left, right } => Expr::Binary {
-                op,
-                left: Box::new(self.plan_subqueries(*left, ctx)?),
-                right: Box::new(self.plan_subqueries(*right, ctx)?),
-            },
-            Expr::Unary { op, operand } => Expr::Unary {
-                op,
-                operand: Box::new(self.plan_subqueries(*operand, ctx)?),
-            },
-            Expr::IsNull { expr, negated } => Expr::IsNull {
-                expr: Box::new(self.plan_subqueries(*expr, ctx)?),
-                negated,
-            },
-            Expr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => Expr::Between {
-                expr: Box::new(self.plan_subqueries(*expr, ctx)?),
-                low: Box::new(self.plan_subqueries(*low, ctx)?),
-                high: Box::new(self.plan_subqueries(*high, ctx)?),
-                negated,
-            },
-            other => other,
+            other => other.map_children(&mut |child| self.plan_subqueries(child, ctx))?,
         })
+    }
+}
+
+// ----------------------------------------------------------------------
+// The row pipeline
+// ----------------------------------------------------------------------
+
+/// Where an ORDER BY key comes from.
+enum OrderKey {
+    /// An expression over the input row (or, when aggregating, over the
+    /// group's aggregates and representative row).
+    Input(Expr),
+    /// The output column at this position, named by its alias.
+    Output(usize),
+}
+
+/// One group = (representative row, per-spec state).
+type Group = (Row, Vec<AggState>);
+
+/// What the pipeline has produced so far.
+enum Acc {
+    /// Plain projection: output rows and their ORDER BY keys.
+    Rows(Vec<Row>, Vec<GroupKey>),
+    /// GROUP BY / aggregation: running states per group.
+    Groups(HashMap<GroupKey, Group>),
+}
+
+/// WHERE → projection or aggregation over a stream of input rows, one at
+/// a time, whether they arrive as heap rows or as column batches. Every
+/// expression is bound to a position of the input layout up front, so a
+/// misspelt column fails the statement before anything is read.
+struct Pipeline<'a> {
+    filter: Option<Expr>,
+    items: Vec<(Expr, String)>,
+    group_by: Vec<Expr>,
+    having: Option<Expr>,
+    order_by: Vec<OrderKey>,
+    /// The distinct aggregate calls across items, HAVING and ORDER BY.
+    specs: Vec<Expr>,
+    /// The statement is an unfiltered, ungrouped `COUNT(*)` reading no
+    /// column: batch cardinalities answer it — for a clean master file,
+    /// its footer's row counts — and add up in `counted`.
+    counts_only: bool,
+    counted: u64,
+    acc: Acc,
+    seen: u64,
+    binding: Binding,
+    ctx: &'a EvalContext,
+    deadline: &'a Deadline,
+}
+
+impl<'a> Pipeline<'a> {
+    fn new(
+        stmt: &SelectStmt,
+        items: Vec<(Expr, String)>,
+        binding: Binding,
+        ctx: &'a EvalContext,
+        deadline: &'a Deadline,
+    ) -> Result<Self> {
+        let bind = |e: &Expr| e.clone().bind(&binding);
+        let filter = stmt.where_clause.as_ref().map(bind).transpose()?;
+        let items: Vec<(Expr, String)> = items
+            .into_iter()
+            .map(|(e, n)| Ok((e.bind(&binding)?, n)))
+            .collect::<Result<_>>()?;
+        let group_by: Vec<Expr> = stmt.group_by.iter().map(bind).collect::<Result<_>>()?;
+        let having = stmt.having.as_ref().map(bind).transpose()?;
+        let aggregating = !group_by.is_empty()
+            || items.iter().any(|(e, _)| e.contains_aggregate())
+            || having.as_ref().is_some_and(Expr::contains_aggregate);
+        // A bare name in ORDER BY may be an input column or an output
+        // alias: the input wins for a plain projection, the alias when
+        // aggregating.
+        let mut order_by = Vec::with_capacity(stmt.order_by.len());
+        for (expr, _) in &stmt.order_by {
+            let alias = match expr {
+                Expr::Column {
+                    qualifier: None,
+                    name,
+                } => items.iter().position(|(_, n)| n == name),
+                _ => None,
+            };
+            order_by.push(match (alias, bind(expr)) {
+                (Some(pos), _) if aggregating => OrderKey::Output(pos),
+                (_, Ok(bound)) => OrderKey::Input(bound),
+                (Some(pos), Err(_)) => OrderKey::Output(pos),
+                (None, Err(e)) => return Err(e),
+            });
+        }
+        let mut specs: Vec<Expr> = Vec::new();
+        for (e, _) in &items {
+            collect_aggregates(e, &mut specs);
+        }
+        if let Some(e) = &having {
+            collect_aggregates(e, &mut specs);
+        }
+        for key in &order_by {
+            if let OrderKey::Input(e) = key {
+                collect_aggregates(e, &mut specs);
+            }
+        }
+        let count_star =
+            |e: &Expr| matches!(e, Expr::Function { name, wildcard: true, .. } if name == "count");
+        Ok(Pipeline {
+            counts_only: filter.is_none()
+                && group_by.is_empty()
+                && binding.is_empty()
+                && !specs.is_empty()
+                && specs.iter().all(count_star),
+            filter,
+            items,
+            group_by,
+            having,
+            order_by,
+            specs,
+            acc: if aggregating {
+                Acc::Groups(HashMap::new())
+            } else {
+                Acc::Rows(Vec::new(), Vec::new())
+            },
+            counted: 0,
+            seen: 0,
+            binding,
+            ctx,
+            deadline,
+        })
+    }
+
+    fn push_rows(&mut self, rows: &[Row]) -> Result<()> {
+        rows.iter().try_for_each(|row| self.push(row))
+    }
+
+    fn push_batch(&mut self, batch: &ColumnBatch) -> Result<()> {
+        if self.counts_only {
+            self.counted += batch.selected_len() as u64;
+            return Ok(());
+        }
+        batch
+            .selected()
+            .try_for_each(|i| self.push(&BatchRow(batch, i)))
+    }
+
+    fn push<R: RowRef + ?Sized>(&mut self, row: &R) -> Result<()> {
+        self.seen += 1;
+        if self.seen.is_multiple_of(DEADLINE_CHECK_ROWS) {
+            self.deadline.check()?;
+        }
+        let (binding, ctx) = (&self.binding, self.ctx);
+        if let Some(filter) = &self.filter {
+            if !is_true(&eval(filter, row, binding, ctx)?) {
+                return Ok(());
+            }
+        }
+        match &mut self.acc {
+            Acc::Rows(out, order_keys) => {
+                let mut projected = Vec::with_capacity(self.items.len());
+                for (expr, _) in &self.items {
+                    projected.push(eval(expr, row, binding, ctx)?);
+                }
+                if !self.order_by.is_empty() {
+                    let mut key = Vec::with_capacity(self.order_by.len());
+                    for order in &self.order_by {
+                        key.push(HashableValue(match order {
+                            OrderKey::Input(e) => eval(e, row, binding, ctx)?,
+                            OrderKey::Output(pos) => projected[*pos].clone(),
+                        }));
+                    }
+                    order_keys.push(GroupKey(key));
+                }
+                out.push(projected);
+            }
+            Acc::Groups(groups) => {
+                let mut key = Vec::with_capacity(self.group_by.len());
+                for g in &self.group_by {
+                    key.push(HashableValue(eval(g, row, binding, ctx)?));
+                }
+                let specs = &self.specs;
+                let (_, states) = groups.entry(GroupKey(key)).or_insert_with(|| {
+                    (row.to_row(), specs.iter().map(AggState::for_spec).collect())
+                });
+                for (state, spec) in states.iter_mut().zip(specs) {
+                    state.update(spec, row, binding, ctx)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Output rows, output names and ORDER BY keys.
+    fn finish(self) -> Result<(Vec<Row>, Vec<String>, Vec<GroupKey>)> {
+        let names = self.items.iter().map(|(_, n)| n.clone()).collect();
+        let groups = match self.acc {
+            Acc::Rows(out, order_keys) => return Ok((out, names, order_keys)),
+            Acc::Groups(groups) => groups,
+        };
+        let (binding, ctx, specs) = (&self.binding, self.ctx, &self.specs);
+        let mut groups: Vec<(GroupKey, Group)> = groups.into_iter().collect();
+        if groups.is_empty() && self.group_by.is_empty() {
+            // Global aggregate with no row pushed: one empty group, which
+            // for a counts-only statement holds the batch cardinalities.
+            let state = |spec| match self.counts_only {
+                true => AggState::Count(self.counted),
+                false => AggState::for_spec(spec),
+            };
+            groups.push((
+                GroupKey(Vec::new()),
+                (Vec::new(), specs.iter().map(state).collect()),
+            ));
+        }
+        groups.sort_by(|(a, _), (b, _)| a.cmp(b));
+
+        let mut out_rows = Vec::with_capacity(groups.len());
+        let mut order_keys = Vec::with_capacity(groups.len());
+        for (_, (rep, states)) in &groups {
+            let agg_values: Vec<Value> =
+                states.iter().map(AggState::finish).collect::<Result<_>>()?;
+            if let Some(h) = &self.having {
+                let v = eval_with_aggs(h, rep, binding, specs, &agg_values, ctx)?;
+                if !is_true(&v) {
+                    continue;
+                }
+            }
+            let mut projected = Vec::with_capacity(self.items.len());
+            for (e, _) in &self.items {
+                projected.push(eval_with_aggs(e, rep, binding, specs, &agg_values, ctx)?);
+            }
+            if !self.order_by.is_empty() {
+                let mut key = Vec::with_capacity(self.order_by.len());
+                for order in &self.order_by {
+                    key.push(HashableValue(match order {
+                        OrderKey::Input(e) => {
+                            eval_with_aggs(e, rep, binding, specs, &agg_values, ctx)?
+                        }
+                        OrderKey::Output(pos) => projected[*pos].clone(),
+                    }));
+                }
+                order_keys.push(GroupKey(key));
+            }
+            out_rows.push(projected);
+        }
+        Ok((out_rows, names, order_keys))
     }
 }
 
@@ -654,10 +706,10 @@ impl AggState {
         }
     }
 
-    fn update(
+    fn update<R: RowRef + ?Sized>(
         &mut self,
         spec: &Expr,
-        row: &Row,
+        row: &R,
         binding: &Binding,
         ctx: &EvalContext,
     ) -> Result<()> {
@@ -710,47 +762,6 @@ impl AggState {
         Ok(())
     }
 
-    fn merge(&mut self, other: AggState) {
-        match (self, other) {
-            (AggState::Count(a), AggState::Count(b)) => *a += b,
-            (
-                AggState::Sum {
-                    sum: a,
-                    seen: sa,
-                    integral: ia,
-                },
-                AggState::Sum {
-                    sum: b,
-                    seen: sb,
-                    integral: ib,
-                },
-            ) => {
-                *a += b;
-                *sa |= sb;
-                *ia &= ib;
-            }
-            (AggState::Avg { sum: a, count: ca }, AggState::Avg { sum: b, count: cb }) => {
-                *a += b;
-                *ca += cb;
-            }
-            (AggState::Min(a), AggState::Min(b)) => {
-                if let Some(bv) = b {
-                    if a.as_ref().is_none_or(|av| bv.total_cmp(av).is_lt()) {
-                        *a = Some(bv);
-                    }
-                }
-            }
-            (AggState::Max(a), AggState::Max(b)) => {
-                if let Some(bv) = b {
-                    if a.as_ref().is_none_or(|av| bv.total_cmp(av).is_gt()) {
-                        *a = Some(bv);
-                    }
-                }
-            }
-            _ => unreachable!("merging mismatched aggregate states"),
-        }
-    }
-
     fn finish(&self) -> Result<Value> {
         Ok(match self {
             AggState::Count(n) => Value::Int64(*n as i64),
@@ -780,59 +791,12 @@ impl AggState {
 }
 
 fn collect_aggregates(expr: &Expr, out: &mut Vec<Expr>) {
-    match expr {
-        Expr::Function { name, args, .. } if is_aggregate_name(name) => {
-            if !out.contains(expr) {
-                out.push(expr.clone());
-            }
-            for a in args {
-                collect_aggregates(a, out);
-            }
-        }
-        Expr::Function { args, .. } => {
-            for a in args {
-                collect_aggregates(a, out);
-            }
-        }
-        Expr::Binary { left, right, .. } => {
-            collect_aggregates(left, out);
-            collect_aggregates(right, out);
-        }
-        Expr::Unary { operand, .. } => collect_aggregates(operand, out),
-        Expr::IsNull { expr, .. }
-        | Expr::Like { expr, .. }
-        | Expr::InSet { expr, .. }
-        | Expr::InSubquery { expr, .. } => collect_aggregates(expr, out),
-        Expr::InList { expr, list, .. } => {
-            collect_aggregates(expr, out);
-            for e in list {
-                collect_aggregates(e, out);
-            }
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            collect_aggregates(expr, out);
-            collect_aggregates(low, out);
-            collect_aggregates(high, out);
-        }
-        Expr::Case {
-            operand,
-            branches,
-            else_result,
-        } => {
-            if let Some(o) = operand {
-                collect_aggregates(o, out);
-            }
-            for (w, t) in branches {
-                collect_aggregates(w, out);
-                collect_aggregates(t, out);
-            }
-            if let Some(e) = else_result {
-                collect_aggregates(e, out);
-            }
-        }
-        Expr::Column { .. } | Expr::Literal(_) => {}
+    let is_call = matches!(expr, Expr::Function { name, .. } if is_aggregate_name(name));
+    if is_call && !out.contains(expr) {
+        out.push(expr.clone());
+    }
+    for child in expr.children() {
+        collect_aggregates(child, out);
     }
 }
 
@@ -903,53 +867,6 @@ fn eval_with_aggs(
 // Helpers
 // ----------------------------------------------------------------------
 
-/// Bind-time check that every column reference resolves — catches typos
-/// even when the input has zero rows.
-fn validate_columns(expr: &Expr, binding: &Binding) -> Result<()> {
-    match expr {
-        Expr::Column { qualifier, name } => binding.resolve(qualifier.as_deref(), name).map(|_| ()),
-        Expr::Literal(_) => Ok(()),
-        Expr::Binary { left, right, .. } => {
-            validate_columns(left, binding)?;
-            validate_columns(right, binding)
-        }
-        Expr::Unary { operand, .. } => validate_columns(operand, binding),
-        Expr::Function { args, .. } => args.iter().try_for_each(|a| validate_columns(a, binding)),
-        Expr::IsNull { expr, .. }
-        | Expr::Like { expr, .. }
-        | Expr::InSet { expr, .. }
-        | Expr::InSubquery { expr, .. } => validate_columns(expr, binding),
-        Expr::InList { expr, list, .. } => {
-            validate_columns(expr, binding)?;
-            list.iter().try_for_each(|e| validate_columns(e, binding))
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            validate_columns(expr, binding)?;
-            validate_columns(low, binding)?;
-            validate_columns(high, binding)
-        }
-        Expr::Case {
-            operand,
-            branches,
-            else_result,
-        } => {
-            if let Some(o) = operand {
-                validate_columns(o, binding)?;
-            }
-            for (w, t) in branches {
-                validate_columns(w, binding)?;
-                validate_columns(t, binding)?;
-            }
-            match else_result {
-                Some(e) => validate_columns(e, binding),
-                None => Ok(()),
-            }
-        }
-    }
-}
-
 /// Splits an expression into top-level AND conjuncts.
 pub fn conjuncts(expr: &Expr) -> Vec<&Expr> {
     match expr {
@@ -1019,9 +936,19 @@ pub fn extract_pushdown(
         if binding.resolve(qualifier.as_deref(), name).is_err() {
             continue;
         }
-        if let Some(ordinal) = schema.index_of(name) {
-            // Stripe stats compare by stored type; skip mixed-type literals
-            // except int/float widening which total_cmp handles.
+        let Some(ordinal) = schema.index_of(name) else {
+            continue;
+        };
+        // Push only what the evaluator can compare with the column: a
+        // literal of another type makes the row filter fail the
+        // statement, while stripe statistics would order the two by type
+        // and silently skip every stripe.
+        let comparable = match schema.field(ordinal).data_type {
+            DataType::Utf8 => matches!(lit, Value::Utf8(_)),
+            DataType::Bool => matches!(lit, Value::Bool(_)),
+            DataType::Int64 | DataType::Float64 | DataType::Date => lit.as_f64().is_some(),
+        };
+        if comparable {
             out.push(ColumnPredicate::new(ordinal, op, lit.clone()));
         }
     }
@@ -1139,40 +1066,6 @@ mod tests {
         let binding = Binding::from_schema("t", &schema);
         let w = where_of("SELECT 1 FROM t WHERE zz = 5");
         assert!(extract_pushdown(&w, &binding, &schema).is_empty());
-    }
-
-    #[test]
-    fn agg_state_merge_matches_single_pass() {
-        let spec = Expr::Function {
-            name: "sum".into(),
-            args: vec![Expr::col("x")],
-            wildcard: false,
-        };
-        let schema = Schema::from_pairs(&[("x", DataType::Int64)]);
-        let binding = Binding::from_schema("t", &schema);
-        let ctx = EvalContext::default();
-        let values: Vec<i64> = vec![1, 2, 3, 4, 5, 6];
-
-        let mut single = AggState::for_spec(&spec);
-        for v in &values {
-            single
-                .update(&spec, &vec![Value::Int64(*v)], &binding, &ctx)
-                .unwrap();
-        }
-        let mut left = AggState::for_spec(&spec);
-        let mut right = AggState::for_spec(&spec);
-        for v in &values[..3] {
-            left.update(&spec, &vec![Value::Int64(*v)], &binding, &ctx)
-                .unwrap();
-        }
-        for v in &values[3..] {
-            right
-                .update(&spec, &vec![Value::Int64(*v)], &binding, &ctx)
-                .unwrap();
-        }
-        left.merge(right);
-        assert_eq!(left.finish().unwrap(), single.finish().unwrap());
-        assert_eq!(left.finish().unwrap(), Value::Int64(21));
     }
 
     #[test]

@@ -5,6 +5,7 @@ use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 
 use dt_common::{Error, Result, Row, Schema, Value};
+use dt_orcfile::ColumnBatch;
 
 use crate::ast::{BinOp, Expr, UnOp};
 
@@ -40,6 +41,13 @@ impl Binding {
         let mut cols = self.cols.clone();
         cols.extend(other.cols.iter().cloned());
         Binding { cols }
+    }
+
+    /// The layout of a scan that reads only `positions`, in that order.
+    pub fn project(&self, positions: &[usize]) -> Binding {
+        Binding {
+            cols: positions.iter().map(|&p| self.cols[p].clone()).collect(),
+        }
     }
 
     /// Number of columns.
@@ -91,6 +99,63 @@ impl Binding {
             1 => Ok(matches[0]),
             _ => Err(Error::Plan(format!("ambiguous column '{name}'"))),
         }
+    }
+}
+
+impl Expr {
+    /// Resolves every column reference against `binding`, once, so that
+    /// evaluation is positional: each [`Expr::Column`] becomes an
+    /// [`Expr::Bound`]. Fails on the first unknown or ambiguous name —
+    /// before any row is read.
+    pub fn bind(self, binding: &Binding) -> Result<Expr> {
+        match self {
+            Expr::Column { qualifier, name } => binding
+                .resolve(qualifier.as_deref(), &name)
+                .map(Expr::Bound),
+            other => other.map_children(&mut |child| child.bind(binding)),
+        }
+    }
+
+    /// Adds the positions in `binding` of every column the expression
+    /// references to `out`. Names that do not resolve are left for
+    /// [`Expr::bind`] to report.
+    pub fn columns_into(&self, binding: &Binding, out: &mut std::collections::BTreeSet<usize>) {
+        if let Expr::Column { qualifier, name } = self {
+            out.extend(binding.resolve(qualifier.as_deref(), name));
+        }
+        for child in self.children() {
+            child.columns_into(binding, out);
+        }
+    }
+}
+
+/// What expressions evaluate over: anything that yields the value at a
+/// position of the bound row layout.
+pub trait RowRef {
+    /// The value at `pos`.
+    fn value(&self, pos: usize) -> Value;
+    /// The whole row, materialized.
+    fn to_row(&self) -> Row;
+}
+
+impl RowRef for Row {
+    fn value(&self, pos: usize) -> Value {
+        self[pos].clone()
+    }
+    fn to_row(&self) -> Row {
+        self.clone()
+    }
+}
+
+/// Row `i` of a column batch, in place.
+pub struct BatchRow<'a>(pub &'a ColumnBatch, pub usize);
+
+impl RowRef for BatchRow<'_> {
+    fn value(&self, pos: usize) -> Value {
+        self.0.columns()[pos].value(self.1)
+    }
+    fn to_row(&self) -> Row {
+        self.0.row(self.1)
     }
 }
 
@@ -164,13 +229,21 @@ impl Ord for GroupKey {
     }
 }
 
-/// Evaluates `expr` against one row.
-pub fn eval(expr: &Expr, row: &Row, binding: &Binding, ctx: &EvalContext) -> Result<Value> {
+/// Evaluates `expr` against one row. Bound column references
+/// ([`Expr::bind`]) read their position directly; unbound ones are looked
+/// up in `binding` by name, per call.
+pub fn eval<R: RowRef + ?Sized>(
+    expr: &Expr,
+    row: &R,
+    binding: &Binding,
+    ctx: &EvalContext,
+) -> Result<Value> {
     match expr {
         Expr::Literal(v) => Ok(v.clone()),
+        Expr::Bound(pos) => Ok(row.value(*pos)),
         Expr::Column { qualifier, name } => {
             let i = binding.resolve(qualifier.as_deref(), name)?;
-            Ok(row[i].clone())
+            Ok(row.value(i))
         }
         Expr::Unary { op, operand } => {
             let v = eval(operand, row, binding, ctx)?;
@@ -328,11 +401,11 @@ pub fn normalize_numeric(v: Value) -> Value {
     }
 }
 
-fn eval_binary(
+fn eval_binary<R: RowRef + ?Sized>(
     op: BinOp,
     left: &Expr,
     right: &Expr,
-    row: &Row,
+    row: &R,
     binding: &Binding,
     ctx: &EvalContext,
 ) -> Result<Value> {

@@ -6,7 +6,7 @@ use dt_baselines::{HiveAcidTable, HiveHbaseTable, HiveHdfsTable};
 use dt_common::{Deadline, Error, Field, Result, Row, Schema, Value};
 use dualtable::{
     Assignment, CompactionMode, DualTableConfig, DualTableEnv, DualTableStore, FoldOutcome,
-    RatioHint, ShardSpec, ShardedTable, ShardedTransaction, Transaction,
+    RatioHint, ShardSpec, ShardedTable, ShardedTransaction, Transaction, UnionReadOptions,
 };
 
 use crate::ast::{InsertSource, ShardBy, Statement, StorageKind};
@@ -518,12 +518,20 @@ impl Session {
                     Some(p) => Some(self.executor().plan_subqueries(p, &mut ctx)?),
                     None => None,
                 };
-                // Resolve assignments to (ordinal, evaluator).
-                let mut resolved: Vec<(usize, crate::ast::Expr)> = Vec::new();
-                for (col, e) in &assignments {
-                    let idx = schema.require(col)?;
-                    resolved.push((idx, e.clone()));
-                }
+                // Resolve assignments to (ordinal, evaluator) and bind
+                // every column reference, once, before any row is read.
+                let targets: Vec<usize> = assignments
+                    .iter()
+                    .map(|(col, _)| schema.require(col))
+                    .collect::<Result<_>>()?;
+                let values = assignments.iter().map(|(_, e)| e);
+                let scan = dml_scan(predicate.as_ref(), values, &binding, &schema);
+                let predicate = predicate.map(|p| p.bind(&binding)).transpose()?;
+                let resolved: Vec<(usize, crate::ast::Expr)> = targets
+                    .into_iter()
+                    .zip(assignments)
+                    .map(|(idx, (_, e))| Ok((idx, e.bind(&binding)?)))
+                    .collect::<Result<_>>()?;
                 let pred_fn = |row: &Row| -> bool {
                     match &predicate {
                         None => true,
@@ -553,17 +561,12 @@ impl Session {
                         format!("updated {matched} rows (buffered)"),
                     ));
                 }
-                // The WHERE conjuncts double as shard-range pruning hints
-                // for sharded handlers (non-key predicates are ignored).
-                let pushdown = predicate
-                    .as_ref()
-                    .map(|p| crate::exec::extract_pushdown(p, &binding, &schema));
                 let outcome = handle.update(
                     &pred_fn,
                     &assign_fns,
                     self.config.exec.ratio_hint,
                     Some(&statement_key(sql)),
-                    pushdown.as_deref(),
+                    &scan,
                 )?;
                 let mut result = dml_result(
                     outcome.rows_matched,
@@ -595,6 +598,8 @@ impl Session {
                     Some(p) => Some(self.executor().plan_subqueries(p, &mut ctx)?),
                     None => None,
                 };
+                let scan = dml_scan(predicate.as_ref(), std::iter::empty(), &binding, &schema);
+                let predicate = predicate.map(|p| p.bind(&binding)).transpose()?;
                 let pred_fn = |row: &Row| -> bool {
                     match &predicate {
                         None => true,
@@ -610,14 +615,11 @@ impl Session {
                         format!("deleted {matched} rows (buffered)"),
                     ));
                 }
-                let pushdown = predicate
-                    .as_ref()
-                    .map(|p| crate::exec::extract_pushdown(p, &binding, &schema));
                 let outcome = handle.delete(
                     &pred_fn,
                     self.config.exec.ratio_hint,
                     Some(&statement_key(sql)),
-                    pushdown.as_deref(),
+                    &scan,
                 )?;
                 let mut result = dml_result(
                     outcome.rows_matched,
@@ -1076,8 +1078,13 @@ impl Session {
                     )
                 })
                 .collect();
-            let outcome =
-                target_handle.update(&pred, &assigns, self.config.exec.ratio_hint, None, None)?;
+            let outcome = target_handle.update(
+                &pred,
+                &assigns,
+                self.config.exec.ratio_hint,
+                None,
+                &UnionReadOptions::all(),
+            )?;
             updated = outcome.rows_matched;
         }
 
@@ -1197,6 +1204,26 @@ impl Session {
     pub fn set_ratio_hint(&mut self, hint: RatioHint) {
         self.config.exec.ratio_hint = hint;
     }
+}
+
+/// What a DML statement reads, for the storage layer: the columns its
+/// WHERE clause and SET right-hand sides reference, and the WHERE
+/// conjuncts that can skip stripes and prune shards.
+fn dml_scan<'e>(
+    predicate: Option<&'e crate::ast::Expr>,
+    values: impl Iterator<Item = &'e crate::ast::Expr>,
+    binding: &Binding,
+    schema: &Schema,
+) -> UnionReadOptions {
+    let mut used = std::collections::BTreeSet::new();
+    for expr in predicate.into_iter().chain(values) {
+        expr.columns_into(binding, &mut used);
+    }
+    let mut scan = UnionReadOptions::all().with_projection(used.into_iter().collect());
+    scan.predicates = predicate
+        .map(|p| crate::exec::extract_pushdown(p, binding, schema))
+        .filter(|p| !p.is_empty());
+    scan
 }
 
 fn default_message_result(msg: String) -> QueryResult {

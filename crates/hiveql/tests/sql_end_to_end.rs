@@ -329,6 +329,28 @@ fn errors_are_reported() {
     assert!(s.execute("UPDATE t SET missing = 1").is_err());
 }
 
+/// Column references resolve before the scan: a misspelt column costs no
+/// read, whichever clause it hides in.
+#[test]
+fn unknown_column_fails_before_any_read() {
+    let mut s = setup("DUALTABLE");
+    s.execute("SELECT COUNT(*) FROM t").unwrap();
+    let reads = |s: &Session| s.env().dfs.stats().snapshot().read_ops;
+    let before = reads(&s);
+    for sql in [
+        "SELECT nosuch FROM t",
+        "SELECT id FROM t WHERE nosuch > 1",
+        "SELECT COUNT(*) FROM t GROUP BY nosuch",
+        "SELECT id FROM t ORDER BY nosuch",
+        "UPDATE t SET v = nosuch + 1",
+        "DELETE FROM t WHERE nosuch = 1",
+    ] {
+        let err = s.execute(sql).unwrap_err().to_string();
+        assert!(err.contains("unknown column"), "{sql}: {err}");
+    }
+    assert_eq!(reads(&s), before, "resolution must not touch storage");
+}
+
 #[test]
 fn update_with_expression_referencing_row() {
     let mut s = setup("DUALTABLE");

@@ -1,0 +1,262 @@
+//! The column batch: one stripe's worth of the requested columns, typed.
+//!
+//! This is the unit every consumer of an ORC file works on — the reader
+//! yields one per surviving stripe, UNION READ patches overlays into it
+//! and narrows it with a selection vector, the SQL executor evaluates
+//! over it. Row-at-a-time views ([`ColumnBatch::row`],
+//! [`crate::OrcReader::rows`]) are adapters on top.
+
+use dt_common::{Error, Result, Row, Value};
+
+/// One column's values for every row of a batch, by storage type.
+/// Positions holding NULL carry a filler (zero, `false`, the empty
+/// string); [`Column::is_null`] is the authority.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ColumnData {
+    /// `BIGINT`.
+    Int64(Vec<i64>),
+    /// `DOUBLE`.
+    Float64(Vec<f64>),
+    /// `BOOLEAN`.
+    Bool(Vec<bool>),
+    /// `DATE` (days since the epoch).
+    Date(Vec<i32>),
+    /// Dictionary-coded strings, left coded: `codes[i]` indexes `dict`.
+    Dict {
+        /// The stripe's sorted dictionary (overlay values are appended).
+        dict: Vec<String>,
+        /// One dictionary index per row.
+        codes: Vec<u32>,
+    },
+    /// Directly stored strings: `spans[i]` is the `(offset, length)` of
+    /// row `i` within `bytes`.
+    Direct {
+        /// Every value, concatenated.
+        bytes: String,
+        /// One `(offset, length)` per row.
+        spans: Vec<(u32, u32)>,
+    },
+}
+
+/// A typed column vector plus its null mask.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Column {
+    data: ColumnData,
+    /// `nulls[i]` ⇔ row `i` is NULL; `None` when no row is.
+    nulls: Option<Vec<bool>>,
+}
+
+impl Column {
+    /// Expands `dense` (the non-null values in row order) to one slot per
+    /// row of `presence`, filling NULL rows with `T::default()`.
+    pub(crate) fn expand<T: Default>(presence: &[bool], dense: Vec<T>) -> Result<Vec<T>> {
+        if dense.len() == presence.len() {
+            return Ok(dense);
+        }
+        let mut dense = dense.into_iter();
+        let out: Vec<T> = presence
+            .iter()
+            .map(|&p| if p { dense.next() } else { Some(T::default()) })
+            .collect::<Option<_>>()
+            .ok_or_else(|| Error::corrupt("value stream shorter than presence map"))?;
+        Ok(out)
+    }
+
+    /// A column from positional `data` and the stripe's presence bitmap.
+    pub(crate) fn new(data: ColumnData, presence: Vec<bool>) -> Self {
+        let nulls = presence
+            .iter()
+            .any(|p| !p)
+            .then(|| presence.into_iter().map(|p| !p).collect());
+        Column { data, nulls }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        match &self.data {
+            ColumnData::Int64(v) => v.len(),
+            ColumnData::Float64(v) => v.len(),
+            ColumnData::Bool(v) => v.len(),
+            ColumnData::Date(v) => v.len(),
+            ColumnData::Dict { codes, .. } => codes.len(),
+            ColumnData::Direct { spans, .. } => spans.len(),
+        }
+    }
+
+    /// `true` iff the column has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The typed vector (NULL rows hold fillers — see [`Column::is_null`]).
+    pub fn data(&self) -> &ColumnData {
+        &self.data
+    }
+
+    /// `true` iff row `i` is NULL.
+    pub fn is_null(&self, i: usize) -> bool {
+        self.nulls.as_ref().is_some_and(|n| n[i])
+    }
+
+    /// The string at row `i` of a string column (`None` for NULL or a
+    /// non-string column) — no allocation.
+    pub fn str_at(&self, i: usize) -> Option<&str> {
+        if self.is_null(i) {
+            return None;
+        }
+        match &self.data {
+            ColumnData::Dict { dict, codes } => Some(&dict[codes[i] as usize]),
+            ColumnData::Direct { bytes, spans } => {
+                let (off, len) = spans[i];
+                Some(&bytes[off as usize..(off + len) as usize])
+            }
+            _ => None,
+        }
+    }
+
+    /// Row `i` as a [`Value`].
+    pub fn value(&self, i: usize) -> Value {
+        if self.is_null(i) {
+            return Value::Null;
+        }
+        match &self.data {
+            ColumnData::Int64(v) => Value::Int64(v[i]),
+            ColumnData::Float64(v) => Value::Float64(v[i]),
+            ColumnData::Bool(v) => Value::Bool(v[i]),
+            ColumnData::Date(v) => Value::Date(v[i]),
+            ColumnData::Dict { .. } | ColumnData::Direct { .. } => {
+                Value::Utf8(self.str_at(i).expect("non-null string row").to_string())
+            }
+        }
+    }
+
+    /// Overwrites row `i` — how UNION READ patches an update overlay in.
+    /// The value must be NULL or of the column's type (every writer of
+    /// overlays checks this, so a mismatch is corruption).
+    pub fn set(&mut self, i: usize, value: Value) -> Result<()> {
+        let is_null = value.is_null();
+        match (&mut self.data, value) {
+            (_, Value::Null) => {}
+            (ColumnData::Int64(v), Value::Int64(x)) => v[i] = x,
+            (ColumnData::Float64(v), Value::Float64(x)) => v[i] = x,
+            (ColumnData::Bool(v), Value::Bool(x)) => v[i] = x,
+            (ColumnData::Date(v), Value::Date(x)) => v[i] = x,
+            (ColumnData::Dict { dict, codes }, Value::Utf8(s)) => {
+                codes[i] = u32::try_from(dict.len())
+                    .map_err(|_| Error::internal("dictionary outgrew its code space"))?;
+                dict.push(s);
+            }
+            (ColumnData::Direct { bytes, spans }, Value::Utf8(s)) => {
+                let span = u32::try_from(bytes.len())
+                    .ok()
+                    .zip(u32::try_from(s.len()).ok())
+                    .filter(|(off, len)| off.checked_add(*len).is_some())
+                    .ok_or_else(|| Error::internal("string column outgrew its offset space"))?;
+                bytes.push_str(&s);
+                spans[i] = span;
+            }
+            (_, other) => {
+                return Err(Error::corrupt(format!(
+                    "overlay value {other:?} does not fit its column"
+                )))
+            }
+        }
+        match &mut self.nulls {
+            Some(nulls) => nulls[i] = is_null,
+            None if is_null => {
+                let mut nulls = vec![false; self.len()];
+                nulls[i] = true;
+                self.nulls = Some(nulls);
+            }
+            None => {}
+        }
+        Ok(())
+    }
+}
+
+/// One stripe's rows, restricted to the requested columns.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ColumnBatch {
+    row_start: u64,
+    rows: usize,
+    columns: Vec<Column>,
+    /// Ascending indexes of the rows that survive; `None` = all of them.
+    selection: Option<Vec<u32>>,
+}
+
+impl ColumnBatch {
+    pub(crate) fn new(row_start: u64, rows: usize, columns: Vec<Column>) -> Self {
+        debug_assert!(columns.iter().all(|c| c.len() == rows));
+        ColumnBatch {
+            row_start,
+            rows,
+            columns,
+            selection: None,
+        }
+    }
+
+    /// Row number, within the file, of the batch's first row.
+    pub fn row_start(&self) -> u64 {
+        self.row_start
+    }
+
+    /// Rows decoded, selected or not.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// The columns, in projection order.
+    pub fn columns(&self) -> &[Column] {
+        &self.columns
+    }
+
+    /// Mutable access to one column, for patching overlays in.
+    pub fn column_mut(&mut self, pos: usize) -> &mut Column {
+        &mut self.columns[pos]
+    }
+
+    /// Narrows the batch to `selection` (ascending row indexes).
+    pub fn select(&mut self, selection: Vec<u32>) {
+        debug_assert!(selection.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(selection.last().is_none_or(|&i| (i as usize) < self.rows));
+        self.selection = Some(selection);
+    }
+
+    /// Number of surviving rows.
+    pub fn selected_len(&self) -> usize {
+        self.selection.as_ref().map_or(self.rows, Vec::len)
+    }
+
+    /// Indexes of the surviving rows, ascending.
+    pub fn selected(&self) -> impl Iterator<Item = usize> + '_ {
+        let all = if self.selection.is_none() {
+            0..self.rows
+        } else {
+            0..0
+        };
+        all.chain(self.selection.iter().flatten().map(|&i| i as usize))
+    }
+
+    /// Row `i` across the batch's columns.
+    pub fn row(&self, i: usize) -> Row {
+        self.columns.iter().map(|c| c.value(i)).collect()
+    }
+
+    /// The surviving rows, unpacked.
+    pub fn selected_rows(&self) -> impl Iterator<Item = Row> + '_ {
+        self.selected().map(|i| self.row(i))
+    }
+}
+
+/// Converts decoded dictionary indexes to codes, checking their range.
+pub(crate) fn dict_codes(indexes: Vec<i64>, dict_len: usize) -> Result<Vec<u32>> {
+    indexes
+        .into_iter()
+        .map(|i| {
+            u32::try_from(i)
+                .ok()
+                .filter(|&c| (c as usize) < dict_len)
+                .ok_or_else(|| Error::corrupt("dictionary index out of range"))
+        })
+        .collect()
+}

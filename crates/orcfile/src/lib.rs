@@ -41,6 +41,7 @@
 //! assert_eq!(rows[1].1[1], Value::from("bob"));
 //! ```
 
+pub mod batch;
 pub mod compress;
 pub mod footer_cache;
 pub mod predicate;
@@ -52,10 +53,11 @@ mod stripe;
 mod reader;
 mod writer;
 
+pub use batch::{Column, ColumnBatch, ColumnData};
 pub use compress::Codec;
 pub use footer_cache::{FooterCache, FooterCacheStats};
 pub use predicate::{ColumnPredicate, PredicateOp};
-pub use reader::{OrcReader, RowIter};
+pub use reader::{BatchIter, OrcReader, RowIter};
 pub use stats::ColumnStats;
 pub use writer::{OrcWriter, WriterOptions};
 

@@ -4,9 +4,10 @@
 use std::collections::BTreeMap;
 
 use dt_common::codec::{get_bytes, get_uvarint};
-use dt_common::{Error, Result, Row, Schema, Value};
+use dt_common::{Error, Result, Row, Schema};
 use dt_dfs::{Dfs, DfsReader};
 
+use crate::batch::ColumnBatch;
 use crate::compress::decompress_block;
 use crate::predicate::{conjunction_may_match, ColumnPredicate};
 use crate::schema_io::decode_schema;
@@ -149,22 +150,24 @@ impl OrcReader {
             .count()
     }
 
-    /// Streams `(row_number, row)` pairs.
+    /// Streams one [`ColumnBatch`] per stripe the predicates cannot rule
+    /// out — the reader's one decode path.
     ///
-    /// * `projection`: column ordinals to materialize (in the given order);
-    ///   `None` reads every column.
+    /// * `projection`: column ordinals to decode (in the given order);
+    ///   `None` reads every column, `Some(&[])` none at all (batches then
+    ///   carry row counts only, straight from the footer, without I/O).
     /// * `predicates`: conjunctive push-down predicates used to *skip
     ///   stripes*; matching stripes still contain non-matching rows, so
     ///   callers must re-filter.
     ///
-    /// Row numbers are absolute within the file and remain correct when
-    /// stripes are skipped — they are the row-number half of the DualTable
-    /// record ID.
-    pub fn rows(
+    /// [`ColumnBatch::row_start`] is absolute within the file and remains
+    /// correct when stripes are skipped — row numbers are the row-number
+    /// half of the DualTable record ID.
+    pub fn batches(
         &self,
         projection: Option<&[usize]>,
         predicates: Option<&[ColumnPredicate]>,
-    ) -> Result<RowIter<'_>> {
+    ) -> Result<BatchIter<'_>> {
         let projection: Vec<usize> = match projection {
             Some(p) => {
                 for &c in p {
@@ -179,19 +182,28 @@ impl OrcReader {
             }
             None => (0..self.schema.len()).collect(),
         };
-        Ok(RowIter {
+        Ok(BatchIter {
             reader: self,
-            file: self.dfs.open(&self.path)?,
+            file: None,
             projection,
             predicates: predicates
                 .map(<[ColumnPredicate]>::to_vec)
                 .unwrap_or_default(),
             stripe_idx: 0,
-            columns: Vec::new(),
-            row_in_stripe: 0,
-            stripe_rows: 0,
-            stripe_row_start: 0,
-            loaded: false,
+        })
+    }
+
+    /// Streams `(row_number, row)` pairs: [`OrcReader::batches`] with each
+    /// batch unpacked into heap rows.
+    pub fn rows(
+        &self,
+        projection: Option<&[usize]>,
+        predicates: Option<&[ColumnPredicate]>,
+    ) -> Result<RowIter<'_>> {
+        Ok(RowIter {
+            batches: self.batches(projection, predicates)?,
+            batch: None,
+            next: 0,
         })
     }
 
@@ -199,84 +211,83 @@ impl OrcReader {
     pub fn read_all(&self) -> Result<Vec<(u64, Row)>> {
         self.rows(None, None)?.collect()
     }
+}
 
-    fn load_stripe(
-        &self,
-        file: &mut DfsReader,
-        stripe: &StripeMeta,
-        projection: &[usize],
-    ) -> Result<Vec<Vec<Value>>> {
-        let mut columns = Vec::with_capacity(projection.len());
-        for &col in projection {
+/// Streaming batch iterator over an ORC file (see [`OrcReader::batches`]).
+pub struct BatchIter<'a> {
+    reader: &'a OrcReader,
+    /// Opened at the first stream read: a scan that decodes no column
+    /// never touches the file.
+    file: Option<DfsReader>,
+    projection: Vec<usize>,
+    predicates: Vec<ColumnPredicate>,
+    stripe_idx: usize,
+}
+
+impl BatchIter<'_> {
+    fn load(&mut self, stripe: &StripeMeta) -> Result<ColumnBatch> {
+        let rows = usize::try_from(stripe.rows)
+            .map_err(|_| Error::corrupt("stripe row count exceeds the address space"))?;
+        let mut columns = Vec::with_capacity(self.projection.len());
+        for &col in &self.projection {
+            let file = match &mut self.file {
+                Some(f) => f,
+                None => self.file.insert(self.reader.dfs.open(&self.reader.path)?),
+            };
             let (off, len) = stripe.streams[col];
             let mut buf = vec![0u8; len as usize];
             file.read_at(stripe.offset + off, &mut buf)?;
             let raw = decompress_block(&buf)?;
             columns.push(decode_column(
-                self.schema.field(col).data_type,
+                self.reader.schema.field(col).data_type,
                 &raw,
-                stripe.rows as usize,
+                rows,
             )?);
         }
-        Ok(columns)
+        Ok(ColumnBatch::new(stripe.row_start, rows, columns))
     }
 }
 
-/// Streaming row iterator over an ORC file.
-pub struct RowIter<'a> {
-    reader: &'a OrcReader,
-    file: DfsReader,
-    projection: Vec<usize>,
-    predicates: Vec<ColumnPredicate>,
-    stripe_idx: usize,
-    columns: Vec<Vec<Value>>,
-    row_in_stripe: usize,
-    stripe_rows: usize,
-    stripe_row_start: u64,
-    loaded: bool,
-}
+impl Iterator for BatchIter<'_> {
+    type Item = Result<ColumnBatch>;
 
-impl RowIter<'_> {
-    fn advance(&mut self) -> Result<Option<(u64, Row)>> {
+    fn next(&mut self) -> Option<Self::Item> {
+        let reader = self.reader;
         loop {
-            if !self.loaded {
-                // Find the next stripe passing the predicates.
-                let stripe = loop {
-                    match self.reader.stripes.get(self.stripe_idx) {
-                        None => return Ok(None),
-                        Some(s) => {
-                            if conjunction_may_match(&self.predicates, &s.stats) {
-                                break s;
-                            }
-                            self.stripe_idx += 1;
-                        }
-                    }
-                };
-                self.columns = self
-                    .reader
-                    .load_stripe(&mut self.file, stripe, &self.projection)?;
-                self.row_in_stripe = 0;
-                self.stripe_rows = stripe.rows as usize;
-                self.stripe_row_start = stripe.row_start;
-                self.loaded = true;
-            }
-            if self.row_in_stripe < self.stripe_rows {
-                let i = self.row_in_stripe;
-                self.row_in_stripe += 1;
-                let row: Row = self.columns.iter().map(|col| col[i].clone()).collect();
-                return Ok(Some((self.stripe_row_start + i as u64, row)));
-            }
+            let stripe = reader.stripes.get(self.stripe_idx)?;
             self.stripe_idx += 1;
-            self.loaded = false;
+            if conjunction_may_match(&self.predicates, &stripe.stats) {
+                return Some(self.load(stripe));
+            }
         }
     }
+}
+
+/// Streaming row iterator over an ORC file (see [`OrcReader::rows`]).
+pub struct RowIter<'a> {
+    batches: BatchIter<'a>,
+    batch: Option<ColumnBatch>,
+    next: usize,
 }
 
 impl Iterator for RowIter<'_> {
     type Item = Result<(u64, Row)>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        self.advance().transpose()
+        loop {
+            if let Some(batch) = self.batch.as_ref().filter(|b| self.next < b.rows()) {
+                let i = self.next;
+                self.next += 1;
+                return Some(Ok((batch.row_start() + i as u64, batch.row(i))));
+            }
+            match self.batches.next()? {
+                Ok(batch) => {
+                    self.batch = Some(batch);
+                    self.next = 0;
+                }
+                Err(e) => return Some(Err(e)),
+            }
+        }
     }
 }
 
@@ -286,7 +297,7 @@ mod tests {
     use crate::predicate::PredicateOp;
     use crate::writer::{OrcWriter, WriterOptions};
     use crate::{Codec, FILE_ID_METADATA_KEY};
-    use dt_common::DataType;
+    use dt_common::{DataType, Value};
     use dt_dfs::DfsConfig;
 
     fn sample_schema() -> Schema {

@@ -18,6 +18,7 @@
 use dt_common::codec::{get_bytes, get_uvarint, put_bytes, put_uvarint};
 use dt_common::{DataType, Error, Result, Value};
 
+use crate::batch::{dict_codes, Column, ColumnData};
 use crate::rle;
 
 const STR_DIRECT: u8 = 0;
@@ -95,15 +96,8 @@ fn encode_strings(values: &[Value], out: &mut Vec<u8>) -> Result<()> {
     Ok(())
 }
 
-/// Decodes one column stream back into `row_count` values.
-// `pos` bookkeeping is kept symmetric across arms even where the final
-// value is unused.
-#[allow(unused_assignments)]
-pub(crate) fn decode_column(
-    data_type: DataType,
-    buf: &[u8],
-    row_count: usize,
-) -> Result<Vec<Value>> {
+/// Decodes one column stream into a typed [`Column`] of `row_count` rows.
+pub(crate) fn decode_column(data_type: DataType, buf: &[u8], row_count: usize) -> Result<Column> {
     let mut pos = 0usize;
     let presence = rle::decode_bools(buf, &mut pos)?;
     if presence.len() != row_count {
@@ -113,60 +107,47 @@ pub(crate) fn decode_column(
         )));
     }
     let non_null = presence.iter().filter(|p| **p).count();
-    let mut dense: Vec<Value> = match data_type {
-        DataType::Int64 => rle::decode_i64s(buf, &mut pos, non_null)?
-            .into_iter()
-            .map(Value::Int64)
-            .collect(),
-        DataType::Date => rle::decode_i64s(buf, &mut pos, non_null)?
-            .into_iter()
-            .map(|v| {
-                i32::try_from(v)
-                    .map(Value::Date)
-                    .map_err(|_| Error::corrupt("date out of range"))
-            })
-            .collect::<Result<_>>()?,
+    let data = match data_type {
+        DataType::Int64 => ColumnData::Int64(Column::expand(
+            &presence,
+            rle::decode_i64s(buf, &mut pos, non_null)?,
+        )?),
+        DataType::Date => {
+            let days = rle::decode_i64s(buf, &mut pos, non_null)?
+                .into_iter()
+                .map(|v| i32::try_from(v).map_err(|_| Error::corrupt("date out of range")))
+                .collect::<Result<Vec<i32>>>()?;
+            ColumnData::Date(Column::expand(&presence, days)?)
+        }
         DataType::Float64 => {
-            let need = non_null * 8;
-            if pos + need > buf.len() {
-                return Err(Error::corrupt("truncated float64 stream"));
-            }
-            let mut vals = Vec::with_capacity(non_null);
-            for i in 0..non_null {
-                let mut arr = [0u8; 8];
-                arr.copy_from_slice(&buf[pos + i * 8..pos + i * 8 + 8]);
-                vals.push(Value::Float64(f64::from_le_bytes(arr)));
-            }
-            pos += need;
-            vals
+            let raw = non_null
+                .checked_mul(8)
+                .and_then(|need| buf.get(pos..pos.checked_add(need)?))
+                .ok_or_else(|| Error::corrupt("truncated float64 stream"))?;
+            let vals = raw
+                .chunks_exact(8)
+                .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+                .collect();
+            ColumnData::Float64(Column::expand(&presence, vals)?)
         }
         DataType::Bool => {
             let bools = rle::decode_bools(buf, &mut pos)?;
             if bools.len() != non_null {
                 return Err(Error::corrupt("bool stream length mismatch"));
             }
-            bools.into_iter().map(Value::Bool).collect()
+            ColumnData::Bool(Column::expand(&presence, bools)?)
         }
-        DataType::Utf8 => decode_strings(buf, &mut pos, non_null)?,
+        DataType::Utf8 => decode_strings(buf, &mut pos, &presence, non_null)?,
     };
-    // Re-expand nulls.
-    let mut out = Vec::with_capacity(row_count);
-    let mut dense_iter = dense.drain(..);
-    for present in presence {
-        if present {
-            out.push(
-                dense_iter
-                    .next()
-                    .ok_or_else(|| Error::corrupt("value stream shorter than presence map"))?,
-            );
-        } else {
-            out.push(Value::Null);
-        }
-    }
-    Ok(out)
+    Ok(Column::new(data, presence))
 }
 
-fn decode_strings(buf: &[u8], pos: &mut usize, non_null: usize) -> Result<Vec<Value>> {
+fn decode_strings(
+    buf: &[u8],
+    pos: &mut usize,
+    presence: &[bool],
+    non_null: usize,
+) -> Result<ColumnData> {
     let mode = *buf
         .get(*pos)
         .ok_or_else(|| Error::corrupt("truncated string mode"))?;
@@ -174,7 +155,7 @@ fn decode_strings(buf: &[u8], pos: &mut usize, non_null: usize) -> Result<Vec<Va
     match mode {
         STR_DICT => {
             let dict_len = get_uvarint(buf, pos)? as usize;
-            let mut dict = Vec::with_capacity(dict_len);
+            let mut dict = Vec::with_capacity(dict_len.min(buf.len()));
             for _ in 0..dict_len {
                 let bytes = get_bytes(buf, pos)?;
                 dict.push(
@@ -183,31 +164,39 @@ fn decode_strings(buf: &[u8], pos: &mut usize, non_null: usize) -> Result<Vec<Va
                         .to_string(),
                 );
             }
-            let indexes = rle::decode_i64s(buf, pos, non_null)?;
-            indexes
-                .into_iter()
-                .map(|i| {
-                    dict.get(i as usize)
-                        .map(|s| Value::Utf8(s.clone()))
-                        .ok_or_else(|| Error::corrupt("dictionary index out of range"))
-                })
-                .collect()
+            let codes = dict_codes(rle::decode_i64s(buf, pos, non_null)?, dict.len())?;
+            Ok(ColumnData::Dict {
+                dict,
+                codes: Column::expand(presence, codes)?,
+            })
         }
         STR_DIRECT => {
             let lengths = rle::decode_i64s(buf, pos, non_null)?;
-            let mut out = Vec::with_capacity(non_null);
+            let mut spans = Vec::with_capacity(non_null);
+            let mut end = 0u32;
             for len in lengths {
                 let len =
-                    usize::try_from(len).map_err(|_| Error::corrupt("negative string length"))?;
-                if *pos + len > buf.len() {
-                    return Err(Error::corrupt("truncated string data"));
-                }
-                let s = std::str::from_utf8(&buf[*pos..*pos + len])
-                    .map_err(|_| Error::corrupt("invalid UTF-8 in string data"))?;
-                out.push(Value::Utf8(s.to_string()));
-                *pos += len;
+                    u32::try_from(len).map_err(|_| Error::corrupt("string length out of range"))?;
+                spans.push((end, len));
+                end = end
+                    .checked_add(len)
+                    .ok_or_else(|| Error::corrupt("string data too long"))?;
             }
-            Ok(out)
+            let bytes = buf
+                .get(*pos..*pos + end as usize)
+                .and_then(|b| std::str::from_utf8(b).ok())
+                .ok_or_else(|| Error::corrupt("truncated or invalid UTF-8 string data"))?;
+            if spans
+                .iter()
+                .any(|&(off, _)| !bytes.is_char_boundary(off as usize))
+            {
+                return Err(Error::corrupt("string boundary splits a UTF-8 character"));
+            }
+            *pos += end as usize;
+            Ok(ColumnData::Direct {
+                bytes: bytes.to_string(),
+                spans: Column::expand(presence, spans)?,
+            })
         }
         other => Err(Error::corrupt(format!("unknown string mode {other}"))),
     }
@@ -219,8 +208,12 @@ mod tests {
 
     fn roundtrip(ty: DataType, values: Vec<Value>) {
         let enc = encode_column(ty, &values).unwrap();
-        let dec = decode_column(ty, &enc, values.len()).unwrap();
-        assert_eq!(dec, values);
+        assert_eq!(decoded(ty, &enc, values.len()), values);
+    }
+
+    fn decoded(ty: DataType, enc: &[u8], n: usize) -> Vec<Value> {
+        let col = decode_column(ty, enc, n).unwrap();
+        (0..n).map(|i| col.value(i)).collect()
     }
 
     #[test]
@@ -276,8 +269,7 @@ mod tests {
         let enc = encode_column(DataType::Utf8, &values).unwrap();
         assert_eq!(enc[enc.len().min(1)..][..0].len(), 0); // no-op, readability
                                                            // Dictionary mode should be chosen (mode byte after presence map).
-        let dec = decode_column(DataType::Utf8, &enc, values.len()).unwrap();
-        assert_eq!(dec, values);
+        assert_eq!(decoded(DataType::Utf8, &enc, values.len()), values);
         // A direct encoding of the same data is longer.
         let unique: Vec<Value> = (0..100).map(|i| Value::Utf8(format!("val-{i}"))).collect();
         let enc_unique = encode_column(DataType::Utf8, &unique).unwrap();

@@ -8,7 +8,9 @@
 //!   parking_lot semantics, implemented via `into_inner` on the poison
 //!   error);
 //! * `lock()` / `read()` / `write()` are infallible and return guards
-//!   directly.
+//!   directly;
+//! * like parking_lot's, and unlike `std`'s, the [`RwLock`] does not let
+//!   new readers overtake a writer that is already waiting.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -77,8 +79,19 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     }
 }
 
-/// A reader-writer lock (no poisoning).
-pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
+/// A reader-writer lock (no poisoning) that a steady stream of readers
+/// cannot starve a writer on.
+///
+/// `std`'s lock wakes a waiting writer by clearing its waiting mark, so a
+/// reader that releases and at once re-acquires gets in ahead of the
+/// writer it just woke — a thread scanning in a loop can hold a writer
+/// off for many scans. Here a writer waits for the readers to drain while
+/// holding `gate`, and every reader passes through `gate` first: readers
+/// that arrive after the writer queue behind it.
+pub struct RwLock<T: ?Sized> {
+    gate: std::sync::Mutex<()>,
+    inner: std::sync::RwLock<T>,
+}
 
 /// RAII guard for [`RwLock::read`].
 pub struct RwLockReadGuard<'a, T: ?Sized>(std::sync::RwLockReadGuard<'a, T>);
@@ -89,29 +102,34 @@ pub struct RwLockWriteGuard<'a, T: ?Sized>(std::sync::RwLockWriteGuard<'a, T>);
 impl<T> RwLock<T> {
     /// Creates a new reader-writer lock.
     pub const fn new(value: T) -> Self {
-        RwLock(std::sync::RwLock::new(value))
+        RwLock {
+            gate: std::sync::Mutex::new(()),
+            inner: std::sync::RwLock::new(value),
+        }
     }
 
     /// Consumes the lock, returning the inner value.
     pub fn into_inner(self) -> T {
-        self.0.into_inner().unwrap_or_else(|e| e.into_inner())
+        self.inner.into_inner().unwrap_or_else(|e| e.into_inner())
     }
 }
 
 impl<T: ?Sized> RwLock<T> {
     /// Acquires shared read access.
     pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        RwLockReadGuard(self.0.read().unwrap_or_else(|e| e.into_inner()))
+        drop(self.gate.lock().unwrap_or_else(|e| e.into_inner()));
+        RwLockReadGuard(self.inner.read().unwrap_or_else(|e| e.into_inner()))
     }
 
     /// Acquires exclusive write access.
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        RwLockWriteGuard(self.0.write().unwrap_or_else(|e| e.into_inner()))
+        let _gate = self.gate.lock().unwrap_or_else(|e| e.into_inner());
+        RwLockWriteGuard(self.inner.write().unwrap_or_else(|e| e.into_inner()))
     }
 
     /// Attempts shared read access without blocking.
     pub fn try_read(&self) -> Option<RwLockReadGuard<'_, T>> {
-        match self.0.try_read() {
+        match self.inner.try_read() {
             Ok(g) => Some(RwLockReadGuard(g)),
             Err(std::sync::TryLockError::Poisoned(e)) => Some(RwLockReadGuard(e.into_inner())),
             Err(std::sync::TryLockError::WouldBlock) => None,
@@ -120,7 +138,7 @@ impl<T: ?Sized> RwLock<T> {
 
     /// Attempts exclusive write access without blocking.
     pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
-        match self.0.try_write() {
+        match self.inner.try_write() {
             Ok(g) => Some(RwLockWriteGuard(g)),
             Err(std::sync::TryLockError::Poisoned(e)) => Some(RwLockWriteGuard(e.into_inner())),
             Err(std::sync::TryLockError::WouldBlock) => None,
@@ -129,7 +147,7 @@ impl<T: ?Sized> RwLock<T> {
 
     /// Mutable access without locking (requires exclusive borrow).
     pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut().unwrap_or_else(|e| e.into_inner())
+        self.inner.get_mut().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -141,7 +159,7 @@ impl<T: Default> Default for RwLock<T> {
 
 impl<T: ?Sized + fmt::Debug> fmt::Debug for RwLock<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.0.fmt(f)
+        self.inner.fmt(f)
     }
 }
 

@@ -200,3 +200,15 @@ run_gate bench8-smoke env BENCH8_SMOKE=1 cargo bench -q -p dt-bench --locked --b
 # concurrent scans hold within 3x of the same state scanned solo;
 # refreshes BENCH_9.json.
 run_gate bench9-smoke env BENCH9_SMOKE=1 cargo bench -q -p dt-bench --locked --bench bench9_htap
+
+# Ladder (BENCHMARK.json): the repo's one benchmark is a package of its
+# own outside the workspace, so `cargo test --workspace` never compiles
+# it against an engine API change. Its harness tests, then every
+# workload at 1/20 scale with all oracle checks (`--check`; the numbers
+# it prints are NOT COMPARABLE).
+LADDER=crates/bench/src/bin/ladder/Cargo.toml
+ladder_gate() {
+    cargo test -q --offline --locked --manifest-path "$LADDER" &&
+        cargo run -q --release --offline --locked --manifest-path "$LADDER" -- --check
+}
+run_gate ladder ladder_gate
