@@ -237,7 +237,7 @@ mod tests {
         let pin = t.begin_snapshot().unwrap();
         let outcome = t.compact_incremental().unwrap();
         assert_eq!(outcome, FoldOutcome::Folded { files: 1, rows: 24 });
-        let index = t.presence_index().unwrap().expect("index stays decodable");
+        let index = t.presence_index().unwrap();
         assert!(
             index.files.contains_key(&3),
             "folded file's rows survive as residue while the pin lives"
@@ -252,7 +252,7 @@ mod tests {
         // Residue swept: the folded file's presence entry is gone, the
         // dirty carried file's entry survives, the clean file never had
         // one.
-        let index = t.presence_index().unwrap().expect("index stays decodable");
+        let index = t.presence_index().unwrap();
         assert!(!index.files.contains_key(&3), "fold residue swept at open");
         assert!(index.files.contains_key(&1), "dirty file still indexed");
         assert!(!index.files.contains_key(&2), "clean file never indexed");

@@ -53,6 +53,7 @@ mod env;
 mod meta;
 mod mvcc;
 mod presence;
+mod rewrite;
 mod shard;
 mod store;
 mod txn;
@@ -66,10 +67,11 @@ pub use env::{DualTableEnv, HealthReport};
 pub use meta::MetadataManager;
 pub use mvcc::MvccRegistry;
 pub use presence::{FilePresence, PresenceIndex, PRESENCE_FILE_ID};
+pub use rewrite::RewriteJob;
 pub use shard::{
     ShardCommitFailure, ShardFoldStats, ShardMap, ShardSpec, ShardedDmlReport, ShardedTable,
     ShardedTransaction,
 };
 pub use store::{Assignment, DmlReport, DualTableStore, PlanPreview, TableStats};
-pub use txn::{RewriteJob, Snapshot, Transaction};
+pub use txn::{Snapshot, Transaction};
 pub use union_read::UnionReadOptions;

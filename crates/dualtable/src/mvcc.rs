@@ -309,9 +309,17 @@ impl MvccState {
         pinned
     }
 
-    /// Forgets the attached-tier floor without sweeping it — the legacy
-    /// single-session commit truncates the whole attached table instead,
-    /// which subsumes any ranged sweep.
+    /// Records a DROP TABLE: a swing no snapshot is ever past. Every
+    /// transaction or rewrite another session still holds on the dropped
+    /// table loses at commit, even once the name — and with it the
+    /// attached table's — is reused.
+    pub(crate) fn note_drop(&mut self) {
+        self.last_swing_ts = u64::MAX;
+    }
+
+    /// Forgets the attached-tier floor without sweeping it — a full
+    /// rewrite's swing truncates the whole attached table instead, which
+    /// subsumes any ranged sweep.
     pub(crate) fn clear_attached_floor(&mut self) {
         self.attached_floor = None;
     }

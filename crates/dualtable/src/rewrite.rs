@@ -1,0 +1,850 @@
+//! Rewrites (DESIGN.md §19): every way a DualTable replaces master files is
+//! one fold — UNION READ a set of files into a fresh generation, swing the
+//! generation pointer, retire what the fold consumed.
+//!
+//! * [`DualTableStore::build`] writes generation `next` from a source
+//!   epoch: the files of the fold set ([`Retire`]) become its output rows
+//!   (their UNION READ through an optional transform, or a materialised
+//!   row set), every other file is carried by byte copy under its own ID.
+//! * [`DualTableStore::swing`] is the commit point — the only
+//!   `commit_generation` in the crate — followed by best-effort cleanup.
+//! * [`DualTableStore::retire_attached`] deletes the attached rows of
+//!   retired file-ID ranges; a whole-table truncate is its fast path.
+//!
+//! Callers only choose the epoch, the fold set, the rows and the lock
+//! mode. *Exclusive* (`COMPACT`, `INSERT OVERWRITE`, OVERWRITE-plan DML):
+//! the ops write lock is held from build to swing, the epoch is "latest"
+//! and nothing can conflict. *Optimistic* ([`RewriteJob`]): the build
+//! runs under a pin and the read lock, beside concurrent DML, and the
+//! swing takes the write lock only for the pointer flip, losing with a
+//! retryable [`Error::Conflict`] to anything committed since the pin.
+
+use std::collections::BTreeSet;
+use std::ops::Range;
+use std::sync::Arc;
+
+use dt_common::{Error, RecordId, Result, Row};
+use dt_orcfile::{OrcWriter, FILE_ID_METADATA_KEY};
+
+use crate::compactor::FoldOutcome;
+use crate::presence::presence_key;
+use crate::store::DualTableStore;
+use crate::txn::Snapshot;
+use crate::union_read::UnionReadOptions;
+
+/// The fold set of a rewrite: the master files it consumes, whose
+/// attached rows the swing retires.
+pub(crate) enum Retire {
+    /// Every file of the source epoch; the swing truncates the attached
+    /// table.
+    All,
+    /// These files only (ascending). Every other file is carried into the
+    /// new generation under its own ID, so its record IDs, overlays and
+    /// presence entry stay valid.
+    Files(Vec<u32>),
+}
+
+/// Maps one UNION READ row to `(output row, matched)`; `None` drops the
+/// row (DELETE).
+pub(crate) type Transform<'a> = dyn Fn(RecordId, Row) -> Result<(Option<Row>, bool)> + Sync + 'a;
+
+/// The rows a build writes in place of its fold set.
+pub(crate) enum Rows<'a> {
+    /// The fold set's UNION READ at the source epoch, through the
+    /// transform when there is one.
+    Merged(Option<&'a Transform<'a>>),
+    /// A materialised row set.
+    Given(Vec<Row>),
+}
+
+/// Row counts of one build (or one partition of it).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Built {
+    pub(crate) written: u64,
+    pub(crate) matched: u64,
+    pub(crate) scanned: u64,
+}
+
+/// Writes rows into a generation's master files, rolling to the next file
+/// ID of its reserved range every `rows_per_file` rows. At most one file's
+/// writer is in flight, so a streaming source keeps memory bounded by one
+/// file.
+struct MasterWriteSink<'a> {
+    store: &'a DualTableStore,
+    gen: u64,
+    ids: Range<u32>,
+    writer: Option<OrcWriter>,
+    in_file: usize,
+    written: u64,
+}
+
+impl MasterWriteSink<'_> {
+    fn push(&mut self, row: Row) -> Result<()> {
+        let inner = &self.store.inner;
+        if self.writer.is_none() {
+            // Ranges are sized from row counts that upper-bound the
+            // output; exhaustion is a bug.
+            let file_id = self
+                .ids
+                .next()
+                .ok_or_else(|| Error::internal("rewrite exhausted its reserved file-ID range"))?;
+            let mut w = OrcWriter::create(
+                &inner.env.dfs,
+                &self.store.file_path_at(self.gen, file_id),
+                inner.schema.clone(),
+                inner.config.writer.clone(),
+            )?;
+            w.set_metadata(FILE_ID_METADATA_KEY, file_id.to_be_bytes().to_vec());
+            self.writer = Some(w);
+            self.in_file = 0;
+        }
+        self.writer
+            .as_mut()
+            .expect("writer just created")
+            .write_row(row)?;
+        self.written += 1;
+        self.in_file += 1;
+        if self.in_file >= inner.config.rows_per_file {
+            self.writer.take().expect("writer exists").finish()?;
+        }
+        Ok(())
+    }
+
+    fn finish(mut self) -> Result<u64> {
+        if let Some(w) = self.writer.take() {
+            w.finish()?;
+        }
+        Ok(self.written)
+    }
+}
+
+impl DualTableStore {
+    // ------------------------------------------------------------------
+    // Build
+    // ------------------------------------------------------------------
+
+    /// Reserves the output file-ID range of one partition: enough IDs for
+    /// `rows_bound` rows (at least one). Partitions reserve in order, so
+    /// IDs ascend across them and the new generation scans in the order
+    /// the partitions were cut; an unused range tail is a harmless gap.
+    pub(crate) fn reserve(&self, rows_bound: u64) -> Result<Range<u32>> {
+        let rows_per_file = self.inner.config.rows_per_file.max(1) as u64;
+        let count = u32::try_from(rows_bound.div_ceil(rows_per_file).max(1))
+            .map_err(|_| Error::internal("write needs too many file IDs"))?;
+        let first = self
+            .inner
+            .env
+            .meta
+            .reserve_file_ids(&self.inner.name, count)?;
+        Ok(first..first + count)
+    }
+
+    /// Streams the rows `feed` pushes through one sink into files `ids` of
+    /// generation `gen`. Returns the rows written.
+    pub(crate) fn write_files(
+        &self,
+        gen: u64,
+        ids: Range<u32>,
+        feed: impl FnOnce(&mut dyn FnMut(Row) -> Result<()>) -> Result<()>,
+    ) -> Result<u64> {
+        let mut sink = MasterWriteSink {
+            store: self,
+            gen,
+            ids,
+            writer: None,
+            in_file: 0,
+            written: 0,
+        };
+        feed(&mut |row| sink.push(row))?;
+        sink.finish()
+    }
+
+    /// Cuts `units` of work into one contiguous run per pool worker (as
+    /// even as possible) and records the fan-out. No units, no runs.
+    fn runs(&self, pool: &dt_engine::JobPool, units: usize) -> Vec<usize> {
+        if units == 0 {
+            return Vec::new();
+        }
+        let workers = pool.workers_for(units);
+        if workers > 1 {
+            self.inner.env.health.record_write_workers(workers as u64);
+            self.inner
+                .env
+                .dfs
+                .stats()
+                .record_write_workers(workers as u64);
+        }
+        (0..workers)
+            .map(|w| units / workers + usize::from(w < units % workers))
+            .collect()
+    }
+
+    /// Builds generation `next` from the source epoch `(gen, at_ts)`:
+    /// files outside `fold` are byte-copied under their own IDs, and
+    /// `rows` are cut into contiguous partitions — whole output files of a
+    /// materialised set, whole source files of a merge — that the worker
+    /// pool streams through one sink each (an incremental fold uses one
+    /// worker). With one worker the layout is exactly the sequential
+    /// writer's. Nothing is committed here: all output lands in one
+    /// still-invisible generation, so every crash point sees exactly the
+    /// old or the new file set.
+    pub(crate) fn build(
+        &self,
+        next: u64,
+        (gen, at_ts): (u64, u64),
+        fold: &Retire,
+        rows: Rows<'_>,
+    ) -> Result<Built> {
+        let mut total = Built::default();
+        let mut files = self.visible_files(gen, at_ts);
+        let mut workers = self.inner.config.write_threads;
+        if let Retire::Files(picked) = fold {
+            for &file_id in files.iter().filter(|id| picked.binary_search(id).is_err()) {
+                let bytes = self
+                    .inner
+                    .env
+                    .dfs
+                    .read_to_vec(&self.file_path_at(gen, file_id))?;
+                self.inner
+                    .env
+                    .dfs
+                    .write_file(&self.file_path_at(next, file_id), &bytes)?;
+                total.written += self.open_master(gen, file_id)?.num_rows();
+            }
+            files.retain(|id| picked.binary_search(id).is_ok());
+            // The few picked files stay on the caller's thread: a fold is
+            // background work racing foreground DML to its swing, and
+            // waiting for workers on busy cores only widens the window it
+            // loses in.
+            workers = 1;
+        }
+        let pool = dt_engine::JobPool::new(workers);
+        let built = match rows {
+            Rows::Given(mut rows) => {
+                let mut parts = Vec::new();
+                let rows_per_file = self.inner.config.rows_per_file.max(1);
+                for len in self.runs(&pool, rows.len().div_ceil(rows_per_file)) {
+                    let take = (len * rows_per_file).min(rows.len());
+                    let chunk: Vec<Row> = rows.drain(..take).collect();
+                    parts.push((self.reserve(chunk.len() as u64)?, chunk));
+                }
+                pool.run(parts, |_, (ids, chunk)| {
+                    let written =
+                        self.write_files(next, ids, |push| chunk.into_iter().try_for_each(push))?;
+                    Ok(Built {
+                        written,
+                        ..Built::default()
+                    })
+                })?
+            }
+            Rows::Merged(transform) => {
+                let mut parts = Vec::new();
+                let mut rest = &files[..];
+                for len in self.runs(&pool, files.len()) {
+                    let (chunk, tail) = rest.split_at(len);
+                    rest = tail;
+                    // Footer row counts upper-bound the UNION READ output:
+                    // the attached tier updates or deletes rows, never
+                    // adds them.
+                    let mut bound = 0u64;
+                    for &file_id in chunk {
+                        bound += self.open_master(gen, file_id)?.num_rows();
+                    }
+                    parts.push((self.reserve(bound)?, chunk));
+                }
+                let opts = UnionReadOptions {
+                    snapshot_ts: at_ts,
+                    ..UnionReadOptions::all()
+                };
+                let plan = self.scan_plan(gen, &opts)?;
+                pool.run(parts, |_, (ids, chunk)| {
+                    let mut built = Built::default();
+                    built.written = self.write_files(next, ids, |push| {
+                        chunk.iter().try_for_each(|&file_id| {
+                            self.merge_master_rows(&plan, file_id, &mut |id, row| {
+                                built.scanned += 1;
+                                let Some(transform) = transform else {
+                                    return push(row);
+                                };
+                                let (out, hit) = transform(id, row)?;
+                                built.matched += u64::from(hit);
+                                out.map_or(Ok(()), &mut *push)
+                            })
+                        })
+                    })?;
+                    Ok(built)
+                })?
+            }
+        };
+        for part in built {
+            total.written += part.written;
+            total.matched += part.matched;
+            total.scanned += part.scanned;
+        }
+        Ok(total)
+    }
+
+    /// The first generation number safe to build into: past the committed
+    /// one, past any directory a crashed rewrite left behind (whose stale
+    /// files must never join a new generation) and past every number
+    /// reserved for a build this process knows about — a zero-row build
+    /// leaves no directory for the listing to see.
+    fn next_generation(&self) -> Result<u64> {
+        let committed = self.current_gen()?;
+        let max_present = self.listed_generations().last().copied().unwrap_or(0);
+        Ok(self
+            .inner
+            .mvcc
+            .lock()
+            .observe_build_gen(committed.max(max_present) + 1))
+    }
+
+    /// Every generation number with a directory under the table.
+    fn listed_generations(&self) -> BTreeSet<u64> {
+        let prefix = format!("{}/gen-", Self::master_dir(&self.inner.name));
+        self.inner
+            .env
+            .dfs
+            .list(&prefix)
+            .iter()
+            .filter_map(|path| {
+                path.strip_prefix(&prefix)?
+                    .split('/')
+                    .next()?
+                    .parse::<u64>()
+                    .ok()
+            })
+            .collect()
+    }
+
+    // ------------------------------------------------------------------
+    // Swing
+    // ------------------------------------------------------------------
+
+    /// Swings the generation pointer to the built generation `next`
+    /// (caller holds the ops write lock):
+    ///
+    /// 1. Under the MVCC state mutex, an optimistic rewrite (`pin_ts` is
+    ///    its build pin) verifies nothing committed after the pin — a
+    ///    later EDIT would be silently lost by the swing. Losers get a
+    ///    retryable [`Error::Conflict`] and the old generation stays live.
+    ///    An exclusive rewrite (`None`) read "latest" under the write
+    ///    lock; nothing can have raced it.
+    /// 2. Commit the pointer (one durable metadata put — THE commit
+    ///    point), stamp the swing, and hand the old generation to the
+    ///    sweeper or — if another session still pins it — park it for
+    ///    deferred GC. The swinging job's own pin is not such a reader.
+    /// 3. Outside the mutex, best-effort cleanup: retire the fold set's
+    ///    attached rows when no old pin needs the overlays, sweep stale
+    ///    directories, run the deferred-GC sweeper. Failures are recorded
+    ///    as cleanup debt, never silent. Unretired rows are unreachable —
+    ///    no live file covers their record IDs and file IDs are never
+    ///    reused — and the floor sweep or the open-time
+    ///    [`Self::sweep_fold_residue`] settles them.
+    ///
+    /// Cached footers are invalidated per deleted path, not by whole-table
+    /// purge, so pinned readers keep their entries across other sessions'
+    /// swings.
+    pub(crate) fn swing(&self, next: u64, pin_ts: Option<u64>, retire: &Retire) -> Result<()> {
+        let retire_now;
+        {
+            let mut st = self.inner.mvcc.lock();
+            if let Some(ts) = pin_ts {
+                if st.conflict_since(ts, &[]).is_some() || st.edits_since(ts) {
+                    self.inner.env.health.record_swing_conflict();
+                    return Err(Error::conflict(format!(
+                        "generation swing abandoned: writes committed after snapshot {ts}"
+                    )));
+                }
+            }
+            let old_gen = self.current_gen()?;
+            // The commit point. Still under the state mutex: a concurrent
+            // EDIT commit must observe either (old pointer, no swing
+            // stamp) or (new pointer, swing stamp), never a torn mix.
+            self.inner
+                .env
+                .meta
+                .commit_generation(&self.inner.name, next)?;
+            let swing_ts = self.inner.env.kv.clock().tick();
+            // Past the commit point: nothing may fail the swing any more.
+            // A floor we cannot compute degrades to 0 — attached rows of
+            // retired files leak (space, not correctness) as cleanup debt.
+            let floor = self.generation_floor(next).unwrap_or_else(|_| {
+                self.inner.env.health.record_cleanup_failure();
+                0
+            });
+            let deferred = st.note_swing(old_gen, next, swing_ts, floor, pin_ts);
+            if deferred {
+                self.inner.env.health.record_generation_deferred();
+            }
+            retire_now = !deferred && st.retired_count() == 0;
+            if retire_now && matches!(retire, Retire::All) {
+                // The truncate below subsumes the ranged floor sweep.
+                st.clear_attached_floor();
+            }
+        }
+        if retire_now {
+            let retired = match retire {
+                // The presence index lives inside the attached table, so
+                // the truncate resets it for free.
+                Retire::All => self
+                    .inner
+                    .env
+                    .kv
+                    .truncate_table(&Self::attached_name(&self.inner.name)),
+                Retire::Files(files) => {
+                    self.retire_attached(files.iter().map(|&id| id..id.wrapping_add(1)))
+                }
+            };
+            if retired.is_err() {
+                self.inner.env.health.record_cleanup_failure();
+            }
+        }
+        self.cleanup_stale_generations(next);
+        self.sweep_gc();
+        Ok(())
+    }
+
+    /// Build + swing of an exclusive rewrite (caller holds the ops write
+    /// lock): source epoch "latest", fold set everything.
+    pub(crate) fn rewrite_exclusive(&self, rows: Rows<'_>) -> Result<Built> {
+        let next = self.next_generation()?;
+        let built = self.build(next, (self.current_gen()?, u64::MAX), &Retire::All, rows)?;
+        self.swing(next, None, &Retire::All)?;
+        Ok(built)
+    }
+
+    /// The lowest file ID belonging to generation `next` — every ID below
+    /// it is retired with the superseded generations, and its attached
+    /// cells become collectible once the last old-generation pin drains.
+    /// An empty new generation retires *all* existing IDs: reserve a fresh
+    /// one as the floor.
+    fn generation_floor(&self, next: u64) -> Result<u32> {
+        match self.master_file_ids_at(next).into_iter().min() {
+            Some(min) => Ok(min),
+            None => self.inner.env.meta.reserve_file_ids(&self.inner.name, 1),
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Retire and sweep
+    // ------------------------------------------------------------------
+
+    /// Deletes the attached rows of retired master files — for each
+    /// file-ID range its presence rows and its data rows — in ONE atomic
+    /// delete batch: a fold's presence entries and data cells retire
+    /// together, so no crash leaves an index claiming a file clean while
+    /// its overlay cells survive, or vice versa. Ranged, not a truncate:
+    /// the intent row `{0, 0}` and live files' rows stay.
+    fn retire_attached(&self, ranges: impl IntoIterator<Item = Range<u32>>) -> Result<()> {
+        let attached = self.attached()?;
+        if attached.is_empty() {
+            return Ok(());
+        }
+        let mut rows: Vec<Vec<u8>> = Vec::new();
+        for range in ranges {
+            let spans = [
+                (presence_key(range.start), presence_key(range.end)),
+                (
+                    RecordId::file_start(range.start).to_key(),
+                    RecordId::file_start(range.end).to_key(),
+                ),
+            ];
+            for (lo, hi) in spans {
+                for row in attached.scan_at(Some(&lo[..]), Some(&hi[..]), u64::MAX)? {
+                    rows.push(row?.row);
+                }
+            }
+        }
+        if !rows.is_empty() {
+            attached.delete_rows(rows)?;
+        }
+        Ok(())
+    }
+
+    /// Best-effort deletion of every file of generation `gen`; `true` iff
+    /// all of them went. Failed deletes are recorded as cleanup debt and
+    /// retried by the next sweep or table open; the generation is
+    /// unreachable in the meantime.
+    fn delete_generation(&self, gen: u64) -> bool {
+        let dir = format!("{}/", self.gen_dir(gen));
+        let ok = self.delete_paths(self.inner.env.dfs.list(&dir));
+        // The paths can never be opened again; retire their footers.
+        self.inner.footers.invalidate_prefix(&dir);
+        ok
+    }
+
+    /// Removes every generation directory outside `current` that is
+    /// neither pinned, parked for deferred GC nor being built — retired
+    /// generations and torn uncommitted ones. Returns how many were fully
+    /// swept.
+    pub(crate) fn cleanup_stale_generations(&self, current: u64) -> u64 {
+        let protected = self.inner.mvcc.lock().protected_gens();
+        self.listed_generations()
+            .into_iter()
+            .filter(|gen| *gen != current && !protected.contains(gen))
+            .filter(|&gen| self.delete_generation(gen))
+            .count() as u64
+    }
+
+    /// Runs the deferred-GC sweeper: physically deletes dead (superseded,
+    /// unpinned) generations past the `max_generations` budget and, once
+    /// no old-generation pin remains, the attached rows below the retired
+    /// floor.
+    pub(crate) fn sweep_gc(&self) {
+        let (gens, floor) = self
+            .inner
+            .mvcc
+            .lock()
+            .take_sweepable(self.inner.config.max_generations);
+        let gcd = gens
+            .into_iter()
+            .filter(|&gen| self.delete_generation(gen))
+            .count() as u64;
+        if gcd > 0 {
+            self.inner.env.health.record_generations_gcd(gcd);
+        }
+        // File IDs start at 1; a floor of 1 retires nothing.
+        let below = floor.filter(|&floor| floor > 1).map(|floor| 1..floor);
+        if self.retire_attached(below).is_err() {
+            self.inner.env.health.record_cleanup_failure();
+        }
+    }
+
+    /// Deletes an abandoned (never-committed) build generation. Unlike the
+    /// sweeper this never counts toward `generations_gcd` — the generation
+    /// was never live.
+    pub(crate) fn abandon_rewrite(&self, next: u64) {
+        self.inner.mvcc.lock().finish_build(next);
+        self.delete_generation(next);
+    }
+
+    /// Sweeps attached-tier residue of an interrupted incremental fold: a
+    /// crash between a fold's generation swing and its attached-row
+    /// retirement leaves presence rows and data cells keyed to folded —
+    /// now nonexistent — master files. They are invisible to every scan
+    /// (no live file covers their record-ID ranges), but they would make
+    /// the presence index lie about files that no longer exist, so openers
+    /// retire them here. Skipped while any session still reads an older
+    /// generation — its files are absent from the current listing but are
+    /// not residue.
+    pub(crate) fn sweep_fold_residue(&self) {
+        {
+            let st = self.inner.mvcc.lock();
+            if st.pin_count() > 0 || st.retired_count() > 0 {
+                return;
+            }
+        }
+        let Ok(gen) = self.current_gen() else {
+            return;
+        };
+        let Ok(index) = self.attached().and_then(|a| self.load_presence(&a)) else {
+            return;
+        };
+        let live = self.master_file_ids_at(gen);
+        let orphans = index
+            .files
+            .keys()
+            .filter(|id| live.binary_search(id).is_err())
+            .map(|&id| id..id.wrapping_add(1));
+        if self.retire_attached(orphans).is_err() {
+            self.inner.env.health.record_cleanup_failure();
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Exclusive rewrites
+    // ------------------------------------------------------------------
+
+    /// Replaces the whole table content (Hive's `INSERT OVERWRITE TABLE`):
+    /// new master files, cleared attached table. Crash-atomic: the files
+    /// are built in a fresh generation directory, invisible to readers,
+    /// and become the table in one durable metadata put. A failure before
+    /// it leaves the old generation fully live; a failure after it only
+    /// delays cleanup.
+    pub fn insert_overwrite<I>(&self, rows: I) -> Result<u64>
+    where
+        I: IntoIterator<Item = Row>,
+    {
+        let _guard = self.inner.ops.write();
+        let rows = Rows::Given(rows.into_iter().collect());
+        Ok(self.rewrite_exclusive(rows)?.written)
+    }
+
+    /// COMPACT (paper §III-C): UNION READ everything into a fresh Master
+    /// Table and clear the Attached Table. Blocks all other operations.
+    ///
+    /// The rows stream straight from the UNION READ into the new
+    /// generation's files — memory stays bounded by one master file per
+    /// worker, not the table. A transient storage fault aborts the
+    /// half-built generation and the whole pass retries with backoff (each
+    /// attempt builds into a fresh generation, so a torn attempt is
+    /// inert).
+    pub fn compact(&self) -> Result<()> {
+        let _guard = self.inner.ops.write();
+        let policy = self.inner.config.retry;
+        policy.run(&self.inner.env.health, || {
+            self.rewrite_exclusive(Rows::Merged(None)).map(|_| ())
+        })
+    }
+
+    // ------------------------------------------------------------------
+    // Optimistic rewrites
+    // ------------------------------------------------------------------
+
+    /// Starts a two-phase COMPACT: pins a snapshot and rewrites it into a
+    /// fresh generation off to the side *without* blocking concurrent DML
+    /// (only the ops read lock is held, like any scan). The returned
+    /// [`RewriteJob`] must be `finish()`ed to swing the pointer — which
+    /// fails with a retryable [`Error::Conflict`] if anything committed
+    /// since the pin.
+    pub fn begin_compact(&self) -> Result<RewriteJob> {
+        self.build_aside(self.begin_snapshot()?, Retire::All, Rows::Merged(None))
+    }
+
+    /// Starts a two-phase INSERT OVERWRITE: writes `rows` as a fresh
+    /// generation off to the side. Like [`DualTableStore::begin_compact`],
+    /// the swing happens at [`RewriteJob::finish`] and loses to any
+    /// concurrent commit.
+    pub fn begin_insert_overwrite(&self, rows: Vec<Row>) -> Result<RewriteJob> {
+        self.build_aside(self.begin_snapshot()?, Retire::All, Rows::Given(rows))
+    }
+
+    /// Starts an incremental COMPACT: pins a snapshot, picks the k
+    /// dirtiest master files and folds ONLY those into a fresh generation
+    /// off to the side. Returns `None` when nothing is dirty enough to
+    /// fold. Like [`DualTableStore::begin_compact`], concurrent DML never
+    /// blocks, and [`RewriteJob::finish`] loses with a retryable
+    /// [`Error::Conflict`] to anything that committed since the pin.
+    pub fn begin_incremental_compact(&self) -> Result<Option<RewriteJob>> {
+        self.begin_incremental(|| {})
+    }
+
+    /// [`Self::begin_incremental_compact`] with a hook that fires exactly
+    /// when a build actually starts — after candidate selection found
+    /// work, before any byte is written. [`Self::compact_incremental`]
+    /// opens its health ledger there, at the moment the cycle stops being
+    /// a no-op.
+    fn begin_incremental(&self, on_build_start: impl FnOnce()) -> Result<Option<RewriteJob>> {
+        let snapshot = self.begin_snapshot()?;
+        let picked = {
+            let _guard = self.inner.ops.read();
+            self.fold_candidates_at(snapshot.generation(), snapshot.ts())?
+        };
+        if picked.is_empty() {
+            return Ok(None);
+        }
+        on_build_start();
+        self.build_aside(snapshot, Retire::Files(picked), Rows::Merged(None))
+            .map(Some)
+    }
+
+    /// The optimistic build: reserve a generation (protected from cleanup
+    /// while in progress), build it from the pinned epoch under the read
+    /// lock, and on failure delete the half-built generation.
+    fn build_aside(
+        &self,
+        snapshot: Snapshot,
+        retire: Retire,
+        rows: Rows<'_>,
+    ) -> Result<RewriteJob> {
+        let _guard = self.inner.ops.read();
+        let next = self.next_generation()?;
+        self.inner.mvcc.lock().register_build(next);
+        match self.build(next, (snapshot.generation(), snapshot.ts()), &retire, rows) {
+            Ok(built) => Ok(RewriteJob {
+                snapshot,
+                next,
+                written: built.written,
+                finished: false,
+                retire,
+            }),
+            Err(e) => {
+                self.abandon_rewrite(next);
+                Err(e)
+            }
+        }
+    }
+
+    /// Scores every dirty master file with the §IV-derived fold score
+    /// ([`crate::CostModel::fold_score`]) and returns the
+    /// `max_files_per_cycle` dirtiest, ascending by file ID (scan order).
+    /// Files the presence index proves clean never appear.
+    pub fn fold_candidates(&self) -> Result<Vec<u32>> {
+        let _guard = self.inner.ops.read();
+        self.fold_candidates_at(self.current_gen()?, u64::MAX)
+    }
+
+    fn fold_candidates_at(&self, gen: u64, at_ts: u64) -> Result<Vec<u32>> {
+        let knobs = self.inner.config.compaction;
+        if knobs.max_files_per_cycle == 0 {
+            return Ok(Vec::new());
+        }
+        let index = self.load_presence(&self.attached()?)?;
+        if index.files.is_empty() {
+            return Ok(Vec::new());
+        }
+        let live = self.visible_files(gen, at_ts);
+        let model = self.cost_model();
+        let mut scored: Vec<(f64, u32)> = Vec::new();
+        for (&file_id, presence) in &index.files {
+            if live.binary_search(&file_id).is_err() {
+                // Fold residue or a file staged after our snapshot — not
+                // ours to fold.
+                continue;
+            }
+            let cells = presence.delete_markers + presence.update_counts.values().sum::<u64>();
+            if cells < knobs.min_attached_cells.max(1) {
+                continue;
+            }
+            let rows = self.open_master(gen, file_id)?.num_rows();
+            let bytes = self.inner.env.dfs.len(&self.file_path_at(gen, file_id))?;
+            scored.push((
+                model.fold_score(cells, rows, bytes, self.inner.config.k_successive_reads),
+                file_id,
+            ));
+        }
+        // Dirtiest first; ties resolve to the lower file ID so cycles are
+        // deterministic.
+        scored.sort_by(|a, b| {
+            b.0.partial_cmp(&a.0)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.1.cmp(&b.1))
+        });
+        let mut picked: Vec<u32> = scored
+            .into_iter()
+            .take(knobs.max_files_per_cycle)
+            .map(|(_, id)| id)
+            .collect();
+        picked.sort_unstable();
+        Ok(picked)
+    }
+
+    /// One cycle of the background maintenance loop: pick the dirtiest
+    /// files, fold them off to the side, swing. Health-ledger exact —
+    /// every call that starts building ends as exactly one of completed,
+    /// lost-race or aborted, even across panics (a drop guard converts an
+    /// unwind into the aborted entry). The chaos soak asserts the ledger:
+    /// `compactions_completed + compactions_lost_race + compactions_aborted
+    /// == compactions_started`.
+    ///
+    /// A lost swing race is a clean retry, not an error: the abandoned
+    /// generation is already deleted, and the stale-directory sweep is
+    /// retried eagerly (counted by `stale_gens_swept`) rather than waiting
+    /// for the next reopen.
+    pub fn compact_incremental(&self) -> Result<FoldOutcome> {
+        struct AbortGuard {
+            health: Arc<dt_common::HealthCounters>,
+            armed: std::cell::Cell<bool>,
+        }
+        impl Drop for AbortGuard {
+            fn drop(&mut self) {
+                if self.armed.get() {
+                    self.health.record_compaction_aborted();
+                }
+            }
+        }
+        let guard = AbortGuard {
+            health: self.inner.env.health.clone(),
+            armed: std::cell::Cell::new(false),
+        };
+        let job = self.begin_incremental(|| {
+            self.inner.env.health.record_compaction_started();
+            guard.armed.set(true);
+        })?;
+        let Some(job) = job else {
+            return Ok(FoldOutcome::Clean);
+        };
+        let files = job.folded_files().map_or(0, <[u32]>::len);
+        let rows = job.rows_written();
+        match job.finish() {
+            Ok(_) => {
+                guard.armed.set(false);
+                self.inner.env.health.record_compaction_completed();
+                Ok(FoldOutcome::Folded { files, rows })
+            }
+            Err(e) if e.is_conflict() => {
+                guard.armed.set(false);
+                self.inner.env.health.record_compaction_lost_race();
+                if let Ok(gen) = self.current_gen() {
+                    let swept = self.cleanup_stale_generations(gen);
+                    if swept > 0 {
+                        self.inner.env.health.record_stale_gens_swept(swept);
+                    }
+                }
+                Ok(FoldOutcome::LostRace)
+            }
+            Err(e) => Err(e),
+        }
+    }
+}
+
+/// A two-phase (optimistic) rewrite: [`DualTableStore::begin_compact`],
+/// [`DualTableStore::begin_insert_overwrite`] and
+/// [`DualTableStore::begin_incremental_compact`] build the new generation
+/// off to the side from a pinned snapshot — without blocking concurrent
+/// DML — and [`RewriteJob::finish`] atomically swings the generation
+/// pointer, failing with a retryable [`Error::Conflict`] if anything
+/// committed since the pin (the built files would silently lose those
+/// writes). Dropping an unfinished job abandons the built generation;
+/// failures there are reported via counters, never panics (the server's
+/// teardown relies on it, see [`crate::txn`]).
+pub struct RewriteJob {
+    snapshot: Snapshot,
+    next: u64,
+    written: u64,
+    finished: bool,
+    retire: Retire,
+}
+
+impl RewriteJob {
+    /// The snapshot timestamp the build read from.
+    pub fn snapshot_ts(&self) -> u64 {
+        self.snapshot.ts()
+    }
+
+    /// The generation number being built.
+    pub fn target_generation(&self) -> u64 {
+        self.next
+    }
+
+    /// Rows written into the new generation (carried copies included).
+    pub fn rows_written(&self) -> u64 {
+        self.written
+    }
+
+    /// The master files an incremental fold will retire; `None` for full
+    /// rewrites.
+    pub fn folded_files(&self) -> Option<&[u32]> {
+        match &self.retire {
+            Retire::All => None,
+            Retire::Files(files) => Some(files),
+        }
+    }
+
+    /// Atomically swings the generation pointer to the built generation,
+    /// taking the ops write lock only for the swing. Returns the rows
+    /// written, or [`Error::Conflict`] if a commit raced the build (the
+    /// built generation is deleted; retry from a fresh begin).
+    pub fn finish(mut self) -> Result<u64> {
+        self.finished = true;
+        let store = self.snapshot.store();
+        let _guard = store.inner.ops.write();
+        if let Err(e) = store.swing(self.next, Some(self.snapshot.ts()), &self.retire) {
+            store.abandon_rewrite(self.next);
+            return Err(e);
+        }
+        Ok(self.written)
+    }
+
+    /// Abandons the build, deleting the half-built generation.
+    pub fn abandon(self) {}
+}
+
+impl Drop for RewriteJob {
+    fn drop(&mut self) {
+        if !self.finished {
+            self.snapshot.store().abandon_rewrite(self.next);
+        }
+    }
+}

@@ -677,17 +677,18 @@ impl ShardedTable {
 
     /// Drops every shard and the durable shard map.
     pub fn drop_table(self) -> Result<()> {
-        let n = self.inner.shards.len() as u64;
-        // The Arc is uniquely held in practice (the catalog removed its
-        // handle); shards are owned stores, so drop each in turn.
-        let inner = Arc::try_unwrap(self.inner).map_err(|_| {
-            Error::invalid("cannot drop a sharded table while other handles are live")
-        })?;
-        for shard in inner.shards {
-            shard.drop_table()?;
+        // Other handles may be live (another session's open transaction
+        // holds one): each shard drops through its cheap clone, and their
+        // commits then lose like any commit racing a DROP.
+        let inner = &self.inner;
+        for shard in &inner.shards {
+            shard.clone().drop_table()?;
         }
         ShardMap::delete(&inner.env, &inner.name)?;
-        inner.env.shard_health.remove_shards(n);
+        inner
+            .env
+            .shard_health
+            .remove_shards(inner.shards.len() as u64);
         Ok(())
     }
 }

@@ -1,31 +1,30 @@
 //! The DualTable store: master + attached storage, DML plans, COMPACT.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use dt_common::{Error, RecordId, Result, Row, Schema, Value};
 use dt_orcfile::{
-    ColumnBatch, ColumnPredicate, FooterCache, FooterCacheStats, OrcReader, OrcWriter,
-    FILE_ID_METADATA_KEY,
+    ColumnBatch, ColumnPredicate, FooterCache, FooterCacheStats, OrcReader, FILE_ID_METADATA_KEY,
 };
 use parking_lot::{Mutex, RwLock};
 
 use crate::attached::{delete_cell, update_cells};
-use crate::compactor::FoldOutcome;
 use crate::config::{DualTableConfig, PlanMode};
 use crate::cost::{CostModel, PlanChoice, RatioHint};
 use crate::delta::DeltaPolicy;
 use crate::env::DualTableEnv;
 use crate::mvcc::{
-    decode_txn_intent, encode_txn_intent, Conflict, TableMvcc, TXN_INTENT_QUALIFIER,
+    decode_txn_intent, encode_txn_intent, Conflict, MvccState, TableMvcc, TXN_INTENT_QUALIFIER,
 };
 use crate::presence::{
     decode_count, encode_count, presence_key, presence_qualifier, FilePresence, PresenceDelta,
     PresenceIndex, PRESENCE_FILE_ID,
 };
-use crate::txn::{RewriteJob, RowPatch, Snapshot, Transaction};
+use crate::rewrite::Rows;
+use crate::txn::{RowPatch, Snapshot, Transaction};
 use crate::union_read::{for_each_row, merge_file, BatchFn, UnionReadOptions};
 
 /// Aggregate statistics of one DualTable.
@@ -73,18 +72,18 @@ pub struct DmlReport {
     pub cost_diff: Option<f64>,
 }
 
-struct Inner {
-    name: String,
-    schema: Schema,
-    env: DualTableEnv,
-    config: DualTableConfig,
+pub(crate) struct Inner {
+    pub(crate) name: String,
+    pub(crate) schema: Schema,
+    pub(crate) env: DualTableEnv,
+    pub(crate) config: DualTableConfig,
     /// Readers/EDIT-DML hold `read`; OVERWRITE-plan DML and COMPACT hold
     /// `write` ("all the other operations will be blocked during COMPACT",
     /// §III-C).
-    ops: RwLock<()>,
+    pub(crate) ops: RwLock<()>,
     /// Parsed ORC footers of this table's master files (DESIGN.md §10).
     /// Invalidated by table prefix at every generation commit.
-    footers: FooterCache,
+    pub(crate) footers: FooterCache,
     /// Serializes the read-modify-write of presence-index counts across
     /// concurrent EDIT statements (which only hold `ops` in read mode).
     presence_lock: Mutex<()>,
@@ -93,20 +92,20 @@ struct Inner {
     /// registry, so every clone and every session sees the same state.
     /// Lock order: `ops` (read or write) before this state's mutex;
     /// `presence_lock` may nest inside the state mutex.
-    mvcc: Arc<TableMvcc>,
+    pub(crate) mvcc: Arc<TableMvcc>,
 }
+
+/// One `UPDATE` assignment: `(column ordinal, value function)`. `Sync`
+/// because the OVERWRITE plan applies assignments from parallel rewrite
+/// workers (DESIGN.md §19).
+pub type Assignment<'a> = (usize, Box<dyn Fn(&Row) -> Value + Sync + 'a>);
 
 /// One DualTable (see the crate docs for the model).
 ///
 /// Cheap to clone; clones share the table.
-/// One `UPDATE` assignment: `(column ordinal, value function)`. `Sync`
-/// because the OVERWRITE plan applies assignments from parallel rewrite
-/// workers (DESIGN.md §12).
-pub type Assignment<'a> = (usize, Box<dyn Fn(&Row) -> Value + Sync + 'a>);
-
 #[derive(Clone)]
 pub struct DualTableStore {
-    inner: Arc<Inner>,
+    pub(crate) inner: Arc<Inner>,
 }
 
 /// Decodes one presence-index qualifier: `None` = the delete-marker count,
@@ -123,17 +122,15 @@ fn presence_column(qual: &[u8]) -> Result<Option<usize>> {
 
 /// The predicates that may be pushed down into `file_id`'s ORC reader: all
 /// of them for a clean file, those on columns without update overlays for a
-/// dirty one, none under the conservative fallback. Dropping conjuncts is
-/// always sound — predicates are a conjunction, so fewer of them only skip
-/// fewer stripes.
+/// dirty one. Dropping conjuncts is always sound — predicates are a
+/// conjunction, so fewer of them only skip fewer stripes.
 fn file_predicates<'a>(
-    presence: Option<&PresenceIndex>,
+    presence: &PresenceIndex,
     predicates: Option<&'a [ColumnPredicate]>,
     file_id: u32,
 ) -> Option<Cow<'a, [ColumnPredicate]>> {
     let predicates = predicates?;
-    let index = presence?;
-    match index.file(file_id) {
+    match presence.file(file_id) {
         None => Some(Cow::Borrowed(predicates)),
         Some(fp) => {
             let kept: Vec<ColumnPredicate> = predicates
@@ -154,154 +151,38 @@ fn file_predicates<'a>(
 
 /// What every file of one UNION READ shares, resolved once per scan and
 /// borrowed by all of its (possibly parallel) per-file merges.
-struct ScanPlan<'a> {
+pub(crate) struct ScanPlan<'a> {
     gen: u64,
     opts: &'a UnionReadOptions,
     /// Decoded column ordinals (`opts.projection`, or every column).
     projection: Cow<'a, [usize]>,
     attached: dt_kvstore::Store,
-    presence: Option<PresenceIndex>,
+    presence: PresenceIndex,
 }
 
-/// One worker's slice of a parallel rewrite: the master files it reads
-/// and the output file-ID range its sink draws from.
-struct RewritePartition {
-    files: Vec<u32>,
-    first_id: u32,
-    id_count: u32,
-}
+/// Row key of the transactional-insert intent cells: `{0, 0}`, below
+/// every presence row (real file IDs start at 1).
+const INTENT_ROW: RecordId = RecordId {
+    file_id: PRESENCE_FILE_ID,
+    row: 0,
+};
 
-/// Where a [`MasterWriteSink`] gets the file ID for each file it starts.
-enum FileIdAlloc {
-    /// One metadata-table counter bump per file (the sequential path).
-    Shared,
-    /// A contiguous range pre-reserved for one parallel rewrite worker
-    /// via [`crate::meta::MetadataManager::reserve_file_ids`]. Drawing
-    /// from a private range keeps workers off the shared counter and —
-    /// because ranges are reserved in partition order — keeps the new
-    /// generation's ascending-file-ID scan order equal to the
-    /// concatenation of the partitions.
-    Reserved { next: u32, remaining: u32 },
-}
-
-impl FileIdAlloc {
-    fn next(&mut self, store: &DualTableStore) -> Result<u32> {
-        match self {
-            FileIdAlloc::Shared => store.inner.env.meta.next_file_id(&store.inner.name),
-            FileIdAlloc::Reserved { next, remaining } => {
-                if *remaining == 0 {
-                    // Ranges are sized from footer row counts, which upper-
-                    // bound the UNION READ output; exhaustion is a bug.
-                    return Err(Error::internal(
-                        "parallel rewrite exhausted its reserved file-ID range",
-                    ));
-                }
-                let id = *next;
-                *next += 1;
-                *remaining -= 1;
-                Ok(id)
-            }
-        }
-    }
-}
-
-/// Incrementally writes rows into a generation's master files, rolling to
-/// a fresh file (and file ID) every `rows_per_file` rows. At most one
-/// file's writer is in flight, so feeding it from a streaming scan keeps
-/// memory bounded by one file — COMPACT pipes the UNION READ straight in
-/// instead of materializing the table.
-struct MasterWriteSink<'a> {
-    store: &'a DualTableStore,
+/// Master files written but not yet committed (see
+/// [`DualTableStore::stage_insert`]).
+struct Staged {
     gen: u64,
-    alloc: FileIdAlloc,
-    writer: Option<OrcWriter>,
-    in_file: usize,
+    ids: Vec<u32>,
+    /// Qualifier of the durable undo intent, if one was written.
+    intent: Option<Vec<u8>>,
     written: u64,
-    /// File IDs this sink created, in creation order.
-    created: Vec<u32>,
-}
-
-impl<'a> MasterWriteSink<'a> {
-    fn new(store: &'a DualTableStore, gen: u64) -> Self {
-        Self::with_alloc(store, gen, FileIdAlloc::Shared)
-    }
-
-    /// A sink drawing file IDs from the pre-reserved range
-    /// `[first_id, first_id + count)` instead of the shared counter.
-    fn reserved(store: &'a DualTableStore, gen: u64, first_id: u32, count: u32) -> Self {
-        Self::with_alloc(
-            store,
-            gen,
-            FileIdAlloc::Reserved {
-                next: first_id,
-                remaining: count,
-            },
-        )
-    }
-
-    fn with_alloc(store: &'a DualTableStore, gen: u64, alloc: FileIdAlloc) -> Self {
-        MasterWriteSink {
-            store,
-            gen,
-            alloc,
-            writer: None,
-            in_file: 0,
-            written: 0,
-            created: Vec::new(),
-        }
-    }
-
-    fn push(&mut self, row: Row) -> Result<()> {
-        let inner = &self.store.inner;
-        if self.writer.is_none() {
-            let file_id = self.alloc.next(self.store)?;
-            self.created.push(file_id);
-            let mut w = OrcWriter::create(
-                &inner.env.dfs,
-                &self.store.file_path_at(self.gen, file_id),
-                inner.schema.clone(),
-                inner.config.writer.clone(),
-            )?;
-            w.set_metadata(FILE_ID_METADATA_KEY, file_id.to_be_bytes().to_vec());
-            self.writer = Some(w);
-            self.in_file = 0;
-        }
-        self.writer
-            .as_mut()
-            .expect("writer just created")
-            .write_row(row)?;
-        self.written += 1;
-        self.in_file += 1;
-        if self.in_file >= inner.config.rows_per_file {
-            self.writer.take().expect("writer exists").finish()?;
-        }
-        Ok(())
-    }
-
-    fn finish(mut self) -> Result<u64> {
-        if let Some(w) = self.writer.take() {
-            w.finish()?;
-        }
-        Ok(self.written)
-    }
-
-    /// [`MasterWriteSink::finish`] that also reports which file IDs the
-    /// sink created — for callers that register file visibility with the
-    /// MVCC state or write a transactional-insert undo intent.
-    fn finish_with_ids(mut self) -> Result<(u64, Vec<u32>)> {
-        if let Some(w) = self.writer.take() {
-            w.finish()?;
-        }
-        Ok((self.written, std::mem::take(&mut self.created)))
-    }
 }
 
 impl DualTableStore {
-    fn attached_name(name: &str) -> String {
+    pub(crate) fn attached_name(name: &str) -> String {
         format!("att_{name}")
     }
 
-    fn master_dir(name: &str) -> String {
+    pub(crate) fn master_dir(name: &str) -> String {
         format!("/warehouse/{name}")
     }
 
@@ -410,9 +291,8 @@ impl DualTableStore {
         if attached.is_empty() {
             return;
         }
-        let intent_row = RecordId::new(PRESENCE_FILE_ID, 0);
         let Ok(scan) = attached.scan_at(
-            Some(&intent_row.to_key()[..]),
+            Some(&INTENT_ROW.to_key()[..]),
             Some(&RecordId::new(PRESENCE_FILE_ID, 1).to_key()[..]),
             u64::MAX,
         ) else {
@@ -432,62 +312,14 @@ impl DualTableStore {
                     self.inner.env.health.record_cleanup_failure();
                     continue;
                 };
-                let mut undone = true;
-                for id in file_ids {
-                    let path = self.file_path_at(gen, id);
-                    if self.inner.env.dfs.exists(&path) && self.inner.env.dfs.delete(&path).is_err()
-                    {
-                        self.inner.env.health.record_cleanup_failure();
-                        undone = false;
-                    }
-                }
                 // The intent is deleted last, so a partial undo keeps it
                 // and the next open retries the whole thing.
-                if undone && attached.delete_cell(&intent_row.to_key(), qual).is_err() {
+                if self.delete_master_files(gen, &file_ids)
+                    && attached.delete_cell(&INTENT_ROW.to_key(), qual).is_err()
+                {
                     self.inner.env.health.record_cleanup_failure();
                 }
             }
-        }
-    }
-
-    /// Sweeps attached-tier residue of an interrupted incremental fold: a
-    /// crash between a fold's generation swing and its attached-row
-    /// retirement leaves presence rows and data cells keyed to folded —
-    /// now nonexistent — master files. They are invisible to every scan
-    /// (no live file covers their record-ID ranges), but they would make
-    /// the presence index lie about files that no longer exist, so openers
-    /// retire them here. Skipped while any session still reads an older
-    /// generation — its files are absent from the current listing but are
-    /// not residue — and under the conservative pre-index fallback (no
-    /// index rows to reconcile).
-    fn sweep_fold_residue(&self) {
-        {
-            let st = self.inner.mvcc.lock();
-            if st.pin_count() > 0 || st.retired_count() > 0 {
-                return;
-            }
-        }
-        let Ok(gen) = self.current_gen() else {
-            return;
-        };
-        let Ok(attached) = self.attached() else {
-            return;
-        };
-        let Ok(Some(index)) = self.load_presence(&attached) else {
-            return;
-        };
-        let live: BTreeSet<u32> = self.master_file_ids_at(gen).into_iter().collect();
-        let orphans: Vec<u32> = index
-            .files
-            .keys()
-            .copied()
-            .filter(|id| !live.contains(id))
-            .collect();
-        if orphans.is_empty() {
-            return;
-        }
-        if self.collect_folded_attached(&orphans).is_err() {
-            self.inner.env.health.record_cleanup_failure();
         }
     }
 
@@ -506,6 +338,7 @@ impl DualTableStore {
             .env
             .kv
             .drop_table(&Self::attached_name(&self.inner.name))?;
+        self.inner.mvcc.lock().note_drop();
         self.inner.env.mvcc.remove(&self.inner.name);
         Ok(())
     }
@@ -529,7 +362,7 @@ impl DualTableStore {
     /// The current attached-table handle. Resolved per call: TRUNCATE
     /// (after OVERWRITE/COMPACT) replaces the store inside the cluster, so
     /// caching a handle would go stale.
-    fn attached(&self) -> Result<dt_kvstore::Store> {
+    pub(crate) fn attached(&self) -> Result<dt_kvstore::Store> {
         self.inner
             .env
             .kv
@@ -543,7 +376,7 @@ impl DualTableStore {
 
     /// The cost model for plan selection, reflecting whether EDIT cells
     /// ride the delta tier (cheaper attached writes shift the crossover).
-    fn cost_model(&self) -> CostModel {
+    pub(crate) fn cost_model(&self) -> CostModel {
         if self.delta_policy().enabled() {
             CostModel::with_delta_tier(self.inner.config.rates, self.inner.config.write_threads)
         } else {
@@ -569,15 +402,15 @@ impl DualTableStore {
     /// COMPACT build the next generation aside and flip this number with
     /// one durable metadata put, so a crash mid-rewrite leaves the old
     /// file set fully live.
-    fn current_gen(&self) -> Result<u64> {
+    pub(crate) fn current_gen(&self) -> Result<u64> {
         self.inner.env.meta.generation(&self.inner.name)
     }
 
-    fn gen_dir(&self, gen: u64) -> String {
+    pub(crate) fn gen_dir(&self, gen: u64) -> String {
         format!("{}/gen-{gen:010}", Self::master_dir(&self.inner.name))
     }
 
-    fn file_path_at(&self, gen: u64, file_id: u32) -> String {
+    pub(crate) fn file_path_at(&self, gen: u64, file_id: u32) -> String {
         format!("{}/part-{file_id:010}", self.gen_dir(gen))
     }
 
@@ -586,7 +419,7 @@ impl DualTableStore {
         Ok(self.master_file_ids_at(self.current_gen()?))
     }
 
-    fn master_file_ids_at(&self, gen: u64) -> Vec<u32> {
+    pub(crate) fn master_file_ids_at(&self, gen: u64) -> Vec<u32> {
         let prefix = format!("{}/part-", self.gen_dir(gen));
         self.inner
             .env
@@ -597,77 +430,8 @@ impl DualTableStore {
             .collect()
     }
 
-    /// The first generation number safe to build into: past the committed
-    /// one *and* past any directory a crashed, uncommitted rewrite left
-    /// behind (whose stale files must never join a new generation).
-    fn next_generation(&self) -> Result<u64> {
-        let committed = self.current_gen()?;
-        let prefix = format!("{}/gen-", Self::master_dir(&self.inner.name));
-        let max_present = self
-            .inner
-            .env
-            .dfs
-            .list(&prefix)
-            .iter()
-            .filter_map(|path| {
-                path.strip_prefix(&prefix)?
-                    .split('/')
-                    .next()?
-                    .parse::<u64>()
-                    .ok()
-            })
-            .max()
-            .unwrap_or(0);
-        // Also stay clear of any generation number reserved for an
-        // off-to-the-side build this process knows about — a zero-row
-        // build leaves no directory for the listing to see.
-        Ok(self
-            .inner
-            .mvcc
-            .lock()
-            .observe_build_gen(committed.max(max_present) + 1))
-    }
-
-    /// Best-effort removal of every master file outside `current` —
-    /// retired generations and torn uncommitted ones. Failed deletes are
-    /// recorded as cleanup debt in the health counters (never swallowed
-    /// silently) and retried on the next swap or table open; stale
-    /// generations are unreachable in the meantime. Returns
-    /// `(generations fully swept, deletes failed)`.
-    fn cleanup_stale_generations(&self, current: u64) -> (u64, u64) {
-        // Generations pinned by live snapshots, parked for deferred GC or
-        // being built off to the side are not stale, merely not current.
-        let protected = self.inner.mvcc.lock().protected_gens();
-        let prefix = format!("{}/gen-", Self::master_dir(&self.inner.name));
-        let mut failed = 0u64;
-        // Per-generation sweep outcome: a generation counts as swept only
-        // if every one of its files was deleted.
-        let mut touched: BTreeMap<u64, bool> = BTreeMap::new();
-        for path in self.inner.env.dfs.list(&prefix) {
-            let Some(gen) = path
-                .strip_prefix(&prefix)
-                .and_then(|rest| rest.split('/').next())
-                .and_then(|g| g.parse::<u64>().ok())
-                .filter(|&g| g != current && !protected.contains(&g))
-            else {
-                continue;
-            };
-            if self.inner.env.dfs.delete(&path).is_err() {
-                self.inner.env.health.record_cleanup_failure();
-                failed += 1;
-                touched.insert(gen, false);
-            } else {
-                // The path can never be opened again; retire its footer.
-                self.inner.footers.invalidate_prefix(&path);
-                touched.entry(gen).or_insert(true);
-            }
-        }
-        let swept = touched.values().filter(|&&ok| ok).count() as u64;
-        (swept, failed)
-    }
-
     // ------------------------------------------------------------------
-    // Ingest (LOAD / INSERT INTO / INSERT OVERWRITE)
+    // Ingest (LOAD / INSERT INTO)
     // ------------------------------------------------------------------
 
     /// Appends rows, creating one or more new master files (the paper's
@@ -682,102 +446,105 @@ impl DualTableStore {
         if rows.is_empty() {
             return Ok(0);
         }
-        let gen = self.current_gen()?;
-        // Stage the file IDs *before* any file becomes listable: files the
-        // MVCC state has never heard of default to always-visible, so a
-        // snapshot pinned between the file write and the commit below
-        // would first see the new rows, then lose them once the commit
-        // lands after its pin — a non-repeatable read. Mirrors the
-        // transactional insert path ([`Self::commit_transaction`] phase
-        // 1), minus the durable undo intent: autocommit inserts have no
-        // in-flight state to recover.
-        let rows_per_file = self.inner.config.rows_per_file.max(1);
-        let files = u32::try_from(rows.len().div_ceil(rows_per_file))
-            .map_err(|_| Error::internal("insert needs too many files"))?;
-        let first = self
-            .inner
-            .env
-            .meta
-            .reserve_file_ids(&self.inner.name, files)?;
-        let ids: Vec<u32> = (first..first + files).collect();
-        {
-            let mut st = self.inner.mvcc.lock();
-            for &id in &ids {
-                st.stage_file(gen, id);
-            }
-        }
-        let mut sink = MasterWriteSink::reserved(self, gen, first, files);
-        let written = rows
-            .into_iter()
-            .try_for_each(|row| sink.push(row))
-            .and_then(|()| sink.finish());
-        let written = match written {
-            Ok(w) => w,
-            Err(e) => {
-                // Delete any partial files before unstaging — a forgotten
-                // *existing* file would be visible.
-                let mut all_deleted = true;
-                for &id in &ids {
-                    let path = self.file_path_at(gen, id);
-                    if self.inner.env.dfs.exists(&path) && self.inner.env.dfs.delete(&path).is_err()
-                    {
-                        self.inner.env.health.record_cleanup_failure();
-                        all_deleted = false;
-                    }
-                }
-                if all_deleted {
-                    self.inner.mvcc.lock().unstage_files(gen, ids);
-                }
-                return Err(e);
-            }
-        };
+        // No durable undo intent: an autocommit insert has no in-flight
+        // state to recover.
+        let staged = self.stage_insert(self.current_gen()?, rows, false)?;
         // Autocommit commit point: the files become visible at a fresh
         // timestamp, ticked under the state mutex so no pin can land
         // between the timestamp and the visibility flip.
         let mut st = self.inner.mvcc.lock();
         let ts = self.inner.env.kv.clock().tick();
-        st.commit_files(gen, ids, ts);
+        st.commit_files(staged.gen, staged.ids, ts);
         // Bump the edit clock too: a two-phase rewrite pinned before this
         // insert must conflict at finish, or its swing would silently drop
         // these files (they only exist in the generation it replaces).
         st.note_edit_commit([], ts);
-        Ok(written)
+        Ok(staged.written)
     }
 
-    fn write_master_files<I>(&self, gen: u64, rows: I) -> Result<u64>
-    where
-        I: IntoIterator<Item = Row>,
-    {
-        Ok(self.write_master_files_tracked(gen, rows)?.0)
-    }
-
-    fn write_master_files_tracked<I>(&self, gen: u64, rows: I) -> Result<(u64, Vec<u32>)>
-    where
-        I: IntoIterator<Item = Row>,
-    {
-        let mut sink = MasterWriteSink::new(self, gen);
-        for row in rows {
-            sink.push(row)?;
+    /// Phase 1 of every insert: reserve the rows' file IDs, optionally
+    /// write the durable undo intent listing them (transactions — recovery
+    /// deletes the files of an intent it finds), stage the IDs and only
+    /// then write the files into `gen`. Staging comes first because files
+    /// the MVCC state has never heard of default to always-visible: a
+    /// snapshot pinned between the file write and the commit would see
+    /// the rows, then lose them once the commit lands after its pin. Scans
+    /// are blocked only for the staging step, not the file writes. A
+    /// failed write discards what was staged.
+    fn stage_insert(&self, gen: u64, rows: Vec<Row>, intent: bool) -> Result<Staged> {
+        let ids = self.reserve(rows.len() as u64)?;
+        let mut staged = Staged {
+            gen,
+            ids: ids.clone().collect(),
+            intent: intent.then(|| crate::mvcc::txn_intent_qualifier(ids.start)),
+            written: 0,
+        };
+        if let Some(qual) = &staged.intent {
+            self.attached()?.put(
+                &INTENT_ROW.to_key(),
+                qual,
+                &encode_txn_intent(gen, &staged.ids),
+            )?;
         }
-        sink.finish_with_ids()
+        {
+            let mut st = self.inner.mvcc.lock();
+            for &id in &staged.ids {
+                st.stage_file(gen, id);
+            }
+        }
+        match self.write_files(gen, ids, |push| rows.into_iter().try_for_each(push)) {
+            Ok(written) => {
+                staged.written = written;
+                Ok(staged)
+            }
+            Err(e) => {
+                self.discard_staged(&staged);
+                Err(e)
+            }
+        }
     }
 
-    /// Replaces the whole table content (Hive's `INSERT OVERWRITE TABLE`):
-    /// new master files, cleared attached table. Atomic under crashes via
-    /// the generation commit (see [`DualTableStore::swap_in`]).
-    pub fn insert_overwrite<I>(&self, rows: I) -> Result<u64>
-    where
-        I: IntoIterator<Item = Row>,
-    {
-        let _guard = self.inner.ops.write();
-        self.swap_in(rows)
-    }
-
-    fn truncate_attached(&self) -> Result<()> {
+    /// Best-effort undo of a staged insert that will not commit: delete
+    /// the written files, forget their staging, remove the intent. Files
+    /// go first — a forgotten *existing* file would be visible — and the
+    /// intent last, so [`Self::recover_txn_intents`] re-collects any
+    /// residue on the next open.
+    fn discard_staged(&self, staged: &Staged) {
+        if !self.delete_master_files(staged.gen, &staged.ids) {
+            return;
+        }
         self.inner
-            .env
-            .kv
-            .truncate_table(&Self::attached_name(&self.inner.name))
+            .mvcc
+            .lock()
+            .unstage_files(staged.gen, staged.ids.iter().copied());
+        if let Some(qual) = &staged.intent {
+            let cleared = self
+                .attached()
+                .and_then(|attached| attached.delete_cell(&INTENT_ROW.to_key(), qual));
+            if cleared.is_err() {
+                self.inner.env.health.record_cleanup_failure();
+            }
+        }
+    }
+
+    /// Deletes those of `ids`' master files in `gen` that exist; `true`
+    /// iff none is left.
+    fn delete_master_files(&self, gen: u64, ids: &[u32]) -> bool {
+        let paths = ids.iter().map(|&id| self.file_path_at(gen, id));
+        self.delete_paths(paths.filter(|path| self.inner.env.dfs.exists(path)))
+    }
+
+    /// Best-effort deletes; each failure is recorded as cleanup debt
+    /// (never swallowed silently). `true` iff every path went.
+    pub(crate) fn delete_paths(&self, paths: impl IntoIterator<Item = String>) -> bool {
+        let mut all = true;
+        for path in paths {
+            if self.inner.env.dfs.delete(&path).is_err() {
+                self.inner.env.health.record_cleanup_failure();
+                all = false;
+            }
+        }
+        all
     }
 
     // ------------------------------------------------------------------
@@ -823,7 +590,7 @@ impl DualTableStore {
     /// The master file IDs of `gen` visible to a snapshot at `at_ts`:
     /// everything in the directory except files some in-flight (or
     /// later-committed) transactional insert staged after the snapshot.
-    fn visible_files(&self, gen: u64, at_ts: u64) -> Vec<u32> {
+    pub(crate) fn visible_files(&self, gen: u64, at_ts: u64) -> Vec<u32> {
         let files = self.master_file_ids_at(gen);
         let st = self.inner.mvcc.lock();
         files
@@ -845,7 +612,11 @@ impl DualTableStore {
     }
 
     /// Resolves what every file of one UNION READ shares.
-    fn scan_plan<'a>(&self, gen: u64, opts: &'a UnionReadOptions) -> Result<ScanPlan<'a>> {
+    pub(crate) fn scan_plan<'a>(
+        &self,
+        gen: u64,
+        opts: &'a UnionReadOptions,
+    ) -> Result<ScanPlan<'a>> {
         let attached = self.attached()?;
         Ok(ScanPlan {
             gen,
@@ -870,8 +641,8 @@ impl DualTableStore {
         f: &mut BatchFn<'_>,
     ) -> Result<ControlFlow<()>> {
         let reader = self.open_master(plan.gen, file_id)?;
-        let presence = plan.presence.as_ref();
-        let attached = if presence.is_some_and(|idx| !idx.is_dirty(file_id)) {
+        let presence = &plan.presence;
+        let attached = if !presence.is_dirty(file_id) {
             self.inner.env.health.record_attached_scan_skipped();
             None
         } else {
@@ -894,7 +665,7 @@ impl DualTableStore {
 
     /// [`Self::merge_master`] unpacked into rows, for the consumers that
     /// take every one of them: the parallel scan and the rewrites.
-    fn merge_master_rows(
+    pub(crate) fn merge_master_rows(
         &self,
         plan: &ScanPlan<'_>,
         file_id: u32,
@@ -910,7 +681,7 @@ impl DualTableStore {
         Ok(())
     }
 
-    fn open_master(&self, gen: u64, file_id: u32) -> Result<Arc<OrcReader>> {
+    pub(crate) fn open_master(&self, gen: u64, file_id: u32) -> Result<Arc<OrcReader>> {
         let reader = self
             .inner
             .footers
@@ -926,21 +697,18 @@ impl DualTableStore {
     }
 
     /// Decodes the presence index from the attached table (see
-    /// [`crate::presence`]). Returns:
-    ///
-    /// * `Some(index)` — authoritative: every file absent from it is clean;
-    /// * `None` — the attached table holds data cells but no index rows
-    ///   (data written before the index existed); fall back to the
-    ///   conservative pre-index behaviour: scan every file, no push-down.
+    /// [`crate::presence`]). Authoritative: every file absent from it is
+    /// clean — every commit that writes a data cell writes its count in
+    /// the same WAL record.
     ///
     /// Always read at `u64::MAX`: counts are monotone within a generation,
     /// so the latest index conservatively over-approximates every earlier
     /// snapshot (see the module docs for the soundness argument).
-    fn load_presence(&self, attached: &dt_kvstore::Store) -> Result<Option<PresenceIndex>> {
-        if attached.is_empty() {
-            return Ok(Some(PresenceIndex::default()));
-        }
+    pub(crate) fn load_presence(&self, attached: &dt_kvstore::Store) -> Result<PresenceIndex> {
         let mut index = PresenceIndex::default();
+        if attached.is_empty() {
+            return Ok(index);
+        }
         let scan = attached.scan_at(
             None,
             Some(&RecordId::file_start(PRESENCE_FILE_ID.wrapping_add(1)).to_key()[..]),
@@ -968,16 +736,11 @@ impl DualTableStore {
                 index.files.insert(record.row, presence);
             }
         }
-        if index.files.is_empty() {
-            // Non-empty attached table without index rows: pre-index data.
-            return Ok(None);
-        }
-        Ok(Some(index))
+        Ok(index)
     }
 
-    /// The current presence index, if one is decodable (`None` under the
-    /// conservative fallback). Exposed for tests and experiments.
-    pub fn presence_index(&self) -> Result<Option<PresenceIndex>> {
+    /// The current presence index. Exposed for tests and experiments.
+    pub fn presence_index(&self) -> Result<PresenceIndex> {
         let _guard = self.inner.ops.read();
         self.load_presence(&self.attached()?)
     }
@@ -1070,6 +833,9 @@ impl DualTableStore {
     /// from the footer cache — repeated calls (every DML statement takes
     /// one) parse each master footer once per process, not once per call.
     pub fn stats(&self) -> Result<TableStats> {
+        // A swing deletes the generation it supersedes: hold it off while
+        // the current one's files are listed and sized.
+        let _guard = self.inner.ops.read();
         let mut master_bytes = 0u64;
         let mut master_rows = 0u64;
         let mut master_files = 0u64;
@@ -1400,22 +1166,10 @@ impl DualTableStore {
         Ok((matched, scanned))
     }
 
-    /// Commits one EDIT-plan batch: the data cells plus the presence-index
-    /// increments they imply, in a single `put_batch` — one fsynced WAL
-    /// record, so the index can never drift from the data (see
-    /// [`crate::presence`]). The read-modify-write of the counts is
-    /// serialized against concurrent EDIT statements by `presence_lock`.
-    ///
-    /// The records the batch writes (`touched`, drained on success) are
-    /// registered in the conflict window under the [`TableMvcc`] state
-    /// mutex, held across the durable write — the same "conflict check +
-    /// batch + bookkeeping as one atomic step" discipline as
-    /// [`Self::commit_transaction`]. Deferring the registration to the end
-    /// of the statement would open a lost-update race: a transaction
-    /// running its first-committer-wins check between our `put_batch` and
-    /// the deferred registration would see no record of the already-
-    /// durable edits, pass the check, and overwrite them. Returns the
-    /// batch's commit timestamp (`0` for an empty batch).
+    /// Commits one EDIT-plan batch (drained): its cells, presence
+    /// increments and conflict-window entries, through
+    /// [`Self::commit_cells`]. Returns the batch's commit timestamp (`0`
+    /// for an empty batch).
     fn flush_edit_batch(
         &self,
         attached: &dt_kvstore::Store,
@@ -1426,40 +1180,67 @@ impl DualTableStore {
         if batch.is_empty() && delta.is_empty() {
             return Ok(0);
         }
-        let mut cells = std::mem::take(batch);
-        // Lock order (module doc in `mvcc`): state mutex, then
-        // presence lock — matching commit_transaction.
-        let mut st = self.inner.mvcc.lock();
-        let _presence_guard = self.inner.presence_lock.lock();
-        for ((file_id, column), n) in delta.drain() {
-            let key = presence_key(file_id);
-            let qual = presence_qualifier(column);
-            let current = match attached.get(&key, &qual)? {
-                Some(bytes) => decode_count(&bytes)?,
-                None => 0,
-            };
-            cells.push((key.to_vec(), qual.to_vec(), encode_count(current + n)));
-        }
-        // With a delta budget the whole batch — data cells AND presence
-        // counts — rides the WAL-only shadow tier: same fsync'd record,
-        // no memtable/SSTable work on the hot path. Presence reads above
-        // see shadow entries (the store merges the tier into every read),
-        // so the read-modify-write stays correct across the routes.
+        let cells = std::mem::take(batch);
+        let st = self.inner.mvcc.lock();
+        self.commit_cells(attached, st, cells, delta, touched.drain(..), None)
+    }
+
+    /// The one attached commit, under the state mutex the caller took (and
+    /// ran its conflict check under): `cells`, the presence-index
+    /// increments they imply and the intent clear of `staged` land in ONE
+    /// fsynced WAL record, so the index can never drift from the data and
+    /// a transaction is entirely visible or entirely invisible (see
+    /// [`crate::presence`]). The read-modify-write of the counts is
+    /// serialized by `presence_lock` (lock order: state mutex, then
+    /// presence lock). The record's timestamp is the commit timestamp:
+    /// `touched` enters the conflict window and `staged`'s files become
+    /// visible at it, before the mutex drops — a transaction running its
+    /// first-committer-wins check in between would otherwise miss
+    /// already-durable edits and overwrite them.
+    fn commit_cells(
+        &self,
+        attached: &dt_kvstore::Store,
+        mut st: parking_lot::MutexGuard<'_, MvccState>,
+        mut cells: Vec<(Vec<u8>, Vec<u8>, Vec<u8>)>,
+        delta: &mut PresenceDelta,
+        touched: impl IntoIterator<Item = u64>,
+        staged: Option<&Staged>,
+    ) -> Result<u64> {
         let policy = self.delta_policy();
-        let ts = if policy.enabled() {
-            attached.put_shadow_batch(cells)?
-        } else {
-            attached.put_batch(cells)?
+        let ts = {
+            let _presence_guard = self.inner.presence_lock.lock();
+            for ((file_id, column), n) in delta.drain() {
+                let key = presence_key(file_id);
+                let qual = presence_qualifier(column);
+                let current = match attached.get(&key, &qual)? {
+                    Some(bytes) => decode_count(&bytes)?,
+                    None => 0,
+                };
+                cells.push((key.to_vec(), qual.to_vec(), encode_count(current + n)));
+            }
+            let clears = staged
+                .iter()
+                .filter_map(|s| Some((INTENT_ROW.to_key().to_vec(), s.intent.clone()?)))
+                .collect();
+            // With a delta budget the cells — data AND presence counts —
+            // ride the WAL-only shadow tier: same fsynced record, no
+            // memtable/SSTable work on the hot path. The presence reads
+            // above see shadow entries (the store merges the tier into
+            // every read), so the read-modify-write holds across routes.
+            if policy.enabled() {
+                attached.mutate_batch_shadow(cells, clears)?
+            } else {
+                attached.mutate_batch(cells, clears)?
+            }
         };
-        // Autocommit EDITs enter the conflict window too: a transaction
-        // pinned before this batch must not silently overwrite rows it
-        // changed.
-        st.note_edit_commit(touched.drain(..), ts);
-        drop(_presence_guard);
+        st.note_edit_commit(touched, ts);
+        if let Some(staged) = staged {
+            st.commit_files(staged.gen, staged.ids.iter().copied(), ts);
+        }
         drop(st);
-        // Budget enforcement happens after the locks drop: the batch is
-        // already durable, so a failed spill costs nothing — the next
-        // commit retries it.
+        // Budget enforcement after the locks drop: the batch is already
+        // durable, so a failed spill costs nothing — the next commit
+        // retries it.
         let _ = policy.maybe_spill(attached);
         Ok(ts)
     }
@@ -1493,748 +1274,23 @@ impl DualTableStore {
             }
             Ok((Some(row), true))
         };
-        let next = self.next_generation()?;
-        let attempt = self
-            .parallel_rewrite(next, &transform)
-            .and_then(|counts| self.commit_and_cleanup(next).map(|_| counts));
-        match attempt {
-            Ok((_, matched, scanned)) => Ok(((matched, scanned), PlanChoice::Overwrite)),
-            // A bad assignment fails the statement, not the plan: EDIT
-            // would reject the same value, so falling back would only bury
-            // the user's type error under a second scan. Sweep whatever the
-            // aborted workers wrote before surfacing it.
-            Err(e @ Error::Schema(_)) => {
-                if let Ok(gen) = self.current_gen() {
-                    self.cleanup_stale_generations(gen);
-                }
-                Err(e)
-            }
-            Err(_) => {
-                self.inner.env.health.record_plan_fallback();
-                if let Ok(gen) = self.current_gen() {
-                    self.cleanup_stale_generations(gen);
-                }
-                let counts = self.edit_locked(predicate, assignments, scan)?;
-                Ok((counts, PlanChoice::Edit))
-            }
-        }
-    }
-
-    /// Replaces the master file set with `rows` and clears the attached
-    /// table. Caller must hold the write lock.
-    ///
-    /// Crash-atomic: the new files are built in a fresh generation
-    /// directory, invisible to readers, and become the table in one
-    /// durable metadata put. A failure before the commit leaves the old
-    /// generation fully live (the half-built one is skipped and later
-    /// garbage-collected); a failure after the commit only delays
-    /// cleanup — stale attached overlays reference retired file IDs and
-    /// can never resolve against the new files.
-    fn swap_in<I>(&self, rows: I) -> Result<u64>
-    where
-        I: IntoIterator<Item = Row>,
-    {
-        let next = self.next_generation()?;
-        let pool = dt_engine::JobPool::new(self.inner.config.write_threads);
-        let written = if pool.workers() <= 1 {
-            self.write_master_files(next, rows)?
-        } else {
-            self.write_master_files_parallel(next, rows.into_iter().collect(), &pool)?
+        let failed = match self.rewrite_exclusive(Rows::Merged(Some(&transform))) {
+            Ok(built) => return Ok(((built.matched, built.scanned), PlanChoice::Overwrite)),
+            Err(e) => e,
         };
-        self.commit_and_cleanup(next)?;
-        Ok(written)
-    }
-
-    /// Fans a materialized row set out across the worker pool: the rows
-    /// are split at whole-file boundaries (multiples of `rows_per_file`),
-    /// so the produced file layout is exactly the sequential writer's,
-    /// and each worker streams its slice through its own
-    /// [`MasterWriteSink`] drawing from a file-ID range reserved for its
-    /// slice in slice order. No commit happens here.
-    fn write_master_files_parallel(
-        &self,
-        gen: u64,
-        mut rows: Vec<Row>,
-        pool: &dt_engine::JobPool,
-    ) -> Result<u64> {
-        let rows_per_file = self.inner.config.rows_per_file.max(1);
-        let total_files = rows.len().div_ceil(rows_per_file);
-        let workers = pool.workers_for(total_files);
-        if workers <= 1 {
-            return self.write_master_files(gen, rows);
+        // Sweep whatever the aborted workers wrote.
+        if let Ok(gen) = self.current_gen() {
+            self.cleanup_stale_generations(gen);
         }
-        self.record_write_workers(workers);
-        // Assign each worker a contiguous run of whole files.
-        let base = total_files / workers;
-        let extra = total_files % workers;
-        let mut chunks: Vec<(Vec<Row>, u32, u32)> = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let files = base + usize::from(w < extra);
-            let take = (files * rows_per_file).min(rows.len());
-            let chunk: Vec<Row> = rows.drain(..take).collect();
-            let first_id = self
-                .inner
-                .env
-                .meta
-                .reserve_file_ids(&self.inner.name, files as u32)?;
-            chunks.push((chunk, first_id, files as u32));
+        // A bad assignment fails the statement, not the plan: EDIT would
+        // reject the same value, so falling back would only bury the
+        // user's type error under a second scan.
+        if matches!(failed, Error::Schema(_)) {
+            return Err(failed);
         }
-        debug_assert!(rows.is_empty(), "all rows assigned to a chunk");
-        let written = pool.run(chunks, |_, (chunk, first_id, count)| {
-            let mut sink = MasterWriteSink::reserved(self, gen, first_id, count);
-            for row in chunk {
-                sink.push(row)?;
-            }
-            sink.finish()
-        })?;
-        Ok(written.into_iter().sum())
-    }
-
-    /// Records how many rewrite workers a statement fanned out to, in both
-    /// the table health counters (SHOW HEALTH) and the DFS I/O stats.
-    fn record_write_workers(&self, workers: usize) {
-        self.inner.env.health.record_write_workers(workers as u64);
-        self.inner
-            .env
-            .dfs
-            .stats()
-            .record_write_workers(workers as u64);
-    }
-
-    /// Rewrites the whole table into generation `next` with the worker
-    /// pool (DESIGN.md §12): the master file list is partitioned into
-    /// contiguous chunks, and each worker streams its chunk's UNION READ
-    /// through `transform` into its own [`MasterWriteSink`].
-    ///
-    /// `transform` returns `(output row, matched)` — `None` drops the row
-    /// (DELETE). Returns `(rows written, rows matched, rows scanned)`
-    /// summed across workers.
-    ///
-    /// The commit deliberately does NOT happen here: every caller runs
-    /// [`Self::commit_and_cleanup`] single-threaded afterwards (the
-    /// single-threaded commit rule), so all parallel output lands in one
-    /// still-invisible generation and every crash point sees exactly the
-    /// old or the new file set.
-    fn parallel_rewrite<F>(&self, next: u64, transform: &F) -> Result<(u64, u64, u64)>
-    where
-        F: Fn(RecordId, Row) -> Result<(Option<Row>, bool)> + Sync,
-    {
-        let gen = self.current_gen()?;
-        self.parallel_rewrite_from(gen, u64::MAX, next, transform)
-    }
-
-    /// [`Self::parallel_rewrite`] reading from an explicit `(source_gen,
-    /// at_ts)` epoch — the two-phase COMPACT/OVERWRITE build path, which
-    /// materializes its pinned snapshot rather than "latest".
-    fn parallel_rewrite_from<F>(
-        &self,
-        gen: u64,
-        at_ts: u64,
-        next: u64,
-        transform: &F,
-    ) -> Result<(u64, u64, u64)>
-    where
-        F: Fn(RecordId, Row) -> Result<(Option<Row>, bool)> + Sync,
-    {
-        let files = self.visible_files(gen, at_ts);
-        if files.is_empty() {
-            return Ok((0, 0, 0));
-        }
-        let pool = dt_engine::JobPool::new(self.inner.config.write_threads);
-        let workers = pool.workers_for(files.len());
-        let partitions = self.rewrite_partitions(gen, &files, workers)?;
-        if workers > 1 {
-            self.record_write_workers(workers);
-        }
-        let opts = UnionReadOptions {
-            snapshot_ts: at_ts,
-            ..UnionReadOptions::all()
-        };
-        let plan = self.scan_plan(gen, &opts)?;
-        let plan = &plan;
-        let totals = pool.run(partitions, |_, part| {
-            let RewritePartition {
-                files,
-                first_id,
-                id_count,
-            } = part;
-            let mut sink = MasterWriteSink::reserved(self, next, first_id, id_count);
-            let mut matched = 0u64;
-            let mut scanned = 0u64;
-            for file_id in files {
-                self.merge_master_rows(plan, file_id, &mut |id, row| {
-                    scanned += 1;
-                    let (out, hit) = transform(id, row)?;
-                    if hit {
-                        matched += 1;
-                    }
-                    match out {
-                        Some(row) => sink.push(row),
-                        None => Ok(()),
-                    }
-                })?;
-            }
-            let written = sink.finish()?;
-            Ok((written, matched, scanned))
-        })?;
-        Ok(totals
-            .into_iter()
-            .fold((0, 0, 0), |(w, m, s), (pw, pm, ps)| {
-                (w + pw, m + pm, s + ps)
-            }))
-    }
-
-    /// Splits `files` into `workers` contiguous partitions and reserves
-    /// each partition's output file-ID range — in partition order, so IDs
-    /// ascend across partitions and the rewritten generation scans in the
-    /// same row order as the source. Range sizes come from footer row
-    /// counts, which upper-bound each partition's UNION READ output (the
-    /// attached tier only updates or deletes rows, never adds them); the
-    /// unused tail of a range is a harmless ID gap.
-    fn rewrite_partitions(
-        &self,
-        gen: u64,
-        files: &[u32],
-        workers: usize,
-    ) -> Result<Vec<RewritePartition>> {
-        let rows_per_file = self.inner.config.rows_per_file.max(1) as u64;
-        let base = files.len() / workers;
-        let extra = files.len() % workers;
-        let mut partitions = Vec::with_capacity(workers);
-        let mut start = 0usize;
-        for w in 0..workers {
-            let len = base + usize::from(w < extra);
-            let chunk = &files[start..start + len];
-            start += len;
-            let mut rows_bound = 0u64;
-            for &file_id in chunk {
-                rows_bound += self.open_master(gen, file_id)?.num_rows();
-            }
-            let id_count = u32::try_from(rows_bound.div_ceil(rows_per_file).max(1))
-                .map_err(|_| Error::internal("rewrite partition needs too many file IDs"))?;
-            let first_id = self
-                .inner
-                .env
-                .meta
-                .reserve_file_ids(&self.inner.name, id_count)?;
-            partitions.push(RewritePartition {
-                files: chunk.to_vec(),
-                first_id,
-                id_count,
-            });
-        }
-        Ok(partitions)
-    }
-
-    /// The commit point of a same-thread rewrite (caller holds the write
-    /// lock and read "latest", so nothing can have raced it) plus its
-    /// post-commit cleanup.
-    fn commit_and_cleanup(&self, next: u64) -> Result<()> {
-        self.commit_generation_mvcc(next, u64::MAX, None)
-    }
-
-    /// Swings the generation pointer to `next` against the MVCC state:
-    ///
-    /// 1. Under the state mutex, verify nothing committed after
-    ///    `snapshot_ts` (the epoch the new generation was derived from —
-    ///    any later EDIT would be silently lost by the swing). Losers get
-    ///    a retryable [`Error::Conflict`] and the old generation stays
-    ///    live.
-    /// 2. Commit the pointer (one durable metadata put — THE commit
-    ///    point), stamp the swing, and either hand the old generation to
-    ///    the sweeper or — if another session still pins it — park it for
-    ///    deferred GC. `own_pin_ts` is the swinging job's build pin, which
-    ///    must not count as such a reader.
-    /// 3. Outside the mutex, run best-effort cleanup: attached-tier
-    ///    truncate when no old pin needs the overlays, stale-directory
-    ///    sweep, and the deferred-GC sweeper. Failures are recorded as
-    ///    cleanup debt, never silent.
-    ///
-    /// Cached footers are invalidated per retired path at deletion time —
-    /// not by whole-table purge — so pinned readers keep their cache
-    /// entries across other sessions' swings.
-    fn commit_generation_mvcc(
-        &self,
-        next: u64,
-        snapshot_ts: u64,
-        own_pin_ts: Option<u64>,
-    ) -> Result<()> {
-        let truncate_ok;
-        {
-            let mut st = self.inner.mvcc.lock();
-            if snapshot_ts != u64::MAX
-                && (st.conflict_since(snapshot_ts, &[]).is_some() || st.edits_since(snapshot_ts))
-            {
-                self.inner.env.health.record_swing_conflict();
-                return Err(Error::conflict(format!(
-                    "generation swing abandoned: writes committed after snapshot {snapshot_ts}"
-                )));
-            }
-            let old_gen = self.current_gen()?;
-            // The commit point. Still under the state mutex: a concurrent
-            // EDIT commit must observe either (old pointer, no swing
-            // stamp) or (new pointer, swing stamp), never a torn mix.
-            self.inner
-                .env
-                .meta
-                .commit_generation(&self.inner.name, next)?;
-            let swing_ts = self.inner.env.kv.clock().tick();
-            // Past the commit point: nothing may fail the swing any more.
-            // A floor we cannot compute degrades to 0 — attached rows of
-            // retired files leak (space, not correctness) as cleanup debt.
-            let floor = self.generation_floor(next).unwrap_or_else(|_| {
-                self.inner.env.health.record_cleanup_failure();
-                0
-            });
-            let deferred = st.note_swing(old_gen, next, swing_ts, floor, own_pin_ts);
-            if deferred {
-                self.inner.env.health.record_generation_deferred();
-            }
-            // Whole-table truncate (the fast path that also resets the
-            // presence index) is only sound when no reader can still need
-            // the old overlays.
-            truncate_ok = !deferred && st.retired_count() == 0;
-            if truncate_ok {
-                st.clear_attached_floor();
-            }
-        }
-        if truncate_ok {
-            // Stale attached overlays reference retired file IDs and can
-            // never resolve against the new files, so a failed truncate
-            // degrades space, not correctness. The presence index lives
-            // inside the attached table, so the truncate resets it for
-            // free.
-            if self.truncate_attached().is_err() {
-                self.inner.env.health.record_cleanup_failure();
-            }
-        }
-        self.cleanup_stale_generations(next);
-        self.sweep_gc();
-        Ok(())
-    }
-
-    /// The lowest file ID belonging to generation `next` — every ID below
-    /// it is retired with the superseded generations, and its attached
-    /// cells become collectible once the last old-generation pin drains.
-    /// An empty new generation retires *all* existing IDs: reserve a fresh
-    /// one as the floor.
-    fn generation_floor(&self, next: u64) -> Result<u32> {
-        match self.master_file_ids_at(next).into_iter().min() {
-            Some(min) => Ok(min),
-            None => self.inner.env.meta.reserve_file_ids(&self.inner.name, 1),
-        }
-    }
-
-    /// Runs the deferred-GC sweeper: physically deletes dead (superseded,
-    /// unpinned) generations past the `max_generations` budget and, once
-    /// no old-generation pin remains, the retired attached-tier rows.
-    /// Best-effort; failures become cleanup debt and the files remain
-    /// protected stale directories for the next sweep.
-    fn sweep_gc(&self) {
-        let (gens, floor) = self
-            .inner
-            .mvcc
-            .lock()
-            .take_sweepable(self.inner.config.max_generations);
-        let mut gcd = 0u64;
-        for gen in gens {
-            let dir = format!("{}/", self.gen_dir(gen));
-            self.inner.footers.invalidate_prefix(&dir);
-            let mut ok = true;
-            for path in self.inner.env.dfs.list(&dir) {
-                if self.inner.env.dfs.delete(&path).is_err() {
-                    self.inner.env.health.record_cleanup_failure();
-                    ok = false;
-                }
-            }
-            if ok {
-                gcd += 1;
-            }
-        }
-        if gcd > 0 {
-            self.inner.env.health.record_generations_gcd(gcd);
-        }
-        if let Some(floor) = floor {
-            if self.collect_attached_below(floor).is_err() {
-                self.inner.env.health.record_cleanup_failure();
-            }
-        }
-    }
-
-    /// Deletes the attached-tier rows of retired file IDs (everything
-    /// strictly below `floor`): their presence rows and their data rows.
-    /// Ranged, not a truncate — file IDs at or above the floor belong to
-    /// live generations and keep their overlays.
-    fn collect_attached_below(&self, floor: u32) -> Result<()> {
-        if floor <= 1 {
-            return Ok(());
-        }
-        let attached = self.attached()?;
-        if attached.is_empty() {
-            return Ok(());
-        }
-        let mut rows: Vec<Vec<u8>> = Vec::new();
-        // Presence rows {0, 1} .. {0, floor} — the intent row {0, 0} and
-        // live files' rows stay.
-        let scan = attached.scan_at(
-            Some(&presence_key(1)[..]),
-            Some(&presence_key(floor)[..]),
-            u64::MAX,
-        )?;
-        for row in scan {
-            rows.push(row?.row);
-        }
-        // Data rows {1, 0} .. {floor, 0}.
-        let scan = attached.scan_at(
-            Some(&RecordId::file_start(1).to_key()[..]),
-            Some(&RecordId::file_start(floor).to_key()[..]),
-            u64::MAX,
-        )?;
-        for row in scan {
-            rows.push(row?.row);
-        }
-        if !rows.is_empty() {
-            attached.delete_rows(rows)?;
-        }
-        Ok(())
-    }
-
-    /// Deletes the attached-tier rows of explicitly folded (or orphaned)
-    /// master files: each file's presence row and its data rows, all in
-    /// ONE atomic delete batch. The atomicity is the crash-safety contract
-    /// of the incremental fold — the presence entries and the data cells
-    /// retire together, so no crash can leave an index claiming a file is
-    /// clean while its overlay cells survive, or vice versa.
-    fn collect_folded_attached(&self, folded: &[u32]) -> Result<()> {
-        let attached = self.attached()?;
-        if attached.is_empty() || folded.is_empty() {
-            return Ok(());
-        }
-        let mut rows: Vec<Vec<u8>> = Vec::new();
-        for &file_id in folded {
-            // The file's presence row {0, file_id} …
-            let scan = attached.scan_at(
-                Some(&presence_key(file_id)[..]),
-                Some(&presence_key(file_id.wrapping_add(1))[..]),
-                u64::MAX,
-            )?;
-            for row in scan {
-                rows.push(row?.row);
-            }
-            // … and its data rows {file_id, 0} .. {file_id + 1, 0}.
-            let scan = attached.scan_at(
-                Some(&RecordId::file_start(file_id).to_key()[..]),
-                Some(&RecordId::file_start(file_id.wrapping_add(1)).to_key()[..]),
-                u64::MAX,
-            )?;
-            for row in scan {
-                rows.push(row?.row);
-            }
-        }
-        if !rows.is_empty() {
-            attached.delete_rows(rows)?;
-        }
-        Ok(())
-    }
-
-    /// COMPACT (paper §III-C): UNION READ everything into a fresh Master
-    /// Table and clear the Attached Table. Blocks all other operations.
-    ///
-    /// The rows stream straight from the UNION READ into the new
-    /// generation's files — memory stays bounded by one master file, not
-    /// the table. A transient storage fault aborts the half-built
-    /// generation and the whole pass retries with backoff (each attempt
-    /// builds into a fresh generation, so a torn attempt is inert).
-    pub fn compact(&self) -> Result<()> {
-        let _guard = self.inner.ops.write();
-        let policy = self.inner.config.retry;
-        policy.run(&self.inner.env.health, || self.compact_once())
-    }
-
-    fn compact_once(&self) -> Result<()> {
-        let next = self.next_generation()?;
-        // Identity transform: COMPACT materializes the UNION READ as-is.
-        self.parallel_rewrite(next, &|_, row| Ok((Some(row), false)))?;
-        self.commit_and_cleanup(next)
-    }
-
-    // ------------------------------------------------------------------
-    // Incremental background compaction (DESIGN.md §15)
-    // ------------------------------------------------------------------
-
-    /// Scores every dirty master file with the §IV-derived fold score
-    /// ([`CostModel::fold_score`]) and returns the `max_files_per_cycle`
-    /// dirtiest, ascending by file ID (scan order). Files the presence
-    /// index proves clean never appear; under the conservative pre-index
-    /// fallback nothing is a candidate (there is no per-file accounting to
-    /// score with — a full `COMPACT` resolves that state).
-    pub fn fold_candidates(&self) -> Result<Vec<u32>> {
-        let _guard = self.inner.ops.read();
-        self.fold_candidates_at(self.current_gen()?, u64::MAX)
-    }
-
-    fn fold_candidates_at(&self, gen: u64, at_ts: u64) -> Result<Vec<u32>> {
-        let knobs = self.inner.config.compaction;
-        if knobs.max_files_per_cycle == 0 {
-            return Ok(Vec::new());
-        }
-        let attached = self.attached()?;
-        let Some(index) = self.load_presence(&attached)? else {
-            return Ok(Vec::new());
-        };
-        if index.files.is_empty() {
-            return Ok(Vec::new());
-        }
-        let live: BTreeSet<u32> = self.visible_files(gen, at_ts).into_iter().collect();
-        let model = self.cost_model();
-        let mut scored: Vec<(f64, u32)> = Vec::new();
-        for (&file_id, presence) in &index.files {
-            if !live.contains(&file_id) {
-                // Fold residue or a file staged after our snapshot — not
-                // ours to fold.
-                continue;
-            }
-            let cells = presence.delete_markers + presence.update_counts.values().sum::<u64>();
-            if cells < knobs.min_attached_cells.max(1) {
-                continue;
-            }
-            let rows = self.open_master(gen, file_id)?.num_rows();
-            let bytes = self.inner.env.dfs.len(&self.file_path_at(gen, file_id))?;
-            scored.push((
-                model.fold_score(cells, rows, bytes, self.inner.config.k_successive_reads),
-                file_id,
-            ));
-        }
-        // Dirtiest first; ties resolve to the lower file ID so cycles are
-        // deterministic.
-        scored.sort_by(|a, b| {
-            b.0.partial_cmp(&a.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.1.cmp(&b.1))
-        });
-        let mut picked: Vec<u32> = scored
-            .into_iter()
-            .take(knobs.max_files_per_cycle)
-            .map(|(_, id)| id)
-            .collect();
-        picked.sort_unstable();
-        Ok(picked)
-    }
-
-    /// Starts an incremental COMPACT: pins a snapshot, picks the k
-    /// dirtiest master files and folds ONLY those into a fresh generation
-    /// off to the side — every other file is byte-copied under its
-    /// original file ID, so its record IDs, attached overlays and presence
-    /// entries stay valid untouched. Returns `None` when nothing is dirty
-    /// enough to fold. Like [`DualTableStore::begin_compact`], concurrent
-    /// DML never blocks, and [`RewriteJob::finish`] loses with a retryable
-    /// [`Error::Conflict`] to anything that committed since the pin.
-    pub fn begin_incremental_compact(&self) -> Result<Option<RewriteJob>> {
-        self.begin_incremental_inner(|| {})
-    }
-
-    /// [`Self::begin_incremental_compact`] with a hook that fires exactly
-    /// when a build actually starts — after candidate selection found
-    /// work, before any byte is written. [`Self::compact_incremental`]
-    /// uses it to open its health ledger at the precise moment the cycle
-    /// stops being a no-op.
-    fn begin_incremental_inner(&self, on_build_start: impl FnOnce()) -> Result<Option<RewriteJob>> {
-        let snapshot = self.begin_snapshot()?;
-        let _guard = self.inner.ops.read();
-        let fold = self.fold_candidates_at(snapshot.generation(), snapshot.ts())?;
-        if fold.is_empty() {
-            return Ok(None);
-        }
-        on_build_start();
-        let next = self.next_generation()?;
-        self.inner.mvcc.lock().register_build(next);
-        match self.fold_build(&snapshot, next, &fold) {
-            Ok(written) => Ok(Some(RewriteJob::new_fold(snapshot, next, written, fold))),
-            Err(e) => {
-                self.abandon_rewrite(next);
-                Err(e)
-            }
-        }
-    }
-
-    /// Builds the incremental fold's generation: carried (not-folded)
-    /// files are byte-copied under their original file IDs; folded files
-    /// are UNION READ merged at the snapshot into fresh file IDs appended
-    /// past them. Returns total rows written (carried + folded).
-    fn fold_build(&self, snapshot: &Snapshot, next: u64, fold: &[u32]) -> Result<u64> {
-        let gen = snapshot.generation();
-        let at_ts = snapshot.ts();
-        let fold_set: BTreeSet<u32> = fold.iter().copied().collect();
-        // Reserve the folded rows' output file-ID range up front; footer
-        // row counts upper-bound the UNION READ output (the attached tier
-        // only updates or deletes rows, never adds them).
-        let rows_per_file = self.inner.config.rows_per_file.max(1) as u64;
-        let mut rows_bound = 0u64;
-        for &file_id in fold {
-            rows_bound += self.open_master(gen, file_id)?.num_rows();
-        }
-        let id_count = u32::try_from(rows_bound.div_ceil(rows_per_file).max(1))
-            .map_err(|_| Error::internal("incremental fold needs too many file IDs"))?;
-        let first_id = self
-            .inner
-            .env
-            .meta
-            .reserve_file_ids(&self.inner.name, id_count)?;
-        let mut written = 0u64;
-        for file_id in self.visible_files(gen, at_ts) {
-            if fold_set.contains(&file_id) {
-                continue;
-            }
-            // Carried file: byte-identical copy, same file ID. Its record
-            // IDs — and therefore its overlays and presence entry — stay
-            // valid in the new generation.
-            let bytes = self
-                .inner
-                .env
-                .dfs
-                .read_to_vec(&self.file_path_at(gen, file_id))?;
-            self.inner
-                .env
-                .dfs
-                .write_file(&self.file_path_at(next, file_id), &bytes)?;
-            written += self.open_master(gen, file_id)?.num_rows();
-        }
-        let opts = UnionReadOptions {
-            snapshot_ts: at_ts,
-            ..UnionReadOptions::all()
-        };
-        let plan = self.scan_plan(gen, &opts)?;
-        let mut sink = MasterWriteSink::reserved(self, next, first_id, id_count);
-        for &file_id in fold {
-            self.merge_master_rows(&plan, file_id, &mut |_, row| sink.push(row))?;
-        }
-        written += sink.finish()?;
-        Ok(written)
-    }
-
-    /// One cycle of the background maintenance loop: pick the dirtiest
-    /// files, fold them off to the side, swing. Health-ledger exact —
-    /// every call that starts building ends as exactly one of completed,
-    /// lost-race or aborted, even across panics (a drop guard converts an
-    /// unwind into the aborted entry). The chaos soak asserts the ledger:
-    /// `compactions_completed + compactions_lost_race + compactions_aborted
-    /// == compactions_started`.
-    ///
-    /// A lost swing race is a clean retry, not an error: the abandoned
-    /// generation is already deleted, and the stale-directory sweep is
-    /// retried eagerly (counted by `stale_gens_swept`) rather than waiting
-    /// for the next reopen.
-    pub fn compact_incremental(&self) -> Result<FoldOutcome> {
-        struct AbortGuard {
-            health: Arc<dt_common::HealthCounters>,
-            armed: std::cell::Cell<bool>,
-        }
-        impl Drop for AbortGuard {
-            fn drop(&mut self) {
-                if self.armed.get() {
-                    self.health.record_compaction_aborted();
-                }
-            }
-        }
-        let guard = AbortGuard {
-            health: self.inner.env.health.clone(),
-            armed: std::cell::Cell::new(false),
-        };
-        let job = self.begin_incremental_inner(|| {
-            self.inner.env.health.record_compaction_started();
-            guard.armed.set(true);
-        })?;
-        let Some(job) = job else {
-            return Ok(FoldOutcome::Clean);
-        };
-        let files = job.folded_files().map_or(0, <[u32]>::len);
-        let rows = job.rows_written();
-        match job.finish() {
-            Ok(_) => {
-                guard.armed.set(false);
-                self.inner.env.health.record_compaction_completed();
-                Ok(FoldOutcome::Folded { files, rows })
-            }
-            Err(e) if e.is_conflict() => {
-                guard.armed.set(false);
-                self.inner.env.health.record_compaction_lost_race();
-                // Eagerly retry the sweep of any stale directory an
-                // earlier failure left behind, so leaks are observable
-                // and bounded instead of waiting for the next reopen.
-                if let Ok(gen) = self.current_gen() {
-                    let (swept, _) = self.cleanup_stale_generations(gen);
-                    if swept > 0 {
-                        self.inner.env.health.record_stale_gens_swept(swept);
-                    }
-                }
-                Ok(FoldOutcome::LostRace)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// [`DualTableStore::finish_rewrite`] for an incremental fold: same
-    /// conflict rules and swing, but the attached tier is retired only for
-    /// the folded files — never truncated — because carried files' record
-    /// IDs stay live and keep their overlays.
-    pub(crate) fn finish_fold(&self, next: u64, pin_ts: u64, folded: &[u32]) -> Result<()> {
-        let _guard = self.inner.ops.write();
-        let result = self.commit_generation_incremental(next, pin_ts, Some(pin_ts), folded);
-        if result.is_err() {
-            self.abandon_rewrite(next);
-        }
-        result
-    }
-
-    /// [`DualTableStore::commit_generation_mvcc`] for the incremental
-    /// fold. Identical swing protocol — conflict check, commit point,
-    /// swing stamp, floor, deferred GC — with one difference in step 3:
-    /// instead of the whole-table attached truncate, only the folded
-    /// files' presence and data rows are retired, in one atomic batch, and
-    /// only when no pinned reader of an older generation could still need
-    /// them. When retirement is gated off (or crashes), the residue is
-    /// unreachable either way — no live file covers those record-ID
-    /// ranges, and file IDs are never reused — and the open-time
-    /// [`Self::sweep_fold_residue`] settles it.
-    fn commit_generation_incremental(
-        &self,
-        next: u64,
-        snapshot_ts: u64,
-        own_pin_ts: Option<u64>,
-        folded: &[u32],
-    ) -> Result<()> {
-        let collect_ok;
-        {
-            let mut st = self.inner.mvcc.lock();
-            if st.conflict_since(snapshot_ts, &[]).is_some() || st.edits_since(snapshot_ts) {
-                self.inner.env.health.record_swing_conflict();
-                return Err(Error::conflict(format!(
-                    "incremental fold abandoned: writes committed after snapshot {snapshot_ts}"
-                )));
-            }
-            let old_gen = self.current_gen()?;
-            // The commit point (see `commit_generation_mvcc`).
-            self.inner
-                .env
-                .meta
-                .commit_generation(&self.inner.name, next)?;
-            let swing_ts = self.inner.env.kv.clock().tick();
-            let floor = self.generation_floor(next).unwrap_or_else(|_| {
-                self.inner.env.health.record_cleanup_failure();
-                0
-            });
-            let deferred = st.note_swing(old_gen, next, swing_ts, floor, own_pin_ts);
-            if deferred {
-                self.inner.env.health.record_generation_deferred();
-            }
-            collect_ok = !deferred && st.retired_count() == 0;
-        }
-        if collect_ok && self.collect_folded_attached(folded).is_err() {
-            self.inner.env.health.record_cleanup_failure();
-        }
-        self.cleanup_stale_generations(next);
-        self.sweep_gc();
-        Ok(())
+        self.inner.env.health.record_plan_fallback();
+        let counts = self.edit_locked(predicate, assignments, scan)?;
+        Ok((counts, PlanChoice::Edit))
     }
 
     // ------------------------------------------------------------------
@@ -2287,78 +1343,6 @@ impl DualTableStore {
         self.inner.mvcc.lock().retired_count()
     }
 
-    /// Starts a two-phase COMPACT: pins a snapshot and rewrites it into a
-    /// fresh generation off to the side *without* blocking concurrent DML
-    /// (only the ops read lock is held, like any scan). The returned
-    /// [`RewriteJob`] must be `finish()`ed to swing the pointer — which
-    /// fails with a retryable [`Error::Conflict`] if anything committed
-    /// since the pin.
-    pub fn begin_compact(&self) -> Result<RewriteJob> {
-        self.begin_rewrite_job(|store, snapshot, next| {
-            store
-                .parallel_rewrite_from(snapshot.generation(), snapshot.ts(), next, &|_, row| {
-                    Ok((Some(row), false))
-                })
-                .map(|(written, _, _)| written)
-        })
-    }
-
-    /// Starts a two-phase INSERT OVERWRITE: writes `rows` as a fresh
-    /// generation off to the side. Like [`DualTableStore::begin_compact`],
-    /// the swing happens at [`RewriteJob::finish`] and loses to any
-    /// concurrent commit.
-    pub fn begin_insert_overwrite(&self, rows: Vec<Row>) -> Result<RewriteJob> {
-        self.begin_rewrite_job(move |store, _snapshot, next| {
-            store.write_master_files(next, rows.clone())
-        })
-    }
-
-    /// Common scaffolding of the two-phase rewrites: pin, reserve a build
-    /// generation (protected from cleanup while in progress), build, and
-    /// on build failure delete the half-built generation.
-    fn begin_rewrite_job(
-        &self,
-        build: impl Fn(&DualTableStore, &Snapshot, u64) -> Result<u64>,
-    ) -> Result<RewriteJob> {
-        let snapshot = self.begin_snapshot()?;
-        let _guard = self.inner.ops.read();
-        let next = self.next_generation()?;
-        self.inner.mvcc.lock().register_build(next);
-        match build(self, &snapshot, next) {
-            Ok(written) => Ok(RewriteJob::new(snapshot, next, written)),
-            Err(e) => {
-                self.abandon_rewrite(next);
-                Err(e)
-            }
-        }
-    }
-
-    /// Swings the pointer to a finished two-phase build. On conflict (any
-    /// commit since the build's pin) the built generation is deleted and
-    /// the error is retryable.
-    pub(crate) fn finish_rewrite(&self, next: u64, pin_ts: u64) -> Result<()> {
-        let _guard = self.inner.ops.write();
-        let result = self.commit_generation_mvcc(next, pin_ts, Some(pin_ts));
-        if result.is_err() {
-            self.abandon_rewrite(next);
-        }
-        result
-    }
-
-    /// Deletes an abandoned (never-committed) build generation. Unlike the
-    /// sweeper this never counts toward `generations_gcd` — the generation
-    /// was never live.
-    pub(crate) fn abandon_rewrite(&self, next: u64) {
-        self.inner.mvcc.lock().finish_build(next);
-        let dir = format!("{}/", self.gen_dir(next));
-        self.inner.footers.invalidate_prefix(&dir);
-        for path in self.inner.env.dfs.list(&dir) {
-            if self.inner.env.dfs.delete(&path).is_err() {
-                self.inner.env.health.record_cleanup_failure();
-            }
-        }
-    }
-
     fn conflict_error(&self, conflict: Conflict, pin_ts: u64) -> Error {
         match conflict {
             Conflict::Swing => {
@@ -2378,53 +1362,14 @@ impl DualTableStore {
         }
     }
 
-    /// Best-effort undo of a transactional insert that failed before its
-    /// commit batch: delete the written files, forget their staging, and
-    /// remove the durable intent. Any residue is re-collected by
-    /// [`Self::recover_txn_intents`] on the next open (the files stay
-    /// invisible either way — they are only reachable via staging that is
-    /// being forgotten, and a forgotten *existing* file would be visible,
-    /// which is why files are deleted before unstaging).
-    fn undo_staged_insert(
-        &self,
-        attached: &dt_kvstore::Store,
-        gen: u64,
-        staged: &[u32],
-        intent_qual: &[u8],
-    ) {
-        if staged.is_empty() {
-            return;
-        }
-        let mut all_deleted = true;
-        for &id in staged {
-            let path = self.file_path_at(gen, id);
-            if self.inner.env.dfs.exists(&path) && self.inner.env.dfs.delete(&path).is_err() {
-                self.inner.env.health.record_cleanup_failure();
-                all_deleted = false;
-            }
-        }
-        if all_deleted {
-            self.inner
-                .mvcc
-                .lock()
-                .unstage_files(gen, staged.iter().copied());
-            let intent_row = RecordId::new(PRESENCE_FILE_ID, 0).to_key();
-            if attached.delete_cell(&intent_row, intent_qual).is_err() {
-                self.inner.env.health.record_cleanup_failure();
-            }
-        }
-    }
-
     /// Commits a transaction's buffered effects atomically:
     ///
     /// 1. Transactional inserts are written as staged (invisible) master
-    ///    files under a durable undo intent.
+    ///    files under a durable undo intent ([`Self::stage_insert`]).
     /// 2. Under the state mutex, the first-committer-wins check runs and —
-    ///    if it passes — every buffered cell, the presence increments they
-    ///    imply and the intent removal land in ONE WAL-atomic attached
-    ///    batch. The batch's timestamp is the commit timestamp: snapshots
-    ///    pinned before it see none of the transaction, later ones all of
-    ///    it.
+    ///    if it passes — every buffered cell and the intent removal land
+    ///    in one [`Self::commit_cells`]. Snapshots pinned before its
+    ///    timestamp see none of the transaction, later ones all of it.
     ///
     /// Returns the commit timestamp.
     pub(crate) fn commit_transaction(
@@ -2432,7 +1377,7 @@ impl DualTableStore {
         pin_gen: u64,
         pin_ts: u64,
         overlay: &BTreeMap<RecordId, RowPatch>,
-        inserts: &[Row],
+        inserts: Vec<Row>,
     ) -> Result<u64> {
         if overlay.is_empty() && inserts.is_empty() {
             return Ok(pin_ts);
@@ -2440,61 +1385,24 @@ impl DualTableStore {
         let _guard = self.inner.ops.read();
         let attached = self.attached()?;
         let write_set: Vec<u64> = overlay.keys().map(|r| r.as_u64()).collect();
-        let intent_row = RecordId::new(PRESENCE_FILE_ID, 0).to_key();
-
-        // Phase 1 — transactional inserts: reserve IDs, write the durable
-        // undo intent, stage the IDs (invisible to every snapshot), then
-        // write the files. Scans are only blocked for the brief staging
-        // step, not the file writes.
-        let mut staged: Vec<u32> = Vec::new();
-        let mut intent_qual: Vec<u8> = Vec::new();
-        if !inserts.is_empty() {
-            let rows_per_file = self.inner.config.rows_per_file.max(1);
-            let files = u32::try_from(inserts.len().div_ceil(rows_per_file))
-                .map_err(|_| Error::internal("transactional insert needs too many files"))?;
-            let first = self
-                .inner
-                .env
-                .meta
-                .reserve_file_ids(&self.inner.name, files)?;
-            staged = (first..first + files).collect();
-            intent_qual = crate::mvcc::txn_intent_qualifier(first);
-            attached.put(
-                &intent_row,
-                &intent_qual,
-                &encode_txn_intent(pin_gen, &staged),
-            )?;
-            {
-                let mut st = self.inner.mvcc.lock();
-                for &id in &staged {
-                    st.stage_file(pin_gen, id);
-                }
-            }
-            let mut sink = MasterWriteSink::reserved(self, pin_gen, first, files);
-            let written = inserts
-                .iter()
-                .try_for_each(|row| sink.push(row.clone()))
-                .and_then(|()| sink.finish().map(|_| ()));
-            if let Err(e) = written {
-                self.undo_staged_insert(&attached, pin_gen, &staged, &intent_qual);
-                return Err(e);
-            }
-        }
-
-        // Phase 2 — under the state mutex, so the conflict check and the
-        // commit batch are one atomic step against other committers (and
-        // against pin acquisition).
-        let mut st = self.inner.mvcc.lock();
+        let staged = if inserts.is_empty() {
+            None
+        } else {
+            Some(self.stage_insert(pin_gen, inserts, true)?)
+        };
+        let st = self.inner.mvcc.lock();
         if let Some(conflict) = st.conflict_since(pin_ts, &write_set) {
             drop(st);
-            self.undo_staged_insert(&attached, pin_gen, &staged, &intent_qual);
+            if let Some(staged) = &staged {
+                self.discard_staged(staged);
+            }
             return Err(self.conflict_error(conflict, pin_ts));
         }
-        let mut puts: Vec<(Vec<u8>, Vec<u8>, Vec<u8>)> = Vec::new();
+        let mut cells: Vec<(Vec<u8>, Vec<u8>, Vec<u8>)> = Vec::new();
         let mut delta = PresenceDelta::new();
         for (&record, patch) in overlay {
             if patch.deleted {
-                puts.push(delete_cell(record));
+                cells.push(delete_cell(record));
                 delta.add_delete(record.file_id);
             } else {
                 let values: Vec<(usize, Value)> = patch
@@ -2505,48 +1413,15 @@ impl DualTableStore {
                 for (col, _) in &values {
                     delta.add_updates(record.file_id, *col, 1);
                 }
-                puts.extend(update_cells(record, &values));
+                cells.extend(update_cells(record, &values));
             }
         }
-        let deletes: Vec<(Vec<u8>, Vec<u8>)> = if staged.is_empty() {
-            Vec::new()
-        } else {
-            vec![(intent_row.to_vec(), intent_qual.clone())]
-        };
-        let policy = self.delta_policy();
-        let applied = (|| -> Result<u64> {
-            let _presence_guard = self.inner.presence_lock.lock();
-            for ((file_id, column), n) in delta.drain() {
-                let key = presence_key(file_id);
-                let qual = presence_qualifier(column);
-                let current = match attached.get(&key, &qual)? {
-                    Some(bytes) => decode_count(&bytes)?,
-                    None => 0,
-                };
-                puts.push((key.to_vec(), qual.to_vec(), encode_count(current + n)));
-            }
-            if policy.enabled() {
-                // Same WAL-atomic record: cells into the shadow tier, the
-                // intent clear as a regular tombstone.
-                attached.mutate_batch_shadow(puts, deletes)
-            } else {
-                attached.mutate_batch(puts, deletes)
-            }
-        })();
-        match applied {
-            Ok(commit_ts) => {
-                st.note_edit_commit(write_set, commit_ts);
-                st.commit_files(pin_gen, staged, commit_ts);
-                drop(st);
-                let _ = policy.maybe_spill(&attached);
-                Ok(commit_ts)
-            }
-            Err(e) => {
-                drop(st);
-                self.undo_staged_insert(&attached, pin_gen, &staged, &intent_qual);
-                Err(e)
-            }
+        let committed =
+            self.commit_cells(&attached, st, cells, &mut delta, write_set, staged.as_ref());
+        if let (Err(_), Some(staged)) = (&committed, &staged) {
+            self.discard_staged(staged);
         }
+        committed
     }
 }
 
@@ -2990,15 +1865,10 @@ mod tests {
     fn snapshot_pinned_mid_insert_never_sees_staged_files() {
         let t = table_with(10, small_files());
         let gen = t.current_gen().unwrap();
-        // Replicate insert_rows' window: reserve + stage + write, no
-        // commit yet.
-        let first = t.inner.env.meta.reserve_file_ids(&t.inner.name, 1).unwrap();
-        t.inner.mvcc.lock().stage_file(gen, first);
-        let mut sink = MasterWriteSink::reserved(&t, gen, first, 1);
-        for i in 100..110 {
-            sink.push(row(i)).unwrap();
-        }
-        sink.finish().unwrap();
+        // insert_rows' window: reserve + stage + write, no commit yet.
+        let staged = t
+            .stage_insert(gen, (100..110).map(row).collect(), false)
+            .unwrap();
         // Pinned inside the window: the durable-but-uncommitted file is
         // invisible.
         let snap = t.begin_snapshot().unwrap();
@@ -3007,7 +1877,7 @@ mod tests {
         {
             let mut st = t.inner.mvcc.lock();
             let ts = t.inner.env.kv.clock().tick();
-            st.commit_files(gen, [first], ts);
+            st.commit_files(gen, staged.ids, ts);
             st.note_edit_commit([], ts);
         }
         assert_eq!(

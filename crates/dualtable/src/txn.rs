@@ -1,6 +1,6 @@
-//! Session-facing MVCC objects (DESIGN.md §13): pinned snapshots,
-//! first-committer-wins transactions, and two-phase rewrites that build a
-//! generation off to the side while DML keeps committing.
+//! Session-facing MVCC objects (DESIGN.md §13): pinned snapshots and
+//! first-committer-wins transactions. (The third pinned object, the
+//! two-phase [`crate::RewriteJob`], lives with the rewrites.)
 //!
 //! All three types wrap a pinned `(generation, timestamp)` epoch and hold
 //! it until dropped; dropping the last pin on a superseded generation
@@ -349,12 +349,11 @@ impl Transaction {
     /// timestamp. On a first-committer-wins loss, returns
     /// [`Error::Conflict`] and applies nothing — re-begin and retry.
     pub fn commit(self) -> Result<u64> {
-        let store = self.snapshot.store().clone();
-        store.commit_transaction(
+        self.snapshot.store().commit_transaction(
             self.snapshot.generation(),
             self.snapshot.ts(),
             &self.overlay,
-            &self.pending,
+            self.pending,
         )
         // `self.snapshot` drops here: pin released, GC swept.
     }
@@ -362,91 +361,4 @@ impl Transaction {
     /// Discards every buffered effect. (Dropping the transaction does the
     /// same; this spelling documents intent.)
     pub fn rollback(self) {}
-}
-
-/// A two-phase OVERWRITE/COMPACT: [`DualTableStore::begin_compact`] /
-/// [`DualTableStore::begin_insert_overwrite`] build the new generation
-/// off to the side from a pinned snapshot — without blocking concurrent
-/// DML — and [`RewriteJob::finish`] atomically swings the generation
-/// pointer, failing with a retryable [`Error::Conflict`] if anything
-/// committed since the pin (the built files would silently lose those
-/// writes). Dropping an unfinished job abandons the built generation.
-pub struct RewriteJob {
-    snapshot: Snapshot,
-    next: u64,
-    written: u64,
-    finished: bool,
-    /// `Some(file IDs)` for an incremental fold
-    /// ([`DualTableStore::begin_incremental_compact`]): the master files
-    /// the build folded, whose attached rows the swing retires. `None` for
-    /// full rewrites, whose swing truncates the whole attached tier.
-    folded: Option<Vec<u32>>,
-}
-
-impl RewriteJob {
-    pub(crate) fn new(snapshot: Snapshot, next: u64, written: u64) -> Self {
-        RewriteJob {
-            snapshot,
-            next,
-            written,
-            finished: false,
-            folded: None,
-        }
-    }
-
-    pub(crate) fn new_fold(snapshot: Snapshot, next: u64, written: u64, folded: Vec<u32>) -> Self {
-        RewriteJob {
-            snapshot,
-            next,
-            written,
-            finished: false,
-            folded: Some(folded),
-        }
-    }
-
-    /// The snapshot timestamp the build read from.
-    pub fn snapshot_ts(&self) -> u64 {
-        self.snapshot.ts()
-    }
-
-    /// The generation number being built.
-    pub fn target_generation(&self) -> u64 {
-        self.next
-    }
-
-    /// Rows written into the new generation.
-    pub fn rows_written(&self) -> u64 {
-        self.written
-    }
-
-    /// The master files an incremental fold will retire; `None` for full
-    /// rewrites.
-    pub fn folded_files(&self) -> Option<&[u32]> {
-        self.folded.as_deref()
-    }
-
-    /// Atomically swings the generation pointer to the built generation.
-    /// Returns the rows written, or [`Error::Conflict`] if a commit raced
-    /// the build (the built generation is deleted; retry from a fresh
-    /// begin).
-    pub fn finish(mut self) -> Result<u64> {
-        self.finished = true;
-        let store = self.snapshot.store().clone();
-        match &self.folded {
-            Some(folded) => store.finish_fold(self.next, self.snapshot.ts(), folded)?,
-            None => store.finish_rewrite(self.next, self.snapshot.ts())?,
-        }
-        Ok(self.written)
-    }
-
-    /// Abandons the build, deleting the half-built generation.
-    pub fn abandon(self) {}
-}
-
-impl Drop for RewriteJob {
-    fn drop(&mut self) {
-        if !self.finished {
-            self.snapshot.store().abandon_rewrite(self.next);
-        }
-    }
 }

@@ -11,7 +11,8 @@ use dt_dfs::{Dfs, DfsConfig};
 use dt_kvstore::{KvCluster, KvConfig};
 use dt_orcfile::{ColumnPredicate, PredicateOp, WriterOptions};
 use dualtable::{
-    DualTableConfig, DualTableEnv, DualTableStore, PlanMode, RatioHint, UnionReadOptions,
+    DualTableConfig, DualTableEnv, DualTableStore, FoldOutcome, PlanMode, RatioHint,
+    UnionReadOptions,
 };
 
 fn schema() -> Schema {
@@ -192,7 +193,7 @@ fn pushdown_prunes_stripes_per_file_with_updates_elsewhere() {
     )
     .unwrap();
 
-    let index = t.presence_index().unwrap().expect("index present");
+    let index = t.presence_index().unwrap();
     assert!(!index.is_dirty(file_ids[0]), "file 1 is clean");
     assert!(index.is_dirty(file_ids[1]), "file 2 holds the overlays");
     assert!(index.file(file_ids[1]).unwrap().has_update_on(0));
@@ -241,7 +242,7 @@ fn delete_markers_do_not_block_pushdown() {
     t.delete(|r| r[0].as_i64().unwrap() == 20, RatioHint::Explicit(0.04))
         .unwrap();
 
-    let index = t.presence_index().unwrap().expect("index present");
+    let index = t.presence_index().unwrap();
     let file_id = t.master_file_ids().unwrap()[0];
     assert!(index.is_dirty(file_id));
     assert!(!index.file(file_id).unwrap().has_update_on(0));
@@ -374,6 +375,43 @@ fn clean_files_skip_attached_scans() {
     t.scan_all().unwrap();
     let skipped = env.health.snapshot().attached_scans_skipped - before.attached_scans_skipped;
     assert_eq!(skipped, 3, "three of four files are clean");
+}
+
+/// Attached scans skipped by one `count()`.
+fn skipped_by_count(env: &DualTableEnv, t: &DualTableStore) -> u64 {
+    let before = env.health.snapshot().attached_scans_skipped;
+    t.count().unwrap();
+    env.health.snapshot().attached_scans_skipped - before
+}
+
+/// Regression: an attached table holding tombstones but no index rows used
+/// to read as "data from before the index existed" — every scan paid one
+/// attached scan per master file and lost push-down until the next EDIT.
+/// Two ordinary histories get there: an incremental fold that retires the
+/// last dirty file's rows, and an insert-only transaction clearing its
+/// intent cell.
+#[test]
+fn tombstones_without_index_rows_still_skip_attached_scans() {
+    let env = env_with(true);
+    let t = create(&env, true);
+    t.insert_rows((0..128).map(row)).unwrap(); // 4 files
+    t.update(
+        |r| r[0].as_i64().unwrap() == 33,
+        &[(1, Box::new(|_| Value::Int64(0)))],
+        RatioHint::Explicit(0.01),
+    )
+    .unwrap();
+    while t.compact_incremental().unwrap() != FoldOutcome::Clean {}
+    assert!(t.presence_index().unwrap().files.is_empty());
+    assert_eq!(skipped_by_count(&env, &t), 4, "every file is clean");
+
+    let env = env_with(true);
+    let t = create(&env, true);
+    t.insert_rows((0..64).map(row)).unwrap(); // 2 files
+    let mut txn = t.begin_transaction().unwrap();
+    txn.insert(vec![row(1000)]).unwrap();
+    txn.commit().unwrap();
+    assert_eq!(skipped_by_count(&env, &t), 3, "every file is clean");
 }
 
 // ----------------------------------------------------------------------
@@ -725,7 +763,7 @@ fn pinned_predicate_scan_sees_pin_time_values_under_concurrent_dirtying() {
         fresh.iter().any(|(_, r)| r[0].as_i64().unwrap() >= 1000),
         "latest scan must see the committed update"
     );
-    let index = t.presence_index().unwrap().expect("index present");
+    let index = t.presence_index().unwrap();
     let files = t.master_file_ids().unwrap();
     assert!(!index.is_dirty(files[0]));
     assert!(index.file(files[1]).unwrap().has_update_on(0));

@@ -2,8 +2,10 @@
 //! updates/deletes and compactions must equal a reference model (a plain
 //! `Vec` of rows mutated in place).
 
-use dt_common::{DataType, Schema, Value};
-use dualtable::{DualTableConfig, DualTableEnv, DualTableStore, PlanMode, RatioHint};
+use dt_common::{DataType, Row, Schema, Value};
+use dualtable::{
+    DualTableConfig, DualTableEnv, DualTableStore, FoldOutcome, PlanChoice, PlanMode, RatioHint,
+};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -46,57 +48,84 @@ fn config() -> DualTableConfig {
     }
 }
 
+fn schema() -> Schema {
+    Schema::from_pairs(&[("id", DataType::Int64), ("v", DataType::Int64)])
+}
+
+/// Runs `op` on the table and on the reference model — `(id, v)` pairs in
+/// insertion order, ids handed out from `next_id`.
+fn apply(table: &DualTableStore, op: &Op, model: &mut Vec<(i64, i64)>, next_id: &mut i64) {
+    match op {
+        Op::Insert { count } => {
+            let rows: Vec<_> = (0..*count)
+                .map(|_| {
+                    let id = *next_id;
+                    *next_id += 1;
+                    model.push((id, 0));
+                    vec![Value::Int64(id), Value::Int64(0)]
+                })
+                .collect();
+            table.insert_rows(rows).unwrap();
+        }
+        Op::Update {
+            divisor,
+            rem,
+            new_v,
+        } => {
+            let (d, r, v) = (*divisor as i64, *rem as i64, *new_v as i64);
+            let report = table
+                .update(
+                    move |row| row[0].as_i64().unwrap() % d == r,
+                    &[(1, Box::new(move |_| Value::Int64(v)))],
+                    RatioHint::Explicit(0.01),
+                )
+                .unwrap();
+            let mut expect_matched = 0u64;
+            for (id, val) in model.iter_mut() {
+                if *id % d == r {
+                    *val = v;
+                    expect_matched += 1;
+                }
+            }
+            prop_assert_eq!(report.rows_matched, expect_matched);
+        }
+        Op::Delete { divisor, rem } => {
+            let (d, r) = (*divisor as i64, *rem as i64);
+            table
+                .delete(
+                    move |row| row[0].as_i64().unwrap() % d == r,
+                    RatioHint::Explicit(0.01),
+                )
+                .unwrap();
+            model.retain(|(id, _)| id % d != r);
+        }
+        Op::Compact => table.compact().unwrap(),
+    }
+}
+
+/// The table's rows without their record IDs (a rewrite hands out new
+/// ones): in scan order, or — `by_id` — ordered by the `id` column.
+fn scan_rows(table: &DualTableStore, by_id: bool) -> Vec<Row> {
+    let scanned = table.scan_all().unwrap();
+    let mut rows: Vec<Row> = scanned.into_iter().map(|(_, row)| row).collect();
+    if by_id {
+        rows.sort_by_key(|row| row[0].as_i64());
+    }
+    rows
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
     fn dualtable_matches_reference(ops in proptest::collection::vec(arb_op(), 1..24)) {
         let env = DualTableEnv::in_memory();
-        let schema = Schema::from_pairs(&[("id", DataType::Int64), ("v", DataType::Int64)]);
-        let table = DualTableStore::create(&env, "t", schema, config()).unwrap();
-        // Reference: (id, v) pairs in insertion order.
+        let table = DualTableStore::create(&env, "t", schema(), config()).unwrap();
         let mut model: Vec<(i64, i64)> = Vec::new();
         let mut next_id = 0i64;
 
         for op in &ops {
-            match op {
-                Op::Insert { count } => {
-                    let rows: Vec<_> = (0..*count)
-                        .map(|_| {
-                            let id = next_id;
-                            next_id += 1;
-                            model.push((id, 0));
-                            vec![Value::Int64(id), Value::Int64(0)]
-                        })
-                        .collect();
-                    table.insert_rows(rows).unwrap();
-                }
-                Op::Update { divisor, rem, new_v } => {
-                    let (d, r, v) = (*divisor as i64, *rem as i64, *new_v as i64);
-                    let report = table.update(
-                        move |row| row[0].as_i64().unwrap() % d == r,
-                        &[(1, Box::new(move |_| Value::Int64(v)))],
-                        RatioHint::Explicit(0.01),
-                    ).unwrap();
-                    let mut expect_matched = 0u64;
-                    for (id, val) in model.iter_mut() {
-                        if *id % d == r {
-                            *val = v;
-                            expect_matched += 1;
-                        }
-                    }
-                    prop_assert_eq!(report.rows_matched, expect_matched);
-                }
-                Op::Delete { divisor, rem } => {
-                    let (d, r) = (*divisor as i64, *rem as i64);
-                    table.delete(
-                        move |row| row[0].as_i64().unwrap() % d == r,
-                        RatioHint::Explicit(0.01),
-                    ).unwrap();
-                    model.retain(|(id, _)| id % d != r);
-                }
-                Op::Compact => table.compact().unwrap(),
-            }
+            apply(&table, op, &mut model, &mut next_id);
 
             // Scan must equal the model; the store keeps insertion order
             // only within files, and compaction/overwrite preserves scan
@@ -113,6 +142,74 @@ proptest! {
             want.sort_unstable();
             prop_assert_eq!(got, want);
             prop_assert_eq!(table.count().unwrap(), model.len() as u64);
+        }
+    }
+
+    /// Every rewrite is one fold: after a random history, each of them
+    /// leaves the scan row-for-row equal to the UNION READ taken before
+    /// it — in scan order for a full rewrite; an incremental fold moves
+    /// the folded files' rows to fresh file IDs past the carried ones, so
+    /// its rows compare ordered by `id`. A full rewrite empties the
+    /// attached table; an incremental fold retires exactly the folded
+    /// files' presence rows and carries the rest under their own file IDs.
+    #[test]
+    fn every_rewrite_preserves_the_union_read(
+        ops in proptest::collection::vec(arb_op(), 1..16),
+        rewrite in 0u8..4,
+        write_threads in 1u8..3,
+    ) {
+        let env = DualTableEnv::in_memory();
+        let config = DualTableConfig { write_threads: write_threads as usize, ..config() };
+        let table = DualTableStore::create(&env, "t", schema(), config.clone()).unwrap();
+        let (mut model, mut next_id) = (Vec::new(), 0i64);
+        for op in &ops {
+            apply(&table, op, &mut model, &mut next_id);
+        }
+        let by_id = rewrite == 2;
+        let before = scan_rows(&table, by_id);
+        let dirty = |table: &DualTableStore| -> Vec<u32> {
+            table.presence_index().unwrap().files.keys().copied().collect()
+        };
+
+        match rewrite {
+            0 => table.compact().unwrap(),
+            1 => {
+                table.begin_compact().unwrap().finish().unwrap();
+            }
+            2 => loop {
+                // Every dirty file is eligible (`min_attached_cells` 1),
+                // `max_files_per_cycle` of them per cycle.
+                let dirty_before = dirty(&table);
+                match table.compact_incremental().unwrap() {
+                    FoldOutcome::Clean => break,
+                    FoldOutcome::LostRace => prop_assert!(false, "nothing races this fold"),
+                    FoldOutcome::Folded { files, .. } => {
+                        let dirty_after = dirty(&table);
+                        prop_assert_eq!(dirty_after.len() + files, dirty_before.len());
+                        let live = table.master_file_ids().unwrap();
+                        for id in &dirty_after {
+                            prop_assert!(dirty_before.contains(id) && live.contains(id));
+                        }
+                        prop_assert_eq!(&scan_rows(&table, by_id), &before);
+                    }
+                }
+            },
+            _ => {
+                // The OVERWRITE plan through a second handle on the table.
+                let config = DualTableConfig { plan_mode: PlanMode::AlwaysOverwrite, ..config };
+                let overwriting = DualTableStore::open(&env, "t", schema(), config).unwrap();
+                let report = overwriting
+                    .update(|_| false, &[(1, Box::new(|_| Value::Int64(7)))], RatioHint::Explicit(1.0))
+                    .unwrap();
+                prop_assert_eq!(report.plan, PlanChoice::Overwrite);
+                prop_assert_eq!(report.rows_matched, 0);
+            }
+        }
+
+        prop_assert_eq!(scan_rows(&table, by_id), before);
+        prop_assert!(dirty(&table).is_empty());
+        if rewrite != 2 {
+            prop_assert_eq!(table.stats().unwrap().attached_entries, 0);
         }
     }
 }

@@ -10,7 +10,7 @@ use dualtable::{
 };
 
 use crate::ast::{InsertSource, ShardBy, Statement, StorageKind};
-use crate::catalog::{SharedCatalog, TableHandle};
+use crate::catalog::{DmlOutcome, SharedCatalog, TableHandle};
 use crate::exec::{ExecConfig, Executor, QueryResult};
 use crate::expr::{eval, is_true, Binding, EvalContext};
 use crate::parser::parse;
@@ -532,14 +532,7 @@ impl Session {
                     .zip(assignments)
                     .map(|(idx, (_, e))| Ok((idx, e.bind(&binding)?)))
                     .collect::<Result<_>>()?;
-                let pred_fn = |row: &Row| -> bool {
-                    match &predicate {
-                        None => true,
-                        Some(p) => eval(p, row, &binding, &ctx)
-                            .map(|v| is_true(&v))
-                            .unwrap_or(false),
-                    }
-                };
+                let pred_fn = |row: &Row| where_matches(predicate.as_ref(), row, &binding, &ctx);
                 let assign_fns: Vec<Assignment<'_>> = resolved
                     .iter()
                     .map(|(idx, e)| {
@@ -568,24 +561,7 @@ impl Session {
                     Some(&statement_key(sql)),
                     &scan,
                 )?;
-                let mut result = dml_result(
-                    outcome.rows_matched,
-                    match (&outcome.report, &outcome.sharded) {
-                        (Some(r), _) => format!(
-                            "updated {} rows via {:?} plan",
-                            outcome.rows_matched, r.plan
-                        ),
-                        (None, Some(s)) => format!(
-                            "updated {} rows across {} shard(s) ({})",
-                            outcome.rows_matched,
-                            s.per_shard.len(),
-                            s.plan_summary()
-                        ),
-                        (None, None) => {
-                            format!("updated {} rows (full rewrite)", outcome.rows_matched)
-                        }
-                    },
-                );
+                let mut result = dml_result(outcome.rows_matched, dml_message("updated", &outcome));
                 result.dml = outcome.report;
                 Ok(result)
             }
@@ -600,14 +576,7 @@ impl Session {
                 };
                 let scan = dml_scan(predicate.as_ref(), std::iter::empty(), &binding, &schema);
                 let predicate = predicate.map(|p| p.bind(&binding)).transpose()?;
-                let pred_fn = |row: &Row| -> bool {
-                    match &predicate {
-                        None => true,
-                        Some(p) => eval(p, row, &binding, &ctx)
-                            .map(|v| is_true(&v))
-                            .unwrap_or(false),
-                    }
-                };
+                let pred_fn = |row: &Row| where_matches(predicate.as_ref(), row, &binding, &ctx);
                 if self.txn.is_some() {
                     let matched = self.txn_for(&table)?.delete(pred_fn)?;
                     return Ok(dml_result(
@@ -621,24 +590,7 @@ impl Session {
                     Some(&statement_key(sql)),
                     &scan,
                 )?;
-                let mut result = dml_result(
-                    outcome.rows_matched,
-                    match (&outcome.report, &outcome.sharded) {
-                        (Some(r), _) => format!(
-                            "deleted {} rows via {:?} plan",
-                            outcome.rows_matched, r.plan
-                        ),
-                        (None, Some(s)) => format!(
-                            "deleted {} rows across {} shard(s) ({})",
-                            outcome.rows_matched,
-                            s.per_shard.len(),
-                            s.plan_summary()
-                        ),
-                        (None, None) => {
-                            format!("deleted {} rows (full rewrite)", outcome.rows_matched)
-                        }
-                    },
-                );
+                let mut result = dml_result(outcome.rows_matched, dml_message("deleted", &outcome));
                 result.dml = outcome.report;
                 Ok(result)
             }
@@ -863,22 +815,15 @@ impl Session {
                     "dml".into(),
                     format!("{op} {table} [{:?}]", handle.storage_kind()),
                 ));
+                let schema = handle.schema().clone();
+                let binding = Binding::from_schema(table, &schema);
+                let mut ctx = EvalContext::default();
+                let predicate = match predicate.clone() {
+                    Some(p) => Some(self.executor().plan_subqueries(p, &mut ctx)?),
+                    None => None,
+                };
+                let pred_fn = |row: &Row| where_matches(predicate.as_ref(), row, &binding, &ctx);
                 if let TableHandle::Dual(t) = &handle {
-                    let schema = t.schema().clone();
-                    let binding = Binding::from_schema(table, &schema);
-                    let mut ctx = EvalContext::default();
-                    let predicate = match predicate.clone() {
-                        Some(p) => Some(self.executor().plan_subqueries(p, &mut ctx)?),
-                        None => None,
-                    };
-                    let pred_fn = |row: &Row| -> bool {
-                        match &predicate {
-                            None => true,
-                            Some(p) => eval(p, row, &binding, &ctx)
-                                .map(|v| is_true(&v))
-                                .unwrap_or(false),
-                        }
-                    };
                     let preview = t.plan_preview(&pred_fn, is_update)?;
                     lines.push((
                         "cost-model".into(),
@@ -892,24 +837,9 @@ impl Session {
                     // Each shard previews its own cost model: different
                     // key ranges may land on different sides of the
                     // EDIT/OVERWRITE crossover.
-                    let schema = t.schema().clone();
-                    let binding = Binding::from_schema(table, &schema);
-                    let mut ctx = EvalContext::default();
-                    let predicate = match predicate.clone() {
-                        Some(p) => Some(self.executor().plan_subqueries(p, &mut ctx)?),
-                        None => None,
-                    };
                     let pushdown = predicate
                         .as_ref()
                         .map(|p| crate::exec::extract_pushdown(p, &binding, &schema));
-                    let pred_fn = |row: &Row| -> bool {
-                        match &predicate {
-                            None => true,
-                            Some(p) => eval(p, row, &binding, &ctx)
-                                .map(|v| is_true(&v))
-                                .unwrap_or(false),
-                        }
-                    };
                     let matched = t.shards_matching(pushdown.as_deref());
                     lines.push((
                         "scatter".into(),
@@ -1224,6 +1154,34 @@ fn dml_scan<'e>(
         .map(|p| crate::exec::extract_pushdown(p, binding, schema))
         .filter(|p| !p.is_empty());
     scan
+}
+
+/// A DML statement's WHERE clause as a row predicate: no clause matches
+/// every row; NULL, or a row the clause cannot be evaluated on, matches
+/// none.
+fn where_matches(
+    predicate: Option<&crate::ast::Expr>,
+    row: &Row,
+    binding: &Binding,
+    ctx: &EvalContext,
+) -> bool {
+    predicate.is_none_or(|p| eval(p, row, binding, ctx).is_ok_and(|v| is_true(&v)))
+}
+
+/// The message of an autocommit UPDATE/DELETE (`verb`: "updated" /
+/// "deleted"): the plan a DualTable took, the per-shard plans of a sharded
+/// one, or the baselines' full rewrite.
+fn dml_message(verb: &str, outcome: &DmlOutcome) -> String {
+    let n = outcome.rows_matched;
+    match (&outcome.report, &outcome.sharded) {
+        (Some(r), _) => format!("{verb} {n} rows via {:?} plan", r.plan),
+        (None, Some(s)) => format!(
+            "{verb} {n} rows across {} shard(s) ({})",
+            s.per_shard.len(),
+            s.plan_summary()
+        ),
+        (None, None) => format!("{verb} {n} rows (full rewrite)"),
+    }
 }
 
 fn default_message_result(msg: String) -> QueryResult {

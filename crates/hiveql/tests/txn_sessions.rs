@@ -219,3 +219,35 @@ fn multi_table_commit_conflict_names_committed_tables() {
     assert_eq!(t_sum, 12.0);
     assert_eq!(u_sum, 22.0);
 }
+
+/// Regression: DROP TABLE of a sharded table another session has enrolled
+/// in an open transaction used to fail *after* the catalog entry was gone
+/// (`ShardedTable::drop_table` insisted on being the last handle), leaving
+/// the name neither queryable nor re-creatable and its shards leaked.
+#[test]
+fn drop_sharded_table_under_another_sessions_open_transaction() {
+    const CREATE: &str = "CREATE TABLE m (id BIGINT, v DOUBLE) STORED AS DUALTABLE \
+                          SHARDED BY RANGE (id) SPLIT AT (10)";
+    let mut a = Session::with_env(DualTableEnv::in_memory());
+    a.execute(CREATE).unwrap();
+    a.execute("INSERT INTO m VALUES (1, 1.0), (11, 11.0)")
+        .unwrap();
+    let mut b = Session::with_shared(a.env().clone(), a.shared_catalog());
+
+    b.execute("BEGIN").unwrap();
+    b.execute("UPDATE m SET v = -1.0 WHERE id = 1").unwrap();
+
+    a.execute("DROP TABLE m").unwrap();
+    // The name is free again, and the new table is a different table.
+    a.execute(CREATE).unwrap();
+    a.execute("INSERT INTO m VALUES (1, 100.0)").unwrap();
+
+    // B's transaction was on the dropped table: it loses cleanly and
+    // touches nothing of the new one.
+    let err = b.execute("COMMIT").unwrap_err();
+    assert!(matches!(err, Error::Conflict(_)), "{err:?}");
+    assert!(!b.in_transaction());
+    let rows = a.execute("SELECT id, v FROM m").unwrap();
+    assert_eq!(rows.rows().len(), 1);
+    assert_eq!(rows.rows()[0][1].as_f64().unwrap(), 100.0);
+}

@@ -114,9 +114,8 @@ pub(crate) fn decode_entry(buf: &[u8], pos: &mut usize) -> Result<(CellKey, Vers
     Ok((CellKey { row, qual }, Version { ts, mutation }))
 }
 
-/// Serializes one WAL operation. Data entries are byte-identical to
-/// [`encode_entry`], so logs written before the shadow tier existed replay
-/// unchanged.
+/// Serializes one WAL operation. Data entries use the SSTable entry
+/// encoding ([`encode_entry`]).
 pub(crate) fn encode_wal_entry(buf: &mut Vec<u8>, entry: &WalEntry) {
     match entry {
         WalEntry::Data(key, version) => encode_entry(buf, key, version),
@@ -237,27 +236,6 @@ mod tests {
             assert_eq!(&decode_wal_entry(&buf, &mut pos).unwrap(), entry);
             assert_eq!(pos, buf.len());
         }
-    }
-
-    #[test]
-    fn data_wal_entry_is_byte_identical_to_legacy_encoding() {
-        // Pre-shadow logs must replay unchanged: the Data flavor's bytes
-        // ARE the legacy entry bytes.
-        let key = CellKey::new(b"r".to_vec(), b"q".to_vec());
-        let v = Version {
-            ts: 3,
-            mutation: Mutation::Put(b"x".to_vec()),
-        };
-        let mut legacy = Vec::new();
-        encode_entry(&mut legacy, &key, &v);
-        let mut modern = Vec::new();
-        encode_wal_entry(&mut modern, &WalEntry::Data(key.clone(), v.clone()));
-        assert_eq!(legacy, modern);
-        let mut pos = 0;
-        assert_eq!(
-            decode_wal_entry(&legacy, &mut pos).unwrap(),
-            WalEntry::Data(key, v)
-        );
     }
 
     #[test]

@@ -345,12 +345,7 @@ impl Store {
     /// Writes many cells atomically w.r.t. the WAL (one fsync'd record).
     /// Each cell still gets its own timestamp.
     pub fn put_batch(&self, cells: Vec<(Vec<u8>, Vec<u8>, Vec<u8>)>) -> Result<u64> {
-        let mut batch = Vec::with_capacity(cells.len());
-        for (row, qual, value) in cells {
-            Self::check_qualifier(&qual)?;
-            batch.push((CellKey::new(row, qual), Mutation::Put(value)));
-        }
-        self.apply(batch)
+        self.mutate_batch(cells, Vec::new())
     }
 
     /// Applies puts and cell tombstones atomically w.r.t. the WAL (one
@@ -383,15 +378,7 @@ impl Store {
     /// to [`Store::put_batch`] (same clock, same snapshot rules); only
     /// the residence differs until [`Store::spill_shadow`] migrates them.
     pub fn put_shadow_batch(&self, cells: Vec<(Vec<u8>, Vec<u8>, Vec<u8>)>) -> Result<u64> {
-        let mut writes = Vec::with_capacity(cells.len());
-        for (row, qual, value) in cells {
-            Self::check_qualifier(&qual)?;
-            writes.push(WriteOp::Shadow(
-                CellKey::new(row, qual),
-                Mutation::Put(value),
-            ));
-        }
-        self.commit_ops(writes)
+        self.mutate_batch_shadow(cells, Vec::new())
     }
 
     /// Shadow-tier analogue of [`Store::mutate_batch`]: the puts land in

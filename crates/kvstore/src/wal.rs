@@ -12,8 +12,7 @@
 //! segments' entries all live in the flushed table, so a crash at any
 //! point loses nothing: before the truncation the entries are covered by
 //! both the segments and the table, after it by the table alone. Replay
-//! walks the legacy single-file log (`wal.log`, from stores created before
-//! segmentation) and then the segments in ascending order.
+//! walks the segments in ascending order.
 
 use std::sync::Arc;
 
@@ -22,9 +21,6 @@ use dt_common::{IoStats, Result};
 
 use crate::cell::{decode_wal_entry, encode_wal_entry, CellKey, Version, WalEntry};
 use crate::env::Env;
-
-/// Pre-segmentation log file; replayed (first) if present, never written.
-pub(crate) const WAL_FILE: &str = "wal.log";
 
 /// The file name of WAL segment `n`.
 pub(crate) fn seg_name(n: u64) -> String {
@@ -92,18 +88,16 @@ impl Wal {
         self.env.append(&seg_name(self.segment), &frames)
     }
 
-    /// Deletes the legacy log and every segment at or below `boundary` —
-    /// the truncation step after a successful memtable flush. Segments
-    /// above the boundary hold entries appended after the flush drained
-    /// the memtable and must survive.
+    /// Deletes every segment at or below `boundary` — the truncation step
+    /// after a successful memtable flush. Segments above the boundary hold
+    /// entries appended after the flush drained the memtable and must
+    /// survive.
     pub fn truncate_through(env: &dyn Env, boundary: u64) -> Result<()> {
-        let mut names: Vec<String> = vec![WAL_FILE.to_string()];
-        names.extend(
-            env.list()
-                .into_iter()
-                .filter(|n| parse_seg(n).is_some_and(|s| s <= boundary)),
-        );
-        for name in names {
+        let covered = env
+            .list()
+            .into_iter()
+            .filter(|n| parse_seg(n).is_some_and(|s| s <= boundary));
+        for name in covered {
             match env.delete(&name) {
                 Ok(()) | Err(dt_common::Error::NotFound(_)) => {}
                 Err(e) => return Err(e),
@@ -112,8 +106,8 @@ impl Wal {
         Ok(())
     }
 
-    /// Deletes every log file (legacy and all segments) — used when
-    /// recovery salvaged nothing worth flushing.
+    /// Deletes every segment — used when recovery salvaged nothing worth
+    /// flushing.
     pub fn delete_all(env: &dyn Env) -> Result<()> {
         Self::truncate_through(env, u64::MAX)
     }
@@ -125,9 +119,8 @@ impl Wal {
         Ok(Self::replay_with_report(env)?.entries)
     }
 
-    /// Replays the longest valid prefix of the log — legacy file first,
-    /// then segments ascending — and reports what (if anything) was
-    /// dropped.
+    /// Replays the longest valid prefix of the log — segments ascending —
+    /// and reports what (if anything) was dropped.
     ///
     /// Corruption anywhere — a truncated tail, a CRC mismatch, or a
     /// payload that fails to decode despite a matching CRC — ends replay
@@ -140,26 +133,17 @@ impl Wal {
     /// to read a log file itself (other than it not existing) is a real
     /// error.
     pub fn replay_with_report(env: &dyn Env) -> Result<WalRecovery> {
-        let mut segments: Vec<(u64, String)> = Vec::new();
-        let mut has_legacy = false;
-        for name in env.list() {
-            if name == WAL_FILE {
-                has_legacy = true;
-            } else if let Some(n) = parse_seg(&name) {
-                segments.push((n, name));
-            }
-        }
+        let mut segments: Vec<(u64, String)> = env
+            .list()
+            .into_iter()
+            .filter_map(|name| Some((parse_seg(&name)?, name)))
+            .collect();
         segments.sort();
         let mut recovery = WalRecovery {
             next_segment: segments.last().map_or(0, |(n, _)| n + 1),
             ..WalRecovery::default()
         };
-        let mut files: Vec<String> = Vec::with_capacity(segments.len() + 1);
-        if has_legacy {
-            files.push(WAL_FILE.to_string());
-        }
-        files.extend(segments.into_iter().map(|(_, name)| name));
-        for file in files {
+        for (_, file) in segments {
             let data = match env.read_file(&file) {
                 Ok(d) => d,
                 Err(dt_common::Error::NotFound(_)) => continue,
@@ -415,24 +399,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_wal_file_replays_before_segments() {
-        let env = Arc::new(MemEnv::new());
-        // A pre-segmentation store left a wal.log; fake it by building a
-        // frame in segment 0 and renaming the bytes over.
-        Wal::new(env.clone(), IoStats::new(), 0)
-            .append_batch(&[kv(1)])
-            .unwrap();
-        let legacy = env.read_file(&seg_name(0)).unwrap();
-        env.delete(&seg_name(0)).unwrap();
-        env.append(WAL_FILE, &legacy).unwrap();
-        Wal::new(env.clone(), IoStats::new(), 0)
-            .append_batch(&[kv(2)])
-            .unwrap();
-        let r = Wal::replay_with_report(env.as_ref()).unwrap();
-        assert_eq!(r.entries, vec![kv(1), kv(2)]);
-    }
-
-    #[test]
     fn truncated_tail_is_ignored() {
         let env = Arc::new(MemEnv::new());
         let wal = Wal::new(env.clone(), IoStats::new(), 0);
@@ -546,7 +512,6 @@ mod tests {
     #[test]
     fn truncate_through_removes_only_covered_segments() {
         let env = Arc::new(MemEnv::new());
-        env.append(WAL_FILE, b"legacy").unwrap();
         for seg in 0..3 {
             Wal::new(env.clone(), IoStats::new(), seg)
                 .append_batch(&[kv(seg + 1)])
@@ -554,7 +519,6 @@ mod tests {
         }
         Wal::truncate_through(env.as_ref(), 1).unwrap();
         let names = env.list();
-        assert!(!names.iter().any(|n| n == WAL_FILE));
         assert!(!names.iter().any(|n| n == &seg_name(0)));
         assert!(!names.iter().any(|n| n == &seg_name(1)));
         assert!(names.iter().any(|n| n == &seg_name(2)));

@@ -30,6 +30,12 @@ report() {
         echo "verify.sh: all ${#PASSED[@]} gates passed"
     else
         echo "verify.sh: ${#FAILED[@]} gate(s) FAILED"
+    fi
+    # Informational, not a gate: the instrument behind "net LoC <= 0".
+    echo
+    echo "==> code lines per crate (scripts/loc.sh)"
+    scripts/loc.sh || true
+    if [ ${#FAILED[@]} -ne 0 ]; then
         exit "$status"
     fi
 }

@@ -83,10 +83,7 @@ fn write_volume_proportionality() {
             RatioHint::Explicit(pct as f64 / 100.0),
         )
         .unwrap();
-        let index = t
-            .presence_index()
-            .unwrap()
-            .expect("index present after EDIT");
+        let index = t.presence_index().unwrap();
         let updates: u64 = index
             .files
             .values()
