@@ -70,7 +70,6 @@ pub use presence::{FilePresence, PresenceIndex, PRESENCE_FILE_ID};
 pub use rewrite::RewriteJob;
 pub use shard::{
     ShardCommitFailure, ShardFoldStats, ShardMap, ShardSpec, ShardedDmlReport, ShardedTable,
-    ShardedTransaction,
 };
 pub use store::{Assignment, DmlReport, DualTableStore, PlanPreview, TableStats};
 pub use txn::{Snapshot, Transaction};

@@ -114,8 +114,8 @@ impl PresenceIndex {
     }
 }
 
-/// Accumulates one statement's index increments between batch flushes:
-/// `(master file, column-or-delete) → cells added`.
+/// Accumulates one commit's index increments: `(master file,
+/// column-or-delete) → cells added`.
 #[derive(Debug, Default)]
 pub struct PresenceDelta {
     counts: BTreeMap<(u32, Option<usize>), u64>,
@@ -135,11 +135,6 @@ impl PresenceDelta {
     /// Records one delete marker on `record`'s file.
     pub fn add_delete(&mut self, file_id: u32) {
         *self.counts.entry((file_id, None)).or_insert(0) += 1;
-    }
-
-    /// `true` iff nothing was recorded since the last drain.
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
     }
 
     /// Takes the accumulated increments, leaving the delta empty.
@@ -171,13 +166,12 @@ mod tests {
     #[test]
     fn delta_accumulates_and_drains() {
         let mut d = PresenceDelta::new();
-        assert!(d.is_empty());
         d.add_updates(3, 1, 2);
         d.add_updates(3, 1, 1);
         d.add_delete(3);
         d.add_delete(7);
         let drained = d.drain();
-        assert!(d.is_empty());
+        assert!(d.drain().is_empty());
         assert_eq!(drained[&(3, Some(1))], 3);
         assert_eq!(drained[&(3, None)], 1);
         assert_eq!(drained[&(7, None)], 1);

@@ -256,7 +256,7 @@ impl DualTableStore {
                     snapshot_ts: at_ts,
                     ..UnionReadOptions::all()
                 };
-                let plan = self.scan_plan(gen, &opts)?;
+                let plan = self.scan_plan(gen, &opts, &[])?;
                 pool.run(parts, |_, (ids, chunk)| {
                     let mut built = Built::default();
                     built.written = self.write_files(next, ids, |push| {

@@ -18,10 +18,10 @@
 //!   range pruning: a predicate on the shard key eliminates whole shards
 //!   *before any I/O* — the pruned shards' masters and attached tables
 //!   are never opened;
-//! * **cross-shard transactions**: one statement touching k shards
-//!   commits shard-by-shard in shard order through the PR 6 multi-table
-//!   path; on a mid-sequence failure the caller gets the exact list of
-//!   durably committed shards (the committed-prefix contract).
+//! * **cross-shard transactions**: a [`Transaction`] over every shard
+//!   commits shard-by-shard in shard order; on a mid-sequence failure the
+//!   caller gets the exact list of durably committed shards (the
+//!   committed-prefix contract).
 //!
 //! The gather step is a k-way ordered merge in its degenerate form:
 //! shard ranges are disjoint and scanned in ascending range order, so
@@ -134,6 +134,50 @@ impl ShardSpec {
                 PredicateOp::Ge => hi.is_none_or(|h| h > v),
             }
         })
+    }
+
+    /// Partitions rows by key into one bucket per shard (buckets may be
+    /// empty).
+    pub(crate) fn partition(&self, rows: Vec<Row>) -> Result<Vec<Vec<Row>>> {
+        let mut buckets: Vec<Vec<Row>> = (0..self.shard_count()).map(|_| Vec::new()).collect();
+        for row in rows {
+            let Some(Value::Int64(key)) = row.get(self.key_column) else {
+                return Err(Error::schema(format!(
+                    "shard key column {} must be a non-NULL BIGINT in every row",
+                    self.key_column
+                )));
+            };
+            buckets[self.shard_of(*key)].push(row);
+        }
+        Ok(buckets)
+    }
+
+    /// Shard indices whose range survives the predicates' key-range
+    /// constraints.
+    pub(crate) fn shards_matching(&self, predicates: &[ColumnPredicate]) -> Vec<usize> {
+        (0..self.shard_count())
+            .filter(|&i| self.shard_may_match(i, predicates))
+            .collect()
+    }
+
+    /// The shards one UPDATE (`assignments` given) or DELETE runs on —
+    /// autocommit or buffered, every sharded statement passes through
+    /// here before it scans anything. An UPDATE may not assign the shard
+    /// key: the row would stay in a shard whose range no longer contains
+    /// it, where range pruning never looks for it.
+    pub(crate) fn dml_shards(
+        &self,
+        assignments: Option<&[Assignment<'_>]>,
+        predicates: Option<&[ColumnPredicate]>,
+    ) -> Result<Vec<usize>> {
+        if assignments.is_some_and(|a| a.iter().any(|(col, _)| *col == self.key_column)) {
+            return Err(Error::Unsupported(format!(
+                "UPDATE of shard key column {}: a row cannot move between shards \
+                 (DELETE it and INSERT the new key)",
+                self.key_column
+            )));
+        }
+        Ok(self.shards_matching(predicates.unwrap_or(&[])))
     }
 
     /// Durable encoding: magic, key column, split count, split points,
@@ -462,40 +506,15 @@ impl ShardedTable {
         self.inner.spec.shard_of(key)
     }
 
-    fn key_of(&self, row: &Row) -> Result<i64> {
-        match row.get(self.inner.spec.key_column()) {
-            Some(Value::Int64(k)) => Ok(*k),
-            _ => Err(Error::schema(format!(
-                "shard key column {} must be a non-NULL BIGINT in every row",
-                self.inner.spec.key_column()
-            ))),
-        }
-    }
-
-    /// Partitions rows into one bucket per shard (buckets may be empty).
-    fn partition(&self, rows: Vec<Row>) -> Result<Vec<Vec<Row>>> {
-        let mut buckets: Vec<Vec<Row>> = (0..self.shard_count()).map(|_| Vec::new()).collect();
-        for row in rows {
-            let shard = self.inner.spec.shard_of(self.key_of(&row)?);
-            buckets[shard].push(row);
-        }
-        Ok(buckets)
-    }
-
     /// Shard indices whose range survives the predicates' key-range
     /// constraints; everything else is pruned before any I/O.
     pub fn shards_matching(&self, predicates: Option<&[ColumnPredicate]>) -> Vec<usize> {
-        (0..self.shard_count())
-            .filter(|&i| match predicates {
-                Some(p) => self.inner.spec.shard_may_match(i, p),
-                None => true,
-            })
-            .collect()
+        self.inner.spec.shards_matching(predicates.unwrap_or(&[]))
     }
 
     /// Routes an INSERT: each row goes to exactly one shard.
     pub fn insert_rows(&self, rows: Vec<Row>) -> Result<u64> {
-        let buckets = self.partition(rows)?;
+        let buckets = self.inner.spec.partition(rows)?;
         let mut n = 0u64;
         for (i, bucket) in buckets.into_iter().enumerate() {
             if !bucket.is_empty() {
@@ -508,7 +527,7 @@ impl ShardedTable {
     /// INSERT OVERWRITE: every shard is rewritten, including shards whose
     /// bucket is empty (their old content must vanish too).
     pub fn insert_overwrite(&self, rows: Vec<Row>) -> Result<u64> {
-        let buckets = self.partition(rows)?;
+        let buckets = self.inner.spec.partition(rows)?;
         let mut n = 0u64;
         for (i, bucket) in buckets.into_iter().enumerate() {
             n += self.inner.shards[i].insert_overwrite(bucket)?;
@@ -581,7 +600,7 @@ impl ShardedTable {
         statement_key: Option<&str>,
         scan: Option<&UnionReadOptions>,
     ) -> Result<ShardedDmlReport> {
-        self.dml(scan, |shard, scan| {
+        self.dml(Some(assignments), scan, |shard, scan| {
             shard.update_keyed(&predicate, assignments, ratio, statement_key, scan)
         })
     }
@@ -594,7 +613,7 @@ impl ShardedTable {
         statement_key: Option<&str>,
         scan: Option<&UnionReadOptions>,
     ) -> Result<ShardedDmlReport> {
-        self.dml(scan, |shard, scan| {
+        self.dml(None, scan, |shard, scan| {
             shard.delete_keyed(&predicate, ratio, statement_key, scan)
         })
     }
@@ -603,6 +622,7 @@ impl ShardedTable {
     /// rule out and adds the reports up.
     fn dml(
         &self,
+        assignments: Option<&[Assignment<'_>]>,
         scan: Option<&UnionReadOptions>,
         run: impl Fn(&DualTableStore, &UnionReadOptions) -> Result<DmlReport>,
     ) -> Result<ShardedDmlReport> {
@@ -613,7 +633,8 @@ impl ShardedTable {
             rows_scanned: 0,
             per_shard: Vec::new(),
         };
-        for i in self.shards_matching(scan.predicates.as_deref()) {
+        let spec = &self.inner.spec;
+        for i in spec.dml_shards(assignments, scan.predicates.as_deref())? {
             let report = run(&self.inner.shards[i], scan)?;
             out.rows_matched += report.rows_matched;
             out.rows_scanned += report.rows_scanned;
@@ -662,17 +683,13 @@ impl ShardedTable {
     /// Opens a cross-shard transaction: every shard is pinned at a
     /// snapshot up front, so the statement sees one consistent epoch per
     /// shard and FCW conflict checks run per shard at commit.
-    pub fn begin_transaction(&self) -> Result<ShardedTransaction> {
-        let txns = self
-            .inner
-            .shards
-            .iter()
-            .map(|s| s.begin_transaction())
-            .collect::<Result<Vec<_>>>()?;
-        Ok(ShardedTransaction {
-            table: self.clone(),
-            txns,
-        })
+    pub fn begin_transaction(&self) -> Result<Transaction> {
+        let shards = self.inner.shards.iter();
+        let snapshots = shards.map(DualTableStore::begin_snapshot);
+        Ok(Transaction::new(
+            snapshots.collect::<Result<_>>()?,
+            Some(self.inner.spec.clone()),
+        ))
     }
 
     /// Drops every shard and the durable shard map.
@@ -690,116 +707,6 @@ impl ShardedTable {
             .shard_health
             .remove_shards(inner.shards.len() as u64);
         Ok(())
-    }
-}
-
-/// A transaction spanning every shard of one table. DML routes to the
-/// per-shard [`Transaction`]s; commit walks shards in range order and
-/// reports the committed prefix on partial failure.
-pub struct ShardedTransaction {
-    table: ShardedTable,
-    txns: Vec<Transaction>,
-}
-
-impl ShardedTransaction {
-    /// Buffers an INSERT, routing each row to its shard's transaction.
-    pub fn insert(&mut self, rows: Vec<Row>) -> Result<u64> {
-        let buckets = self.table.partition(rows)?;
-        let mut n = 0u64;
-        for (i, bucket) in buckets.into_iter().enumerate() {
-            if !bucket.is_empty() {
-                n += self.txns[i].insert(bucket)?;
-            }
-        }
-        Ok(n)
-    }
-
-    /// Buffers an UPDATE against every shard; returns total matched.
-    pub fn update(
-        &mut self,
-        predicate: impl Fn(&Row) -> bool,
-        assignments: &[Assignment<'_>],
-    ) -> Result<u64> {
-        let mut n = 0u64;
-        for txn in &mut self.txns {
-            n += txn.update(&predicate, assignments)?;
-        }
-        Ok(n)
-    }
-
-    /// Buffers a DELETE against every shard; returns total matched.
-    pub fn delete(&mut self, predicate: impl Fn(&Row) -> bool) -> Result<u64> {
-        let mut n = 0u64;
-        for txn in &mut self.txns {
-            n += txn.delete(&predicate)?;
-        }
-        Ok(n)
-    }
-
-    /// Snapshot read across all shards, in range order.
-    pub fn rows(&self, projection: Option<&[usize]>) -> Result<Vec<Row>> {
-        let mut out = Vec::new();
-        for txn in &self.txns {
-            out.extend(txn.rows(projection)?);
-        }
-        Ok(out)
-    }
-
-    /// `true` iff no shard transaction buffered a write.
-    pub fn is_read_only(&self) -> bool {
-        self.txns.iter().all(Transaction::is_read_only)
-    }
-
-    /// Commits shard-by-shard in range order (read-only shards just
-    /// release their pins). Each shard's commit is its own FCW conflict
-    /// check and durable publish; once shard `i` commits there is no
-    /// undo, so a failure at shard `j` reports the exact durable prefix
-    /// `[..j)` — the same contract the multi-table session commit gives
-    /// across tables. Returns total rows written on full success.
-    pub fn commit(self) -> std::result::Result<u64, Box<ShardCommitFailure>> {
-        let table = self.table;
-        let mut committed: Vec<String> = Vec::new();
-        let mut wrote = 0usize;
-        let mut rows = 0u64;
-        for (i, txn) in self.txns.into_iter().enumerate() {
-            let name = table.inner.shards[i].name().to_string();
-            if txn.is_read_only() {
-                txn.rollback();
-                continue;
-            }
-            match txn.commit() {
-                Ok(n) => {
-                    rows += n;
-                    wrote += 1;
-                    committed.push(name);
-                }
-                Err(error) => {
-                    if !committed.is_empty() {
-                        table
-                            .inner
-                            .env
-                            .shard_health
-                            .record_cross_shard_partial_commit();
-                    }
-                    return Err(Box::new(ShardCommitFailure {
-                        committed,
-                        failed: name,
-                        error,
-                    }));
-                }
-            }
-        }
-        if wrote >= 2 {
-            table.inner.env.shard_health.record_cross_shard_commit();
-        }
-        Ok(rows)
-    }
-
-    /// Discards every shard's buffered writes and releases all pins.
-    pub fn rollback(self) {
-        for txn in self.txns {
-            txn.rollback();
-        }
     }
 }
 

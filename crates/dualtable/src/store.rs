@@ -1,7 +1,6 @@
 //! The DualTable store: master + attached storage, DML plans, COMPACT.
 
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
@@ -11,7 +10,7 @@ use dt_orcfile::{
 };
 use parking_lot::{Mutex, RwLock};
 
-use crate::attached::{delete_cell, update_cells};
+use crate::attached::{delete_cell, update_cells, AttachedEntry};
 use crate::config::{DualTableConfig, PlanMode};
 use crate::cost::{CostModel, PlanChoice, RatioHint};
 use crate::delta::DeltaPolicy;
@@ -24,8 +23,10 @@ use crate::presence::{
     PresenceIndex, PRESENCE_FILE_ID,
 };
 use crate::rewrite::Rows;
-use crate::txn::{RowPatch, Snapshot, Transaction};
-use crate::union_read::{for_each_row, merge_file, BatchFn, UnionReadOptions};
+use crate::txn::{Snapshot, Transaction};
+use crate::union_read::{
+    for_each_row, merge_file, BatchFn, PatchSet, UnionReadOptions, INSERTS_FILE_ID, NO_PATCHES,
+};
 
 /// Aggregate statistics of one DualTable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,32 +121,38 @@ fn presence_column(qual: &[u8]) -> Result<Option<usize>> {
     Ok(Some(u16::from_be_bytes(bytes) as usize))
 }
 
-/// The predicates that may be pushed down into `file_id`'s ORC reader: all
-/// of them for a clean file, those on columns without update overlays for a
-/// dirty one. Dropping conjuncts is always sound — predicates are a
-/// conjunction, so fewer of them only skip fewer stripes.
+/// The predicates that may be pushed down into a master file's ORC
+/// reader: all of them for a clean file, otherwise those on columns that
+/// neither patch source — the attached overlays `presence` counts, the
+/// scan's own `patches` for the file — updates. Dropping conjuncts is
+/// always sound — predicates are a conjunction, so fewer of them only skip
+/// fewer stripes.
 fn file_predicates<'a>(
-    presence: &PresenceIndex,
+    presence: Option<&FilePresence>,
+    patches: &[AttachedEntry],
     predicates: Option<&'a [ColumnPredicate]>,
-    file_id: u32,
 ) -> Option<Cow<'a, [ColumnPredicate]>> {
     let predicates = predicates?;
-    match presence.file(file_id) {
-        None => Some(Cow::Borrowed(predicates)),
-        Some(fp) => {
-            let kept: Vec<ColumnPredicate> = predicates
+    if presence.is_none() && patches.is_empty() {
+        return Some(Cow::Borrowed(predicates));
+    }
+    let patched = |column| {
+        presence.is_some_and(|fp| fp.has_update_on(column))
+            || patches
                 .iter()
-                .filter(|p| !fp.has_update_on(p.column))
-                .cloned()
-                .collect();
-            if kept.is_empty() {
-                None
-            } else if kept.len() == predicates.len() {
-                Some(Cow::Borrowed(predicates))
-            } else {
-                Some(Cow::Owned(kept))
-            }
-        }
+                .any(|p| p.updates.iter().any(|(c, _)| *c == column))
+    };
+    let kept: Vec<ColumnPredicate> = predicates
+        .iter()
+        .filter(|p| !patched(p.column))
+        .cloned()
+        .collect();
+    if kept.is_empty() {
+        None
+    } else if kept.len() == predicates.len() {
+        Some(Cow::Borrowed(predicates))
+    } else {
+        Some(Cow::Owned(kept))
     }
 }
 
@@ -158,6 +165,9 @@ pub(crate) struct ScanPlan<'a> {
     projection: Cow<'a, [usize]>,
     attached: dt_kvstore::Store,
     presence: PresenceIndex,
+    /// The second patch source: the reader's own uncommitted entries,
+    /// ascending by record ID (see [`PatchSet`]).
+    patches: &'a [AttachedEntry],
 }
 
 /// Row key of the transactional-insert intent cells: `{0, 0}`, below
@@ -561,7 +571,8 @@ impl DualTableStore {
         mut f: impl FnMut(u32, ColumnBatch) -> Result<ControlFlow<()>>,
     ) -> Result<()> {
         let _guard = self.inner.ops.read();
-        self.for_each_at(self.current_gen()?, opts, &mut f)
+        let scan = self.for_each_at(self.current_gen()?, opts, &NO_PATCHES, &mut f);
+        scan.map(|_| ())
     }
 
     /// [`DualTableStore::for_each_batch`] unpacked into `(record id, row)`
@@ -572,19 +583,6 @@ impl DualTableStore {
         mut f: impl FnMut(RecordId, Row) -> Result<ControlFlow<()>>,
     ) -> Result<()> {
         self.for_each_batch(opts, |file_id, batch| for_each_row(file_id, &batch, &mut f))
-    }
-
-    /// UNION READ at a pinned epoch (`opts.snapshot_ts` must be the pin's
-    /// timestamp). Takes the ops lock in read mode like any scan — pinned
-    /// readers don't block EDIT writers, only rewrites' commit step.
-    pub(crate) fn pinned_for_each(
-        &self,
-        gen: u64,
-        opts: &UnionReadOptions,
-        f: &mut BatchFn<'_>,
-    ) -> Result<()> {
-        let _guard = self.inner.ops.read();
-        self.for_each_at(gen, opts, f)
     }
 
     /// The master file IDs of `gen` visible to a snapshot at `at_ts`:
@@ -600,15 +598,29 @@ impl DualTableStore {
     }
 
     /// Sequential UNION READ at an explicit `(generation,
-    /// opts.snapshot_ts)` epoch, ops lock already held.
-    fn for_each_at(&self, gen: u64, opts: &UnionReadOptions, f: &mut BatchFn<'_>) -> Result<()> {
-        let plan = self.scan_plan(gen, opts)?;
+    /// opts.snapshot_ts)` epoch, ops lock already held, with the reader's
+    /// own `ours` on top: its patches as every file's second patch source,
+    /// its buffered inserts as one trailing batch under
+    /// [`INSERTS_FILE_ID`]. `Break` iff `f` stopped the scan.
+    pub(crate) fn for_each_at(
+        &self,
+        gen: u64,
+        opts: &UnionReadOptions,
+        ours: &PatchSet,
+        f: &mut BatchFn<'_>,
+    ) -> Result<ControlFlow<()>> {
+        let plan = self.scan_plan(gen, opts, &ours.rows)?;
         for file_id in self.visible_files(gen, opts.snapshot_ts) {
             if self.merge_master(&plan, file_id, f)?.is_break() {
-                break;
+                return Ok(ControlFlow::Break(()));
             }
         }
-        Ok(())
+        if ours.inserts.is_empty() {
+            return Ok(ControlFlow::Continue(()));
+        }
+        let schema = &self.inner.schema;
+        let batch = ColumnBatch::from_rows(schema, &plan.projection, &ours.inserts)?;
+        f(INSERTS_FILE_ID, batch)
     }
 
     /// Resolves what every file of one UNION READ shares.
@@ -616,6 +628,7 @@ impl DualTableStore {
         &self,
         gen: u64,
         opts: &'a UnionReadOptions,
+        patches: &'a [AttachedEntry],
     ) -> Result<ScanPlan<'a>> {
         let attached = self.attached()?;
         Ok(ScanPlan {
@@ -627,13 +640,15 @@ impl DualTableStore {
             },
             presence: self.load_presence(&attached)?,
             attached,
+            patches,
         })
     }
 
-    /// The one place a master file meets its attached range: opens the
-    /// file (footer cache), skips the attached scan when the presence
-    /// index proves the file clean, keeps the stripe predicates the
-    /// file's overlays leave sound, and runs [`merge_file`].
+    /// The one place a master file meets its patch sources — its attached
+    /// range and the plan's own patches: opens the file (footer cache),
+    /// skips the attached scan when the presence index proves the file
+    /// clean, keeps the stripe predicates the file's overlays leave sound,
+    /// and runs [`merge_file`].
     fn merge_master(
         &self,
         plan: &ScanPlan<'_>,
@@ -652,19 +667,27 @@ impl DualTableStore {
                 plan.opts.snapshot_ts,
             )?)
         };
-        let predicates = file_predicates(presence, plan.opts.predicates.as_deref(), file_id);
+        let ours = plan.patches.partition_point(|p| p.record.file_id < file_id);
+        let ours = &plan.patches[ours..];
+        let ours = &ours[..ours.partition_point(|p| p.record.file_id == file_id)];
+        let predicates = file_predicates(
+            presence.file(file_id),
+            ours,
+            plan.opts.predicates.as_deref(),
+        );
         merge_file(
             file_id,
             &reader,
             &plan.projection,
             predicates.as_deref(),
             attached,
+            ours,
             f,
         )
     }
 
     /// [`Self::merge_master`] unpacked into rows, for the consumers that
-    /// take every one of them: the parallel scan and the rewrites.
+    /// take every one of them: the rewrites.
     pub(crate) fn merge_master_rows(
         &self,
         plan: &ScanPlan<'_>,
@@ -754,30 +777,6 @@ impl DualTableStore {
     /// order.
     pub fn scan_all(&self) -> Result<Vec<(RecordId, Row)>> {
         self.scan(&UnionReadOptions::all())
-    }
-
-    /// Parallel UNION READ: one map task per master file, each merging its
-    /// file with the matching attached range — "a simple Map Reduce
-    /// algorithm using a divide-and-conquer strategy" (paper §III-C).
-    /// Output order equals [`DualTableStore::scan`].
-    pub fn scan_parallel(
-        &self,
-        opts: &UnionReadOptions,
-        job: &dt_engine::JobConfig,
-    ) -> Result<Vec<(RecordId, Row)>> {
-        let _guard = self.inner.ops.read();
-        let gen = self.current_gen()?;
-        let plan = self.scan_plan(gen, opts)?;
-        let files = self.visible_files(gen, opts.snapshot_ts);
-        let per_file = dt_engine::parallel_map_fallible(job, files, |file_id| {
-            let mut out = Vec::new();
-            self.merge_master_rows(&plan, file_id, &mut |id, row| {
-                out.push((id, row));
-                Ok(())
-            })?;
-            Ok(out)
-        })?;
-        Ok(per_file.into_iter().flatten().collect())
     }
 
     /// Materializes a scan with options.
@@ -893,7 +892,8 @@ impl DualTableStore {
             ..scan.clone()
         };
         let _guard = self.inner.ops.read();
-        self.locate(&unpushed, &mut |_, row| {
+        let gen = self.current_gen()?;
+        self.locate(gen, &unpushed, &NO_PATCHES, &mut |_, row| {
             seen += 1;
             if predicate(row) {
                 matched += 1;
@@ -935,14 +935,17 @@ impl DualTableStore {
     }
 
     /// Previews the cost-model decision for an UPDATE (`is_update`) or
-    /// DELETE with the given predicate, sampling the modification ratio —
-    /// without executing anything. Powers `EXPLAIN UPDATE/DELETE`.
+    /// DELETE with the given predicate, sampling the modification ratio
+    /// the way execution does (`scan`: see
+    /// [`DualTableStore::update_keyed`]) — without executing anything.
+    /// Powers `EXPLAIN UPDATE/DELETE`.
     pub fn plan_preview(
         &self,
         predicate: &dyn Fn(&Row) -> bool,
         is_update: bool,
+        scan: &UnionReadOptions,
     ) -> Result<PlanPreview> {
-        let ratio = self.sample_ratio(predicate, &UnionReadOptions::all())?;
+        let ratio = self.sample_ratio(predicate, scan)?;
         let (plan, cost_diff, master_bytes) = self.cost_plan(is_update, ratio)?;
         let plan = match self.inner.config.plan_mode {
             PlanMode::CostBased => plan,
@@ -994,11 +997,7 @@ impl DualTableStore {
         statement_key: Option<&str>,
         scan: &UnionReadOptions,
     ) -> Result<DmlReport> {
-        for (col, _) in assignments {
-            if *col >= self.inner.schema.len() {
-                return Err(Error::schema(format!("assignment to unknown column {col}")));
-            }
-        }
+        self.check_targets(assignments)?;
         self.dml(&predicate, Some(assignments), ratio, statement_key, scan)
     }
 
@@ -1065,6 +1064,17 @@ impl DualTableStore {
         })
     }
 
+    /// Rejects an UPDATE that assigns a column the table does not have.
+    pub(crate) fn check_targets(&self, assignments: &[Assignment<'_>]) -> Result<()> {
+        match assignments
+            .iter()
+            .find(|(col, _)| *col >= self.inner.schema.len())
+        {
+            Some((col, _)) => Err(Error::schema(format!("assignment to unknown column {col}"))),
+            None => Ok(()),
+        }
+    }
+
     /// Rejects an UPDATE value that does not fit its column.
     fn check_assigned(&self, col: usize, value: &Value) -> Result<()> {
         let field = self.inner.schema.field(col);
@@ -1077,18 +1087,21 @@ impl DualTableStore {
         )))
     }
 
-    /// The EDIT plan's locate-scan (ops lock held): UNION READ of the
-    /// columns `scan.projection` names, minus the stripes
+    /// The EDIT plan's locate-scan (ops lock held): UNION READ at `(gen,
+    /// scan.snapshot_ts)` under the caller's own uncommitted `ours` (whose
+    /// buffered inserts come last, as records of [`INSERTS_FILE_ID`]), of
+    /// the columns `scan.projection` names, minus the stripes
     /// `scan.predicates` rule out, handed to `f` as full-width rows — NULL
     /// in every column not read. Returns the table's visible row count as
     /// the cost model's α wants it: rows seen plus, from their footers, the
     /// rows of the stripes skipped.
     fn locate(
         &self,
+        gen: u64,
         scan: &UnionReadOptions,
+        ours: &PatchSet,
         f: &mut dyn FnMut(RecordId, &Row) -> Result<ControlFlow<()>>,
     ) -> Result<u64> {
-        let gen = self.current_gen()?;
         let width = self.inner.schema.len();
         let columns: Vec<usize> = match &scan.projection {
             Some(p) => p.clone(),
@@ -1096,7 +1109,7 @@ impl DualTableStore {
         };
         let mut row = vec![Value::Null; width];
         let (mut seen, mut decoded) = (0u64, 0u64);
-        self.for_each_at(gen, scan, &mut |file_id, batch| {
+        let _stopped = self.for_each_at(gen, scan, ours, &mut |file_id, batch| {
             decoded += batch.rows() as u64;
             for i in batch.selected() {
                 seen += 1;
@@ -1120,69 +1133,119 @@ impl DualTableStore {
         Ok(seen + stored.saturating_sub(decoded))
     }
 
+    /// The one way an EDIT finds its rows (ops lock held) — the locating
+    /// half of §V-A's UPDATE and DELETE UDTFs: [`Self::locate`], with each
+    /// row `predicate` matches turned into one entry of the statement's
+    /// patch set — an UPDATE's new column values, a DELETE's
+    /// (`assignments` absent) marker — in the ascending record order the
+    /// scan meets them in. Returns the patch set (its length is the
+    /// matched count) and the scanned count.
+    pub(crate) fn locate_patches(
+        &self,
+        gen: u64,
+        scan: &UnionReadOptions,
+        ours: &PatchSet,
+        predicate: &dyn Fn(&Row) -> bool,
+        assignments: Option<&[Assignment<'_>]>,
+    ) -> Result<(Vec<AttachedEntry>, u64)> {
+        let mut found = Vec::new();
+        let scanned = self.locate(gen, scan, ours, &mut |record, row| {
+            if predicate(row) {
+                let mut updates = Vec::new();
+                for (col, f) in assignments.unwrap_or(&[]) {
+                    let value = f(row);
+                    self.check_assigned(*col, &value)?;
+                    updates.push((*col, value));
+                }
+                found.push(AttachedEntry {
+                    record,
+                    deleted: assignments.is_none(),
+                    updates,
+                });
+            }
+            Ok(ControlFlow::Continue(()))
+        })?;
+        Ok((found, scanned))
+    }
+
     /// The EDIT plan (ops lock held — the OVERWRITE→EDIT fallback runs
-    /// under the write lock, which is not reentrant): the UPDATE and
-    /// DELETE UDTFs of §V-A. An UPDATE stores the updated columns' new
-    /// values in the Attached Table, a DELETE (`assignments` absent) one
-    /// delete marker per removed row. Returns `(matched, scanned)`.
+    /// under the write lock, which is not reentrant): locate at the latest
+    /// epoch, then store the statement's whole patch set in the Attached
+    /// Table in one commit. Returns `(matched, scanned)`.
     fn edit_locked(
         &self,
         predicate: &dyn Fn(&Row) -> bool,
         assignments: Option<&[Assignment<'_>]>,
         scan: &UnionReadOptions,
     ) -> Result<(u64, u64)> {
-        let mut matched = 0u64;
-        let mut batch: Vec<(Vec<u8>, Vec<u8>, Vec<u8>)> = Vec::new();
-        let mut delta = PresenceDelta::new();
-        let mut touched: Vec<u64> = Vec::new();
-        let attached = self.attached()?;
-        let scanned = self.locate(scan, &mut |record, row| {
-            if !predicate(row) {
-                return Ok(ControlFlow::Continue(()));
-            }
-            matched += 1;
-            match assignments {
-                Some(assignments) => {
-                    let values: Vec<(usize, Value)> =
-                        assignments.iter().map(|(col, f)| (*col, f(row))).collect();
-                    for (col, value) in &values {
-                        self.check_assigned(*col, value)?;
-                        delta.add_updates(record.file_id, *col, 1);
-                    }
-                    batch.extend(update_cells(record, &values));
-                }
-                None => {
-                    batch.push(delete_cell(record));
-                    delta.add_delete(record.file_id);
-                }
-            }
-            touched.push(record.as_u64());
-            if batch.len() >= 4096 {
-                self.flush_edit_batch(&attached, &mut batch, &mut delta, &mut touched)?;
-            }
-            Ok(ControlFlow::Continue(()))
-        })?;
-        self.flush_edit_batch(&attached, &mut batch, &mut delta, &mut touched)?;
+        let gen = self.current_gen()?;
+        let (rows, scanned) =
+            self.locate_patches(gen, scan, &NO_PATCHES, predicate, assignments)?;
+        let matched = rows.len() as u64;
+        let inserts = Vec::new(); // an autocommit INSERT doesn't buffer
+        self.commit_patches(None, PatchSet { rows, inserts })?;
         Ok((matched, scanned))
     }
 
-    /// Commits one EDIT-plan batch (drained): its cells, presence
-    /// increments and conflict-window entries, through
-    /// [`Self::commit_cells`]. Returns the batch's commit timestamp (`0`
-    /// for an empty batch).
-    fn flush_edit_batch(
-        &self,
-        attached: &dt_kvstore::Store,
-        batch: &mut Vec<(Vec<u8>, Vec<u8>, Vec<u8>)>,
-        delta: &mut PresenceDelta,
-        touched: &mut Vec<u64>,
-    ) -> Result<u64> {
-        if batch.is_empty() && delta.is_empty() {
-            return Ok(0);
+    /// The one EDIT commit (ops lock held, read or write): a patch set —
+    /// a statement's, or a transaction's with its buffered inserts —
+    /// becomes durable and visible atomically.
+    ///
+    /// 1. Inserts are written as staged (invisible) master files under a
+    ///    durable undo intent ([`Self::stage_insert`]).
+    /// 2. Under the state mutex, a transaction (`pin` = its `(generation,
+    ///    timestamp)`) runs the first-committer-wins check and loses with
+    ///    [`Error::Conflict`], nothing applied; an autocommit statement
+    ///    (`pin` absent) patched the latest epoch and cannot lose. Then
+    ///    every patch's cells and the intent removal land in one
+    ///    [`Self::commit_cells`]: snapshots pinned before its timestamp
+    ///    see none of the commit, later ones all of it, and a transaction
+    ///    pinned earlier that wrote the same records loses.
+    ///
+    /// Returns the commit timestamp (the pin's, or 0, when there is
+    /// nothing to commit).
+    pub(crate) fn commit_patches(&self, pin: Option<(u64, u64)>, ours: PatchSet) -> Result<u64> {
+        let PatchSet {
+            rows: patches,
+            inserts,
+        } = ours;
+        if patches.is_empty() && inserts.is_empty() {
+            return Ok(pin.map_or(0, |(_, ts)| ts));
         }
-        let cells = std::mem::take(batch);
+        let attached = self.attached()?;
+        let write_set: Vec<u64> = patches.iter().map(|p| p.record.as_u64()).collect();
+        let staged = match pin {
+            Some((gen, _)) if !inserts.is_empty() => Some(self.stage_insert(gen, inserts, true)?),
+            _ => None,
+        };
+        let mut cells: Vec<(Vec<u8>, Vec<u8>, Vec<u8>)> = Vec::new();
+        let mut delta = PresenceDelta::new();
+        for patch in patches {
+            if patch.deleted {
+                cells.push(delete_cell(patch.record));
+                delta.add_delete(patch.record.file_id);
+            } else {
+                for (col, _) in &patch.updates {
+                    delta.add_updates(patch.record.file_id, *col, 1);
+                }
+                cells.extend(update_cells(patch.record, &patch.updates));
+            }
+        }
         let st = self.inner.mvcc.lock();
-        self.commit_cells(attached, st, cells, delta, touched.drain(..), None)
+        if let Some((_, pin_ts)) = pin {
+            if let Some(conflict) = st.conflict_since(pin_ts, &write_set) {
+                drop(st);
+                if let Some(staged) = &staged {
+                    self.discard_staged(staged);
+                }
+                return Err(self.conflict_error(conflict, pin_ts));
+            }
+        }
+        let committed = self.commit_cells(&attached, st, cells, delta, write_set, staged.as_ref());
+        if let (Err(_), Some(staged)) = (&committed, &staged) {
+            self.discard_staged(staged);
+        }
+        committed
     }
 
     /// The one attached commit, under the state mutex the caller took (and
@@ -1202,8 +1265,8 @@ impl DualTableStore {
         attached: &dt_kvstore::Store,
         mut st: parking_lot::MutexGuard<'_, MvccState>,
         mut cells: Vec<(Vec<u8>, Vec<u8>, Vec<u8>)>,
-        delta: &mut PresenceDelta,
-        touched: impl IntoIterator<Item = u64>,
+        mut delta: PresenceDelta,
+        touched: Vec<u64>,
         staged: Option<&Staged>,
     ) -> Result<u64> {
         let policy = self.delta_policy();
@@ -1303,16 +1366,11 @@ impl DualTableStore {
     pub fn begin_snapshot(&self) -> Result<Snapshot> {
         let mut st = self.inner.mvcc.lock();
         let gen = self.current_gen()?;
-        // Ticked under the state mutex: every commit batch — a
-        // transaction's single commit batch and each flushed autocommit
-        // EDIT batch — holds this mutex across its KV write, so a pin
-        // timestamp never lands inside a batch's cell-timestamp range.
-        // Transactions are therefore entirely visible or entirely
-        // invisible to every snapshot. Autocommit UPDATE/DELETE
-        // statements are atomic per *batch*, not per statement: one
-        // flushes durably every 4096 cells, and a snapshot pinned
-        // mid-statement sees the already-flushed prefix (DESIGN.md §13).
-        // Statement-level atomicity requires BEGIN/COMMIT.
+        // Ticked under the state mutex: every EDIT commit — a
+        // transaction's or an autocommit statement's — holds this mutex
+        // across its one KV write, so a pin timestamp never lands inside
+        // a commit's cell-timestamp range: each is entirely visible or
+        // entirely invisible to every snapshot.
         let ts = self.inner.env.kv.clock().tick();
         st.pin(gen, ts);
         drop(st);
@@ -1322,7 +1380,7 @@ impl DualTableStore {
 
     /// Begins a snapshot-isolation transaction (see [`Transaction`]).
     pub fn begin_transaction(&self) -> Result<Transaction> {
-        Ok(Transaction::new(self.begin_snapshot()?))
+        Ok(Transaction::new(vec![self.begin_snapshot()?], None))
     }
 
     /// Releases the pin taken at `ts` and sweeps any generation whose
@@ -1360,68 +1418,6 @@ impl DualTableStore {
                 ))
             }
         }
-    }
-
-    /// Commits a transaction's buffered effects atomically:
-    ///
-    /// 1. Transactional inserts are written as staged (invisible) master
-    ///    files under a durable undo intent ([`Self::stage_insert`]).
-    /// 2. Under the state mutex, the first-committer-wins check runs and —
-    ///    if it passes — every buffered cell and the intent removal land
-    ///    in one [`Self::commit_cells`]. Snapshots pinned before its
-    ///    timestamp see none of the transaction, later ones all of it.
-    ///
-    /// Returns the commit timestamp.
-    pub(crate) fn commit_transaction(
-        &self,
-        pin_gen: u64,
-        pin_ts: u64,
-        overlay: &BTreeMap<RecordId, RowPatch>,
-        inserts: Vec<Row>,
-    ) -> Result<u64> {
-        if overlay.is_empty() && inserts.is_empty() {
-            return Ok(pin_ts);
-        }
-        let _guard = self.inner.ops.read();
-        let attached = self.attached()?;
-        let write_set: Vec<u64> = overlay.keys().map(|r| r.as_u64()).collect();
-        let staged = if inserts.is_empty() {
-            None
-        } else {
-            Some(self.stage_insert(pin_gen, inserts, true)?)
-        };
-        let st = self.inner.mvcc.lock();
-        if let Some(conflict) = st.conflict_since(pin_ts, &write_set) {
-            drop(st);
-            if let Some(staged) = &staged {
-                self.discard_staged(staged);
-            }
-            return Err(self.conflict_error(conflict, pin_ts));
-        }
-        let mut cells: Vec<(Vec<u8>, Vec<u8>, Vec<u8>)> = Vec::new();
-        let mut delta = PresenceDelta::new();
-        for (&record, patch) in overlay {
-            if patch.deleted {
-                cells.push(delete_cell(record));
-                delta.add_delete(record.file_id);
-            } else {
-                let values: Vec<(usize, Value)> = patch
-                    .updates
-                    .iter()
-                    .map(|(&col, v)| (col, v.clone()))
-                    .collect();
-                for (col, _) in &values {
-                    delta.add_updates(record.file_id, *col, 1);
-                }
-                cells.extend(update_cells(record, &values));
-            }
-        }
-        let committed =
-            self.commit_cells(&attached, st, cells, &mut delta, write_set, staged.as_ref());
-        if let (Err(_), Some(staged)) = (&committed, &staged) {
-            self.discard_staged(staged);
-        }
-        committed
     }
 }
 
@@ -1824,34 +1820,37 @@ mod tests {
         assert_eq!(new[1].1[2], Value::Float64(99.0));
     }
 
-    /// Regression (REVIEW: lost-update race): an autocommit EDIT batch
-    /// must be in the conflict window the moment its durable write lands
-    /// — not at end of statement. A transaction running its
-    /// first-committer-wins check in between would otherwise miss the
-    /// already-durable edits and overwrite them.
+    /// Regression (REVIEW: lost-update race): an autocommit EDIT's records
+    /// must be in the conflict window the moment its durable write lands.
+    /// A transaction running its first-committer-wins check afterwards
+    /// would otherwise miss the already-durable edits and overwrite them.
     #[test]
     fn autocommit_flush_enters_conflict_window_immediately() {
         let t = table_with(10, small_files());
         let txn = t.begin_transaction().unwrap();
         let pin_ts = txn.snapshot_ts();
         let (rec, _) = t.scan_all().unwrap()[0];
-        // One mid-statement flush, exactly as update_edit_locked drives it.
-        let attached = t.attached().unwrap();
-        let values = vec![(2usize, Value::Float64(-5.0))];
-        let mut batch = update_cells(rec, &values);
-        let mut delta = PresenceDelta::new();
-        delta.add_updates(rec.file_id, 2, 1);
-        let mut touched = vec![rec.as_u64()];
-        t.flush_edit_batch(&attached, &mut batch, &mut delta, &mut touched)
-            .unwrap();
-        assert!(touched.is_empty(), "flush drains the touched set");
+        // The one commit, exactly as edit_locked drives it.
+        let patch = AttachedEntry {
+            record: rec,
+            deleted: false,
+            updates: vec![(2usize, Value::Float64(-5.0))],
+        };
+        {
+            let _guard = t.inner.ops.read();
+            let ours = PatchSet {
+                rows: vec![patch],
+                inserts: Vec::new(),
+            };
+            t.commit_patches(None, ours).unwrap();
+        }
         assert!(
             t.inner
                 .mvcc
                 .lock()
                 .conflict_since(pin_ts, &[rec.as_u64()])
                 .is_some(),
-            "flushed batch must conflict with the pinned transaction at once"
+            "committed patch must conflict with the pinned transaction at once"
         );
         drop(txn);
     }
@@ -1913,6 +1912,7 @@ mod tests {
                         }
                     }),
                 )],
+                &UnionReadOptions::all(),
             )
             .unwrap_err();
         assert!(matches!(err, Error::Schema(_)), "got {err:?}");
@@ -2074,45 +2074,6 @@ mod parallel_tests {
     use dt_common::DataType;
 
     #[test]
-    fn parallel_scan_equals_sequential() {
-        let env = DualTableEnv::in_memory();
-        let schema = Schema::from_pairs(&[("id", DataType::Int64), ("v", DataType::Float64)]);
-        let config = DualTableConfig {
-            rows_per_file: 50,
-            plan_mode: PlanMode::AlwaysEdit,
-            ..DualTableConfig::default()
-        };
-        let t = DualTableStore::create(&env, "p", schema, config).unwrap();
-        t.insert_rows((0..500).map(|i| vec![Value::Int64(i), Value::Float64(0.0)]))
-            .unwrap();
-        t.update(
-            |r| r[0].as_i64().unwrap() % 9 == 0,
-            &[(1, Box::new(|_| Value::Float64(9.0)))],
-            RatioHint::Explicit(0.11),
-        )
-        .unwrap();
-        t.delete(
-            |r| r[0].as_i64().unwrap() % 13 == 0,
-            RatioHint::Explicit(0.08),
-        )
-        .unwrap();
-
-        let sequential = t.scan_all().unwrap();
-        let job = dt_engine::JobConfig {
-            max_mappers: 4,
-            num_reducers: 2,
-        };
-        let parallel = t.scan_parallel(&UnionReadOptions::all(), &job).unwrap();
-        assert_eq!(sequential, parallel);
-
-        // Projection path too.
-        let opts = UnionReadOptions::all().with_projection(vec![1]);
-        let seq = t.scan(&opts).unwrap();
-        let par = t.scan_parallel(&opts, &job).unwrap();
-        assert_eq!(seq, par);
-    }
-
-    #[test]
     fn plan_preview_matches_execution() {
         let env = DualTableEnv::in_memory();
         let schema = Schema::from_pairs(&[("id", DataType::Int64), ("v", DataType::Float64)]);
@@ -2130,7 +2091,9 @@ mod parallel_tests {
             .unwrap();
 
         let small = |r: &Row| r[0].as_i64().unwrap() < 3;
-        let preview = t.plan_preview(&small, true).unwrap();
+        let preview = t
+            .plan_preview(&small, true, &UnionReadOptions::all())
+            .unwrap();
         assert_eq!(preview.plan, PlanChoice::Edit);
         assert!(preview.cost_diff > 0.0);
         assert!(preview.ratio < 0.05);
@@ -2144,7 +2107,9 @@ mod parallel_tests {
         assert_eq!(report.plan, preview.plan);
 
         let huge = |_: &Row| true;
-        let preview = t.plan_preview(&huge, false).unwrap();
+        let preview = t
+            .plan_preview(&huge, false, &UnionReadOptions::all())
+            .unwrap();
         assert_eq!(preview.plan, PlanChoice::Overwrite);
         assert!(preview.cost_diff < 0.0);
     }

@@ -28,23 +28,14 @@
 //! leave `pinned_snapshots() == 0` and must not block a subsequent
 //! OVERWRITE's generation GC.
 
-use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 
-use dt_common::{Error, RecordId, Result, Row, Value};
+use dt_common::{RecordId, Result, Row};
 use dt_orcfile::ColumnBatch;
 
+use crate::shard::{ShardCommitFailure, ShardSpec};
 use crate::store::{Assignment, DualTableStore};
-use crate::union_read::{for_each_row, UnionReadOptions};
-
-/// A transaction's buffered effect on one committed record.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct RowPatch {
-    /// Row deleted by this transaction (wins over updates).
-    pub(crate) deleted: bool,
-    /// Column ordinal → new value.
-    pub(crate) updates: BTreeMap<usize, Value>,
-}
+use crate::union_read::{for_each_row, BatchFn, PatchSet, UnionReadOptions, NO_PATCHES};
 
 /// A pinned read snapshot: scans see exactly the table as of the pin's
 /// `(generation, timestamp)`, regardless of what commits afterwards — and
@@ -75,6 +66,21 @@ impl Snapshot {
         &self.store
     }
 
+    /// UNION READ at the pin under the pin holder's own uncommitted
+    /// `ours`. Takes the ops lock in read mode like any scan — pinned
+    /// readers don't block EDIT writers, only rewrites' commit step.
+    fn scan_under(
+        &self,
+        opts: &UnionReadOptions,
+        ours: &PatchSet,
+        f: &mut BatchFn<'_>,
+    ) -> Result<ControlFlow<()>> {
+        let mut opts = opts.clone();
+        opts.snapshot_ts = self.ts;
+        let _guard = self.store.inner.ops.read();
+        self.store.for_each_at(self.gen, &opts, ours, f)
+    }
+
     /// UNION READ at the pin, as merged column batches (see
     /// [`DualTableStore::for_each_batch`]). `opts.snapshot_ts` is
     /// overridden by the pin's timestamp — a snapshot has exactly one
@@ -84,9 +90,7 @@ impl Snapshot {
         opts: &UnionReadOptions,
         mut f: impl FnMut(u32, ColumnBatch) -> Result<ControlFlow<()>>,
     ) -> Result<()> {
-        let mut opts = opts.clone();
-        opts.snapshot_ts = self.ts;
-        self.store.pinned_for_each(self.gen, &opts, &mut f)
+        self.scan_under(opts, &NO_PATCHES, &mut f).map(|_| ())
     }
 
     /// [`Snapshot::for_each_batch`] unpacked into `(record id, row)` pairs.
@@ -131,231 +135,216 @@ impl Drop for Snapshot {
     }
 }
 
-/// A snapshot-isolation transaction over one DualTable.
+/// A snapshot-isolation transaction over one DualTable — over every shard
+/// of it, each with its own pinned snapshot, when the table is
+/// range-sharded.
 ///
-/// Reads see the pinned snapshot plus this transaction's own buffered
-/// writes (read-your-own-writes); nothing is visible to other sessions
-/// until [`Transaction::commit`], which applies every buffered effect in
-/// one atomic attached-tier batch — after re-validating, under the
-/// table's commit lock, that no other transaction committed a write to
-/// the same record ids (and no OVERWRITE/COMPACT swung the generation)
-/// since this transaction began. The first committer wins; losers get a
-/// retryable [`Error::Conflict`] and nothing is applied.
+/// Reads are UNION READ at the pin with this transaction's own buffered
+/// writes as a second patch source (read-your-own-writes); nothing is
+/// visible to other sessions until commit, which applies a store's
+/// buffered effect in one atomic attached-tier batch — after
+/// re-validating, under the table's commit lock, that no other
+/// transaction committed a write to the same record ids (and no
+/// OVERWRITE/COMPACT swung the generation) since this transaction began.
+/// The first committer wins; losers get a retryable
+/// [`dt_common::Error::Conflict`] and nothing is applied. Stores commit
+/// one by one in shard order (see [`Transaction::commit_parts`]).
 pub struct Transaction {
-    snapshot: Snapshot,
-    overlay: BTreeMap<RecordId, RowPatch>,
-    pending: Vec<Row>,
+    /// One pinned snapshot per store, in shard order, each with the
+    /// transaction's buffered effect on that store.
+    parts: Vec<(Snapshot, PatchSet)>,
+    /// How rows and statements route to `parts`; `None` = one store.
+    spec: Option<ShardSpec>,
 }
 
 impl Transaction {
-    pub(crate) fn new(snapshot: Snapshot) -> Self {
+    pub(crate) fn new(snapshots: Vec<Snapshot>, spec: Option<ShardSpec>) -> Self {
+        let parts = snapshots.into_iter().map(|s| (s, PatchSet::default()));
         Transaction {
-            snapshot,
-            overlay: BTreeMap::new(),
-            pending: Vec::new(),
+            parts: parts.collect(),
+            spec,
         }
     }
 
-    /// The pinned generation this transaction reads.
+    /// The pinned generation this transaction reads (of its first store).
     pub fn generation(&self) -> u64 {
-        self.snapshot.generation()
+        self.parts[0].0.generation()
     }
 
-    /// The pinned snapshot timestamp.
+    /// The pinned snapshot timestamp (of its first store).
     pub fn snapshot_ts(&self) -> u64 {
-        self.snapshot.ts()
-    }
-
-    /// Committed record ids this transaction has written (its write set —
-    /// the first-committer-wins conflict footprint). Buffered inserts are
-    /// not in it: fresh rows can never collide with anyone.
-    pub fn write_set(&self) -> Vec<RecordId> {
-        self.overlay.keys().copied().collect()
+        self.parts[0].0.ts()
     }
 
     /// `true` iff committing would write nothing.
     pub fn is_read_only(&self) -> bool {
-        self.overlay.is_empty() && self.pending.is_empty()
+        self.parts.iter().all(|(_, ours)| ours.is_empty())
     }
 
-    fn schema_check(&self, col: usize, value: &Value) -> Result<()> {
-        let schema = self.snapshot.store().schema();
-        if !value.conforms_to(schema.field(col).data_type) {
-            return Err(Error::schema(format!(
-                "value {value:?} does not fit column '{}'",
-                schema.field(col).name
-            )));
-        }
-        Ok(())
-    }
-
-    /// Streams the committed snapshot with this transaction's overlay
-    /// applied: deleted rows dropped, updated columns replaced.
-    fn for_each_visible(
-        &self,
-        mut f: impl FnMut(RecordId, Row) -> Result<ControlFlow<()>>,
-    ) -> Result<()> {
-        self.snapshot
-            .for_each(&UnionReadOptions::all(), |id, mut row| {
-                if let Some(patch) = self.overlay.get(&id) {
-                    if patch.deleted {
-                        return Ok(ControlFlow::Continue(()));
-                    }
-                    for (&col, value) in &patch.updates {
-                        row[col] = value.clone();
-                    }
-                }
-                f(id, row)
-            })
+    /// `true` iff the table is range-sharded (its commit failures name a
+    /// shard).
+    pub fn is_sharded(&self) -> bool {
+        self.spec.is_some()
     }
 
     /// Buffers `UPDATE ... SET ... WHERE predicate`. Sees (and may touch)
-    /// this transaction's earlier writes and buffered inserts. Returns the
+    /// this transaction's earlier writes and buffered inserts. `scan` says
+    /// what the statement reads (see [`DualTableStore::update_keyed`]; on
+    /// a sharded table its predicates also prune shards). Returns the
     /// matched row count.
     pub fn update(
         &mut self,
         predicate: impl Fn(&Row) -> bool,
         assignments: &[Assignment<'_>],
+        scan: &UnionReadOptions,
     ) -> Result<u64> {
-        let schema_len = self.snapshot.store().schema().len();
-        for (col, _) in assignments {
-            if *col >= schema_len {
-                return Err(Error::schema(format!("assignment to unknown column {col}")));
-            }
-        }
-        let mut matched = 0u64;
-        let mut patches: Vec<(RecordId, Vec<(usize, Value)>)> = Vec::new();
-        self.for_each_visible(|id, row| {
-            if predicate(&row) {
-                matched += 1;
-                let values: Vec<(usize, Value)> =
-                    assignments.iter().map(|(col, f)| (*col, f(&row))).collect();
-                patches.push((id, values));
-            }
-            Ok(ControlFlow::Continue(()))
-        })?;
-        let mut pending_patches: Vec<(usize, Vec<(usize, Value)>)> = Vec::new();
-        for (i, row) in self.pending.iter().enumerate() {
-            if predicate(row) {
-                matched += 1;
-                let values: Vec<(usize, Value)> =
-                    assignments.iter().map(|(col, f)| (*col, f(row))).collect();
-                pending_patches.push((i, values));
-            }
-        }
-        // Validate every new value — committed-row patches and buffered
-        // inserts alike — before mutating any transaction state: a failed
-        // UPDATE statement must leave the buffer untouched, or a later
-        // COMMIT would persist the partial statement.
-        for values in patches
-            .iter()
-            .map(|(_, v)| v)
-            .chain(pending_patches.iter().map(|(_, v)| v))
-        {
-            for (col, value) in values {
-                self.schema_check(*col, value)?;
-            }
-        }
-        for (id, values) in patches {
-            let patch = self.overlay.entry(id).or_default();
-            for (col, value) in values {
-                patch.updates.insert(col, value);
-            }
-        }
-        for (i, values) in pending_patches {
-            for (col, value) in values {
-                self.pending[i][col] = value;
-            }
-        }
-        Ok(matched)
+        self.parts[0].0.store().check_targets(assignments)?;
+        self.edit(&predicate, Some(assignments), scan)
     }
 
-    /// Buffers `DELETE FROM ... WHERE predicate`. Returns the matched row
-    /// count.
-    pub fn delete(&mut self, predicate: impl Fn(&Row) -> bool) -> Result<u64> {
-        let mut matched = 0u64;
-        let mut hits: Vec<RecordId> = Vec::new();
-        self.for_each_visible(|id, row| {
-            if predicate(&row) {
-                matched += 1;
-                hits.push(id);
-            }
-            Ok(ControlFlow::Continue(()))
-        })?;
-        for id in hits {
-            let patch = self.overlay.entry(id).or_default();
-            patch.deleted = true;
-            patch.updates.clear();
+    /// Buffers `DELETE FROM ... WHERE predicate` (`scan`: see
+    /// [`Transaction::update`]). Returns the matched row count.
+    pub fn delete(
+        &mut self,
+        predicate: impl Fn(&Row) -> bool,
+        scan: &UnionReadOptions,
+    ) -> Result<u64> {
+        self.edit(&predicate, None, scan)
+    }
+
+    /// One buffered UPDATE (`assignments` given) or DELETE: on every store
+    /// the statement can touch, the rows it matches — found by the store's
+    /// one locate-scan, at the pin, under what is buffered so far — become
+    /// patches. The whole statement is located, every new value checked,
+    /// before any of it is buffered: a failed statement must leave the
+    /// buffer untouched, or a later COMMIT would persist half of it.
+    fn edit(
+        &mut self,
+        predicate: &dyn Fn(&Row) -> bool,
+        assignments: Option<&[Assignment<'_>]>,
+        scan: &UnionReadOptions,
+    ) -> Result<u64> {
+        let targets = match &self.spec {
+            Some(spec) => spec.dml_shards(assignments, scan.predicates.as_deref())?,
+            None => vec![0],
+        };
+        let mut statement = Vec::with_capacity(targets.len());
+        for i in targets {
+            let (snapshot, ours) = &self.parts[i];
+            let mut at_pin = scan.clone();
+            at_pin.snapshot_ts = snapshot.ts();
+            let store = snapshot.store();
+            let _guard = store.inner.ops.read();
+            let gen = snapshot.generation();
+            let (patches, _) = store.locate_patches(gen, &at_pin, ours, predicate, assignments)?;
+            statement.push((i, patches));
         }
-        let before = self.pending.len();
-        self.pending.retain(|row| !predicate(row));
-        matched += (before - self.pending.len()) as u64;
-        Ok(matched)
+        let matched = statement
+            .iter()
+            .map(|(_, patches)| patches.len())
+            .sum::<usize>();
+        for (i, patches) in statement {
+            self.parts[i].1.absorb(patches);
+        }
+        Ok(matched as u64)
     }
 
     /// Buffers an insert. The rows become master files only at commit,
-    /// under a durable undo intent (crash-atomic with the rest of the
-    /// transaction).
+    /// under a durable undo intent (crash-atomic with the rest of their
+    /// store's commit).
     pub fn insert(&mut self, rows: Vec<Row>) -> Result<u64> {
-        let schema = self.snapshot.store().schema();
-        for row in &rows {
-            if row.len() != schema.len() {
-                return Err(Error::schema(format!(
-                    "row arity {} does not match schema arity {}",
-                    row.len(),
-                    schema.len()
-                )));
-            }
-            for (col, value) in row.iter().enumerate() {
-                self.schema_check(col, value)?;
-            }
-        }
+        let schema = self.parts[0].0.store().schema();
+        rows.iter().try_for_each(|row| schema.check_row(row))?;
         let n = rows.len() as u64;
-        self.pending.extend(rows);
+        // Every row routes before any is buffered.
+        let buckets = match &self.spec {
+            Some(spec) => spec.partition(rows)?,
+            None => vec![rows],
+        };
+        for ((_, ours), bucket) in self.parts.iter_mut().zip(buckets) {
+            ours.inserts.extend(bucket);
+        }
         Ok(n)
     }
 
-    /// Snapshot + overlay scan of committed rows, in record-id order.
-    /// Buffered inserts are not included (they have no record ids yet);
-    /// use [`Transaction::rows`] for the full read-your-own-writes view.
-    pub fn scan(&self) -> Result<Vec<(RecordId, Row)>> {
-        let mut out = Vec::new();
-        self.for_each_visible(|id, row| {
-            out.push((id, row));
-            Ok(ControlFlow::Continue(()))
-        })?;
-        Ok(out)
-    }
-
-    /// The full read-your-own-writes view: committed rows (with overlay)
-    /// followed by this transaction's buffered inserts, optionally
-    /// projected.
-    pub fn rows(&self, projection: Option<&[usize]>) -> Result<Vec<Row>> {
-        let mut out = Vec::new();
-        self.for_each_visible(|_, row| {
-            out.push(row);
-            Ok(ControlFlow::Continue(()))
-        })?;
-        out.extend(self.pending.iter().cloned());
-        if let Some(projection) = projection {
-            for row in &mut out {
-                *row = projection.iter().map(|&c| row[c].clone()).collect();
+    /// The read-your-own-writes scan: UNION READ at the pin with this
+    /// transaction's patches as second patch source (see
+    /// [`DualTableStore::for_each_batch`]; `opts.snapshot_ts` is
+    /// overridden by the pin's), store by store in shard order — a sharded
+    /// table's `opts.predicates` prune whole shards first — each store's
+    /// buffered inserts following its files as one trailing batch under
+    /// file ID 0, which no master file has.
+    pub fn for_each_batch(
+        &self,
+        opts: &UnionReadOptions,
+        mut f: impl FnMut(u32, ColumnBatch) -> Result<ControlFlow<()>>,
+    ) -> Result<()> {
+        let shards = match (&self.spec, &opts.predicates) {
+            (Some(spec), Some(p)) => spec.shards_matching(p),
+            _ => (0..self.parts.len()).collect(),
+        };
+        for (snapshot, ours) in shards.into_iter().map(|i| &self.parts[i]) {
+            if snapshot.scan_under(opts, ours, &mut f)?.is_break() {
+                break;
             }
         }
-        Ok(out)
+        Ok(())
     }
 
-    /// Commits every buffered effect atomically. Returns the commit
-    /// timestamp. On a first-committer-wins loss, returns
-    /// [`Error::Conflict`] and applies nothing — re-begin and retry.
+    /// Commits every buffered effect. Returns the commit timestamp (of
+    /// the last store written). On a first-committer-wins loss, returns
+    /// [`dt_common::Error::Conflict`] — re-begin and retry. Atomic per
+    /// store: what a sharded table had already committed when one of its
+    /// shards failed is reported by [`Transaction::commit_parts`] only.
     pub fn commit(self) -> Result<u64> {
-        self.snapshot.store().commit_transaction(
-            self.snapshot.generation(),
-            self.snapshot.ts(),
-            &self.overlay,
-            self.pending,
-        )
-        // `self.snapshot` drops here: pin released, GC swept.
+        self.commit_parts().map_err(|f| f.error)
+    }
+
+    /// Commits store by store in shard order (read-only stores just
+    /// release their pins). Each store's commit is its own
+    /// first-committer-wins check and atomic durable publish
+    /// ([`DualTableStore`]'s one EDIT commit); once store `i` commits
+    /// there is no undo, so a failure at store `j` reports the exact
+    /// durable prefix `[..j)` — the same contract the multi-table session
+    /// commit gives across tables. Returns the last commit timestamp.
+    pub fn commit_parts(self) -> std::result::Result<u64, Box<ShardCommitFailure>> {
+        let health = self.parts[0].0.store().env().shard_health.clone();
+        let mut committed: Vec<String> = Vec::new();
+        let mut last = self.snapshot_ts();
+        for (snapshot, ours) in self.parts {
+            if ours.is_empty() {
+                continue;
+            }
+            let store = snapshot.store();
+            let pin = (snapshot.generation(), snapshot.ts());
+            let result = {
+                let _guard = store.inner.ops.read();
+                store.commit_patches(Some(pin), ours)
+            };
+            // `snapshot` drops at the end of each turn: pin released, GC
+            // swept.
+            let name = store.name().to_string();
+            match result {
+                Ok(ts) => {
+                    last = ts;
+                    committed.push(name);
+                }
+                Err(error) => {
+                    if !committed.is_empty() {
+                        health.record_cross_shard_partial_commit();
+                    }
+                    return Err(Box::new(ShardCommitFailure {
+                        committed,
+                        failed: name,
+                        error,
+                    }));
+                }
+            }
+        }
+        if committed.len() >= 2 {
+            health.record_cross_shard_commit();
+        }
+        Ok(last)
     }
 
     /// Discards every buffered effect. (Dropping the transaction does the

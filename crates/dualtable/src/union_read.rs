@@ -6,6 +6,7 @@
 //! single forward pass suffices — "it only needs to read through and merge
 //! two sorted ID lists" (§V-B).
 
+use std::borrow::Cow;
 use std::ops::ControlFlow;
 
 use dt_common::{Error, RecordId, Result, Row};
@@ -50,27 +51,96 @@ impl UnionReadOptions {
     }
 }
 
+/// The one in-memory form of an EDIT — what an autocommit statement
+/// commits at once, what a transaction buffers until COMMIT, and, for the
+/// transaction's own reads, the second patch source of UNION READ next to
+/// the attached range.
+#[derive(Debug, Default)]
+pub(crate) struct PatchSet {
+    /// Patches of committed records, ascending by record ID.
+    pub(crate) rows: Vec<AttachedEntry>,
+    /// Inserted rows: master files only at commit, one trailing batch of
+    /// [`INSERTS_FILE_ID`] to its owner's scans until then.
+    pub(crate) inserts: Vec<Row>,
+}
+
+/// The file ID a patch set's buffered inserts are scanned under (row
+/// number = position): no master file has it, real IDs start at 1.
+pub(crate) const INSERTS_FILE_ID: u32 = 0;
+
+/// The patch set of every reader but an open transaction.
+pub(crate) static NO_PATCHES: PatchSet = PatchSet {
+    rows: Vec::new(),
+    inserts: Vec::new(),
+};
+
+impl PatchSet {
+    /// `true` iff committing would write nothing.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.rows.is_empty() && self.inserts.is_empty()
+    }
+
+    /// Folds one statement's patches in, as the locate-scan found them
+    /// under this set: ascending, those of buffered inserts last. A record
+    /// both hold keeps its earlier updates under the later ones, a delete
+    /// wins over everything before it, and a buffered insert changes (or
+    /// goes) in place.
+    pub(crate) fn absorb(&mut self, mut statement: Vec<AttachedEntry>) {
+        let ours = statement.partition_point(|p| p.record.file_id != INSERTS_FILE_ID);
+        // A deleted insert is emptied, then swept: a table has at least
+        // one column, so no live row is empty.
+        for patch in statement.split_off(ours) {
+            let row = &mut self.inserts[patch.record.row as usize];
+            if patch.deleted {
+                row.clear();
+            }
+            for (col, value) in patch.updates {
+                row[col] = value;
+            }
+        }
+        self.inserts.retain(|row| !row.is_empty());
+        self.rows.extend(statement);
+        // Stable, and linear on two ascending runs: equal records stay in
+        // statement order.
+        self.rows.sort_by_key(|p| p.record);
+        self.rows.dedup_by(|later, earlier| {
+            let same = later.record == earlier.record;
+            if same && later.deleted {
+                std::mem::swap(later, earlier);
+            } else if same {
+                let kept = |(col, _): &(usize, _)| later.updates.iter().all(|(c, _)| c != col);
+                earlier.updates.retain(kept);
+                earlier.updates.append(&mut later.updates);
+            }
+            same
+        });
+    }
+}
+
 /// What a UNION READ hands its consumer: a master file's ID and one of its
 /// stripes as a merged [`ColumnBatch`]. `Break` stops the scan.
 pub(crate) type BatchFn<'a> = dyn FnMut(u32, ColumnBatch) -> Result<ControlFlow<()>> + 'a;
 
-/// Merges one master file with its attached entries, batch in, batch out:
+/// Merges one master file with its two patch sources, batch in, batch out:
 /// each surviving stripe gets its update overlays patched in by row number
 /// and its delete markers applied as the batch's selection vector, then
 /// goes to `f`. Returns `Break` if the callback stopped the scan.
 ///
 /// `attached` must be a scan over exactly this file's record-ID range, or
-/// `None` when the presence index proved the file clean — batches then
-/// pass through untouched, with no KV work at all. `projection` lists the
-/// decoded column ordinals (absolute); overlays on other columns are
-/// dropped. `predicates` only skip stripes; entries for rows in a skipped
-/// stripe are discarded.
+/// `None` when the presence index proved the file clean; `patches` are a
+/// statement's or transaction's own uncommitted entries for this file,
+/// ascending, applied on top. With neither, batches pass through
+/// untouched, with no KV work at all. `projection` lists the decoded
+/// column ordinals (absolute); overlays on other columns are dropped.
+/// `predicates` only skip stripes; entries for rows in a skipped stripe
+/// are discarded.
 pub(crate) fn merge_file(
     file_id: u32,
     reader: &OrcReader,
     projection: &[usize],
     predicates: Option<&[ColumnPredicate]>,
     attached: Option<ScanIter>,
+    mut patches: &[AttachedEntry],
     f: &mut BatchFn<'_>,
 ) -> Result<ControlFlow<()>> {
     let mut attached = attached.map(Iterator::peekable);
@@ -87,7 +157,22 @@ pub(crate) fn merge_file(
             return Err(Error::corrupt("row number exceeds record-ID range"));
         }
         let mut deleted = Vec::new();
-        // Both inputs ascend by record ID: consume the entries up to this
+        let mut apply = |entry: Cow<'_, AttachedEntry>| -> Result<()> {
+            let Some(i) = u64::from(entry.record.row).checked_sub(start) else {
+                return Ok(()); // a row some skipped stripe holds
+            };
+            if entry.deleted {
+                deleted.push(i as u32);
+                return Ok(());
+            }
+            for (column, value) in entry.into_owned().updates {
+                if let Some(pos) = pos_of.get(column).copied().flatten() {
+                    batch.column_mut(pos).set(i as usize, value)?;
+                }
+            }
+            Ok(())
+        };
+        // Every input ascends by record ID: consume the entries up to this
         // batch's last row, then leave the rest for the next batch.
         while let Some(kv_row) = attached.as_mut().and_then(|a| {
             a.next_if(|kv| {
@@ -95,21 +180,17 @@ pub(crate) fn merge_file(
                 row.is_none_or(|r| u64::from(r.row) < end)
             })
         }) {
-            let entry = AttachedEntry::from_row(&kv_row?)?;
-            let Some(i) = u64::from(entry.record.row).checked_sub(start) else {
-                continue; // a row some skipped stripe holds
-            };
-            if entry.deleted {
-                deleted.push(i as u32);
-                continue;
-            }
-            for (column, value) in entry.updates {
-                if let Some(pos) = pos_of.get(column).copied().flatten() {
-                    batch.column_mut(pos).set(i as usize, value)?;
-                }
-            }
+            apply(Cow::Owned(AttachedEntry::from_row(&kv_row?)?))?;
         }
+        let ours = patches.partition_point(|p| u64::from(p.record.row) < end);
+        for patch in &patches[..ours] {
+            apply(Cow::Borrowed(patch))?;
+        }
+        patches = &patches[ours..];
         if !deleted.is_empty() {
+            // Each source ascends; together they need not.
+            deleted.sort_unstable();
+            deleted.dedup();
             let mut deleted = deleted.into_iter().peekable();
             batch.select(
                 (0..batch.rows() as u32)

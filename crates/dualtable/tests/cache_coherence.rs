@@ -288,74 +288,6 @@ fn footer_parsed_once_per_file_per_process() {
 }
 
 // ----------------------------------------------------------------------
-// Satellite 2: parallel scan shares plan state and preserves ordering.
-// ----------------------------------------------------------------------
-
-/// Differential test: with the presence index active, per-file push-down
-/// applied, and updates confined to some files, the parallel scan must
-/// produce exactly the sequential scan's rows in exactly its order.
-#[test]
-fn parallel_scan_matches_sequential_under_pushdown() {
-    let env = env_with(true);
-    let t = create(&env, true);
-    t.insert_rows((0..160).map(row)).unwrap();
-    // Dirty two of the five files, one on each column.
-    t.update(
-        |r| (40..44).contains(&r[0].as_i64().unwrap()),
-        &[(
-            0,
-            Box::new(|r: &Row| Value::Int64(r[0].as_i64().unwrap() + 500)),
-        )],
-        RatioHint::Explicit(0.025),
-    )
-    .unwrap();
-    t.update(
-        |r| (100..104).contains(&r[0].as_i64().unwrap()),
-        &[(1, Box::new(|_| Value::Int64(-1)))],
-        RatioHint::Explicit(0.025),
-    )
-    .unwrap();
-    t.delete(|r| r[0].as_i64().unwrap() == 70, RatioHint::Explicit(0.01))
-        .unwrap();
-
-    let job = dt_engine::JobConfig {
-        max_mappers: 4,
-        num_reducers: 2,
-    };
-    for predicates in [
-        None,
-        Some(vec![ColumnPredicate {
-            column: 0,
-            op: PredicateOp::Lt,
-            literal: Value::Int64(48),
-        }]),
-        Some(vec![
-            ColumnPredicate {
-                column: 0,
-                op: PredicateOp::Ge,
-                literal: Value::Int64(16),
-            },
-            ColumnPredicate {
-                column: 1,
-                op: PredicateOp::Le,
-                literal: Value::Int64(1200),
-            },
-        ]),
-    ] {
-        let mut opts = UnionReadOptions::all();
-        opts.predicates = predicates;
-        let sequential = t.scan(&opts).unwrap();
-        let parallel = t.scan_parallel(&opts, &job).unwrap();
-        assert_eq!(sequential, parallel, "order and content must match");
-
-        let opts = opts.clone().with_projection(vec![1]);
-        let sequential = t.scan(&opts).unwrap();
-        let parallel = t.scan_parallel(&opts, &job).unwrap();
-        assert_eq!(sequential, parallel, "projected order must match too");
-    }
-}
-
-// ----------------------------------------------------------------------
 // Attached-scan skipping: clean files bypass the KV tier entirely.
 // ----------------------------------------------------------------------
 
@@ -538,8 +470,7 @@ fn delta_cfg(delta_bytes: usize) -> DualTableConfig {
 }
 
 /// Runs the same EDIT-heavy workload on a delta-on and a delta-off stack,
-/// comparing sequential, parallel, predicated and projected scans after
-/// every round. `budget` small enough forces mid-workload spills, so the
+/// comparing plain, predicated and projected scans after every round. `budget` small enough forces mid-workload spills, so the
 /// comparison covers entries in the shadow runs *and* entries migrated
 /// into the LSM.
 fn assert_delta_coherent(budget: usize) {
@@ -550,10 +481,6 @@ fn assert_delta_coherent(budget: usize) {
     for t in [&on, &off] {
         t.insert_rows((0..160).map(row)).unwrap();
     }
-    let job = dt_engine::JobConfig {
-        max_mappers: 4,
-        num_reducers: 2,
-    };
     for round in 0..4i64 {
         for t in [&on, &off] {
             t.update(
@@ -582,18 +509,13 @@ fn assert_delta_coherent(budget: usize) {
             assert_eq!(
                 on.scan(&o).unwrap(),
                 expected,
-                "delta-on sequential scan diverged in round {round}"
-            );
-            assert_eq!(
-                on.scan_parallel(&o, &job).unwrap(),
-                expected,
-                "delta-on parallel scan diverged in round {round}"
+                "delta-on scan diverged in round {round}"
             );
             let p = o.clone().with_projection(vec![1]);
             assert_eq!(
-                on.scan_parallel(&p, &job).unwrap(),
+                on.scan(&p).unwrap(),
                 off.scan(&p).unwrap(),
-                "projected delta-on parallel scan diverged in round {round}"
+                "projected delta-on scan diverged in round {round}"
             );
         }
         assert_eq!(on.count().unwrap(), off.count().unwrap());

@@ -29,7 +29,7 @@ use std::time::Duration;
 
 use dt_common::seed_report::{seed_from_env, with_seed_repro};
 use dt_common::{DataType, FaultKind, FaultPlan, Row, Schema, Value};
-use dualtable::{DualTableConfig, DualTableEnv, DualTableStore, PlanMode};
+use dualtable::{DualTableConfig, DualTableEnv, DualTableStore, PlanMode, UnionReadOptions};
 
 const WRITERS: i64 = 3;
 const ROUNDS: usize = 20;
@@ -104,6 +104,7 @@ fn run_writer(table: &DualTableStore, w: i64, conflicts: &AtomicU64) -> (u64, Ve
                     1,
                     Box::new(|row: &Row| Value::Int64(row[1].as_i64().unwrap() + 1)),
                 )],
+                &UnionReadOptions::all(),
             );
             if update.is_err() {
                 continue; // nothing committed: retry the round

@@ -33,7 +33,7 @@ use dt_dfs::DfsConfig;
 use dt_kvstore::KvConfig;
 use dualtable::{
     DualTableConfig, DualTableEnv, DualTableStore, PlanMode, RatioHint, RewriteJob, Snapshot,
-    Transaction,
+    Transaction, UnionReadOptions,
 };
 
 const TABLE: &str = "crash";
@@ -869,6 +869,7 @@ fn apply_tstep(table: &DualTableStore, ctx: &mut TxnCtx, step: TStep) -> Result<
             .update(
                 |row| row[0].as_i64().unwrap() % 3 == 1,
                 &[(1, Box::new(|_: &Row| Value::Int64(-5)))],
+                &UnionReadOptions::all(),
             )
             .map(|_| ())
             .map_err(io),
@@ -909,6 +910,7 @@ fn apply_tstep(table: &DualTableStore, ctx: &mut TxnCtx, step: TStep) -> Result<
                     1,
                     Box::new(|row: &Row| Value::Int64(row[1].as_i64().unwrap() + 7)),
                 )],
+                &UnionReadOptions::all(),
             )
             .map(|_| ())
             .map_err(io),
@@ -1111,4 +1113,80 @@ fn crash_matrix_interleaved_transactions() {
         report.crashes_injected,
         report.points
     );
+}
+
+// ---------------------------------------------------------------------------
+// Statement atomicity of a large autocommit EDIT.
+//
+// An EDIT-plan statement commits its whole patch set in one attached
+// batch, however many cells that is. (It used to flush every 4096 cells,
+// and a crash between two flushes left a durable prefix of the statement.)
+// ---------------------------------------------------------------------------
+
+/// An autocommit EDIT-plan UPDATE of more than 4096 cells, crashed at
+/// every one of its I/O operations, recovers to all of the statement or
+/// none of it.
+#[test]
+fn large_autocommit_edit_is_all_or_nothing() {
+    const ROWS: i64 = 4500;
+    let cfg = || DualTableConfig {
+        rows_per_file: 1500,
+        plan_mode: PlanMode::AlwaysEdit,
+        ..DualTableConfig::default()
+    };
+    let setup = |plan: &Arc<FaultPlan>| {
+        plan.set_armed(false);
+        let env = DualTableEnv::in_memory_faulty_with(plan.clone(), DfsConfig::default(), kv_cfg())
+            .expect("clean setup");
+        let table = DualTableStore::create(&env, TABLE, schema(), cfg()).expect("clean create");
+        let rows = (0..ROWS).map(|id| vec![Value::Int64(id), Value::Int64(0)]);
+        table.insert_rows(rows).expect("clean load");
+        (env, table)
+    };
+    let update = |table: &DualTableStore| {
+        table.update(
+            |_| true,
+            &[(1, Box::new(|_: &Row| Value::Int64(1)))],
+            RatioHint::Explicit(0.01),
+        )
+    };
+
+    let plan = Arc::new(FaultPlan::new(0xA70C));
+    let (_env, table) = setup(&plan);
+    plan.set_armed(true);
+    let before = plan.ops_seen();
+    let report = update(&table).expect("record run must not fault");
+    let total_ops = plan.ops_seen() - before;
+    assert_eq!(report.rows_matched, ROWS as u64);
+    assert!(total_ops > 0);
+
+    let points: Vec<u64> = (1..=total_ops).collect();
+    let report = run_crash_matrix(&points, |k| {
+        let plan = Arc::new(FaultPlan::new(0xA70C ^ k).fail_at(k, FaultKind::Crash));
+        let (env, table) = setup(&plan);
+        plan.set_armed(true);
+        let acked = update(&table).is_ok();
+        if !plan.is_crashed() {
+            return Ok(false);
+        }
+        plan.heal_and_disarm();
+        env.crash_and_reopen()
+            .map_err(|e| format!("recovery: {e}"))?;
+        let table = DualTableStore::open(&env, TABLE, schema(), cfg())
+            .map_err(|e| format!("reopen: {e}"))?;
+        let got = scan_sorted(&table)?;
+        let updated = got.iter().filter(|&&(_, v)| v == 1).count();
+        if got.len() != ROWS as usize || (updated != 0 && updated != got.len()) {
+            return Err(format!(
+                "{updated} of {} rows updated: a prefix of the statement survived",
+                got.len()
+            ));
+        }
+        if acked && updated == 0 {
+            return Err("acknowledged statement lost".into());
+        }
+        Ok(true)
+    });
+    assert!(report.ok(), "{:#?}", report.violations);
+    assert!(report.crashes_injected > 0, "no crash point fired");
 }

@@ -13,7 +13,7 @@ use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use dt_common::{DataType, Row, Schema, Value};
-use dualtable::{DualTableConfig, DualTableEnv, DualTableStore, PlanMode};
+use dualtable::{DualTableConfig, DualTableEnv, DualTableStore, PlanMode, UnionReadOptions};
 
 fn schema() -> Schema {
     Schema::from_pairs(&[("id", DataType::Int64), ("v", DataType::Int64)])
@@ -53,6 +53,7 @@ fn panicking_session_releases_its_pins() {
         txn.update(
             |r| r[0].as_i64().unwrap() % 2 == 0,
             &[(1, Box::new(|_: &Row| Value::Int64(7)))],
+            &UnionReadOptions::all(),
         )
         .unwrap();
         assert_eq!(table.pinned_snapshots(), 1);

@@ -26,8 +26,19 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use dt_common::{seed_from_env, with_seed_repro, DataType, Rng64, Schema, Value};
 use dualtable::{
     DualTableConfig, DualTableEnv, DualTableStore, PlanMode, RatioHint, RewriteJob, Snapshot,
-    Transaction,
+    Transaction, UnionReadOptions,
 };
+
+/// The transaction's read-your-own-writes view, unpacked from its batch
+/// scan.
+fn txn_rows(txn: &Transaction) -> dt_common::Result<Vec<Vec<Value>>> {
+    let mut rows = Vec::new();
+    txn.for_each_batch(&UnionReadOptions::all(), |_, batch| {
+        rows.extend(batch.selected_rows());
+        Ok(std::ops::ControlFlow::Continue(()))
+    })?;
+    Ok(rows)
+}
 
 fn schema() -> Schema {
     Schema::from_pairs(&[("id", DataType::Int64), ("v", DataType::Int64)])
@@ -236,9 +247,7 @@ impl Harness {
             3 => self.txn_insert(&mut state),
             4 => {
                 // Read-your-own-writes check.
-                let got: BTreeMap<i64, i64> = state
-                    .txn
-                    .rows(None)
+                let got: BTreeMap<i64, i64> = txn_rows(&state.txn)
                     .unwrap()
                     .into_iter()
                     .map(|r| (r[0].as_i64().unwrap(), r[1].as_i64().unwrap()))
@@ -277,12 +286,11 @@ impl Harness {
                     1,
                     Box::new(move |row: &Vec<Value>| Value::Int64(row[1].as_i64().unwrap() + d)),
                 )],
+                &UnionReadOptions::all(),
             )
             .unwrap();
         if matched != expect.len() as u64 {
-            let got: Vec<(i64, i64)> = state
-                .txn
-                .rows(None)
+            let got: Vec<(i64, i64)> = txn_rows(&state.txn)
                 .unwrap()
                 .into_iter()
                 .map(|r| (r[0].as_i64().unwrap(), r[1].as_i64().unwrap()))
@@ -324,7 +332,10 @@ impl Harness {
             .collect();
         let matched = state
             .txn
-            .delete(|row: &Vec<Value>| row[0].as_i64().unwrap().rem_euclid(m) == r)
+            .delete(
+                |row: &Vec<Value>| row[0].as_i64().unwrap().rem_euclid(m) == r,
+                &UnionReadOptions::all(),
+            )
             .unwrap();
         assert_eq!(matched, expect.len() as u64, "DELETE matched count");
         let own: BTreeSet<i64> = state.own_inserts.iter().map(|&(pk, _)| pk).collect();
@@ -821,13 +832,21 @@ fn first_committer_wins_directed() {
         vec![(1, Box::new(move |_: &Vec<Value>| Value::Int64(v)))]
     };
     assert_eq!(
-        a.update(|r| r[0].as_i64().unwrap() == 3, &set(111))
-            .unwrap(),
+        a.update(
+            |r| r[0].as_i64().unwrap() == 3,
+            &set(111),
+            &UnionReadOptions::all()
+        )
+        .unwrap(),
         1
     );
     assert_eq!(
-        b.update(|r| r[0].as_i64().unwrap() == 3, &set(222))
-            .unwrap(),
+        b.update(
+            |r| r[0].as_i64().unwrap() == 3,
+            &set(222),
+            &UnionReadOptions::all()
+        )
+        .unwrap(),
         1
     );
     a.commit().unwrap();
@@ -931,6 +950,7 @@ fn transaction_loses_to_swing() {
     txn.update(
         |r| r[0].as_i64().unwrap() == 2,
         &[(1, Box::new(|_: &Vec<Value>| Value::Int64(5)))],
+        &UnionReadOptions::all(),
     )
     .unwrap();
     let job = t.begin_compact().unwrap();
@@ -952,7 +972,8 @@ fn transactional_insert_atomic_visibility() {
         vec![Value::Int64(51), Value::Int64(2)],
     ])
     .unwrap();
-    txn.delete(|r| r[0].as_i64().unwrap() == 0).unwrap();
+    txn.delete(|r| r[0].as_i64().unwrap() == 0, &UnionReadOptions::all())
+        .unwrap();
     let other = t.begin_snapshot().unwrap();
     assert_eq!(other.count().unwrap(), 10, "buffered writes invisible");
     assert_eq!(t.count().unwrap(), 10);

@@ -13,7 +13,9 @@ use dt_common::fault::{FaultKind, FaultPlan};
 use dt_common::{DataType, Schema, Value};
 use dt_dfs::DfsConfig;
 use dt_kvstore::KvConfig;
-use dualtable::{DualTableConfig, DualTableEnv, DualTableStore, PlanMode, RatioHint};
+use dualtable::{
+    DualTableConfig, DualTableEnv, DualTableStore, PlanMode, RatioHint, UnionReadOptions,
+};
 
 fn schema() -> Schema {
     Schema::from_pairs(&[("id", DataType::Int64), ("v", DataType::Int64)])
@@ -355,6 +357,7 @@ fn transactional_increments_never_lose_updates() {
                                     Value::Int64(r[1].as_i64().unwrap() + 1)
                                 }),
                             )],
+                            &UnionReadOptions::all(),
                         )
                         .unwrap();
                         match txn.commit() {
@@ -440,6 +443,7 @@ fn disjoint_transactions_commit_without_conflict() {
                                     Value::Int64(r[1].as_i64().unwrap() + 1)
                                 }),
                             )],
+                            &UnionReadOptions::all(),
                         )
                         .unwrap();
                     assert_eq!(n, RANGE as u64);

@@ -12,15 +12,12 @@
 //! * a statement that returns `Err` committed nothing — the oracle is
 //!   left untouched and the store must still match it after recovery.
 //!
-//! Two statement-shape caveats keep that contract exact (both are
-//! documented limits of the engine, not of the test):
-//!
-//! * INSERT batches are capped at `rows_per_file` so each statement
-//!   writes exactly one master file (a multi-file insert commits file
-//!   by file and is not atomic as a whole);
-//! * EDIT-plan UPDATE/DELETE stay under the 4096-cell batch threshold
-//!   (here trivially: tables hold a few hundred rows), so the whole
-//!   statement is one WAL frame in the attached tier.
+//! One statement-shape caveat keeps that contract exact (a documented
+//! limit of the engine, not of the test): INSERT batches are capped at
+//! `rows_per_file` so each statement writes exactly one master file (a
+//! multi-file insert commits file by file and is not atomic as a
+//! whole). An EDIT-plan UPDATE/DELETE of any size is one WAL frame in
+//! the attached tier.
 //!
 //! Verification runs with the plan disarmed — the fault schedule
 //! targets the workload, not the checker — and the operation counter

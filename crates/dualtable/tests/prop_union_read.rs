@@ -227,7 +227,7 @@ mod differential {
     use dt_orcfile::{ColumnPredicate, PredicateOp, WriterOptions};
     use dualtable::{
         DualTableConfig, DualTableEnv, DualTableStore, PlanMode, RatioHint, ShardSpec,
-        ShardedTable, UnionReadOptions,
+        ShardedTable, Transaction, UnionReadOptions,
     };
     use proptest::prelude::*;
 
@@ -379,6 +379,31 @@ mod differential {
         opts
     }
 
+    /// One statement of a script that mixes inserts into the DML.
+    enum Script {
+        Insert(Vec<Row>),
+        Edit(Dml),
+    }
+
+    fn assignment(column: usize, value: &Value) -> dualtable::Assignment<'_> {
+        (column, Box::new(move |_: &Row| value.clone()))
+    }
+
+    /// A transaction's batch scan unpacked: `(record id, row)` per
+    /// surviving row, buffered inserts under file 0 by position.
+    fn scan_txn(txn: &Transaction, opts: &UnionReadOptions) -> Vec<(RecordId, Row)> {
+        let mut out = Vec::new();
+        txn.for_each_batch(opts, |file_id, batch| {
+            for i in batch.selected() {
+                let row_number = (batch.row_start() + i as u64) as u32;
+                out.push((RecordId::new(file_id, row_number), batch.row(i)));
+            }
+            Ok(std::ops::ControlFlow::Continue(()))
+        })
+        .unwrap();
+        out
+    }
+
     fn satisfies(row: &Row, p: &ColumnPredicate) -> bool {
         let v = &row[p.column];
         if v.is_null() {
@@ -483,12 +508,10 @@ mod differential {
             let mut by_key: Vec<Row> = all.iter().map(|(_, row)| row.clone()).collect();
             by_key.sort_by_key(|row| row[0].as_i64());
 
-            let job = dt_engine::JobConfig { max_mappers: 3, num_reducers: 1 };
             for _ in 0..6 {
                 let opts = scan_opts(rng, &schema);
                 let got = t.scan(&opts).unwrap();
                 check(&got, &all, &opts);
-                prop_assert_eq!(t.scan_parallel(&opts, &job).unwrap(), got);
 
                 // The same scan at the pin, through the pinned snapshot and
                 // as a time-travel read of the live table.
@@ -526,6 +549,164 @@ mod differential {
                 let expect: Vec<Row> = by_key.iter().map(|row| project(row, &opts)).collect();
                 prop_assert_eq!(projected, expect);
             }
+        }
+
+        /// One EDIT path: the same INSERT/UPDATE/DELETE script run under
+        /// autocommit, inside one transaction, and inside one transaction
+        /// over three shards ends in the same table — and after every
+        /// buffered statement the transaction's own batch scan, under a
+        /// random projection and stripe predicates, equals a plain-Rust
+        /// read-your-own-writes model (patched survivors, then the
+        /// buffered inserts).
+        #[test]
+        fn a_script_agrees_in_and_out_of_a_transaction(seed in any::<u64>()) {
+            let mut rng = Rng64::new(seed);
+            let rng = &mut rng;
+            let schema = schema(rng);
+            let config = DualTableConfig {
+                rows_per_file: rng.range_i64(4, 24) as usize,
+                plan_mode: PlanMode::AlwaysEdit,
+                writer: WriterOptions {
+                    stripe_rows: rng.range_i64(1, 8) as usize,
+                    ..WriterOptions::default()
+                },
+                ..DualTableConfig::default()
+            };
+            let base_len = rng.next_below(60) as usize;
+            let base = rows(rng, &schema, 0, base_len);
+            let mut next_key = 1000;
+            let script: Vec<Script> = (0..rng.next_below(8))
+                .map(|_| {
+                    if rng.chance(0.3) {
+                        let n = rng.next_below(10) as usize;
+                        next_key += n as i64;
+                        Script::Insert(rows(rng, &schema, next_key - n as i64, n))
+                    } else {
+                        Script::Edit(dml(rng, &schema))
+                    }
+                })
+                .collect();
+
+            let env = DualTableEnv::in_memory();
+            let create = |name| DualTableStore::create(&env, name, schema.clone(), config.clone());
+            let (auto, single) = (create("auto").unwrap(), create("single").unwrap());
+            let split = rng.range_i64(1, 50);
+            let spec = ShardSpec::new(0, vec![split, split + rng.range_i64(1, 20)]).unwrap();
+            let sharded =
+                ShardedTable::create(&env, "s", schema.clone(), config.clone(), spec.clone())
+                    .unwrap();
+            auto.insert_rows(base.clone()).unwrap();
+            single.insert_rows(base.clone()).unwrap();
+            sharded.insert_rows(base).unwrap();
+
+            // Autocommit: every statement its own commit.
+            for step in &script {
+                match step {
+                    Script::Insert(rows) => drop(auto.insert_rows(rows.clone()).unwrap()),
+                    Script::Edit(Dml::Update { d, r, column, value }) => {
+                        let assign = [assignment(*column, value)];
+                        let ratio = RatioHint::Explicit(0.1);
+                        auto.update(|row| hits(row, *d, *r), &assign, ratio).unwrap();
+                    }
+                    Script::Edit(Dml::Delete { d, r }) => {
+                        auto.delete(|row| hits(row, *d, *r), RatioHint::Explicit(0.1)).unwrap();
+                    }
+                }
+            }
+
+            // A clean table under a transaction still counts from its
+            // footers: no attached scan, no column decoded, no DFS read
+            // (the footers are cached by the scan above them).
+            let mut committed = single.scan_all().unwrap();
+            let mut txn = single.begin_transaction().unwrap();
+            let mut on_shards = sharded.begin_transaction().unwrap();
+            let skipped = env.health.snapshot().attached_scans_skipped;
+            let reads = env.dfs.stats().snapshot().read_ops;
+            let counted = scan_txn(&txn, &UnionReadOptions::all().with_projection(Vec::new()));
+            prop_assert_eq!(counted.len(), committed.len());
+            prop_assert_eq!(
+                env.health.snapshot().attached_scans_skipped - skipped,
+                single.master_file_ids().unwrap().len() as u64
+            );
+            prop_assert_eq!(env.dfs.stats().snapshot().read_ops, reads);
+
+            let mut pending: Vec<Row> = Vec::new();
+            for step in &script {
+                let all = UnionReadOptions::all();
+                match step {
+                    Script::Insert(rows) => {
+                        txn.insert(rows.clone()).unwrap();
+                        on_shards.insert(rows.clone()).unwrap();
+                        pending.extend(rows.iter().cloned());
+                    }
+                    Script::Edit(Dml::Update { d, r, column, value }) => {
+                        let assign = [assignment(*column, value)];
+                        let n = txn.update(|row| hits(row, *d, *r), &assign, &all).unwrap();
+                        let m = on_shards.update(|row| hits(row, *d, *r), &assign, &all).unwrap();
+                        let rows = committed.iter_mut().map(|(_, row)| row).chain(&mut pending);
+                        let hit: Vec<_> = rows.filter(|row| hits(row, *d, *r)).collect();
+                        prop_assert_eq!((n, m), (hit.len() as u64, hit.len() as u64));
+                        for row in hit {
+                            row[*column] = value.clone();
+                        }
+                    }
+                    Script::Edit(Dml::Delete { d, r }) => {
+                        let n = txn.delete(|row| hits(row, *d, *r), &all).unwrap();
+                        let m = on_shards.delete(|row| hits(row, *d, *r), &all).unwrap();
+                        let before = committed.len() + pending.len();
+                        committed.retain(|(_, row)| !hits(row, *d, *r));
+                        pending.retain(|row| !hits(row, *d, *r));
+                        let gone = (before - committed.len() - pending.len()) as u64;
+                        prop_assert_eq!((n, m), (gone, gone));
+                    }
+                }
+                // The model under the record IDs the transaction scans it
+                // by: survivors under their own, buffered inserts under
+                // file 0 by position.
+                let inserts = pending.iter().enumerate();
+                let inserts = inserts.map(|(i, row)| (RecordId::new(0, i as u32), row.clone()));
+                let model: Vec<_> = committed.iter().cloned().chain(inserts).collect();
+                let opts = scan_opts(rng, &schema);
+                check(&scan_txn(&txn, &opts), &model, &opts);
+
+                // Shard by shard, each one's survivors then its inserts;
+                // keys are unique, so rows compare by content.
+                let shard = |row: &Row| spec.shard_of(row[0].as_i64().unwrap());
+                let rows = model.iter().map(|(_, row)| row);
+                let by_shard: Vec<&Row> = (0..3)
+                    .flat_map(|s| rows.clone().filter(move |row| shard(row) == s))
+                    .collect();
+                let unprojected = UnionReadOptions { projection: None, ..opts.clone() };
+                let got = scan_txn(&on_shards, &unprojected);
+                let predicates = opts.predicates.as_deref().unwrap_or(&[]);
+                let mut got = got.iter().map(|(_, row)| row).peekable();
+                for full in &by_shard {
+                    if got.next_if_eq(full).is_none() {
+                        prop_assert!(
+                            !predicates.iter().all(|p| satisfies(full, p)),
+                            "sharded transaction lost {:?} under {:?}", full, opts
+                        );
+                    }
+                }
+                prop_assert!(got.next().is_none(), "sharded transaction invented a row");
+                let unpruned = UnionReadOptions { predicates: None, ..opts.clone() };
+                let got = scan_txn(&on_shards, &unpruned);
+                let got: Vec<&Row> = got.iter().map(|(_, row)| row).collect();
+                let expect: Vec<Row> = by_shard.iter().map(|row| project(row, &opts)).collect();
+                prop_assert_eq!(got, expect.iter().collect::<Vec<_>>());
+            }
+            txn.commit().unwrap();
+            on_shards.commit().unwrap();
+
+            let rows_of = |t: &DualTableStore| -> Vec<Row> {
+                t.scan_all().unwrap().into_iter().map(|(_, row)| row).collect()
+            };
+            let expect = rows_of(&auto);
+            prop_assert_eq!(rows_of(&single), expect.clone());
+            let mut by_key = expect;
+            by_key.sort_by_key(|row| row[0].as_i64());
+            let scattered = sharded.scan_scatter(None, None, &Deadline::never()).unwrap();
+            prop_assert_eq!(scattered, by_key);
         }
     }
 }

@@ -67,7 +67,7 @@ fn spec() -> ShardSpec {
 }
 
 /// One statement of the seeded workload. Single-shard INSERTs are atomic
-/// on their own; CrossInsert runs through a [`ShardedTransaction`] and is
+/// on their own; CrossInsert runs through a cross-shard transaction and is
 /// the committed-prefix critical section; UPDATE/DELETE apply per shard
 /// in ascending order with EDIT-sized ratios.
 #[derive(Debug, Clone, Copy)]
@@ -200,7 +200,7 @@ fn apply(table: &ShardedTable, stmt: &Stmt) -> dt_common::Result<()> {
                 .collect();
             let mut txn = table.begin_transaction()?;
             txn.insert(rows)?;
-            txn.commit().map(|_| ()).map_err(|f| f.error)
+            txn.commit().map(|_| ())
         }
         Stmt::Update { divisor, rem, v } => table
             .update_keyed(

@@ -8,8 +8,8 @@
 //! The oracle is exact *per shard*, which is precisely what the
 //! committed-prefix commit contract makes possible: each writer owns one
 //! counter row in every shard and increments all of them in a single
-//! [`ShardedTransaction`] per round. On full commit, every shard's count
-//! advances. On `ShardCommitFailure`, the failure names the exact
+//! cross-shard [`dualtable::Transaction`] per round. On full commit, every
+//! shard's count advances. On `ShardCommitFailure`, the failure names the exact
 //! durable prefix — those shards advance; the failed shard is ambiguous
 //! only for transient errors and is settled by re-reading the writer's
 //! own counter row; shards after the failed one provably did not apply.
@@ -25,7 +25,9 @@ use std::time::Duration;
 
 use dt_common::seed_report::{seed_from_env, with_seed_repro};
 use dt_common::{DataType, FaultKind, FaultPlan, Row, Schema, Value};
-use dualtable::{DualTableConfig, DualTableEnv, PlanMode, ShardSpec, ShardedTable};
+use dualtable::{
+    DualTableConfig, DualTableEnv, PlanMode, ShardSpec, ShardedTable, UnionReadOptions,
+};
 
 const WRITERS: i64 = 3;
 const ROUNDS: usize = 15;
@@ -118,6 +120,7 @@ fn run_writer(
                         1,
                         Box::new(|row: &Row| Value::Int64(row[1].as_i64().unwrap() + 1)),
                     )],
+                    &UnionReadOptions::all(),
                 )
                 .is_err()
             {
@@ -143,7 +146,7 @@ fn run_writer(
             // with the failed shard settled by the counter row when the
             // error is ambiguous.
             let mut landed = [false; SHARDS];
-            match txn.commit() {
+            match txn.commit_parts() {
                 Ok(_) => landed = [true; SHARDS],
                 Err(f) => {
                     for name in &f.committed {
@@ -194,8 +197,13 @@ fn run_reader(table: &ShardedTable, stop: &AtomicBool) {
         };
         let read = || -> Option<Vec<Vec<Value>>> {
             for _ in 0..10_000 {
-                match txn.rows(None) {
-                    Ok(rows) => return Some(rows),
+                let mut rows = Vec::new();
+                let scan = txn.for_each_batch(&UnionReadOptions::all(), |_, batch| {
+                    rows.extend(batch.selected_rows());
+                    Ok(std::ops::ControlFlow::Continue(()))
+                });
+                match scan {
+                    Ok(()) => return Some(rows),
                     Err(e) if e.is_transient() || e.is_injected() => {
                         std::thread::sleep(Duration::from_micros(200));
                     }

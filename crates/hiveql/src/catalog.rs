@@ -14,7 +14,7 @@ use dt_common::{Deadline, Error, Result, Row, Schema};
 use dt_orcfile::{ColumnBatch, ColumnPredicate};
 use dualtable::{
     Assignment, DmlReport, DualTableStore, PlanChoice, RatioHint, ShardedDmlReport, ShardedTable,
-    UnionReadOptions,
+    Transaction, UnionReadOptions,
 };
 use parking_lot::RwLock;
 
@@ -115,16 +115,18 @@ impl TableHandle {
         projection: Option<&[usize]>,
         predicates: Option<&[ColumnPredicate]>,
     ) -> Result<Vec<Row>> {
-        self.scan_deadline(projection, predicates, &Deadline::never())
+        self.scan_deadline(None, projection, predicates, &Deadline::never())
     }
 
     /// [`TableHandle::scan`] under a per-statement [`Deadline`]: the scan
     /// checks the token at batch boundaries and aborts with
     /// [`Error::Timeout`](dt_common::Error::Timeout) once it expires. No
     /// storage state is touched mid-batch, so a timed-out scan leaves the
-    /// table — and the session — fully usable.
+    /// table — and the session — fully usable. `txn`: see
+    /// [`TableHandle::for_each_batch`].
     pub fn scan_deadline(
         &self,
+        txn: Option<&Transaction>,
         projection: Option<&[usize]>,
         predicates: Option<&[ColumnPredicate]>,
         deadline: &Deadline,
@@ -152,7 +154,7 @@ impl TableHandle {
             }
             TableHandle::Dual(_) | TableHandle::Sharded(_) => {
                 let mut out = Vec::new();
-                self.for_each_batch(projection, predicates, deadline, &mut |batch| {
+                self.for_each_batch(txn, projection, predicates, deadline, &mut |batch| {
                     out.extend(batch.selected_rows());
                     Ok(())
                 })?;
@@ -165,9 +167,12 @@ impl TableHandle {
     /// `projection` decoded and nothing else, the deadline checked at
     /// every batch. A sharded table prunes whole shards by `predicates`
     /// before any I/O and scans the survivors in parallel; its batches
-    /// arrive in range order.
+    /// arrive in range order. With `txn` — this table's open transaction
+    /// — the scan is the transaction's: at its pin, under its buffered
+    /// writes, shard after shard.
     pub fn for_each_batch(
         &self,
+        txn: Option<&Transaction>,
         projection: Option<&[usize]>,
         predicates: Option<&[ColumnPredicate]>,
         deadline: &Deadline,
@@ -176,13 +181,17 @@ impl TableHandle {
         let mut opts = UnionReadOptions::all();
         opts.projection = projection.map(<[usize]>::to_vec);
         opts.predicates = predicates.map(<[ColumnPredicate]>::to_vec);
-        match self {
-            TableHandle::Dual(t) => t.for_each_batch(&opts, |_, batch| {
-                deadline.check()?;
-                f(&batch)?;
-                Ok(ControlFlow::Continue(()))
-            }),
-            TableHandle::Sharded(t) => t.scan_batches(&opts, deadline)?.iter().try_for_each(f),
+        let checked = |_, batch: ColumnBatch| {
+            deadline.check()?;
+            f(&batch)?;
+            Ok(ControlFlow::Continue(()))
+        };
+        match (txn, self) {
+            (Some(txn), _) => txn.for_each_batch(&opts, checked),
+            (None, TableHandle::Dual(t)) => t.for_each_batch(&opts, checked),
+            (None, TableHandle::Sharded(t)) => {
+                t.scan_batches(&opts, deadline)?.iter().try_for_each(f)
+            }
             _ => Err(Error::Unsupported(
                 "column-batch scans are a DUALTABLE interface".into(),
             )),

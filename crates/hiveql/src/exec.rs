@@ -4,7 +4,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use dt_common::{DataType, Deadline, Error, Field, Result, Row, Schema, Value};
 use dt_orcfile::{ColumnBatch, ColumnPredicate, PredicateOp};
-use dualtable::RatioHint;
+use dualtable::{RatioHint, Transaction};
 
 use crate::ast::*;
 use crate::catalog::{SharedCatalog, TableHandle};
@@ -12,7 +12,6 @@ use crate::expr::{
     eval, is_true, normalize_numeric, BatchRow, Binding, EvalContext, GroupKey, HashableValue,
     RowRef,
 };
-use crate::session::SessionTxn;
 
 /// Result of executing one statement.
 #[derive(Debug, Clone)]
@@ -96,15 +95,15 @@ pub struct Executor<'a> {
     pub catalog: &'a SharedCatalog,
     /// Tuning.
     pub config: &'a ExecConfig,
-    /// Open transactions by table name (DESIGN.md §13). When a scanned
-    /// table has one, reads go through its read-your-own-writes overlay
-    /// instead of the committed store.
-    pub txns: Option<&'a BTreeMap<String, SessionTxn>>,
+    /// Open transactions by table name (DESIGN.md §13). A scanned table
+    /// that has one is read through it: the same UNION READ, at the
+    /// transaction's pin, under its buffered writes.
+    pub txns: Option<&'a BTreeMap<String, Transaction>>,
 }
 
 impl Executor<'_> {
     /// The open transaction covering `table`, if any.
-    fn txn_overlay(&self, table: &str) -> Option<&SessionTxn> {
+    fn txn_of(&self, table: &str) -> Option<&Transaction> {
         self.txns.and_then(|m| m.get(table))
     }
 
@@ -158,23 +157,21 @@ impl Executor<'_> {
         match (&tables[..], &projection) {
             ([base], Some(projection)) => {
                 // WHERE conjuncts of the form column <op> literal skip
-                // stripes (and shards) — except on the overlay path, where
-                // the WHERE clause re-filters every row anyway.
+                // stripes (and shards).
                 let predicates = stmt
                     .where_clause
                     .as_ref()
                     .map(|w| extract_pushdown(w, &binding, base.schema()))
                     .filter(|p| !p.is_empty());
                 let (projection, predicates) = (Some(&projection[..]), predicates.as_deref());
-                if let Some(txn) = self.txn_overlay(&refs[0].name) {
-                    deadline.check()?;
-                    pipeline.push_rows(&txn.rows(projection)?)?;
-                } else if base.storage_kind() == StorageKind::DualTable {
-                    base.for_each_batch(projection, predicates, deadline, &mut |batch| {
+                if base.storage_kind() == StorageKind::DualTable {
+                    let txn = self.txn_of(&refs[0].name);
+                    base.for_each_batch(txn, projection, predicates, deadline, &mut |batch| {
                         pipeline.push_batch(batch)
                     })?;
                 } else {
-                    pipeline.push_rows(&base.scan_deadline(projection, predicates, deadline)?)?;
+                    let rows = base.scan_deadline(None, projection, predicates, deadline)?;
+                    pipeline.push_rows(&rows)?;
                 }
             }
             _ => pipeline.push_rows(&self.joined_rows(stmt, &refs, &tables, ctx)?)?,
@@ -235,8 +232,8 @@ impl Executor<'_> {
     }
 
     /// The working set of a query over no table (one empty row) or over
-    /// joined tables, materialized: every table in full (through its
-    /// transaction overlay when it has one), joined left to right.
+    /// joined tables, materialized: every table in full (through its open
+    /// transaction when it has one), joined left to right.
     fn joined_rows(
         &self,
         stmt: &SelectStmt,
@@ -248,13 +245,8 @@ impl Executor<'_> {
         let mut binding = Binding::default();
         for (i, (table, handle)) in refs.iter().zip(tables).enumerate() {
             let right_binding = Binding::from_schema(table.binding_name(), handle.schema());
-            let right_rows = match self.txn_overlay(&table.name) {
-                Some(txn) => {
-                    self.config.deadline.check()?;
-                    txn.rows(None)?
-                }
-                None => handle.scan_deadline(None, None, &self.config.deadline)?,
-            };
+            let txn = self.txn_of(&table.name);
+            let right_rows = handle.scan_deadline(txn, None, None, &self.config.deadline)?;
             let joined_binding = binding.join(&right_binding);
             rows = match i.checked_sub(1) {
                 None => right_rows,

@@ -6,7 +6,7 @@ use dt_baselines::{HiveAcidTable, HiveHbaseTable, HiveHdfsTable};
 use dt_common::{Deadline, Error, Field, Result, Row, Schema, Value};
 use dualtable::{
     Assignment, CompactionMode, DualTableConfig, DualTableEnv, DualTableStore, FoldOutcome,
-    RatioHint, ShardSpec, ShardedTable, ShardedTransaction, Transaction, UnionReadOptions,
+    RatioHint, ShardSpec, ShardedTable, Transaction, UnionReadOptions,
 };
 
 use crate::ast::{InsertSource, ShardBy, Statement, StorageKind};
@@ -14,63 +14,6 @@ use crate::catalog::{DmlOutcome, SharedCatalog, TableHandle};
 use crate::exec::{ExecConfig, Executor, QueryResult};
 use crate::expr::{eval, is_true, Binding, EvalContext};
 use crate::parser::parse;
-
-/// One table's enrollment in an open session transaction: a plain
-/// [`Transaction`] for unsharded DUALTABLE storage, or a
-/// [`ShardedTransaction`] (one pinned snapshot per shard) for a
-/// range-sharded table. Both buffer DML until `COMMIT`.
-pub enum SessionTxn {
-    /// Unsharded DUALTABLE enrollment.
-    Single(Transaction),
-    /// Range-sharded enrollment (all shards pinned up front).
-    Sharded(ShardedTransaction),
-}
-
-impl SessionTxn {
-    /// Buffers an INSERT.
-    pub fn insert(&mut self, rows: Vec<Row>) -> Result<u64> {
-        match self {
-            SessionTxn::Single(t) => t.insert(rows),
-            SessionTxn::Sharded(t) => t.insert(rows),
-        }
-    }
-
-    /// Buffers an UPDATE; returns matched rows.
-    pub fn update(
-        &mut self,
-        predicate: impl Fn(&Row) -> bool,
-        assignments: &[Assignment<'_>],
-    ) -> Result<u64> {
-        match self {
-            SessionTxn::Single(t) => t.update(predicate, assignments),
-            SessionTxn::Sharded(t) => t.update(predicate, assignments),
-        }
-    }
-
-    /// Buffers a DELETE; returns matched rows.
-    pub fn delete(&mut self, predicate: impl Fn(&Row) -> bool) -> Result<u64> {
-        match self {
-            SessionTxn::Single(t) => t.delete(predicate),
-            SessionTxn::Sharded(t) => t.delete(predicate),
-        }
-    }
-
-    /// Snapshot read of the enrolled table (buffered writes visible).
-    pub fn rows(&self, projection: Option<&[usize]>) -> Result<Vec<Row>> {
-        match self {
-            SessionTxn::Single(t) => t.rows(projection),
-            SessionTxn::Sharded(t) => t.rows(projection),
-        }
-    }
-
-    /// `true` iff nothing was buffered.
-    pub fn is_read_only(&self) -> bool {
-        match self {
-            SessionTxn::Single(t) => t.is_read_only(),
-            SessionTxn::Sharded(t) => t.is_read_only(),
-        }
-    }
-}
 
 /// Session-level configuration.
 #[derive(Debug, Clone)]
@@ -108,11 +51,12 @@ pub struct Session {
     catalog: SharedCatalog,
     /// Session configuration; mutable between statements.
     pub config: SessionConfig,
-    /// Open transaction: table name → buffered [`SessionTxn`]. `None`
-    /// means autocommit; `Some` (even empty) means `BEGIN` was executed
-    /// and DUALTABLE DML is buffered until `COMMIT` (DESIGN.md §13).
-    /// Tables enroll lazily, pinning their snapshot(s) at first touch.
-    txn: Option<BTreeMap<String, SessionTxn>>,
+    /// Open transaction: table name → that table's [`Transaction`].
+    /// `None` means autocommit; `Some` (even empty) means `BEGIN` was
+    /// executed and DUALTABLE DML is buffered until `COMMIT` (DESIGN.md
+    /// §13). Tables enroll lazily, pinning their snapshot(s) at first
+    /// touch.
+    txn: Option<BTreeMap<String, Transaction>>,
     /// Tables durably committed by the most recent failed multi-table
     /// COMMIT (DESIGN.md §13): atomicity is per table, so a mid-COMMIT
     /// failure leaves earlier tables applied. Cleared at the start of
@@ -211,13 +155,13 @@ impl Session {
     /// The open transaction for `table`, enrolling it (pinning a fresh
     /// snapshot — one per shard for sharded tables) on first touch.
     /// Callers must have checked `self.txn.is_some()`.
-    fn txn_for(&mut self, table: &str) -> Result<&mut SessionTxn> {
+    fn txn_for(&mut self, table: &str) -> Result<&mut Transaction> {
         let handle = self.catalog.get(table)?;
         let map = self.txn.as_mut().expect("caller checked in_transaction");
         if !map.contains_key(table) {
             let txn = match handle {
-                TableHandle::Dual(store) => SessionTxn::Single(store.begin_transaction()?),
-                TableHandle::Sharded(t) => SessionTxn::Sharded(t.begin_transaction()?),
+                TableHandle::Dual(store) => store.begin_transaction()?,
+                TableHandle::Sharded(t) => t.begin_transaction()?,
                 other => {
                     return Err(Error::Unsupported(format!(
                         "table '{table}' is stored as {:?}: transactions cover DUALTABLE \
@@ -284,30 +228,25 @@ impl Session {
                     if txn.is_read_only() {
                         continue;
                     }
-                    // A sharded table commits shard-by-shard through the
-                    // same per-unit path; on a mid-sequence failure its
-                    // durable shard prefix joins the committed list, so
-                    // the client sees exactly what applied.
-                    let (e, context) = match txn {
-                        SessionTxn::Single(t) => match t.commit() {
-                            Ok(_) => {
-                                affected += 1;
-                                committed.push(name);
-                                continue;
-                            }
-                            Err(e) => (e, format!("table '{name}'")),
-                        },
-                        SessionTxn::Sharded(t) => match t.commit() {
-                            Ok(_) => {
-                                affected += 1;
-                                committed.push(name);
-                                continue;
-                            }
-                            Err(f) => {
-                                committed.extend(f.committed.iter().cloned());
-                                (f.error, format!("table '{name}' shard '{}'", f.failed))
-                            }
-                        },
+                    // A sharded table commits shard by shard; on a
+                    // mid-sequence failure its durable shard prefix joins
+                    // the committed list, so the client sees exactly what
+                    // applied.
+                    let sharded = txn.is_sharded();
+                    let failure = match txn.commit_parts() {
+                        Ok(_) => {
+                            affected += 1;
+                            committed.push(name);
+                            continue;
+                        }
+                        Err(failure) => *failure,
+                    };
+                    committed.extend(failure.committed);
+                    let e = failure.error;
+                    let context = if sharded {
+                        format!("table '{name}' shard '{}'", failure.failed)
+                    } else {
+                        format!("table '{name}'")
                     };
                     self.last_partial_commit = committed.clone();
                     let caveat = if committed.is_empty() {
@@ -509,90 +448,9 @@ impl Session {
                 table,
                 assignments,
                 predicate,
-            } => {
-                let handle = self.catalog.get(&table)?;
-                let schema = handle.schema().clone();
-                let binding = Binding::from_schema(&table, &schema);
-                let mut ctx = EvalContext::default();
-                let predicate = match predicate {
-                    Some(p) => Some(self.executor().plan_subqueries(p, &mut ctx)?),
-                    None => None,
-                };
-                // Resolve assignments to (ordinal, evaluator) and bind
-                // every column reference, once, before any row is read.
-                let targets: Vec<usize> = assignments
-                    .iter()
-                    .map(|(col, _)| schema.require(col))
-                    .collect::<Result<_>>()?;
-                let values = assignments.iter().map(|(_, e)| e);
-                let scan = dml_scan(predicate.as_ref(), values, &binding, &schema);
-                let predicate = predicate.map(|p| p.bind(&binding)).transpose()?;
-                let resolved: Vec<(usize, crate::ast::Expr)> = targets
-                    .into_iter()
-                    .zip(assignments)
-                    .map(|(idx, (_, e))| Ok((idx, e.bind(&binding)?)))
-                    .collect::<Result<_>>()?;
-                let pred_fn = |row: &Row| where_matches(predicate.as_ref(), row, &binding, &ctx);
-                let assign_fns: Vec<Assignment<'_>> = resolved
-                    .iter()
-                    .map(|(idx, e)| {
-                        let binding = &binding;
-                        let ctx = &ctx;
-                        (
-                            *idx,
-                            Box::new(move |row: &Row| {
-                                eval(e, row, binding, ctx).unwrap_or(Value::Null)
-                            })
-                                as Box<dyn Fn(&Row) -> Value + Sync + '_>,
-                        )
-                    })
-                    .collect();
-                if self.txn.is_some() {
-                    let matched = self.txn_for(&table)?.update(pred_fn, &assign_fns)?;
-                    return Ok(dml_result(
-                        matched,
-                        format!("updated {matched} rows (buffered)"),
-                    ));
-                }
-                let outcome = handle.update(
-                    &pred_fn,
-                    &assign_fns,
-                    self.config.exec.ratio_hint,
-                    Some(&statement_key(sql)),
-                    &scan,
-                )?;
-                let mut result = dml_result(outcome.rows_matched, dml_message("updated", &outcome));
-                result.dml = outcome.report;
-                Ok(result)
-            }
+            } => self.execute_dml(&table, Some(assignments), predicate, sql),
             Statement::Delete { table, predicate } => {
-                let handle = self.catalog.get(&table)?;
-                let schema = handle.schema().clone();
-                let binding = Binding::from_schema(&table, &schema);
-                let mut ctx = EvalContext::default();
-                let predicate = match predicate {
-                    Some(p) => Some(self.executor().plan_subqueries(p, &mut ctx)?),
-                    None => None,
-                };
-                let scan = dml_scan(predicate.as_ref(), std::iter::empty(), &binding, &schema);
-                let predicate = predicate.map(|p| p.bind(&binding)).transpose()?;
-                let pred_fn = |row: &Row| where_matches(predicate.as_ref(), row, &binding, &ctx);
-                if self.txn.is_some() {
-                    let matched = self.txn_for(&table)?.delete(pred_fn)?;
-                    return Ok(dml_result(
-                        matched,
-                        format!("deleted {matched} rows (buffered)"),
-                    ));
-                }
-                let outcome = handle.delete(
-                    &pred_fn,
-                    self.config.exec.ratio_hint,
-                    Some(&statement_key(sql)),
-                    &scan,
-                )?;
-                let mut result = dml_result(outcome.rows_matched, dml_message("deleted", &outcome));
-                result.dml = outcome.report;
-                Ok(result)
+                self.execute_dml(&table, None, predicate, sql)
             }
             Statement::Compact { table, incremental } => {
                 if self.txn.is_some() {
@@ -791,7 +649,10 @@ impl Session {
                 {
                     lines.push((
                         "aggregate".into(),
-                        format!("{} group key(s), MapReduce job", sel.group_by.len()),
+                        format!(
+                            "{} group key(s), running states over the streamed scan",
+                            sel.group_by.len()
+                        ),
                     ));
                 }
                 if sel.distinct {
@@ -808,23 +669,23 @@ impl Session {
                 table, predicate, ..
             }
             | Statement::Delete { table, predicate } => {
+                let set: &[(String, crate::ast::Expr)] = match stmt {
+                    Statement::Update { assignments, .. } => assignments,
+                    _ => &[],
+                };
                 let is_update = matches!(stmt, Statement::Update { .. });
                 let op = if is_update { "UPDATE" } else { "DELETE" };
-                let handle = self.catalog.get(table)?;
+                // Resolved as execution resolves it, so both sample the
+                // same rows through the same scan.
+                let target = self.dml_target(table, predicate.clone(), set)?;
+                let (handle, scan) = (&target.handle, &target.scan);
                 lines.push((
                     "dml".into(),
                     format!("{op} {table} [{:?}]", handle.storage_kind()),
                 ));
-                let schema = handle.schema().clone();
-                let binding = Binding::from_schema(table, &schema);
-                let mut ctx = EvalContext::default();
-                let predicate = match predicate.clone() {
-                    Some(p) => Some(self.executor().plan_subqueries(p, &mut ctx)?),
-                    None => None,
-                };
-                let pred_fn = |row: &Row| where_matches(predicate.as_ref(), row, &binding, &ctx);
-                if let TableHandle::Dual(t) = &handle {
-                    let preview = t.plan_preview(&pred_fn, is_update)?;
+                let pred_fn = |row: &Row| target.matches(row);
+                if let TableHandle::Dual(t) = handle {
+                    let preview = t.plan_preview(&pred_fn, is_update, scan)?;
                     lines.push((
                         "cost-model".into(),
                         format!(
@@ -833,14 +694,11 @@ impl Session {
                         ),
                     ));
                     lines.push(("plan".into(), format!("{:?}", preview.plan)));
-                } else if let TableHandle::Sharded(t) = &handle {
+                } else if let TableHandle::Sharded(t) = handle {
                     // Each shard previews its own cost model: different
                     // key ranges may land on different sides of the
                     // EDIT/OVERWRITE crossover.
-                    let pushdown = predicate
-                        .as_ref()
-                        .map(|p| crate::exec::extract_pushdown(p, &binding, &schema));
-                    let matched = t.shards_matching(pushdown.as_deref());
+                    let matched = t.shards_matching(scan.predicates.as_deref());
                     lines.push((
                         "scatter".into(),
                         format!(
@@ -852,7 +710,7 @@ impl Session {
                     ));
                     for i in matched {
                         let (lo, hi) = t.spec().bounds(i);
-                        let preview = t.shards()[i].plan_preview(&pred_fn, is_update)?;
+                        let preview = t.shards()[i].plan_preview(&pred_fn, is_update, scan)?;
                         lines.push((
                             format!("shard {i}"),
                             format!(
@@ -882,6 +740,95 @@ impl Session {
             ]),
             rows,
         ))
+    }
+
+    /// What UPDATE, DELETE and their EXPLAIN resolve before any row is
+    /// read: the table, its WHERE clause with subqueries planned and every
+    /// column bound, and what the statement reads (`set`: the SET list).
+    fn dml_target(
+        &self,
+        table: &str,
+        predicate: Option<crate::ast::Expr>,
+        set: &[(String, crate::ast::Expr)],
+    ) -> Result<DmlTarget> {
+        let handle = self.catalog.get(table)?;
+        let binding = Binding::from_schema(table, handle.schema());
+        let mut ctx = EvalContext::default();
+        let predicate = match predicate {
+            Some(p) => Some(self.executor().plan_subqueries(p, &mut ctx)?),
+            None => None,
+        };
+        let mut used = std::collections::BTreeSet::new();
+        for expr in predicate.iter().chain(set.iter().map(|(_, e)| e)) {
+            expr.columns_into(&binding, &mut used);
+        }
+        let mut scan = UnionReadOptions::all().with_projection(used.into_iter().collect());
+        scan.predicates = predicate
+            .as_ref()
+            .map(|p| crate::exec::extract_pushdown(p, &binding, handle.schema()))
+            .filter(|p| !p.is_empty());
+        Ok(DmlTarget {
+            predicate: predicate.map(|p| p.bind(&binding)).transpose()?,
+            handle,
+            binding,
+            ctx,
+            scan,
+        })
+    }
+
+    /// One UPDATE (`set` given) or DELETE: buffered in the table's open
+    /// transaction, or run through its storage handler (cost model and
+    /// all) under autocommit.
+    fn execute_dml(
+        &mut self,
+        table: &str,
+        set: Option<Vec<(String, crate::ast::Expr)>>,
+        predicate: Option<crate::ast::Expr>,
+        sql: &str,
+    ) -> Result<QueryResult> {
+        let is_update = set.is_some();
+        let set = set.unwrap_or_default();
+        let target = self.dml_target(table, predicate, &set)?;
+        let (handle, binding, scan) = (&target.handle, &target.binding, &target.scan);
+        // Resolve assignments to (ordinal, evaluator) and bind every
+        // column reference, once, before any row is read.
+        let resolved: Vec<(usize, crate::ast::Expr)> = set
+            .into_iter()
+            .map(|(col, e)| Ok((handle.schema().require(&col)?, e.bind(binding)?)))
+            .collect::<Result<_>>()?;
+        let pred_fn = |row: &Row| target.matches(row);
+        let assign_fns: Vec<Assignment<'_>> = resolved
+            .iter()
+            .map(|(idx, e)| {
+                (
+                    *idx,
+                    Box::new(|row: &Row| eval(e, row, binding, &target.ctx).unwrap_or(Value::Null))
+                        as Box<dyn Fn(&Row) -> Value + Sync + '_>,
+                )
+            })
+            .collect();
+        let verb = if is_update { "updated" } else { "deleted" };
+        if self.txn.is_some() {
+            let txn = self.txn_for(table)?;
+            let matched = if is_update {
+                txn.update(pred_fn, &assign_fns, scan)?
+            } else {
+                txn.delete(pred_fn, scan)?
+            };
+            return Ok(dml_result(
+                matched,
+                format!("{verb} {matched} rows (buffered)"),
+            ));
+        }
+        let (hint, key) = (self.config.exec.ratio_hint, statement_key(sql));
+        let outcome = if is_update {
+            handle.update(&pred_fn, &assign_fns, hint, Some(&key), scan)?
+        } else {
+            handle.delete(&pred_fn, hint, Some(&key), scan)?
+        };
+        let mut result = dml_result(outcome.rows_matched, dml_message(verb, &outcome));
+        result.dml = outcome.report;
+        Ok(result)
     }
 
     /// `MERGE INTO`: hash the source on the ON equi-keys, update matched
@@ -1136,36 +1083,27 @@ impl Session {
     }
 }
 
-/// What a DML statement reads, for the storage layer: the columns its
-/// WHERE clause and SET right-hand sides reference, and the WHERE
-/// conjuncts that can skip stripes and prune shards.
-fn dml_scan<'e>(
-    predicate: Option<&'e crate::ast::Expr>,
-    values: impl Iterator<Item = &'e crate::ast::Expr>,
-    binding: &Binding,
-    schema: &Schema,
-) -> UnionReadOptions {
-    let mut used = std::collections::BTreeSet::new();
-    for expr in predicate.into_iter().chain(values) {
-        expr.columns_into(binding, &mut used);
-    }
-    let mut scan = UnionReadOptions::all().with_projection(used.into_iter().collect());
-    scan.predicates = predicate
-        .map(|p| crate::exec::extract_pushdown(p, binding, schema))
-        .filter(|p| !p.is_empty());
-    scan
+/// A resolved UPDATE or DELETE (see [`Session::dml_target`]).
+struct DmlTarget {
+    handle: TableHandle,
+    binding: Binding,
+    ctx: EvalContext,
+    predicate: Option<crate::ast::Expr>,
+    /// What the statement reads, for the storage layer: the columns its
+    /// WHERE clause and SET right-hand sides reference, and the WHERE
+    /// conjuncts that can skip stripes and prune shards.
+    scan: UnionReadOptions,
 }
 
-/// A DML statement's WHERE clause as a row predicate: no clause matches
-/// every row; NULL, or a row the clause cannot be evaluated on, matches
-/// none.
-fn where_matches(
-    predicate: Option<&crate::ast::Expr>,
-    row: &Row,
-    binding: &Binding,
-    ctx: &EvalContext,
-) -> bool {
-    predicate.is_none_or(|p| eval(p, row, binding, ctx).is_ok_and(|v| is_true(&v)))
+impl DmlTarget {
+    /// The WHERE clause as a row predicate: no clause matches every row;
+    /// NULL, or a row the clause cannot be evaluated on, matches none.
+    fn matches(&self, row: &Row) -> bool {
+        let eval = |p| eval(p, row, &self.binding, &self.ctx);
+        self.predicate
+            .as_ref()
+            .is_none_or(|p| eval(p).is_ok_and(|v| is_true(&v)))
+    }
 }
 
 /// The message of an autocommit UPDATE/DELETE (`verb`: "updated" /

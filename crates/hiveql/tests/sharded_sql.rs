@@ -244,3 +244,54 @@ fn sharded_drop_and_recreate() {
     let r = s.execute("SHOW SHARDS").unwrap();
     assert!(r.rows().is_empty(), "unsharded table must not list shards");
 }
+
+/// Regression: an UPDATE that assigns the shard key would leave the row
+/// in a shard whose range no longer contains it, where range pruning
+/// never looks (`WHERE id = 180` found nothing, the range count was one
+/// short). Autocommit, transactional and MERGE's matched branch all
+/// refuse it before scanning, and the table is untouched.
+#[test]
+fn update_of_the_shard_key_is_rejected() {
+    let mut s = Session::in_memory();
+    s.execute(
+        "CREATE TABLE m (id BIGINT, v BIGINT) STORED AS DUALTABLE \
+         SHARDED BY RANGE (id) SPLIT AT (100, 200)",
+    )
+    .unwrap();
+    s.execute("INSERT INTO m VALUES (1, 10), (150, 20), (250, 30)")
+        .unwrap();
+    s.execute("CREATE TABLE src (id BIGINT, v BIGINT) STORED AS ORC")
+        .unwrap();
+    s.execute("INSERT INTO src VALUES (1, 180)").unwrap();
+    let unsupported = |r: dt_common::Result<dt_hiveql::QueryResult>| {
+        let err = r.unwrap_err();
+        assert!(matches!(err, dt_common::Error::Unsupported(_)), "{err:?}");
+    };
+
+    let reads_before = s.env().dfs.stats().snapshot().read_ops;
+    unsupported(s.execute("UPDATE m SET id = 180 WHERE id = 1"));
+    assert_eq!(
+        s.env().dfs.stats().snapshot().read_ops,
+        reads_before,
+        "rejected before any scan"
+    );
+    unsupported(s.execute(
+        "MERGE INTO m USING src ON m.id = src.id WHEN MATCHED THEN UPDATE SET id = src.v",
+    ));
+    s.execute("BEGIN").unwrap();
+    unsupported(s.execute("UPDATE m SET id = 180 WHERE id = 1"));
+    // Other columns stay updatable, and the session is not poisoned.
+    s.execute("UPDATE m SET v = 11 WHERE id = 1").unwrap();
+    s.execute("COMMIT").unwrap();
+
+    let r = s.execute("SELECT id, v FROM m ORDER BY id").unwrap();
+    assert_eq!(ints(&r, 0), vec![1, 150, 250]);
+    assert_eq!(ints(&r, 1), vec![11, 20, 30]);
+    let r = s.execute("SELECT COUNT(*) FROM m WHERE id >= 100 AND id < 200");
+    assert_eq!(ints(&r.unwrap(), 0), vec![1]);
+    assert!(s
+        .execute("SELECT id FROM m WHERE id = 180")
+        .unwrap()
+        .rows()
+        .is_empty());
+}

@@ -6,7 +6,7 @@
 //! over it. Row-at-a-time views ([`ColumnBatch::row`],
 //! [`crate::OrcReader::rows`]) are adapters on top.
 
-use dt_common::{Error, Result, Row, Value};
+use dt_common::{DataType, Error, Result, Row, Schema, Value};
 
 /// One column's values for every row of a batch, by storage type.
 /// Positions holding NULL carry a filler (zero, `false`, the empty
@@ -193,6 +193,34 @@ impl ColumnBatch {
             columns,
             selection: None,
         }
+    }
+
+    /// A batch of in-memory rows that no file holds (a transaction's
+    /// buffered inserts): columns `projection` of `rows`, which are full
+    /// rows of `schema`. Strings are stored direct.
+    pub fn from_rows(schema: &Schema, projection: &[usize], rows: &[Row]) -> Result<Self> {
+        let n = rows.len();
+        let columns = projection
+            .iter()
+            .map(|&c| {
+                let data = match schema.field(c).data_type {
+                    DataType::Int64 => ColumnData::Int64(vec![0; n]),
+                    DataType::Float64 => ColumnData::Float64(vec![0.0; n]),
+                    DataType::Bool => ColumnData::Bool(vec![false; n]),
+                    DataType::Date => ColumnData::Date(vec![0; n]),
+                    DataType::Utf8 => ColumnData::Direct {
+                        bytes: String::new(),
+                        spans: vec![(0, 0); n],
+                    },
+                };
+                let mut column = Column { data, nulls: None };
+                for (i, row) in rows.iter().enumerate() {
+                    column.set(i, row[c].clone())?;
+                }
+                Ok(column)
+            })
+            .collect::<Result<_>>()?;
+        Ok(ColumnBatch::new(0, n, columns))
     }
 
     /// Row number, within the file, of the batch's first row.

@@ -6,6 +6,8 @@
 #
 #   scripts/loc.sh                 per-crate totals over crates/*/src and src/
 #   scripts/loc.sh FILE...         per-file counts for the named files
+#   scripts/loc.sh --vs REV        per-crate and total difference of the
+#                                  working tree against git revision REV
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -15,6 +17,39 @@ count() {
          { n++ }
          END { print n + 0 }' "$1"
 }
+
+# "crate lines" per crate, sorted by crate, for the source files named on
+# stdin (relative to the current directory).
+per_crate() {
+    while read -r file; do
+        [ -f "$file" ] || continue
+        case "$file" in
+        crates/*) crate=${file#crates/} crate=${crate%%/src/*} ;;
+        *) crate=. ;;
+        esac
+        echo "$crate $(count "$file")"
+    done |
+        awk '{ n[$1] += $2 } END { for (c in n) print c, n[c] }' | sort -k1,1
+}
+
+# Tracked and not-yet-added sources of the working tree, never build output.
+working_tree() {
+    git ls-files --cached --others --exclude-standard -- 'crates/*/src/*.rs' 'src/*.rs' | per_crate
+}
+
+if [ "${1:-}" = --vs ]; then
+    rev=${2:?usage: scripts/loc.sh --vs GIT-REV}
+    old=$(mktemp -d)
+    trap 'rm -rf "$old"' EXIT
+    # The revision's sources, exported and counted by the same rule.
+    git archive "$rev" -- crates src | tar -x -C "$old"
+    before=$(cd "$old" && find crates src -name '*.rs' \( -path 'crates/*/src/*' -o -path 'src/*' \) | per_crate)
+    printf '%7s  %7s  %6s  %s\n' "$rev" now diff crate
+    join -a1 -a2 -e0 -o 0,1.2,2.2 <(echo "$before") <(working_tree) |
+        awk '{ printf "%7d  %7d  %+6d  %s\n", $2, $3, $3 - $2, $1; a += $2; b += $3 }
+             END { printf "%7d  %7d  %+6d  total\n", a, b, b - a }'
+    exit 0
+fi
 
 if [ $# -gt 0 ]; then
     total=0
@@ -27,16 +62,5 @@ if [ $# -gt 0 ]; then
     exit 0
 fi
 
-# Tracked and not-yet-added sources, never build output.
-git ls-files --cached --others --exclude-standard -- 'crates/*/src/*.rs' 'src/*.rs' |
-    while read -r file; do
-        [ -f "$file" ] || continue
-        case "$file" in
-        crates/*) crate=${file#crates/} crate=${crate%%/src/*} ;;
-        *) crate=. ;;
-        esac
-        echo "$crate $(count "$file")"
-    done |
-    awk '{ n[$1] += $2; total += $2 }
-         END { for (c in n) printf "%7d  %s\n", n[c], c | "sort -k2"
-               close("sort -k2"); printf "%7d  total\n", total }'
+working_tree |
+    awk '{ printf "%7d  %s\n", $2, $1; total += $2 } END { printf "%7d  total\n", total }'

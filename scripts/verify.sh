@@ -35,6 +35,10 @@ report() {
     echo
     echo "==> code lines per crate (scripts/loc.sh)"
     scripts/loc.sh || true
+    if [ -n "$(git status --porcelain 2>/dev/null)" ]; then
+        echo "==> ... of the uncommitted change (scripts/loc.sh --vs HEAD)"
+        scripts/loc.sh --vs HEAD || true
+    fi
     if [ ${#FAILED[@]} -ne 0 ]; then
         exit "$status"
     fi

@@ -159,7 +159,8 @@ fn mixed_type_comparisons_agree_across_storages() {
         "SELECT COUNT(*) FROM t WHERE 'x' <= id",
         "SELECT COUNT(*) FROM t WHERE id >= 0 AND name = 5",
         // DML swallows a row filter's evaluation error as "no match".
-        "UPDATE t SET id = 0 WHERE name < 5",
+        // (`name`, not `id`: a sharded table refuses to assign its key.)
+        "UPDATE t SET name = 'z' WHERE name < 5",
         "DELETE FROM t WHERE id > 'x'",
         "SELECT COUNT(*), SUM(id) FROM t WHERE id < 2.5 AND name >= 'b'",
     ];
