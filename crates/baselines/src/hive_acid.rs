@@ -258,6 +258,8 @@ impl HiveAcidTable {
             scanned += 1;
             if predicate(&row) {
                 matched += 1;
+                // Every SET expression sees the row as read (SQL's rule).
+                let mut values = Vec::with_capacity(assignments.len());
                 for (col, f) in assignments {
                     let v = f(&row);
                     if !v.conforms_to(self.schema.field(*col).data_type) {
@@ -266,7 +268,10 @@ impl HiveAcidTable {
                             self.schema.field(*col).name
                         )));
                     }
-                    row[*col] = v;
+                    values.push((*col, v));
+                }
+                for (col, v) in values {
+                    row[col] = v;
                 }
                 let mut delta = vec![Value::Int64(OP_UPDATE), Value::Int64(id as i64)];
                 delta.extend(row);
@@ -354,6 +359,9 @@ impl HiveAcidTable {
             let mut writer: Option<OrcWriter> = None;
             let mut in_file = 0usize;
             let mut seq = 0usize;
+            // Like `hive_hdfs`' rewrite, the paper's comparator on purpose:
+            // the new base is every row, decoded and re-encoded column by
+            // column through `write_row` — no stream is carried as bytes.
             for row in rows {
                 if writer.is_none() {
                     writer = Some(OrcWriter::create(

@@ -119,6 +119,12 @@ impl HiveHdfsTable {
             let mut writer: Option<(String, OrcWriter)> = None;
             let mut in_file = 0usize;
             let mut seq = 0usize;
+            // The paper's Hive, kept that way on purpose: every UPDATE and
+            // DELETE lands here with every column of every row decoded and
+            // re-encoded through `write_row`. No column of a stripe is
+            // carried as bytes (DualTable's rewrite does that, DESIGN.md
+            // §19); the comparator gains only what the typed encoder gives
+            // any caller.
             for row in rows {
                 if writer.is_none() {
                     let path = format!("{}/.staging-{seq:010}", self.dir());
@@ -215,6 +221,8 @@ impl HiveHdfsTable {
             scanned += 1;
             if predicate(&row) {
                 matched += 1;
+                // Every SET expression sees the row as read (SQL's rule).
+                let mut values = Vec::with_capacity(assignments.len());
                 for (col, f) in assignments {
                     let v = f(&row);
                     if !v.conforms_to(self.schema.field(*col).data_type) {
@@ -223,7 +231,10 @@ impl HiveHdfsTable {
                             self.schema.field(*col).name
                         )));
                     }
-                    row[*col] = v;
+                    values.push((*col, v));
+                }
+                for (col, v) in values {
+                    row[col] = v;
                 }
             }
             rows.push(row);

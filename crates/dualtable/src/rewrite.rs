@@ -3,9 +3,14 @@
 //! generation pointer, retire what the fold consumed.
 //!
 //! * [`DualTableStore::build`] writes generation `next` from a source
-//!   epoch: the files of the fold set ([`Retire`]) become its output rows
-//!   (their UNION READ through an optional transform, or a materialised
-//!   row set), every other file is carried by byte copy under its own ID.
+//!   epoch, batch in, stripe out: each stripe of the fold set ([`Retire`])
+//!   is merged as a [`ColumnBatch`](dt_orcfile::ColumnBatch) of the columns
+//!   something may change, patched by an OVERWRITE-plan statement's matches
+//!   ([`Dml`]), and written as one output stripe in which every column
+//!   nothing changed is *carried* — its stored stream copied, never
+//!   decoded. A stripe that lost a row or is short is re-encoded whole and
+//!   coalesces with its neighbours. Files outside the fold set are carried
+//!   by byte copy under their own IDs.
 //! * [`DualTableStore::swing`] is the commit point — the only
 //!   `commit_generation` in the crate — followed by best-effort cleanup.
 //! * [`DualTableStore::retire_attached`] deletes the attached rows of
@@ -19,18 +24,19 @@
 //! swing takes the write lock only for the pointer flip, losing with a
 //! retryable [`Error::Conflict`] to anything committed since the pin.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
-use std::ops::Range;
+use std::ops::{ControlFlow, Range};
 use std::sync::Arc;
 
-use dt_common::{Error, RecordId, Result, Row};
-use dt_orcfile::{OrcWriter, FILE_ID_METADATA_KEY};
+use dt_common::{Error, RecordId, Result, Row, Value};
+use dt_orcfile::{Column, ColumnBatch, OrcReader, OrcWriter, FILE_ID_METADATA_KEY};
 
 use crate::compactor::FoldOutcome;
 use crate::presence::presence_key;
-use crate::store::DualTableStore;
+use crate::store::{located_rows, Assignment, DualTableStore, ScanPlan};
 use crate::txn::Snapshot;
-use crate::union_read::UnionReadOptions;
+use crate::union_read::{patch_batch, positions, UnionReadOptions};
 
 /// The fold set of a rewrite: the master files it consumes, whose
 /// attached rows the swing retires.
@@ -44,15 +50,21 @@ pub(crate) enum Retire {
     Files(Vec<u32>),
 }
 
-/// Maps one UNION READ row to `(output row, matched)`; `None` drops the
-/// row (DELETE).
-pub(crate) type Transform<'a> = dyn Fn(RecordId, Row) -> Result<(Option<Row>, bool)> + Sync + 'a;
+/// An OVERWRITE-plan statement, run stripe by stripe as the build merges
+/// the table: an UPDATE (`assignments` given) or DELETE of the rows
+/// `predicate` matches, reading the columns `scan.projection` names.
+#[derive(Clone, Copy)]
+pub(crate) struct Dml<'a> {
+    pub(crate) predicate: &'a (dyn Fn(&Row) -> bool + Sync),
+    pub(crate) assignments: Option<&'a [Assignment<'a>]>,
+    pub(crate) scan: &'a UnionReadOptions,
+}
 
 /// The rows a build writes in place of its fold set.
 pub(crate) enum Rows<'a> {
-    /// The fold set's UNION READ at the source epoch, through the
-    /// transform when there is one.
-    Merged(Option<&'a Transform<'a>>),
+    /// The fold set's UNION READ at the source epoch, under the statement
+    /// when there is one.
+    Merged(Option<Dml<'a>>),
     /// A materialised row set.
     Given(Vec<Row>),
 }
@@ -65,10 +77,10 @@ pub(crate) struct Built {
     pub(crate) scanned: u64,
 }
 
-/// Writes rows into a generation's master files, rolling to the next file
-/// ID of its reserved range every `rows_per_file` rows. At most one file's
-/// writer is in flight, so a streaming source keeps memory bounded by one
-/// file.
+/// Writes stripes into a generation's master files, rolling to the next
+/// file ID of its reserved range at the first stripe boundary at or past
+/// `rows_per_file` rows. One file's writer is in flight and it holds one
+/// stripe, so a streaming source keeps memory bounded by one stripe.
 struct MasterWriteSink<'a> {
     store: &'a DualTableStore,
     gen: u64,
@@ -79,11 +91,13 @@ struct MasterWriteSink<'a> {
 }
 
 impl MasterWriteSink<'_> {
-    fn push(&mut self, row: Row) -> Result<()> {
-        let inner = &self.store.inner;
+    /// The open file's writer; opens the next file when there is none.
+    fn writer(&mut self) -> Result<&mut OrcWriter> {
         if self.writer.is_none() {
+            let inner = &self.store.inner;
             // Ranges are sized from row counts that upper-bound the
-            // output; exhaustion is a bug.
+            // output, and every file but a range's last holds at least
+            // `rows_per_file` rows; exhaustion is a bug.
             let file_id = self
                 .ids
                 .next()
@@ -96,18 +110,54 @@ impl MasterWriteSink<'_> {
             )?;
             w.set_metadata(FILE_ID_METADATA_KEY, file_id.to_be_bytes().to_vec());
             self.writer = Some(w);
+        }
+        Ok(self.writer.as_mut().expect("writer just created"))
+    }
+
+    /// Rows the open (or next) file still takes before it rolls.
+    fn room(&self) -> usize {
+        self.store.inner.config.rows_per_file.max(1) - self.in_file
+    }
+
+    /// Counts `rows` just written and seals the file once it is full.
+    fn wrote(&mut self, rows: usize) -> Result<()> {
+        self.written += rows as u64;
+        self.in_file += rows;
+        if self.in_file >= self.store.inner.config.rows_per_file.max(1) {
+            self.writer.take().expect("rows were written").finish()?;
             self.in_file = 0;
         }
-        self.writer
-            .as_mut()
-            .expect("writer just created")
-            .write_row(row)?;
-        self.written += 1;
-        self.in_file += 1;
-        if self.in_file >= inner.config.rows_per_file {
-            self.writer.take().expect("writer exists").finish()?;
+        Ok(())
+    }
+
+    /// Appends the surviving rows of full-width `batch`, to be encoded:
+    /// they coalesce into full stripes and fill each file to exactly
+    /// `rows_per_file`, the sequential writer's layout.
+    fn push(&mut self, mut batch: ColumnBatch) -> Result<()> {
+        let rows: Vec<u32> = batch.selected().map(|i| i as u32).collect();
+        let mut rest = &rows[..];
+        while !rest.is_empty() {
+            let (part, tail) = rest.split_at(self.room().min(rest.len()));
+            if part.len() < rows.len() {
+                batch.select(part.to_vec()); // straddles a file boundary
+            }
+            self.writer()?.write_batch(&batch)?;
+            self.wrote(part.len())?;
+            rest = tail;
         }
         Ok(())
+    }
+
+    /// Writes stripe `stripe` of `source` on, whole, into the open file:
+    /// `values` encoded, every other column carried.
+    fn carry(
+        &mut self,
+        source: &OrcReader,
+        stripe: usize,
+        values: &[(usize, &Column)],
+    ) -> Result<()> {
+        self.writer()?.carry_stripe(source, stripe, values)?;
+        self.wrote(source.stripe_stats(stripe)?[0].count as usize)
     }
 
     fn finish(mut self) -> Result<u64> {
@@ -139,23 +189,28 @@ impl DualTableStore {
         Ok(first..first + count)
     }
 
-    /// Streams the rows `feed` pushes through one sink into files `ids` of
-    /// generation `gen`. Returns the rows written.
-    pub(crate) fn write_files(
-        &self,
-        gen: u64,
-        ids: Range<u32>,
-        feed: impl FnOnce(&mut dyn FnMut(Row) -> Result<()>) -> Result<()>,
-    ) -> Result<u64> {
-        let mut sink = MasterWriteSink {
+    fn sink(&self, gen: u64, ids: Range<u32>) -> MasterWriteSink<'_> {
+        MasterWriteSink {
             store: self,
             gen,
             ids,
             writer: None,
             in_file: 0,
             written: 0,
-        };
-        feed(&mut |row| sink.push(row))?;
+        }
+    }
+
+    /// Writes `rows` (checked against the schema here, where they enter)
+    /// into files `ids` of generation `gen`, a stripe's worth of typed
+    /// columns at a time. Returns the rows written.
+    pub(crate) fn write_files(&self, gen: u64, ids: Range<u32>, rows: &[Row]) -> Result<u64> {
+        let schema = &self.inner.schema;
+        let every: Vec<usize> = (0..schema.len()).collect();
+        let mut sink = self.sink(gen, ids);
+        for chunk in rows.chunks(self.inner.config.writer.stripe_rows.max(1)) {
+            chunk.iter().try_for_each(|row| schema.check_row(row))?;
+            sink.push(ColumnBatch::from_rows(schema, &every, chunk)?)?;
+        }
         sink.finish()
     }
 
@@ -183,7 +238,7 @@ impl DualTableStore {
     /// files outside `fold` are byte-copied under their own IDs, and
     /// `rows` are cut into contiguous partitions — whole output files of a
     /// materialised set, whole source files of a merge — that the worker
-    /// pool streams through one sink each (an incremental fold uses one
+    /// pool writes through one sink each (an incremental fold uses one
     /// worker). With one worker the layout is exactly the sequential
     /// writer's. Nothing is committed here: all output lands in one
     /// still-invisible generation, so every crash point sees exactly the
@@ -220,24 +275,23 @@ impl DualTableStore {
         }
         let pool = dt_engine::JobPool::new(workers);
         let built = match rows {
-            Rows::Given(mut rows) => {
+            Rows::Given(rows) => {
                 let mut parts = Vec::new();
                 let rows_per_file = self.inner.config.rows_per_file.max(1);
+                let mut rest = &rows[..];
                 for len in self.runs(&pool, rows.len().div_ceil(rows_per_file)) {
-                    let take = (len * rows_per_file).min(rows.len());
-                    let chunk: Vec<Row> = rows.drain(..take).collect();
+                    let (chunk, tail) = rest.split_at((len * rows_per_file).min(rest.len()));
+                    rest = tail;
                     parts.push((self.reserve(chunk.len() as u64)?, chunk));
                 }
                 pool.run(parts, |_, (ids, chunk)| {
-                    let written =
-                        self.write_files(next, ids, |push| chunk.into_iter().try_for_each(push))?;
                     Ok(Built {
-                        written,
+                        written: self.write_files(next, ids, chunk)?,
                         ..Built::default()
                     })
                 })?
             }
-            Rows::Merged(transform) => {
+            Rows::Merged(statement) => {
                 let mut parts = Vec::new();
                 let mut rest = &files[..];
                 for len in self.runs(&pool, files.len()) {
@@ -252,6 +306,8 @@ impl DualTableStore {
                     }
                     parts.push((self.reserve(bound)?, chunk));
                 }
+                // Never stripe predicates: a stripe the statement cannot
+                // match must still be written.
                 let opts = UnionReadOptions {
                     snapshot_ts: at_ts,
                     ..UnionReadOptions::all()
@@ -259,19 +315,11 @@ impl DualTableStore {
                 let plan = self.scan_plan(gen, &opts, &[])?;
                 pool.run(parts, |_, (ids, chunk)| {
                     let mut built = Built::default();
-                    built.written = self.write_files(next, ids, |push| {
-                        chunk.iter().try_for_each(|&file_id| {
-                            self.merge_master_rows(&plan, file_id, &mut |id, row| {
-                                built.scanned += 1;
-                                let Some(transform) = transform else {
-                                    return push(row);
-                                };
-                                let (out, hit) = transform(id, row)?;
-                                built.matched += u64::from(hit);
-                                out.map_or(Ok(()), &mut *push)
-                            })
-                        })
-                    })?;
+                    let mut sink = self.sink(next, ids);
+                    for &file_id in chunk {
+                        self.fold_file(&plan, statement, file_id, &mut sink, &mut built)?;
+                    }
+                    built.written = sink.finish()?;
                     Ok(built)
                 })?
             }
@@ -282,6 +330,69 @@ impl DualTableStore {
             total.scanned += part.scanned;
         }
         Ok(total)
+    }
+
+    /// Folds one source file into `sink`, stripe by stripe. Only the
+    /// columns something may change — the file's presence entry or the
+    /// statement's SET list names them — and those the statement reads are
+    /// decoded and merged; the statement's matches are patched in; then
+    /// the stripe is written on with every unchanged column carried. A
+    /// stripe that lost a row, or holds less than half of what a stripe
+    /// can, is widened to all of its columns instead and joins the sink's
+    /// open stripe, so deletes and small insert files fold back into full
+    /// stripes.
+    fn fold_file(
+        &self,
+        plan: &ScanPlan<'_>,
+        statement: Option<Dml<'_>>,
+        file_id: u32,
+        sink: &mut MasterWriteSink<'_>,
+        built: &mut Built,
+    ) -> Result<()> {
+        let config = &self.inner.config;
+        let width = self.inner.schema.len();
+        let reader = self.open_master(plan.gen, file_id)?;
+        let assigned = statement.and_then(|s| s.assignments).unwrap_or(&[]);
+        let presence = plan.presence.file(file_id);
+        let changed = |c: &usize| {
+            presence.is_some_and(|p| p.has_update_on(*c))
+                || assigned.iter().any(|(col, _)| col == c)
+        };
+        let reads = statement.map(|s| self.projected(s.scan));
+        let merged: Vec<usize> = (0..width)
+            .filter(|c| changed(c) || reads.as_ref().is_some_and(|r| r.contains(c)))
+            .collect();
+        let pos_of = positions(width, &merged);
+        let short = config.writer.stripe_rows.min(config.rows_per_file.max(1)) / 2;
+        let mut row = vec![Value::Null; width];
+        let mut stripe = 0;
+        let flow = self.merge_master(plan, file_id, &merged, &mut |_, mut batch| {
+            built.scanned += batch.selected_len() as u64;
+            if let Some(s) = statement {
+                let mut patches = Vec::new();
+                let _all = located_rows(file_id, &batch, &merged, &mut row, |record, row| {
+                    patches.extend(self.patch_of(record, row, s.predicate, s.assignments)?);
+                    Ok(ControlFlow::Continue(()))
+                })?;
+                built.matched += patches.len() as u64;
+                patch_batch(
+                    &mut batch,
+                    &pos_of,
+                    patches.into_iter().map(|p| Ok(Cow::Owned(p))),
+                )?;
+            }
+            if batch.selected_len() < batch.rows() || batch.rows() < short {
+                sink.push(reader.widen(stripe, &merged, batch)?)?;
+            } else {
+                let values = merged.iter().copied().zip(batch.columns());
+                let values: Vec<_> = values.filter(|(c, _)| changed(c)).collect();
+                sink.carry(&reader, stripe, &values)?;
+            }
+            stripe += 1;
+            Ok(ControlFlow::Continue(()))
+        })?;
+        debug_assert!(flow.is_continue(), "a build never stops its scan");
+        Ok(())
     }
 
     /// The first generation number safe to build into: past the committed
@@ -574,9 +685,9 @@ impl DualTableStore {
     /// COMPACT (paper §III-C): UNION READ everything into a fresh Master
     /// Table and clear the Attached Table. Blocks all other operations.
     ///
-    /// The rows stream straight from the UNION READ into the new
-    /// generation's files — memory stays bounded by one master file per
-    /// worker, not the table. A transient storage fault aborts the
+    /// Stripes go straight from the UNION READ into the new generation's
+    /// files — memory stays bounded by one stripe per worker, not the
+    /// table. A transient storage fault aborts the
     /// half-built generation and the whole pass retries with backoff (each
     /// attempt builds into a fresh generation, so a torn attempt is
     /// inert).

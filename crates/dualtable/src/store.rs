@@ -22,7 +22,7 @@ use crate::presence::{
     decode_count, encode_count, presence_key, presence_qualifier, FilePresence, PresenceDelta,
     PresenceIndex, PRESENCE_FILE_ID,
 };
-use crate::rewrite::Rows;
+use crate::rewrite::{Dml, Rows};
 use crate::txn::{Snapshot, Transaction};
 use crate::union_read::{
     for_each_row, merge_file, BatchFn, PatchSet, UnionReadOptions, INSERTS_FILE_ID, NO_PATCHES,
@@ -156,15 +156,36 @@ fn file_predicates<'a>(
     }
 }
 
+/// The statement's view of a merged batch, under either plan: each
+/// surviving row of `batch` — columns `columns` of file `file_id` — handed
+/// to `f` with its record ID as a full-width row (`row`, reused), NULL in
+/// every column not read. `Break` iff `f` stopped the scan.
+pub(crate) fn located_rows(
+    file_id: u32,
+    batch: &ColumnBatch,
+    columns: &[usize],
+    row: &mut Row,
+    mut f: impl FnMut(RecordId, &Row) -> Result<ControlFlow<()>>,
+) -> Result<ControlFlow<()>> {
+    for i in batch.selected() {
+        for (column, &ordinal) in batch.columns().iter().zip(columns) {
+            row[ordinal] = column.value(i);
+        }
+        let record = RecordId::new(file_id, (batch.row_start() + i as u64) as u32);
+        if f(record, row)?.is_break() {
+            return Ok(ControlFlow::Break(()));
+        }
+    }
+    Ok(ControlFlow::Continue(()))
+}
+
 /// What every file of one UNION READ shares, resolved once per scan and
 /// borrowed by all of its (possibly parallel) per-file merges.
 pub(crate) struct ScanPlan<'a> {
-    gen: u64,
+    pub(crate) gen: u64,
     opts: &'a UnionReadOptions,
-    /// Decoded column ordinals (`opts.projection`, or every column).
-    projection: Cow<'a, [usize]>,
     attached: dt_kvstore::Store,
-    presence: PresenceIndex,
+    pub(crate) presence: PresenceIndex,
     /// The second patch source: the reader's own uncommitted entries,
     /// ascending by record ID (see [`PatchSet`]).
     patches: &'a [AttachedEntry],
@@ -458,7 +479,7 @@ impl DualTableStore {
         }
         // No durable undo intent: an autocommit insert has no in-flight
         // state to recover.
-        let staged = self.stage_insert(self.current_gen()?, rows, false)?;
+        let staged = self.stage_insert(self.current_gen()?, &rows, false)?;
         // Autocommit commit point: the files become visible at a fresh
         // timestamp, ticked under the state mutex so no pin can land
         // between the timestamp and the visibility flip.
@@ -481,7 +502,7 @@ impl DualTableStore {
     /// the rows, then lose them once the commit lands after its pin. Scans
     /// are blocked only for the staging step, not the file writes. A
     /// failed write discards what was staged.
-    fn stage_insert(&self, gen: u64, rows: Vec<Row>, intent: bool) -> Result<Staged> {
+    fn stage_insert(&self, gen: u64, rows: &[Row], intent: bool) -> Result<Staged> {
         let ids = self.reserve(rows.len() as u64)?;
         let mut staged = Staged {
             gen,
@@ -502,7 +523,7 @@ impl DualTableStore {
                 st.stage_file(gen, id);
             }
         }
-        match self.write_files(gen, ids, |push| rows.into_iter().try_for_each(push)) {
+        match self.write_files(gen, ids, rows) {
             Ok(written) => {
                 staged.written = written;
                 Ok(staged)
@@ -610,8 +631,12 @@ impl DualTableStore {
         f: &mut BatchFn<'_>,
     ) -> Result<ControlFlow<()>> {
         let plan = self.scan_plan(gen, opts, &ours.rows)?;
+        let projection = self.projected(opts);
         for file_id in self.visible_files(gen, opts.snapshot_ts) {
-            if self.merge_master(&plan, file_id, f)?.is_break() {
+            if self
+                .merge_master(&plan, file_id, &projection, f)?
+                .is_break()
+            {
                 return Ok(ControlFlow::Break(()));
             }
         }
@@ -619,8 +644,17 @@ impl DualTableStore {
             return Ok(ControlFlow::Continue(()));
         }
         let schema = &self.inner.schema;
-        let batch = ColumnBatch::from_rows(schema, &plan.projection, &ours.inserts)?;
+        let batch = ColumnBatch::from_rows(schema, &projection, &ours.inserts)?;
         f(INSERTS_FILE_ID, batch)
+    }
+
+    /// The column ordinals a scan decodes: `opts.projection`, or every
+    /// column.
+    pub(crate) fn projected<'a>(&self, opts: &'a UnionReadOptions) -> Cow<'a, [usize]> {
+        match &opts.projection {
+            Some(p) => Cow::Borrowed(p),
+            None => (0..self.inner.schema.len()).collect(),
+        }
     }
 
     /// Resolves what every file of one UNION READ shares.
@@ -634,10 +668,6 @@ impl DualTableStore {
         Ok(ScanPlan {
             gen,
             opts,
-            projection: match &opts.projection {
-                Some(p) => Cow::Borrowed(p),
-                None => (0..self.inner.schema.len()).collect(),
-            },
             presence: self.load_presence(&attached)?,
             attached,
             patches,
@@ -648,11 +678,12 @@ impl DualTableStore {
     /// range and the plan's own patches: opens the file (footer cache),
     /// skips the attached scan when the presence index proves the file
     /// clean, keeps the stripe predicates the file's overlays leave sound,
-    /// and runs [`merge_file`].
-    fn merge_master(
+    /// and runs [`merge_file`] over columns `projection`.
+    pub(crate) fn merge_master(
         &self,
         plan: &ScanPlan<'_>,
         file_id: u32,
+        projection: &[usize],
         f: &mut BatchFn<'_>,
     ) -> Result<ControlFlow<()>> {
         let reader = self.open_master(plan.gen, file_id)?;
@@ -678,30 +709,12 @@ impl DualTableStore {
         merge_file(
             file_id,
             &reader,
-            &plan.projection,
+            projection,
             predicates.as_deref(),
             attached,
             ours,
             f,
         )
-    }
-
-    /// [`Self::merge_master`] unpacked into rows, for the consumers that
-    /// take every one of them: the rewrites.
-    pub(crate) fn merge_master_rows(
-        &self,
-        plan: &ScanPlan<'_>,
-        file_id: u32,
-        f: &mut dyn FnMut(RecordId, Row) -> Result<()>,
-    ) -> Result<()> {
-        let flow = self.merge_master(plan, file_id, &mut |file_id, batch| {
-            for_each_row(file_id, &batch, &mut |id, row| {
-                f(id, row)?;
-                Ok(ControlFlow::Continue(()))
-            })
-        })?;
-        debug_assert!(flow.is_continue(), "a take-every-row consumer never breaks");
-        Ok(())
     }
 
     pub(crate) fn open_master(&self, gen: u64, file_id: u32) -> Result<Arc<OrcReader>> {
@@ -1041,13 +1054,17 @@ impl DualTableStore {
         };
         // `executed` can differ from the chosen `plan`: a pre-commit
         // OVERWRITE failure falls back to EDIT.
+        let statement = Dml {
+            predicate,
+            assignments,
+            scan,
+        };
         let ((rows_matched, rows_scanned), executed) = match plan {
             PlanChoice::Edit => {
                 let _guard = self.inner.ops.read();
-                let counts = self.edit_locked(predicate, assignments, scan)?;
-                (counts, PlanChoice::Edit)
+                (self.edit_locked(statement)?, PlanChoice::Edit)
             }
-            PlanChoice::Overwrite => self.overwrite(predicate, assignments, scan)?,
+            PlanChoice::Overwrite => self.overwrite(statement)?,
         };
         if let (Some(key), true) = (statement_key, rows_scanned > 0) {
             self.inner
@@ -1091,10 +1108,10 @@ impl DualTableStore {
     /// scan.snapshot_ts)` under the caller's own uncommitted `ours` (whose
     /// buffered inserts come last, as records of [`INSERTS_FILE_ID`]), of
     /// the columns `scan.projection` names, minus the stripes
-    /// `scan.predicates` rule out, handed to `f` as full-width rows — NULL
-    /// in every column not read. Returns the table's visible row count as
-    /// the cost model's α wants it: rows seen plus, from their footers, the
-    /// rows of the stripes skipped.
+    /// `scan.predicates` rule out, handed to `f` by [`located_rows`].
+    /// Returns the table's visible row count as the cost model's α wants
+    /// it: rows seen plus, from their footers, the rows of the stripes
+    /// skipped.
     fn locate(
         &self,
         gen: u64,
@@ -1102,26 +1119,15 @@ impl DualTableStore {
         ours: &PatchSet,
         f: &mut dyn FnMut(RecordId, &Row) -> Result<ControlFlow<()>>,
     ) -> Result<u64> {
-        let width = self.inner.schema.len();
-        let columns: Vec<usize> = match &scan.projection {
-            Some(p) => p.clone(),
-            None => (0..width).collect(),
-        };
-        let mut row = vec![Value::Null; width];
+        let columns = self.projected(scan);
+        let mut row = vec![Value::Null; self.inner.schema.len()];
         let (mut seen, mut decoded) = (0u64, 0u64);
         let _stopped = self.for_each_at(gen, scan, ours, &mut |file_id, batch| {
             decoded += batch.rows() as u64;
-            for i in batch.selected() {
+            located_rows(file_id, &batch, &columns, &mut row, |record, row| {
                 seen += 1;
-                for (column, &ordinal) in batch.columns().iter().zip(&columns) {
-                    row[ordinal] = column.value(i);
-                }
-                let record = RecordId::new(file_id, (batch.row_start() + i as u64) as u32);
-                if f(record, &row)?.is_break() {
-                    return Ok(ControlFlow::Break(()));
-                }
-            }
-            Ok(ControlFlow::Continue(()))
+                f(record, row)
+            })
         })?;
         if scan.predicates.is_none() {
             return Ok(seen);
@@ -1133,13 +1139,41 @@ impl DualTableStore {
         Ok(seen + stored.saturating_sub(decoded))
     }
 
+    /// What a statement does to one row it located — the one meaning of an
+    /// UPDATE or DELETE, whichever plan runs it: nothing unless `predicate`
+    /// matches, else its patch — a DELETE's (`assignments` absent) marker,
+    /// or an UPDATE's new column values, every SET expression evaluated
+    /// against the row as read (no assignment sees another's result) and
+    /// checked against its column.
+    #[inline]
+    pub(crate) fn patch_of(
+        &self,
+        record: RecordId,
+        row: &Row,
+        predicate: &dyn Fn(&Row) -> bool,
+        assignments: Option<&[Assignment<'_>]>,
+    ) -> Result<Option<AttachedEntry>> {
+        if !predicate(row) {
+            return Ok(None);
+        }
+        let mut updates = Vec::new();
+        for (col, f) in assignments.unwrap_or(&[]) {
+            let value = f(row);
+            self.check_assigned(*col, &value)?;
+            updates.push((*col, value));
+        }
+        Ok(Some(AttachedEntry {
+            record,
+            deleted: assignments.is_none(),
+            updates,
+        }))
+    }
+
     /// The one way an EDIT finds its rows (ops lock held) — the locating
     /// half of §V-A's UPDATE and DELETE UDTFs: [`Self::locate`], with each
-    /// row `predicate` matches turned into one entry of the statement's
-    /// patch set — an UPDATE's new column values, a DELETE's
-    /// (`assignments` absent) marker — in the ascending record order the
-    /// scan meets them in. Returns the patch set (its length is the
-    /// matched count) and the scanned count.
+    /// row's [`Self::patch_of`] collected into the statement's patch set in
+    /// the ascending record order the scan meets them in. Returns the
+    /// patch set (its length is the matched count) and the scanned count.
     pub(crate) fn locate_patches(
         &self,
         gen: u64,
@@ -1150,19 +1184,7 @@ impl DualTableStore {
     ) -> Result<(Vec<AttachedEntry>, u64)> {
         let mut found = Vec::new();
         let scanned = self.locate(gen, scan, ours, &mut |record, row| {
-            if predicate(row) {
-                let mut updates = Vec::new();
-                for (col, f) in assignments.unwrap_or(&[]) {
-                    let value = f(row);
-                    self.check_assigned(*col, &value)?;
-                    updates.push((*col, value));
-                }
-                found.push(AttachedEntry {
-                    record,
-                    deleted: assignments.is_none(),
-                    updates,
-                });
-            }
+            found.extend(self.patch_of(record, row, predicate, assignments)?);
             Ok(ControlFlow::Continue(()))
         })?;
         Ok((found, scanned))
@@ -1172,15 +1194,10 @@ impl DualTableStore {
     /// under the write lock, which is not reentrant): locate at the latest
     /// epoch, then store the statement's whole patch set in the Attached
     /// Table in one commit. Returns `(matched, scanned)`.
-    fn edit_locked(
-        &self,
-        predicate: &dyn Fn(&Row) -> bool,
-        assignments: Option<&[Assignment<'_>]>,
-        scan: &UnionReadOptions,
-    ) -> Result<(u64, u64)> {
+    fn edit_locked(&self, s: Dml<'_>) -> Result<(u64, u64)> {
         let gen = self.current_gen()?;
         let (rows, scanned) =
-            self.locate_patches(gen, scan, &NO_PATCHES, predicate, assignments)?;
+            self.locate_patches(gen, s.scan, &NO_PATCHES, s.predicate, s.assignments)?;
         let matched = rows.len() as u64;
         let inserts = Vec::new(); // an autocommit INSERT doesn't buffer
         self.commit_patches(None, PatchSet { rows, inserts })?;
@@ -1215,7 +1232,7 @@ impl DualTableStore {
         let attached = self.attached()?;
         let write_set: Vec<u64> = patches.iter().map(|p| p.record.as_u64()).collect();
         let staged = match pin {
-            Some((gen, _)) if !inserts.is_empty() => Some(self.stage_insert(gen, inserts, true)?),
+            Some((gen, _)) if !inserts.is_empty() => Some(self.stage_insert(gen, &inserts, true)?),
             _ => None,
         };
         let mut cells: Vec<(Vec<u8>, Vec<u8>, Vec<u8>)> = Vec::new();
@@ -1309,35 +1326,16 @@ impl DualTableStore {
     }
 
     /// The OVERWRITE plan: Hive's INSERT OVERWRITE — rewrite the master
-    /// with the updated values (UPDATE) or without the matching rows
-    /// (DELETE, `assignments` absent), then clear the attached table.
+    /// with the statement's patches applied stripe by stripe (an UPDATE's
+    /// values, a DELETE's dropped rows), then clear the attached table.
     ///
     /// If the rewrite fails before its commit point the old generation is
     /// still fully live, so the statement falls back to the EDIT plan —
     /// it must still succeed (DESIGN.md §8). Returns the executed plan
     /// alongside the `(matched, scanned)` counts.
-    fn overwrite(
-        &self,
-        predicate: &(dyn Fn(&Row) -> bool + Sync),
-        assignments: Option<&[Assignment<'_>]>,
-        scan: &UnionReadOptions,
-    ) -> Result<((u64, u64), PlanChoice)> {
+    fn overwrite(&self, statement: Dml<'_>) -> Result<((u64, u64), PlanChoice)> {
         let _guard = self.inner.ops.write();
-        let transform = |_: RecordId, mut row: Row| {
-            if !predicate(&row) {
-                return Ok((Some(row), false));
-            }
-            let Some(assignments) = assignments else {
-                return Ok((None, true));
-            };
-            for (col, f) in assignments {
-                let value = f(&row);
-                self.check_assigned(*col, &value)?;
-                row[*col] = value;
-            }
-            Ok((Some(row), true))
-        };
-        let failed = match self.rewrite_exclusive(Rows::Merged(Some(&transform))) {
+        let failed = match self.rewrite_exclusive(Rows::Merged(Some(statement))) {
             Ok(built) => return Ok(((built.matched, built.scanned), PlanChoice::Overwrite)),
             Err(e) => e,
         };
@@ -1352,8 +1350,7 @@ impl DualTableStore {
             return Err(failed);
         }
         self.inner.env.health.record_plan_fallback();
-        let counts = self.edit_locked(predicate, assignments, scan)?;
-        Ok((counts, PlanChoice::Edit))
+        Ok((self.edit_locked(statement)?, PlanChoice::Edit))
     }
 
     // ------------------------------------------------------------------
@@ -1665,6 +1662,38 @@ mod tests {
         );
     }
 
+    /// A rewrite never hands stripe predicates to the merge: a WHERE that
+    /// statistics prune in every stripe matches nothing, and an
+    /// OVERWRITE-plan statement must still write every row — a skipped
+    /// stripe would vanish from the table.
+    #[test]
+    fn overwrite_plan_writes_the_stripes_its_predicates_prune() {
+        let mut config = small_files();
+        config.writer.stripe_rows = 8;
+        config.plan_mode = PlanMode::AlwaysOverwrite;
+        let t = table_with(100, config);
+        let before = t.scan_all().unwrap();
+        let mut pruned = UnionReadOptions::all().with_projection(vec![0]);
+        pruned.predicates = Some(vec![ColumnPredicate::new(
+            0,
+            dt_orcfile::PredicateOp::Ge,
+            Value::Int64(1000),
+        )]);
+        let nothing = |r: &Row| r[0].as_i64().unwrap() >= 1000;
+        let ratio = RatioHint::Explicit(0.9);
+        let deleted = t.delete_keyed(nothing, ratio, None, &pruned).unwrap();
+        let set: [Assignment<'_>; 1] = [(2, Box::new(|_| Value::Float64(9.0)))];
+        let updated = t.update_keyed(nothing, &set, ratio, None, &pruned).unwrap();
+        for report in [deleted, updated] {
+            assert_eq!(report.plan, PlanChoice::Overwrite);
+            assert_eq!((report.rows_matched, report.rows_scanned), (0, 100));
+        }
+        let rows = |scan: Vec<(RecordId, Row)>| -> Vec<Row> {
+            scan.into_iter().map(|(_, row)| row).collect()
+        };
+        assert_eq!(rows(t.scan_all().unwrap()), rows(before));
+    }
+
     #[test]
     fn update_then_delete_interleaving() {
         let mut config = small_files();
@@ -1866,7 +1895,7 @@ mod tests {
         let gen = t.current_gen().unwrap();
         // insert_rows' window: reserve + stage + write, no commit yet.
         let staged = t
-            .stage_insert(gen, (100..110).map(row).collect(), false)
+            .stage_insert(gen, &(100..110).map(row).collect::<Vec<_>>(), false)
             .unwrap();
         // Pinned inside the window: the durable-but-uncommitted file is
         // invisible.

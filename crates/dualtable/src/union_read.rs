@@ -144,65 +144,91 @@ pub(crate) fn merge_file(
     f: &mut BatchFn<'_>,
 ) -> Result<ControlFlow<()>> {
     let mut attached = attached.map(Iterator::peekable);
-    // Position of each absolute column ordinal within the batch.
-    let mut pos_of = vec![None; reader.schema().len()];
-    for (pos, col) in projection.iter().enumerate() {
-        pos_of[*col] = Some(pos);
-    }
+    let pos_of = positions(reader.schema().len(), projection);
     for batch in reader.batches(Some(projection), predicates)? {
         let mut batch = batch?;
-        let start = batch.row_start();
-        let end = start + batch.rows() as u64;
+        let end = batch.row_start() + batch.rows() as u64;
         if end > u64::from(u32::MAX) + 1 {
             return Err(Error::corrupt("row number exceeds record-ID range"));
         }
-        let mut deleted = Vec::new();
-        let mut apply = |entry: Cow<'_, AttachedEntry>| -> Result<()> {
-            let Some(i) = u64::from(entry.record.row).checked_sub(start) else {
-                return Ok(()); // a row some skipped stripe holds
-            };
-            if entry.deleted {
-                deleted.push(i as u32);
-                return Ok(());
-            }
-            for (column, value) in entry.into_owned().updates {
-                if let Some(pos) = pos_of.get(column).copied().flatten() {
-                    batch.column_mut(pos).set(i as usize, value)?;
-                }
-            }
-            Ok(())
-        };
         // Every input ascends by record ID: consume the entries up to this
         // batch's last row, then leave the rest for the next batch.
-        while let Some(kv_row) = attached.as_mut().and_then(|a| {
-            a.next_if(|kv| {
+        let stored = std::iter::from_fn(|| {
+            let kv_row = attached.as_mut()?.next_if(|kv| {
                 let row = kv.as_ref().ok().and_then(|kv| RecordId::from_key(&kv.row));
                 row.is_none_or(|r| u64::from(r.row) < end)
-            })
-        }) {
-            apply(Cow::Owned(AttachedEntry::from_row(&kv_row?)?))?;
-        }
+            })?;
+            Some(
+                kv_row
+                    .and_then(|kv| AttachedEntry::from_row(&kv))
+                    .map(Cow::Owned),
+            )
+        });
         let ours = patches.partition_point(|p| u64::from(p.record.row) < end);
-        for patch in &patches[..ours] {
-            apply(Cow::Borrowed(patch))?;
-        }
-        patches = &patches[ours..];
-        if !deleted.is_empty() {
-            // Each source ascends; together they need not.
-            deleted.sort_unstable();
-            deleted.dedup();
-            let mut deleted = deleted.into_iter().peekable();
-            batch.select(
-                (0..batch.rows() as u32)
-                    .filter(|i| deleted.next_if_eq(i).is_none())
-                    .collect(),
-            );
-        }
+        let (ours, later) = patches.split_at(ours);
+        patches = later;
+        patch_batch(
+            &mut batch,
+            &pos_of,
+            stored.chain(ours.iter().map(|p| Ok(Cow::Borrowed(p)))),
+        )?;
         if f(file_id, batch)?.is_break() {
             return Ok(ControlFlow::Break(()));
         }
     }
     Ok(ControlFlow::Continue(()))
+}
+
+/// Position of each absolute column ordinal within a batch of
+/// `projection`.
+pub(crate) fn positions(width: usize, projection: &[usize]) -> Vec<Option<usize>> {
+    let mut pos_of = vec![None; width];
+    for (pos, col) in projection.iter().enumerate() {
+        pos_of[*col] = Some(pos);
+    }
+    pos_of
+}
+
+/// Patches `entries` into one batch — the one way a modification reaches
+/// rows, whichever source it comes from (the attached range, a reader's
+/// own patch set, the matches of an OVERWRITE-plan statement): update
+/// overlays are written in by row number (those on columns the batch
+/// lacks are dropped), delete markers leave the batch's selection. An
+/// entry for a row some skipped stripe holds is discarded.
+pub(crate) fn patch_batch<'a>(
+    batch: &mut ColumnBatch,
+    pos_of: &[Option<usize>],
+    entries: impl Iterator<Item = Result<Cow<'a, AttachedEntry>>>,
+) -> Result<()> {
+    let mut deleted = Vec::new();
+    for entry in entries {
+        let entry = entry?;
+        let Some(i) = u64::from(entry.record.row).checked_sub(batch.row_start()) else {
+            continue;
+        };
+        if entry.deleted {
+            deleted.push(i as u32);
+            continue;
+        }
+        for (column, value) in entry.into_owned().updates {
+            if let Some(pos) = pos_of.get(column).copied().flatten() {
+                batch.column_mut(pos).set(i as usize, value)?;
+            }
+        }
+    }
+    if !deleted.is_empty() {
+        // Each source ascends; together they need not.
+        deleted.sort_unstable();
+        let mut deleted = deleted.into_iter().peekable();
+        let kept = batch.selected().map(|i| i as u32).filter(|i| {
+            // Skip what an earlier patch already dropped, and duplicates.
+            while deleted.next_if(|d| d < i).is_some() {}
+            deleted.peek() != Some(i)
+        });
+        let kept = kept.collect();
+        batch.select(kept);
+    }
+    Ok(())
 }
 
 /// The row-at-a-time view of a merged batch: `(record id, row)` per

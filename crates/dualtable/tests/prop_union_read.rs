@@ -2,7 +2,9 @@
 //! updates/deletes and compactions must equal a reference model (a plain
 //! `Vec` of rows mutated in place).
 
+use dt_common::rng::Rng64;
 use dt_common::{DataType, Row, Schema, Value};
+use dt_orcfile::{OrcReader, WriterOptions, FILE_ID_METADATA_KEY};
 use dualtable::{
     DualTableConfig, DualTableEnv, DualTableStore, FoldOutcome, PlanChoice, PlanMode, RatioHint,
 };
@@ -145,31 +147,62 @@ proptest! {
         }
     }
 
-    /// Every rewrite is one fold: after a random history, each of them
-    /// leaves the scan row-for-row equal to the UNION READ taken before
-    /// it — in scan order for a full rewrite; an incremental fold moves
-    /// the folded files' rows to fresh file IDs past the carried ones, so
-    /// its rows compare ordered by `id`. A full rewrite empties the
-    /// attached table; an incremental fold retires exactly the folded
-    /// files' presence rows and carries the rest under their own file IDs.
+    /// Every rewrite is one fold. A random table over all five types —
+    /// insert files long and short, EDIT-plan overlays and delete markers
+    /// on top — goes through each of them, the OVERWRITE plan with a random
+    /// UPDATE or DELETE of its own, on one and on two write workers. The
+    /// scan afterwards equals the row model, in order (an incremental fold
+    /// moves the folded files' rows to fresh file IDs past the carried
+    /// ones, so its rows compare ordered by key), under ascending record
+    /// IDs; a full rewrite empties the attached table, an incremental fold
+    /// retires exactly the folded files' presence rows; and every output
+    /// stripe that kept all the rows of a source stripe stores, for each
+    /// column neither that file's presence entry nor the statement's SET
+    /// list names, the very bytes the source stripe stored.
     #[test]
     fn every_rewrite_preserves_the_union_read(
-        ops in proptest::collection::vec(arb_op(), 1..16),
+        seed in any::<u64>(),
         rewrite in 0u8..4,
         write_threads in 1u8..3,
     ) {
+        let mut rng = Rng64::new(seed);
+        let rng = &mut rng;
+        let schema = differential::schema(rng);
+        let config = DualTableConfig {
+            rows_per_file: rng.range_i64(4, 24) as usize,
+            write_threads: write_threads as usize,
+            writer: WriterOptions {
+                stripe_rows: rng.range_i64(1, 8) as usize,
+                ..WriterOptions::default()
+            },
+            ..config()
+        };
         let env = DualTableEnv::in_memory();
-        let config = DualTableConfig { write_threads: write_threads as usize, ..config() };
-        let table = DualTableStore::create(&env, "t", schema(), config.clone()).unwrap();
-        let (mut model, mut next_id) = (Vec::new(), 0i64);
-        for op in &ops {
-            apply(&table, op, &mut model, &mut next_id);
+        let table = DualTableStore::create(&env, "t", schema.clone(), config.clone()).unwrap();
+        let (mut model, mut next_key): (Vec<Row>, i64) = (Vec::new(), 0);
+        for _ in 0..rng.range_i64(1, 7) {
+            if rng.chance(0.6) {
+                let n = rng.next_below(40) as usize;
+                let rows = differential::rows(rng, &schema, next_key, n);
+                next_key += n as i64;
+                table.insert_rows(rows.clone()).unwrap();
+                model.extend(rows);
+            } else {
+                let op = differential::dml(rng, &schema);
+                op.run(&table);
+                model.retain_mut(|row| op.patch(row));
+            }
         }
-        let by_id = rewrite == 2;
-        let before = scan_rows(&table, by_id);
+        let statement = differential::dml(rng, &schema);
+        let by_key = rewrite == 2;
         let dirty = |table: &DualTableStore| -> Vec<u32> {
             table.presence_index().unwrap().files.keys().copied().collect()
         };
+        let mut set: Vec<usize> = Vec::new();
+        if rewrite == 3 {
+            set.extend(statement.assignments().iter().flatten().map(|(column, _)| *column));
+        }
+        let sources = stripes(&env, &table, &set);
 
         match rewrite {
             0 => table.compact().unwrap(),
@@ -190,28 +223,130 @@ proptest! {
                         for id in &dirty_after {
                             prop_assert!(dirty_before.contains(id) && live.contains(id));
                         }
-                        prop_assert_eq!(&scan_rows(&table, by_id), &before);
+                        prop_assert_eq!(&scan_rows(&table, by_key), &model);
                     }
                 }
             },
             _ => {
                 // The OVERWRITE plan through a second handle on the table.
                 let config = DualTableConfig { plan_mode: PlanMode::AlwaysOverwrite, ..config };
-                let overwriting = DualTableStore::open(&env, "t", schema(), config).unwrap();
-                let report = overwriting
-                    .update(|_| false, &[(1, Box::new(|_| Value::Int64(7)))], RatioHint::Explicit(1.0))
-                    .unwrap();
+                let overwriting = DualTableStore::open(&env, "t", schema, config).unwrap();
+                let hit = model.iter().filter(|row| statement.hits(row)).count();
+                let report = statement.run(&overwriting);
                 prop_assert_eq!(report.plan, PlanChoice::Overwrite);
-                prop_assert_eq!(report.rows_matched, 0);
+                prop_assert_eq!(report.rows_matched, hit as u64);
+                prop_assert_eq!(report.rows_scanned, model.len() as u64);
+                model.retain_mut(|row| statement.patch(row));
             }
         }
 
-        prop_assert_eq!(scan_rows(&table, by_id), before);
+        let scanned = table.scan_all().unwrap();
+        prop_assert!(scanned.windows(2).all(|w| w[0].0 < w[1].0));
+        prop_assert_eq!(scan_rows(&table, by_key), model);
         prop_assert!(dirty(&table).is_empty());
         if rewrite != 2 {
             prop_assert_eq!(table.stats().unwrap().attached_entries, 0);
         }
+        for written in stripes(&env, &table, &[]) {
+            let Some(source) = sources.iter().find(|s| s.keys == written.keys) else {
+                continue; // rows came or went: nothing to carry
+            };
+            for (c, stream) in written.streams.iter().enumerate() {
+                prop_assert!(
+                    source.changed[c] || stream == &source.streams[c],
+                    "column {} of the stripe at key {:?} was re-encoded to other bytes",
+                    c, written.keys.first()
+                );
+            }
+        }
     }
+}
+
+/// One stripe of a master file as stored.
+struct StoredStripe {
+    /// The key column, decoded.
+    keys: Vec<Value>,
+    /// Every column's stream, compressed, as the file holds it.
+    streams: Vec<Vec<u8>>,
+    /// Per column: the file's presence entry or `set` names it.
+    changed: Vec<bool>,
+}
+
+/// Every stripe of the table's live master files, in scan order.
+fn stripes(env: &DualTableEnv, table: &DualTableStore, set: &[usize]) -> Vec<StoredStripe> {
+    let live = table.master_file_ids().unwrap();
+    let presence = table.presence_index().unwrap();
+    let width = table.schema().len();
+    let every: Vec<usize> = (0..width).collect();
+    let mut out = Vec::new();
+    for path in env.dfs.list(&format!("/warehouse/{}/", table.name())) {
+        let reader = OrcReader::open(&env.dfs, &path).unwrap();
+        let id = reader.metadata(FILE_ID_METADATA_KEY).unwrap();
+        let id = u32::from_be_bytes(id.try_into().unwrap());
+        if !live.contains(&id) {
+            continue; // a generation on its way out
+        }
+        let updated = |c| presence.file(id).is_some_and(|p| p.has_update_on(c));
+        for (stripe, keys) in reader.batches(Some(&[0]), None).unwrap().enumerate() {
+            let keys = keys.unwrap();
+            out.push(StoredStripe {
+                keys: (0..keys.rows())
+                    .map(|i| keys.columns()[0].value(i))
+                    .collect(),
+                streams: reader.raw_streams(stripe, &every).unwrap(),
+                changed: (0..width).map(|c| updated(c) || set.contains(&c)).collect(),
+            });
+        }
+    }
+    out
+}
+
+/// COMPACT converges: many one-stripe insert files, each shorter than half
+/// a stripe, fold into ⌈rows / `rows_per_file`⌉ files of full stripes (all
+/// but the table's last), and a second COMPACT of the now-clean table
+/// changes no stored byte of any column and reads no more than the master
+/// files hold.
+#[test]
+fn compact_folds_short_files_into_full_stripes_and_then_carries_them() {
+    let env = DualTableEnv::in_memory();
+    let config = DualTableConfig {
+        rows_per_file: 64,
+        write_threads: 1,
+        writer: WriterOptions {
+            stripe_rows: 16,
+            ..WriterOptions::default()
+        },
+        ..config()
+    };
+    let table = DualTableStore::create(&env, "t", schema(), config).unwrap();
+    for batch in 0..39 {
+        let rows = (0..5).map(|i| vec![Value::Int64(batch * 5 + i), Value::Int64(batch)]);
+        table.insert_rows(rows.collect::<Vec<Row>>()).unwrap();
+    }
+    assert_eq!(table.master_file_ids().unwrap().len(), 39);
+    let before = scan_rows(&table, false);
+
+    table.compact().unwrap();
+    assert_eq!(
+        table.master_file_ids().unwrap().len(),
+        195usize.div_ceil(64)
+    );
+    let folded = stripes(&env, &table, &[]);
+    let lengths: Vec<usize> = folded.iter().map(|s| s.keys.len()).collect();
+    assert_eq!(lengths, [[16; 12].as_slice(), &[3]].concat());
+    assert_eq!(scan_rows(&table, false), before);
+
+    let master_bytes = table.stats().unwrap().master_bytes;
+    env.dfs.stats().reset();
+    table.compact().unwrap();
+    let read = env.dfs.stats().snapshot().bytes_read;
+    assert!(read <= master_bytes, "read {read} of {master_bytes} bytes");
+    let carried = stripes(&env, &table, &[]);
+    assert_eq!(carried.len(), folded.len());
+    for (after, before) in carried.iter().zip(&folded) {
+        assert_eq!(after.streams, before.streams);
+    }
+    assert_eq!(scan_rows(&table, false), before);
 }
 
 // ----------------------------------------------------------------------
@@ -242,7 +377,7 @@ mod differential {
     /// A value of `ty`: NULL one time in five; strings from a pool of three
     /// (a dictionary stream) when `column` is even, unique ones (a direct
     /// stream) when it is odd.
-    fn value(rng: &mut Rng64, ty: DataType, column: usize) -> Value {
+    pub(super) fn value(rng: &mut Rng64, ty: DataType, column: usize) -> Value {
         if rng.chance(0.2) {
             return Value::Null;
         }
@@ -259,7 +394,7 @@ mod differential {
     }
 
     /// Column 0 is the unique, non-null key `k` (also the shard key).
-    fn schema(rng: &mut Rng64) -> Schema {
+    pub(super) fn schema(rng: &mut Rng64) -> Schema {
         let mut fields = vec![Field::new("k", DataType::Int64)];
         for c in 1..rng.range_i64(2, 6) as usize {
             fields.push(Field::new(format!("c{c}"), *rng.choose(&TYPES)));
@@ -267,7 +402,7 @@ mod differential {
         Schema::new(fields).unwrap()
     }
 
-    fn rows(rng: &mut Rng64, schema: &Schema, first: i64, n: usize) -> Vec<Row> {
+    pub(super) fn rows(rng: &mut Rng64, schema: &Schema, first: i64, n: usize) -> Vec<Row> {
         (0..n as i64)
             .map(|i| {
                 let mut row = vec![Value::Int64(first + i)];
@@ -279,64 +414,108 @@ mod differential {
             .collect()
     }
 
-    enum Dml {
-        Update {
-            d: i64,
-            r: i64,
+    /// One UPDATE or DELETE of the rows whose key is `r` modulo `d`.
+    pub(super) struct Dml {
+        d: i64,
+        r: i64,
+        kind: Kind,
+    }
+
+    enum Kind {
+        /// `SET column = value`.
+        Set {
             column: usize,
             value: Value,
         },
-        Delete {
-            d: i64,
-            r: i64,
+        /// `SET c1 = c2, c2 = c3, …, cn = c1` over every non-key column of
+        /// one type: each right-hand side reads a column the statement
+        /// also assigns, and must see it as stored.
+        Rotate {
+            columns: Vec<usize>,
         },
+        Delete,
     }
 
-    fn dml(rng: &mut Rng64, schema: &Schema) -> Dml {
+    pub(super) fn dml(rng: &mut Rng64, schema: &Schema) -> Dml {
         let d = rng.range_i64(2, 6);
         let r = rng.range_i64(0, d - 1);
-        if rng.chance(0.3) {
-            return Dml::Delete { d, r };
-        }
         let column = rng.range_i64(1, schema.len() as i64 - 1) as usize;
-        Dml::Update {
-            d,
-            r,
-            column,
-            value: value(rng, schema.field(column).data_type, column),
-        }
+        let ty = schema.field(column).data_type;
+        let kind = match rng.next_below(10) {
+            0..=2 => Kind::Delete,
+            3..=4 => Kind::Rotate {
+                columns: (1..schema.len())
+                    .filter(|c| schema.field(*c).data_type == ty)
+                    .collect(),
+            },
+            _ => Kind::Set {
+                column,
+                value: value(rng, ty, column),
+            },
+        };
+        Dml { d, r, kind }
     }
 
-    fn hits(row: &Row, d: i64, r: i64) -> bool {
-        row[0].as_i64().unwrap().rem_euclid(d) == r
+    impl Dml {
+        pub(super) fn hits(&self, row: &Row) -> bool {
+            row[0].as_i64().unwrap().rem_euclid(self.d) == self.r
+        }
+
+        /// The SET list; `None` for a DELETE.
+        pub(super) fn assignments(&self) -> Option<Vec<dualtable::Assignment<'_>>> {
+            match &self.kind {
+                Kind::Delete => None,
+                Kind::Set { column, value } => Some(vec![assignment(*column, value)]),
+                Kind::Rotate { columns } => {
+                    let from = columns.iter().cycle().skip(1);
+                    let set = columns.iter().zip(from).map(|(&to, &from)| {
+                        let read = move |row: &Row| row[from].clone();
+                        (to, Box::new(read) as Box<dyn Fn(&Row) -> Value + Sync>)
+                    });
+                    Some(set.collect())
+                }
+            }
+        }
+
+        /// The model: what the statement makes of `row` — `false` when it
+        /// deletes it.
+        pub(super) fn patch(&self, row: &mut Row) -> bool {
+            if !self.hits(row) {
+                return true;
+            }
+            match &self.kind {
+                Kind::Delete => return false,
+                Kind::Set { column, value } => row[*column] = value.clone(),
+                Kind::Rotate { columns } => {
+                    let stored = row.clone();
+                    for (&to, &from) in columns.iter().zip(columns.iter().cycle().skip(1)) {
+                        row[to] = stored[from].clone();
+                    }
+                }
+            }
+            true
+        }
+
+        /// Runs the statement on `t` under autocommit.
+        pub(super) fn run(&self, t: &DualTableStore) -> dualtable::DmlReport {
+            let ratio = RatioHint::Explicit(0.1);
+            match self.assignments() {
+                Some(set) => t.update(|row| self.hits(row), &set, ratio).unwrap(),
+                None => t.delete(|row| self.hits(row), ratio).unwrap(),
+            }
+        }
     }
 
     /// Runs `op` on the table and on its sharded twin.
     fn apply(t: &DualTableStore, sharded: &ShardedTable, op: &Dml) {
+        op.run(t);
         let ratio = RatioHint::Explicit(0.1);
-        match op {
-            Dml::Update {
-                d,
-                r,
-                column,
-                value,
-            } => {
-                let assign = [(
-                    *column,
-                    Box::new(|_: &Row| value.clone()) as Box<dyn Fn(&Row) -> Value + Sync>,
-                )];
-                t.update(|row| hits(row, *d, *r), &assign, ratio).unwrap();
-                sharded
-                    .update_keyed(|row| hits(row, *d, *r), &assign, ratio, None, None)
-                    .unwrap();
-            }
-            Dml::Delete { d, r } => {
-                t.delete(|row| hits(row, *d, *r), ratio).unwrap();
-                sharded
-                    .delete_keyed(|row| hits(row, *d, *r), ratio, None, None)
-                    .unwrap();
-            }
+        let hits = |row: &Row| op.hits(row);
+        match op.assignments() {
+            Some(set) => sharded.update_keyed(hits, &set, ratio, None, None),
+            None => sharded.delete_keyed(hits, ratio, None, None),
         }
+        .unwrap();
     }
 
     /// Random projection order (possibly empty, no repeats) and up to two
@@ -595,21 +774,21 @@ mod differential {
             let sharded =
                 ShardedTable::create(&env, "s", schema.clone(), config.clone(), spec.clone())
                     .unwrap();
+            let overwriting = DualTableConfig { plan_mode: PlanMode::AlwaysOverwrite, ..config.clone() };
+            let over = DualTableStore::create(&env, "over", schema.clone(), overwriting).unwrap();
             auto.insert_rows(base.clone()).unwrap();
+            over.insert_rows(base.clone()).unwrap();
             single.insert_rows(base.clone()).unwrap();
             sharded.insert_rows(base).unwrap();
 
-            // Autocommit: every statement its own commit.
+            // Autocommit, every statement its own commit — under either
+            // plan: the EDIT plan patches the attached table, the
+            // OVERWRITE plan rewrites the master with the same patches.
             for step in &script {
-                match step {
-                    Script::Insert(rows) => drop(auto.insert_rows(rows.clone()).unwrap()),
-                    Script::Edit(Dml::Update { d, r, column, value }) => {
-                        let assign = [assignment(*column, value)];
-                        let ratio = RatioHint::Explicit(0.1);
-                        auto.update(|row| hits(row, *d, *r), &assign, ratio).unwrap();
-                    }
-                    Script::Edit(Dml::Delete { d, r }) => {
-                        auto.delete(|row| hits(row, *d, *r), RatioHint::Explicit(0.1)).unwrap();
+                for t in [&auto, &over] {
+                    match step {
+                        Script::Insert(rows) => drop(t.insert_rows(rows.clone()).unwrap()),
+                        Script::Edit(op) => drop(op.run(t)),
                     }
                 }
             }
@@ -639,25 +818,23 @@ mod differential {
                         on_shards.insert(rows.clone()).unwrap();
                         pending.extend(rows.iter().cloned());
                     }
-                    Script::Edit(Dml::Update { d, r, column, value }) => {
-                        let assign = [assignment(*column, value)];
-                        let n = txn.update(|row| hits(row, *d, *r), &assign, &all).unwrap();
-                        let m = on_shards.update(|row| hits(row, *d, *r), &assign, &all).unwrap();
-                        let rows = committed.iter_mut().map(|(_, row)| row).chain(&mut pending);
-                        let hit: Vec<_> = rows.filter(|row| hits(row, *d, *r)).collect();
-                        prop_assert_eq!((n, m), (hit.len() as u64, hit.len() as u64));
-                        for row in hit {
-                            row[*column] = value.clone();
-                        }
-                    }
-                    Script::Edit(Dml::Delete { d, r }) => {
-                        let n = txn.delete(|row| hits(row, *d, *r), &all).unwrap();
-                        let m = on_shards.delete(|row| hits(row, *d, *r), &all).unwrap();
-                        let before = committed.len() + pending.len();
-                        committed.retain(|(_, row)| !hits(row, *d, *r));
-                        pending.retain(|row| !hits(row, *d, *r));
-                        let gone = (before - committed.len() - pending.len()) as u64;
-                        prop_assert_eq!((n, m), (gone, gone));
+                    Script::Edit(op) => {
+                        let hits = |row: &Row| op.hits(row);
+                        let (n, m) = match op.assignments() {
+                            Some(set) => (
+                                txn.update(hits, &set, &all).unwrap(),
+                                on_shards.update(hits, &set, &all).unwrap(),
+                            ),
+                            None => (
+                                txn.delete(hits, &all).unwrap(),
+                                on_shards.delete(hits, &all).unwrap(),
+                            ),
+                        };
+                        let rows = committed.iter().map(|(_, row)| row).chain(&pending);
+                        let hit = rows.filter(|row| op.hits(row)).count() as u64;
+                        prop_assert_eq!((n, m), (hit, hit));
+                        committed.retain_mut(|(_, row)| op.patch(row));
+                        pending.retain_mut(|row| op.patch(row));
                     }
                 }
                 // The model under the record IDs the transaction scans it
@@ -703,6 +880,7 @@ mod differential {
             };
             let expect = rows_of(&auto);
             prop_assert_eq!(rows_of(&single), expect.clone());
+            prop_assert_eq!(rows_of(&over), expect.clone());
             let mut by_key = expect;
             by_key.sort_by_key(|row| row[0].as_i64());
             let scattered = sharded.scan_scatter(None, None, &Deadline::never()).unwrap();

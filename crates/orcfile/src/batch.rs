@@ -71,6 +71,109 @@ impl Column {
         Column { data, nulls }
     }
 
+    /// An empty column of `data_type`, to be filled by [`Column::push`]
+    /// and [`Column::extend`]. Strings are stored direct.
+    pub(crate) fn empty(data_type: DataType) -> Self {
+        let data = match data_type {
+            DataType::Int64 => ColumnData::Int64(Vec::new()),
+            DataType::Float64 => ColumnData::Float64(Vec::new()),
+            DataType::Bool => ColumnData::Bool(Vec::new()),
+            DataType::Date => ColumnData::Date(Vec::new()),
+            DataType::Utf8 => ColumnData::Direct {
+                bytes: String::new(),
+                spans: Vec::new(),
+            },
+        };
+        Column { data, nulls: None }
+    }
+
+    /// Empties the column, keeping its type and its allocations.
+    pub(crate) fn clear(&mut self) {
+        match &mut self.data {
+            ColumnData::Int64(v) => v.clear(),
+            ColumnData::Float64(v) => v.clear(),
+            ColumnData::Bool(v) => v.clear(),
+            ColumnData::Date(v) => v.clear(),
+            ColumnData::Dict { dict, codes } => {
+                dict.clear();
+                codes.clear();
+            }
+            ColumnData::Direct { bytes, spans } => {
+                bytes.clear();
+                spans.clear();
+            }
+        }
+        self.nulls = None;
+    }
+
+    /// Copies `s` to the end of `bytes` and returns its span.
+    fn append_str(bytes: &mut String, s: &str) -> Result<(u32, u32)> {
+        let span = u32::try_from(bytes.len())
+            .ok()
+            .zip(u32::try_from(s.len()).ok())
+            .filter(|(off, len)| off.checked_add(*len).is_some())
+            .ok_or_else(|| Error::internal("string column outgrew its offset space"))?;
+        bytes.push_str(s);
+        Ok(span)
+    }
+
+    /// Appends one row. The value must be NULL or of the column's type.
+    pub(crate) fn push(&mut self, value: &Value) -> Result<()> {
+        match (&mut self.data, value) {
+            (ColumnData::Int64(v), Value::Int64(x)) => v.push(*x),
+            (ColumnData::Float64(v), Value::Float64(x)) => v.push(*x),
+            (ColumnData::Bool(v), Value::Bool(x)) => v.push(*x),
+            (ColumnData::Date(v), Value::Date(x)) => v.push(*x),
+            (ColumnData::Direct { bytes, spans }, Value::Utf8(s)) => {
+                spans.push(Self::append_str(bytes, s)?)
+            }
+            (ColumnData::Int64(v), Value::Null) => v.push(0),
+            (ColumnData::Float64(v), Value::Null) => v.push(0.0),
+            (ColumnData::Bool(v), Value::Null) => v.push(false),
+            (ColumnData::Date(v), Value::Null) => v.push(0),
+            (ColumnData::Direct { spans, .. }, Value::Null) => spans.push((0, 0)),
+            (data, other) => return Err(mismatch(data, &format!("{other:?}"))),
+        }
+        if value.is_null() || self.nulls.is_some() {
+            let before = self.len() - 1;
+            let nulls = self.nulls.get_or_insert_with(|| vec![false; before]);
+            nulls.push(value.is_null());
+        }
+        Ok(())
+    }
+
+    /// Appends rows `rows` of `src`, which must hold the same type
+    /// (strings in either form).
+    pub(crate) fn extend(
+        &mut self,
+        src: &Column,
+        rows: impl Iterator<Item = usize> + Clone,
+    ) -> Result<()> {
+        let before = self.len();
+        match (&mut self.data, &src.data) {
+            (ColumnData::Int64(v), ColumnData::Int64(s)) => v.extend(rows.clone().map(|i| s[i])),
+            (ColumnData::Float64(v), ColumnData::Float64(s)) => {
+                v.extend(rows.clone().map(|i| s[i]))
+            }
+            (ColumnData::Bool(v), ColumnData::Bool(s)) => v.extend(rows.clone().map(|i| s[i])),
+            (ColumnData::Date(v), ColumnData::Date(s)) => v.extend(rows.clone().map(|i| s[i])),
+            (
+                ColumnData::Direct { bytes, spans },
+                ColumnData::Dict { .. } | ColumnData::Direct { .. },
+            ) => {
+                for i in rows.clone() {
+                    spans.push(Self::append_str(bytes, src.str_at(i).unwrap_or(""))?);
+                }
+            }
+            (data, _) => return Err(mismatch(data, "a column of another type")),
+        }
+        if src.nulls.is_some() || self.nulls.is_some() {
+            let nulls = self.nulls.get_or_insert_with(|| vec![false; before]);
+            nulls.extend(rows.map(|i| src.is_null(i)));
+        }
+        Ok(())
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
         match &self.data {
@@ -96,6 +199,11 @@ impl Column {
     /// `true` iff row `i` is NULL.
     pub fn is_null(&self, i: usize) -> bool {
         self.nulls.as_ref().is_some_and(|n| n[i])
+    }
+
+    /// The null mask; `None` when no row is NULL.
+    pub(crate) fn nulls(&self) -> Option<&[bool]> {
+        self.nulls.as_deref()
     }
 
     /// The string at row `i` of a string column (`None` for NULL or a
@@ -147,13 +255,7 @@ impl Column {
                 dict.push(s);
             }
             (ColumnData::Direct { bytes, spans }, Value::Utf8(s)) => {
-                let span = u32::try_from(bytes.len())
-                    .ok()
-                    .zip(u32::try_from(s.len()).ok())
-                    .filter(|(off, len)| off.checked_add(*len).is_some())
-                    .ok_or_else(|| Error::internal("string column outgrew its offset space"))?;
-                bytes.push_str(&s);
-                spans[i] = span;
+                spans[i] = Self::append_str(bytes, &s)?;
             }
             (_, other) => {
                 return Err(Error::corrupt(format!(
@@ -199,28 +301,30 @@ impl ColumnBatch {
     /// buffered inserts): columns `projection` of `rows`, which are full
     /// rows of `schema`. Strings are stored direct.
     pub fn from_rows(schema: &Schema, projection: &[usize], rows: &[Row]) -> Result<Self> {
-        let n = rows.len();
         let columns = projection
             .iter()
             .map(|&c| {
-                let data = match schema.field(c).data_type {
-                    DataType::Int64 => ColumnData::Int64(vec![0; n]),
-                    DataType::Float64 => ColumnData::Float64(vec![0.0; n]),
-                    DataType::Bool => ColumnData::Bool(vec![false; n]),
-                    DataType::Date => ColumnData::Date(vec![0; n]),
-                    DataType::Utf8 => ColumnData::Direct {
-                        bytes: String::new(),
-                        spans: vec![(0, 0); n],
-                    },
-                };
-                let mut column = Column { data, nulls: None };
-                for (i, row) in rows.iter().enumerate() {
-                    column.set(i, row[c].clone())?;
-                }
+                let mut column = Column::empty(schema.field(c).data_type);
+                rows.iter().try_for_each(|row| column.push(&row[c]))?;
                 Ok(column)
             })
             .collect::<Result<_>>()?;
-        Ok(ColumnBatch::new(0, n, columns))
+        Ok(ColumnBatch::new(0, rows.len(), columns))
+    }
+
+    /// This batch with the columns of `other` (equally long) added, all
+    /// sorted by the ordinal `ordinals` gives them — this batch's columns
+    /// first, then `other`'s. Keeps this batch's selection.
+    pub(crate) fn widened<'a>(
+        mut self,
+        ordinals: impl Iterator<Item = &'a usize>,
+        other: ColumnBatch,
+    ) -> ColumnBatch {
+        self.columns.extend(other.columns);
+        let mut columns: Vec<_> = ordinals.zip(self.columns).collect();
+        columns.sort_by_key(|(ordinal, _)| **ordinal);
+        self.columns = columns.into_iter().map(|(_, column)| column).collect();
+        self
     }
 
     /// Row number, within the file, of the batch's first row.
@@ -250,6 +354,11 @@ impl ColumnBatch {
         self.selection = Some(selection);
     }
 
+    /// The selection vector; `None` when every row survives.
+    pub(crate) fn selection(&self) -> Option<&[u32]> {
+        self.selection.as_deref()
+    }
+
     /// Number of surviving rows.
     pub fn selected_len(&self) -> usize {
         self.selection.as_ref().map_or(self.rows, Vec::len)
@@ -274,6 +383,18 @@ impl ColumnBatch {
     pub fn selected_rows(&self) -> impl Iterator<Item = Row> + '_ {
         self.selected().map(|i| self.row(i))
     }
+}
+
+/// The error of a value that does not fit the column it is written to.
+fn mismatch(data: &ColumnData, got: &str) -> Error {
+    let expected = match data {
+        ColumnData::Int64(_) => DataType::Int64,
+        ColumnData::Float64(_) => DataType::Float64,
+        ColumnData::Bool(_) => DataType::Bool,
+        ColumnData::Date(_) => DataType::Date,
+        ColumnData::Dict { .. } | ColumnData::Direct { .. } => DataType::Utf8,
+    };
+    Error::schema(format!("expected {expected}, got {got}"))
 }
 
 /// Converts decoded dictionary indexes to codes, checking their range.

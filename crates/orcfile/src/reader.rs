@@ -150,6 +150,101 @@ impl OrcReader {
             .count()
     }
 
+    fn stripe(&self, stripe: usize) -> Result<&StripeMeta> {
+        self.stripes
+            .get(stripe)
+            .ok_or_else(|| Error::invalid(format!("'{}' has no stripe {stripe}", self.path)))
+    }
+
+    /// The stored per-column statistics of stripe `stripe`.
+    pub fn stripe_stats(&self, stripe: usize) -> Result<&[ColumnStats]> {
+        Ok(&self.stripe(stripe)?.stats)
+    }
+
+    /// The streams of `columns` in stripe `stripe` exactly as
+    /// stored — compressed, never decoded; [`crate::OrcWriter::carry_stripe`]
+    /// copies them into another file. Neighbouring streams are fetched in
+    /// one read.
+    pub fn raw_streams(&self, stripe: usize, columns: &[usize]) -> Result<Vec<Vec<u8>>> {
+        let stripe = self.stripe(stripe)?;
+        if columns.iter().any(|&c| c >= self.schema.len()) {
+            return Err(Error::schema("raw stream of a column the file lacks"));
+        }
+        let mut out = Vec::with_capacity(columns.len());
+        let mut file = None;
+        let mut rest = columns;
+        while let Some(&first) = rest.first() {
+            let run = rest.windows(2).take_while(|w| w[1] == w[0] + 1).count() + 1;
+            let (start, _) = stripe.streams[first];
+            let len = rest[..run]
+                .iter()
+                .try_fold(0u64, |len, &c| len.checked_add(stripe.streams[c].1))
+                .filter(|len| *len <= self.file_len)
+                .ok_or_else(|| Error::corrupt("stream longer than its file"))?;
+            let mut buf = vec![0u8; len as usize];
+            let file = match &mut file {
+                Some(f) => f,
+                None => file.insert(self.dfs.open(&self.path)?),
+            };
+            file.read_at(stripe.offset + start, &mut buf)?;
+            let mut buf = buf.as_slice();
+            for &c in &rest[..run] {
+                let (stream, tail) = buf.split_at(stripe.streams[c].1 as usize);
+                out.push(stream.to_vec());
+                buf = tail;
+            }
+            rest = &rest[run..];
+        }
+        Ok(out)
+    }
+
+    /// Widens `batch` — columns `projection` of stripe `stripe`, patched
+    /// and narrowed as the caller left them — to every column of the file,
+    /// in schema order: the missing ones are decoded as stored.
+    pub fn widen(
+        &self,
+        stripe: usize,
+        projection: &[usize],
+        batch: ColumnBatch,
+    ) -> Result<ColumnBatch> {
+        let rest: Vec<usize> = (0..self.schema.len())
+            .filter(|c| !projection.contains(c))
+            .collect();
+        let stored = self.decode_stripe(&mut None, self.stripe(stripe)?, &rest)?;
+        if projection.len() + rest.len() != self.schema.len()
+            || batch.columns().len() != projection.len()
+            || stored.rows() != batch.rows()
+        {
+            return Err(Error::invalid("batch is not a projection of the stripe"));
+        }
+        Ok(batch.widened(projection.iter().chain(&rest), stored))
+    }
+
+    /// The reader's one decode path. `file` is opened at the first stream
+    /// read: decoding no column never touches the file.
+    fn decode_stripe(
+        &self,
+        file: &mut Option<DfsReader>,
+        stripe: &StripeMeta,
+        projection: &[usize],
+    ) -> Result<ColumnBatch> {
+        let rows = usize::try_from(stripe.rows)
+            .map_err(|_| Error::corrupt("stripe row count exceeds the address space"))?;
+        let mut columns = Vec::with_capacity(projection.len());
+        for &col in projection {
+            let file = match file {
+                Some(f) => f,
+                None => file.insert(self.dfs.open(&self.path)?),
+            };
+            let (off, len) = stripe.streams[col];
+            let mut buf = vec![0u8; len as usize];
+            file.read_at(stripe.offset + off, &mut buf)?;
+            let raw = decompress_block(&buf)?;
+            columns.push(decode_column(self.schema.field(col).data_type, &raw, rows)?);
+        }
+        Ok(ColumnBatch::new(stripe.row_start, rows, columns))
+    }
+
     /// Streams one [`ColumnBatch`] per stripe the predicates cannot rule
     /// out — the reader's one decode path.
     ///
@@ -216,36 +311,10 @@ impl OrcReader {
 /// Streaming batch iterator over an ORC file (see [`OrcReader::batches`]).
 pub struct BatchIter<'a> {
     reader: &'a OrcReader,
-    /// Opened at the first stream read: a scan that decodes no column
-    /// never touches the file.
     file: Option<DfsReader>,
     projection: Vec<usize>,
     predicates: Vec<ColumnPredicate>,
     stripe_idx: usize,
-}
-
-impl BatchIter<'_> {
-    fn load(&mut self, stripe: &StripeMeta) -> Result<ColumnBatch> {
-        let rows = usize::try_from(stripe.rows)
-            .map_err(|_| Error::corrupt("stripe row count exceeds the address space"))?;
-        let mut columns = Vec::with_capacity(self.projection.len());
-        for &col in &self.projection {
-            let file = match &mut self.file {
-                Some(f) => f,
-                None => self.file.insert(self.reader.dfs.open(&self.reader.path)?),
-            };
-            let (off, len) = stripe.streams[col];
-            let mut buf = vec![0u8; len as usize];
-            file.read_at(stripe.offset + off, &mut buf)?;
-            let raw = decompress_block(&buf)?;
-            columns.push(decode_column(
-                self.reader.schema.field(col).data_type,
-                &raw,
-                rows,
-            )?);
-        }
-        Ok(ColumnBatch::new(stripe.row_start, rows, columns))
-    }
 }
 
 impl Iterator for BatchIter<'_> {
@@ -257,7 +326,7 @@ impl Iterator for BatchIter<'_> {
             let stripe = reader.stripes.get(self.stripe_idx)?;
             self.stripe_idx += 1;
             if conjunction_may_match(&self.predicates, &stripe.stats) {
-                return Some(self.load(stripe));
+                return Some(reader.decode_stripe(&mut self.file, stripe, &self.projection));
             }
         }
     }
@@ -401,6 +470,115 @@ mod tests {
         assert_eq!(rows.len(), 10);
         assert_eq!(rows[0].0, 90);
         assert_eq!(rows[9].0, 99);
+    }
+
+    fn stripe_stats(r: &OrcReader) -> Vec<Vec<ColumnStats>> {
+        (0..r.stripe_count())
+            .map(|s| r.stripe_stats(s).unwrap().to_vec())
+            .collect()
+    }
+
+    /// A file written from typed columns under a selection vector equals
+    /// the selected rows written one by one — rows, stripe boundaries and
+    /// statistics — with short inputs coalescing into full stripes.
+    #[test]
+    fn selected_columns_equal_the_same_rows_written_one_by_one() {
+        let dfs = Dfs::in_memory(DfsConfig::default());
+        let mut rows: Vec<Row> = (0..100).map(sample_row).collect();
+        rows[5][1] = Value::Null;
+        rows[6] = vec![Value::Null; 5];
+        let options = WriterOptions {
+            stripe_rows: 16,
+            codec: Codec::Lz,
+        };
+        let mut w = OrcWriter::create(&dfs, "/src", sample_schema(), options.clone()).unwrap();
+        w.write_rows(rows.clone()).unwrap();
+        w.finish().unwrap();
+        let src = OrcReader::open(&dfs, "/src").unwrap();
+
+        let keep = |i: usize| i % 3 != 1;
+        let mut typed =
+            OrcWriter::create(&dfs, "/typed", sample_schema(), options.clone()).unwrap();
+        for batch in src.batches(None, None).unwrap() {
+            let mut batch = batch.unwrap();
+            let start = batch.row_start() as usize;
+            batch.select(
+                (0..batch.rows() as u32)
+                    .filter(|i| keep(start + *i as usize))
+                    .collect(),
+            );
+            typed.write_batch(&batch).unwrap();
+        }
+        typed.finish().unwrap();
+        let mut by_row = OrcWriter::create(&dfs, "/rows", sample_schema(), options).unwrap();
+        let kept = rows.iter().enumerate().filter(|(i, _)| keep(*i));
+        by_row.write_rows(kept.map(|(_, row)| row.clone())).unwrap();
+        by_row.finish().unwrap();
+
+        assert_eq!(
+            dfs.read_to_vec("/typed").unwrap(),
+            dfs.read_to_vec("/rows").unwrap()
+        );
+        let typed = OrcReader::open(&dfs, "/typed").unwrap();
+        assert_eq!(typed.num_rows(), 67);
+        assert_eq!(typed.stripe_count(), 5);
+        assert_eq!(typed.read_all().unwrap()[3].1[1], Value::Null);
+    }
+
+    /// A stripe written from k carried and n−k encoded columns reads back
+    /// equal to the same rows written from scratch, with equal stripe and
+    /// file statistics — here, byte for byte the same file. Widening the
+    /// encoded columns back to full width gives the stripe as read.
+    #[test]
+    fn carried_and_encoded_columns_equal_a_from_scratch_write() {
+        let dfs = Dfs::in_memory(DfsConfig::default());
+        write_sample(&dfs, "/src", 40, 16);
+        let src = OrcReader::open(&dfs, "/src").unwrap();
+        let options = WriterOptions {
+            stripe_rows: 16,
+            codec: Codec::Lz,
+        };
+        let mut w = OrcWriter::create(&dfs, "/mixed", sample_schema(), options).unwrap();
+        w.set_metadata(FILE_ID_METADATA_KEY, 7u32.to_be_bytes().to_vec());
+        let encoded = [2, 4];
+        let full: Vec<_> = src.batches(None, None).unwrap().collect();
+        for (stripe, batch) in src.batches(Some(&encoded), None).unwrap().enumerate() {
+            let batch = batch.unwrap();
+            let values: Vec<_> = encoded.into_iter().zip(batch.columns()).collect();
+            w.carry_stripe(&src, stripe, &values).unwrap();
+            let widened = src.widen(stripe, &encoded, batch).unwrap();
+            assert_eq!(&widened, full[stripe].as_ref().unwrap());
+        }
+        assert_eq!(w.row_count(), 40);
+        w.finish().unwrap();
+        assert_eq!(
+            dfs.read_to_vec("/mixed").unwrap(),
+            dfs.read_to_vec("/src").unwrap()
+        );
+        let mixed = OrcReader::open(&dfs, "/mixed").unwrap();
+        assert_eq!(mixed.read_all().unwrap(), src.read_all().unwrap());
+        assert_eq!(stripe_stats(&mixed), stripe_stats(&src));
+        assert_eq!(mixed.file_stats(), src.file_stats());
+
+        // Values of another stripe's length, a stripe or column the file
+        // lacks and a source of other column types are refused.
+        let mut w =
+            OrcWriter::create(&dfs, "/bad", sample_schema(), WriterOptions::default()).unwrap();
+        let short = src
+            .batches(Some(&[0]), None)
+            .unwrap()
+            .nth(2)
+            .unwrap()
+            .unwrap();
+        assert!(w
+            .carry_stripe(&src, 0, &[(0, &short.columns()[0])])
+            .is_err());
+        assert!(w.carry_stripe(&src, 9, &[]).is_err());
+        assert!(src.raw_streams(0, &[5]).is_err());
+        assert!(src.widen(0, &[0, 0], short.clone()).is_err());
+        let narrow = Schema::from_pairs(&[("id", DataType::Int64)]);
+        let mut w = OrcWriter::create(&dfs, "/narrow", narrow, WriterOptions::default()).unwrap();
+        assert!(w.carry_stripe(&src, 0, &[]).is_err());
     }
 
     #[test]

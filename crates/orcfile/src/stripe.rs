@@ -15,66 +15,132 @@
 //!
 //! The whole stream is block-compressed by the writer.
 
+use std::borrow::Cow;
+use std::cmp::Ordering;
+
 use dt_common::codec::{get_bytes, get_uvarint, put_bytes, put_uvarint};
 use dt_common::{DataType, Error, Result, Value};
 
 use crate::batch::{dict_codes, Column, ColumnData};
 use crate::rle;
+use crate::stats::ColumnStats;
 
 const STR_DIRECT: u8 = 0;
 const STR_DICT: u8 = 1;
 
-/// Encodes one column's values into a stream.
-pub(crate) fn encode_column(data_type: DataType, values: &[Value]) -> Result<Vec<u8>> {
-    let mut out = Vec::with_capacity(values.len() * 4);
-    let presence: Vec<bool> = values.iter().map(|v| !v.is_null()).collect();
-    rle::encode_bools(&presence, &mut out);
-    match data_type {
-        DataType::Int64 | DataType::Date => {
-            let ints: Vec<i64> = values
-                .iter()
-                .filter(|v| !v.is_null())
-                .map(|v| v.as_i64().ok_or_else(|| type_err(data_type, v)))
-                .collect::<Result<_>>()?;
-            rle::encode_i64s(&ints, &mut out);
+/// Encodes one typed column into a stream and computes its statistics —
+/// the one encoder: a stripe a rewrite re-encodes and a stripe built from
+/// rows (which the writer first gathers into typed columns) both end here.
+pub(crate) fn encode_column(
+    data_type: DataType,
+    column: &Column,
+) -> Result<(Vec<u8>, ColumnStats)> {
+    let rows = column.len();
+    let nulls = column.nulls();
+    let mut out = Vec::with_capacity(rows * 4);
+    match nulls {
+        Some(nulls) => {
+            let presence: Vec<bool> = nulls.iter().map(|null| !null).collect();
+            rle::encode_bools(&presence, &mut out);
         }
-        DataType::Float64 => {
-            for v in values.iter().filter(|v| !v.is_null()) {
-                match v {
-                    Value::Float64(f) => out.extend_from_slice(&f.to_le_bytes()),
-                    other => return Err(type_err(data_type, other)),
-                }
-            }
-        }
-        DataType::Bool => {
-            let bools: Vec<bool> = values
-                .iter()
-                .filter(|v| !v.is_null())
-                .map(|v| v.as_bool().ok_or_else(|| type_err(data_type, v)))
-                .collect::<Result<_>>()?;
-            rle::encode_bools(&bools, &mut out);
-        }
-        DataType::Utf8 => encode_strings(values, &mut out)?,
+        None => rle::encode_bools(&vec![true; rows], &mut out),
     }
-    Ok(out)
+    let range = match (data_type, column.data()) {
+        (DataType::Int64, ColumnData::Int64(v)) => {
+            let ints = dense(v, nulls);
+            rle::encode_i64s(&ints, &mut out);
+            range_of(&ints, i64::cmp, Value::Int64)
+        }
+        (DataType::Date, ColumnData::Date(v)) => {
+            let days = dense(v, nulls);
+            let ints: Vec<i64> = days.iter().map(|&d| i64::from(d)).collect();
+            rle::encode_i64s(&ints, &mut out);
+            range_of(&days, i32::cmp, Value::Date)
+        }
+        (DataType::Float64, ColumnData::Float64(v)) => {
+            let floats = dense(v, nulls);
+            for f in floats.iter() {
+                out.extend_from_slice(&f.to_le_bytes());
+            }
+            range_of(&floats, f64::total_cmp, Value::Float64)
+        }
+        (DataType::Bool, ColumnData::Bool(v)) => {
+            let bools = dense(v, nulls);
+            rle::encode_bools(&bools, &mut out);
+            range_of(&bools, bool::cmp, Value::Bool)
+        }
+        (DataType::Utf8, ColumnData::Dict { .. } | ColumnData::Direct { .. }) => {
+            let dict = encode_strings(column, &mut out);
+            let range = dict.first().zip(dict.last());
+            range.map(|(min, max)| (Value::from(*min), Value::from(*max)))
+        }
+        (expected, _) => {
+            return Err(Error::schema(format!(
+                "expected {expected}, got a column of another type"
+            )))
+        }
+    };
+    let null_count = nulls.map_or(0, |n| n.iter().filter(|null| **null).count()) as u64;
+    let (min, max) = range.unzip();
+    let stats = ColumnStats {
+        count: rows as u64,
+        null_count,
+        min,
+        max,
+    };
+    Ok((out, stats))
 }
 
-fn type_err(expected: DataType, got: &Value) -> Error {
-    Error::schema(format!("expected {expected}, got {got:?}"))
+/// The non-null values of a positional vector, in row order.
+fn dense<'a, T: Copy>(values: &'a [T], nulls: Option<&[bool]>) -> Cow<'a, [T]> {
+    match nulls {
+        None => Cow::Borrowed(values),
+        Some(nulls) => values
+            .iter()
+            .zip(nulls)
+            .filter(|(_, null)| !**null)
+            .map(|(v, _)| *v)
+            .collect(),
+    }
 }
 
-fn encode_strings(values: &[Value], out: &mut Vec<u8>) -> Result<()> {
-    let strings: Vec<&str> = values
-        .iter()
-        .filter(|v| !v.is_null())
-        .map(|v| v.as_str().ok_or_else(|| type_err(DataType::Utf8, v)))
-        .collect::<Result<_>>()?;
-    // Count distincts to choose the encoding.
-    let mut sorted: Vec<&str> = strings.clone();
+/// `(min, max)` of the non-null values under the order [`Value::total_cmp`]
+/// gives their type.
+fn range_of<T: Copy>(
+    dense: &[T],
+    cmp: impl Fn(&T, &T) -> Ordering + Copy,
+    wrap: impl Fn(T) -> Value,
+) -> Option<(Value, Value)> {
+    let min = dense.iter().copied().min_by(cmp)?;
+    let max = dense.iter().copied().max_by(cmp)?;
+    Some((wrap(min), wrap(max)))
+}
+
+/// Encodes the non-null strings of `column` — dictionary-coded when at
+/// most half of them are distinct — and returns their sorted distinct
+/// values. A dictionary column arrives with whatever [`Column::set`]
+/// appended to its dictionary (duplicates, out of order, entries no row
+/// uses any more); the written dictionary is sorted and deduplicated
+/// again, from the entries still in use.
+fn encode_strings<'a>(column: &'a Column, out: &mut Vec<u8>) -> Vec<&'a str> {
+    let strings: Vec<&str> = (0..column.len()).filter_map(|i| column.str_at(i)).collect();
+    let mut sorted: Vec<&str> = match column.data() {
+        ColumnData::Dict { dict, codes } => {
+            let mut used = vec![false; dict.len()];
+            for (i, &code) in codes.iter().enumerate() {
+                used[code as usize] |= !column.is_null(i);
+            }
+            let entries = dict.iter().zip(used);
+            entries
+                .filter(|(_, u)| *u)
+                .map(|(s, _)| s.as_str())
+                .collect()
+        }
+        _ => strings.clone(),
+    };
     sorted.sort_unstable();
     sorted.dedup();
-    let use_dict = !strings.is_empty() && sorted.len() * 2 <= strings.len();
-    if use_dict {
+    if !strings.is_empty() && sorted.len() * 2 <= strings.len() {
         out.push(STR_DICT);
         put_uvarint(out, sorted.len() as u64);
         for s in &sorted {
@@ -93,7 +159,7 @@ fn encode_strings(values: &[Value], out: &mut Vec<u8>) -> Result<()> {
             out.extend_from_slice(s.as_bytes());
         }
     }
-    Ok(())
+    sorted
 }
 
 /// Decodes one column stream into a typed [`Column`] of `row_count` rows.
@@ -206,9 +272,22 @@ fn decode_strings(
 mod tests {
     use super::*;
 
+    fn column(ty: DataType, values: &[Value]) -> Column {
+        let mut column = Column::empty(ty);
+        values.iter().for_each(|v| column.push(v).unwrap());
+        column
+    }
+
+    fn encoded(ty: DataType, values: &[Value]) -> Vec<u8> {
+        encode_column(ty, &column(ty, values)).unwrap().0
+    }
+
     fn roundtrip(ty: DataType, values: Vec<Value>) {
-        let enc = encode_column(ty, &values).unwrap();
+        let (enc, stats) = encode_column(ty, &column(ty, &values)).unwrap();
         assert_eq!(decoded(ty, &enc, values.len()), values);
+        let mut expected = ColumnStats::new();
+        values.iter().for_each(|v| expected.update(v));
+        assert_eq!(stats, expected);
     }
 
     fn decoded(ty: DataType, enc: &[u8], n: usize) -> Vec<Value> {
@@ -266,33 +345,87 @@ mod tests {
         let values: Vec<Value> = (0..100)
             .map(|i| Value::Utf8(format!("val-{}", i % 3)))
             .collect();
-        let enc = encode_column(DataType::Utf8, &values).unwrap();
-        assert_eq!(enc[enc.len().min(1)..][..0].len(), 0); // no-op, readability
-                                                           // Dictionary mode should be chosen (mode byte after presence map).
+        let enc = encoded(DataType::Utf8, &values);
         assert_eq!(decoded(DataType::Utf8, &enc, values.len()), values);
         // A direct encoding of the same data is longer.
         let unique: Vec<Value> = (0..100).map(|i| Value::Utf8(format!("val-{i}"))).collect();
-        let enc_unique = encode_column(DataType::Utf8, &unique).unwrap();
+        let enc_unique = encoded(DataType::Utf8, &unique);
         assert!(enc.len() < enc_unique.len());
     }
 
     #[test]
     fn empty_and_all_null_columns() {
-        roundtrip(DataType::Int64, vec![]);
-        roundtrip(DataType::Utf8, vec![Value::Null, Value::Null]);
-        roundtrip(DataType::Float64, vec![Value::Null]);
+        for ty in [
+            DataType::Int64,
+            DataType::Float64,
+            DataType::Bool,
+            DataType::Date,
+            DataType::Utf8,
+        ] {
+            roundtrip(ty, vec![]);
+            roundtrip(ty, vec![Value::Null, Value::Null]);
+        }
+    }
+
+    /// A dictionary column as UNION READ hands it to a rewrite: decoded
+    /// from a dictionary stream, then patched by `Column::set`, which
+    /// appends to the dictionary — duplicates, out of order — and strands
+    /// the entries of overwritten rows.
+    #[test]
+    fn patched_dictionary_column_is_written_sorted_and_deduplicated() {
+        let mut values: Vec<Value> = (0..40).map(|i| Value::from(["b", "d"][i % 2])).collect();
+        values[7] = Value::Null;
+        let enc = encoded(DataType::Utf8, &values);
+        let mut patched = decode_column(DataType::Utf8, &enc, values.len()).unwrap();
+        assert!(matches!(patched.data(), ColumnData::Dict { .. }));
+        for (i, s) in [(0, "c"), (1, "a"), (2, "c"), (3, "d"), (7, "a")] {
+            patched.set(i, Value::from(s)).unwrap();
+            values[i] = Value::from(s);
+        }
+        patched.set(9, Value::Null).unwrap();
+        values[9] = Value::Null;
+        let (enc, stats) = encode_column(DataType::Utf8, &patched).unwrap();
+        // Byte for byte what the same values written from scratch give.
+        assert_eq!(enc, encoded(DataType::Utf8, &values));
+        assert_eq!(decoded(DataType::Utf8, &enc, values.len()), values);
+        assert_eq!((stats.null_count, stats.min), (1, Some(Value::from("a"))));
+        let back = decode_column(DataType::Utf8, &enc, values.len()).unwrap();
+        let ColumnData::Dict { dict, .. } = back.data() else {
+            panic!("4 distinct values in 39 stay dictionary-coded");
+        };
+        assert_eq!(dict, &["a", "b", "c", "d"]);
+
+        // Overlays that make more than half the values distinct flip the
+        // choice to direct, as a from-scratch write of them would.
+        for (i, value) in values.iter_mut().enumerate().take(30) {
+            *value = Value::Utf8(format!("u{i}"));
+            patched.set(i, value.clone()).unwrap();
+        }
+        let (enc, _) = encode_column(DataType::Utf8, &patched).unwrap();
+        assert_eq!(enc, encoded(DataType::Utf8, &values));
+        let back = decode_column(DataType::Utf8, &enc, values.len()).unwrap();
+        assert!(matches!(back.data(), ColumnData::Direct { .. }));
+        // An entry no row uses any more is not written.
+        patched = decode_column(DataType::Utf8, &enc, values.len()).unwrap();
+        assert!((0..values.len()).all(|i| patched.str_at(i) != Some("c")));
     }
 
     #[test]
     fn type_mismatch_rejected() {
-        assert!(encode_column(DataType::Int64, &[Value::from("oops")]).is_err());
-        assert!(encode_column(DataType::Utf8, &[Value::Int64(5)]).is_err());
-        assert!(encode_column(DataType::Float64, &[Value::Int64(5)]).is_err());
+        assert!(Column::empty(DataType::Int64)
+            .push(&Value::from("oops"))
+            .is_err());
+        assert!(Column::empty(DataType::Utf8)
+            .push(&Value::Int64(5))
+            .is_err());
+        let ints = column(DataType::Int64, &[Value::Int64(5)]);
+        assert!(encode_column(DataType::Float64, &ints).is_err());
+        assert!(encode_column(DataType::Date, &ints).is_err());
     }
 
     #[test]
     fn wrong_row_count_rejected() {
-        let enc = encode_column(DataType::Int64, &[Value::Int64(1)]).unwrap();
+        let enc = encoded(DataType::Int64, &[Value::Int64(1)]);
         assert!(decode_column(DataType::Int64, &enc, 2).is_err());
     }
 }

@@ -199,3 +199,52 @@ fn mixed_type_comparisons_agree_across_storages() {
         }
     }
 }
+
+/// Every SET expression of an UPDATE reads the row as stored, not what an
+/// earlier assignment of the same statement made of it — on every handler,
+/// under either plan the cost model can pick, and inside a transaction.
+#[test]
+fn set_expressions_read_the_row_as_stored_on_every_storage_and_plan() {
+    use dualtable_repro::dualtable::PlanMode;
+    let ddl = [
+        "STORED AS ORC",
+        "STORED AS HBASE",
+        "STORED AS DUALTABLE",
+        "STORED AS ACID",
+        "STORED AS DUALTABLE SHARDED BY RANGE (id) SPLIT AT (2)",
+    ];
+    let update = "UPDATE t SET a = a + 1, b = a WHERE id >= 1";
+    let expect = "[[Int64(1), Int64(11), Int64(10)], [Int64(2), Int64(21), Int64(20)]]";
+    for storage in ddl {
+        for plan in [PlanMode::AlwaysEdit, PlanMode::AlwaysOverwrite] {
+            for in_transaction in [false, true] {
+                let mut session = Session::in_memory();
+                session.config.dualtable.plan_mode = plan;
+                session
+                    .execute(&format!(
+                        "CREATE TABLE t (id BIGINT, a BIGINT, b BIGINT) {storage}"
+                    ))
+                    .unwrap();
+                session
+                    .execute("INSERT INTO t VALUES (1, 10, 100), (2, 20, 200)")
+                    .unwrap();
+                if in_transaction && !storage.contains("DUALTABLE") {
+                    continue;
+                }
+                if in_transaction {
+                    session.execute("BEGIN").unwrap();
+                }
+                assert_eq!(session.execute(update).unwrap().affected, 2);
+                if in_transaction {
+                    session.execute("COMMIT").unwrap();
+                }
+                let got = session.execute("SELECT id, a, b FROM t ORDER BY id");
+                assert_eq!(
+                    format!("{:?}", got.unwrap().rows()),
+                    expect,
+                    "{storage}, {plan:?}, in a transaction: {in_transaction}"
+                );
+            }
+        }
+    }
+}
