@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use dt_bench::report::{header, print_rows, print_series};
 use dt_bench::{fmt_secs, scaled, time};
-use dt_common::{DataType, IoStats, LogicalClock, Result, Schema, Value};
+use dt_common::{DataType, LogicalClock, Result, Schema, Value};
 use dt_dfs::{Dfs, DfsConfig};
 use dt_kvstore::{Env, KvCluster, KvConfig, MemEnv, Store};
 use dualtable::{DualTableConfig, DualTableEnv, DualTableStore, PlanMode, RatioHint};
@@ -155,7 +155,7 @@ fn run_dml_burst(window: usize) -> BurstResult {
         group_commit_window_ops: window,
         ..KvConfig::default()
     };
-    let stats = IoStats::new();
+    let stats = Arc::<dt_kvstore::KvCounters>::default();
     let store = Store::open(env, config, LogicalClock::new(), stats.clone()).expect("open store");
     let (seconds, _) = time(|| {
         std::thread::scope(|s| {

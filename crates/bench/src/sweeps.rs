@@ -147,8 +147,8 @@ struct PhaseOutcome {
 
 fn volumes(
     env: &DualTableEnv,
-    before_dfs: dt_common::IoStatsSnapshot,
-    before_kv: dt_common::IoStatsSnapshot,
+    before_dfs: dt_dfs::DfsSnapshot,
+    before_kv: dt_kvstore::KvSnapshot,
     cells_written: u64,
     cells_read: u64,
 ) -> PhaseVolumes {

@@ -10,21 +10,21 @@
 //! * [`codec`] — varint / zig-zag / length-prefixed primitives used by the
 //!   on-disk formats.
 //! * [`crc32`] — CRC-32 (IEEE) for WAL and block checksums.
-//! * [`io_stats`] — per-tier byte/op counters that back the cost model's
-//!   calibration and let experiments report I/O volumes.
+//! * [`counters`] — the [`Counter`] instrument and the declaration form
+//!   behind every tier's I/O volumes (cost-model calibration, experiments)
+//!   and `SHOW HEALTH` rows.
 //! * [`rng`] — a small deterministic PRNG so workload generation is
 //!   reproducible across platforms.
 //! * [`clock`] — a logical timestamp source for multi-version cells.
 
 pub mod clock;
 pub mod codec;
+pub mod counters;
 pub mod crash_matrix;
 pub mod crc32;
 pub mod deadline;
 pub mod error;
 pub mod fault;
-pub mod health;
-pub mod io_stats;
 pub mod lru;
 pub mod record_id;
 pub mod retry;
@@ -33,15 +33,14 @@ pub mod seed_report;
 pub mod types;
 
 pub use clock::LogicalClock;
+pub use counters::Counter;
 pub use crash_matrix::{run_crash_matrix, select_crash_points, CrashMatrixReport};
 pub use deadline::Deadline;
 pub use error::{Error, ErrorClass, Result};
 pub use fault::{FaultKind, FaultPlan, IoOp};
-pub use health::{HealthCounters, HealthSnapshot, ShardHealthCounters, ShardHealthSnapshot};
-pub use io_stats::{IoStats, IoStatsSnapshot};
 pub use lru::LruCache;
 pub use record_id::RecordId;
-pub use retry::RetryPolicy;
+pub use retry::{RetryCounters, RetryPolicy, RetrySnapshot};
 pub use rng::Rng64;
 pub use seed_report::{seed_from_env, with_seed_repro};
 pub use types::{DataType, Field, Row, Schema, Value};

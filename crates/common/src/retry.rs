@@ -8,8 +8,8 @@
 //!
 //! * **No wall-clock randomness.** Backoff delays are *logical ticks*
 //!   derived purely from the policy's jitter seed and the attempt number.
-//!   Nothing sleeps; callers record the ticks in
-//!   [`HealthCounters::backoff_ticks`](crate::health::HealthCounters) so
+//!   Nothing sleeps; the ticks are recorded in
+//!   [`RetryCounters::backoff_ticks`] so
 //!   tests (and `SHOW HEALTH`) can observe how much delay a production
 //!   deployment would have paid. A real HDFS/HBase client would sleep the
 //!   same schedule (`dfs.client.retry.*`, `hbase.client.pause`).
@@ -18,7 +18,21 @@
 //!   recovery and failover paths instead.
 
 use crate::error::{ErrorClass, Result};
-use crate::health::HealthCounters;
+
+crate::counters! {
+    /// What a tier's retry loops did — the one counter group every
+    /// retrying tier (dfs, kv, table) embeds.
+    pub struct RetryCounters => RetrySnapshot {
+        /// Retries issued after transient failures.
+        retries,
+        /// Operations that succeeded only after retrying.
+        retry_successes,
+        /// Operations whose retries ran out while still failing transiently.
+        retry_exhausted,
+        /// Total logical backoff delay paid across all retries.
+        backoff_ticks,
+    }
+}
 
 /// A deterministic retry/backoff policy.
 ///
@@ -87,41 +101,32 @@ impl RetryPolicy {
 
     /// Runs `op`, retrying while it fails with a
     /// [transient](ErrorClass::Transient) error and attempts remain.
-    /// Outcomes are recorded in `health`; the final error (transient or
+    /// Outcomes are recorded in `counters`; the final error (transient or
     /// not) is returned unchanged so callers can still classify it.
-    pub fn run<T>(&self, health: &HealthCounters, mut op: impl FnMut() -> Result<T>) -> Result<T> {
+    pub fn run<T>(&self, counters: &RetryCounters, mut op: impl FnMut() -> Result<T>) -> Result<T> {
         let mut attempt = 1;
         loop {
             match op() {
                 Ok(v) => {
                     if attempt > 1 {
-                        health.record_retry_success();
+                        counters.retry_successes.inc();
                     }
                     return Ok(v);
                 }
                 Err(e) if e.class() == ErrorClass::Transient && attempt < self.max_attempts => {
-                    health.record_retry(self.backoff_ticks(attempt));
+                    counters.retries.inc();
+                    counters.backoff_ticks.add(self.backoff_ticks(attempt));
                     attempt += 1;
                 }
                 Err(e) => {
                     if e.class() == ErrorClass::Transient && self.enabled() {
-                        health.record_retry_exhausted();
+                        counters.retry_exhausted.inc();
                     }
                     return Err(e);
                 }
             }
         }
     }
-}
-
-/// Free-standing form of [`RetryPolicy::run`] for call sites that read
-/// better with the operation first.
-pub fn with_retries<T>(
-    policy: &RetryPolicy,
-    health: &HealthCounters,
-    op: impl FnMut() -> Result<T>,
-) -> Result<T> {
-    policy.run(health, op)
 }
 
 #[cfg(test)]
@@ -131,7 +136,7 @@ mod tests {
 
     #[test]
     fn retries_transient_until_success() {
-        let health = HealthCounters::default();
+        let health = RetryCounters::default();
         let policy = RetryPolicy::default();
         let mut fails = 3;
         let out = policy.run(&health, || {
@@ -152,7 +157,7 @@ mod tests {
 
     #[test]
     fn does_not_retry_permanent_errors() {
-        let health = HealthCounters::default();
+        let health = RetryCounters::default();
         let policy = RetryPolicy::default();
         let mut calls = 0;
         let out: Result<()> = policy.run(&health, || {
@@ -166,7 +171,7 @@ mod tests {
 
     #[test]
     fn exhaustion_surfaces_last_transient_error() {
-        let health = HealthCounters::default();
+        let health = RetryCounters::default();
         let policy = RetryPolicy::default();
         let mut calls = 0;
         let out: Result<()> = policy.run(&health, || {
@@ -182,7 +187,7 @@ mod tests {
 
     #[test]
     fn disabled_policy_never_retries() {
-        let health = HealthCounters::default();
+        let health = RetryCounters::default();
         let policy = RetryPolicy::disabled();
         let mut calls = 0;
         let out: Result<()> = policy.run(&health, || {

@@ -18,7 +18,7 @@
 //! All journal I/O goes through the pluggable [`BlockStore`] metadata
 //! streams, so a [`dt_common::FaultPlan`]-wrapped store injects faults
 //! into journal writes exactly like block writes. Journal bytes are *not*
-//! recorded in [`dt_common::IoStats`] — the stats model data-path volume
+//! recorded in [`DfsCounters`]' byte counts — they model data-path volume
 //! (the cost model's calibration input), not control-plane traffic.
 //!
 //! [`DfsConfig::checkpoint_interval`]: crate::DfsConfig::checkpoint_interval
@@ -27,10 +27,11 @@ use std::sync::{Arc, Mutex};
 
 use dt_common::codec::{get_bytes, get_uvarint, put_bytes, put_uvarint};
 use dt_common::crc32::crc32;
-use dt_common::{Error, HealthCounters, Result, RetryPolicy};
+use dt_common::{Error, Result, RetryPolicy};
 
 use crate::block_store::{BlockId, BlockStore};
 use crate::namenode::{BlockGroup, Entry, FileMeta, NnState};
+use crate::DfsCounters;
 
 /// The append-only edit log stream.
 pub const EDITS_FILE: &str = "edits.log";
@@ -218,7 +219,7 @@ struct JournalState {
 pub(crate) struct Journal {
     blocks: Arc<dyn BlockStore>,
     retry: RetryPolicy,
-    health: Arc<HealthCounters>,
+    stats: Arc<DfsCounters>,
     checkpoint_interval: u64,
     state: Mutex<JournalState>,
 }
@@ -255,13 +256,13 @@ impl Journal {
     pub fn recover(
         blocks: Arc<dyn BlockStore>,
         retry: RetryPolicy,
-        health: Arc<HealthCounters>,
+        stats: Arc<DfsCounters>,
         checkpoint_interval: u64,
     ) -> Result<(Journal, Recovered)> {
         let journal = Journal {
             blocks,
             retry,
-            health,
+            stats,
             checkpoint_interval,
             state: Mutex::new(JournalState {
                 next_seq: 1,
@@ -287,7 +288,7 @@ impl Journal {
         if names.iter().any(|n| n == CHECKPOINT_FILE) {
             let data = self
                 .retry
-                .run(&self.health, || self.blocks.meta_read(CHECKPOINT_FILE))?;
+                .run(&self.stats.retry, || self.blocks.meta_read(CHECKPOINT_FILE))?;
             last_seq = decode_checkpoint(&data, &mut state)?;
         }
 
@@ -296,7 +297,7 @@ impl Journal {
         if names.iter().any(|n| n == EDITS_FILE) {
             let data = self
                 .retry
-                .run(&self.health, || self.blocks.meta_read(EDITS_FILE))?;
+                .run(&self.stats.retry, || self.blocks.meta_read(EDITS_FILE))?;
             let mut pos = 0usize;
             while pos + 8 <= data.len() {
                 let len = u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap()) as usize;
@@ -389,8 +390,9 @@ impl Journal {
         frame.extend_from_slice(&payload);
         // Transient write hiccups are retried like any data write, so a
         // brief outage does not fail a metadata operation.
-        self.retry
-            .run(&self.health, || self.blocks.meta_append(EDITS_FILE, &frame))?;
+        self.retry.run(&self.stats.retry, || {
+            self.blocks.meta_append(EDITS_FILE, &frame)
+        })?;
         let mut js = self.state.lock().unwrap();
         js.next_seq += 1;
         js.edits_since_checkpoint += 1;
@@ -414,10 +416,10 @@ impl Journal {
     pub fn checkpoint(&self, state: &NnState) -> Result<()> {
         let last_seq = self.state.lock().unwrap().next_seq - 1;
         let payload = encode_checkpoint(state, last_seq);
-        self.retry.run(&self.health, || {
+        self.retry.run(&self.stats.retry, || {
             self.blocks.meta_write(CHECKPOINT_TMP, &payload)
         })?;
-        self.retry.run(&self.health, || {
+        self.retry.run(&self.stats.retry, || {
             self.blocks.meta_rename(CHECKPOINT_TMP, CHECKPOINT_FILE)
         })?;
         match self.blocks.meta_delete(EDITS_FILE) {
@@ -504,25 +506,15 @@ mod tests {
 
     fn fresh() -> (Journal, Arc<MemBlockStore>) {
         let store = Arc::new(MemBlockStore::new());
-        let (journal, recovered) = Journal::recover(
-            store.clone(),
-            RetryPolicy::disabled(),
-            Arc::new(HealthCounters::new()),
-            4,
-        )
-        .unwrap();
+        let (journal, recovered) =
+            Journal::recover(store.clone(), RetryPolicy::disabled(), Arc::default(), 4).unwrap();
         assert!(recovered.state.files.is_empty());
         (journal, store)
     }
 
     fn reopen(store: &Arc<MemBlockStore>) -> Recovered {
-        let (_, recovered) = Journal::recover(
-            store.clone(),
-            RetryPolicy::disabled(),
-            Arc::new(HealthCounters::new()),
-            4,
-        )
-        .unwrap();
+        let (_, recovered) =
+            Journal::recover(store.clone(), RetryPolicy::disabled(), Arc::default(), 4).unwrap();
         recovered
     }
 

@@ -50,8 +50,39 @@ use std::sync::Arc;
 
 use cache::BlockCache;
 use dt_common::fault::FaultPlan;
-use dt_common::{Error, HealthCounters, IoStats, Result};
+use dt_common::{Error, Result, RetryCounters, RetrySnapshot};
 use namenode::{FileMeta, NameNode};
+
+dt_common::counters! {
+    /// Everything the DFS (the Master tier in cost-model terms) counts:
+    /// data-path I/O volume, block-cache traffic, and the self-healing
+    /// work of its retry, failover and scrub machinery.
+    pub struct DfsCounters => DfsSnapshot {
+        ..retry: RetryCounters => RetrySnapshot,
+        /// Total bytes read.
+        bytes_read,
+        /// Total bytes written, every replica counted.
+        bytes_written,
+        /// Number of read calls.
+        read_ops,
+        /// Number of block replicas written.
+        write_ops,
+        /// Block reads served from the block cache (DESIGN.md §10).
+        cache_hits,
+        /// Block reads that missed the cache and paid a physical fetch.
+        cache_misses,
+        /// Cached blocks evicted to make room for newer ones.
+        cache_evictions,
+        /// Blocks whose replica set was written concurrently.
+        parallel_replications,
+        /// Replica failovers performed by readers.
+        failovers,
+        /// Replicas quarantined out of the serving set.
+        quarantined_replicas,
+        /// Replicas recreated by scrub/re-replication passes.
+        rereplicated_replicas,
+    }
+}
 
 /// Handle to a DFS namespace plus its block storage.
 ///
@@ -65,8 +96,7 @@ pub(crate) struct DfsInner {
     namenode: NameNode,
     blocks: Arc<dyn BlockStore>,
     config: DfsConfig,
-    stats: IoStats,
-    health: Arc<HealthCounters>,
+    stats: Arc<DfsCounters>,
     cache: BlockCache,
     /// Bumped on every namenode restart. Higher-level read caches (ORC
     /// footers) tag entries with the epoch they were filled under and
@@ -103,11 +133,11 @@ impl Dfs {
     /// namespace from any edit log / checkpoint already persisted there.
     /// A store with no journal streams yields an empty namespace.
     pub fn with_block_store(blocks: Arc<dyn BlockStore>, config: DfsConfig) -> Result<Self> {
-        let health = Arc::new(HealthCounters::new());
+        let stats = Arc::new(DfsCounters::default());
         let namenode = NameNode::recover(
             blocks.clone(),
             config.retry,
-            health.clone(),
+            stats.clone(),
             config.checkpoint_interval,
         )?;
         Ok(Dfs {
@@ -115,8 +145,7 @@ impl Dfs {
                 namenode,
                 blocks,
                 config,
-                stats: IoStats::new(),
-                health,
+                stats,
                 cache: BlockCache::new(config.block_cache_bytes),
                 epoch: std::sync::atomic::AtomicU64::new(0),
             }),
@@ -149,16 +178,10 @@ impl Dfs {
         self.inner.epoch.load(std::sync::atomic::Ordering::SeqCst)
     }
 
-    /// The I/O counters for this file system (the Master tier in cost-model
-    /// terms).
-    pub fn stats(&self) -> &IoStats {
+    /// This file system's counters: I/O volume and self-healing work
+    /// (the `dfs` rows of `SHOW HEALTH`).
+    pub fn stats(&self) -> &DfsCounters {
         &self.inner.stats
-    }
-
-    /// Self-healing counters for this tier: retries, failovers,
-    /// quarantined and re-replicated replicas (see `SHOW HEALTH`).
-    pub fn health(&self) -> &HealthCounters {
-        &self.inner.health
     }
 
     /// Number of replicas currently quarantined and awaiting a
@@ -369,7 +392,8 @@ impl Dfs {
                 }
                 while good.len() < target {
                     let id = self.inner.blocks.put(&bytes)?;
-                    self.inner.stats.record_write(group.len);
+                    self.inner.stats.bytes_written.add(group.len);
+                    self.inner.stats.write_ops.inc();
                     good.push(id);
                     report.replicas_recreated += 1;
                 }
@@ -397,8 +421,9 @@ impl Dfs {
     pub fn scrub(&self) -> Result<ScrubReport> {
         let repair = self.repair()?;
         self.inner
-            .health
-            .record_rereplication(repair.replicas_recreated);
+            .stats
+            .rereplicated_replicas
+            .add(repair.replicas_recreated);
         let quarantined = self.inner.namenode.take_quarantined()?;
         let quarantined_purged = quarantined.len() as u64;
         for id in quarantined {
@@ -489,12 +514,8 @@ impl DfsInner {
         &self.config
     }
 
-    pub(crate) fn stats(&self) -> &IoStats {
+    pub(crate) fn stats(&self) -> &DfsCounters {
         &self.stats
-    }
-
-    pub(crate) fn health(&self) -> &HealthCounters {
-        &self.health
     }
 
     pub(crate) fn cache(&self) -> &BlockCache {

@@ -10,7 +10,7 @@
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
-use dt_common::{Error, HealthCounters, Result, RetryPolicy};
+use dt_common::{Error, Result, RetryPolicy};
 use parking_lot::RwLock;
 
 use crate::block_store::{BlockId, BlockStore};
@@ -115,10 +115,10 @@ impl NameNode {
     pub fn recover(
         blocks: Arc<dyn BlockStore>,
         retry: RetryPolicy,
-        health: Arc<HealthCounters>,
+        stats: Arc<crate::DfsCounters>,
         checkpoint_interval: u64,
     ) -> Result<Self> {
-        let (journal, recovered) = Journal::recover(blocks, retry, health, checkpoint_interval)?;
+        let (journal, recovered) = Journal::recover(blocks, retry, stats, checkpoint_interval)?;
         Ok(NameNode {
             state: RwLock::new(recovered.state),
             journal,

@@ -65,7 +65,8 @@ impl DfsReader {
         if buf.is_empty() {
             return Ok(());
         }
-        self.inner.stats().record_read(buf.len() as u64);
+        self.inner.stats().bytes_read.add(buf.len() as u64);
+        self.inner.stats().read_ops.inc();
 
         // Walk the block list to the first block containing `offset`.
         let mut block_start = 0u64;
@@ -107,8 +108,7 @@ impl DfsReader {
             }
         }
         if let Some(block) = self.inner.cache().get(&self.path, gi) {
-            self.inner.stats().record_cache_hit();
-            self.inner.health().record_cache_hit();
+            self.inner.stats().cache_hits.inc();
             buf.copy_from_slice(&block[within..within + buf.len()]);
             self.verified = Some((gi, block));
             return Ok(());
@@ -119,9 +119,9 @@ impl DfsReader {
         let mut last_err = None;
         for (attempt, replica) in group.replicas.iter().enumerate() {
             if attempt > 0 {
-                inner.health().record_failover();
+                inner.stats().failovers.inc();
             }
-            let fetched = policy.run(inner.health(), || {
+            let fetched = policy.run(&inner.stats().retry, || {
                 let mut block = vec![0u8; group.len as usize];
                 inner.blocks().read_at(*replica, 0, &mut block)?;
                 Ok(block)
@@ -130,13 +130,9 @@ impl DfsReader {
                 Ok(block) if dt_common::crc32::crc32(&block) == group.crc => {
                     buf.copy_from_slice(&block[within..within + buf.len()]);
                     let block = Arc::new(block);
-                    inner.stats().record_cache_miss();
-                    inner.health().record_cache_miss();
+                    inner.stats().cache_misses.inc();
                     let evicted = inner.cache().insert(&self.path, gi, block.clone());
-                    if evicted > 0 {
-                        inner.stats().record_cache_evictions(evicted);
-                        inner.health().record_cache_evictions(evicted);
-                    }
+                    inner.stats().cache_evictions.add(evicted);
                     self.verified = Some((gi, block));
                     return Ok(());
                 }
@@ -160,7 +156,7 @@ impl DfsReader {
     /// reader's own snapshot so later reads skip it immediately.
     fn quarantine(&mut self, gi: usize, replica: crate::block_store::BlockId) {
         if self.inner.quarantine_replica(&self.path, gi, replica) {
-            self.inner.health().record_quarantine();
+            self.inner.stats().quarantined_replicas.inc();
         }
         let replicas = &mut self.meta.blocks[gi].replicas;
         if replicas.len() > 1 {

@@ -83,11 +83,11 @@ impl DfsWriter {
             inner.blocks().put(buf)
         };
         let results = if replication <= 1 {
-            vec![policy.run(inner.health(), place)]
+            vec![policy.run(&inner.stats().retry, place)]
         } else {
             std::thread::scope(|s| {
                 let handles: Vec<_> = (0..replication)
-                    .map(|_| s.spawn(move || policy.run(inner.health(), place)))
+                    .map(|_| s.spawn(move || policy.run(&inner.stats().retry, place)))
                     .collect();
                 handles
                     .into_iter()
@@ -117,12 +117,11 @@ impl DfsWriter {
             }
             return Err(e);
         }
-        for _ in 0..replication {
-            self.inner.stats().record_write(written);
-        }
+        let stats = self.inner.stats();
+        stats.bytes_written.add(written * replication as u64);
+        stats.write_ops.add(replication as u64);
         if replication > 1 {
-            self.inner.stats().record_parallel_replication();
-            self.inner.health().record_parallel_replication();
+            stats.parallel_replications.inc();
         }
         self.meta.blocks.push(BlockGroup {
             replicas,

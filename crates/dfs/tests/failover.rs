@@ -41,20 +41,20 @@ fn read_survives_one_corrupt_replica_then_scrub_rereplicates() {
     // quarantines a healthy replica twice.
     assert_eq!(dfs.read_to_vec("/t/part-0").unwrap(), payload);
 
-    let health = dfs.health().snapshot();
+    let health = dfs.stats().snapshot();
     assert_eq!(
-        dfs.quarantined_replicas() as u64 + health.rereplicated,
-        health.quarantined,
+        dfs.quarantined_replicas() as u64 + health.rereplicated_replicas,
+        health.quarantined_replicas,
         "every quarantined replica is either pending scrub or replaced"
     );
 
     let scrub = dfs.scrub().unwrap();
     assert!(dfs.fsck().unwrap().healthy(), "scrub restored 3/3 replicas");
     assert_eq!(dfs.quarantined_replicas(), 0, "quarantine drained");
+    let after = dfs.stats().snapshot();
     assert_eq!(
         scrub.quarantined_purged + scrub.replicas_recreated,
-        dfs.health().snapshot().quarantined + dfs.health().snapshot().rereplicated
-            - health.rereplicated,
+        after.quarantined_replicas + after.since(&health).rereplicated_replicas,
         "scrub accounted for the quarantined replica"
     );
     assert_eq!(dfs.read_to_vec("/t/part-0").unwrap(), payload);
@@ -74,8 +74,11 @@ fn failover_from_first_replica_quarantines_it() {
     plan.set_armed(false);
 
     assert_eq!(dfs.read_to_vec("/f").unwrap(), payload);
-    let health = dfs.health().snapshot();
-    assert_eq!(health.quarantined, 1, "bad first replica quarantined");
+    let health = dfs.stats().snapshot();
+    assert_eq!(
+        health.quarantined_replicas, 1,
+        "bad first replica quarantined"
+    );
     assert!(health.failovers >= 1, "read failed over past it");
     assert_eq!(dfs.quarantined_replicas(), 1);
 
@@ -96,10 +99,13 @@ fn transient_read_fault_is_retried_without_quarantine() {
     plan.fail_transient_next(FaultKind::TransientReadError, 2);
 
     assert_eq!(dfs.read_to_vec("/blip").unwrap(), payload);
-    let health = dfs.health().snapshot();
-    assert_eq!(health.retries, 2);
-    assert_eq!(health.retry_successes, 1);
-    assert_eq!(health.quarantined, 0, "healthy replica not condemned");
+    let health = dfs.stats().snapshot();
+    assert_eq!(health.retry.retries, 2);
+    assert_eq!(health.retry.retry_successes, 1);
+    assert_eq!(
+        health.quarantined_replicas, 0,
+        "healthy replica not condemned"
+    );
     assert_eq!(health.failovers, 0);
 }
 
@@ -120,10 +126,10 @@ fn retry_disabled_turns_transient_read_into_failover() {
     plan.fail_transient_next(FaultKind::TransientReadError, 1);
 
     assert_eq!(dfs.read_to_vec("/blip2").unwrap(), payload);
-    let health = dfs.health().snapshot();
-    assert_eq!(health.retries, 0);
+    let health = dfs.stats().snapshot();
+    assert_eq!(health.retry.retries, 0);
     assert_eq!(health.failovers, 1);
-    assert_eq!(health.quarantined, 1);
+    assert_eq!(health.quarantined_replicas, 1);
 }
 
 /// The write pipeline retries transient placement failures; the file
@@ -139,9 +145,9 @@ fn write_pipeline_retries_transient_placement_failures() {
     plan.set_armed(false);
     assert!(dfs.fsck().unwrap().healthy(), "3/3 replicas placed");
     assert_eq!(dfs.read_to_vec("/w").unwrap(), payload);
-    let health = dfs.health().snapshot();
-    assert_eq!(health.retries, 3);
-    assert_eq!(health.retry_successes, 1);
+    let health = dfs.stats().snapshot();
+    assert_eq!(health.retry.retries, 3);
+    assert_eq!(health.retry.retry_successes, 1);
 
     // The same outage with retry disabled fails the write outright.
     let plan = Arc::new(FaultPlan::new(37));
@@ -174,5 +180,5 @@ fn read_fails_only_when_all_replicas_are_bad() {
     assert!(matches!(err, dt_common::Error::Corrupt(_)), "got {err:?}");
     // The last replica is never removed from the serving set: a suspect
     // copy beats no copy.
-    assert_eq!(dfs.health().snapshot().quarantined, 2);
+    assert_eq!(dfs.stats().snapshot().quarantined_replicas, 2);
 }

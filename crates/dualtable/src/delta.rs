@@ -43,7 +43,7 @@ impl DeltaPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dt_common::{IoStats, LogicalClock};
+    use dt_common::LogicalClock;
     use dt_kvstore::{KvConfig, Store};
     use std::sync::Arc;
 
@@ -55,7 +55,7 @@ mod tests {
                 ..KvConfig::default()
             },
             LogicalClock::new(),
-            IoStats::new(),
+            Arc::default(),
         )
         .unwrap()
     }

@@ -4,62 +4,132 @@
 use std::sync::Arc;
 
 use dt_common::fault::FaultPlan;
-use dt_common::{HealthCounters, HealthSnapshot, Result, ShardHealthCounters, ShardHealthSnapshot};
-use dt_dfs::{Dfs, DfsConfig};
-use dt_kvstore::{KvCluster, KvConfig};
+use dt_common::{Result, RetryCounters, RetrySnapshot};
+use dt_dfs::{Dfs, DfsConfig, DfsSnapshot};
+use dt_kvstore::{KvCluster, KvConfig, KvSnapshot};
 
 use crate::compactor::CompactionController;
 use crate::meta::MetadataManager;
 use crate::mvcc::MvccRegistry;
 
-/// Per-tier self-healing counters (see DESIGN.md §8) — the table behind
-/// `SHOW HEALTH`.
+dt_common::counters! {
+    /// What the table tier counts, over every DualTable on an environment:
+    /// plan and rewrite work, MVCC conflicts and generation GC, and the
+    /// background compactor's fold ledger (`compactions_completed +
+    /// compactions_lost_race + compactions_aborted ==
+    /// compactions_started`, asserted by the chaos soaks).
+    pub struct TableCounters => TableSnapshot {
+        ..retry: RetryCounters => RetrySnapshot,
+        /// Deferred best-effort cleanups (retried on next open).
+        cleanup_failures,
+        /// Plan fallbacks (OVERWRITE → EDIT) taken to keep a statement alive.
+        plan_fallbacks,
+        /// Attached-tier range scans UNION READ skipped for provably clean
+        /// files (presence index).
+        attached_scans_skipped,
+        /// Worker threads used by parallel rewrites (OVERWRITE/COMPACT
+        /// fan-out), summed over statements.
+        write_workers_used,
+        /// Snapshot epochs pinned by readers and transactions (MVCC).
+        snapshots_pinned,
+        /// Transactions aborted by a first-committer-wins record conflict.
+        ww_conflicts,
+        /// Swings/transactions aborted by a generation-pointer race.
+        swing_conflicts,
+        /// Generation GCs deferred because a pinned reader still needs them.
+        generations_deferred,
+        /// Superseded generations physically garbage-collected.
+        generations_gcd,
+        /// Background incremental compactions that began building.
+        compactions_started,
+        /// Incremental compactions whose folded generation swung in.
+        compactions_completed,
+        /// Incremental compactions that lost the swing race and retired.
+        compactions_lost_race,
+        /// Incremental compactions aborted by a fault or panic pre-swing.
+        compactions_aborted,
+        /// Abandoned rewrite generations swept eagerly after a lost race.
+        stale_gens_swept,
+        /// Compaction cycles the daemon skipped under serving-layer load.
+        compactor_throttled,
+        /// 1 while the compaction circuit breaker is open (gauge).
+        compactor_parked,
+    }
+}
+
+dt_common::counters! {
+    /// What the serving tier (`dualtabled`, DESIGN.md §14) counts. Declared
+    /// here because the environment carries it to `SHOW HEALTH`; idle
+    /// outside a server. Admission ledger the soaks assert:
+    /// `stmts_accepted + stmts_shed == stmts_submitted`.
+    pub struct ServerCounters => ServerSnapshot {
+        /// Live server connections (gauge).
+        sessions_active,
+        /// Statements waiting on the dispatch queue (gauge).
+        queue_depth,
+        /// Statements that arrived at the server front door.
+        stmts_submitted,
+        /// Statements that passed admission control.
+        stmts_accepted,
+        /// Statements refused admission with a retryable shed error.
+        stmts_shed,
+        /// Statements aborted at a row-batch boundary by their deadline.
+        stmts_timed_out,
+        /// Connections that died with an open transaction (rolled back by
+        /// teardown).
+        conns_dropped_in_txn,
+    }
+}
+
+dt_common::counters! {
+    /// What the range-sharding tier (DESIGN.md §16) counts. Idle without
+    /// sharded tables.
+    pub struct ShardCounters => ShardSnapshot {
+        /// Live shards across all range-sharded tables (gauge).
+        shards_total,
+        /// Scans that fanned out across a sharded table.
+        scatter_scans,
+        /// Shards excluded from scans by range pruning before any I/O.
+        shards_pruned_by_range,
+        /// Transactions committed across two or more shards.
+        cross_shard_commits,
+        /// Cross-shard commits that failed leaving a committed shard prefix.
+        cross_shard_partial_commits,
+    }
+}
+
+/// Every tier's counters at one instant — the table behind `SHOW HEALTH`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HealthReport {
-    /// Master tier: replica failovers, quarantines, re-replication,
-    /// block-pipeline retries.
-    pub dfs: HealthSnapshot,
-    /// Attached tier: WAL/SSTable retries, read-only degraded flag.
-    pub kv: HealthSnapshot,
-    /// Table tier: OVERWRITE→EDIT plan fallbacks, COMPACT retries,
-    /// post-commit cleanup failures awaiting GC.
-    pub table: HealthSnapshot,
-    /// Serving tier (`dualtabled`, DESIGN.md §14): active sessions,
-    /// dispatch-queue depth, admission-control shedding, statement
-    /// timeouts, and connections torn down mid-transaction. All zero
-    /// when the environment is used as a plain library.
-    pub server: HealthSnapshot,
-    /// Sharding tier (DESIGN.md §16): live shards, scatter scans, range
-    /// pruning and cross-shard commit outcomes. All zero until a
-    /// range-sharded table is created.
-    pub shard: ShardHealthSnapshot,
+    /// Master tier.
+    pub dfs: DfsSnapshot,
+    /// Attached tier, with its live `degraded` and `delta_bytes_used`.
+    pub kv: KvSnapshot,
+    /// Table tier.
+    pub table: TableSnapshot,
+    /// Serving tier.
+    pub server: ServerSnapshot,
+    /// Sharding tier.
+    pub shard: ShardSnapshot,
 }
 
 impl HealthReport {
-    /// `(tier, metric, value)` triples over all five tiers, in a stable
-    /// order — the row source for `SHOW HEALTH`.
+    /// `(tier, metric, value)` triples: each tier's own counters, in a
+    /// stable order — the row source for `SHOW HEALTH`.
     pub fn metrics(&self) -> Vec<(&'static str, &'static str, u64)> {
-        let mut out = Vec::new();
-        for (tier, snap) in [
-            ("dfs", &self.dfs),
-            ("kv", &self.kv),
-            ("table", &self.table),
-            ("server", &self.server),
-        ] {
-            for (metric, value) in snap.metrics() {
-                out.push((tier, metric, value));
-            }
-        }
-        // The delta (HTAP) tier reports through the kv snapshot but as
-        // its own tier row group: `delta_bytes_used` is a live gauge the
-        // cluster fills at snapshot time (DESIGN.md §17).
-        for (metric, value) in self.kv.delta_metrics() {
-            out.push(("delta", metric, value));
-        }
-        for (metric, value) in self.shard.metrics() {
-            out.push(("shard", metric, value));
-        }
-        out
+        [
+            ("dfs", self.dfs.metrics()),
+            ("kv", self.kv.metrics()),
+            ("table", self.table.metrics()),
+            ("server", self.server.metrics()),
+            ("shard", self.shard.metrics()),
+        ]
+        .into_iter()
+        .flat_map(|(tier, rows)| {
+            rows.into_iter()
+                .map(move |(metric, value)| (tier, metric, value))
+        })
+        .collect()
     }
 }
 
@@ -73,9 +143,8 @@ pub struct DualTableEnv {
     pub kv: KvCluster,
     /// The system-wide metadata manager.
     pub meta: MetadataManager,
-    /// Table-tier self-healing counters (plan fallbacks, compact retries,
-    /// deferred-cleanup debt). Shared by every table on this environment.
-    pub health: Arc<HealthCounters>,
+    /// Table-tier counters, shared by every table on this environment.
+    pub health: Arc<TableCounters>,
     /// The process-wide MVCC registry (DESIGN.md §13): snapshot pins,
     /// write-write conflict windows and deferred generation GC, shared by
     /// every session on this environment.
@@ -83,7 +152,7 @@ pub struct DualTableEnv {
     /// Serving-tier counters (DESIGN.md §14), bumped by `dualtabled`'s
     /// admission control and teardown machinery and surfaced as the
     /// `server` tier of `SHOW HEALTH`. Idle (all zero) outside a server.
-    pub server_health: Arc<HealthCounters>,
+    pub server_health: Arc<ServerCounters>,
     /// Background-compaction mode/state cell (DESIGN.md §15), shared by
     /// every session (`SET COMPACTION`, `SHOW COMPACTION`) and the
     /// server's maintenance daemon. Inert as a plain library.
@@ -91,7 +160,7 @@ pub struct DualTableEnv {
     /// Sharding-tier counters (DESIGN.md §16), bumped by the
     /// [`ShardedTable`](crate::ShardedTable) routing layer and surfaced
     /// as the `shard` tier of `SHOW HEALTH`. Idle without sharded tables.
-    pub shard_health: Arc<ShardHealthCounters>,
+    pub shard_health: Arc<ShardCounters>,
 }
 
 impl DualTableEnv {
@@ -137,18 +206,18 @@ impl DualTableEnv {
             dfs,
             kv,
             meta,
-            health: Arc::new(HealthCounters::new()),
+            health: Arc::default(),
             mvcc: Arc::new(MvccRegistry::new()),
-            server_health: Arc::new(HealthCounters::new()),
+            server_health: Arc::default(),
             compaction: Arc::new(CompactionController::new()),
-            shard_health: Arc::new(ShardHealthCounters::new()),
+            shard_health: Arc::default(),
         })
     }
 
     /// A point-in-time health report across all five tiers.
     pub fn health_report(&self) -> HealthReport {
         HealthReport {
-            dfs: self.dfs.health().snapshot(),
+            dfs: self.dfs.stats().snapshot(),
             kv: self.kv.health_snapshot(),
             table: self.health.snapshot(),
             server: self.server_health.snapshot(),

@@ -63,7 +63,10 @@ pub use attached::{AttachedEntry, DELETE_MARKER_QUALIFIER};
 pub use compactor::{CompactionController, CompactionMode, CompactorState, FoldOutcome};
 pub use config::{CompactionConfig, DualTableConfig, PlanMode};
 pub use cost::{CostModel, PlanChoice, Rates, RatioHint};
-pub use env::{DualTableEnv, HealthReport};
+pub use env::{
+    DualTableEnv, HealthReport, ServerCounters, ServerSnapshot, ShardCounters, ShardSnapshot,
+    TableCounters, TableSnapshot,
+};
 pub use meta::MetadataManager;
 pub use mvcc::MvccRegistry;
 pub use presence::{FilePresence, PresenceIndex, PRESENCE_FILE_ID};

@@ -222,12 +222,7 @@ impl DualTableStore {
         }
         let workers = pool.workers_for(units);
         if workers > 1 {
-            self.inner.env.health.record_write_workers(workers as u64);
-            self.inner
-                .env
-                .dfs
-                .stats()
-                .record_write_workers(workers as u64);
+            self.inner.env.health.write_workers_used.add(workers as u64);
         }
         (0..workers)
             .map(|w| units / workers + usize::from(w < units % workers))
@@ -462,7 +457,7 @@ impl DualTableStore {
             let mut st = self.inner.mvcc.lock();
             if let Some(ts) = pin_ts {
                 if st.conflict_since(ts, &[]).is_some() || st.edits_since(ts) {
-                    self.inner.env.health.record_swing_conflict();
+                    self.inner.env.health.swing_conflicts.inc();
                     return Err(Error::conflict(format!(
                         "generation swing abandoned: writes committed after snapshot {ts}"
                     )));
@@ -481,12 +476,12 @@ impl DualTableStore {
             // A floor we cannot compute degrades to 0 — attached rows of
             // retired files leak (space, not correctness) as cleanup debt.
             let floor = self.generation_floor(next).unwrap_or_else(|_| {
-                self.inner.env.health.record_cleanup_failure();
+                self.inner.env.health.cleanup_failures.inc();
                 0
             });
             let deferred = st.note_swing(old_gen, next, swing_ts, floor, pin_ts);
             if deferred {
-                self.inner.env.health.record_generation_deferred();
+                self.inner.env.health.generations_deferred.inc();
             }
             retire_now = !deferred && st.retired_count() == 0;
             if retire_now && matches!(retire, Retire::All) {
@@ -508,7 +503,7 @@ impl DualTableStore {
                 }
             };
             if retired.is_err() {
-                self.inner.env.health.record_cleanup_failure();
+                self.inner.env.health.cleanup_failures.inc();
             }
         }
         self.cleanup_stale_generations(next);
@@ -613,12 +608,12 @@ impl DualTableStore {
             .filter(|&gen| self.delete_generation(gen))
             .count() as u64;
         if gcd > 0 {
-            self.inner.env.health.record_generations_gcd(gcd);
+            self.inner.env.health.generations_gcd.add(gcd);
         }
         // File IDs start at 1; a floor of 1 retires nothing.
         let below = floor.filter(|&floor| floor > 1).map(|floor| 1..floor);
         if self.retire_attached(below).is_err() {
-            self.inner.env.health.record_cleanup_failure();
+            self.inner.env.health.cleanup_failures.inc();
         }
     }
 
@@ -659,7 +654,7 @@ impl DualTableStore {
             .filter(|id| live.binary_search(id).is_err())
             .map(|&id| id..id.wrapping_add(1));
         if self.retire_attached(orphans).is_err() {
-            self.inner.env.health.record_cleanup_failure();
+            self.inner.env.health.cleanup_failures.inc();
         }
     }
 
@@ -694,7 +689,7 @@ impl DualTableStore {
     pub fn compact(&self) -> Result<()> {
         let _guard = self.inner.ops.write();
         let policy = self.inner.config.retry;
-        policy.run(&self.inner.env.health, || {
+        policy.run(&self.inner.env.health.retry, || {
             self.rewrite_exclusive(Rows::Merged(None)).map(|_| ())
         })
     }
@@ -845,13 +840,13 @@ impl DualTableStore {
     /// for the next reopen.
     pub fn compact_incremental(&self) -> Result<FoldOutcome> {
         struct AbortGuard {
-            health: Arc<dt_common::HealthCounters>,
+            health: Arc<crate::TableCounters>,
             armed: std::cell::Cell<bool>,
         }
         impl Drop for AbortGuard {
             fn drop(&mut self) {
                 if self.armed.get() {
-                    self.health.record_compaction_aborted();
+                    self.health.compactions_aborted.inc();
                 }
             }
         }
@@ -860,7 +855,7 @@ impl DualTableStore {
             armed: std::cell::Cell::new(false),
         };
         let job = self.begin_incremental(|| {
-            self.inner.env.health.record_compaction_started();
+            self.inner.env.health.compactions_started.inc();
             guard.armed.set(true);
         })?;
         let Some(job) = job else {
@@ -871,17 +866,15 @@ impl DualTableStore {
         match job.finish() {
             Ok(_) => {
                 guard.armed.set(false);
-                self.inner.env.health.record_compaction_completed();
+                self.inner.env.health.compactions_completed.inc();
                 Ok(FoldOutcome::Folded { files, rows })
             }
             Err(e) if e.is_conflict() => {
                 guard.armed.set(false);
-                self.inner.env.health.record_compaction_lost_race();
+                self.inner.env.health.compactions_lost_race.inc();
                 if let Ok(gen) = self.current_gen() {
                     let swept = self.cleanup_stale_generations(gen);
-                    if swept > 0 {
-                        self.inner.env.health.record_stale_gens_swept(swept);
-                    }
+                    self.inner.env.health.stale_gens_swept.add(swept);
                 }
                 Ok(FoldOutcome::LostRace)
             }

@@ -409,7 +409,7 @@ impl ShardedTable {
                 )
             })
             .collect::<Result<Vec<_>>>()?;
-        env.shard_health.add_shards(shards.len() as u64);
+        env.shard_health.shards_total.add(shards.len() as u64);
         Ok(Self::assemble(env, name, schema, spec, shards))
     }
 
@@ -546,9 +546,11 @@ impl ShardedTable {
         deadline: &Deadline,
     ) -> Result<Vec<ColumnBatch>> {
         let health = &self.inner.env.shard_health;
-        health.record_scatter_scan();
+        health.scatter_scans.inc();
         let matched = self.shards_matching(opts.predicates.as_deref());
-        health.record_shards_pruned((self.shard_count() - matched.len()) as u64);
+        health
+            .shards_pruned_by_range
+            .add((self.shard_count() - matched.len()) as u64);
         let per_shard =
             dt_engine::parallel_map_fallible(&JobConfig::default(), matched, |i: usize| {
                 let mut batches = Vec::new();
@@ -705,7 +707,8 @@ impl ShardedTable {
         inner
             .env
             .shard_health
-            .remove_shards(inner.shards.len() as u64);
+            .shards_total
+            .sub(inner.shards.len() as u64);
         Ok(())
     }
 }

@@ -236,10 +236,7 @@ impl DualTableStore {
                 name: name.to_string(),
                 schema,
                 env: env.clone(),
-                footers: FooterCache::with_health(
-                    config.footer_cache_entries,
-                    Some(env.health.clone()),
-                ),
+                footers: FooterCache::new(config.footer_cache_entries),
                 config,
                 ops: RwLock::new(()),
                 presence_lock: Mutex::new(()),
@@ -265,10 +262,7 @@ impl DualTableStore {
                 name: name.to_string(),
                 schema,
                 env: env.clone(),
-                footers: FooterCache::with_health(
-                    config.footer_cache_entries,
-                    Some(env.health.clone()),
-                ),
+                footers: FooterCache::new(config.footer_cache_entries),
                 config,
                 ops: RwLock::new(()),
                 presence_lock: Mutex::new(()),
@@ -327,12 +321,12 @@ impl DualTableStore {
             Some(&RecordId::new(PRESENCE_FILE_ID, 1).to_key()[..]),
             u64::MAX,
         ) else {
-            self.inner.env.health.record_cleanup_failure();
+            self.inner.env.health.cleanup_failures.inc();
             return;
         };
         for row in scan {
             let Ok(row) = row else {
-                self.inner.env.health.record_cleanup_failure();
+                self.inner.env.health.cleanup_failures.inc();
                 return;
             };
             for (qual, _ts, value) in &row.cells {
@@ -340,7 +334,7 @@ impl DualTableStore {
                     continue;
                 }
                 let Some((gen, file_ids)) = decode_txn_intent(value) else {
-                    self.inner.env.health.record_cleanup_failure();
+                    self.inner.env.health.cleanup_failures.inc();
                     continue;
                 };
                 // The intent is deleted last, so a partial undo keeps it
@@ -348,7 +342,7 @@ impl DualTableStore {
                 if self.delete_master_files(gen, &file_ids)
                     && attached.delete_cell(&INTENT_ROW.to_key(), qual).is_err()
                 {
-                    self.inner.env.health.record_cleanup_failure();
+                    self.inner.env.health.cleanup_failures.inc();
                 }
             }
         }
@@ -553,7 +547,7 @@ impl DualTableStore {
                 .attached()
                 .and_then(|attached| attached.delete_cell(&INTENT_ROW.to_key(), qual));
             if cleared.is_err() {
-                self.inner.env.health.record_cleanup_failure();
+                self.inner.env.health.cleanup_failures.inc();
             }
         }
     }
@@ -571,7 +565,7 @@ impl DualTableStore {
         let mut all = true;
         for path in paths {
             if self.inner.env.dfs.delete(&path).is_err() {
-                self.inner.env.health.record_cleanup_failure();
+                self.inner.env.health.cleanup_failures.inc();
                 all = false;
             }
         }
@@ -689,7 +683,7 @@ impl DualTableStore {
         let reader = self.open_master(plan.gen, file_id)?;
         let presence = &plan.presence;
         let attached = if !presence.is_dirty(file_id) {
-            self.inner.env.health.record_attached_scan_skipped();
+            self.inner.env.health.attached_scans_skipped.inc();
             None
         } else {
             Some(plan.attached.scan_at(
@@ -1349,7 +1343,7 @@ impl DualTableStore {
         if matches!(failed, Error::Schema(_)) {
             return Err(failed);
         }
-        self.inner.env.health.record_plan_fallback();
+        self.inner.env.health.plan_fallbacks.inc();
         Ok((self.edit_locked(statement)?, PlanChoice::Edit))
     }
 
@@ -1371,7 +1365,7 @@ impl DualTableStore {
         let ts = self.inner.env.kv.clock().tick();
         st.pin(gen, ts);
         drop(st);
-        self.inner.env.health.record_snapshot_pinned();
+        self.inner.env.health.snapshots_pinned.inc();
         Ok(Snapshot::new(self.clone(), gen, ts))
     }
 
@@ -1401,13 +1395,13 @@ impl DualTableStore {
     fn conflict_error(&self, conflict: Conflict, pin_ts: u64) -> Error {
         match conflict {
             Conflict::Swing => {
-                self.inner.env.health.record_swing_conflict();
+                self.inner.env.health.swing_conflicts.inc();
                 Error::conflict(format!(
                     "transaction pinned at {pin_ts} lost to a generation swing"
                 ))
             }
             Conflict::Record(id) => {
-                self.inner.env.health.record_ww_conflict();
+                self.inner.env.health.ww_conflicts.inc();
                 let record = RecordId::from_u64(id);
                 Error::conflict(format!(
                     "write-write conflict: record {{file {}, row {}}} committed after snapshot {pin_ts}",
@@ -2062,9 +2056,12 @@ mod self_healing_tests {
         t.compact().unwrap();
         plan.set_armed(false);
         let report = env.health_report();
-        assert!(report.table.retries >= 1, "compact itself retried");
-        assert_eq!(report.table.retry_successes, 1);
-        assert!(report.kv.retry_exhausted >= 1, "tier retry gave up first");
+        assert!(report.table.retry.retries >= 1, "compact itself retried");
+        assert_eq!(report.table.retry.retry_successes, 1);
+        assert!(
+            report.kv.retry.retry_exhausted >= 1,
+            "tier retry gave up first"
+        );
         assert_eq!(t.count().unwrap(), 64);
         assert_eq!(t.stats().unwrap().attached_entries, 0);
         let rows = t.scan_all().unwrap();

@@ -331,7 +331,7 @@ impl Transaction {
                 }
                 Err(error) => {
                     if !committed.is_empty() {
-                        health.record_cross_shard_partial_commit();
+                        health.cross_shard_partial_commits.inc();
                     }
                     return Err(Box::new(ShardCommitFailure {
                         committed,
@@ -342,7 +342,7 @@ impl Transaction {
             }
         }
         if committed.len() >= 2 {
-            health.record_cross_shard_commit();
+            health.cross_shard_commits.inc();
         }
         Ok(last)
     }

@@ -7,7 +7,8 @@
 //! also inserts a fresh row inside the same transaction, so commit
 //! atomicity spans files); two pinned readers repeatedly pin a snapshot
 //! and assert it is byte-stable while folds swing generations underneath;
-//! one maintenance thread loops `compact_incremental()` the whole time.
+//! one maintenance thread loops `compact_incremental()` the whole time, and
+//! on until a fold lands once the writers are done.
 //! Transient read/write faults are armed for the duration of the storm.
 //!
 //! The oracle is exact, not statistical. A writer counts an increment only
@@ -29,7 +30,9 @@ use std::time::Duration;
 
 use dt_common::seed_report::{seed_from_env, with_seed_repro};
 use dt_common::{DataType, FaultKind, FaultPlan, Row, Schema, Value};
-use dualtable::{DualTableConfig, DualTableEnv, DualTableStore, PlanMode, UnionReadOptions};
+use dualtable::{
+    DualTableConfig, DualTableEnv, DualTableStore, FoldOutcome, PlanMode, UnionReadOptions,
+};
 
 const WRITERS: i64 = 3;
 const ROUNDS: usize = 20;
@@ -193,15 +196,33 @@ fn run_reader(table: &DualTableStore, stop: &AtomicBool) {
     }
 }
 
+/// Cycles the compactor may still need once the writers are gone: enough
+/// to outlast any run of injected transient faults, bounded so a fold that
+/// can never land fails the seed instead of hanging it.
+const DRAIN_CYCLES: usize = 1_000;
+
 /// The maintenance loop: fold whatever is dirty, forever. Transient faults
 /// abort a cycle (the abort guard keeps the ledger exact) and the loop
-/// carries on — exactly what the supervised daemon does.
+/// carries on — exactly what the supervised daemon does. Once the writers
+/// have joined it keeps cycling (faults still armed) until one cycle folds
+/// or finds the table clean, so every seed ends on a landed fold whether or
+/// not the compactor ever won a swing race during the storm.
 fn run_compactor(table: &DualTableStore, stop: &AtomicBool) {
-    while !stop.load(Ordering::Relaxed) {
+    let mut drain = 0;
+    loop {
+        let stopped = stop.load(Ordering::Relaxed);
         match table.compact_incremental() {
+            Ok(FoldOutcome::Folded { .. } | FoldOutcome::Clean) if stopped => return,
             Ok(_) => {}
             Err(e) if e.is_transient() || e.is_injected() || e.is_conflict() => {}
             Err(e) => panic!("compactor hit a permanent error: {e}"),
+        }
+        if stopped {
+            drain += 1;
+            assert!(
+                drain < DRAIN_CYCLES,
+                "no fold landed after the writers left"
+            );
         }
         std::thread::sleep(Duration::from_micros(500));
     }

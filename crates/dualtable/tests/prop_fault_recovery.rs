@@ -425,11 +425,11 @@ fn chaos_availability_fixed_seed() {
     );
     let report = h.env.health_report();
     assert!(
-        report.dfs.retries + report.kv.retries + report.table.retries >= 10,
+        report.dfs.retry.retries + report.kv.retry.retries + report.table.retry.retries >= 10,
         "retries did the healing: {report:?}"
     );
-    assert!(
-        !report.kv.degraded,
+    assert_eq!(
+        report.kv.degraded, 0,
         "transient faults never degrade the store"
     );
 

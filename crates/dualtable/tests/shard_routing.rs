@@ -9,7 +9,7 @@
 //!   over the same workload, and its master tier is byte-identical;
 //! - range predicates prune non-matching shards before any I/O — a
 //!   contradictory range touches zero shards and issues **zero DFS
-//!   reads** (asserted via `IoStats`);
+//!   reads** (asserted via the DFS counters);
 //! - one UPDATE statement can pick EDIT on one shard and OVERWRITE on
 //!   another, because the cost model runs per shard;
 //! - `compact_incremental` walks shards round-robin with a fairness

@@ -278,63 +278,26 @@ impl Executor<'_> {
         ctx: &EvalContext,
     ) -> Result<Vec<Row>> {
         let right_width = right_binding.len();
-        // Find equi-join keys: conjuncts `l = r` with one side resolving in
-        // the left binding and the other in the right.
-        let mut left_keys = Vec::new();
-        let mut right_keys = Vec::new();
-        for conjunct in conjuncts(&join.on) {
-            if let Expr::Binary {
-                op: BinOp::Eq,
-                left: a,
-                right: b,
-            } = conjunct
-            {
-                let sides = [(a, b), (b, a)];
-                for (l, r) in sides {
-                    if resolves_in(l, left_binding) && resolves_in(r, right_binding) {
-                        left_keys.push((**l).clone());
-                        right_keys.push((**r).clone());
-                        break;
-                    }
-                }
-            }
-        }
+        let (left_keys, right_keys) = equi_keys(&join.on, left_binding, right_binding);
 
         let mut out = Vec::new();
         if !left_keys.is_empty() {
             // Hash join; residual ON conjuncts re-checked on the joined row.
             let mut table: HashMap<GroupKey, Vec<&Row>> = HashMap::new();
             for r in &right {
-                let mut key = Vec::with_capacity(right_keys.len());
-                let mut has_null = false;
-                for k in &right_keys {
-                    let v = eval(k, r, right_binding, ctx)?;
-                    has_null |= v.is_null();
-                    key.push(HashableValue(normalize_numeric(v)));
-                }
-                if !has_null {
-                    table.entry(GroupKey(key)).or_default().push(r);
+                if let Some(key) = hash_key(&right_keys, r, right_binding, ctx)? {
+                    table.entry(key).or_default().push(r);
                 }
             }
             for l in &left {
-                let mut key = Vec::with_capacity(left_keys.len());
-                let mut has_null = false;
-                for k in &left_keys {
-                    let v = eval(k, l, left_binding, ctx)?;
-                    has_null |= v.is_null();
-                    key.push(HashableValue(normalize_numeric(v)));
-                }
                 let mut matched = false;
-                if !has_null {
-                    if let Some(candidates) = table.get(&GroupKey(key)) {
-                        for r in candidates {
-                            let mut combined = l.clone();
-                            combined.extend_from_slice(r);
-                            if is_true(&eval(&join.on, &combined, joined_binding, ctx)?) {
-                                out.push(combined);
-                                matched = true;
-                            }
-                        }
+                let key = hash_key(&left_keys, l, left_binding, ctx)?;
+                for r in key.and_then(|k| table.get(&k)).into_iter().flatten() {
+                    let mut combined = l.clone();
+                    combined.extend_from_slice(r);
+                    if is_true(&eval(&join.on, &combined, joined_binding, ctx)?) {
+                        out.push(combined);
+                        matched = true;
                     }
                 }
                 if !matched && join.kind == JoinKind::LeftOuter {
@@ -881,6 +844,50 @@ fn resolves_in(expr: &Expr, binding: &Binding) -> bool {
         Expr::Literal(_) => false,
         _ => false,
     }
+}
+
+/// The equi-keys of an ON clause: for each conjunct `a = b` with one side a
+/// column of `left` and the other a column of `right`, the left-side and
+/// right-side expressions, pairwise. Both empty when there is none.
+pub(crate) fn equi_keys(on: &Expr, left: &Binding, right: &Binding) -> (Vec<Expr>, Vec<Expr>) {
+    let mut left_keys = Vec::new();
+    let mut right_keys = Vec::new();
+    for conjunct in conjuncts(on) {
+        if let Expr::Binary {
+            op: BinOp::Eq,
+            left: a,
+            right: b,
+        } = conjunct
+        {
+            for (l, r) in [(a, b), (b, a)] {
+                if resolves_in(l, left) && resolves_in(r, right) {
+                    left_keys.push((**l).clone());
+                    right_keys.push((**r).clone());
+                    break;
+                }
+            }
+        }
+    }
+    (left_keys, right_keys)
+}
+
+/// `row`'s hash-join key over `exprs`, or `None` when any key value is
+/// NULL (a NULL key never matches).
+pub(crate) fn hash_key(
+    exprs: &[Expr],
+    row: &Row,
+    binding: &Binding,
+    ctx: &EvalContext,
+) -> Result<Option<GroupKey>> {
+    let mut key = Vec::with_capacity(exprs.len());
+    for e in exprs {
+        let v = eval(e, row, binding, ctx)?;
+        if v.is_null() {
+            return Ok(None);
+        }
+        key.push(HashableValue(normalize_numeric(v)));
+    }
+    Ok(Some(GroupKey(key)))
 }
 
 /// Extracts stripe-skipping predicates (`col <op> literal`) from the WHERE

@@ -501,7 +501,7 @@ impl Session {
                     ("aborted".into(), snap.compactions_aborted.to_string()),
                     ("stale_gens_swept".into(), snap.stale_gens_swept.to_string()),
                     ("throttled".into(), snap.compactor_throttled.to_string()),
-                    ("parked".into(), snap.compactor_parked.to_string()),
+                    ("parked".into(), (snap.compactor_parked != 0).to_string()),
                 ];
                 // Per-shard fold ledgers of every sharded table: the
                 // round-robin walk's fairness is observable here (the
@@ -842,9 +842,8 @@ impl Session {
         matched_set: &[(String, crate::ast::Expr)],
         not_matched_insert: Option<Vec<crate::ast::Expr>>,
     ) -> Result<QueryResult> {
-        use crate::ast::{BinOp, Expr};
-        use crate::exec::conjuncts;
-        use crate::expr::{normalize_numeric, GroupKey, HashableValue};
+        use crate::exec::{equi_keys, hash_key};
+        use crate::expr::GroupKey;
         use std::collections::{HashMap, HashSet};
 
         let target_handle = self.catalog.get(target)?;
@@ -858,53 +857,18 @@ impl Session {
         let combined_binding = target_binding.join(&source_binding);
         let ctx = EvalContext::default();
 
-        // Equi-keys: conjuncts `a = b` with one side in the target binding
-        // and the other in the source binding.
-        let mut target_keys: Vec<Expr> = Vec::new();
-        let mut source_keys: Vec<Expr> = Vec::new();
-        let resolves = |e: &Expr, b: &Binding| -> bool {
-            matches!(e, Expr::Column { qualifier, name }
-                if b.resolve(qualifier.as_deref(), name).is_ok())
-        };
-        for conjunct in conjuncts(on) {
-            if let Expr::Binary {
-                op: BinOp::Eq,
-                left,
-                right,
-            } = conjunct
-            {
-                for (a, b) in [(left, right), (right, left)] {
-                    if resolves(a, &target_binding) && resolves(b, &source_binding) {
-                        target_keys.push((**a).clone());
-                        source_keys.push((**b).clone());
-                        break;
-                    }
-                }
-            }
-        }
+        let (target_keys, source_keys) = equi_keys(on, &target_binding, &source_binding);
         if target_keys.is_empty() {
             return Err(Error::Plan(
                 "MERGE ON must contain at least one target.col = source.col equality".into(),
             ));
         }
 
-        let key_of = |exprs: &[Expr], row: &Row, binding: &Binding| -> Result<Option<GroupKey>> {
-            let mut key = Vec::with_capacity(exprs.len());
-            for e in exprs {
-                let v = eval(e, row, binding, &ctx)?;
-                if v.is_null() {
-                    return Ok(None); // NULL keys never match.
-                }
-                key.push(HashableValue(normalize_numeric(v)));
-            }
-            Ok(Some(GroupKey(key)))
-        };
-
         // Source hash table (first row per key wins, like Hive's MERGE
         // cardinality check would reject duplicates; we take the first).
         let mut source_map: HashMap<GroupKey, Row> = HashMap::new();
         for row in &source_rows {
-            if let Some(key) = key_of(&source_keys, row, &source_binding)? {
+            if let Some(key) = hash_key(&source_keys, row, &source_binding, &ctx)? {
                 source_map.entry(key).or_insert_with(|| row.clone());
             }
         }
@@ -912,7 +876,7 @@ impl Session {
         // Which source keys have a target partner (for the insert branch)?
         let mut matched_keys: HashSet<GroupKey> = HashSet::new();
         for row in target_handle.scan(None, None)? {
-            if let Some(key) = key_of(&target_keys, &row, &target_binding)? {
+            if let Some(key) = hash_key(&target_keys, &row, &target_binding, &ctx)? {
                 if source_map.contains_key(&key) {
                     matched_keys.insert(key);
                 }
@@ -924,7 +888,7 @@ impl Session {
         let mut updated = 0u64;
         if !matched_set.is_empty() {
             let full_match = |row: &Row| -> Option<Row> {
-                let key = key_of(&target_keys, row, &target_binding).ok()??;
+                let key = hash_key(&target_keys, row, &target_binding, &ctx).ok()??;
                 let src = source_map.get(&key)?;
                 let mut combined = row.clone();
                 combined.extend(src.iter().cloned());
@@ -977,7 +941,7 @@ impl Session {
             }
             let mut new_rows = Vec::new();
             for row in &source_rows {
-                let matched = match key_of(&source_keys, row, &source_binding)? {
+                let matched = match hash_key(&source_keys, row, &source_binding, &ctx)? {
                     Some(key) => matched_keys.contains(&key),
                     None => false,
                 };

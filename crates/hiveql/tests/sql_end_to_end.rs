@@ -257,9 +257,17 @@ fn show_health_reports_per_tier_counters() {
         assert!(tiers.contains(&tier), "missing tier {tier}");
     }
     // A healthy, fault-free session reports all-zero *fault* counters.
-    // The write-path throughput counters (parallel replication, rewrite
-    // fan-out, WAL group commit) tick during normal operation.
+    // Only the I/O volume and write-path throughput counters (parallel
+    // replication, rewrite fan-out, WAL group commit) tick during normal
+    // operation.
     let activity = [
+        "bytes_read",
+        "bytes_written",
+        "read_ops",
+        "write_ops",
+        "seeks",
+        "cache_hits",
+        "cache_misses",
         "write_workers_used",
         "group_commits",
         "wal_fsyncs_saved",
@@ -277,6 +285,48 @@ fn show_health_reports_per_tier_counters() {
         .collect();
     for metric in ["retries", "failovers", "quarantined_replicas", "degraded"] {
         assert!(metrics.contains(&metric), "missing metric {metric}");
+    }
+}
+
+#[test]
+fn show_health_lists_each_metric_under_the_tier_that_records_it() {
+    let mut s = Session::in_memory();
+    let r = s.execute("SHOW HEALTH").unwrap();
+    let rows: Vec<(&str, &str)> = r
+        .rows()
+        .iter()
+        .map(|row| (row[0].as_str().unwrap(), row[1].as_str().unwrap()))
+        .collect();
+    // Every counter a tier declares, once, under that tier, and no others.
+    let declared: Vec<(&str, &str)> = [
+        ("dfs", dt_dfs::DfsSnapshot::default().metrics()),
+        ("kv", dt_kvstore::KvSnapshot::default().metrics()),
+        ("table", dualtable::TableSnapshot::default().metrics()),
+        ("server", dualtable::ServerSnapshot::default().metrics()),
+        ("shard", dualtable::ShardSnapshot::default().metrics()),
+    ]
+    .into_iter()
+    .flat_map(|(tier, metrics)| metrics.into_iter().map(move |(name, _)| (tier, name)))
+    .collect();
+    assert_eq!(rows, declared);
+    let unique: std::collections::HashSet<_> = rows.iter().collect();
+    assert_eq!(unique.len(), rows.len(), "a (tier, metric) pair repeats");
+    assert!(rows.len() < 70, "{} rows", rows.len());
+    for absent in [
+        ("dfs", "ww_conflicts"),
+        ("kv", "stmts_shed"),
+        ("table", "failovers"),
+    ] {
+        assert!(!rows.contains(&absent), "{absent:?} is not that tier's");
+    }
+    for present in [
+        ("dfs", "cache_hits"),
+        ("kv", "delta_spills"),
+        ("table", "ww_conflicts"),
+        ("server", "stmts_shed"),
+        ("shard", "scatter_scans"),
+    ] {
+        assert!(rows.contains(&present), "missing {present:?}");
     }
 }
 

@@ -11,13 +11,14 @@
 
 use std::sync::Arc;
 
-use dt_common::{IoStats, Result};
+use dt_common::Result;
 
 use crate::cell::{CellKey, Version, ROW_TOMBSTONE_QUALIFIER};
 use crate::env::Env;
 use crate::merge::MergeScanner;
 use crate::sstable::{SsTable, SsTableBuilder};
 use crate::store::KvConfig;
+use crate::KvCounters;
 
 /// Minor compaction: merges `tables` into one SSTable **without** any
 /// garbage collection. Tombstones and every version are preserved, because
@@ -28,7 +29,7 @@ pub(crate) fn merge_tables_keep_all(
     env: &Arc<dyn Env>,
     tables: &[Arc<SsTable>],
     config: &KvConfig,
-    stats: &IoStats,
+    stats: &Arc<KvCounters>,
     file_no: u64,
 ) -> Result<(String, Arc<SsTable>)> {
     let streams = tables
@@ -62,7 +63,7 @@ pub(crate) fn compact_tables(
     env: &Arc<dyn Env>,
     tables: &[Arc<SsTable>],
     config: &KvConfig,
-    stats: &IoStats,
+    stats: &Arc<KvCounters>,
     file_no: u64,
 ) -> Result<(String, Arc<SsTable>)> {
     let streams = tables
@@ -155,7 +156,7 @@ mod tests {
             b.add(k, v).unwrap();
         }
         env.write_file(name, &b.finish()).unwrap();
-        Arc::new(SsTable::open(env.clone(), name.into(), IoStats::new()).unwrap())
+        Arc::new(SsTable::open(env.clone(), name.into(), Arc::default()).unwrap())
     }
 
     fn key(row: &str, qual: &str) -> CellKey {
@@ -186,7 +187,7 @@ mod tests {
             max_versions: 2,
             ..KvConfig::default()
         };
-        let (_, out) = compact_tables(&env, &[t], &config, &IoStats::new(), 7).unwrap();
+        let (_, out) = compact_tables(&env, &[t], &config, &Arc::default(), 7).unwrap();
         let versions = out.get(&key("r", "q")).unwrap();
         assert_eq!(versions.len(), 2);
         assert_eq!(versions[0].ts, 5);
@@ -216,7 +217,7 @@ mod tests {
             ],
         );
         let (_, out) =
-            compact_tables(&env, &[t], &KvConfig::default(), &IoStats::new(), 7).unwrap();
+            compact_tables(&env, &[t], &KvConfig::default(), &Arc::default(), 7).unwrap();
         assert_eq!(out.get(&key("r", "after")).unwrap().len(), 1);
         assert!(out.get(&key("r", "old")).unwrap().is_empty());
         // Tombstone itself GC'd.

@@ -13,8 +13,10 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use dt_common::fault::{FaultKind, FaultPlan, IoOp};
-use dt_common::{Error, HealthCounters, Result, RetryPolicy};
+use dt_common::{Error, Result, RetryPolicy};
 use parking_lot::RwLock;
+
+use crate::KvCounters;
 
 /// File namespace abstraction for one store.
 pub trait Env: Send + Sync {
@@ -228,20 +230,21 @@ impl Env for FaultyEnv {
 /// server hiccup" behaviour an HBase client gets from
 /// `hbase.client.retries.number`. Permanent and corrupt errors pass
 /// through untouched, as do deletes (best-effort GC retries on the next
-/// open instead). Outcomes are recorded in the shared [`HealthCounters`].
+/// open instead). Outcomes are recorded in the shared [`KvCounters`]'
+/// retry group.
 pub struct RetryEnv {
     inner: Arc<dyn Env>,
     policy: RetryPolicy,
-    health: Arc<HealthCounters>,
+    stats: Arc<KvCounters>,
 }
 
 impl RetryEnv {
     /// Wraps `inner`, retrying transient failures per `policy`.
-    pub fn new(inner: Arc<dyn Env>, policy: RetryPolicy, health: Arc<HealthCounters>) -> Self {
+    pub fn new(inner: Arc<dyn Env>, policy: RetryPolicy, stats: Arc<KvCounters>) -> Self {
         RetryEnv {
             inner,
             policy,
-            health,
+            stats,
         }
     }
 }
@@ -249,21 +252,22 @@ impl RetryEnv {
 impl Env for RetryEnv {
     fn append(&self, name: &str, data: &[u8]) -> Result<()> {
         self.policy
-            .run(&self.health, || self.inner.append(name, data))
+            .run(&self.stats.retry, || self.inner.append(name, data))
     }
 
     fn write_file(&self, name: &str, data: &[u8]) -> Result<()> {
         self.policy
-            .run(&self.health, || self.inner.write_file(name, data))
+            .run(&self.stats.retry, || self.inner.write_file(name, data))
     }
 
     fn read_at(&self, name: &str, offset: u64, buf: &mut [u8]) -> Result<()> {
         self.policy
-            .run(&self.health, || self.inner.read_at(name, offset, buf))
+            .run(&self.stats.retry, || self.inner.read_at(name, offset, buf))
     }
 
     fn read_file(&self, name: &str) -> Result<Vec<u8>> {
-        self.policy.run(&self.health, || self.inner.read_file(name))
+        self.policy
+            .run(&self.stats.retry, || self.inner.read_file(name))
     }
 
     fn len(&self, name: &str) -> Result<u64> {
@@ -423,7 +427,7 @@ mod tests {
     fn retry_env_rides_out_transient_faults() {
         let plan = Arc::new(FaultPlan::new(23));
         let faulty = Arc::new(FaultyEnv::new(Arc::new(MemEnv::new()), plan.clone()));
-        let health = Arc::new(HealthCounters::new());
+        let health = Arc::<KvCounters>::default();
         let env = RetryEnv::new(faulty, RetryPolicy::default(), health.clone());
 
         plan.fail_transient_next(FaultKind::TransientWriteError, 2);
@@ -433,7 +437,7 @@ mod tests {
         plan.fail_transient_next(FaultKind::TransientReadError, 1);
         assert_eq!(env.read_file("wal").unwrap(), b"record");
 
-        let snap = health.snapshot();
+        let snap = health.snapshot().retry;
         assert_eq!(snap.retries, 3);
         assert_eq!(snap.retry_successes, 2);
         assert_eq!(snap.retry_exhausted, 0);
@@ -443,12 +447,12 @@ mod tests {
     fn retry_env_passes_permanent_errors_through() {
         let plan = Arc::new(FaultPlan::new(29));
         let faulty = Arc::new(FaultyEnv::new(Arc::new(MemEnv::new()), plan.clone()));
-        let health = Arc::new(HealthCounters::new());
+        let health = Arc::<KvCounters>::default();
         let env = RetryEnv::new(faulty, RetryPolicy::default(), health.clone());
 
         plan.fail_next(FaultKind::WriteError);
         assert!(env.append("wal", b"x").unwrap_err().is_injected());
-        assert_eq!(health.snapshot().retries, 0, "permanent: no retry");
+        assert_eq!(health.snapshot().retry.retries, 0, "permanent: no retry");
         // The schedule is spent: the next append goes through.
         env.append("wal", b"x").unwrap();
     }

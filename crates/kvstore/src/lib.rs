@@ -51,8 +51,48 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use dt_common::fault::FaultPlan;
-use dt_common::{Error, HealthCounters, HealthSnapshot, IoStats, LogicalClock, Result};
+use dt_common::{Error, LogicalClock, Result, RetryCounters, RetrySnapshot};
 use parking_lot::RwLock;
+
+dt_common::counters! {
+    /// Everything the KV tier (the Attached tier in cost-model terms)
+    /// counts, summed over a cluster's tables: I/O volume, WAL group
+    /// commit, the delta (HTAP) tier, and file-I/O retries.
+    pub struct KvCounters => KvSnapshot {
+        ..retry: RetryCounters => RetrySnapshot,
+        /// Total bytes read from SSTable blocks.
+        bytes_read,
+        /// Total bytes written (WAL appends, flushes, compactions).
+        bytes_written,
+        /// Number of SSTable block reads.
+        read_ops,
+        /// Number of WAL appends and SSTable writes.
+        write_ops,
+        /// Random repositionings (SSTable point lookups and block seeks).
+        seeks,
+        /// WAL appends that durably committed more than one caller batch.
+        group_commits,
+        /// Fsyncs avoided by coalescing concurrent batches into one append.
+        wal_fsyncs_saved,
+        /// Delta (shadow) tier spills into the LSM proper (DESIGN.md §17).
+        delta_spills,
+        /// Version entries served out of the delta tier by gets and scans.
+        delta_hits,
+        /// Live heap bytes held by delta tiers (gauge; zero outside
+        /// [`KvCluster::health_snapshot`], which sums it live).
+        delta_bytes_used,
+        /// 1 while any table refuses writes (gauge; computed live by
+        /// [`KvCluster::health_snapshot`]).
+        degraded,
+    }
+}
+
+impl KvCounters {
+    fn record_write(&self, bytes: u64) {
+        self.bytes_written.add(bytes);
+        self.write_ops.inc();
+    }
+}
 
 /// A collection of named stores sharing one clock and one set of I/O
 /// counters — the moral equivalent of an HBase cluster.
@@ -68,12 +108,11 @@ struct ClusterInner {
     envs: RwLock<HashMap<String, Arc<dyn Env>>>,
     config: KvConfig,
     clock: LogicalClock,
-    stats: IoStats,
+    // One set of counters shared by every table's store and retry
+    // wrapper — the `kv` rows of `SHOW HEALTH`.
+    stats: Arc<KvCounters>,
     disk_root: Option<PathBuf>,
     fault_plan: Option<Arc<FaultPlan>>,
-    // One set of self-healing counters shared by every table's store and
-    // retry wrapper — the per-tier ledger behind `SHOW HEALTH`.
-    health: Arc<HealthCounters>,
 }
 
 impl KvCluster {
@@ -108,10 +147,9 @@ impl KvCluster {
                 envs: RwLock::new(HashMap::new()),
                 config,
                 clock: LogicalClock::new(),
-                stats: IoStats::new(),
+                stats: Arc::default(),
                 disk_root,
                 fault_plan,
-                health: Arc::new(HealthCounters::new()),
             }),
         }
     }
@@ -121,21 +159,16 @@ impl KvCluster {
         self.inner.fault_plan.as_ref()
     }
 
-    /// The cluster-wide self-healing counters (retries, degraded flags).
-    pub fn health(&self) -> &Arc<HealthCounters> {
-        &self.inner.health
-    }
-
     /// A point-in-time view of the counters, with the degraded flag
     /// computed live: the cluster is degraded while *any* of its tables
     /// is refusing writes. A table reopen (e.g. [`Self::crash_and_reopen`])
     /// therefore clears the flag. Likewise `delta_bytes_used` is summed
     /// live over the open stores' shadow tiers (a gauge counter would
     /// leak across reopen/truncate/destroy).
-    pub fn health_snapshot(&self) -> HealthSnapshot {
-        let mut snap = self.inner.health.snapshot();
+    pub fn health_snapshot(&self) -> KvSnapshot {
+        let mut snap = self.inner.stats.snapshot();
         let tables = self.inner.tables.read();
-        snap.degraded = tables.values().any(Store::is_degraded);
+        snap.degraded = u64::from(tables.values().any(Store::is_degraded));
         snap.delta_bytes_used = tables.values().map(|s| s.shadow_bytes() as u64).sum();
         snap
     }
@@ -151,21 +184,19 @@ impl KvCluster {
         let mut tables = self.inner.tables.write();
         let names: Vec<String> = tables.keys().cloned().collect();
         for name in names {
-            let store = Store::open_with_health(
+            let store = Store::open(
                 self.env_for(&name)?,
                 self.inner.config.clone(),
                 self.inner.clock.clone(),
                 self.inner.stats.clone(),
-                self.inner.health.clone(),
             )?;
             tables.insert(name, store);
         }
         Ok(())
     }
 
-    /// I/O counters aggregated over all tables (the Attached tier in
-    /// cost-model terms).
-    pub fn stats(&self) -> &IoStats {
+    /// The counters aggregated over all tables.
+    pub fn stats(&self) -> &KvCounters {
         &self.inner.stats
     }
 
@@ -195,7 +226,7 @@ impl KvCluster {
             Arc::new(RetryEnv::new(
                 env,
                 self.inner.config.retry,
-                self.inner.health.clone(),
+                self.inner.stats.clone(),
             ))
         } else {
             env
@@ -213,12 +244,11 @@ impl KvCluster {
         if tables.contains_key(name) {
             return Err(Error::AlreadyExists(format!("kv table '{name}'")));
         }
-        let store = Store::open_with_health(
+        let store = Store::open(
             self.env_for(name)?,
             self.inner.config.clone(),
             self.inner.clock.clone(),
             self.inner.stats.clone(),
-            self.inner.health.clone(),
         )?;
         tables.insert(name.to_string(), store.clone());
         Ok(store)
@@ -266,12 +296,11 @@ impl KvCluster {
             .cloned()
             .ok_or_else(|| Error::not_found(format!("kv table '{name}'")))?;
         store.destroy()?;
-        let fresh = Store::open_with_health(
+        let fresh = Store::open(
             self.env_for(name)?,
             self.inner.config.clone(),
             self.inner.clock.clone(),
             self.inner.stats.clone(),
-            self.inner.health.clone(),
         )?;
         tables.insert(name.to_string(), fresh);
         Ok(())
@@ -361,9 +390,9 @@ mod tests {
         t.put(b"r", b"q", b"v").unwrap();
         assert_eq!(t.get(b"r", b"q").unwrap().unwrap(), b"v");
         let snap = c.health_snapshot();
-        assert_eq!(snap.retries, 2);
-        assert_eq!(snap.retry_successes, 1);
-        assert!(!snap.degraded);
+        assert_eq!(snap.retry.retries, 2);
+        assert_eq!(snap.retry.retry_successes, 1);
+        assert_eq!(snap.degraded, 0);
     }
 
     #[test]
@@ -378,7 +407,7 @@ mod tests {
         plan.fail_next(FaultKind::WriteError);
         assert!(t.put(b"r2", b"q", b"lost").is_err());
         assert!(t.is_degraded());
-        assert!(c.health_snapshot().degraded);
+        assert_eq!(c.health_snapshot().degraded, 1);
         // Reads keep serving durable data; writes are refused outright
         // (the WAL is not even attempted).
         assert_eq!(t.get(b"r", b"q").unwrap().unwrap(), b"durable");
@@ -389,7 +418,7 @@ mod tests {
         c.crash_and_reopen().unwrap();
         let t = c.table("t").unwrap();
         assert!(!t.is_degraded());
-        assert!(!c.health_snapshot().degraded);
+        assert_eq!(c.health_snapshot().degraded, 0);
         t.put(b"r4", b"q", b"back").unwrap();
         assert_eq!(t.get(b"r4", b"q").unwrap().unwrap(), b"back");
         assert_eq!(t.get(b"r2", b"q").unwrap(), None, "failed put stayed out");

@@ -20,11 +20,12 @@ use std::sync::Arc;
 
 use dt_common::codec::{get_bytes, get_uvarint, put_bytes, put_uvarint};
 use dt_common::crc32::crc32;
-use dt_common::{Error, IoStats, Result};
+use dt_common::{Error, Result};
 
 use crate::bloom::BloomFilter;
 use crate::cell::{decode_entry, encode_entry, CellKey, Version};
 use crate::env::Env;
+use crate::KvCounters;
 
 const MAGIC: u64 = 0x4454_5353_5441_424C; // "DTSSTABL"
 const FOOTER_LEN: usize = 56;
@@ -145,12 +146,12 @@ pub(crate) struct SsTable {
     /// Byte length of the data-block region (equals the index offset).
     #[allow(dead_code)]
     pub(crate) data_len: u64,
-    stats: IoStats,
+    stats: Arc<KvCounters>,
 }
 
 impl SsTable {
     /// Opens a table file, validating footer magic and metadata CRC.
-    pub fn open(env: Arc<dyn Env>, name: String, stats: IoStats) -> Result<Self> {
+    pub fn open(env: Arc<dyn Env>, name: String, stats: Arc<KvCounters>) -> Result<Self> {
         let total = env.len(&name)?;
         if (total as usize) < FOOTER_LEN {
             return Err(Error::corrupt(format!("sstable '{name}' too short")));
@@ -242,8 +243,9 @@ impl SsTable {
     fn read_block(&self, i: usize) -> Result<Vec<u8>> {
         let (_, off, len) = &self.index[i];
         let mut buf = vec![0u8; *len as usize];
-        self.stats.record_seek();
-        self.stats.record_read(*len);
+        self.stats.seeks.inc();
+        self.stats.bytes_read.add(*len);
+        self.stats.read_ops.inc();
         self.env.read_at(&self.name, *off, &mut buf)?;
         Ok(buf)
     }
@@ -395,7 +397,7 @@ mod tests {
         }
         let bytes = b.finish();
         env.write_file("sst_0", &bytes).unwrap();
-        let t = Arc::new(SsTable::open(env.clone(), "sst_0".into(), IoStats::new()).unwrap());
+        let t = Arc::new(SsTable::open(env.clone(), "sst_0".into(), Arc::default()).unwrap());
         (env, t)
     }
 
@@ -447,7 +449,7 @@ mod tests {
         let n = bytes.len();
         bytes[n - FOOTER_LEN - 1] ^= 0x01;
         env.write_file("bad", &bytes).unwrap();
-        assert!(SsTable::open(env, "bad".into(), IoStats::new()).is_err());
+        assert!(SsTable::open(env, "bad".into(), Arc::default()).is_err());
     }
 
     #[test]

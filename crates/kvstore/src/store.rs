@@ -4,7 +4,7 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use dt_common::{Error, ErrorClass, HealthCounters, IoStats, LogicalClock, Result, RetryPolicy};
+use dt_common::{Error, ErrorClass, LogicalClock, Result, RetryPolicy};
 use parking_lot::{Mutex, RwLock};
 
 use crate::cell::{CellKey, Mutation, Version, WalEntry, ROW_TOMBSTONE_QUALIFIER};
@@ -15,6 +15,7 @@ use crate::merge::MergeScanner;
 use crate::shadow::ShadowTier;
 use crate::sstable::{SsTable, SsTableBuilder};
 use crate::wal::Wal;
+use crate::KvCounters;
 
 /// Tuning knobs for one store.
 #[derive(Debug, Clone)]
@@ -137,7 +138,7 @@ struct StoreInner {
     env: Arc<dyn Env>,
     config: KvConfig,
     clock: LogicalClock,
-    stats: IoStats,
+    stats: Arc<KvCounters>,
     state: RwLock<State>,
     // Batches parked for group commit. Timestamps are assigned under this
     // lock, so queue order == timestamp order == WAL record order.
@@ -149,7 +150,6 @@ struct StoreInner {
     // on a failed WAL sync). Reads keep serving; writes are refused until
     // the store is reopened (DESIGN.md §8).
     degraded: AtomicBool,
-    health: Arc<HealthCounters>,
 }
 
 /// A single sorted table — the unit the paper calls "an HBase table".
@@ -164,26 +164,14 @@ pub struct Store {
 
 impl Store {
     /// Opens (or creates) a store over `env`, replaying any WAL left by a
-    /// crash.
+    /// crash, counting into `stats` (a cluster passes one instance to all
+    /// its tables). Opening a store clears any degraded flag: a reopen is
+    /// the recovery action for a permanently failed write path.
     pub fn open(
         env: Arc<dyn Env>,
         config: KvConfig,
         clock: LogicalClock,
-        stats: IoStats,
-    ) -> Result<Self> {
-        Self::open_with_health(env, config, clock, stats, Arc::new(HealthCounters::new()))
-    }
-
-    /// [`Store::open`] with shared self-healing counters (a cluster passes
-    /// one instance to all its tables). Opening a store clears any
-    /// degraded flag: a reopen is the recovery action for a permanently
-    /// failed write path.
-    pub fn open_with_health(
-        env: Arc<dyn Env>,
-        config: KvConfig,
-        clock: LogicalClock,
-        stats: IoStats,
-        health: Arc<HealthCounters>,
+        stats: Arc<KvCounters>,
     ) -> Result<Self> {
         let mut memtable = MemTable::new();
         let mut max_ts = 0u64;
@@ -249,7 +237,6 @@ impl Store {
                 commit_queue: Mutex::new(VecDeque::new()),
                 maintenance: Mutex::new(()),
                 degraded: AtomicBool::new(false),
-                health,
             }),
         };
         if recovery.dropped_bytes > 0 {
@@ -319,11 +306,6 @@ impl Store {
     /// WAL is gone stops taking writes). Cleared by reopening the store.
     pub fn is_degraded(&self) -> bool {
         self.inner.degraded.load(Ordering::Acquire)
-    }
-
-    /// The shared self-healing counters this store reports into.
-    pub fn health(&self) -> &Arc<HealthCounters> {
-        &self.inner.health
     }
 
     fn check_qualifier(qual: &[u8]) -> Result<()> {
@@ -447,7 +429,7 @@ impl Store {
             state.shadow.retire_through(boundary);
             ops.len() as u64 - 1
         };
-        self.inner.health.record_delta_spill(spilled);
+        self.inner.stats.delta_spills.inc();
         // The memtable may have crossed its flush threshold in one jump;
         // flush inline (no compaction — callers that want the full
         // maintenance cycle run it themselves).
@@ -592,8 +574,11 @@ impl Store {
             match wal.append_batches(&batches) {
                 Ok(()) => {
                     if group.len() > 1 {
-                        self.inner.stats.record_group_commit(group.len() as u64);
-                        self.inner.health.record_group_commit(group.len() as u64);
+                        self.inner.stats.group_commits.inc();
+                        self.inner
+                            .stats
+                            .wal_fsyncs_saved
+                            .add(group.len() as u64 - 1);
                     }
                     for pending in group {
                         let mut shadow_batch: Vec<(CellKey, Version)> = Vec::new();
@@ -713,9 +698,7 @@ impl Store {
             .unwrap_or_default();
         let from_shadow = state.shadow.get(key);
         if !from_shadow.is_empty() {
-            self.inner
-                .health
-                .record_delta_hits(from_shadow.len() as u64);
+            self.inner.stats.delta_hits.add(from_shadow.len() as u64);
             versions.extend(from_shadow);
         }
         if let Ok(i) = state.flushing.binary_search_by(|(k, _)| k.cmp(key)) {
@@ -723,7 +706,7 @@ impl Store {
         }
         for table in &state.sstables {
             if table.may_contain_row(&key.row) {
-                self.inner.stats.record_seek();
+                self.inner.stats.seeks.inc();
                 versions.extend(table.get(key)?);
             }
         }
@@ -762,9 +745,7 @@ impl Store {
         if !shadow_entries.is_empty() {
             // The delta tier is just one more key-sorted stream in the
             // merge — same visibility rules as every other source.
-            self.inner
-                .health
-                .record_delta_hits(shadow_entries.len() as u64);
+            self.inner.stats.delta_hits.add(shadow_entries.len() as u64);
             streams.push(Box::new(shadow_entries.into_iter().map(Ok)));
         }
         if !flushing.is_empty() {
@@ -1158,7 +1139,7 @@ mod tests {
                 ..KvConfig::default()
             },
             LogicalClock::new(),
-            IoStats::new(),
+            Arc::default(),
         )
         .unwrap()
     }
@@ -1254,14 +1235,14 @@ mod tests {
                 env.clone(),
                 KvConfig::default(),
                 clock.clone(),
-                IoStats::new(),
+                Arc::default(),
             )
             .unwrap();
             s.put(b"r", b"q", b"survives").unwrap();
             // No flush: data only in WAL + memtable. Store handle dropped =
             // process crash.
         }
-        let s = Store::open(env, KvConfig::default(), clock, IoStats::new()).unwrap();
+        let s = Store::open(env, KvConfig::default(), clock, Arc::default()).unwrap();
         assert_eq!(s.get(b"r", b"q").unwrap().unwrap(), b"survives");
     }
 
@@ -1273,7 +1254,7 @@ mod tests {
                 env.clone(),
                 KvConfig::default(),
                 LogicalClock::new(),
-                IoStats::new(),
+                Arc::default(),
             )
             .unwrap();
             let ts = s.put(b"r", b"q", b"v1").unwrap();
@@ -1283,7 +1264,7 @@ mod tests {
         // A brand-new clock would restart at 1 and write "older" data; the
         // store must fast-forward it.
         let clock = LogicalClock::new();
-        let s = Store::open(env, KvConfig::default(), clock, IoStats::new()).unwrap();
+        let s = Store::open(env, KvConfig::default(), clock, Arc::default()).unwrap();
         let ts2 = s.put(b"r", b"q", b"v2").unwrap();
         assert!(ts2 > ts);
         assert_eq!(s.get(b"r", b"q").unwrap().unwrap(), b"v2");
@@ -1336,7 +1317,7 @@ mod tests {
                 ..KvConfig::default()
             },
             LogicalClock::new(),
-            IoStats::new(),
+            Arc::default(),
         )
         .unwrap();
         for i in 0..64u32 {
@@ -1367,7 +1348,7 @@ mod tests {
                 env.clone(),
                 KvConfig::default(),
                 clock.clone(),
-                IoStats::new(),
+                Arc::default(),
             )
             .unwrap();
             s.put(b"flushed", b"q", b"v1").unwrap();
@@ -1382,7 +1363,7 @@ mod tests {
             assert_eq!(wal_files(&env).len(), 1);
             // ...and a crash here (drop without flush) must not lose them.
         }
-        let s = Store::open(env.clone(), KvConfig::default(), clock, IoStats::new()).unwrap();
+        let s = Store::open(env.clone(), KvConfig::default(), clock, Arc::default()).unwrap();
         assert_eq!(s.get(b"flushed", b"q").unwrap().unwrap(), b"v1");
         assert_eq!(s.get(b"unflushed", b"q").unwrap().unwrap(), b"v2");
         // The recovered store rotates past the old segment; a flush now
@@ -1411,7 +1392,7 @@ mod tests {
                 ..KvConfig::default()
             },
             LogicalClock::new(),
-            IoStats::new(),
+            Arc::default(),
         )
         .unwrap();
         for i in 0..200u32 {
@@ -1460,7 +1441,7 @@ mod minor_compact_tests {
                 ..KvConfig::default()
             },
             LogicalClock::new(),
-            IoStats::new(),
+            Arc::default(),
         )
         .unwrap()
     }
@@ -1540,7 +1521,7 @@ mod crash_tests {
                 ..KvConfig::default()
             },
             LogicalClock::new(),
-            IoStats::new(),
+            Arc::default(),
         )
         .unwrap();
         (store, mem)
@@ -1580,7 +1561,7 @@ mod crash_tests {
             Arc::new(FaultyEnv::new(mem.clone(), plan)),
             KvConfig::default(),
             LogicalClock::new(),
-            IoStats::new(),
+            Arc::default(),
         )
         .unwrap();
         assert_eq!(s2.get(b"r", b"q").unwrap().unwrap(), b"survives");
@@ -1604,7 +1585,7 @@ mod crash_tests {
                 Arc::new(FaultyEnv::new(mem.clone(), plan.clone())),
                 KvConfig::default(),
                 LogicalClock::new(),
-                IoStats::new(),
+                Arc::default(),
             )
             .unwrap()
         };
@@ -1645,7 +1626,7 @@ mod crash_tests {
             mem,
             KvConfig::default(),
             LogicalClock::new(),
-            IoStats::new(),
+            Arc::default(),
         )
         .unwrap();
         for i in 0..10u8 {
@@ -1664,7 +1645,7 @@ mod crash_tests {
                 env.clone(),
                 KvConfig::default(),
                 LogicalClock::new(),
-                IoStats::new(),
+                Arc::default(),
             )
             .unwrap();
             s.put(b"keep", b"q", b"v").unwrap();
@@ -1676,7 +1657,7 @@ mod crash_tests {
             env.clone(),
             KvConfig::default(),
             LogicalClock::new(),
-            IoStats::new(),
+            Arc::default(),
         )
         .unwrap();
         assert_eq!(s.get(b"keep", b"q").unwrap().unwrap(), b"v");
@@ -1704,7 +1685,7 @@ mod crash_tests {
                 ..KvConfig::default()
             },
             LogicalClock::new(),
-            IoStats::new(),
+            Arc::default(),
         )
         .unwrap();
         s.put(b"a", b"q", &[0u8; 64]).unwrap();
@@ -1736,7 +1717,7 @@ mod shadow_store_tests {
                 ..KvConfig::default()
             },
             LogicalClock::new(),
-            IoStats::new(),
+            Arc::default(),
         )
         .unwrap()
     }
@@ -1947,7 +1928,7 @@ mod shadow_store_tests {
                 ..KvConfig::default()
             },
             LogicalClock::new(),
-            IoStats::new(),
+            Arc::default(),
         )
         .unwrap();
         plan.fail_next(FaultKind::WriteError);

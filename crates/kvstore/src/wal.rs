@@ -17,10 +17,11 @@
 use std::sync::Arc;
 
 use dt_common::crc32::crc32;
-use dt_common::{IoStats, Result};
+use dt_common::Result;
 
 use crate::cell::{decode_wal_entry, encode_wal_entry, CellKey, Version, WalEntry};
 use crate::env::Env;
+use crate::KvCounters;
 
 /// The file name of WAL segment `n`.
 pub(crate) fn seg_name(n: u64) -> String {
@@ -38,12 +39,12 @@ fn parse_seg(name: &str) -> Option<u64> {
 /// Appender for one segment of the write-ahead log.
 pub(crate) struct Wal {
     env: Arc<dyn Env>,
-    stats: IoStats,
+    stats: Arc<KvCounters>,
     segment: u64,
 }
 
 impl Wal {
-    pub fn new(env: Arc<dyn Env>, stats: IoStats, segment: u64) -> Self {
+    pub fn new(env: Arc<dyn Env>, stats: Arc<KvCounters>, segment: u64) -> Self {
         Wal {
             env,
             stats,
@@ -240,7 +241,6 @@ mod tests {
     use super::*;
     use crate::cell::Mutation;
     use crate::env::MemEnv;
-    use dt_common::IoStats;
 
     fn kv(ts: u64) -> (CellKey, Version) {
         (
@@ -255,7 +255,7 @@ mod tests {
     #[test]
     fn append_and_replay() {
         let env = Arc::new(MemEnv::new());
-        let wal = Wal::new(env.clone(), IoStats::new(), 0);
+        let wal = Wal::new(env.clone(), Arc::default(), 0);
         wal.append_batch(&[kv(1), kv(2)]).unwrap();
         wal.append_batch(&[kv(3)]).unwrap();
         let replayed = Wal::replay(env.as_ref()).unwrap();
@@ -268,7 +268,7 @@ mod tests {
         let b = Arc::new(MemEnv::new());
         let batches: Vec<Vec<(CellKey, Version)>> =
             vec![vec![kv(1), kv(2)], vec![kv(3)], vec![kv(4), kv(5)]];
-        let wal_a = Wal::new(a.clone(), IoStats::new(), 0);
+        let wal_a = Wal::new(a.clone(), Arc::default(), 0);
         for batch in &batches {
             wal_a.append_batch(batch).unwrap();
         }
@@ -282,7 +282,7 @@ mod tests {
             })
             .collect();
         let refs: Vec<&[WalEntry]> = ops.iter().map(Vec::as_slice).collect();
-        let stats = IoStats::new();
+        let stats = Arc::<KvCounters>::default();
         Wal::new(b.clone(), stats.clone(), 0)
             .append_batches(&refs)
             .unwrap();
@@ -297,7 +297,7 @@ mod tests {
     #[test]
     fn torn_tail_of_grouped_append_salvages_record_prefix() {
         let env = Arc::new(MemEnv::new());
-        let wal = Wal::new(env.clone(), IoStats::new(), 0);
+        let wal = Wal::new(env.clone(), Arc::default(), 0);
         let batches: Vec<Vec<WalEntry>> = vec![vec![kv(1)], vec![kv(2)], vec![kv(3)]]
             .into_iter()
             .map(|b| b.into_iter().map(|(k, v)| WalEntry::Data(k, v)).collect())
@@ -325,7 +325,7 @@ mod tests {
     #[test]
     fn shadow_entries_replay_into_the_shadow_stream() {
         let env = Arc::new(MemEnv::new());
-        let wal = Wal::new(env.clone(), IoStats::new(), 0);
+        let wal = Wal::new(env.clone(), Arc::default(), 0);
         let (dk, dv) = kv(1);
         wal.append_batches(&[&[WalEntry::Data(dk.clone(), dv.clone()), shadow(2)]])
             .unwrap();
@@ -340,7 +340,7 @@ mod tests {
     #[test]
     fn retire_marker_drops_covered_shadow_entries_in_replay_order() {
         let env = Arc::new(MemEnv::new());
-        let wal = Wal::new(env.clone(), IoStats::new(), 0);
+        let wal = Wal::new(env.clone(), Arc::default(), 0);
         wal.append_batches(&[&[shadow(1), shadow(2)]]).unwrap();
         // The spill record: the entries' data copies (original timestamps)
         // plus the retire marker, one atomic record.
@@ -362,7 +362,7 @@ mod tests {
     #[test]
     fn torn_shadow_record_rolls_back_whole_record() {
         let env = Arc::new(MemEnv::new());
-        let wal = Wal::new(env.clone(), IoStats::new(), 0);
+        let wal = Wal::new(env.clone(), Arc::default(), 0);
         wal.append_batches(&[&[shadow(1)]]).unwrap();
         wal.append_batches(&[&[shadow(2), shadow(3)]]).unwrap();
         let data = env.read_file(&seg_name(0)).unwrap();
@@ -384,13 +384,13 @@ mod tests {
     #[test]
     fn replay_spans_segments_in_order() {
         let env = Arc::new(MemEnv::new());
-        Wal::new(env.clone(), IoStats::new(), 0)
+        Wal::new(env.clone(), Arc::default(), 0)
             .append_batch(&[kv(1)])
             .unwrap();
-        Wal::new(env.clone(), IoStats::new(), 2)
+        Wal::new(env.clone(), Arc::default(), 2)
             .append_batch(&[kv(3)])
             .unwrap();
-        Wal::new(env.clone(), IoStats::new(), 1)
+        Wal::new(env.clone(), Arc::default(), 1)
             .append_batch(&[kv(2)])
             .unwrap();
         let r = Wal::replay_with_report(env.as_ref()).unwrap();
@@ -401,7 +401,7 @@ mod tests {
     #[test]
     fn truncated_tail_is_ignored() {
         let env = Arc::new(MemEnv::new());
-        let wal = Wal::new(env.clone(), IoStats::new(), 0);
+        let wal = Wal::new(env.clone(), Arc::default(), 0);
         wal.append_batch(&[kv(1)]).unwrap();
         wal.append_batch(&[kv(2)]).unwrap();
         // Simulate a crash mid-append by truncating the file.
@@ -415,7 +415,7 @@ mod tests {
     #[test]
     fn corrupt_tail_is_ignored() {
         let env = Arc::new(MemEnv::new());
-        let wal = Wal::new(env.clone(), IoStats::new(), 0);
+        let wal = Wal::new(env.clone(), Arc::default(), 0);
         wal.append_batch(&[kv(1)]).unwrap();
         wal.append_batch(&[kv(2)]).unwrap();
         let mut data = env.read_file(&seg_name(0)).unwrap();
@@ -433,10 +433,10 @@ mod tests {
         // of segment 0; replaying them over the hole would resurrect a
         // suffix without its prefix.
         let env = Arc::new(MemEnv::new());
-        let wal0 = Wal::new(env.clone(), IoStats::new(), 0);
+        let wal0 = Wal::new(env.clone(), Arc::default(), 0);
         wal0.append_batch(&[kv(1)]).unwrap();
         wal0.append_batch(&[kv(2)]).unwrap();
-        Wal::new(env.clone(), IoStats::new(), 1)
+        Wal::new(env.clone(), Arc::default(), 1)
             .append_batch(&[kv(3)])
             .unwrap();
         let data = env.read_file(&seg_name(0)).unwrap();
@@ -451,7 +451,7 @@ mod tests {
     #[test]
     fn torn_final_record_recovers_prefix_with_report() {
         let env = Arc::new(MemEnv::new());
-        let wal = Wal::new(env.clone(), IoStats::new(), 0);
+        let wal = Wal::new(env.clone(), Arc::default(), 0);
         wal.append_batch(&[kv(1), kv(2)]).unwrap();
         let good_len = env.len(&seg_name(0)).unwrap();
         wal.append_batch(&[kv(3)]).unwrap();
@@ -472,7 +472,7 @@ mod tests {
     #[test]
     fn flipped_crc_byte_mid_log_stops_at_last_good_record() {
         let env = Arc::new(MemEnv::new());
-        let wal = Wal::new(env.clone(), IoStats::new(), 0);
+        let wal = Wal::new(env.clone(), Arc::default(), 0);
         wal.append_batch(&[kv(1)]).unwrap();
         let first_len = env.len(&seg_name(0)).unwrap() as usize;
         wal.append_batch(&[kv(2)]).unwrap();
@@ -513,7 +513,7 @@ mod tests {
     fn truncate_through_removes_only_covered_segments() {
         let env = Arc::new(MemEnv::new());
         for seg in 0..3 {
-            Wal::new(env.clone(), IoStats::new(), seg)
+            Wal::new(env.clone(), Arc::default(), seg)
                 .append_batch(&[kv(seg + 1)])
                 .unwrap();
         }
@@ -530,7 +530,7 @@ mod tests {
     #[test]
     fn delete_all_clears_every_log_idempotently() {
         let env = Arc::new(MemEnv::new());
-        let wal = Wal::new(env.clone(), IoStats::new(), 4);
+        let wal = Wal::new(env.clone(), Arc::default(), 4);
         wal.append_batch(&[kv(1)]).unwrap();
         Wal::delete_all(env.as_ref()).unwrap();
         Wal::delete_all(env.as_ref()).unwrap();

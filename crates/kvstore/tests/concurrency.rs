@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use dt_common::{IoStats, LogicalClock};
+use dt_common::LogicalClock;
 use dt_kvstore::{KvConfig, MemEnv, Store};
 
 fn store(auto: bool) -> Store {
@@ -18,7 +18,7 @@ fn store(auto: bool) -> Store {
             ..KvConfig::default()
         },
         LogicalClock::new(),
-        IoStats::new(),
+        Arc::default(),
     )
     .unwrap()
 }

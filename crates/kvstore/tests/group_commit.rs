@@ -8,7 +8,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use dt_common::{IoStats, LogicalClock, Result};
+use dt_common::{LogicalClock, Result};
 use dt_kvstore::{Env, KvConfig, MemEnv, Store};
 use proptest::prelude::*;
 
@@ -86,9 +86,9 @@ fn content(store: &Store) -> Cells {
 /// Drives `threads` writers over disjoint key ranges through a gated env,
 /// then crash-reopens from the same durable state. Returns the recovered
 /// content and the I/O stats of the writing store.
-fn gated_run(window: usize, threads: u32, batches: u32) -> (Cells, dt_common::IoStatsSnapshot) {
+fn gated_run(window: usize, threads: u32, batches: u32) -> (Cells, dt_kvstore::KvSnapshot) {
     let env: Arc<dyn Env> = Arc::new(SlowAppendEnv::new(Duration::from_millis(4)));
-    let stats = IoStats::new();
+    let stats = Arc::<dt_kvstore::KvCounters>::default();
     let store = Store::open(
         env.clone(),
         config(window),
@@ -113,7 +113,7 @@ fn gated_run(window: usize, threads: u32, batches: u32) -> (Cells, dt_common::Io
     drop(store);
     // Crash: no flush happened (auto maintenance off), so everything must
     // come back from the WAL alone.
-    let recovered = Store::open(env, config(window), LogicalClock::new(), IoStats::new()).unwrap();
+    let recovered = Store::open(env, config(window), LogicalClock::new(), Arc::default()).unwrap();
     (content(&recovered), snapshot)
 }
 
@@ -149,7 +149,7 @@ fn torn_tail_on_coalesced_wal_salvages_frame_prefix() {
     // Build a WAL with multi-batch groups (one writer thread ahead of the
     // gate, three behind it).
     let env = Arc::new(SlowAppendEnv::new(Duration::from_millis(4)));
-    let store = Store::open(env.clone(), config(64), LogicalClock::new(), IoStats::new()).unwrap();
+    let store = Store::open(env.clone(), config(64), LogicalClock::new(), Arc::default()).unwrap();
     std::thread::scope(|s| {
         for t in 0..4u32 {
             let store = store.clone();
@@ -187,7 +187,7 @@ fn torn_tail_on_coalesced_wal_salvages_frame_prefix() {
     for cut in 0..=bytes.len() {
         let torn = Arc::new(MemEnv::new());
         torn.write_file(&wal_name, &bytes[..cut]).unwrap();
-        let reopened = Store::open(torn, config(64), LogicalClock::new(), IoStats::new())
+        let reopened = Store::open(torn, config(64), LogicalClock::new(), Arc::default())
             .unwrap_or_else(|e| panic!("tear at {cut} failed reopen: {e}"));
         assert_eq!(
             reopened.entry_count(),
@@ -220,7 +220,7 @@ proptest! {
                 env.clone(),
                 config(window),
                 LogicalClock::new(),
-                IoStats::new(),
+                Arc::default(),
             ).unwrap();
             for batch in &batches {
                 let cells = batch.iter().map(|&(r, q, v)| cell(r, q, v)).collect();
@@ -238,7 +238,7 @@ proptest! {
                 env,
                 config(window),
                 LogicalClock::new(),
-                IoStats::new(),
+                Arc::default(),
             ).unwrap();
             contents.push(content(&reopened));
         }

@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use dt_common::{IoStats, LogicalClock};
+use dt_common::LogicalClock;
 use dt_kvstore::{KvConfig, MemEnv, Store};
 use proptest::prelude::*;
 
@@ -48,7 +48,7 @@ proptest! {
     fn store_matches_reference_model(ops in proptest::collection::vec(arb_op(), 1..80)) {
         let env = Arc::new(MemEnv::new());
         let clock = LogicalClock::new();
-        let mut store = Store::open(env.clone(), small_config(), clock.clone(), IoStats::new()).unwrap();
+        let mut store = Store::open(env.clone(), small_config(), clock.clone(), Arc::default()).unwrap();
         let mut model: BTreeMap<(u8, u8), u8> = BTreeMap::new();
 
         for op in &ops {
@@ -69,7 +69,7 @@ proptest! {
                 Op::Compact => store.compact().unwrap(),
                 Op::Reopen => {
                     drop(store);
-                    store = Store::open(env.clone(), small_config(), clock.clone(), IoStats::new()).unwrap();
+                    store = Store::open(env.clone(), small_config(), clock.clone(), Arc::default()).unwrap();
                 }
             }
 
@@ -104,7 +104,7 @@ proptest! {
         hi in 0u8..32,
     ) {
         let env = Arc::new(MemEnv::new());
-        let store = Store::open(env, small_config(), LogicalClock::new(), IoStats::new()).unwrap();
+        let store = Store::open(env, small_config(), LogicalClock::new(), Arc::default()).unwrap();
         let mut model: BTreeMap<u8, u8> = BTreeMap::new();
         for (row, val) in &puts {
             store.put(&[*row], b"q", &[*val]).unwrap();

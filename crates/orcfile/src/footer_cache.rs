@@ -15,10 +15,9 @@
 //! bytes can never silently change — the two checks close the crash window
 //! and the delete/recreate window respectively.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use dt_common::{HealthCounters, LruCache, Result};
+use dt_common::{LruCache, Result};
 use dt_dfs::Dfs;
 
 use crate::reader::OrcReader;
@@ -28,43 +27,33 @@ struct Entry {
     epoch: u64,
 }
 
-/// Point-in-time counters for a [`FooterCache`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FooterCacheStats {
-    /// Opens served from a cached parse.
-    pub hits: u64,
-    /// Opens that parsed the footer from storage.
-    pub misses: u64,
-    /// Parses evicted to respect the capacity bound.
-    pub evictions: u64,
-    /// Parses currently resident.
-    pub entries: u64,
+dt_common::counters! {
+    /// What one [`FooterCache`] counts.
+    pub struct FooterCacheCounters => FooterCacheStats {
+        /// Opens served from a cached parse.
+        hits,
+        /// Opens that parsed the footer from storage.
+        misses,
+        /// Parses evicted to respect the capacity bound.
+        evictions,
+        /// Parses currently resident (gauge, read off the LRU by
+        /// [`FooterCache::stats`]).
+        entries,
+    }
 }
 
 /// A capacity-bounded, thread-safe cache of parsed ORC footers.
 pub struct FooterCache {
     lru: Mutex<LruCache<String, Entry>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    health: Option<Arc<HealthCounters>>,
+    counters: FooterCacheCounters,
 }
 
 impl FooterCache {
     /// A cache holding at most `capacity` parsed footers (0 disables it).
     pub fn new(capacity: u64) -> Self {
-        Self::with_health(capacity, None)
-    }
-
-    /// Like [`FooterCache::new`], additionally mirroring hit/miss/eviction
-    /// events into `health` (the owning tier's `SHOW HEALTH` counters).
-    pub fn with_health(capacity: u64, health: Option<Arc<HealthCounters>>) -> Self {
         FooterCache {
             lru: Mutex::new(LruCache::new(capacity)),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            health,
+            counters: FooterCacheCounters::default(),
         }
     }
 
@@ -81,20 +70,14 @@ impl FooterCache {
                 if entry.epoch == epoch && entry.reader.file_len() == len {
                     let reader = entry.reader.clone();
                     drop(lru);
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    if let Some(h) = &self.health {
-                        h.record_cache_hit();
-                    }
+                    self.counters.hits.inc();
                     return Ok(reader);
                 }
                 lru.remove(&path.to_string());
             }
         }
         let reader = Arc::new(OrcReader::open(dfs, path)?);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(h) = &self.health {
-            h.record_cache_miss();
-        }
+        self.counters.misses.inc();
         let evicted = self.lru.lock().unwrap().insert(
             path.to_string(),
             Entry {
@@ -103,12 +86,7 @@ impl FooterCache {
             },
             1,
         );
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-            if let Some(h) = &self.health {
-                h.record_cache_evictions(evicted);
-            }
-        }
+        self.counters.evictions.add(evicted);
         Ok(reader)
     }
 
@@ -131,10 +109,8 @@ impl FooterCache {
     /// Current counters.
     pub fn stats(&self) -> FooterCacheStats {
         FooterCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
             entries: self.lru.lock().unwrap().len() as u64,
+            ..self.counters.snapshot()
         }
     }
 }

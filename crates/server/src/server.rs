@@ -37,10 +37,10 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use dt_common::{Deadline, Error, HealthCounters, Result};
+use dt_common::{Deadline, Error, Result};
 use dt_engine::{ServicePool, SubmitError, Supervisor, SupervisorConfig, TickOutcome};
 use dt_hiveql::{QueryResult, Session, SharedCatalog};
-use dualtable::{CompactionMode, CompactorState, DualTableEnv, FoldOutcome};
+use dualtable::{CompactionMode, CompactorState, DualTableEnv, FoldOutcome, ServerCounters};
 use parking_lot::Mutex;
 
 use crate::protocol::{
@@ -122,7 +122,7 @@ struct ServerShared {
     env: DualTableEnv,
     catalog: SharedCatalog,
     pool: ServicePool,
-    health: Arc<HealthCounters>,
+    health: Arc<ServerCounters>,
     shutting_down: AtomicBool,
     conns: Mutex<Vec<ConnHandle>>,
 }
@@ -182,7 +182,7 @@ impl Server {
 
     /// The serving-tier health counters (the `server` rows of
     /// `SHOW HEALTH`).
-    pub fn health(&self) -> Arc<HealthCounters> {
+    pub fn health(&self) -> Arc<ServerCounters> {
         Arc::clone(&self.shared.health)
     }
 
@@ -227,7 +227,7 @@ impl Server {
         for conn in conns {
             let _ = conn.thread.join();
         }
-        self.shared.health.set_queue_depth(0);
+        self.shared.health.queue_depth.set(0);
     }
 }
 
@@ -256,7 +256,7 @@ fn start_maintenance(shared: &Arc<ServerShared>) -> Supervisor {
     let tick_shared = Arc::clone(shared);
     let tick_controller = Arc::clone(&controller);
     let tick_health = Arc::clone(&table_health);
-    let mut last_shed = shared.health.snapshot().stmts_shed;
+    let mut last_shed = shared.health.stmts_shed.get();
     let tick = move || {
         if tick_controller.mode() == CompactionMode::Off {
             tick_controller.set_state(CompactorState::Idle);
@@ -265,11 +265,11 @@ fn start_maintenance(shared: &Arc<ServerShared>) -> Supervisor {
         // Load-aware throttle: a deep dispatch queue or fresh admission
         // shedding means the serving tier needs every core — maintenance
         // yields and retries next tick.
-        let shed = tick_shared.health.snapshot().stmts_shed;
+        let shed = tick_shared.health.stmts_shed.get();
         let queued = tick_shared.pool.queued();
         if queued >= threshold || shed > last_shed {
             last_shed = shed;
-            tick_health.record_compactor_throttled();
+            tick_health.compactor_throttled.inc();
             tick_controller.set_state(CompactorState::Throttled);
             return Ok(TickOutcome::Throttled);
         }
@@ -309,7 +309,7 @@ fn start_maintenance(shared: &Arc<ServerShared>) -> Supervisor {
     let park_epoch = Arc::clone(&epoch_at_park);
     let park_controller = Arc::clone(&controller);
     let on_park = move |parked: bool| {
-        table_health.set_compactor_parked(parked);
+        table_health.compactor_parked.set(u64::from(parked));
         if parked {
             park_epoch.store(park_controller.mode_epoch(), Ordering::SeqCst);
             park_controller.set_state(CompactorState::Parked);
@@ -382,7 +382,7 @@ fn spawn_conn(stream: TcpStream, shared: &Arc<ServerShared>) -> std::io::Result<
 /// connection thread — clean EOF, I/O error, or panic.
 struct ConnGuard<'a> {
     conn: &'a Arc<ConnShared>,
-    health: &'a Arc<HealthCounters>,
+    health: &'a Arc<ServerCounters>,
 }
 
 impl Drop for ConnGuard<'_> {
@@ -394,15 +394,15 @@ impl Drop for ConnGuard<'_> {
         self.conn.alive.store(false, Ordering::SeqCst);
         let mut session = self.conn.session.lock();
         if session.in_transaction() {
-            self.health.record_conn_dropped_in_txn();
+            self.health.conns_dropped_in_txn.inc();
             session.abort_transaction();
         }
-        self.health.session_closed();
+        self.health.sessions_active.sub(1);
     }
 }
 
 fn conn_loop(stream: TcpStream, conn: &Arc<ConnShared>, server: &Arc<ServerShared>) {
-    server.health.session_opened();
+    server.health.sessions_active.inc();
     let _guard = ConnGuard {
         conn,
         health: &server.health,
@@ -460,10 +460,10 @@ fn handle_statement(
     sql: &str,
 ) -> bool {
     let health = &server.health;
-    health.record_stmt_submitted();
+    health.stmts_submitted.inc();
 
     if server.shutting_down.load(Ordering::SeqCst) {
-        health.record_stmt_shed();
+        health.stmts_shed.inc();
         return write_error_frame(
             writer,
             ErrorCode::ShuttingDown,
@@ -539,8 +539,8 @@ fn handle_statement(
     match server.pool.try_submit(job) {
         Ok(()) => {}
         Err(SubmitError::Full(_)) => {
-            health.record_stmt_shed();
-            health.set_queue_depth(server.pool.queued());
+            health.stmts_shed.inc();
+            health.queue_depth.set(server.pool.queued());
             return write_error_frame(
                 writer,
                 ErrorCode::ServerBusy,
@@ -551,7 +551,7 @@ fn handle_statement(
             .is_ok();
         }
         Err(SubmitError::Closed(_)) => {
-            health.record_stmt_shed();
+            health.stmts_shed.inc();
             return write_error_frame(
                 writer,
                 ErrorCode::ShuttingDown,
@@ -562,8 +562,8 @@ fn handle_statement(
             .is_ok();
         }
     }
-    health.record_stmt_accepted();
-    health.set_queue_depth(server.pool.queued());
+    health.stmts_accepted.inc();
+    health.queue_depth.set(server.pool.queued());
 
     // Block until the worker answers. Strict request–response: there is
     // never more than one outstanding statement per connection.
@@ -578,7 +578,7 @@ fn handle_statement(
 
 fn write_outcome(
     writer: &mut BufWriter<TcpStream>,
-    health: &Arc<HealthCounters>,
+    health: &Arc<ServerCounters>,
     result: Result<QueryResult>,
     committed: &[String],
 ) -> std::io::Result<()> {
@@ -602,7 +602,7 @@ fn write_outcome(
         }
         Err(e) => {
             if e.is_timeout() {
-                health.record_stmt_timed_out();
+                health.stmts_timed_out.inc();
             }
             write_error_frame(
                 writer,

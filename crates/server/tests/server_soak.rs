@@ -314,12 +314,13 @@ fn soak_one_seed(seed: u64, total_shed: &AtomicU64, delta: bool) {
             "seed {seed}: SHOW HEALTH missing server metric {want}"
         );
     }
-    // The delta tier reports as its own tier row group, and with the
-    // tiny budget the storm must actually have spilled at least once.
+    // The delta tier reports among the kv tier's rows (the kv store owns
+    // it), and with the tiny budget the storm must actually have spilled
+    // at least once.
     let delta_metric = |name: &str| -> u64 {
         r.rows
             .iter()
-            .find(|row| row[0] == Value::Utf8("delta".into()) && row[1] == Value::Utf8(name.into()))
+            .find(|row| row[0] == Value::Utf8("kv".into()) && row[1] == Value::Utf8(name.into()))
             .and_then(|row| row[2].as_i64())
             .unwrap_or_else(|| panic!("seed {seed}: SHOW HEALTH missing delta metric {name}"))
             as u64

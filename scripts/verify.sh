@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Tier-1 verification gate: release build, full test suite, lints (when
-# clippy is installed), and the fixed-seed fault-injection smoke runs.
-# Each gate reports PASS/FAIL individually and the exit trap prints a
-# summary scoreboard, so CI logs show exactly which gate broke.
+# Tier-1 verification gate: release build, full test suite, the ladder's
+# own tests and --check, lints (when clippy is installed), and the
+# fixed-seed fault-injection smoke runs. Every gate runs even when an
+# earlier one failed — a coin-flip gate must not hide the gates after it —
+# each reports PASS/FAIL, the exit trap prints a summary scoreboard, and
+# the script exits non-zero if any gate failed.
 #
 # Fully offline: --locked forbids any registry/network access (all
 # external deps are local shims under crates/shims/, see README.md).
@@ -11,13 +13,8 @@ cd "$(dirname "$0")/.."
 
 PASSED=()
 FAILED=()
-CURRENT=""
 
 report() {
-    status=$?
-    if [ -n "$CURRENT" ]; then
-        FAILED+=("$CURRENT")
-    fi
     echo
     echo "==> verify.sh gate summary"
     for gate in ${PASSED[@]+"${PASSED[@]}"}; do
@@ -39,21 +36,20 @@ report() {
         echo "==> ... of the uncommitted change (scripts/loc.sh --vs HEAD)"
         scripts/loc.sh --vs HEAD || true
     fi
-    if [ ${#FAILED[@]} -ne 0 ]; then
-        exit "$status"
-    fi
 }
 trap report EXIT
 
 run_gate() {
     name="$1"
     shift
-    CURRENT="$name"
     echo "==> [$name] $*"
-    "$@"
-    echo "==> [$name] PASS"
-    PASSED+=("$name")
-    CURRENT=""
+    if "$@"; then
+        echo "==> [$name] PASS"
+        PASSED+=("$name")
+    else
+        echo "==> [$name] FAIL (later gates still run)"
+        FAILED+=("$name")
+    fi
 }
 
 # --workspace matters: at the root, a bare `cargo build` compiles only
@@ -62,6 +58,19 @@ run_gate() {
 run_gate build cargo build --release --workspace --locked
 
 run_gate tests cargo test -q --workspace --locked
+
+# Ladder (BENCHMARK.json): the repo's one benchmark is a package of its
+# own outside the workspace, so `cargo test --workspace` never compiles
+# it against an engine API change. Its harness tests, then every
+# workload at 1/20 scale with all oracle checks (`--check`; the numbers
+# it prints are NOT COMPARABLE). Directly after `tests`: it alone tells a
+# refactor whether it broke the benchmark's pinned engine API.
+LADDER=crates/bench/src/bin/ladder/Cargo.toml
+ladder_gate() {
+    cargo test -q --offline --locked --manifest-path "$LADDER" &&
+        cargo run -q --release --offline --locked --manifest-path "$LADDER" -- --check
+}
+run_gate ladder ladder_gate
 
 if cargo clippy --version >/dev/null 2>&1; then
     run_gate clippy cargo clippy --workspace --all-targets --locked -- -D warnings
@@ -211,14 +220,4 @@ run_gate bench8-smoke env BENCH8_SMOKE=1 cargo bench -q -p dt-bench --locked --b
 # refreshes BENCH_9.json.
 run_gate bench9-smoke env BENCH9_SMOKE=1 cargo bench -q -p dt-bench --locked --bench bench9_htap
 
-# Ladder (BENCHMARK.json): the repo's one benchmark is a package of its
-# own outside the workspace, so `cargo test --workspace` never compiles
-# it against an engine API change. Its harness tests, then every
-# workload at 1/20 scale with all oracle checks (`--check`; the numbers
-# it prints are NOT COMPARABLE).
-LADDER=crates/bench/src/bin/ladder/Cargo.toml
-ladder_gate() {
-    cargo test -q --offline --locked --manifest-path "$LADDER" &&
-        cargo run -q --release --offline --locked --manifest-path "$LADDER" -- --check
-}
-run_gate ladder ladder_gate
+[ ${#FAILED[@]} -eq 0 ]
