@@ -1,12 +1,18 @@
 //! The "Hive(HBase)" baseline: the whole table in the KV store.
 
-use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use dt_common::codec::{decode_value, encode_value};
 use dt_common::{Error, Result, Row, Schema, Value};
 use dt_kvstore::{KvCluster, Store};
+use dt_orcfile::{ColumnBatch, ColumnPredicate};
+use dualtable::Assignment;
+
+use crate::{assigned, StorageHandler};
+
+/// Rows per batch a scan packs its decoded cells into.
+const BATCH_ROWS: usize = 1024;
 
 /// A Hive table backed entirely by the KV store (HBase storage handler).
 ///
@@ -42,25 +48,83 @@ impl HiveHbaseTable {
         })
     }
 
-    /// Table name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Table schema.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
     fn qual(col: usize) -> [u8; 2] {
         (col as u16).to_be_bytes()
     }
 
-    /// Appends rows.
-    pub fn insert_rows<I>(&self, rows: I) -> Result<u64>
-    where
-        I: IntoIterator<Item = Row>,
-    {
+    fn truncate(&self) -> Result<()> {
+        // Row tombstones per existing row: HBase's truncate drops the
+        // region files, but issuing deletes exercises the same API surface
+        // our scans understand; resetting the row-id counter is safe since
+        // old ids are tombstoned.
+        let rows: Vec<Vec<u8>> = self
+            .store
+            .scan(None, None)?
+            .map(|r| r.map(|e| e.row))
+            .collect::<Result<_>>()?;
+        for row in rows {
+            self.store.delete_row(&row)?;
+        }
+        Ok(())
+    }
+
+    /// The table's one read path: every row decoded cell by cell, in
+    /// row-id order, handed to `f` [`BATCH_ROWS`] at a time with their ids.
+    fn decoded(&self, mut f: impl FnMut(&[u64], &[Row]) -> Result<()>) -> Result<()> {
+        let mut ids = Vec::with_capacity(BATCH_ROWS);
+        let mut rows = Vec::with_capacity(BATCH_ROWS);
+        for entry in self.store.scan(None, None)? {
+            let entry = entry?;
+            let id_bytes: [u8; 8] = entry
+                .row
+                .as_slice()
+                .try_into()
+                .map_err(|_| Error::corrupt("hive-hbase row key is not an 8-byte id"))?;
+            let mut row: Row = vec![Value::Null; self.schema.len()];
+            for (qual, _, bytes) in &entry.cells {
+                let q: [u8; 2] = qual
+                    .as_slice()
+                    .try_into()
+                    .map_err(|_| Error::corrupt("bad qualifier"))?;
+                let col = u16::from_be_bytes(q) as usize;
+                if col < row.len() {
+                    row[col] = decode_value(bytes)?;
+                }
+            }
+            ids.push(u64::from_be_bytes(id_bytes));
+            rows.push(row);
+            if rows.len() == BATCH_ROWS {
+                f(&ids, &rows)?;
+                ids.clear();
+                rows.clear();
+            }
+        }
+        if !rows.is_empty() {
+            f(&ids, &rows)?;
+        }
+        Ok(())
+    }
+}
+
+impl StorageHandler for HiveHbaseTable {
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    /// Projection applies after decoding — the HBase handler cannot skip
+    /// column data the way ORC does — and no predicate skips anything.
+    fn for_each_batch(
+        &self,
+        projection: Option<&[usize]>,
+        _predicates: Option<&[ColumnPredicate]>,
+        f: &mut dyn FnMut(ColumnBatch) -> Result<()>,
+    ) -> Result<()> {
+        let every: Vec<usize> = (0..self.schema.len()).collect();
+        let projection = projection.unwrap_or(&every);
+        self.decoded(|_, rows| f(ColumnBatch::from_rows(&self.schema, projection, rows)?))
+    }
+
+    fn insert_rows(&self, rows: Vec<Row>) -> Result<u64> {
         let mut written = 0u64;
         let mut batch = Vec::new();
         for row in rows {
@@ -81,142 +145,57 @@ impl HiveHbaseTable {
         Ok(written)
     }
 
-    /// Replaces the table content.
-    pub fn insert_overwrite<I>(&self, rows: I) -> Result<u64>
-    where
-        I: IntoIterator<Item = Row>,
-    {
+    fn insert_overwrite(&self, rows: Vec<Row>) -> Result<u64> {
         self.truncate()?;
         self.insert_rows(rows)
-    }
-
-    fn truncate(&self) -> Result<()> {
-        // Row tombstones per existing row: HBase's truncate drops the
-        // region files, but issuing deletes exercises the same API surface
-        // our scans understand; resetting the row-id counter is safe since
-        // old ids are tombstoned.
-        let rows: Vec<Vec<u8>> = self
-            .store
-            .scan(None, None)?
-            .map(|r| r.map(|e| e.row))
-            .collect::<Result<_>>()?;
-        for row in rows {
-            self.store.delete_row(&row)?;
-        }
-        Ok(())
-    }
-
-    /// Streams rows (with their internal row ids) through `f`.
-    pub fn for_each_entry(
-        &self,
-        mut f: impl FnMut(u64, Row) -> Result<ControlFlow<()>>,
-    ) -> Result<()> {
-        for entry in self.store.scan(None, None)? {
-            let entry = entry?;
-            let id_bytes: [u8; 8] = entry
-                .row
-                .as_slice()
-                .try_into()
-                .map_err(|_| Error::corrupt("hive-hbase row key is not an 8-byte id"))?;
-            let id = u64::from_be_bytes(id_bytes);
-            let mut row: Row = vec![Value::Null; self.schema.len()];
-            for (qual, _, bytes) in &entry.cells {
-                let q: [u8; 2] = qual
-                    .as_slice()
-                    .try_into()
-                    .map_err(|_| Error::corrupt("bad qualifier"))?;
-                let col = u16::from_be_bytes(q) as usize;
-                if col < row.len() {
-                    row[col] = decode_value(bytes)?;
-                }
-            }
-            if let ControlFlow::Break(()) = f(id, row)? {
-                return Ok(());
-            }
-        }
-        Ok(())
-    }
-
-    /// Materializes a scan (projection applied after decoding — the HBase
-    /// handler cannot skip column data the way ORC does).
-    pub fn scan(&self, projection: Option<&[usize]>) -> Result<Vec<Row>> {
-        let mut out = Vec::new();
-        self.for_each_entry(|_, row| {
-            out.push(match projection {
-                Some(p) => p.iter().map(|&c| row[c].clone()).collect(),
-                None => row,
-            });
-            Ok(ControlFlow::Continue(()))
-        })?;
-        Ok(out)
-    }
-
-    /// Row count.
-    pub fn count(&self) -> Result<u64> {
-        let mut n = 0u64;
-        self.for_each_entry(|_, _| {
-            n += 1;
-            Ok(ControlFlow::Continue(()))
-        })?;
-        Ok(n)
     }
 
     /// Row-level UPDATE: scan, then write only the changed cells (the
     /// "EDIT plan implemented with user defined functions" the paper uses
     /// for HBase-backed Hive in §VI-B).
-    pub fn update(
+    fn update(
         &self,
-        predicate: impl Fn(&Row) -> bool,
-        assignments: &[dualtable::Assignment<'_>],
+        predicate: &(dyn Fn(&Row) -> bool + Sync),
+        assignments: &[Assignment<'_>],
     ) -> Result<(u64, u64)> {
-        let mut matched = 0u64;
-        let mut scanned = 0u64;
-        let mut batch = Vec::new();
-        self.for_each_entry(|id, row| {
-            scanned += 1;
-            if predicate(&row) {
-                matched += 1;
-                let key = id.to_be_bytes().to_vec();
-                for (col, f) in assignments {
-                    let v = f(&row);
-                    if !v.conforms_to(self.schema.field(*col).data_type) {
-                        return Err(Error::schema(format!(
-                            "UPDATE value {v:?} does not fit column '{}'",
-                            self.schema.field(*col).name
-                        )));
+        let (mut matched, mut scanned) = (0u64, 0u64);
+        let mut cells = Vec::new();
+        self.decoded(|ids, rows| {
+            for (id, row) in ids.iter().zip(rows) {
+                scanned += 1;
+                if predicate(row) {
+                    matched += 1;
+                    let key = id.to_be_bytes().to_vec();
+                    for (col, v) in assigned(&self.schema, row, assignments)? {
+                        cells.push((key.clone(), Self::qual(col).to_vec(), encode_value(&v)));
                     }
-                    batch.push((key.clone(), Self::qual(*col).to_vec(), encode_value(&v)));
                 }
             }
-            Ok(ControlFlow::Continue(()))
+            Ok(())
         })?;
-        for chunk in batch.chunks(4096) {
+        for chunk in cells.chunks(4096) {
             self.store.put_batch(chunk.to_vec())?;
         }
         Ok((matched, scanned))
     }
 
     /// Row-level DELETE via row tombstones.
-    pub fn delete(&self, predicate: impl Fn(&Row) -> bool) -> Result<(u64, u64)> {
-        let mut matched = 0u64;
+    fn delete(&self, predicate: &(dyn Fn(&Row) -> bool + Sync)) -> Result<(u64, u64)> {
         let mut scanned = 0u64;
         let mut victims = Vec::new();
-        self.for_each_entry(|id, row| {
-            scanned += 1;
-            if predicate(&row) {
-                matched += 1;
-                victims.push(id);
-            }
-            Ok(ControlFlow::Continue(()))
+        self.decoded(|ids, rows| {
+            scanned += rows.len() as u64;
+            let matching = ids.iter().zip(rows).filter(|(_, row)| predicate(row));
+            victims.extend(matching.map(|(id, _)| *id));
+            Ok(())
         })?;
-        for id in victims {
+        for id in &victims {
             self.store.delete_row(&id.to_be_bytes())?;
         }
-        Ok((matched, scanned))
+        Ok((victims.len() as u64, scanned))
     }
 
-    /// Drops the table storage.
-    pub fn drop_table(self) -> Result<()> {
+    fn drop_table(&self) -> Result<()> {
         self.kv.drop_table(&format!("hive_{}", self.name))
     }
 }
@@ -224,6 +203,7 @@ impl HiveHbaseTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_util::{count, scan};
     use dt_common::DataType;
     use dt_kvstore::KvConfig;
 
@@ -231,20 +211,36 @@ mod tests {
         let kv = KvCluster::in_memory(KvConfig::default());
         let schema = Schema::from_pairs(&[("id", DataType::Int64), ("v", DataType::Utf8)]);
         let t = HiveHbaseTable::create(&kv, "t", schema).unwrap();
-        t.insert_rows((0..n).map(|i| vec![Value::Int64(i), Value::from("x")]))
-            .unwrap();
+        t.insert_rows(
+            (0..n)
+                .map(|i| vec![Value::Int64(i), Value::from("x")])
+                .collect(),
+        )
+        .unwrap();
         t
     }
 
     #[test]
     fn insert_scan_roundtrip() {
         let t = table(100);
-        assert_eq!(t.count().unwrap(), 100);
-        let rows = t.scan(None).unwrap();
+        assert_eq!(count(&t), 100);
+        let rows = scan(&t, None);
         assert_eq!(rows.len(), 100);
         assert_eq!(rows[7][0], Value::Int64(7));
-        let proj = t.scan(Some(&[1])).unwrap();
+        let proj = scan(&t, Some(&[1]));
         assert_eq!(proj[0], vec![Value::from("x")]);
+    }
+
+    #[test]
+    fn scans_pack_rows_into_batches() {
+        let t = table(2 * BATCH_ROWS as i64 + 5);
+        let mut sizes = Vec::new();
+        t.for_each_batch(Some(&[0]), None, &mut |batch| {
+            sizes.push(batch.selected_len());
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(sizes, [BATCH_ROWS, BATCH_ROWS, 5]);
     }
 
     #[test]
@@ -252,12 +248,12 @@ mod tests {
         let t = table(20);
         let (m, s) = t
             .update(
-                |r| r[0].as_i64().unwrap() < 3,
+                &|r| r[0].as_i64().unwrap() < 3,
                 &[(1, Box::new(|_| Value::from("changed")))],
             )
             .unwrap();
         assert_eq!((m, s), (3, 20));
-        let rows = t.scan(None).unwrap();
+        let rows = scan(&t, None);
         assert_eq!(rows[2][1], Value::from("changed"));
         assert_eq!(rows[3][1], Value::from("x"));
     }
@@ -265,18 +261,22 @@ mod tests {
     #[test]
     fn delete_removes_rows() {
         let t = table(20);
-        let (m, _) = t.delete(|r| r[0].as_i64().unwrap() % 4 == 0).unwrap();
+        let (m, _) = t.delete(&|r| r[0].as_i64().unwrap() % 4 == 0).unwrap();
         assert_eq!(m, 5);
-        assert_eq!(t.count().unwrap(), 15);
+        assert_eq!(count(&t), 15);
     }
 
     #[test]
     fn insert_overwrite_resets_content() {
         let t = table(10);
-        t.insert_overwrite((100..103).map(|i| vec![Value::Int64(i), Value::from("y")]))
-            .unwrap();
-        assert_eq!(t.count().unwrap(), 3);
-        let rows = t.scan(None).unwrap();
+        t.insert_overwrite(
+            (100..103)
+                .map(|i| vec![Value::Int64(i), Value::from("y")])
+                .collect(),
+        )
+        .unwrap();
+        assert_eq!(count(&t), 3);
+        let rows = scan(&t, None);
         assert!(rows.iter().all(|r| r[1] == Value::from("y")));
     }
 
@@ -287,7 +287,7 @@ mod tests {
         let t = HiveHbaseTable::create(&kv, "n", schema).unwrap();
         t.insert_rows(vec![vec![Value::Null, Value::from("only-b")]])
             .unwrap();
-        let rows = t.scan(None).unwrap();
+        let rows = scan(&t, None);
         assert_eq!(rows[0][0], Value::Null);
         assert_eq!(rows[0][1], Value::from("only-b"));
     }

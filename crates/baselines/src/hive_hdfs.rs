@@ -1,10 +1,11 @@
 //! The "Hive(HDFS)" baseline: ORC on the DFS, DML via full rewrite.
 
-use std::ops::ControlFlow;
-
-use dt_common::{Error, Result, Row, Schema};
+use dt_common::{Result, Row, Schema};
 use dt_dfs::Dfs;
-use dt_orcfile::{ColumnPredicate, OrcReader, OrcWriter, WriterOptions};
+use dt_orcfile::{ColumnBatch, ColumnPredicate, WriterOptions};
+use dualtable::Assignment;
+
+use crate::{assigned, OrcParts, PartWriter, StorageHandler};
 
 /// A Hive-0.11-style table: a directory of immutable ORC files.
 ///
@@ -14,11 +15,8 @@ use dt_orcfile::{ColumnPredicate, OrcReader, OrcWriter, WriterOptions};
 /// data" (paper §II-B).
 #[derive(Clone)]
 pub struct HiveHdfsTable {
-    dfs: Dfs,
-    name: String,
-    schema: Schema,
-    writer_options: WriterOptions,
-    rows_per_file: usize,
+    orc: OrcParts,
+    dir: String,
 }
 
 impl HiveHdfsTable {
@@ -30,241 +28,110 @@ impl HiveHdfsTable {
         writer_options: WriterOptions,
         rows_per_file: usize,
     ) -> Result<Self> {
-        if schema.is_empty() {
-            return Err(Error::schema("table schema must have columns"));
-        }
         Ok(HiveHdfsTable {
-            dfs: dfs.clone(),
-            name: name.to_string(),
-            schema,
-            writer_options,
-            rows_per_file: rows_per_file.max(1),
+            orc: OrcParts::new(dfs, schema, writer_options, rows_per_file)?,
+            dir: format!("/warehouse/{name}"),
         })
     }
 
-    fn dir(&self) -> String {
-        format!("/warehouse/{}", self.name)
-    }
-
     fn files(&self) -> Vec<String> {
-        self.dfs.list(&format!("{}/", self.dir()))
+        self.orc.list(&self.dir)
     }
 
-    /// Table name.
-    pub fn name(&self) -> &str {
-        &self.name
+    /// Replaces the table with what `fill` writes, staged under hidden
+    /// names beside the part files.
+    fn overwrite_with(&self, fill: impl FnOnce(&mut PartWriter<'_>) -> Result<()>) -> Result<()> {
+        let staging = self.orc.writer(format!("{}/.staging-", self.dir), 0);
+        let dest = |i| format!("{}/part-{i:010}", self.dir);
+        staging.replace(self.files(), dest, fill)
     }
 
-    /// Table schema.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
+    /// The paper's Hive, kept that way on purpose: every UPDATE and DELETE
+    /// is an `INSERT OVERWRITE` of every row, each stripe decoded whole,
+    /// handed to `edit` and re-encoded column by column. No stream is
+    /// carried as bytes (DualTable's rewrite does that, DESIGN.md §19).
+    fn rewrite(&self, mut edit: impl FnMut(&mut ColumnBatch) -> Result<()>) -> Result<()> {
+        self.overwrite_with(|out| {
+            self.for_each_batch(None, None, &mut |mut batch| {
+                edit(&mut batch)?;
+                out.write(batch)
+            })
+        })
+    }
+}
+
+impl StorageHandler for HiveHdfsTable {
+    fn schema(&self) -> &Schema {
+        &self.orc.schema
     }
 
-    /// Total bytes across the table's files.
-    pub fn total_bytes(&self) -> Result<u64> {
-        let mut total = 0;
-        for f in self.files() {
-            total += self.dfs.len(&f)?;
-        }
-        Ok(total)
-    }
-
-    fn next_file_path(&self) -> String {
-        let n = self.files().len();
-        format!("{}/part-{n:010}", self.dir())
-    }
-
-    /// Appends rows as new ORC files (`INSERT INTO`).
-    pub fn insert_rows<I>(&self, rows: I) -> Result<u64>
-    where
-        I: IntoIterator<Item = Row>,
-    {
-        let mut written = 0u64;
-        let mut writer: Option<OrcWriter> = None;
-        let mut in_file = 0usize;
-        for row in rows {
-            if writer.is_none() {
-                writer = Some(OrcWriter::create(
-                    &self.dfs,
-                    &self.next_file_path(),
-                    self.schema.clone(),
-                    self.writer_options.clone(),
-                )?);
-                in_file = 0;
-            }
-            writer.as_mut().expect("just created").write_row(row)?;
-            written += 1;
-            in_file += 1;
-            if in_file >= self.rows_per_file {
-                writer.take().expect("writer exists").finish()?;
-            }
-        }
-        if let Some(w) = writer {
-            w.finish()?;
-        }
-        Ok(written)
-    }
-
-    /// Replaces the table's content (`INSERT OVERWRITE TABLE`).
-    pub fn insert_overwrite<I>(&self, rows: I) -> Result<u64>
-    where
-        I: IntoIterator<Item = Row>,
-    {
-        // Write to fresh paths after remembering the old ones, then drop
-        // the old files — mirroring Hive's staging-directory move.
-        let old = self.files();
-        let mut staged = Vec::new();
-        let mut written = 0u64;
-        {
-            let mut writer: Option<(String, OrcWriter)> = None;
-            let mut in_file = 0usize;
-            let mut seq = 0usize;
-            // The paper's Hive, kept that way on purpose: every UPDATE and
-            // DELETE lands here with every column of every row decoded and
-            // re-encoded through `write_row`. No column of a stripe is
-            // carried as bytes (DualTable's rewrite does that, DESIGN.md
-            // §19); the comparator gains only what the typed encoder gives
-            // any caller.
-            for row in rows {
-                if writer.is_none() {
-                    let path = format!("{}/.staging-{seq:010}", self.dir());
-                    seq += 1;
-                    writer = Some((
-                        path.clone(),
-                        OrcWriter::create(
-                            &self.dfs,
-                            &path,
-                            self.schema.clone(),
-                            self.writer_options.clone(),
-                        )?,
-                    ));
-                    in_file = 0;
-                }
-                let (_, w) = writer.as_mut().expect("just created");
-                w.write_row(row)?;
-                written += 1;
-                in_file += 1;
-                if in_file >= self.rows_per_file {
-                    let (path, w) = writer.take().expect("writer exists");
-                    w.finish()?;
-                    staged.push(path);
-                }
-            }
-            if let Some((path, w)) = writer {
-                w.finish()?;
-                staged.push(path);
-            }
-        }
-        for f in &old {
-            self.dfs.delete(f)?;
-        }
-        for (i, path) in staged.iter().enumerate() {
-            self.dfs
-                .rename(path, &format!("{}/part-{i:010}", self.dir()))?;
-        }
-        Ok(written)
-    }
-
-    /// Streams rows through `f`; `Break` stops the scan.
-    pub fn for_each(
+    fn for_each_batch(
         &self,
         projection: Option<&[usize]>,
         predicates: Option<&[ColumnPredicate]>,
-        mut f: impl FnMut(Row) -> Result<ControlFlow<()>>,
+        f: &mut dyn FnMut(ColumnBatch) -> Result<()>,
     ) -> Result<()> {
-        for file in self.files() {
-            let reader = OrcReader::open(&self.dfs, &file)?;
-            for item in reader.rows(projection, predicates)? {
-                let (_, row) = item?;
-                if let ControlFlow::Break(()) = f(row)? {
-                    return Ok(());
-                }
-            }
-        }
-        Ok(())
+        let each = &mut |_, batch| f(batch);
+        self.orc
+            .for_each_batch(&self.dir, projection, predicates, each)
     }
 
-    /// Materializes a scan.
-    pub fn scan(
-        &self,
-        projection: Option<&[usize]>,
-        predicates: Option<&[ColumnPredicate]>,
-    ) -> Result<Vec<Row>> {
-        let mut out = Vec::new();
-        self.for_each(projection, predicates, |row| {
-            out.push(row);
-            Ok(ControlFlow::Continue(()))
+    fn insert_rows(&self, rows: Vec<Row>) -> Result<u64> {
+        let mut out = self
+            .orc
+            .writer(format!("{}/part-", self.dir), self.files().len());
+        let written = out.write_rows(rows)?;
+        out.close()?;
+        Ok(written)
+    }
+
+    fn insert_overwrite(&self, rows: Vec<Row>) -> Result<u64> {
+        let mut written = 0;
+        self.overwrite_with(|out| {
+            written = out.write_rows(rows)?;
+            Ok(())
         })?;
-        Ok(out)
+        Ok(written)
     }
 
-    /// Row count.
-    pub fn count(&self) -> Result<u64> {
-        let mut n = 0;
-        for file in self.files() {
-            n += OrcReader::open(&self.dfs, &file)?.num_rows();
-        }
-        Ok(n)
-    }
-
-    /// `UPDATE … SET … WHERE …` via full rewrite. Returns
-    /// `(rows matched, rows scanned)`.
-    pub fn update(
+    fn update(
         &self,
-        predicate: impl Fn(&Row) -> bool,
-        assignments: &[dualtable::Assignment<'_>],
+        predicate: &(dyn Fn(&Row) -> bool + Sync),
+        assignments: &[Assignment<'_>],
     ) -> Result<(u64, u64)> {
-        let mut matched = 0u64;
-        let mut scanned = 0u64;
-        let mut rows = Vec::new();
-        self.for_each(None, None, |mut row| {
-            scanned += 1;
-            if predicate(&row) {
-                matched += 1;
-                // Every SET expression sees the row as read (SQL's rule).
-                let mut values = Vec::with_capacity(assignments.len());
-                for (col, f) in assignments {
-                    let v = f(&row);
-                    if !v.conforms_to(self.schema.field(*col).data_type) {
-                        return Err(Error::schema(format!(
-                            "UPDATE value {v:?} does not fit column '{}'",
-                            self.schema.field(*col).name
-                        )));
+        let (mut matched, mut scanned) = (0u64, 0u64);
+        self.rewrite(|batch| {
+            for i in 0..batch.rows() {
+                scanned += 1;
+                let row = batch.row(i);
+                if predicate(&row) {
+                    matched += 1;
+                    for (col, v) in assigned(&self.orc.schema, &row, assignments)? {
+                        batch.column_mut(col).set(i, v)?;
                     }
-                    values.push((*col, v));
-                }
-                for (col, v) in values {
-                    row[col] = v;
                 }
             }
-            rows.push(row);
-            Ok(ControlFlow::Continue(()))
+            Ok(())
         })?;
-        self.insert_overwrite(rows)?;
         Ok((matched, scanned))
     }
 
-    /// `DELETE FROM … WHERE …` via full rewrite of the surviving rows.
-    pub fn delete(&self, predicate: impl Fn(&Row) -> bool) -> Result<(u64, u64)> {
-        let mut matched = 0u64;
-        let mut scanned = 0u64;
-        let mut rows = Vec::new();
-        self.for_each(None, None, |row| {
-            scanned += 1;
-            if predicate(&row) {
-                matched += 1;
-            } else {
-                rows.push(row);
-            }
-            Ok(ControlFlow::Continue(()))
+    fn delete(&self, predicate: &(dyn Fn(&Row) -> bool + Sync)) -> Result<(u64, u64)> {
+        let (mut matched, mut scanned) = (0u64, 0u64);
+        self.rewrite(|batch| {
+            let survivors =
+                (0..batch.rows() as u32).filter(|&i| !predicate(&batch.row(i as usize)));
+            let survivors: Vec<u32> = survivors.collect();
+            scanned += batch.rows() as u64;
+            matched += (batch.rows() - survivors.len()) as u64;
+            batch.select(survivors);
+            Ok(())
         })?;
-        self.insert_overwrite(rows)?;
         Ok((matched, scanned))
     }
 
-    /// Drops all storage.
-    pub fn drop_table(self) -> Result<()> {
-        self.dfs.delete_prefix(&format!("{}/", self.dir()))?;
+    fn drop_table(&self) -> Result<()> {
+        self.orc.dfs.delete_prefix(&format!("{}/", self.dir))?;
         Ok(())
     }
 }
@@ -272,44 +139,54 @@ impl HiveHdfsTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_util::{count, scan};
     use dt_common::DataType;
     use dt_common::Value;
     use dt_dfs::DfsConfig;
+    use dt_orcfile::{OrcReader, OrcWriter};
 
     fn table(n: i64) -> HiveHdfsTable {
         let dfs = Dfs::in_memory(DfsConfig::default());
         let schema = Schema::from_pairs(&[("id", DataType::Int64), ("v", DataType::Int64)]);
         let t = HiveHdfsTable::create(&dfs, "t", schema, WriterOptions::default(), 32).unwrap();
-        t.insert_rows((0..n).map(|i| vec![Value::Int64(i), Value::Int64(0)]))
-            .unwrap();
+        t.insert_rows(
+            (0..n)
+                .map(|i| vec![Value::Int64(i), Value::Int64(0)])
+                .collect(),
+        )
+        .unwrap();
         t
     }
 
     #[test]
     fn insert_scan_count() {
         let t = table(100);
-        assert_eq!(t.count().unwrap(), 100);
-        let rows = t.scan(Some(&[0]), None).unwrap();
+        assert_eq!(count(&t), 100);
+        let rows = scan(&t, Some(&[0]));
         assert_eq!(rows.len(), 100);
         assert_eq!(rows[42][0], Value::Int64(42));
+    }
+
+    fn total_bytes(t: &HiveHdfsTable) -> u64 {
+        t.files().iter().map(|f| t.orc.dfs.len(f).unwrap()).sum()
     }
 
     #[test]
     fn update_rewrites_everything() {
         let t = table(100);
-        let before = t.total_bytes().unwrap();
+        let before = total_bytes(&t);
         let (matched, scanned) = t
             .update(
-                |r| r[0].as_i64().unwrap() == 5,
+                &|r| r[0].as_i64().unwrap() == 5,
                 &[(1, Box::new(|_| Value::Int64(99)))],
             )
             .unwrap();
         assert_eq!(matched, 1);
         assert_eq!(scanned, 100);
         // Whole table rewritten: same row count, similar size.
-        assert_eq!(t.count().unwrap(), 100);
-        assert!(t.total_bytes().unwrap() > before / 2);
-        let rows = t.scan(None, None).unwrap();
+        assert_eq!(count(&t), 100);
+        assert!(total_bytes(&t) > before / 2);
+        let rows = scan(&t, None);
         assert_eq!(rows[5][1], Value::Int64(99));
         assert_eq!(rows[6][1], Value::Int64(0));
     }
@@ -317,12 +194,10 @@ mod tests {
     #[test]
     fn delete_keeps_survivors() {
         let t = table(50);
-        let (matched, _) = t.delete(|r| r[0].as_i64().unwrap() % 2 == 0).unwrap();
+        let (matched, _) = t.delete(&|r| r[0].as_i64().unwrap() % 2 == 0).unwrap();
         assert_eq!(matched, 25);
-        assert_eq!(t.count().unwrap(), 25);
-        assert!(t
-            .scan(None, None)
-            .unwrap()
+        assert_eq!(count(&t), 25);
+        assert!(scan(&t, None)
             .iter()
             .all(|r| r[0].as_i64().unwrap() % 2 == 1));
     }
@@ -330,20 +205,80 @@ mod tests {
     #[test]
     fn insert_overwrite_replaces() {
         let t = table(50);
-        t.insert_overwrite((0..5).map(|i| vec![Value::Int64(i + 100), Value::Int64(1)]))
-            .unwrap();
-        assert_eq!(t.count().unwrap(), 5);
-        assert_eq!(t.scan(None, None).unwrap()[0][0], Value::Int64(100));
+        t.insert_overwrite(
+            (0..5)
+                .map(|i| vec![Value::Int64(i + 100), Value::Int64(1)])
+                .collect(),
+        )
+        .unwrap();
+        assert_eq!(count(&t), 5);
+        assert_eq!(scan(&t, None)[0][0], Value::Int64(100));
     }
 
     #[test]
     fn overwrite_with_empty_result_empties_table() {
         let t = table(10);
-        t.delete(|_| true).unwrap();
-        assert_eq!(t.count().unwrap(), 0);
+        t.delete(&|_| true).unwrap();
+        assert_eq!(count(&t), 0);
         // Table still usable afterwards.
         t.insert_rows(vec![vec![Value::Int64(1), Value::Int64(2)]])
             .unwrap();
-        assert_eq!(t.count().unwrap(), 1);
+        assert_eq!(count(&t), 1);
+    }
+
+    /// A rewrite keeps the parent's file layout: `rows_per_file` rows per
+    /// part file, the last one short.
+    #[test]
+    fn rewrite_rolls_files_at_rows_per_file() {
+        let t = table(100);
+        t.delete(&|r| r[0].as_i64().unwrap() < 3).unwrap();
+        let sizes: Vec<u64> = t
+            .files()
+            .iter()
+            .map(|f| OrcReader::open(&t.orc.dfs, f).unwrap().num_rows())
+            .collect();
+        assert_eq!(sizes, [32, 32, 32, 1]);
+    }
+
+    /// A failed rewrite — here an UPDATE value that does not fit its
+    /// column, met in the last file — leaves the table as it was and no
+    /// staged file behind, so the next rewrite can stage again.
+    #[test]
+    fn failed_rewrite_leaves_no_staged_file() {
+        let t = table(100);
+        let bad = t.update(
+            &|r| r[0].as_i64().unwrap() == 99,
+            &[(1, Box::new(|_| Value::from("x")))],
+        );
+        assert!(bad
+            .unwrap_err()
+            .to_string()
+            .contains("does not fit column 'v'"));
+        assert!(t.orc.dfs.list("/warehouse/t/.staging-").is_empty());
+        assert_eq!(count(&t), 100);
+        t.delete(&|r| r[0].as_i64().unwrap() == 99).unwrap();
+        assert_eq!(count(&t), 99);
+    }
+
+    /// Hive's hidden-file rule: an ORC file left at `.staging-*` — an
+    /// overwrite in flight, or one a crash interrupted — is neither counted
+    /// nor scanned, and part files are numbered as if it were not there.
+    #[test]
+    fn staging_files_are_hidden() {
+        let t = table(100);
+        let stray = "/warehouse/t/.staging-0000000000";
+        let schema = t.orc.schema.clone();
+        let mut w = OrcWriter::create(&t.orc.dfs, stray, schema, WriterOptions::default()).unwrap();
+        w.write_row(vec![Value::Int64(-1), Value::Int64(-1)])
+            .unwrap();
+        w.finish().unwrap();
+        let parts = t.files().len();
+        assert_eq!(parts, 4);
+        assert_eq!(count(&t), 100);
+        assert!(scan(&t, None).iter().all(|r| r[0] != Value::Int64(-1)));
+        t.insert_rows(vec![vec![Value::Int64(100), Value::Int64(0)]])
+            .unwrap();
+        assert!(t.orc.dfs.exists(&format!("/warehouse/t/part-{parts:010}")));
+        assert_eq!(count(&t), 101);
     }
 }

@@ -6,6 +6,7 @@
 //! in the random-access Attached Table. The ablation measures both the
 //! DML and the read-after cost, plus bytes written per tier.
 
+use dt_baselines::StorageHandler;
 use dt_bench::datasets::grid_rows_default;
 use dt_bench::report;
 use dt_bench::systems::{build_acid, build_dual, calibrate_rates};
@@ -48,9 +49,9 @@ fn main() {
             grid::tj_gbsjwzl_mx_rows(n, 9).collect(),
         );
         let before = env.dfs.stats().snapshot();
-        let (t_dml, _) = time(|| acid.update(pred, &assignments).unwrap());
+        let (t_dml, _) = time(|| acid.update(&pred, &assignments).unwrap());
         let written = env.dfs.stats().snapshot().since(&before).bytes_written;
-        let (t_read, _) = time(|| acid.scan().unwrap());
+        let (t_read, _) = time(|| acid.for_each_batch(None, None, &mut |_| Ok(())).unwrap());
         acid_dml.push(t_dml);
         acid_read.push(t_read);
         acid_bytes.push(written as f64);

@@ -8,6 +8,7 @@
 //! on this process's substrate and **modeled cluster seconds** (see
 //! [`crate::model`]).
 
+use dt_baselines::StorageHandler;
 use dt_common::{Row, Schema, Value};
 use dualtable::{Assignment, DualTableEnv, PlanChoice, PlanMode, Rates, RatioHint};
 
@@ -249,15 +250,15 @@ fn run_hive(spec: &SweepSpec, point: &SweepPoint) -> PhaseOutcome {
             let value = value.clone();
             let assignments: Vec<Assignment<'static>> =
                 vec![(*col, Box::new(move |_| value.clone()))];
-            time(|| table.update(|r| pred(r), &assignments).unwrap())
+            time(|| table.update(pred, &assignments).unwrap())
         }
-        None => time(|| table.delete(|r| pred(r)).unwrap()),
+        None => time(|| table.delete(pred).unwrap()),
     };
     let dml_vol = volumes(&env, before_dfs, before_kv, 0, 0);
 
     let before_dfs = env.dfs.stats().snapshot();
     let before_kv = env.kv.stats().snapshot();
-    let (read_wall, _) = time(|| table.scan(None, None).unwrap());
+    let (read_wall, _) = time(|| table.for_each_batch(None, None, &mut |_| Ok(())).unwrap());
     let read_vol = volumes(&env, before_dfs, before_kv, 0, 0);
     let profile = TableProfile {
         build_bytes,

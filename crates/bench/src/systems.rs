@@ -1,6 +1,6 @@
 //! Builders for the systems under test and cost-model calibration.
 
-use dt_baselines::{HiveAcidTable, HiveHbaseTable, HiveHdfsTable};
+use dt_baselines::{HiveAcidTable, HiveHbaseTable, HiveHdfsTable, StorageHandler};
 use dt_common::{Row, Schema, Value};
 use dt_hiveql::{Session, SessionConfig};
 use dt_orcfile::WriterOptions;
@@ -124,7 +124,7 @@ pub fn calibrate_rates(probe_rows: usize) -> Rates {
         .bytes_written
         .max(1);
     // Master read: full scan (decode).
-    let (r_secs, _) = time(|| hive.scan(None, None).unwrap());
+    let (r_secs, _) = time(|| hive.for_each_batch(None, None, &mut |_| Ok(())).unwrap());
 
     // Attached write/read: KV puts and scans of cell-sized values.
     let store = env.kv.create_table("probe_att").expect("probe kv");

@@ -26,7 +26,7 @@ use std::time::Duration;
 use dt_common::seed_report::{seed_from_env, with_seed_repro};
 use dt_common::{DataType, FaultKind, FaultPlan, Row, Schema, Value};
 use dualtable::{
-    DualTableConfig, DualTableEnv, PlanMode, ShardSpec, ShardedTable, UnionReadOptions,
+    DualTableConfig, DualTableEnv, FoldOutcome, PlanMode, ShardSpec, ShardedTable, UnionReadOptions,
 };
 
 const WRITERS: i64 = 3;
@@ -226,13 +226,32 @@ fn run_reader(table: &ShardedTable, stop: &AtomicBool) {
     }
 }
 
+/// Cycles the compactor may still need once the writers are gone: enough
+/// to outlast any run of injected transient faults, bounded so a fold that
+/// can never land fails the seed instead of hanging it.
+const DRAIN_CYCLES: usize = 1_000;
+
 /// Round-robin maintenance under fire, exactly like the daemon's tick.
+/// Once the writers have joined it keeps cycling (faults still armed)
+/// until one cycle folds or finds every shard clean, so every seed ends on
+/// a landed fold whether or not the compactor won a swing race during the
+/// storm.
 fn run_compactor(table: &ShardedTable, stop: &AtomicBool) {
-    while !stop.load(Ordering::Relaxed) {
+    let mut drain = 0;
+    loop {
+        let stopped = stop.load(Ordering::Relaxed);
         match table.compact_incremental() {
+            Ok(FoldOutcome::Folded { .. } | FoldOutcome::Clean) if stopped => return,
             Ok(_) => {}
             Err(e) if e.is_transient() || e.is_injected() || e.is_conflict() => {}
             Err(e) => panic!("compactor hit a permanent error: {e}"),
+        }
+        if stopped {
+            drain += 1;
+            assert!(
+                drain < DRAIN_CYCLES,
+                "no fold landed after the writers left"
+            );
         }
         std::thread::sleep(Duration::from_micros(500));
     }

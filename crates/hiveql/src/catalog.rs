@@ -1,41 +1,33 @@
 //! The catalog: table name → storage handler.
 //!
-//! The handler enum mirrors Hive's storage-handler abstraction
-//! (InputFormat/OutputFormat/SerDe, §V-A): every variant exposes the same
-//! scan/insert/update/delete surface, dispatching to one of the four
-//! storage systems.
+//! Every handle exposes the same scan/insert/update/delete surface (Hive's
+//! InputFormat/OutputFormat/SerDe, §V-A): the comparators through the one
+//! [`StorageHandler`] trait, DualTable through its own arms, which carry
+//! the cost model, transactions and shard routing.
 
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
-use dt_baselines::{HiveAcidTable, HiveHbaseTable, HiveHdfsTable};
+use dt_baselines::StorageHandler;
 use dt_common::{Deadline, Error, Result, Row, Schema};
 use dt_orcfile::{ColumnBatch, ColumnPredicate};
 use dualtable::{
-    Assignment, DmlReport, DualTableStore, PlanChoice, RatioHint, ShardedDmlReport, ShardedTable,
-    Transaction, UnionReadOptions,
+    Assignment, DmlReport, DualTableStore, RatioHint, ShardedDmlReport, ShardedTable, Transaction,
+    UnionReadOptions,
 };
 use parking_lot::RwLock;
 
 use crate::ast::StorageKind;
 
-/// Rows scanned between two [`Deadline`] checks where storage hands back
-/// rows, not batches. Small enough that a timed-out statement aborts
-/// promptly; large enough that the atomic load disappears in scan cost.
-const DEADLINE_CHECK_ROWS: usize = 1024;
-
 /// A table's storage handler.
 #[derive(Clone)]
 pub enum TableHandle {
-    /// Stock Hive: ORC on the DFS.
-    Orc(HiveHdfsTable),
-    /// HBase storage handler.
-    HBase(HiveHbaseTable),
+    /// A comparator — stock Hive on ORC, the HBase handler or Hive-ACID —
+    /// behind the one storage-handler trait.
+    Baseline(StorageKind, Arc<dyn StorageHandler>),
     /// The paper's hybrid model.
     Dual(DualTableStore),
-    /// Hive-ACID base+delta.
-    Acid(HiveAcidTable),
     /// A range-sharded dualtable (DESIGN.md §16): N independent
     /// master/attached pairs behind a routing layer.
     Sharded(ShardedTable),
@@ -89,10 +81,8 @@ impl TableHandle {
     /// The table's schema.
     pub fn schema(&self) -> &Schema {
         match self {
-            TableHandle::Orc(t) => t.schema(),
-            TableHandle::HBase(t) => t.schema(),
+            TableHandle::Baseline(_, t) => t.schema(),
             TableHandle::Dual(t) => t.schema(),
-            TableHandle::Acid(t) => t.schema(),
             TableHandle::Sharded(t) => t.schema(),
         }
     }
@@ -100,30 +90,13 @@ impl TableHandle {
     /// Which storage this handler uses.
     pub fn storage_kind(&self) -> StorageKind {
         match self {
-            TableHandle::Orc(_) => StorageKind::Orc,
-            TableHandle::HBase(_) => StorageKind::HBase,
+            TableHandle::Baseline(kind, _) => *kind,
             TableHandle::Dual(_) | TableHandle::Sharded(_) => StorageKind::DualTable,
-            TableHandle::Acid(_) => StorageKind::Acid,
         }
     }
 
-    /// Materializes a scan. `projection` gives absolute column ordinals;
-    /// `predicates` may be used for stripe skipping where the format
-    /// supports it (rows still require re-filtering).
-    pub fn scan(
-        &self,
-        projection: Option<&[usize]>,
-        predicates: Option<&[ColumnPredicate]>,
-    ) -> Result<Vec<Row>> {
-        self.scan_deadline(None, projection, predicates, &Deadline::never())
-    }
-
-    /// [`TableHandle::scan`] under a per-statement [`Deadline`]: the scan
-    /// checks the token at batch boundaries and aborts with
-    /// [`Error::Timeout`](dt_common::Error::Timeout) once it expires. No
-    /// storage state is touched mid-batch, so a timed-out scan leaves the
-    /// table — and the session — fully usable. `txn`: see
-    /// [`TableHandle::for_each_batch`].
+    /// [`TableHandle::for_each_batch`] unpacked into rows, for what needs
+    /// them whole (joins, MERGE).
     pub fn scan_deadline(
         &self,
         txn: Option<&Transaction>,
@@ -132,44 +105,24 @@ impl TableHandle {
         deadline: &Deadline,
     ) -> Result<Vec<Row>> {
         deadline.check()?;
-        match self {
-            TableHandle::Orc(t) => t.scan(projection, predicates),
-            TableHandle::HBase(t) => t.scan(projection),
-            TableHandle::Acid(t) => {
-                let mut out = Vec::new();
-                let mut since_check = 0usize;
-                t.for_each(|row| {
-                    since_check += 1;
-                    if since_check >= DEADLINE_CHECK_ROWS {
-                        since_check = 0;
-                        deadline.check()?;
-                    }
-                    out.push(match projection {
-                        Some(p) => p.iter().map(|&c| row[c].clone()).collect(),
-                        None => row,
-                    });
-                    Ok(ControlFlow::Continue(()))
-                })?;
-                Ok(out)
-            }
-            TableHandle::Dual(_) | TableHandle::Sharded(_) => {
-                let mut out = Vec::new();
-                self.for_each_batch(txn, projection, predicates, deadline, &mut |batch| {
-                    out.extend(batch.selected_rows());
-                    Ok(())
-                })?;
-                Ok(out)
-            }
-        }
+        let mut out = Vec::new();
+        self.for_each_batch(txn, projection, predicates, deadline, &mut |batch| {
+            out.extend(batch.selected_rows());
+            Ok(())
+        })?;
+        Ok(out)
     }
 
-    /// The DUALTABLE scan interface: UNION READ as merged column batches,
-    /// `projection` decoded and nothing else, the deadline checked at
-    /// every batch. A sharded table prunes whole shards by `predicates`
-    /// before any I/O and scans the survivors in parallel; its batches
-    /// arrive in range order. With `txn` — this table's open transaction
-    /// — the scan is the transaction's: at its pin, under its buffered
-    /// writes, shard after shard.
+    /// The one scan interface, every storage: merged column batches,
+    /// `projection` decoded and nothing else, `predicates` skipping stripes
+    /// where the storage keeps statistics, and the deadline checked before
+    /// every batch — a timed-out scan aborts with
+    /// [`Error::Timeout`](dt_common::Error::Timeout) and leaves the table
+    /// and the session fully usable. A sharded table prunes whole shards by
+    /// `predicates` before any I/O and scans the survivors in parallel; its
+    /// batches arrive in range order. With `txn` — this table's open
+    /// transaction — the scan is the transaction's: at its pin, under its
+    /// buffered writes, shard after shard.
     pub fn for_each_batch(
         &self,
         txn: Option<&Transaction>,
@@ -178,34 +131,26 @@ impl TableHandle {
         deadline: &Deadline,
         f: &mut dyn FnMut(&ColumnBatch) -> Result<()>,
     ) -> Result<()> {
+        let mut checked = |batch: &ColumnBatch| {
+            deadline.check()?;
+            f(batch)
+        };
         let mut opts = UnionReadOptions::all();
         opts.projection = projection.map(<[usize]>::to_vec);
         opts.predicates = predicates.map(<[ColumnPredicate]>::to_vec);
-        let checked = |_, batch: ColumnBatch| {
-            deadline.check()?;
-            f(&batch)?;
-            Ok(ControlFlow::Continue(()))
-        };
-        match (txn, self) {
-            (Some(txn), _) => txn.for_each_batch(&opts, checked),
-            (None, TableHandle::Dual(t)) => t.for_each_batch(&opts, checked),
-            (None, TableHandle::Sharded(t)) => {
-                t.scan_batches(&opts, deadline)?.iter().try_for_each(f)
-            }
-            _ => Err(Error::Unsupported(
-                "column-batch scans are a DUALTABLE interface".into(),
-            )),
+        let merged = |_, batch: ColumnBatch| checked(&batch).map(ControlFlow::Continue);
+        if let Some(txn) = txn {
+            return txn.for_each_batch(&opts, merged);
         }
-    }
-
-    /// Row count.
-    pub fn count(&self) -> Result<u64> {
         match self {
-            TableHandle::Orc(t) => t.count(),
-            TableHandle::HBase(t) => t.count(),
-            TableHandle::Dual(t) => t.count(),
-            TableHandle::Acid(t) => t.count(),
-            TableHandle::Sharded(t) => t.count(),
+            TableHandle::Baseline(_, t) => {
+                t.for_each_batch(projection, predicates, &mut |batch| checked(&batch))
+            }
+            TableHandle::Dual(t) => t.for_each_batch(&opts, merged),
+            TableHandle::Sharded(t) => t
+                .scan_batches(&opts, deadline)?
+                .iter()
+                .try_for_each(checked),
         }
     }
 
@@ -215,10 +160,8 @@ impl TableHandle {
             self.schema().check_row(row)?;
         }
         match self {
-            TableHandle::Orc(t) => t.insert_rows(rows),
-            TableHandle::HBase(t) => t.insert_rows(rows),
+            TableHandle::Baseline(_, t) => t.insert_rows(rows),
             TableHandle::Dual(t) => t.insert_rows(rows),
-            TableHandle::Acid(t) => t.insert_rows(rows),
             TableHandle::Sharded(t) => t.insert_rows(rows),
         }
     }
@@ -229,15 +172,8 @@ impl TableHandle {
             self.schema().check_row(row)?;
         }
         match self {
-            TableHandle::Orc(t) => t.insert_overwrite(rows),
-            TableHandle::HBase(t) => t.insert_overwrite(rows),
+            TableHandle::Baseline(_, t) => t.insert_overwrite(rows),
             TableHandle::Dual(t) => t.insert_overwrite(rows),
-            TableHandle::Acid(t) => {
-                // ACID has no overwrite path; emulate with delete-all +
-                // insert (two transactions).
-                t.delete(|_| true)?;
-                t.insert_rows(rows)
-            }
             TableHandle::Sharded(t) => t.insert_overwrite(rows),
         }
     }
@@ -256,9 +192,9 @@ impl TableHandle {
         scan: &UnionReadOptions,
     ) -> Result<DmlOutcome> {
         match self {
-            TableHandle::Orc(t) => t.update(predicate, assignments).map(DmlOutcome::rewrite),
-            TableHandle::HBase(t) => t.update(predicate, assignments).map(DmlOutcome::rewrite),
-            TableHandle::Acid(t) => t.update(predicate, assignments).map(DmlOutcome::rewrite),
+            TableHandle::Baseline(_, t) => {
+                t.update(predicate, assignments).map(DmlOutcome::rewrite)
+            }
             TableHandle::Dual(t) => t
                 .update_keyed(predicate, assignments, ratio, statement_key, scan)
                 .map(DmlOutcome::planned),
@@ -277,9 +213,7 @@ impl TableHandle {
         scan: &UnionReadOptions,
     ) -> Result<DmlOutcome> {
         match self {
-            TableHandle::Orc(t) => t.delete(predicate).map(DmlOutcome::rewrite),
-            TableHandle::HBase(t) => t.delete(predicate).map(DmlOutcome::rewrite),
-            TableHandle::Acid(t) => t.delete(predicate).map(DmlOutcome::rewrite),
+            TableHandle::Baseline(_, t) => t.delete(predicate).map(DmlOutcome::rewrite),
             TableHandle::Dual(t) => t
                 .delete_keyed(predicate, ratio, statement_key, scan)
                 .map(DmlOutcome::planned),
@@ -292,12 +226,9 @@ impl TableHandle {
     /// Compacts the table (DualTable COMPACT; ACID major compaction).
     pub fn compact(&self) -> Result<()> {
         match self {
+            TableHandle::Baseline(_, t) => t.compact(),
             TableHandle::Dual(t) => t.compact(),
             TableHandle::Sharded(t) => t.compact(),
-            TableHandle::Acid(t) => t.major_compact(),
-            _ => Err(Error::Unsupported(
-                "COMPACT is only meaningful for DUALTABLE and ACID tables".into(),
-            )),
         }
     }
 
@@ -306,36 +237,24 @@ impl TableHandle {
     /// DUALTABLE storage has a presence index to score.
     pub fn compact_incremental(&self) -> Result<dualtable::FoldOutcome> {
         match self {
+            TableHandle::Baseline(..) => Err(Error::Unsupported(
+                "COMPACT … INCREMENTAL is only meaningful for DUALTABLE tables".into(),
+            )),
             TableHandle::Dual(t) => t.compact_incremental(),
             // Sharded tables walk their shards round-robin: each call
             // probes from the cursor and folds the first dirty shard, so
             // the server's per-table maintenance pass is automatically
             // fair across shards.
             TableHandle::Sharded(t) => t.compact_incremental(),
-            _ => Err(Error::Unsupported(
-                "COMPACT … INCREMENTAL is only meaningful for DUALTABLE tables".into(),
-            )),
         }
     }
 
     /// Drops the storage.
     pub fn drop_storage(self) -> Result<()> {
         match self {
-            TableHandle::Orc(t) => t.drop_table(),
-            TableHandle::HBase(t) => t.drop_table(),
+            TableHandle::Baseline(_, t) => t.drop_table(),
             TableHandle::Dual(t) => t.drop_table(),
-            TableHandle::Acid(t) => t.drop_table(),
             TableHandle::Sharded(t) => t.drop_table(),
-        }
-    }
-
-    /// The last cost-model plan is only observable through
-    /// [`DmlOutcome::report`]; this helper names plans for messages.
-    pub fn plan_name(plan: Option<PlanChoice>) -> &'static str {
-        match plan {
-            Some(PlanChoice::Edit) => "EDIT",
-            Some(PlanChoice::Overwrite) => "OVERWRITE",
-            None => "REWRITE",
         }
     }
 }

@@ -164,15 +164,10 @@ impl Executor<'_> {
                     .map(|w| extract_pushdown(w, &binding, base.schema()))
                     .filter(|p| !p.is_empty());
                 let (projection, predicates) = (Some(&projection[..]), predicates.as_deref());
-                if base.storage_kind() == StorageKind::DualTable {
-                    let txn = self.txn_of(&refs[0].name);
-                    base.for_each_batch(txn, projection, predicates, deadline, &mut |batch| {
-                        pipeline.push_batch(batch)
-                    })?;
-                } else {
-                    let rows = base.scan_deadline(None, projection, predicates, deadline)?;
-                    pipeline.push_rows(&rows)?;
-                }
+                let txn = self.txn_of(&refs[0].name);
+                base.for_each_batch(txn, projection, predicates, deadline, &mut |batch| {
+                    pipeline.push_batch(batch)
+                })?;
             }
             _ => pipeline.push_rows(&self.joined_rows(stmt, &refs, &tables, ctx)?)?,
         }

@@ -11,6 +11,10 @@
 //! * `STORED AS DUALTABLE` → the paper's hybrid model ([`dualtable::DualTableStore`]);
 //! * `STORED AS ACID` → Hive-ACID-style base+delta ([`dt_baselines::HiveAcidTable`]).
 //!
+//! The three comparators sit behind one [`dt_baselines::StorageHandler`];
+//! every single-table SELECT, on any storage, scans through one
+//! [`catalog::TableHandle::for_each_batch`] call into the executor.
+//!
 //! Beyond stock HiveQL 0.11, the dialect adds `UPDATE`, `DELETE` and
 //! `COMPACT TABLE` — exactly the commands DualTable's extended parser
 //! accepts, routed through the cost model when the table is a DualTable.

@@ -1,8 +1,9 @@
 //! The user-facing session: parse → plan → execute over one environment.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use dt_baselines::{HiveAcidTable, HiveHbaseTable, HiveHdfsTable};
+use dt_baselines::{HiveAcidTable, HiveHbaseTable, HiveHdfsTable, StorageHandler};
 use dt_common::{Deadline, Error, Field, Result, Row, Schema, Value};
 use dualtable::{
     Assignment, CompactionMode, DualTableConfig, DualTableEnv, DualTableStore, FoldOutcome,
@@ -850,7 +851,8 @@ impl Session {
         let target_schema = target_handle.schema().clone();
         let source_handle = self.catalog.get(&source.name)?;
         let source_schema = source_handle.schema().clone();
-        let source_rows = source_handle.scan(None, None)?;
+        let deadline = &self.config.exec.deadline;
+        let source_rows = source_handle.scan_deadline(None, None, None, deadline)?;
 
         let target_binding = Binding::from_schema(target, &target_schema);
         let source_binding = Binding::from_schema(source.binding_name(), &source_schema);
@@ -875,7 +877,7 @@ impl Session {
 
         // Which source keys have a target partner (for the insert branch)?
         let mut matched_keys: HashSet<GroupKey> = HashSet::new();
-        for row in target_handle.scan(None, None)? {
+        for row in target_handle.scan_deadline(None, None, None, deadline)? {
             if let Some(key) = hash_key(&target_keys, &row, &target_binding, &ctx)? {
                 if source_map.contains_key(&key) {
                     matched_keys.insert(key);
@@ -1003,31 +1005,30 @@ impl Session {
                 spec,
             )?));
         }
-        Ok(match storage {
-            StorageKind::Orc => TableHandle::Orc(HiveHdfsTable::create(
+        let writer = self.config.dualtable.writer.clone();
+        let handler: Arc<dyn StorageHandler> = match storage {
+            StorageKind::DualTable => {
+                let config = self.config.dualtable.clone();
+                let store = DualTableStore::create(&self.env, name, schema, config)?;
+                return Ok(TableHandle::Dual(store));
+            }
+            StorageKind::Orc => Arc::new(HiveHdfsTable::create(
                 &self.env.dfs,
                 name,
                 schema,
-                self.config.dualtable.writer.clone(),
+                writer,
                 self.config.rows_per_file,
             )?),
-            StorageKind::HBase => {
-                TableHandle::HBase(HiveHbaseTable::create(&self.env.kv, name, schema)?)
-            }
-            StorageKind::DualTable => TableHandle::Dual(DualTableStore::create(
-                &self.env,
-                name,
-                schema,
-                self.config.dualtable.clone(),
-            )?),
-            StorageKind::Acid => TableHandle::Acid(HiveAcidTable::create(
+            StorageKind::HBase => Arc::new(HiveHbaseTable::create(&self.env.kv, name, schema)?),
+            StorageKind::Acid => Arc::new(HiveAcidTable::create(
                 &self.env.dfs,
                 &format!("{name}_acid"),
                 schema,
-                self.config.dualtable.writer.clone(),
+                writer,
                 self.config.rows_per_file,
             )?),
-        })
+        };
+        Ok(TableHandle::Baseline(storage, handler))
     }
 
     /// Registers an externally-created DualTable under a name (experiments

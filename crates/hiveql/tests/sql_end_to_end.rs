@@ -601,3 +601,47 @@ fn incremental_compaction_sql_surface() {
     let r = s.execute("SELECT COUNT(*) FROM m").unwrap();
     assert_eq!(ints(&r, 0), vec![24]);
 }
+
+/// Every storage checks the statement deadline between two batches: a scan
+/// whose first batch cancels it sees that batch and no other, and fails
+/// with a timeout — the session's handle stays usable.
+#[test]
+fn scans_check_the_deadline_between_batches_on_every_storage() {
+    use dt_common::Deadline;
+    let storages = [
+        "ORC",
+        "HBASE",
+        "ACID",
+        "DUALTABLE",
+        "DUALTABLE SHARDED BY RANGE (id) SPLIT AT (550)",
+    ];
+    for storage in storages {
+        let mut s = Session::in_memory();
+        s.config.dualtable.writer.stripe_rows = 256;
+        s.execute(&format!(
+            "CREATE TABLE t (id BIGINT, v BIGINT) STORED AS {storage}"
+        ))
+        .unwrap();
+        let t = s.table("t").unwrap();
+        t.insert(
+            (0..1100)
+                .map(|i| vec![Value::Int64(i), Value::Int64(i)])
+                .collect(),
+        )
+        .unwrap();
+        let batches = |deadline: &Deadline| {
+            let mut seen = 0;
+            let scan = t.for_each_batch(None, Some(&[1]), None, deadline, &mut |_| {
+                seen += 1;
+                deadline.cancel();
+                Ok(())
+            });
+            (seen, scan)
+        };
+        let (all, scan) = batches(&Deadline::never());
+        assert!(scan.is_ok() && all >= 2, "{storage}: {all} batches");
+        let (seen, scan) = batches(&Deadline::cancellable());
+        assert!(scan.unwrap_err().is_timeout(), "{storage}");
+        assert_eq!(seen, 1, "{storage}");
+    }
+}
