@@ -1,10 +1,15 @@
 //! Experiment harness shared by the per-figure bench targets.
 //!
 //! Every table and figure of the paper's evaluation (§VI) has a bench
-//! target under `benches/` (see DESIGN.md §5 for the index). This library
+//! target under `benches/` (see DESIGN.md §5 for the index), plus the
+//! Hive-ACID ablation and the substrate micro-benchmarks. This library
 //! holds what they share: dataset builders for each system under test,
 //! wall-clock measurement, cost-model calibration against the simulated
 //! substrate, and paper-style series/table printing.
+//!
+//! The repository's performance benchmark is not here: it is the `ladder`
+//! package under `src/bin/ladder/` (declared in `BENCHMARK.json`), a
+//! crate of its own outside the workspace.
 //!
 //! Scale is controlled by the `DT_BENCH_SCALE` environment variable
 //! (`1.0` = default; larger values grow row counts linearly).
@@ -12,11 +17,10 @@
 pub mod datasets;
 pub mod model;
 pub mod report;
-pub mod server_load;
 pub mod sweeps;
 pub mod systems;
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Returns the scale factor from `DT_BENCH_SCALE` (default 1.0).
 pub fn scale() -> f64 {
@@ -44,18 +48,4 @@ pub fn time<T>(f: impl FnOnce() -> T) -> (f64, T) {
 pub fn time_ok<T, E: std::fmt::Debug>(f: impl FnOnce() -> Result<T, E>) -> (f64, T) {
     let (secs, out) = time(f);
     (secs, out.expect("bench step failed"))
-}
-
-/// Formats seconds for display.
-pub fn fmt_secs(s: f64) -> String {
-    if s >= 1.0 {
-        format!("{s:.2}s")
-    } else {
-        format!("{:.1}ms", s * 1000.0)
-    }
-}
-
-/// Pretty duration.
-pub fn fmt_duration(d: Duration) -> String {
-    fmt_secs(d.as_secs_f64())
 }

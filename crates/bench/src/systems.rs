@@ -10,12 +10,12 @@ use crate::time;
 
 /// Rows per master/ORC file used across systems so file layout is
 /// comparable.
-pub fn rows_per_file(total_rows: usize) -> usize {
+fn rows_per_file(total_rows: usize) -> usize {
     (total_rows / 8).max(1024)
 }
 
 /// Writer options shared by every ORC-writing system.
-pub fn writer_options() -> WriterOptions {
+fn writer_options() -> WriterOptions {
     WriterOptions {
         stripe_rows: 4 * 1024,
         codec: dt_orcfile::Codec::Lz,

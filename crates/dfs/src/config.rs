@@ -26,12 +26,6 @@ pub struct DfsConfig {
     /// (DESIGN.md §10). `0` disables caching; every read then pays a
     /// physical replica fetch.
     pub block_cache_bytes: u64,
-    /// Synthetic per-replica block-placement latency, in microseconds.
-    /// Models the datanode round-trip a real HDFS pipeline pays per copy,
-    /// so write-path experiments observe pipeline overlap (parallel
-    /// replication, the rewrite fan-out) even on hosts with few cores.
-    /// `0` (the default) disables it; production paths never set it.
-    pub put_latency_micros: u64,
 }
 
 impl Default for DfsConfig {
@@ -42,7 +36,6 @@ impl Default for DfsConfig {
             retry: RetryPolicy::default(),
             checkpoint_interval: 1024,
             block_cache_bytes: 64 * 1024 * 1024,
-            put_latency_micros: 0,
         }
     }
 }
@@ -56,13 +49,5 @@ impl DfsConfig {
             replication: 1,
             ..DfsConfig::default()
         }
-    }
-
-    /// The same configuration with the block cache disabled — the oracle
-    /// side of cache-coherence differential tests, and the "cache off"
-    /// leg of benchmarks.
-    pub fn without_block_cache(mut self) -> Self {
-        self.block_cache_bytes = 0;
-        self
     }
 }

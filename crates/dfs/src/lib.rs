@@ -73,8 +73,6 @@ dt_common::counters! {
         cache_misses,
         /// Cached blocks evicted to make room for newer ones.
         cache_evictions,
-        /// Blocks whose replica set was written concurrently.
-        parallel_replications,
         /// Replica failovers performed by readers.
         failovers,
         /// Replicas quarantined out of the serving set.
@@ -203,11 +201,6 @@ impl Dfs {
     /// Entries currently resident in the shared block cache.
     pub fn block_cache_entries(&self) -> usize {
         self.inner.cache.entries()
-    }
-
-    /// Empties the shared block cache (benchmarks measuring cold reads).
-    pub fn clear_block_cache(&self) {
-        self.inner.cache.clear();
     }
 
     /// Creates a new file for writing. Fails if the path already exists

@@ -321,7 +321,10 @@ mod tests {
 
     #[test]
     fn zero_capacity_disables_caching() {
-        let dfs = Dfs::in_memory(DfsConfig::small_chunks(7).without_block_cache());
+        let dfs = Dfs::in_memory(DfsConfig {
+            block_cache_bytes: 0,
+            ..DfsConfig::small_chunks(7)
+        });
         dfs.write_file("/g", &[7u8; 64]).unwrap();
         dfs.read_to_vec("/g").unwrap();
         dfs.read_to_vec("/g").unwrap();

@@ -65,49 +65,23 @@ impl DfsWriter {
         }
         let crc = dt_common::crc32::crc32(&self.buf);
         let written = self.buf.len() as u64;
-        // Place one physical copy per configured replica, retrying each
+        // Place one physical copy per configured replica, in replica order
+        // (replica `i` is always the `i`-th block put), retrying each
         // placement on transient faults like an HDFS client rebuilding its
-        // pipeline. Replicas are written concurrently (one scoped thread
-        // per copy) rather than down a serial pipeline. If any placement
-        // still fails, the ones that landed are released and the write
-        // fails whole — a block group is never committed short.
+        // pipeline. Every placement is attempted; if any still fails, the
+        // ones that landed are released and the write fails whole — a
+        // block group is never committed short.
         let replication = self.inner.config().replication.max(1);
         let policy = self.inner.config().retry;
-        let latency = self.inner.config().put_latency_micros;
-        let inner = &self.inner;
-        let buf = &self.buf;
-        let place = move || {
-            if latency > 0 {
-                std::thread::sleep(std::time::Duration::from_micros(latency));
-            }
-            inner.blocks().put(buf)
-        };
-        let results = if replication <= 1 {
-            vec![policy.run(&inner.stats().retry, place)]
-        } else {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..replication)
-                    .map(|_| s.spawn(move || policy.run(&inner.stats().retry, place)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join().unwrap_or_else(|_| {
-                            Err(dt_common::Error::internal("a replica writer panicked"))
-                        })
-                    })
-                    .collect::<Vec<_>>()
-            })
-        };
         let mut replicas = Vec::with_capacity(replication as usize);
         let mut first_err = None;
-        for result in results {
-            match result {
+        for _ in 0..replication {
+            match policy.run(&self.inner.stats().retry, || {
+                self.inner.blocks().put(&self.buf)
+            }) {
                 Ok(id) => replicas.push(id),
                 Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
+                    first_err.get_or_insert(e);
                 }
             }
         }
@@ -120,9 +94,6 @@ impl DfsWriter {
         let stats = self.inner.stats();
         stats.bytes_written.add(written * replication as u64);
         stats.write_ops.add(replication as u64);
-        if replication > 1 {
-            stats.parallel_replications.inc();
-        }
         self.meta.blocks.push(BlockGroup {
             replicas,
             len: written,

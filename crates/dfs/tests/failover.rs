@@ -60,32 +60,35 @@ fn read_survives_one_corrupt_replica_then_scrub_rereplicates() {
     assert_eq!(dfs.read_to_vec("/t/part-0").unwrap(), payload);
 }
 
-/// A replica whose *first* placement position is corrupt: the reader must
-/// fail over (the corrupt copy is tried first), quarantine it, and record
-/// both events in the health counters.
+/// One corrupt replica at each placement position `k`. Replica order is
+/// placement order and the reader tries replicas in order, so the first
+/// read fails over past the corrupt copy, and quarantines it, exactly when
+/// it was placed first. Wherever it sits, scrub recreates that one replica.
 #[test]
 fn failover_from_first_replica_quarantines_it() {
-    // Op 1 is the BeginCreate edit-log append; op 2 is the first replica
-    // placement — the copy the reader tries first.
-    let plan = Arc::new(FaultPlan::new(23).fail_at(2, FaultKind::CorruptWrite));
-    let dfs = Dfs::in_memory_faulty(three_way(64), plan.clone());
-    let payload = vec![0xABu8; 32];
-    dfs.write_file("/f", &payload).unwrap();
-    plan.set_armed(false);
+    for k in 0..3u64 {
+        // Op 1 is the BeginCreate edit-log append; op 2 + k is the k-th
+        // replica placement.
+        let plan = Arc::new(FaultPlan::new(23).fail_at(2 + k, FaultKind::CorruptWrite));
+        let dfs = Dfs::in_memory_faulty(three_way(64), plan.clone());
+        let payload = vec![0xABu8; 32];
+        dfs.write_file("/f", &payload).unwrap();
+        plan.set_armed(false);
+        assert_eq!(plan.injected_count(), 1, "k={k}");
 
-    assert_eq!(dfs.read_to_vec("/f").unwrap(), payload);
-    let health = dfs.stats().snapshot();
-    assert_eq!(
-        health.quarantined_replicas, 1,
-        "bad first replica quarantined"
-    );
-    assert!(health.failovers >= 1, "read failed over past it");
-    assert_eq!(dfs.quarantined_replicas(), 1);
+        assert_eq!(dfs.read_to_vec("/f").unwrap(), payload, "k={k}");
+        let health = dfs.stats().snapshot();
+        let first = u64::from(k == 0);
+        assert_eq!(health.quarantined_replicas, first, "k={k}");
+        assert_eq!(dfs.quarantined_replicas() as u64, first, "k={k}");
+        assert_eq!(health.failovers > 0, k == 0, "k={k}: failed over");
 
-    let scrub = dfs.scrub().unwrap();
-    assert_eq!(scrub.replicas_recreated, 1);
-    assert_eq!(scrub.quarantined_purged, 1);
-    assert!(dfs.fsck().unwrap().healthy());
+        let scrub = dfs.scrub().unwrap();
+        assert_eq!(scrub.replicas_recreated, 1, "k={k}");
+        assert_eq!(scrub.quarantined_purged, first, "k={k}");
+        assert!(dfs.fsck().unwrap().healthy(), "k={k}");
+        assert_eq!(dfs.read_to_vec("/f").unwrap(), payload, "k={k}");
+    }
 }
 
 /// A transient read fault must be retried on the *same* replica — a brief

@@ -70,8 +70,11 @@ pub enum PlanChoice {
 
 /// Per-extra-thread efficiency of the parallel rewrite fan-out. Workers
 /// contend on the DFS namenode and on file-ID reservation, so each added
-/// thread contributes less than a full thread of write bandwidth; 0.7 is
-/// the conservative end of what `bench5_write_path` measures in-process.
+/// thread contributes less than a full thread of write bandwidth. 0.7 is
+/// hand-set. Its one measurement, a 3.8× OVERWRITE at 4 workers
+/// (EXPERIMENTS.md, "the old fleet's last run"), was taken under a
+/// synthetic 1.5 ms dwell per replica placement, not on real block
+/// writes.
 const PARALLEL_WRITE_EFFICIENCY: f64 = 0.7;
 
 /// Threads past this point no longer shrink the modeled OVERWRITE cost:
@@ -82,8 +85,10 @@ const MODELED_WRITE_THREADS_CAP: usize = 8;
 /// Fraction of the attached-tier write cost an EDIT pays when the delta
 /// (shadow) tier absorbs it: the write is a WAL append plus a sorted-run
 /// insert — no memtable rebalancing, no SSTable build amortized onto the
-/// hot path. `bench9_htap` measures the actual gap; 0.4 is the
-/// conservative (high) end so plan choices never over-promise.
+/// hot path. 0.4 is hand-set. The only measurement near it is whole-EDIT
+/// latency, locate-scan included: delta-on EDIT bursts took 0.60× the
+/// delta-off p50 (EXPERIMENTS.md, "the old fleet's last run"). Nothing
+/// isolates the write term this factor scales.
 const DELTA_EDIT_WRITE_FACTOR: f64 = 0.4;
 
 /// Evaluates equations (1) and (2).

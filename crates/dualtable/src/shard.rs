@@ -564,23 +564,6 @@ impl ShardedTable {
         Ok(per_shard.into_iter().flatten().collect())
     }
 
-    /// [`ShardedTable::scan_batches`] unpacked into rows.
-    pub fn scan_scatter(
-        &self,
-        projection: Option<&[usize]>,
-        predicates: Option<&[ColumnPredicate]>,
-        deadline: &Deadline,
-    ) -> Result<Vec<Row>> {
-        let mut opts = UnionReadOptions::all();
-        opts.projection = projection.map(<[usize]>::to_vec);
-        opts.predicates = predicates.map(<[ColumnPredicate]>::to_vec);
-        let batches = self.scan_batches(&opts, deadline)?;
-        Ok(batches
-            .iter()
-            .flat_map(ColumnBatch::selected_rows)
-            .collect())
-    }
-
     /// Total row count across shards: a scatter scan that decodes no
     /// column (see [`DualTableStore::count`]).
     pub fn count(&self) -> Result<u64> {

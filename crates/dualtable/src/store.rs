@@ -624,9 +624,16 @@ impl DualTableStore {
         ours: &PatchSet,
         f: &mut BatchFn<'_>,
     ) -> Result<ControlFlow<()>> {
+        // Files first, presence index second: the index then covers every
+        // delete committed on a listed file before the listing, and a file
+        // inserted later is not scanned. The other order lets a concurrent
+        // writer slip an insert in between, and a scan returns that new
+        // file's rows beside the rows of a file deleted after the index
+        // was read — a row set the table never held.
+        let files = self.visible_files(gen, opts.snapshot_ts);
         let plan = self.scan_plan(gen, opts, &ours.rows)?;
         let projection = self.projected(opts);
-        for file_id in self.visible_files(gen, opts.snapshot_ts) {
+        for file_id in files {
             if self
                 .merge_master(&plan, file_id, &projection, f)?
                 .is_break()

@@ -38,13 +38,16 @@ fn table_cfg() -> DualTableConfig {
 /// A fresh in-memory stack; `cached = false` disables the DFS block cache
 /// and the table-level footer cache.
 fn env_with(cached: bool) -> DualTableEnv {
-    let dfs_config = if cached {
-        DfsConfig::default()
+    let block_cache_bytes = if cached {
+        DfsConfig::default().block_cache_bytes
     } else {
-        DfsConfig::default().without_block_cache()
+        0
     };
     DualTableEnv::new(
-        Dfs::in_memory(dfs_config),
+        Dfs::in_memory(DfsConfig {
+            block_cache_bytes,
+            ..DfsConfig::default()
+        }),
         KvCluster::in_memory(KvConfig::default()),
     )
     .unwrap()
@@ -568,6 +571,7 @@ fn delta_tier_engages_and_explicit_spill_is_a_read_noop() {
 #[test]
 fn delta_sharded_scatter_matches_delta_off() {
     use dt_common::Deadline;
+    use dt_orcfile::ColumnBatch;
     use dualtable::{ShardSpec, ShardedTable};
 
     let spec = || ShardSpec::new(0, vec![40, 80]).unwrap();
@@ -599,10 +603,17 @@ fn delta_sharded_scatter_matches_delta_off() {
             .any(|s| s.delta_bytes_used().unwrap() > 0),
         "at least one shard holds resident delta entries"
     );
-    let expected = off.scan_scatter(None, None, &Deadline::never()).unwrap();
+    let scatter = |t: &ShardedTable, opts: &UnionReadOptions| -> Vec<Row> {
+        let batches = t.scan_batches(opts, &Deadline::never()).unwrap();
+        batches
+            .iter()
+            .flat_map(ColumnBatch::selected_rows)
+            .collect()
+    };
+    let all = UnionReadOptions::all();
     assert_eq!(
-        on.scan_scatter(None, None, &Deadline::never()).unwrap(),
-        expected,
+        scatter(&on, &all),
+        scatter(&off, &all),
         "delta-on scatter diverged from delta-off"
     );
     // Range-pruned + projected scatter stays coherent too.
@@ -618,12 +629,13 @@ fn delta_sharded_scatter_matches_delta_off() {
             literal: Value::Int64(90),
         },
     ];
-    let proj = [1usize];
+    let narrow = UnionReadOptions {
+        predicates: Some(preds),
+        ..UnionReadOptions::all().with_projection(vec![1])
+    };
     assert_eq!(
-        on.scan_scatter(Some(&proj), Some(&preds), &Deadline::never())
-            .unwrap(),
-        off.scan_scatter(Some(&proj), Some(&preds), &Deadline::never())
-            .unwrap(),
+        scatter(&on, &narrow),
+        scatter(&off, &narrow),
         "range-pruned delta-on scatter diverged"
     );
 }

@@ -163,7 +163,18 @@ fn on_disk_environment_roundtrip() {
 #[test]
 fn projection_cuts_master_io() {
     use dt_common::DataType;
-    let env = DualTableEnv::in_memory();
+    use dt_dfs::{Dfs, DfsConfig};
+    use dt_kvstore::{KvCluster, KvConfig};
+    // No block cache: `bytes_read` then counts every block each scan
+    // touches, and neither scan subsidizes the other's data blocks.
+    let env = DualTableEnv::new(
+        Dfs::in_memory(DfsConfig {
+            block_cache_bytes: 0,
+            ..DfsConfig::default()
+        }),
+        KvCluster::in_memory(KvConfig::default()),
+    )
+    .unwrap();
     let fields: Vec<(String, DataType)> = (0..23)
         .map(|i| (format!("c{i:02}"), DataType::Utf8))
         .collect();
@@ -178,18 +189,15 @@ fn projection_cuts_master_io() {
     .unwrap();
 
     // Warm the footer cache first so both measurements cover data bytes
-    // only, then measure each scan with a cold block cache: `bytes_read`
-    // counts physical fetches, and the first scan would otherwise pay the
-    // footer parses for the second while subsidizing its data blocks.
+    // only: the first scan would otherwise pay the footer parses for the
+    // second.
     let _ = t.count().unwrap();
-    env.dfs.clear_block_cache();
     let before = env.dfs.stats().snapshot();
     let _ = t
         .scan(&dualtable::UnionReadOptions::all().with_projection(vec![3]))
         .unwrap();
     let narrow = env.dfs.stats().snapshot().since(&before).bytes_read;
 
-    env.dfs.clear_block_cache();
     let before = env.dfs.stats().snapshot();
     let _ = t.scan_all().unwrap();
     let wide = env.dfs.stats().snapshot().since(&before).bytes_read;

@@ -359,7 +359,7 @@ mod differential {
 
     use dt_common::rng::Rng64;
     use dt_common::{DataType, Deadline, Field, RecordId, Row, Schema, Value};
-    use dt_orcfile::{ColumnPredicate, PredicateOp, WriterOptions};
+    use dt_orcfile::{ColumnBatch, ColumnPredicate, PredicateOp, WriterOptions};
     use dualtable::{
         DualTableConfig, DualTableEnv, DualTableStore, PlanMode, RatioHint, ShardSpec,
         ShardedTable, Transaction, UnionReadOptions,
@@ -598,6 +598,15 @@ mod differential {
         }
     }
 
+    /// Every row a scatter scan under `opts` returns, in gather order.
+    fn scatter(t: &ShardedTable, opts: &UnionReadOptions) -> Vec<Row> {
+        let batches = t.scan_batches(opts, &Deadline::never()).unwrap();
+        batches
+            .iter()
+            .flat_map(ColumnBatch::selected_rows)
+            .collect()
+    }
+
     fn project(row: &Row, opts: &UnionReadOptions) -> Row {
         match &opts.projection {
             Some(p) => p.iter().map(|&c| row[c].clone()).collect(),
@@ -706,9 +715,11 @@ mod differential {
 
                 // Scatter over three shards: the unsharded table, shard by
                 // shard. Keys are unique, so rows compare by key.
-                let scattered = sharded
-                    .scan_scatter(None, opts.predicates.as_deref(), &Deadline::never())
-                    .unwrap();
+                let pruned = UnionReadOptions {
+                    predicates: opts.predicates.clone(),
+                    ..UnionReadOptions::all()
+                };
+                let scattered = scatter(&sharded, &pruned);
                 let keys: Vec<Option<i64>> = scattered.iter().map(|r| r[0].as_i64()).collect();
                 prop_assert!(keys.windows(2).all(|w| w[0] < w[1]), "gather is key-ordered");
                 let predicates = opts.predicates.as_deref().unwrap_or(&[]);
@@ -722,9 +733,11 @@ mod differential {
                     }
                 }
                 prop_assert!(scattered.next().is_none(), "scatter invented a row");
-                let projected = sharded
-                    .scan_scatter(opts.projection.as_deref(), None, &Deadline::never())
-                    .unwrap();
+                let narrow = UnionReadOptions {
+                    projection: opts.projection.clone(),
+                    ..UnionReadOptions::all()
+                };
+                let projected = scatter(&sharded, &narrow);
                 let expect: Vec<Row> = by_key.iter().map(|row| project(row, &opts)).collect();
                 prop_assert_eq!(projected, expect);
             }
@@ -883,8 +896,7 @@ mod differential {
             prop_assert_eq!(rows_of(&over), expect.clone());
             let mut by_key = expect;
             by_key.sort_by_key(|row| row[0].as_i64());
-            let scattered = sharded.scan_scatter(None, None, &Deadline::never()).unwrap();
-            prop_assert_eq!(scattered, by_key);
+            prop_assert_eq!(scatter(&sharded, &UnionReadOptions::all()), by_key);
         }
     }
 }

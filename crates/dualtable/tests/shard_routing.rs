@@ -18,7 +18,7 @@
 //!   `open` (an absent shard store equals a never-written shard).
 
 use dt_common::{DataType, Deadline, Row, Schema, Value};
-use dt_orcfile::{ColumnPredicate, PredicateOp};
+use dt_orcfile::{ColumnBatch, ColumnPredicate, PredicateOp};
 use dualtable::{
     DualTableConfig, DualTableEnv, DualTableStore, PlanChoice, PlanMode, RatioHint, ShardMap,
     ShardSpec, ShardedTable, UnionReadOptions,
@@ -44,6 +44,19 @@ fn sorted_ids(rows: &[Row]) -> Vec<i64> {
     let mut ids: Vec<i64> = rows.iter().map(|r| r[0].as_i64().unwrap()).collect();
     ids.sort_unstable();
     ids
+}
+
+/// Every row a scatter scan under `predicates` returns, in gather order.
+fn scatter(t: &ShardedTable, predicates: Option<&[ColumnPredicate]>) -> Vec<Row> {
+    let opts = UnionReadOptions {
+        predicates: predicates.map(<[ColumnPredicate]>::to_vec),
+        ..UnionReadOptions::all()
+    };
+    let batches = t.scan_batches(&opts, &Deadline::never()).unwrap();
+    batches
+        .iter()
+        .flat_map(ColumnBatch::selected_rows)
+        .collect()
 }
 
 fn pred(op: PredicateOp, v: i64) -> ColumnPredicate {
@@ -72,7 +85,7 @@ fn split_point_keys_route_to_upper_shard() {
     assert_eq!(per_shard, vec![2, 3, 3]);
 
     // Gather returns every row exactly once, in shard (= key-range) order.
-    let rows = t.scan_scatter(None, None, &Deadline::never()).unwrap();
+    let rows = scatter(&t, None);
     assert_eq!(sorted_ids(&rows), keys.to_vec());
     let gathered: Vec<i64> = rows.iter().map(|r| r[0].as_i64().unwrap()).collect();
     let mut in_order = gathered.clone();
@@ -99,7 +112,7 @@ fn empty_shards_are_harmless() {
         assert_eq!(t.shards()[i].count().unwrap(), 0, "shard {i} not empty");
     }
 
-    let rows = t.scan_scatter(None, None, &Deadline::never()).unwrap();
+    let rows = scatter(&t, None);
     assert_eq!(rows.len(), 10);
 
     // DML that routes only to empty shards matches nothing.
@@ -161,9 +174,7 @@ fn single_shard_matches_unsharded() {
         .map(|(_, r)| (r[0].as_i64().unwrap(), r[1].as_i64().unwrap()))
         .collect();
     want.sort_unstable();
-    let mut got: Vec<(i64, i64)> = sharded
-        .scan_scatter(None, None, &Deadline::never())
-        .unwrap()
+    let mut got: Vec<(i64, i64)> = scatter(&sharded, None)
         .into_iter()
         .map(|r| (r[0].as_i64().unwrap(), r[1].as_i64().unwrap()))
         .collect();
@@ -208,9 +219,7 @@ fn range_pruning_skips_shard_io() {
     // File-level pushdown is stripe-granular: every matching row comes
     // back (exact filtering is the query layer's job), and shard pruning
     // guarantees nothing outside shard 1's [100, 200) range is read.
-    let rows = t
-        .scan_scatter(None, Some(&mid), &Deadline::never())
-        .unwrap();
+    let rows = scatter(&t, Some(&mid));
     let ids = sorted_ids(&rows);
     assert!(ids.iter().all(|&id| (100..200).contains(&id)));
     assert!((120..180).all(|k| ids.binary_search(&k).is_ok()));
@@ -221,9 +230,7 @@ fn range_pruning_skips_shard_io() {
     let none = [pred(PredicateOp::Ge, 500), pred(PredicateOp::Lt, 0)];
     assert!(t.shards_matching(Some(&none)).is_empty());
     let before = env.dfs.stats().snapshot();
-    let rows = t
-        .scan_scatter(None, Some(&none), &Deadline::never())
-        .unwrap();
+    let rows = scatter(&t, Some(&none));
     let delta = env.dfs.stats().snapshot().since(&before);
     assert!(rows.is_empty());
     assert_eq!(

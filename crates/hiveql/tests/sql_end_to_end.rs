@@ -257,9 +257,8 @@ fn show_health_reports_per_tier_counters() {
         assert!(tiers.contains(&tier), "missing tier {tier}");
     }
     // A healthy, fault-free session reports all-zero *fault* counters.
-    // Only the I/O volume and write-path throughput counters (parallel
-    // replication, rewrite fan-out, WAL group commit) tick during normal
-    // operation.
+    // Only the I/O volume and write-path throughput counters (rewrite
+    // fan-out, WAL group commit) tick during normal operation.
     let activity = [
         "bytes_read",
         "bytes_written",
@@ -271,7 +270,6 @@ fn show_health_reports_per_tier_counters() {
         "write_workers_used",
         "group_commits",
         "wal_fsyncs_saved",
-        "parallel_replications",
     ];
     assert!(r
         .rows()

@@ -162,14 +162,15 @@ impl ShadowTier {
     }
 
     /// Every entry with a row key in `[start, end)`, sorted by key
-    /// (versions of one key newest-first) — the scan stream.
+    /// (versions of one key newest-first) — the scan stream. Every UNION
+    /// READ of a dirty file calls this, so its cost is one sort of
+    /// borrowed entries, and none when a single run is resident.
     pub fn range_entries(
         &self,
         start: Option<&[u8]>,
         end: Option<&[u8]>,
     ) -> Vec<(CellKey, Version)> {
-        let mut groups: std::collections::BTreeMap<&CellKey, Vec<&Version>> =
-            std::collections::BTreeMap::new();
+        let mut entries: Vec<(&CellKey, &Version)> = Vec::new();
         for run in &self.runs {
             // Runs are key-sorted and `CellKey`'s ordering is row-major,
             // so the row window is one contiguous slice per run. Range
@@ -185,17 +186,16 @@ impl ShadowTier {
                 None => run.len(),
             };
             for (key, versions) in &run[lo..hi] {
-                groups.entry(key).or_default().extend(versions.iter());
+                entries.extend(versions.iter().map(|v| (key, v)));
             }
         }
-        let mut out = Vec::new();
-        for (key, mut versions) in groups {
-            versions.sort_by_key(|v| std::cmp::Reverse(v.ts));
-            for v in versions {
-                out.push((key.clone(), v.clone()));
-            }
+        if self.runs.len() > 1 {
+            entries.sort_by(|a, b| a.0.cmp(b.0).then(b.1.ts.cmp(&a.1.ts)));
         }
-        out
+        entries
+            .into_iter()
+            .map(|(k, v)| (k.clone(), v.clone()))
+            .collect()
     }
 
     /// Every entry, sorted by key then newest-first — the spill /

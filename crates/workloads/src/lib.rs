@@ -10,14 +10,10 @@
 //!   ratios.
 //! * [`scenarios`] — the stored-procedure corpora behind Table I and the
 //!   DML-ratio analyzer that reproduces its percentages.
-//! * [`htap`] — the mixed OLTP-scan smart-grid workload of `bench9_htap`
-//!   (streaming ingest + EDIT bursts + concurrent analytical scans),
-//!   exercising the delta tier of DESIGN.md §17.
 //!
 //! All generators are deterministic: the same seed yields the same rows on
 //! every platform (they use [`dt_common::Rng64`], not `rand`).
 
-pub mod htap;
 pub mod scenarios;
 pub mod smartgrid;
 pub mod tpch;

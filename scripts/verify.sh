@@ -54,7 +54,7 @@ run_gate() {
 
 # --workspace matters: at the root, a bare `cargo build` compiles only
 # the root façade package and silently skips every member binary
-# (dualtabled, dualtable-bench, ...).
+# (dualtabled, ...).
 run_gate build cargo build --release --workspace --locked
 
 run_gate tests cargo test -q --workspace --locked
@@ -167,19 +167,6 @@ run_gate compactor-chaos cargo test -q -p dualtable --locked --test compactor_ch
 # idles it (AUTO resumes), and a loaded admission queue throttles it.
 run_gate server-compaction cargo test -q -p dt-server --locked --test server_compaction -- --nocapture
 
-# BENCH 6 smoke: short closed/open-loop runs against dualtabled.
-# Asserts the overload contract (2x offered load keeps the p99 of
-# accepted statements within 5x the unloaded p99, and actually sheds)
-# and refreshes BENCH_6.json.
-run_gate bench6-smoke env BENCH6_SMOKE=1 cargo bench -q -p dt-bench --locked --bench bench6_server
-
-# BENCH 7 smoke: the three maintenance policies (off / incremental /
-# full COMPACT) under the same DML-plus-SELECT storm. Asserts the
-# incremental SELECT p99 stays within 2x the fully-compacted policy and
-# that background folding never stalls foreground DML beyond 2x the
-# no-maintenance tail; refreshes BENCH_7.json.
-run_gate bench7-smoke env BENCH7_SMOKE=1 cargo bench -q -p dt-bench --locked --bench bench7_compaction
-
 # Shard routing (DESIGN.md §16): split-point keys route to the upper
 # shard, empty shards are harmless, a single-shard table is byte-
 # identical to unsharded, contradictory range predicates prune every
@@ -204,20 +191,5 @@ run_gate shard-soak cargo test -q -p dualtable --locked --test shard_soak -- --n
 # messages, EXPLAIN scatter/prune lines, the shard health tier, and
 # cross-shard BEGIN/COMMIT sessions.
 run_gate sharded-sql cargo test -q -p dt-hiveql --locked --test sharded_sql -- --nocapture
-
-# BENCH 8 smoke: scatter-gather SELECT scaling (1/2/4/8 shards) under
-# shuffled load order plus the sharded update-ratio grid. Asserts the
-# 8-shard range SELECT beats the single-shard table by >= 2.5x (pure
-# range pruning — file stats can't help) and that low-ratio sharded
-# UPDATEs scan strictly fewer rows; refreshes BENCH_8.json.
-run_gate bench8-smoke env BENCH8_SMOKE=1 cargo bench -q -p dt-bench --locked --bench bench8_sharding
-
-# BENCH 9 smoke (DESIGN.md §17): the HTAP storm (streaming ingest + EDIT
-# bursts + concurrent analytical scans) with the delta tier on vs off at
-# equal durability. Asserts the delta-on EDIT-burst p99 stays under the
-# delta-off p99 (1.2x slack for the short smoke sample) and that
-# concurrent scans hold within 3x of the same state scanned solo;
-# refreshes BENCH_9.json.
-run_gate bench9-smoke env BENCH9_SMOKE=1 cargo bench -q -p dt-bench --locked --bench bench9_htap
 
 [ ${#FAILED[@]} -eq 0 ]
