@@ -11,7 +11,7 @@
 
 use dt_common::codec::{decode_value, encode_value};
 use dt_common::{Error, RecordId, Result, Value};
-use dt_kvstore::RowEntry;
+use dt_kvstore::{CellKey, Mutation, RowEntry};
 
 /// Qualifier of the delete marker ("a special HBase cell", §V-B). Column
 /// ordinals are bounded by the schema width, so `0xFFFF` cannot collide.
@@ -71,31 +71,19 @@ impl AttachedEntry {
     }
 }
 
-/// Builds the KV cells for an EDIT-plan UPDATE of one record:
-/// `(row key, qualifier, value)` triples.
-pub fn update_cells(
-    record: RecordId,
-    assignments: &[(usize, Value)],
-) -> Vec<(Vec<u8>, Vec<u8>, Vec<u8>)> {
-    assignments
-        .iter()
-        .map(|(column, value)| {
-            (
-                record.to_key().to_vec(),
-                update_qualifier(*column).to_vec(),
-                encode_value(value),
-            )
-        })
-        .collect()
+/// Builds the KV cells for an EDIT-plan UPDATE of one record.
+pub fn update_cells(record: RecordId, assignments: &[(usize, Value)]) -> Vec<(CellKey, Mutation)> {
+    let cell = |(column, value): &(usize, Value)| {
+        let key = CellKey::new(record.to_key(), update_qualifier(*column));
+        (key, Mutation::Put(encode_value(value)))
+    };
+    assignments.iter().map(cell).collect()
 }
 
 /// Builds the KV cell for an EDIT-plan DELETE of one record.
-pub fn delete_cell(record: RecordId) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
-    (
-        record.to_key().to_vec(),
-        DELETE_MARKER_QUALIFIER.to_vec(),
-        Vec::new(),
-    )
+pub fn delete_cell(record: RecordId) -> (CellKey, Mutation) {
+    let key = CellKey::new(record.to_key(), DELETE_MARKER_QUALIFIER);
+    (key, Mutation::Put(Vec::new()))
 }
 
 #[cfg(test)]
@@ -111,7 +99,7 @@ mod tests {
             cells: cells
                 .iter()
                 .enumerate()
-                .map(|(i, (_, q, v))| (q.clone(), i as u64 + 1, v.clone()))
+                .map(|(i, (k, m))| (k.qual.clone(), i as u64 + 1, m.value().unwrap().to_vec()))
                 .collect(),
         };
         let entry = AttachedEntry::from_row(&row).unwrap();
@@ -125,7 +113,8 @@ mod tests {
     #[test]
     fn delete_marker_dominates_older_updates() {
         let record = RecordId::new(1, 1);
-        let (rk, dq, dv) = delete_cell(record);
+        let (key, marker) = delete_cell(record);
+        let (rk, dq, dv) = (key.row, key.qual, marker.value().unwrap().to_vec());
         let row = RowEntry {
             row: rk,
             cells: vec![

@@ -54,6 +54,9 @@ dt_common::counters! {
         compactor_throttled,
         /// 1 while the compaction circuit breaker is open (gauge).
         compactor_parked,
+        /// Commits that wrote a decision record: those spanning two or
+        /// more stores (DESIGN.md §13).
+        commit_records,
     }
 }
 
@@ -91,10 +94,6 @@ dt_common::counters! {
         scatter_scans,
         /// Shards excluded from scans by range pruning before any I/O.
         shards_pruned_by_range,
-        /// Transactions committed across two or more shards.
-        cross_shard_commits,
-        /// Cross-shard commits that failed leaving a committed shard prefix.
-        cross_shard_partial_commits,
     }
 }
 
@@ -199,10 +198,12 @@ impl DualTableEnv {
         )
     }
 
-    /// Environment over caller-provided tiers.
+    /// Environment over caller-provided tiers. Over existing data, every
+    /// commit decision record a dead process left is redone before any
+    /// table opens.
     pub fn new(dfs: Dfs, kv: KvCluster) -> Result<Self> {
         let meta = MetadataManager::open(&kv)?;
-        Ok(DualTableEnv {
+        let env = DualTableEnv {
             dfs,
             kv,
             meta,
@@ -211,7 +212,9 @@ impl DualTableEnv {
             server_health: Arc::default(),
             compaction: Arc::new(CompactionController::new()),
             shard_health: Arc::default(),
-        })
+        };
+        crate::commit::redo_decisions(&env)?;
+        Ok(env)
     }
 
     /// A point-in-time health report across all five tiers.
@@ -227,10 +230,11 @@ impl DualTableEnv {
 
     /// Simulates a whole-stack crash and restart: heals any sticky
     /// injected crash, reopens every KV table (WAL replay, SSTable
-    /// quarantine), and restarts the DFS namenode — its in-memory
-    /// namespace is discarded and rebuilt from the durable edit log and
-    /// checkpoint, implicitly aborting any pending DFS writers (their
-    /// blocks become orphans for the next scrub pass).
+    /// quarantine), restarts the DFS namenode — its in-memory namespace
+    /// is discarded and rebuilt from the durable edit log and checkpoint,
+    /// implicitly aborting any pending DFS writers (their blocks become
+    /// orphans for the next scrub pass) — and redoes every commit decision
+    /// record left in the metadata table, before any table opens.
     pub fn crash_and_reopen(&self) -> Result<()> {
         self.kv.crash_and_reopen()?;
         self.dfs.crash_and_reopen()?;
@@ -239,7 +243,7 @@ impl DualTableEnv {
         // cleanup (uncommitted transactional inserts) is handled by the
         // intent cell on table open, not by this in-memory state.
         self.mvcc.reset();
-        Ok(())
+        crate::commit::redo_decisions(self)
     }
 
     /// On-disk environment rooted at `root` (benchmarks with real file

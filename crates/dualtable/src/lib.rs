@@ -45,6 +45,7 @@
 //! ```
 
 mod attached;
+mod commit;
 mod compactor;
 mod config;
 mod cost;
@@ -71,9 +72,7 @@ pub use meta::MetadataManager;
 pub use mvcc::MvccRegistry;
 pub use presence::{FilePresence, PresenceIndex, PRESENCE_FILE_ID};
 pub use rewrite::RewriteJob;
-pub use shard::{
-    ShardCommitFailure, ShardFoldStats, ShardMap, ShardSpec, ShardedDmlReport, ShardedTable,
-};
+pub use shard::{ShardFoldStats, ShardMap, ShardSpec, ShardedDmlReport, ShardedTable};
 pub use store::{Assignment, DmlReport, DualTableStore, PlanPreview, TableStats};
 pub use txn::{Snapshot, Transaction};
 pub use union_read::UnionReadOptions;

@@ -3,7 +3,8 @@
 //! Lives in the KV tier (one HBase table in the paper). It allocates the
 //! incremental **file IDs** that make record IDs unique, and records the
 //! historical modification ratios the cost model's "historical analysis of
-//! the execution log" estimator (§IV) consumes.
+//! the execution log" estimator (§IV) consumes. It also holds the decision
+//! record of a commit that spans several stores ([`crate::commit`]).
 
 use dt_common::{Error, Result};
 use dt_kvstore::{KvCluster, Store};
@@ -38,7 +39,7 @@ impl MetadataManager {
         })
     }
 
-    fn store(&self) -> Result<Store> {
+    pub(crate) fn store(&self) -> Result<Store> {
         self.kv.table(META_TABLE)
     }
 

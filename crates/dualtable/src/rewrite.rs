@@ -463,6 +463,7 @@ impl DualTableStore {
                     )));
                 }
             }
+            self.writable_attached()?;
             let old_gen = self.current_gen()?;
             // The commit point. Still under the state mutex: a concurrent
             // EDIT commit must observe either (old pointer, no swing

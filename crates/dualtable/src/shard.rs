@@ -18,10 +18,9 @@
 //!   range pruning: a predicate on the shard key eliminates whole shards
 //!   *before any I/O* — the pruned shards' masters and attached tables
 //!   are never opened;
-//! * **cross-shard transactions**: a [`Transaction`] over every shard
-//!   commits shard-by-shard in shard order; on a mid-sequence failure the
-//!   caller gets the exact list of durably committed shards (the
-//!   committed-prefix contract).
+//! * **cross-shard transactions**: a [`Transaction`] over every shard,
+//!   pinned at one timestamp and committed all-or-none through the one
+//!   EDIT commit ([`crate::commit`]).
 //!
 //! The gather step is a k-way ordered merge in its degenerate form:
 //! shard ranges are disjoint and scanned in ascending range order, so
@@ -328,20 +327,6 @@ impl ShardedDmlReport {
             (e, o) => format!("EDIT×{e}, OVERWRITE×{o}"),
         }
     }
-}
-
-/// A cross-shard commit that failed partway. `committed` is the exact
-/// prefix of shards (by store name, in shard order) whose commits are
-/// already durable — mirroring the multi-table commit contract: the
-/// client is told precisely what did happen.
-#[derive(Debug)]
-pub struct ShardCommitFailure {
-    /// Shard store names whose commits are durable.
-    pub committed: Vec<String>,
-    /// The shard store name whose commit failed.
-    pub failed: String,
-    /// The underlying error.
-    pub error: Error,
 }
 
 struct ShardedInner {
@@ -665,14 +650,12 @@ impl ShardedTable {
         Ok(FoldOutcome::Clean)
     }
 
-    /// Opens a cross-shard transaction: every shard is pinned at a
-    /// snapshot up front, so the statement sees one consistent epoch per
-    /// shard and FCW conflict checks run per shard at commit.
+    /// Opens a cross-shard transaction: every shard is pinned up front at
+    /// one timestamp, so the transaction sees each cross-shard commit
+    /// whole or not at all; FCW conflict checks run per shard at commit.
     pub fn begin_transaction(&self) -> Result<Transaction> {
-        let shards = self.inner.shards.iter();
-        let snapshots = shards.map(DualTableStore::begin_snapshot);
         Ok(Transaction::new(
-            snapshots.collect::<Result<_>>()?,
+            DualTableStore::pin_all(&self.inner.shards)?,
             Some(self.inner.spec.clone()),
         ))
     }

@@ -8,20 +8,18 @@ use dt_common::{Error, RecordId, Result, Row, Schema, Value};
 use dt_orcfile::{
     ColumnBatch, ColumnPredicate, FooterCache, FooterCacheStats, OrcReader, FILE_ID_METADATA_KEY,
 };
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
-use crate::attached::{delete_cell, update_cells, AttachedEntry};
+use crate::attached::AttachedEntry;
+use crate::commit::{commit, lock_order};
 use crate::config::{DualTableConfig, PlanMode};
 use crate::cost::{CostModel, PlanChoice, RatioHint};
 use crate::delta::DeltaPolicy;
 use crate::env::DualTableEnv;
 use crate::mvcc::{
-    decode_txn_intent, encode_txn_intent, Conflict, MvccState, TableMvcc, TXN_INTENT_QUALIFIER,
+    decode_txn_intent, encode_txn_intent, Conflict, TableMvcc, TXN_INTENT_QUALIFIER,
 };
-use crate::presence::{
-    decode_count, encode_count, presence_key, presence_qualifier, FilePresence, PresenceDelta,
-    PresenceIndex, PRESENCE_FILE_ID,
-};
+use crate::presence::{decode_count, FilePresence, PresenceIndex, PRESENCE_FILE_ID};
 use crate::rewrite::{Dml, Rows};
 use crate::txn::{Snapshot, Transaction};
 use crate::union_read::{
@@ -85,14 +83,12 @@ pub(crate) struct Inner {
     /// Parsed ORC footers of this table's master files (DESIGN.md §10).
     /// Invalidated by table prefix at every generation commit.
     pub(crate) footers: FooterCache,
-    /// Serializes the read-modify-write of presence-index counts across
-    /// concurrent EDIT statements (which only hold `ops` in read mode).
-    presence_lock: Mutex<()>,
     /// This table's MVCC state (DESIGN.md §13): snapshot pins, conflict
     /// windows, deferred-GC bookkeeping. Shared through the environment's
     /// registry, so every clone and every session sees the same state.
-    /// Lock order: `ops` (read or write) before this state's mutex;
-    /// `presence_lock` may nest inside the state mutex.
+    /// Lock order: `ops` (read or write) before this state's mutex; a step
+    /// that takes several tables' locks takes each kind in store-name
+    /// order.
     pub(crate) mvcc: Arc<TableMvcc>,
 }
 
@@ -193,18 +189,18 @@ pub(crate) struct ScanPlan<'a> {
 
 /// Row key of the transactional-insert intent cells: `{0, 0}`, below
 /// every presence row (real file IDs start at 1).
-const INTENT_ROW: RecordId = RecordId {
+pub(crate) const INTENT_ROW: RecordId = RecordId {
     file_id: PRESENCE_FILE_ID,
     row: 0,
 };
 
 /// Master files written but not yet committed (see
 /// [`DualTableStore::stage_insert`]).
-struct Staged {
-    gen: u64,
-    ids: Vec<u32>,
+pub(crate) struct Staged {
+    pub(crate) gen: u64,
+    pub(crate) ids: Vec<u32>,
     /// Qualifier of the durable undo intent, if one was written.
-    intent: Option<Vec<u8>>,
+    pub(crate) intent: Option<Vec<u8>>,
     written: u64,
 }
 
@@ -239,7 +235,6 @@ impl DualTableStore {
                 footers: FooterCache::new(config.footer_cache_entries),
                 config,
                 ops: RwLock::new(()),
-                presence_lock: Mutex::new(()),
                 mvcc: env.mvcc.table(name),
             }),
         })
@@ -265,7 +260,6 @@ impl DualTableStore {
                 footers: FooterCache::new(config.footer_cache_entries),
                 config,
                 ops: RwLock::new(()),
-                presence_lock: Mutex::new(()),
                 mvcc: env.mvcc.table(name),
             }),
         };
@@ -352,6 +346,7 @@ impl DualTableStore {
     /// DROP).
     pub fn drop_table(self) -> Result<()> {
         let _guard = self.inner.ops.write();
+        crate::commit::forget(&self.inner.env, &self.inner.name)?;
         self.inner
             .footers
             .invalidate_prefix(&format!("{}/", Self::master_dir(&self.inner.name)));
@@ -394,8 +389,22 @@ impl DualTableStore {
             .table(&Self::attached_name(&self.inner.name))
     }
 
+    /// The attached table, refused while it is in read-only degraded mode:
+    /// it may be missing a decided commit's cells until a reopen redoes
+    /// them (see [`crate::commit`]), so no commit or swing may land on it.
+    pub(crate) fn writable_attached(&self) -> Result<dt_kvstore::Store> {
+        let attached = self.attached()?;
+        if attached.is_degraded() {
+            return Err(Error::unavailable(format!(
+                "'{}' is read-only until reopened (its attached table is degraded)",
+                self.inner.name
+            )));
+        }
+        Ok(attached)
+    }
+
     /// This table's delta-tier policy (DESIGN.md §17).
-    fn delta_policy(&self) -> DeltaPolicy {
+    pub(crate) fn delta_policy(&self) -> DeltaPolicy {
         DeltaPolicy::new(self.inner.config.delta_bytes)
     }
 
@@ -496,7 +505,7 @@ impl DualTableStore {
     /// the rows, then lose them once the commit lands after its pin. Scans
     /// are blocked only for the staging step, not the file writes. A
     /// failed write discards what was staged.
-    fn stage_insert(&self, gen: u64, rows: &[Row], intent: bool) -> Result<Staged> {
+    pub(crate) fn stage_insert(&self, gen: u64, rows: &[Row], intent: bool) -> Result<Staged> {
         let ids = self.reserve(rows.len() as u64)?;
         let mut staged = Staged {
             gen,
@@ -534,7 +543,7 @@ impl DualTableStore {
     /// go first — a forgotten *existing* file would be visible — and the
     /// intent last, so [`Self::recover_txn_intents`] re-collects any
     /// residue on the next open.
-    fn discard_staged(&self, staged: &Staged) {
+    pub(crate) fn discard_staged(&self, staged: &Staged) {
         if !self.delete_master_files(staged.gen, &staged.ids) {
             return;
         }
@@ -604,8 +613,12 @@ impl DualTableStore {
     /// everything in the directory except files some in-flight (or
     /// later-committed) transactional insert staged after the snapshot.
     pub(crate) fn visible_files(&self, gen: u64, at_ts: u64) -> Vec<u32> {
-        let files = self.master_file_ids_at(gen);
+        // Listed under the state mutex: an aborted insert deletes its
+        // staged files before it forgets them, so a listing taken outside
+        // could still hold a file that is gone — and no longer staged —
+        // by the time it is filtered.
         let st = self.inner.mvcc.lock();
+        let files = self.master_file_ids_at(gen);
         files
             .into_iter()
             .filter(|&id| st.file_visible(gen, id, at_ts))
@@ -1161,6 +1174,9 @@ impl DualTableStore {
         for (col, f) in assignments.unwrap_or(&[]) {
             let value = f(row);
             self.check_assigned(*col, &value)?;
+            // A column set twice keeps its last value, one cell: a commit
+            // stamps all its cells at one timestamp.
+            updates.retain(|(c, _)| c != col);
             updates.push((*col, value));
         }
         Ok(Some(AttachedEntry {
@@ -1194,136 +1210,17 @@ impl DualTableStore {
     /// The EDIT plan (ops lock held — the OVERWRITE→EDIT fallback runs
     /// under the write lock, which is not reentrant): locate at the latest
     /// epoch, then store the statement's whole patch set in the Attached
-    /// Table in one commit. Returns `(matched, scanned)`.
+    /// Table through the one commit. Returns `(matched, scanned)`.
     fn edit_locked(&self, s: Dml<'_>) -> Result<(u64, u64)> {
         let gen = self.current_gen()?;
         let (rows, scanned) =
             self.locate_patches(gen, s.scan, &NO_PATCHES, s.predicate, s.assignments)?;
         let matched = rows.len() as u64;
-        let inserts = Vec::new(); // an autocommit INSERT doesn't buffer
-        self.commit_patches(None, PatchSet { rows, inserts })?;
+        if matched > 0 {
+            let inserts = Vec::new(); // an autocommit INSERT doesn't buffer
+            commit(&[(self, None, &PatchSet { rows, inserts })])?;
+        }
         Ok((matched, scanned))
-    }
-
-    /// The one EDIT commit (ops lock held, read or write): a patch set —
-    /// a statement's, or a transaction's with its buffered inserts —
-    /// becomes durable and visible atomically.
-    ///
-    /// 1. Inserts are written as staged (invisible) master files under a
-    ///    durable undo intent ([`Self::stage_insert`]).
-    /// 2. Under the state mutex, a transaction (`pin` = its `(generation,
-    ///    timestamp)`) runs the first-committer-wins check and loses with
-    ///    [`Error::Conflict`], nothing applied; an autocommit statement
-    ///    (`pin` absent) patched the latest epoch and cannot lose. Then
-    ///    every patch's cells and the intent removal land in one
-    ///    [`Self::commit_cells`]: snapshots pinned before its timestamp
-    ///    see none of the commit, later ones all of it, and a transaction
-    ///    pinned earlier that wrote the same records loses.
-    ///
-    /// Returns the commit timestamp (the pin's, or 0, when there is
-    /// nothing to commit).
-    pub(crate) fn commit_patches(&self, pin: Option<(u64, u64)>, ours: PatchSet) -> Result<u64> {
-        let PatchSet {
-            rows: patches,
-            inserts,
-        } = ours;
-        if patches.is_empty() && inserts.is_empty() {
-            return Ok(pin.map_or(0, |(_, ts)| ts));
-        }
-        let attached = self.attached()?;
-        let write_set: Vec<u64> = patches.iter().map(|p| p.record.as_u64()).collect();
-        let staged = match pin {
-            Some((gen, _)) if !inserts.is_empty() => Some(self.stage_insert(gen, &inserts, true)?),
-            _ => None,
-        };
-        let mut cells: Vec<(Vec<u8>, Vec<u8>, Vec<u8>)> = Vec::new();
-        let mut delta = PresenceDelta::new();
-        for patch in patches {
-            if patch.deleted {
-                cells.push(delete_cell(patch.record));
-                delta.add_delete(patch.record.file_id);
-            } else {
-                for (col, _) in &patch.updates {
-                    delta.add_updates(patch.record.file_id, *col, 1);
-                }
-                cells.extend(update_cells(patch.record, &patch.updates));
-            }
-        }
-        let st = self.inner.mvcc.lock();
-        if let Some((_, pin_ts)) = pin {
-            if let Some(conflict) = st.conflict_since(pin_ts, &write_set) {
-                drop(st);
-                if let Some(staged) = &staged {
-                    self.discard_staged(staged);
-                }
-                return Err(self.conflict_error(conflict, pin_ts));
-            }
-        }
-        let committed = self.commit_cells(&attached, st, cells, delta, write_set, staged.as_ref());
-        if let (Err(_), Some(staged)) = (&committed, &staged) {
-            self.discard_staged(staged);
-        }
-        committed
-    }
-
-    /// The one attached commit, under the state mutex the caller took (and
-    /// ran its conflict check under): `cells`, the presence-index
-    /// increments they imply and the intent clear of `staged` land in ONE
-    /// fsynced WAL record, so the index can never drift from the data and
-    /// a transaction is entirely visible or entirely invisible (see
-    /// [`crate::presence`]). The read-modify-write of the counts is
-    /// serialized by `presence_lock` (lock order: state mutex, then
-    /// presence lock). The record's timestamp is the commit timestamp:
-    /// `touched` enters the conflict window and `staged`'s files become
-    /// visible at it, before the mutex drops — a transaction running its
-    /// first-committer-wins check in between would otherwise miss
-    /// already-durable edits and overwrite them.
-    fn commit_cells(
-        &self,
-        attached: &dt_kvstore::Store,
-        mut st: parking_lot::MutexGuard<'_, MvccState>,
-        mut cells: Vec<(Vec<u8>, Vec<u8>, Vec<u8>)>,
-        mut delta: PresenceDelta,
-        touched: Vec<u64>,
-        staged: Option<&Staged>,
-    ) -> Result<u64> {
-        let policy = self.delta_policy();
-        let ts = {
-            let _presence_guard = self.inner.presence_lock.lock();
-            for ((file_id, column), n) in delta.drain() {
-                let key = presence_key(file_id);
-                let qual = presence_qualifier(column);
-                let current = match attached.get(&key, &qual)? {
-                    Some(bytes) => decode_count(&bytes)?,
-                    None => 0,
-                };
-                cells.push((key.to_vec(), qual.to_vec(), encode_count(current + n)));
-            }
-            let clears = staged
-                .iter()
-                .filter_map(|s| Some((INTENT_ROW.to_key().to_vec(), s.intent.clone()?)))
-                .collect();
-            // With a delta budget the cells — data AND presence counts —
-            // ride the WAL-only shadow tier: same fsynced record, no
-            // memtable/SSTable work on the hot path. The presence reads
-            // above see shadow entries (the store merges the tier into
-            // every read), so the read-modify-write holds across routes.
-            if policy.enabled() {
-                attached.mutate_batch_shadow(cells, clears)?
-            } else {
-                attached.mutate_batch(cells, clears)?
-            }
-        };
-        st.note_edit_commit(touched, ts);
-        if let Some(staged) = staged {
-            st.commit_files(staged.gen, staged.ids.iter().copied(), ts);
-        }
-        drop(st);
-        // Budget enforcement after the locks drop: the batch is already
-        // durable, so a failed spill costs nothing — the next commit
-        // retries it.
-        let _ = policy.maybe_spill(attached);
-        Ok(ts)
     }
 
     /// The OVERWRITE plan: Hive's INSERT OVERWRITE — rewrite the master
@@ -1362,18 +1259,30 @@ impl DualTableStore {
     /// The snapshot sees exactly this state until dropped, never blocks
     /// writers, and holds its generation's files against GC.
     pub fn begin_snapshot(&self) -> Result<Snapshot> {
-        let mut st = self.inner.mvcc.lock();
-        let gen = self.current_gen()?;
-        // Ticked under the state mutex: every EDIT commit — a
-        // transaction's or an autocommit statement's — holds this mutex
-        // across its one KV write, so a pin timestamp never lands inside
-        // a commit's cell-timestamp range: each is entirely visible or
-        // entirely invisible to every snapshot.
-        let ts = self.inner.env.kv.clock().tick();
-        st.pin(gen, ts);
-        drop(st);
-        self.inner.env.health.snapshots_pinned.inc();
-        Ok(Snapshot::new(self.clone(), gen, ts))
+        Ok(Self::pin_all(std::slice::from_ref(self))?.remove(0))
+    }
+
+    /// Pins one snapshot on each of `stores` (in their order) at ONE
+    /// timestamp, ticked under every store's state mutex, taken in
+    /// [`lock_order`]. Every EDIT commit holds its participants' mutexes
+    /// from its timestamp until its KV writes land, so a commit is wholly
+    /// before or wholly after the pin, on every store it spans.
+    pub(crate) fn pin_all(stores: &[DualTableStore]) -> Result<Vec<Snapshot>> {
+        let order = lock_order(stores)?;
+        let mut states: Vec<_> = order.iter().map(|&i| stores[i].inner.mvcc.lock()).collect();
+        let gens: Vec<u64> = stores
+            .iter()
+            .map(Self::current_gen)
+            .collect::<Result<_>>()?;
+        let env = &stores[0].inner.env;
+        let ts = env.kv.clock().tick();
+        for (st, &i) in states.iter_mut().zip(&order) {
+            st.pin(gens[i], ts);
+        }
+        drop(states);
+        env.health.snapshots_pinned.add(stores.len() as u64);
+        let snapshot = |(s, gen): (&Self, u64)| Snapshot::new(s.clone(), gen, ts);
+        Ok(stores.iter().zip(gens).map(snapshot).collect())
     }
 
     /// Begins a snapshot-isolation transaction (see [`Transaction`]).
@@ -1399,19 +1308,23 @@ impl DualTableStore {
         self.inner.mvcc.lock().retired_count()
     }
 
-    fn conflict_error(&self, conflict: Conflict, pin_ts: u64) -> Error {
+    /// The error a first-committer-wins loss returns, naming the store
+    /// that lost.
+    pub(crate) fn conflict_error(&self, conflict: Conflict, pin_ts: u64) -> Error {
+        let name = &self.inner.name;
         match conflict {
             Conflict::Swing => {
                 self.inner.env.health.swing_conflicts.inc();
                 Error::conflict(format!(
-                    "transaction pinned at {pin_ts} lost to a generation swing"
+                    "'{name}': transaction pinned at {pin_ts} lost to a generation swing"
                 ))
             }
             Conflict::Record(id) => {
                 self.inner.env.health.ww_conflicts.inc();
                 let record = RecordId::from_u64(id);
                 Error::conflict(format!(
-                    "write-write conflict: record {{file {}, row {}}} committed after snapshot {pin_ts}",
+                    "'{name}': write-write conflict: record {{file {}, row {}}} committed after \
+                     snapshot {pin_ts}",
                     record.file_id, record.row
                 ))
             }
@@ -1809,6 +1722,57 @@ mod tests {
         assert_eq!(t.count().unwrap(), 0);
     }
 
+    /// A commit stamps all its cells at one timestamp, so a column an
+    /// UPDATE sets twice must reach the attached table once, with its last
+    /// value, on both attached routes.
+    #[test]
+    fn a_column_set_twice_keeps_its_last_value() {
+        for delta_bytes in [0, 1 << 20] {
+            let config = DualTableConfig {
+                plan_mode: PlanMode::AlwaysEdit,
+                delta_bytes,
+                ..small_files()
+            };
+            let t = table_with(10, config);
+            let set: [Assignment<'_>; 2] = [
+                (2, Box::new(|_| Value::Float64(1.0))),
+                (2, Box::new(|_| Value::Float64(2.0))),
+            ];
+            let is_3 = |r: &Row| r[0] == Value::Int64(3);
+            t.update(is_3, &set, RatioHint::Explicit(0.1)).unwrap();
+            let v = &t.scan_all().unwrap()[3].1[2];
+            assert_eq!(*v, Value::Float64(2.0), "delta_bytes {delta_bytes}");
+        }
+    }
+
+    /// An aborted transactional insert deletes its staged files, then
+    /// forgets them under the state mutex. A scan waiting for that mutex —
+    /// a commit holds it across its KV writes — must not have listed the
+    /// files before it: a file listed before the delete and filtered after
+    /// the forget counts as committed, and the scan reads a file that is
+    /// gone.
+    #[test]
+    fn a_scan_never_lists_a_file_an_aborted_insert_deleted() {
+        let t = table_with(10, small_files());
+        let gen = t.current_gen().unwrap();
+        let staged = t.stage_insert(gen, &[row(100)], false).unwrap();
+        let mut held = t.inner.mvcc.lock();
+        std::thread::scope(|s| {
+            let scan = s.spawn(|| t.visible_files(gen, u64::MAX));
+            // Let the scan reach the mutex, then abort the insert as
+            // `discard_staged` does.
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            assert!(t.delete_master_files(gen, &staged.ids));
+            held.unstage_files(gen, staged.ids.iter().copied());
+            drop(held);
+            let files = scan.join().unwrap();
+            assert!(
+                files.iter().all(|id| !staged.ids.contains(id)),
+                "listed a deleted file: {files:?}"
+            );
+        });
+    }
+
     #[test]
     fn update_type_mismatch_rejected() {
         let t = table_with(10, small_files());
@@ -1872,7 +1836,7 @@ mod tests {
                 rows: vec![patch],
                 inserts: Vec::new(),
             };
-            t.commit_patches(None, ours).unwrap();
+            commit(&[(&t, None, &ours)]).unwrap();
         }
         assert!(
             t.inner
@@ -1883,6 +1847,11 @@ mod tests {
             "committed patch must conflict with the pinned transaction at once"
         );
         drop(txn);
+        // A one-store transaction writes no decision record either.
+        let mut txn = t.begin_transaction().unwrap();
+        txn.insert(vec![row(100)]).unwrap();
+        txn.commit().unwrap();
+        assert_eq!(t.env().health.commit_records.get(), 0);
     }
 
     /// Regression (REVIEW: non-repeatable read): autocommit INSERT must

@@ -33,7 +33,8 @@ use std::ops::ControlFlow;
 use dt_common::{RecordId, Result, Row};
 use dt_orcfile::ColumnBatch;
 
-use crate::shard::{ShardCommitFailure, ShardSpec};
+use crate::commit::commit;
+use crate::shard::ShardSpec;
 use crate::store::{Assignment, DualTableStore};
 use crate::union_read::{for_each_row, BatchFn, PatchSet, UnionReadOptions, NO_PATCHES};
 
@@ -141,14 +142,12 @@ impl Drop for Snapshot {
 ///
 /// Reads are UNION READ at the pin with this transaction's own buffered
 /// writes as a second patch source (read-your-own-writes); nothing is
-/// visible to other sessions until commit, which applies a store's
-/// buffered effect in one atomic attached-tier batch — after
-/// re-validating, under the table's commit lock, that no other
-/// transaction committed a write to the same record ids (and no
-/// OVERWRITE/COMPACT swung the generation) since this transaction began.
-/// The first committer wins; losers get a retryable
-/// [`dt_common::Error::Conflict`] and nothing is applied. Stores commit
-/// one by one in shard order (see [`Transaction::commit_parts`]).
+/// visible to other sessions until commit, which applies every store's
+/// buffered effect at one commit timestamp — after re-validating, under
+/// each store's state mutex, that no other transaction committed a write
+/// to the same record ids (and no OVERWRITE/COMPACT swung the generation)
+/// since this transaction began. The first committer wins; losers get a
+/// retryable [`dt_common::Error::Conflict`] and nothing is applied.
 pub struct Transaction {
     /// One pinned snapshot per store, in shard order, each with the
     /// transaction's buffered effect on that store.
@@ -179,12 +178,6 @@ impl Transaction {
     /// `true` iff committing would write nothing.
     pub fn is_read_only(&self) -> bool {
         self.parts.iter().all(|(_, ours)| ours.is_empty())
-    }
-
-    /// `true` iff the table is range-sharded (its commit failures name a
-    /// shard).
-    pub fn is_sharded(&self) -> bool {
-        self.spec.is_some()
     }
 
     /// Buffers `UPDATE ... SET ... WHERE predicate`. Sees (and may touch)
@@ -291,60 +284,30 @@ impl Transaction {
         Ok(())
     }
 
-    /// Commits every buffered effect. Returns the commit timestamp (of
-    /// the last store written). On a first-committer-wins loss, returns
-    /// [`dt_common::Error::Conflict`] — re-begin and retry. Atomic per
-    /// store: what a sharded table had already committed when one of its
-    /// shards failed is reported by [`Transaction::commit_parts`] only.
+    /// Commits every buffered effect (see [`Transaction::commit_all`]).
     pub fn commit(self) -> Result<u64> {
-        self.commit_parts().map_err(|f| f.error)
+        Self::commit_all([self])
     }
 
-    /// Commits store by store in shard order (read-only stores just
-    /// release their pins). Each store's commit is its own
-    /// first-committer-wins check and atomic durable publish
-    /// ([`DualTableStore`]'s one EDIT commit); once store `i` commits
-    /// there is no undo, so a failure at store `j` reports the exact
-    /// durable prefix `[..j)` — the same contract the multi-table session
-    /// commit gives across tables. Returns the last commit timestamp.
-    pub fn commit_parts(self) -> std::result::Result<u64, Box<ShardCommitFailure>> {
-        let health = self.parts[0].0.store().env().shard_health.clone();
-        let mut committed: Vec<String> = Vec::new();
-        let mut last = self.snapshot_ts();
-        for (snapshot, ours) in self.parts {
-            if ours.is_empty() {
-                continue;
-            }
-            let store = snapshot.store();
-            let pin = (snapshot.generation(), snapshot.ts());
-            let result = {
-                let _guard = store.inner.ops.read();
-                store.commit_patches(Some(pin), ours)
-            };
-            // `snapshot` drops at the end of each turn: pin released, GC
-            // swept.
-            let name = store.name().to_string();
-            match result {
-                Ok(ts) => {
-                    last = ts;
-                    committed.push(name);
-                }
-                Err(error) => {
-                    if !committed.is_empty() {
-                        health.cross_shard_partial_commits.inc();
-                    }
-                    return Err(Box::new(ShardCommitFailure {
-                        committed,
-                        failed: name,
-                        error,
-                    }));
-                }
-            }
-        }
-        if committed.len() >= 2 {
-            health.cross_shard_commits.inc();
-        }
-        Ok(last)
+    /// Commits several transactions, on distinct tables, as one — the
+    /// tables of a session, each with all of its shards. Every store any of
+    /// them wrote becomes durable and visible at one commit timestamp, or
+    /// none does: on a first-committer-wins loss on any store this returns
+    /// a retryable [`dt_common::Error::Conflict`] naming that store, with
+    /// nothing applied — re-begin and retry. Returns the commit timestamp
+    /// (0 when nothing was written).
+    pub fn commit_all(txns: impl IntoIterator<Item = Transaction>) -> Result<u64> {
+        let parts: Vec<(Snapshot, PatchSet)> = txns
+            .into_iter()
+            .flat_map(|t| t.parts)
+            .filter(|(_, ours)| !ours.is_empty())
+            .collect();
+        let pin = |s: &Snapshot| Some((s.generation(), s.ts()));
+        let parts: Vec<_> = parts
+            .iter()
+            .map(|(s, ours)| (s.store(), pin(s), ours))
+            .collect();
+        commit(&parts)
     }
 
     /// Discards every buffered effect. (Dropping the transaction does the

@@ -1,37 +1,42 @@
 //! Crash-point matrix for range-sharded tables (DESIGN.md §16).
 //!
 //! Extends the three-tier crash matrix (crash_matrix.rs) to the sharded
-//! write paths, most importantly the window **between per-shard commits**
-//! of one cross-shard statement. A sharded statement applies its
-//! per-shard effects in ascending shard order, so the invariant a crash
-//! must never break is the *committed-prefix* rule:
+//! write paths: a range-sharded table plus an unsharded table on the same
+//! environment, with cross-shard transactions and a transaction that
+//! commits both tables together. The invariants a crash must never break:
 //!
-//! 1. **Per-shard atomicity** — every shard recovers to exactly its
-//!    slice of `oracle(acked)` or `oracle(acked + 1)`; never a torn
-//!    shard.
-//! 2. **Committed prefix** — among the shards the in-flight statement
-//!    touches, the ones that committed form a prefix in shard order. A
-//!    crash can strand shard 0 at `acked + 1` with shard 2 at `acked`,
-//!    never the reverse.
+//! 1. **Per-shard atomicity** — every shard (and the unsharded table)
+//!    recovers to exactly its slice of `oracle(acked)` or
+//!    `oracle(acked + 1)`; never a torn shard. An autocommit sharded
+//!    statement is a sequence of per-shard statements, so this is all it
+//!    promises.
+//! 2. **All or none** — an in-flight transactional statement is applied
+//!    on every shard and table it touches, or on none of them.
 //! 3. **Per-shard single generation** + fsck hygiene, as in the
 //!    unsharded matrix.
 //!
-//! Cross-shard transactional INSERTs are mandatory crash targets: every
-//! selected point set covers their op ranges.
+//! Every I/O of every transactional statement is a mandatory crash point.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use dt_common::crash_matrix::{run_crash_matrix, select_crash_points};
 use dt_common::fault::{FaultKind, FaultPlan, IoOp};
-use dt_common::{DataType, Row, Schema, Value};
+use dt_common::{DataType, Deadline, Row, Schema, Value};
 use dt_dfs::DfsConfig;
 use dt_kvstore::KvConfig;
-use dualtable::{DualTableConfig, DualTableEnv, PlanMode, RatioHint, ShardSpec, ShardedTable};
+use dt_orcfile::{ColumnPredicate, PredicateOp};
+use dualtable::{
+    DualTableConfig, DualTableEnv, DualTableStore, PlanMode, RatioHint, ShardSpec, ShardedTable,
+    Transaction, UnionReadOptions,
+};
 
 const TABLE: &str = "shard_crash";
+const SIDE: &str = "shard_crash_side";
 const SPLITS: [i64; 2] = [100, 200];
 const SHARDS: usize = 3;
+/// The unsharded table's rows before the workload.
+const SIDE_ROWS: i64 = 6;
 
 fn dfs_cfg() -> DfsConfig {
     DfsConfig {
@@ -66,10 +71,15 @@ fn spec() -> ShardSpec {
     ShardSpec::new(0, SPLITS.to_vec()).unwrap()
 }
 
+fn rows(keys: impl IntoIterator<Item = i64>) -> Vec<Row> {
+    keys.into_iter()
+        .map(|k| vec![Value::Int64(k), Value::Int64(k * 3)])
+        .collect()
+}
+
 /// One statement of the seeded workload. Single-shard INSERTs are atomic
-/// on their own; CrossInsert runs through a cross-shard transaction and is
-/// the committed-prefix critical section; UPDATE/DELETE apply per shard
-/// in ascending order with EDIT-sized ratios.
+/// on their own; UPDATE/DELETE apply per shard with EDIT-sized ratios.
+/// The three transactional kinds are the all-or-none critical sections.
 #[derive(Debug, Clone, Copy)]
 enum Stmt {
     /// `count` keys starting at `base`, all inside one shard.
@@ -80,6 +90,22 @@ enum Stmt {
     /// `count` keys per shard (base, 100+base, 200+base, ...), committed
     /// through one cross-shard transaction.
     CrossInsert {
+        base: i64,
+        count: i64,
+    },
+    /// A transactional UPDATE whose rows span every shard.
+    CrossUpdate {
+        divisor: i64,
+        rem: i64,
+        v: i64,
+    },
+    /// One commit over both tables: the sharded table's rows with
+    /// `id % divisor == rem` get `v`; the unsharded table gains keys
+    /// `base..base + count`, then its even keys get `v`.
+    TwoTable {
+        divisor: i64,
+        rem: i64,
+        v: i64,
         base: i64,
         count: i64,
     },
@@ -95,6 +121,15 @@ enum Stmt {
     Compact,
 }
 
+impl Stmt {
+    fn transactional(&self) -> bool {
+        matches!(
+            self,
+            Stmt::CrossInsert { .. } | Stmt::CrossUpdate { .. } | Stmt::TwoTable { .. }
+        )
+    }
+}
+
 const STMTS: &[Stmt] = &[
     Stmt::Insert { base: 0, count: 8 },
     Stmt::CrossInsert { base: 20, count: 4 },
@@ -103,13 +138,32 @@ const STMTS: &[Stmt] = &[
         rem: 0,
         v: 7,
     },
+    Stmt::TwoTable {
+        divisor: 3,
+        rem: 0,
+        v: 11,
+        base: 100,
+        count: 3,
+    },
     Stmt::Insert {
         base: 110,
         count: 6,
     },
     Stmt::CrossInsert { base: 40, count: 5 },
+    Stmt::CrossUpdate {
+        divisor: 4,
+        rem: 1,
+        v: 5,
+    },
     Stmt::Delete { divisor: 3, rem: 1 },
     Stmt::Compact,
+    Stmt::TwoTable {
+        divisor: 5,
+        rem: 4,
+        v: -7,
+        base: 200,
+        count: 2,
+    },
     Stmt::Insert {
         base: 210,
         count: 7,
@@ -132,114 +186,168 @@ fn stmt_keys(stmt: &Stmt) -> Vec<i64> {
     }
 }
 
-/// The in-memory oracle over the full keyspace.
-#[derive(Debug, Clone, Default)]
+/// The in-memory oracle: the sharded table's full keyspace and the
+/// unsharded table, each sorted.
+#[derive(Debug, Clone, PartialEq)]
 struct Model {
     rows: Vec<(i64, i64)>,
+    side: Vec<(i64, i64)>,
+}
+
+fn set_where(rows: &mut [(i64, i64)], hit: impl Fn(i64) -> bool, v: i64) {
+    for (id, val) in rows.iter_mut() {
+        if hit(*id) {
+            *val = v;
+        }
+    }
 }
 
 impl Model {
     fn step(&mut self, stmt: &Stmt) {
         match *stmt {
             Stmt::Insert { .. } | Stmt::CrossInsert { .. } => {
-                for k in stmt_keys(stmt) {
-                    self.rows.push((k, k * 3));
-                }
+                self.rows
+                    .extend(stmt_keys(stmt).into_iter().map(|k| (k, k * 3)));
             }
-            Stmt::Update { divisor, rem, v } => {
-                for (id, val) in self.rows.iter_mut() {
-                    if *id % divisor == rem {
-                        *val = v;
-                    }
-                }
+            Stmt::CrossUpdate { divisor, rem, v } | Stmt::Update { divisor, rem, v } => {
+                set_where(&mut self.rows, |id| id % divisor == rem, v);
+            }
+            Stmt::TwoTable {
+                divisor,
+                rem,
+                v,
+                base,
+                count,
+            } => {
+                set_where(&mut self.rows, |id| id % divisor == rem, v);
+                self.side.extend((base..base + count).map(|k| (k, k * 3)));
+                set_where(&mut self.side, |id| id % 2 == 0, v);
             }
             Stmt::Delete { divisor, rem } => self.rows.retain(|(id, _)| id % divisor != rem),
             Stmt::Compact => {}
         }
-    }
-
-    fn sorted(&self) -> Vec<(i64, i64)> {
-        let mut v = self.rows.clone();
-        v.sort_unstable();
-        v
+        self.rows.sort_unstable();
+        self.side.sort_unstable();
     }
 }
 
-fn oracle_states() -> Vec<Vec<(i64, i64)>> {
-    let mut m = Model::default();
-    let mut states = vec![m.sorted()];
+fn oracle_states() -> Vec<Model> {
+    let mut m = Model {
+        rows: Vec::new(),
+        side: (0..SIDE_ROWS).map(|k| (k, k * 3)).collect(),
+    };
+    let mut states = vec![m.clone()];
     for stmt in STMTS {
         m.step(stmt);
-        states.push(m.sorted());
+        states.push(m.clone());
     }
     states
 }
 
-/// `state` restricted to shard `i`'s key range.
-fn shard_slice(state: &[(i64, i64)], sp: &ShardSpec, i: usize) -> Vec<(i64, i64)> {
-    state
-        .iter()
-        .copied()
-        .filter(|&(id, _)| sp.shard_of(id) == i)
-        .collect()
+/// Component `c` of a model: shard `c`'s slice of the sharded table for
+/// `c < SHARDS`, the unsharded table for `c == SHARDS`.
+fn component(m: &Model, sp: &ShardSpec, c: usize) -> Vec<(i64, i64)> {
+    if c == SHARDS {
+        return m.side.clone();
+    }
+    let slice = m.rows.iter().copied();
+    slice.filter(|&(id, _)| sp.shard_of(id) == c).collect()
 }
 
-fn apply(table: &ShardedTable, stmt: &Stmt) -> dt_common::Result<()> {
-    match *stmt {
-        Stmt::Insert { .. } => {
-            let rows: Vec<Row> = stmt_keys(stmt)
-                .into_iter()
-                .map(|k| vec![Value::Int64(k), Value::Int64(k * 3)])
-                .collect();
-            table.insert_rows(rows).map(|_| ())
+/// The sharded table and the unsharded one, on one environment.
+struct Tables {
+    sharded: ShardedTable,
+    side: DualTableStore,
+}
+
+impl Tables {
+    fn create(env: &DualTableEnv) -> dt_common::Result<Self> {
+        let sharded = ShardedTable::create(env, TABLE, schema(), table_cfg(), spec())?;
+        let side = DualTableStore::create(env, SIDE, schema(), table_cfg())?;
+        side.insert_rows(rows(0..SIDE_ROWS))?;
+        Ok(Tables { sharded, side })
+    }
+
+    fn open(env: &DualTableEnv) -> dt_common::Result<Self> {
+        Ok(Tables {
+            sharded: ShardedTable::open(env, TABLE, schema(), table_cfg())?,
+            side: DualTableStore::open(env, SIDE, schema(), table_cfg())?,
+        })
+    }
+
+    fn apply(&self, stmt: &Stmt) -> dt_common::Result<()> {
+        let table = &self.sharded;
+        let all = UnionReadOptions::all();
+        let set = |v: i64| -> [dualtable::Assignment<'static>; 1] {
+            [(1, Box::new(move |_: &Row| Value::Int64(v)))]
+        };
+        let hit =
+            |divisor: i64, rem: i64| move |row: &Row| row[0].as_i64().unwrap() % divisor == rem;
+        match *stmt {
+            Stmt::Insert { .. } => table.insert_rows(rows(stmt_keys(stmt))).map(|_| ()),
+            Stmt::CrossInsert { .. } => {
+                let mut txn = table.begin_transaction()?;
+                txn.insert(rows(stmt_keys(stmt)))?;
+                txn.commit().map(|_| ())
+            }
+            Stmt::CrossUpdate { divisor, rem, v } => {
+                let mut txn = table.begin_transaction()?;
+                txn.update(hit(divisor, rem), &set(v), &all)?;
+                txn.commit().map(|_| ())
+            }
+            Stmt::TwoTable {
+                divisor,
+                rem,
+                v,
+                base,
+                count,
+            } => {
+                let mut sharded = table.begin_transaction()?;
+                sharded.update(hit(divisor, rem), &set(v), &all)?;
+                let mut side = self.side.begin_transaction()?;
+                side.insert(rows(base..base + count))?;
+                side.update(hit(2, 0), &set(v), &all)?;
+                Transaction::commit_all([sharded, side]).map(|_| ())
+            }
+            Stmt::Update { divisor, rem, v } => table
+                .update_keyed(
+                    hit(divisor, rem),
+                    &set(v),
+                    RatioHint::Explicit(0.01),
+                    None,
+                    None,
+                )
+                .map(|_| ()),
+            Stmt::Delete { divisor, rem } => table
+                .delete_keyed(hit(divisor, rem), RatioHint::Explicit(0.01), None, None)
+                .map(|_| ()),
+            Stmt::Compact => table.compact(),
         }
-        Stmt::CrossInsert { .. } => {
-            let rows: Vec<Row> = stmt_keys(stmt)
-                .into_iter()
-                .map(|k| vec![Value::Int64(k), Value::Int64(k * 3)])
-                .collect();
-            let mut txn = table.begin_transaction()?;
-            txn.insert(rows)?;
-            txn.commit().map(|_| ())
-        }
-        Stmt::Update { divisor, rem, v } => table
-            .update_keyed(
-                move |row| row[0].as_i64().unwrap() % divisor == rem,
-                &[(1, Box::new(move |_| Value::Int64(v)))],
-                RatioHint::Explicit(0.01),
-                None,
-                None,
-            )
-            .map(|_| ()),
-        Stmt::Delete { divisor, rem } => table
-            .delete_keyed(
-                move |row| row[0].as_i64().unwrap() % divisor == rem,
-                RatioHint::Explicit(0.01),
-                None,
-                None,
-            )
-            .map(|_| ()),
-        Stmt::Compact => table.compact(),
+    }
+
+    /// Component `c`'s logical content as sorted `(id, v)` pairs (see
+    /// [`component`]).
+    fn scan(&self, c: usize) -> Result<Vec<(i64, i64)>, String> {
+        let store = match c {
+            SHARDS => &self.side,
+            shard => &self.sharded.shards()[shard],
+        };
+        let scanned = store
+            .scan_all()
+            .map_err(|e| format!("component {c} scan: {e}"))?;
+        let mut got: Vec<(i64, i64)> = scanned
+            .iter()
+            .map(|(_, row)| (row[0].as_i64().unwrap(), row[1].as_i64().unwrap()))
+            .collect();
+        got.sort_unstable();
+        Ok(got)
     }
 }
 
-/// One shard's logical content as sorted `(id, v)` pairs.
-fn scan_shard(table: &ShardedTable, i: usize) -> Result<Vec<(i64, i64)>, String> {
-    let scanned = table.shards()[i]
-        .scan_all()
-        .map_err(|e| format!("shard {i} scan: {e}"))?;
-    let mut got: Vec<(i64, i64)> = scanned
-        .iter()
-        .map(|(_, row)| (row[0].as_i64().unwrap(), row[1].as_i64().unwrap()))
-        .collect();
-    got.sort_unstable();
-    Ok(got)
-}
-
-/// Generation directories under one shard's warehouse prefix.
-fn shard_generations(env: &DualTableEnv, i: usize) -> BTreeSet<String> {
+/// Generation directories under one store's warehouse prefix.
+fn generations(env: &DualTableEnv, store: &str) -> BTreeSet<String> {
     env.dfs
-        .list(&format!("/warehouse/{TABLE}__s{i}/"))
+        .list(&format!("/warehouse/{store}/"))
         .into_iter()
         .filter_map(|p| {
             p.split('/')
@@ -249,16 +357,18 @@ fn shard_generations(env: &DualTableEnv, i: usize) -> BTreeSet<String> {
         .collect()
 }
 
+fn faulty_env(plan: &Arc<FaultPlan>) -> dt_common::Result<DualTableEnv> {
+    DualTableEnv::in_memory_faulty_with(plan.clone(), dfs_cfg(), kv_cfg())
+}
+
 #[test]
-fn sharded_crash_matrix_committed_prefix() {
+fn sharded_crash_matrix_all_or_none() {
     // Record run (disarmed setup, armed workload) to learn the horizon
     // and each statement's op range.
     let plan = Arc::new(FaultPlan::new(0x5A4D));
     plan.set_armed(false);
-    let env = DualTableEnv::in_memory_faulty_with(plan.clone(), dfs_cfg(), kv_cfg())
-        .expect("clean setup");
-    let table =
-        ShardedTable::create(&env, TABLE, schema(), table_cfg(), spec()).expect("clean create");
+    let env = faulty_env(&plan).expect("clean setup");
+    let tables = Tables::create(&env).expect("clean create");
     plan.record_trace();
     plan.set_armed(true);
 
@@ -266,35 +376,42 @@ fn sharded_crash_matrix_committed_prefix() {
     let mut ranges: Vec<(u64, u64)> = Vec::new();
     for stmt in STMTS {
         let start = plan.ops_seen();
-        apply(&table, stmt).expect("record run must not fault");
+        tables.apply(stmt).expect("record run must not fault");
         ranges.push((start + 1, plan.ops_seen()));
     }
     plan.set_armed(false);
     let trace = plan.take_trace();
     let total_ops = trace.len() as u64;
-    let mut recorded: Vec<(i64, i64)> = Vec::new();
-    for i in 0..SHARDS {
-        recorded.extend(scan_shard(&table, i).unwrap());
+    let sp = spec();
+    for c in 0..=SHARDS {
+        let want = component(&oracles[STMTS.len()], &sp, c);
+        assert_eq!(tables.scan(c).unwrap(), want, "record run diverged");
     }
-    recorded.sort_unstable();
-    assert_eq!(recorded, oracles[STMTS.len()], "record run diverged");
     assert!(total_ops >= 200, "workload too small ({total_ops} ops)");
+    let transactions = STMTS.iter().filter(|s| s.transactional()).count() as u64;
+    assert_eq!(
+        env.health.snapshot().commit_records,
+        transactions,
+        "one record each"
+    );
 
-    // Every cross-shard transactional commit is a mandatory target.
-    let must_cover: Vec<(u64, u64)> = STMTS
-        .iter()
-        .zip(&ranges)
-        .filter(|(s, _)| matches!(s, Stmt::CrossInsert { .. }))
-        .map(|(_, &r)| r)
-        .collect();
-    assert_eq!(must_cover.len(), 3, "three cross-shard transactions");
-
+    // Every I/O of every transactional statement is a crash point.
     let full = std::env::var("CRASH_MATRIX_FULL").is_ok_and(|v| v != "0");
     let target = if full { total_ops as usize } else { 200 };
-    let points = select_crash_points(0x51AB_D00F, total_ops, target, &must_cover);
+    let mut points = select_crash_points(0x51AB_D00F, total_ops, target, &[]);
+    for (stmt, &(start, end)) in STMTS.iter().zip(&ranges) {
+        if stmt.transactional() {
+            points.extend(start..=end);
+        }
+    }
+    points.sort_unstable();
+    points.dedup();
     assert!(points.len() >= 200, "only {} crash points", points.len());
+    eprintln!(
+        "sharded crash matrix: {} points of {total_ops} ops",
+        points.len()
+    );
 
-    let sp = spec();
     let report = run_crash_matrix(&points, |k| {
         let kind = if trace[(k - 1) as usize] == IoOp::Write && k % 2 == 0 {
             FaultKind::TornWrite
@@ -303,16 +420,14 @@ fn sharded_crash_matrix_committed_prefix() {
         };
         let plan = Arc::new(FaultPlan::new(0xFADE ^ k).fail_at(k, kind));
         plan.set_armed(false);
-        let env = DualTableEnv::in_memory_faulty_with(plan.clone(), dfs_cfg(), kv_cfg())
-            .map_err(|e| format!("setup: {e}"))?;
-        let table = ShardedTable::create(&env, TABLE, schema(), table_cfg(), spec())
-            .map_err(|e| format!("create: {e}"))?;
+        let env = faulty_env(&plan).map_err(|e| format!("setup: {e}"))?;
+        let tables = Tables::create(&env).map_err(|e| format!("create: {e}"))?;
         plan.set_armed(true);
 
         let mut acked = 0usize;
         let mut crashed = false;
         for stmt in STMTS {
-            match apply(&table, stmt) {
+            match tables.apply(stmt) {
                 Ok(()) => {
                     acked += 1;
                     if plan.is_crashed() {
@@ -333,35 +448,33 @@ fn sharded_crash_matrix_committed_prefix() {
         plan.heal_and_disarm();
         env.crash_and_reopen()
             .map_err(|e| format!("recovery: {e}"))?;
-        drop(table);
+        drop(tables);
         // Topology must survive the crash: the shard map replays from the
         // namenode edit log / checkpoint.
-        let table = ShardedTable::open(&env, TABLE, schema(), table_cfg())
-            .map_err(|e| format!("reopen: {e}"))?;
-        if table.shard_count() != SHARDS {
+        let tables = Tables::open(&env).map_err(|e| format!("reopen: {e}"))?;
+        if tables.sharded.shard_count() != SHARDS {
             return Err(format!(
                 "shard map lost shards: {} != {SHARDS}",
-                table.shard_count()
+                tables.sharded.shard_count()
             ));
         }
 
-        // Invariant 1 + 2: per-shard oracle states forming a committed
-        // prefix. `next[i]` records whether shard i already reflects the
-        // in-flight statement.
-        let base_state = &oracles[acked];
+        // Invariant 1: every component at oracle(acked) or
+        // oracle(acked + 1). `next[c]` records whether component c already
+        // reflects the in-flight statement.
+        let base = &oracles[acked];
         let next_state = oracles.get(acked + 1);
-        let mut next = [false; SHARDS];
-        for (i, at_next) in next.iter_mut().enumerate() {
-            let got = scan_shard(&table, i)?;
-            let base_slice = shard_slice(base_state, &sp, i);
-            if got == base_slice {
+        let mut next = [false; SHARDS + 1];
+        for (c, at_next) in next.iter_mut().enumerate() {
+            let got = tables.scan(c)?;
+            if got == component(base, &sp, c) {
                 continue;
             }
             match next_state {
-                Some(ns) if got == shard_slice(ns, &sp, i) => *at_next = true,
+                Some(ns) if got == component(ns, &sp, c) => *at_next = true,
                 _ => {
                     return Err(format!(
-                        "shard {i} matches neither oracle({acked}) nor oracle({}) slice \
+                        "component {c} matches neither oracle({acked}) nor oracle({}) \
                          ({} rows)",
                         acked + 1,
                         got.len()
@@ -369,26 +482,28 @@ fn sharded_crash_matrix_committed_prefix() {
                 }
             }
         }
-        if let Some(ns) = next_state {
-            // Shards the in-flight statement touches, ascending. The
-            // committed ones must be a prefix of that list.
-            let touched: Vec<usize> = (0..SHARDS)
-                .filter(|&i| shard_slice(base_state, &sp, i) != shard_slice(ns, &sp, i))
+        // Invariant 2: an in-flight transaction landed everywhere it
+        // writes, or nowhere.
+        if let Some(ns) = next_state.filter(|_| STMTS[acked].transactional()) {
+            let touched: Vec<usize> = (0..=SHARDS)
+                .filter(|&c| component(base, &sp, c) != component(ns, &sp, c))
                 .collect();
-            let committed: Vec<bool> = touched.iter().map(|&i| next[i]).collect();
-            if committed.windows(2).any(|w| !w[0] && w[1]) {
+            let applied: Vec<bool> = touched.iter().map(|&c| next[c]).collect();
+            if applied.windows(2).any(|w| w[0] != w[1]) {
                 return Err(format!(
-                    "in-flight statement committed out of shard order: \
-                     touched {touched:?}, committed {committed:?}"
+                    "in-flight {:?} applied on part of what it touches: \
+                     touched {touched:?}, applied {applied:?}",
+                    STMTS[acked]
                 ));
             }
         }
 
-        // Invariant 3: one master generation per shard; fsck/scrub clean.
-        for i in 0..SHARDS {
-            let gens = shard_generations(&env, i);
+        // Invariant 3: one master generation per store; fsck/scrub clean.
+        let stores = (0..SHARDS).map(|i| format!("{TABLE}__s{i}"));
+        for store in stores.chain([SIDE.to_string()]) {
+            let gens = generations(&env, &store);
             if gens.len() > 1 {
-                return Err(format!("shard {i} mixed generations: {gens:?}"));
+                return Err(format!("{store} mixed generations: {gens:?}"));
             }
         }
         let fsck = env.dfs.fsck().map_err(|e| format!("fsck: {e}"))?;
@@ -412,5 +527,169 @@ fn sharded_crash_matrix_committed_prefix() {
         report.violations.len(),
         report.points,
         report.violations
+    );
+}
+
+/// Decision records still in the metadata table.
+fn decision_records(env: &DualTableEnv) -> usize {
+    let meta = env.kv.table("__dualtable_meta").unwrap();
+    meta.scan(Some(b"commit:"), Some(b"commit;"))
+        .unwrap()
+        .count()
+}
+
+/// The value a cross-shard transaction sets on every row of the directed
+/// tests below.
+const DECIDED: i64 = 42;
+
+/// A sharded table with two rows per shard and a transaction, not yet
+/// committed, that sets every row's `v` to [`DECIDED`]. Setup runs with
+/// `plan` disarmed, so the commit's I/O is numbered from 1.
+fn decided_update(plan: &Arc<FaultPlan>) -> (DualTableEnv, ShardedTable, Transaction) {
+    plan.set_armed(false);
+    let env = faulty_env(plan).unwrap();
+    let table = ShardedTable::create(&env, TABLE, schema(), table_cfg(), spec()).unwrap();
+    table.insert_rows(rows([1, 2, 101, 102, 201, 202])).unwrap();
+    let mut txn = table.begin_transaction().unwrap();
+    let set: [dualtable::Assignment<'static>; 1] = [(1, Box::new(|_: &Row| Value::Int64(DECIDED)))];
+    txn.update(|_| true, &set, &UnionReadOptions::all())
+        .unwrap();
+    (env, table, txn)
+}
+
+/// The commit of [`decided_update`] as I/O operations: the record write
+/// (and the metadata table's flush behind it), then one append per shard
+/// in shard order, then the record clear.
+fn decided_commit_trace() -> Vec<IoOp> {
+    let probe = Arc::new(FaultPlan::new(1));
+    let (_, _, txn) = decided_update(&probe);
+    probe.record_trace();
+    probe.set_armed(true);
+    txn.commit().unwrap();
+    probe.set_armed(false);
+    let trace = probe.take_trace();
+    assert!(
+        trace.ends_with(&[IoOp::Write; SHARDS + 1]),
+        "shard appends, then the clear: {trace:?}"
+    );
+    trace
+}
+
+/// A cross-shard commit whose second shard could not take its decided
+/// cells: the commit is still acknowledged, the shard turns read-only and
+/// the decision record stays, so the reopen that redoes it gives every
+/// shard the whole commit.
+#[test]
+fn a_failed_participant_write_keeps_its_decision_record() {
+    // 1-based: the second of the last SHARDS + 1 operations.
+    let second_shard = (decided_commit_trace().len() - SHARDS + 1) as u64;
+    let plan = Arc::new(FaultPlan::new(3).fail_at(second_shard, FaultKind::WriteError));
+    let (env, table, txn) = decided_update(&plan);
+    plan.set_armed(true);
+    txn.commit().expect("a decided commit is acknowledged");
+    plan.set_armed(false);
+    assert_eq!(
+        decision_records(&env),
+        1,
+        "the record outlives a failed write"
+    );
+
+    let later: [dualtable::Assignment<'static>; 1] = [(1, Box::new(|_: &Row| Value::Int64(7)))];
+    let refused = table.update_keyed(
+        |row| row[0] == Value::Int64(101),
+        &later,
+        RatioHint::Explicit(0.01),
+        None,
+        None,
+    );
+    assert!(
+        refused.is_err(),
+        "the shard missing decided cells takes no write"
+    );
+
+    env.crash_and_reopen().unwrap();
+    assert_eq!(decision_records(&env), 0, "recovery redid and cleared it");
+    drop(table);
+    let table = ShardedTable::open(&env, TABLE, schema(), table_cfg()).unwrap();
+    for (i, shard) in table.shards().iter().enumerate() {
+        let values: Vec<i64> = shard
+            .scan_all()
+            .unwrap()
+            .into_iter()
+            .map(|(_, row)| row[1].as_i64().unwrap())
+            .collect();
+        assert_eq!(values, [DECIDED; 2], "shard {i}");
+    }
+}
+
+/// A cross-shard commit whose decision record could not be cleared, then
+/// a later autocommit UPDATE of one of its rows, then a crash: recovery
+/// redoes the record at its own timestamp, so the later value survives,
+/// and the redone presence counts still route a pushed-down scan to every
+/// decided cell.
+#[test]
+fn a_left_over_decision_record_never_shadows_a_later_write() {
+    // Fail the clear, the commit's last I/O, through every retry.
+    let clear = decided_commit_trace().len() as u64;
+    let plan =
+        Arc::new(FaultPlan::new(2).fail_transient_at(clear, FaultKind::TransientWriteError, 4));
+    let (env, table, txn) = decided_update(&plan);
+    plan.set_armed(true);
+    txn.commit().unwrap();
+    plan.set_armed(false);
+    assert_eq!(decision_records(&env), 1, "the record outlived its commit");
+
+    let later: [dualtable::Assignment<'static>; 1] = [(1, Box::new(|_: &Row| Value::Int64(7)))];
+    table
+        .update_keyed(
+            |row| row[0] == Value::Int64(101),
+            &later,
+            RatioHint::Explicit(0.01),
+            None,
+            None,
+        )
+        .unwrap();
+    env.crash_and_reopen().unwrap();
+    assert_eq!(decision_records(&env), 0, "recovery redid and cleared it");
+    drop(table);
+    let table = ShardedTable::open(&env, TABLE, schema(), table_cfg()).unwrap();
+
+    let scan = |opts: &UnionReadOptions| {
+        let batches = table.scan_batches(opts, &Deadline::never()).unwrap();
+        let rows = batches.iter().flat_map(|batch| batch.selected_rows());
+        let mut got: Vec<(i64, i64)> = rows
+            .map(|row| (row[0].as_i64().unwrap(), row[1].as_i64().unwrap()))
+            .collect();
+        got.sort_unstable();
+        got
+    };
+    let mut expect = vec![
+        (1, DECIDED),
+        (2, DECIDED),
+        (101, 7),
+        (102, DECIDED),
+        (201, DECIDED),
+        (202, DECIDED),
+    ];
+    assert_eq!(
+        scan(&UnionReadOptions::all()),
+        expect,
+        "the later write survives the redo"
+    );
+
+    // Stripe statistics say no master row holds DECIDED: only the presence
+    // index keeps the pushed-down predicate off those stripes.
+    let mut pushed = UnionReadOptions::all();
+    pushed.predicates = Some(vec![ColumnPredicate::new(
+        1,
+        PredicateOp::Eq,
+        Value::Int64(DECIDED),
+    )]);
+    let mut got = scan(&pushed);
+    got.retain(|&(_, v)| v == DECIDED);
+    expect.retain(|&(_, v)| v == DECIDED);
+    assert_eq!(
+        got, expect,
+        "a pushed-down scan still meets every decided cell"
     );
 }

@@ -5,15 +5,14 @@
 //! round-robin maintenance thread, with transient read/write faults
 //! armed throughout.
 //!
-//! The oracle is exact *per shard*, which is precisely what the
-//! committed-prefix commit contract makes possible: each writer owns one
-//! counter row in every shard and increments all of them in a single
-//! cross-shard [`dualtable::Transaction`] per round. On full commit, every
-//! shard's count advances. On `ShardCommitFailure`, the failure names the exact
-//! durable prefix — those shards advance; the failed shard is ambiguous
-//! only for transient errors and is settled by re-reading the writer's
-//! own counter row; shards after the failed one provably did not apply.
-//! At the end each shard must equal its oracle row for row.
+//! Each writer owns one counter row in every shard and increments all of
+//! them in a single cross-shard [`dualtable::Transaction`] per round. A
+//! COMMIT is all-or-none, so the verdict is per round: `Ok` advances every
+//! shard, a conflict advances none, and a transient or injected error is
+//! settled by reading one counter. The reader, pinned at one timestamp
+//! across shards, sees each writer's counter equal in all three shards in
+//! every snapshot. At the end each shard must equal its oracle row for
+//! row.
 //!
 //! Runs 8 seeds by default; override with `SHARD_SOAK_SEEDS=N` (the
 //! nightly job uses 200).
@@ -53,11 +52,6 @@ fn counter_key(s: usize, w: i64) -> i64 {
     s as i64 * 100 + w
 }
 
-/// Shard index from a shard store name like `soak__s2`.
-fn shard_index(name: &str) -> usize {
-    name.rsplit("__s").next().unwrap().parse().unwrap()
-}
-
 /// Sorted `(id, v)` content of one shard, retried through transient
 /// faults.
 fn scan_shard_retry(table: &ShardedTable, s: usize) -> Vec<(i64, i64)> {
@@ -89,17 +83,13 @@ fn counter_value(table: &ShardedTable, s: usize, w: i64) -> i64 {
         .unwrap_or_else(|| panic!("counter row {key} vanished from shard {s}"))
 }
 
-/// One writer: `ROUNDS` attempts, each incrementing its counter row in
-/// every shard through one cross-shard transaction. Returns per-shard
-/// acked increment counts plus per-shard acked insert ids.
-#[allow(clippy::needless_range_loop)]
-fn run_writer(
-    table: &ShardedTable,
-    w: i64,
-    conflicts: &AtomicU64,
-) -> ([u64; SHARDS], [Vec<i64>; SHARDS]) {
-    let mut acked = [0u64; SHARDS];
-    let mut inserted: [Vec<i64>; SHARDS] = Default::default();
+/// One writer: `ROUNDS` rounds, each incrementing its counter row in
+/// every shard through one cross-shard transaction. Returns the acked
+/// round count plus, per acked insert round, the id inserted in each
+/// shard.
+fn run_writer(table: &ShardedTable, w: i64, conflicts: &AtomicU64) -> (u64, Vec<[i64; SHARDS]>) {
+    let mut acked = 0u64;
+    let mut inserted: Vec<[i64; SHARDS]> = Vec::new();
     for round in 0..ROUNDS {
         let mut tries = 0usize;
         loop {
@@ -127,10 +117,10 @@ fn run_writer(
                 continue; // nothing buffered durably: retry the round
             }
             // Every third round the transaction also inserts one fresh
-            // row per shard, so the per-shard commits span master-file
-            // creation too. Key layout keeps writers disjoint.
+            // row per shard, so the commit spans master-file creation
+            // too. Key layout keeps writers disjoint.
             let new_ids: Option<[i64; SHARDS]> = (round % 3 == 0).then(|| {
-                core::array::from_fn(|s| s as i64 * 100 + 20 + w * 25 + inserted[s].len() as i64)
+                core::array::from_fn(|s| s as i64 * 100 + 20 + w * 25 + inserted.len() as i64)
             });
             if let Some(ids) = new_ids {
                 let rows: Vec<Row> = ids
@@ -141,45 +131,43 @@ fn run_writer(
                     continue;
                 }
             }
-            // The commit verdict is per shard: full success advances all,
-            // a ShardCommitFailure advances exactly its durable prefix,
-            // with the failed shard settled by the counter row when the
-            // error is ambiguous.
-            let mut landed = [false; SHARDS];
-            match txn.commit_parts() {
-                Ok(_) => landed = [true; SHARDS],
-                Err(f) => {
-                    for name in &f.committed {
-                        landed[shard_index(name)] = true;
-                    }
-                    let failed = shard_index(&f.failed);
-                    if f.error.is_conflict() {
-                        conflicts.fetch_add(1, Ordering::Relaxed);
-                    } else if f.error.is_transient() || f.error.is_injected() {
-                        landed[failed] =
-                            counter_value(table, failed, w) == (acked[failed] + 1) as i64;
-                    } else {
-                        panic!("writer {w} COMMIT: {}", f.error);
-                    }
+            // All or none: one counter settles an ambiguous error.
+            let landed = match txn.commit() {
+                Ok(_) => true,
+                Err(e) if e.is_conflict() => {
+                    conflicts.fetch_add(1, Ordering::Relaxed);
+                    false
                 }
-            }
-            for s in 0..SHARDS {
-                if landed[s] {
-                    acked[s] += 1;
-                    if let Some(ids) = new_ids {
-                        inserted[s].push(ids[s]);
-                    }
+                Err(e) if e.is_transient() || e.is_injected() => {
+                    counter_value(table, 0, w) == (acked + 1) as i64
                 }
-            }
-            // A fully-dead round (conflict before any shard landed) is
-            // provably unapplied and retries; anything partial counts as
-            // this round's outcome.
-            if landed.iter().any(|&l| l) {
+                Err(e) => panic!("writer {w} COMMIT: {e}"),
+            };
+            if landed {
+                acked += 1;
+                inserted.extend(new_ids);
                 break;
             }
         }
     }
     (acked, inserted)
+}
+
+/// Asserts that every writer's counter holds one value across the shards
+/// of a snapshot's rows.
+fn assert_counters_agree(rows: &[Vec<Value>]) {
+    let value = |key: i64| {
+        rows.iter()
+            .find(|r| r[0] == Value::Int64(key))
+            .map(|r| r[1].clone())
+    };
+    for w in 0..WRITERS {
+        let per_shard: Vec<_> = (0..SHARDS).map(|s| value(counter_key(s, w))).collect();
+        assert!(
+            per_shard.windows(2).all(|p| p[0] == p[1]),
+            "writer {w}'s cross-shard commit is half visible: {per_shard:?}"
+        );
+    }
 }
 
 /// Cross-shard snapshot reader: every shard pinned at BEGIN, the gathered
@@ -213,6 +201,7 @@ fn run_reader(table: &ShardedTable, stop: &AtomicBool) {
             None
         };
         if let Some(expect) = read() {
+            assert_counters_agree(&expect);
             for _ in 0..3 {
                 if stop.load(Ordering::Relaxed) {
                     break;
@@ -261,8 +250,7 @@ fn run_compactor(table: &ShardedTable, stop: &AtomicBool) {
 struct Totals {
     folds_started: u64,
     folds_done: u64,
-    cross_shard_commits: u64,
-    partial_commits: u64,
+    commit_records: u64,
     writer_conflicts: u64,
 }
 
@@ -299,7 +287,7 @@ fn soak_one_seed(seed: u64, totals: &mut Totals) {
     plan.set_armed(true);
     let stop = AtomicBool::new(false);
     let conflicts = AtomicU64::new(0);
-    let mut writer_results: Vec<([u64; SHARDS], [Vec<i64>; SHARDS])> = Vec::new();
+    let mut writer_results: Vec<(u64, Vec<[i64; SHARDS]>)> = Vec::new();
     std::thread::scope(|scope| {
         let (table, conflicts, stop) = (&table, &conflicts, &stop);
         let writers: Vec<_> = (0..WRITERS)
@@ -320,9 +308,9 @@ fn soak_one_seed(seed: u64, totals: &mut Totals) {
             .map(|j| (s as i64 * 100 + 76 + j, 0))
             .collect();
         for (w, (acked, inserted)) in writer_results.iter().enumerate() {
-            expect.insert(counter_key(s, w as i64), acked[s] as i64);
-            for &id in &inserted[s] {
-                expect.insert(id, id);
+            expect.insert(counter_key(s, w as i64), *acked as i64);
+            for ids in inserted {
+                expect.insert(ids[s], ids[s]);
             }
         }
         let expect: Vec<(i64, i64)> = expect.into_iter().collect();
@@ -360,11 +348,9 @@ fn soak_one_seed(seed: u64, totals: &mut Totals) {
     let fsck = env.dfs.fsck().expect("fsck");
     assert!(fsck.healthy(), "seed {seed}: fsck unhealthy: {fsck:?}");
 
-    let sh = env.shard_health.snapshot();
     totals.folds_started += h.compactions_started;
     totals.folds_done += h.compactions_completed;
-    totals.cross_shard_commits += sh.cross_shard_commits;
-    totals.partial_commits += sh.cross_shard_partial_commits;
+    totals.commit_records += h.commit_records;
     totals.writer_conflicts += conflicts.load(Ordering::Relaxed);
 }
 
@@ -390,15 +376,11 @@ fn sharded_chaos_soak() {
         totals.folds_done
     );
     assert!(
-        totals.cross_shard_commits > 0,
-        "no cross-shard transaction ever fully committed"
+        totals.commit_records > 0,
+        "no cross-shard transaction ever committed"
     );
     eprintln!(
-        "shard soak totals: folds {}/{}, cross-shard commits {}, partial {}, conflicts {}",
-        totals.folds_done,
-        totals.folds_started,
-        totals.cross_shard_commits,
-        totals.partial_commits,
-        totals.writer_conflicts
+        "shard soak totals: folds {}/{}, cross-shard commits {}, conflicts {}",
+        totals.folds_done, totals.folds_started, totals.commit_records, totals.writer_conflicts
     );
 }

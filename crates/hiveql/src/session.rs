@@ -58,12 +58,6 @@ pub struct Session {
     /// §13). Tables enroll lazily, pinning their snapshot(s) at first
     /// touch.
     txn: Option<BTreeMap<String, Transaction>>,
-    /// Tables durably committed by the most recent failed multi-table
-    /// COMMIT (DESIGN.md §13): atomicity is per table, so a mid-COMMIT
-    /// failure leaves earlier tables applied. Cleared at the start of
-    /// every statement; the server forwards it in the error frame so
-    /// clients retry only the uncommitted remainder.
-    last_partial_commit: Vec<String>,
 }
 
 impl Session {
@@ -86,7 +80,6 @@ impl Session {
             catalog,
             config: SessionConfig::default(),
             txn: None,
-            last_partial_commit: Vec::new(),
         }
     }
 
@@ -112,12 +105,6 @@ impl Session {
         self.catalog.get(name)
     }
 
-    /// Tables durably committed by the most recent failed COMMIT (empty
-    /// after any other statement, including a successful COMMIT).
-    pub fn last_partial_commit(&self) -> &[String] {
-        &self.last_partial_commit
-    }
-
     /// Drops the open transaction (if any) without touching storage:
     /// buffered writes discard, pinned snapshots release. The teardown
     /// path for dead connections and panicked statements — safe to call
@@ -128,7 +115,6 @@ impl Session {
 
     /// Parses and executes one statement.
     pub fn execute(&mut self, sql: &str) -> Result<QueryResult> {
-        self.last_partial_commit.clear();
         let stmt = parse(sql)?;
         self.execute_statement(stmt, sql)
     }
@@ -215,63 +201,12 @@ impl Session {
                         "COMMIT without an open transaction".into(),
                     ));
                 };
-                // Per-table atomic commit, in table-name order. The first
-                // failure (typically a retryable first-committer-wins
-                // conflict) aborts: the failing table applies nothing and
-                // the remaining transactions drop, releasing their pins.
-                // Tables committed before the failure stay committed —
-                // atomicity is per table, not cross-table — so the error
-                // names them: retry logic must re-apply only the failing
-                // and never-attempted tables, not the committed ones.
-                let mut affected = 0u64;
-                let mut committed: Vec<String> = Vec::new();
-                for (name, txn) in map {
-                    if txn.is_read_only() {
-                        continue;
-                    }
-                    // A sharded table commits shard by shard; on a
-                    // mid-sequence failure its durable shard prefix joins
-                    // the committed list, so the client sees exactly what
-                    // applied.
-                    let sharded = txn.is_sharded();
-                    let failure = match txn.commit_parts() {
-                        Ok(_) => {
-                            affected += 1;
-                            committed.push(name);
-                            continue;
-                        }
-                        Err(failure) => *failure,
-                    };
-                    committed.extend(failure.committed);
-                    let e = failure.error;
-                    let context = if sharded {
-                        format!("table '{name}' shard '{}'", failure.failed)
-                    } else {
-                        format!("table '{name}'")
-                    };
-                    self.last_partial_commit = committed.clone();
-                    let caveat = if committed.is_empty() {
-                        "no other table had committed".to_string()
-                    } else {
-                        format!(
-                            "already durably committed (not rolled back): {}",
-                            committed.join(", ")
-                        )
-                    };
-                    // Preserve the variant (it carries the
-                    // transient/permanent classification); only the
-                    // message grows the per-table context.
-                    return Err(match e {
-                        Error::Conflict(m) => Error::Conflict(format!("{context}: {m}; {caveat}")),
-                        Error::Unavailable(m) => {
-                            Error::Unavailable(format!("{context}: {m}; {caveat}"))
-                        }
-                        Error::Internal(m) => Error::Internal(format!("{context}: {m}; {caveat}")),
-                        other => other,
-                    });
-                }
-                let tables = committed.len();
-                Ok(dml_result(affected, format!("committed ({tables} tables)")))
+                // One atomic commit over every table written (DESIGN.md
+                // §13): all of them land, or — on a retryable conflict
+                // naming the store that lost — none does.
+                let tables = map.values().filter(|txn| !txn.is_read_only()).count() as u64;
+                Transaction::commit_all(map.into_values())?;
+                Ok(dml_result(tables, format!("committed ({tables} tables)")))
             }
             Statement::Rollback => {
                 if self.txn.take().is_none() {

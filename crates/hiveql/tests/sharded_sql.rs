@@ -159,38 +159,31 @@ fn show_health_has_shard_tier() {
     let mut s = setup();
     // One scatter scan with two shards pruned.
     s.execute("SELECT * FROM t WHERE id >= 210").unwrap();
-    let r = s.execute("SHOW HEALTH").unwrap();
-    let metric = |name: &str| -> i64 {
+    let metric = |s: &mut Session, tier: &str, name: &str| -> i64 {
+        let r = s.execute("SHOW HEALTH").unwrap();
         r.rows()
             .iter()
-            .find(|row| row[0] == Value::Utf8("shard".into()) && row[1] == Value::Utf8(name.into()))
-            .unwrap_or_else(|| panic!("missing shard metric {name}"))[2]
+            .find(|row| row[0] == Value::Utf8(tier.into()) && row[1] == Value::Utf8(name.into()))
+            .unwrap_or_else(|| panic!("missing {tier} metric {name}"))[2]
             .as_i64()
             .unwrap()
     };
-    assert_eq!(metric("shards_total"), 3);
-    assert!(metric("scatter_scans") >= 1);
-    assert!(metric("shards_pruned_by_range") >= 2);
-    assert_eq!(metric("cross_shard_partial_commits"), 0);
+    assert_eq!(metric(&mut s, "shard", "shards_total"), 3);
+    assert!(metric(&mut s, "shard", "scatter_scans") >= 1);
+    assert!(metric(&mut s, "shard", "shards_pruned_by_range") >= 2);
 
-    // A BEGIN/COMMIT touching several shards ticks the cross-shard
-    // commit counter.
+    // A one-shard autocommit UPDATE and a one-shard COMMIT write no
+    // decision record; a COMMIT touching several shards writes one.
+    s.execute("UPDATE t SET v = 2 WHERE id = 150").unwrap();
+    s.execute("BEGIN").unwrap();
+    s.execute("UPDATE t SET v = 3 WHERE id = 150").unwrap();
+    s.execute("COMMIT").unwrap();
+    assert_eq!(metric(&mut s, "table", "commit_records"), 0);
     s.execute("BEGIN").unwrap();
     s.execute("INSERT INTO t VALUES (1, 1), (101, 1), (201, 1)")
         .unwrap();
     s.execute("COMMIT").unwrap();
-    let r = s.execute("SHOW HEALTH").unwrap();
-    let commits = r
-        .rows()
-        .iter()
-        .find(|row| {
-            row[0] == Value::Utf8("shard".into())
-                && row[1] == Value::Utf8("cross_shard_commits".into())
-        })
-        .unwrap()[2]
-        .as_i64()
-        .unwrap();
-    assert_eq!(commits, 1);
+    assert_eq!(metric(&mut s, "table", "commit_records"), 1);
     let r = s.execute("SELECT COUNT(*) FROM t").unwrap();
     assert_eq!(ints(&r, 0), vec![33]);
 }
@@ -206,7 +199,7 @@ fn transactions_and_compaction_counters() {
     assert_eq!(ints(&r, 0), vec![30]);
     s.execute("COMMIT").unwrap();
 
-    // Transactional cross-shard write: all-or-prefix, here all.
+    // Transactional cross-shard write: all or none, here all.
     s.execute("BEGIN").unwrap();
     s.execute("UPDATE t SET v = -1 WHERE id % 100 = 50")
         .unwrap();

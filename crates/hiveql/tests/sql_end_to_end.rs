@@ -314,6 +314,7 @@ fn show_health_lists_each_metric_under_the_tier_that_records_it() {
         ("dfs", "ww_conflicts"),
         ("kv", "stmts_shed"),
         ("table", "failovers"),
+        ("shard", "cross_shard_commits"),
     ] {
         assert!(!rows.contains(&absent), "{absent:?} is not that tier's");
     }
@@ -321,6 +322,7 @@ fn show_health_lists_each_metric_under_the_tier_that_records_it() {
         ("dfs", "cache_hits"),
         ("kv", "delta_spills"),
         ("table", "ww_conflicts"),
+        ("table", "commit_records"),
         ("server", "stmts_shed"),
         ("shard", "scatter_scans"),
     ] {

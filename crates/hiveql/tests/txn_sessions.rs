@@ -168,12 +168,11 @@ fn read_only_commit_is_a_noop() {
     assert_eq!(sum_v(&mut a), 55.0);
 }
 
-/// Regression (REVIEW: partial multi-table COMMIT): COMMIT is atomic per
-/// table, not cross-table — when a later table conflicts, the error must
-/// name the tables that already committed so retry logic can avoid
-/// double-applying them.
+/// Regression (partial multi-table COMMIT): a COMMIT over several
+/// tables is all-or-none — when one table conflicts, no table applies, and
+/// the whole transaction can simply run again.
 #[test]
-fn multi_table_commit_conflict_names_committed_tables() {
+fn multi_table_commit_conflict_applies_nothing() {
     let env = DualTableEnv::in_memory();
     let mut a = Session::with_env(env.clone());
     for name in ["t", "u"] {
@@ -192,32 +191,40 @@ fn multi_table_commit_conflict_names_committed_tables() {
         b.register_dualtable(name, store).unwrap();
     }
 
-    // A buffers writes to both tables; B then wins the race on `u`
-    // (COMMIT applies in table-name order, so `t` commits first).
-    a.execute("BEGIN").unwrap();
-    a.execute("UPDATE t SET v = 10.0 WHERE id = 1").unwrap();
-    a.execute("UPDATE u SET v = 10.0 WHERE id = 1").unwrap();
+    // A buffers writes to both tables; B then wins the race on `u`.
+    let script = [
+        "BEGIN",
+        "UPDATE t SET v = 10.0 WHERE id = 1",
+        "UPDATE u SET v = 10.0 WHERE id = 1",
+    ];
+    for sql in script {
+        a.execute(sql).unwrap();
+    }
     b.execute("UPDATE u SET v = 20.0 WHERE id = 1").unwrap();
 
     let err = a.execute("COMMIT").unwrap_err();
     assert!(err.is_conflict(), "expected Conflict, got {err:?}");
+    assert!(err.is_transient(), "a conflict is retryable: {err:?}");
     let msg = err.to_string();
-    assert!(msg.contains("table 'u'"), "names the failing table: {msg}");
-    assert!(
-        msg.contains("already durably committed (not rolled back): t"),
-        "names the committed tables: {msg}"
-    );
+    assert!(msg.contains("'u'"), "names the store that lost: {msg}");
 
-    // The partial outcome the message describes is real: t has A's
-    // write, u has B's.
-    let t_sum = a.execute("SELECT SUM(v) FROM t").unwrap().rows()[0][0]
-        .as_f64()
-        .unwrap();
-    let u_sum = a.execute("SELECT SUM(v) FROM u").unwrap().rows()[0][0]
-        .as_f64()
-        .unwrap();
-    assert_eq!(t_sum, 12.0);
-    assert_eq!(u_sum, 22.0);
+    let sum = |s: &mut Session, table: &str| {
+        s.execute(&format!("SELECT SUM(v) FROM {table}"))
+            .unwrap()
+            .rows()[0][0]
+            .as_f64()
+            .unwrap()
+    };
+    assert_eq!(sum(&mut a, "t"), 3.0, "t applied nothing");
+    assert_eq!(sum(&mut a, "u"), 22.0, "u has B's write only");
+
+    // Nothing to untangle: the same transaction simply runs again.
+    for sql in script {
+        a.execute(sql).unwrap();
+    }
+    a.execute("COMMIT").unwrap();
+    assert_eq!(sum(&mut a, "t"), 12.0);
+    assert_eq!(sum(&mut a, "u"), 12.0);
 }
 
 /// Regression: DROP TABLE of a sharded table another session has enrolled

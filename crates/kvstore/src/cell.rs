@@ -83,8 +83,9 @@ pub(crate) enum WalEntry {
     ShadowRetire(u64),
 }
 
-/// Serializes one `(key, version)` entry (shared by the WAL and SSTables).
-pub(crate) fn encode_entry(buf: &mut Vec<u8>, key: &CellKey, version: &Version) {
+/// Serializes one `(key, version)` entry (shared by the WAL, SSTables and
+/// the table tier's commit decision records).
+pub fn encode_entry(buf: &mut Vec<u8>, key: &CellKey, version: &Version) {
     put_bytes(buf, &key.row);
     put_bytes(buf, &key.qual);
     put_uvarint(buf, version.ts);
@@ -98,7 +99,7 @@ pub(crate) fn encode_entry(buf: &mut Vec<u8>, key: &CellKey, version: &Version) 
 }
 
 /// Inverse of [`encode_entry`].
-pub(crate) fn decode_entry(buf: &[u8], pos: &mut usize) -> Result<(CellKey, Version)> {
+pub fn decode_entry(buf: &[u8], pos: &mut usize) -> Result<(CellKey, Version)> {
     let row = get_bytes(buf, pos)?.to_vec();
     let qual = get_bytes(buf, pos)?.to_vec();
     let ts = get_uvarint(buf, pos)?;

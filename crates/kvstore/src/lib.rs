@@ -42,7 +42,7 @@ mod store;
 mod wal;
 
 pub use bloom::BloomFilter;
-pub use cell::{CellKey, Mutation, Version, ROW_TOMBSTONE_QUALIFIER};
+pub use cell::{decode_entry, encode_entry, CellKey, Mutation, Version, ROW_TOMBSTONE_QUALIFIER};
 pub use env::{DiskEnv, Env, FaultyEnv, MemEnv, RetryEnv};
 pub use store::{KvConfig, RowEntry, ScanIter, Store};
 

@@ -90,11 +90,14 @@ struct State {
     shadow: ShadowTier,
 }
 
-/// A write before its timestamp is assigned: which tier the entry lands
-/// in once the leader commits its WAL record.
-enum WriteOp {
-    Data(CellKey, Mutation),
-    Shadow(CellKey, Mutation),
+/// A write before it is queued: the cell, the timestamp its caller
+/// stamped it with (`None`: ticked when queued), the mutation, and whether
+/// it lands in the shadow tier once the leader commits its WAL record.
+struct WriteOp {
+    key: CellKey,
+    ts: Option<u64>,
+    mutation: Mutation,
+    shadow: bool,
 }
 
 /// One caller batch awaiting durable commit, parked in the group-commit
@@ -327,30 +330,7 @@ impl Store {
     /// Writes many cells atomically w.r.t. the WAL (one fsync'd record).
     /// Each cell still gets its own timestamp.
     pub fn put_batch(&self, cells: Vec<(Vec<u8>, Vec<u8>, Vec<u8>)>) -> Result<u64> {
-        self.mutate_batch(cells, Vec::new())
-    }
-
-    /// Applies puts and cell tombstones atomically w.r.t. the WAL (one
-    /// fsync'd record): after a crash either every mutation in the batch
-    /// is visible or none is. Timestamps are assigned in order (puts
-    /// first, then deletes); the returned value is the last (highest)
-    /// timestamp. Transactional commit uses this to clear its intent
-    /// cell in the same durable record as the data cells it covers.
-    pub fn mutate_batch(
-        &self,
-        puts: Vec<(Vec<u8>, Vec<u8>, Vec<u8>)>,
-        deletes: Vec<(Vec<u8>, Vec<u8>)>,
-    ) -> Result<u64> {
-        let mut batch = Vec::with_capacity(puts.len() + deletes.len());
-        for (row, qual, value) in puts {
-            Self::check_qualifier(&qual)?;
-            batch.push((CellKey::new(row, qual), Mutation::Put(value)));
-        }
-        for (row, qual) in deletes {
-            Self::check_qualifier(&qual)?;
-            batch.push((CellKey::new(row, qual), Mutation::Delete));
-        }
-        self.apply(batch)
+        self.put_cells(cells, false)
     }
 
     /// Writes many cells into the **shadow (delta) tier**: durable via the
@@ -360,31 +340,61 @@ impl Store {
     /// to [`Store::put_batch`] (same clock, same snapshot rules); only
     /// the residence differs until [`Store::spill_shadow`] migrates them.
     pub fn put_shadow_batch(&self, cells: Vec<(Vec<u8>, Vec<u8>, Vec<u8>)>) -> Result<u64> {
-        self.mutate_batch_shadow(cells, Vec::new())
+        self.put_cells(cells, true)
     }
 
-    /// Shadow-tier analogue of [`Store::mutate_batch`]: the puts land in
-    /// the shadow tier while the deletes (transaction-intent clears) stay
-    /// regular memtable tombstones — all in one fsync'd WAL record, so
-    /// after a crash either every mutation is visible or none is.
-    pub fn mutate_batch_shadow(
+    fn put_cells(&self, cells: Vec<(Vec<u8>, Vec<u8>, Vec<u8>)>, shadow: bool) -> Result<u64> {
+        let cells = cells.into_iter();
+        self.write(
+            cells.map(|(row, qual, value)| (CellKey::new(row, qual), None, Mutation::Put(value))),
+            shadow,
+        )
+    }
+
+    /// Writes `versions` in ONE fsync'd WAL record, each at the timestamp
+    /// it carries — ticked by the caller from this store's clock, so one
+    /// commit spanning several stores can be visible at one instant in all
+    /// of them. After a crash either every version is visible or none is.
+    /// Puts land in the shadow tier when `shadow` is set; tombstones always
+    /// in the memtable. Writing a version again at its timestamp changes
+    /// nothing a reader can see.
+    pub fn write_versions(&self, versions: Vec<(CellKey, Version)>, shadow: bool) -> Result<()> {
+        let versions = versions.into_iter();
+        self.write(
+            versions.map(|(key, v)| (key, Some(v.ts), v.mutation)),
+            shadow,
+        )
+        .map(|_| ())
+    }
+
+    /// Commits user writes — `(cell, caller's timestamp, mutation)` —
+    /// after checking their qualifiers.
+    fn write(
         &self,
-        puts: Vec<(Vec<u8>, Vec<u8>, Vec<u8>)>,
-        deletes: Vec<(Vec<u8>, Vec<u8>)>,
+        writes: impl ExactSizeIterator<Item = (CellKey, Option<u64>, Mutation)>,
+        shadow: bool,
     ) -> Result<u64> {
-        let mut writes = Vec::with_capacity(puts.len() + deletes.len());
-        for (row, qual, value) in puts {
-            Self::check_qualifier(&qual)?;
-            writes.push(WriteOp::Shadow(
-                CellKey::new(row, qual),
-                Mutation::Put(value),
-            ));
+        // Sized up front: a batch grown by doubling leaves the allocator
+        // holding freed blocks of every size on the way, and an EDIT-hot
+        // writer's resident memory climbs with them.
+        let mut ops = Vec::with_capacity(writes.len());
+        for (key, ts, mutation) in writes {
+            Self::check_qualifier(&key.qual)?;
+            let shadow = shadow && !mutation.is_delete();
+            ops.push(WriteOp {
+                key,
+                ts,
+                mutation,
+                shadow,
+            });
         }
-        for (row, qual) in deletes {
-            Self::check_qualifier(&qual)?;
-            writes.push(WriteOp::Data(CellKey::new(row, qual), Mutation::Delete));
-        }
-        self.commit_ops(writes)
+        self.commit_ops(ops)
+    }
+
+    /// Enters read-only degraded mode until the store is reopened — for a
+    /// caller that could not apply a batch it has already promised.
+    pub fn degrade(&self) {
+        self.inner.degraded.store(true, Ordering::Release);
     }
 
     /// Migrates every shadow-tier entry into the memtable, preserving
@@ -487,12 +497,13 @@ impl Store {
     }
 
     fn apply(&self, mutations: Vec<(CellKey, Mutation)>) -> Result<u64> {
-        self.commit_ops(
-            mutations
-                .into_iter()
-                .map(|(key, mutation)| WriteOp::Data(key, mutation))
-                .collect(),
-        )
+        let ops = mutations.into_iter().map(|(key, mutation)| WriteOp {
+            key,
+            ts: None,
+            mutation,
+            shadow: false,
+        });
+        self.commit_ops(ops.collect())
     }
 
     /// Commits a batch of tier-tagged writes through group commit: one
@@ -508,9 +519,13 @@ impl Store {
                  reopen the store to resume writes",
             ));
         }
-        // Park the batch in the group-commit queue. Timestamps are
+        // Park the batch in the group-commit queue. Ticked timestamps are
         // assigned under the queue lock so queue order, timestamp order
-        // and WAL record order all agree.
+        // and WAL record order all agree. A caller's timestamp may sit
+        // below a batch queued before it: every replayed and merged
+        // version is ordered by timestamp, and the one order-sensitive
+        // entry — a spill's retire marker — drops only the shadow entries
+        // before it, in memory and on replay alike.
         let ticket = Arc::new(CommitTicket::default());
         let mut last_ts = 0;
         {
@@ -518,15 +533,17 @@ impl Store {
             let ops: Vec<WalEntry> = writes
                 .into_iter()
                 .map(|op| {
-                    let ts = self.inner.clock.tick();
+                    let ts = op.ts.unwrap_or_else(|| self.inner.clock.tick());
+                    self.inner.clock.advance_past(ts);
                     last_ts = ts;
-                    match op {
-                        WriteOp::Data(key, mutation) => {
-                            WalEntry::Data(key, Version { ts, mutation })
-                        }
-                        WriteOp::Shadow(key, mutation) => {
-                            WalEntry::Shadow(key, Version { ts, mutation })
-                        }
+                    let version = Version {
+                        ts,
+                        mutation: op.mutation,
+                    };
+                    if op.shadow {
+                        WalEntry::Shadow(op.key, version)
+                    } else {
+                        WalEntry::Data(op.key, version)
                     }
                 })
                 .collect();
@@ -1869,23 +1886,52 @@ mod shadow_store_tests {
     }
 
     #[test]
-    fn mutate_batch_shadow_is_one_atomic_record() {
+    fn write_versions_is_one_atomic_record_at_the_given_timestamps() {
         let env = Arc::new(MemEnv::new());
         let s = open_on(env.clone());
         s.put(b"txn", b"intent", b"pending").unwrap();
-        s.mutate_batch_shadow(
-            vec![(b"r".to_vec(), b"q".to_vec(), b"committed".to_vec())],
-            vec![(b"txn".to_vec(), b"intent".to_vec())],
-        )
-        .unwrap();
-        assert_eq!(s.shadow_entry_count(), 1, "put went to the shadow tier");
+        let at = s.inner.clock.tick();
+        let version = |v: &[u8]| Version {
+            ts: at,
+            mutation: Mutation::Put(v.to_vec()),
+        };
+        // A batch ticked after ours lands first; ours still reads at `at`.
+        let later = s.put(b"r", b"q", b"later").unwrap();
+        let batch = vec![
+            (CellKey::new(*b"r", *b"q"), version(b"committed")),
+            (CellKey::new(*b"s", *b"q"), version(b"committed")),
+            (
+                CellKey::new(*b"txn", *b"intent"),
+                Version {
+                    ts: at,
+                    mutation: Mutation::Delete,
+                },
+            ),
+        ];
+        s.write_versions(batch.clone(), true).unwrap();
+        assert_eq!(s.shadow_entry_count(), 2, "puts went to the shadow tier");
         assert!(
             s.get(b"txn", b"intent").unwrap().is_none(),
             "intent cleared"
         );
+        assert_eq!(s.get_at(b"r", b"q", at).unwrap().unwrap(), b"committed");
+        assert!(s.get_at(b"s", b"q", at - 1).unwrap().is_none());
+        assert_eq!(s.get(b"r", b"q").unwrap().unwrap(), b"later");
+        // Written again at the same timestamps: nothing a reader sees
+        // changes.
+        s.write_versions(batch, false).unwrap();
+        assert_eq!(s.get(b"r", b"q").unwrap().unwrap(), b"later");
+        assert!(
+            s.put(b"x", b"q", b"v").unwrap() > later,
+            "clock stays ahead"
+        );
         drop(s);
         let reopened = open_on(env);
-        assert_eq!(reopened.get(b"r", b"q").unwrap().unwrap(), b"committed");
+        assert_eq!(
+            reopened.get_at(b"s", b"q", at).unwrap().unwrap(),
+            b"committed"
+        );
+        assert_eq!(reopened.get(b"r", b"q").unwrap().unwrap(), b"later");
         assert!(reopened.get(b"txn", b"intent").unwrap().is_none());
     }
 

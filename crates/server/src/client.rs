@@ -125,7 +125,6 @@ impl Client {
                 ClientError::Server(WireError {
                     code: ErrorCode::Corrupt,
                     retryable: false,
-                    committed: Vec::new(),
                     message: m.to_string(),
                 })
             };

@@ -17,9 +17,8 @@
 //! * `E` (server → client, terminal): success. `u64` affected-row count
 //!   + `u32` message length + message.
 //! * `X` (server → client, terminal): failure. `u8` error code, `u8`
-//!   retryable flag, `u16` count of already-committed tables (each
-//!   `u16` length + name — the structured partial-COMMIT report), `u32`
-//!   message length + message.
+//!   retryable flag, `u32` message length + message. A failed statement
+//!   applied nothing (a COMMIT is all-or-none).
 //!
 //! Only `E`/`X` end a request; a client must keep reading past `H`/`D`.
 
@@ -359,20 +358,9 @@ pub fn encode_end(affected: u64, message: &str) -> Vec<u8> {
     buf
 }
 
-/// Encodes an `X` frame payload. `committed` is the structured
-/// partial-COMMIT table list (empty for every other failure).
-pub fn encode_error(
-    code: ErrorCode,
-    retryable: bool,
-    committed: &[String],
-    message: &str,
-) -> Vec<u8> {
+/// Encodes an `X` frame payload.
+pub fn encode_error(code: ErrorCode, retryable: bool, message: &str) -> Vec<u8> {
     let mut buf = vec![FRAME_ERROR, code as u8, u8::from(retryable)];
-    buf.extend_from_slice(&(committed.len() as u16).to_le_bytes());
-    for t in committed {
-        buf.extend_from_slice(&(t.len() as u16).to_le_bytes());
-        buf.extend_from_slice(t.as_bytes());
-    }
     buf.extend_from_slice(&(message.len() as u32).to_le_bytes());
     buf.extend_from_slice(message.as_bytes());
     buf
@@ -385,19 +373,13 @@ pub struct WireError {
     pub code: ErrorCode,
     /// `true` if the client may retry (possibly on another server).
     pub retryable: bool,
-    /// Tables a failed multi-table COMMIT had already durably committed.
-    pub committed: Vec<String>,
     /// Human-readable message.
     pub message: String,
 }
 
 impl std::fmt::Display for WireError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{:?}: {}", self.code, self.message)?;
-        if !self.committed.is_empty() {
-            write!(f, " (already committed: {})", self.committed.join(", "))?;
-        }
-        Ok(())
+        write!(f, "{:?}: {}", self.code, self.message)
     }
 }
 
@@ -407,16 +389,10 @@ pub fn decode_error(r: &mut Reader<'_>) -> Result<WireError> {
     let code = ErrorCode::from_u8(code_byte)
         .ok_or_else(|| Error::Corrupt(format!("unknown error code {code_byte}")))?;
     let retryable = r.u8()? != 0;
-    let n = r.u16()? as usize;
-    let mut committed = Vec::with_capacity(n);
-    for _ in 0..n {
-        committed.push(r.short_string()?);
-    }
     let message = r.string()?;
     Ok(WireError {
         code,
         retryable,
-        committed,
         message,
     })
 }
@@ -447,18 +423,12 @@ mod tests {
 
     #[test]
     fn error_frame_round_trip() {
-        let payload = encode_error(
-            ErrorCode::Conflict,
-            true,
-            &["t1".to_string(), "t2".to_string()],
-            "first-committer-wins loss",
-        );
+        let payload = encode_error(ErrorCode::Conflict, true, "first-committer-wins loss");
         assert_eq!(payload[0], FRAME_ERROR);
         let mut r = Reader::new(&payload[1..]);
         let e = decode_error(&mut r).unwrap();
         assert_eq!(e.code, ErrorCode::Conflict);
         assert!(e.retryable);
-        assert_eq!(e.committed, vec!["t1", "t2"]);
         assert_eq!(e.message, "first-committer-wins loss");
     }
 

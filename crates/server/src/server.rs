@@ -96,9 +96,6 @@ impl Default for ServerConfig {
     }
 }
 
-/// What a worker hands back to the connection thread for one statement.
-type StatementOutcome = (Result<QueryResult>, Vec<String>);
-
 /// Per-connection state shared between the connection thread and any
 /// queued worker jobs.
 struct ConnShared {
@@ -424,7 +421,6 @@ fn conn_loop(stream: TcpStream, conn: &Arc<ConnShared>, server: &Arc<ServerShare
                 &mut writer,
                 ErrorCode::InvalidArgument,
                 false,
-                &[],
                 "expected a Q frame",
             );
             continue;
@@ -438,7 +434,6 @@ fn conn_loop(stream: TcpStream, conn: &Arc<ConnShared>, server: &Arc<ServerShare
                         &mut writer,
                         ErrorCode::InvalidArgument,
                         false,
-                        &[],
                         &e.to_string(),
                     );
                     continue;
@@ -468,7 +463,6 @@ fn handle_statement(
             writer,
             ErrorCode::ShuttingDown,
             true,
-            &[],
             "server is shutting down",
         )
         .is_ok();
@@ -485,7 +479,7 @@ fn handle_statement(
         Deadline::never()
     };
 
-    let (tx, rx) = mpsc::channel::<StatementOutcome>();
+    let (tx, rx) = mpsc::channel::<Result<QueryResult>>();
     let job_conn = Arc::clone(conn);
     let job_deadline = deadline.clone();
     let job_sql = sql.to_string();
@@ -502,7 +496,7 @@ fn handle_statement(
         // Queue-wait expiry: refuse to *start* past the deadline, so a
         // timed-out COMMIT provably never applied anything.
         if let Err(e) = job_deadline.check() {
-            let _ = tx.send((Err(e), Vec::new()));
+            let _ = tx.send(Err(e));
             return;
         }
         let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -515,20 +509,16 @@ fn handle_statement(
         }));
         match outcome {
             Ok(result) => {
-                let committed = session.last_partial_commit().to_vec();
-                let _ = tx.send((result, committed));
+                let _ = tx.send(result);
             }
             Err(panic) => {
                 // Contain the panic: roll the transaction back so the
                 // session is reusable, then report INTERNAL. Pins held
                 // by the transaction release here.
                 session.abort_transaction();
-                let _ = tx.send((
-                    Err(Error::Internal(
-                        "statement panicked; transaction rolled back".into(),
-                    )),
-                    Vec::new(),
-                ));
+                let _ = tx.send(Err(Error::Internal(
+                    "statement panicked; transaction rolled back".into(),
+                )));
                 // Propagate so the pool's panic counter records it; the
                 // pool's own catch_unwind keeps the worker alive.
                 std::panic::resume_unwind(panic);
@@ -545,7 +535,6 @@ fn handle_statement(
                 writer,
                 ErrorCode::ServerBusy,
                 true,
-                &[],
                 "dispatch queue full; retry with backoff",
             )
             .is_ok();
@@ -556,7 +545,6 @@ fn handle_statement(
                 writer,
                 ErrorCode::ShuttingDown,
                 true,
-                &[],
                 "server is shutting down",
             )
             .is_ok();
@@ -566,21 +554,19 @@ fn handle_statement(
     health.queue_depth.set(server.pool.queued());
 
     // Block until the worker answers. Strict request–response: there is
-    // never more than one outstanding statement per connection.
-    let (result, committed) = match rx.recv() {
-        Ok(outcome) => outcome,
-        // Worker dropped the sender without an outcome — only possible
-        // when this connection was torn down concurrently.
-        Err(_) => return false,
+    // never more than one outstanding statement per connection. A worker
+    // drops the sender without an outcome only when this connection was
+    // torn down concurrently.
+    let Ok(result) = rx.recv() else {
+        return false;
     };
-    write_outcome(writer, health, result, &committed).is_ok()
+    write_outcome(writer, health, result).is_ok()
 }
 
 fn write_outcome(
     writer: &mut BufWriter<TcpStream>,
     health: &Arc<ServerCounters>,
     result: Result<QueryResult>,
-    committed: &[String],
 ) -> std::io::Result<()> {
     match result {
         Ok(qr) => {
@@ -608,7 +594,6 @@ fn write_outcome(
                 writer,
                 ErrorCode::from_error(&e),
                 e.is_transient(),
-                committed,
                 &e.to_string(),
             )
         }
@@ -619,9 +604,8 @@ fn write_error_frame(
     writer: &mut BufWriter<TcpStream>,
     code: ErrorCode,
     retryable: bool,
-    committed: &[String],
     message: &str,
 ) -> std::io::Result<()> {
-    protocol::write_frame(writer, &encode_error(code, retryable, committed, message))?;
+    protocol::write_frame(writer, &encode_error(code, retryable, message))?;
     writer.flush()
 }

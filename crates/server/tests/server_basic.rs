@@ -1,6 +1,6 @@
 //! Protocol-level integration tests: wire CRUD, per-statement deadline
-//! timeouts, admission-control shedding, and the structured
-//! partial-COMMIT error frame.
+//! timeouts, admission-control shedding, and an all-or-none multi-table
+//! COMMIT.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -209,7 +209,7 @@ fn full_queue_sheds_with_retryable_server_busy() {
 }
 
 #[test]
-fn failed_multi_table_commit_reports_committed_tables_in_error_frame() {
+fn failed_multi_table_commit_applies_nothing() {
     let server = start(ServerConfig::default());
     let mut a = connect(&server);
     a.query("CREATE TABLE t1 (id BIGINT, v BIGINT) STORED AS DUALTABLE")
@@ -219,9 +219,8 @@ fn failed_multi_table_commit_reports_committed_tables_in_error_frame() {
     a.query("INSERT INTO t1 VALUES (1, 0)").unwrap();
     a.query("INSERT INTO t2 VALUES (1, 0)").unwrap();
 
-    // Session A buffers writes to both tables. COMMIT applies in table
-    // name order (t1 then t2); a conflicting commit on t2 from session B
-    // makes t2 fail AFTER t1 committed.
+    // Session A buffers writes to both tables; a conflicting commit on t2
+    // from session B makes A's COMMIT lose on t2.
     a.query("BEGIN").unwrap();
     a.query("UPDATE t1 SET v = 10 WHERE id = 1").unwrap();
     a.query("UPDATE t2 SET v = 10 WHERE id = 1").unwrap();
@@ -235,22 +234,16 @@ fn failed_multi_table_commit_reports_committed_tables_in_error_frame() {
     let se = err.server().expect("server error frame");
     assert_eq!(se.code, ErrorCode::Conflict, "got {se}");
     assert!(se.retryable);
-    assert_eq!(
-        se.committed,
-        vec!["t1".to_string()],
-        "the structured frame must name exactly the already-committed tables"
+    assert!(
+        se.message.contains("'t2'"),
+        "names the store that lost: {se}"
     );
 
-    // t1's write survived (per-table atomicity), t2 kept B's value.
+    // All or none: t1 kept its value too, t2 kept B's.
     let r = a.query("SELECT v FROM t1").unwrap();
-    assert_eq!(r.rows[0][0], Value::Int64(10));
+    assert_eq!(r.rows[0][0], Value::Int64(0));
     let r = a.query("SELECT v FROM t2").unwrap();
     assert_eq!(r.rows[0][0], Value::Int64(99));
-
-    // And the list clears on the next statement: a plain failure carries
-    // no stale table list.
-    let err = a.query("SELECT * FROM nope").unwrap_err();
-    assert!(err.server().unwrap().committed.is_empty());
     server.shutdown();
 }
 

@@ -4,9 +4,8 @@
 //!
 //! The oracle is exact, not statistical. Every committer counts an
 //! increment **only** when the server acknowledged it: a `COMMIT` that
-//! returned OK, or a failed COMMIT whose structured error frame lists
-//! the table as already durably committed. Everything else — conflicts,
-//! shed statements, timeouts, injected faults — restarts the round.
+//! returned OK. Everything else — conflicts, shed statements, timeouts,
+//! injected faults — restarts the round.
 //! After the storm the table must show exactly the acked counts, every
 //! snapshot pin must have drained, generation GC must still advance,
 //! and the admission ledger must balance to the statement:
@@ -95,24 +94,18 @@ fn attempt_increment(client: &mut Client, id: i64) -> Result<bool, ClientError> 
     loop {
         return match client.query("COMMIT") {
             Ok(_) => Ok(true),
-            Err(ClientError::Server(e)) => {
-                if e.committed.iter().any(|t| t == "soak") {
-                    // The structured error frame says our table landed.
-                    return Ok(true);
+            Err(ClientError::Server(e)) => match e.code {
+                // Never executed: the admission queue refused it or the
+                // deadline expired before the worker picked it up. The
+                // transaction is still open — resend COMMIT.
+                ErrorCode::ServerBusy | ErrorCode::Timeout => {
+                    std::thread::sleep(Duration::from_millis(1));
+                    continue;
                 }
-                match e.code {
-                    // Never executed: the admission queue refused it or
-                    // the deadline expired before the worker picked it
-                    // up. The transaction is still open — resend COMMIT.
-                    ErrorCode::ServerBusy | ErrorCode::Timeout => {
-                        std::thread::sleep(Duration::from_millis(1));
-                        continue;
-                    }
-                    // Conflict / injected fault: the commit applied
-                    // nothing and rolled the transaction back.
-                    _ => Ok(false),
-                }
-            }
+                // Conflict / injected fault: the commit applied nothing
+                // and rolled the transaction back.
+                _ => Ok(false),
+            },
             Err(e) => Err(e),
         };
     }

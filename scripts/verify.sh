@@ -174,17 +174,20 @@ run_gate server-compaction cargo test -q -p dt-server --locked --test server_com
 # shards, and round-robin maintenance is cycle-fair.
 run_gate shard-routing cargo test -q -p dualtable --locked --test shard_routing -- --nocapture
 
-# Sharded crash matrix: >=200 crash points over a workload of
-# single-shard and cross-shard transactional statements (every
-# cross-shard commit range is a mandatory target). Each recovery must
-# show per-shard whole-statement states forming a committed prefix in
-# shard order, one generation per shard, and clean fsck/scrub.
+# Sharded crash matrix (sharded_crash_matrix_all_or_none): >=200 crash
+# points over a workload of single-shard statements, cross-shard
+# transactions and a two-table commit (every I/O of every transactional
+# statement is a crash point). Each recovery must show per-shard
+# whole-statement states, every in-flight transaction applied all or
+# none, one generation per shard, and clean fsck/scrub; plus the directed
+# left-over decision record test.
 run_gate shard-crash-matrix cargo test -q -p dualtable --locked --test shard_crash_matrix -- --nocapture
 
 # Sharded chaos soak (short): cross-shard transactional writers, a
 # cross-shard pinned reader and round-robin maintenance under transient
-# faults; exact per-shard acked-commit oracle via the committed-prefix
-# contract. Nightly widens with SHARD_SOAK_SEEDS=200.
+# faults; exact acked-commit oracle (every COMMIT all or none), and every
+# pinned snapshot sees each writer's counter equal in all shards.
+# Nightly widens with SHARD_SOAK_SEEDS=200.
 run_gate shard-soak cargo test -q -p dualtable --locked --test shard_soak -- --nocapture
 
 # Sharded SQL surface: SHARDED BY RANGE DDL, SHOW SHARDS, routed DML
