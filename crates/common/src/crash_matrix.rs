@@ -3,61 +3,14 @@
 //! The pattern (borrowed from how LSM engines validate recovery): run a
 //! seeded workload once with [`crate::FaultPlan`] trace recording on to
 //! learn the total I/O-operation count, then re-run the same workload once
-//! per chosen crash point `k`, injecting a crash at operation `k`,
-//! reopening from the surviving persistent state and checking invariants.
+//! per operation index `k`, injecting a crash at operation `k`, reopening
+//! from the surviving persistent state and checking invariants.
 //!
-//! This module owns the two workload-agnostic pieces: deterministic crash
-//! point *selection* (even spread + seeded jitter, exhaustive on demand,
-//! with guaranteed coverage of caller-named "interesting" ranges such as
-//! OVERWRITE/COMPACT statements) and the *runner* that folds per-point
-//! results into a [`CrashMatrixReport`].
+//! This module owns the workload-agnostic piece: the *runner* that spreads
+//! the points over the machine's cores and folds per-point results into a
+//! [`CrashMatrixReport`].
 
-use crate::rng::Rng64;
-
-/// Picks the crash points for a matrix run over operations `1..=total_ops`.
-///
-/// * When `target >= total_ops`, every operation index is returned — the
-///   exhaustive (`CRASH_MATRIX_FULL=1`-style) run.
-/// * Otherwise the points spread evenly across the horizon with seeded
-///   jitter inside each stride, so repeated smoke runs with the same seed
-///   test the same points but different seeds shift coverage.
-/// * Every `(start, end]` range in `must_cover` (1-based, inclusive end)
-///   contributes at least one point, so designated critical sections are
-///   never jittered over.
-///
-/// The result is sorted and deduplicated.
-pub fn select_crash_points(
-    seed: u64,
-    total_ops: u64,
-    target: usize,
-    must_cover: &[(u64, u64)],
-) -> Vec<u64> {
-    if total_ops == 0 {
-        return Vec::new();
-    }
-    if target as u64 >= total_ops {
-        return (1..=total_ops).collect();
-    }
-    let mut rng = Rng64::new(seed);
-    let mut points = std::collections::BTreeSet::new();
-    let target = target.max(1) as u64;
-    for i in 0..target {
-        // Stride i covers [i * total / target, (i + 1) * total / target).
-        let lo = i * total_ops / target;
-        let hi = ((i + 1) * total_ops / target).max(lo + 1);
-        points.insert(1 + lo + rng.next_below(hi - lo));
-    }
-    for &(start, end) in must_cover {
-        let (start, end) = (start.max(1), end.min(total_ops));
-        if start > end {
-            continue;
-        }
-        if points.range(start..=end).next().is_none() {
-            points.insert(start + rng.next_below(end - start + 1));
-        }
-    }
-    points.into_iter().collect()
-}
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Outcome of one crash-matrix run.
 #[derive(Debug, Default)]
@@ -70,7 +23,8 @@ pub struct CrashMatrixReport {
     /// Points where the workload finished before operation `k` — the
     /// crash never fired, the run degenerates to a clean end-to-end check.
     pub clean_runs: usize,
-    /// Human-readable invariant violations, one per failed point.
+    /// Human-readable invariant violations, one per failed point, in point
+    /// order.
     pub violations: Vec<String>,
 }
 
@@ -88,16 +42,36 @@ impl CrashMatrixReport {
 /// fired, `Ok(false)` if the workload completed before reaching `k`, and
 /// `Err(description)` on an invariant violation (the description is
 /// recorded; the matrix keeps going so one report lists every failure).
+/// Each run must build its own stack: the points run on one thread per
+/// core, each taking the next point as it finishes one.
 pub fn run_crash_matrix(
     points: &[u64],
-    mut run: impl FnMut(u64) -> std::result::Result<bool, String>,
+    run: impl Fn(u64) -> std::result::Result<bool, String> + Sync,
 ) -> CrashMatrixReport {
+    // Hands out point indices and publishes nothing else: `Relaxed`.
+    let next = AtomicUsize::new(0);
+    let worker = || {
+        let mut outcomes = Vec::new();
+        while let Some(&k) = points.get(next.fetch_add(1, Ordering::Relaxed)) {
+            outcomes.push((k, run(k)));
+        }
+        outcomes
+    };
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut outcomes: Vec<_> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers).map(|_| s.spawn(worker)).collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
+    outcomes.sort_by_key(|&(k, _)| k);
     let mut report = CrashMatrixReport {
         points: points.len(),
         ..CrashMatrixReport::default()
     };
-    for &k in points {
-        match run(k) {
+    for (k, outcome) in outcomes {
+        match outcome {
             Ok(true) => report.crashes_injected += 1,
             Ok(false) => report.clean_runs += 1,
             Err(violation) => report
@@ -113,64 +87,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn exhaustive_when_target_covers_horizon() {
-        let pts = select_crash_points(1, 10, 10, &[]);
-        assert_eq!(pts, (1..=10).collect::<Vec<_>>());
-        let pts = select_crash_points(1, 10, 50, &[]);
-        assert_eq!(pts.len(), 10);
-    }
-
-    #[test]
-    fn subsampled_points_are_in_range_sorted_and_deterministic() {
-        let a = select_crash_points(42, 10_000, 200, &[]);
-        let b = select_crash_points(42, 10_000, 200, &[]);
-        assert_eq!(a, b);
-        assert!(a.len() >= 190, "near-target coverage, got {}", a.len());
-        assert!(a.windows(2).all(|w| w[0] < w[1]));
-        assert!(a.iter().all(|&p| (1..=10_000).contains(&p)));
-        let c = select_crash_points(43, 10_000, 200, &[]);
-        assert_ne!(a, c, "different seeds shift coverage");
-    }
-
-    #[test]
-    fn points_spread_across_the_horizon() {
-        let pts = select_crash_points(7, 1000, 100, &[]);
-        // Every decile of the horizon must be hit.
-        for decile in 0..10u64 {
-            let lo = decile * 100 + 1;
-            let hi = (decile + 1) * 100;
-            assert!(
-                pts.iter().any(|&p| (lo..=hi).contains(&p)),
-                "no crash point in [{lo}, {hi}]"
-            );
-        }
-    }
-
-    #[test]
-    fn must_cover_ranges_always_get_a_point() {
-        for seed in 0..20u64 {
-            let pts = select_crash_points(seed, 100_000, 10, &[(500, 520), (99_000, 99_001)]);
-            assert!(pts.iter().any(|&p| (500..=520).contains(&p)), "seed {seed}");
-            assert!(
-                pts.iter().any(|&p| (99_000..=99_001).contains(&p)),
-                "seed {seed}"
-            );
-        }
-    }
-
-    #[test]
     fn runner_folds_outcomes_and_keeps_going_after_violations() {
-        let pts = [1, 2, 3, 4];
+        let pts = [1, 2, 3, 4, 5];
         let report = run_crash_matrix(&pts, |k| match k {
             1 | 3 => Ok(true),
             2 => Ok(false),
             _ => Err("oracle divergence".into()),
         });
-        assert_eq!(report.points, 4);
+        assert_eq!(report.points, 5);
         assert_eq!(report.crashes_injected, 2);
         assert_eq!(report.clean_runs, 1);
-        assert_eq!(report.violations.len(), 1);
+        assert_eq!(report.violations.len(), 2);
         assert!(report.violations[0].contains("crash point 4"));
+        assert!(report.violations[1].contains("crash point 5"));
         assert!(!report.ok());
     }
 }

@@ -34,7 +34,7 @@ pub mod types;
 
 pub use clock::LogicalClock;
 pub use counters::Counter;
-pub use crash_matrix::{run_crash_matrix, select_crash_points, CrashMatrixReport};
+pub use crash_matrix::{run_crash_matrix, CrashMatrixReport};
 pub use deadline::Deadline;
 pub use error::{Error, ErrorClass, Result};
 pub use fault::{FaultKind, FaultPlan, IoOp};

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use dt_common::fault::{FaultKind, FaultPlan, IoOp};
-use dt_common::{run_crash_matrix, select_crash_points};
+use dt_common::run_crash_matrix;
 use dt_dfs::{Dfs, DfsConfig, FaultyBlockStore, MemBlockStore};
 
 fn cfg() -> DfsConfig {
@@ -253,8 +253,7 @@ fn dfs_crash_matrix_exhaustive() {
     assert!(total_ops >= 20, "workload too small to be interesting");
 
     // Exhaustive: every op index is a crash point.
-    let points = select_crash_points(0xD0A1, total_ops, total_ops as usize, &[]);
-    assert_eq!(points.len() as usize, total_ops as usize);
+    let points: Vec<u64> = (1..=total_ops).collect();
     let report = run_crash_matrix(&points, |k| {
         // Torn writes exercise the salvage path, but only fire on writes;
         // a plain crash fires on any class, keeping the index exact.

@@ -1,1192 +1,1189 @@
-//! The three-tier crash-point simulation matrix (DESIGN.md §9).
+//! The crash-point matrix (DESIGN.md §9): one runner, one reference model,
+//! every write path.
 //!
-//! A seeded DML workload — INSERT, EDIT-plan UPDATE/DELETE, INSERT
-//! OVERWRITE, COMPACT — is run once with I/O-trace recording to learn
-//! its operation horizon and each statement's `(start, end]` op range.
-//! Then, for every selected crash point `k`, a fresh stack re-runs the
-//! workload with a fail-stop fault scheduled at operation `k`, recovers
-//! via [`DualTableEnv::crash_and_reopen`] (KV WAL replay + namenode
-//! edit-log/checkpoint replay), reopens the table, and checks:
+//! A [`Workload`] is data: a table [`Shape`], setup steps run disarmed,
+//! armed steps, the steps whose I/O windows it exists to cross, and what
+//! its record run must have exercised. [`run`] drives every workload the
+//! same way:
 //!
-//! 1. **Prefix durability / statement atomicity** — the recovered table
-//!    equals the oracle after exactly `acked` statements, or `acked + 1`
-//!    if the in-flight statement committed before the fault surfaced.
-//!    Never anything in between.
-//! 2. **Single generation** — every surviving master file belongs to one
-//!    generation directory. A crash inside OVERWRITE or COMPACT lands on
-//!    exactly the old or the new generation, never a mix.
-//! 3. **Physical hygiene** — fsck reports no corruption and no
-//!    under-replication; scrub collects every orphan block and leaves the
-//!    logical content untouched.
-//!
-//! The smoke run covers >= 200 points (plus guaranteed points inside
-//! every OVERWRITE/COMPACT statement). Set `CRASH_MATRIX_FULL=1` for the
-//! exhaustive run over every operation index.
+//! 1. A record run learns the armed steps' I/O trace.
+//! 2. A fresh stack re-runs the workload once for every armed I/O index
+//!    `k`, with a fail-stop fault at `k` (a torn write on even write ops).
+//!    There is no subsampling.
+//! 3. The dead process's live sessions are `mem::forget`-ed: a crash runs
+//!    no Drop glue (rollback, abandon, unpin).
+//! 4. [`DualTableEnv::crash_and_reopen`] recovers every tier.
+//! 5. [`check_recovered`] holds the recovered stack to the [`Model`]: the
+//!    block cache is empty; every store is at its slice of `oracle(acked)`
+//!    or `oracle(acked + 1)`; an in-flight COMMIT landed on every store it
+//!    touches or on none; `count()` equals the scan; each store has one
+//!    generation, no pins and no retired generations; fsck is healthy and
+//!    scrub leaves no orphan and the content unchanged; and an EDIT, a fold
+//!    and (delta tier on) a spill still work, the spill draining the tier.
+//!    The fold ledger must balance at the crash itself, and at least 90 %
+//!    of the points must fire.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 use std::sync::Arc;
 
-use dt_common::crash_matrix::{run_crash_matrix, select_crash_points};
+use dt_common::crash_matrix::run_crash_matrix;
 use dt_common::fault::{FaultKind, FaultPlan, IoOp};
-use dt_common::{DataType, Row, Schema, Value};
+use dt_common::{DataType, Deadline, RecordId, Row, Schema, Value};
 use dt_dfs::DfsConfig;
 use dt_kvstore::KvConfig;
+use dt_orcfile::{ColumnPredicate, PredicateOp};
 use dualtable::{
-    DualTableConfig, DualTableEnv, DualTableStore, PlanMode, RatioHint, RewriteJob, Snapshot,
-    Transaction, UnionReadOptions,
+    Assignment, DualTableConfig, DualTableEnv, DualTableStore, PlanMode, RatioHint, RewriteJob,
+    ShardSpec, ShardedTable, Snapshot, Transaction, UnionReadOptions,
 };
+use Set::{Add, To};
+use Step::*;
 
-const TABLE: &str = "crash";
-const ROWS_PER_FILE: usize = 8;
-
-/// Small chunks, replication 2 and a mid-workload checkpoint interval so
-/// crash points land inside block pipelines and checkpoint writes alike.
-fn dfs_cfg() -> DfsConfig {
-    DfsConfig {
-        chunk_size: 64,
-        replication: 2,
-        checkpoint_interval: 16,
-        ..DfsConfig::default()
-    }
-}
-
-/// Tiny memtable so the workload forces WAL rotation and SSTable flushes,
-/// putting crash points inside the attached tier's flush path too.
-fn kv_cfg() -> KvConfig {
-    KvConfig {
-        memtable_flush_bytes: 512,
-        ..KvConfig::default()
-    }
-}
-
-/// Two rewrite workers, so every OVERWRITE/COMPACT crash point below runs
-/// against the parallel fan-out (partitioned file-ID reservation, per-
-/// worker sinks) while the commit step stays single-threaded. Total op
-/// counts per statement stay deterministic under the fan-out — the same
-/// operation set executes in any interleaving — which is what lets the
-/// record run's `(start, end]` ranges transfer to the crash runs.
-fn table_cfg() -> DualTableConfig {
-    DualTableConfig {
-        rows_per_file: ROWS_PER_FILE,
-        plan_mode: PlanMode::CostBased,
-        write_threads: 2,
-        ..DualTableConfig::default()
-    }
-}
+const TABLE: &str = "crash_table";
+const SIDE_TABLE: &str = "crash_table_side";
+/// Table arguments of a [`Step`]: the workload's table, and the unsharded
+/// side table of a sharded [`Shape`].
+const MAIN: usize = 0;
+const SIDE: usize = 1;
+const SPLITS: [i64; 2] = [100, 200];
+const SHARDS: usize = 3;
 
 fn schema() -> Schema {
     Schema::from_pairs(&[("id", DataType::Int64), ("v", DataType::Int64)])
 }
 
-/// One DML statement of the seeded workload. Shapes keep each statement
-/// atomic (see prop_fault_recovery.rs): INSERT batches fit one master
-/// file; UPDATE/DELETE hint a tiny ratio so the cost model picks EDIT.
-#[derive(Debug, Clone, Copy)]
-enum Stmt {
-    Insert {
-        count: u8,
-    },
-    Update {
-        divisor: i64,
-        rem: i64,
-        v: i64,
-    },
-    Delete {
-        divisor: i64,
-        rem: i64,
-    },
-    /// INSERT OVERWRITE: every surviving row's `v` bumped by 1000.
-    Overwrite,
-    Compact,
-    /// Explicit delta-tier spill (DESIGN.md §17): migrates the resident
-    /// shadow runs into the LSM. A logical no-op — the oracle ignores it —
-    /// but its op range is a mandatory crash window in the delta matrix.
-    Spill,
+fn spec() -> ShardSpec {
+    ShardSpec::new(0, SPLITS.to_vec()).unwrap()
 }
 
-const STMTS: &[Stmt] = &[
-    Stmt::Insert { count: 8 },
-    Stmt::Insert { count: 6 },
-    Stmt::Update {
-        divisor: 2,
-        rem: 0,
-        v: 7,
-    },
-    Stmt::Insert { count: 8 },
-    Stmt::Delete { divisor: 3, rem: 1 },
-    Stmt::Compact,
-    Stmt::Insert { count: 5 },
-    Stmt::Update {
-        divisor: 5,
-        rem: 2,
-        v: -3,
-    },
-    Stmt::Overwrite,
-    Stmt::Insert { count: 8 },
-    Stmt::Delete { divisor: 2, rem: 1 },
-    Stmt::Update {
-        divisor: 3,
-        rem: 0,
-        v: 11,
-    },
-    Stmt::Compact,
-    Stmt::Insert { count: 7 },
-    Stmt::Update {
-        divisor: 7,
-        rem: 3,
-        v: 21,
-    },
-];
-
-/// The in-memory oracle: table content plus the id allocator.
-#[derive(Debug, Clone, Default, PartialEq)]
-struct Model {
-    rows: Vec<(i64, i64)>,
-    next_id: i64,
-}
-
-impl Model {
-    /// Applies `stmt` to the oracle (the semantics every recovered state
-    /// is judged against).
-    fn step(&mut self, stmt: &Stmt) {
-        match *stmt {
-            Stmt::Insert { count } => {
-                for _ in 0..count {
-                    self.rows.push((self.next_id, self.next_id * 3));
-                    self.next_id += 1;
-                }
-            }
-            Stmt::Update { divisor, rem, v } => {
-                for (id, val) in self.rows.iter_mut() {
-                    if *id % divisor == rem {
-                        *val = v;
-                    }
-                }
-            }
-            Stmt::Delete { divisor, rem } => self.rows.retain(|(id, _)| id % divisor != rem),
-            Stmt::Overwrite => {
-                for (_, val) in self.rows.iter_mut() {
-                    *val += 1000;
-                }
-            }
-            Stmt::Compact | Stmt::Spill => {}
-        }
-    }
-
-    fn sorted(&self) -> Vec<(i64, i64)> {
-        let mut v = self.rows.clone();
-        v.sort_unstable();
-        v
-    }
-}
-
-/// Oracle states after 0, 1, ..., N statements.
-fn oracle_states(stmts: &[Stmt]) -> Vec<Vec<(i64, i64)>> {
-    let mut m = Model::default();
-    let mut states = vec![m.sorted()];
-    for stmt in stmts {
-        m.step(stmt);
-        states.push(m.sorted());
-    }
-    states
-}
-
-/// Applies one statement to the real table. `model` is the oracle state
-/// *before* the statement (it supplies fresh ids and OVERWRITE content).
-fn apply(table: &DualTableStore, model: &Model, stmt: &Stmt) -> dt_common::Result<()> {
-    match *stmt {
-        Stmt::Insert { count } => {
-            let rows: Vec<Row> = (0..count as i64)
-                .map(|i| {
-                    let id = model.next_id + i;
-                    vec![Value::Int64(id), Value::Int64(id * 3)]
-                })
-                .collect();
-            table.insert_rows(rows).map(|_| ())
-        }
-        Stmt::Update { divisor, rem, v } => table
-            .update(
-                move |row| row[0].as_i64().unwrap() % divisor == rem,
-                &[(1, Box::new(move |_| Value::Int64(v)))],
-                RatioHint::Explicit(0.01),
-            )
-            .map(|_| ()),
-        Stmt::Delete { divisor, rem } => table
-            .delete(
-                move |row| row[0].as_i64().unwrap() % divisor == rem,
-                RatioHint::Explicit(0.01),
-            )
-            .map(|_| ()),
-        Stmt::Overwrite => {
-            let rows: Vec<Row> = model
-                .rows
-                .iter()
-                .map(|&(id, v)| vec![Value::Int64(id), Value::Int64(v + 1000)])
-                .collect();
-            table.insert_overwrite(rows).map(|_| ())
-        }
-        Stmt::Compact => table.compact(),
-        Stmt::Spill => table.spill_delta().map(|_| ()),
-    }
-}
-
-/// The table's logical content as sorted `(id, v)` pairs.
-fn scan_sorted(table: &DualTableStore) -> Result<Vec<(i64, i64)>, String> {
-    let scanned = table.scan_all().map_err(|e| format!("scan: {e}"))?;
-    let mut got: Vec<(i64, i64)> = scanned
-        .iter()
-        .map(|(_, row)| (row[0].as_i64().unwrap(), row[1].as_i64().unwrap()))
-        .collect();
-    got.sort_unstable();
-    Ok(got)
-}
-
-/// The set of generation directories holding master files.
-fn live_generations(env: &DualTableEnv) -> BTreeSet<String> {
-    env.dfs
-        .list(&format!("/warehouse/{TABLE}/"))
-        .into_iter()
-        .filter_map(|p| {
-            p.split('/')
-                .find(|seg| seg.starts_with("gen-"))
-                .map(String::from)
-        })
+/// Rows of fresh keys: `v = 3 * id`.
+fn rows(keys: impl IntoIterator<Item = i64>) -> Vec<Row> {
+    keys.into_iter()
+        .map(|k| vec![Value::Int64(k), Value::Int64(k * 3)])
         .collect()
 }
 
-#[test]
-fn crash_matrix_three_tiers() {
-    // ------------------------------------------------------------------
-    // Record run: learn the op horizon, the per-op class trace, and each
-    // statement's op range. Setup runs disarmed so op 1 is the first
-    // workload operation in both this run and every crash run.
-    // ------------------------------------------------------------------
-    let plan = Arc::new(FaultPlan::new(0xD7A1));
-    plan.set_armed(false);
-    let env = DualTableEnv::in_memory_faulty_with(plan.clone(), dfs_cfg(), kv_cfg())
-        .expect("clean setup");
-    let table = DualTableStore::create(&env, TABLE, schema(), table_cfg()).expect("clean create");
-    plan.record_trace();
-    plan.set_armed(true);
-
-    let oracles = oracle_states(STMTS);
-    let mut model = Model::default();
-    let mut ranges: Vec<(u64, u64)> = Vec::new();
-    for stmt in STMTS {
-        let start = plan.ops_seen();
-        apply(&table, &model, stmt).expect("record run must not fault");
-        model.step(stmt);
-        ranges.push((start + 1, plan.ops_seen()));
-    }
-    plan.set_armed(false);
-    let trace = plan.take_trace();
-    let total_ops = trace.len() as u64;
-    assert_eq!(
-        scan_sorted(&table).unwrap(),
-        oracles[STMTS.len()],
-        "record run diverged from oracle"
-    );
-    assert!(
-        total_ops >= 200,
-        "workload too small for a 200-point smoke matrix ({total_ops} ops)"
-    );
-
-    // Crash points inside OVERWRITE and COMPACT are mandatory: those are
-    // the generation-swap critical sections.
-    let must_cover: Vec<(u64, u64)> = STMTS
-        .iter()
-        .zip(&ranges)
-        .filter(|(s, _)| matches!(s, Stmt::Overwrite | Stmt::Compact))
-        .map(|(_, &r)| r)
-        .collect();
-    assert_eq!(
-        must_cover.len(),
-        3,
-        "one OVERWRITE + two COMPACT statements"
-    );
-    assert!(
-        must_cover.iter().all(|&(s, e)| s <= e),
-        "empty critical range"
-    );
-
-    // ------------------------------------------------------------------
-    // Matrix run: >= 200 jittered points by default, every op index under
-    // CRASH_MATRIX_FULL=1.
-    // ------------------------------------------------------------------
-    let full = std::env::var("CRASH_MATRIX_FULL").is_ok_and(|v| v != "0");
-    let target = if full { total_ops as usize } else { 200 };
-    let points = select_crash_points(0x5EED_CA5B, total_ops, target, &must_cover);
-    assert!(points.len() >= 200, "only {} crash points", points.len());
-    for &(s, e) in &must_cover {
-        assert!(
-            points.iter().any(|&p| (s..=e).contains(&p)),
-            "no crash point inside critical range ({s}, {e}]"
-        );
-    }
-
-    let report = run_crash_matrix(&points, |k| {
-        // Torn writes on even write ops exercise the salvage paths; a
-        // plain crash fires on any op class.
-        let kind = if trace[(k - 1) as usize] == IoOp::Write && k % 2 == 0 {
-            FaultKind::TornWrite
-        } else {
-            FaultKind::Crash
-        };
-        let plan = Arc::new(FaultPlan::new(0xC0FFEE ^ k).fail_at(k, kind));
-        plan.set_armed(false);
-        let env = DualTableEnv::in_memory_faulty_with(plan.clone(), dfs_cfg(), kv_cfg())
-            .map_err(|e| format!("setup: {e}"))?;
-        let table = DualTableStore::create(&env, TABLE, schema(), table_cfg())
-            .map_err(|e| format!("create: {e}"))?;
-        plan.set_armed(true);
-
-        let mut model = Model::default();
-        let mut acked = 0usize;
-        let mut crashed = false;
-        for stmt in STMTS {
-            match apply(&table, &model, stmt) {
-                Ok(()) => {
-                    model.step(stmt);
-                    acked += 1;
-                    // An Ok statement with a sticky crash behind it: the
-                    // fault hit post-commit maintenance. The simulated
-                    // process is dead; stop issuing statements.
-                    if plan.is_crashed() {
-                        crashed = true;
-                        break;
-                    }
-                }
-                Err(_) => {
-                    crashed = true;
-                    break;
-                }
-            }
-        }
-        if !crashed && !plan.is_crashed() {
-            return Ok(false); // self-healing absorbed the fault
-        }
-
-        // Restart the whole stack from its durable state and reopen the
-        // table (which settles any deferred generation GC).
-        plan.heal_and_disarm();
-        env.crash_and_reopen()
-            .map_err(|e| format!("recovery: {e}"))?;
-        // The restart must purge the block cache: recovery can roll the
-        // namespace back past commits, so any block cached pre-crash may
-        // describe state the recovered namespace never saw. Every
-        // post-recovery read below therefore re-fetches from durable
-        // storage — a resurrected pre-crash block would surface as a
-        // divergence from the oracle.
-        if env.dfs.block_cache_entries() != 0 {
-            return Err(format!(
-                "{} pre-crash blocks survived recovery in the cache",
-                env.dfs.block_cache_entries()
-            ));
-        }
-        let table = DualTableStore::open(&env, TABLE, schema(), table_cfg())
-            .map_err(|e| format!("reopen: {e}"))?;
-
-        // Invariant 1: oracle(acked) or oracle(acked + 1), never a mix.
-        let got = scan_sorted(&table)?;
-        let committed_in_flight = acked + 1 < oracles.len() && got == oracles[acked + 1];
-        if got != oracles[acked] && !committed_in_flight {
-            return Err(format!(
-                "recovered table matches neither oracle({acked}) nor oracle({}): {} rows",
-                acked + 1,
-                got.len()
-            ));
-        }
-        if table.count().map_err(|e| format!("count: {e}"))? != got.len() as u64 {
-            return Err("count() disagrees with scan".into());
-        }
-
-        // Invariant 2: one surviving master generation — a crash inside
-        // OVERWRITE/COMPACT must land on the old or the new generation.
-        let gens = live_generations(&env);
-        if gens.len() > 1 {
-            return Err(format!("mixed master generations after recovery: {gens:?}"));
-        }
-
-        // Invariant 3: no corruption or under-replication; orphans are
-        // collected by scrub without touching logical content.
-        let fsck = env.dfs.fsck().map_err(|e| format!("fsck: {e}"))?;
-        if !fsck.healthy() {
-            return Err(format!("fsck unhealthy after recovery: {fsck:?}"));
-        }
-        env.dfs.scrub().map_err(|e| format!("scrub: {e}"))?;
-        let after = env
-            .dfs
-            .fsck()
-            .map_err(|e| format!("post-scrub fsck: {e}"))?;
-        if after.orphan_blocks != 0 {
-            return Err(format!("{} orphans survived scrub", after.orphan_blocks));
-        }
-        if scan_sorted(&table)? != got {
-            return Err("scrub changed logical table content".into());
-        }
-        Ok(true)
-    });
-
-    assert!(
-        report.ok(),
-        "crash matrix violations ({} of {} points):\n{:#?}",
-        report.violations.len(),
-        report.points,
-        report.violations
-    );
-    // Nearly every point must actually kill the workload; a small
-    // remainder may be absorbed by replica failover.
-    assert!(
-        report.crashes_injected * 10 >= report.points * 9,
-        "only {} of {} crash points fired",
-        report.crashes_injected,
-        report.points
-    );
+fn table_cfg() -> DualTableConfig {
+    Shape::default().config()
 }
 
-// ---------------------------------------------------------------------------
-// Delta-tier crash matrix (DESIGN.md §17).
-//
-// The statement matrix above runs with the delta tier off. This one
-// re-runs a delta-heavy variant of the workload with EDIT cells routed
-// through the WAL-backed shadow runs, and makes every spill window — the
-// atomic WAL record carrying the migrated entries plus the retire marker,
-// the memtable inserts behind it, and the WAL-rotation carry-forward — a
-// mandatory crash range. Invariants are the statement matrix's three,
-// plus:
-//
-// 4. **Replay reaches the tier** — recovery reconstructs the un-spilled
-//    shadow entries from the WAL (the recovered scan equals the oracle,
-//    which it cannot without them), and the replayed tier stays
-//    *operable*: an explicit post-recovery spill drains it to zero bytes
-//    without changing a single visible byte.
-// ---------------------------------------------------------------------------
+fn faulty_env(plan: &Arc<FaultPlan>) -> dt_common::Result<DualTableEnv> {
+    Shape::default().env(plan)
+}
 
-/// Delta-heavy workload: every EDIT burst is followed by an explicit
-/// spill, and a COMPACT (which spills internally before folding) closes
-/// each act. No OVERWRITE — master rewrites don't touch the tier.
-const DSTMTS: &[Stmt] = &[
-    Stmt::Insert { count: 8 },
-    Stmt::Insert { count: 8 },
-    Stmt::Update {
-        divisor: 2,
-        rem: 0,
-        v: 7,
-    },
-    Stmt::Spill,
-    Stmt::Insert { count: 6 },
-    Stmt::Delete { divisor: 3, rem: 1 },
-    Stmt::Update {
-        divisor: 5,
-        rem: 2,
-        v: -3,
-    },
-    Stmt::Spill,
-    Stmt::Compact,
-    Stmt::Insert { count: 8 },
-    Stmt::Update {
-        divisor: 3,
-        rem: 0,
-        v: 11,
-    },
-    Stmt::Delete { divisor: 4, rem: 1 },
-    Stmt::Spill,
-    Stmt::Insert { count: 5 },
-    Stmt::Update {
-        divisor: 7,
-        rem: 3,
-        v: 21,
-    },
-];
+/// Rows a statement touches: `id % .0 == .1`.
+type Hit = (i64, i64);
 
-/// [`table_cfg`] with the delta tier on. The budget is big enough that
-/// spills happen only at the explicit [`Stmt::Spill`] points (and inside
-/// COMPACT), keeping every crash run's op trace aligned with the record
-/// run's.
-fn delta_table_cfg() -> DualTableConfig {
-    DualTableConfig {
-        delta_bytes: 1 << 20,
-        ..table_cfg()
+fn hits((divisor, rem): Hit) -> impl Fn(&Row) -> bool + Sync + Copy {
+    move |row| row[0].as_i64().unwrap() % divisor == rem
+}
+
+/// What an UPDATE does to `v`.
+#[derive(Debug, Clone, Copy)]
+enum Set {
+    To(i64),
+    Add(i64),
+}
+
+impl Set {
+    fn apply(self, v: i64) -> i64 {
+        match self {
+            Set::To(x) => x,
+            Set::Add(d) => v + d,
+        }
+    }
+
+    fn assignment(self) -> [Assignment<'static>; 1] {
+        [(
+            1,
+            Box::new(move |row: &Row| Value::Int64(self.apply(row[1].as_i64().unwrap()))),
+        )]
     }
 }
 
-#[test]
-fn crash_matrix_delta_tier() {
-    // Record run (disarmed setup, armed workload) — see the first matrix.
-    let plan = Arc::new(FaultPlan::new(0xD7A3));
-    plan.set_armed(false);
-    let env = DualTableEnv::in_memory_faulty_with(plan.clone(), dfs_cfg(), kv_cfg())
-        .expect("clean setup");
-    let table =
-        DualTableStore::create(&env, TABLE, schema(), delta_table_cfg()).expect("clean create");
-    plan.record_trace();
-    plan.set_armed(true);
-
-    let oracles = oracle_states(DSTMTS);
-    let mut model = Model::default();
-    let mut ranges: Vec<(u64, u64)> = Vec::new();
-    for stmt in DSTMTS {
-        let start = plan.ops_seen();
-        apply(&table, &model, stmt).expect("record run must not fault");
-        model.step(stmt);
-        ranges.push((start + 1, plan.ops_seen()));
-    }
-    plan.set_armed(false);
-    let trace = plan.take_trace();
-    let total_ops = trace.len() as u64;
-    assert_eq!(
-        scan_sorted(&table).unwrap(),
-        oracles[DSTMTS.len()],
-        "record run diverged from oracle"
-    );
-    // The workload actually exercised the tier: the final EDIT burst left
-    // resident entries, and the earlier spills migrated some.
-    assert!(
-        table.delta_bytes_used().unwrap() > 0,
-        "trailing EDIT burst must leave resident delta entries"
-    );
-    assert!(
-        env.kv.health_snapshot().delta_spills >= 3,
-        "explicit spills did not reach the tier"
-    );
-    assert!(
-        total_ops >= 100,
-        "workload too small for the delta matrix ({total_ops} ops)"
-    );
-
-    // Every spill window is mandatory, as is the COMPACT (it spills
-    // internally before folding, then swings the generation).
-    let must_cover: Vec<(u64, u64)> = DSTMTS
-        .iter()
-        .zip(&ranges)
-        .filter(|(s, _)| matches!(s, Stmt::Spill | Stmt::Compact))
-        .map(|(_, &r)| r)
-        .collect();
-    assert_eq!(must_cover.len(), 4, "three spills + one compact");
-    assert!(
-        must_cover.iter().all(|&(s, e)| s <= e),
-        "empty spill critical range: {must_cover:?}"
-    );
-
-    let full = std::env::var("CRASH_MATRIX_FULL").is_ok_and(|v| v != "0");
-    let target = if full { total_ops as usize } else { 150 };
-    let points = select_crash_points(0x5EED_CA5D, total_ops, target, &must_cover);
-    for &(s, e) in &must_cover {
-        assert!(
-            points.iter().any(|&p| (s..=e).contains(&p)),
-            "no crash point inside critical range ({s}, {e}]"
-        );
-    }
-
-    let report = run_crash_matrix(&points, |k| {
-        let kind = if trace[(k - 1) as usize] == IoOp::Write && k % 2 == 0 {
-            FaultKind::TornWrite
-        } else {
-            FaultKind::Crash
-        };
-        let plan = Arc::new(FaultPlan::new(0xDE17A ^ k).fail_at(k, kind));
-        plan.set_armed(false);
-        let env = DualTableEnv::in_memory_faulty_with(plan.clone(), dfs_cfg(), kv_cfg())
-            .map_err(|e| format!("setup: {e}"))?;
-        let table = DualTableStore::create(&env, TABLE, schema(), delta_table_cfg())
-            .map_err(|e| format!("create: {e}"))?;
-        plan.set_armed(true);
-
-        let mut model = Model::default();
-        let mut acked = 0usize;
-        let mut crashed = false;
-        for stmt in DSTMTS {
-            match apply(&table, &model, stmt) {
-                Ok(()) => {
-                    model.step(stmt);
-                    acked += 1;
-                    if plan.is_crashed() {
-                        crashed = true;
-                        break;
-                    }
-                }
-                Err(_) => {
-                    crashed = true;
-                    break;
-                }
-            }
-        }
-        if !crashed && !plan.is_crashed() {
-            return Ok(false); // self-healing absorbed the fault
-        }
-
-        plan.heal_and_disarm();
-        env.crash_and_reopen()
-            .map_err(|e| format!("recovery: {e}"))?;
-        let table = DualTableStore::open(&env, TABLE, schema(), delta_table_cfg())
-            .map_err(|e| format!("reopen: {e}"))?;
-
-        // Invariant 1: oracle(acked) or oracle(acked + 1), never a mix —
-        // and the recovered scan can only match if WAL replay rebuilt the
-        // un-spilled shadow entries (the trailing EDIT bursts live nowhere
-        // else).
-        let got = scan_sorted(&table)?;
-        let committed_in_flight = acked + 1 < oracles.len() && got == oracles[acked + 1];
-        if got != oracles[acked] && !committed_in_flight {
-            return Err(format!(
-                "recovered table matches neither oracle({acked}) nor oracle({}): {} rows",
-                acked + 1,
-                got.len()
-            ));
-        }
-        if table.count().map_err(|e| format!("count: {e}"))? != got.len() as u64 {
-            return Err("count() disagrees with scan".into());
-        }
-
-        // Invariant 2: one surviving master generation.
-        let gens = live_generations(&env);
-        if gens.len() > 1 {
-            return Err(format!("mixed master generations after recovery: {gens:?}"));
-        }
-
-        // Invariant 3: physical hygiene.
-        let fsck = env.dfs.fsck().map_err(|e| format!("fsck: {e}"))?;
-        if !fsck.healthy() {
-            return Err(format!("fsck unhealthy after recovery: {fsck:?}"));
-        }
-        env.dfs.scrub().map_err(|e| format!("scrub: {e}"))?;
-
-        // Invariant 4: the replayed tier is operable — an explicit spill
-        // drains it completely and changes nothing visible.
-        table
-            .spill_delta()
-            .map_err(|e| format!("post-recovery spill: {e}"))?;
-        if table
-            .delta_bytes_used()
-            .map_err(|e| format!("delta gauge: {e}"))?
-            != 0
-        {
-            return Err("post-recovery spill left resident delta bytes".into());
-        }
-        if scan_sorted(&table)? != got {
-            return Err("post-recovery spill changed logical table content".into());
-        }
-        Ok(true)
-    });
-
-    assert!(
-        report.ok(),
-        "delta crash matrix violations ({} of {} points):\n{:#?}",
-        report.violations.len(),
-        report.points,
-        report.violations
-    );
-    assert!(
-        report.crashes_injected * 10 >= report.points * 9,
-        "only {} of {} crash points fired",
-        report.crashes_injected,
-        report.points
-    );
-}
-
-// ---------------------------------------------------------------------------
-// Interleaved-transaction crash matrix (DESIGN.md §13).
-//
-// The first matrix crashes inside *statements*; this one crashes inside a
-// fixed interleaving of concurrent MVCC *sessions*: an autocommit writer, a
-// pinned reader snapshot, two explicit transactions, and a two-phase
-// compaction whose pointer swing happens while the reader is still pinned
-// on the old generation (forcing deferred GC, then a mid-GC window when the
-// reader drops). Crash points land between a transaction's conflict check
-// and its commit batch, mid-pointer-swing, and mid-GC. Invariants:
-//
-// 1. **Transaction prefix durability** — the recovered table equals the
-//    oracle after exactly `acked` script steps (or `acked + 1` when the
-//    in-flight step committed before the fault surfaced). A transaction is
-//    all-in or all-out: T1 buffers an UPDATE plus a two-master-file INSERT,
-//    so a partial commit (files without patches, one file of two) matches
-//    no oracle state and fails the matrix. Staged files orphaned between
-//    the durable intent write and the commit batch must be rolled back by
-//    intent recovery on reopen — an absent visibility record means always
-//    visible, so a leaked staged file would surface as phantom rows.
-// 2. **Single generation, no pinned generation deleted** — while the
-//    process lives, the pinned reader keeps byte-stable reads across the
-//    swing (checked in-script); after recovery exactly one generation
-//    directory survives and the deferred-GC ledger is empty (pins do not
-//    outlive a process).
-// 3. **Physical hygiene** — fsck healthy, scrub collects every orphan and
-//    leaves logical content untouched.
-// ---------------------------------------------------------------------------
-
-/// One step of the interleaved multi-session script. The script is fixed
-/// (not seeded): determinism is what lets the record run's op ranges
-/// transfer to the crash runs, and the interesting windows — commit,
-/// swing, GC — are guaranteed by construction rather than by search.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum TStep {
-    /// Autocommit EDIT: `v += 100 WHERE id % 4 == 0`.
-    AutoUpdate,
-    /// Pin a reader snapshot (holds the current generation alive).
-    PinReader,
-    BeginT1,
-    /// Buffered in T1: `v = -5 WHERE id % 3 == 1`.
-    T1Update,
-    /// Buffered in T1: ids 100..110 — two master files, so commit
-    /// atomicity spans multiple staged files.
-    T1Insert,
-    /// Conflict check → intent write → staged files → commit batch.
-    T1Commit,
-    /// Build the replacement generation off to the side.
+/// One step of a workload. Table arguments are [`MAIN`] or [`SIDE`].
+#[derive(Debug, Clone)]
+enum Step {
+    /// Autocommit INSERT of these keys.
+    Insert(usize, Range<i64>),
+    /// Autocommit UPDATE with an EDIT-sized ratio hint.
+    Update(usize, Hit, Set),
+    /// Autocommit DELETE with an EDIT-sized ratio hint.
+    Delete(usize, Hit),
+    /// INSERT OVERWRITE of the table's rows with every `v` bumped by 1000.
+    Overwrite(usize),
+    Compact(usize),
+    /// One `compact_incremental` cycle (round-robin over a sharded table).
+    Fold(usize),
+    /// An explicit delta-tier spill of every store of the table.
+    Spill(usize),
+    /// Opens one snapshot-isolation transaction per table.
+    Begin,
+    TxnInsert(usize, Range<i64>),
+    TxnUpdate(usize, Hit, Set),
+    /// Commits every open transaction as one (`Transaction::commit_all`).
+    Commit,
+    /// Pins a snapshot of [`MAIN`], which must be one store.
+    Pin,
+    /// The pinned snapshot still reads what was committed at `Pin`.
+    CheckPin,
+    /// Drops the pin: a generation retired under it drains.
+    Unpin,
+    /// Builds a COMPACT of [`MAIN`] aside; `FinishCompact` swings it in.
     BeginCompact,
-    /// Pointer swing with the reader still pinned: GC must defer.
-    FinishSwing,
-    /// Autocommit INSERT ids 200..204 (one master file).
-    AutoInsert,
-    BeginT2,
-    /// Buffered in T2: `v += 7 WHERE id % 5 == 2`.
-    T2Update,
-    /// The pinned reader must still see its pin-time bytes post-swing.
-    ReaderCheck,
-    /// Dropping the pin drains the retired generation: mid-GC window.
-    DropReader,
-    T2Commit,
-    /// Blocking compact with no pins: immediate GC of the old generation.
-    FinalCompact,
+    FinishCompact,
 }
 
-const TSTEPS: &[TStep] = &[
-    TStep::AutoUpdate,
-    TStep::PinReader,
-    TStep::BeginT1,
-    TStep::T1Update,
-    TStep::T1Insert,
-    TStep::T1Commit,
-    TStep::BeginCompact,
-    TStep::FinishSwing,
-    TStep::AutoInsert,
-    TStep::BeginT2,
-    TStep::T2Update,
-    TStep::ReaderCheck,
-    TStep::DropReader,
-    TStep::T2Commit,
-    TStep::FinalCompact,
-];
-
-/// Live session objects of the script. On a simulated crash the whole
-/// context is `mem::forget`-ed: a dead process never runs Drop glue
-/// (rollback, abandon, unpin), and running it would model a graceful
-/// shutdown instead of a crash.
-#[derive(Default)]
-struct TxnCtx {
-    reader: Option<Snapshot>,
-    reader_expect: Vec<(i64, i64)>,
-    t1: Option<Transaction>,
-    t2: Option<Transaction>,
-    job: Option<RewriteJob>,
-}
-
-const TXN_SEED_ROWS: i64 = 20;
-
-/// Oracle states after 0, 1, ..., N script steps. Index 0 is the disarmed
-/// setup seed (ids `0..20`, `v = 3 * id`); buffered transaction writes
-/// only land at their commit step.
-fn txn_oracle_states() -> Vec<Vec<(i64, i64)>> {
-    let mut m: std::collections::BTreeMap<i64, i64> =
-        (0..TXN_SEED_ROWS).map(|id| (id, id * 3)).collect();
-    let snap = |m: &std::collections::BTreeMap<i64, i64>| {
-        m.iter().map(|(&id, &v)| (id, v)).collect::<Vec<_>>()
-    };
-    let mut states = vec![snap(&m)];
-    for step in TSTEPS {
-        match step {
-            TStep::AutoUpdate => {
-                m.iter_mut().for_each(|(id, v)| {
-                    if id % 4 == 0 {
-                        *v += 100;
-                    }
-                });
-            }
-            TStep::T1Commit => {
-                m.iter_mut().for_each(|(id, v)| {
-                    if id % 3 == 1 {
-                        *v = -5;
-                    }
-                });
-                m.extend((100..110).map(|id| (id, id * 2)));
-            }
-            TStep::AutoInsert => m.extend((200..204).map(|id| (id, id * 2))),
-            TStep::T2Commit => {
-                m.iter_mut().for_each(|(id, v)| {
-                    if id % 5 == 2 {
-                        *v += 7;
-                    }
-                });
-            }
-            _ => {}
-        }
-        states.push(snap(&m));
+impl Step {
+    /// The variant name, as [`Workload::windows`] spells it.
+    fn name(&self) -> String {
+        let debug = format!("{self:?}");
+        debug.split('(').next().unwrap_or_default().to_string()
     }
-    states
 }
 
-/// Sorted `(id, v)` pairs visible to a pinned snapshot.
-fn snap_sorted(snap: &Snapshot) -> Result<Vec<(i64, i64)>, String> {
-    let scanned = snap.scan_all().map_err(|e| format!("pinned scan: {e}"))?;
-    let mut got: Vec<(i64, i64)> = scanned
-        .iter()
+/// Committed content, one ordered `id → v` map per table.
+type State = Vec<BTreeMap<i64, i64>>;
+
+/// The reference model: committed tables, the open transaction's view
+/// (its pin plus its own writes) and writes, which land at `Commit`, and
+/// what `MAIN` held when the snapshot was pinned.
+#[derive(Clone)]
+struct Model {
+    tables: State,
+    txn: Option<(State, State)>,
+    pinned: Vec<(i64, i64)>,
+}
+
+impl Model {
+    fn new(tables: usize) -> Self {
+        Model {
+            tables: vec![BTreeMap::new(); tables],
+            txn: None,
+            pinned: Vec::new(),
+        }
+    }
+
+    fn step(&mut self, step: &Step) {
+        let fresh = |keys: &Range<i64>| keys.clone().map(|k| (k, k * 3));
+        match step {
+            Step::Insert(t, keys) => self.tables[*t].extend(fresh(keys)),
+            Step::Update(t, hit, set) => {
+                for (&id, v) in self.tables[*t].iter_mut() {
+                    if id % hit.0 == hit.1 {
+                        *v = set.apply(*v);
+                    }
+                }
+            }
+            Step::Delete(t, hit) => self.tables[*t].retain(|id, _| id % hit.0 != hit.1),
+            Step::Overwrite(t) => self.tables[*t].values_mut().for_each(|v| *v += 1000),
+            Step::Begin => {
+                let writes = vec![BTreeMap::new(); self.tables.len()];
+                self.txn = Some((self.tables.clone(), writes));
+            }
+            Step::TxnInsert(t, keys) => {
+                let (view, writes) = self.txn.as_mut().unwrap();
+                view[*t].extend(fresh(keys));
+                writes[*t].extend(fresh(keys));
+            }
+            Step::TxnUpdate(t, hit, set) => {
+                let (view, writes) = self.txn.as_mut().unwrap();
+                for (&id, v) in view[*t].iter_mut() {
+                    if id % hit.0 == hit.1 {
+                        *v = set.apply(*v);
+                        writes[*t].insert(id, *v);
+                    }
+                }
+            }
+            Step::Commit => {
+                let (_, writes) = self.txn.take().unwrap();
+                for (table, w) in self.tables.iter_mut().zip(writes) {
+                    table.extend(w);
+                }
+            }
+            Step::Pin => self.pinned = self.tables[MAIN].clone().into_iter().collect(),
+            Step::Compact(_)
+            | Step::Fold(_)
+            | Step::Spill(_)
+            | Step::CheckPin
+            | Step::Unpin
+            | Step::BeginCompact
+            | Step::FinishCompact => {}
+        }
+    }
+
+    /// Judges what a step read: only `CheckPin` reads.
+    fn check(&self, seen: Option<Vec<(i64, i64)>>) -> Result<(), String> {
+        match seen {
+            Some(seen) if seen != self.pinned => Err(format!(
+                "pinned snapshot drifted: {} rows at pin, {} now",
+                self.pinned.len(),
+                seen.len()
+            )),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// The tables a workload runs on.
+#[derive(Clone)]
+struct Shape {
+    /// [`MAIN`] range-sharded at [`SPLITS`] beside an unsharded [`SIDE`]
+    /// table; otherwise [`MAIN`] is one store.
+    sharded: bool,
+    delta_bytes: usize,
+    write_threads: usize,
+    rows_per_file: usize,
+    plan_mode: PlanMode,
+    /// DFS block size: small blocks put crash points inside block
+    /// pipelines.
+    chunk_size: usize,
+}
+
+impl Default for Shape {
+    /// Two rewrite workers, so OVERWRITE/COMPACT crash points run against
+    /// the parallel fan-out. Its op count per statement is deterministic,
+    /// which is what lets the record run's trace transfer to the crash runs.
+    fn default() -> Self {
+        Shape {
+            sharded: false,
+            delta_bytes: 0,
+            write_threads: 2,
+            rows_per_file: 8,
+            plan_mode: PlanMode::CostBased,
+            chunk_size: 64,
+        }
+    }
+}
+
+impl Shape {
+    /// Replication 2 and a mid-workload checkpoint interval put crash
+    /// points inside replica pipelines and checkpoint writes; a tiny
+    /// memtable puts them inside WAL rotation and SSTable flushes.
+    fn env(&self, plan: &Arc<FaultPlan>) -> dt_common::Result<DualTableEnv> {
+        let dfs = DfsConfig {
+            chunk_size: self.chunk_size,
+            replication: 2,
+            checkpoint_interval: 16,
+            ..DfsConfig::default()
+        };
+        let kv = KvConfig {
+            memtable_flush_bytes: 512,
+            ..KvConfig::default()
+        };
+        DualTableEnv::in_memory_faulty_with(plan.clone(), dfs, kv)
+    }
+
+    /// The delta budget, when on, is big enough that spills happen only at
+    /// `Spill` steps and inside COMPACT, keeping every run's trace aligned.
+    fn config(&self) -> DualTableConfig {
+        DualTableConfig {
+            rows_per_file: self.rows_per_file,
+            plan_mode: self.plan_mode,
+            write_threads: self.write_threads,
+            delta_bytes: self.delta_bytes,
+            ..DualTableConfig::default()
+        }
+    }
+
+    fn tables(&self) -> usize {
+        1 + usize::from(self.sharded)
+    }
+
+    /// Every store as `(table, shard)`, in [`Stack::stores`] order.
+    fn stores(&self) -> Vec<(usize, Option<usize>)> {
+        if self.sharded {
+            let shards = (0..SHARDS).map(|i| (MAIN, Some(i)));
+            shards.chain([(SIDE, None)]).collect()
+        } else {
+            vec![(MAIN, None)]
+        }
+    }
+
+    /// Each store's slice of `state`, as sorted `(id, v)` pairs.
+    fn slices(&self, state: &State) -> Vec<Vec<(i64, i64)>> {
+        let sp = spec();
+        let slice = |(t, shard): (usize, Option<usize>)| {
+            let rows = state[t].iter().map(|(&id, &v)| (id, v));
+            let mine = |&(id, _): &(i64, i64)| shard.is_none_or(|s| sp.shard_of(id) == s);
+            rows.filter(mine).collect()
+        };
+        self.stores().into_iter().map(slice).collect()
+    }
+
+    /// What must still work on a recovered stack.
+    fn after_recovery(&self) -> Vec<Step> {
+        let mut steps = vec![Step::Update(MAIN, (2, 0), Set::To(777)), Step::Fold(MAIN)];
+        if self.delta_bytes > 0 {
+            steps.extend((0..self.tables()).map(Step::Spill));
+        }
+        steps
+    }
+}
+
+enum Handle {
+    One(DualTableStore),
+    Sharded(ShardedTable),
+}
+
+/// Calls a method both table kinds have.
+macro_rules! either {
+    ($handle:expr, $t:ident => $call:expr) => {
+        match $handle {
+            Handle::One($t) => $call,
+            Handle::Sharded($t) => $call,
+        }
+    };
+}
+
+impl Handle {
+    fn stores(&self) -> &[DualTableStore] {
+        match self {
+            Handle::One(s) => std::slice::from_ref(s),
+            Handle::Sharded(t) => t.shards(),
+        }
+    }
+
+    fn one(&self) -> &DualTableStore {
+        match self {
+            Handle::One(s) => s,
+            Handle::Sharded(_) => panic!("pins and compaction jobs take one store"),
+        }
+    }
+
+    /// An UPDATE (`set` given) or DELETE with an EDIT-sized ratio hint.
+    fn edit(&self, hit: Hit, set: Option<Set>) -> dt_common::Result<()> {
+        let (pred, ratio) = (hits(hit), RatioHint::Explicit(0.01));
+        match (self, set) {
+            (Handle::One(s), Some(set)) => s.update(pred, &set.assignment(), ratio).map(drop),
+            (Handle::One(s), None) => s.delete(pred, ratio).map(drop),
+            (Handle::Sharded(t), Some(set)) => t
+                .update_keyed(pred, &set.assignment(), ratio, None, None)
+                .map(drop),
+            (Handle::Sharded(t), None) => t.delete_keyed(pred, ratio, None, None).map(drop),
+        }
+    }
+}
+
+/// A workload's tables on one environment.
+struct Stack {
+    env: DualTableEnv,
+    tables: Vec<Handle>,
+}
+
+impl Stack {
+    fn new(env: &DualTableEnv, shape: &Shape, create: bool) -> dt_common::Result<Self> {
+        let cfg = shape.config();
+        let store = |name| match create {
+            true => DualTableStore::create(env, name, schema(), cfg.clone()),
+            false => DualTableStore::open(env, name, schema(), cfg.clone()),
+        };
+        let mut tables = vec![match (shape.sharded, create) {
+            (false, _) => Handle::One(store(TABLE)?),
+            (true, true) => Handle::Sharded(ShardedTable::create(
+                env,
+                TABLE,
+                schema(),
+                cfg.clone(),
+                spec(),
+            )?),
+            (true, false) => {
+                Handle::Sharded(ShardedTable::open(env, TABLE, schema(), cfg.clone())?)
+            }
+        }];
+        if shape.sharded {
+            tables.push(Handle::One(store(SIDE_TABLE)?));
+        }
+        Ok(Stack {
+            env: env.clone(),
+            tables,
+        })
+    }
+
+    fn stores(&self) -> impl Iterator<Item = &DualTableStore> {
+        self.tables.iter().flat_map(Handle::stores)
+    }
+
+    fn scan(&self) -> Result<Vec<Vec<(i64, i64)>>, String> {
+        let scan =
+            |s: &DualTableStore| pairs(s.scan_all()).map_err(|e| format!("{} scan: {e}", s.name()));
+        self.stores().map(scan).collect()
+    }
+}
+
+/// A scan as sorted `(id, v)` pairs.
+fn pairs(scan: dt_common::Result<Vec<(RecordId, Row)>>) -> dt_common::Result<Vec<(i64, i64)>> {
+    let rows = scan?.into_iter();
+    let mut got: Vec<_> = rows
         .map(|(_, row)| (row[0].as_i64().unwrap(), row[1].as_i64().unwrap()))
         .collect();
     got.sort_unstable();
     Ok(got)
 }
 
-/// Runs one script step. `VIOLATION:`-prefixed errors are matrix failures
-/// (wrong bytes observed); everything else is treated as the injected
-/// fault surfacing, i.e. the crash.
-fn apply_tstep(table: &DualTableStore, ctx: &mut TxnCtx, step: TStep) -> Result<(), String> {
-    let io = |e: dt_common::Error| format!("io: {e}");
+/// Generation directories under one store's warehouse prefix.
+fn generations(env: &DualTableEnv, store: &str) -> BTreeSet<String> {
+    let files = env.dfs.list(&format!("/warehouse/{store}/"));
+    let gen = |p: &String| {
+        p.split('/')
+            .find(|seg| seg.starts_with("gen-"))
+            .map(String::from)
+    };
+    files.iter().filter_map(gen).collect()
+}
+
+/// The sessions a workload holds open between steps.
+#[derive(Default)]
+struct Live {
+    txns: Vec<Transaction>,
+    pin: Option<Snapshot>,
+    job: Option<RewriteJob>,
+}
+
+/// Runs one step on the engine. `model` is the state before it (it
+/// supplies OVERWRITE's rows). Returns what `CheckPin` read.
+fn apply(
+    stack: &Stack,
+    live: &mut Live,
+    model: &Model,
+    step: &Step,
+) -> dt_common::Result<Option<Vec<(i64, i64)>>> {
+    let tables = &stack.tables;
     match step {
-        TStep::AutoUpdate => table
-            .update(
-                |row| row[0].as_i64().unwrap() % 4 == 0,
-                &[(
-                    1,
-                    Box::new(|row: &Row| Value::Int64(row[1].as_i64().unwrap() + 100)),
-                )],
-                RatioHint::Explicit(0.01),
-            )
-            .map(|_| ())
-            .map_err(io),
-        TStep::PinReader => {
-            let snap = table.begin_snapshot().map_err(io)?;
-            ctx.reader_expect = snap_sorted(&snap)?;
-            ctx.reader = Some(snap);
-            Ok(())
+        Step::Insert(t, keys) => {
+            either!(&tables[*t], h => h.insert_rows(rows(keys.clone()))).map(drop)?
         }
-        TStep::BeginT1 => {
-            ctx.t1 = Some(table.begin_transaction().map_err(io)?);
-            Ok(())
-        }
-        TStep::T1Update => ctx
-            .t1
-            .as_mut()
-            .unwrap()
-            .update(
-                |row| row[0].as_i64().unwrap() % 3 == 1,
-                &[(1, Box::new(|_: &Row| Value::Int64(-5)))],
-                &UnionReadOptions::all(),
-            )
-            .map(|_| ())
-            .map_err(io),
-        TStep::T1Insert => {
-            let rows: Vec<Row> = (100..110)
-                .map(|id| vec![Value::Int64(id), Value::Int64(id * 2)])
+        Step::Update(t, hit, set) => tables[*t].edit(*hit, Some(*set))?,
+        Step::Delete(t, hit) => tables[*t].edit(*hit, None)?,
+        Step::Overwrite(t) => {
+            let bumped = model.tables[*t].iter().map(|(&id, &v)| (id, v + 1000));
+            let rows: Vec<Row> = bumped
+                .map(|(id, v)| vec![Value::Int64(id), Value::Int64(v)])
                 .collect();
-            ctx.t1
-                .as_mut()
-                .unwrap()
-                .insert(rows)
-                .map(|_| ())
-                .map_err(io)
+            either!(&tables[*t], h => h.insert_overwrite(rows)).map(drop)?
         }
-        TStep::T1Commit => ctx.t1.take().unwrap().commit().map(|_| ()).map_err(io),
-        TStep::BeginCompact => {
-            ctx.job = Some(table.begin_compact().map_err(io)?);
-            Ok(())
-        }
-        TStep::FinishSwing => ctx.job.take().unwrap().finish().map(|_| ()).map_err(io),
-        TStep::AutoInsert => {
-            let rows: Vec<Row> = (200..204)
-                .map(|id| vec![Value::Int64(id), Value::Int64(id * 2)])
-                .collect();
-            table.insert_rows(rows).map(|_| ()).map_err(io)
-        }
-        TStep::BeginT2 => {
-            ctx.t2 = Some(table.begin_transaction().map_err(io)?);
-            Ok(())
-        }
-        TStep::T2Update => ctx
-            .t2
-            .as_mut()
-            .unwrap()
-            .update(
-                |row| row[0].as_i64().unwrap() % 5 == 2,
-                &[(
-                    1,
-                    Box::new(|row: &Row| Value::Int64(row[1].as_i64().unwrap() + 7)),
-                )],
-                &UnionReadOptions::all(),
-            )
-            .map(|_| ())
-            .map_err(io),
-        TStep::ReaderCheck => {
-            let got = snap_sorted(ctx.reader.as_ref().unwrap())?;
-            if got != ctx.reader_expect {
-                return Err(format!(
-                    "VIOLATION: pinned reader drifted across the swing: \
-                     {} rows at pin, {} now",
-                    ctx.reader_expect.len(),
-                    got.len()
-                ));
+        Step::Compact(t) => either!(&tables[*t], h => h.compact())?,
+        Step::Fold(t) => either!(&tables[*t], h => h.compact_incremental()).map(drop)?,
+        Step::Spill(t) => {
+            for store in tables[*t].stores() {
+                store.spill_delta()?;
             }
-            Ok(())
         }
-        TStep::DropReader => {
-            ctx.reader = None; // unpin → the retired generation drains
-            Ok(())
+        Step::Begin => {
+            let txns = tables
+                .iter()
+                .map(|h| either!(h, h => h.begin_transaction()));
+            live.txns = txns.collect::<dt_common::Result<_>>()?;
         }
-        TStep::T2Commit => ctx.t2.take().unwrap().commit().map(|_| ()).map_err(io),
-        TStep::FinalCompact => table.compact().map_err(io),
+        Step::TxnInsert(t, keys) => live.txns[*t].insert(rows(keys.clone())).map(drop)?,
+        Step::TxnUpdate(t, hit, set) => live.txns[*t]
+            .update(hits(*hit), &set.assignment(), &UnionReadOptions::all())
+            .map(drop)?,
+        Step::Commit => Transaction::commit_all(std::mem::take(&mut live.txns)).map(drop)?,
+        Step::Pin => live.pin = Some(tables[MAIN].one().begin_snapshot()?),
+        Step::CheckPin => return pairs(live.pin.as_ref().unwrap().scan_all()).map(Some),
+        Step::Unpin => live.pin = None,
+        Step::BeginCompact => live.job = Some(tables[MAIN].one().begin_compact()?),
+        Step::FinishCompact => live.job.take().unwrap().finish().map(drop)?,
+    }
+    Ok(None)
+}
+
+/// One crash matrix.
+struct Workload {
+    name: &'static str,
+    shape: Shape,
+    /// Runs disarmed in every run, so op 1 is the first armed operation.
+    setup: Vec<Step>,
+    steps: Vec<Step>,
+    /// Steps ([`Step::name`]) whose I/O the matrix exists to crash inside:
+    /// each must occur and do I/O.
+    windows: &'static [&'static str],
+    /// `(tier, metric, minimum)`: what the record run's health report must
+    /// show it exercised.
+    expect: &'static [(&'static str, &'static str, u64)],
+    /// The fewest armed I/O operations (= crash points) it may have, so an
+    /// edit to the workload cannot quietly shrink its matrix.
+    min_points: usize,
+}
+
+impl Workload {
+    fn setup(&self, plan: &Arc<FaultPlan>) -> dt_common::Result<(Stack, Model)> {
+        plan.set_armed(false);
+        let stack = Stack::new(&self.shape.env(plan)?, &self.shape, true)?;
+        let mut model = Model::new(self.shape.tables());
+        for step in &self.setup {
+            apply(&stack, &mut Live::default(), &model, step)?;
+            model.step(step);
+        }
+        Ok((stack, model))
     }
 }
 
-/// Seeds the table (disarmed in both the record run and every crash run,
-/// so op indices align).
-fn txn_seed(table: &DualTableStore) {
-    let rows: Vec<Row> = (0..TXN_SEED_ROWS)
-        .map(|id| vec![Value::Int64(id), Value::Int64(id * 3)])
-        .collect();
-    table.insert_rows(rows).expect("disarmed seed insert");
+/// What the record run learned.
+struct Record {
+    trace: Vec<IoOp>,
+    /// Committed state after the setup and after each armed step.
+    oracles: Vec<State>,
 }
 
-#[test]
-fn crash_matrix_interleaved_transactions() {
-    // Record run: learn the op horizon and each step's (start, end] range.
-    let plan = Arc::new(FaultPlan::new(0xD7A2));
-    plan.set_armed(false);
-    let env = DualTableEnv::in_memory_faulty_with(plan.clone(), dfs_cfg(), kv_cfg())
-        .expect("clean setup");
-    let table = DualTableStore::create(&env, TABLE, schema(), table_cfg()).expect("clean create");
-    txn_seed(&table);
+const SEED: u64 = 0xC0FFEE;
+
+fn fold_ledger(env: &DualTableEnv) -> Result<(), String> {
+    let h = env.health.snapshot();
+    let ended = h.compactions_completed + h.compactions_lost_race + h.compactions_aborted;
+    if ended != h.compactions_started {
+        return Err(format!(
+            "fold ledger out of balance: {ended} ended, {} started",
+            h.compactions_started
+        ));
+    }
+    Ok(())
+}
+
+/// The record run: learns the trace and checks the workload exercised what
+/// it claims to.
+fn record(w: &Workload) -> Record {
+    let name = w.name;
+    let plan = Arc::new(FaultPlan::new(SEED));
+    let (stack, mut model) = w.setup(&plan).expect("clean setup");
     plan.record_trace();
     plan.set_armed(true);
-
-    let oracles = txn_oracle_states();
-    let mut ctx = TxnCtx::default();
-    let mut ranges: Vec<(u64, u64)> = Vec::new();
-    for step in TSTEPS {
+    let mut oracles = vec![model.tables.clone()];
+    let (mut live, mut did_io, mut decided) = (Live::default(), Vec::new(), 0);
+    for step in &w.steps {
+        if let (Step::Commit, Some((_, writes))) = (step, &model.txn) {
+            let participants = w
+                .shape
+                .slices(writes)
+                .iter()
+                .filter(|s| !s.is_empty())
+                .count();
+            decided += u64::from(participants > 1);
+        }
         let start = plan.ops_seen();
-        apply_tstep(&table, &mut ctx, *step).expect("record run must not fault");
-        ranges.push((start + 1, plan.ops_seen()));
+        let seen = apply(&stack, &mut live, &model, step)
+            .unwrap_or_else(|e| panic!("{name}: record run faulted at {step:?}: {e}"));
+        model.check(seen).unwrap();
+        model.step(step);
+        did_io.push(start < plan.ops_seen());
+        oracles.push(model.tables.clone());
     }
     plan.set_armed(false);
     let trace = plan.take_trace();
-    let total_ops = trace.len() as u64;
-    assert_eq!(
-        scan_sorted(&table).unwrap(),
-        oracles[TSTEPS.len()],
-        "record run diverged from oracle"
-    );
-    // The script must have exercised the deferred-GC path: the swing ran
-    // under a pin, and both retired generations were eventually swept.
-    let health = env.health.snapshot();
-    assert!(health.generations_deferred >= 1, "swing did not defer GC");
-    assert!(health.generations_gcd >= 2, "retired generations not swept");
-    assert_eq!(table.pinned_snapshots(), 0);
-    assert_eq!(table.retired_generations(), 0);
-    assert!(
-        total_ops >= 100,
-        "script too small for the transaction matrix ({total_ops} ops)"
-    );
 
-    // Mandatory windows: the commit of a multi-file transaction, the
-    // pointer swing under a pinned reader, and the pin-drop GC drain.
-    let must_cover: Vec<(u64, u64)> = TSTEPS
-        .iter()
-        .zip(&ranges)
-        .filter(|(s, _)| matches!(s, TStep::T1Commit | TStep::FinishSwing | TStep::DropReader))
-        .map(|(_, &r)| r)
-        .collect();
-    assert_eq!(must_cover.len(), 3);
-    for (&(s, e), name) in must_cover.iter().zip(["commit", "swing", "gc"]) {
-        assert!(s <= e, "empty {name} critical range ({s}, {e}]");
-    }
-
-    let full = std::env::var("CRASH_MATRIX_FULL").is_ok_and(|v| v != "0");
-    let target = if full { total_ops as usize } else { 150 };
-    let points = select_crash_points(0x5EED_CA5C, total_ops, target, &must_cover);
-    for &(s, e) in &must_cover {
+    let want = w.shape.slices(oracles.last().unwrap());
+    assert_eq!(stack.scan().unwrap(), want, "{name}: record run diverged");
+    for window in w.windows {
+        let mut steps = w
+            .steps
+            .iter()
+            .zip(&did_io)
+            .filter(|(s, _)| s.name() == *window);
+        assert!(steps.next().is_some(), "{name}: no {window} step");
         assert!(
-            points.iter().any(|&p| (s..=e).contains(&p)),
-            "no crash point inside critical range ({s}, {e}]"
+            steps.all(|(_, &io)| io),
+            "{name}: a {window} step did no I/O"
         );
     }
+    let health = stack.env.health_report().metrics();
+    for &(tier, metric, min) in w.expect {
+        let got = health
+            .iter()
+            .find(|m| (m.0, m.1) == (tier, metric))
+            .unwrap()
+            .2;
+        assert!(got >= min, "{name}: {tier}.{metric} = {got} < {min}");
+    }
+    let records = stack.env.health.snapshot().commit_records;
+    assert_eq!(
+        records, decided,
+        "{name}: one decision record per multi-store commit"
+    );
+    for store in stack.stores() {
+        assert_eq!(store.pinned_snapshots(), 0, "{name}: pin left behind");
+        assert_eq!(store.retired_generations(), 0, "{name}: GC left behind");
+    }
+    fold_ledger(&stack.env).unwrap();
+    Record { trace, oracles }
+}
 
-    let report = run_crash_matrix(&points, |k| {
-        let kind = if trace[(k - 1) as usize] == IoOp::Write && k % 2 == 0 {
-            FaultKind::TornWrite
-        } else {
-            FaultKind::Crash
-        };
-        let plan = Arc::new(FaultPlan::new(0xBADC0DE ^ k).fail_at(k, kind));
-        plan.set_armed(false);
-        let env = DualTableEnv::in_memory_faulty_with(plan.clone(), dfs_cfg(), kv_cfg())
-            .map_err(|e| format!("setup: {e}"))?;
-        let table = DualTableStore::create(&env, TABLE, schema(), table_cfg())
-            .map_err(|e| format!("create: {e}"))?;
-        txn_seed(&table);
-        plan.set_armed(true);
-
-        let mut ctx = TxnCtx::default();
-        let mut acked = 0usize;
-        let mut crashed = false;
-        for step in TSTEPS {
-            match apply_tstep(&table, &mut ctx, *step) {
-                Ok(()) => {
-                    acked += 1;
-                    if plan.is_crashed() {
-                        crashed = true;
-                        break;
-                    }
-                }
-                Err(msg) if msg.starts_with("VIOLATION:") => return Err(msg),
-                Err(_) => {
-                    crashed = true;
-                    break;
-                }
-            }
-        }
-        if !crashed && !plan.is_crashed() {
-            return Ok(false); // self-healing absorbed the fault
-        }
-        // The process is dead: session objects never run their Drop glue
-        // (rollback / abandon / unpin would model a graceful shutdown).
-        std::mem::forget(ctx);
-
-        plan.heal_and_disarm();
-        env.crash_and_reopen()
-            .map_err(|e| format!("recovery: {e}"))?;
-        let table = DualTableStore::open(&env, TABLE, schema(), table_cfg())
-            .map_err(|e| format!("reopen: {e}"))?;
-
-        // Invariant 1: a prefix of whole transactions, never a torn one.
-        let got = scan_sorted(&table)?;
-        let committed_in_flight = acked + 1 < oracles.len() && got == oracles[acked + 1];
-        if got != oracles[acked] && !committed_in_flight {
-            return Err(format!(
-                "recovered table matches neither oracle({acked}) nor oracle({}): {} rows",
-                acked + 1,
-                got.len()
-            ));
-        }
-        if table.count().map_err(|e| format!("count: {e}"))? != got.len() as u64 {
-            return Err("count() disagrees with scan".into());
-        }
-
-        // Invariant 2: one surviving generation; pins die with the
-        // process, so reopen must settle any GC the crash deferred.
-        let gens = live_generations(&env);
-        if gens.len() > 1 {
-            return Err(format!("mixed master generations after recovery: {gens:?}"));
-        }
-        if table.pinned_snapshots() != 0 {
-            return Err("phantom pin survived the crash".into());
-        }
-        if table.retired_generations() != 0 {
-            return Err("deferred-GC ledger not settled by reopen".into());
-        }
-
-        // Invariant 3: physical hygiene.
-        let fsck = env.dfs.fsck().map_err(|e| format!("fsck: {e}"))?;
-        if !fsck.healthy() {
-            return Err(format!("fsck unhealthy after recovery: {fsck:?}"));
-        }
-        env.dfs.scrub().map_err(|e| format!("scrub: {e}"))?;
-        let after = env
-            .dfs
-            .fsck()
-            .map_err(|e| format!("post-scrub fsck: {e}"))?;
-        if after.orphan_blocks != 0 {
-            return Err(format!("{} orphans survived scrub", after.orphan_blocks));
-        }
-        if scan_sorted(&table)? != got {
-            return Err("scrub changed logical table content".into());
-        }
-        Ok(true)
-    });
-
+/// Crashes `w` at every armed I/O index.
+fn run(w: Workload) {
+    let rec = record(&w);
+    let points: Vec<u64> = (1..=rec.trace.len() as u64).collect();
+    eprintln!("{}: {} crash points", w.name, points.len());
+    assert!(
+        points.len() >= w.min_points,
+        "{}: {} crash points, fewer than {}",
+        w.name,
+        points.len(),
+        w.min_points
+    );
+    let report = run_crash_matrix(&points, |k| crash_at(&w, &rec, k));
     assert!(
         report.ok(),
-        "transaction crash matrix violations ({} of {} points):\n{:#?}",
+        "{}: violations at {} of {} points:\n{:#?}",
+        w.name,
         report.violations.len(),
         report.points,
         report.violations
     );
+    // A small remainder may be absorbed by replica failover.
     assert!(
         report.crashes_injected * 10 >= report.points * 9,
-        "only {} of {} crash points fired",
+        "{}: only {} of {} crash points fired",
+        w.name,
         report.crashes_injected,
         report.points
     );
 }
 
-// ---------------------------------------------------------------------------
-// Statement atomicity of a large autocommit EDIT.
-//
-// An EDIT-plan statement commits its whole patch set in one attached
-// batch, however many cells that is. (It used to flush every 4096 cells,
-// and a crash between two flushes left a durable prefix of the statement.)
-// ---------------------------------------------------------------------------
-
-/// An autocommit EDIT-plan UPDATE of more than 4096 cells, crashed at
-/// every one of its I/O operations, recovers to all of the statement or
-/// none of it.
-#[test]
-fn large_autocommit_edit_is_all_or_nothing() {
-    const ROWS: i64 = 4500;
-    let cfg = || DualTableConfig {
-        rows_per_file: 1500,
-        plan_mode: PlanMode::AlwaysEdit,
-        ..DualTableConfig::default()
+/// One crash run: `Ok(false)` if the fault never fired.
+fn crash_at(w: &Workload, rec: &Record, k: u64) -> Result<bool, String> {
+    let kind = match rec.trace[(k - 1) as usize] {
+        IoOp::Write if k.is_multiple_of(2) => FaultKind::TornWrite,
+        _ => FaultKind::Crash,
     };
-    let setup = |plan: &Arc<FaultPlan>| {
-        plan.set_armed(false);
-        let env = DualTableEnv::in_memory_faulty_with(plan.clone(), DfsConfig::default(), kv_cfg())
-            .expect("clean setup");
-        let table = DualTableStore::create(&env, TABLE, schema(), cfg()).expect("clean create");
-        let rows = (0..ROWS).map(|id| vec![Value::Int64(id), Value::Int64(0)]);
-        table.insert_rows(rows).expect("clean load");
-        (env, table)
-    };
-    let update = |table: &DualTableStore| {
-        table.update(
-            |_| true,
-            &[(1, Box::new(|_: &Row| Value::Int64(1)))],
-            RatioHint::Explicit(0.01),
-        )
-    };
-
-    let plan = Arc::new(FaultPlan::new(0xA70C));
-    let (_env, table) = setup(&plan);
+    let plan = Arc::new(FaultPlan::new(SEED ^ k).fail_at(k, kind));
+    let (stack, mut model) = w.setup(&plan).map_err(|e| format!("setup: {e}"))?;
     plan.set_armed(true);
-    let before = plan.ops_seen();
-    let report = update(&table).expect("record run must not fault");
-    let total_ops = plan.ops_seen() - before;
-    assert_eq!(report.rows_matched, ROWS as u64);
-    assert!(total_ops > 0);
-
-    let points: Vec<u64> = (1..=total_ops).collect();
-    let report = run_crash_matrix(&points, |k| {
-        let plan = Arc::new(FaultPlan::new(0xA70C ^ k).fail_at(k, FaultKind::Crash));
-        let (env, table) = setup(&plan);
-        plan.set_armed(true);
-        let acked = update(&table).is_ok();
-        if !plan.is_crashed() {
-            return Ok(false);
+    let (mut live, mut acked) = (Live::default(), 0);
+    for step in &w.steps {
+        let Ok(seen) = apply(&stack, &mut live, &model, step) else {
+            break;
+        };
+        model.check(seen)?;
+        model.step(step);
+        acked += 1;
+        // An acknowledged step with a sticky crash behind it: the fault hit
+        // post-commit work, and the process is dead.
+        if plan.is_crashed() {
+            break;
         }
-        plan.heal_and_disarm();
-        env.crash_and_reopen()
-            .map_err(|e| format!("recovery: {e}"))?;
-        let table = DualTableStore::open(&env, TABLE, schema(), cfg())
-            .map_err(|e| format!("reopen: {e}"))?;
-        let got = scan_sorted(&table)?;
-        let updated = got.iter().filter(|&&(_, v)| v == 1).count();
-        if got.len() != ROWS as usize || (updated != 0 && updated != got.len()) {
+    }
+    if acked == w.steps.len() && !plan.is_crashed() {
+        return Ok(false);
+    }
+    fold_ledger(&stack.env)?;
+    std::mem::forget(live);
+    plan.heal_and_disarm();
+    stack
+        .env
+        .crash_and_reopen()
+        .map_err(|e| format!("recovery: {e}"))?;
+    check_recovered(w, &stack.env, &rec.oracles, acked)?;
+    Ok(true)
+}
+
+/// Every invariant a recovered stack owes the model, `acked` armed steps
+/// having been acknowledged before the crash.
+fn check_recovered(
+    w: &Workload,
+    env: &DualTableEnv,
+    oracles: &[State],
+    acked: usize,
+) -> Result<(), String> {
+    // Recovery can roll the namespace back past commits, so a block cached
+    // before the crash may describe state the recovered namespace never saw.
+    if env.dfs.block_cache_entries() != 0 {
+        return Err("pre-crash blocks survived recovery in the cache".into());
+    }
+    let shape = &w.shape;
+    let stack = Stack::new(env, shape, false).map_err(|e| format!("reopen: {e}"))?;
+    let stores: Vec<&DualTableStore> = stack.stores().collect();
+    if stores.len() != shape.stores().len() {
+        return Err(format!("{} stores after recovery", stores.len()));
+    }
+
+    let got = stack.scan()?;
+    let base = shape.slices(&oracles[acked]);
+    let next = oracles.get(acked + 1).map(|s| shape.slices(s));
+    let mut at_next = vec![false; stores.len()];
+    for (c, rows) in got.iter().enumerate() {
+        if *rows == base[c] {
+            continue;
+        }
+        match &next {
+            Some(next) if *rows == next[c] => at_next[c] = true,
+            _ => {
+                return Err(format!(
+                    "{} matches neither oracle({acked}) nor oracle({}): {} rows",
+                    stores[c].name(),
+                    acked + 1,
+                    rows.len()
+                ))
+            }
+        }
+    }
+    if let (Some(next), Some(Step::Commit)) = (&next, w.steps.get(acked)) {
+        let touched: Vec<usize> = (0..stores.len()).filter(|&c| base[c] != next[c]).collect();
+        let landed: Vec<bool> = touched.iter().map(|&c| at_next[c]).collect();
+        if landed.windows(2).any(|p| p[0] != p[1]) {
             return Err(format!(
-                "{updated} of {} rows updated: a prefix of the statement survived",
-                got.len()
+                "in-flight commit landed on part of {touched:?}: {landed:?}"
             ));
         }
-        if acked && updated == 0 {
-            return Err("acknowledged statement lost".into());
+    }
+
+    for (store, rows) in stores.iter().zip(&got) {
+        let name = store.name();
+        if store.count().map_err(|e| format!("count: {e}"))? != rows.len() as u64 {
+            return Err(format!("{name}: count() disagrees with the scan"));
         }
-        Ok(true)
+        let gens = generations(env, name);
+        if gens.len() > 1 {
+            return Err(format!("{name}: mixed generations {gens:?}"));
+        }
+        if store.pinned_snapshots() != 0 || store.retired_generations() != 0 {
+            return Err(format!("{name}: a pin or a deferred GC outlived the crash"));
+        }
+    }
+
+    let fsck = env.dfs.fsck().map_err(|e| format!("fsck: {e}"))?;
+    if !fsck.healthy() {
+        return Err(format!("fsck unhealthy after recovery: {fsck:?}"));
+    }
+    env.dfs.scrub().map_err(|e| format!("scrub: {e}"))?;
+    let after = env
+        .dfs
+        .fsck()
+        .map_err(|e| format!("post-scrub fsck: {e}"))?;
+    if after.orphan_blocks != 0 {
+        return Err(format!("{} orphans survived scrub", after.orphan_blocks));
+    }
+    if stack.scan()? != got {
+        return Err("scrub changed logical content".into());
+    }
+
+    // The recovered stack is operable: a half-folded presence index or a
+    // replayed delta tier may neither hide nor duplicate a row.
+    let mut model = Model::new(shape.tables());
+    for ((t, _), rows) in shape.stores().into_iter().zip(got) {
+        model.tables[t].extend(rows);
+    }
+    for step in shape.after_recovery() {
+        apply(&stack, &mut Live::default(), &model, &step)
+            .map_err(|e| format!("post-recovery {step:?}: {e}"))?;
+        model.step(&step);
+        if stack.scan()? != shape.slices(&model.tables) {
+            return Err(format!("post-recovery {step:?} produced wrong content"));
+        }
+    }
+    if shape.delta_bytes > 0 {
+        for store in &stores {
+            if store
+                .delta_bytes_used()
+                .map_err(|e| format!("delta: {e}"))?
+                != 0
+            {
+                return Err(format!("{}: spill left resident delta bytes", store.name()));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Statements on one store: EDIT-plan UPDATE/DELETE, INSERT OVERWRITE and
+/// COMPACT, whose generation swaps are the windows.
+#[test]
+fn crash_matrix_three_tiers() {
+    run(Workload {
+        name: "three_tiers",
+        shape: Shape::default(),
+        setup: vec![],
+        steps: vec![
+            Insert(MAIN, 0..8),
+            Insert(MAIN, 8..14),
+            Update(MAIN, (2, 0), To(7)),
+            Insert(MAIN, 14..22),
+            Delete(MAIN, (3, 1)),
+            Compact(MAIN),
+            Insert(MAIN, 22..27),
+            Update(MAIN, (5, 2), To(-3)),
+            Overwrite(MAIN),
+            Insert(MAIN, 27..35),
+            Delete(MAIN, (2, 1)),
+            Update(MAIN, (3, 0), To(11)),
+            Compact(MAIN),
+            Insert(MAIN, 35..42),
+            Update(MAIN, (7, 3), To(21)),
+        ],
+        windows: &["Overwrite", "Compact"],
+        expect: &[],
+        min_points: 238,
     });
-    assert!(report.ok(), "{:#?}", report.violations);
-    assert!(report.crashes_injected > 0, "no crash point fired");
+}
+
+/// EDIT cells through the WAL-backed delta tier (DESIGN.md §17): each
+/// spill's atomic WAL record, the memtable inserts behind it and the
+/// rotation carry-forward are windows. The trailing EDIT burst lives only
+/// in the replayed tier.
+#[test]
+fn crash_matrix_delta_tier() {
+    run(Workload {
+        name: "delta_tier",
+        shape: Shape {
+            delta_bytes: 1 << 20,
+            ..Shape::default()
+        },
+        setup: vec![],
+        steps: vec![
+            Insert(MAIN, 0..8),
+            Insert(MAIN, 8..16),
+            Update(MAIN, (2, 0), To(7)),
+            Spill(MAIN),
+            Insert(MAIN, 16..22),
+            Delete(MAIN, (3, 1)),
+            Update(MAIN, (5, 2), To(-3)),
+            Spill(MAIN),
+            Compact(MAIN),
+            Insert(MAIN, 22..30),
+            Update(MAIN, (3, 0), To(11)),
+            Delete(MAIN, (4, 1)),
+            Spill(MAIN),
+            Insert(MAIN, 30..35),
+            Update(MAIN, (7, 3), To(21)),
+        ],
+        windows: &["Spill", "Compact"],
+        expect: &[("kv", "delta_spills", 3), ("kv", "delta_bytes_used", 1)],
+        min_points: 121,
+    });
+}
+
+/// Interleaved sessions (DESIGN.md §13): an autocommit writer, a pinned
+/// reader, two transactions, the first inserting two master files, and a
+/// two-phase compaction that swings while the reader is pinned. Windows:
+/// the multi-file commit, the swing under the pin, the GC drain at unpin.
+#[test]
+fn crash_matrix_interleaved_transactions() {
+    run(Workload {
+        name: "interleaved_transactions",
+        shape: Shape::default(),
+        setup: vec![Insert(MAIN, 0..20)],
+        steps: vec![
+            Update(MAIN, (4, 0), Add(100)),
+            Pin,
+            Begin,
+            TxnUpdate(MAIN, (3, 1), To(-5)),
+            TxnInsert(MAIN, 100..110),
+            Commit,
+            BeginCompact,
+            FinishCompact,
+            Insert(MAIN, 200..204),
+            Begin,
+            TxnUpdate(MAIN, (5, 2), Add(7)),
+            CheckPin,
+            Unpin,
+            Commit,
+            Compact(MAIN),
+        ],
+        windows: &["Commit", "FinishCompact", "Unpin"],
+        expect: &[
+            ("table", "generations_deferred", 1),
+            ("table", "generations_gcd", 2),
+        ],
+        min_points: 209,
+    });
+}
+
+/// An autocommit EDIT of more than 4096 cells commits as one attached
+/// batch: a crash anywhere in it leaves all of the statement or none.
+#[test]
+fn large_autocommit_edit_is_all_or_nothing() {
+    run(Workload {
+        name: "large_autocommit_edit",
+        shape: Shape {
+            rows_per_file: 1500,
+            plan_mode: PlanMode::AlwaysEdit,
+            chunk_size: DfsConfig::default().chunk_size,
+            ..Shape::default()
+        },
+        setup: vec![Insert(MAIN, 0..4500)],
+        steps: vec![Update(MAIN, (1, 0), To(1))],
+        windows: &["Update"],
+        expect: &[],
+        min_points: 8,
+    });
+}
+
+/// A range-sharded table beside an unsharded one, delta tier on:
+/// cross-shard transactions and two-table commits are all-or-none through
+/// one decision record; a round-robin fold and a spill of every shard are
+/// windows too.
+#[test]
+fn sharded_crash_matrix_all_or_none() {
+    run(Workload {
+        name: "sharded",
+        shape: Shape {
+            sharded: true,
+            delta_bytes: 1 << 20,
+            ..Shape::default()
+        },
+        setup: vec![Insert(SIDE, 0..6)],
+        steps: vec![
+            Insert(MAIN, 0..8),
+            Begin,
+            TxnInsert(MAIN, 20..24),
+            TxnInsert(MAIN, 120..124),
+            TxnInsert(MAIN, 220..224),
+            Commit,
+            Update(MAIN, (2, 0), To(7)),
+            Begin,
+            TxnUpdate(MAIN, (3, 0), To(11)),
+            TxnInsert(SIDE, 100..103),
+            TxnUpdate(SIDE, (2, 0), To(11)),
+            Commit,
+            Insert(MAIN, 110..116),
+            Begin,
+            TxnInsert(MAIN, 40..45),
+            TxnInsert(MAIN, 140..145),
+            TxnInsert(MAIN, 240..245),
+            Commit,
+            Begin,
+            TxnUpdate(MAIN, (4, 1), To(5)),
+            Commit,
+            Fold(MAIN),
+            Delete(MAIN, (3, 1)),
+            Spill(MAIN),
+            Compact(MAIN),
+            Begin,
+            TxnUpdate(MAIN, (5, 4), To(-7)),
+            TxnInsert(SIDE, 200..202),
+            TxnUpdate(SIDE, (2, 0), To(-7)),
+            Commit,
+            Insert(MAIN, 210..217),
+            Begin,
+            TxnInsert(MAIN, 60..63),
+            TxnInsert(MAIN, 160..163),
+            TxnInsert(MAIN, 260..263),
+            Commit,
+            Update(MAIN, (5, 2), To(-3)),
+            Spill(MAIN),
+            Fold(MAIN),
+        ],
+        windows: &["Commit", "Fold", "Spill"],
+        expect: &[
+            ("table", "compactions_completed", 2),
+            ("kv", "delta_spills", 2),
+        ],
+        min_points: 609,
+    });
+}
+
+/// Incremental folds (DESIGN.md §15) against realistic dirt: every
+/// window of a fold — pre-build, mid-build, pre-swing, post-swing.
+#[test]
+fn compactor_crash_matrix() {
+    run(Workload {
+        name: "compactor",
+        shape: Shape::default(),
+        setup: vec![],
+        steps: vec![
+            Insert(MAIN, 0..8),
+            Insert(MAIN, 8..16),
+            Update(MAIN, (2, 0), To(7)),
+            Fold(MAIN),
+            Insert(MAIN, 16..22),
+            Update(MAIN, (3, 1), To(-3)),
+            Delete(MAIN, (5, 4)),
+            Fold(MAIN),
+            Insert(MAIN, 22..30),
+            Update(MAIN, (4, 2), To(11)),
+            Fold(MAIN),
+            Update(MAIN, (7, 5), To(20)),
+            Fold(MAIN),
+        ],
+        windows: &["Fold"],
+        expect: &[("table", "compactions_completed", 3)],
+        min_points: 316,
+    });
+}
+
+/// A COMPACT fanned out over three rewrite workers (DESIGN.md §12),
+/// crashed in the fan-out and in its commit step.
+#[test]
+fn crash_matrix_parallel_compact() {
+    run(Workload {
+        name: "parallel_compact",
+        shape: Shape {
+            write_threads: 3,
+            rows_per_file: 16,
+            ..Shape::default()
+        },
+        setup: vec![Insert(MAIN, 0..160), Delete(MAIN, (4, 1))],
+        steps: vec![Compact(MAIN)],
+        windows: &["Compact"],
+        expect: &[("table", "write_workers_used", 2)],
+        min_points: 80,
+    });
+}
+
+// ---------------------------------------------------------------------------
+// Directed decision-record cases (DESIGN.md §13).
+// ---------------------------------------------------------------------------
+
+/// Decision records still in the metadata table.
+fn decision_records(env: &DualTableEnv) -> usize {
+    let meta = env.kv.table("__dualtable_meta").unwrap();
+    meta.scan(Some(b"commit:"), Some(b"commit;"))
+        .unwrap()
+        .count()
+}
+
+/// The value a cross-shard transaction sets on every row of the directed
+/// tests below.
+const DECIDED: i64 = 42;
+
+/// A sharded table with two rows per shard and a transaction, not yet
+/// committed, that sets every row's `v` to [`DECIDED`]. Setup runs with
+/// `plan` disarmed, so the commit's I/O is numbered from 1.
+fn decided_update(plan: &Arc<FaultPlan>) -> (DualTableEnv, ShardedTable, Transaction) {
+    plan.set_armed(false);
+    let env = faulty_env(plan).unwrap();
+    let table = ShardedTable::create(&env, TABLE, schema(), table_cfg(), spec()).unwrap();
+    table.insert_rows(rows([1, 2, 101, 102, 201, 202])).unwrap();
+    let mut txn = table.begin_transaction().unwrap();
+    let set: [dualtable::Assignment<'static>; 1] = [(1, Box::new(|_: &Row| Value::Int64(DECIDED)))];
+    txn.update(|_| true, &set, &UnionReadOptions::all())
+        .unwrap();
+    (env, table, txn)
+}
+
+/// The commit of [`decided_update`] as I/O operations: the record write
+/// (and the metadata table's flush behind it), then one append per shard
+/// in shard order, then the record clear.
+fn decided_commit_trace() -> Vec<IoOp> {
+    let probe = Arc::new(FaultPlan::new(1));
+    let (_, _, txn) = decided_update(&probe);
+    probe.record_trace();
+    probe.set_armed(true);
+    txn.commit().unwrap();
+    probe.set_armed(false);
+    let trace = probe.take_trace();
+    assert!(
+        trace.ends_with(&[IoOp::Write; SHARDS + 1]),
+        "shard appends, then the clear: {trace:?}"
+    );
+    trace
+}
+
+/// A cross-shard commit whose second shard could not take its decided
+/// cells: the commit is still acknowledged, the shard turns read-only and
+/// the decision record stays, so the reopen that redoes it gives every
+/// shard the whole commit.
+#[test]
+fn a_failed_participant_write_keeps_its_decision_record() {
+    // 1-based: the second of the last SHARDS + 1 operations.
+    let second_shard = (decided_commit_trace().len() - SHARDS + 1) as u64;
+    let plan = Arc::new(FaultPlan::new(3).fail_at(second_shard, FaultKind::WriteError));
+    let (env, table, txn) = decided_update(&plan);
+    plan.set_armed(true);
+    txn.commit().expect("a decided commit is acknowledged");
+    plan.set_armed(false);
+    assert_eq!(
+        decision_records(&env),
+        1,
+        "the record outlives a failed write"
+    );
+
+    let later: [dualtable::Assignment<'static>; 1] = [(1, Box::new(|_: &Row| Value::Int64(7)))];
+    let refused = table.update_keyed(
+        |row| row[0] == Value::Int64(101),
+        &later,
+        RatioHint::Explicit(0.01),
+        None,
+        None,
+    );
+    assert!(
+        refused.is_err(),
+        "the shard missing decided cells takes no write"
+    );
+
+    env.crash_and_reopen().unwrap();
+    assert_eq!(decision_records(&env), 0, "recovery redid and cleared it");
+    drop(table);
+    let table = ShardedTable::open(&env, TABLE, schema(), table_cfg()).unwrap();
+    for (i, shard) in table.shards().iter().enumerate() {
+        let values: Vec<i64> = shard
+            .scan_all()
+            .unwrap()
+            .into_iter()
+            .map(|(_, row)| row[1].as_i64().unwrap())
+            .collect();
+        assert_eq!(values, [DECIDED; 2], "shard {i}");
+    }
+}
+
+/// A cross-shard commit whose decision record could not be cleared, then
+/// a later autocommit UPDATE of one of its rows, then a crash: recovery
+/// redoes the record at its own timestamp, so the later value survives,
+/// and the redone presence counts still route a pushed-down scan to every
+/// decided cell.
+#[test]
+fn a_left_over_decision_record_never_shadows_a_later_write() {
+    // Fail the clear, the commit's last I/O, through every retry.
+    let clear = decided_commit_trace().len() as u64;
+    let plan =
+        Arc::new(FaultPlan::new(2).fail_transient_at(clear, FaultKind::TransientWriteError, 4));
+    let (env, table, txn) = decided_update(&plan);
+    plan.set_armed(true);
+    txn.commit().unwrap();
+    plan.set_armed(false);
+    assert_eq!(decision_records(&env), 1, "the record outlived its commit");
+
+    let later: [dualtable::Assignment<'static>; 1] = [(1, Box::new(|_: &Row| Value::Int64(7)))];
+    table
+        .update_keyed(
+            |row| row[0] == Value::Int64(101),
+            &later,
+            RatioHint::Explicit(0.01),
+            None,
+            None,
+        )
+        .unwrap();
+    env.crash_and_reopen().unwrap();
+    assert_eq!(decision_records(&env), 0, "recovery redid and cleared it");
+    drop(table);
+    let table = ShardedTable::open(&env, TABLE, schema(), table_cfg()).unwrap();
+
+    let scan = |opts: &UnionReadOptions| {
+        let batches = table.scan_batches(opts, &Deadline::never()).unwrap();
+        let rows = batches.iter().flat_map(|batch| batch.selected_rows());
+        let mut got: Vec<(i64, i64)> = rows
+            .map(|row| (row[0].as_i64().unwrap(), row[1].as_i64().unwrap()))
+            .collect();
+        got.sort_unstable();
+        got
+    };
+    let mut expect = vec![
+        (1, DECIDED),
+        (2, DECIDED),
+        (101, 7),
+        (102, DECIDED),
+        (201, DECIDED),
+        (202, DECIDED),
+    ];
+    assert_eq!(
+        scan(&UnionReadOptions::all()),
+        expect,
+        "the later write survives the redo"
+    );
+
+    // Stripe statistics say no master row holds DECIDED: only the presence
+    // index keeps the pushed-down predicate off those stripes.
+    let mut pushed = UnionReadOptions::all();
+    pushed.predicates = Some(vec![ColumnPredicate::new(
+        1,
+        PredicateOp::Eq,
+        Value::Int64(DECIDED),
+    )]);
+    let mut got = scan(&pushed);
+    got.retain(|&(_, v)| v == DECIDED);
+    expect.retain(|&(_, v)| v == DECIDED);
+    assert_eq!(
+        got, expect,
+        "a pushed-down scan still meets every decided cell"
+    );
 }

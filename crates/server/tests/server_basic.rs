@@ -81,24 +81,37 @@ fn second_connection_sees_first_connections_tables() {
 
 #[test]
 fn deadline_times_out_long_scan_without_poisoning_session() {
-    let server = start(ServerConfig::default());
+    // One worker, kept busy by a blocker connection: a statement queued
+    // behind it outlives a 1 ms deadline in the admission queue, however
+    // fast the host runs the statement itself.
+    let server = start(ServerConfig {
+        workers: 1,
+        ..ServerConfig::default()
+    });
     let mut c = connect(&server);
     c.query("CREATE TABLE big (id BIGINT, v BIGINT) STORED AS DUALTABLE")
         .unwrap();
-    // Enough rows that the scan reliably crosses many deadline-check
-    // batches (checks run every 1024 rows).
-    let mut values: Vec<String> = Vec::new();
-    for i in 0..4000 {
-        values.push(format!("({i}, {i})"));
-    }
+    let values: Vec<String> = (0..4000).map(|i| format!("({i}, {i})")).collect();
     c.query(&format!("INSERT INTO big VALUES {}", values.join(",")))
         .unwrap();
 
-    // A 0ms... we can't pass 0 (that means server default); 1ms expires
-    // during queue wait + scan virtually always. Retry a few times in
-    // case the machine is fast enough to finish a 4k-row scan in 1ms.
+    let addr = server.local_addr();
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let blocker = {
+        let stop = stop.clone();
+        std::thread::spawn(move || {
+            let mut b = Client::connect_retry(addr, Duration::from_secs(5)).unwrap();
+            while !stop.load(std::sync::atomic::Ordering::SeqCst) {
+                b.query("SELECT COUNT(*) FROM big a JOIN big b ON a.id = b.id")
+                    .unwrap();
+            }
+        })
+    };
+
+    // A probe that lands while the worker is idle may finish inside 1 ms;
+    // the next one queues behind the blocker.
     let mut timed_out = false;
-    for _ in 0..20 {
+    for _ in 0..200 {
         match c.query_deadline(
             "SELECT COUNT(*) FROM big b1 WHERE b1.id >= 0 AND b1.v >= 0",
             1,
@@ -113,7 +126,9 @@ fn deadline_times_out_long_scan_without_poisoning_session() {
             Ok(_) => continue,
         }
     }
-    assert!(timed_out, "1ms deadline never fired on a 4k-row scan");
+    stop.store(true, std::sync::atomic::Ordering::SeqCst);
+    blocker.join().unwrap();
+    assert!(timed_out, "1ms deadline never fired behind a busy worker");
 
     // The session is NOT poisoned: the same statement under no deadline
     // succeeds on the same connection.

@@ -95,15 +95,17 @@ run_gate chaos-availability cargo test -q -p dualtable --locked --test prop_faul
 # copy is quarantined, and the scrubber restores target replication.
 run_gate dfs-failover cargo test -q -p dt-dfs --locked --test failover -- --nocapture
 
-# Crash-point matrix smoke: a fixed-seed DML workload re-run with a
-# fail-stop fault at >=200 distinct I/O-operation indices (always
-# including points inside OVERWRITE/COMPACT generation swaps). After
-# each crash the whole stack recovers from WAL + edit log/checkpoint and
-# must land on an exact statement prefix with a single master generation
-# and zero fsck/scrub violations. Set CRASH_MATRIX_FULL=1 to crash at
-# *every* operation index instead of the 200-point subsample. The
-# workload runs with write_threads=2, so the matrix also sweeps crash
-# points through the parallel rewrite fan-out (DESIGN.md §12).
+# Crash-point matrix (DESIGN.md §9): one runner takes seven workloads --
+# statements with OVERWRITE/COMPACT swaps, the delta tier's spills,
+# interleaved transactions under a pinned reader, a large autocommit
+# EDIT, a range-sharded table plus a side table (cross-shard and
+# two-table commits, a fold and a spill), incremental folds, and a
+# COMPACT fanned out over three workers -- and crashes each at every one
+# of its armed I/O-operation indices. Every recovery is checked against
+# one reference model: each store at a whole-step state, an in-flight
+# COMMIT on all of its stores or none, one generation per store, clean
+# fsck/scrub, an empty block cache, and a still-working EDIT, fold and
+# spill. Also the directed decision-record tests.
 run_gate crash-matrix cargo test -q -p dualtable --locked --test crash_matrix -- --nocapture
 
 # Cache-coherence smoke (DESIGN.md §10): cache-on and cache-off stacks
@@ -113,8 +115,8 @@ run_gate crash-matrix cargo test -q -p dualtable --locked --test crash_matrix --
 run_gate cache-coherence cargo test -q -p dualtable --locked --test cache_coherence -- --nocapture
 
 # Parallel write path (DESIGN.md §12): the rewrite fan-out must equal the
-# sequential writer row for row, survive mixed DML racing a parallel
-# COMPACT, and never tear a generation when crashed mid-fan-out.
+# sequential writer row for row and survive mixed DML racing a parallel
+# COMPACT.
 run_gate parallel-write cargo test -q -p dualtable --locked --test parallel_write_stress -- --nocapture
 
 # WAL group commit: windows 1/8/64 must recover identical state, gated
@@ -147,14 +149,6 @@ run_gate server-sigterm cargo test -q -p dt-server --locked --test sigterm -- --
 # admission ledger must balance: accepted + shed == submitted.
 run_gate server-soak cargo test -q -p dt-server --locked --test server_soak -- --nocapture
 
-# Compactor crash matrix (DESIGN.md §15): the incremental-fold workload
-# re-run with a crash at every operation inside every in-flight fold —
-# pre-build, mid-build, pre-swing and post-swing/pre-sweep — plus a
-# jittered spread over the whole horizon. Each recovery must land on a
-# whole-statement oracle state with one live generation, a balanced fold
-# ledger, clean fsck/scrub, and a still-fully-operational presence index.
-run_gate compactor-crash-matrix cargo test -q -p dualtable --locked --test compactor_crash_matrix -- --nocapture
-
 # Compactor chaos soak: the background fold loop racing three
 # transaction writers and two pinned readers under transient storage
 # faults, 25 seeds (COMPACTOR_SOAK_SEEDS=N widens). Exact acked-commit
@@ -173,15 +167,6 @@ run_gate server-compaction cargo test -q -p dt-server --locked --test server_com
 # shard with zero DFS reads, one UPDATE diverges EDIT/OVERWRITE across
 # shards, and round-robin maintenance is cycle-fair.
 run_gate shard-routing cargo test -q -p dualtable --locked --test shard_routing -- --nocapture
-
-# Sharded crash matrix (sharded_crash_matrix_all_or_none): >=200 crash
-# points over a workload of single-shard statements, cross-shard
-# transactions and a two-table commit (every I/O of every transactional
-# statement is a crash point). Each recovery must show per-shard
-# whole-statement states, every in-flight transaction applied all or
-# none, one generation per shard, and clean fsck/scrub; plus the directed
-# left-over decision record test.
-run_gate shard-crash-matrix cargo test -q -p dualtable --locked --test shard_crash_matrix -- --nocapture
 
 # Sharded chaos soak (short): cross-shard transactional writers, a
 # cross-shard pinned reader and round-robin maintenance under transient
