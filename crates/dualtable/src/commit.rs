@@ -1,42 +1,70 @@
-//! The one EDIT commit (DESIGN.md §13). Every UPDATE, DELETE and
-//! transactional INSERT becomes durable and visible through [`commit`]:
-//! an autocommit statement, a one-store transaction, and a COMMIT that
-//! spans several stores — the shards of one table, or several tables of
-//! one session. Either all of it lands or none of it does.
+//! The one commit (DESIGN.md §13). Every DualTable write becomes durable
+//! and visible through [`commit`]: EDIT cells, inserted master files and
+//! generation swings — of an autocommit statement on one store or on every
+//! shard it touches, of a COMMIT over several stores, of a rewrite job.
+//! Either all of it lands or none of it does.
 //!
-//! A commit with two or more participants first writes one **decision
-//! record** to the metadata table: every participant's batch at the
-//! commit timestamp T. Once that record is durable the commit has
-//! happened. Each participant's batch is then written at T and the record
-//! cleared. A crash in between is settled by [`redo_decisions`] whenever
-//! an environment opens over existing data: it writes every left-over
-//! record's batches again at their own T. A version already at T is
-//! written again unchanged, and anything committed later has a higher
-//! timestamp, so a left-over record never shadows a later write. DROP
-//! TABLE first deletes the dropped table's share of every record
-//! ([`forget`]), so a redo never reaches a later table of the same name.
+//! Inserted rows are written as master files under the store's hidden
+//! staging directory, outside every generation, so no listing sees them;
+//! the commit renames each into `gen-G/part-ID`. A commit with more than
+//! one durable write — one attached batch per store, one rename per file,
+//! and one metadata batch for all of its generation-pointer flips — first
+//! writes one **decision record** to the metadata table: every batch at the
+//! commit timestamp T and every rename, with the pointer flips in the same
+//! put. Once that record is durable the commit has happened. Each batch and
+//! rename is then carried out and the record cleared. A crash in between
+//! is settled by [`recover`] whenever an environment opens over existing
+//! data: it writes every left-over record's batches again at their own T,
+//! performs every listed rename whose source still exists, and then
+//! deletes every staging file left — of a commit that never decided. A
+//! version already at T is written again unchanged, and anything committed
+//! later has a higher timestamp, so a left-over record never shadows a
+//! later write. DROP TABLE first deletes the dropped table's batches from
+//! every record ([`forget`]), so a redo never reaches a later table of the
+//! same name.
+
+use std::borrow::Cow;
 
 use dt_common::{Error, Result};
 use dt_kvstore::{decode_entry, encode_entry, CellKey, Mutation, Store, Version};
 
 use crate::attached::{delete_cell, update_cells};
 use crate::env::DualTableEnv;
+use crate::meta::generation_cell;
+use crate::mvcc::Conflict;
 use crate::presence::{
     decode_count, encode_count, presence_key, presence_qualifier, PresenceDelta,
 };
-use crate::store::{DualTableStore, Staged, INTENT_ROW};
+use crate::rewrite::Retire;
+use crate::store::{is_staged, DualTableStore};
 use crate::union_read::PatchSet;
 
 /// Decision records are the metadata table's rows `commit:<T>`, one cell
-/// per participant: qualifier its attached table, value its versions in
-/// the KV tier's own entry encoding. `commit;` is the first key past them.
+/// per attached batch — qualifier its attached table, value its versions
+/// in the KV tier's own entry encoding — and one per store with staged
+/// files: qualifier [`FILES`] and the store's name, value the generation
+/// they go into and their IDs, big-endian. `commit;` is the first key past
+/// them.
 const RECORDS: [&[u8]; 2] = [b"commit:", b"commit;"];
 
-/// One store's share of a commit: the store, a transaction's pinned
-/// `(generation, timestamp)` — `None` for an autocommit statement, which
-/// patched the latest epoch under the `ops` lock its caller holds (read or
-/// write) and cannot lose — and what it writes.
-pub(crate) type Participant<'a> = (&'a DualTableStore, Option<(u64, u64)>, &'a PatchSet);
+/// Qualifier prefix of a decision record's staged-files cells.
+const FILES: &str = "files:";
+
+/// What one store commits.
+pub(crate) enum Action<'a> {
+    /// EDIT patches and rows to insert: an autocommit UPDATE, DELETE or
+    /// INSERT (owned), or a transaction's buffer (borrowed).
+    Write(Cow<'a, PatchSet>),
+    /// The generation `.0`, built aside, becomes the table; `.1` names the
+    /// files it consumed.
+    Swing(u64, &'a Retire),
+}
+
+/// One store's share of a commit: the store, the `(generation, timestamp)`
+/// its writer pinned — a transaction's or a rewrite job's; `None` for an
+/// autocommit statement, which works at the latest epoch under the `ops`
+/// lock its caller holds and cannot lose — and what it commits.
+pub(crate) type Participant<'a> = (&'a DualTableStore, Option<(u64, u64)>, Action<'a>);
 
 /// Indices of `stores` in store-name order — the order in which every step
 /// that locks several stores takes each kind of lock, so two such steps
@@ -53,6 +81,46 @@ pub(crate) fn lock_order<'a>(
     Ok(order)
 }
 
+/// One autocommit statement over `stores` — one table's shards, or its one
+/// store — as one commit: every store's `ops` lock is taken in
+/// [`lock_order`], the write lock where `exclusive[i]` (a rewrite plan,
+/// chosen before it runs: an OVERWRITE plan may still fall back to EDIT
+/// under it), `action(i)` runs store `i`'s half under it, and one
+/// [`commit`] lands every action. A failure before the commit leaves every
+/// store as it was and deletes every generation built.
+pub(crate) fn autocommit(
+    stores: &[&DualTableStore],
+    exclusive: &[bool],
+    mut action: impl FnMut(usize) -> Result<Action<'static>>,
+) -> Result<()> {
+    let (mut read_locks, mut write_locks) = (Vec::new(), Vec::new());
+    for i in lock_order(stores.iter().copied())? {
+        let ops = &stores[i].inner.ops;
+        match exclusive[i] {
+            true => write_locks.push(ops.write()),
+            false => read_locks.push(ops.read()),
+        }
+    }
+    let mut parts = Vec::with_capacity(stores.len());
+    let outcome = (|| {
+        for (i, &store) in stores.iter().enumerate() {
+            match action(i)? {
+                Action::Write(ours) if ours.is_empty() => {}
+                action => parts.push((store, None, action)),
+            }
+        }
+        commit(&parts).map(drop)
+    })();
+    if outcome.is_err() {
+        for (store, _, action) in &parts {
+            if let Action::Swing(next, _) = action {
+                store.abandon_rewrite(*next);
+            }
+        }
+    }
+    outcome
+}
+
 /// One participant's versions, all at T, for its attached table.
 struct Batch {
     attached: Store,
@@ -61,97 +129,163 @@ struct Batch {
     versions: Vec<(CellKey, Version)>,
 }
 
-/// Commits `parts` — non-empty patch sets of distinct stores — as one:
+/// Commits `parts` — distinct stores — as one:
 ///
-/// 1. Every transaction participant's `ops` read lock is taken, in
-///    [`lock_order`], and its inserts become staged master files under a
-///    durable undo intent ([`DualTableStore::stage_insert`]).
+/// 1. Every pinned writer's `ops` read lock is taken, in [`lock_order`]
+///    (a rewrite job holds its write lock itself), and every store's rows
+///    to insert are written as staged master files
+///    ([`DualTableStore::stage`]).
 /// 2. Every participant's MVCC state mutex is taken, in the same order,
 ///    and one commit timestamp T is ticked: snapshots pinned before T see
 ///    none of the commit, later ones all of it.
 /// 3. Every check runs before anything is written: a transaction's
-///    first-committer-wins check (a loss on any participant returns
-///    [`dt_common::Error::Conflict`] naming that store, nothing applied),
+///    first-committer-wins check over its write set, a rewrite job's check
+///    that nothing committed since its pin (a loss on any participant
+///    returns [`dt_common::Error::Conflict`] naming it, nothing applied),
 ///    and the refusal of a store in read-only degraded mode.
-/// 4. With two or more participants, the decision record is written; past
-///    it the commit cannot fail. Each participant's cells, presence counts
-///    and intent clear are written at T as one WAL record. The record is
-///    cleared once every participant's write landed. A decided participant
-///    whose write still fails after its retries stays in read-only
-///    degraded mode, and the record stays, until a reopen redoes it — so
-///    no later write lands on a store missing decided cells.
+/// 4. With more than one durable write the decision record is written;
+///    past it the commit cannot fail. Each store's cells and presence
+///    counts are written at T as one WAL record, each staged file renamed
+///    into its generation and the pointer flips put. The record is cleared
+///    once everything landed. A decided participant whose write still
+///    fails after its retries stays in read-only degraded mode, and the
+///    record stays, until a reopen redoes it — so no later write lands on
+///    a store missing decided cells.
 ///
-/// Returns T (0 for no participants).
+/// Anything staged by a commit that did not decide is deleted. Returns T
+/// (0 for no participants).
 pub(crate) fn commit(parts: &[Participant<'_>]) -> Result<u64> {
     let order = lock_order(parts.iter().map(|p| p.0))?;
-    let parts: Vec<Participant<'_>> = order.iter().map(|&i| parts[i]).collect();
-    let txns = parts.iter().filter(|p| p.1.is_some());
-    let _ops: Vec<_> = txns.map(|p| p.0.inner.ops.read()).collect();
+    let parts: Vec<&Participant<'_>> = order.iter().map(|&i| &parts[i]).collect();
+    let pinned = parts.iter().filter(|p| p.1.is_some());
+    let writers = pinned.filter(|p| matches!(p.2, Action::Write(_)));
+    let _ops: Vec<_> = writers.map(|p| p.0.inner.ops.read()).collect();
     let mut staged = Vec::with_capacity(parts.len());
     let outcome = (|| {
-        for &(store, pin, ours) in &parts {
-            staged.push(match pin {
-                Some((gen, _)) if !ours.inserts.is_empty() => {
-                    Some(store.stage_insert(gen, &ours.inserts, true)?)
-                }
-                _ => None,
+        for &&(store, _, ref action) in &parts {
+            staged.push(match action {
+                Action::Write(ours) => store.stage(&ours.inserts)?,
+                Action::Swing(..) => Vec::new(),
             });
         }
         decide(&parts, &staged)
     })();
     if outcome.is_err() {
-        for (&(store, ..), staged) in parts.iter().zip(&staged) {
-            if let Some(staged) = staged {
-                store.discard_staged(staged);
-            }
+        for (&&(store, ..), ids) in parts.iter().zip(&staged) {
+            store.discard_staged(ids.iter().copied());
         }
     }
     outcome
 }
 
 /// Steps 2–4 of [`commit`]. An error means nothing was decided.
-fn decide(parts: &[Participant<'_>], staged: &[Option<Staged>]) -> Result<u64> {
+fn decide(parts: &[&Participant<'_>], staged: &[Vec<u32>]) -> Result<u64> {
     let Some(env) = parts.first().map(|p| p.0.env()) else {
         return Ok(0);
     };
     let mut states: Vec<_> = parts.iter().map(|p| p.0.inner.mvcc.lock()).collect();
     let ts = env.kv.clock().tick();
-    let mut batches = Vec::with_capacity(parts.len());
-    for ((&(store, pin, ours), st), staged) in parts.iter().zip(&states).zip(staged) {
-        if let Some((_, pin_ts)) = pin {
-            let write_set: Vec<u64> = ours.rows.iter().map(|r| r.record.as_u64()).collect();
-            if let Some(conflict) = st.conflict_since(pin_ts, &write_set) {
-                return Err(store.conflict_error(conflict, pin_ts));
+    // Every check before any write. Each participant's generation — the
+    // one its files go into, or the one its swing replaces; an autocommit
+    // EDIT has none to read — and its durable writes.
+    let (mut gens, mut batches, mut files, mut cells) = (vec![], vec![], vec![], vec![]);
+    for ((&&(store, pin, ref action), st), ids) in parts.iter().zip(&states).zip(staged) {
+        store.writable_attached()?;
+        let gen = match (pin, action) {
+            (Some((gen, _)), _) => gen,
+            (None, Action::Write(_)) if ids.is_empty() => 0,
+            (None, _) => store.current_gen()?,
+        };
+        gens.push(gen);
+        if let Some((_, at)) = pin {
+            let conflict = match action {
+                Action::Write(ours) => {
+                    let write_set: Vec<u64> = ours.rows.iter().map(|r| r.record.as_u64()).collect();
+                    st.conflict_since(at, &write_set)
+                }
+                // A swing would drop anything committed after its build's pin.
+                Action::Swing(..) if st.edits_since(at) => Some(Conflict::Swing),
+                Action::Swing(..) => st.conflict_since(at, &[]),
+            };
+            if let Some(conflict) = conflict {
+                return Err(store.conflict_error(conflict, at));
             }
         }
-        batches.push(store.batch(ours, staged.as_ref(), ts)?);
+        match action {
+            Action::Write(ours) if !ours.rows.is_empty() => {
+                batches.push((store, store.batch(ours, ts)?));
+            }
+            Action::Write(_) => {}
+            &Action::Swing(next, _) => cells.push(generation_cell(store.name(), next)),
+        }
+        if !ids.is_empty() {
+            files.push((store, gen, ids));
+        }
     }
     let record = [RECORDS[0], format!("{ts:020}").as_bytes()].concat();
-    let decided = parts.len() > 1;
-    let mut landed = true;
+    let renames: usize = files.iter().map(|(_, _, ids)| ids.len()).sum();
+    // The pointer flips are one write, in the record's put when there is one.
+    let decided = batches.len() + renames + usize::from(!cells.is_empty()) > 1;
     if decided {
-        let cells = parts.iter().zip(&batches).map(|(&(store, ..), b)| {
-            let table = DualTableStore::attached_name(store.name());
-            (record.clone(), table.into_bytes(), encode(&b.versions))
-        });
-        env.meta.store()?.put_batch(cells.collect())?;
+        for (store, b) in &batches {
+            let table = DualTableStore::attached_name(store.name()).into_bytes();
+            cells.push((record.clone(), table, encode(&b.versions)));
+        }
+        for &(store, gen, ids) in &files {
+            let qual = format!("{FILES}{}", store.name()).into_bytes();
+            cells.push((record.clone(), qual, encode_files(gen, ids)));
+        }
+    }
+    if !cells.is_empty() {
+        env.meta.store()?.put_batch(cells)?;
+    }
+    if decided {
         env.health.commit_records.inc();
-        for (&(store, ..), b) in parts.iter().zip(&batches) {
-            let write = || b.attached.write_versions(b.versions.clone(), b.shadow);
-            let retry = store.inner.config.retry;
-            if retry.run(&env.health.retry, write).is_err() {
-                b.attached.degrade();
-                landed = false;
+    }
+    // Past a decision nothing fails the commit: a write that still fails
+    // after its retries leaves its store degraded and the record in place.
+    let mut landed = true;
+    let mut settle = |store: &DualTableStore, write: &mut dyn FnMut() -> Result<()>| {
+        if !decided {
+            return write();
+        }
+        let retry = store.inner.config.retry;
+        if retry.run(&env.health.retry, write).is_err() {
+            landed = false;
+            if let Ok(attached) = store.attached() {
+                attached.degrade();
             }
         }
-    } else {
-        let b = batches.pop().expect("one participant");
-        b.attached.write_versions(b.versions, b.shadow)?;
+        Ok(())
+    };
+    for (store, mut b) in batches {
+        settle(store, &mut || {
+            let versions = match decided {
+                true => b.versions.clone(),
+                false => std::mem::take(&mut b.versions),
+            };
+            b.attached.write_versions(versions, b.shadow)
+        })?;
     }
-    for ((&(_, _, ours), st), staged) in parts.iter().zip(&mut states).zip(staged) {
-        st.note_edit_commit(ours.rows.iter().map(|r| r.record.as_u64()), ts);
-        if let Some(s) = staged {
-            st.commit_files(s.gen, s.ids.iter().copied(), ts);
+    for &(store, gen, ids) in &files {
+        for &id in ids {
+            let (from, to) = (store.staging_path(id), store.file_path_at(gen, id));
+            settle(store, &mut || env.dfs.rename(&from, &to))?;
+        }
+    }
+    let mut swung = Vec::new();
+    for (((&&(store, pin, ref action), st), ids), &gen) in
+        parts.iter().zip(&mut states).zip(staged).zip(&gens)
+    {
+        match action {
+            Action::Write(ours) => {
+                st.note_edit_commit(ours.rows.iter().map(|r| r.record.as_u64()), ts);
+                st.commit_files(gen, ids.iter().copied(), ts);
+            }
+            &Action::Swing(next, retire) => {
+                let now = store.stamp_swing(st, gen, next, ts, pin.map(|p| p.1), retire);
+                swung.push((store, next, retire, now));
+            }
         }
     }
     drop(states);
@@ -162,10 +296,13 @@ fn decide(parts: &[Participant<'_>], staged: &[Option<Staged>]) -> Result<u64> {
     if decided && landed && clear().is_err() {
         env.health.cleanup_failures.inc();
     }
+    for (store, next, retire, now) in swung {
+        store.clean_after_swing(next, retire, now);
+    }
     // Budget enforcement after the locks drop: the batch is already
     // durable, so a failed spill costs nothing — the next commit retries
     // it.
-    for &(store, ..) in parts {
+    for &&(store, ..) in parts {
         if let Ok(attached) = store.attached() {
             let _ = store.delta_policy().maybe_spill(&attached);
         }
@@ -176,12 +313,12 @@ fn decide(parts: &[Participant<'_>], staged: &[Option<Staged>]) -> Result<u64> {
 impl DualTableStore {
     /// This store's batch for `ours` at `ts` (its state mutex held, which
     /// serializes the read-modify-write of the presence counts): data
-    /// cells, the presence increments they imply — in the same WAL record,
-    /// so the index can never drift from the data (see
-    /// [`crate::presence`]) — and the clear of `staged`'s undo intent. The
-    /// count reads see delta-tier entries too (the store merges the tier
-    /// into every read), so the read-modify-write holds on both routes.
-    fn batch(&self, ours: &PatchSet, staged: Option<&Staged>, ts: u64) -> Result<Batch> {
+    /// cells and the presence increments they imply — in the same WAL
+    /// record, so the index can never drift from the data (see
+    /// [`crate::presence`]). The count reads see delta-tier entries too
+    /// (the store merges the tier into every read), so the
+    /// read-modify-write holds on both routes.
+    fn batch(&self, ours: &PatchSet, ts: u64) -> Result<Batch> {
         let attached = self.writable_attached()?;
         let mut cells = Vec::new();
         let mut delta = PresenceDelta::new();
@@ -204,9 +341,6 @@ impl DualTableStore {
             };
             cells.push((key, Mutation::Put(encode_count(current + n))));
         }
-        if let Some(qual) = staged.and_then(|s| s.intent.clone()) {
-            cells.push((CellKey::new(INTENT_ROW.to_key(), qual), Mutation::Delete));
-        }
         let at = |(key, mutation)| (key, Version { ts, mutation });
         Ok(Batch {
             shadow: self.delta_policy().enabled(),
@@ -216,27 +350,47 @@ impl DualTableStore {
     }
 }
 
-/// Writes every decision record left in the metadata table again, each
-/// version at its own timestamp, then clears it — recovery's first step,
-/// before any table opens (so a decided transactional insert's intent is
-/// cleared before the table's open would undo it). Each participant's
-/// attached table is opened through the cluster: after a process restart
-/// none is open yet.
-pub(crate) fn redo_decisions(env: &DualTableEnv) -> Result<()> {
+/// Recovery's first step, before any table opens. Carries out every
+/// decision record left in the metadata table again — each attached
+/// version at its own timestamp, each staged file still there renamed into
+/// its generation — and clears it; each participant's attached table is
+/// opened through the cluster, since after a process restart none is open
+/// yet. Then deletes every staging file left — written by a commit that
+/// never decided. Best effort: a staging file that will not go is
+/// invisible anyway, and the next open retries it.
+pub(crate) fn recover(env: &DualTableEnv) -> Result<()> {
     let meta = env.meta.store()?;
     for row in meta.scan(Some(RECORDS[0]), Some(RECORDS[1]))? {
         let row = row?;
-        for (table, _, value) in row.cells {
-            let attached = env.kv.table_or_create(&String::from_utf8_lossy(&table))?;
-            attached.write_versions(decode(&value)?, false)?;
+        for (qual, _, value) in row.cells {
+            let qual = String::from_utf8_lossy(&qual);
+            let Some(store) = qual.strip_prefix(FILES) else {
+                let attached = env.kv.table_or_create(&qual)?;
+                attached.write_versions(decode(&value)?, false)?;
+                continue;
+            };
+            let (gen, ids) = decode_files(&value)?;
+            for id in ids {
+                let staged = DualTableStore::master_path(store, None, id);
+                if env.dfs.exists(&staged) {
+                    let path = DualTableStore::master_path(store, Some(gen), id);
+                    env.dfs.rename(&staged, &path)?;
+                }
+            }
         }
         meta.delete_row(&row.row)?;
+    }
+    for path in env.dfs.list("/warehouse/") {
+        if is_staged(&path) && env.dfs.delete(&path).is_err() {
+            env.health.cleanup_failures.inc();
+        }
     }
     Ok(())
 }
 
-/// Deletes `store`'s share of every decision record: DROP TABLE's first
-/// step.
+/// Deletes `store`'s attached batch from every decision record: DROP
+/// TABLE's first step. Its renames need no forgetting: the drop deletes
+/// the staged files they name, and file IDs are never reused.
 pub(crate) fn forget(env: &DualTableEnv, store: &str) -> Result<()> {
     let meta = env.meta.store()?;
     let table = DualTableStore::attached_name(store);
@@ -244,6 +398,23 @@ pub(crate) fn forget(env: &DualTableEnv, store: &str) -> Result<()> {
         meta.delete_cell(&row?.row, table.as_bytes())?;
     }
     Ok(())
+}
+
+fn encode_files(gen: u64, ids: &[u32]) -> Vec<u8> {
+    let ids = ids.iter().flat_map(|id| id.to_be_bytes());
+    gen.to_be_bytes().into_iter().chain(ids).collect()
+}
+
+fn decode_files(buf: &[u8]) -> Result<(u64, Vec<u32>)> {
+    let bad = || Error::corrupt("decision record: bad staged-files cell");
+    let (gen, ids) = buf.split_first_chunk::<8>().ok_or_else(bad)?;
+    if ids.len() % 4 != 0 {
+        return Err(bad());
+    }
+    let ids = ids
+        .chunks_exact(4)
+        .map(|c| u32::from_be_bytes(c.try_into().expect("4 bytes")));
+    Ok((u64::from_be_bytes(*gen), ids.collect()))
 }
 
 fn encode(versions: &[(CellKey, Version)]) -> Vec<u8> {
@@ -279,13 +450,73 @@ mod tests {
         let bytes = encode(&versions);
         assert_eq!(decode(&bytes).unwrap(), versions);
         assert!(decode(&bytes[..bytes.len() - 1]).is_err(), "truncated");
+        let bytes = encode_files(7, &[3, 9]);
+        assert_eq!(decode_files(&bytes).unwrap(), (7, vec![3, 9]));
+        assert!(
+            decode_files(&bytes[..bytes.len() - 1]).is_err(),
+            "truncated"
+        );
+    }
+
+    /// A staged file is in no generation: a snapshot pinned after an
+    /// insert's files were written, before its commit, never sees them —
+    /// neither before the commit renames them in nor after.
+    #[test]
+    fn a_snapshot_pinned_before_the_commit_never_sees_its_files() {
+        use crate::config::DualTableConfig;
+        use dt_common::{DataType, Schema, Value};
+
+        let env = DualTableEnv::in_memory();
+        let schema = Schema::from_pairs(&[("id", DataType::Int64)]);
+        let t = DualTableStore::create(&env, "t", schema, DualTableConfig::default()).unwrap();
+        let rows = |keys: std::ops::Range<i64>| keys.map(|k| vec![Value::Int64(k)]).collect();
+        t.insert_rows::<Vec<_>>(rows(0..10)).unwrap();
+        let ours = PatchSet {
+            rows: Vec::new(),
+            inserts: rows(10..20),
+        };
+        let staged = t.stage(&ours.inserts).unwrap();
+        assert_eq!(
+            t.master_file_ids().unwrap().len(),
+            1,
+            "staged files unlisted"
+        );
+        let snap = t.begin_snapshot().unwrap();
+        assert_eq!(snap.count().unwrap(), 10);
+        let part = (&t, None, Action::Write(Cow::Borrowed(&ours)));
+        decide(&[&part], &[staged]).unwrap();
+        assert_eq!(snap.count().unwrap(), 10, "repeatable across the commit");
+        drop(snap);
+        assert_eq!(t.count().unwrap(), 20, "later snapshots see the insert");
+    }
+
+    /// The staging sweep deletes staged files only: a table named like the
+    /// staging directory keeps every committed row across a crash.
+    #[test]
+    fn a_table_named_like_the_staging_directory_survives_recovery() {
+        use crate::config::DualTableConfig;
+        use crate::store::STAGING;
+        use dt_common::{DataType, Schema, Value};
+
+        let env = DualTableEnv::in_memory();
+        let schema = Schema::from_pairs(&[("id", DataType::Int64)]);
+        let config = DualTableConfig::default;
+        let t = DualTableStore::create(&env, STAGING, schema.clone(), config()).unwrap();
+        t.insert_rows((0..10).map(|k| vec![Value::Int64(k)]))
+            .unwrap();
+        drop(t);
+        env.crash_and_reopen().unwrap();
+        let t = DualTableStore::open(&env, STAGING, schema, config()).unwrap();
+        assert_eq!(t.count().unwrap(), 10);
     }
 
     /// A process died between a two-table commit's decision record and
-    /// its writes, one of the two tables dropped since. A new process that
-    /// opens an environment over the directory, with no table open yet,
-    /// redoes the record for the table still there and never brings the
-    /// dropped one back.
+    /// its writes — an EDIT batch on each table and a staged file of `t` —
+    /// one of the two tables dropped since, beside a staged file of `t` no
+    /// record names. A new process that opens an environment over the
+    /// directory, with no table open yet, redoes the record for the table
+    /// still there — renaming the named file into place — never brings the
+    /// dropped one back, and deletes the file no commit decided.
     #[test]
     fn an_on_disk_environment_redoes_a_left_over_record_when_it_opens() {
         use crate::attached::AttachedEntry;
@@ -312,10 +543,16 @@ mod tests {
                     }],
                     inserts: Vec::new(),
                 };
-                let batch = store.batch(&ours, None, ts).unwrap();
+                let batch = store.batch(&ours, ts).unwrap();
                 let table = DualTableStore::attached_name(name).into_bytes();
                 let record = [RECORDS[0], format!("{ts:020}").as_bytes()].concat();
-                cells.push((record, table, encode(&batch.versions)));
+                cells.push((record.clone(), table, encode(&batch.versions)));
+                if name == "t" {
+                    let named = store.stage(&[row(4), row(5)]).unwrap();
+                    let qual = format!("{FILES}t").into_bytes();
+                    cells.push((record, qual, encode_files(0, &named)));
+                    store.stage(&[row(8)]).unwrap();
+                }
             }
             env.meta.store().unwrap().put_batch(cells).unwrap();
             let u = DualTableStore::open(&env, "u", schema.clone(), config()).unwrap();
@@ -331,6 +568,10 @@ mod tests {
             0
         );
         assert!(env.kv.table(&DualTableStore::attached_name("u")).is_err());
+        assert!(
+            !env.dfs.list("/").iter().any(|p| is_staged(p)),
+            "a staged file survived the open"
+        );
         let t = DualTableStore::open(&env, "t", schema, config()).unwrap();
         let values: Vec<Value> = t
             .scan_all()
@@ -338,7 +579,7 @@ mod tests {
             .into_iter()
             .map(|(_, r)| r[1].clone())
             .collect();
-        assert_eq!(values, [0, 0, 7, 0].map(Value::Int64));
+        assert_eq!(values, [0, 0, 7, 0, 0, 0].map(Value::Int64));
         drop((t, meta, env));
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -199,8 +199,8 @@ impl DualTableEnv {
     }
 
     /// Environment over caller-provided tiers. Over existing data, every
-    /// commit decision record a dead process left is redone before any
-    /// table opens.
+    /// commit decision record a dead process left is redone, and every
+    /// staged file no commit decided deleted, before any table opens.
     pub fn new(dfs: Dfs, kv: KvCluster) -> Result<Self> {
         let meta = MetadataManager::open(&kv)?;
         let env = DualTableEnv {
@@ -213,7 +213,7 @@ impl DualTableEnv {
             compaction: Arc::new(CompactionController::new()),
             shard_health: Arc::default(),
         };
-        crate::commit::redo_decisions(&env)?;
+        crate::commit::recover(&env)?;
         Ok(env)
     }
 
@@ -233,17 +233,15 @@ impl DualTableEnv {
     /// quarantine), restarts the DFS namenode — its in-memory namespace
     /// is discarded and rebuilt from the durable edit log and checkpoint,
     /// implicitly aborting any pending DFS writers (their blocks become
-    /// orphans for the next scrub pass) — and redoes every commit decision
-    /// record left in the metadata table, before any table opens.
+    /// orphans for the next scrub pass) — and settles every commit left
+    /// half done (see [`crate::commit`]) before any table opens.
     pub fn crash_and_reopen(&self) -> Result<()> {
         self.kv.crash_and_reopen()?;
         self.dfs.crash_and_reopen()?;
-        // No session survives a crash: every pin, conflict window and
-        // staged file registered by the old process is gone. Durable
-        // cleanup (uncommitted transactional inserts) is handled by the
-        // intent cell on table open, not by this in-memory state.
+        // No session survives a crash: every pin and conflict window of
+        // the old process is gone.
         self.mvcc.reset();
-        crate::commit::redo_decisions(self)
+        crate::commit::recover(self)
     }
 
     /// On-disk environment rooted at `root` (benchmarks with real file

@@ -19,6 +19,18 @@ const QUAL_RATIO_SUM: &[u8] = b"ratio_sum";
 const QUAL_RATIO_COUNT: &[u8] = b"ratio_count";
 const QUAL_GENERATION: &[u8] = b"generation";
 
+/// The cell naming `generation` the live master generation of `table`:
+/// the commit point of INSERT OVERWRITE and COMPACT, put only by
+/// [`crate::commit`] — alone, or in the same batch as a decision record.
+pub(crate) fn generation_cell(table: &str, generation: u64) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
+    let row = format!("table:{table}").into_bytes();
+    (
+        row,
+        QUAL_GENERATION.to_vec(),
+        generation.to_be_bytes().to_vec(),
+    )
+}
+
 /// Handle to the system-wide metadata table.
 #[derive(Clone)]
 pub struct MetadataManager {
@@ -79,7 +91,7 @@ impl MetadataManager {
     }
 
     /// The committed master-table generation of `table` (0 before any
-    /// OVERWRITE/COMPACT commits one).
+    /// OVERWRITE/COMPACT commits one, see [`generation_cell`]).
     pub fn generation(&self, table: &str) -> Result<u64> {
         let row = format!("table:{table}");
         match self.store()?.get(row.as_bytes(), QUAL_GENERATION)? {
@@ -91,18 +103,6 @@ impl MetadataManager {
             )),
             None => Ok(0),
         }
-    }
-
-    /// Commits `generation` as the live master generation of `table`.
-    ///
-    /// This single durable put is the commit point of INSERT OVERWRITE
-    /// and COMPACT: it either lands (the new file set becomes visible
-    /// atomically) or it doesn't (readers keep the old set).
-    pub fn commit_generation(&self, table: &str, generation: u64) -> Result<()> {
-        let row = format!("table:{table}");
-        self.store()?
-            .put(row.as_bytes(), QUAL_GENERATION, &generation.to_be_bytes())?;
-        Ok(())
     }
 
     /// Records an observed modification ratio for a statement key.
@@ -187,7 +187,10 @@ mod tests {
     fn generation_defaults_to_zero_and_commits() {
         let m = manager();
         assert_eq!(m.generation("t").unwrap(), 0);
-        m.commit_generation("t", 3).unwrap();
+        m.store()
+            .unwrap()
+            .put_batch(vec![generation_cell("t", 3)])
+            .unwrap();
         assert_eq!(m.generation("t").unwrap(), 3);
         assert_eq!(m.generation("other").unwrap(), 0);
     }

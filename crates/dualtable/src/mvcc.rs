@@ -22,8 +22,8 @@
 //! All state is in-memory and per-process, guarded by one mutex per table:
 //! pins and conflict windows are session metadata, not durable data. After
 //! a crash there are no sessions, so an empty registry is the correct
-//! recovered state (uncommitted transactional inserts are undone by the
-//! durable intent cell — see [`crate::store`]).
+//! recovered state (an insert that never committed left only staged
+//! files, which the environment open deletes — see [`crate::commit`]).
 //!
 //! Lock order: a table's `ops` lock (read or write) is always acquired
 //! before its [`TableMvcc`] state mutex; the state mutex is held across
@@ -33,59 +33,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, MutexGuard};
-
-/// Qualifier *prefix* of transactional-insert intent cells, stored under
-/// row key `RecordId { file_id: 0, row: 0 }` — strictly below every
-/// presence row (`{0, file_id ≥ 1}`) and every data row. Column ordinals
-/// top out at `0xFFFD` (table creation rejects wider schemas) and the
-/// delete marker is `[0xFF, 0xFF]`, so the prefix collides with neither.
-pub(crate) const TXN_INTENT_QUALIFIER: [u8; 2] = [0xFF, 0xFE];
-
-/// The full intent qualifier for one transaction: the prefix plus the
-/// transaction's first reserved file ID (file-ID ranges are never reused,
-/// so concurrent transactions' intents never collide).
-pub(crate) fn txn_intent_qualifier(first_file_id: u32) -> Vec<u8> {
-    let mut qual = TXN_INTENT_QUALIFIER.to_vec();
-    qual.extend_from_slice(&first_file_id.to_be_bytes());
-    qual
-}
-
-/// Encodes a transactional-insert intent: the generation and file ids the
-/// commit is about to create. Present in the attached table only between
-/// intent write and commit; recovery deletes the listed files if it finds
-/// one (the transaction never committed).
-pub(crate) fn encode_txn_intent(gen: u64, file_ids: &[u32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + 4 * file_ids.len());
-    out.extend_from_slice(&gen.to_be_bytes());
-    for id in file_ids {
-        out.extend_from_slice(&id.to_be_bytes());
-    }
-    out
-}
-
-/// Decodes [`encode_txn_intent`]; `None` on malformed bytes.
-pub(crate) fn decode_txn_intent(bytes: &[u8]) -> Option<(u64, Vec<u32>)> {
-    if bytes.len() < 8 || !(bytes.len() - 8).is_multiple_of(4) {
-        return None;
-    }
-    let gen = u64::from_be_bytes(bytes[..8].try_into().ok()?);
-    let ids = bytes[8..]
-        .chunks_exact(4)
-        .map(|c| u32::from_be_bytes(c.try_into().expect("chunks_exact(4)")))
-        .collect();
-    Some((gen, ids))
-}
-
-/// Visibility of one master file, keyed by `(generation, file id)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FileVis {
-    /// Written but not committed (a transactional insert in flight):
-    /// invisible to every snapshot.
-    Staged,
-    /// Committed at this timestamp: visible to snapshots at or after it.
-    Committed(u64),
-}
+use parking_lot::Mutex;
 
 /// Why a commit or swing was refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -108,9 +56,10 @@ pub(crate) struct MvccState {
     /// `record id → commit ts` for the conflict window. Pruned of entries
     /// older than every live pin — they can never conflict again.
     record_commits: HashMap<u64, u64>,
-    /// Master-file visibility overrides; a file absent here is visible at
-    /// any timestamp (pre-registry data, recovered data).
-    file_commits: HashMap<(u64, u32), FileVis>,
+    /// `(generation, file id) → commit ts` of inserted master files; a
+    /// file absent here is visible at any timestamp (pre-registry data,
+    /// recovered data).
+    file_commits: HashMap<(u64, u32), u64>,
     /// Live pins: `pin ts → pinned generation`.
     pins: BTreeMap<u64, u64>,
     /// Superseded generations kept alive for pinned readers.
@@ -193,12 +142,7 @@ impl MvccState {
         }
     }
 
-    /// Marks a freshly created master file invisible until committed.
-    pub(crate) fn stage_file(&mut self, gen: u64, file_id: u32) {
-        self.file_commits.insert((gen, file_id), FileVis::Staged);
-    }
-
-    /// Commits staged or new files at `commit_ts`.
+    /// Records files a commit renamed into generation `gen` at `commit_ts`.
     pub(crate) fn commit_files(
         &mut self,
         gen: u64,
@@ -206,17 +150,7 @@ impl MvccState {
         commit_ts: u64,
     ) {
         for id in file_ids {
-            self.file_commits
-                .insert((gen, id), FileVis::Committed(commit_ts));
-        }
-    }
-
-    /// Forgets staged files (aborted transactional insert).
-    pub(crate) fn unstage_files(&mut self, gen: u64, file_ids: impl IntoIterator<Item = u32>) {
-        for id in file_ids {
-            if self.file_commits.get(&(gen, id)) == Some(&FileVis::Staged) {
-                self.file_commits.remove(&(gen, id));
-            }
+            self.file_commits.insert((gen, id), commit_ts);
         }
     }
 
@@ -224,45 +158,25 @@ impl MvccState {
     /// no recorded visibility (pre-registry, recovered after a crash) are
     /// visible at any timestamp.
     pub(crate) fn file_visible(&self, gen: u64, file_id: u32, at_ts: u64) -> bool {
-        match self.file_commits.get(&(gen, file_id)) {
-            None => true,
-            Some(FileVis::Staged) => false,
-            Some(FileVis::Committed(ts)) => *ts <= at_ts,
-        }
+        self.file_commits
+            .get(&(gen, file_id))
+            .is_none_or(|&ts| ts <= at_ts)
     }
 
-    /// Reserves a generation number for an off-to-the-side build: at least
-    /// `candidate` (what the directory listing implies) and past every
-    /// number already handed out.
-    #[cfg(test)]
+    /// Reserves a generation number for a build: at least `candidate`
+    /// (what the directory listing implies) and past every number already
+    /// handed out — a build may write zero files, leaving no directory for
+    /// the listing to see — and protects it from stale-generation cleanup
+    /// until it swings or is abandoned.
     pub(crate) fn reserve_build_gen(&mut self, candidate: u64) -> u64 {
-        let gen = self.observe_build_gen(candidate);
-        self.building.insert(gen);
-        gen
-    }
-
-    /// Like [`MvccState::reserve_build_gen`] but without registering the
-    /// build for cleanup protection — the same-thread rewrite path, whose
-    /// builds run entirely under the table's write lock (nothing can sweep
-    /// concurrently) but must still stay clear of reserved numbers: a
-    /// reserved build may have written zero files, leaving no directory
-    /// for the listing-based candidate to see.
-    pub(crate) fn observe_build_gen(&mut self, candidate: u64) -> u64 {
         let gen = candidate.max(self.build_highwater + 1);
         self.build_highwater = gen;
+        self.building.insert(gen);
         gen
     }
 
-    /// Registers an already-reserved generation number as a build in
-    /// progress (cleanup protection) — for callers that obtained the
-    /// number via [`MvccState::observe_build_gen`].
-    pub(crate) fn register_build(&mut self, gen: u64) {
-        self.build_highwater = self.build_highwater.max(gen);
-        self.building.insert(gen);
-    }
-
-    /// Marks an off-to-the-side build as no longer in progress (finished
-    /// or abandoned); its directory becomes fair game for cleanup.
+    /// Marks a build as no longer in progress (abandoned); its directory
+    /// becomes fair game for cleanup.
     pub(crate) fn finish_build(&mut self, gen: u64) {
         self.building.remove(&gen);
     }
@@ -382,20 +296,10 @@ impl MvccState {
     }
 }
 
-/// One table's MVCC state behind its mutex.
-#[derive(Debug, Default)]
-pub(crate) struct TableMvcc {
-    state: Mutex<MvccState>,
-}
-
-impl TableMvcc {
-    /// Acquires the state mutex. Held across the whole commit step —
-    /// conflict check, durable KV write, bookkeeping — so commits are
-    /// atomic against each other and against pin acquisition.
-    pub(crate) fn lock(&self) -> MutexGuard<'_, MvccState> {
-        self.state.lock()
-    }
-}
+/// One table's MVCC state behind its mutex, held across a whole commit —
+/// checks, durable writes, bookkeeping — so commits are atomic against
+/// each other and against pin acquisition.
+pub(crate) type TableMvcc = Mutex<MvccState>;
 
 /// Process-wide MVCC registry, one entry per table name. Shared through
 /// [`crate::DualTableEnv`] so every [`crate::DualTableStore`] clone and
@@ -463,14 +367,9 @@ mod tests {
     fn file_visibility_tracks_commit_ts() {
         let mut s = MvccState::default();
         assert!(s.file_visible(0, 1, 0), "unknown files always visible");
-        s.stage_file(0, 2);
-        assert!(!s.file_visible(0, 2, u64::MAX), "staged invisible to all");
         s.commit_files(0, [2u32], 15);
         assert!(!s.file_visible(0, 2, 10));
         assert!(s.file_visible(0, 2, 15));
-        s.stage_file(0, 3);
-        s.unstage_files(0, [3u32]);
-        assert!(s.file_visible(0, 3, 0), "unstaged file forgotten");
     }
 
     #[test]
@@ -524,16 +423,6 @@ mod tests {
         assert_eq!(s.reserve_build_gen(1), 2, "second builder bumped");
         s.note_swing(0, 5, 10, 2, None);
         assert_eq!(s.reserve_build_gen(3), 6, "past the committed swing");
-    }
-
-    #[test]
-    fn intent_codec_round_trips() {
-        let bytes = encode_txn_intent(7, &[3, 9, 100]);
-        assert_eq!(decode_txn_intent(&bytes), Some((7, vec![3, 9, 100])));
-        let bytes = encode_txn_intent(1, &[]);
-        assert_eq!(decode_txn_intent(&bytes), Some((1, vec![])));
-        assert_eq!(decode_txn_intent(&[1, 2, 3]), None, "truncated header");
-        assert_eq!(decode_txn_intent(&bytes[..7]), None);
     }
 
     #[test]

@@ -11,15 +11,18 @@
 //!   decoded. A stripe that lost a row or is short is re-encoded whole and
 //!   coalesces with its neighbours. Files outside the fold set are carried
 //!   by byte copy under their own IDs.
-//! * [`DualTableStore::swing`] is the commit point — the only
-//!   `commit_generation` in the crate — followed by best-effort cleanup.
+//! * The swing is an action of the one commit ([`crate::commit`]), which
+//!   puts the generation pointer; [`DualTableStore::stamp_swing`] records
+//!   it under the MVCC mutex and [`DualTableStore::clean_after_swing`]
+//!   runs the best-effort cleanup.
 //! * [`DualTableStore::retire_attached`] deletes the attached rows of
 //!   retired file-ID ranges; a whole-table truncate is its fast path.
 //!
 //! Callers only choose the epoch, the fold set, the rows and the lock
 //! mode. *Exclusive* (`COMPACT`, `INSERT OVERWRITE`, OVERWRITE-plan DML):
 //! the ops write lock is held from build to swing, the epoch is "latest"
-//! and nothing can conflict. *Optimistic* ([`RewriteJob`]): the build
+//! and nothing can conflict; every shard of a sharded table swings in the
+//! same commit. *Optimistic* ([`RewriteJob`]): the build
 //! runs under a pin and the read lock, beside concurrent DML, and the
 //! swing takes the write lock only for the pointer flip, losing with a
 //! retryable [`Error::Conflict`] to anything committed since the pin.
@@ -32,7 +35,9 @@ use std::sync::Arc;
 use dt_common::{Error, RecordId, Result, Row, Value};
 use dt_orcfile::{Column, ColumnBatch, OrcReader, OrcWriter, FILE_ID_METADATA_KEY};
 
+use crate::commit::{autocommit, commit, Action};
 use crate::compactor::FoldOutcome;
+use crate::mvcc::MvccState;
 use crate::presence::presence_key;
 use crate::store::{located_rows, Assignment, DualTableStore, ScanPlan};
 use crate::txn::Snapshot;
@@ -77,13 +82,13 @@ pub(crate) struct Built {
     pub(crate) scanned: u64,
 }
 
-/// Writes stripes into a generation's master files, rolling to the next
+/// Writes stripes into master files in directory `dir`, rolling to the next
 /// file ID of its reserved range at the first stripe boundary at or past
 /// `rows_per_file` rows. One file's writer is in flight and it holds one
 /// stripe, so a streaming source keeps memory bounded by one stripe.
 struct MasterWriteSink<'a> {
     store: &'a DualTableStore,
-    gen: u64,
+    dir: String,
     ids: Range<u32>,
     writer: Option<OrcWriter>,
     in_file: usize,
@@ -104,7 +109,7 @@ impl MasterWriteSink<'_> {
                 .ok_or_else(|| Error::internal("rewrite exhausted its reserved file-ID range"))?;
             let mut w = OrcWriter::create(
                 &inner.env.dfs,
-                &self.store.file_path_at(self.gen, file_id),
+                &format!("{}/part-{file_id:010}", self.dir),
                 inner.schema.clone(),
                 inner.config.writer.clone(),
             )?;
@@ -189,10 +194,10 @@ impl DualTableStore {
         Ok(first..first + count)
     }
 
-    fn sink(&self, gen: u64, ids: Range<u32>) -> MasterWriteSink<'_> {
+    fn sink(&self, dir: String, ids: Range<u32>) -> MasterWriteSink<'_> {
         MasterWriteSink {
             store: self,
-            gen,
+            dir,
             ids,
             writer: None,
             in_file: 0,
@@ -201,12 +206,13 @@ impl DualTableStore {
     }
 
     /// Writes `rows` (checked against the schema here, where they enter)
-    /// into files `ids` of generation `gen`, a stripe's worth of typed
-    /// columns at a time. Returns the rows written.
-    pub(crate) fn write_files(&self, gen: u64, ids: Range<u32>, rows: &[Row]) -> Result<u64> {
+    /// into files `ids` — every one of them, when `ids` came from
+    /// [`Self::reserve`] for these rows — of directory `dir`, a stripe's
+    /// worth of typed columns at a time. Returns the rows written.
+    pub(crate) fn write_files(&self, dir: &str, ids: Range<u32>, rows: &[Row]) -> Result<u64> {
         let schema = &self.inner.schema;
         let every: Vec<usize> = (0..schema.len()).collect();
-        let mut sink = self.sink(gen, ids);
+        let mut sink = self.sink(dir.to_string(), ids);
         for chunk in rows.chunks(self.inner.config.writer.stripe_rows.max(1)) {
             chunk.iter().try_for_each(|row| schema.check_row(row))?;
             sink.push(ColumnBatch::from_rows(schema, &every, chunk)?)?;
@@ -279,9 +285,10 @@ impl DualTableStore {
                     rest = tail;
                     parts.push((self.reserve(chunk.len() as u64)?, chunk));
                 }
+                let dir = self.gen_dir(next);
                 pool.run(parts, |_, (ids, chunk)| {
                     Ok(Built {
-                        written: self.write_files(next, ids, chunk)?,
+                        written: self.write_files(&dir, ids, chunk)?,
                         ..Built::default()
                     })
                 })?
@@ -310,7 +317,7 @@ impl DualTableStore {
                 let plan = self.scan_plan(gen, &opts, &[])?;
                 pool.run(parts, |_, (ids, chunk)| {
                     let mut built = Built::default();
-                    let mut sink = self.sink(next, ids);
+                    let mut sink = self.sink(self.gen_dir(next), ids);
                     for &file_id in chunk {
                         self.fold_file(&plan, statement, file_id, &mut sink, &mut built)?;
                     }
@@ -390,11 +397,11 @@ impl DualTableStore {
         Ok(())
     }
 
-    /// The first generation number safe to build into: past the committed
-    /// one, past any directory a crashed rewrite left behind (whose stale
-    /// files must never join a new generation) and past every number
-    /// reserved for a build this process knows about — a zero-row build
-    /// leaves no directory for the listing to see.
+    /// Reserves the first generation number safe to build into: past the
+    /// committed one, past any directory a crashed rewrite left behind
+    /// (whose stale files must never join a new generation) and past every
+    /// number reserved for a build this process knows about — a zero-row
+    /// build leaves no directory for the listing to see.
     fn next_generation(&self) -> Result<u64> {
         let committed = self.current_gen()?;
         let max_present = self.listed_generations().last().copied().unwrap_or(0);
@@ -402,7 +409,21 @@ impl DualTableStore {
             .inner
             .mvcc
             .lock()
-            .observe_build_gen(committed.max(max_present) + 1))
+            .reserve_build_gen(committed.max(max_present) + 1))
+    }
+
+    /// Builds a reserved next generation — protected from cleanup while it
+    /// is built — from the epoch `(gen, at_ts)` (see [`Self::build`]); a
+    /// failed build is abandoned. Returns the generation and its counts.
+    fn build_next(&self, epoch: (u64, u64), fold: &Retire, rows: Rows<'_>) -> Result<(u64, Built)> {
+        let next = self.next_generation()?;
+        match self.build(next, epoch, fold, rows) {
+            Ok(built) => Ok((next, built)),
+            Err(e) => {
+                self.abandon_rewrite(next);
+                Err(e)
+            }
+        }
     }
 
     /// Every generation number with a directory under the table.
@@ -427,69 +448,57 @@ impl DualTableStore {
     // Swing
     // ------------------------------------------------------------------
 
-    /// Swings the generation pointer to the built generation `next`
-    /// (caller holds the ops write lock):
-    ///
-    /// 1. Under the MVCC state mutex, an optimistic rewrite (`pin_ts` is
-    ///    its build pin) verifies nothing committed after the pin — a
-    ///    later EDIT would be silently lost by the swing. Losers get a
-    ///    retryable [`Error::Conflict`] and the old generation stays live.
-    ///    An exclusive rewrite (`None`) read "latest" under the write
-    ///    lock; nothing can have raced it.
-    /// 2. Commit the pointer (one durable metadata put — THE commit
-    ///    point), stamp the swing, and hand the old generation to the
-    ///    sweeper or — if another session still pins it — park it for
-    ///    deferred GC. The swinging job's own pin is not such a reader.
-    /// 3. Outside the mutex, best-effort cleanup: retire the fold set's
-    ///    attached rows when no old pin needs the overlays, sweep stale
-    ///    directories, run the deferred-GC sweeper. Failures are recorded
-    ///    as cleanup debt, never silent. Unretired rows are unreachable —
-    ///    no live file covers their record IDs and file IDs are never
-    ///    reused — and the floor sweep or the open-time
-    ///    [`Self::sweep_fold_residue`] settles them.
-    ///
-    /// Cached footers are invalidated per deleted path, not by whole-table
-    /// purge, so pinned readers keep their entries across other sessions'
-    /// swings.
-    pub(crate) fn swing(&self, next: u64, pin_ts: Option<u64>, retire: &Retire) -> Result<()> {
-        let retire_now;
-        {
-            let mut st = self.inner.mvcc.lock();
-            if let Some(ts) = pin_ts {
-                if st.conflict_since(ts, &[]).is_some() || st.edits_since(ts) {
-                    self.inner.env.health.swing_conflicts.inc();
-                    return Err(Error::conflict(format!(
-                        "generation swing abandoned: writes committed after snapshot {ts}"
-                    )));
-                }
-            }
-            self.writable_attached()?;
-            let old_gen = self.current_gen()?;
-            // The commit point. Still under the state mutex: a concurrent
-            // EDIT commit must observe either (old pointer, no swing
-            // stamp) or (new pointer, swing stamp), never a torn mix.
-            self.inner
-                .env
-                .meta
-                .commit_generation(&self.inner.name, next)?;
-            let swing_ts = self.inner.env.kv.clock().tick();
-            // Past the commit point: nothing may fail the swing any more.
-            // A floor we cannot compute degrades to 0 — attached rows of
-            // retired files leak (space, not correctness) as cleanup debt.
-            let floor = self.generation_floor(next).unwrap_or_else(|_| {
-                self.inner.env.health.cleanup_failures.inc();
-                0
-            });
-            let deferred = st.note_swing(old_gen, next, swing_ts, floor, pin_ts);
-            if deferred {
-                self.inner.env.health.generations_deferred.inc();
-            }
-            retire_now = !deferred && st.retired_count() == 0;
-            if retire_now && matches!(retire, Retire::All) {
-                // The truncate below subsumes the ranged floor sweep.
-                st.clear_attached_floor();
-            }
+    /// Records a committed swing `old_gen → next` at the commit timestamp
+    /// `ts`, under the MVCC state mutex the commit holds: the swing stamp
+    /// (which every transaction pinned before it loses to), and the old
+    /// generation handed to the sweeper or — if another session still pins
+    /// it — parked for deferred GC. The swinging job's own pin (`own_pin`)
+    /// is not such a reader. Returns whether the fold set's attached rows
+    /// may be retired now. Past the commit point nothing may fail: a floor
+    /// that cannot be computed degrades to 0 — attached rows of retired
+    /// files leak (space, not correctness) as cleanup debt.
+    pub(crate) fn stamp_swing(
+        &self,
+        st: &mut MvccState,
+        old_gen: u64,
+        next: u64,
+        ts: u64,
+        own_pin: Option<u64>,
+        retire: &Retire,
+    ) -> bool {
+        // The lowest file ID of `next`: every ID below it is retired with
+        // the superseded generations, and its attached cells become
+        // collectible once the last old-generation pin drains. An empty
+        // generation retires *all* existing IDs: a fresh one is the floor.
+        let first = self.master_file_ids_at(next).into_iter().min();
+        let meta = &self.inner.env.meta;
+        let floor = first.map_or_else(|| meta.reserve_file_ids(&self.inner.name, 1), Ok);
+        let floor = floor.unwrap_or_else(|_| {
+            self.inner.env.health.cleanup_failures.inc();
+            0
+        });
+        let deferred = st.note_swing(old_gen, next, ts, floor, own_pin);
+        if deferred {
+            self.inner.env.health.generations_deferred.inc();
         }
+        let retire_now = !deferred && st.retired_count() == 0;
+        if retire_now && matches!(retire, Retire::All) {
+            // The truncate below subsumes the ranged floor sweep.
+            st.clear_attached_floor();
+        }
+        retire_now
+    }
+
+    /// The best-effort cleanup after a swing to `next`, outside the state
+    /// mutex (ops write lock still held): retire the fold set's attached
+    /// rows when `retire_now`, sweep stale directories, run the
+    /// deferred-GC sweeper. Failures are recorded as cleanup debt, never
+    /// silent. Unretired rows are unreachable — no live file covers their
+    /// record IDs and file IDs are never reused — and the floor sweep or
+    /// the open-time [`Self::sweep_fold_residue`] settles them. Cached
+    /// footers are invalidated per deleted path, not by whole-table purge,
+    /// so pinned readers keep their entries across other sessions' swings.
+    pub(crate) fn clean_after_swing(&self, next: u64, retire: &Retire, retire_now: bool) {
         if retire_now {
             let retired = match retire {
                 // The presence index lives inside the attached table, so
@@ -509,28 +518,14 @@ impl DualTableStore {
         }
         self.cleanup_stale_generations(next);
         self.sweep_gc();
-        Ok(())
     }
 
-    /// Build + swing of an exclusive rewrite (caller holds the ops write
-    /// lock): source epoch "latest", fold set everything.
-    pub(crate) fn rewrite_exclusive(&self, rows: Rows<'_>) -> Result<Built> {
-        let next = self.next_generation()?;
-        let built = self.build(next, (self.current_gen()?, u64::MAX), &Retire::All, rows)?;
-        self.swing(next, None, &Retire::All)?;
-        Ok(built)
-    }
-
-    /// The lowest file ID belonging to generation `next` — every ID below
-    /// it is retired with the superseded generations, and its attached
-    /// cells become collectible once the last old-generation pin drains.
-    /// An empty new generation retires *all* existing IDs: reserve a fresh
-    /// one as the floor.
-    fn generation_floor(&self, next: u64) -> Result<u32> {
-        match self.master_file_ids_at(next).into_iter().min() {
-            Some(min) => Ok(min),
-            None => self.inner.env.meta.reserve_file_ids(&self.inner.name, 1),
-        }
+    /// The build of an exclusive rewrite (caller holds the ops write lock):
+    /// generation `next` from the latest epoch, fold set everything.
+    /// Returns `next` with the build's counts; a failed build deletes what
+    /// it wrote.
+    pub(crate) fn build_exclusive(&self, rows: Rows<'_>) -> Result<(u64, Built)> {
+        self.build_next((self.current_gen()?, u64::MAX), &Retire::All, rows)
     }
 
     // ------------------------------------------------------------------
@@ -542,7 +537,7 @@ impl DualTableStore {
     /// delete batch: a fold's presence entries and data cells retire
     /// together, so no crash leaves an index claiming a file clean while
     /// its overlay cells survive, or vice versa. Ranged, not a truncate:
-    /// the intent row `{0, 0}` and live files' rows stay.
+    /// live files' rows stay.
     fn retire_attached(&self, ranges: impl IntoIterator<Item = Range<u32>>) -> Result<()> {
         let attached = self.attached()?;
         if attached.is_empty() {
@@ -664,35 +659,18 @@ impl DualTableStore {
     // ------------------------------------------------------------------
 
     /// Replaces the whole table content (Hive's `INSERT OVERWRITE TABLE`):
-    /// new master files, cleared attached table. Crash-atomic: the files
-    /// are built in a fresh generation directory, invisible to readers,
-    /// and become the table in one durable metadata put. A failure before
-    /// it leaves the old generation fully live; a failure after it only
-    /// delays cleanup.
+    /// new master files, cleared attached table (see [`overwrite_all`]).
     pub fn insert_overwrite<I>(&self, rows: I) -> Result<u64>
     where
         I: IntoIterator<Item = Row>,
     {
-        let _guard = self.inner.ops.write();
-        let rows = Rows::Given(rows.into_iter().collect());
-        Ok(self.rewrite_exclusive(rows)?.written)
+        overwrite_all(vec![(self, rows.into_iter().collect())])
     }
 
     /// COMPACT (paper §III-C): UNION READ everything into a fresh Master
-    /// Table and clear the Attached Table. Blocks all other operations.
-    ///
-    /// Stripes go straight from the UNION READ into the new generation's
-    /// files — memory stays bounded by one stripe per worker, not the
-    /// table. A transient storage fault aborts the
-    /// half-built generation and the whole pass retries with backoff (each
-    /// attempt builds into a fresh generation, so a torn attempt is
-    /// inert).
+    /// Table and clear the Attached Table (see [`compact_all`]).
     pub fn compact(&self) -> Result<()> {
-        let _guard = self.inner.ops.write();
-        let policy = self.inner.config.retry;
-        policy.run(&self.inner.env.health.retry, || {
-            self.rewrite_exclusive(Rows::Merged(None)).map(|_| ())
-        })
+        compact_all(&[self])
     }
 
     // ------------------------------------------------------------------
@@ -746,9 +724,8 @@ impl DualTableStore {
             .map(Some)
     }
 
-    /// The optimistic build: reserve a generation (protected from cleanup
-    /// while in progress), build it from the pinned epoch under the read
-    /// lock, and on failure delete the half-built generation.
+    /// The optimistic build: the next generation, built from the pinned
+    /// epoch under the read lock.
     fn build_aside(
         &self,
         snapshot: Snapshot,
@@ -756,21 +733,15 @@ impl DualTableStore {
         rows: Rows<'_>,
     ) -> Result<RewriteJob> {
         let _guard = self.inner.ops.read();
-        let next = self.next_generation()?;
-        self.inner.mvcc.lock().register_build(next);
-        match self.build(next, (snapshot.generation(), snapshot.ts()), &retire, rows) {
-            Ok(built) => Ok(RewriteJob {
-                snapshot,
-                next,
-                written: built.written,
-                finished: false,
-                retire,
-            }),
-            Err(e) => {
-                self.abandon_rewrite(next);
-                Err(e)
-            }
-        }
+        let epoch = (snapshot.generation(), snapshot.ts());
+        let (next, built) = self.build_next(epoch, &retire, rows)?;
+        Ok(RewriteJob {
+            snapshot,
+            next,
+            written: built.written,
+            finished: false,
+            retire,
+        })
     }
 
     /// Scores every dirty master file with the §IV-derived fold score
@@ -884,6 +855,41 @@ impl DualTableStore {
     }
 }
 
+/// INSERT OVERWRITE of `parts` — each store with its rows, one table's
+/// shards or its one store — as one exclusive rewrite
+/// ([`crate::commit::autocommit`]): every store's ops write lock from build
+/// to swing, each store's next generation built of its rows, one commit
+/// swinging every pointer. Returns the rows written.
+pub(crate) fn overwrite_all(parts: Vec<(&DualTableStore, Vec<Row>)>) -> Result<u64> {
+    let n = parts.iter().map(|(_, rows)| rows.len() as u64).sum();
+    let (stores, mut rows): (Vec<_>, Vec<_>) = parts.into_iter().unzip();
+    autocommit(&stores, &vec![true; stores.len()], |i| {
+        let (next, _) = stores[i].build_exclusive(Rows::Given(std::mem::take(&mut rows[i])))?;
+        Ok(Action::Swing(next, &Retire::All))
+    })?;
+    Ok(n)
+}
+
+/// COMPACT of `stores` — one table's shards, or its one store — as one
+/// exclusive rewrite, like [`overwrite_all`] but each generation built from
+/// the latest epoch — "all the other operations will be blocked during
+/// COMPACT" (§III-C). A failure before the commit leaves every old
+/// generation fully live; one after it only delays cleanup. Stripes go
+/// straight from the UNION READ into the new generations' files — memory
+/// stays bounded by one stripe per worker, not the table. A transient
+/// storage fault aborts the half-built generations and the whole pass
+/// retries with backoff (each attempt builds into fresh generations, so a
+/// torn attempt is inert).
+pub(crate) fn compact_all(stores: &[&DualTableStore]) -> Result<()> {
+    let policy = stores[0].inner.config.retry;
+    policy.run(&stores[0].inner.env.health.retry, || {
+        autocommit(stores, &vec![true; stores.len()], |i| {
+            let (next, _) = stores[i].build_exclusive(Rows::Merged(None))?;
+            Ok(Action::Swing(next, &Retire::All))
+        })
+    })
+}
+
 /// A two-phase (optimistic) rewrite: [`DualTableStore::begin_compact`],
 /// [`DualTableStore::begin_insert_overwrite`] and
 /// [`DualTableStore::begin_incremental_compact`] build the new generation
@@ -935,7 +941,9 @@ impl RewriteJob {
         self.finished = true;
         let store = self.snapshot.store();
         let _guard = store.inner.ops.write();
-        if let Err(e) = store.swing(self.next, Some(self.snapshot.ts()), &self.retire) {
+        let pin = (self.snapshot.generation(), self.snapshot.ts());
+        let swing = Action::Swing(self.next, &self.retire);
+        if let Err(e) = commit(&[(store, Some(pin), swing)]) {
             store.abandon_rewrite(self.next);
             return Err(e);
         }

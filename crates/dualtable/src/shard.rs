@@ -18,9 +18,10 @@
 //!   range pruning: a predicate on the shard key eliminates whole shards
 //!   *before any I/O* — the pruned shards' masters and attached tables
 //!   are never opened;
-//! * **cross-shard transactions**: a [`Transaction`] over every shard,
-//!   pinned at one timestamp and committed all-or-none through the one
-//!   EDIT commit ([`crate::commit`]).
+//! * **one commit per statement**: an autocommit INSERT, UPDATE, DELETE,
+//!   INSERT OVERWRITE or COMPACT, and a [`Transaction`] over every shard
+//!   pinned at one timestamp, each commit all-or-none through the one
+//!   commit ([`crate::commit`]).
 //!
 //! The gather step is a k-way ordered merge in its degenerate form:
 //! shard ranges are disjoint and scanned in ascending range order, so
@@ -39,7 +40,8 @@ use dt_orcfile::{ColumnBatch, ColumnPredicate, PredicateOp};
 use crate::config::DualTableConfig;
 use crate::cost::{PlanChoice, RatioHint};
 use crate::env::DualTableEnv;
-use crate::store::{Assignment, DmlReport, DualTableStore};
+use crate::rewrite::{compact_all, overwrite_all};
+use crate::store::{dml_all, insert_all, Assignment, DmlReport, DualTableStore};
 use crate::txn::Transaction;
 use crate::union_read::UnionReadOptions;
 use crate::FoldOutcome;
@@ -497,27 +499,20 @@ impl ShardedTable {
         self.inner.spec.shards_matching(predicates.unwrap_or(&[]))
     }
 
-    /// Routes an INSERT: each row goes to exactly one shard.
+    /// Routes an INSERT: each row goes to exactly one shard, and every
+    /// shard's files land in one commit.
     pub fn insert_rows(&self, rows: Vec<Row>) -> Result<u64> {
         let buckets = self.inner.spec.partition(rows)?;
-        let mut n = 0u64;
-        for (i, bucket) in buckets.into_iter().enumerate() {
-            if !bucket.is_empty() {
-                n += self.inner.shards[i].insert_rows(bucket)?;
-            }
-        }
-        Ok(n)
+        let parts = self.inner.shards.iter().zip(buckets);
+        insert_all(parts.filter(|(_, bucket)| !bucket.is_empty()).collect())
     }
 
     /// INSERT OVERWRITE: every shard is rewritten, including shards whose
-    /// bucket is empty (their old content must vanish too).
+    /// bucket is empty (their old content must vanish too), and every
+    /// shard's generation swings in one commit.
     pub fn insert_overwrite(&self, rows: Vec<Row>) -> Result<u64> {
         let buckets = self.inner.spec.partition(rows)?;
-        let mut n = 0u64;
-        for (i, bucket) in buckets.into_iter().enumerate() {
-            n += self.inner.shards[i].insert_overwrite(bucket)?;
-        }
-        Ok(n)
+        overwrite_all(self.inner.shards.iter().zip(buckets).collect())
     }
 
     /// Scatter-gather UNION READ: range pruning first (pruned shards see
@@ -559,9 +554,9 @@ impl ShardedTable {
 
     /// Sharded UPDATE: range pruning via `scan.predicates`, then each
     /// surviving shard runs its own cost model — different ranges may
-    /// independently choose EDIT vs OVERWRITE. `scan` describes what the
-    /// statement reads (see [`DualTableStore::update_keyed`]); `None`
-    /// reads everything.
+    /// independently choose EDIT vs OVERWRITE — and one commit lands every
+    /// shard's part. `scan` describes what the statement reads (see
+    /// [`DualTableStore::update_keyed`]); `None` reads everything.
     pub fn update_keyed(
         &self,
         predicate: impl Fn(&Row) -> bool + Sync,
@@ -570,9 +565,7 @@ impl ShardedTable {
         statement_key: Option<&str>,
         scan: Option<&UnionReadOptions>,
     ) -> Result<ShardedDmlReport> {
-        self.dml(Some(assignments), scan, |shard, scan| {
-            shard.update_keyed(&predicate, assignments, ratio, statement_key, scan)
-        })
+        self.dml(&predicate, Some(assignments), ratio, statement_key, scan)
     }
 
     /// Sharded DELETE (see [`ShardedTable::update_keyed`]).
@@ -583,42 +576,37 @@ impl ShardedTable {
         statement_key: Option<&str>,
         scan: Option<&UnionReadOptions>,
     ) -> Result<ShardedDmlReport> {
-        self.dml(None, scan, |shard, scan| {
-            shard.delete_keyed(&predicate, ratio, statement_key, scan)
-        })
+        self.dml(&predicate, None, ratio, statement_key, scan)
     }
 
-    /// Runs one statement on every shard its stripe predicates cannot
-    /// rule out and adds the reports up.
+    /// Runs one statement, as one commit, on every shard its stripe
+    /// predicates cannot rule out (see [`dml_all`]) and adds the reports
+    /// up.
     fn dml(
         &self,
+        predicate: &(dyn Fn(&Row) -> bool + Sync),
         assignments: Option<&[Assignment<'_>]>,
+        ratio: RatioHint,
+        statement_key: Option<&str>,
         scan: Option<&UnionReadOptions>,
-        run: impl Fn(&DualTableStore, &UnionReadOptions) -> Result<DmlReport>,
     ) -> Result<ShardedDmlReport> {
         let all = UnionReadOptions::all();
         let scan = scan.unwrap_or(&all);
-        let mut out = ShardedDmlReport {
-            rows_matched: 0,
-            rows_scanned: 0,
-            per_shard: Vec::new(),
-        };
         let spec = &self.inner.spec;
-        for i in spec.dml_shards(assignments, scan.predicates.as_deref())? {
-            let report = run(&self.inner.shards[i], scan)?;
-            out.rows_matched += report.rows_matched;
-            out.rows_scanned += report.rows_scanned;
-            out.per_shard.push((i, report));
-        }
-        Ok(out)
+        let shards = spec.dml_shards(assignments, scan.predicates.as_deref())?;
+        let stores: Vec<&DualTableStore> = shards.iter().map(|&i| &self.inner.shards[i]).collect();
+        let reports = dml_all(&stores, predicate, assignments, scan, &ratio, statement_key)?;
+        Ok(ShardedDmlReport {
+            rows_matched: reports.iter().map(|r| r.rows_matched).sum(),
+            rows_scanned: reports.iter().map(|r| r.rows_scanned).sum(),
+            per_shard: shards.into_iter().zip(reports).collect(),
+        })
     }
 
-    /// Full COMPACT of every shard.
+    /// Full COMPACT of every shard, swung in one commit.
     pub fn compact(&self) -> Result<()> {
-        for s in &self.inner.shards {
-            s.compact()?;
-        }
-        Ok(())
+        let stores: Vec<&DualTableStore> = self.inner.shards.iter().collect();
+        compact_all(&stores)
     }
 
     /// One incremental maintenance step, walking shards round-robin: the

@@ -11,16 +11,14 @@ use dt_orcfile::{
 use parking_lot::RwLock;
 
 use crate::attached::AttachedEntry;
-use crate::commit::{commit, lock_order};
+use crate::commit::{autocommit, lock_order, Action};
 use crate::config::{DualTableConfig, PlanMode};
 use crate::cost::{CostModel, PlanChoice, RatioHint};
 use crate::delta::DeltaPolicy;
 use crate::env::DualTableEnv;
-use crate::mvcc::{
-    decode_txn_intent, encode_txn_intent, Conflict, TableMvcc, TXN_INTENT_QUALIFIER,
-};
+use crate::mvcc::{Conflict, TableMvcc};
 use crate::presence::{decode_count, FilePresence, PresenceIndex, PRESENCE_FILE_ID};
-use crate::rewrite::{Dml, Rows};
+use crate::rewrite::{Dml, Retire, Rows};
 use crate::txn::{Snapshot, Transaction};
 use crate::union_read::{
     for_each_row, merge_file, BatchFn, PatchSet, UnionReadOptions, INSERTS_FILE_ID, NO_PATCHES,
@@ -187,21 +185,110 @@ pub(crate) struct ScanPlan<'a> {
     patches: &'a [AttachedEntry],
 }
 
-/// Row key of the transactional-insert intent cells: `{0, 0}`, below
-/// every presence row (real file IDs start at 1).
-pub(crate) const INTENT_ROW: RecordId = RecordId {
-    file_id: PRESENCE_FILE_ID,
-    row: 0,
-};
+/// The directory, inside a table's, where inserted master files wait for
+/// the commit that renames them into a generation ([`crate::commit`]). No
+/// generation listing reaches it.
+pub(crate) const STAGING: &str = "_staging";
 
-/// Master files written but not yet committed (see
-/// [`DualTableStore::stage_insert`]).
-pub(crate) struct Staged {
-    pub(crate) gen: u64,
-    pub(crate) ids: Vec<u32>,
-    /// Qualifier of the durable undo intent, if one was written.
-    pub(crate) intent: Option<Vec<u8>>,
-    written: u64,
+/// Whether `path` is a staged master file: in the [`STAGING`] directory
+/// right under its table's, never a file of a table of that name.
+pub(crate) fn is_staged(path: &str) -> bool {
+    path.split('/').nth(3) == Some(STAGING)
+}
+
+/// Autocommit INSERT of `parts` — each store with its rows, one table's
+/// shards or its one store — as one commit: each store's rows are staged
+/// under its read lock, and the commit renames every file into place.
+/// Returns the rows written.
+pub(crate) fn insert_all(parts: Vec<(&DualTableStore, Vec<Row>)>) -> Result<u64> {
+    let n = parts.iter().map(|(_, rows)| rows.len() as u64).sum();
+    let (stores, mut rows): (Vec<_>, Vec<_>) = parts.into_iter().unzip();
+    autocommit(&stores, &vec![false; stores.len()], |i| {
+        Ok(Action::Write(Cow::Owned(PatchSet {
+            rows: Vec::new(),
+            inserts: std::mem::take(&mut rows[i]),
+        })))
+    })?;
+    Ok(n)
+}
+
+/// One autocommit UPDATE (`assignments` given) or DELETE over `stores` —
+/// one table's shards, or its one store — as one commit. Each store
+/// resolves its ratio and lets its own cost model pick its plan; then
+/// every store is locked (the write lock for an OVERWRITE plan) and runs
+/// its plan: EDIT locates its patch set at the latest epoch, OVERWRITE
+/// builds its next generation under the statement — and falls back to
+/// EDIT if the build fails (DESIGN.md §8), unless the statement itself is
+/// at fault. One commit then writes every patch set and swings every
+/// built generation, and each store logs its observed ratio.
+pub(crate) fn dml_all(
+    stores: &[&DualTableStore],
+    predicate: &(dyn Fn(&Row) -> bool + Sync),
+    assignments: Option<&[Assignment<'_>]>,
+    scan: &UnionReadOptions,
+    ratio: &RatioHint,
+    statement_key: Option<&str>,
+) -> Result<Vec<DmlReport>> {
+    let s = Dml {
+        predicate,
+        assignments,
+        scan,
+    };
+    let mut reports = Vec::with_capacity(stores.len());
+    for store in stores {
+        s.assignments.map_or(Ok(()), |a| store.check_targets(a))?;
+        let ratio_used = store.resolve_ratio(ratio, statement_key, s.predicate, s.scan)?;
+        let (by_cost, diff, _) = store.cost_plan(s.assignments.is_some(), ratio_used)?;
+        let (plan, cost_diff) = match store.inner.config.plan_mode {
+            PlanMode::AlwaysEdit => (PlanChoice::Edit, None),
+            PlanMode::AlwaysOverwrite => (PlanChoice::Overwrite, None),
+            PlanMode::CostBased => (by_cost, Some(diff)),
+        };
+        reports.push(DmlReport {
+            plan,
+            rows_matched: 0,
+            rows_scanned: 0,
+            ratio_used,
+            cost_diff,
+        });
+    }
+    let over: Vec<_> = reports
+        .iter()
+        .map(|r| r.plan == PlanChoice::Overwrite)
+        .collect();
+    autocommit(stores, &over, |i| {
+        let (store, report) = (stores[i], &mut reports[i]);
+        if over[i] {
+            match store.build_exclusive(Rows::Merged(Some(s))) {
+                Ok((next, b)) => {
+                    (report.rows_matched, report.rows_scanned) = (b.matched, b.scanned);
+                    return Ok(Action::Swing(next, &Retire::All));
+                }
+                // A bad assignment fails the statement, not the plan: EDIT
+                // would reject the same value.
+                Err(e @ Error::Schema(_)) => return Err(e),
+                Err(_) => {
+                    store.inner.env.health.plan_fallbacks.inc();
+                    report.plan = PlanChoice::Edit;
+                }
+            }
+        }
+        let gen = store.current_gen()?;
+        let (rows, scanned) =
+            store.locate_patches(gen, s.scan, &NO_PATCHES, s.predicate, s.assignments)?;
+        (report.rows_matched, report.rows_scanned) = (rows.len() as u64, scanned);
+        Ok(Action::Write(Cow::Owned(PatchSet {
+            rows,
+            inserts: Vec::new(),
+        })))
+    })?;
+    for (store, report) in stores.iter().zip(&reports) {
+        if let (Some(key), true) = (statement_key, report.rows_scanned > 0) {
+            let observed = report.rows_matched as f64 / report.rows_scanned as f64;
+            store.inner.env.meta.record_ratio(key, observed)?;
+        }
+    }
+    Ok(reports)
 }
 
 impl DualTableStore {
@@ -242,9 +329,7 @@ impl DualTableStore {
 
     /// Opens an existing DualTable. Retries any garbage collection a
     /// previous swap left behind (post-commit cleanup is best-effort; the
-    /// debt is recorded in the health counters and settled here), and
-    /// undoes any transactional insert whose intent cell survived a crash
-    /// (the transaction never committed; its files must not reappear).
+    /// debt is recorded in the health counters and settled here).
     pub fn open(
         env: &DualTableEnv,
         name: &str,
@@ -263,7 +348,6 @@ impl DualTableStore {
                 mvcc: env.mvcc.table(name),
             }),
         };
-        store.recover_txn_intents();
         if let Ok(gen) = store.current_gen() {
             store.cleanup_stale_generations(gen);
         }
@@ -287,58 +371,6 @@ impl DualTableStore {
             Self::open(env, name, schema, config)
         } else {
             Self::create(env, name, schema, config)
-        }
-    }
-
-    /// Undoes a transactional insert interrupted between its durable
-    /// intent write and its commit: the intent cell lists the master files
-    /// the commit was about to publish; none of them committed, so delete
-    /// them and the intent. Best-effort like all recovery cleanup —
-    /// failures are recorded as cleanup debt and retried on the next open
-    /// (an undeleted file stays invisible anyway until the intent cell is
-    /// gone, and the intent is deleted last).
-    fn recover_txn_intents(&self) {
-        // A live pin means a session of this process is mid-transaction;
-        // its intent is not crash debris. (After a real crash the registry
-        // is empty, so recovery always runs.)
-        if self.inner.mvcc.lock().pin_count() > 0 {
-            return;
-        }
-        let Ok(attached) = self.attached() else {
-            return;
-        };
-        if attached.is_empty() {
-            return;
-        }
-        let Ok(scan) = attached.scan_at(
-            Some(&INTENT_ROW.to_key()[..]),
-            Some(&RecordId::new(PRESENCE_FILE_ID, 1).to_key()[..]),
-            u64::MAX,
-        ) else {
-            self.inner.env.health.cleanup_failures.inc();
-            return;
-        };
-        for row in scan {
-            let Ok(row) = row else {
-                self.inner.env.health.cleanup_failures.inc();
-                return;
-            };
-            for (qual, _ts, value) in &row.cells {
-                if !qual.starts_with(&TXN_INTENT_QUALIFIER) {
-                    continue;
-                }
-                let Some((gen, file_ids)) = decode_txn_intent(value) else {
-                    self.inner.env.health.cleanup_failures.inc();
-                    continue;
-                };
-                // The intent is deleted last, so a partial undo keeps it
-                // and the next open retries the whole thing.
-                if self.delete_master_files(gen, &file_ids)
-                    && attached.delete_cell(&INTENT_ROW.to_key(), qual).is_err()
-                {
-                    self.inner.env.health.cleanup_failures.inc();
-                }
-            }
         }
     }
 
@@ -444,8 +476,19 @@ impl DualTableStore {
         format!("{}/gen-{gen:010}", Self::master_dir(&self.inner.name))
     }
 
+    /// The path of table `name`'s master file `file_id`: in generation
+    /// `gen`, or staged (`None`).
+    pub(crate) fn master_path(name: &str, gen: Option<u64>, file_id: u32) -> String {
+        let dir = gen.map_or(STAGING.to_string(), |gen| format!("gen-{gen:010}"));
+        format!("{}/{dir}/part-{file_id:010}", Self::master_dir(name))
+    }
+
     pub(crate) fn file_path_at(&self, gen: u64, file_id: u32) -> String {
-        format!("{}/part-{file_id:010}", self.gen_dir(gen))
+        Self::master_path(&self.inner.name, Some(gen), file_id)
+    }
+
+    pub(crate) fn staging_path(&self, file_id: u32) -> String {
+        Self::master_path(&self.inner.name, None, file_id)
     }
 
     /// Master file IDs in ascending order (== record-ID scan order).
@@ -470,102 +513,36 @@ impl DualTableStore {
 
     /// Appends rows, creating one or more new master files (the paper's
     /// LOAD / INSERT INTO: "data are loaded and inserted into the Master
-    /// Table").
+    /// Table"), visible at one commit.
     pub fn insert_rows<I>(&self, rows: I) -> Result<u64>
     where
         I: IntoIterator<Item = Row>,
     {
-        let _guard = self.inner.ops.read();
-        let rows: Vec<Row> = rows.into_iter().collect();
+        insert_all(vec![(self, rows.into_iter().collect())])
+    }
+
+    /// Writes `rows` as new master files into the staging directory, where
+    /// no generation listing sees them, and returns their file IDs for the
+    /// commit to rename into place. A failed write deletes what it wrote.
+    pub(crate) fn stage(&self, rows: &[Row]) -> Result<Vec<u32>> {
         if rows.is_empty() {
-            return Ok(0);
+            return Ok(Vec::new());
         }
-        // No durable undo intent: an autocommit insert has no in-flight
-        // state to recover.
-        let staged = self.stage_insert(self.current_gen()?, &rows, false)?;
-        // Autocommit commit point: the files become visible at a fresh
-        // timestamp, ticked under the state mutex so no pin can land
-        // between the timestamp and the visibility flip.
-        let mut st = self.inner.mvcc.lock();
-        let ts = self.inner.env.kv.clock().tick();
-        st.commit_files(staged.gen, staged.ids, ts);
-        // Bump the edit clock too: a two-phase rewrite pinned before this
-        // insert must conflict at finish, or its swing would silently drop
-        // these files (they only exist in the generation it replaces).
-        st.note_edit_commit([], ts);
-        Ok(staged.written)
-    }
-
-    /// Phase 1 of every insert: reserve the rows' file IDs, optionally
-    /// write the durable undo intent listing them (transactions — recovery
-    /// deletes the files of an intent it finds), stage the IDs and only
-    /// then write the files into `gen`. Staging comes first because files
-    /// the MVCC state has never heard of default to always-visible: a
-    /// snapshot pinned between the file write and the commit would see
-    /// the rows, then lose them once the commit lands after its pin. Scans
-    /// are blocked only for the staging step, not the file writes. A
-    /// failed write discards what was staged.
-    pub(crate) fn stage_insert(&self, gen: u64, rows: &[Row], intent: bool) -> Result<Staged> {
         let ids = self.reserve(rows.len() as u64)?;
-        let mut staged = Staged {
-            gen,
-            ids: ids.clone().collect(),
-            intent: intent.then(|| crate::mvcc::txn_intent_qualifier(ids.start)),
-            written: 0,
-        };
-        if let Some(qual) = &staged.intent {
-            self.attached()?.put(
-                &INTENT_ROW.to_key(),
-                qual,
-                &encode_txn_intent(gen, &staged.ids),
-            )?;
+        let dir = format!("{}/{STAGING}", Self::master_dir(&self.inner.name));
+        if let Err(e) = self.write_files(&dir, ids.clone(), rows) {
+            self.discard_staged(ids);
+            return Err(e);
         }
-        {
-            let mut st = self.inner.mvcc.lock();
-            for &id in &staged.ids {
-                st.stage_file(gen, id);
-            }
-        }
-        match self.write_files(gen, ids, rows) {
-            Ok(written) => {
-                staged.written = written;
-                Ok(staged)
-            }
-            Err(e) => {
-                self.discard_staged(&staged);
-                Err(e)
-            }
-        }
+        Ok(ids.collect())
     }
 
-    /// Best-effort undo of a staged insert that will not commit: delete
-    /// the written files, forget their staging, remove the intent. Files
-    /// go first — a forgotten *existing* file would be visible — and the
-    /// intent last, so [`Self::recover_txn_intents`] re-collects any
-    /// residue on the next open.
-    pub(crate) fn discard_staged(&self, staged: &Staged) {
-        if !self.delete_master_files(staged.gen, &staged.ids) {
-            return;
-        }
-        self.inner
-            .mvcc
-            .lock()
-            .unstage_files(staged.gen, staged.ids.iter().copied());
-        if let Some(qual) = &staged.intent {
-            let cleared = self
-                .attached()
-                .and_then(|attached| attached.delete_cell(&INTENT_ROW.to_key(), qual));
-            if cleared.is_err() {
-                self.inner.env.health.cleanup_failures.inc();
-            }
-        }
-    }
-
-    /// Deletes those of `ids`' master files in `gen` that exist; `true`
-    /// iff none is left.
-    fn delete_master_files(&self, gen: u64, ids: &[u32]) -> bool {
-        let paths = ids.iter().map(|&id| self.file_path_at(gen, id));
-        self.delete_paths(paths.filter(|path| self.inner.env.dfs.exists(path)))
+    /// Best-effort delete of the staged files `ids` that exist — of a
+    /// commit that did not decide. The next environment open deletes any
+    /// that will not go.
+    pub(crate) fn discard_staged(&self, ids: impl IntoIterator<Item = u32>) {
+        let paths = ids.into_iter().map(|id| self.staging_path(id));
+        self.delete_paths(paths.filter(|path| self.inner.env.dfs.exists(path)));
     }
 
     /// Best-effort deletes; each failure is recorded as cleanup debt
@@ -610,13 +587,11 @@ impl DualTableStore {
     }
 
     /// The master file IDs of `gen` visible to a snapshot at `at_ts`:
-    /// everything in the directory except files some in-flight (or
-    /// later-committed) transactional insert staged after the snapshot.
+    /// everything in the directory except files committed after it.
     pub(crate) fn visible_files(&self, gen: u64, at_ts: u64) -> Vec<u32> {
-        // Listed under the state mutex: an aborted insert deletes its
-        // staged files before it forgets them, so a listing taken outside
-        // could still hold a file that is gone — and no longer staged —
-        // by the time it is filtered.
+        // Listed and filtered under one hold of the state mutex, under
+        // which a commit renames its files in and records their timestamp:
+        // the listing and the filter see the same commits.
         let st = self.inner.mvcc.lock();
         let files = self.master_file_ids_at(gen);
         files
@@ -768,11 +743,6 @@ impl DualTableStore {
             let row = row?;
             let record = RecordId::from_key(&row.row)
                 .ok_or_else(|| Error::corrupt("presence row key is not a record ID"))?;
-            if record.row == 0 {
-                // `{0, 0}` is the transactional-insert intent cell, not a
-                // presence row (real file IDs start at 1).
-                continue;
-            }
             let mut presence = FilePresence::default();
             for (qual, _ts, value) in &row.cells {
                 match presence_column(qual)? {
@@ -1024,8 +994,8 @@ impl DualTableStore {
         statement_key: Option<&str>,
         scan: &UnionReadOptions,
     ) -> Result<DmlReport> {
-        self.check_targets(assignments)?;
-        self.dml(&predicate, Some(assignments), ratio, statement_key, scan)
+        let (set, key) = (Some(assignments), statement_key);
+        Ok(dml_all(&[self], &predicate, set, scan, &ratio, key)?.remove(0))
     }
 
     /// Executes `DELETE FROM <table> WHERE <predicate>`.
@@ -1046,53 +1016,7 @@ impl DualTableStore {
         statement_key: Option<&str>,
         scan: &UnionReadOptions,
     ) -> Result<DmlReport> {
-        self.dml(&predicate, None, ratio, statement_key, scan)
-    }
-
-    /// One UPDATE (`assignments` given) or DELETE: resolve the ratio, let
-    /// the cost model pick the plan, run it, log the observed ratio.
-    fn dml(
-        &self,
-        predicate: &(dyn Fn(&Row) -> bool + Sync),
-        assignments: Option<&[Assignment<'_>]>,
-        ratio: RatioHint,
-        statement_key: Option<&str>,
-        scan: &UnionReadOptions,
-    ) -> Result<DmlReport> {
-        let ratio_used = self.resolve_ratio(&ratio, statement_key, predicate, scan)?;
-        let (by_cost, diff, _) = self.cost_plan(assignments.is_some(), ratio_used)?;
-        let (plan, cost_diff) = match self.inner.config.plan_mode {
-            PlanMode::AlwaysEdit => (PlanChoice::Edit, None),
-            PlanMode::AlwaysOverwrite => (PlanChoice::Overwrite, None),
-            PlanMode::CostBased => (by_cost, Some(diff)),
-        };
-        // `executed` can differ from the chosen `plan`: a pre-commit
-        // OVERWRITE failure falls back to EDIT.
-        let statement = Dml {
-            predicate,
-            assignments,
-            scan,
-        };
-        let ((rows_matched, rows_scanned), executed) = match plan {
-            PlanChoice::Edit => {
-                let _guard = self.inner.ops.read();
-                (self.edit_locked(statement)?, PlanChoice::Edit)
-            }
-            PlanChoice::Overwrite => self.overwrite(statement)?,
-        };
-        if let (Some(key), true) = (statement_key, rows_scanned > 0) {
-            self.inner
-                .env
-                .meta
-                .record_ratio(key, rows_matched as f64 / rows_scanned as f64)?;
-        }
-        Ok(DmlReport {
-            plan: executed,
-            rows_matched,
-            rows_scanned,
-            ratio_used,
-            cost_diff,
-        })
+        Ok(dml_all(&[self], &predicate, None, scan, &ratio, statement_key)?.remove(0))
     }
 
     /// Rejects an UPDATE that assigns a column the table does not have.
@@ -1207,50 +1131,6 @@ impl DualTableStore {
         Ok((found, scanned))
     }
 
-    /// The EDIT plan (ops lock held — the OVERWRITE→EDIT fallback runs
-    /// under the write lock, which is not reentrant): locate at the latest
-    /// epoch, then store the statement's whole patch set in the Attached
-    /// Table through the one commit. Returns `(matched, scanned)`.
-    fn edit_locked(&self, s: Dml<'_>) -> Result<(u64, u64)> {
-        let gen = self.current_gen()?;
-        let (rows, scanned) =
-            self.locate_patches(gen, s.scan, &NO_PATCHES, s.predicate, s.assignments)?;
-        let matched = rows.len() as u64;
-        if matched > 0 {
-            let inserts = Vec::new(); // an autocommit INSERT doesn't buffer
-            commit(&[(self, None, &PatchSet { rows, inserts })])?;
-        }
-        Ok((matched, scanned))
-    }
-
-    /// The OVERWRITE plan: Hive's INSERT OVERWRITE — rewrite the master
-    /// with the statement's patches applied stripe by stripe (an UPDATE's
-    /// values, a DELETE's dropped rows), then clear the attached table.
-    ///
-    /// If the rewrite fails before its commit point the old generation is
-    /// still fully live, so the statement falls back to the EDIT plan —
-    /// it must still succeed (DESIGN.md §8). Returns the executed plan
-    /// alongside the `(matched, scanned)` counts.
-    fn overwrite(&self, statement: Dml<'_>) -> Result<((u64, u64), PlanChoice)> {
-        let _guard = self.inner.ops.write();
-        let failed = match self.rewrite_exclusive(Rows::Merged(Some(statement))) {
-            Ok(built) => return Ok(((built.matched, built.scanned), PlanChoice::Overwrite)),
-            Err(e) => e,
-        };
-        // Sweep whatever the aborted workers wrote.
-        if let Ok(gen) = self.current_gen() {
-            self.cleanup_stale_generations(gen);
-        }
-        // A bad assignment fails the statement, not the plan: EDIT would
-        // reject the same value, so falling back would only bury the
-        // user's type error under a second scan.
-        if matches!(failed, Error::Schema(_)) {
-            return Err(failed);
-        }
-        self.inner.env.health.plan_fallbacks.inc();
-        Ok((self.edit_locked(statement)?, PlanChoice::Edit))
-    }
-
     // ------------------------------------------------------------------
     // MVCC sessions (DESIGN.md §13)
     // ------------------------------------------------------------------
@@ -1316,7 +1196,8 @@ impl DualTableStore {
             Conflict::Swing => {
                 self.inner.env.health.swing_conflicts.inc();
                 Error::conflict(format!(
-                    "'{name}': transaction pinned at {pin_ts} lost to a generation swing"
+                    "'{name}': pinned at {pin_ts}, lost to a later generation swing or, \
+                     rewriting, to any later commit"
                 ))
             }
             Conflict::Record(id) => {
@@ -1335,6 +1216,7 @@ impl DualTableStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::commit::{commit, Action};
     use dt_common::DataType;
 
     fn schema() -> Schema {
@@ -1745,34 +1627,6 @@ mod tests {
         }
     }
 
-    /// An aborted transactional insert deletes its staged files, then
-    /// forgets them under the state mutex. A scan waiting for that mutex —
-    /// a commit holds it across its KV writes — must not have listed the
-    /// files before it: a file listed before the delete and filtered after
-    /// the forget counts as committed, and the scan reads a file that is
-    /// gone.
-    #[test]
-    fn a_scan_never_lists_a_file_an_aborted_insert_deleted() {
-        let t = table_with(10, small_files());
-        let gen = t.current_gen().unwrap();
-        let staged = t.stage_insert(gen, &[row(100)], false).unwrap();
-        let mut held = t.inner.mvcc.lock();
-        std::thread::scope(|s| {
-            let scan = s.spawn(|| t.visible_files(gen, u64::MAX));
-            // Let the scan reach the mutex, then abort the insert as
-            // `discard_staged` does.
-            std::thread::sleep(std::time::Duration::from_millis(50));
-            assert!(t.delete_master_files(gen, &staged.ids));
-            held.unstage_files(gen, staged.ids.iter().copied());
-            drop(held);
-            let files = scan.join().unwrap();
-            assert!(
-                files.iter().all(|id| !staged.ids.contains(id)),
-                "listed a deleted file: {files:?}"
-            );
-        });
-    }
-
     #[test]
     fn update_type_mismatch_rejected() {
         let t = table_with(10, small_files());
@@ -1836,7 +1690,7 @@ mod tests {
                 rows: vec![patch],
                 inserts: Vec::new(),
             };
-            commit(&[(&t, None, &ours)]).unwrap();
+            commit(&[(&t, None, Action::Write(Cow::Borrowed(&ours)))]).unwrap();
         }
         assert!(
             t.inner
@@ -1852,39 +1706,6 @@ mod tests {
         txn.insert(vec![row(100)]).unwrap();
         txn.commit().unwrap();
         assert_eq!(t.env().health.commit_records.get(), 0);
-    }
-
-    /// Regression (REVIEW: non-repeatable read): autocommit INSERT must
-    /// stage its files before they become listable. A snapshot pinned
-    /// after the file write but before the commit must never see the new
-    /// rows — with unstaged files (absent-means-visible) it would first
-    /// see them, then lose them when the commit lands past its pin.
-    #[test]
-    fn snapshot_pinned_mid_insert_never_sees_staged_files() {
-        let t = table_with(10, small_files());
-        let gen = t.current_gen().unwrap();
-        // insert_rows' window: reserve + stage + write, no commit yet.
-        let staged = t
-            .stage_insert(gen, &(100..110).map(row).collect::<Vec<_>>(), false)
-            .unwrap();
-        // Pinned inside the window: the durable-but-uncommitted file is
-        // invisible.
-        let snap = t.begin_snapshot().unwrap();
-        assert_eq!(snap.count().unwrap(), 10, "staged file must be invisible");
-        // Commit point (as insert_rows runs it).
-        {
-            let mut st = t.inner.mvcc.lock();
-            let ts = t.inner.env.kv.clock().tick();
-            st.commit_files(gen, staged.ids, ts);
-            st.note_edit_commit([], ts);
-        }
-        assert_eq!(
-            snap.count().unwrap(),
-            10,
-            "repeatable read across the commit point"
-        );
-        drop(snap);
-        assert_eq!(t.count().unwrap(), 20, "new snapshots see the insert");
     }
 
     /// Regression (REVIEW: partial statement in the buffer): a failed

@@ -28,12 +28,13 @@
 //! leave `pinned_snapshots() == 0` and must not block a subsequent
 //! OVERWRITE's generation GC.
 
+use std::borrow::Cow;
 use std::ops::ControlFlow;
 
 use dt_common::{RecordId, Result, Row};
 use dt_orcfile::ColumnBatch;
 
-use crate::commit::commit;
+use crate::commit::{commit, Action};
 use crate::shard::ShardSpec;
 use crate::store::{Assignment, DualTableStore};
 use crate::union_read::{for_each_row, BatchFn, PatchSet, UnionReadOptions, NO_PATCHES};
@@ -243,8 +244,8 @@ impl Transaction {
     }
 
     /// Buffers an insert. The rows become master files only at commit,
-    /// under a durable undo intent (crash-atomic with the rest of their
-    /// store's commit).
+    /// which stages them and renames them into place with the rest of its
+    /// writes.
     pub fn insert(&mut self, rows: Vec<Row>) -> Result<u64> {
         let schema = self.parts[0].0.store().schema();
         rows.iter().try_for_each(|row| schema.check_row(row))?;
@@ -305,7 +306,7 @@ impl Transaction {
         let pin = |s: &Snapshot| Some((s.generation(), s.ts()));
         let parts: Vec<_> = parts
             .iter()
-            .map(|(s, ours)| (s.store(), pin(s), ours))
+            .map(|(s, ours)| (s.store(), pin(s), Action::Write(Cow::Borrowed(ours))))
             .collect();
         commit(&parts)
     }

@@ -55,7 +55,7 @@ impl UnionReadOptions {
 /// commits at once, what a transaction buffers until COMMIT, and, for the
 /// transaction's own reads, the second patch source of UNION READ next to
 /// the attached range.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub(crate) struct PatchSet {
     /// Patches of committed records, ascending by record ID.
     pub(crate) rows: Vec<AttachedEntry>,

@@ -322,9 +322,8 @@ fn skipped_by_count(env: &DualTableEnv, t: &DualTableStore) -> u64 {
 /// Regression: an attached table holding tombstones but no index rows used
 /// to read as "data from before the index existed" — every scan paid one
 /// attached scan per master file and lost push-down until the next EDIT.
-/// Two ordinary histories get there: an incremental fold that retires the
-/// last dirty file's rows, and an insert-only transaction clearing its
-/// intent cell.
+/// An incremental fold that retires the last dirty file's rows gets there;
+/// an insert-only transaction must leave every file clean too.
 #[test]
 fn tombstones_without_index_rows_still_skip_attached_scans() {
     let env = env_with(true);

@@ -15,13 +15,14 @@
 //! 4. [`DualTableEnv::crash_and_reopen`] recovers every tier.
 //! 5. [`check_recovered`] holds the recovered stack to the [`Model`]: the
 //!    block cache is empty; every store is at its slice of `oracle(acked)`
-//!    or `oracle(acked + 1)`; an in-flight COMMIT landed on every store it
-//!    touches or on none; `count()` equals the scan; each store has one
-//!    generation, no pins and no retired generations; fsck is healthy and
-//!    scrub leaves no orphan and the content unchanged; and an EDIT, a fold
-//!    and (delta tier on) a spill still work, the spill draining the tier.
-//!    The fold ledger must balance at the crash itself, and at least 90 %
-//!    of the points must fire.
+//!    or `oracle(acked + 1)`; the in-flight step — any step: an autocommit
+//!    statement is one commit like a COMMIT — landed on every store it
+//!    touches or on none; no staging file is left; `count()` equals the
+//!    scan; each store has one generation, no pins and no retired
+//!    generations; fsck is healthy and scrub leaves no orphan and the
+//!    content unchanged; and an EDIT, a fold and (delta tier on) a spill
+//!    still work, the spill draining the tier. The fold ledger must balance
+//!    at the crash itself, and at least 90 % of the points must fire.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
@@ -210,6 +211,43 @@ impl Model {
             | Step::Unpin
             | Step::BeginCompact
             | Step::FinishCompact => {}
+        }
+    }
+
+    /// The durable writes `step` commits with, on `shape`'s stores: one
+    /// attached batch per store it EDITs, one rename per master file it
+    /// inserts (`rows_per_file` rows a file), and one metadata put for all
+    /// of its generation swings. A commit with more than one writes a
+    /// decision record.
+    fn durable_actions(&self, shape: &Shape, step: &Step) -> usize {
+        let files = |n: usize| n.div_ceil(shape.rows_per_file);
+        let slices = |state: &State| shape.slices(state).into_iter().map(|s| s.len());
+        match step {
+            Step::Insert(t, keys) => {
+                let mut state = vec![BTreeMap::new(); self.tables.len()];
+                state[*t] = keys.clone().map(|k| (k, k)).collect();
+                slices(&state).map(files).sum()
+            }
+            Step::Update(t, hit, _) | Step::Delete(t, hit) => {
+                let mut state = vec![BTreeMap::new(); self.tables.len()];
+                state[*t] = self.tables[*t].clone();
+                state[*t].retain(|id, _| id % hit.0 == hit.1);
+                slices(&state).filter(|&n| n > 0).count()
+            }
+            Step::Commit => {
+                let (_, writes) = self.txn.as_ref().unwrap();
+                let split = |new: bool| {
+                    let mut state = writes.clone();
+                    for (w, committed) in state.iter_mut().zip(&self.tables) {
+                        w.retain(|id, _| committed.contains_key(id) != new);
+                    }
+                    slices(&state).collect::<Vec<_>>()
+                };
+                let edits = split(false).into_iter().filter(|&n| n > 0).count();
+                edits + split(true).into_iter().map(files).sum::<usize>()
+            }
+            Step::Overwrite(_) | Step::Compact(_) | Step::Fold(_) | Step::FinishCompact => 1,
+            _ => 0,
         }
     }
 
@@ -503,8 +541,9 @@ struct Workload {
     /// `(tier, metric, minimum)`: what the record run's health report must
     /// show it exercised.
     expect: &'static [(&'static str, &'static str, u64)],
-    /// The fewest armed I/O operations (= crash points) it may have, so an
-    /// edit to the workload cannot quietly shrink its matrix.
+    /// The fewest armed I/O operations (= crash points) it may have — its
+    /// record-run count — so an edit to the workload cannot quietly shrink
+    /// its matrix.
     min_points: usize,
 }
 
@@ -552,16 +591,9 @@ fn record(w: &Workload) -> Record {
     plan.set_armed(true);
     let mut oracles = vec![model.tables.clone()];
     let (mut live, mut did_io, mut decided) = (Live::default(), Vec::new(), 0);
+    let records_before = stack.env.health.snapshot().commit_records;
     for step in &w.steps {
-        if let (Step::Commit, Some((_, writes))) = (step, &model.txn) {
-            let participants = w
-                .shape
-                .slices(writes)
-                .iter()
-                .filter(|s| !s.is_empty())
-                .count();
-            decided += u64::from(participants > 1);
-        }
+        decided += u64::from(model.durable_actions(&w.shape, step) > 1);
         let start = plan.ops_seen();
         let seen = apply(&stack, &mut live, &model, step)
             .unwrap_or_else(|e| panic!("{name}: record run faulted at {step:?}: {e}"));
@@ -596,10 +628,10 @@ fn record(w: &Workload) -> Record {
             .2;
         assert!(got >= min, "{name}: {tier}.{metric} = {got} < {min}");
     }
-    let records = stack.env.health.snapshot().commit_records;
+    let records = stack.env.health.snapshot().commit_records - records_before;
     assert_eq!(
         records, decided,
-        "{name}: one decision record per multi-store commit"
+        "{name}: one decision record per commit of several durable writes"
     );
     for store in stack.stores() {
         assert_eq!(store.pinned_snapshots(), 0, "{name}: pin left behind");
@@ -717,14 +749,19 @@ fn check_recovered(
             }
         }
     }
-    if let (Some(next), Some(Step::Commit)) = (&next, w.steps.get(acked)) {
+    if let Some(next) = &next {
         let touched: Vec<usize> = (0..stores.len()).filter(|&c| base[c] != next[c]).collect();
         let landed: Vec<bool> = touched.iter().map(|&c| at_next[c]).collect();
         if landed.windows(2).any(|p| p[0] != p[1]) {
             return Err(format!(
-                "in-flight commit landed on part of {touched:?}: {landed:?}"
+                "in-flight {:?} landed on part of {touched:?}: {landed:?}",
+                w.steps[acked]
             ));
         }
+    }
+    let mut paths = env.dfs.list("/warehouse/").into_iter();
+    if let Some(path) = paths.find(|p| p.split('/').nth(3) == Some("_staging")) {
+        return Err(format!("staging file {path} survived recovery"));
     }
 
     for (store, rows) in stores.iter().zip(&got) {
@@ -812,7 +849,7 @@ fn crash_matrix_three_tiers() {
         ],
         windows: &["Overwrite", "Compact"],
         expect: &[],
-        min_points: 238,
+        min_points: 262,
     });
 }
 
@@ -848,7 +885,7 @@ fn crash_matrix_delta_tier() {
         ],
         windows: &["Spill", "Compact"],
         expect: &[("kv", "delta_spills", 3), ("kv", "delta_bytes_used", 1)],
-        min_points: 121,
+        min_points: 126,
     });
 }
 
@@ -884,7 +921,7 @@ fn crash_matrix_interleaved_transactions() {
             ("table", "generations_deferred", 1),
             ("table", "generations_gcd", 2),
         ],
-        min_points: 209,
+        min_points: 244,
     });
 }
 
@@ -968,7 +1005,50 @@ fn sharded_crash_matrix_all_or_none() {
             ("table", "compactions_completed", 2),
             ("kv", "delta_spills", 2),
         ],
-        min_points: 609,
+        min_points: 721,
+    });
+}
+
+/// An autocommit INSERT of three master files: every file is staged, and
+/// one decision record renames all three into place, or none.
+#[test]
+fn multi_file_insert_is_all_or_nothing() {
+    run(Workload {
+        name: "multi_file_insert",
+        shape: Shape::default(),
+        setup: vec![Insert(MAIN, 0..8)],
+        steps: vec![Insert(MAIN, 100..124)],
+        windows: &["Insert"],
+        expect: &[],
+        min_points: 24,
+    });
+}
+
+/// Autocommit statements on a range-sharded table, each one commit over
+/// every shard it touches (DESIGN.md §16): an INSERT into all three shards
+/// (two files in the middle one), a cross-shard EDIT UPDATE and DELETE,
+/// and an INSERT OVERWRITE and a COMPACT that swing every shard's
+/// generation pointer in one metadata batch.
+#[test]
+fn sharded_autocommit_is_all_or_nothing() {
+    run(Workload {
+        name: "sharded_autocommit",
+        shape: Shape {
+            sharded: true,
+            rows_per_file: 64,
+            ..Shape::default()
+        },
+        setup: vec![Insert(MAIN, 0..4), Insert(MAIN, 250..254)],
+        steps: vec![
+            Insert(MAIN, 90..210),
+            Update(MAIN, (2, 0), To(7)),
+            Delete(MAIN, (3, 1)),
+            Overwrite(MAIN),
+            Compact(MAIN),
+        ],
+        windows: &["Insert", "Update", "Delete", "Overwrite", "Compact"],
+        expect: &[],
+        min_points: 344,
     });
 }
 
@@ -997,7 +1077,7 @@ fn compactor_crash_matrix() {
         ],
         windows: &["Fold"],
         expect: &[("table", "compactions_completed", 3)],
-        min_points: 316,
+        min_points: 328,
     });
 }
 
@@ -1016,7 +1096,7 @@ fn crash_matrix_parallel_compact() {
         steps: vec![Compact(MAIN)],
         windows: &["Compact"],
         expect: &[("table", "write_workers_used", 2)],
-        min_points: 80,
+        min_points: 138,
     });
 }
 

@@ -1,18 +1,19 @@
 //! Seeded chaos soak for range-sharded tables (DESIGN.md §16).
 //!
 //! Per seed, a three-shard table takes a storm of cross-shard
-//! transactional writers, a cross-shard snapshot reader, and a
-//! round-robin maintenance thread, with transient read/write faults
-//! armed throughout.
+//! transactional writers, one autocommit writer, a cross-shard snapshot
+//! reader, and a round-robin maintenance thread, with transient read/write
+//! faults armed throughout.
 //!
 //! Each writer owns one counter row in every shard and increments all of
-//! them in a single cross-shard [`dualtable::Transaction`] per round. A
-//! COMMIT is all-or-none, so the verdict is per round: `Ok` advances every
-//! shard, a conflict advances none, and a transient or injected error is
-//! settled by reading one counter. The reader, pinned at one timestamp
-//! across shards, sees each writer's counter equal in all three shards in
-//! every snapshot. At the end each shard must equal its oracle row for
-//! row.
+//! them per round: a transactional writer in a single cross-shard
+//! [`dualtable::Transaction`], the autocommit writer in one cross-shard
+//! UPDATE. Either is one all-or-none commit, so the verdict is per round:
+//! `Ok` advances every shard, a conflict advances none, and a transient or
+//! injected error is settled by reading one counter. The reader, pinned at
+//! one timestamp across shards, sees each writer's counter equal in all
+//! three shards in every snapshot. At the end each shard must equal its
+//! oracle row for row.
 //!
 //! Runs 8 seeds by default; override with `SHARD_SOAK_SEEDS=N` (the
 //! nightly job uses 200).
@@ -25,9 +26,11 @@ use std::time::Duration;
 use dt_common::seed_report::{seed_from_env, with_seed_repro};
 use dt_common::{DataType, FaultKind, FaultPlan, Row, Schema, Value};
 use dualtable::{
-    DualTableConfig, DualTableEnv, FoldOutcome, PlanMode, ShardSpec, ShardedTable, UnionReadOptions,
+    Assignment, DualTableConfig, DualTableEnv, FoldOutcome, PlanMode, RatioHint, ShardSpec,
+    ShardedTable, UnionReadOptions,
 };
 
+/// Transactional writers; writer `WRITERS` is the autocommit one.
 const WRITERS: i64 = 3;
 const ROUNDS: usize = 15;
 const SHARDS: usize = 3;
@@ -153,6 +156,37 @@ fn run_writer(table: &ShardedTable, w: i64, conflicts: &AtomicU64) -> (u64, Vec<
     (acked, inserted)
 }
 
+/// The autocommit writer (counter rows of writer [`WRITERS`]): `ROUNDS`
+/// cross-shard UPDATEs, each bumping its counter row in every shard as one
+/// commit. Returns the acked round count.
+fn run_autocommit_writer(table: &ShardedTable) -> u64 {
+    let w = WRITERS;
+    let bump: [Assignment<'static>; 1] = [(
+        1,
+        Box::new(|row: &Row| Value::Int64(row[1].as_i64().unwrap() + 1)),
+    )];
+    let mut acked = 0u64;
+    for round in 0..ROUNDS {
+        for tries in 1.. {
+            assert!(tries < 10_000, "autocommit round {round} never converged");
+            let mine = move |row: &Row| row[0].as_i64().unwrap() % 100 == w;
+            let landed =
+                match table.update_keyed(mine, &bump, RatioHint::Explicit(0.01), None, None) {
+                    Ok(_) => true,
+                    Err(e) if e.is_transient() || e.is_injected() => {
+                        counter_value(table, 0, w) == (acked + 1) as i64
+                    }
+                    Err(e) => panic!("autocommit UPDATE: {e}"),
+                };
+            if landed {
+                acked += 1;
+                break;
+            }
+        }
+    }
+    acked
+}
+
 /// Asserts that every writer's counter holds one value across the shards
 /// of a snapshot's rows.
 fn assert_counters_agree(rows: &[Vec<Value>]) {
@@ -161,7 +195,7 @@ fn assert_counters_agree(rows: &[Vec<Value>]) {
             .find(|r| r[0] == Value::Int64(key))
             .map(|r| r[1].clone())
     };
-    for w in 0..WRITERS {
+    for w in 0..=WRITERS {
         let per_shard: Vec<_> = (0..SHARDS).map(|s| value(counter_key(s, w))).collect();
         assert!(
             per_shard.windows(2).all(|p| p[0] == p[1]),
@@ -273,7 +307,7 @@ fn soak_one_seed(seed: u64, totals: &mut Totals) {
     // Disarmed seeding: writer counters (v = 0) plus per-shard fodder.
     let mut rows: Vec<Row> = Vec::new();
     for s in 0..SHARDS {
-        for w in 0..WRITERS {
+        for w in 0..=WRITERS {
             rows.push(vec![Value::Int64(counter_key(s, w)), Value::Int64(0)]);
         }
         for j in 0..SEED_ROWS_PER_SHARD {
@@ -293,9 +327,10 @@ fn soak_one_seed(seed: u64, totals: &mut Totals) {
         let writers: Vec<_> = (0..WRITERS)
             .map(|w| scope.spawn(move || run_writer(table, w, conflicts)))
             .collect();
+        let autocommit = scope.spawn(move || (run_autocommit_writer(table), Vec::new()));
         scope.spawn(move || run_reader(table, stop));
         scope.spawn(move || run_compactor(table, stop));
-        for handle in writers {
+        for handle in writers.into_iter().chain([autocommit]) {
             writer_results.push(handle.join().expect("writer panicked"));
         }
         stop.store(true, Ordering::Relaxed);

@@ -509,14 +509,7 @@ impl Session {
                 on,
                 matched_set,
                 not_matched_insert,
-            } => {
-                if self.txn.is_some() {
-                    return Err(Error::Unsupported(
-                        "MERGE inside a transaction is not supported; COMMIT first".into(),
-                    ));
-                }
-                self.execute_merge(&target, &source, &on, &matched_set, not_matched_insert)
-            }
+            } => self.execute_merge(&target, &source, &on, &matched_set, not_matched_insert),
         }
     }
 
@@ -767,9 +760,17 @@ impl Session {
         Ok(result)
     }
 
-    /// `MERGE INTO`: hash the source on the ON equi-keys, update matched
-    /// target rows through the storage handler (cost model and all), then
-    /// insert source rows that matched nothing.
+    /// `MERGE INTO`: hash the source on the ON equi-keys, build and check
+    /// the rows to insert — source rows that matched nothing — then update
+    /// the matched target rows and insert, so a MERGE that fails applies
+    /// nothing. A DUALTABLE target merges as one transaction: the session's
+    /// open one, or an implicit one committed at the end (its UPDATE half
+    /// runs as EDIT at the pin, like every transactional UPDATE). Unlike
+    /// any other autocommit statement, the implicit one can lose
+    /// first-committer-wins to a writer that commits one of its rows, or
+    /// swings the generation, first: it then returns the retryable
+    /// [`Error::Conflict`] having applied nothing. Other storages, which
+    /// take no transaction, update through the handler, then insert.
     fn execute_merge(
         &mut self,
         target: &str,
@@ -786,8 +787,16 @@ impl Session {
         let target_schema = target_handle.schema().clone();
         let source_handle = self.catalog.get(&source.name)?;
         let source_schema = source_handle.schema().clone();
-        let deadline = &self.config.exec.deadline;
-        let source_rows = source_handle.scan_deadline(None, None, None, deadline)?;
+        let deadline = self.config.exec.deadline.clone();
+        let hint = self.config.exec.ratio_hint;
+        // Inside BEGIN a DUALTABLE source is read through the transaction:
+        // at its pin, under its own buffered writes.
+        let enrolled = self.txn.is_some() && !matches!(source_handle, TableHandle::Baseline(..));
+        let source_txn = match enrolled {
+            true => Some(&*self.txn_for(&source.name)?),
+            false => None,
+        };
+        let source_rows = source_handle.scan_deadline(source_txn, None, None, &deadline)?;
 
         let target_binding = Binding::from_schema(target, &target_schema);
         let source_binding = Binding::from_schema(source.binding_name(), &source_schema);
@@ -800,6 +809,13 @@ impl Session {
                 "MERGE ON must contain at least one target.col = source.col equality".into(),
             ));
         }
+        let mut implicit = None;
+        let mut txn = match (&target_handle, self.txn.is_some()) {
+            (_, true) => Some(self.txn_for(target)?),
+            (TableHandle::Dual(t), false) => Some(implicit.insert(t.begin_transaction()?)),
+            (TableHandle::Sharded(t), false) => Some(implicit.insert(t.begin_transaction()?)),
+            (TableHandle::Baseline(..), false) => None,
+        };
 
         // Source hash table (first row per key wins, like Hive's MERGE
         // cardinality check would reject duplicates; we take the first).
@@ -812,7 +828,7 @@ impl Session {
 
         // Which source keys have a target partner (for the insert branch)?
         let mut matched_keys: HashSet<GroupKey> = HashSet::new();
-        for row in target_handle.scan_deadline(None, None, None, deadline)? {
+        for row in target_handle.scan_deadline(txn.as_deref(), None, None, &deadline)? {
             if let Some(key) = hash_key(&target_keys, &row, &target_binding, &ctx)? {
                 if source_map.contains_key(&key) {
                     matched_keys.insert(key);
@@ -820,8 +836,34 @@ impl Session {
             }
         }
 
-        // WHEN MATCHED THEN UPDATE: route through the handler so DualTable
-        // applies its cost model.
+        // WHEN NOT MATCHED THEN INSERT: source rows without a partner,
+        // checked before anything is written.
+        let mut new_rows = Vec::new();
+        if let Some(exprs) = &not_matched_insert {
+            if exprs.len() != target_schema.len() {
+                return Err(Error::schema(format!(
+                    "MERGE INSERT provides {} values for {} columns",
+                    exprs.len(),
+                    target_schema.len()
+                )));
+            }
+            for row in &source_rows {
+                let matched = match hash_key(&source_keys, row, &source_binding, &ctx)? {
+                    Some(key) => matched_keys.contains(&key),
+                    None => false,
+                };
+                if !matched {
+                    let values: Row = exprs
+                        .iter()
+                        .map(|e| eval(e, row, &source_binding, &ctx))
+                        .collect::<Result<_>>()?;
+                    new_rows.push(values);
+                }
+            }
+        }
+        let new_rows = coerce_rows(new_rows, &target_schema)?;
+
+        // WHEN MATCHED THEN UPDATE.
         let mut updated = 0u64;
         if !matched_set.is_empty() {
             let full_match = |row: &Row| -> Option<Row> {
@@ -856,46 +898,27 @@ impl Session {
                     )
                 })
                 .collect();
-            let outcome = target_handle.update(
-                &pred,
-                &assigns,
-                self.config.exec.ratio_hint,
-                None,
-                &UnionReadOptions::all(),
-            )?;
-            updated = outcome.rows_matched;
-        }
-
-        // WHEN NOT MATCHED THEN INSERT: source rows without a partner.
-        let mut inserted = 0u64;
-        if let Some(exprs) = not_matched_insert {
-            if exprs.len() != target_schema.len() {
-                return Err(Error::schema(format!(
-                    "MERGE INSERT provides {} values for {} columns",
-                    exprs.len(),
-                    target_schema.len()
-                )));
-            }
-            let mut new_rows = Vec::new();
-            for row in &source_rows {
-                let matched = match hash_key(&source_keys, row, &source_binding, &ctx)? {
-                    Some(key) => matched_keys.contains(&key),
-                    None => false,
-                };
-                if !matched {
-                    let values: Row = exprs
-                        .iter()
-                        .map(|e| eval(e, row, &source_binding, &ctx))
-                        .collect::<Result<_>>()?;
-                    new_rows.push(values);
+            let all = UnionReadOptions::all();
+            updated = match txn.as_deref_mut() {
+                Some(txn) => txn.update(pred, &assigns, &all)?,
+                None => {
+                    target_handle
+                        .update(&pred, &assigns, hint, None, &all)?
+                        .rows_matched
                 }
-            }
-            inserted = new_rows.len() as u64;
-            if !new_rows.is_empty() {
-                target_handle.insert(coerce_rows(new_rows, &target_schema)?)?;
-            }
+            };
         }
 
+        let inserted = new_rows.len() as u64;
+        if !new_rows.is_empty() {
+            match txn {
+                Some(txn) => txn.insert(new_rows)?,
+                None => target_handle.insert(new_rows)?,
+            };
+        }
+        if let Some(txn) = implicit {
+            txn.commit()?;
+        }
         Ok(dml_result(
             updated + inserted,
             format!("merge: {updated} rows updated, {inserted} rows inserted"),
@@ -1048,8 +1071,9 @@ fn statement_key(sql: &str) -> String {
         .to_ascii_lowercase()
 }
 
-/// Coerces literal rows to the target schema (int → float/date widening,
-/// arity check) so `INSERT INTO t VALUES (1, 2)` works for DOUBLE columns.
+/// Coerces literal rows to the target schema (int → float/date widening)
+/// and checks them against it, so `INSERT INTO t VALUES (1, 2)` works for
+/// DOUBLE columns and a row that cannot fit fails before any is written.
 fn coerce_rows(rows: Vec<Row>, schema: &Schema) -> Result<Vec<Row>> {
     rows.into_iter()
         .map(|row| {
@@ -1060,7 +1084,7 @@ fn coerce_rows(rows: Vec<Row>, schema: &Schema) -> Result<Vec<Row>> {
                     schema.len()
                 )));
             }
-            Ok(row
+            let row: Row = row
                 .into_iter()
                 .zip(schema.fields())
                 .map(|(v, f)| match (v, f.data_type) {
@@ -1068,7 +1092,9 @@ fn coerce_rows(rows: Vec<Row>, schema: &Schema) -> Result<Vec<Row>> {
                     (Value::Int64(x), dt_common::DataType::Date) => Value::Date(x as i32),
                     (v, _) => v,
                 })
-                .collect())
+                .collect();
+            schema.check_row(&row)?;
+            Ok(row)
         })
         .collect()
 }

@@ -172,18 +172,20 @@ fn show_health_has_shard_tier() {
     assert!(metric(&mut s, "shard", "scatter_scans") >= 1);
     assert!(metric(&mut s, "shard", "shards_pruned_by_range") >= 2);
 
-    // A one-shard autocommit UPDATE and a one-shard COMMIT write no
-    // decision record; a COMMIT touching several shards writes one.
+    // The setup INSERT wrote a file into each of three shards: one
+    // decision record. A one-shard autocommit UPDATE and a one-shard
+    // COMMIT write none; a COMMIT touching several shards writes one.
+    assert_eq!(metric(&mut s, "table", "commit_records"), 1);
     s.execute("UPDATE t SET v = 2 WHERE id = 150").unwrap();
     s.execute("BEGIN").unwrap();
     s.execute("UPDATE t SET v = 3 WHERE id = 150").unwrap();
     s.execute("COMMIT").unwrap();
-    assert_eq!(metric(&mut s, "table", "commit_records"), 0);
+    assert_eq!(metric(&mut s, "table", "commit_records"), 1);
     s.execute("BEGIN").unwrap();
     s.execute("INSERT INTO t VALUES (1, 1), (101, 1), (201, 1)")
         .unwrap();
     s.execute("COMMIT").unwrap();
-    assert_eq!(metric(&mut s, "table", "commit_records"), 1);
+    assert_eq!(metric(&mut s, "table", "commit_records"), 2);
     let r = s.execute("SELECT COUNT(*) FROM t").unwrap();
     assert_eq!(ints(&r, 0), vec![33]);
 }

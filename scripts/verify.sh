@@ -95,17 +95,19 @@ run_gate chaos-availability cargo test -q -p dualtable --locked --test prop_faul
 # copy is quarantined, and the scrubber restores target replication.
 run_gate dfs-failover cargo test -q -p dt-dfs --locked --test failover -- --nocapture
 
-# Crash-point matrix (DESIGN.md §9): one runner takes seven workloads --
+# Crash-point matrix (DESIGN.md §9): one runner takes nine workloads --
 # statements with OVERWRITE/COMPACT swaps, the delta tier's spills,
 # interleaved transactions under a pinned reader, a large autocommit
-# EDIT, a range-sharded table plus a side table (cross-shard and
-# two-table commits, a fold and a spill), incremental folds, and a
-# COMPACT fanned out over three workers -- and crashes each at every one
-# of its armed I/O-operation indices. Every recovery is checked against
-# one reference model: each store at a whole-step state, an in-flight
-# COMMIT on all of its stores or none, one generation per store, clean
-# fsck/scrub, an empty block cache, and a still-working EDIT, fold and
-# spill. Also the directed decision-record tests.
+# EDIT, a three-file autocommit INSERT, a range-sharded table plus a side
+# table (cross-shard and two-table commits, a fold and a spill), sharded
+# autocommit INSERT/UPDATE/DELETE/OVERWRITE/COMPACT, incremental folds,
+# and a COMPACT fanned out over three workers -- and crashes each at
+# every one of its armed I/O-operation indices (~2,200 points). Every
+# recovery is checked against one reference model: each store at a
+# whole-step state, the in-flight step on all of its stores or none, no
+# staging file left, one generation per store, clean fsck/scrub, an
+# empty block cache, and a still-working EDIT, fold and spill. Also the
+# directed decision-record tests.
 run_gate crash-matrix cargo test -q -p dualtable --locked --test crash_matrix -- --nocapture
 
 # Cache-coherence smoke (DESIGN.md §10): cache-on and cache-off stacks
