@@ -32,14 +32,14 @@ use std::collections::BTreeSet;
 use std::ops::{ControlFlow, Range};
 use std::sync::Arc;
 
-use dt_common::{Error, RecordId, Result, Row, Value};
+use dt_common::{Error, RecordId, Result, Row};
 use dt_orcfile::{Column, ColumnBatch, OrcReader, OrcWriter, FILE_ID_METADATA_KEY};
 
 use crate::commit::{autocommit, commit, Action};
 use crate::compactor::FoldOutcome;
 use crate::mvcc::MvccState;
 use crate::presence::presence_key;
-use crate::store::{located_rows, Assignment, DualTableStore, ScanPlan};
+use crate::store::{located_rows, Assignment, DualTableStore, RowSelector, ScanPlan};
 use crate::txn::Snapshot;
 use crate::union_read::{patch_batch, positions, UnionReadOptions};
 
@@ -60,7 +60,7 @@ pub(crate) enum Retire {
 /// `predicate` matches, reading the columns `scan.projection` names.
 #[derive(Clone, Copy)]
 pub(crate) struct Dml<'a> {
-    pub(crate) predicate: &'a (dyn Fn(&Row) -> bool + Sync),
+    pub(crate) predicate: &'a (dyn RowSelector + Sync),
     pub(crate) assignments: Option<&'a [Assignment<'a>]>,
     pub(crate) scan: &'a UnionReadOptions,
 }
@@ -366,16 +366,22 @@ impl DualTableStore {
             .collect();
         let pos_of = positions(width, &merged);
         let short = config.writer.stripe_rows.min(config.rows_per_file.max(1)) / 2;
-        let mut row = vec![Value::Null; width];
         let mut stripe = 0;
         let flow = self.merge_master(plan, file_id, &merged, &mut |_, mut batch| {
             built.scanned += batch.selected_len() as u64;
             if let Some(s) = statement {
                 let mut patches = Vec::new();
-                let _all = located_rows(file_id, &batch, &merged, &mut row, |record, row| {
-                    patches.extend(self.patch_of(record, row, s.predicate, s.assignments)?);
-                    Ok(ControlFlow::Continue(()))
-                })?;
+                located_rows(
+                    file_id,
+                    &batch,
+                    &merged,
+                    width,
+                    s.predicate,
+                    |record, row| {
+                        patches.push(self.patch_of(record, row, s.assignments)?);
+                        Ok(())
+                    },
+                )?;
                 built.matched += patches.len() as u64;
                 patch_batch(
                     &mut batch,

@@ -14,10 +14,10 @@
 //! * **routing**: a row lands in the shard whose half-open range
 //!   `[lo, hi)` contains its key (a key equal to a split point belongs to
 //!   the shard *starting* at that split);
-//! * **scatter-gather scans** on the engine's job pool, with per-shard
-//!   range pruning: a predicate on the shard key eliminates whole shards
-//!   *before any I/O* — the pruned shards' masters and attached tables
-//!   are never opened;
+//! * **range-pruned scans**: a predicate on the shard key eliminates
+//!   whole shards *before any I/O* — the pruned shards' masters and
+//!   attached tables are never opened — and the survivors are read one
+//!   after another on the calling thread;
 //! * **one commit per statement**: an autocommit INSERT, UPDATE, DELETE,
 //!   INSERT OVERWRITE or COMPACT, and a [`Transaction`] over every shard
 //!   pinned at one timestamp, each commit all-or-none through the one
@@ -25,8 +25,7 @@
 //!
 //! The gather step is a k-way ordered merge in its degenerate form:
 //! shard ranges are disjoint and scanned in ascending range order, so
-//! concatenating per-shard results (which `parallel_map_fallible` already
-//! yields in split order) *is* the merge by key range.
+//! reading one shard after another *is* the merge by key range.
 
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -34,14 +33,13 @@ use std::sync::Arc;
 
 use dt_common::crc32::crc32;
 use dt_common::{DataType, Deadline, Error, Result, Row, Schema, Value};
-use dt_engine::JobConfig;
 use dt_orcfile::{ColumnBatch, ColumnPredicate, PredicateOp};
 
 use crate::config::DualTableConfig;
 use crate::cost::{PlanChoice, RatioHint};
 use crate::env::DualTableEnv;
 use crate::rewrite::{compact_all, overwrite_all};
-use crate::store::{dml_all, insert_all, Assignment, DmlReport, DualTableStore};
+use crate::store::{dml_all, insert_all, Assignment, DmlReport, DualTableStore, RowSelector};
 use crate::txn::Transaction;
 use crate::union_read::UnionReadOptions;
 use crate::FoldOutcome;
@@ -515,76 +513,66 @@ impl ShardedTable {
         overwrite_all(self.inner.shards.iter().zip(buckets).collect())
     }
 
-    /// Scatter-gather UNION READ: range pruning first (pruned shards see
-    /// zero I/O — their files are never opened), then the surviving shards
-    /// scan in parallel on the engine's job pool, checking the deadline at
-    /// every batch, then the gather concatenates in shard order (= ordered
-    /// merge; see module docs).
-    pub fn scan_batches(
+    /// The sharded UNION READ: range pruning first (pruned shards see zero
+    /// I/O — their files are never opened), then the surviving shards one
+    /// after another on the calling thread, in range order, so the batches
+    /// arrive ordered by key range (see module docs). A shard's merged
+    /// batches are read under its `ops` read lock, checking `deadline` at
+    /// every batch, and handed to `f` once the lock is released, so `f`'s
+    /// work never holds off a writer waiting for that lock. `f` may stop
+    /// the scan by returning `Break`. No shard is read on another core: a
+    /// scan fanned out over every core takes them from the statements
+    /// running beside it (DESIGN.md §16).
+    pub fn for_each_batch(
         &self,
         opts: &UnionReadOptions,
         deadline: &Deadline,
-    ) -> Result<Vec<ColumnBatch>> {
+        mut f: impl FnMut(u32, ColumnBatch) -> Result<ControlFlow<()>>,
+    ) -> Result<()> {
         let health = &self.inner.env.shard_health;
         health.scatter_scans.inc();
         let matched = self.shards_matching(opts.predicates.as_deref());
         health
             .shards_pruned_by_range
             .add((self.shard_count() - matched.len()) as u64);
-        let per_shard =
-            dt_engine::parallel_map_fallible(&JobConfig::default(), matched, |i: usize| {
-                let mut batches = Vec::new();
-                self.inner.shards[i].for_each_batch(opts, |_, batch| {
-                    deadline.check()?;
-                    batches.push(batch);
-                    Ok(ControlFlow::Continue(()))
-                })?;
-                Ok(batches)
+        for i in matched {
+            let mut batches = Vec::new();
+            self.inner.shards[i].for_each_batch(opts, |file_id, batch| {
+                deadline.check()?;
+                batches.push((file_id, batch));
+                Ok(ControlFlow::Continue(()))
             })?;
-        Ok(per_shard.into_iter().flatten().collect())
+            for (file_id, batch) in batches {
+                if f(file_id, batch)?.is_break() {
+                    return Ok(());
+                }
+            }
+        }
+        Ok(())
     }
 
-    /// Total row count across shards: a scatter scan that decodes no
-    /// column (see [`DualTableStore::count`]).
+    /// Total row count across shards: a scan that decodes no column (see
+    /// [`DualTableStore::count`]).
     pub fn count(&self) -> Result<u64> {
         let opts = UnionReadOptions::all().with_projection(Vec::new());
-        let batches = self.scan_batches(&opts, &Deadline::never())?;
-        Ok(batches.iter().map(|b| b.selected_len() as u64).sum())
+        let mut rows = 0;
+        self.for_each_batch(&opts, &Deadline::never(), |_, batch| {
+            rows += batch.selected_len() as u64;
+            Ok(ControlFlow::Continue(()))
+        })?;
+        Ok(rows)
     }
 
-    /// Sharded UPDATE: range pruning via `scan.predicates`, then each
+    /// Sharded UPDATE (`assignments` given) or DELETE of the rows
+    /// `selector` picks: range pruning via `scan.predicates`, then each
     /// surviving shard runs its own cost model — different ranges may
     /// independently choose EDIT vs OVERWRITE — and one commit lands every
-    /// shard's part. `scan` describes what the statement reads (see
-    /// [`DualTableStore::update_keyed`]); `None` reads everything.
-    pub fn update_keyed(
+    /// shard's part; the shards' reports add up. `scan` describes what
+    /// the statement reads (see [`DualTableStore::dml`]); `None` reads
+    /// everything.
+    pub fn dml(
         &self,
-        predicate: impl Fn(&Row) -> bool + Sync,
-        assignments: &[Assignment<'_>],
-        ratio: RatioHint,
-        statement_key: Option<&str>,
-        scan: Option<&UnionReadOptions>,
-    ) -> Result<ShardedDmlReport> {
-        self.dml(&predicate, Some(assignments), ratio, statement_key, scan)
-    }
-
-    /// Sharded DELETE (see [`ShardedTable::update_keyed`]).
-    pub fn delete_keyed(
-        &self,
-        predicate: impl Fn(&Row) -> bool + Sync,
-        ratio: RatioHint,
-        statement_key: Option<&str>,
-        scan: Option<&UnionReadOptions>,
-    ) -> Result<ShardedDmlReport> {
-        self.dml(&predicate, None, ratio, statement_key, scan)
-    }
-
-    /// Runs one statement, as one commit, on every shard its stripe
-    /// predicates cannot rule out (see [`dml_all`]) and adds the reports
-    /// up.
-    fn dml(
-        &self,
-        predicate: &(dyn Fn(&Row) -> bool + Sync),
+        selector: &(dyn RowSelector + Sync),
         assignments: Option<&[Assignment<'_>]>,
         ratio: RatioHint,
         statement_key: Option<&str>,
@@ -595,7 +583,7 @@ impl ShardedTable {
         let spec = &self.inner.spec;
         let shards = spec.dml_shards(assignments, scan.predicates.as_deref())?;
         let stores: Vec<&DualTableStore> = shards.iter().map(|&i| &self.inner.shards[i]).collect();
-        let reports = dml_all(&stores, predicate, assignments, scan, &ratio, statement_key)?;
+        let reports = dml_all(&stores, selector, assignments, scan, &ratio, statement_key)?;
         Ok(ShardedDmlReport {
             rows_matched: reports.iter().map(|r| r.rows_matched).sum(),
             rows_scanned: reports.iter().map(|r| r.rows_scanned).sum(),

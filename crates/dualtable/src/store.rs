@@ -150,27 +150,68 @@ fn file_predicates<'a>(
     }
 }
 
-/// The statement's view of a merged batch, under either plan: each
-/// surviving row of `batch` — columns `columns` of file `file_id` — handed
-/// to `f` with its record ID as a full-width row (`row`, reused), NULL in
-/// every column not read. `Break` iff `f` stopped the scan.
+/// Picks the rows an UPDATE's or DELETE's WHERE clause matches (DESIGN.md
+/// §18). Every closure `Fn(&Row) -> bool` is one, evaluated row by row; a
+/// query layer that evaluates a column batch at a time overrides
+/// [`RowSelector::select`].
+pub trait RowSelector {
+    /// Whether `row` matches: a full-width row, NULL in every column the
+    /// statement's scan does not read.
+    fn matches(&self, row: &Row) -> bool;
+
+    /// The rows of `batch` that match, ascending, among its selected ones.
+    /// Batch column `i` is table column `columns[i]` of `width`; every
+    /// other column reads as NULL.
+    fn select(&self, batch: &ColumnBatch, columns: &[usize], width: usize) -> Vec<u32> {
+        let mut row = vec![Value::Null; width];
+        let mut hit = |i| {
+            fill_row(&mut row, batch, columns, i);
+            self.matches(&row)
+        };
+        batch
+            .selected()
+            .filter(|&i| hit(i))
+            .map(|i| i as u32)
+            .collect()
+    }
+}
+
+impl<F: Fn(&Row) -> bool + ?Sized> RowSelector for F {
+    fn matches(&self, row: &Row) -> bool {
+        self(row)
+    }
+}
+
+/// Writes row `i` of `batch`, whose columns are table columns `columns`,
+/// into the full-width `row`.
+fn fill_row(row: &mut Row, batch: &ColumnBatch, columns: &[usize], i: usize) {
+    for (column, &ordinal) in batch.columns().iter().zip(columns) {
+        row[ordinal] = column.value(i);
+    }
+}
+
+/// The statement's view of a merged batch, under either plan: each row of
+/// `batch` — columns `columns` of file `file_id`, of a table `width` wide —
+/// that `selector` matches, handed to `f` with its record ID as a
+/// full-width row, NULL in every column not read. Only matched rows are
+/// built.
 pub(crate) fn located_rows(
     file_id: u32,
     batch: &ColumnBatch,
     columns: &[usize],
-    row: &mut Row,
-    mut f: impl FnMut(RecordId, &Row) -> Result<ControlFlow<()>>,
-) -> Result<ControlFlow<()>> {
-    for i in batch.selected() {
-        for (column, &ordinal) in batch.columns().iter().zip(columns) {
-            row[ordinal] = column.value(i);
-        }
-        let record = RecordId::new(file_id, (batch.row_start() + i as u64) as u32);
-        if f(record, row)?.is_break() {
-            return Ok(ControlFlow::Break(()));
-        }
+    width: usize,
+    selector: &dyn RowSelector,
+    mut f: impl FnMut(RecordId, &Row) -> Result<()>,
+) -> Result<()> {
+    let mut row = vec![Value::Null; width];
+    for i in selector.select(batch, columns, width) {
+        fill_row(&mut row, batch, columns, i as usize);
+        f(
+            RecordId::new(file_id, (batch.row_start() + u64::from(i)) as u32),
+            &row,
+        )?;
     }
-    Ok(ControlFlow::Continue(()))
+    Ok(())
 }
 
 /// What every file of one UNION READ shares, resolved once per scan and
@@ -223,7 +264,7 @@ pub(crate) fn insert_all(parts: Vec<(&DualTableStore, Vec<Row>)>) -> Result<u64>
 /// built generation, and each store logs its observed ratio.
 pub(crate) fn dml_all(
     stores: &[&DualTableStore],
-    predicate: &(dyn Fn(&Row) -> bool + Sync),
+    predicate: &(dyn RowSelector + Sync),
     assignments: Option<&[Assignment<'_>]>,
     scan: &UnionReadOptions,
     ratio: &RatioHint,
@@ -855,7 +896,7 @@ impl DualTableStore {
         &self,
         hint: &RatioHint,
         statement_key: Option<&str>,
-        predicate: &dyn Fn(&Row) -> bool,
+        predicate: &dyn RowSelector,
         scan: &UnionReadOptions,
     ) -> Result<f64> {
         match hint {
@@ -876,26 +917,26 @@ impl DualTableStore {
     /// order) that `predicate` matches. Reads only the columns `scan`
     /// names but never its stripe predicates: skipping would bias the
     /// sample towards matching rows.
-    fn sample_ratio(
-        &self,
-        predicate: &dyn Fn(&Row) -> bool,
-        scan: &UnionReadOptions,
-    ) -> Result<f64> {
+    fn sample_ratio(&self, predicate: &dyn RowSelector, scan: &UnionReadOptions) -> Result<f64> {
         let limit = self.inner.config.sample_rows.max(1);
-        let mut seen = 0u64;
-        let mut matched = 0u64;
+        let mut seen = 0usize;
+        let mut matched = 0usize;
         let unpushed = UnionReadOptions {
             predicates: None,
             ..scan.clone()
         };
+        let (columns, width) = (self.projected(&unpushed), self.inner.schema.len());
         let _guard = self.inner.ops.read();
         let gen = self.current_gen()?;
-        self.locate(gen, &unpushed, &NO_PATCHES, &mut |_, row| {
-            seen += 1;
-            if predicate(row) {
-                matched += 1;
+        self.locate(gen, &unpushed, &NO_PATCHES, &mut |_, mut batch| {
+            // The sample ends inside this batch: only its first rows count.
+            let take = (limit - seen).min(batch.selected_len());
+            if take < batch.selected_len() {
+                batch.select(batch.selected().take(take).map(|i| i as u32).collect());
             }
-            Ok(if seen as usize >= limit {
+            seen += take;
+            matched += predicate.select(&batch, &columns, width).len();
+            Ok(if seen >= limit {
                 ControlFlow::Break(())
             } else {
                 ControlFlow::Continue(())
@@ -933,12 +974,12 @@ impl DualTableStore {
 
     /// Previews the cost-model decision for an UPDATE (`is_update`) or
     /// DELETE with the given predicate, sampling the modification ratio
-    /// the way execution does (`scan`: see
-    /// [`DualTableStore::update_keyed`]) — without executing anything.
+    /// the way execution does (`scan`: see [`DualTableStore::dml`]) —
+    /// without executing anything.
     /// Powers `EXPLAIN UPDATE/DELETE`.
     pub fn plan_preview(
         &self,
-        predicate: &dyn Fn(&Row) -> bool,
+        predicate: &dyn RowSelector,
         is_update: bool,
         scan: &UnionReadOptions,
     ) -> Result<PlanPreview> {
@@ -970,32 +1011,8 @@ impl DualTableStore {
         assignments: &[Assignment<'_>],
         ratio: RatioHint,
     ) -> Result<DmlReport> {
-        self.update_keyed(
-            predicate,
-            assignments,
-            ratio,
-            None,
-            &UnionReadOptions::all(),
-        )
-    }
-
-    /// Like [`DualTableStore::update`] with a statement key for the
-    /// historical-ratio log and a description of what the statement reads:
-    /// `scan.projection` lists the columns `predicate` and the assignment
-    /// functions look at (they see NULL in every other column under the
-    /// EDIT plan, whose locate-scan decodes nothing else) and
-    /// `scan.predicates` holds conjuncts of `predicate` that let that scan
-    /// skip stripes.
-    pub fn update_keyed(
-        &self,
-        predicate: impl Fn(&Row) -> bool + Sync,
-        assignments: &[Assignment<'_>],
-        ratio: RatioHint,
-        statement_key: Option<&str>,
-        scan: &UnionReadOptions,
-    ) -> Result<DmlReport> {
-        let (set, key) = (Some(assignments), statement_key);
-        Ok(dml_all(&[self], &predicate, set, scan, &ratio, key)?.remove(0))
+        let all = UnionReadOptions::all();
+        self.dml(&predicate, Some(assignments), ratio, None, &all)
     }
 
     /// Executes `DELETE FROM <table> WHERE <predicate>`.
@@ -1004,19 +1021,26 @@ impl DualTableStore {
         predicate: impl Fn(&Row) -> bool + Sync,
         ratio: RatioHint,
     ) -> Result<DmlReport> {
-        self.delete_keyed(predicate, ratio, None, &UnionReadOptions::all())
+        self.dml(&predicate, None, ratio, None, &UnionReadOptions::all())
     }
 
-    /// Like [`DualTableStore::delete`] with a statement key and a scan
-    /// description (see [`DualTableStore::update_keyed`]).
-    pub fn delete_keyed(
+    /// The one UPDATE (`assignments` given) or DELETE of the rows
+    /// `selector` picks, with a statement key for the historical-ratio log
+    /// and a description of what the statement reads: `scan.projection`
+    /// lists the columns `selector` and the assignment functions look at
+    /// (they see NULL in every other column under the EDIT plan, whose
+    /// locate-scan decodes nothing else) and `scan.predicates` holds
+    /// conjuncts of the WHERE clause that let that scan skip stripes.
+    pub fn dml(
         &self,
-        predicate: impl Fn(&Row) -> bool + Sync,
+        selector: &(dyn RowSelector + Sync),
+        assignments: Option<&[Assignment<'_>]>,
         ratio: RatioHint,
         statement_key: Option<&str>,
         scan: &UnionReadOptions,
     ) -> Result<DmlReport> {
-        Ok(dml_all(&[self], &predicate, None, scan, &ratio, statement_key)?.remove(0))
+        let key = statement_key;
+        Ok(dml_all(&[self], selector, assignments, scan, &ratio, key)?.remove(0))
     }
 
     /// Rejects an UPDATE that assigns a column the table does not have.
@@ -1046,26 +1070,21 @@ impl DualTableStore {
     /// scan.snapshot_ts)` under the caller's own uncommitted `ours` (whose
     /// buffered inserts come last, as records of [`INSERTS_FILE_ID`]), of
     /// the columns `scan.projection` names, minus the stripes
-    /// `scan.predicates` rule out, handed to `f` by [`located_rows`].
-    /// Returns the table's visible row count as the cost model's α wants
-    /// it: rows seen plus, from their footers, the rows of the stripes
-    /// skipped.
+    /// `scan.predicates` rule out, batch by batch. Returns the table's
+    /// visible row count as the cost model's α wants it: rows seen plus,
+    /// from their footers, the rows of the stripes skipped.
     fn locate(
         &self,
         gen: u64,
         scan: &UnionReadOptions,
         ours: &PatchSet,
-        f: &mut dyn FnMut(RecordId, &Row) -> Result<ControlFlow<()>>,
+        f: &mut BatchFn<'_>,
     ) -> Result<u64> {
-        let columns = self.projected(scan);
-        let mut row = vec![Value::Null; self.inner.schema.len()];
         let (mut seen, mut decoded) = (0u64, 0u64);
         let _stopped = self.for_each_at(gen, scan, ours, &mut |file_id, batch| {
             decoded += batch.rows() as u64;
-            located_rows(file_id, &batch, &columns, &mut row, |record, row| {
-                seen += 1;
-                f(record, row)
-            })
+            seen += batch.selected_len() as u64;
+            f(file_id, batch)
         })?;
         if scan.predicates.is_none() {
             return Ok(seen);
@@ -1077,23 +1096,18 @@ impl DualTableStore {
         Ok(seen + stored.saturating_sub(decoded))
     }
 
-    /// What a statement does to one row it located — the one meaning of an
-    /// UPDATE or DELETE, whichever plan runs it: nothing unless `predicate`
-    /// matches, else its patch — a DELETE's (`assignments` absent) marker,
-    /// or an UPDATE's new column values, every SET expression evaluated
-    /// against the row as read (no assignment sees another's result) and
-    /// checked against its column.
+    /// What a statement does to one row its WHERE clause matched — the one
+    /// meaning of an UPDATE or DELETE, whichever plan runs it: a DELETE's
+    /// (`assignments` absent) marker, or an UPDATE's new column values,
+    /// every SET expression evaluated against the row as read (no
+    /// assignment sees another's result) and checked against its column.
     #[inline]
     pub(crate) fn patch_of(
         &self,
         record: RecordId,
         row: &Row,
-        predicate: &dyn Fn(&Row) -> bool,
         assignments: Option<&[Assignment<'_>]>,
-    ) -> Result<Option<AttachedEntry>> {
-        if !predicate(row) {
-            return Ok(None);
-        }
+    ) -> Result<AttachedEntry> {
         let mut updates = Vec::new();
         for (col, f) in assignments.unwrap_or(&[]) {
             let value = f(row);
@@ -1103,29 +1117,41 @@ impl DualTableStore {
             updates.retain(|(c, _)| c != col);
             updates.push((*col, value));
         }
-        Ok(Some(AttachedEntry {
+        Ok(AttachedEntry {
             record,
             deleted: assignments.is_none(),
             updates,
-        }))
+        })
     }
 
     /// The one way an EDIT finds its rows (ops lock held) — the locating
-    /// half of §V-A's UPDATE and DELETE UDTFs: [`Self::locate`], with each
-    /// row's [`Self::patch_of`] collected into the statement's patch set in
-    /// the ascending record order the scan meets them in. Returns the
-    /// patch set (its length is the matched count) and the scanned count.
+    /// half of §V-A's UPDATE and DELETE UDTFs: [`Self::locate`], with the
+    /// [`Self::patch_of`] of each row `predicate` matches collected into
+    /// the statement's patch set in the ascending record order the scan
+    /// meets them in. Returns the patch set (its length is the matched
+    /// count) and the scanned count.
     pub(crate) fn locate_patches(
         &self,
         gen: u64,
         scan: &UnionReadOptions,
         ours: &PatchSet,
-        predicate: &dyn Fn(&Row) -> bool,
+        predicate: &dyn RowSelector,
         assignments: Option<&[Assignment<'_>]>,
     ) -> Result<(Vec<AttachedEntry>, u64)> {
+        let (columns, width) = (self.projected(scan), self.inner.schema.len());
         let mut found = Vec::new();
-        let scanned = self.locate(gen, scan, ours, &mut |record, row| {
-            found.extend(self.patch_of(record, row, predicate, assignments)?);
+        let scanned = self.locate(gen, scan, ours, &mut |file_id, batch| {
+            located_rows(
+                file_id,
+                &batch,
+                &columns,
+                width,
+                predicate,
+                |record, row| {
+                    found.push(self.patch_of(record, row, assignments)?);
+                    Ok(())
+                },
+            )?;
             Ok(ControlFlow::Continue(()))
         })?;
         Ok((found, scanned))
@@ -1385,9 +1411,9 @@ mod tests {
         let t = table_with(100, small_files());
         let key = "stmt-u1";
         // First run records the true ratio (falls back to sampling).
-        t.update_keyed(
-            |r| r[0].as_i64().unwrap() < 5,
-            &[(2, Box::new(|_| Value::Float64(9.0)))],
+        t.dml(
+            &|r: &Row| r[0].as_i64().unwrap() < 5,
+            Some(&[(2, Box::new(|_| Value::Float64(9.0)))]),
             RatioHint::Historical,
             Some(key),
             &UnionReadOptions::all(),
@@ -1397,9 +1423,9 @@ mod tests {
         assert!((hist - 0.05).abs() < 1e-9);
         // Second run uses the recorded history.
         let r = t
-            .update_keyed(
-                |r| r[0].as_i64().unwrap() < 5,
-                &[(2, Box::new(|_| Value::Float64(10.0)))],
+            .dml(
+                &|r: &Row| r[0].as_i64().unwrap() < 5,
+                Some(&[(2, Box::new(|_| Value::Float64(10.0)))]),
                 RatioHint::Historical,
                 Some(key),
                 &UnionReadOptions::all(),
@@ -1419,9 +1445,9 @@ mod tests {
             config.writer.stripe_rows = 8;
             let t = table_with(100, config);
             let statement = || {
-                t.update_keyed(
-                    |r| r[0].as_i64().unwrap() < 5,
-                    &[(2, Box::new(|_| Value::Float64(9.0)))],
+                t.dml(
+                    &|r: &Row| r[0].as_i64().unwrap() < 5,
+                    Some(&[(2, Box::new(|_| Value::Float64(9.0)))]),
                     RatioHint::Historical,
                     Some("stmt"),
                     scan,
@@ -1477,9 +1503,9 @@ mod tests {
         )]);
         let nothing = |r: &Row| r[0].as_i64().unwrap() >= 1000;
         let ratio = RatioHint::Explicit(0.9);
-        let deleted = t.delete_keyed(nothing, ratio, None, &pruned).unwrap();
+        let deleted = t.dml(&nothing, None, ratio, None, &pruned).unwrap();
         let set: [Assignment<'_>; 1] = [(2, Box::new(|_| Value::Float64(9.0)))];
-        let updated = t.update_keyed(nothing, &set, ratio, None, &pruned).unwrap();
+        let updated = t.dml(&nothing, Some(&set), ratio, None, &pruned).unwrap();
         for report in [deleted, updated] {
             assert_eq!(report.plan, PlanChoice::Overwrite);
             assert_eq!((report.rows_matched, report.rows_scanned), (0, 100));
@@ -1745,6 +1771,106 @@ mod tests {
                 r[2],
                 Value::Float64(id as f64),
                 "no value from the failed statement may survive (id {id})"
+            );
+        }
+    }
+
+    /// `id % 3 == 1`, read a batch at a time straight off the `id` slice.
+    struct IdsOneModThree;
+
+    impl RowSelector for IdsOneModThree {
+        fn matches(&self, row: &Row) -> bool {
+            row[0].as_i64().is_some_and(|id| id % 3 == 1)
+        }
+
+        fn select(&self, batch: &ColumnBatch, columns: &[usize], _: usize) -> Vec<u32> {
+            let at = columns
+                .iter()
+                .position(|&c| c == 0)
+                .expect("the scan reads id");
+            let column = &batch.columns()[at];
+            let dt_orcfile::ColumnData::Int64(ids) = column.data() else {
+                panic!("id is a BIGINT column")
+            };
+            let hit = |&i: &usize| !column.is_null(i) && ids[i] % 3 == 1;
+            batch.selected().filter(hit).map(|i| i as u32).collect()
+        }
+    }
+
+    /// A batch selector and the equivalent closure choose the same rows
+    /// on a dirty table — overlays moving rows in and out of the
+    /// predicate, deletes leaving selection vectors, a sample that ends
+    /// inside a stripe — under both plans and in a transaction.
+    #[test]
+    fn a_batch_selector_picks_what_the_equivalent_closure_picks() {
+        let closure = |r: &Row| r[0].as_i64().is_some_and(|id| id % 3 == 1);
+        let bump: [Assignment<'static>; 1] = [(
+            2,
+            Box::new(|r: &Row| Value::Float64(r[2].as_f64().unwrap_or(0.0) + 1.0)),
+        )];
+        let scan = UnionReadOptions::all().with_projection(vec![0, 2]);
+        for plan_mode in [PlanMode::AlwaysEdit, PlanMode::AlwaysOverwrite] {
+            let config = DualTableConfig {
+                rows_per_file: 32,
+                sample_rows: 37,
+                plan_mode,
+                writer: dt_orcfile::WriterOptions {
+                    stripe_rows: 8,
+                    ..Default::default()
+                },
+                ..DualTableConfig::default()
+            };
+            let dirty = || {
+                let t = table_with(120, config.clone());
+                let moved: [Assignment<'static>; 1] = [(
+                    0,
+                    Box::new(|r: &Row| Value::Int64(r[0].as_i64().unwrap() + 1)),
+                )];
+                let edit = RatioHint::Explicit(0.01);
+                let by = |m| move |r: &Row| r[0].as_i64().unwrap() % m == 0;
+                t.dml(&by(5), Some(&moved), edit, None, &UnionReadOptions::all())
+                    .unwrap();
+                t.delete(by(7), edit).unwrap();
+                t
+            };
+            let preview = |t: &DualTableStore, s: &dyn RowSelector| {
+                t.plan_preview(s, true, &scan).unwrap().ratio
+            };
+            // The sample is the first 37 rows, though it ends mid-stripe.
+            let clean = table_with(120, config.clone());
+            let first_ten = |r: &Row| r[0].as_i64().unwrap() < 10;
+            assert_eq!(preview(&clean, &first_ten), 10.0 / 37.0);
+
+            let (a, b) = (dirty(), dirty());
+            assert_eq!(preview(&a, &IdsOneModThree), preview(&b, &closure));
+
+            let mut txns = (
+                a.begin_transaction().unwrap(),
+                b.begin_transaction().unwrap(),
+            );
+            let matched = txns.0.edit(&IdsOneModThree, Some(&bump), &scan).unwrap();
+            assert_eq!(matched, txns.1.update(closure, &bump, &scan).unwrap());
+            let rows = |txn: &Transaction| {
+                let mut out = Vec::new();
+                let all = UnionReadOptions::all();
+                txn.for_each_batch(&all, |_, batch| {
+                    out.extend(batch.selected_rows());
+                    Ok(ControlFlow::Continue(()))
+                })
+                .unwrap();
+                out
+            };
+            assert_eq!(rows(&txns.0), rows(&txns.1));
+            drop(txns);
+
+            let ratio = RatioHint::Sample;
+            let by_batch = a.dml(&IdsOneModThree, Some(&bump), ratio, None, &scan);
+            let by_row = b.dml(&closure, Some(&bump), ratio, None, &scan);
+            assert_eq!(by_batch.unwrap(), by_row.unwrap(), "{plan_mode:?}");
+            assert_eq!(
+                a.scan_all().unwrap(),
+                b.scan_all().unwrap(),
+                "{plan_mode:?}"
             );
         }
     }

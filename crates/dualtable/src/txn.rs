@@ -36,7 +36,7 @@ use dt_orcfile::ColumnBatch;
 
 use crate::commit::{commit, Action};
 use crate::shard::ShardSpec;
-use crate::store::{Assignment, DualTableStore};
+use crate::store::{Assignment, DualTableStore, RowSelector};
 use crate::union_read::{for_each_row, BatchFn, PatchSet, UnionReadOptions, NO_PATCHES};
 
 /// A pinned read snapshot: scans see exactly the table as of the pin's
@@ -183,7 +183,7 @@ impl Transaction {
 
     /// Buffers `UPDATE ... SET ... WHERE predicate`. Sees (and may touch)
     /// this transaction's earlier writes and buffered inserts. `scan` says
-    /// what the statement reads (see [`DualTableStore::update_keyed`]; on
+    /// what the statement reads (see [`DualTableStore::dml`]; on
     /// a sharded table its predicates also prune shards). Returns the
     /// matched row count.
     pub fn update(
@@ -192,7 +192,6 @@ impl Transaction {
         assignments: &[Assignment<'_>],
         scan: &UnionReadOptions,
     ) -> Result<u64> {
-        self.parts[0].0.store().check_targets(assignments)?;
         self.edit(&predicate, Some(assignments), scan)
     }
 
@@ -206,18 +205,22 @@ impl Transaction {
         self.edit(&predicate, None, scan)
     }
 
-    /// One buffered UPDATE (`assignments` given) or DELETE: on every store
-    /// the statement can touch, the rows it matches — found by the store's
-    /// one locate-scan, at the pin, under what is buffered so far — become
-    /// patches. The whole statement is located, every new value checked,
-    /// before any of it is buffered: a failed statement must leave the
-    /// buffer untouched, or a later COMMIT would persist half of it.
-    fn edit(
+    /// One buffered UPDATE (`assignments` given) or DELETE of the rows
+    /// `selector` picks: on every store the statement can touch, the rows
+    /// it matches — found by the store's one locate-scan, at the pin, under
+    /// what is buffered so far — become patches. The whole statement is
+    /// located, every new value checked, before any of it is buffered: a
+    /// failed statement must leave the buffer untouched, or a later COMMIT
+    /// would persist half of it. Returns the matched row count.
+    pub fn edit(
         &mut self,
-        predicate: &dyn Fn(&Row) -> bool,
+        selector: &dyn RowSelector,
         assignments: Option<&[Assignment<'_>]>,
         scan: &UnionReadOptions,
     ) -> Result<u64> {
+        if let Some(assignments) = assignments {
+            self.parts[0].0.store().check_targets(assignments)?;
+        }
         let targets = match &self.spec {
             Some(spec) => spec.dml_shards(assignments, scan.predicates.as_deref())?,
             None => vec![0],
@@ -230,7 +233,7 @@ impl Transaction {
             let store = snapshot.store();
             let _guard = store.inner.ops.read();
             let gen = snapshot.generation();
-            let (patches, _) = store.locate_patches(gen, &at_pin, ours, predicate, assignments)?;
+            let (patches, _) = store.locate_patches(gen, &at_pin, ours, selector, assignments)?;
             statement.push((i, patches));
         }
         let matched = statement

@@ -570,8 +570,8 @@ fn delta_tier_engages_and_explicit_spill_is_a_read_noop() {
 #[test]
 fn delta_sharded_scatter_matches_delta_off() {
     use dt_common::Deadline;
-    use dt_orcfile::ColumnBatch;
     use dualtable::{ShardSpec, ShardedTable};
+    use std::ops::ControlFlow;
 
     let spec = || ShardSpec::new(0, vec![40, 80]).unwrap();
     let env_on = env_with(true);
@@ -580,16 +580,17 @@ fn delta_sharded_scatter_matches_delta_off() {
     let off = ShardedTable::create(&env_off, "s", schema(), delta_cfg(0), spec()).unwrap();
     for t in [&on, &off] {
         t.insert_rows((0..120).map(row).collect()).unwrap();
-        t.update_keyed(
-            |r| r[0].as_i64().unwrap() % 3 == 0,
-            &[(1, Box::new(|r: &Row| Value::Int64(r[0].as_i64().unwrap())))],
+        t.dml(
+            &|r: &Row| r[0].as_i64().unwrap() % 3 == 0,
+            Some(&[(1, Box::new(|r: &Row| Value::Int64(r[0].as_i64().unwrap())))]),
             RatioHint::Explicit(0.34),
             None,
             None,
         )
         .unwrap();
-        t.delete_keyed(
-            |r| r[0].as_i64().unwrap() == 77,
+        t.dml(
+            &|r: &Row| r[0].as_i64().unwrap() == 77,
+            None,
             RatioHint::Explicit(0.01),
             None,
             None,
@@ -603,11 +604,13 @@ fn delta_sharded_scatter_matches_delta_off() {
         "at least one shard holds resident delta entries"
     );
     let scatter = |t: &ShardedTable, opts: &UnionReadOptions| -> Vec<Row> {
-        let batches = t.scan_batches(opts, &Deadline::never()).unwrap();
-        batches
-            .iter()
-            .flat_map(ColumnBatch::selected_rows)
-            .collect()
+        let mut rows = Vec::new();
+        t.for_each_batch(opts, &Deadline::never(), |_, batch| {
+            rows.extend(batch.selected_rows());
+            Ok(ControlFlow::Continue(()))
+        })
+        .unwrap();
+        rows
     };
     let all = UnionReadOptions::all();
     assert_eq!(

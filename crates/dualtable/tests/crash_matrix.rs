@@ -25,6 +25,7 @@
 //!    at the crash itself, and at least 90 % of the points must fire.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::ControlFlow;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -396,10 +397,11 @@ impl Handle {
         match (self, set) {
             (Handle::One(s), Some(set)) => s.update(pred, &set.assignment(), ratio).map(drop),
             (Handle::One(s), None) => s.delete(pred, ratio).map(drop),
-            (Handle::Sharded(t), Some(set)) => t
-                .update_keyed(pred, &set.assignment(), ratio, None, None)
-                .map(drop),
-            (Handle::Sharded(t), None) => t.delete_keyed(pred, ratio, None, None).map(drop),
+            (Handle::Sharded(t), set) => {
+                let set = set.map(Set::assignment);
+                let set = set.as_ref().map(|set| &set[..]);
+                t.dml(&pred, set, ratio, None, None).map(drop)
+            }
         }
     }
 }
@@ -1169,9 +1171,9 @@ fn a_failed_participant_write_keeps_its_decision_record() {
     );
 
     let later: [dualtable::Assignment<'static>; 1] = [(1, Box::new(|_: &Row| Value::Int64(7)))];
-    let refused = table.update_keyed(
-        |row| row[0] == Value::Int64(101),
-        &later,
+    let refused = table.dml(
+        &|row: &Row| row[0] == Value::Int64(101),
+        Some(&later),
         RatioHint::Explicit(0.01),
         None,
         None,
@@ -1215,9 +1217,9 @@ fn a_left_over_decision_record_never_shadows_a_later_write() {
 
     let later: [dualtable::Assignment<'static>; 1] = [(1, Box::new(|_: &Row| Value::Int64(7)))];
     table
-        .update_keyed(
-            |row| row[0] == Value::Int64(101),
-            &later,
+        .dml(
+            &|row: &Row| row[0] == Value::Int64(101),
+            Some(&later),
             RatioHint::Explicit(0.01),
             None,
             None,
@@ -1229,11 +1231,14 @@ fn a_left_over_decision_record_never_shadows_a_later_write() {
     let table = ShardedTable::open(&env, TABLE, schema(), table_cfg()).unwrap();
 
     let scan = |opts: &UnionReadOptions| {
-        let batches = table.scan_batches(opts, &Deadline::never()).unwrap();
-        let rows = batches.iter().flat_map(|batch| batch.selected_rows());
-        let mut got: Vec<(i64, i64)> = rows
-            .map(|row| (row[0].as_i64().unwrap(), row[1].as_i64().unwrap()))
-            .collect();
+        let mut got: Vec<(i64, i64)> = Vec::new();
+        table
+            .for_each_batch(opts, &Deadline::never(), |_, batch| {
+                let rows = batch.selected_rows();
+                got.extend(rows.map(|row| (row[0].as_i64().unwrap(), row[1].as_i64().unwrap())));
+                Ok(ControlFlow::Continue(()))
+            })
+            .unwrap();
         got.sort_unstable();
         got
     };

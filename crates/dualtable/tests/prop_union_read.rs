@@ -356,10 +356,11 @@ fn compact_folds_short_files_into_full_stripes_and_then_carries_them() {
 
 mod differential {
     use std::cmp::Ordering;
+    use std::ops::ControlFlow;
 
     use dt_common::rng::Rng64;
     use dt_common::{DataType, Deadline, Field, RecordId, Row, Schema, Value};
-    use dt_orcfile::{ColumnBatch, ColumnPredicate, PredicateOp, WriterOptions};
+    use dt_orcfile::{ColumnPredicate, PredicateOp, WriterOptions};
     use dualtable::{
         DualTableConfig, DualTableEnv, DualTableStore, PlanMode, RatioHint, ShardSpec,
         ShardedTable, Transaction, UnionReadOptions,
@@ -511,11 +512,10 @@ mod differential {
         op.run(t);
         let ratio = RatioHint::Explicit(0.1);
         let hits = |row: &Row| op.hits(row);
-        match op.assignments() {
-            Some(set) => sharded.update_keyed(hits, &set, ratio, None, None),
-            None => sharded.delete_keyed(hits, ratio, None, None),
-        }
-        .unwrap();
+        let set = op.assignments();
+        sharded
+            .dml(&hits, set.as_deref(), ratio, None, None)
+            .unwrap();
     }
 
     /// Random projection order (possibly empty, no repeats) and up to two
@@ -577,7 +577,7 @@ mod differential {
                 let row_number = (batch.row_start() + i as u64) as u32;
                 out.push((RecordId::new(file_id, row_number), batch.row(i)));
             }
-            Ok(std::ops::ControlFlow::Continue(()))
+            Ok(ControlFlow::Continue(()))
         })
         .unwrap();
         out
@@ -600,11 +600,13 @@ mod differential {
 
     /// Every row a scatter scan under `opts` returns, in gather order.
     fn scatter(t: &ShardedTable, opts: &UnionReadOptions) -> Vec<Row> {
-        let batches = t.scan_batches(opts, &Deadline::never()).unwrap();
-        batches
-            .iter()
-            .flat_map(ColumnBatch::selected_rows)
-            .collect()
+        let mut rows = Vec::new();
+        t.for_each_batch(opts, &Deadline::never(), |_, batch| {
+            rows.extend(batch.selected_rows());
+            Ok(ControlFlow::Continue(()))
+        })
+        .unwrap();
+        rows
     }
 
     fn project(row: &Row, opts: &UnionReadOptions) -> Row {

@@ -17,8 +17,10 @@
 //! - crash between shard-map publication and shard creation heals on
 //!   `open` (an absent shard store equals a never-written shard).
 
+use std::ops::ControlFlow;
+
 use dt_common::{DataType, Deadline, Row, Schema, Value};
-use dt_orcfile::{ColumnBatch, ColumnPredicate, PredicateOp};
+use dt_orcfile::{ColumnPredicate, PredicateOp};
 use dualtable::{
     DualTableConfig, DualTableEnv, DualTableStore, PlanChoice, PlanMode, RatioHint, ShardMap,
     ShardSpec, ShardedTable, UnionReadOptions,
@@ -52,11 +54,13 @@ fn scatter(t: &ShardedTable, predicates: Option<&[ColumnPredicate]>) -> Vec<Row>
         predicates: predicates.map(<[ColumnPredicate]>::to_vec),
         ..UnionReadOptions::all()
     };
-    let batches = t.scan_batches(&opts, &Deadline::never()).unwrap();
-    batches
-        .iter()
-        .flat_map(ColumnBatch::selected_rows)
-        .collect()
+    let mut rows = Vec::new();
+    t.for_each_batch(&opts, &Deadline::never(), |_, batch| {
+        rows.extend(batch.selected_rows());
+        Ok(ControlFlow::Continue(()))
+    })
+    .unwrap();
+    rows
 }
 
 fn pred(op: PredicateOp, v: i64) -> ColumnPredicate {
@@ -117,9 +121,9 @@ fn empty_shards_are_harmless() {
 
     // DML that routes only to empty shards matches nothing.
     let report = t
-        .update_keyed(
-            |_| true,
-            &[(1, Box::new(|_| Value::Int64(-1)))],
+        .dml(
+            &|_: &Row| true,
+            Some(&[(1, Box::new(|_| Value::Int64(-1)))]),
             RatioHint::Explicit(0.01),
             None,
             Some(&UnionReadOptions {
@@ -261,12 +265,12 @@ fn per_shard_plans_diverge() {
 
     // Predicate: every row of shard 1, exactly one row of shard 0.
     let report = t
-        .update_keyed(
-            |r| {
+        .dml(
+            &|r: &Row| {
                 let id = r[0].as_i64().unwrap();
                 id == 0 || id >= 1000
             },
-            &[(1, Box::new(|_| Value::Int64(9)))],
+            Some(&[(1, Box::new(|_| Value::Int64(9)))]),
             RatioHint::Sample,
             None,
             None,
@@ -300,8 +304,9 @@ fn incremental_compaction_is_round_robin_fair() {
     // Dirty every shard (deletes leave attached-tier tombstones to fold).
     t.insert_rows((0..300).map(|k| row(k, k)).collect())
         .unwrap();
-    t.delete_keyed(
-        |r| r[0].as_i64().unwrap() % 2 == 0,
+    t.dml(
+        &|r: &Row| r[0].as_i64().unwrap() % 2 == 0,
+        None,
         RatioHint::Explicit(0.01),
         None,
         None,

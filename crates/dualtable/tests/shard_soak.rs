@@ -170,14 +170,14 @@ fn run_autocommit_writer(table: &ShardedTable) -> u64 {
         for tries in 1.. {
             assert!(tries < 10_000, "autocommit round {round} never converged");
             let mine = move |row: &Row| row[0].as_i64().unwrap() % 100 == w;
-            let landed =
-                match table.update_keyed(mine, &bump, RatioHint::Explicit(0.01), None, None) {
-                    Ok(_) => true,
-                    Err(e) if e.is_transient() || e.is_injected() => {
-                        counter_value(table, 0, w) == (acked + 1) as i64
-                    }
-                    Err(e) => panic!("autocommit UPDATE: {e}"),
-                };
+            let ratio = RatioHint::Explicit(0.01);
+            let landed = match table.dml(&mine, Some(&bump), ratio, None, None) {
+                Ok(_) => true,
+                Err(e) if e.is_transient() || e.is_injected() => {
+                    counter_value(table, 0, w) == (acked + 1) as i64
+                }
+                Err(e) => panic!("autocommit UPDATE: {e}"),
+            };
             if landed {
                 acked += 1;
                 break;

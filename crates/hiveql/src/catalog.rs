@@ -13,8 +13,8 @@ use dt_baselines::StorageHandler;
 use dt_common::{Deadline, Error, Result, Row, Schema};
 use dt_orcfile::{ColumnBatch, ColumnPredicate};
 use dualtable::{
-    Assignment, DmlReport, DualTableStore, RatioHint, ShardedDmlReport, ShardedTable, Transaction,
-    UnionReadOptions,
+    Assignment, DmlReport, DualTableStore, RatioHint, RowSelector, ShardedDmlReport, ShardedTable,
+    Transaction, UnionReadOptions,
 };
 use parking_lot::RwLock;
 
@@ -119,10 +119,10 @@ impl TableHandle {
     /// every batch — a timed-out scan aborts with
     /// [`Error::Timeout`](dt_common::Error::Timeout) and leaves the table
     /// and the session fully usable. A sharded table prunes whole shards by
-    /// `predicates` before any I/O and scans the survivors in parallel; its
-    /// batches arrive in range order. With `txn` — this table's open
-    /// transaction — the scan is the transaction's: at its pin, under its
-    /// buffered writes, shard after shard.
+    /// `predicates` before any I/O and reads the survivors one after
+    /// another, in range order, on the calling thread. With `txn` — this
+    /// table's open transaction — the scan is the transaction's: at its
+    /// pin, under its buffered writes, shard after shard.
     pub fn for_each_batch(
         &self,
         txn: Option<&Transaction>,
@@ -147,10 +147,7 @@ impl TableHandle {
                 t.for_each_batch(projection, predicates, &mut |batch| checked(&batch))
             }
             TableHandle::Dual(t) => t.for_each_batch(&opts, merged),
-            TableHandle::Sharded(t) => t
-                .scan_batches(&opts, deadline)?
-                .iter()
-                .try_for_each(checked),
+            TableHandle::Sharded(t) => t.for_each_batch(&opts, deadline, merged),
         }
     }
 
@@ -178,47 +175,35 @@ impl TableHandle {
         }
     }
 
-    /// Executes an UPDATE. `scan` says what the statement reads — the
-    /// columns `predicate` and `assignments` look at and the WHERE
+    /// Executes an UPDATE (`assignments` given) or a DELETE of the rows
+    /// `selector` picks. `scan` says what the statement reads — the
+    /// columns the WHERE clause and `assignments` look at and the WHERE
     /// clause's column-vs-literal conjuncts — so that DUALTABLE storage can
     /// project its locate-scan, skip stripes and prune shards; the
-    /// baselines rewrite everything and ignore it.
-    pub fn update(
+    /// baselines rewrite everything, row by row, and ignore it.
+    pub fn dml(
         &self,
-        predicate: &(dyn Fn(&Row) -> bool + Sync),
-        assignments: &[Assignment<'_>],
+        selector: &(dyn RowSelector + Sync),
+        assignments: Option<&[Assignment<'_>]>,
         ratio: RatioHint,
         statement_key: Option<&str>,
         scan: &UnionReadOptions,
     ) -> Result<DmlOutcome> {
+        let key = statement_key;
         match self {
             TableHandle::Baseline(_, t) => {
-                t.update(predicate, assignments).map(DmlOutcome::rewrite)
+                let predicate = |row: &Row| selector.matches(row);
+                match assignments {
+                    Some(set) => t.update(&predicate, set),
+                    None => t.delete(&predicate),
+                }
+                .map(DmlOutcome::rewrite)
             }
             TableHandle::Dual(t) => t
-                .update_keyed(predicate, assignments, ratio, statement_key, scan)
+                .dml(selector, assignments, ratio, key, scan)
                 .map(DmlOutcome::planned),
             TableHandle::Sharded(t) => t
-                .update_keyed(predicate, assignments, ratio, statement_key, Some(scan))
-                .map(DmlOutcome::sharded),
-        }
-    }
-
-    /// Executes a DELETE (see [`TableHandle::update`] for `scan`).
-    pub fn delete(
-        &self,
-        predicate: &(dyn Fn(&Row) -> bool + Sync),
-        ratio: RatioHint,
-        statement_key: Option<&str>,
-        scan: &UnionReadOptions,
-    ) -> Result<DmlOutcome> {
-        match self {
-            TableHandle::Baseline(_, t) => t.delete(predicate).map(DmlOutcome::rewrite),
-            TableHandle::Dual(t) => t
-                .delete_keyed(predicate, ratio, statement_key, scan)
-                .map(DmlOutcome::planned),
-            TableHandle::Sharded(t) => t
-                .delete_keyed(predicate, ratio, statement_key, Some(scan))
+                .dml(selector, assignments, ratio, key, Some(scan))
                 .map(DmlOutcome::sharded),
         }
     }

@@ -9,9 +9,9 @@ use dualtable::{RatioHint, Transaction};
 use crate::ast::*;
 use crate::catalog::{SharedCatalog, TableHandle};
 use crate::expr::{
-    eval, is_true, normalize_numeric, BatchRow, Binding, EvalContext, GroupKey, HashableValue,
-    RowRef,
+    eval, is_true, normalize_numeric, Binding, EvalContext, GroupKey, HashableValue,
 };
+use crate::vector::{Groups, Input, Kernels, Vector, DEADLINE_CHECK_ROWS};
 
 /// Result of executing one statement.
 #[derive(Debug, Clone)]
@@ -61,19 +61,15 @@ impl QueryResult {
     }
 }
 
-/// Rows evaluated between two [`Deadline`] checks: filter evaluation can
-/// dominate a scan (subquery sets, LIKE), so a batch boundary alone is not
-/// prompt enough.
-const DEADLINE_CHECK_ROWS: u64 = 1024;
-
 /// Executor configuration.
 #[derive(Debug, Clone)]
 pub struct ExecConfig {
     /// Ratio hint passed to DualTable DML.
     pub ratio_hint: RatioHint,
-    /// Per-statement deadline token, checked at batch boundaries in scans
-    /// and every [`DEADLINE_CHECK_ROWS`] rows in between. Defaults to
-    /// never; installed per statement by
+    /// Per-statement deadline token, checked at batch boundaries in scans,
+    /// every [`DEADLINE_CHECK_ROWS`] joined rows and every as many rows the
+    /// row interpreter evaluates in between. Defaults to never; installed
+    /// per statement by
     /// [`Session::execute_with_deadline`](crate::Session::execute_with_deadline).
     pub deadline: Deadline,
 }
@@ -169,7 +165,21 @@ impl Executor<'_> {
                     pipeline.push_batch(batch)
                 })?;
             }
-            _ => pipeline.push_rows(&self.joined_rows(stmt, &refs, &tables, ctx)?)?,
+            _ => {
+                // A chunk at a time: the deadline is checked between
+                // chunks, and only one chunk is held twice.
+                let rows = self.joined_rows(stmt, &refs, &tables, ctx)?;
+                let fields = tables.iter().flat_map(|t| t.schema().fields());
+                let fields = fields
+                    .enumerate()
+                    .map(|(i, f)| Field::new(format!("c{i}"), f.data_type));
+                let schema = Schema::new(fields.collect())?;
+                let columns: Vec<usize> = (0..schema.len()).collect();
+                for chunk in rows.chunks(DEADLINE_CHECK_ROWS) {
+                    deadline.check()?;
+                    pipeline.push_batch(&ColumnBatch::from_rows(&schema, &columns, chunk)?)?;
+                }
+            }
         }
         let (mut out_rows, out_names, mut order_keys) = pipeline.finish()?;
 
@@ -227,8 +237,8 @@ impl Executor<'_> {
     }
 
     /// The working set of a query over no table (one empty row) or over
-    /// joined tables, materialized: every table in full (through its open
-    /// transaction when it has one), joined left to right.
+    /// joined tables: every table in full (through its open transaction
+    /// when it has one), joined left to right.
     fn joined_rows(
         &self,
         stmt: &SelectStmt,
@@ -376,7 +386,7 @@ impl Executor<'_> {
 }
 
 // ----------------------------------------------------------------------
-// The row pipeline
+// The batch pipeline
 // ----------------------------------------------------------------------
 
 /// Where an ORDER BY key comes from.
@@ -388,19 +398,16 @@ enum OrderKey {
     Output(usize),
 }
 
-/// One group = (representative row, per-spec state).
-type Group = (Row, Vec<AggState>);
-
 /// What the pipeline has produced so far.
 enum Acc {
     /// Plain projection: output rows and their ORDER BY keys.
     Rows(Vec<Row>, Vec<GroupKey>),
     /// GROUP BY / aggregation: running states per group.
-    Groups(HashMap<GroupKey, Group>),
+    Groups(Groups),
 }
 
-/// WHERE → projection or aggregation over a stream of input rows, one at
-/// a time, whether they arrive as heap rows or as column batches. Every
+/// WHERE → projection or aggregation over a stream of column batches, a
+/// batch at a time through the kernels of [`crate::vector`]. Every
 /// expression is bound to a position of the input layout up front, so a
 /// misspelt column fails the statement before anything is read.
 struct Pipeline<'a> {
@@ -417,8 +424,6 @@ struct Pipeline<'a> {
     counts_only: bool,
     counted: u64,
     acc: Acc,
-    seen: u64,
-    binding: Binding,
     ctx: &'a EvalContext,
     deadline: &'a Deadline,
 }
@@ -486,76 +491,65 @@ impl<'a> Pipeline<'a> {
             group_by,
             having,
             order_by,
-            specs,
             acc: if aggregating {
-                Acc::Groups(HashMap::new())
+                Acc::Groups(Groups::new(specs.len(), stmt.group_by.is_empty()))
             } else {
                 Acc::Rows(Vec::new(), Vec::new())
             },
+            specs,
             counted: 0,
-            seen: 0,
-            binding,
             ctx,
             deadline,
         })
     }
 
-    fn push_rows(&mut self, rows: &[Row]) -> Result<()> {
-        rows.iter().try_for_each(|row| self.push(row))
-    }
-
+    /// Runs one batch through WHERE and the projection or aggregation,
+    /// each expression evaluated once for the batch's selected rows.
     fn push_batch(&mut self, batch: &ColumnBatch) -> Result<()> {
         if self.counts_only {
             self.counted += batch.selected_len() as u64;
             return Ok(());
         }
-        batch
-            .selected()
-            .try_for_each(|i| self.push(&BatchRow(batch, i)))
-    }
-
-    fn push<R: RowRef + ?Sized>(&mut self, row: &R) -> Result<()> {
-        self.seen += 1;
-        if self.seen.is_multiple_of(DEADLINE_CHECK_ROWS) {
-            self.deadline.check()?;
-        }
-        let (binding, ctx) = (&self.binding, self.ctx);
+        let input = Input::of(batch);
+        let k = Kernels::new(&input, self.ctx, self.deadline);
+        let mut sel: Vec<u32> = batch.selected().map(|i| i as u32).collect();
         if let Some(filter) = &self.filter {
-            if !is_true(&eval(filter, row, binding, ctx)?) {
-                return Ok(());
-            }
+            sel = k.filter(filter, sel)?;
         }
-        match &mut self.acc {
-            Acc::Rows(out, order_keys) => {
-                let mut projected = Vec::with_capacity(self.items.len());
-                for (expr, _) in &self.items {
-                    projected.push(eval(expr, row, binding, ctx)?);
-                }
-                if !self.order_by.is_empty() {
-                    let mut key = Vec::with_capacity(self.order_by.len());
-                    for order in &self.order_by {
-                        key.push(HashableValue(match order {
-                            OrderKey::Input(e) => eval(e, row, binding, ctx)?,
-                            OrderKey::Output(pos) => projected[*pos].clone(),
-                        }));
-                    }
-                    order_keys.push(GroupKey(key));
-                }
-                out.push(projected);
-            }
-            Acc::Groups(groups) => {
-                let mut key = Vec::with_capacity(self.group_by.len());
-                for g in &self.group_by {
-                    key.push(HashableValue(eval(g, row, binding, ctx)?));
-                }
-                let specs = &self.specs;
-                let (_, states) = groups.entry(GroupKey(key)).or_insert_with(|| {
-                    (row.to_row(), specs.iter().map(AggState::for_spec).collect())
+        if sel.is_empty() {
+            return Ok(());
+        }
+        let (out, order_keys) = match &mut self.acc {
+            Acc::Groups(groups) => return groups.push(&k, &self.group_by, &self.specs, &sel),
+            Acc::Rows(out, order_keys) => (out, order_keys),
+        };
+        let items: Vec<Vector> = self
+            .items
+            .iter()
+            .map(|(e, _)| k.eval(e, &sel))
+            .collect::<Result<_>>()?;
+        let keys: Vec<Option<Vector>> = self
+            .order_by
+            .iter()
+            .map(|key| match key {
+                OrderKey::Input(e) => k.eval(e, &sel).map(Some),
+                OrderKey::Output(_) => Ok(None),
+            })
+            .collect::<Result<_>>()?;
+        for &i in &sel {
+            let i = i as usize;
+            let projected: Row = items.iter().map(|v| v.value(i)).collect();
+            if !keys.is_empty() {
+                let key = self.order_by.iter().zip(&keys).map(|(order, key)| {
+                    HashableValue(match (order, key) {
+                        (_, Some(v)) => v.value(i),
+                        (OrderKey::Output(pos), None) => projected[*pos].clone(),
+                        (OrderKey::Input(_), None) => unreachable!("evaluated above"),
+                    })
                 });
-                for (state, spec) in states.iter_mut().zip(specs) {
-                    state.update(spec, row, binding, ctx)?;
-                }
+                order_keys.push(GroupKey(key.collect()));
             }
+            out.push(projected);
         }
         Ok(())
     }
@@ -567,43 +561,28 @@ impl<'a> Pipeline<'a> {
             Acc::Rows(out, order_keys) => return Ok((out, names, order_keys)),
             Acc::Groups(groups) => groups,
         };
-        let (binding, ctx, specs) = (&self.binding, self.ctx, &self.specs);
-        let mut groups: Vec<(GroupKey, Group)> = groups.into_iter().collect();
-        if groups.is_empty() && self.group_by.is_empty() {
-            // Global aggregate with no row pushed: one empty group, which
-            // for a counts-only statement holds the batch cardinalities.
-            let state = |spec| match self.counts_only {
-                true => AggState::Count(self.counted),
-                false => AggState::for_spec(spec),
-            };
-            groups.push((
-                GroupKey(Vec::new()),
-                (Vec::new(), specs.iter().map(state).collect()),
-            ));
-        }
-        groups.sort_by(|(a, _), (b, _)| a.cmp(b));
-
+        let (binding, ctx, specs) = (&Binding::default(), self.ctx, &self.specs);
+        let counted = self.counts_only.then_some(self.counted);
+        let groups = groups.finish(specs, counted)?;
         let mut out_rows = Vec::with_capacity(groups.len());
         let mut order_keys = Vec::with_capacity(groups.len());
-        for (_, (rep, states)) in &groups {
-            let agg_values: Vec<Value> =
-                states.iter().map(AggState::finish).collect::<Result<_>>()?;
+        for (rep, agg_values) in &groups {
             if let Some(h) = &self.having {
-                let v = eval_with_aggs(h, rep, binding, specs, &agg_values, ctx)?;
+                let v = eval_with_aggs(h, rep, binding, specs, agg_values, ctx)?;
                 if !is_true(&v) {
                     continue;
                 }
             }
             let mut projected = Vec::with_capacity(self.items.len());
             for (e, _) in &self.items {
-                projected.push(eval_with_aggs(e, rep, binding, specs, &agg_values, ctx)?);
+                projected.push(eval_with_aggs(e, rep, binding, specs, agg_values, ctx)?);
             }
             if !self.order_by.is_empty() {
                 let mut key = Vec::with_capacity(self.order_by.len());
                 for order in &self.order_by {
                     key.push(HashableValue(match order {
                         OrderKey::Input(e) => {
-                            eval_with_aggs(e, rep, binding, specs, &agg_values, ctx)?
+                            eval_with_aggs(e, rep, binding, specs, agg_values, ctx)?
                         }
                         OrderKey::Output(pos) => projected[*pos].clone(),
                     }));
@@ -613,130 +592,6 @@ impl<'a> Pipeline<'a> {
             out_rows.push(projected);
         }
         Ok((out_rows, names, order_keys))
-    }
-}
-
-// ----------------------------------------------------------------------
-// Aggregates
-// ----------------------------------------------------------------------
-
-/// Partial state of one aggregate call.
-#[derive(Debug, Clone)]
-enum AggState {
-    Count(u64),
-    Sum {
-        sum: f64,
-        seen: bool,
-        integral: bool,
-    },
-    Avg {
-        sum: f64,
-        count: u64,
-    },
-    Min(Option<Value>),
-    Max(Option<Value>),
-}
-
-impl AggState {
-    fn for_spec(spec: &Expr) -> AggState {
-        let Expr::Function { name, .. } = spec else {
-            unreachable!("aggregate specs are function calls");
-        };
-        match name.as_str() {
-            "count" => AggState::Count(0),
-            "sum" => AggState::Sum {
-                sum: 0.0,
-                seen: false,
-                integral: true,
-            },
-            "avg" => AggState::Avg { sum: 0.0, count: 0 },
-            "min" => AggState::Min(None),
-            "max" => AggState::Max(None),
-            other => unreachable!("not an aggregate: {other}"),
-        }
-    }
-
-    fn update<R: RowRef + ?Sized>(
-        &mut self,
-        spec: &Expr,
-        row: &R,
-        binding: &Binding,
-        ctx: &EvalContext,
-    ) -> Result<()> {
-        let Expr::Function { args, wildcard, .. } = spec else {
-            unreachable!()
-        };
-        let arg_value = if *wildcard {
-            Some(Value::Bool(true)) // COUNT(*): every row counts.
-        } else {
-            let v = eval(&args[0], row, binding, ctx)?;
-            if v.is_null() {
-                None
-            } else {
-                Some(v)
-            }
-        };
-        let Some(v) = arg_value else { return Ok(()) };
-        match self {
-            AggState::Count(n) => *n += 1,
-            AggState::Sum {
-                sum,
-                seen,
-                integral,
-            } => {
-                let x = v
-                    .as_f64()
-                    .ok_or_else(|| Error::Plan(format!("SUM of {v:?}")))?;
-                *sum += x;
-                *seen = true;
-                *integral &= matches!(v, Value::Int64(_));
-            }
-            AggState::Avg { sum, count } => {
-                let x = v
-                    .as_f64()
-                    .ok_or_else(|| Error::Plan(format!("AVG of {v:?}")))?;
-                *sum += x;
-                *count += 1;
-            }
-            AggState::Min(cur) => {
-                if cur.as_ref().is_none_or(|c| v.total_cmp(c).is_lt()) {
-                    *cur = Some(v);
-                }
-            }
-            AggState::Max(cur) => {
-                if cur.as_ref().is_none_or(|c| v.total_cmp(c).is_gt()) {
-                    *cur = Some(v);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn finish(&self) -> Result<Value> {
-        Ok(match self {
-            AggState::Count(n) => Value::Int64(*n as i64),
-            AggState::Sum {
-                sum,
-                seen,
-                integral,
-            } => {
-                if !seen {
-                    Value::Null
-                } else if *integral {
-                    Value::Int64(*sum as i64)
-                } else {
-                    Value::Float64(*sum)
-                }
-            }
-            AggState::Avg { sum, count } => {
-                if *count == 0 {
-                    Value::Null
-                } else {
-                    Value::Float64(sum / *count as f64)
-                }
-            }
-            AggState::Min(v) | AggState::Max(v) => v.clone().unwrap_or(Value::Null),
-        })
     }
 }
 
@@ -953,13 +808,18 @@ fn expand_wildcards(items: &[SelectItem], binding: &Binding) -> Result<Vec<(Expr
     let mut out = Vec::new();
     for item in items {
         match item {
+            // Every column, qualified by its table: joined tables may share
+            // column names.
             SelectItem::Wildcard => {
-                for (i, name) in binding.names().iter().enumerate() {
-                    let _ = i;
-                    out.push((Expr::col(name), name.clone()));
+                for (qualifier, name) in binding.columns() {
+                    out.push((
+                        Expr::Column {
+                            qualifier,
+                            name: name.clone(),
+                        },
+                        name,
+                    ));
                 }
-                // Wildcard over joined tables with duplicate names would be
-                // ambiguous; qualify instead.
             }
             SelectItem::QualifiedWildcard(q) => {
                 let positions = binding.positions_of_table(q);

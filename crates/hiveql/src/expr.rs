@@ -5,7 +5,6 @@ use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 
 use dt_common::{Error, Result, Row, Schema, Value};
-use dt_orcfile::ColumnBatch;
 
 use crate::ast::{BinOp, Expr, UnOp};
 
@@ -70,6 +69,11 @@ impl Binding {
             .collect()
     }
 
+    /// Every column: its table binding name, if any, and its name.
+    pub fn columns(&self) -> Vec<(Option<String>, String)> {
+        self.cols.clone()
+    }
+
     /// Output column names (unqualified).
     pub fn names(&self) -> Vec<String> {
         self.cols.iter().map(|(_, n)| n.clone()).collect()
@@ -129,33 +133,17 @@ impl Expr {
     }
 }
 
-/// What expressions evaluate over: anything that yields the value at a
-/// position of the bound row layout.
+/// What the row interpreter evaluates over: anything that yields the
+/// value at a position of the bound row layout — a row, or one row of a
+/// column batch in place ([`crate::vector`]).
 pub trait RowRef {
     /// The value at `pos`.
     fn value(&self, pos: usize) -> Value;
-    /// The whole row, materialized.
-    fn to_row(&self) -> Row;
 }
 
 impl RowRef for Row {
     fn value(&self, pos: usize) -> Value {
         self[pos].clone()
-    }
-    fn to_row(&self) -> Row {
-        self.clone()
-    }
-}
-
-/// Row `i` of a column batch, in place.
-pub struct BatchRow<'a>(pub &'a ColumnBatch, pub usize);
-
-impl RowRef for BatchRow<'_> {
-    fn value(&self, pos: usize) -> Value {
-        self.0.columns()[pos].value(self.1)
-    }
-    fn to_row(&self) -> Row {
-        self.0.row(self.1)
     }
 }
 
@@ -248,20 +236,29 @@ pub fn eval<R: RowRef + ?Sized>(
         Expr::Unary { op, operand } => {
             let v = eval(operand, row, binding, ctx)?;
             match op {
-                UnOp::Not => Ok(match v {
-                    Value::Null => Value::Null,
-                    Value::Bool(b) => Value::Bool(!b),
-                    other => return Err(Error::Plan(format!("NOT applied to {other:?}"))),
-                }),
-                UnOp::Neg => match v {
-                    Value::Null => Ok(Value::Null),
-                    Value::Int64(x) => Ok(Value::Int64(-x)),
-                    Value::Float64(x) => Ok(Value::Float64(-x)),
-                    other => Err(Error::Plan(format!("negation of {other:?}"))),
-                },
+                UnOp::Not => not(v),
+                UnOp::Neg => negate(v),
             }
         }
-        Expr::Binary { op, left, right } => eval_binary(*op, left, right, row, binding, ctx),
+        Expr::Binary { op, left, right } => match op {
+            BinOp::And | BinOp::Or => {
+                // Kleene logic short-circuits.
+                let l = truth(eval(left, row, binding, ctx)?)?;
+                match (op, l) {
+                    (BinOp::And, Some(false)) => Ok(Value::Bool(false)),
+                    (BinOp::Or, Some(true)) => Ok(Value::Bool(true)),
+                    _ => {
+                        let r = truth(eval(right, row, binding, ctx)?)?;
+                        Ok(kleene(*op, l, r).map_or(Value::Null, Value::Bool))
+                    }
+                }
+            }
+            _ => binary(
+                *op,
+                eval(left, row, binding, ctx)?,
+                eval(right, row, binding, ctx)?,
+            ),
+        },
         Expr::IsNull { expr, negated } => {
             let v = eval(expr, row, binding, ctx)?;
             Ok(Value::Bool(v.is_null() != *negated))
@@ -272,40 +269,14 @@ pub fn eval<R: RowRef + ?Sized>(
             negated,
         } => {
             let probe = eval(expr, row, binding, ctx)?;
-            if probe.is_null() {
-                return Ok(Value::Null);
-            }
-            let mut saw_null = false;
-            for candidate in list {
-                let c = eval(candidate, row, binding, ctx)?;
-                if c.is_null() {
-                    saw_null = true;
-                } else if probe.total_cmp(&c) == Ordering::Equal || numeric_eq(&probe, &c) {
-                    return Ok(Value::Bool(!negated));
-                }
-            }
-            if saw_null {
-                Ok(Value::Null)
-            } else {
-                Ok(Value::Bool(*negated))
-            }
+            let candidates = list.iter().map(|c| eval(c, row, binding, ctx));
+            in_list(probe, candidates, *negated)
         }
         Expr::InSet {
             expr,
             set_index,
             negated,
-        } => {
-            let probe = eval(expr, row, binding, ctx)?;
-            if probe.is_null() {
-                return Ok(Value::Null);
-            }
-            let set = ctx
-                .sets
-                .get(*set_index)
-                .ok_or_else(|| Error::internal("missing precomputed IN set"))?;
-            let contains = set.contains(&HashableValue(normalize_numeric(probe)));
-            Ok(Value::Bool(contains != *negated))
-        }
+        } => in_set(eval(expr, row, binding, ctx)?, ctx, *set_index, *negated),
         Expr::InSubquery { .. } => Err(Error::internal(
             "IN (SELECT …) must be planned before evaluation",
         )),
@@ -318,12 +289,7 @@ pub fn eval<R: RowRef + ?Sized>(
             let v = eval(expr, row, binding, ctx)?;
             let lo = eval(low, row, binding, ctx)?;
             let hi = eval(high, row, binding, ctx)?;
-            if v.is_null() || lo.is_null() || hi.is_null() {
-                return Ok(Value::Null);
-            }
-            let inside =
-                v.total_cmp(&lo) != Ordering::Less && v.total_cmp(&hi) != Ordering::Greater;
-            Ok(Value::Bool(inside != *negated))
+            Ok(between(&v, &lo, &hi, *negated))
         }
         Expr::Case {
             operand,
@@ -358,14 +324,7 @@ pub fn eval<R: RowRef + ?Sized>(
             expr,
             pattern,
             negated,
-        } => {
-            let v = eval(expr, row, binding, ctx)?;
-            match v {
-                Value::Null => Ok(Value::Null),
-                Value::Utf8(s) => Ok(Value::Bool(like_match(&s, pattern) != *negated)),
-                other => Err(Error::Plan(format!("LIKE applied to {other:?}"))),
-            }
-        }
+        } => like(eval(expr, row, binding, ctx)?, pattern, *negated),
         Expr::Function {
             name,
             args,
@@ -385,6 +344,107 @@ pub fn eval<R: RowRef + ?Sized>(
     }
 }
 
+/// `NOT v`.
+pub(crate) fn not(v: Value) -> Result<Value> {
+    match v {
+        Value::Null => Ok(Value::Null),
+        Value::Bool(b) => Ok(Value::Bool(!b)),
+        other => Err(Error::Plan(format!("NOT applied to {other:?}"))),
+    }
+}
+
+/// `-v`; a BIGINT wraps, as its arithmetic does.
+pub(crate) fn negate(v: Value) -> Result<Value> {
+    match v {
+        Value::Null => Ok(Value::Null),
+        Value::Int64(x) => Ok(Value::Int64(x.wrapping_neg())),
+        Value::Float64(x) => Ok(Value::Float64(-x)),
+        other => Err(Error::Plan(format!("negation of {other:?}"))),
+    }
+}
+
+/// An AND/OR operand as a Kleene truth value: `None` is NULL.
+pub(crate) fn truth(v: Value) -> Result<Option<bool>> {
+    match v {
+        Value::Null => Ok(None),
+        Value::Bool(b) => Ok(Some(b)),
+        other => Err(Error::Plan(format!("boolean operator on {other:?}"))),
+    }
+}
+
+/// `l AND r` / `l OR r` in Kleene logic (`None` is NULL).
+pub(crate) fn kleene(op: BinOp, l: Option<bool>, r: Option<bool>) -> Option<bool> {
+    match (op, l, r) {
+        (BinOp::And, Some(true), Some(true)) => Some(true),
+        (BinOp::And, Some(false), _) | (BinOp::And, _, Some(false)) => Some(false),
+        (BinOp::Or, Some(false), Some(false)) => Some(false),
+        (BinOp::Or, Some(true), _) | (BinOp::Or, _, Some(true)) => Some(true),
+        _ => None,
+    }
+}
+
+/// `probe [NOT] IN (candidates)`: candidates are evaluated in order until
+/// one matches.
+pub(crate) fn in_list(
+    probe: Value,
+    candidates: impl Iterator<Item = Result<Value>>,
+    negated: bool,
+) -> Result<Value> {
+    if probe.is_null() {
+        return Ok(Value::Null);
+    }
+    let mut saw_null = false;
+    for c in candidates {
+        let c = c?;
+        if c.is_null() {
+            saw_null = true;
+        } else if probe.total_cmp(&c) == Ordering::Equal || numeric_eq(&probe, &c) {
+            return Ok(Value::Bool(!negated));
+        }
+    }
+    if saw_null {
+        Ok(Value::Null)
+    } else {
+        Ok(Value::Bool(negated))
+    }
+}
+
+/// `probe [NOT] IN <precomputed set>`.
+pub(crate) fn in_set(
+    probe: Value,
+    ctx: &EvalContext,
+    set_index: usize,
+    negated: bool,
+) -> Result<Value> {
+    if probe.is_null() {
+        return Ok(Value::Null);
+    }
+    let set = ctx
+        .sets
+        .get(set_index)
+        .ok_or_else(|| Error::internal("missing precomputed IN set"))?;
+    let contains = set.contains(&HashableValue(normalize_numeric(probe)));
+    Ok(Value::Bool(contains != negated))
+}
+
+/// `v [NOT] BETWEEN lo AND hi`.
+pub(crate) fn between(v: &Value, lo: &Value, hi: &Value, negated: bool) -> Value {
+    if v.is_null() || lo.is_null() || hi.is_null() {
+        return Value::Null;
+    }
+    let inside = v.total_cmp(lo) != Ordering::Less && v.total_cmp(hi) != Ordering::Greater;
+    Value::Bool(inside != negated)
+}
+
+/// `v [NOT] LIKE pattern`.
+pub(crate) fn like(v: Value, pattern: &str, negated: bool) -> Result<Value> {
+    match v {
+        Value::Null => Ok(Value::Null),
+        Value::Utf8(s) => Ok(Value::Bool(like_match(&s, pattern) != negated)),
+        other => Err(Error::Plan(format!("LIKE applied to {other:?}"))),
+    }
+}
+
 fn numeric_eq(a: &Value, b: &Value) -> bool {
     match (a.as_f64(), b.as_f64()) {
         (Some(x), Some(y)) => x == y,
@@ -401,44 +461,9 @@ pub fn normalize_numeric(v: Value) -> Value {
     }
 }
 
-fn eval_binary<R: RowRef + ?Sized>(
-    op: BinOp,
-    left: &Expr,
-    right: &Expr,
-    row: &R,
-    binding: &Binding,
-    ctx: &EvalContext,
-) -> Result<Value> {
-    // Kleene logic short-circuits.
-    if matches!(op, BinOp::And | BinOp::Or) {
-        let l = eval(left, row, binding, ctx)?;
-        let l = match l {
-            Value::Null => None,
-            Value::Bool(b) => Some(b),
-            other => return Err(Error::Plan(format!("boolean operator on {other:?}"))),
-        };
-        match (op, l) {
-            (BinOp::And, Some(false)) => return Ok(Value::Bool(false)),
-            (BinOp::Or, Some(true)) => return Ok(Value::Bool(true)),
-            _ => {}
-        }
-        let r = eval(right, row, binding, ctx)?;
-        let r = match r {
-            Value::Null => None,
-            Value::Bool(b) => Some(b),
-            other => return Err(Error::Plan(format!("boolean operator on {other:?}"))),
-        };
-        return Ok(match (op, l, r) {
-            (BinOp::And, Some(true), Some(true)) => Value::Bool(true),
-            (BinOp::And, Some(false), _) | (BinOp::And, _, Some(false)) => Value::Bool(false),
-            (BinOp::Or, Some(false), Some(false)) => Value::Bool(false),
-            (BinOp::Or, Some(true), _) | (BinOp::Or, _, Some(true)) => Value::Bool(true),
-            _ => Value::Null,
-        });
-    }
-
-    let l = eval(left, row, binding, ctx)?;
-    let r = eval(right, row, binding, ctx)?;
+/// `l op r` for an arithmetic or comparison operator: NULL if either
+/// side is.
+pub(crate) fn binary(op: BinOp, l: Value, r: Value) -> Result<Value> {
     if l.is_null() || r.is_null() {
         return Ok(Value::Null);
     }
@@ -450,7 +475,7 @@ fn eval_binary<R: RowRef + ?Sized>(
         BinOp::LtEq => Ok(Value::Bool(compare(&l, &r)? != Ordering::Greater)),
         BinOp::Gt => Ok(Value::Bool(compare(&l, &r)? == Ordering::Greater)),
         BinOp::GtEq => Ok(Value::Bool(compare(&l, &r)? != Ordering::Less)),
-        BinOp::And | BinOp::Or => unreachable!("handled above"),
+        BinOp::And | BinOp::Or => unreachable!("Kleene logic is evaluated lazily"),
     }
 }
 
@@ -490,14 +515,8 @@ fn arithmetic(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
             _ => unreachable!(),
         });
     }
-    let (a, b) = match (l.as_f64(), r.as_f64()) {
-        (Some(a), Some(b)) => (a, b),
-        _ => {
-            if op == BinOp::Add {
-                // String concatenation via '+' is not SQL; use CONCAT.
-            }
-            return Err(Error::Plan(format!("arithmetic on {l:?} and {r:?}")));
-        }
+    let (Some(a), Some(b)) = (l.as_f64(), r.as_f64()) else {
+        return Err(Error::Plan(format!("arithmetic on {l:?} and {r:?}")));
     };
     Ok(Value::Float64(match op {
         BinOp::Add => a + b,
@@ -509,7 +528,7 @@ fn arithmetic(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
     }))
 }
 
-fn eval_scalar_function(name: &str, args: &[Value]) -> Result<Value> {
+pub(crate) fn eval_scalar_function(name: &str, args: &[Value]) -> Result<Value> {
     let arity = |n: usize| -> Result<()> {
         if args.len() != n {
             Err(Error::Plan(format!("{name}() expects {n} arguments")))
@@ -609,26 +628,54 @@ fn civil_year(days: i32) -> i64 {
     }
 }
 
-/// SQL LIKE with `%` (any run) and `_` (any single char).
+/// SQL LIKE with `%` (any run) and `_` (any single char), in O(n·m):
+/// scans left to right and, on a mismatch, backtracks only to the last
+/// `%`, letting it absorb one more character — an earlier `%` never needs
+/// to absorb more, since the later one can take whatever it would.
 pub fn like_match(s: &str, pattern: &str) -> bool {
-    fn inner(s: &[char], p: &[char]) -> bool {
-        match p.first() {
-            None => s.is_empty(),
-            Some('%') => {
-                for skip in 0..=s.len() {
-                    if inner(&s[skip..], &p[1..]) {
-                        return true;
-                    }
-                }
-                false
+    let (s, p) = (s.as_bytes(), pattern.as_bytes());
+    let (mut si, mut pi) = (0, 0);
+    // The last `%` seen (pattern index after it) and the text position it
+    // currently absorbs up to.
+    let mut star: Option<(usize, usize)> = None;
+    while si < s.len() {
+        match p.get(pi) {
+            Some(b'%') => {
+                pi += 1;
+                star = Some((pi, si));
+                continue;
             }
-            Some('_') => !s.is_empty() && inner(&s[1..], &p[1..]),
-            Some(c) => s.first() == Some(c) && inner(&s[1..], &p[1..]),
+            Some(b'_') => {
+                pi += 1;
+                si += utf8_len(s[si]);
+                continue;
+            }
+            Some(&c) if c == s[si] => {
+                pi += 1;
+                si += 1;
+                continue;
+            }
+            _ => {}
+        }
+        match &mut star {
+            Some((after, absorbed)) => {
+                *absorbed += utf8_len(s[*absorbed]);
+                (pi, si) = (*after, *absorbed);
+            }
+            None => return false,
         }
     }
-    let s: Vec<char> = s.chars().collect();
-    let p: Vec<char> = pattern.chars().collect();
-    inner(&s, &p)
+    p[pi..].iter().all(|&c| c == b'%')
+}
+
+/// The byte length of the UTF-8 character that starts with `lead`.
+fn utf8_len(lead: u8) -> usize {
+    match lead {
+        0xF0.. => 4,
+        0xE0.. => 3,
+        0xC0.. => 2,
+        _ => 1,
+    }
 }
 
 /// Truthiness of a filter result: only `TRUE` keeps the row.
@@ -798,14 +845,54 @@ mod tests {
 
     #[test]
     fn like_edge_cases() {
-        assert!(like_match("", ""));
-        assert!(like_match("", "%"));
-        assert!(!like_match("", "_"));
-        assert!(like_match("abc", "%"));
-        assert!(like_match("abc", "%c"));
-        assert!(like_match("abc", "a%"));
-        assert!(!like_match("abc", "a"));
-        assert!(like_match("a%b", "a%b"));
+        let cases = [
+            ("", "", true),
+            ("", "%", true),
+            ("", "%%", true),
+            ("", "_", false),
+            ("a", "", false),
+            ("abc", "%", true),
+            ("abc", "%%", true),
+            ("abc", "%c", true),
+            ("abc", "a%", true),
+            ("abc", "a%%c", true),
+            ("abc", "a", false),
+            ("ab", "abc", false),
+            ("a%b", "a%b", true),
+            ("a", "_", true),
+            ("ab", "_", false),
+            ("ab", "__", true),
+            ("ab", "___", false),
+            ("aab", "%ab", true),
+            ("abab", "%ab", true),
+            ("abac", "%ab", false),
+            ("mississippi", "%iss%pi", true),
+            ("mississippi", "%iss%px", false),
+            ("mississippi", "m%i%s%s%i%p%i", true),
+            ("é", "_", true),
+            ("é", "__", false),
+            ("éa", "_a", true),
+            ("aé", "a_", true),
+            ("日本語", "日%語", true),
+            ("日本語", "_本_", true),
+            ("日本語", "%_", true),
+            ("日本語", "____", false),
+            ("naïve", "na_ve", true),
+            ("naïve", "%ï%", true),
+        ];
+        for (s, pattern, want) in cases {
+            assert_eq!(like_match(s, pattern), want, "{s:?} LIKE {pattern:?}");
+        }
+    }
+
+    /// Twelve `%`s over a 200-character row: a matcher that retries every
+    /// split of every `%` never finishes this.
+    #[test]
+    fn like_is_linear_in_the_number_of_wildcards() {
+        let row = "a".repeat(199) + "c";
+        let pattern = "%a".repeat(12) + "%b";
+        assert!(!like_match(&row, &pattern));
+        assert!(like_match(&row, &("%a".repeat(12) + "%c")));
     }
 
     #[test]

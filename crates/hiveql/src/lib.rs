@@ -37,6 +37,7 @@ pub mod expr;
 pub mod lexer;
 pub mod parser;
 mod session;
+pub mod vector;
 
 pub use catalog::{Catalog, DmlOutcome, SharedCatalog, TableHandle};
 pub use exec::{ExecConfig, Executor, QueryResult};

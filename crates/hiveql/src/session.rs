@@ -5,9 +5,10 @@ use std::sync::Arc;
 
 use dt_baselines::{HiveAcidTable, HiveHbaseTable, HiveHdfsTable, StorageHandler};
 use dt_common::{Deadline, Error, Field, Result, Row, Schema, Value};
+use dt_orcfile::ColumnBatch;
 use dualtable::{
     Assignment, CompactionMode, DualTableConfig, DualTableEnv, DualTableStore, FoldOutcome,
-    RatioHint, ShardSpec, ShardedTable, Transaction, UnionReadOptions,
+    RatioHint, RowSelector, ShardSpec, ShardedTable, Transaction, UnionReadOptions,
 };
 
 use crate::ast::{InsertSource, ShardBy, Statement, StorageKind};
@@ -612,9 +613,8 @@ impl Session {
                     "dml".into(),
                     format!("{op} {table} [{:?}]", handle.storage_kind()),
                 ));
-                let pred_fn = |row: &Row| target.matches(row);
                 if let TableHandle::Dual(t) = handle {
-                    let preview = t.plan_preview(&pred_fn, is_update, scan)?;
+                    let preview = t.plan_preview(&target, is_update, scan)?;
                     lines.push((
                         "cost-model".into(),
                         format!(
@@ -639,7 +639,7 @@ impl Session {
                     ));
                     for i in matched {
                         let (lo, hi) = t.spec().bounds(i);
-                        let preview = t.shards()[i].plan_preview(&pred_fn, is_update, scan)?;
+                        let preview = t.shards()[i].plan_preview(&target, is_update, scan)?;
                         lines.push((
                             format!("shard {i}"),
                             format!(
@@ -725,7 +725,6 @@ impl Session {
             .into_iter()
             .map(|(col, e)| Ok((handle.schema().require(&col)?, e.bind(binding)?)))
             .collect::<Result<_>>()?;
-        let pred_fn = |row: &Row| target.matches(row);
         let assign_fns: Vec<Assignment<'_>> = resolved
             .iter()
             .map(|(idx, e)| {
@@ -737,24 +736,16 @@ impl Session {
             })
             .collect();
         let verb = if is_update { "updated" } else { "deleted" };
+        let set = is_update.then_some(&assign_fns[..]);
         if self.txn.is_some() {
-            let txn = self.txn_for(table)?;
-            let matched = if is_update {
-                txn.update(pred_fn, &assign_fns, scan)?
-            } else {
-                txn.delete(pred_fn, scan)?
-            };
+            let matched = self.txn_for(table)?.edit(&target, set, scan)?;
             return Ok(dml_result(
                 matched,
                 format!("{verb} {matched} rows (buffered)"),
             ));
         }
         let (hint, key) = (self.config.exec.ratio_hint, statement_key(sql));
-        let outcome = if is_update {
-            handle.update(&pred_fn, &assign_fns, hint, Some(&key), scan)?
-        } else {
-            handle.delete(&pred_fn, hint, Some(&key), scan)?
-        };
+        let outcome = handle.dml(&target, set, hint, Some(&key), scan)?;
         let mut result = dml_result(outcome.rows_matched, dml_message(verb, &outcome));
         result.dml = outcome.report;
         Ok(result)
@@ -903,7 +894,7 @@ impl Session {
                 Some(txn) => txn.update(pred, &assigns, &all)?,
                 None => {
                     target_handle
-                        .update(&pred, &assigns, hint, None, &all)?
+                        .dml(&pred, Some(&assigns), hint, None, &all)?
                         .rows_matched
                 }
             };
@@ -1018,14 +1009,22 @@ struct DmlTarget {
     scan: UnionReadOptions,
 }
 
-impl DmlTarget {
-    /// The WHERE clause as a row predicate: no clause matches every row;
-    /// NULL, or a row the clause cannot be evaluated on, matches none.
+/// The WHERE clause as the statement's row selector: no clause matches
+/// every row; NULL, or a row the clause cannot be evaluated on, matches
+/// none. A batch runs through the kernels of [`crate::vector`].
+impl RowSelector for DmlTarget {
     fn matches(&self, row: &Row) -> bool {
         let eval = |p| eval(p, row, &self.binding, &self.ctx);
         self.predicate
             .as_ref()
             .is_none_or(|p| eval(p).is_ok_and(|v| is_true(&v)))
+    }
+
+    fn select(&self, batch: &ColumnBatch, columns: &[usize], width: usize) -> Vec<u32> {
+        match &self.predicate {
+            Some(p) => crate::vector::select(p, &self.ctx, batch, columns, width),
+            None => batch.selected().map(|i| i as u32).collect(),
+        }
     }
 }
 

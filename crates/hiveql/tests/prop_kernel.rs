@@ -1,0 +1,599 @@
+//! Kernel ≡ row interpreter (DESIGN.md §18). At every selected row of a
+//! batch, the vectorised kernels of `dt_hiveql::vector` must return the
+//! value `expr::eval` returns on that row, or fail where it fails with the
+//! same kind of error; as a WHERE clause they must select the rows it
+//! selects; and a grouped aggregate must equal a fold with `eval`, bit for
+//! bit.
+//!
+//! The batches are the merged UNION READ batches of a dirty DualTable:
+//! low-cardinality strings dictionary-coded, high-cardinality ones stored
+//! direct, updated strings appended to the dictionaries (unsorted), deleted
+//! rows leaving selection vectors, NULLs in every column, and a
+//! transaction's buffered inserts as one trailing batch of direct strings.
+
+use std::collections::{HashMap, HashSet};
+use std::ops::ControlFlow;
+
+use dt_common::rng::Rng64;
+use dt_common::{DataType, Deadline, Error, Result, Row, Schema, Value};
+use dt_hiveql::ast::{BinOp, Expr, SelectItem, Statement, UnOp};
+use dt_hiveql::expr::{eval, is_true, Binding, EvalContext, GroupKey, HashableValue};
+use dt_hiveql::vector::{self, Input, Kernels};
+use dt_hiveql::{parse, Session, SharedCatalog};
+use dt_orcfile::{ColumnBatch, WriterOptions};
+use dualtable::{
+    Assignment, DualTableConfig, DualTableEnv, DualTableStore, PlanMode, RatioHint,
+    UnionReadOptions,
+};
+use proptest::prelude::*;
+
+const COLUMNS: [(&str, DataType); 6] = [
+    ("i", DataType::Int64),
+    ("f", DataType::Float64),
+    ("d", DataType::Date),
+    ("b", DataType::Bool),
+    ("s", DataType::Utf8),
+    ("t", DataType::Utf8),
+];
+
+/// Column `s`'s values, and the strings expressions compare with: empty,
+/// multi-byte, and LIKE wildcards as plain characters.
+const WORDS: [&str; 7] = ["alpha", "beta", "gamma", "ab", "", "é%ü", "a_b"];
+
+const PATTERNS: [&str; 9] = ["%", "a%", "%a%", "_", "%%b", "", "é%", "%_%_%", "t1%-%"];
+
+fn schema() -> Schema {
+    Schema::from_pairs(&COLUMNS)
+}
+
+fn random_value(rng: &mut Rng64, column: usize, n: u64) -> Value {
+    if rng.chance(0.15) {
+        return Value::Null;
+    }
+    match column {
+        0 => Value::Int64(match rng.next_below(8) {
+            0 => 0,
+            1 => 9_007_199_254_740_993,
+            _ => rng.range_i64(-40, 40),
+        }),
+        1 => Value::Float64(match rng.next_below(10) {
+            0 => -0.0,
+            1 => 0.0,
+            2 => f64::NAN,
+            _ => rng.range_i64(-400, 400) as f64 / 8.0,
+        }),
+        2 => Value::Date(rng.range_i64(18_200, 18_400) as i32),
+        3 => Value::Bool(rng.chance(0.5)),
+        4 => Value::from(*rng.choose(&WORDS)),
+        _ => Value::Utf8(format!("t{n}-{}", rng.next_below(1000))),
+    }
+}
+
+fn random_rows(rng: &mut Rng64, from: u64, n: u64) -> Vec<Row> {
+    (from..from + n)
+        .map(|k| {
+            (0..COLUMNS.len())
+                .map(|c| random_value(rng, c, k))
+                .collect()
+        })
+        .collect()
+}
+
+/// A dirty DualTable: files of a few stripes each, string overlays,
+/// updated numbers, deletes.
+fn dirty_table(rng: &mut Rng64) -> (DualTableEnv, DualTableStore) {
+    let env = DualTableEnv::in_memory();
+    let config = DualTableConfig {
+        writer: WriterOptions {
+            stripe_rows: 40,
+            ..WriterOptions::default()
+        },
+        rows_per_file: 100,
+        plan_mode: PlanMode::AlwaysEdit,
+        ..DualTableConfig::default()
+    };
+    let table = DualTableStore::create(&env, "k", schema(), config).unwrap();
+    let n = 80 + rng.next_below(120);
+    table.insert_rows(random_rows(rng, 0, n)).unwrap();
+    let salt = rng.next_below(4) as i64;
+    let hit = move |r: &Row, m: i64| r[0].as_i64().is_some_and(|i| (i + salt).rem_euclid(m) == 0);
+    // New strings and old ones, appended to the stripes' dictionaries.
+    let renamed: [Assignment<'static>; 1] = [(
+        4,
+        Box::new(|r: &Row| match r[4].as_str() {
+            Some(s) if s.len() % 2 == 0 => Value::Utf8(format!("{s}x")),
+            Some(_) => Value::from("beta"),
+            None => Value::from("alpha"),
+        }),
+    )];
+    let ratio = RatioHint::Explicit(0.01);
+    table.update(|r| hit(r, 3), &renamed, ratio).unwrap();
+    let nulled: [Assignment<'static>; 2] = [
+        (1, Box::new(|_: &Row| Value::Null)),
+        (0, Box::new(|r: &Row| r[0].clone())),
+    ];
+    table.update(|r| hit(r, 5), &nulled, ratio).unwrap();
+    table.delete(|r| hit(r, 7), ratio).unwrap();
+    (env, table)
+}
+
+/// The table's merged batches, then a transaction's buffered inserts.
+fn batches(rng: &mut Rng64, table: &DualTableStore) -> Vec<ColumnBatch> {
+    let mut txn = table.begin_transaction().unwrap();
+    txn.insert(random_rows(rng, 1000, 30)).unwrap();
+    let mut out = Vec::new();
+    txn.for_each_batch(&UnionReadOptions::all(), |_, batch| {
+        out.push(batch);
+        Ok(ControlFlow::Continue(()))
+    })
+    .unwrap();
+    out
+}
+
+#[derive(Clone, Copy, PartialEq)]
+enum Ty {
+    Num,
+    Bool,
+    Str,
+}
+
+fn bin(op: BinOp, left: Expr, right: Expr) -> Expr {
+    Expr::Binary {
+        op,
+        left: Box::new(left),
+        right: Box::new(right),
+    }
+}
+
+fn call(name: &str, args: Vec<Expr>) -> Expr {
+    Expr::Function {
+        name: name.into(),
+        args,
+        wildcard: false,
+    }
+}
+
+fn leaf(rng: &mut Rng64, ty: Ty) -> Expr {
+    let literal = |v: Value| Expr::Literal(v);
+    if rng.chance(0.08) {
+        return literal(Value::Null);
+    }
+    match ty {
+        Ty::Num => match rng.next_below(8) {
+            0 | 1 => Expr::Bound(0),
+            2 | 3 => Expr::Bound(1),
+            4 => Expr::Bound(2),
+            5 => literal(Value::Int64(rng.range_i64(-3, 5))),
+            6 => literal(Value::Float64(rng.range_i64(-8, 8) as f64 / 4.0)),
+            _ => literal(Value::Date(rng.range_i64(18_250, 18_350) as i32)),
+        },
+        Ty::Bool => match rng.next_below(3) {
+            0 | 1 => Expr::Bound(3),
+            _ => literal(Value::Bool(rng.chance(0.5))),
+        },
+        Ty::Str => match rng.next_below(5) {
+            0 | 1 => Expr::Bound(4),
+            2 => Expr::Bound(5),
+            _ => literal(Value::from(*rng.choose(&WORDS))),
+        },
+    }
+}
+
+/// A random bound expression of (mostly) type `ty`; now and then an
+/// operand of another type, so that the error paths are compared too.
+fn gen(rng: &mut Rng64, ty: Ty, depth: u32) -> Expr {
+    let ty = match rng.chance(0.04) {
+        true => *rng.choose(&[Ty::Num, Ty::Bool, Ty::Str]),
+        false => ty,
+    };
+    if depth == 0 || rng.chance(0.2) {
+        return leaf(rng, ty);
+    }
+    let d = depth - 1;
+    let sub = |rng: &mut Rng64, ty| Box::new(gen(rng, ty, d));
+    match ty {
+        Ty::Num => match rng.next_below(8) {
+            0..=2 => {
+                let op = *rng.choose(&[BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div, BinOp::Mod]);
+                bin(op, *sub(rng, Ty::Num), *sub(rng, Ty::Num))
+            }
+            3 => Expr::Unary {
+                op: UnOp::Neg,
+                operand: sub(rng, Ty::Num),
+            },
+            4 => match rng.next_below(4) {
+                0 => call("abs", vec![*sub(rng, Ty::Num)]),
+                1 => call("round", vec![*sub(rng, Ty::Num)]),
+                2 => call("length", vec![*sub(rng, Ty::Str)]),
+                _ => call("year", vec![Expr::Bound(2)]),
+            },
+            5 => call("coalesce", vec![*sub(rng, Ty::Num), *sub(rng, Ty::Num)]),
+            6 => call(
+                "if",
+                vec![*sub(rng, Ty::Bool), *sub(rng, Ty::Num), *sub(rng, Ty::Num)],
+            ),
+            _ => case(rng, Ty::Num, d),
+        },
+        Ty::Bool => match rng.next_below(10) {
+            0 | 1 => {
+                let op = *rng.choose(&[
+                    BinOp::Eq,
+                    BinOp::NotEq,
+                    BinOp::Lt,
+                    BinOp::LtEq,
+                    BinOp::Gt,
+                    BinOp::GtEq,
+                ]);
+                let operands = *rng.choose(&[Ty::Num, Ty::Num, Ty::Str, Ty::Bool]);
+                bin(op, *sub(rng, operands), *sub(rng, operands))
+            }
+            2 | 3 => {
+                let op = *rng.choose(&[BinOp::And, BinOp::Or]);
+                bin(op, *sub(rng, Ty::Bool), *sub(rng, Ty::Bool))
+            }
+            4 => Expr::Unary {
+                op: UnOp::Not,
+                operand: sub(rng, Ty::Bool),
+            },
+            5 => {
+                let operand = *rng.choose(&[Ty::Num, Ty::Str]);
+                Expr::IsNull {
+                    expr: sub(rng, operand),
+                    negated: rng.chance(0.5),
+                }
+            }
+            6 => {
+                let probe = *rng.choose(&[Ty::Num, Ty::Str]);
+                let mut list: Vec<Expr> = (0..1 + rng.next_below(4))
+                    .map(|_| match leaf(rng, probe) {
+                        Expr::Bound(_) => Expr::Literal(Value::Int64(1)),
+                        literal => literal,
+                    })
+                    .collect();
+                if rng.chance(0.2) {
+                    list.push(gen(rng, probe, d));
+                }
+                Expr::InList {
+                    expr: sub(rng, probe),
+                    list,
+                    negated: rng.chance(0.3),
+                }
+            }
+            7 => Expr::Between {
+                expr: sub(rng, Ty::Num),
+                low: sub(rng, Ty::Num),
+                high: sub(rng, Ty::Num),
+                negated: rng.chance(0.3),
+            },
+            8 => Expr::Like {
+                expr: sub(rng, Ty::Str),
+                pattern: rng.choose(&PATTERNS).to_string(),
+                negated: rng.chance(0.3),
+            },
+            _ => {
+                let probe = *rng.choose(&[Ty::Num, Ty::Str]);
+                Expr::InSet {
+                    expr: sub(rng, probe),
+                    set_index: 0,
+                    negated: rng.chance(0.3),
+                }
+            }
+        },
+        Ty::Str => match rng.next_below(4) {
+            0 => {
+                let name = *rng.choose(&["lower", "upper"]);
+                call(name, vec![*sub(rng, Ty::Str)])
+            }
+            1 => call("concat", vec![*sub(rng, Ty::Str), *sub(rng, Ty::Num)]),
+            2 => call("coalesce", vec![*sub(rng, Ty::Str), *sub(rng, Ty::Str)]),
+            _ => case(rng, Ty::Str, d),
+        },
+    }
+}
+
+/// A searched or simple CASE yielding `ty`.
+fn case(rng: &mut Rng64, ty: Ty, depth: u32) -> Expr {
+    let simple = rng.chance(0.4);
+    let operand = simple.then(|| Box::new(gen(rng, Ty::Str, depth)));
+    let branches = (0..1 + rng.next_below(2))
+        .map(|_| {
+            let when = gen(rng, if simple { Ty::Str } else { Ty::Bool }, depth);
+            (when, gen(rng, ty, depth))
+        })
+        .collect();
+    Expr::Case {
+        operand,
+        branches,
+        else_result: rng.chance(0.6).then(|| Box::new(gen(rng, ty, depth))),
+    }
+}
+
+/// Same value: same type and, floats included, the same bits.
+fn same(a: &Value, b: &Value) -> bool {
+    a.data_type() == b.data_type() && a.total_cmp(b).is_eq()
+}
+
+fn same_kind(a: &Error, b: &Error) -> bool {
+    std::mem::discriminant(a) == std::mem::discriminant(b)
+}
+
+/// One expression over one batch, against the row interpreter on
+/// `batch.row(i)` for each selected row `i`.
+fn check(expr: &Expr, batch: &ColumnBatch, ctx: &EvalContext, rng: &mut Rng64) {
+    let input = Input::of(batch);
+    let never = Deadline::never();
+    let kernels = Kernels::new(&input, ctx, &never);
+    let binding = Binding::default();
+    let all: Vec<u32> = batch.selected().map(|i| i as u32).collect();
+    let by_row: HashMap<u32, Result<Value>> = all
+        .iter()
+        .map(|&i| (i, eval(expr, &batch.row(i as usize), &binding, ctx)))
+        .collect();
+    let narrowed: Vec<u32> = all.iter().copied().filter(|_| rng.chance(0.5)).collect();
+    for sel in [&all, &narrowed] {
+        match kernels.eval(expr, sel) {
+            Ok(v) => {
+                for &i in sel {
+                    match &by_row[&i] {
+                        Ok(want) => assert!(
+                            same(&v.value(i as usize), want),
+                            "{expr:?} row {i}: kernel {:?}, row path {want:?}",
+                            v.value(i as usize)
+                        ),
+                        Err(e) => panic!("{expr:?} row {i}: kernel ok, row path raised {e}"),
+                    }
+                }
+            }
+            Err(e) => assert!(
+                sel.iter()
+                    .any(|i| matches!(&by_row[i], Err(r) if same_kind(r, &e))),
+                "{expr:?}: kernel raised {e}, no selected row did"
+            ),
+        }
+    }
+    for &i in &all {
+        match (kernels.eval(expr, &[i]), &by_row[&i]) {
+            (Ok(v), Ok(want)) => assert!(
+                same(&v.value(i as usize), want),
+                "{expr:?} row {i} alone: kernel {:?}, row path {want:?}",
+                v.value(i as usize)
+            ),
+            (Err(a), Err(b)) => assert!(same_kind(&a, b), "{expr:?} row {i}: {a} vs {b}"),
+            (got, want) => {
+                let got = got.map(|v| v.value(i as usize));
+                panic!("{expr:?} row {i} alone: kernel {got:?}, row path {want:?}")
+            }
+        }
+    }
+    // As a WHERE clause: the rows at which the row path yields TRUE. A
+    // DML selector treats a row that raises as not matching.
+    let matching: Vec<u32> = all
+        .iter()
+        .copied()
+        .filter(|i| matches!(&by_row[i], Ok(v) if is_true(v)))
+        .collect();
+    match kernels.filter(expr, all.clone()) {
+        Ok(hits) => assert_eq!(hits, matching, "{expr:?} as WHERE"),
+        Err(_) => assert!(by_row.values().any(Result::is_err)),
+    }
+    let columns: Vec<usize> = (0..COLUMNS.len()).collect();
+    let selected = vector::select(expr, ctx, batch, &columns, COLUMNS.len());
+    assert_eq!(selected, matching, "{expr:?} as a DML selector");
+}
+
+/// Grouped aggregates through SQL against a fold with `eval` over the
+/// table's rows, in UNION READ order.
+fn check_grouped(rng: &mut Rng64, session: &mut Session, rows: &[Row]) {
+    const KEYS: [&str; 9] = [
+        "s",
+        "b",
+        "i % 3",
+        "d",
+        "t",
+        "upper(s)",
+        "s = 'beta'",
+        "f",
+        "CASE WHEN i > 0 THEN s ELSE t END",
+    ];
+    const ARGS: [&str; 10] = [
+        "f",
+        "i",
+        "f * (1 - f)",
+        "i + 1",
+        "d",
+        "length(t)",
+        "s",
+        "i / 0",
+        "f + i",
+        "CASE WHEN b THEN f END",
+    ];
+    const WHERES: [&str; 7] = [
+        "i > 0",
+        "s LIKE '%a%'",
+        "b",
+        "f < 0.5 OR s IS NULL",
+        "NOT (i BETWEEN -10 AND 10)",
+        "s IN ('alpha', 'ab', NULL)",
+        "t LIKE 't1%'",
+    ];
+    let keys: Vec<&str> = (0..rng.next_below(3)).map(|_| *rng.choose(&KEYS)).collect();
+    let mut items: Vec<String> = keys.iter().map(|k| k.to_string()).collect();
+    for _ in 0..3 {
+        let agg = rng.choose(&["sum", "avg", "min", "max", "count"]);
+        items.push(format!("{agg}({})", rng.choose(&ARGS)));
+    }
+    items.push("count(*)".into());
+    let mut sql = format!("SELECT {} FROM k", items.join(", "));
+    if rng.chance(0.6) {
+        sql.push_str(&format!(" WHERE {}", rng.choose(&WHERES)));
+    }
+    if !keys.is_empty() {
+        sql.push_str(&format!(" GROUP BY {}", keys.join(", ")));
+    }
+    let got = session.execute(&sql);
+    let want = fold(&sql, rows);
+    match (got, want) {
+        (Ok(got), Some(want)) => {
+            assert_eq!(got.rows().len(), want.len(), "{sql}");
+            for (g, w) in got.rows().iter().zip(&want) {
+                let equal = g.len() == w.len() && g.iter().zip(w).all(|(a, b)| same(a, b));
+                assert!(equal, "{sql}: got {g:?}, fold {w:?}");
+            }
+        }
+        (Err(_), None) => {}
+        (got, want) => panic!("{sql}: SQL {got:?}, fold {want:?}"),
+    }
+}
+
+/// One aggregate's running state, as the row path keeps it.
+enum State {
+    Count(i64),
+    Sum(f64, bool, bool),
+    Avg(f64, u64),
+    Min(Option<Value>),
+    Max(Option<Value>),
+}
+
+/// The statement's result by the row interpreter; `None` if a row raises.
+fn fold(sql: &str, rows: &[Row]) -> Option<Vec<Row>> {
+    let Statement::Select(stmt) = parse(sql).unwrap() else {
+        panic!("a SELECT")
+    };
+    let binding = Binding::from_schema("k", &schema());
+    let bind = |e: &Expr| e.clone().bind(&binding).unwrap();
+    let ctx = EvalContext::default();
+    let at = |e: &Expr, row: &Row| eval(e, row, &Binding::default(), &ctx);
+    let filter = stmt.where_clause.as_ref().map(bind);
+    let by: Vec<Expr> = stmt.group_by.iter().map(bind).collect();
+    let items: Vec<Expr> = stmt
+        .items
+        .iter()
+        .map(|item| match item {
+            SelectItem::Expr { expr, .. } => bind(expr),
+            _ => unreachable!(),
+        })
+        .collect();
+    let aggs = &items[by.len()..];
+    let mut index: HashMap<GroupKey, usize> = HashMap::new();
+    let mut groups: Vec<(GroupKey, Row, Vec<State>)> = Vec::new();
+    for row in rows {
+        if let Some(w) = &filter {
+            if !is_true(&at(w, row).ok()?) {
+                continue;
+            }
+        }
+        let key: Vec<HashableValue> = by
+            .iter()
+            .map(|k| at(k, row).ok().map(HashableValue))
+            .collect::<Option<_>>()?;
+        let key = GroupKey(key);
+        let g = *index.entry(key.clone()).or_insert_with(|| {
+            let states = aggs.iter().map(new_state).collect();
+            groups.push((key, row.clone(), states));
+            groups.len() - 1
+        });
+        for (agg, state) in aggs.iter().zip(&mut groups[g].2) {
+            let Expr::Function { args, wildcard, .. } = agg else {
+                unreachable!()
+            };
+            let v = match wildcard {
+                true => Value::Bool(true),
+                false => at(&args[0], row).ok()?,
+            };
+            if v.is_null() {
+                continue;
+            }
+            match state {
+                State::Count(n) => *n += 1,
+                State::Sum(sum, seen, integral) => {
+                    *sum += v.as_f64()?;
+                    *seen = true;
+                    *integral &= matches!(v, Value::Int64(_));
+                }
+                State::Avg(sum, n) => {
+                    *sum += v.as_f64()?;
+                    *n += 1;
+                }
+                State::Min(cur) => {
+                    if cur.as_ref().is_none_or(|c| v.total_cmp(c).is_lt()) {
+                        *cur = Some(v);
+                    }
+                }
+                State::Max(cur) => {
+                    if cur.as_ref().is_none_or(|c| v.total_cmp(c).is_gt()) {
+                        *cur = Some(v);
+                    }
+                }
+            }
+        }
+    }
+    if groups.is_empty() && by.is_empty() {
+        let states = aggs.iter().map(new_state).collect();
+        groups.push((GroupKey(Vec::new()), Vec::new(), states));
+    }
+    groups.sort_by(|a, b| a.0.cmp(&b.0));
+    let out = groups.into_iter().map(|(_, rep, states)| {
+        let mut out: Row = by.iter().map(|k| at(k, &rep).unwrap()).collect();
+        out.extend(states.into_iter().map(|s| match s {
+            State::Count(n) => Value::Int64(n),
+            State::Sum(_, false, _) => Value::Null,
+            State::Sum(sum, true, true) => Value::Int64(sum as i64),
+            State::Sum(sum, true, false) => Value::Float64(sum),
+            State::Avg(_, 0) => Value::Null,
+            State::Avg(sum, n) => Value::Float64(sum / n as f64),
+            State::Min(v) | State::Max(v) => v.unwrap_or(Value::Null),
+        }));
+        out
+    });
+    Some(out.collect())
+}
+
+fn new_state(agg: &Expr) -> State {
+    let Expr::Function { name, .. } = agg else {
+        unreachable!()
+    };
+    match name.as_str() {
+        "count" => State::Count(0),
+        "sum" => State::Sum(0.0, false, true),
+        "avg" => State::Avg(0.0, 0),
+        "min" => State::Min(None),
+        _ => State::Max(None),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random expressions over the batches of a random dirty table.
+    #[test]
+    fn kernels_agree_with_the_row_interpreter(seed in any::<u64>()) {
+        let mut rng = Rng64::new(seed);
+        let (_env, table) = dirty_table(&mut rng);
+        let batches = batches(&mut rng, &table);
+        let set: HashSet<HashableValue> = [Value::Float64(1.0), Value::from("beta"), Value::Null]
+            .into_iter()
+            .map(HashableValue)
+            .collect();
+        let ctx = EvalContext { sets: vec![set] };
+        for _ in 0..60 {
+            let ty = *rng.choose(&[Ty::Num, Ty::Bool, Ty::Bool, Ty::Str]);
+            let expr = gen(&mut rng, ty, 4);
+            for batch in &batches {
+                check(&expr, batch, &ctx, &mut rng);
+            }
+        }
+    }
+
+    /// GROUP BY over 0–2 keys with SUM/AVG/MIN/MAX/COUNT, bit for bit.
+    #[test]
+    fn grouped_aggregates_equal_a_fold_with_eval(seed in any::<u64>()) {
+        let mut rng = Rng64::new(seed);
+        let (env, table) = dirty_table(&mut rng);
+        let mut session = Session::with_shared(env, SharedCatalog::new());
+        session.register_dualtable("k", table.clone()).unwrap();
+        let rows: Vec<Row> = table.scan_all().unwrap().into_iter().map(|(_, r)| r).collect();
+        for _ in 0..30 {
+            check_grouped(&mut rng, &mut session, &rows);
+        }
+    }
+}

@@ -202,7 +202,7 @@ impl Column {
     }
 
     /// The null mask; `None` when no row is NULL.
-    pub(crate) fn nulls(&self) -> Option<&[bool]> {
+    pub fn nulls(&self) -> Option<&[bool]> {
         self.nulls.as_deref()
     }
 

@@ -182,4 +182,12 @@ run_gate shard-soak cargo test -q -p dualtable --locked --test shard_soak -- --n
 # cross-shard BEGIN/COMMIT sessions.
 run_gate sharded-sql cargo test -q -p dt-hiveql --locked --test sharded_sql -- --nocapture
 
+# Kernel oracle (DESIGN.md §18), in release: the vectorised kernels that
+# run SELECT and the DML locate against the row interpreter, on random
+# expressions over dirty DualTable batches (dictionary and direct strings,
+# appended dictionary entries, NULLs, selection vectors) — value for value,
+# error kind for error kind, and as WHERE clauses — and grouped aggregates
+# against a fold with the row interpreter, bit for bit.
+run_gate kernel-oracle cargo test -q --release -p dt-hiveql --locked --test prop_kernel -- --nocapture
+
 [ ${#FAILED[@]} -eq 0 ]
