@@ -335,7 +335,7 @@ mod tests {
         let (m, s) = t
             .update(
                 &|r| r[0].as_i64().unwrap() < 10,
-                &[(1, Box::new(|_| Value::Int64(7)))],
+                &[(1, Box::new(|_| Ok(Value::Int64(7))))],
             )
             .unwrap();
         assert_eq!((m, s), (10, 100));
@@ -354,7 +354,7 @@ mod tests {
         for i in 0..5 {
             t.update(
                 &move |r| r[0].as_i64().unwrap() == i,
-                &[(1, Box::new(move |_| Value::Int64(i * 10)))],
+                &[(1, Box::new(move |_| Ok(Value::Int64(i * 10))))],
             )
             .unwrap();
         }
@@ -362,7 +362,7 @@ mod tests {
         // Latest txn wins on overlapping updates.
         t.update(
             &|r| r[0].as_i64().unwrap() == 0,
-            &[(1, Box::new(|_| Value::Int64(999)))],
+            &[(1, Box::new(|_| Ok(Value::Int64(999))))],
         )
         .unwrap();
         assert_eq!(scan(&t, None)[0][1], Value::Int64(999));
@@ -374,7 +374,7 @@ mod tests {
         t.delete(&|r| r[0].as_i64().unwrap() % 2 == 0).unwrap();
         t.update(
             &|r| r[0].as_i64().unwrap() == 1,
-            &[(1, Box::new(|_| Value::Int64(-1)))],
+            &[(1, Box::new(|_| Ok(Value::Int64(-1))))],
         )
         .unwrap();
         assert_eq!(t.delta_file_count(), 2);
@@ -392,7 +392,7 @@ mod tests {
         t.delete(&|r| r[0].as_i64().unwrap() >= 20).unwrap();
         t.update(
             &|r| r[0].as_i64().unwrap() == 5,
-            &[(1, Box::new(|_| Value::Int64(5)))],
+            &[(1, Box::new(|_| Ok(Value::Int64(5))))],
         )
         .unwrap();
         t.compact().unwrap();
@@ -413,7 +413,7 @@ mod tests {
         let (m, _) = t
             .update(
                 &|r| r[0].as_i64().unwrap() == 3,
-                &[(1, Box::new(|_| Value::Int64(1)))],
+                &[(1, Box::new(|_| Ok(Value::Int64(1))))],
             )
             .unwrap();
         assert_eq!(m, 0);

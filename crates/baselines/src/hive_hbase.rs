@@ -249,7 +249,7 @@ mod tests {
         let (m, s) = t
             .update(
                 &|r| r[0].as_i64().unwrap() < 3,
-                &[(1, Box::new(|_| Value::from("changed")))],
+                &[(1, Box::new(|_| Ok(Value::from("changed"))))],
             )
             .unwrap();
         assert_eq!((m, s), (3, 20));

@@ -178,7 +178,7 @@ mod tests {
         let (matched, scanned) = t
             .update(
                 &|r| r[0].as_i64().unwrap() == 5,
-                &[(1, Box::new(|_| Value::Int64(99)))],
+                &[(1, Box::new(|_| Ok(Value::Int64(99))))],
             )
             .unwrap();
         assert_eq!(matched, 1);
@@ -248,7 +248,7 @@ mod tests {
         let t = table(100);
         let bad = t.update(
             &|r| r[0].as_i64().unwrap() == 99,
-            &[(1, Box::new(|_| Value::from("x")))],
+            &[(1, Box::new(|_| Ok(Value::from("x"))))],
         );
         assert!(bad
             .unwrap_err()

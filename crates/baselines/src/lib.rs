@@ -82,7 +82,8 @@ pub trait StorageHandler: Send + Sync {
 }
 
 /// The values `assignments` give the matched `row`: every SET expression
-/// sees the row as read (SQL's rule), and each value must fit its column.
+/// sees the row as read (SQL's rule), a failing one fails the statement,
+/// and each value must fit its column.
 fn assigned(
     schema: &Schema,
     row: &Row,
@@ -91,7 +92,7 @@ fn assigned(
     assignments
         .iter()
         .map(|(col, f)| {
-            let v = f(row);
+            let v = f(row)?;
             let field = schema.field(*col);
             if !v.conforms_to(field.data_type) {
                 return Err(Error::schema(format!(

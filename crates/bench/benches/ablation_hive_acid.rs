@@ -38,7 +38,7 @@ fn main() {
         let cutoff = grid::BASE_DATE + k;
         let pred = move |row: &Row| row[rq].as_i64().map(|d| d < cutoff).unwrap_or(false);
         let assignments: Vec<dualtable::Assignment<'static>> =
-            vec![(rcjl, Box::new(|_| Value::Float64(1.0)))];
+            vec![(rcjl, Box::new(|_| Ok(Value::Float64(1.0))))];
 
         // Hive ACID.
         let env = DualTableEnv::in_memory();

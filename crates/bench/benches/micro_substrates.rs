@@ -175,7 +175,7 @@ fn bench_union_read(c: &mut Criterion) {
     table
         .update(
             |r| r[0].as_i64().unwrap() % 10 == 0,
-            &[(2, Box::new(|_| Value::Float64(0.0)))],
+            &[(2, Box::new(|_| Ok(Value::Float64(0.0))))],
             RatioHint::Explicit(0.1),
         )
         .unwrap();

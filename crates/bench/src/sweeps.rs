@@ -193,7 +193,7 @@ fn run_dual(spec: &SweepSpec, point: &SweepPoint, plan_mode: PlanMode, tag: &str
         Some((col, value)) => {
             let value = value.clone();
             let assignments: Vec<Assignment<'static>> =
-                vec![(*col, Box::new(move |_| value.clone()))];
+                vec![(*col, Box::new(move |_| Ok(value.clone())))];
             time(|| table.update(|r| pred(r), &assignments, hint).unwrap())
         }
         None => time(|| table.delete(|r| pred(r), hint).unwrap()),
@@ -249,7 +249,7 @@ fn run_hive(spec: &SweepSpec, point: &SweepPoint) -> PhaseOutcome {
         Some((col, value)) => {
             let value = value.clone();
             let assignments: Vec<Assignment<'static>> =
-                vec![(*col, Box::new(move |_| value.clone()))];
+                vec![(*col, Box::new(move |_| Ok(value.clone())))];
             time(|| table.update(pred, &assignments).unwrap())
         }
         None => time(|| table.delete(pred).unwrap()),

@@ -218,13 +218,13 @@ mod tests {
                                                   // file 2 clean — with k = 1 the fold must pick file 3.
         t.update(
             |r| r[0].as_i64().unwrap() >= 16,
-            &[(1, Box::new(|_| Value::Float64(-1.0)))],
+            &[(1, Box::new(|_| Ok(Value::Float64(-1.0))))],
             RatioHint::Explicit(0.3),
         )
         .unwrap();
         t.update(
             |r| r[0].as_i64().unwrap() == 0,
-            &[(1, Box::new(|_| Value::Float64(-2.0)))],
+            &[(1, Box::new(|_| Ok(Value::Float64(-2.0))))],
             RatioHint::Explicit(0.05),
         )
         .unwrap();
@@ -301,7 +301,7 @@ mod tests {
         t.insert_rows((0..8).map(row)).unwrap();
         t.update(
             |_| true,
-            &[(1, Box::new(|_| Value::Float64(0.0)))],
+            &[(1, Box::new(|_| Ok(Value::Float64(0.0))))],
             RatioHint::Explicit(1.0),
         )
         .unwrap();

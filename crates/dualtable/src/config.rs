@@ -74,12 +74,6 @@ pub struct DualTableConfig {
     /// (DESIGN.md §10). `0` disables the cache and re-parses every footer
     /// on every open.
     pub footer_cache_entries: u64,
-    /// Worker threads for the parallel rewrite fan-out: OVERWRITE-plan
-    /// DML, INSERT OVERWRITE and COMPACT partition their work across this
-    /// many writers, each streaming into its own master files (DESIGN.md
-    /// §12). `1` (or a single-file table) reproduces the sequential write
-    /// path exactly. The commit step is always single-threaded regardless.
-    pub write_threads: usize,
     /// How many dead (superseded *and* unpinned) generations may linger
     /// before the sweeper physically deletes them (DESIGN.md §13).
     /// Generations pinned by live readers are always kept regardless;
@@ -110,10 +104,6 @@ impl Default for DualTableConfig {
             delete_marker_bytes: 26,
             retry: RetryPolicy::default(),
             footer_cache_entries: 1024,
-            // Like Hadoop's default mapper count: one writer per core.
-            write_threads: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
             max_generations: 0,
             compaction: CompactionConfig::default(),
             delta_bytes: 0,

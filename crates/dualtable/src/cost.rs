@@ -111,14 +111,14 @@ impl CostModel {
         Self::with_parallelism(rates, 1)
     }
 
-    /// Creates a model whose OVERWRITE estimate accounts for the parallel
-    /// rewrite fan-out: `C^M_write` shrinks by
-    /// `1 + (threads − 1) · efficiency`, with threads capped so the factor
-    /// stays machine-independent. Only master *writes* scale — master
+    /// Creates a model whose OVERWRITE estimate accounts for a rewrite
+    /// fanned out over `degree` workers: `C^M_write` shrinks by
+    /// `1 + (threads − 1) · efficiency`, with threads the degree capped so
+    /// the factor stays machine-independent. Only master *writes* scale — master
     /// reads already model a parallel MapReduce scan, and the EDIT plan's
     /// attached-tier terms are untouched.
-    pub fn with_parallelism(rates: Rates, write_threads: usize) -> Self {
-        let threads = write_threads.clamp(1, MODELED_WRITE_THREADS_CAP);
+    pub fn with_parallelism(rates: Rates, degree: usize) -> Self {
+        let threads = degree.clamp(1, MODELED_WRITE_THREADS_CAP);
         CostModel {
             rates,
             write_speedup: 1.0 + (threads - 1) as f64 * PARALLEL_WRITE_EFFICIENCY,
@@ -131,10 +131,10 @@ impl CostModel {
     /// full-LSM price, so `Cost_U`/`Cost_D` grow and both crossover
     /// ratios move up — EDIT stays the winner at modification ratios
     /// where it previously lost.
-    pub fn with_delta_tier(rates: Rates, write_threads: usize) -> Self {
+    pub fn with_delta_tier(rates: Rates, degree: usize) -> Self {
         CostModel {
             delta_write_factor: DELTA_EDIT_WRITE_FACTOR,
-            ..Self::with_parallelism(rates, write_threads)
+            ..Self::with_parallelism(rates, degree)
         }
     }
 
@@ -219,10 +219,10 @@ impl CostModel {
     /// Test hook: an arbitrary delta write factor, for pinning the cost
     /// curve's monotonicity in the factor itself.
     #[cfg(test)]
-    fn with_delta_factor(rates: Rates, write_threads: usize, factor: f64) -> Self {
+    fn with_delta_factor(rates: Rates, degree: usize, factor: f64) -> Self {
         CostModel {
             delta_write_factor: factor,
-            ..Self::with_parallelism(rates, write_threads)
+            ..Self::with_parallelism(rates, degree)
         }
     }
 

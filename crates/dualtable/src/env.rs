@@ -70,6 +70,10 @@ dt_common::counters! {
         sessions_active,
         /// Statements waiting on the dispatch queue (gauge).
         queue_depth,
+        /// Statements the workers are running (gauge): the load the pool
+        /// grants each statement's degree from. Sampled with `queue_depth`,
+        /// at each admission.
+        workers_busy,
         /// Statements that arrived at the server front door.
         stmts_submitted,
         /// Statements that passed admission control.

@@ -34,7 +34,7 @@
 //! // UPDATE meter SET v = 1.0 WHERE id < 3  — the cost model picks EDIT.
 //! let report = t.update(
 //!     |row| row[0].as_i64().unwrap() < 3,
-//!     &[(1, Box::new(|_| Value::Float64(1.0)))],
+//!     &[(1, Box::new(|_| Ok(Value::Float64(1.0))))],
 //!     RatioHint::Explicit(0.03),
 //! ).unwrap();
 //! assert_eq!(report.rows_matched, 3);

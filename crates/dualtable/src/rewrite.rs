@@ -33,6 +33,7 @@ use std::ops::{ControlFlow, Range};
 use std::sync::Arc;
 
 use dt_common::{Error, RecordId, Result, Row};
+use dt_engine::parallel_map_fallible;
 use dt_orcfile::{Column, ColumnBatch, OrcReader, OrcWriter, FILE_ID_METADATA_KEY};
 
 use crate::commit::{autocommit, commit, Action};
@@ -220,13 +221,14 @@ impl DualTableStore {
         sink.finish()
     }
 
-    /// Cuts `units` of work into one contiguous run per pool worker (as
-    /// even as possible) and records the fan-out. No units, no runs.
-    fn runs(&self, pool: &dt_engine::JobPool, units: usize) -> Vec<usize> {
+    /// Cuts `units` of work into one contiguous run per worker, at most
+    /// `workers` of them and as even as possible, and records the fan-out.
+    /// No units, no runs.
+    fn runs(&self, workers: usize, units: usize) -> Vec<usize> {
         if units == 0 {
             return Vec::new();
         }
-        let workers = pool.workers_for(units);
+        let workers = workers.clamp(1, units);
         if workers > 1 {
             self.inner.env.health.write_workers_used.add(workers as u64);
         }
@@ -238,12 +240,13 @@ impl DualTableStore {
     /// Builds generation `next` from the source epoch `(gen, at_ts)`:
     /// files outside `fold` are byte-copied under their own IDs, and
     /// `rows` are cut into contiguous partitions — whole output files of a
-    /// materialised set, whole source files of a merge — that the worker
-    /// pool writes through one sink each (an incremental fold uses one
-    /// worker). With one worker the layout is exactly the sequential
-    /// writer's. Nothing is committed here: all output lands in one
-    /// still-invisible generation, so every crash point sees exactly the
-    /// old or the new file set.
+    /// materialised set, whole source files of a merge — one per worker of
+    /// the statement's granted [`dt_engine::degree`] (an incremental fold
+    /// uses one), each written through its own sink by
+    /// [`dt_engine::parallel_map_fallible`]. With one worker the layout is
+    /// exactly the sequential writer's. Nothing is committed here: all
+    /// output lands in one still-invisible generation, so every crash point
+    /// sees exactly the old or the new file set.
     pub(crate) fn build(
         &self,
         next: u64,
@@ -253,7 +256,7 @@ impl DualTableStore {
     ) -> Result<Built> {
         let mut total = Built::default();
         let mut files = self.visible_files(gen, at_ts);
-        let mut workers = self.inner.config.write_threads;
+        let mut workers = dt_engine::degree();
         if let Retire::Files(picked) = fold {
             for &file_id in files.iter().filter(|id| picked.binary_search(id).is_err()) {
                 let bytes = self
@@ -274,19 +277,18 @@ impl DualTableStore {
             // loses in.
             workers = 1;
         }
-        let pool = dt_engine::JobPool::new(workers);
         let built = match rows {
             Rows::Given(rows) => {
                 let mut parts = Vec::new();
                 let rows_per_file = self.inner.config.rows_per_file.max(1);
                 let mut rest = &rows[..];
-                for len in self.runs(&pool, rows.len().div_ceil(rows_per_file)) {
+                for len in self.runs(workers, rows.len().div_ceil(rows_per_file)) {
                     let (chunk, tail) = rest.split_at((len * rows_per_file).min(rest.len()));
                     rest = tail;
                     parts.push((self.reserve(chunk.len() as u64)?, chunk));
                 }
                 let dir = self.gen_dir(next);
-                pool.run(parts, |_, (ids, chunk)| {
+                parallel_map_fallible(workers, parts, |(ids, chunk)| {
                     Ok(Built {
                         written: self.write_files(&dir, ids, chunk)?,
                         ..Built::default()
@@ -296,7 +298,7 @@ impl DualTableStore {
             Rows::Merged(statement) => {
                 let mut parts = Vec::new();
                 let mut rest = &files[..];
-                for len in self.runs(&pool, files.len()) {
+                for len in self.runs(workers, files.len()) {
                     let (chunk, tail) = rest.split_at(len);
                     rest = tail;
                     // Footer row counts upper-bound the UNION READ output:
@@ -315,7 +317,7 @@ impl DualTableStore {
                     ..UnionReadOptions::all()
                 };
                 let plan = self.scan_plan(gen, &opts, &[])?;
-                pool.run(parts, |_, (ids, chunk)| {
+                parallel_map_fallible(workers, parts, |(ids, chunk)| {
                     let mut built = Built::default();
                     let mut sink = self.sink(self.gen_dir(next), ids);
                     for &file_id in chunk {
@@ -707,15 +709,10 @@ impl DualTableStore {
     /// fold. Like [`DualTableStore::begin_compact`], concurrent DML never
     /// blocks, and [`RewriteJob::finish`] loses with a retryable
     /// [`Error::Conflict`] to anything that committed since the pin.
-    pub fn begin_incremental_compact(&self) -> Result<Option<RewriteJob>> {
-        self.begin_incremental(|| {})
-    }
-
-    /// [`Self::begin_incremental_compact`] with a hook that fires exactly
-    /// when a build actually starts — after candidate selection found
-    /// work, before any byte is written. [`Self::compact_incremental`]
-    /// opens its health ledger there, at the moment the cycle stops being
-    /// a no-op.
+    /// `on_build_start` fires exactly when a build actually starts — after
+    /// candidate selection found work, before any byte is written;
+    /// [`Self::compact_incremental`] opens its health ledger there, at the
+    /// moment the cycle stops being a no-op.
     fn begin_incremental(&self, on_build_start: impl FnOnce()) -> Result<Option<RewriteJob>> {
         let snapshot = self.begin_snapshot()?;
         let picked = {
@@ -897,8 +894,8 @@ pub(crate) fn compact_all(stores: &[&DualTableStore]) -> Result<()> {
 }
 
 /// A two-phase (optimistic) rewrite: [`DualTableStore::begin_compact`],
-/// [`DualTableStore::begin_insert_overwrite`] and
-/// [`DualTableStore::begin_incremental_compact`] build the new generation
+/// [`DualTableStore::begin_insert_overwrite`] and the incremental fold of
+/// [`DualTableStore::compact_incremental`] build the new generation
 /// off to the side from a pinned snapshot — without blocking concurrent
 /// DML — and [`RewriteJob::finish`] atomically swings the generation
 /// pointer, failing with a retryable [`Error::Conflict`] if anything

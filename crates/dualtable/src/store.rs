@@ -90,10 +90,11 @@ pub(crate) struct Inner {
     pub(crate) mvcc: Arc<TableMvcc>,
 }
 
-/// One `UPDATE` assignment: `(column ordinal, value function)`. `Sync`
-/// because the OVERWRITE plan applies assignments from parallel rewrite
-/// workers (DESIGN.md §19).
-pub type Assignment<'a> = (usize, Box<dyn Fn(&Row) -> Value + Sync + 'a>);
+/// One `UPDATE` assignment: `(column ordinal, value function)`. A value
+/// function that fails fails its statement, which then applies nothing.
+/// `Sync` because the OVERWRITE plan applies assignments from parallel
+/// rewrite workers (DESIGN.md §19).
+pub type Assignment<'a> = (usize, Box<dyn Fn(&Row) -> Result<Value> + Sync + 'a>);
 
 /// One DualTable (see the crate docs for the model).
 ///
@@ -482,12 +483,15 @@ impl DualTableStore {
     }
 
     /// The cost model for plan selection, reflecting whether EDIT cells
-    /// ride the delta tier (cheaper attached writes shift the crossover).
+    /// ride the delta tier (cheaper attached writes shift the crossover)
+    /// and the degree the statement was granted, which the rewrite fan-out
+    /// will use ([`dt_engine::degree`]).
     pub(crate) fn cost_model(&self) -> CostModel {
+        let (rates, degree) = (self.inner.config.rates, dt_engine::degree());
         if self.delta_policy().enabled() {
-            CostModel::with_delta_tier(self.inner.config.rates, self.inner.config.write_threads)
+            CostModel::with_delta_tier(rates, degree)
         } else {
-            CostModel::with_parallelism(self.inner.config.rates, self.inner.config.write_threads)
+            CostModel::with_parallelism(rates, degree)
         }
     }
 
@@ -1101,6 +1105,7 @@ impl DualTableStore {
     /// (`assignments` absent) marker, or an UPDATE's new column values,
     /// every SET expression evaluated against the row as read (no
     /// assignment sees another's result) and checked against its column.
+    /// A SET expression that fails fails the statement.
     #[inline]
     pub(crate) fn patch_of(
         &self,
@@ -1110,7 +1115,7 @@ impl DualTableStore {
     ) -> Result<AttachedEntry> {
         let mut updates = Vec::new();
         for (col, f) in assignments.unwrap_or(&[]) {
-            let value = f(row);
+            let value = f(row)?;
             self.check_assigned(*col, &value)?;
             // A column set twice keeps its last value, one cell: a commit
             // stamps all its cells at one timestamp.
@@ -1300,7 +1305,7 @@ mod tests {
                 |r| r[0].as_i64().unwrap() % 10 == 0,
                 &[(
                     2,
-                    Box::new(|r: &Row| Value::Float64(r[0].as_f64().unwrap() * 100.0)),
+                    Box::new(|r: &Row| Ok(Value::Float64(r[0].as_f64().unwrap() * 100.0))),
                 )],
                 RatioHint::Explicit(0.1),
             )
@@ -1324,7 +1329,7 @@ mod tests {
         let report = t
             .update(
                 |r| r[0].as_i64().unwrap() < 50,
-                &[(1, Box::new(|_| Value::from("updated")))],
+                &[(1, Box::new(|_| Ok(Value::from("updated"))))],
                 RatioHint::Explicit(0.5),
             )
             .unwrap();
@@ -1367,7 +1372,7 @@ mod tests {
         let r1 = t
             .update(
                 |r| r[0].as_i64().unwrap() == 0,
-                &[(2, Box::new(|_| Value::Float64(1.0)))],
+                &[(2, Box::new(|_| Ok(Value::Float64(1.0))))],
                 RatioHint::Explicit(0.005),
             )
             .unwrap();
@@ -1376,7 +1381,7 @@ mod tests {
         let r2 = t
             .update(
                 |r| r[0].as_i64().unwrap() >= 0,
-                &[(2, Box::new(|_| Value::Float64(2.0)))],
+                &[(2, Box::new(|_| Ok(Value::Float64(2.0))))],
                 RatioHint::Explicit(1.0),
             )
             .unwrap();
@@ -1395,7 +1400,7 @@ mod tests {
         let report = t
             .update(
                 |r| r[0].as_i64().unwrap() % 2 == 0,
-                &[(2, Box::new(|_| Value::Float64(0.0)))],
+                &[(2, Box::new(|_| Ok(Value::Float64(0.0))))],
                 RatioHint::Sample,
             )
             .unwrap();
@@ -1413,7 +1418,7 @@ mod tests {
         // First run records the true ratio (falls back to sampling).
         t.dml(
             &|r: &Row| r[0].as_i64().unwrap() < 5,
-            Some(&[(2, Box::new(|_| Value::Float64(9.0)))]),
+            Some(&[(2, Box::new(|_| Ok(Value::Float64(9.0))))]),
             RatioHint::Historical,
             Some(key),
             &UnionReadOptions::all(),
@@ -1425,7 +1430,7 @@ mod tests {
         let r = t
             .dml(
                 &|r: &Row| r[0].as_i64().unwrap() < 5,
-                Some(&[(2, Box::new(|_| Value::Float64(10.0)))]),
+                Some(&[(2, Box::new(|_| Ok(Value::Float64(10.0))))]),
                 RatioHint::Historical,
                 Some(key),
                 &UnionReadOptions::all(),
@@ -1447,7 +1452,7 @@ mod tests {
             let statement = || {
                 t.dml(
                     &|r: &Row| r[0].as_i64().unwrap() < 5,
-                    Some(&[(2, Box::new(|_| Value::Float64(9.0)))]),
+                    Some(&[(2, Box::new(|_| Ok(Value::Float64(9.0))))]),
                     RatioHint::Historical,
                     Some("stmt"),
                     scan,
@@ -1504,7 +1509,7 @@ mod tests {
         let nothing = |r: &Row| r[0].as_i64().unwrap() >= 1000;
         let ratio = RatioHint::Explicit(0.9);
         let deleted = t.dml(&nothing, None, ratio, None, &pruned).unwrap();
-        let set: [Assignment<'_>; 1] = [(2, Box::new(|_| Value::Float64(9.0)))];
+        let set: [Assignment<'_>; 1] = [(2, Box::new(|_| Ok(Value::Float64(9.0))))];
         let updated = t.dml(&nothing, Some(&set), ratio, None, &pruned).unwrap();
         for report in [deleted, updated] {
             assert_eq!(report.plan, PlanChoice::Overwrite);
@@ -1523,7 +1528,7 @@ mod tests {
         let t = table_with(50, config);
         t.update(
             |r| r[0].as_i64().unwrap() == 7,
-            &[(2, Box::new(|_| Value::Float64(700.0)))],
+            &[(2, Box::new(|_| Ok(Value::Float64(700.0))))],
             RatioHint::Explicit(0.02),
         )
         .unwrap();
@@ -1542,7 +1547,7 @@ mod tests {
         for round in 0..3 {
             t.update(
                 |r| r[0].as_i64().unwrap() == 3,
-                &[(2, Box::new(move |_| Value::Float64(round as f64)))],
+                &[(2, Box::new(move |_| Ok(Value::Float64(round as f64))))],
                 RatioHint::Explicit(0.1),
             )
             .unwrap();
@@ -1564,7 +1569,7 @@ mod tests {
         let t = table_with(20, config);
         t.update(
             |r| r[0].as_i64().unwrap() == 5,
-            &[(2, Box::new(|_| Value::Float64(-1.0)))],
+            &[(2, Box::new(|_| Ok(Value::Float64(-1.0))))],
             RatioHint::Explicit(0.05),
         )
         .unwrap();
@@ -1621,7 +1626,7 @@ mod tests {
         let r = t
             .update(
                 |_| true,
-                &[(2, Box::new(|_| Value::Float64(0.0)))],
+                &[(2, Box::new(|_| Ok(Value::Float64(0.0))))],
                 RatioHint::Sample,
             )
             .unwrap();
@@ -1643,8 +1648,8 @@ mod tests {
             };
             let t = table_with(10, config);
             let set: [Assignment<'_>; 2] = [
-                (2, Box::new(|_| Value::Float64(1.0))),
-                (2, Box::new(|_| Value::Float64(2.0))),
+                (2, Box::new(|_| Ok(Value::Float64(1.0)))),
+                (2, Box::new(|_| Ok(Value::Float64(2.0)))),
             ];
             let is_3 = |r: &Row| r[0] == Value::Int64(3);
             t.update(is_3, &set, RatioHint::Explicit(0.1)).unwrap();
@@ -1658,13 +1663,13 @@ mod tests {
         let t = table_with(10, small_files());
         let err = t.update(
             |_| true,
-            &[(2, Box::new(|_| Value::from("wrong type")))],
+            &[(2, Box::new(|_| Ok(Value::from("wrong type"))))],
             RatioHint::Explicit(1.0),
         );
         assert!(err.is_err());
         let err = t.update(
             |_| true,
-            &[(9, Box::new(|_| Value::Null))],
+            &[(9, Box::new(|_| Ok(Value::Null)))],
             RatioHint::Explicit(1.0),
         );
         assert!(err.is_err());
@@ -1678,7 +1683,7 @@ mod tests {
         let snapshot_ts = t.env().kv.clock().tick();
         t.update(
             |r| r[0].as_i64().unwrap() == 1,
-            &[(2, Box::new(|_| Value::Float64(99.0)))],
+            &[(2, Box::new(|_| Ok(Value::Float64(99.0))))],
             RatioHint::Explicit(0.1),
         )
         .unwrap();
@@ -1752,9 +1757,9 @@ mod tests {
                     2,
                     Box::new(|r: &Row| {
                         if r[0].as_i64().unwrap() == 101 {
-                            Value::Utf8("bad".into())
+                            Ok(Value::Utf8("bad".into()))
                         } else {
-                            Value::Float64(-1.0)
+                            Ok(Value::Float64(-1.0))
                         }
                     }),
                 )],
@@ -1806,7 +1811,7 @@ mod tests {
         let closure = |r: &Row| r[0].as_i64().is_some_and(|id| id % 3 == 1);
         let bump: [Assignment<'static>; 1] = [(
             2,
-            Box::new(|r: &Row| Value::Float64(r[2].as_f64().unwrap_or(0.0) + 1.0)),
+            Box::new(|r: &Row| Ok(Value::Float64(r[2].as_f64().unwrap_or(0.0) + 1.0))),
         )];
         let scan = UnionReadOptions::all().with_projection(vec![0, 2]);
         for plan_mode in [PlanMode::AlwaysEdit, PlanMode::AlwaysOverwrite] {
@@ -1824,7 +1829,7 @@ mod tests {
                 let t = table_with(120, config.clone());
                 let moved: [Assignment<'static>; 1] = [(
                     0,
-                    Box::new(|r: &Row| Value::Int64(r[0].as_i64().unwrap() + 1)),
+                    Box::new(|r: &Row| Ok(Value::Int64(r[0].as_i64().unwrap() + 1))),
                 )];
                 let edit = RatioHint::Explicit(0.01);
                 let by = |m| move |r: &Row| r[0].as_i64().unwrap() % m == 0;
@@ -1919,7 +1924,7 @@ mod self_healing_tests {
         let report = t
             .update(
                 |r| r[0].as_i64().unwrap() < 8,
-                &[(1, Box::new(|_| Value::Int64(7)))],
+                &[(1, Box::new(|_| Ok(Value::Int64(7))))],
                 RatioHint::Explicit(0.9),
             )
             .unwrap();
@@ -1968,7 +1973,7 @@ mod self_healing_tests {
         });
         t.update(
             |r| r[0].as_i64().unwrap() < 4,
-            &[(1, Box::new(|_| Value::Int64(1)))],
+            &[(1, Box::new(|_| Ok(Value::Int64(1))))],
             RatioHint::Explicit(0.1),
         )
         .unwrap();
@@ -2049,7 +2054,7 @@ mod parallel_tests {
         let report = t
             .update(
                 small,
-                &[(1, Box::new(|_| Value::Float64(1.0)))],
+                &[(1, Box::new(|_| Ok(Value::Float64(1.0))))],
                 RatioHint::Sample,
             )
             .unwrap();

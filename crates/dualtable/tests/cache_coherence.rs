@@ -148,7 +148,7 @@ fn update_compact_select_loop_is_cache_transparent() {
             move |r| r[0].as_i64().unwrap() % 4 == round as i64 % 4,
             &[(
                 1,
-                Box::new(move |r: &Row| Value::Int64(r[0].as_i64().unwrap() + round as i64)),
+                Box::new(move |r: &Row| Ok(Value::Int64(r[0].as_i64().unwrap() + round as i64))),
             )],
             RatioHint::Explicit(0.25),
         )
@@ -190,7 +190,7 @@ fn pushdown_prunes_stripes_per_file_with_updates_elsewhere() {
         |r| r[0].as_i64().unwrap() >= 56,
         &[(
             0,
-            Box::new(|r: &Row| Value::Int64(r[0].as_i64().unwrap() + 1000)),
+            Box::new(|r: &Row| Ok(Value::Int64(r[0].as_i64().unwrap() + 1000))),
         )],
         RatioHint::Explicit(0.125),
     )
@@ -301,7 +301,7 @@ fn clean_files_skip_attached_scans() {
     t.insert_rows((0..128).map(row)).unwrap(); // 4 files
     t.update(
         |r| r[0].as_i64().unwrap() == 33,
-        &[(1, Box::new(|_| Value::Int64(0)))],
+        &[(1, Box::new(|_| Ok(Value::Int64(0))))],
         RatioHint::Explicit(0.01),
     )
     .unwrap();
@@ -331,7 +331,7 @@ fn tombstones_without_index_rows_still_skip_attached_scans() {
     t.insert_rows((0..128).map(row)).unwrap(); // 4 files
     t.update(
         |r| r[0].as_i64().unwrap() == 33,
-        &[(1, Box::new(|_| Value::Int64(0)))],
+        &[(1, Box::new(|_| Ok(Value::Int64(0))))],
         RatioHint::Explicit(0.01),
     )
     .unwrap();
@@ -406,7 +406,7 @@ fn pinned_reader_stays_warm_across_concurrent_swing() {
     writer
         .update(
             |r| r[0].as_i64().unwrap() == 7,
-            &[(1, Box::new(|_| Value::Int64(-7)))],
+            &[(1, Box::new(|_| Ok(Value::Int64(-7))))],
             RatioHint::Explicit(0.01),
         )
         .unwrap();
@@ -489,7 +489,7 @@ fn assert_delta_coherent(budget: usize) {
                 move |r| r[0].as_i64().unwrap() % 4 == round % 4,
                 &[(
                     1,
-                    Box::new(move |r: &Row| Value::Int64(r[0].as_i64().unwrap() * 100 + round)),
+                    Box::new(move |r: &Row| Ok(Value::Int64(r[0].as_i64().unwrap() * 100 + round))),
                 )],
                 RatioHint::Explicit(0.25),
             )
@@ -548,7 +548,7 @@ fn delta_tier_engages_and_explicit_spill_is_a_read_noop() {
     t.insert_rows((0..96).map(row)).unwrap();
     t.update(
         |r| r[0].as_i64().unwrap() < 48,
-        &[(1, Box::new(|_| Value::Int64(-1)))],
+        &[(1, Box::new(|_| Ok(Value::Int64(-1))))],
         RatioHint::Explicit(0.5),
     )
     .unwrap();
@@ -582,7 +582,10 @@ fn delta_sharded_scatter_matches_delta_off() {
         t.insert_rows((0..120).map(row).collect()).unwrap();
         t.dml(
             &|r: &Row| r[0].as_i64().unwrap() % 3 == 0,
-            Some(&[(1, Box::new(|r: &Row| Value::Int64(r[0].as_i64().unwrap())))]),
+            Some(&[(
+                1,
+                Box::new(|r: &Row| Ok(Value::Int64(r[0].as_i64().unwrap()))),
+            )]),
             RatioHint::Explicit(0.34),
             None,
             None,
@@ -671,7 +674,7 @@ fn pinned_predicate_scan_sees_pin_time_values_under_concurrent_dirtying() {
         |r| r[0].as_i64().unwrap() >= 56,
         &[(
             0,
-            Box::new(|r: &Row| Value::Int64(r[0].as_i64().unwrap() + 1000)),
+            Box::new(|r: &Row| Ok(Value::Int64(r[0].as_i64().unwrap() + 1000))),
         )],
         RatioHint::Explicit(0.125),
     )

@@ -105,7 +105,7 @@ fn run_writer(table: &DualTableStore, w: i64, conflicts: &AtomicU64) -> (u64, Ve
                 move |row| row[0].as_i64().unwrap() == w,
                 &[(
                     1,
-                    Box::new(|row: &Row| Value::Int64(row[1].as_i64().unwrap() + 1)),
+                    Box::new(|row: &Row| Ok(Value::Int64(row[1].as_i64().unwrap() + 1))),
                 )],
                 &UnionReadOptions::all(),
             );

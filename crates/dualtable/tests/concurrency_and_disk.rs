@@ -30,7 +30,7 @@ fn concurrent_scans_and_edits() {
                 for round in 1..=20i64 {
                     t.update(
                         move |r| r[0].as_i64().unwrap() % 20 == round % 20,
-                        &[(1, Box::new(move |_| Value::Int64(round)))],
+                        &[(1, Box::new(move |_| Ok(Value::Int64(round))))],
                         RatioHint::Explicit(0.05),
                     )
                     .unwrap();
@@ -143,7 +143,7 @@ fn on_disk_environment_roundtrip() {
             .unwrap();
         t.update(
             |r| r[0].as_i64().unwrap() == 7,
-            &[(1, Box::new(|_| Value::Int64(777)))],
+            &[(1, Box::new(|_| Ok(Value::Int64(777))))],
             RatioHint::Explicit(0.01),
         )
         .unwrap();

@@ -33,6 +33,7 @@ use dt_common::crash_matrix::run_crash_matrix;
 use dt_common::fault::{FaultKind, FaultPlan, IoOp};
 use dt_common::{DataType, Deadline, RecordId, Row, Schema, Value};
 use dt_dfs::DfsConfig;
+use dt_engine::with_degree;
 use dt_kvstore::KvConfig;
 use dt_orcfile::{ColumnPredicate, PredicateOp};
 use dualtable::{
@@ -99,7 +100,7 @@ impl Set {
     fn assignment(self) -> [Assignment<'static>; 1] {
         [(
             1,
-            Box::new(move |row: &Row| Value::Int64(self.apply(row[1].as_i64().unwrap()))),
+            Box::new(move |row: &Row| Ok(Value::Int64(self.apply(row[1].as_i64().unwrap())))),
         )]
     }
 }
@@ -272,7 +273,8 @@ struct Shape {
     /// table; otherwise [`MAIN`] is one store.
     sharded: bool,
     delta_bytes: usize,
-    write_threads: usize,
+    /// The degree every step runs at ([`dt_engine::with_degree`]).
+    degree: usize,
     rows_per_file: usize,
     plan_mode: PlanMode,
     /// DFS block size: small blocks put crash points inside block
@@ -281,14 +283,14 @@ struct Shape {
 }
 
 impl Default for Shape {
-    /// Two rewrite workers, so OVERWRITE/COMPACT crash points run against
-    /// the parallel fan-out. Its op count per statement is deterministic,
+    /// Degree 2, so OVERWRITE/COMPACT crash points run against the
+    /// parallel fan-out. Its op count per statement is deterministic,
     /// which is what lets the record run's trace transfer to the crash runs.
     fn default() -> Self {
         Shape {
             sharded: false,
             delta_bytes: 0,
-            write_threads: 2,
+            degree: 2,
             rows_per_file: 8,
             plan_mode: PlanMode::CostBased,
             chunk_size: 64,
@@ -320,7 +322,6 @@ impl Shape {
         DualTableConfig {
             rows_per_file: self.rows_per_file,
             plan_mode: self.plan_mode,
-            write_threads: self.write_threads,
             delta_bytes: self.delta_bytes,
             ..DualTableConfig::default()
         }
@@ -645,7 +646,8 @@ fn record(w: &Workload) -> Record {
 
 /// Crashes `w` at every armed I/O index.
 fn run(w: Workload) {
-    let rec = record(&w);
+    let degree = w.shape.degree;
+    let rec = with_degree(degree, || record(&w));
     let points: Vec<u64> = (1..=rec.trace.len() as u64).collect();
     eprintln!("{}: {} crash points", w.name, points.len());
     assert!(
@@ -655,7 +657,7 @@ fn run(w: Workload) {
         points.len(),
         w.min_points
     );
-    let report = run_crash_matrix(&points, |k| crash_at(&w, &rec, k));
+    let report = run_crash_matrix(&points, |k| with_degree(degree, || crash_at(&w, &rec, k)));
     assert!(
         report.ok(),
         "{}: violations at {} of {} points:\n{:#?}",
@@ -1090,7 +1092,7 @@ fn crash_matrix_parallel_compact() {
     run(Workload {
         name: "parallel_compact",
         shape: Shape {
-            write_threads: 3,
+            degree: 3,
             rows_per_file: 16,
             ..Shape::default()
         },
@@ -1127,7 +1129,8 @@ fn decided_update(plan: &Arc<FaultPlan>) -> (DualTableEnv, ShardedTable, Transac
     let table = ShardedTable::create(&env, TABLE, schema(), table_cfg(), spec()).unwrap();
     table.insert_rows(rows([1, 2, 101, 102, 201, 202])).unwrap();
     let mut txn = table.begin_transaction().unwrap();
-    let set: [dualtable::Assignment<'static>; 1] = [(1, Box::new(|_: &Row| Value::Int64(DECIDED)))];
+    let set: [dualtable::Assignment<'static>; 1] =
+        [(1, Box::new(|_: &Row| Ok(Value::Int64(DECIDED))))];
     txn.update(|_| true, &set, &UnionReadOptions::all())
         .unwrap();
     (env, table, txn)
@@ -1170,7 +1173,7 @@ fn a_failed_participant_write_keeps_its_decision_record() {
         "the record outlives a failed write"
     );
 
-    let later: [dualtable::Assignment<'static>; 1] = [(1, Box::new(|_: &Row| Value::Int64(7)))];
+    let later: [dualtable::Assignment<'static>; 1] = [(1, Box::new(|_: &Row| Ok(Value::Int64(7))))];
     let refused = table.dml(
         &|row: &Row| row[0] == Value::Int64(101),
         Some(&later),
@@ -1215,7 +1218,7 @@ fn a_left_over_decision_record_never_shadows_a_later_write() {
     plan.set_armed(false);
     assert_eq!(decision_records(&env), 1, "the record outlived its commit");
 
-    let later: [dualtable::Assignment<'static>; 1] = [(1, Box::new(|_: &Row| Value::Int64(7)))];
+    let later: [dualtable::Assignment<'static>; 1] = [(1, Box::new(|_: &Row| Ok(Value::Int64(7))))];
     table
         .dml(
             &|row: &Row| row[0] == Value::Int64(101),

@@ -52,7 +52,7 @@ fn panicking_session_releases_its_pins() {
         let mut txn = table.begin_transaction().unwrap();
         txn.update(
             |r| r[0].as_i64().unwrap() % 2 == 0,
-            &[(1, Box::new(|_: &Row| Value::Int64(7)))],
+            &[(1, Box::new(|_: &Row| Ok(Value::Int64(7))))],
             &UnionReadOptions::all(),
         )
         .unwrap();

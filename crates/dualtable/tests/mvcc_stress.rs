@@ -284,7 +284,9 @@ impl Harness {
                 |row: &Vec<Value>| row[0].as_i64().unwrap().rem_euclid(m) == r,
                 &[(
                     1,
-                    Box::new(move |row: &Vec<Value>| Value::Int64(row[1].as_i64().unwrap() + d)),
+                    Box::new(move |row: &Vec<Value>| {
+                        Ok(Value::Int64(row[1].as_i64().unwrap() + d))
+                    }),
                 )],
                 &UnionReadOptions::all(),
             )
@@ -429,7 +431,9 @@ impl Harness {
                 |row| row[0].as_i64().unwrap().rem_euclid(m) == r,
                 &[(
                     1,
-                    Box::new(move |row: &Vec<Value>| Value::Int64(row[1].as_i64().unwrap() + d)),
+                    Box::new(move |row: &Vec<Value>| {
+                        Ok(Value::Int64(row[1].as_i64().unwrap() + d))
+                    }),
                 )],
                 RatioHint::Explicit(0.05),
             )
@@ -680,7 +684,7 @@ impl Harness {
                                     Box::new({
                                         let u = updates.clone();
                                         move |row: &Vec<Value>| {
-                                            Value::Int64(u[&row[0].as_i64().unwrap()])
+                                            Ok(Value::Int64(u[&row[0].as_i64().unwrap()]))
                                         }
                                     }),
                                 )],
@@ -829,7 +833,7 @@ fn first_committer_wins_directed() {
     let mut a = t.begin_transaction().unwrap();
     let mut b = t.begin_transaction().unwrap();
     let set = |v: i64| -> Vec<dualtable::Assignment<'static>> {
-        vec![(1, Box::new(move |_: &Vec<Value>| Value::Int64(v)))]
+        vec![(1, Box::new(move |_: &Vec<Value>| Ok(Value::Int64(v))))]
     };
     assert_eq!(
         a.update(
@@ -906,7 +910,7 @@ fn edit_commit_fails_concurrent_rewrite() {
     let job = t.begin_compact().unwrap();
     t.update(
         |r| r[0].as_i64().unwrap() == 1,
-        &[(1, Box::new(|_: &Vec<Value>| Value::Int64(-7)))],
+        &[(1, Box::new(|_: &Vec<Value>| Ok(Value::Int64(-7))))],
         RatioHint::Explicit(0.05),
     )
     .unwrap();
@@ -949,7 +953,7 @@ fn transaction_loses_to_swing() {
     let mut txn = t.begin_transaction().unwrap();
     txn.update(
         |r| r[0].as_i64().unwrap() == 2,
-        &[(1, Box::new(|_: &Vec<Value>| Value::Int64(5)))],
+        &[(1, Box::new(|_: &Vec<Value>| Ok(Value::Int64(5))))],
         &UnionReadOptions::all(),
     )
     .unwrap();

@@ -4,10 +4,12 @@
 //! be invisible at every observation point: its output equals the
 //! sequential writer's row for row, and concurrent readers and EDIT
 //! writers see the same states they would around a single-threaded
-//! rewrite. A crash inside the fan-out is `crash_matrix.rs`'s
+//! rewrite. Each test sets the degree it runs at with
+//! [`dt_engine::with_degree`], so it fans out the same on every host. A crash inside the fan-out is `crash_matrix.rs`'s
 //! `parallel_compact` workload.
 
 use dt_common::{DataType, Schema, Value};
+use dt_engine::with_degree;
 use dualtable::{
     DualTableConfig, DualTableEnv, DualTableStore, PlanMode, RatioHint, UnionReadOptions,
 };
@@ -16,13 +18,15 @@ fn schema() -> Schema {
     Schema::from_pairs(&[("id", DataType::Int64), ("v", DataType::Int64)])
 }
 
-fn config(write_threads: usize) -> DualTableConfig {
+fn config() -> DualTableConfig {
     DualTableConfig {
         rows_per_file: 32,
-        write_threads,
         ..DualTableConfig::default()
     }
 }
+
+/// The degrees each fan-out is checked at; 1 is the sequential writer.
+const DEGREES: std::ops::RangeInclusive<usize> = 1..=4;
 
 fn seeded(env: &DualTableEnv, n: i64, cfg: DualTableConfig) -> DualTableStore {
     let t = DualTableStore::create(env, "t", schema(), cfg).unwrap();
@@ -39,18 +43,18 @@ fn rows_of(t: &DualTableStore) -> Vec<(i64, i64)> {
         .collect()
 }
 
-/// Same workload, one writer thread vs four: COMPACT output must be
-/// identical in content *and* order, and the record-ID scan order of the
-/// parallel output must still ascend (partition-ordered ID reservation).
+/// Same workload at degrees 1 to 4: COMPACT output must be identical in
+/// content *and* order, and the record-ID scan order of the parallel
+/// output must still ascend (partition-ordered ID reservation).
 #[test]
 fn parallel_compact_matches_sequential() {
     let mut outputs = Vec::new();
-    for threads in [1usize, 4] {
+    for degree in DEGREES {
         let env = DualTableEnv::in_memory();
-        let t = seeded(&env, 500, config(threads));
+        let t = seeded(&env, 500, config());
         t.update(
             |r| r[0].as_i64().unwrap() % 7 == 0,
-            &[(1, Box::new(|_| Value::Int64(-1)))],
+            &[(1, Box::new(|_| Ok(Value::Int64(-1))))],
             RatioHint::Explicit(0.01),
         )
         .unwrap();
@@ -59,7 +63,7 @@ fn parallel_compact_matches_sequential() {
             RatioHint::Explicit(0.01),
         )
         .unwrap();
-        t.compact().unwrap();
+        with_degree(degree, || t.compact()).unwrap();
         let ids: Vec<_> = t
             .scan_all()
             .unwrap()
@@ -70,16 +74,17 @@ fn parallel_compact_matches_sequential() {
         let stats = t.stats().unwrap();
         assert_eq!(stats.attached_entries, 0, "compact clears attached");
         outputs.push(rows_of(&t));
-        if threads > 1 {
-            assert!(
-                env.health.snapshot().write_workers_used >= 2,
-                "parallel compact must report its fan-out"
-            );
-        } else {
-            assert_eq!(env.health.snapshot().write_workers_used, 0);
-        }
+        let fan_out = if degree > 1 { degree as u64 } else { 0 };
+        assert_eq!(
+            env.health.snapshot().write_workers_used,
+            fan_out,
+            "compact at degree {degree} must report its fan-out"
+        );
     }
-    assert_eq!(outputs[0], outputs[1], "parallel compact diverged");
+    assert!(
+        outputs.windows(2).all(|w| w[0] == w[1]),
+        "parallel compact diverged"
+    );
 }
 
 /// OVERWRITE-plan UPDATE and DELETE through the fan-out equal their
@@ -87,30 +92,37 @@ fn parallel_compact_matches_sequential() {
 #[test]
 fn parallel_overwrite_matches_sequential() {
     let mut outputs = Vec::new();
-    for threads in [1usize, 4] {
+    for degree in DEGREES {
         let env = DualTableEnv::in_memory();
-        let mut cfg = config(threads);
+        let mut cfg = config();
         cfg.plan_mode = PlanMode::AlwaysOverwrite;
         let t = seeded(&env, 400, cfg);
-        let up = t
-            .update(
-                |r| r[0].as_i64().unwrap() % 2 == 0,
-                &[(
-                    1,
-                    Box::new(|r: &dt_common::Row| Value::Int64(r[0].as_i64().unwrap() + 1000)),
-                )],
-                RatioHint::Explicit(0.5),
-            )
-            .unwrap();
-        assert_eq!(up.rows_matched, 200);
-        assert_eq!(up.rows_scanned, 400);
-        let del = t
-            .delete(|r| r[0].as_i64().unwrap() < 100, RatioHint::Explicit(0.25))
-            .unwrap();
-        assert_eq!(del.rows_matched, 100);
+        with_degree(degree, || {
+            let up = t
+                .update(
+                    |r| r[0].as_i64().unwrap() % 2 == 0,
+                    &[(
+                        1,
+                        Box::new(|r: &dt_common::Row| {
+                            Ok(Value::Int64(r[0].as_i64().unwrap() + 1000))
+                        }),
+                    )],
+                    RatioHint::Explicit(0.5),
+                )
+                .unwrap();
+            assert_eq!(up.rows_matched, 200);
+            assert_eq!(up.rows_scanned, 400);
+            let del = t
+                .delete(|r| r[0].as_i64().unwrap() < 100, RatioHint::Explicit(0.25))
+                .unwrap();
+            assert_eq!(del.rows_matched, 100);
+        });
         outputs.push(rows_of(&t));
     }
-    assert_eq!(outputs[0], outputs[1], "parallel overwrite diverged");
+    assert!(
+        outputs.windows(2).all(|w| w[0] == w[1]),
+        "parallel overwrite diverged"
+    );
 }
 
 /// INSERT OVERWRITE (a materialized row set fanned out at whole-file
@@ -118,15 +130,18 @@ fn parallel_overwrite_matches_sequential() {
 #[test]
 fn parallel_insert_overwrite_matches_sequential() {
     let mut outputs = Vec::new();
-    for threads in [1usize, 4] {
+    for degree in DEGREES {
         let env = DualTableEnv::in_memory();
-        let t = seeded(&env, 100, config(threads));
-        t.insert_overwrite((0..300).map(|i| vec![Value::Int64(i), Value::Int64(7 * i)]))
-            .unwrap();
+        let t = seeded(&env, 100, config());
+        let rows = (0..300).map(|i| vec![Value::Int64(i), Value::Int64(7 * i)]);
+        with_degree(degree, || t.insert_overwrite(rows)).unwrap();
         assert_eq!(t.count().unwrap(), 300);
         outputs.push(rows_of(&t));
     }
-    assert_eq!(outputs[0], outputs[1], "parallel insert overwrite diverged");
+    assert!(
+        outputs.windows(2).all(|w| w[0] == w[1]),
+        "parallel insert overwrite diverged"
+    );
 }
 
 /// A bad UPDATE value through the OVERWRITE plan must surface as a schema
@@ -135,17 +150,18 @@ fn parallel_insert_overwrite_matches_sequential() {
 #[test]
 fn parallel_overwrite_schema_error_propagates() {
     let env = DualTableEnv::in_memory();
-    let mut cfg = config(4);
+    let mut cfg = config();
     cfg.plan_mode = PlanMode::AlwaysOverwrite;
     let t = seeded(&env, 200, cfg);
     let before = rows_of(&t);
-    let err = t
-        .update(
+    let err = with_degree(4, || {
+        t.update(
             |_| true,
-            &[(1, Box::new(|_| Value::Utf8("not an int".into())))],
+            &[(1, Box::new(|_| Ok(Value::Utf8("not an int".into()))))],
             RatioHint::Explicit(1.0),
         )
-        .unwrap_err();
+    })
+    .unwrap_err();
     assert!(
         matches!(err, dt_common::Error::Schema(_)),
         "expected schema error, got {err}"
@@ -177,7 +193,7 @@ fn parallel_overwrite_schema_error_propagates() {
 #[test]
 fn mixed_dml_during_parallel_compact_matches_oracle() {
     let env = DualTableEnv::in_memory();
-    let t = seeded(&env, 600, config(4));
+    let t = seeded(&env, 600, config());
 
     std::thread::scope(|scope| {
         let updater = {
@@ -186,7 +202,7 @@ fn mixed_dml_during_parallel_compact_matches_oracle() {
                 for round in 1..=10i64 {
                     t.update(
                         move |r| r[0].as_i64().unwrap() % 3 == 0,
-                        &[(1, Box::new(move |_| Value::Int64(round)))],
+                        &[(1, Box::new(move |_| Ok(Value::Int64(round))))],
                         RatioHint::Explicit(0.05),
                     )
                     .unwrap();
@@ -206,9 +222,11 @@ fn mixed_dml_during_parallel_compact_matches_oracle() {
         let compactor = {
             let t = t.clone();
             scope.spawn(move || {
-                for _ in 0..3 {
-                    t.compact().unwrap();
-                }
+                with_degree(4, || {
+                    for _ in 0..3 {
+                        t.compact().unwrap();
+                    }
+                })
             })
         };
         for _ in 0..10 {
@@ -257,7 +275,7 @@ fn transactional_increments_never_lose_updates() {
     const INCREMENTS: usize = 25;
 
     let env = DualTableEnv::in_memory();
-    let mut cfg = config(2);
+    let mut cfg = config();
     cfg.plan_mode = PlanMode::AlwaysEdit;
     let t = seeded(&env, 8, cfg);
     let observed_conflicts = AtomicU64::new(0);
@@ -275,7 +293,7 @@ fn transactional_increments_never_lose_updates() {
                             &[(
                                 1,
                                 Box::new(|r: &dt_common::Row| {
-                                    Value::Int64(r[1].as_i64().unwrap() + 1)
+                                    Ok(Value::Int64(r[1].as_i64().unwrap() + 1))
                                 }),
                             )],
                             &UnionReadOptions::all(),
@@ -344,7 +362,7 @@ fn disjoint_transactions_commit_without_conflict() {
     const RANGE: i64 = 100;
 
     let env = DualTableEnv::in_memory();
-    let mut cfg = config(2);
+    let mut cfg = config();
     cfg.plan_mode = PlanMode::AlwaysEdit;
     let t = seeded(&env, WRITERS * RANGE, cfg);
 
@@ -361,7 +379,7 @@ fn disjoint_transactions_commit_without_conflict() {
                             &[(
                                 1,
                                 Box::new(|r: &dt_common::Row| {
-                                    Value::Int64(r[1].as_i64().unwrap() + 1)
+                                    Ok(Value::Int64(r[1].as_i64().unwrap() + 1))
                                 }),
                             )],
                             &UnionReadOptions::all(),

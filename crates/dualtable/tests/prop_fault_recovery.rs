@@ -183,7 +183,7 @@ impl Harness {
                 let (d, r, v) = (*divisor as i64, *rem as i64, *new_v as i64);
                 let outcome = self.table.update(
                     move |row| row[0].as_i64().unwrap() % d == r,
-                    &[(1, Box::new(move |_| Value::Int64(v)))],
+                    &[(1, Box::new(move |_| Ok(Value::Int64(v))))],
                     RatioHint::Explicit(0.01),
                 );
                 match outcome {

@@ -159,7 +159,7 @@ proptest! {
                     table
                         .update(
                             move |row| row[0].as_i64().unwrap() % d == r,
-                            &[(1, Box::new(move |_| Value::Int64(v)))],
+                            &[(1, Box::new(move |_| Ok(Value::Int64(v))))],
                             RatioHint::Explicit(0.01),
                         )
                         .unwrap();

@@ -4,6 +4,7 @@
 
 use dt_common::rng::Rng64;
 use dt_common::{DataType, Row, Schema, Value};
+use dt_engine::with_degree;
 use dt_orcfile::{OrcReader, WriterOptions, FILE_ID_METADATA_KEY};
 use dualtable::{
     DualTableConfig, DualTableEnv, DualTableStore, FoldOutcome, PlanChoice, PlanMode, RatioHint,
@@ -78,7 +79,7 @@ fn apply(table: &DualTableStore, op: &Op, model: &mut Vec<(i64, i64)>, next_id: 
             let report = table
                 .update(
                     move |row| row[0].as_i64().unwrap() % d == r,
-                    &[(1, Box::new(move |_| Value::Int64(v)))],
+                    &[(1, Box::new(move |_| Ok(Value::Int64(v))))],
                     RatioHint::Explicit(0.01),
                 )
                 .unwrap();
@@ -150,7 +151,7 @@ proptest! {
     /// Every rewrite is one fold. A random table over all five types —
     /// insert files long and short, EDIT-plan overlays and delete markers
     /// on top — goes through each of them, the OVERWRITE plan with a random
-    /// UPDATE or DELETE of its own, on one and on two write workers. The
+    /// UPDATE or DELETE of its own, at every degree from one to four. The
     /// scan afterwards equals the row model, in order (an incremental fold
     /// moves the folded files' rows to fresh file IDs past the carried
     /// ones, so its rows compare ordered by key), under ascending record
@@ -163,102 +164,103 @@ proptest! {
     fn every_rewrite_preserves_the_union_read(
         seed in any::<u64>(),
         rewrite in 0u8..4,
-        write_threads in 1u8..3,
+        degree in 1usize..5,
     ) {
-        let mut rng = Rng64::new(seed);
-        let rng = &mut rng;
-        let schema = differential::schema(rng);
-        let config = DualTableConfig {
-            rows_per_file: rng.range_i64(4, 24) as usize,
-            write_threads: write_threads as usize,
-            writer: WriterOptions {
-                stripe_rows: rng.range_i64(1, 8) as usize,
-                ..WriterOptions::default()
-            },
-            ..config()
-        };
-        let env = DualTableEnv::in_memory();
-        let table = DualTableStore::create(&env, "t", schema.clone(), config.clone()).unwrap();
-        let (mut model, mut next_key): (Vec<Row>, i64) = (Vec::new(), 0);
-        for _ in 0..rng.range_i64(1, 7) {
-            if rng.chance(0.6) {
-                let n = rng.next_below(40) as usize;
-                let rows = differential::rows(rng, &schema, next_key, n);
-                next_key += n as i64;
-                table.insert_rows(rows.clone()).unwrap();
-                model.extend(rows);
-            } else {
-                let op = differential::dml(rng, &schema);
-                op.run(&table);
-                model.retain_mut(|row| op.patch(row));
-            }
-        }
-        let statement = differential::dml(rng, &schema);
-        let by_key = rewrite == 2;
-        let dirty = |table: &DualTableStore| -> Vec<u32> {
-            table.presence_index().unwrap().files.keys().copied().collect()
-        };
-        let mut set: Vec<usize> = Vec::new();
-        if rewrite == 3 {
-            set.extend(statement.assignments().iter().flatten().map(|(column, _)| *column));
-        }
-        let sources = stripes(&env, &table, &set);
-
-        match rewrite {
-            0 => table.compact().unwrap(),
-            1 => {
-                table.begin_compact().unwrap().finish().unwrap();
-            }
-            2 => loop {
-                // Every dirty file is eligible (`min_attached_cells` 1),
-                // `max_files_per_cycle` of them per cycle.
-                let dirty_before = dirty(&table);
-                match table.compact_incremental().unwrap() {
-                    FoldOutcome::Clean => break,
-                    FoldOutcome::LostRace => prop_assert!(false, "nothing races this fold"),
-                    FoldOutcome::Folded { files, .. } => {
-                        let dirty_after = dirty(&table);
-                        prop_assert_eq!(dirty_after.len() + files, dirty_before.len());
-                        let live = table.master_file_ids().unwrap();
-                        for id in &dirty_after {
-                            prop_assert!(dirty_before.contains(id) && live.contains(id));
-                        }
-                        prop_assert_eq!(&scan_rows(&table, by_key), &model);
-                    }
-                }
-            },
-            _ => {
-                // The OVERWRITE plan through a second handle on the table.
-                let config = DualTableConfig { plan_mode: PlanMode::AlwaysOverwrite, ..config };
-                let overwriting = DualTableStore::open(&env, "t", schema, config).unwrap();
-                let hit = model.iter().filter(|row| statement.hits(row)).count();
-                let report = statement.run(&overwriting);
-                prop_assert_eq!(report.plan, PlanChoice::Overwrite);
-                prop_assert_eq!(report.rows_matched, hit as u64);
-                prop_assert_eq!(report.rows_scanned, model.len() as u64);
-                model.retain_mut(|row| statement.patch(row));
-            }
-        }
-
-        let scanned = table.scan_all().unwrap();
-        prop_assert!(scanned.windows(2).all(|w| w[0].0 < w[1].0));
-        prop_assert_eq!(scan_rows(&table, by_key), model);
-        prop_assert!(dirty(&table).is_empty());
-        if rewrite != 2 {
-            prop_assert_eq!(table.stats().unwrap().attached_entries, 0);
-        }
-        for written in stripes(&env, &table, &[]) {
-            let Some(source) = sources.iter().find(|s| s.keys == written.keys) else {
-                continue; // rows came or went: nothing to carry
+        with_degree(degree, || {
+            let mut rng = Rng64::new(seed);
+            let rng = &mut rng;
+            let schema = differential::schema(rng);
+            let config = DualTableConfig {
+                rows_per_file: rng.range_i64(4, 24) as usize,
+                writer: WriterOptions {
+                    stripe_rows: rng.range_i64(1, 8) as usize,
+                    ..WriterOptions::default()
+                },
+                ..config()
             };
-            for (c, stream) in written.streams.iter().enumerate() {
-                prop_assert!(
-                    source.changed[c] || stream == &source.streams[c],
-                    "column {} of the stripe at key {:?} was re-encoded to other bytes",
-                    c, written.keys.first()
-                );
+            let env = DualTableEnv::in_memory();
+            let table = DualTableStore::create(&env, "t", schema.clone(), config.clone()).unwrap();
+            let (mut model, mut next_key): (Vec<Row>, i64) = (Vec::new(), 0);
+            for _ in 0..rng.range_i64(1, 7) {
+                if rng.chance(0.6) {
+                    let n = rng.next_below(40) as usize;
+                    let rows = differential::rows(rng, &schema, next_key, n);
+                    next_key += n as i64;
+                    table.insert_rows(rows.clone()).unwrap();
+                    model.extend(rows);
+                } else {
+                    let op = differential::dml(rng, &schema);
+                    op.run(&table);
+                    model.retain_mut(|row| op.patch(row));
+                }
             }
-        }
+            let statement = differential::dml(rng, &schema);
+            let by_key = rewrite == 2;
+            let dirty = |table: &DualTableStore| -> Vec<u32> {
+                table.presence_index().unwrap().files.keys().copied().collect()
+            };
+            let mut set: Vec<usize> = Vec::new();
+            if rewrite == 3 {
+                set.extend(statement.assignments().iter().flatten().map(|(column, _)| *column));
+            }
+            let sources = stripes(&env, &table, &set);
+
+            match rewrite {
+                0 => table.compact().unwrap(),
+                1 => {
+                    table.begin_compact().unwrap().finish().unwrap();
+                }
+                2 => loop {
+                    // Every dirty file is eligible (`min_attached_cells` 1),
+                    // `max_files_per_cycle` of them per cycle.
+                    let dirty_before = dirty(&table);
+                    match table.compact_incremental().unwrap() {
+                        FoldOutcome::Clean => break,
+                        FoldOutcome::LostRace => prop_assert!(false, "nothing races this fold"),
+                        FoldOutcome::Folded { files, .. } => {
+                            let dirty_after = dirty(&table);
+                            prop_assert_eq!(dirty_after.len() + files, dirty_before.len());
+                            let live = table.master_file_ids().unwrap();
+                            for id in &dirty_after {
+                                prop_assert!(dirty_before.contains(id) && live.contains(id));
+                            }
+                            prop_assert_eq!(&scan_rows(&table, by_key), &model);
+                        }
+                    }
+                },
+                _ => {
+                    // The OVERWRITE plan through a second handle on the table.
+                    let config = DualTableConfig { plan_mode: PlanMode::AlwaysOverwrite, ..config };
+                    let overwriting = DualTableStore::open(&env, "t", schema, config).unwrap();
+                    let hit = model.iter().filter(|row| statement.hits(row)).count();
+                    let report = statement.run(&overwriting);
+                    prop_assert_eq!(report.plan, PlanChoice::Overwrite);
+                    prop_assert_eq!(report.rows_matched, hit as u64);
+                    prop_assert_eq!(report.rows_scanned, model.len() as u64);
+                    model.retain_mut(|row| statement.patch(row));
+                }
+            }
+
+            let scanned = table.scan_all().unwrap();
+            prop_assert!(scanned.windows(2).all(|w| w[0].0 < w[1].0));
+            prop_assert_eq!(scan_rows(&table, by_key), model);
+            prop_assert!(dirty(&table).is_empty());
+            if rewrite != 2 {
+                prop_assert_eq!(table.stats().unwrap().attached_entries, 0);
+            }
+            for written in stripes(&env, &table, &[]) {
+                let Some(source) = sources.iter().find(|s| s.keys == written.keys) else {
+                    continue; // rows came or went: nothing to carry
+                };
+                for (c, stream) in written.streams.iter().enumerate() {
+                    prop_assert!(
+                        source.changed[c] || stream == &source.streams[c],
+                        "column {} of the stripe at key {:?} was re-encoded to other bytes",
+                        c, written.keys.first()
+                    );
+                }
+            }
+        });
     }
 }
 
@@ -305,48 +307,49 @@ fn stripes(env: &DualTableEnv, table: &DualTableStore, set: &[usize]) -> Vec<Sto
 /// a stripe, fold into ⌈rows / `rows_per_file`⌉ files of full stripes (all
 /// but the table's last), and a second COMPACT of the now-clean table
 /// changes no stored byte of any column and reads no more than the master
-/// files hold.
+/// files hold, on one rewrite worker.
 #[test]
 fn compact_folds_short_files_into_full_stripes_and_then_carries_them() {
-    let env = DualTableEnv::in_memory();
-    let config = DualTableConfig {
-        rows_per_file: 64,
-        write_threads: 1,
-        writer: WriterOptions {
-            stripe_rows: 16,
-            ..WriterOptions::default()
-        },
-        ..config()
-    };
-    let table = DualTableStore::create(&env, "t", schema(), config).unwrap();
-    for batch in 0..39 {
-        let rows = (0..5).map(|i| vec![Value::Int64(batch * 5 + i), Value::Int64(batch)]);
-        table.insert_rows(rows.collect::<Vec<Row>>()).unwrap();
-    }
-    assert_eq!(table.master_file_ids().unwrap().len(), 39);
-    let before = scan_rows(&table, false);
+    with_degree(1, || {
+        let env = DualTableEnv::in_memory();
+        let config = DualTableConfig {
+            rows_per_file: 64,
+            writer: WriterOptions {
+                stripe_rows: 16,
+                ..WriterOptions::default()
+            },
+            ..config()
+        };
+        let table = DualTableStore::create(&env, "t", schema(), config).unwrap();
+        for batch in 0..39 {
+            let rows = (0..5).map(|i| vec![Value::Int64(batch * 5 + i), Value::Int64(batch)]);
+            table.insert_rows(rows.collect::<Vec<Row>>()).unwrap();
+        }
+        assert_eq!(table.master_file_ids().unwrap().len(), 39);
+        let before = scan_rows(&table, false);
 
-    table.compact().unwrap();
-    assert_eq!(
-        table.master_file_ids().unwrap().len(),
-        195usize.div_ceil(64)
-    );
-    let folded = stripes(&env, &table, &[]);
-    let lengths: Vec<usize> = folded.iter().map(|s| s.keys.len()).collect();
-    assert_eq!(lengths, [[16; 12].as_slice(), &[3]].concat());
-    assert_eq!(scan_rows(&table, false), before);
+        table.compact().unwrap();
+        assert_eq!(
+            table.master_file_ids().unwrap().len(),
+            195usize.div_ceil(64)
+        );
+        let folded = stripes(&env, &table, &[]);
+        let lengths: Vec<usize> = folded.iter().map(|s| s.keys.len()).collect();
+        assert_eq!(lengths, [[16; 12].as_slice(), &[3]].concat());
+        assert_eq!(scan_rows(&table, false), before);
 
-    let master_bytes = table.stats().unwrap().master_bytes;
-    let read_before = env.dfs.stats().snapshot().bytes_read;
-    table.compact().unwrap();
-    let read = env.dfs.stats().snapshot().bytes_read - read_before;
-    assert!(read <= master_bytes, "read {read} of {master_bytes} bytes");
-    let carried = stripes(&env, &table, &[]);
-    assert_eq!(carried.len(), folded.len());
-    for (after, before) in carried.iter().zip(&folded) {
-        assert_eq!(after.streams, before.streams);
-    }
-    assert_eq!(scan_rows(&table, false), before);
+        let master_bytes = table.stats().unwrap().master_bytes;
+        let read_before = env.dfs.stats().snapshot().bytes_read;
+        table.compact().unwrap();
+        let read = env.dfs.stats().snapshot().bytes_read - read_before;
+        assert!(read <= master_bytes, "read {read} of {master_bytes} bytes");
+        let carried = stripes(&env, &table, &[]);
+        assert_eq!(carried.len(), folded.len());
+        for (after, before) in carried.iter().zip(&folded) {
+            assert_eq!(after.streams, before.streams);
+        }
+        assert_eq!(scan_rows(&table, false), before);
+    });
 }
 
 // ----------------------------------------------------------------------
@@ -470,8 +473,11 @@ mod differential {
                 Kind::Rotate { columns } => {
                     let from = columns.iter().cycle().skip(1);
                     let set = columns.iter().zip(from).map(|(&to, &from)| {
-                        let read = move |row: &Row| row[from].clone();
-                        (to, Box::new(read) as Box<dyn Fn(&Row) -> Value + Sync>)
+                        let read = move |row: &Row| Ok(row[from].clone());
+                        (
+                            to,
+                            Box::new(read) as Box<dyn Fn(&Row) -> dt_common::Result<Value> + Sync>,
+                        )
                     });
                     Some(set.collect())
                 }
@@ -565,7 +571,7 @@ mod differential {
     }
 
     fn assignment(column: usize, value: &Value) -> dualtable::Assignment<'_> {
-        (column, Box::new(move |_: &Row| value.clone()))
+        (column, Box::new(move |_: &Row| Ok(value.clone())))
     }
 
     /// A transaction's batch scan unpacked: `(record id, row)` per

@@ -123,7 +123,7 @@ fn empty_shards_are_harmless() {
     let report = t
         .dml(
             &|_: &Row| true,
-            Some(&[(1, Box::new(|_| Value::Int64(-1)))]),
+            Some(&[(1, Box::new(|_| Ok(Value::Int64(-1))))]),
             RatioHint::Explicit(0.01),
             None,
             Some(&UnionReadOptions {
@@ -158,7 +158,7 @@ fn single_shard_matches_unsharded() {
     for t in [&plain, sharded.shards().first().unwrap()] {
         t.update(
             |r| r[0].as_i64().unwrap() % 3 == 0,
-            &[(1, Box::new(|_| Value::Int64(5)))],
+            &[(1, Box::new(|_| Ok(Value::Int64(5))))],
             RatioHint::Explicit(0.01),
         )
         .unwrap();
@@ -270,7 +270,7 @@ fn per_shard_plans_diverge() {
                 let id = r[0].as_i64().unwrap();
                 id == 0 || id >= 1000
             },
-            Some(&[(1, Box::new(|_| Value::Int64(9)))]),
+            Some(&[(1, Box::new(|_| Ok(Value::Int64(9))))]),
             RatioHint::Sample,
             None,
             None,

@@ -111,7 +111,7 @@ fn run_writer(table: &ShardedTable, w: i64, conflicts: &AtomicU64) -> (u64, Vec<
                     move |row| row[0].as_i64().unwrap() % 100 == w,
                     &[(
                         1,
-                        Box::new(|row: &Row| Value::Int64(row[1].as_i64().unwrap() + 1)),
+                        Box::new(|row: &Row| Ok(Value::Int64(row[1].as_i64().unwrap() + 1))),
                     )],
                     &UnionReadOptions::all(),
                 )
@@ -163,7 +163,7 @@ fn run_autocommit_writer(table: &ShardedTable) -> u64 {
     let w = WRITERS;
     let bump: [Assignment<'static>; 1] = [(
         1,
-        Box::new(|row: &Row| Value::Int64(row[1].as_i64().unwrap() + 1)),
+        Box::new(|row: &Row| Ok(Value::Int64(row[1].as_i64().unwrap() + 1))),
     )];
     let mut acked = 0u64;
     for round in 0..ROUNDS {

@@ -1,8 +1,9 @@
 //! Job execution: map, shuffle, sort, reduce.
 
+use std::cell::Cell;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use dt_common::{Error, Result};
 
@@ -20,9 +21,7 @@ pub struct JobConfig {
 
 impl Default for JobConfig {
     fn default() -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(4);
+        let cores = cores();
         JobConfig {
             max_mappers: cores,
             num_reducers: (cores / 2).max(2),
@@ -30,24 +29,51 @@ impl Default for JobConfig {
     }
 }
 
-/// Runs `task` over every split in parallel (bounded by `max_mappers`),
-/// returning one output per split, in split order. Panics in tasks are
-/// converted into errors.
-pub fn parallel_map<I, O, F>(config: &JobConfig, splits: Vec<I>, task: F) -> Vec<O>
-where
-    I: Send,
-    O: Send,
-    F: Fn(I) -> O + Sync,
-{
-    // The infallible wrapper re-panics only on bugs in `task` itself.
-    parallel_map_fallible(config, splits, |i| Ok(task(i)))
-        .expect("infallible task failed")
-        .into_iter()
-        .collect()
+thread_local! {
+    /// The degree a [`with_degree`] scope granted the statement running on
+    /// this thread; `None` outside every scope.
+    static GRANTED: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
-/// Like [`parallel_map`] but tasks may fail; the first error is returned.
-pub fn parallel_map_fallible<I, O, F>(config: &JobConfig, splits: Vec<I>, task: F) -> Result<Vec<O>>
+/// Every core of the machine, asked of the OS once: on Linux the question
+/// reads cgroup files, too slow to ask per statement.
+pub(crate) fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
+}
+
+/// The degree granted to the statement running on this thread: the most
+/// workers its fan-out may use. What the innermost [`with_degree`] scope
+/// set — the [`ServicePool`](crate::ServicePool) sets one around every job
+/// — and all cores outside every scope, where the engine is idle but for
+/// this statement.
+pub fn degree() -> usize {
+    GRANTED.with(Cell::get).unwrap_or_else(cores)
+}
+
+/// Runs `f` with [`degree`] at `degree` (at least 1) on this thread, and
+/// restores the enclosing grant afterwards, on unwind too.
+pub fn with_degree<R>(degree: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<usize>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            GRANTED.with(|granted| granted.set(self.0));
+        }
+    }
+    let _restore = Restore(GRANTED.with(|granted| granted.replace(Some(degree.max(1)))));
+    f()
+}
+
+/// Runs `task` over every split on at most `workers` threads, returning
+/// one output per split, in split order; the first error in split order
+/// wins (later splits may still have run). A panicking task fails the
+/// call with `Error::Internal`. With one worker (or one split) every task
+/// runs inline on the caller's thread, in order.
+pub fn parallel_map_fallible<I, O, F>(workers: usize, splits: Vec<I>, task: F) -> Result<Vec<O>>
 where
     I: Send,
     O: Send,
@@ -57,7 +83,7 @@ where
     if n == 0 {
         return Ok(Vec::new());
     }
-    let workers = config.max_mappers.max(1).min(n);
+    let workers = workers.max(1).min(n);
     if workers == 1 {
         return splits.into_iter().map(&task).collect();
     }
@@ -124,11 +150,11 @@ where
     M: Fn(I, &mut dyn FnMut(K, V)) -> Result<()> + Sync,
     R: Fn(K, Vec<V>) -> Result<Vec<O>> + Sync,
 {
-    let partitions = config.num_reducers.max(1);
+    let (mappers, partitions) = (config.max_mappers, config.num_reducers.max(1));
 
     // Map phase: each task produces `partitions` buckets.
     let bucketed: Vec<Vec<(K, V)>> = {
-        let per_task: Vec<Vec<Vec<(K, V)>>> = parallel_map_fallible(config, splits, |split| {
+        let per_task: Vec<Vec<Vec<(K, V)>>> = parallel_map_fallible(mappers, splits, |split| {
             let mut buckets: Vec<Vec<(K, V)>> = (0..partitions).map(|_| Vec::new()).collect();
             let mut emitted = 0u64;
             mapper(split, &mut |k, v| {
@@ -151,7 +177,7 @@ where
     };
 
     // Reduce phase: sort each partition by key, group, reduce.
-    let reduced: Vec<Vec<O>> = parallel_map_fallible(config, bucketed, |mut bucket| {
+    let reduced: Vec<Vec<O>> = parallel_map_fallible(mappers, bucketed, |mut bucket| {
         bucket.sort_by(|a, b| a.0.cmp(&b.0));
         let mut out = Vec::new();
         let mut iter = bucket.into_iter().peekable();
@@ -185,27 +211,90 @@ mod tests {
     }
 
     #[test]
-    fn parallel_map_preserves_order() {
-        let out = parallel_map(&config(), (0..100).collect(), |i| i * 2);
+    fn outputs_come_back_in_split_order() {
+        let out = parallel_map_fallible(4, (0..100).collect(), |i: i32| {
+            // Make early splits finish late to stress the ordering.
+            if i % 3 == 0 {
+                std::thread::yield_now();
+            }
+            Ok(i * 2)
+        })
+        .unwrap();
         assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
+        let none: Vec<i32> = parallel_map_fallible(4, Vec::new(), Ok).unwrap();
+        assert!(none.is_empty());
     }
 
     #[test]
-    fn parallel_map_empty() {
-        let out: Vec<i32> = parallel_map(&config(), Vec::<i32>::new(), |i| i);
-        assert!(out.is_empty());
+    fn one_worker_runs_inline_in_order() {
+        let caller = std::thread::current().id();
+        let seen = Mutex::new(Vec::new());
+        // Zero workers means one.
+        for workers in [0, 1] {
+            seen.lock().unwrap().clear();
+            parallel_map_fallible(workers, vec![1, 2, 3], |i| {
+                assert_eq!(std::thread::current().id(), caller);
+                seen.lock().unwrap().push(i);
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(*seen.lock().unwrap(), vec![1, 2, 3]);
+        }
     }
 
     #[test]
-    fn parallel_map_fallible_propagates_error() {
-        let r = parallel_map_fallible(&config(), (0..10).collect(), |i| {
-            if i == 7 {
-                Err(Error::invalid("boom"))
+    fn workers_run_at_once() {
+        // Deadlocks unless both splits run concurrently.
+        let barrier = std::sync::Barrier::new(2);
+        let out = parallel_map_fallible(2, vec![0, 1], |i| {
+            barrier.wait();
+            Ok(i)
+        })
+        .unwrap();
+        assert_eq!(out, vec![0, 1]);
+    }
+
+    #[test]
+    fn first_error_in_split_order_wins() {
+        let err = parallel_map_fallible(4, (0..16).collect(), |i: i32| {
+            if i >= 3 {
+                Err(Error::internal(format!("split {i} failed")))
             } else {
                 Ok(i)
             }
+        })
+        .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            Error::internal("split 3 failed").to_string()
+        );
+    }
+
+    #[test]
+    fn a_panicking_task_becomes_an_error() {
+        let err = parallel_map_fallible(2, vec![0u8, 1], |i| {
+            if i == 1 {
+                panic!("boom");
+            }
+            Ok(i)
+        })
+        .unwrap_err();
+        assert!(matches!(err, Error::Internal(_)), "{err}");
+    }
+
+    #[test]
+    fn a_scope_grants_the_degree_and_restores_the_outer_one() {
+        assert_eq!(degree(), cores());
+        with_degree(3, || {
+            assert_eq!(degree(), 3);
+            with_degree(0, || assert_eq!(degree(), 1));
+            let inner = std::panic::catch_unwind(|| with_degree(2, || panic!("unwinds")));
+            assert!(inner.is_err());
+            assert_eq!(degree(), 3);
+            // A grant is per thread.
+            std::thread::scope(|s| s.spawn(|| assert_eq!(degree(), cores())).join().unwrap());
         });
-        assert!(r.is_err());
+        assert_eq!(degree(), cores());
     }
 
     #[test]

@@ -1,39 +1,33 @@
-//! A MapReduce-style parallel execution engine.
+//! The execution engine: how many workers a statement gets, the one way it
+//! fans work out over them, and the long-lived threads a server keeps.
 //!
-//! Hive compiles HiveQL into a DAG of MapReduce jobs; the paper's UNION READ
-//! is likewise "a simple Map Reduce algorithm using a divide-and-conquer
-//! strategy" (§III-C). This crate supplies that substrate as a library:
+//! The paper runs OVERWRITE and COMPACT as MapReduce jobs whose map-task
+//! count the cluster decides, not the table (§III-C, §IV). Here:
 //!
-//! * [`run_map_reduce`] — the full phase sequence: parallel **map** over
-//!   input splits, hash-**partitioned shuffle**, per-partition **sort**,
-//!   parallel **reduce**;
-//! * [`parallel_map`] — map-only jobs (scans, filters, per-split DML), the
-//!   shape most Hive stages take;
-//! * [`JobCounters`] — per-job record counters, mirroring Hadoop's counter
-//!   facility.
-//!
-//! Tasks run on crossbeam scoped threads; "splits" model HDFS blocks or ORC
-//! stripes and determine the parallelism, exactly as mapper counts do on a
-//! real cluster.
-
-//!
-//! For *serving* rather than batch work, [`ServicePool`] keeps N
-//! long-lived workers behind a bounded dispatch queue with non-blocking
-//! admission — the execution substrate of the `dualtabled` server.
-
-//!
-//! For *maintenance* work, [`Supervisor`] keeps one background worker
-//! alive across panics and faults, with backoff and a circuit breaker —
-//! the restart substrate of `dualtabled`'s compaction daemon.
+//! * [`degree`] — the degree granted to the statement on this thread: all
+//!   cores for a session outside a server, and what the [`ServicePool`]
+//!   grants from its load for one inside (set by [`with_degree`]);
+//! * [`parallel_map_fallible`] — the one parallel primitive: splits over
+//!   at most N scoped threads, outputs in split order, the first error in
+//!   split order wins, a panic becomes `Error::Internal`, one worker runs
+//!   inline. The DualTable rewrite fan-out (OVERWRITE, COMPACT) calls it
+//!   with the granted degree;
+//! * [`ServicePool`] — N long-lived workers behind a bounded dispatch
+//!   queue with non-blocking admission, the execution substrate of the
+//!   `dualtabled` server and the one place the degree is granted;
+//! * [`Supervisor`] — one background worker kept alive across panics and
+//!   faults, with backoff and a circuit breaker: the restart substrate of
+//!   `dualtabled`'s compaction daemon;
+//! * [`run_map_reduce`] with [`JobCounters`] — a map, hash-partitioned
+//!   shuffle, sort and reduce over the same primitive, kept for the
+//!   benchmark ladder's MapReduce rung.
 
 mod counters;
 mod job;
-mod pool;
 mod service;
 mod supervisor;
 
 pub use counters::JobCounters;
-pub use job::{parallel_map, parallel_map_fallible, run_map_reduce, JobConfig};
-pub use pool::JobPool;
+pub use job::{degree, parallel_map_fallible, run_map_reduce, with_degree, JobConfig};
 pub use service::{ServiceJob, ServicePool, SubmitError};
 pub use supervisor::{Supervisor, SupervisorConfig, SupervisorStats, TickOutcome};

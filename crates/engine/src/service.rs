@@ -1,23 +1,28 @@
 //! A long-lived worker pool with a bounded dispatch queue — the serving
-//! counterpart of [`JobPool`](crate::JobPool).
+//! half of the engine.
 //!
-//! `JobPool` is batch-shaped: it spawns scoped threads for one `run`,
-//! joins them, and returns. A server needs the opposite: N threads that
-//! outlive any one statement, a *bounded* queue in front of them so
-//! overload turns into an explicit, retryable refusal instead of an
-//! unbounded backlog, and per-job panic isolation so one poisoned
-//! statement never takes a worker (or the process) down.
+//! A server needs N threads that outlive any one statement, a *bounded*
+//! queue in front of them so overload turns into an explicit, retryable
+//! refusal instead of an unbounded backlog, and per-job panic isolation so
+//! one poisoned statement never takes a worker (or the process) down.
 //!
 //! [`ServicePool`] provides exactly that surface:
 //!
 //! * [`ServicePool::try_submit`] — non-blocking admission. A full queue
 //!   returns [`SubmitError::Full`] immediately; the caller (the server's
 //!   front door) sheds the request with `SERVER_BUSY`.
-//! * [`ServicePool::queued`] — the current dispatch-queue depth, for the
-//!   `queue_depth` health gauge.
+//! * [`ServicePool::queued`] and [`ServicePool::busy`] — the jobs waiting
+//!   and the jobs running, for the `queue_depth` and `workers_busy` health
+//!   gauges.
 //! * [`ServicePool::shutdown`] — closes the queue, lets the workers
 //!   *drain* every already-accepted job, then joins them. Nothing
 //!   accepted is ever dropped; nothing new gets in.
+//!
+//! The pool also grants each job its [`degree`](crate::degree), the one
+//! place that policy lives: a job that starts as the only job running or
+//! queued gets all cores, since nothing else wants them; any other job
+//! gets 1, so concurrent statements do not fan out over each other's
+//! cores.
 //!
 //! Jobs run under `catch_unwind`: a panicking job increments
 //! [`ServicePool::panics`] and the worker moves on. Callers that need
@@ -30,6 +35,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+
+use crate::job::{cores, with_degree};
 
 /// A unit of work for the pool.
 pub type ServiceJob = Box<dyn FnOnce() + Send + 'static>;
@@ -55,6 +62,7 @@ impl std::fmt::Debug for SubmitError {
 #[derive(Default)]
 struct Gauges {
     queued: AtomicU64,
+    running: AtomicU64,
     panics: AtomicU64,
 }
 
@@ -73,7 +81,7 @@ impl ServicePool {
     pub fn new(workers: usize, queue_cap: usize) -> Self {
         let workers = workers.max(1);
         let (tx, rx) = std::sync::mpsc::sync_channel::<ServiceJob>(queue_cap.max(1));
-        // MPMC by Mutex, like JobPool: idle workers pull from one queue.
+        // MPMC by Mutex: idle workers pull from one queue.
         let rx = Arc::new(Mutex::new(rx));
         let gauges = Arc::new(Gauges::default());
         let handles = (0..workers)
@@ -120,6 +128,11 @@ impl ServicePool {
     /// picked up by a worker).
     pub fn queued(&self) -> u64 {
         self.gauges.queued.load(Ordering::Relaxed)
+    }
+
+    /// Jobs workers are running right now.
+    pub fn busy(&self) -> u64 {
+        self.gauges.running.load(Ordering::Relaxed)
     }
 
     /// Jobs that panicked (and were contained) since the pool started.
@@ -173,10 +186,17 @@ fn worker_loop(rx: &Mutex<Receiver<ServiceJob>>, gauges: &Gauges) {
             queue.recv()
         };
         let Ok(job) = job else { break };
-        gauges.queued.fetch_sub(1, Ordering::Relaxed);
-        if catch_unwind(AssertUnwindSafe(job)).is_err() {
+        let waiting = gauges.queued.fetch_sub(1, Ordering::SeqCst) - 1;
+        let running = gauges.running.fetch_add(1, Ordering::SeqCst) + 1;
+        let degree = if running == 1 && waiting == 0 {
+            cores()
+        } else {
+            1
+        };
+        if catch_unwind(AssertUnwindSafe(|| with_degree(degree, job))).is_err() {
             gauges.panics.fetch_add(1, Ordering::Relaxed);
         }
+        gauges.running.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -302,6 +322,78 @@ mod tests {
         }
         pool.shutdown();
         assert_eq!(done.load(Ordering::SeqCst), 32, "shutdown must drain");
+    }
+
+    /// Holds a worker until the returned sender is dropped; returns once
+    /// the job is running.
+    fn occupy(pool: &ServicePool) -> mpsc::Sender<()> {
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        pool.try_submit(Box::new(move || {
+            started_tx.send(()).unwrap();
+            let _ = release_rx.recv();
+        }))
+        .unwrap();
+        started_rx.recv().unwrap();
+        release_tx
+    }
+
+    /// A job that reports the degree it was granted, then waits on
+    /// `barrier` (if any).
+    fn report_degree(
+        pool: &ServicePool,
+        tx: &mpsc::Sender<usize>,
+        barrier: Option<&Arc<std::sync::Barrier>>,
+    ) {
+        let (tx, barrier) = (tx.clone(), barrier.cloned());
+        pool.try_submit(Box::new(move || {
+            tx.send(crate::degree()).unwrap();
+            if let Some(barrier) = barrier {
+                barrier.wait();
+            }
+        }))
+        .unwrap();
+    }
+
+    #[test]
+    fn a_lone_job_is_granted_every_core() {
+        let pool = ServicePool::new(2, 8);
+        let (tx, rx) = mpsc::channel();
+        report_degree(&pool, &tx, None);
+        assert_eq!(rx.recv().unwrap(), cores());
+        assert_eq!(crate::degree(), cores(), "the grant stays on the worker");
+        pool.shutdown();
+    }
+
+    #[test]
+    fn jobs_running_together_are_granted_one() {
+        let pool = ServicePool::new(2, 8);
+        let (tx, rx) = mpsc::channel();
+        let gate = occupy(&pool);
+        // One starts beside the gate, the other after it, beside the first:
+        // the barrier holds both running at once.
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        report_degree(&pool, &tx, Some(&barrier));
+        assert_eq!(rx.recv().unwrap(), 1);
+        assert_eq!(pool.busy(), 2);
+        report_degree(&pool, &tx, Some(&barrier));
+        drop(gate);
+        assert_eq!(rx.recv().unwrap(), 1);
+        pool.shutdown();
+    }
+
+    #[test]
+    fn a_job_started_while_another_is_queued_is_granted_one() {
+        let pool = ServicePool::new(1, 8);
+        let (tx, rx) = mpsc::channel();
+        let gate = occupy(&pool);
+        report_degree(&pool, &tx, None);
+        report_degree(&pool, &tx, None);
+        drop(gate);
+        // The first starts with the second queued; the second starts alone.
+        assert_eq!(rx.recv().unwrap(), 1);
+        assert_eq!(rx.recv().unwrap(), cores());
+        pool.shutdown();
     }
 
     #[test]

@@ -365,8 +365,7 @@ impl Session {
                 if self.txn.is_some() {
                     if overwrite {
                         return Err(Error::Unsupported(
-                            "INSERT OVERWRITE inside a transaction is not supported; \
-                             COMMIT first or use DualTableStore::begin_insert_overwrite"
+                            "INSERT OVERWRITE inside a transaction is not supported; COMMIT first"
                                 .into(),
                         ));
                     }
@@ -392,9 +391,7 @@ impl Session {
             Statement::Compact { table, incremental } => {
                 if self.txn.is_some() {
                     return Err(Error::Unsupported(
-                        "COMPACT inside a transaction is not supported; COMMIT first \
-                         or use DualTableStore::begin_compact"
-                            .into(),
+                        "COMPACT inside a transaction is not supported; COMMIT first".into(),
                     ));
                 }
                 if incremental {
@@ -730,8 +727,8 @@ impl Session {
             .map(|(idx, e)| {
                 (
                     *idx,
-                    Box::new(|row: &Row| eval(e, row, binding, &target.ctx).unwrap_or(Value::Null))
-                        as Box<dyn Fn(&Row) -> Value + Sync + '_>,
+                    Box::new(|row: &Row| eval(e, row, binding, &target.ctx))
+                        as Box<dyn Fn(&Row) -> Result<Value> + Sync + '_>,
                 )
             })
             .collect();
@@ -881,11 +878,11 @@ impl Session {
                     let full_match = &full_match;
                     (
                         *idx,
-                        Box::new(move |row: &Row| {
-                            full_match(row)
-                                .and_then(|combined| eval(e, &combined, combined_binding, ctx).ok())
-                                .unwrap_or(Value::Null)
-                        }) as Box<dyn Fn(&Row) -> Value + Sync + '_>,
+                        Box::new(move |row: &Row| match full_match(row) {
+                            Some(combined) => eval(e, &combined, combined_binding, ctx),
+                            None => Ok(Value::Null),
+                        })
+                            as Box<dyn Fn(&Row) -> Result<Value> + Sync + '_>,
                     )
                 })
                 .collect();

@@ -100,17 +100,19 @@ fn dirty_table(rng: &mut Rng64) -> (DualTableEnv, DualTableStore) {
     // New strings and old ones, appended to the stripes' dictionaries.
     let renamed: [Assignment<'static>; 1] = [(
         4,
-        Box::new(|r: &Row| match r[4].as_str() {
-            Some(s) if s.len() % 2 == 0 => Value::Utf8(format!("{s}x")),
-            Some(_) => Value::from("beta"),
-            None => Value::from("alpha"),
+        Box::new(|r: &Row| {
+            Ok(match r[4].as_str() {
+                Some(s) if s.len() % 2 == 0 => Value::Utf8(format!("{s}x")),
+                Some(_) => Value::from("beta"),
+                None => Value::from("alpha"),
+            })
         }),
     )];
     let ratio = RatioHint::Explicit(0.01);
     table.update(|r| hit(r, 3), &renamed, ratio).unwrap();
     let nulled: [Assignment<'static>; 2] = [
-        (1, Box::new(|_: &Row| Value::Null)),
-        (0, Box::new(|r: &Row| r[0].clone())),
+        (1, Box::new(|_: &Row| Ok(Value::Null))),
+        (0, Box::new(|r: &Row| Ok(r[0].clone()))),
     ];
     table.update(|r| hit(r, 5), &nulled, ratio).unwrap();
     table.delete(|r| hit(r, 7), ratio).unwrap();

@@ -54,6 +54,45 @@ fn update_and_delete_on_all_storages() {
     }
 }
 
+/// A SET expression that raises fails its statement, which applies
+/// nothing: on every storage, autocommit and inside `BEGIN`, in UPDATE and
+/// in MERGE's matched arm. (A raising WHERE still matches nothing.)
+#[test]
+fn a_raising_set_expression_fails_the_statement() {
+    let statements = [
+        "UPDATE t SET v = nosuch(v) WHERE id = 1",
+        "UPDATE t SET v = name + 1 WHERE id = 2",
+        "MERGE INTO t USING src ON t.id = src.id \
+         WHEN MATCHED THEN UPDATE SET v = nosuch(src.w)",
+    ];
+    for storage in ["DUALTABLE", "ORC", "HBASE", "ACID"] {
+        for in_txn in [false, true] {
+            for sql in statements {
+                let case = format!("{storage}, in transaction: {in_txn}, {sql}");
+                let mut s = Session::in_memory();
+                s.execute(&format!(
+                    "CREATE TABLE t (id BIGINT, name STRING, v BIGINT) STORED AS {storage}"
+                ))
+                .unwrap();
+                s.execute("CREATE TABLE src (id BIGINT, w BIGINT)").unwrap();
+                s.execute("INSERT INTO t VALUES (1, 'a', 10), (2, 'b', 20)")
+                    .unwrap();
+                s.execute("INSERT INTO src VALUES (1, 5), (2, 6)").unwrap();
+                if in_txn {
+                    s.execute("BEGIN").unwrap();
+                }
+                let outcome = s.execute(sql).map(|r| r.affected);
+                assert!(outcome.is_err(), "{case}: {outcome:?}");
+                if in_txn {
+                    s.execute("COMMIT").unwrap();
+                }
+                let r = s.execute("SELECT v FROM t ORDER BY id").unwrap();
+                assert_eq!(ints(&r, 0), vec![10, 20], "{case}");
+            }
+        }
+    }
+}
+
 #[test]
 fn group_by_aggregates() {
     let mut s = setup("DUALTABLE");

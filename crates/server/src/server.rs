@@ -224,7 +224,7 @@ impl Server {
         for conn in conns {
             let _ = conn.thread.join();
         }
-        self.shared.health.queue_depth.set(0);
+        sample_load(&self.shared.pool, &self.shared.health);
     }
 }
 
@@ -530,7 +530,7 @@ fn handle_statement(
         Ok(()) => {}
         Err(SubmitError::Full(_)) => {
             health.stmts_shed.inc();
-            health.queue_depth.set(server.pool.queued());
+            sample_load(&server.pool, health);
             return write_error_frame(
                 writer,
                 ErrorCode::ServerBusy,
@@ -551,7 +551,7 @@ fn handle_statement(
         }
     }
     health.stmts_accepted.inc();
-    health.queue_depth.set(server.pool.queued());
+    sample_load(&server.pool, health);
 
     // Block until the worker answers. Strict request–response: there is
     // never more than one outstanding statement per connection. A worker
@@ -561,6 +561,13 @@ fn handle_statement(
         return false;
     };
     write_outcome(writer, health, result).is_ok()
+}
+
+/// Samples the pool's load into the `queue_depth` and `workers_busy`
+/// gauges.
+fn sample_load(pool: &ServicePool, health: &ServerCounters) {
+    health.queue_depth.set(pool.queued());
+    health.workers_busy.set(pool.busy());
 }
 
 fn write_outcome(

@@ -288,6 +288,7 @@ fn show_health_exposes_server_tier() {
     for expected in [
         "sessions_active",
         "queue_depth",
+        "workers_busy",
         "stmts_shed",
         "stmts_timed_out",
         "conns_dropped_in_txn",

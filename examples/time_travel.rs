@@ -31,7 +31,10 @@ fn main() {
         table
             .update(
                 |row| row[0] == Value::Int64(7),
-                &[(1, Box::new(move |_| Value::Float64(round as f64 * 10.0)))],
+                &[(
+                    1,
+                    Box::new(move |_| Ok(Value::Float64(round as f64 * 10.0))),
+                )],
                 RatioHint::Explicit(0.1),
             )
             .unwrap();

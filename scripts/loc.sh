@@ -5,6 +5,8 @@
 # instrument behind ROADMAP item 3's "net LoC <= 0".
 #
 #   scripts/loc.sh                 per-crate totals over crates/*/src and src/
+#                                  (the ladder, crates/bench/src/bin/ladder,
+#                                  is its own row, bench/ladder)
 #   scripts/loc.sh FILE...         per-file counts for the named files
 #   scripts/loc.sh --vs REV        per-crate and total difference of the
 #                                  working tree against git revision REV
@@ -24,6 +26,8 @@ per_crate() {
     while read -r file; do
         [ -f "$file" ] || continue
         case "$file" in
+        # The benchmark ladder is a package of its own inside bench.
+        crates/bench/src/bin/ladder/*) crate=bench/ladder ;;
         crates/*) crate=${file#crates/} crate=${crate%%/src/*} ;;
         *) crate=. ;;
         esac

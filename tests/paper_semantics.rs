@@ -46,7 +46,7 @@ fn edit_plan_never_touches_the_master() {
 
     t.update(
         |r| r[1] == Value::Int64(3),
-        &[(2, Box::new(|_| Value::Float64(7.0)))],
+        &[(2, Box::new(|_| Ok(Value::Float64(7.0))))],
         RatioHint::Explicit(1.0 / 36.0),
     )
     .unwrap();
@@ -79,7 +79,7 @@ fn write_volume_proportionality() {
         let t = table(&env, PlanMode::AlwaysEdit, 1_000);
         t.update(
             |r| r[0].as_i64().unwrap() % 100 < pct,
-            &[(2, Box::new(|_| Value::Float64(1.0)))],
+            &[(2, Box::new(|_| Ok(Value::Float64(1.0))))],
             RatioHint::Explicit(pct as f64 / 100.0),
         )
         .unwrap();
@@ -109,7 +109,7 @@ fn write_volume_proportionality() {
         let before = env.dfs.stats().snapshot().bytes_written;
         t.update(
             |r| r[0].as_i64().unwrap() % 100 < pct,
-            &[(2, Box::new(|_| Value::Float64(1.0)))],
+            &[(2, Box::new(|_| Ok(Value::Float64(1.0))))],
             RatioHint::Explicit(pct as f64 / 100.0),
         )
         .unwrap();
@@ -136,7 +136,7 @@ fn cost_model_crossover_drives_plan_choice() {
     let below = t
         .update(
             |r| r[0].as_i64().unwrap() < 50,
-            &[(2, Box::new(|_| Value::Float64(1.0)))],
+            &[(2, Box::new(|_| Ok(Value::Float64(1.0))))],
             RatioHint::Explicit(crossover * 0.5),
         )
         .unwrap();
@@ -144,7 +144,7 @@ fn cost_model_crossover_drives_plan_choice() {
     let above = t
         .update(
             |r| r[0].as_i64().unwrap() < 250,
-            &[(2, Box::new(|_| Value::Float64(2.0)))],
+            &[(2, Box::new(|_| Ok(Value::Float64(2.0))))],
             RatioHint::Explicit(crossover * 1.5),
         )
         .unwrap();
@@ -160,7 +160,7 @@ fn compact_replaces_master_and_clears_attached() {
     let t = table(&env, PlanMode::AlwaysEdit, 360);
     t.update(
         |r| r[1] == Value::Int64(0),
-        &[(2, Box::new(|_| Value::Float64(5.0)))],
+        &[(2, Box::new(|_| Ok(Value::Float64(5.0))))],
         RatioHint::Explicit(1.0 / 36.0),
     )
     .unwrap();
@@ -218,7 +218,7 @@ fn union_read_correctness_under_mixed_modifications() {
         |r| r[0].as_i64().unwrap() % 7 == 0,
         &[(
             2,
-            Box::new(|r: &Vec<Value>| Value::Float64(r[0].as_f64().unwrap())),
+            Box::new(|r: &Vec<Value>| Ok(Value::Float64(r[0].as_f64().unwrap()))),
         )],
         RatioHint::Explicit(0.14),
     )
@@ -272,7 +272,7 @@ fn reopen_preserves_table_and_file_id_allocation() {
         let t = table(&env, PlanMode::AlwaysEdit, 100);
         t.update(
             |r| r[0] == Value::Int64(1),
-            &[(2, Box::new(|_| Value::Float64(9.0)))],
+            &[(2, Box::new(|_| Ok(Value::Float64(9.0))))],
             RatioHint::Explicit(0.01),
         )
         .unwrap();
