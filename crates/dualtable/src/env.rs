@@ -17,7 +17,7 @@ dt_common::counters! {
     /// plan and rewrite work, MVCC conflicts and generation GC, and the
     /// background compactor's fold ledger (`compactions_completed +
     /// compactions_lost_race + compactions_aborted ==
-    /// compactions_started`, asserted by the chaos soaks).
+    /// compactions_started`, asserted by the soaks).
     pub struct TableCounters => TableSnapshot {
         ..retry: RetryCounters => RetrySnapshot,
         /// Deferred best-effort cleanups (retried on next open).

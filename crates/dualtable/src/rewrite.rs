@@ -713,7 +713,7 @@ impl DualTableStore {
     /// candidate selection found work, before any byte is written;
     /// [`Self::compact_incremental`] opens its health ledger there, at the
     /// moment the cycle stops being a no-op.
-    fn begin_incremental(&self, on_build_start: impl FnOnce()) -> Result<Option<RewriteJob>> {
+    pub fn begin_incremental(&self, on_build_start: impl FnOnce()) -> Result<Option<RewriteJob>> {
         let snapshot = self.begin_snapshot()?;
         let picked = {
             let _guard = self.inner.ops.read();
@@ -805,9 +805,10 @@ impl DualTableStore {
     /// files, fold them off to the side, swing. Health-ledger exact —
     /// every call that starts building ends as exactly one of completed,
     /// lost-race or aborted, even across panics (a drop guard converts an
-    /// unwind into the aborted entry). The chaos soak asserts the ledger:
+    /// unwind into the aborted entry):
     /// `compactions_completed + compactions_lost_race + compactions_aborted
-    /// == compactions_started`.
+    /// == compactions_started`, asserted by the soaks and by the lost-race
+    /// test in `tests/concurrency_and_disk.rs`.
     ///
     /// A lost swing race is a clean retry, not an error: the abandoned
     /// generation is already deleted, and the stale-directory sweep is

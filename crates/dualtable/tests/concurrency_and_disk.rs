@@ -1,8 +1,13 @@
 //! DualTable concurrency (readers vs EDIT-plan writers vs COMPACT) and the
 //! on-disk environment roundtrip.
 
-use dt_common::{DataType, Schema, Value};
-use dualtable::{DualTableConfig, DualTableEnv, DualTableStore, PlanMode, RatioHint};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+use dt_common::{DataType, Row, Schema, Value};
+use dualtable::{
+    Assignment, DualTableConfig, DualTableEnv, DualTableStore, FoldOutcome, PlanMode, RatioHint,
+    ShardSpec, ShardedTable,
+};
 
 fn schema() -> Schema {
     Schema::from_pairs(&[("id", DataType::Int64), ("v", DataType::Int64)])
@@ -14,6 +19,162 @@ fn config() -> DualTableConfig {
         plan_mode: PlanMode::AlwaysEdit,
         ..DualTableConfig::default()
     }
+}
+
+/// Sets its flag when dropped, by a panic too: the other side of a race
+/// stops instead of spinning forever.
+struct Stop<'a>(&'a AtomicBool);
+
+impl Drop for Stop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Release);
+    }
+}
+
+/// Scans at the latest epoch race autocommit INSERTs of three master files
+/// each. A scan lists the generation under the MVCC state mutex, which a
+/// commit holds while it renames its files in, so it counts every insert
+/// whole or not at all. The directed real-thread test of that listing.
+#[test]
+fn a_scan_counts_each_multi_file_insert_whole() {
+    let env = DualTableEnv::in_memory();
+    let cfg = DualTableConfig {
+        rows_per_file: 8,
+        ..config()
+    };
+    let t = DualTableStore::create(&env, "t", schema(), cfg).unwrap();
+    let done = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let _stop = Stop(&done);
+            for i in 0..400i64 {
+                let rows = (i * 24..(i + 1) * 24).map(|k| vec![Value::Int64(k), Value::Int64(k)]);
+                t.insert_rows(rows).unwrap();
+            }
+        });
+        while !done.load(Ordering::Acquire) {
+            let n = t.count().unwrap();
+            assert_eq!(
+                n % 24,
+                0,
+                "a scan counted {n} rows: part of a three-file insert"
+            );
+        }
+    });
+}
+
+/// `v = v + 1`.
+fn bump() -> [Assignment<'static>; 1] {
+    [(
+        1,
+        Box::new(|row: &Row| Ok(Value::Int64(row[1].as_i64().unwrap() + 1))),
+    )]
+}
+
+/// Runs `fold` (the compactor's tick) on a thread of its own while this
+/// thread runs `update(r)` (`v = v + 1` where `id % 8 == r`) until three
+/// ticks lost their swing to an update, or 4,000 rounds. Before every
+/// tick a generation directory that no generation owns is planted in each
+/// of `stores` — what a failed delete leaves — so a lost race must sweep
+/// it at once. Checks the fold ledger, the sweep and every row's value;
+/// returns the lost ticks.
+fn fold_race(
+    env: &DualTableEnv,
+    stores: &[DualTableStore],
+    update: impl Fn(i64),
+    fold: impl Fn() -> FoldOutcome + Sync,
+) -> u64 {
+    let (done, lost) = (AtomicBool::new(false), AtomicU64::new(0));
+    let mut hits = [0i64; 8];
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let _stop = Stop(&done);
+            while !done.load(Ordering::Acquire) {
+                for store in stores {
+                    let stale = format!("/warehouse/{}/gen-9999999999/left", store.name());
+                    let _ = env.dfs.write_file(&stale, b"x");
+                }
+                if fold() == FoldOutcome::LostRace {
+                    lost.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+        });
+        let _stop = Stop(&done);
+        for r in (0..8).cycle().take(4_000) {
+            if lost.load(Ordering::Relaxed) >= 3 || done.load(Ordering::Acquire) {
+                break;
+            }
+            update(r);
+            hits[r as usize] += 1;
+        }
+    });
+    let (lost, h) = (lost.into_inner(), env.health.snapshot());
+    assert!(lost > 0, "no tick lost its swing in 4,000 updates");
+    assert_eq!(h.compactions_lost_race, lost, "lost ticks vs the counter");
+    assert_eq!(
+        h.stale_gens_swept, lost,
+        "a lost tick swept the stale generation"
+    );
+    let ended = h.compactions_completed + h.compactions_lost_race + h.compactions_aborted;
+    assert_eq!(ended, h.compactions_started, "fold ledger out of balance");
+    for store in stores {
+        for (_, row) in store.scan_all().unwrap() {
+            let id = row[0].as_i64().unwrap();
+            assert_eq!(row[1], Value::Int64(hits[id as usize % 8]), "row {id}");
+        }
+    }
+    lost
+}
+
+/// The compactor's tick racing autocommit UPDATEs of the files it folds,
+/// on one store and on a range-sharded table (round-robin ticks): a tick
+/// whose swing loses to a commit is a clean retry — `LostRace`, counted
+/// in the store-wide and the shard's ledger, its stale generations swept
+/// at once — and no update is lost or applied twice. The directed
+/// real-thread test of the lost race: the soaks fold in two scheduled
+/// steps, with nothing between them but the steps the model schedules.
+#[test]
+fn a_fold_that_loses_its_race_is_a_clean_retry() {
+    let ids = (0..3).flat_map(|s| s * 100..s * 100 + 24);
+    let rows: Vec<Row> = ids
+        .map(|k| vec![Value::Int64(k), Value::Int64(0)])
+        .collect();
+    let cfg = DualTableConfig {
+        rows_per_file: 8,
+        ..config()
+    };
+    let hit = |r: i64| move |row: &Row| row[0].as_i64().unwrap() % 8 == r;
+
+    let env = DualTableEnv::in_memory();
+    let t = DualTableStore::create(&env, "t", schema(), cfg.clone()).unwrap();
+    t.insert_rows(rows.clone()).unwrap();
+    let update = |r| {
+        t.update(hit(r), &bump(), RatioHint::Explicit(0.01))
+            .unwrap();
+    };
+    fold_race(&env, std::slice::from_ref(&t), update, || {
+        t.compact_incremental().unwrap()
+    });
+
+    let env = DualTableEnv::in_memory();
+    let spec = ShardSpec::new(0, vec![100, 200]).unwrap();
+    let t = ShardedTable::create(&env, "s", schema(), cfg, spec).unwrap();
+    t.insert_rows(rows).unwrap();
+    let update = |r| {
+        let set = bump();
+        t.dml(&hit(r), Some(&set), RatioHint::Explicit(0.01), None, None)
+            .unwrap();
+    };
+    let lost = fold_race(&env, t.shards(), update, || {
+        t.compact_incremental().unwrap()
+    });
+    let stats: Vec<_> = (0..t.shard_count()).map(|s| t.fold_stats(s)).collect();
+    for (s, f) in stats.iter().enumerate() {
+        let ledger = f.folded + f.lost_race + f.clean;
+        assert_eq!(f.attempted, ledger, "shard {s}: fold probes out of balance");
+    }
+    let shard_lost: u64 = stats.iter().map(|f| f.lost_race).sum();
+    assert_eq!(shard_lost, lost, "the shards' lost races vs the ticks");
 }
 
 #[test]

@@ -24,198 +24,32 @@
 //!    still work, the spill draining the tier. The fold ledger must balance
 //!    at the crash itself, and at least 90 % of the points must fire.
 
+mod support;
+
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::ControlFlow;
-use std::ops::Range;
 use std::sync::Arc;
 
 use dt_common::crash_matrix::run_crash_matrix;
 use dt_common::fault::{FaultKind, FaultPlan, IoOp};
-use dt_common::{DataType, Deadline, RecordId, Row, Schema, Value};
+use dt_common::{Deadline, Row, Value};
 use dt_dfs::DfsConfig;
 use dt_engine::with_degree;
-use dt_kvstore::KvConfig;
 use dt_orcfile::{ColumnPredicate, PredicateOp};
 use dualtable::{
-    Assignment, DualTableConfig, DualTableEnv, DualTableStore, PlanMode, RatioHint, RewriteJob,
-    ShardSpec, ShardedTable, Snapshot, Transaction, UnionReadOptions,
+    DualTableEnv, DualTableStore, PlanMode, RatioHint, ShardedTable, Transaction, UnionReadOptions,
 };
+use support::*;
+use Job::Compact as Rebuild;
 use Set::{Add, To};
 use Step::*;
 
-const TABLE: &str = "crash_table";
-const SIDE_TABLE: &str = "crash_table_side";
-/// Table arguments of a [`Step`]: the workload's table, and the unsharded
-/// side table of a sharded [`Shape`].
-const MAIN: usize = 0;
-const SIDE: usize = 1;
-const SPLITS: [i64; 2] = [100, 200];
-const SHARDS: usize = 3;
-
-fn schema() -> Schema {
-    Schema::from_pairs(&[("id", DataType::Int64), ("v", DataType::Int64)])
-}
-
-fn spec() -> ShardSpec {
-    ShardSpec::new(0, SPLITS.to_vec()).unwrap()
-}
-
-/// Rows of fresh keys: `v = 3 * id`.
-fn rows(keys: impl IntoIterator<Item = i64>) -> Vec<Row> {
-    keys.into_iter()
-        .map(|k| vec![Value::Int64(k), Value::Int64(k * 3)])
-        .collect()
-}
-
-fn table_cfg() -> DualTableConfig {
-    Shape::default().config()
-}
-
-fn faulty_env(plan: &Arc<FaultPlan>) -> dt_common::Result<DualTableEnv> {
-    Shape::default().env(plan)
-}
-
-/// Rows a statement touches: `id % .0 == .1`.
-type Hit = (i64, i64);
-
-fn hits((divisor, rem): Hit) -> impl Fn(&Row) -> bool + Sync + Copy {
-    move |row| row[0].as_i64().unwrap() % divisor == rem
-}
-
-/// What an UPDATE does to `v`.
-#[derive(Debug, Clone, Copy)]
-enum Set {
-    To(i64),
-    Add(i64),
-}
-
-impl Set {
-    fn apply(self, v: i64) -> i64 {
-        match self {
-            Set::To(x) => x,
-            Set::Add(d) => v + d,
-        }
-    }
-
-    fn assignment(self) -> [Assignment<'static>; 1] {
-        [(
-            1,
-            Box::new(move |row: &Row| Ok(Value::Int64(self.apply(row[1].as_i64().unwrap())))),
-        )]
-    }
-}
-
-/// One step of a workload. Table arguments are [`MAIN`] or [`SIDE`].
-#[derive(Debug, Clone)]
-enum Step {
-    /// Autocommit INSERT of these keys.
-    Insert(usize, Range<i64>),
-    /// Autocommit UPDATE with an EDIT-sized ratio hint.
-    Update(usize, Hit, Set),
-    /// Autocommit DELETE with an EDIT-sized ratio hint.
-    Delete(usize, Hit),
-    /// INSERT OVERWRITE of the table's rows with every `v` bumped by 1000.
-    Overwrite(usize),
-    Compact(usize),
-    /// One `compact_incremental` cycle (round-robin over a sharded table).
-    Fold(usize),
-    /// An explicit delta-tier spill of every store of the table.
-    Spill(usize),
-    /// Opens one snapshot-isolation transaction per table.
-    Begin,
-    TxnInsert(usize, Range<i64>),
-    TxnUpdate(usize, Hit, Set),
-    /// Commits every open transaction as one (`Transaction::commit_all`).
-    Commit,
-    /// Pins a snapshot of [`MAIN`], which must be one store.
-    Pin,
-    /// The pinned snapshot still reads what was committed at `Pin`.
-    CheckPin,
-    /// Drops the pin: a generation retired under it drains.
-    Unpin,
-    /// Builds a COMPACT of [`MAIN`] aside; `FinishCompact` swings it in.
-    BeginCompact,
-    FinishCompact,
-}
-
-impl Step {
-    /// The variant name, as [`Workload::windows`] spells it.
-    fn name(&self) -> String {
-        let debug = format!("{self:?}");
-        debug.split('(').next().unwrap_or_default().to_string()
-    }
-}
-
-/// Committed content, one ordered `id → v` map per table.
-type State = Vec<BTreeMap<i64, i64>>;
-
-/// The reference model: committed tables, the open transaction's view
-/// (its pin plus its own writes) and writes, which land at `Commit`, and
-/// what `MAIN` held when the snapshot was pinned.
-#[derive(Clone)]
-struct Model {
-    tables: State,
-    txn: Option<(State, State)>,
-    pinned: Vec<(i64, i64)>,
-}
+/// The sessions of [`crash_matrix_interleaved_transactions`]: a writer and
+/// a pinned reader.
+const A: usize = 0;
+const R: usize = 1;
 
 impl Model {
-    fn new(tables: usize) -> Self {
-        Model {
-            tables: vec![BTreeMap::new(); tables],
-            txn: None,
-            pinned: Vec::new(),
-        }
-    }
-
-    fn step(&mut self, step: &Step) {
-        let fresh = |keys: &Range<i64>| keys.clone().map(|k| (k, k * 3));
-        match step {
-            Step::Insert(t, keys) => self.tables[*t].extend(fresh(keys)),
-            Step::Update(t, hit, set) => {
-                for (&id, v) in self.tables[*t].iter_mut() {
-                    if id % hit.0 == hit.1 {
-                        *v = set.apply(*v);
-                    }
-                }
-            }
-            Step::Delete(t, hit) => self.tables[*t].retain(|id, _| id % hit.0 != hit.1),
-            Step::Overwrite(t) => self.tables[*t].values_mut().for_each(|v| *v += 1000),
-            Step::Begin => {
-                let writes = vec![BTreeMap::new(); self.tables.len()];
-                self.txn = Some((self.tables.clone(), writes));
-            }
-            Step::TxnInsert(t, keys) => {
-                let (view, writes) = self.txn.as_mut().unwrap();
-                view[*t].extend(fresh(keys));
-                writes[*t].extend(fresh(keys));
-            }
-            Step::TxnUpdate(t, hit, set) => {
-                let (view, writes) = self.txn.as_mut().unwrap();
-                for (&id, v) in view[*t].iter_mut() {
-                    if id % hit.0 == hit.1 {
-                        *v = set.apply(*v);
-                        writes[*t].insert(id, *v);
-                    }
-                }
-            }
-            Step::Commit => {
-                let (_, writes) = self.txn.take().unwrap();
-                for (table, w) in self.tables.iter_mut().zip(writes) {
-                    table.extend(w);
-                }
-            }
-            Step::Pin => self.pinned = self.tables[MAIN].clone().into_iter().collect(),
-            Step::Compact(_)
-            | Step::Fold(_)
-            | Step::Spill(_)
-            | Step::CheckPin
-            | Step::Unpin
-            | Step::BeginCompact
-            | Step::FinishCompact => {}
-        }
-    }
-
     /// The durable writes `step` commits with, on `shape`'s stores: one
     /// attached batch per store it EDITs, one rename per master file it
     /// inserts (`rows_per_file` rows a file), and one metadata put for all
@@ -223,244 +57,27 @@ impl Model {
     /// decision record.
     fn durable_actions(&self, shape: &Shape, step: &Step) -> usize {
         let files = |n: usize| n.div_ceil(shape.rows_per_file);
-        let slices = |state: &State| shape.slices(state).into_iter().map(|s| s.len());
+        let per_store = |t: usize, ids: &mut dyn Iterator<Item = i64>| {
+            let mut n = BTreeMap::<usize, usize>::new();
+            ids.for_each(|id| *n.entry(self.store_of(t, id)).or_default() += 1);
+            n.into_values()
+        };
         match step {
-            Step::Insert(t, keys) => {
-                let mut state = vec![BTreeMap::new(); self.tables.len()];
-                state[*t] = keys.clone().map(|k| (k, k)).collect();
-                slices(&state).map(files).sum()
-            }
+            Step::Insert(t, keys) => per_store(*t, &mut keys.clone()).map(files).sum(),
             Step::Update(t, hit, _) | Step::Delete(t, hit) => {
-                let mut state = vec![BTreeMap::new(); self.tables.len()];
-                state[*t] = self.tables[*t].clone();
-                state[*t].retain(|id, _| id % hit.0 == hit.1);
-                slices(&state).filter(|&n| n > 0).count()
+                let ids = self.tables[*t].keys().copied();
+                per_store(*t, &mut ids.filter(|id| id.rem_euclid(hit.0) == hit.1)).count()
             }
-            Step::Commit => {
-                let (_, writes) = self.txn.as_ref().unwrap();
-                let split = |new: bool| {
-                    let mut state = writes.clone();
-                    for (w, committed) in state.iter_mut().zip(&self.tables) {
-                        w.retain(|id, _| committed.contains_key(id) != new);
-                    }
-                    slices(&state).collect::<Vec<_>>()
-                };
-                let edits = split(false).into_iter().filter(|&n| n > 0).count();
-                edits + split(true).into_iter().map(files).sum::<usize>()
+            Step::Commit(s) => {
+                let writes = self.commit_writes(*s).into_values();
+                writes
+                    .map(|(ins, pat)| files(ins) + usize::from(pat > 0))
+                    .sum()
             }
-            Step::Overwrite(_) | Step::Compact(_) | Step::Fold(_) | Step::FinishCompact => 1,
+            Step::Overwrite(_) | Step::Compact(_) | Step::Fold(_) | Step::Swing => 1,
             _ => 0,
         }
     }
-
-    /// Judges what a step read: only `CheckPin` reads.
-    fn check(&self, seen: Option<Vec<(i64, i64)>>) -> Result<(), String> {
-        match seen {
-            Some(seen) if seen != self.pinned => Err(format!(
-                "pinned snapshot drifted: {} rows at pin, {} now",
-                self.pinned.len(),
-                seen.len()
-            )),
-            _ => Ok(()),
-        }
-    }
-}
-
-/// The tables a workload runs on.
-#[derive(Clone)]
-struct Shape {
-    /// [`MAIN`] range-sharded at [`SPLITS`] beside an unsharded [`SIDE`]
-    /// table; otherwise [`MAIN`] is one store.
-    sharded: bool,
-    delta_bytes: usize,
-    /// The degree every step runs at ([`dt_engine::with_degree`]).
-    degree: usize,
-    rows_per_file: usize,
-    plan_mode: PlanMode,
-    /// DFS block size: small blocks put crash points inside block
-    /// pipelines.
-    chunk_size: usize,
-}
-
-impl Default for Shape {
-    /// Degree 2, so OVERWRITE/COMPACT crash points run against the
-    /// parallel fan-out. Its op count per statement is deterministic,
-    /// which is what lets the record run's trace transfer to the crash runs.
-    fn default() -> Self {
-        Shape {
-            sharded: false,
-            delta_bytes: 0,
-            degree: 2,
-            rows_per_file: 8,
-            plan_mode: PlanMode::CostBased,
-            chunk_size: 64,
-        }
-    }
-}
-
-impl Shape {
-    /// Replication 2 and a mid-workload checkpoint interval put crash
-    /// points inside replica pipelines and checkpoint writes; a tiny
-    /// memtable puts them inside WAL rotation and SSTable flushes.
-    fn env(&self, plan: &Arc<FaultPlan>) -> dt_common::Result<DualTableEnv> {
-        let dfs = DfsConfig {
-            chunk_size: self.chunk_size,
-            replication: 2,
-            checkpoint_interval: 16,
-            ..DfsConfig::default()
-        };
-        let kv = KvConfig {
-            memtable_flush_bytes: 512,
-            ..KvConfig::default()
-        };
-        DualTableEnv::in_memory_faulty_with(plan.clone(), dfs, kv)
-    }
-
-    /// The delta budget, when on, is big enough that spills happen only at
-    /// `Spill` steps and inside COMPACT, keeping every run's trace aligned.
-    fn config(&self) -> DualTableConfig {
-        DualTableConfig {
-            rows_per_file: self.rows_per_file,
-            plan_mode: self.plan_mode,
-            delta_bytes: self.delta_bytes,
-            ..DualTableConfig::default()
-        }
-    }
-
-    fn tables(&self) -> usize {
-        1 + usize::from(self.sharded)
-    }
-
-    /// Every store as `(table, shard)`, in [`Stack::stores`] order.
-    fn stores(&self) -> Vec<(usize, Option<usize>)> {
-        if self.sharded {
-            let shards = (0..SHARDS).map(|i| (MAIN, Some(i)));
-            shards.chain([(SIDE, None)]).collect()
-        } else {
-            vec![(MAIN, None)]
-        }
-    }
-
-    /// Each store's slice of `state`, as sorted `(id, v)` pairs.
-    fn slices(&self, state: &State) -> Vec<Vec<(i64, i64)>> {
-        let sp = spec();
-        let slice = |(t, shard): (usize, Option<usize>)| {
-            let rows = state[t].iter().map(|(&id, &v)| (id, v));
-            let mine = |&(id, _): &(i64, i64)| shard.is_none_or(|s| sp.shard_of(id) == s);
-            rows.filter(mine).collect()
-        };
-        self.stores().into_iter().map(slice).collect()
-    }
-
-    /// What must still work on a recovered stack.
-    fn after_recovery(&self) -> Vec<Step> {
-        let mut steps = vec![Step::Update(MAIN, (2, 0), Set::To(777)), Step::Fold(MAIN)];
-        if self.delta_bytes > 0 {
-            steps.extend((0..self.tables()).map(Step::Spill));
-        }
-        steps
-    }
-}
-
-enum Handle {
-    One(DualTableStore),
-    Sharded(ShardedTable),
-}
-
-/// Calls a method both table kinds have.
-macro_rules! either {
-    ($handle:expr, $t:ident => $call:expr) => {
-        match $handle {
-            Handle::One($t) => $call,
-            Handle::Sharded($t) => $call,
-        }
-    };
-}
-
-impl Handle {
-    fn stores(&self) -> &[DualTableStore] {
-        match self {
-            Handle::One(s) => std::slice::from_ref(s),
-            Handle::Sharded(t) => t.shards(),
-        }
-    }
-
-    fn one(&self) -> &DualTableStore {
-        match self {
-            Handle::One(s) => s,
-            Handle::Sharded(_) => panic!("pins and compaction jobs take one store"),
-        }
-    }
-
-    /// An UPDATE (`set` given) or DELETE with an EDIT-sized ratio hint.
-    fn edit(&self, hit: Hit, set: Option<Set>) -> dt_common::Result<()> {
-        let (pred, ratio) = (hits(hit), RatioHint::Explicit(0.01));
-        match (self, set) {
-            (Handle::One(s), Some(set)) => s.update(pred, &set.assignment(), ratio).map(drop),
-            (Handle::One(s), None) => s.delete(pred, ratio).map(drop),
-            (Handle::Sharded(t), set) => {
-                let set = set.map(Set::assignment);
-                let set = set.as_ref().map(|set| &set[..]);
-                t.dml(&pred, set, ratio, None, None).map(drop)
-            }
-        }
-    }
-}
-
-/// A workload's tables on one environment.
-struct Stack {
-    env: DualTableEnv,
-    tables: Vec<Handle>,
-}
-
-impl Stack {
-    fn new(env: &DualTableEnv, shape: &Shape, create: bool) -> dt_common::Result<Self> {
-        let cfg = shape.config();
-        let store = |name| match create {
-            true => DualTableStore::create(env, name, schema(), cfg.clone()),
-            false => DualTableStore::open(env, name, schema(), cfg.clone()),
-        };
-        let mut tables = vec![match (shape.sharded, create) {
-            (false, _) => Handle::One(store(TABLE)?),
-            (true, true) => Handle::Sharded(ShardedTable::create(
-                env,
-                TABLE,
-                schema(),
-                cfg.clone(),
-                spec(),
-            )?),
-            (true, false) => {
-                Handle::Sharded(ShardedTable::open(env, TABLE, schema(), cfg.clone())?)
-            }
-        }];
-        if shape.sharded {
-            tables.push(Handle::One(store(SIDE_TABLE)?));
-        }
-        Ok(Stack {
-            env: env.clone(),
-            tables,
-        })
-    }
-
-    fn stores(&self) -> impl Iterator<Item = &DualTableStore> {
-        self.tables.iter().flat_map(Handle::stores)
-    }
-
-    fn scan(&self) -> Result<Vec<Vec<(i64, i64)>>, String> {
-        let scan =
-            |s: &DualTableStore| pairs(s.scan_all()).map_err(|e| format!("{} scan: {e}", s.name()));
-        self.stores().map(scan).collect()
-    }
-}
-
-/// A scan as sorted `(id, v)` pairs.
-fn pairs(scan: dt_common::Result<Vec<(RecordId, Row)>>) -> dt_common::Result<Vec<(i64, i64)>> {
-    let rows = scan?.into_iter();
-    let mut got: Vec<_> = rows
-        .map(|(_, row)| (row[0].as_i64().unwrap(), row[1].as_i64().unwrap()))
-        .collect();
-    got.sort_unstable();
-    Ok(got)
 }
 
 /// Generation directories under one store's warehouse prefix.
@@ -474,61 +91,40 @@ fn generations(env: &DualTableEnv, store: &str) -> BTreeSet<String> {
     files.iter().filter_map(gen).collect()
 }
 
-/// The sessions a workload holds open between steps.
-#[derive(Default)]
-struct Live {
-    txns: Vec<Transaction>,
-    pin: Option<Snapshot>,
-    job: Option<RewriteJob>,
+impl Shape {
+    /// Every store as its table, in [`Stack::stores`] order.
+    fn store_tables(&self) -> Vec<usize> {
+        match self.sharded {
+            true => vec![MAIN, MAIN, MAIN, SIDE],
+            false => vec![MAIN],
+        }
+    }
+
+    /// What must still work on a recovered stack.
+    fn after_recovery(&self) -> Vec<Step> {
+        let mut steps = vec![Step::Update(MAIN, (2, 0), Set::To(777)), Step::Fold(MAIN)];
+        if self.delta_bytes > 0 {
+            steps.extend((0..self.tables()).map(Step::Spill));
+        }
+        steps
+    }
 }
 
-/// Runs one step on the engine. `model` is the state before it (it
-/// supplies OVERWRITE's rows). Returns what `CheckPin` read.
-fn apply(
-    stack: &Stack,
-    live: &mut Live,
-    model: &Model,
-    step: &Step,
-) -> dt_common::Result<Option<Vec<(i64, i64)>>> {
-    let tables = &stack.tables;
-    match step {
-        Step::Insert(t, keys) => {
-            either!(&tables[*t], h => h.insert_rows(rows(keys.clone()))).map(drop)?
-        }
-        Step::Update(t, hit, set) => tables[*t].edit(*hit, Some(*set))?,
-        Step::Delete(t, hit) => tables[*t].edit(*hit, None)?,
-        Step::Overwrite(t) => {
-            let bumped = model.tables[*t].iter().map(|(&id, &v)| (id, v + 1000));
-            let rows: Vec<Row> = bumped
-                .map(|(id, v)| vec![Value::Int64(id), Value::Int64(v)])
-                .collect();
-            either!(&tables[*t], h => h.insert_overwrite(rows)).map(drop)?
-        }
-        Step::Compact(t) => either!(&tables[*t], h => h.compact())?,
-        Step::Fold(t) => either!(&tables[*t], h => h.compact_incremental()).map(drop)?,
-        Step::Spill(t) => {
-            for store in tables[*t].stores() {
-                store.spill_delta()?;
-            }
-        }
-        Step::Begin => {
-            let txns = tables
-                .iter()
-                .map(|h| either!(h, h => h.begin_transaction()));
-            live.txns = txns.collect::<dt_common::Result<_>>()?;
-        }
-        Step::TxnInsert(t, keys) => live.txns[*t].insert(rows(keys.clone())).map(drop)?,
-        Step::TxnUpdate(t, hit, set) => live.txns[*t]
-            .update(hits(*hit), &set.assignment(), &UnionReadOptions::all())
-            .map(drop)?,
-        Step::Commit => Transaction::commit_all(std::mem::take(&mut live.txns)).map(drop)?,
-        Step::Pin => live.pin = Some(tables[MAIN].one().begin_snapshot()?),
-        Step::CheckPin => return pairs(live.pin.as_ref().unwrap().scan_all()).map(Some),
-        Step::Unpin => live.pin = None,
-        Step::BeginCompact => live.job = Some(tables[MAIN].one().begin_compact()?),
-        Step::FinishCompact => live.job.take().unwrap().finish().map(drop)?,
+impl Stack {
+    /// Each store's content as sorted `(id, v)` pairs.
+    fn scan(&self) -> Result<Vec<Vec<(i64, i64)>>, String> {
+        let scan =
+            |s: &DualTableStore| pairs(s.scan_all()).map_err(|e| format!("{} scan: {e}", s.name()));
+        self.stores().map(scan).collect()
     }
-    Ok(None)
+}
+
+impl Step {
+    /// The variant name.
+    fn name(&self) -> String {
+        let debug = format!("{self:?}");
+        debug.split('(').next().unwrap_or_default().to_string()
+    }
 }
 
 /// One crash matrix.
@@ -554,10 +150,10 @@ impl Workload {
     fn setup(&self, plan: &Arc<FaultPlan>) -> dt_common::Result<(Stack, Model)> {
         plan.set_armed(false);
         let stack = Stack::new(&self.shape.env(plan)?, &self.shape, true)?;
-        let mut model = Model::new(self.shape.tables());
+        let mut model = self.shape.model();
         for step in &self.setup {
-            apply(&stack, &mut Live::default(), &model, step)?;
-            model.step(step);
+            let seen = apply(&stack, &mut Live::default(), &model, step)?;
+            model.step(step, &seen);
         }
         Ok((stack, model))
     }
@@ -600,8 +196,8 @@ fn record(w: &Workload) -> Record {
         let start = plan.ops_seen();
         let seen = apply(&stack, &mut live, &model, step)
             .unwrap_or_else(|e| panic!("{name}: record run faulted at {step:?}: {e}"));
-        model.check(seen).unwrap();
-        model.step(step);
+        model.check(step, &seen).unwrap();
+        model.step(step, &seen);
         did_io.push(start < plan.ops_seen());
         oracles.push(model.tables.clone());
     }
@@ -690,8 +286,8 @@ fn crash_at(w: &Workload, rec: &Record, k: u64) -> Result<bool, String> {
         let Ok(seen) = apply(&stack, &mut live, &model, step) else {
             break;
         };
-        model.check(seen)?;
-        model.step(step);
+        model.check(step, &seen)?;
+        model.step(step, &seen);
         acked += 1;
         // An acknowledged step with a sticky crash behind it: the fault hit
         // post-commit work, and the process is dead.
@@ -729,7 +325,7 @@ fn check_recovered(
     let shape = &w.shape;
     let stack = Stack::new(env, shape, false).map_err(|e| format!("reopen: {e}"))?;
     let stores: Vec<&DualTableStore> = stack.stores().collect();
-    if stores.len() != shape.stores().len() {
+    if stores.len() != shape.store_tables().len() {
         return Err(format!("{} stores after recovery", stores.len()));
     }
 
@@ -800,14 +396,14 @@ fn check_recovered(
 
     // The recovered stack is operable: a half-folded presence index or a
     // replayed delta tier may neither hide nor duplicate a row.
-    let mut model = Model::new(shape.tables());
-    for ((t, _), rows) in shape.stores().into_iter().zip(got) {
+    let mut model = shape.model();
+    for (t, rows) in shape.store_tables().into_iter().zip(got) {
         model.tables[t].extend(rows);
     }
     for step in shape.after_recovery() {
-        apply(&stack, &mut Live::default(), &model, &step)
+        let seen = apply(&stack, &mut Live::default(), &model, &step)
             .map_err(|e| format!("post-recovery {step:?}: {e}"))?;
-        model.step(&step);
+        model.step(&step, &seen);
         if stack.scan()? != shape.slices(&model.tables) {
             return Err(format!("post-recovery {step:?} produced wrong content"));
         }
@@ -905,22 +501,22 @@ fn crash_matrix_interleaved_transactions() {
         setup: vec![Insert(MAIN, 0..20)],
         steps: vec![
             Update(MAIN, (4, 0), Add(100)),
-            Pin,
-            Begin,
-            TxnUpdate(MAIN, (3, 1), To(-5)),
-            TxnInsert(MAIN, 100..110),
-            Commit,
-            BeginCompact,
-            FinishCompact,
+            Begin(R),
+            Begin(A),
+            TxnUpdate(A, MAIN, (3, 1), To(-5)),
+            TxnInsert(A, MAIN, 100..110),
+            Commit(A),
+            Build(Rebuild),
+            Swing,
             Insert(MAIN, 200..204),
-            Begin,
-            TxnUpdate(MAIN, (5, 2), Add(7)),
-            CheckPin,
-            Unpin,
-            Commit,
+            Begin(A),
+            TxnUpdate(A, MAIN, (5, 2), Add(7)),
+            Check(R),
+            Rollback(R),
+            Commit(A),
             Compact(MAIN),
         ],
-        windows: &["Commit", "FinishCompact", "Unpin"],
+        windows: &["Commit", "Swing", "Rollback"],
         expect: &[
             ("table", "generations_deferred", 1),
             ("table", "generations_gcd", 2),
@@ -965,41 +561,41 @@ fn sharded_crash_matrix_all_or_none() {
         setup: vec![Insert(SIDE, 0..6)],
         steps: vec![
             Insert(MAIN, 0..8),
-            Begin,
-            TxnInsert(MAIN, 20..24),
-            TxnInsert(MAIN, 120..124),
-            TxnInsert(MAIN, 220..224),
-            Commit,
+            Begin(A),
+            TxnInsert(A, MAIN, 20..24),
+            TxnInsert(A, MAIN, 120..124),
+            TxnInsert(A, MAIN, 220..224),
+            Commit(A),
             Update(MAIN, (2, 0), To(7)),
-            Begin,
-            TxnUpdate(MAIN, (3, 0), To(11)),
-            TxnInsert(SIDE, 100..103),
-            TxnUpdate(SIDE, (2, 0), To(11)),
-            Commit,
+            Begin(A),
+            TxnUpdate(A, MAIN, (3, 0), To(11)),
+            TxnInsert(A, SIDE, 100..103),
+            TxnUpdate(A, SIDE, (2, 0), To(11)),
+            Commit(A),
             Insert(MAIN, 110..116),
-            Begin,
-            TxnInsert(MAIN, 40..45),
-            TxnInsert(MAIN, 140..145),
-            TxnInsert(MAIN, 240..245),
-            Commit,
-            Begin,
-            TxnUpdate(MAIN, (4, 1), To(5)),
-            Commit,
+            Begin(A),
+            TxnInsert(A, MAIN, 40..45),
+            TxnInsert(A, MAIN, 140..145),
+            TxnInsert(A, MAIN, 240..245),
+            Commit(A),
+            Begin(A),
+            TxnUpdate(A, MAIN, (4, 1), To(5)),
+            Commit(A),
             Fold(MAIN),
             Delete(MAIN, (3, 1)),
             Spill(MAIN),
             Compact(MAIN),
-            Begin,
-            TxnUpdate(MAIN, (5, 4), To(-7)),
-            TxnInsert(SIDE, 200..202),
-            TxnUpdate(SIDE, (2, 0), To(-7)),
-            Commit,
+            Begin(A),
+            TxnUpdate(A, MAIN, (5, 4), To(-7)),
+            TxnInsert(A, SIDE, 200..202),
+            TxnUpdate(A, SIDE, (2, 0), To(-7)),
+            Commit(A),
             Insert(MAIN, 210..217),
-            Begin,
-            TxnInsert(MAIN, 60..63),
-            TxnInsert(MAIN, 160..163),
-            TxnInsert(MAIN, 260..263),
-            Commit,
+            Begin(A),
+            TxnInsert(A, MAIN, 60..63),
+            TxnInsert(A, MAIN, 160..163),
+            TxnInsert(A, MAIN, 260..263),
+            Commit(A),
             Update(MAIN, (5, 2), To(-3)),
             Spill(MAIN),
             Fold(MAIN),
@@ -1104,9 +700,8 @@ fn crash_matrix_parallel_compact() {
     });
 }
 
-// ---------------------------------------------------------------------------
-// Directed decision-record cases (DESIGN.md §13).
-// ---------------------------------------------------------------------------
+// Directed failed-write cases (DESIGN.md §13): a decided commit whose
+// participant write fails, or whose record cannot be cleared.
 
 /// Decision records still in the metadata table.
 fn decision_records(env: &DualTableEnv) -> usize {
@@ -1125,12 +720,14 @@ const DECIDED: i64 = 42;
 /// `plan` disarmed, so the commit's I/O is numbered from 1.
 fn decided_update(plan: &Arc<FaultPlan>) -> (DualTableEnv, ShardedTable, Transaction) {
     plan.set_armed(false);
-    let env = faulty_env(plan).unwrap();
-    let table = ShardedTable::create(&env, TABLE, schema(), table_cfg(), spec()).unwrap();
+    let (env, cfg) = (
+        Shape::default().env(plan).unwrap(),
+        Shape::default().config(),
+    );
+    let table = ShardedTable::create(&env, TABLE, schema(), cfg, spec()).unwrap();
     table.insert_rows(rows([1, 2, 101, 102, 201, 202])).unwrap();
     let mut txn = table.begin_transaction().unwrap();
-    let set: [dualtable::Assignment<'static>; 1] =
-        [(1, Box::new(|_: &Row| Ok(Value::Int64(DECIDED))))];
+    let set = To(DECIDED).assignment();
     txn.update(|_| true, &set, &UnionReadOptions::all())
         .unwrap();
     (env, table, txn)
@@ -1173,7 +770,7 @@ fn a_failed_participant_write_keeps_its_decision_record() {
         "the record outlives a failed write"
     );
 
-    let later: [dualtable::Assignment<'static>; 1] = [(1, Box::new(|_: &Row| Ok(Value::Int64(7))))];
+    let later = To(7).assignment();
     let refused = table.dml(
         &|row: &Row| row[0] == Value::Int64(101),
         Some(&later),
@@ -1189,7 +786,7 @@ fn a_failed_participant_write_keeps_its_decision_record() {
     env.crash_and_reopen().unwrap();
     assert_eq!(decision_records(&env), 0, "recovery redid and cleared it");
     drop(table);
-    let table = ShardedTable::open(&env, TABLE, schema(), table_cfg()).unwrap();
+    let table = ShardedTable::open(&env, TABLE, schema(), Shape::default().config()).unwrap();
     for (i, shard) in table.shards().iter().enumerate() {
         let values: Vec<i64> = shard
             .scan_all()
@@ -1218,7 +815,7 @@ fn a_left_over_decision_record_never_shadows_a_later_write() {
     plan.set_armed(false);
     assert_eq!(decision_records(&env), 1, "the record outlived its commit");
 
-    let later: [dualtable::Assignment<'static>; 1] = [(1, Box::new(|_: &Row| Ok(Value::Int64(7))))];
+    let later = To(7).assignment();
     table
         .dml(
             &|row: &Row| row[0] == Value::Int64(101),
@@ -1231,7 +828,7 @@ fn a_left_over_decision_record_never_shadows_a_later_write() {
     env.crash_and_reopen().unwrap();
     assert_eq!(decision_records(&env), 0, "recovery redid and cleared it");
     drop(table);
-    let table = ShardedTable::open(&env, TABLE, schema(), table_cfg()).unwrap();
+    let table = ShardedTable::open(&env, TABLE, schema(), Shape::default().config()).unwrap();
 
     let scan = |opts: &UnionReadOptions| {
         let mut got: Vec<(i64, i64)> = Vec::new();

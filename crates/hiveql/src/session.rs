@@ -550,7 +550,7 @@ impl Session {
                             lines.push((
                                 "scatter".into(),
                                 format!(
-                                    "{} of {} shard(s) scanned in parallel ({} pruned by range)",
+                                    "{} of {} shard(s) scanned one after another, in range order ({} pruned by range)",
                                     matched.len(),
                                     t.shard_count(),
                                     t.shard_count() - matched.len()

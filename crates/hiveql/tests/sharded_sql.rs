@@ -132,7 +132,10 @@ fn explain_shows_scatter_and_pruning() {
         .find(|l| l.starts_with("scatter"))
         .expect("EXPLAIN SELECT must have a scatter line");
     assert!(
-        scatter.contains("1 of 3 shard(s)") && scatter.contains("2 pruned by range"),
+        scatter.contains("1 of 3 shard(s)")
+            && scatter.contains("one after another, in range order")
+            && !scatter.contains("parallel")
+            && scatter.contains("2 pruned by range"),
         "scatter line: {scatter}"
     );
 

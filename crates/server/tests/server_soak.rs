@@ -1,363 +1,368 @@
-//! Fault-injected soak: a client storm against a deliberately small
-//! worker pool, with transient storage faults armed mid-run, deliberate
-//! mid-transaction disconnects, and overload bursts.
+//! The soak harness's wire front end (DESIGN.md §6): the scheduler and the
+//! reference model of `crates/dualtable/tests/support/model.rs`, its steps
+//! sent as SQL over [`Client`] — one connection per logical session — to a
+//! deliberately small worker pool, with transient storage faults armed and
+//! faults that outlast the retries. The model predicts every conflict and
+//! judges every read; a failed statement applied nothing; a dropped
+//! connection rolled its transaction back. Odd seeds run the HTAP delta
+//! tier with a tiny budget, so the storm spills mid-flight.
 //!
-//! The oracle is exact, not statistical. Every committer counts an
-//! increment **only** when the server acknowledged it: a `COMMIT` that
-//! returned OK. Everything else — conflicts, shed statements, timeouts,
-//! injected faults — restarts the round.
-//! After the storm the table must show exactly the acked counts, every
-//! snapshot pin must have drained, generation GC must still advance,
-//! and the admission ledger must balance to the statement:
-//! `accepted + shed == submitted`.
+//! Real client threads remain for what one thread cannot drive: overload
+//! bursts, some under a 1 ms deadline, and mid-transaction disconnects
+//! racing the storm. The admission ledger (`accepted + shed == submitted`),
+//! the drop count and the pin drain judge those.
 //!
-//! Half the seeds run with the HTAP delta tier on (a tiny budget, so the
-//! storm spills mid-flight); the acked-commit oracle and every ledger
-//! check are identical either way, and `SHOW HEALTH` must surface the
-//! delta tier over the wire.
-//!
-//! Runs 25 seeds by default; override with `SOAK_SEEDS=N`. A failing
-//! seed prints (and drops to `target/last_failed_seed.txt`) its repro.
+//! Runs 25 seeds; `SOAK_SEEDS=N` overrides, `SEED=n` replays one.
 
+#[path = "../../dualtable/tests/support/model.rs"]
+#[allow(dead_code)]
+mod model;
+#[path = "../../dualtable/tests/soak/scheduler.rs"]
+mod scheduler;
+
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use dt_common::{seed_from_env, with_seed_repro, FaultKind, FaultPlan, Value};
+use dt_common::{seed_from_env, with_seed_repro, FaultPlan, Value};
 use dt_hiveql::{SessionConfig, SharedCatalog, TableHandle};
 use dt_server::{Client, ClientError, ErrorCode, Server, ServerConfig};
-use dualtable::DualTableEnv;
+use dualtable::{DualTableEnv, DualTableStore, PlanMode};
+use model::{Hit, Job, Model, Seen, Set, Step, MAIN, SHARDS};
+use scheduler::{Mix, Scheduler, OUTAGE, TRANSIENT};
 
-const IDS: i64 = 5;
-const COMMITTERS: usize = 6;
-const ROUNDS: usize = 12;
+const IDS: i64 = 8;
+const SESSIONS: u64 = 4;
+const STEPS: usize = 80;
 const DROPPERS: usize = 4;
 const BURSTERS: usize = 3;
 const BURST_STATEMENTS: usize = 30;
 
-/// Tiny deterministic RNG (xorshift) so each seed replays exactly.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Rng {
-        Rng(seed | 1)
-    }
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
-    }
+fn connect(addr: std::net::SocketAddr) -> Client {
+    Client::connect_retry(addr, Duration::from_secs(5)).expect("connect")
 }
 
-fn retry_until_ok(client: &mut Client, sql: &str) -> dt_server::Response {
-    for _ in 0..10_000 {
+/// Sends `sql` until the server executes it: a shed statement never ran.
+fn send(client: &mut Client, sql: &str) -> Result<dt_server::Response, ClientError> {
+    loop {
         match client.query(sql) {
-            Ok(r) => return r,
-            Err(e) if e.is_retryable() => std::thread::sleep(Duration::from_millis(1)),
-            Err(e) => panic!("{sql}: non-retryable {e}"),
+            Err(ClientError::Server(e)) if e.code == ErrorCode::ServerBusy => {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            Err(ClientError::Io(e)) => panic!("{sql}: transport died mid-storm: {e}"),
+            outcome => return outcome,
         }
-    }
-    panic!("{sql}: retries exhausted");
-}
-
-/// One BEGIN/UPDATE/COMMIT attempt. `Ok(true)` means the increment is
-/// durably applied; `Ok(false)` means it provably is not.
-fn attempt_increment(client: &mut Client, id: i64) -> Result<bool, ClientError> {
-    // Reset until the server definitively reports the session state:
-    // Ok (a stale transaction was open, now closed) or InvalidArgument
-    // (none open). A shed ROLLBACK never executed, so retry it.
-    loop {
-        match client.query("ROLLBACK") {
-            Ok(_) => break,
-            Err(ClientError::Server(e)) if e.code == ErrorCode::InvalidArgument => break,
-            Err(e) if e.is_retryable() => std::thread::sleep(Duration::from_millis(1)),
-            Err(e) => return Err(e),
-        }
-    }
-    loop {
-        match client.query("BEGIN") {
-            Ok(_) => break,
-            Err(e) if e.is_retryable() => std::thread::sleep(Duration::from_millis(1)),
-            Err(e) => return Err(e),
-        }
-    }
-    if client
-        .query(&format!("UPDATE soak SET v = v + 1 WHERE id = {id}"))
-        .is_err()
-    {
-        // Shed, timed out, or hit an injected fault. The overlay state
-        // is unknown; abandon the round rather than risk a double
-        // increment on retry within the same snapshot.
-        return Ok(false);
-    }
-    loop {
-        return match client.query("COMMIT") {
-            Ok(_) => Ok(true),
-            Err(ClientError::Server(e)) => match e.code {
-                // Never executed: the admission queue refused it or the
-                // deadline expired before the worker picked it up. The
-                // transaction is still open — resend COMMIT.
-                ErrorCode::ServerBusy | ErrorCode::Timeout => {
-                    std::thread::sleep(Duration::from_millis(1));
-                    continue;
-                }
-                // Conflict / injected fault: the commit applied nothing
-                // and rolled the transaction back.
-                _ => Ok(false),
-            },
-            Err(e) => Err(e),
-        };
     }
 }
 
-fn soak_one_seed(seed: u64, total_shed: &AtomicU64, delta: bool) {
-    let plan = Arc::new(FaultPlan::seeded(
-        seed,
-        6,
-        4_000,
-        &[
-            FaultKind::TransientWriteError,
-            FaultKind::TransientReadError,
-        ],
-    ));
-    plan.set_armed(false); // setup runs fault-free
+/// A step as SQL; `None` for a step the wire has no statement for.
+fn sql(step: &Step, model: &Model) -> Option<String> {
+    let set = |set: &Set| match set {
+        Set::To(x) => format!("{x}"),
+        Set::Add(d) => format!("v + {d}"),
+    };
+    let values = |rows: Vec<(i64, i64)>| {
+        let rows: Vec<String> = rows.iter().map(|(id, v)| format!("({id}, {v})")).collect();
+        format!("VALUES {}", rows.join(", "))
+    };
+    Some(match step {
+        Step::Insert(_, keys) | Step::TxnInsert(_, _, keys) => {
+            format!(
+                "INSERT INTO soak {}",
+                values(keys.clone().map(|k| (k, 3 * k)).collect())
+            )
+        }
+        Step::Update(_, (a, b), s) | Step::TxnUpdate(_, _, (a, b), s) => {
+            format!("UPDATE soak SET v = {} WHERE id % {a} = {b}", set(s))
+        }
+        Step::Delete(_, (a, b)) | Step::TxnDelete(_, _, (a, b)) => {
+            format!("DELETE FROM soak WHERE id % {a} = {b}")
+        }
+        Step::Overwrite(_) if model.tables[MAIN].is_empty() => return None,
+        Step::Overwrite(_) => {
+            let rows = model.tables[MAIN].iter().map(|(&id, &v)| (id, v + 1000));
+            format!("INSERT OVERWRITE soak {}", values(rows.collect()))
+        }
+        Step::Compact(_) => "COMPACT TABLE soak".into(),
+        Step::Fold(_) => "COMPACT TABLE soak INCREMENTAL".into(),
+        Step::Begin(_) => "BEGIN".into(),
+        Step::Check(_) => "SELECT id, v FROM soak".into(),
+        Step::Commit(_) => "COMMIT".into(),
+        Step::Rollback(_) => "ROLLBACK".into(),
+        _ => return None,
+    })
+}
+
+/// The store's content, read in process with the plan disarmed.
+fn content(store: &DualTableStore) -> BTreeMap<i64, i64> {
+    let rows = store.scan_all().expect("verification scan").into_iter();
+    rows.map(|(_, r)| (r[0].as_i64().unwrap(), r[1].as_i64().unwrap()))
+        .collect()
+}
+
+fn soak_one_seed(seed: u64, total_shed: &AtomicU64, total_failed: &AtomicU64) {
+    let plan = Arc::new(FaultPlan::seeded(seed, 6, 4_000, TRANSIENT));
+    plan.set_armed(false);
     let env = DualTableEnv::in_memory_faulty(plan.clone()).expect("faulty env");
     let catalog = SharedCatalog::new();
     let mut session = SessionConfig::default();
+    // The model predicts conflicts from swings it knows of: UPDATE and
+    // DELETE take the EDIT plan.
+    session.dualtable.plan_mode = PlanMode::AlwaysEdit;
+    let delta = seed % 2 == 1;
     if delta {
-        // Tiny budget: the storm's EDIT commits overflow it repeatedly,
-        // so spills interleave with faults, disconnects and shedding.
         session.dualtable.delta_bytes = 256;
     }
-    let server = Server::start(
-        "127.0.0.1:0",
-        env.clone(),
-        catalog.clone(),
-        ServerConfig {
-            workers: 3,
-            queue_depth: 4,
-            default_deadline_ms: 0,
-            session,
-            ..ServerConfig::default()
-        },
-    )
-    .expect("server start");
+    let config = ServerConfig {
+        workers: 3,
+        queue_depth: 4,
+        default_deadline_ms: 0,
+        session,
+        ..ServerConfig::default()
+    };
+    let server =
+        Server::start("127.0.0.1:0", env.clone(), catalog.clone(), config).expect("server");
     let addr = server.local_addr();
-
-    let mut setup = Client::connect_retry(addr, Duration::from_secs(5)).expect("connect");
-    retry_until_ok(
+    let mut setup = connect(addr);
+    send(
         &mut setup,
         "CREATE TABLE soak (id BIGINT, v BIGINT) STORED AS DUALTABLE",
-    );
-    let values: Vec<String> = (0..IDS).map(|i| format!("({i}, 0)")).collect();
-    retry_until_ok(
-        &mut setup,
-        &format!("INSERT INTO soak VALUES {}", values.join(",")),
-    );
+    )
+    .unwrap();
+    let mut model = Model::new(1, false);
+    let insert = Step::Insert(MAIN, 0..IDS);
+    send(&mut setup, &sql(&insert, &model).unwrap()).unwrap();
+    model.step(&insert, &Seen::default());
     drop(setup);
-
-    // ---- storm ----
-    plan.set_armed(true);
-    let acked: Vec<AtomicU64> = (0..IDS).map(|_| AtomicU64::new(0)).collect();
-    let acked = Arc::new(acked);
-    std::thread::scope(|s| {
-        for c in 0..COMMITTERS {
-            let acked = acked.clone();
-            s.spawn(move || {
-                let mut rng = Rng::new(seed.wrapping_mul(0x9e37).wrapping_add(c as u64));
-                let mut client =
-                    Client::connect_retry(addr, Duration::from_secs(5)).expect("connect");
-                for _ in 0..ROUNDS {
-                    let id = (rng.next() % IDS as u64) as i64;
-                    let mut tries = 0;
-                    loop {
-                        match attempt_increment(&mut client, id) {
-                            Ok(true) => {
-                                acked[id as usize].fetch_add(1, Ordering::SeqCst);
-                                break;
-                            }
-                            Ok(false) => {
-                                tries += 1;
-                                assert!(tries < 1_000, "round never converged");
-                            }
-                            Err(e) => panic!("transport died mid-storm: {e}"),
-                        }
-                    }
-                }
-            });
-        }
-        // Deliberate mid-transaction disconnects: BEGIN, optionally
-        // buffer a write, then let the socket die.
-        for d in 0..DROPPERS {
-            s.spawn(move || {
-                let mut client =
-                    Client::connect_retry(addr, Duration::from_secs(5)).expect("connect");
-                loop {
-                    match client.query("BEGIN") {
-                        Ok(_) => break,
-                        Err(e) if e.is_retryable() => {
-                            std::thread::sleep(Duration::from_millis(1));
-                        }
-                        Err(e) => panic!("BEGIN: {e}"),
-                    }
-                }
-                if d % 2 == 0 {
-                    // Buffered write that must vanish with the drop.
-                    let _ = client.query("UPDATE soak SET v = v + 1000 WHERE id = 0");
-                }
-                drop(client); // TCP FIN mid-transaction
-            });
-        }
-        // Overload bursts: cheap statements fired as fast as possible,
-        // some under a 1ms deadline. Failures (SERVER_BUSY, TIMEOUT)
-        // are expected and ignored — the ledger accounts for them.
-        for b in 0..BURSTERS {
-            s.spawn(move || {
-                let mut client =
-                    Client::connect_retry(addr, Duration::from_secs(5)).expect("connect");
-                for i in 0..BURST_STATEMENTS {
-                    let deadline_ms = if (i + b) % 3 == 0 { 1 } else { 0 };
-                    let _ = client.query_deadline("SHOW HEALTH", deadline_ms);
-                }
-            });
-        }
-    });
-    plan.heal_and_disarm();
-
-    // ---- verdict ----
-    // Every dropper teardown and session close must finish first.
     let store = match catalog.get("soak").expect("table registered") {
         TableHandle::Dual(store) => store,
         _ => panic!("expected DUALTABLE"),
     };
+
+    plan.set_armed(true);
+    let mix = Mix {
+        begin: 8,
+        insert: 2,
+        update: 2,
+        delete: 1,
+        overwrite: 1,
+        compact: 1,
+        fold: 2,
+        fault: 1,
+        rows: 3,
+        ..Mix::default()
+    };
+    let mut sched = Scheduler::new(seed, SESSIONS, 1, mix, [100, 1_000, 2_000]);
+    let mut clients: Vec<Client> = (0..=SESSIONS).map(|_| connect(addr)).collect();
+    let (mut drops, mut failed) = (0, 0);
+    std::thread::scope(|s| {
+        for d in 0..DROPPERS {
+            s.spawn(move || {
+                let mut client = connect(addr);
+                while send(&mut client, "BEGIN").is_err() {}
+                if d % 2 == 0 {
+                    // A buffered write that must vanish with the drop.
+                    let _ = client.query("UPDATE soak SET v = v + 1000 WHERE id = 0");
+                }
+            });
+        }
+        for b in 0..BURSTERS {
+            s.spawn(move || {
+                let mut client = connect(addr);
+                for i in 0..BURST_STATEMENTS {
+                    let _ = client.query_deadline("SHOW HEALTH", u32::from((i + b) % 3 == 0));
+                }
+            });
+        }
+        for i in 0..STEPS {
+            let step = sched.next(&model);
+            let loses = model.loses(&step).is_some();
+            let session = match step {
+                Step::Begin(s) | Step::TxnInsert(s, ..) | Step::TxnUpdate(s, ..) => s,
+                Step::TxnDelete(s, ..) | Step::Check(s) | Step::Commit(s) => s,
+                Step::Rollback(s) | Step::Drop(s) => s,
+                // Autocommit statements have a connection of their own.
+                _ => SESSIONS as usize,
+            };
+            let client = &mut clients[session];
+            let folds = env.health.snapshot().compactions_completed;
+            let outcome = match (&step, sql(&step, &model)) {
+                (Step::Fault(kind), _) => {
+                    plan.fail_transient_next(*kind, OUTAGE);
+                    continue;
+                }
+                (Step::Drop(_), _) => {
+                    *client = connect(addr);
+                    drops += 1;
+                    Ok(Seen::default())
+                }
+                (_, None) => continue,
+                // A SQL session pins a table when it first touches it: the
+                // model's BEGIN is BEGIN plus a read.
+                (Step::Begin(_), Some(q)) => send(client, &q)
+                    .and_then(|_| send(client, "SELECT COUNT(*) FROM soak"))
+                    .map(|_| Seen::default()),
+                (_, Some(q)) => send(client, &q).map(|r| {
+                    let pairs = r
+                        .rows
+                        .iter()
+                        .map(|r| (r[0].as_i64().unwrap(), r[1].as_i64().unwrap()));
+                    let folded = env.health.snapshot().compactions_completed > folds;
+                    Seen {
+                        read: matches!(step, Step::Check(_)).then(|| vec![pairs.collect()]),
+                        matched: step.edit().map(|_| r.affected),
+                        swung: folded.then(|| vec![0]),
+                    }
+                }),
+            };
+            if std::env::var("SOAK_TRACE").is_ok() {
+                eprintln!("step {i}: {step:?} loses={loses} ok={}", outcome.is_ok());
+            }
+            match outcome {
+                Ok(seen) => {
+                    assert!(
+                        !loses,
+                        "step {i}: {step:?} committed, the model predicted a conflict"
+                    );
+                    model
+                        .check(&step, &seen)
+                        .unwrap_or_else(|e| panic!("step {i}: {e}"));
+                    model.step(&step, &seen);
+                }
+                Err(e) => {
+                    let conflict = e.server().is_some_and(|e| e.code == ErrorCode::Conflict);
+                    assert!(loses || !conflict, "step {i}: {step:?}: unpredicted {e}");
+                    failed +=
+                        u64::from(!conflict && !matches!(step, Step::Begin(_) | Step::Check(_)));
+                    // The server may keep a transaction whose statement
+                    // failed: end it on both sides.
+                    while session < SESSIONS as usize
+                        && send(client, "ROLLBACK").is_err_and(|e| {
+                            e.server()
+                                .is_none_or(|e| e.code != ErrorCode::InvalidArgument)
+                        })
+                    {}
+                    model.fail(&step);
+                    model.fail(&Step::Rollback(session));
+                    plan.set_armed(false);
+                    assert_eq!(
+                        content(&store),
+                        model.tables[MAIN],
+                        "step {i}: a failed {step:?} applied"
+                    );
+                    plan.set_armed(true);
+                }
+            }
+        }
+    });
+    // Closing a connection with its transaction open is a drop too.
+    drops += (0..SESSIONS as usize).filter(|&s| model.is_open(s)).count();
+    drop(clients);
+    plan.heal_and_disarm();
+
+    // Every dropper teardown and session close must finish first.
     let health = server.health();
-    for _ in 0..1_000 {
+    let drained = || {
         let snap = health.snapshot();
-        if snap.conns_dropped_in_txn == DROPPERS as u64
+        snap.conns_dropped_in_txn == (DROPPERS + drops) as u64
             && snap.sessions_active == 0
             && store.pinned_snapshots() == 0
-        {
+    };
+    for _ in 0..1_000 {
+        if drained() {
             break;
         }
         std::thread::sleep(Duration::from_millis(5));
     }
     let snap = health.snapshot();
     assert_eq!(
-        snap.conns_dropped_in_txn, DROPPERS as u64,
-        "seed {seed}: every deliberate drop (and only those) must be counted"
+        snap.conns_dropped_in_txn,
+        (DROPPERS + drops) as u64,
+        "every drop counted"
     );
-    assert_eq!(snap.sessions_active, 0, "seed {seed}: session gauge leaked");
-    assert_eq!(
-        store.pinned_snapshots(),
-        0,
-        "seed {seed}: snapshot pins leaked after the storm"
-    );
-    assert_eq!(
-        snap.stmts_accepted + snap.stmts_shed,
-        snap.stmts_submitted,
-        "seed {seed}: admission ledger out of balance"
-    );
+    assert_eq!(snap.sessions_active, 0, "session gauge leaked");
+    assert_eq!(store.pinned_snapshots(), 0, "snapshot pins leaked");
+    let ledger = snap.stmts_accepted + snap.stmts_shed;
+    assert_eq!(ledger, snap.stmts_submitted, "admission ledger");
     total_shed.fetch_add(snap.stmts_shed, Ordering::SeqCst);
-
-    // Zero lost (and zero phantom) updates: the table shows exactly the
-    // acked increments, per id.
-    let mut check = Client::connect_retry(addr, Duration::from_secs(5)).expect("connect");
-    for id in 0..IDS {
-        let r = retry_until_ok(&mut check, &format!("SELECT v FROM soak WHERE id = {id}"));
-        assert_eq!(
-            r.rows[0][0],
-            Value::Int64(acked[id as usize].load(Ordering::SeqCst) as i64),
-            "seed {seed}: id {id} diverged from the acked-commit oracle"
-        );
-    }
+    assert_eq!(
+        content(&store),
+        model.tables[MAIN],
+        "the table diverged from the model"
+    );
+    let n = snap.stmts_submitted;
+    eprintln!("seed {seed}: {n} statements, {drops} drops, {failed} failed commits");
+    total_failed.fetch_add(failed, Ordering::SeqCst);
 
     // The storm left nothing behind that blocks generation GC.
+    let mut check = connect(addr);
     let gcd_before = env.health.snapshot().generations_gcd;
-    let values: Vec<String> = (0..IDS).map(|i| format!("({i}, {i})")).collect();
-    retry_until_ok(
-        &mut check,
-        &format!("INSERT OVERWRITE soak VALUES {}", values.join(",")),
-    );
+    send(&mut check, "INSERT OVERWRITE soak VALUES (1, 1)").unwrap();
     assert!(
         env.health.snapshot().generations_gcd > gcd_before,
-        "seed {seed}: generation GC stalled after the storm"
+        "generation GC stalled"
     );
 
-    // SHOW HEALTH surfaces the server tier over the wire.
-    let r = retry_until_ok(&mut check, "SHOW HEALTH");
-    let server_metrics: Vec<String> = r
-        .rows
-        .iter()
-        .filter(|row| row[0] == Value::Utf8("server".into()))
-        .map(|row| match &row[1] {
-            Value::Utf8(m) => m.clone(),
-            other => panic!("bad metric cell {other:?}"),
-        })
-        .collect();
-    for want in [
+    // SHOW HEALTH surfaces the server tier and the delta tier over the wire.
+    let r = send(&mut check, "SHOW HEALTH").unwrap();
+    let metric = |tier: &str, name: &str| {
+        let row = r
+            .rows
+            .iter()
+            .find(|row| row[0] == Value::Utf8(tier.into()) && row[1] == Value::Utf8(name.into()));
+        row.and_then(|row| row[2].as_i64())
+            .unwrap_or_else(|| panic!("SHOW HEALTH lacks {tier}.{name}"))
+    };
+    for name in [
         "sessions_active",
         "queue_depth",
         "stmts_shed",
         "stmts_timed_out",
         "conns_dropped_in_txn",
     ] {
-        assert!(
-            server_metrics.iter().any(|m| m == want),
-            "seed {seed}: SHOW HEALTH missing server metric {want}"
-        );
+        metric("server", name);
     }
-    // The delta tier reports among the kv tier's rows (the kv store owns
-    // it), and with the tiny budget the storm must actually have spilled
-    // at least once.
-    let delta_metric = |name: &str| -> u64 {
-        r.rows
-            .iter()
-            .find(|row| row[0] == Value::Utf8("kv".into()) && row[1] == Value::Utf8(name.into()))
-            .and_then(|row| row[2].as_i64())
-            .unwrap_or_else(|| panic!("seed {seed}: SHOW HEALTH missing delta metric {name}"))
-            as u64
-    };
-    let spills = delta_metric("delta_spills");
-    let _ = delta_metric("delta_bytes_used");
-    let _ = delta_metric("delta_hits");
-    if delta {
-        assert!(
-            spills > 0,
-            "seed {seed}: delta storm never spilled — the budget is not binding"
-        );
-    } else {
-        assert_eq!(spills, 0, "seed {seed}: delta-off run spilled");
-    }
+    let spills = metric("kv", "delta_spills");
+    metric("kv", "delta_bytes_used");
+    metric("kv", "delta_hits");
+    assert_eq!(
+        spills > 0,
+        delta,
+        "the delta tier spills exactly when its tiny budget is on"
+    );
     drop(check);
     server.shutdown();
 }
 
 #[test]
 fn fault_injected_soak() {
-    let seeds: u64 = std::env::var("SOAK_SEEDS")
+    let seeds = std::env::var("SOAK_SEEDS")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(25);
-    let base = seed_from_env(0);
-    let total_shed = AtomicU64::new(0);
-    for seed in base..base + seeds {
+    let seeds = match std::env::var("SEED") {
+        Ok(_) => vec![seed_from_env(0)],
+        Err(_) => (0..seeds).collect(),
+    };
+    let (total_shed, total_failed) = (AtomicU64::new(0), AtomicU64::new(0));
+    for seed in seeds {
         with_seed_repro(
             "dt-server",
             "server_soak",
             "fault_injected_soak",
             seed,
-            |s| {
-                // Odd seeds run with the HTAP delta tier on; the oracle and
-                // every ledger check are identical either way.
-                soak_one_seed(s, &total_shed, s % 2 == 1);
-            },
+            |s| soak_one_seed(s, &total_shed, &total_failed),
         );
     }
-    // The bursts must actually have overloaded the pool at least once
-    // across the run — otherwise the shedding path went untested.
+    // The bursts must have overloaded the pool at least once, or the
+    // shedding path went untested.
     assert!(
         total_shed.load(Ordering::SeqCst) > 0,
-        "no statement was ever shed: the overload bursts are too weak"
+        "no statement was ever shed"
+    );
+    assert!(
+        total_failed.load(Ordering::SeqCst) > 0,
+        "no fault ever failed a commit"
     );
 }

@@ -78,18 +78,23 @@ else
     echo "==> [clippy] not installed; skipping lint pass"
 fi
 
-# Deterministic chaos run: ≥100 mixed DML statements with ≥10 injected
-# faults (seed documented in the test file); UNION READ must equal the
-# in-memory oracle after every statement and every crash-and-reopen.
-run_gate chaos-smoke cargo test -q -p dualtable --locked --test prop_fault_recovery \
-    chaos_smoke_fixed_seed -- --nocapture
-
-# Availability smoke: the same driver under a transient-only fault
-# schedule. With retry enabled every statement must succeed and match
-# the oracle; the same schedule with retries disabled must demonstrably
-# fail statements (proving the retry layer provides the availability).
-run_gate chaos-availability cargo test -q -p dualtable --locked --test prop_fault_recovery \
-    chaos_availability_fixed_seed -- --nocapture
+# Soak harness (DESIGN.md §6): every soak is a configuration of one seeded
+# scheduler over the crash matrix's reference model, one thread driving
+# logical sessions — mvcc (50 seeds: transactions, pinned readers, both
+# DML plans, two-phase rewrites whose swing can lose), fault (13 seeds:
+# fail-stop faults, INSERTs of up to three files, OVERWRITE-plan DML, a
+# restart after every failure), availability (13 seeds of spaced
+# transient outages invisible under retry, and the same outages failing
+# statements with retries off), shard (8 seeds, cross-shard commits,
+# pinned readers and round-robin folds) and compactor (25 seeds, one-step
+# and two-phase folds racing commits), the last two under transient
+# faults and faults that outlast the retries — plus fixed schedules for
+# each race class. The model
+# predicts every conflict; `Ok` means applied on every store, `Err`
+# means applied nowhere. Each configuration prints its failed commits.
+# SOAK_SEEDS=N widens every configuration; a failing seed prints its
+# repro command.
+run_gate soak cargo test -q -p dualtable --locked --test soak -- --nocapture
 
 # Replica-failover smoke: reads survive a corrupted replica, the bad
 # copy is quarantined, and the scrubber restores target replication.
@@ -106,8 +111,9 @@ run_gate dfs-failover cargo test -q -p dt-dfs --locked --test failover -- --noca
 # recovery is checked against one reference model: each store at a
 # whole-step state, the in-flight step on all of its stores or none, no
 # staging file left, one generation per store, clean fsck/scrub, an
-# empty block cache, and a still-working EDIT, fold and spill. Also the
-# directed decision-record tests.
+# empty block cache, and a still-working EDIT, fold and spill. Beside it,
+# the directed decision-record cases: a decided commit whose participant
+# write, or record clear, fails, then a reopen redoes the record.
 run_gate crash-matrix cargo test -q -p dualtable --locked --test crash_matrix -- --nocapture
 
 # Cache-coherence smoke (DESIGN.md §10): cache-on and cache-off stacks
@@ -126,14 +132,8 @@ run_gate parallel-write cargo test -q -p dualtable --locked --test parallel_writ
 # coalesced append must salvage exactly the record-aligned prefix.
 run_gate group-commit cargo test -q -p dt-kvstore --locked --test group_commit -- --nocapture
 
-# MVCC stress (DESIGN.md §13): the deterministic multi-session
-# serializability harness over 50 fixed seeds — transactional writers,
-# pinned readers and two-phase rewrites interleaved; every conflict
-# predicted exactly, every committed log replayed single-threaded to a
-# byte-identical scan — plus the generation-GC property test and the SQL
-# transaction surface. MVCC_STRESS_SEEDS=N widens the sweep; a failing
-# seed prints its repro command and lands in target/last_failed_seed.txt.
-run_gate mvcc-stress cargo test -q -p dualtable --locked --test mvcc_stress -- --nocapture
+# Generation-GC property test and the SQL transaction surface
+# (DESIGN.md §13).
 run_gate mvcc-gc-prop cargo test -q -p dualtable --locked --test prop_mvcc_gc -- --nocapture
 run_gate txn-sessions cargo test -q -p dt-hiveql --locked --test txn_sessions -- --nocapture
 
@@ -144,19 +144,13 @@ run_gate server-basic cargo test -q -p dt-server --locked --test server_basic --
 run_gate server-teardown cargo test -q -p dt-server --locked --test server_teardown -- --nocapture
 run_gate server-sigterm cargo test -q -p dt-server --locked --test sigterm -- --nocapture
 
-# Fault-injected soak: client storm against a 3-worker pool with
-# transient storage faults, deliberate mid-transaction disconnects and
-# overload bursts, over 25 seeds (SOAK_SEEDS=N widens). The acked-commit
-# oracle must match the table exactly, pins must drain to zero, and the
-# admission ledger must balance: accepted + shed == submitted.
+# The soak harness behind the wire (DESIGN.md §6): the same scheduler and
+# model, steps sent as SQL over one connection per session to a 3-worker
+# pool under transient faults and faults that outlast the retries, racing
+# real overload bursts and mid-transaction disconnects, over 25 seeds
+# (SOAK_SEEDS=N widens). The table equals the model, pins drain to zero,
+# every drop is counted, and the admission ledger balances.
 run_gate server-soak cargo test -q -p dt-server --locked --test server_soak -- --nocapture
-
-# Compactor chaos soak: the background fold loop racing three
-# transaction writers and two pinned readers under transient storage
-# faults, 25 seeds (COMPACTOR_SOAK_SEEDS=N widens). Exact acked-commit
-# oracle, zero leaked pins, drained GC ledger, and the exact maintenance
-# ledger: completed + lost_race + aborted == started.
-run_gate compactor-chaos cargo test -q -p dualtable --locked --test compactor_chaos -- --nocapture
 
 # Maintenance daemon wiring: the supervised compaction thread inside the
 # server folds dirty tables behind live traffic, SET COMPACTION = OFF
@@ -169,13 +163,6 @@ run_gate server-compaction cargo test -q -p dt-server --locked --test server_com
 # shard with zero DFS reads, one UPDATE diverges EDIT/OVERWRITE across
 # shards, and round-robin maintenance is cycle-fair.
 run_gate shard-routing cargo test -q -p dualtable --locked --test shard_routing -- --nocapture
-
-# Sharded chaos soak (short): cross-shard transactional writers, a
-# cross-shard pinned reader and round-robin maintenance under transient
-# faults; exact acked-commit oracle (every COMMIT all or none), and every
-# pinned snapshot sees each writer's counter equal in all shards.
-# Nightly widens with SHARD_SOAK_SEEDS=200.
-run_gate shard-soak cargo test -q -p dualtable --locked --test shard_soak -- --nocapture
 
 # Sharded SQL surface: SHARDED BY RANGE DDL, SHOW SHARDS, routed DML
 # messages, EXPLAIN scatter/prune lines, the shard health tier, and
