@@ -24,8 +24,10 @@ dt_common::counters! {
         cleanup_failures,
         /// Plan fallbacks (OVERWRITE → EDIT) taken to keep a statement alive.
         plan_fallbacks,
-        /// Attached-tier range scans UNION READ skipped for provably clean
-        /// files (presence index).
+        /// Attached-tier range scans UNION READ skipped for files that are
+        /// clean, pruned or unprojected: the presence index proves no
+        /// cell, no stripe survives the predicates, or no cell is a delete
+        /// marker or an overlay on a projected column.
         attached_scans_skipped,
         /// Worker threads used by parallel rewrites (OVERWRITE/COMPACT
         /// fan-out), summed over statements.

@@ -5,10 +5,16 @@
 //! and — because a single update cell *anywhere* in the table makes stripe
 //! push-down unsound *everywhere* — the loss of all predicate pruning.
 //!
-//! The presence index removes both. It lives inside the attached table
-//! itself, under the reserved master file ID `0` (real file IDs start at 1,
-//! see [`crate::MetadataManager`]): the index row for master file `f` has
-//! row key `RecordId(0, f)`, which sorts strictly before every data row, so
+//! The presence index removes both, and narrows the scan of a dirty file
+//! too: UNION READ opens it only when the read can see one of the file's
+//! cells — a delete marker, or an overlay on a projected column
+//! ([`FilePresence::visible_to`]) — and then only over the rows of the
+//! stripes the file's sound predicates leave; when none survive, no scan.
+//!
+//! The index lives inside the attached table itself, under the reserved
+//! master file ID `0` (real file IDs start at 1, see
+//! [`crate::MetadataManager`]): the index row for master file `f` has row
+//! key `RecordId(0, f)`, which sorts strictly before every data row, so
 //! per-file data scans never see it. Its cells reuse the attached-cell
 //! qualifier scheme — [`update_qualifier`]`(col)` holds the count of update
 //! cells written for that column of file `f`, and
@@ -31,7 +37,9 @@
 //! no index row is clean at any `snapshot_ts`, and a column listed as
 //! updated may merely be "updated later". Skipping the scan for clean
 //! files and withholding push-down for listed columns is thus sound for
-//! time-travel reads too.
+//! time-travel reads too, and so is skipping the scan of a file none of
+//! whose counted cells is a delete marker or an overlay on a projected
+//! column.
 
 use std::collections::BTreeMap;
 
@@ -90,6 +98,14 @@ impl FilePresence {
     /// statistics exclude).
     pub fn has_update_on(&self, column: usize) -> bool {
         self.update_counts.get(&column).copied().unwrap_or(0) > 0
+    }
+
+    /// `true` iff a read of columns `projection` can see one of this
+    /// file's attached cells: a delete marker, or an update cell on a
+    /// projected column. Overlays on other columns are dropped unread, so
+    /// otherwise UNION READ opens no attached scan for the file.
+    pub fn visible_to(&self, projection: &[usize]) -> bool {
+        self.delete_markers > 0 || projection.iter().any(|&c| self.has_update_on(c))
     }
 }
 
@@ -191,5 +207,10 @@ mod tests {
         };
         assert!(!d.is_clean());
         assert!(!d.has_update_on(0), "delete markers never block push-down");
+
+        assert!(p.visible_to(&[0, 2]));
+        assert!(!p.visible_to(&[0, 1]), "overlays on unread columns");
+        assert!(!p.visible_to(&[]));
+        assert!(d.visible_to(&[]), "a delete marker drops a row of any read");
     }
 }

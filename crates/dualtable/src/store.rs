@@ -710,9 +710,11 @@ impl DualTableStore {
 
     /// The one place a master file meets its patch sources — its attached
     /// range and the plan's own patches: opens the file (footer cache),
-    /// skips the attached scan when the presence index proves the file
-    /// clean, keeps the stripe predicates the file's overlays leave sound,
-    /// and runs [`merge_file`] over columns `projection`.
+    /// keeps the stripe predicates the file's overlays leave sound, and
+    /// runs [`merge_file`] over columns `projection`. The attached scan is
+    /// decided from the footer and the presence index before any KV work:
+    /// it is opened only when a stripe survives and the read can see one
+    /// of the file's cells, and then only over the surviving stripes' rows.
     pub(crate) fn merge_master(
         &self,
         plan: &ScanPlan<'_>,
@@ -721,25 +723,28 @@ impl DualTableStore {
         f: &mut BatchFn<'_>,
     ) -> Result<ControlFlow<()>> {
         let reader = self.open_master(plan.gen, file_id)?;
-        let presence = &plan.presence;
-        let attached = if !presence.is_dirty(file_id) {
-            self.inner.env.health.attached_scans_skipped.inc();
-            None
-        } else {
-            Some(plan.attached.scan_at(
-                Some(&RecordId::file_start(file_id).to_key()[..]),
-                Some(&RecordId::file_start(file_id.wrapping_add(1)).to_key()[..]),
-                plan.opts.snapshot_ts,
-            )?)
-        };
+        let presence = plan.presence.file(file_id);
         let ours = plan.patches.partition_point(|p| p.record.file_id < file_id);
         let ours = &plan.patches[ours..];
         let ours = &ours[..ours.partition_point(|p| p.record.file_id == file_id)];
-        let predicates = file_predicates(
-            presence.file(file_id),
-            ours,
-            plan.opts.predicates.as_deref(),
-        );
+        let predicates = file_predicates(presence, ours, plan.opts.predicates.as_deref());
+        let rows = reader.surviving_rows(predicates.as_deref());
+        let attached = match (presence, rows) {
+            (Some(presence), Some(rows)) if presence.visible_to(projection) => {
+                // A span to the file's last possible row ends at the next
+                // file's first record ID.
+                let key = |row: u64| {
+                    let first = RecordId::file_start(file_id).as_u64();
+                    RecordId::from_u64(first.wrapping_add(row)).to_key()
+                };
+                let (start, end, at) = (key(rows.start), key(rows.end), plan.opts.snapshot_ts);
+                Some(plan.attached.scan_at(Some(&start), Some(&end), at)?)
+            }
+            _ => {
+                self.inner.env.health.attached_scans_skipped.inc();
+                None
+            }
+        };
         merge_file(
             file_id,
             &reader,
@@ -831,9 +836,10 @@ impl DualTableStore {
         Ok(out)
     }
 
-    /// Counts visible rows: a scan that decodes no column. A clean file
-    /// answers from its footer's row counts without any I/O; a dirty one
-    /// costs its attached scan, for the delete markers.
+    /// Counts visible rows: a scan that decodes no column. A file answers
+    /// from its footer's row counts without any I/O; only a file with
+    /// delete markers costs its attached scan, for the markers (update
+    /// overlays change no count).
     pub fn count(&self) -> Result<u64> {
         let mut n = 0u64;
         self.for_each_batch(

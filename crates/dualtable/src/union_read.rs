@@ -126,8 +126,10 @@ pub(crate) type BatchFn<'a> = dyn FnMut(u32, ColumnBatch) -> Result<ControlFlow<
 /// and its delete markers applied as the batch's selection vector, then
 /// goes to `f`. Returns `Break` if the callback stopped the scan.
 ///
-/// `attached` must be a scan over exactly this file's record-ID range, or
-/// `None` when the presence index proved the file clean; `patches` are a
+/// `attached` must be a scan within this file's record-ID range that
+/// covers the rows from the first stripe `predicates` leave to the end of
+/// the last one, or `None` when the read can see none of the file's cells
+/// (`DualTableStore::merge_master` decides which); `patches` are a
 /// statement's or transaction's own uncommitted entries for this file,
 /// ascending, applied on top. With neither, batches pass through
 /// untouched, with no KV work at all. `projection` lists the decoded

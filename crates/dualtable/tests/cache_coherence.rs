@@ -349,6 +349,194 @@ fn tombstones_without_index_rows_still_skip_attached_scans() {
 }
 
 // ----------------------------------------------------------------------
+// Pruned and unprojected dirty files: a read pays only for the stripes
+// and columns it reads.
+// ----------------------------------------------------------------------
+
+/// A grid-shaped table: meter `zdjh` (never updated), day `rq`, `status`.
+fn grid(
+    env: &DualTableEnv,
+    name: &str,
+    rows_per_file: usize,
+    stripe_rows: usize,
+) -> DualTableStore {
+    let schema = Schema::from_pairs(&[
+        ("zdjh", DataType::Int64),
+        ("rq", DataType::Int64),
+        ("status", DataType::Int64),
+    ]);
+    let config = DualTableConfig {
+        rows_per_file,
+        writer: WriterOptions {
+            stripe_rows,
+            ..WriterOptions::default()
+        },
+        ..table_cfg()
+    };
+    DualTableStore::create(env, name, schema, config).unwrap()
+}
+
+fn grid_row(i: i64) -> Row {
+    vec![Value::Int64(i), Value::Int64(i % 7), Value::Int64(0)]
+}
+
+/// Sets `status` on the rows whose `zdjh` `hit` picks.
+fn set_status(t: &DualTableStore, hit: impl Fn(i64) -> bool + Sync) {
+    t.update(
+        |r| hit(r[0].as_i64().unwrap()),
+        &[(
+            2,
+            Box::new(|r: &Row| Ok(Value::Int64(r[0].as_i64().unwrap() + 100))),
+        )],
+        RatioHint::Explicit(0.01),
+    )
+    .unwrap();
+}
+
+/// The range `lo <= zdjh < hi`.
+fn zdjh_range(lo: i64, hi: i64) -> Vec<ColumnPredicate> {
+    vec![
+        ColumnPredicate::new(0, PredicateOp::Ge, Value::Int64(lo)),
+        ColumnPredicate::new(0, PredicateOp::Lt, Value::Int64(hi)),
+    ]
+}
+
+/// Scans `t` under `opts`, returning the rows and the attached scans the
+/// read skipped; the rows must equal the unpruned, fully projected scan,
+/// projected and filtered by the predicates (each range here ends on a
+/// stripe boundary, so the stripes a scan reads hold no other row).
+fn scan_pruned(env: &DualTableEnv, t: &DualTableStore, opts: &UnionReadOptions) -> (Vec<Row>, u64) {
+    let before = env.health.snapshot().attached_scans_skipped;
+    let got: Vec<Row> = t.scan(opts).unwrap().into_iter().map(|(_, r)| r).collect();
+    let skipped = env.health.snapshot().attached_scans_skipped - before;
+    let predicates = opts.predicates.as_deref().unwrap_or(&[]);
+    let expect: Vec<Row> = t
+        .scan_all()
+        .unwrap()
+        .into_iter()
+        .map(|(_, full)| full)
+        .filter(|full| {
+            predicates.iter().all(|p| {
+                let k = full[p.column].as_i64().unwrap();
+                let lit = p.literal.as_i64().unwrap();
+                match p.op {
+                    PredicateOp::Ge => k >= lit,
+                    PredicateOp::Lt => k < lit,
+                    _ => unreachable!("only ranges here"),
+                }
+            })
+        })
+        .map(|full| match &opts.projection {
+            Some(p) => p.iter().map(|&c| full[c].clone()).collect(),
+            None => full,
+        })
+        .collect();
+    assert_eq!(got, expect, "scan under {opts:?}");
+    (got, skipped)
+}
+
+/// Dirty files whose only cells are `status` overlays cost a read that
+/// prunes them, or does not project `status`, no attached scan; a file
+/// with delete markers is still scanned, and its rows still drop.
+#[test]
+fn pruned_or_unprojected_dirty_files_skip_attached_scans() {
+    let env = env_with(true);
+    let t = grid(&env, "g", 16, 16);
+    t.insert_rows((0..96).map(grid_row)).unwrap(); // six one-stripe files
+    let files = t.master_file_ids().unwrap().len() as u64;
+    assert_eq!(files, 6);
+    set_status(&t, |k| k < 64 && k % 2 == 0); // the first four files
+    let index = t.presence_index().unwrap();
+    assert_eq!(index.files.len(), 4);
+    assert!(index
+        .files
+        .values()
+        .all(|p| p.has_update_on(2) && !p.has_update_on(0)));
+
+    // A `zdjh` range SELECT of a clean file: every dirty file is pruned.
+    let clean = UnionReadOptions {
+        predicates: Some(zdjh_range(80, 96)),
+        ..UnionReadOptions::all()
+    };
+    let (rows, skipped) = scan_pruned(&env, &t, &clean);
+    assert_eq!(rows.len(), 16);
+    assert_eq!(skipped, files, "clean or pruned: no attached scan");
+
+    // The same range over a dirty file scans that one file only.
+    let dirty = UnionReadOptions {
+        predicates: Some(zdjh_range(16, 32)),
+        ..UnionReadOptions::all()
+    };
+    let (rows, skipped) = scan_pruned(&env, &t, &dirty);
+    assert_eq!(rows[0][2], Value::Int64(116), "the overlay is read");
+    assert_eq!(skipped, files - 1);
+
+    // No `status` in the projection: nothing to patch in, no scan.
+    let narrow = UnionReadOptions::all().with_projection(vec![1, 0]);
+    assert_eq!(scan_pruned(&env, &t, &narrow).1, files);
+    assert_eq!(
+        skipped_by_count(&env, &t),
+        files,
+        "overlays change no count"
+    );
+
+    // A delete marker drops a row of any read: its file is scanned.
+    t.delete(|r| r[0].as_i64().unwrap() == 21, RatioHint::Explicit(0.01))
+        .unwrap();
+    let keys = UnionReadOptions::all().with_projection(vec![0]);
+    let (rows, skipped) = scan_pruned(&env, &t, &keys);
+    assert_eq!(skipped, files - 1);
+    assert_eq!(rows.len(), 95);
+    assert!(
+        !rows.contains(&vec![Value::Int64(21)]),
+        "the deleted row drops"
+    );
+    assert_eq!(skipped_by_count(&env, &t), files - 1);
+    assert_eq!(t.count().unwrap(), 95);
+}
+
+/// A three-stripe file whose middle stripe alone survives a range gets
+/// exactly that stripe's overlays — the first and last of its rows
+/// included — from a scan bounded to the stripe's rows.
+#[test]
+fn a_surviving_middle_stripe_gets_exactly_its_overlays() {
+    let env = env_with(true);
+    let t = grid(&env, "g3", 48, 16);
+    t.insert_rows((0..48).map(grid_row)).unwrap(); // one file, three stripes
+    set_status(&t, |k| [0, 15, 16, 20, 31, 32, 47].contains(&k));
+
+    let overlays: Vec<Value> = (16..32)
+        .map(|k| {
+            Value::Int64(if [16, 20, 31].contains(&k) {
+                k + 100
+            } else {
+                0
+            })
+        })
+        .collect();
+    for (projection, status) in [(None, 2), (Some(vec![2, 0]), 0)] {
+        let middle = UnionReadOptions {
+            projection,
+            predicates: Some(zdjh_range(16, 32)),
+            ..UnionReadOptions::all()
+        };
+        let (rows, skipped) = scan_pruned(&env, &t, &middle);
+        assert_eq!(skipped, 0, "the surviving stripe is scanned");
+        let got: Vec<Value> = rows.iter().map(|r| r[status].clone()).collect();
+        assert_eq!(got, overlays);
+    }
+
+    // A range that no stripe survives opens no scan at all.
+    let none = UnionReadOptions {
+        predicates: Some(zdjh_range(60, 70)),
+        ..UnionReadOptions::all()
+    };
+    let (rows, skipped) = scan_pruned(&env, &t, &none);
+    assert!(rows.is_empty());
+    assert_eq!(skipped, 1);
+}
+
+// ----------------------------------------------------------------------
 // Restart coherence: caches never resurrect pre-crash state.
 // ----------------------------------------------------------------------
 

@@ -249,6 +249,53 @@ fn range_pruning_skips_shard_io() {
     assert!(snap.scatter_scans >= 2);
 }
 
+/// A shard that range pruning drops never reaches UNION READ's per-file
+/// merge: a range SELECT counts a skipped attached scan for each file of
+/// the matched shard and for none of the others, though every file of
+/// every shard is dirty.
+#[test]
+fn pruned_shards_never_reach_the_file_merge() {
+    let env = DualTableEnv::in_memory();
+    let spec = ShardSpec::new(0, vec![10, 20, 30]).unwrap();
+    let config = DualTableConfig {
+        plan_mode: PlanMode::AlwaysEdit,
+        ..cfg()
+    };
+    let t = ShardedTable::create(&env, "dirty", schema(), config, spec).unwrap();
+    t.insert_rows((0..40).map(|k| row(k, k)).collect()).unwrap();
+    let even = |r: &Row| r[0].as_i64().unwrap() % 2 == 0;
+    let set: [dualtable::Assignment<'_>; 1] = [(1, Box::new(|_| Ok(Value::Int64(-1))))];
+    t.dml(&even, Some(&set), RatioHint::Explicit(0.5), None, None)
+        .unwrap();
+    let files = |i: usize| t.shards()[i].master_file_ids().unwrap().len() as u64;
+    for (i, shard) in t.shards().iter().enumerate() {
+        assert_eq!(shard.presence_index().unwrap().files.len() as u64, files(i));
+    }
+
+    // Projecting the key alone, every file reached skips its scan.
+    let skipped = |predicates: Option<Vec<ColumnPredicate>>| {
+        let opts = UnionReadOptions {
+            predicates,
+            ..UnionReadOptions::all().with_projection(vec![0])
+        };
+        let before = env.health.snapshot().attached_scans_skipped;
+        let mut rows = 0;
+        t.for_each_batch(&opts, &Deadline::never(), |_, batch| {
+            rows += batch.selected_len();
+            Ok(ControlFlow::Continue(()))
+        })
+        .unwrap();
+        (rows, env.health.snapshot().attached_scans_skipped - before)
+    };
+    let all: u64 = (0..4).map(files).sum();
+    assert_eq!(skipped(None), (40, all));
+    let mid = vec![pred(PredicateOp::Ge, 12), pred(PredicateOp::Lt, 18)];
+    assert_eq!(t.shards_matching(Some(&mid)), vec![1]);
+    let (rows, count) = skipped(Some(mid));
+    assert!(rows >= 6);
+    assert_eq!(count, files(1), "only the matched shard's files");
+}
+
 /// One UPDATE statement, two different plans: the shard where the
 /// predicate touches every row goes OVERWRITE, the barely-touched shard
 /// stays EDIT. The cost model is per shard, per range.

@@ -2,6 +2,7 @@
 //! row-number tracking.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use dt_common::codec::{get_bytes, get_uvarint};
 use dt_common::{Error, Result, Row, Schema};
@@ -148,6 +149,20 @@ impl OrcReader {
             .iter()
             .filter(|s| conjunction_may_match(predicates, &s.stats))
             .count()
+    }
+
+    /// The rows from the first stripe the predicates cannot rule out to
+    /// the end of the last one, or `None` when they rule out every stripe:
+    /// the span [`OrcReader::batches`] under the same predicates reads.
+    pub fn surviving_rows(&self, predicates: Option<&[ColumnPredicate]>) -> Option<Range<u64>> {
+        let predicates = predicates.unwrap_or(&[]);
+        let mut survivors = self
+            .stripes
+            .iter()
+            .filter(|s| conjunction_may_match(predicates, &s.stats));
+        let first = survivors.next()?;
+        let last = survivors.next_back().unwrap_or(first);
+        Some(first.row_start..last.row_start + last.rows)
     }
 
     fn stripe(&self, stripe: usize) -> Result<&StripeMeta> {
@@ -469,6 +484,17 @@ mod tests {
         assert_eq!(rows.len(), 10);
         assert_eq!(rows[0].0, 90);
         assert_eq!(rows[9].0, 99);
+        assert_eq!(r.surviving_rows(Some(&preds)), Some(90..100));
+
+        // The span runs from the first survivor to the end of the last.
+        let ends = [
+            ColumnPredicate::new(0, PredicateOp::Ge, Value::Int64(25)),
+            ColumnPredicate::new(0, PredicateOp::Lt, Value::Int64(41)),
+        ];
+        assert_eq!(r.surviving_rows(Some(&ends)), Some(20..50));
+        assert_eq!(r.surviving_rows(None), Some(0..100));
+        let none = [ColumnPredicate::new(0, PredicateOp::Gt, Value::Int64(99))];
+        assert_eq!(r.surviving_rows(Some(&none)), None);
     }
 
     fn stripe_stats(r: &OrcReader) -> Vec<Vec<ColumnStats>> {

@@ -177,4 +177,12 @@ run_gate sharded-sql cargo test -q -p dt-hiveql --locked --test sharded_sql -- -
 # against a fold with the row interpreter, bit for bit.
 run_gate kernel-oracle cargo test -q --release -p dt-hiveql --locked --test prop_kernel -- --nocapture
 
+# UNION READ oracle (DESIGN.md §18), in release: scans under a random
+# projection and random stripe predicates — autocommit, at a pinned
+# snapshot, as time travel, over three shards, and inside transactions
+# whose own patches and inserts ride on top — against the full scan of
+# the same epoch, projected and filtered. It is the differential check
+# on every attached scan UNION READ skips or bounds.
+run_gate union-read cargo test -q --release -p dualtable --locked --test prop_union_read -- --nocapture
+
 [ ${#FAILED[@]} -eq 0 ]
