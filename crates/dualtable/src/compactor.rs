@@ -9,15 +9,18 @@
 //!   ([`crate::DualTableStore::compact_incremental`]) did;
 //! * [`CompactionController`] — the shared mode/state cell behind
 //!   `SET COMPACTION = AUTO | OFF` and `SHOW COMPACTION`, read by the
-//!   server's maintenance daemon every tick.
+//!   server's maintenance tick every time it runs.
 //!
 //! The fold itself lives in `store.rs` (candidate scoring, the
 //! carried/folded build, the incremental swing) because it is made of the
-//! same MVCC machinery as the full two-phase COMPACT; the supervisor that
-//! drives cycles, restarts panicked workers and throttles under load lives
-//! in `dt_engine::Supervisor`.
+//! same MVCC machinery as the full two-phase COMPACT. The tick that drives
+//! cycles is `dualtabled`'s: a job in the idle lane of its
+//! `dt_engine::ServicePool`, which runs it when no statement is queued,
+//! or between statements once they have put it off for 100 ms.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
+
+use parking_lot::Mutex;
 
 /// Outcome of one incremental fold cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,26 +59,18 @@ pub enum CompactorState {
     Idle,
     /// A fold cycle is in flight.
     Running,
-    /// Paused because the server is under load (queue depth / shedding);
-    /// resumes automatically when the pressure drains.
-    Throttled,
-    /// The circuit breaker tripped on repeated permanent failures;
-    /// compaction stays down until `SET COMPACTION = AUTO` resets it.
-    Parked,
 }
 
 /// The shared mode/state cell coordinating sessions (`SET COMPACTION`,
 /// `SHOW COMPACTION`) with the background maintenance daemon. One per
-/// environment; lock-free because every access is a single word.
+/// environment.
 #[derive(Debug, Default)]
 pub struct CompactionController {
     mode: AtomicU8,
     state: AtomicU8,
-    /// Bumped on every `set_mode`, even a no-op one — the daemon's parked
-    /// circuit breaker unparks when it sees the epoch move past the value
-    /// it recorded at park time, so `SET COMPACTION = AUTO` always works
-    /// as a reset lever regardless of the mode it "changes" from.
-    epoch: AtomicU64,
+    /// Why the daemon switched compaction off, empty unless it did. Also
+    /// guards every mode change, so the mode and the reason agree.
+    reason: Mutex<String>,
 }
 
 impl CompactionController {
@@ -92,44 +87,41 @@ impl CompactionController {
         }
     }
 
-    /// Flips the mode (`SET COMPACTION = AUTO | OFF`). Switching to
-    /// `AUTO` is also the operator's reset lever for a parked breaker:
-    /// the daemon observes the mode change and resumes from `Idle`.
+    /// Flips the mode (`SET COMPACTION = AUTO | OFF`) and clears the
+    /// reason of a daemon that switched itself off.
     pub fn set_mode(&self, mode: CompactionMode) {
-        let v = match mode {
-            CompactionMode::Auto => 0,
-            CompactionMode::Off => 1,
-        };
-        self.mode.store(v, Ordering::Release);
-        self.epoch.fetch_add(1, Ordering::AcqRel);
+        self.switch(mode, String::new());
     }
 
-    /// How many times `set_mode` has ever been called. A parked daemon
-    /// records this at park time and unparks when it moves while the mode
-    /// reads `AUTO`.
-    pub fn mode_epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
+    /// Switches compaction off for `reason`: the daemon's response to
+    /// repeated permanent failures. `SET COMPACTION = AUTO` re-arms it.
+    pub fn switch_off(&self, reason: String) {
+        self.switch(CompactionMode::Off, reason);
+    }
+
+    fn switch(&self, mode: CompactionMode, reason: String) {
+        let mut current = self.reason.lock();
+        self.mode.store(mode as u8, Ordering::Release);
+        *current = reason;
+    }
+
+    /// Why the daemon switched compaction off (`SHOW COMPACTION`'s
+    /// `reason`); empty unless it did.
+    pub fn reason(&self) -> String {
+        self.reason.lock().clone()
     }
 
     /// The daemon's current state.
     pub fn state(&self) -> CompactorState {
         match self.state.load(Ordering::Acquire) {
             0 => CompactorState::Idle,
-            1 => CompactorState::Running,
-            2 => CompactorState::Throttled,
-            _ => CompactorState::Parked,
+            _ => CompactorState::Running,
         }
     }
 
     /// Publishes the daemon's state (the daemon is the only writer).
     pub fn set_state(&self, state: CompactorState) {
-        let v = match state {
-            CompactorState::Idle => 0,
-            CompactorState::Running => 1,
-            CompactorState::Throttled => 2,
-            CompactorState::Parked => 3,
-        };
-        self.state.store(v, Ordering::Release);
+        self.state.store(state as u8, Ordering::Release);
     }
 
     /// `SHOW COMPACTION`'s rendering of the mode.
@@ -145,8 +137,6 @@ impl CompactionController {
         match self.state() {
             CompactorState::Idle => "idle",
             CompactorState::Running => "running",
-            CompactorState::Throttled => "throttled",
-            CompactorState::Parked => "parked",
         }
     }
 }
@@ -165,16 +155,18 @@ mod tests {
         let c = CompactionController::new();
         assert_eq!(c.mode(), CompactionMode::Auto);
         assert_eq!(c.state(), CompactorState::Idle);
-        assert_eq!(c.mode_epoch(), 0);
         c.set_mode(CompactionMode::Off);
         assert_eq!(c.mode(), CompactionMode::Off);
         assert_eq!(c.mode_name(), "off");
+        assert_eq!(c.reason(), "");
+        c.switch_off("footer checksum mismatch".into());
+        assert_eq!(c.mode(), CompactionMode::Off);
+        assert_eq!(c.reason(), "footer checksum mismatch");
         c.set_mode(CompactionMode::Auto);
-        assert_eq!(c.mode_epoch(), 2, "every set_mode bumps the epoch");
+        assert_eq!(c.mode(), CompactionMode::Auto);
+        assert_eq!(c.reason(), "", "AUTO clears the reason");
         for (state, name) in [
             (CompactorState::Running, "running"),
-            (CompactorState::Throttled, "throttled"),
-            (CompactorState::Parked, "parked"),
             (CompactorState::Idle, "idle"),
         ] {
             c.set_state(state);

@@ -20,9 +20,9 @@ pub enum PlanMode {
 
 /// Background incremental compaction knobs (DESIGN.md §15).
 ///
-/// These bound one *cycle* of the maintenance loop; the supervisor's
-/// restart/backoff/circuit-breaker policy lives with the supervisor
-/// (`dt_engine::Supervisor`), not per table.
+/// These bound one *cycle* of the maintenance loop. When a cycle runs,
+/// and what happens when one fails, is the server's maintenance tick
+/// (`dualtabled`), not a per-table setting.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompactionConfig {
     /// Upper bound on master files folded per incremental cycle: the

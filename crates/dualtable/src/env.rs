@@ -52,10 +52,9 @@ dt_common::counters! {
         compactions_aborted,
         /// Abandoned rewrite generations swept eagerly after a lost race.
         stale_gens_swept,
-        /// Compaction cycles the daemon skipped under serving-layer load.
+        /// Maintenance ticks that fell due while statements held the
+        /// service pool's queue, and so waited for it to drain.
         compactor_throttled,
-        /// 1 while the compaction circuit breaker is open (gauge).
-        compactor_parked,
         /// Commits that wrote a decision record: those spanning two or
         /// more stores (DESIGN.md §13).
         commit_records,

@@ -14,10 +14,10 @@
 //!   with the granted degree;
 //! * [`ServicePool`] — N long-lived workers behind a bounded dispatch
 //!   queue with non-blocking admission, the execution substrate of the
-//!   `dualtabled` server and the one place the degree is granted;
-//! * [`Supervisor`] — one background worker kept alive across panics and
-//!   faults, with backoff and a circuit breaker: the restart substrate of
-//!   `dualtabled`'s compaction daemon;
+//!   `dualtabled` server and the one place the degree is granted. Its
+//!   idle lane runs one [`IdleJob`], `dualtabled`'s compaction tick,
+//!   when no statement is queued or once statements have put it off for
+//!   100 ms;
 //! * [`run_map_reduce`] with [`JobCounters`] — a map, hash-partitioned
 //!   shuffle, sort and reduce over the same primitive, kept for the
 //!   benchmark ladder's MapReduce rung.
@@ -25,9 +25,7 @@
 mod counters;
 mod job;
 mod service;
-mod supervisor;
 
 pub use counters::JobCounters;
 pub use job::{degree, parallel_map_fallible, run_map_reduce, with_degree, JobConfig};
-pub use service::{ServiceJob, ServicePool, SubmitError};
-pub use supervisor::{Supervisor, SupervisorConfig, SupervisorStats, TickOutcome};
+pub use service::{IdleJob, ServiceJob, ServicePool, SubmitError};

@@ -29,17 +29,43 @@
 //! richer panic handling (e.g. session teardown) should wrap their own
 //! `catch_unwind` inside the job; this one is the backstop that keeps
 //! the pool alive.
+//!
+//! A pool built [`with_idle`](ServicePool::with_idle) also has an *idle
+//! lane* below every statement: one [`IdleJob`] (for `dualtabled`, the
+//! compaction tick) that a worker runs when its wait on the queue times
+//! out, i.e. when no statement is queued, or, once statements have put
+//! it off for [`STARVED`], after the statement it took instead. At most
+//! one copy runs at a time, and it is due again after the delay it
+//! returns, or at once after a panic. It is counted in
+//! [`busy`](ServicePool::busy), runs under the same `catch_unwind` and is
+//! granted its degree like any job, so a statement that starts beside it
+//! gets 1. A pool without one blocks on the queue as before.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use crate::job::{cores, with_degree};
 
 /// A unit of work for the pool.
 pub type ServiceJob = Box<dyn FnOnce() + Send + 'static>;
+
+/// The idle lane's job. It is passed `true` when it fell due while
+/// statements held the queue (it waited for them), and returns the delay
+/// before it is due again.
+pub type IdleJob = Box<dyn FnMut(bool) -> Duration + Send + 'static>;
+
+/// How long a worker waits for a statement while another worker runs the
+/// idle job, before it looks at the lane again.
+const IDLE_POLL: Duration = Duration::from_millis(5);
+
+/// How long statements may put off a due idle job. After that the next
+/// worker to finish a statement runs it, queue or not, so sustained load
+/// slows maintenance but never stops it.
+const STARVED: Duration = Duration::from_millis(100);
 
 /// Why [`ServicePool::try_submit`] refused a job. The job is handed back
 /// so the caller can reply to the client without re-building it.
@@ -66,6 +92,65 @@ struct Gauges {
     panics: AtomicU64,
 }
 
+impl Gauges {
+    /// Runs `job` counted in `running` and under `catch_unwind`, at all
+    /// cores if it starts as the only job running or queued (`waiting`
+    /// others wait on the queue), else at 1. `None` if it panicked.
+    fn run<T>(&self, waiting: u64, job: impl FnOnce() -> T) -> Option<T> {
+        let running = self.running.fetch_add(1, Ordering::SeqCst) + 1;
+        let degree = if running == 1 && waiting == 0 {
+            cores()
+        } else {
+            1
+        };
+        let out = catch_unwind(AssertUnwindSafe(|| with_degree(degree, job)));
+        self.running.fetch_sub(1, Ordering::SeqCst);
+        if out.is_err() {
+            self.panics.fetch_add(1, Ordering::Relaxed);
+        }
+        out.ok()
+    }
+}
+
+/// The idle lane: its job, when it is next due, and whether the pool is
+/// draining.
+struct IdleLane {
+    /// `None` while a worker runs it.
+    job: Option<IdleJob>,
+    due: Instant,
+    /// The job fell due while a worker took a statement instead.
+    deferred: bool,
+    /// Set by `drain`: no idle job starts after it.
+    closed: bool,
+}
+
+impl IdleLane {
+    /// How long a worker may wait on the queue before the lane needs it.
+    fn wait(&self) -> Duration {
+        match self.job {
+            Some(_) => self.due.saturating_duration_since(Instant::now()),
+            None => IDLE_POLL,
+        }
+    }
+
+    /// Notes that a worker took a statement while the job was due, and
+    /// says whether statements have put it off for [`STARVED`] already.
+    fn defer(&mut self) -> bool {
+        let now = Instant::now();
+        if self.job.is_none() || self.due > now {
+            return false;
+        }
+        self.deferred = true;
+        now - self.due >= STARVED
+    }
+}
+
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    // Every update of the pool's shared state leaves it valid, and jobs
+    // run outside these locks.
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// A fixed-size pool of long-lived workers behind a bounded queue.
 pub struct ServicePool {
     /// `None` after shutdown. Behind a mutex so shutdown works through a
@@ -73,12 +158,28 @@ pub struct ServicePool {
     tx: Mutex<Option<SyncSender<ServiceJob>>>,
     workers: Mutex<Vec<JoinHandle<()>>>,
     gauges: Arc<Gauges>,
+    idle: Option<Arc<Mutex<IdleLane>>>,
 }
 
 impl ServicePool {
     /// Spawns `workers` threads (clamped to ≥ 1) behind a queue holding
     /// at most `queue_cap` waiting jobs (clamped to ≥ 1).
     pub fn new(workers: usize, queue_cap: usize) -> Self {
+        Self::spawn(workers, queue_cap, None)
+    }
+
+    /// [`ServicePool::new`] with `idle` in the idle lane, due at once.
+    pub fn with_idle(workers: usize, queue_cap: usize, idle: IdleJob) -> Self {
+        let lane = IdleLane {
+            job: Some(idle),
+            due: Instant::now(),
+            deferred: false,
+            closed: false,
+        };
+        Self::spawn(workers, queue_cap, Some(Arc::new(Mutex::new(lane))))
+    }
+
+    fn spawn(workers: usize, queue_cap: usize, idle: Option<Arc<Mutex<IdleLane>>>) -> Self {
         let workers = workers.max(1);
         let (tx, rx) = std::sync::mpsc::sync_channel::<ServiceJob>(queue_cap.max(1));
         // MPMC by Mutex: idle workers pull from one queue.
@@ -88,9 +189,10 @@ impl ServicePool {
             .map(|i| {
                 let rx = Arc::clone(&rx);
                 let gauges = Arc::clone(&gauges);
+                let idle = idle.clone();
                 std::thread::Builder::new()
                     .name(format!("svc-worker-{i}"))
-                    .spawn(move || worker_loop(&rx, &gauges))
+                    .spawn(move || worker_loop(&rx, &gauges, idle.as_deref()))
                     .expect("spawn service worker")
             })
             .collect();
@@ -98,13 +200,14 @@ impl ServicePool {
             tx: Mutex::new(Some(tx)),
             workers: Mutex::new(handles),
             gauges,
+            idle,
         }
     }
 
     /// Non-blocking admission. `Err(Full)` means the queue is at capacity
     /// *right now* — the canonical load-shedding signal.
     pub fn try_submit(&self, job: ServiceJob) -> Result<(), SubmitError> {
-        let guard = self.tx.lock().unwrap_or_else(|e| e.into_inner());
+        let guard = lock(&self.tx);
         let Some(tx) = guard.as_ref() else {
             return Err(SubmitError::Closed(job));
         };
@@ -140,11 +243,6 @@ impl ServicePool {
         self.gauges.panics.load(Ordering::Relaxed)
     }
 
-    /// The worker-thread count. Zero after shutdown.
-    pub fn workers(&self) -> usize {
-        self.workers.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
     /// Closes the queue and joins the workers after they drain every
     /// already-accepted job. Idempotent via `Drop` (dropping an
     /// un-shutdown pool performs the same drain).
@@ -154,17 +252,16 @@ impl ServicePool {
 
     /// [`ServicePool::shutdown`] through a shared reference — for pools
     /// owned by an `Arc`-shared server. Idempotent; concurrent callers
-    /// both observe a fully drained pool before returning.
+    /// both observe a fully drained pool before returning. No idle job
+    /// starts once it is called; one already running finishes.
     pub fn drain(&self) {
+        if let Some(lane) = &self.idle {
+            lock(lane).closed = true;
+        }
         // Dropping the sender disconnects the channel once the queue is
         // empty; workers exit their recv loop after draining it.
-        *self.tx.lock().unwrap_or_else(|e| e.into_inner()) = None;
-        let handles: Vec<JoinHandle<()>> = self
-            .workers
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .drain(..)
-            .collect();
+        *lock(&self.tx) = None;
+        let handles: Vec<JoinHandle<()>> = lock(&self.workers).drain(..).collect();
         for handle in handles {
             // A worker that panicked outside catch_unwind (impossible for
             // job code, but defensive) must not poison shutdown.
@@ -179,25 +276,53 @@ impl Drop for ServicePool {
     }
 }
 
-fn worker_loop(rx: &Mutex<Receiver<ServiceJob>>, gauges: &Gauges) {
+fn worker_loop(rx: &Mutex<Receiver<ServiceJob>>, gauges: &Gauges, idle: Option<&Mutex<IdleLane>>) {
     loop {
-        let job = {
-            let queue = rx.lock().unwrap_or_else(|e| e.into_inner());
-            queue.recv()
+        let next = {
+            let queue = lock(rx);
+            match idle {
+                None => queue.recv().map_err(|_| RecvTimeoutError::Disconnected),
+                Some(lane) => {
+                    let wait = lock(lane).wait();
+                    queue.recv_timeout(wait)
+                }
+            }
         };
-        let Ok(job) = job else { break };
-        let waiting = gauges.queued.fetch_sub(1, Ordering::SeqCst) - 1;
-        let running = gauges.running.fetch_add(1, Ordering::SeqCst) + 1;
-        let degree = if running == 1 && waiting == 0 {
-            cores()
-        } else {
-            1
-        };
-        if catch_unwind(AssertUnwindSafe(|| with_degree(degree, job))).is_err() {
-            gauges.panics.fetch_add(1, Ordering::Relaxed);
+        match next {
+            Ok(job) => {
+                let starved = idle.filter(|lane| lock(lane).defer());
+                let waiting = gauges.queued.fetch_sub(1, Ordering::SeqCst) - 1;
+                gauges.run(waiting, job);
+                if let Some(lane) = starved {
+                    run_idle(lane, gauges);
+                }
+            }
+            Err(RecvTimeoutError::Timeout) => {
+                if let Some(lane) = idle {
+                    run_idle(lane, gauges);
+                }
+            }
+            Err(RecvTimeoutError::Disconnected) => break,
         }
-        gauges.running.fetch_sub(1, Ordering::SeqCst);
     }
+}
+
+/// Runs the idle job if it is due and no other worker runs it, then sets
+/// when it is due next.
+fn run_idle(lane: &Mutex<IdleLane>, gauges: &Gauges) {
+    let (mut job, deferred) = {
+        let mut lane = lock(lane);
+        if lane.closed || lane.due > Instant::now() {
+            return;
+        }
+        let Some(job) = lane.job.take() else { return };
+        (job, std::mem::take(&mut lane.deferred))
+    };
+    let waiting = gauges.queued.load(Ordering::SeqCst);
+    let delay = gauges.run(waiting, || job(deferred)).unwrap_or_default();
+    let mut lane = lock(lane);
+    lane.due = Instant::now() + delay;
+    lane.job = Some(job);
 }
 
 #[cfg(test)]
@@ -394,6 +519,234 @@ mod tests {
         assert_eq!(rx.recv().unwrap(), 1);
         assert_eq!(rx.recv().unwrap(), cores());
         pool.shutdown();
+    }
+
+    /// Waits up to ten seconds for `cond`.
+    fn eventually(cond: impl Fn() -> bool) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while Instant::now() < deadline {
+            if cond() {
+                return true;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        false
+    }
+
+    #[test]
+    fn the_idle_job_waits_for_the_queue_to_drain() {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let idle_log = Arc::clone(&log);
+        let pool = ServicePool::with_idle(
+            1,
+            8,
+            Box::new(move |deferred| {
+                idle_log.lock().unwrap().push(format!("idle {deferred}"));
+                Duration::from_millis(1)
+            }),
+        );
+        // The one worker is held, so the idle job cannot run until the
+        // three statements queued behind the gate have run.
+        let gate = occupy(&pool);
+        log.lock().unwrap().clear();
+        for i in 0..3 {
+            let log = Arc::clone(&log);
+            pool.try_submit(Box::new(move || {
+                log.lock().unwrap().push(format!("stmt {i}"))
+            }))
+            .unwrap();
+        }
+        std::thread::sleep(Duration::from_millis(5)); // the idle job falls due
+        drop(gate);
+        assert!(eventually(|| log.lock().unwrap().len() >= 5));
+        let log = log.lock().unwrap().clone();
+        // The first idle run after the gate waited for the statements.
+        assert_eq!(log[..4], ["stmt 0", "stmt 1", "stmt 2", "idle true"]);
+        assert_eq!(log[4], "idle false");
+        pool.shutdown();
+    }
+
+    #[test]
+    fn a_statement_submitted_mid_sweep_runs_between_its_steps() {
+        // A three-step sweep on the one worker: due again at once while
+        // steps remain. The statement arrives during step 0.
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (idle_log, mut step) = (Arc::clone(&log), 0);
+        let pool = ServicePool::with_idle(
+            1,
+            8,
+            Box::new(move |_| {
+                if step == 0 {
+                    started_tx.send(()).unwrap();
+                    let _ = release_rx.recv();
+                }
+                idle_log.lock().unwrap().push(format!("step {step}"));
+                step = (step + 1) % 3;
+                if step == 0 {
+                    Duration::from_secs(3600)
+                } else {
+                    Duration::ZERO
+                }
+            }),
+        );
+        started_rx.recv().unwrap();
+        let stmt_log = Arc::clone(&log);
+        pool.try_submit(Box::new(move || {
+            stmt_log.lock().unwrap().push("stmt".to_string())
+        }))
+        .unwrap();
+        drop(release_tx);
+        assert!(eventually(|| log.lock().unwrap().len() == 4));
+        let log = log.lock().unwrap().clone();
+        assert_eq!(log, ["step 0", "stmt", "step 1", "step 2"]);
+        pool.shutdown();
+    }
+
+    #[test]
+    fn a_starved_idle_job_runs_between_statements() {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let idle_log = Arc::clone(&log);
+        let pool = ServicePool::with_idle(
+            1,
+            64,
+            Box::new(move |deferred| {
+                idle_log.lock().unwrap().push(format!("idle {deferred}"));
+                Duration::ZERO
+            }),
+        );
+        // Forty 10 ms statements keep the queue full for 400 ms, four
+        // times as long as statements may put the always-due job off.
+        let gate = occupy(&pool);
+        for i in 0..40 {
+            let log = Arc::clone(&log);
+            pool.try_submit(Box::new(move || {
+                std::thread::sleep(Duration::from_millis(10));
+                log.lock().unwrap().push(format!("stmt {i}"));
+            }))
+            .unwrap();
+        }
+        log.lock().unwrap().clear();
+        drop(gate);
+        assert!(eventually(|| log
+            .lock()
+            .unwrap()
+            .iter()
+            .any(|e| e == "stmt 39")));
+        let log = log.lock().unwrap().clone();
+        let last = log.iter().position(|e| e == "stmt 39").unwrap();
+        let starved = log[..last].iter().filter(|e| e.starts_with("idle")).count();
+        assert!(log[0] == "stmt 0", "{log:?}");
+        assert!((1..=10).contains(&starved), "{log:?}");
+        assert!(log[..last].iter().all(|e| e != "idle false"), "{log:?}");
+        pool.shutdown();
+    }
+
+    #[test]
+    fn idle_jobs_never_overlap() {
+        let active = Arc::new(AtomicUsize::new(0));
+        let overlaps = Arc::new(AtomicUsize::new(0));
+        let runs = Arc::new(AtomicUsize::new(0));
+        let (a, o, r) = (
+            Arc::clone(&active),
+            Arc::clone(&overlaps),
+            Arc::clone(&runs),
+        );
+        let pool = ServicePool::with_idle(
+            4,
+            8,
+            Box::new(move |_| {
+                if a.fetch_add(1, Ordering::SeqCst) > 0 {
+                    o.fetch_add(1, Ordering::SeqCst);
+                }
+                std::thread::sleep(Duration::from_millis(2));
+                a.fetch_sub(1, Ordering::SeqCst);
+                r.fetch_add(1, Ordering::SeqCst);
+                Duration::ZERO
+            }),
+        );
+        // Always due, four idle workers: each could start it.
+        assert!(eventually(|| runs.load(Ordering::SeqCst) >= 10));
+        pool.shutdown();
+        assert_eq!(overlaps.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn a_panicking_idle_job_is_contained_and_due_again() {
+        let (tx, rx) = mpsc::channel();
+        let mut first = true;
+        let pool = ServicePool::with_idle(
+            1,
+            8,
+            Box::new(move |_| {
+                if std::mem::take(&mut first) {
+                    panic!("fold blew up");
+                }
+                tx.send(()).unwrap();
+                Duration::from_secs(3600)
+            }),
+        );
+        // Due again at once, not after an hour, and on the same worker.
+        rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        assert_eq!(pool.panics(), 1);
+        let (done_tx, done_rx) = mpsc::channel();
+        pool.try_submit(Box::new(move || done_tx.send(()).unwrap()))
+            .unwrap();
+        done_rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        pool.shutdown();
+    }
+
+    #[test]
+    fn a_statement_beside_the_idle_job_is_granted_one() {
+        let (idle_tx, idle_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let pool = ServicePool::with_idle(
+            2,
+            8,
+            Box::new(move |_| {
+                idle_tx.send(crate::degree()).unwrap();
+                let _ = release_rx.recv();
+                Duration::from_secs(3600)
+            }),
+        );
+        assert_eq!(idle_rx.recv().unwrap(), cores(), "a lone idle job");
+        assert_eq!(pool.busy(), 1, "the idle job counts as busy");
+        let (tx, rx) = mpsc::channel();
+        report_degree(&pool, &tx, None);
+        assert_eq!(rx.recv().unwrap(), 1);
+        drop(release_tx);
+        pool.shutdown();
+    }
+
+    #[test]
+    fn drain_starts_no_idle_job() {
+        let runs = Arc::new(AtomicUsize::new(0));
+        let r = Arc::clone(&runs);
+        let pool = ServicePool::with_idle(
+            1,
+            8,
+            Box::new(move |_| {
+                r.fetch_add(1, Ordering::SeqCst);
+                Duration::ZERO
+            }),
+        );
+        let gate = occupy(&pool);
+        let before = runs.load(Ordering::SeqCst);
+        std::thread::scope(|s| {
+            let drain = s.spawn(|| pool.drain());
+            // The drain is under way once the queue refuses statements;
+            // then the worker comes free with the idle job due.
+            while !matches!(
+                pool.try_submit(Box::new(|| {})),
+                Err(SubmitError::Closed(_))
+            ) {
+                std::thread::yield_now();
+            }
+            drop(gate);
+            drain.join().unwrap();
+        });
+        assert_eq!(runs.load(Ordering::SeqCst), before);
     }
 
     #[test]

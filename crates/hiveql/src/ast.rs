@@ -76,8 +76,8 @@ pub enum Statement {
         incremental: bool,
     },
     /// `SET COMPACTION = AUTO | OFF` — flip the environment's background
-    /// maintenance mode; `AUTO` also resets a parked circuit breaker
-    /// (DESIGN.md §15).
+    /// maintenance mode; `AUTO` also re-arms a daemon that switched
+    /// itself off after repeated failures (DESIGN.md §15).
     SetCompaction {
         /// `AUTO` (`true`) or `OFF` (`false`).
         auto: bool,

@@ -435,7 +435,7 @@ impl Session {
                     ("aborted".into(), snap.compactions_aborted.to_string()),
                     ("stale_gens_swept".into(), snap.stale_gens_swept.to_string()),
                     ("throttled".into(), snap.compactor_throttled.to_string()),
-                    ("parked".into(), (snap.compactor_parked != 0).to_string()),
+                    ("reason".into(), self.env.compaction.reason()),
                 ];
                 // Per-shard fold ledgers of every sharded table: the
                 // round-robin walk's fairness is observable here (the

@@ -642,7 +642,7 @@ fn incremental_compaction_sql_surface() {
     assert_eq!(show["state"], "idle");
     assert_eq!(show["started"], "1");
     assert_eq!(show["completed"], "1");
-    assert_eq!(show["parked"], "false");
+    assert_eq!(show["reason"], "");
 
     s.execute("SET COMPACTION = OFF").unwrap();
     let r = s.execute("SHOW COMPACTION").unwrap();

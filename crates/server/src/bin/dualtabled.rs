@@ -2,7 +2,8 @@
 //!
 //! ```text
 //! dualtabled [--listen ADDR] [--data DIR | --mem] [--workers N]
-//!            [--queue-depth N] [--deadline-ms MS]
+//!            [--queue-depth N] [--deadline-ms MS] [--no-compaction]
+//!            [--compaction-interval-ms MS] [--delta-bytes N]
 //! ```
 //!
 //! Prints `listening on ADDR` once ready. SIGTERM/SIGINT trigger a
@@ -133,8 +134,6 @@ fn main() -> ExitCode {
         default_deadline_ms: args.deadline_ms,
         compaction: args.compaction,
         compaction_interval_ms: args.compaction_interval_ms,
-        // Maintenance yields once foreground work fills half the queue.
-        compaction_queue_threshold: (args.queue_depth / 2).max(1),
         session: {
             let mut session = dt_hiveql::SessionConfig::default();
             session.dualtable.delta_bytes = args.delta_bytes;

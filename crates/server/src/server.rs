@@ -32,13 +32,13 @@
 use std::io::{BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use dt_common::{Deadline, Error, Result};
-use dt_engine::{ServicePool, SubmitError, Supervisor, SupervisorConfig, TickOutcome};
+use dt_common::{Deadline, Error, Result, RetryPolicy};
+use dt_engine::{IdleJob, ServicePool, SubmitError};
 use dt_hiveql::{QueryResult, Session, SharedCatalog};
 use dualtable::{CompactionMode, CompactorState, DualTableEnv, FoldOutcome, ServerCounters};
 use parking_lot::Mutex;
@@ -59,16 +59,15 @@ pub struct ServerConfig {
     /// `0` here means no deadline at all.
     pub default_deadline_ms: u64,
     /// Run the background incremental-compaction daemon (DESIGN.md §15):
-    /// a supervised maintenance thread that folds the dirtiest master
-    /// files of every DUALTABLE in the catalog. Off by default for
-    /// library embedders; the `dualtabled` binary turns it on.
+    /// a tick in the worker pool's idle lane that folds the dirtiest
+    /// master files of every DUALTABLE in the catalog, one table per
+    /// tick, when no statement is queued (or between statements, once
+    /// they have put it off for 100 ms). Off by default for library embedders; the
+    /// `dualtabled` binary turns it on.
     pub compaction: bool,
     /// Daemon cadence after a cycle that found work, in milliseconds.
-    /// Idle and throttled cycles sleep 5× this.
+    /// An idle cycle waits 5× this.
     pub compaction_interval_ms: u64,
-    /// Dispatch-queue depth at or above which the daemon throttles —
-    /// foreground statements always outrank maintenance.
-    pub compaction_queue_threshold: usize,
     /// Session configuration handed to every connection (table defaults:
     /// plan mode, cost-model rates, delta-tier budget, executor tuning).
     /// A `delta_bytes` set here turns the HTAP delta tier on for every
@@ -89,7 +88,6 @@ impl Default for ServerConfig {
             default_deadline_ms: 0,
             compaction: false,
             compaction_interval_ms: 20,
-            compaction_queue_threshold: 8,
             session: dt_hiveql::SessionConfig::default(),
             panic_marker: None,
         }
@@ -130,8 +128,6 @@ pub struct Server {
     shared: Arc<ServerShared>,
     local_addr: SocketAddr,
     accept_thread: Option<JoinHandle<()>>,
-    /// The supervised compaction daemon (`config.compaction`).
-    maintenance: Option<Supervisor>,
     shut: bool,
 }
 
@@ -148,8 +144,14 @@ impl Server {
         let local_addr = listener.local_addr().map_err(Error::Io)?;
         listener.set_nonblocking(true).map_err(Error::Io)?;
         let health = Arc::clone(&env.server_health);
+        let pool = if config.compaction {
+            let tick = maintenance(&env, &catalog, config.compaction_interval_ms);
+            ServicePool::with_idle(config.workers, config.queue_depth, tick)
+        } else {
+            ServicePool::new(config.workers, config.queue_depth)
+        };
         let shared = Arc::new(ServerShared {
-            pool: ServicePool::new(config.workers, config.queue_depth),
+            pool,
             config,
             env,
             catalog,
@@ -162,12 +164,10 @@ impl Server {
             .name("dtd-accept".into())
             .spawn(move || accept_loop(&listener, &accept_shared))
             .map_err(Error::Io)?;
-        let maintenance = shared.config.compaction.then(|| start_maintenance(&shared));
         Ok(Server {
             shared,
             local_addr,
             accept_thread: Some(accept_thread),
-            maintenance,
             shut: false,
         })
     }
@@ -199,19 +199,15 @@ impl Server {
             return;
         }
         self.shut = true;
-        // 0. Stop the compaction daemon first: no new fold starts during
-        //    the drain; an in-flight fold runs to completion (it is
-        //    crash-safe anyway, but a clean stop keeps counters exact).
-        if let Some(m) = self.maintenance.take() {
-            m.stop();
-        }
         // 1. Refuse new connections and new statements.
         self.shared.shutting_down.store(true, Ordering::SeqCst);
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
         // 2. Drain every accepted statement. Connection threads waiting
-        //    on results are unblocked as their statements complete.
+        //    on results are unblocked as their statements complete. No
+        //    compaction tick starts from here on; one in flight finishes,
+        //    which keeps the fold ledger exact.
         self.shared.pool.drain();
         // 3. Tear every connection down: mark dead, unblock its reader,
         //    join. The guard in each thread rolls back open transactions
@@ -234,102 +230,95 @@ impl Drop for Server {
     }
 }
 
-/// Spawns the supervised compaction daemon (DESIGN.md §15). One tick =
-/// one maintenance sweep: consult the controller mode, check server load,
-/// then run one incremental fold cycle on every DUALTABLE in the catalog.
-/// Sharded tables dispatch that cycle round-robin across their shards (the
-/// handle advances a per-table cursor), so no shard waits more than one
-/// full cycle behind its siblings and per-shard fold counters show up in
-/// SHOW COMPACTION.
-/// The supervisor restarts the tick across panics, backs transient faults
-/// off, and parks on repeated permanent failures; `SET COMPACTION = AUTO`
-/// (a mode-epoch bump) is the operator's reset lever.
-fn start_maintenance(shared: &Arc<ServerShared>) -> Supervisor {
-    let controller = Arc::clone(&shared.env.compaction);
-    let table_health = Arc::clone(&shared.env.health);
-    let threshold = shared.config.compaction_queue_threshold as u64;
-    let interval = shared.config.compaction_interval_ms.max(1);
+/// Consecutive permanent failures or panics of the compaction tick that
+/// switch compaction off.
+const STRIKES: u32 = 3;
 
-    let tick_shared = Arc::clone(shared);
-    let tick_controller = Arc::clone(&controller);
-    let tick_health = Arc::clone(&table_health);
-    let mut last_shed = shared.health.stmts_shed.get();
-    let tick = move || {
-        if tick_controller.mode() == CompactionMode::Off {
-            tick_controller.set_state(CompactorState::Idle);
-            return Ok(TickOutcome::Idle);
+/// The compaction daemon's tick (DESIGN.md §15), for the service pool's
+/// idle lane. A *sweep* visits every table of the catalog, one table per
+/// tick, so a worker gets back to the statement queue between folds: the
+/// tick is due again at once while the sweep has tables left, then
+/// `interval_ms` after a sweep that found work and 5× that after an idle
+/// one. A failure re-ticks after the `RetryPolicy` backoff and the sweep
+/// goes on with the next table. Transient failures retry without end; the
+/// [`STRIKES`]th permanent failure or panic with no error-free sweep
+/// between switches compaction off with the error as its reason.
+fn maintenance(env: &DualTableEnv, catalog: &SharedCatalog, interval_ms: u64) -> IdleJob {
+    let (catalog, controller) = (catalog.clone(), Arc::clone(&env.compaction));
+    let health = Arc::clone(&env.health);
+    let interval = Duration::from_millis(interval_ms.max(1));
+    // The tables the sweep has yet to visit (next last), and whether it
+    // folded or failed so far; permanent failures and panics, and
+    // failures of any class (the backoff's retry number), since the last
+    // error-free sweep.
+    let (mut sweep, mut worked, mut erred) = (Vec::<String>::new(), false, false);
+    let (mut strikes, mut failures) = (0, 0);
+    Box::new(move |deferred| {
+        if deferred {
+            health.compactor_throttled.inc();
         }
-        // Load-aware throttle: a deep dispatch queue or fresh admission
-        // shedding means the serving tier needs every core — maintenance
-        // yields and retries next tick.
-        let shed = tick_shared.health.stmts_shed.get();
-        let queued = tick_shared.pool.queued();
-        if queued >= threshold || shed > last_shed {
-            last_shed = shed;
-            tick_health.compactor_throttled.inc();
-            tick_controller.set_state(CompactorState::Throttled);
-            return Ok(TickOutcome::Throttled);
+        if controller.mode() == CompactionMode::Off {
+            (strikes, failures) = (0, 0);
+            sweep.clear();
+            controller.set_state(CompactorState::Idle);
+            return interval * 5;
         }
-        last_shed = shed;
-        tick_controller.set_state(CompactorState::Running);
-        let mut worked = false;
-        let mut result = Ok(());
-        for name in tick_shared.catalog.names() {
-            let Ok(handle) = tick_shared.catalog.get(&name) else {
-                continue; // dropped since names() — nothing to maintain
-            };
-            match handle.compact_incremental() {
-                Ok(FoldOutcome::Folded { .. } | FoldOutcome::LostRace) => worked = true,
-                Ok(FoldOutcome::Clean) => {}
-                Err(Error::Unsupported(_)) => {} // non-DUALTABLE storage
-                Err(e) => {
-                    // Surface the first failure to the supervisor (backoff
-                    // or breaker); later tables get their turn next tick.
-                    result = Err(e);
-                    break;
+        if sweep.is_empty() {
+            sweep = catalog.names();
+            sweep.reverse();
+            (worked, erred) = (false, false);
+        }
+        let Some(name) = sweep.pop() else {
+            return interval * 5; // an empty catalog
+        };
+        controller.set_state(CompactorState::Running);
+        let outcome = catch_unwind(AssertUnwindSafe(|| fold(&catalog, &name)))
+            .unwrap_or_else(|_| Err(Error::internal(format!("folding {name} panicked"))));
+        controller.set_state(CompactorState::Idle);
+        let backoff = match outcome {
+            Ok(folded) => {
+                worked |= folded;
+                None
+            }
+            Err(e) => {
+                erred = true;
+                failures += 1;
+                strikes += u32::from(!e.is_transient());
+                if strikes >= STRIKES {
+                    (strikes, failures) = (0, 0);
+                    sweep.clear();
+                    controller.switch_off(e.to_string());
+                    return interval * 5;
                 }
+                Some(Duration::from_millis(
+                    RetryPolicy::default().backoff_ticks(failures),
+                ))
             }
+        };
+        if !sweep.is_empty() {
+            return backoff.unwrap_or(Duration::ZERO);
         }
-        tick_controller.set_state(CompactorState::Idle);
-        result.map(|()| {
-            if worked {
-                TickOutcome::Worked
-            } else {
-                TickOutcome::Idle
-            }
-        })
-    };
-
-    // The breaker's reset lever: record the controller's mode epoch at
-    // park time; any later SET COMPACTION = AUTO moves it and unparks.
-    let epoch_at_park = Arc::new(AtomicU64::new(0));
-    let park_epoch = Arc::clone(&epoch_at_park);
-    let park_controller = Arc::clone(&controller);
-    let on_park = move |parked: bool| {
-        table_health.compactor_parked.set(u64::from(parked));
-        if parked {
-            park_epoch.store(park_controller.mode_epoch(), Ordering::SeqCst);
-            park_controller.set_state(CompactorState::Parked);
-        } else {
-            park_controller.set_state(CompactorState::Idle);
+        if !erred {
+            (strikes, failures) = (0, 0);
         }
-    };
-    let unpark_when = move || {
-        controller.mode() == CompactionMode::Auto
-            && controller.mode_epoch() > epoch_at_park.load(Ordering::SeqCst)
-    };
+        backoff.unwrap_or(if worked { interval } else { interval * 5 })
+    })
+}
 
-    Supervisor::start(
-        "compaction",
-        SupervisorConfig {
-            tick_interval_ms: interval,
-            idle_interval_ms: interval.saturating_mul(5),
-            ..SupervisorConfig::default()
-        },
-        tick,
-        on_park,
-        unpark_when,
-    )
+/// One incremental fold on table `name`; `true` if it swung in or lost its
+/// race. A sharded table folds its next dirty shard round-robin (the
+/// handle advances a per-table cursor), so its shards take turns, one
+/// per sweep, and per-shard fold counters show up in SHOW COMPACTION.
+/// Other storages have nothing to fold.
+fn fold(catalog: &SharedCatalog, name: &str) -> Result<bool> {
+    let Ok(handle) = catalog.get(name) else {
+        return Ok(false); // dropped since the sweep began
+    };
+    match handle.compact_incremental() {
+        Ok(FoldOutcome::Folded { .. } | FoldOutcome::LostRace) => Ok(true),
+        Ok(FoldOutcome::Clean) | Err(Error::Unsupported(_)) => Ok(false),
+        Err(e) => Err(e),
+    }
 }
 
 fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
@@ -615,4 +604,36 @@ fn write_error_frame(
 ) -> std::io::Result<()> {
     protocol::write_frame(writer, &encode_error(code, retryable, message))?;
     writer.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_tick_folds_one_table_and_the_sweep_paces_itself() {
+        let (env, catalog) = (DualTableEnv::in_memory(), SharedCatalog::new());
+        let mut session = Session::with_shared(env.clone(), catalog.clone());
+        let values: Vec<String> = (0..50).map(|i| format!("({i}, {i}.5)")).collect();
+        for t in ["a", "b", "c"] {
+            // One row in 50 updated: the EDIT plan, so the attached tier
+            // holds dirt for the fold.
+            for sql in [
+                format!("CREATE TABLE {t} (id BIGINT, v DOUBLE) STORED AS DUALTABLE"),
+                format!("INSERT INTO {t} VALUES {}", values.join(", ")),
+                format!("UPDATE {t} SET v = -1.0 WHERE id = 1"),
+            ] {
+                session.execute(&sql).unwrap();
+            }
+        }
+        let interval = Duration::from_millis(10);
+        let mut tick = maintenance(&env, &catalog, 10);
+        let sweep = |tick: &mut IdleJob| (0..3).map(|_| tick(false)).collect::<Vec<_>>();
+        // Due again at once between tables; the sweep that folded all
+        // three is paced by the interval, the clean one after it by 5×.
+        let zero = Duration::ZERO;
+        assert_eq!(sweep(&mut tick), [zero, zero, interval]);
+        assert_eq!(sweep(&mut tick), [zero, zero, interval * 5]);
+        assert_eq!(env.compaction.state(), CompactorState::Idle);
+    }
 }

@@ -152,9 +152,12 @@ run_gate server-sigterm cargo test -q -p dt-server --locked --test sigterm -- --
 # every drop is counted, and the admission ledger balances.
 run_gate server-soak cargo test -q -p dt-server --locked --test server_soak -- --nocapture
 
-# Maintenance daemon wiring: the supervised compaction thread inside the
-# server folds dirty tables behind live traffic, SET COMPACTION = OFF
-# idles it (AUTO resumes), and a loaded admission queue throttles it.
+# Maintenance daemon wiring: the compaction tick in the server pool's
+# idle lane folds plain and sharded tables behind live traffic, SET
+# COMPACTION = OFF idles it (AUTO resumes), and repeated permanent fold
+# failures switch it off with a reason that AUTO clears (transient ones
+# never do). That a queued statement defers the tick is a ServicePool
+# unit test in the workspace tests.
 run_gate server-compaction cargo test -q -p dt-server --locked --test server_compaction -- --nocapture
 
 # Shard routing (DESIGN.md §16): split-point keys route to the upper
