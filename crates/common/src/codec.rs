@@ -9,6 +9,7 @@ use crate::error::{Error, Result};
 use crate::types::Value;
 
 /// Appends `v` as a LEB128 varint.
+#[inline]
 pub fn put_uvarint(buf: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
@@ -22,6 +23,7 @@ pub fn put_uvarint(buf: &mut Vec<u8>, mut v: u64) {
 }
 
 /// Reads a LEB128 varint from `buf[*pos..]`, advancing `pos`.
+#[inline]
 pub fn get_uvarint(buf: &[u8], pos: &mut usize) -> Result<u64> {
     let mut result: u64 = 0;
     let mut shift = 0u32;
@@ -45,21 +47,25 @@ pub fn get_uvarint(buf: &[u8], pos: &mut usize) -> Result<u64> {
 }
 
 /// Zig-zag encodes a signed integer so small magnitudes stay small.
+#[inline]
 pub fn zigzag(v: i64) -> u64 {
     ((v << 1) ^ (v >> 63)) as u64
 }
 
 /// Inverse of [`zigzag`].
+#[inline]
 pub fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
 /// Appends a signed varint (zig-zag + LEB128).
+#[inline]
 pub fn put_ivarint(buf: &mut Vec<u8>, v: i64) {
     put_uvarint(buf, zigzag(v));
 }
 
 /// Reads a signed varint.
+#[inline]
 pub fn get_ivarint(buf: &[u8], pos: &mut usize) -> Result<i64> {
     Ok(unzigzag(get_uvarint(buf, pos)?))
 }

@@ -409,10 +409,15 @@ mod tests {
         assert!(t.is_degraded());
         assert_eq!(c.health_snapshot().degraded, 1);
         // Reads keep serving durable data; writes are refused outright
-        // (the WAL is not even attempted).
+        // (the WAL is not even attempted), and permanently: no retry can
+        // succeed before the reopen.
         assert_eq!(t.get(b"r", b"q").unwrap().unwrap(), b"durable");
         let err = t.put(b"r3", b"q", b"refused").unwrap_err();
-        assert!(matches!(err, Error::Unavailable(_)), "got {err:?}");
+        assert!(
+            matches!(&err, Error::Io(e) if e.kind() == std::io::ErrorKind::ReadOnlyFilesystem),
+            "got {err:?}"
+        );
+        assert!(!err.is_transient());
         assert_eq!(plan.injected_count(), 1, "degraded writes never hit I/O");
         // Reopening the table is the recovery action.
         c.crash_and_reopen().unwrap();

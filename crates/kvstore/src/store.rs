@@ -137,6 +137,16 @@ fn replicate_error(e: &Error) -> Error {
     }
 }
 
+/// The refusal of a write in read-only degraded mode. Permanent: only a
+/// reopen clears the mode, so a retry would fail the same way.
+fn read_only() -> Error {
+    Error::Io(std::io::Error::new(
+        std::io::ErrorKind::ReadOnlyFilesystem,
+        "store is in read-only degraded mode (write path failed permanently); \
+         reopen the store to resume writes",
+    ))
+}
+
 struct StoreInner {
     env: Arc<dyn Env>,
     config: KvConfig,
@@ -405,10 +415,7 @@ impl Store {
     /// Returns the number of entries spilled.
     pub fn spill_shadow(&self) -> Result<u64> {
         if self.inner.degraded.load(Ordering::Acquire) {
-            return Err(Error::unavailable(
-                "store is in read-only degraded mode (write path failed permanently); \
-                 reopen the store to resume writes",
-            ));
+            return Err(read_only());
         }
         let spilled = {
             let mut state = self.inner.state.write();
@@ -514,10 +521,7 @@ impl Store {
             return Ok(self.inner.clock.peek());
         }
         if self.inner.degraded.load(Ordering::Acquire) {
-            return Err(Error::unavailable(
-                "store is in read-only degraded mode (write path failed permanently); \
-                 reopen the store to resume writes",
-            ));
+            return Err(read_only());
         }
         // Park the batch in the group-commit queue. Ticked timestamps are
         // assigned under the queue lock so queue order, timestamp order

@@ -48,26 +48,29 @@ pub struct Column {
 
 impl Column {
     /// Expands `dense` (the non-null values in row order) to one slot per
-    /// row of `presence`, filling NULL rows with `T::default()`.
-    pub(crate) fn expand<T: Default>(presence: &[bool], dense: Vec<T>) -> Result<Vec<T>> {
-        if dense.len() == presence.len() {
+    /// row of `nulls`, filling NULL rows with `T::default()`.
+    pub(crate) fn expand<T: Default>(nulls: Option<&[bool]>, dense: Vec<T>) -> Result<Vec<T>> {
+        let Some(nulls) = nulls else {
             return Ok(dense);
-        }
+        };
         let mut dense = dense.into_iter();
-        let out: Vec<T> = presence
+        let out: Vec<T> = nulls
             .iter()
-            .map(|&p| if p { dense.next() } else { Some(T::default()) })
+            .map(|&null| {
+                if null {
+                    Some(T::default())
+                } else {
+                    dense.next()
+                }
+            })
             .collect::<Option<_>>()
             .ok_or_else(|| Error::corrupt("value stream shorter than presence map"))?;
         Ok(out)
     }
 
-    /// A column from positional `data` and the stripe's presence bitmap.
-    pub(crate) fn new(data: ColumnData, presence: Vec<bool>) -> Self {
-        let nulls = presence
-            .iter()
-            .any(|p| !p)
-            .then(|| presence.into_iter().map(|p| !p).collect());
+    /// A column from positional `data` and its null mask (`None` when no
+    /// row is NULL).
+    pub(crate) fn from_parts(data: ColumnData, nulls: Option<Vec<bool>>) -> Self {
         Column { data, nulls }
     }
 
@@ -395,17 +398,4 @@ fn mismatch(data: &ColumnData, got: &str) -> Error {
         ColumnData::Dict { .. } | ColumnData::Direct { .. } => DataType::Utf8,
     };
     Error::schema(format!("expected {expected}, got {got}"))
-}
-
-/// Converts decoded dictionary indexes to codes, checking their range.
-pub(crate) fn dict_codes(indexes: Vec<i64>, dict_len: usize) -> Result<Vec<u32>> {
-    indexes
-        .into_iter()
-        .map(|i| {
-            u32::try_from(i)
-                .ok()
-                .filter(|&c| (c as usize) < dict_len)
-                .ok_or_else(|| Error::corrupt("dictionary index out of range"))
-        })
-        .collect()
 }

@@ -3,8 +3,12 @@
 //! A byte-oriented LZ77 variant in the spirit of Snappy/LZ4 (ORC compresses
 //! streams with zlib or Snappy): greedy hash-chain matching, sequences of
 //! `(literal run, back-reference)`. Each compressed block is framed as
-//! `[raw_len varint][mode byte][payload]`; when compression does not pay,
-//! the raw bytes are stored (`mode = 0`).
+//! `[raw_len varint][mode byte][payload]`. Compression pays only when it
+//! saves at least a tenth of the block (ORC's rule too: encode first,
+//! compress only what then still shrinks); otherwise the raw bytes are
+//! stored (`mode = 0`) and reading them costs one copy.
+
+use std::borrow::Cow;
 
 use dt_common::codec::{get_uvarint, put_uvarint};
 use dt_common::{Error, Result};
@@ -22,7 +26,23 @@ pub enum Codec {
 const MODE_RAW: u8 = 0;
 const MODE_LZ: u8 = 1;
 
-const MIN_MATCH: usize = 4;
+/// LZ is kept only when its output is at most this many tenths of the
+/// input: a block that shrinks by less is stored raw.
+const LZ_KEEP_TENTHS: usize = 9;
+
+/// Output reserved per input byte before decompressing: a corrupt length
+/// header must not reserve more than the block can plausibly expand to
+/// (a longer output still grows as it is written).
+const RESERVE_PER_INPUT_BYTE: usize = 64;
+
+/// Bytes the decoder's output runs past what it has decoded, so that a
+/// short copy can move a fixed width.
+const SLACK: usize = 16;
+
+/// The shortest match worth a sequence. A sequence costs at least four
+/// bytes (two varints and the offset) and a decode step, so a match of
+/// four saves nothing and one of five a byte; from six on it pays.
+const MIN_MATCH: usize = 6;
 const HASH_BITS: u32 = 14;
 const MAX_OFFSET: usize = 0xFFFF;
 
@@ -76,46 +96,89 @@ fn lz_compress(data: &[u8]) -> Vec<u8> {
     out
 }
 
-fn lz_decompress(mut input: &[u8], raw_len: usize) -> Result<Vec<u8>> {
-    let mut out = Vec::with_capacity(raw_len);
-    loop {
-        let mut pos = 0usize;
-        let lit_len = get_uvarint(input, &mut pos)? as usize;
-        if pos + lit_len > input.len() {
-            return Err(Error::corrupt("LZ literal run overruns input"));
+/// A varint length, read inline when it fits one byte (the common case
+/// for literal runs and match lengths).
+fn get_len(input: &[u8], pos: &mut usize) -> Result<usize> {
+    match input.get(*pos) {
+        Some(&byte) if byte < 0x80 => {
+            *pos += 1;
+            Ok(usize::from(byte))
         }
-        out.extend_from_slice(&input[pos..pos + lit_len]);
-        pos += lit_len;
-        input = &input[pos..];
+        _ => Ok(get_uvarint(input, pos)? as usize),
+    }
+}
 
-        let mut pos = 0usize;
-        let match_len = get_uvarint(input, &mut pos)? as usize;
-        input = &input[pos..];
+/// Decodes the sequences of [`lz_compress`], each bounds-checked once
+/// against the input and against the `raw_len` the frame promises. A
+/// short literal run or match moves a fixed [`SLACK`] bytes — a copy the
+/// compiler unrolls — and the next sequence overwrites what it wrote past
+/// its end; longer ones are one slice copy each.
+fn lz_decompress(input: &[u8], raw_len: usize) -> Result<Vec<u8>> {
+    let reserve = raw_len.min(input.len().saturating_mul(RESERVE_PER_INPUT_BYTE));
+    let mut out = vec![0u8; reserve + SLACK];
+    let mut done = 0usize;
+    let mut pos = 0usize;
+    loop {
+        let lit_len = get_len(input, &mut pos)?;
+        let literals = pos
+            .checked_add(lit_len)
+            .and_then(|end| input.get(pos..end))
+            .filter(|_| lit_len <= raw_len - done)
+            .ok_or_else(|| Error::corrupt("LZ literal run overruns input"))?;
+        make_room(&mut out, done + lit_len, raw_len);
+        match input.get(pos..pos + SLACK) {
+            Some(wide) if lit_len <= SLACK => out[done..done + SLACK].copy_from_slice(wide),
+            _ => out[done..done + lit_len].copy_from_slice(literals),
+        }
+        done += lit_len;
+        pos += lit_len;
+
+        let match_len = get_len(input, &mut pos)?;
         if match_len == 0 {
             break;
         }
-        if input.len() < 2 {
-            return Err(Error::corrupt("LZ match offset truncated"));
-        }
-        let offset = u16::from_le_bytes([input[0], input[1]]) as usize;
-        input = &input[2..];
-        if offset == 0 || offset > out.len() {
+        let offset = input
+            .get(pos..pos + 2)
+            .map(|b| usize::from(u16::from_le_bytes([b[0], b[1]])))
+            .ok_or_else(|| Error::corrupt("LZ match offset truncated"))?;
+        pos += 2;
+        if offset == 0 || offset > done {
             return Err(Error::corrupt("LZ match offset out of range"));
         }
-        // Overlapping copies are legal (RLE-style matches).
-        let start = out.len() - offset;
-        for k in 0..match_len {
-            let b = out[start + k];
-            out.push(b);
+        if match_len > raw_len - done {
+            return Err(Error::corrupt("LZ match overruns the block"));
         }
+        make_room(&mut out, done + match_len, raw_len);
+        let start = done - offset;
+        if match_len <= offset.min(SLACK) {
+            let wide: [u8; SLACK] = out[start..start + SLACK].try_into().expect("slack");
+            out[done..done + SLACK].copy_from_slice(&wide);
+        } else {
+            // An overlapping (RLE-style) match repeats its first `offset`
+            // bytes: copy what is already there, doubling each time.
+            let mut copied = 0;
+            while copied < match_len {
+                let n = (match_len - copied).min(done + copied - start);
+                out.copy_within(start..start + n, done + copied);
+                copied += n;
+            }
+        }
+        done += match_len;
     }
-    if out.len() != raw_len {
+    if done != raw_len {
         return Err(Error::corrupt(format!(
-            "LZ decompressed {} bytes, expected {raw_len}",
-            out.len()
+            "LZ decompressed {done} bytes, expected {raw_len}"
         )));
     }
+    out.truncate(raw_len);
     Ok(out)
+}
+
+/// Grows `out` to hold `need ≤ raw_len` decoded bytes plus the slack.
+fn make_room(out: &mut Vec<u8>, need: usize, raw_len: usize) {
+    if out.len() < need + SLACK {
+        out.resize(need.max(out.len() * 2).min(raw_len) + SLACK, 0);
+    }
 }
 
 /// Compresses `data` into a framed block.
@@ -129,7 +192,7 @@ pub fn compress_block(codec: Codec, data: &[u8]) -> Vec<u8> {
         }
         Codec::Lz => {
             let lz = lz_compress(data);
-            if lz.len() < data.len() {
+            if lz.len() * 10 <= data.len() * LZ_KEEP_TENTHS {
                 out.push(MODE_LZ);
                 out.extend_from_slice(&lz);
             } else {
@@ -141,8 +204,9 @@ pub fn compress_block(codec: Codec, data: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decompresses a block written by [`compress_block`].
-pub fn decompress_block(data: &[u8]) -> Result<Vec<u8>> {
+/// Decompresses a block written by [`compress_block`]; a raw block is
+/// borrowed, not copied.
+pub fn decompress_block(data: &[u8]) -> Result<Cow<'_, [u8]>> {
     let mut pos = 0usize;
     let raw_len = get_uvarint(data, &mut pos)? as usize;
     let mode = *data
@@ -155,9 +219,9 @@ pub fn decompress_block(data: &[u8]) -> Result<Vec<u8>> {
             if payload.len() != raw_len {
                 return Err(Error::corrupt("raw block length mismatch"));
             }
-            Ok(payload.to_vec())
+            Ok(Cow::Borrowed(payload))
         }
-        MODE_LZ => lz_decompress(payload, raw_len),
+        MODE_LZ => lz_decompress(payload, raw_len).map(Cow::Owned),
         other => Err(Error::corrupt(format!("unknown compression mode {other}"))),
     }
 }
@@ -215,6 +279,43 @@ mod tests {
         assert_eq!(decompress_block(&c).unwrap(), data);
     }
 
+    /// `n` xorshift bytes whose last `copied` repeat their first ones.
+    fn partly_repeated(n: usize, copied: usize) -> Vec<u8> {
+        let mut x = 0x9E37_79B9u32;
+        let mut data: Vec<u8> = (0..n - copied)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                x as u8
+            })
+            .collect();
+        data.extend_from_within(..copied);
+        data
+    }
+
+    #[test]
+    fn lz_is_kept_only_when_it_saves_a_tenth() {
+        let mode = |block: &[u8]| {
+            let mut pos = 0;
+            get_uvarint(block, &mut pos).unwrap();
+            block[pos]
+        };
+        // LZ shrinks this block by about 5 %: stored raw, read borrowed.
+        let data = partly_repeated(2000, 100);
+        let lz = lz_compress(&data).len();
+        assert!(lz < data.len() && lz * 10 > data.len() * 9, "lz {lz}");
+        let c = compress_block(Codec::Lz, &data);
+        assert_eq!(mode(&c), MODE_RAW);
+        assert!(matches!(decompress_block(&c).unwrap(), Cow::Borrowed(_)));
+        assert_eq!(decompress_block(&c).unwrap(), data);
+        // By about 20 %: compressed.
+        let data = partly_repeated(2000, 400);
+        let c = compress_block(Codec::Lz, &data);
+        assert_eq!(mode(&c), MODE_LZ);
+        assert_eq!(decompress_block(&c).unwrap(), data);
+    }
+
     #[test]
     fn corrupt_blocks_rejected() {
         let c = compress_block(Codec::Lz, &b"hello world hello world hello"[..]);
@@ -222,6 +323,15 @@ mod tests {
         let mut bad = c.clone();
         bad[0] ^= 0x7F; // mangle raw_len
         assert!(decompress_block(&bad).is_err());
+        // A match or literal run longer than the block the frame promises.
+        for payload in [
+            &[1u8, b'a', 0x80, 0x80, 0x01, 1, 0][..],
+            &[0x90, 0x4E, b'a'],
+        ] {
+            let mut bad = vec![4, MODE_LZ];
+            bad.extend_from_slice(payload);
+            assert!(decompress_block(&bad).is_err());
+        }
     }
 
     #[test]

@@ -14,8 +14,11 @@
 //! * within a stripe each column is stored as an independent **stream**:
 //!   a presence bitmap plus a type-specific encoding — run-length/delta
 //!   varints for integers and dates, dictionary or direct encoding for
-//!   strings, bit-packing for booleans, raw IEEE bytes for doubles;
-//! * streams are block-**compressed** with a byte-oriented LZ codec;
+//!   strings, bit-packing for booleans, and for doubles the varints of
+//!   `v·10^s` when a scale `s ≤ 4` round-trips every value of the stripe
+//!   bit for bit, raw IEEE bytes when none does;
+//! * streams are block-**compressed** with a byte-oriented LZ codec, kept
+//!   only where it saves at least a tenth of the stream;
 //! * per-stripe, per-column **statistics** (min/max/null-count) enable
 //!   predicate push-down: stripes whose ranges cannot match are skipped
 //!   without being read;
@@ -59,6 +62,7 @@ pub use footer_cache::{FooterCache, FooterCacheStats};
 pub use predicate::{ColumnPredicate, PredicateOp};
 pub use reader::{BatchIter, OrcReader, RowIter};
 pub use stats::ColumnStats;
+pub use stripe::decode_stream;
 pub use writer::{OrcWriter, WriterOptions};
 
 /// User-metadata key under which the DualTable file ID is stored.

@@ -9,11 +9,10 @@ use dt_common::{Error, Result, Row, Schema};
 use dt_dfs::{Dfs, DfsReader};
 
 use crate::batch::ColumnBatch;
-use crate::compress::decompress_block;
 use crate::predicate::{conjunction_may_match, ColumnPredicate};
 use crate::schema_io::decode_schema;
 use crate::stats::ColumnStats;
-use crate::stripe::decode_column;
+use crate::stripe::decode_stream;
 use crate::writer::MAGIC;
 
 struct StripeMeta {
@@ -254,8 +253,7 @@ impl OrcReader {
             let (off, len) = stripe.streams[col];
             let mut buf = vec![0u8; len as usize];
             file.read_at(stripe.offset + off, &mut buf)?;
-            let raw = decompress_block(&buf)?;
-            columns.push(decode_column(self.schema.field(col).data_type, &raw, rows)?);
+            columns.push(decode_stream(self.schema.field(col).data_type, &buf, rows)?);
         }
         Ok(ColumnBatch::new(stripe.row_start, rows, columns))
     }
@@ -637,6 +635,15 @@ mod tests {
         assert!(OrcReader::open(&dfs, "/junk").is_err());
         dfs.write_file("/tiny", b"x").unwrap();
         assert!(OrcReader::open(&dfs, "/tiny").is_err());
+        // A file of the previous format version is refused, not misread.
+        write_sample(&dfs, "/v2", 5, 100);
+        let mut old = dfs.read_to_vec("/v2").unwrap();
+        *old.last_mut().unwrap() = 1;
+        dfs.write_file("/v1", &old).unwrap();
+        assert!(matches!(
+            OrcReader::open(&dfs, "/v1"),
+            Err(dt_common::Error::Corrupt(_))
+        ));
     }
 
     #[test]

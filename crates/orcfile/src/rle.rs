@@ -1,7 +1,7 @@
 //! Light-weight encodings for column streams: integer run-length encoding
 //! (modelled after ORC RLE v1) and bit-packing for booleans/presence maps.
 
-use dt_common::codec::{get_ivarint, get_uvarint, put_ivarint, put_uvarint};
+use dt_common::codec::{get_ivarint, get_uvarint, put_ivarint, put_uvarint, unzigzag};
 use dt_common::{Error, Result};
 
 /// Encodes a sequence of `i64` with ORC-v1-style RLE:
@@ -75,45 +75,113 @@ fn flush_literals(lits: &[i64], out: &mut Vec<u8>) {
 /// Decodes exactly `count` values written by [`encode_i64s`].
 pub fn decode_i64s(buf: &[u8], pos: &mut usize, count: usize) -> Result<Vec<i64>> {
     let mut out = Vec::with_capacity(count);
-    while out.len() < count {
+    decode_i64s_into(buf, pos, count, &mut out, Ok)?;
+    Ok(out)
+}
+
+/// Decodes exactly `count` values written by [`encode_i64s`], appending
+/// `map` of each to `out` — how a column decodes straight into its typed
+/// vector. `map` rejects a value its type cannot hold.
+pub(crate) fn decode_i64s_into<T>(
+    buf: &[u8],
+    pos: &mut usize,
+    count: usize,
+    out: &mut Vec<T>,
+    mut map: impl FnMut(i64) -> Result<T>,
+) -> Result<()> {
+    out.reserve(count);
+    let mut left = count;
+    while left > 0 {
         let control = *buf
             .get(*pos)
             .ok_or_else(|| Error::corrupt("truncated RLE control byte"))?;
         *pos += 1;
-        if control & 0x80 != 0 {
-            let n = (control & 0x7F) as usize + 1;
-            for _ in 0..n {
-                out.push(get_ivarint(buf, pos)?);
-            }
+        let n = if control & 0x80 != 0 {
+            (control & 0x7F) as usize + 1
         } else {
-            let n = control as usize + 3;
-            let delta =
+            control as usize + 3
+        };
+        if n > left {
+            return Err(Error::corrupt("RLE produced more values than expected"));
+        }
+        left -= n;
+        if control & 0x80 != 0 {
+            let mut at = *pos;
+            for _ in 0..n {
+                let (v, next) = literal(buf, at)?;
+                out.push(map(v)?);
+                at = next;
+            }
+            *pos = at;
+        } else {
+            let delta = i64::from(
                 *buf.get(*pos)
-                    .ok_or_else(|| Error::corrupt("truncated RLE delta"))? as i8;
+                    .ok_or_else(|| Error::corrupt("truncated RLE delta"))? as i8,
+            );
             *pos += 1;
             let base = get_ivarint(buf, pos)?;
+            // A run is monotone: if its last value fits, every one does.
+            base.checked_add(delta * (n as i64 - 1))
+                .ok_or_else(|| Error::corrupt("RLE run overflow"))?;
             let mut v = base;
-            for k in 0..n {
-                if k > 0 {
-                    v = v
-                        .checked_add(i64::from(delta))
-                        .ok_or_else(|| Error::corrupt("RLE run overflow"))?;
-                }
-                out.push(v);
+            for _ in 0..n {
+                out.push(map(v)?);
+                v = v.wrapping_add(delta);
             }
         }
     }
-    if out.len() != count {
-        return Err(Error::corrupt("RLE produced more values than expected"));
+    Ok(())
+}
+
+/// One literal at `pos`, and the position after it: a one-byte varint
+/// inline, a longer one of up to eight bytes from one little-endian word
+/// without a branch per byte (literals of mixed lengths would mispredict
+/// one); the last bytes of a stream and longer varints out of line.
+/// Positions go by value so that they stay in registers.
+#[inline(always)]
+fn literal(buf: &[u8], pos: usize) -> Result<(i64, usize)> {
+    let Some(word) = buf.get(pos..pos + 8) else {
+        return long_literal(buf, pos);
+    };
+    let word = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+    if word & 0x80 == 0 {
+        return Ok((unzigzag(word & 0x7F), pos + 1));
     }
-    Ok(out)
+    let ends = !word & 0x8080_8080_8080_8080;
+    if ends == 0 {
+        return long_literal(buf, pos);
+    }
+    let len = ends.trailing_zeros() / 8 + 1;
+    let word = word & (u64::MAX >> (64 - 8 * len));
+    let v = (0..8).fold(0, |v, k| v | (word >> k) & (0x7F << (7 * k)));
+    Ok((unzigzag(v), pos + len as usize))
+}
+
+#[cold]
+#[inline(never)]
+fn long_literal(buf: &[u8], mut pos: usize) -> Result<(i64, usize)> {
+    Ok((get_ivarint(buf, &mut pos)?, pos))
 }
 
 /// Bit-packs booleans MSB-first, prefixed with the value count.
 pub fn encode_bools(values: &[bool], out: &mut Vec<u8>) {
-    put_uvarint(out, values.len() as u64);
+    encode_bits(values.iter().copied(), out);
+}
+
+/// The presence bitmap of a column: [`encode_bools`] of "not NULL" per
+/// row, `nulls` as [`decode_nulls`] returns it.
+pub(crate) fn encode_presence(nulls: Option<&[bool]>, rows: usize, out: &mut Vec<u8>) {
+    match nulls {
+        Some(nulls) => encode_bits(nulls.iter().map(|null| !null), out),
+        None => encode_bits(std::iter::repeat_n(true, rows), out),
+    }
+}
+
+fn encode_bits(values: impl ExactSizeIterator<Item = bool>, out: &mut Vec<u8>) {
+    let count = values.len();
+    put_uvarint(out, count as u64);
     let mut byte = 0u8;
-    for (i, &b) in values.iter().enumerate() {
+    for (i, b) in values.enumerate() {
         if b {
             byte |= 0x80 >> (i % 8);
         }
@@ -122,25 +190,46 @@ pub fn encode_bools(values: &[bool], out: &mut Vec<u8>) {
             byte = 0;
         }
     }
-    if !values.len().is_multiple_of(8) {
+    if !count.is_multiple_of(8) {
         out.push(byte);
     }
 }
 
+/// The count and packed bytes of a [`encode_bools`] stream.
+fn bits<'a>(buf: &'a [u8], pos: &mut usize) -> Result<(usize, &'a [u8])> {
+    let count = get_uvarint(buf, pos)? as usize;
+    let bytes = count
+        .div_ceil(8)
+        .checked_add(*pos)
+        .and_then(|end| buf.get(*pos..end))
+        .ok_or_else(|| Error::corrupt("truncated bool stream"))?;
+    *pos += bytes.len();
+    Ok((count, bytes))
+}
+
 /// Decodes booleans written by [`encode_bools`].
 pub fn decode_bools(buf: &[u8], pos: &mut usize) -> Result<Vec<bool>> {
-    let count = get_uvarint(buf, pos)? as usize;
-    let bytes = count.div_ceil(8);
-    if *pos + bytes > buf.len() {
-        return Err(Error::corrupt("truncated bool stream"));
-    }
-    let mut out = Vec::with_capacity(count);
-    for i in 0..count {
-        let byte = buf[*pos + i / 8];
-        out.push(byte & (0x80 >> (i % 8)) != 0);
-    }
-    *pos += bytes;
-    Ok(out)
+    let (count, bytes) = bits(buf, pos)?;
+    Ok((0..count)
+        .map(|i| bytes[i / 8] & (0x80 >> (i % 8)) != 0)
+        .collect())
+}
+
+/// Decodes a presence bitmap written by [`encode_presence`]: the row
+/// count and the null mask, `None` when no row is NULL — found by
+/// comparing whole bytes, with no pass over the bits.
+pub(crate) fn decode_nulls(buf: &[u8], pos: &mut usize) -> Result<(usize, Option<Vec<bool>>)> {
+    let (count, bytes) = bits(buf, pos)?;
+    let (full, tail) = bytes.split_at(count / 8);
+    let tail_mask = !(0xFFu8 >> (count % 8));
+    let all_present =
+        full.iter().all(|&b| b == 0xFF) && tail.first().is_none_or(|&b| b & tail_mask == tail_mask);
+    let nulls = (!all_present).then(|| {
+        (0..count)
+            .map(|i| bytes[i / 8] & (0x80 >> (i % 8)) == 0)
+            .collect()
+    });
+    Ok((count, nulls))
 }
 
 #[cfg(test)]
@@ -216,6 +305,49 @@ mod tests {
             let mut pos = 0;
             assert_eq!(decode_bools(&buf, &mut pos).unwrap(), values);
             assert_eq!(pos, buf.len());
+        }
+    }
+
+    #[test]
+    fn literals_of_every_varint_length() {
+        // 1 to 10 bytes each, in one literal group and at the stream's end
+        // (where fewer than eight bytes are left to read a word from).
+        let mut values: Vec<i64> = (0..64).map(|bit| ((1u64 << bit) - 1) as i64).collect();
+        values.extend(values.clone().iter().map(|v| v.wrapping_neg()));
+        values.extend([i64::MIN, 64, -65, 8191, -8192]);
+        roundtrip_ints(&values);
+        for v in &values {
+            roundtrip_ints(&[*v]);
+        }
+        // A literal group claiming more values than remain is refused.
+        let mut buf = Vec::new();
+        encode_i64s(&[5, -900, 77], &mut buf);
+        let mut pos = 0;
+        assert!(decode_i64s(&buf, &mut pos, 2).is_err());
+    }
+
+    #[test]
+    fn presence_maps_decode_to_null_masks() {
+        for n in [0usize, 1, 7, 8, 9, 64, 1000] {
+            let mut buf = Vec::new();
+            encode_presence(None, n, &mut buf);
+            let mut pos = 0;
+            assert_eq!(decode_nulls(&buf, &mut pos).unwrap(), (n, None));
+            assert_eq!(pos, buf.len());
+            // Byte for byte the bool stream of "present" per row.
+            let mut bools = Vec::new();
+            encode_bools(&vec![true; n], &mut bools);
+            assert_eq!(buf, bools);
+            if n == 0 {
+                continue;
+            }
+            for null_at in [0, n / 2, n - 1] {
+                let nulls: Vec<bool> = (0..n).map(|i| i == null_at).collect();
+                let mut buf = Vec::new();
+                encode_presence(Some(&nulls), n, &mut buf);
+                let mut pos = 0;
+                assert_eq!(decode_nulls(&buf, &mut pos).unwrap(), (n, Some(nulls)));
+            }
         }
     }
 

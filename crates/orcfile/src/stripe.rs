@@ -7,13 +7,18 @@
 //! ```
 //!
 //! * integers/dates: RLE varints of the non-null values;
-//! * doubles: raw little-endian bytes;
+//! * doubles: a mode byte selecting *decimal* — a scale `s` and the RLE
+//!   varints of `v·10^s`, for a stripe whose every value is such an
+//!   integer over `10^s` bit for bit, with the smallest such `s ≤ 4` — or
+//!   *direct* raw little-endian bytes (`-0.0`, NaN, ±inf, and any value
+//!   with no short decimal form keep a stripe direct);
 //! * booleans: bit-packed;
 //! * strings: a mode byte selecting *direct* (lengths + concatenated bytes)
 //!   or *dictionary* (sorted dictionary + RLE indexes) encoding, chosen by
 //!   the observed distinct ratio.
 //!
-//! The whole stream is block-compressed by the writer.
+//! The whole stream is block-compressed by the writer, which stores it raw
+//! when compression does not pay; encodings first, so that it need not.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -21,12 +26,21 @@ use std::cmp::Ordering;
 use dt_common::codec::{get_bytes, get_uvarint, put_bytes, put_uvarint};
 use dt_common::{DataType, Error, Result, Value};
 
-use crate::batch::{dict_codes, Column, ColumnData};
+use crate::batch::{Column, ColumnData};
+use crate::compress::decompress_block;
 use crate::rle;
 use crate::stats::ColumnStats;
 
 const STR_DIRECT: u8 = 0;
 const STR_DICT: u8 = 1;
+
+const DBL_DIRECT: u8 = 0;
+const DBL_DECIMAL: u8 = 1;
+
+/// `10^s` for each decimal scale a DOUBLE stream may use.
+const POW10: [f64; 5] = [1.0, 10.0, 100.0, 1_000.0, 10_000.0];
+/// Scaled integers stay below `2^53`, where every integer is a double.
+const EXACT_INTS: u64 = 1 << 53;
 
 /// Encodes one typed column into a stream and computes its statistics —
 /// the one encoder: a stripe a rewrite re-encodes and a stripe built from
@@ -38,13 +52,7 @@ pub(crate) fn encode_column(
     let rows = column.len();
     let nulls = column.nulls();
     let mut out = Vec::with_capacity(rows * 4);
-    match nulls {
-        Some(nulls) => {
-            let presence: Vec<bool> = nulls.iter().map(|null| !null).collect();
-            rle::encode_bools(&presence, &mut out);
-        }
-        None => rle::encode_bools(&vec![true; rows], &mut out),
-    }
+    rle::encode_presence(nulls, rows, &mut out);
     let range = match (data_type, column.data()) {
         (DataType::Int64, ColumnData::Int64(v)) => {
             let ints = dense(v, nulls);
@@ -59,8 +67,15 @@ pub(crate) fn encode_column(
         }
         (DataType::Float64, ColumnData::Float64(v)) => {
             let floats = dense(v, nulls);
-            for f in floats.iter() {
-                out.extend_from_slice(&f.to_le_bytes());
+            match decimal(&floats) {
+                Some((scale, ints)) => {
+                    out.extend([DBL_DECIMAL, scale]);
+                    rle::encode_i64s(&ints, &mut out);
+                }
+                None => {
+                    out.push(DBL_DIRECT);
+                    floats.iter().for_each(|f| out.extend(f.to_le_bytes()));
+                }
             }
             range_of(&floats, f64::total_cmp, Value::Float64)
         }
@@ -102,6 +117,25 @@ fn dense<'a, T: Copy>(values: &'a [T], nulls: Option<&[bool]>) -> Cow<'a, [T]> {
             .map(|(v, _)| *v)
             .collect(),
     }
+}
+
+/// The smallest scale `s` at which every value is `n / 10^s` bit for bit,
+/// for an integer `|n| < 2^53`, and those integers — `None` if no scale
+/// fits. The test is on the bits: `-0.0` (read back as `0.0`), NaN and
+/// ±inf (no such `n`) and values with no short decimal form fail it.
+fn decimal(values: &[f64]) -> Option<(u8, Vec<i64>)> {
+    let mut ints = Vec::with_capacity(values.len());
+    (0u8..).zip(POW10).find_map(|(scale, pow)| {
+        ints.clear();
+        for &v in values {
+            let n = (v * pow).round() as i64;
+            if n.unsigned_abs() >= EXACT_INTS || (n as f64 / pow).to_bits() != v.to_bits() {
+                return None;
+            }
+            ints.push(n);
+        }
+        Some((scale, std::mem::take(&mut ints)))
+    })
 }
 
 /// `(min, max)` of the non-null values under the order [`Value::total_cmp`]
@@ -162,63 +196,101 @@ fn encode_strings<'a>(column: &'a Column, out: &mut Vec<u8>) -> Vec<&'a str> {
     sorted
 }
 
+/// Decodes one column stream as a file stores it — block-compressed, as
+/// [`crate::OrcReader::raw_streams`] returns it — into a typed [`Column`]
+/// of `row_count` rows. Any byte string gives a column or an error, never
+/// a panic.
+pub fn decode_stream(data_type: DataType, stored: &[u8], row_count: usize) -> Result<Column> {
+    decode_column(data_type, &decompress_block(stored)?, row_count)
+}
+
 /// Decodes one column stream into a typed [`Column`] of `row_count` rows.
+/// Values decode straight into the column's vector; only a column with
+/// NULLs is then spread out to one slot per row.
 pub(crate) fn decode_column(data_type: DataType, buf: &[u8], row_count: usize) -> Result<Column> {
     let mut pos = 0usize;
-    let presence = rle::decode_bools(buf, &mut pos)?;
-    if presence.len() != row_count {
+    let (rows, null_mask) = rle::decode_nulls(buf, &mut pos)?;
+    if rows != row_count {
         return Err(Error::corrupt(format!(
-            "presence bitmap has {} entries, stripe has {row_count} rows",
-            presence.len()
+            "presence bitmap has {rows} entries, stripe has {row_count} rows"
         )));
     }
-    let non_null = presence.iter().filter(|p| **p).count();
+    let nulls = null_mask.as_deref();
+    let non_null = nulls.map_or(rows, |n| n.iter().filter(|null| !**null).count());
     let data = match data_type {
         DataType::Int64 => ColumnData::Int64(Column::expand(
-            &presence,
+            nulls,
             rle::decode_i64s(buf, &mut pos, non_null)?,
         )?),
         DataType::Date => {
-            let days = rle::decode_i64s(buf, &mut pos, non_null)?
-                .into_iter()
-                .map(|v| i32::try_from(v).map_err(|_| Error::corrupt("date out of range")))
-                .collect::<Result<Vec<i32>>>()?;
-            ColumnData::Date(Column::expand(&presence, days)?)
+            let mut days = Vec::new();
+            rle::decode_i64s_into(buf, &mut pos, non_null, &mut days, |v| {
+                i32::try_from(v).map_err(|_| Error::corrupt("date out of range"))
+            })?;
+            ColumnData::Date(Column::expand(nulls, days)?)
         }
-        DataType::Float64 => {
-            let raw = non_null
-                .checked_mul(8)
-                .and_then(|need| buf.get(pos..pos.checked_add(need)?))
-                .ok_or_else(|| Error::corrupt("truncated float64 stream"))?;
-            let vals = raw
-                .chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-                .collect();
-            ColumnData::Float64(Column::expand(&presence, vals)?)
-        }
+        DataType::Float64 => ColumnData::Float64(Column::expand(
+            nulls,
+            decode_doubles(buf, &mut pos, non_null)?,
+        )?),
         DataType::Bool => {
             let bools = rle::decode_bools(buf, &mut pos)?;
             if bools.len() != non_null {
                 return Err(Error::corrupt("bool stream length mismatch"));
             }
-            ColumnData::Bool(Column::expand(&presence, bools)?)
+            ColumnData::Bool(Column::expand(nulls, bools)?)
         }
-        DataType::Utf8 => decode_strings(buf, &mut pos, &presence, non_null)?,
+        DataType::Utf8 => decode_strings(buf, &mut pos, nulls, non_null)?,
     };
-    Ok(Column::new(data, presence))
+    Ok(Column::from_parts(data, null_mask))
+}
+
+/// The byte after `pos`, advancing past it.
+fn mode_byte(buf: &[u8], pos: &mut usize, what: &str) -> Result<u8> {
+    let byte = *buf
+        .get(*pos)
+        .ok_or_else(|| Error::corrupt(format!("truncated {what}")))?;
+    *pos += 1;
+    Ok(byte)
+}
+
+fn decode_doubles(buf: &[u8], pos: &mut usize, non_null: usize) -> Result<Vec<f64>> {
+    match mode_byte(buf, pos, "double mode")? {
+        DBL_DECIMAL => {
+            let scale = mode_byte(buf, pos, "double scale")?;
+            let pow = *POW10
+                .get(usize::from(scale))
+                .ok_or_else(|| Error::corrupt(format!("double scale {scale} out of range")))?;
+            let mut values = Vec::new();
+            rle::decode_i64s_into(buf, pos, non_null, &mut values, |n| Ok(n as f64))?;
+            // Exact for |n| < 2^53; a separate pass so that it vectorises.
+            if scale > 0 {
+                values.iter_mut().for_each(|v| *v /= pow);
+            }
+            Ok(values)
+        }
+        DBL_DIRECT => {
+            let raw = non_null
+                .checked_mul(8)
+                .and_then(|need| buf.get(*pos..pos.checked_add(need)?))
+                .ok_or_else(|| Error::corrupt("truncated float64 stream"))?;
+            *pos += raw.len();
+            Ok(raw
+                .chunks_exact(8)
+                .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+                .collect())
+        }
+        other => Err(Error::corrupt(format!("unknown double mode {other}"))),
+    }
 }
 
 fn decode_strings(
     buf: &[u8],
     pos: &mut usize,
-    presence: &[bool],
+    nulls: Option<&[bool]>,
     non_null: usize,
 ) -> Result<ColumnData> {
-    let mode = *buf
-        .get(*pos)
-        .ok_or_else(|| Error::corrupt("truncated string mode"))?;
-    *pos += 1;
-    match mode {
+    match mode_byte(buf, pos, "string mode")? {
         STR_DICT => {
             let dict_len = get_uvarint(buf, pos)? as usize;
             let mut dict = Vec::with_capacity(dict_len.min(buf.len()));
@@ -230,24 +302,30 @@ fn decode_strings(
                         .to_string(),
                 );
             }
-            let codes = dict_codes(rle::decode_i64s(buf, pos, non_null)?, dict.len())?;
+            let mut codes = Vec::new();
+            rle::decode_i64s_into(buf, pos, non_null, &mut codes, |i| {
+                u32::try_from(i)
+                    .ok()
+                    .filter(|&c| (c as usize) < dict.len())
+                    .ok_or_else(|| Error::corrupt("dictionary index out of range"))
+            })?;
             Ok(ColumnData::Dict {
                 dict,
-                codes: Column::expand(presence, codes)?,
+                codes: Column::expand(nulls, codes)?,
             })
         }
         STR_DIRECT => {
-            let lengths = rle::decode_i64s(buf, pos, non_null)?;
-            let mut spans = Vec::with_capacity(non_null);
+            let mut spans = Vec::new();
             let mut end = 0u32;
-            for len in lengths {
+            rle::decode_i64s_into(buf, pos, non_null, &mut spans, |len| {
                 let len =
                     u32::try_from(len).map_err(|_| Error::corrupt("string length out of range"))?;
-                spans.push((end, len));
+                let span = (end, len);
                 end = end
                     .checked_add(len)
                     .ok_or_else(|| Error::corrupt("string data too long"))?;
-            }
+                Ok(span)
+            })?;
             let bytes = buf
                 .get(*pos..*pos + end as usize)
                 .and_then(|b| std::str::from_utf8(b).ok())
@@ -261,7 +339,7 @@ fn decode_strings(
             *pos += end as usize;
             Ok(ColumnData::Direct {
                 bytes: bytes.to_string(),
-                spans: Column::expand(presence, spans)?,
+                spans: Column::expand(nulls, spans)?,
             })
         }
         other => Err(Error::corrupt(format!("unknown string mode {other}"))),
@@ -322,6 +400,71 @@ mod tests {
             DataType::Float64,
             vec![Value::Float64(1.5), Value::Null, Value::Float64(-0.0)],
         );
+    }
+
+    /// The double mode a stream of non-null `values` is written in, and
+    /// the values it reads back, bit for bit.
+    fn doubles(values: &[f64]) -> (u8, Vec<u64>) {
+        let values: Vec<Value> = values.iter().map(|&v| Value::Float64(v)).collect();
+        let enc = encoded(DataType::Float64, &values);
+        let mut pos = 0;
+        rle::decode_nulls(&enc, &mut pos).unwrap();
+        let back = decoded(DataType::Float64, &enc, values.len());
+        let bits = back.iter().map(|v| v.as_f64().unwrap().to_bits());
+        (enc[pos], bits.collect())
+    }
+
+    #[test]
+    fn decimal_doubles_take_the_smallest_scale_that_round_trips() {
+        assert_eq!(decimal(&[1.0, 0.05, 0.10]), Some((2, vec![100, 5, 10])));
+        assert_eq!(decimal(&[1.0, 0.10]), Some((1, vec![10, 1])));
+        assert_eq!(decimal(&[3.0, -7.0]), Some((0, vec![3, -7])));
+        assert_eq!(decimal(&[1.2345]), Some((4, vec![12345])));
+        assert_eq!(decimal(&[]), Some((0, vec![])));
+        let mixed = [1.0, 0.05, 0.10, 4567.65, -12.5];
+        assert_eq!(doubles(&mixed).0, DBL_DECIMAL);
+        let bits: Vec<u64> = mixed.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(doubles(&mixed).1, bits);
+    }
+
+    #[test]
+    fn doubles_without_a_short_decimal_form_stay_direct() {
+        for v in [
+            -0.0,
+            0.1 + 0.2,
+            1e300,
+            9007199254740993.0,
+            1.23456,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            assert_eq!(decimal(&[v]), None, "{v}");
+            // One such value keeps its whole stripe direct, bit for bit.
+            let stripe = [0.5, v, 2.0];
+            let (mode, back) = doubles(&stripe);
+            assert_eq!(mode, DBL_DIRECT, "{v}");
+            let bits: Vec<u64> = stripe.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(back, bits);
+        }
+        // 2^53 − 1 is still a scaled integer; 2^53 is not.
+        assert_eq!(decimal(&[9007199254740991.0]).unwrap().0, 0);
+        assert_eq!(decimal(&[9007199254740992.0]), None);
+    }
+
+    #[test]
+    fn corrupt_double_streams_are_rejected() {
+        let values = [Value::Float64(0.25), Value::Float64(1.5)];
+        let enc = encoded(DataType::Float64, &values);
+        let mut pos = 0;
+        rle::decode_nulls(&enc, &mut pos).unwrap();
+        assert_eq!(enc[pos..pos + 2], [DBL_DECIMAL, 2]);
+        for (at, byte) in [(pos, 7), (pos + 1, 5)] {
+            let mut bad = enc.clone();
+            bad[at] = byte; // an unknown mode, a scale past 10^4
+            assert!(decode_column(DataType::Float64, &bad, 2).is_err());
+        }
+        assert!(decode_column(DataType::Float64, &enc[..enc.len() - 1], 2).is_err());
     }
 
     #[test]

@@ -22,7 +22,9 @@ use crate::schema_io::encode_schema;
 use crate::stats::ColumnStats;
 use crate::stripe::encode_column;
 
-pub(crate) const MAGIC: &[u8; 8] = b"DTORC\0\0\x01";
+/// The last byte is the format version: a file of another version is
+/// refused as corrupt, never misread.
+pub(crate) const MAGIC: &[u8; 8] = b"DTORC\0\0\x02";
 
 /// Writer tuning knobs.
 #[derive(Debug, Clone)]

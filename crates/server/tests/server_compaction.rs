@@ -171,9 +171,8 @@ fn set_compaction_off_idles_the_daemon_and_auto_resumes_it() {
 fn repeated_permanent_fold_failures_switch_compaction_off() {
     let plan = Arc::new(FaultPlan::new(7));
     plan.set_armed(false);
-    // Faults on the master tier only: a permanent write error in the
-    // attached tier puts its store in read-only degraded mode, which
-    // reports itself as transient until the store is reopened.
+    // Faults on the master tier only (the attached tier's are the next
+    // test's).
     let faulty = DualTableEnv::in_memory_faulty(plan.clone()).expect("faulty env");
     let env = DualTableEnv::new(faulty.dfs.clone(), DualTableEnv::in_memory().kv).expect("env");
     let server = start(&env);
@@ -238,6 +237,41 @@ fn repeated_permanent_fold_failures_switch_compaction_off() {
         .query("SELECT COUNT(*), SUM(v) FROM t WHERE v < 0")
         .unwrap();
     assert_eq!(r.rows[0], vec![Value::Int64(4), Value::Float64(-6.0)]);
+    assert_ledger_exact(&env);
+    server.shutdown();
+}
+
+/// Permanent write errors in the attached tier during a fold put its
+/// store in read-only degraded mode until a reopen. Every later write is
+/// refused permanently too, so the daemon switches compaction off with
+/// the error as its reason instead of retrying a fold that cannot land.
+#[test]
+fn permanent_attached_tier_failures_switch_compaction_off() {
+    let plan = Arc::new(FaultPlan::new(11));
+    plan.set_armed(false);
+    let faulty = DualTableEnv::in_memory_faulty(plan.clone()).expect("faulty env");
+    let env = DualTableEnv::new(DualTableEnv::in_memory().dfs, faulty.kv.clone()).expect("env");
+    let server = start(&env);
+    let mut c = connect(&server);
+    c.query("SET COMPACTION = OFF").unwrap();
+    dirty_table(&mut c, "DUALTABLE");
+
+    plan.set_armed(true);
+    for _ in 0..64 {
+        plan.fail_next(FaultKind::WriteError);
+    }
+    c.query("SET COMPACTION = AUTO").unwrap();
+    assert!(
+        eventually(|| metric(&show_compaction(&mut c), "mode") == "off"),
+        "permanent attached-tier failures never switched compaction off: {:?}",
+        env.health.snapshot()
+    );
+    assert!(
+        env.kv.health_snapshot().degraded > 0,
+        "the faults never reached the attached tier"
+    );
+    let reason = metric(&show_compaction(&mut c), "reason");
+    assert!(!reason.is_empty(), "OFF without a reason");
     assert_ledger_exact(&env);
     server.shutdown();
 }

@@ -188,4 +188,11 @@ run_gate kernel-oracle cargo test -q --release -p dt-hiveql --locked --test prop
 # on every attached scan UNION READ skips or bounds.
 run_gate union-read cargo test -q --release -p dualtable --locked --test prop_union_read -- --nocapture
 
+# ORC codec oracle (DESIGN.md §1), in release: random schemas and rows
+# written and read back, DOUBLEs of every shape (decimal-scaled, direct,
+# -0.0, NaN payloads, ±inf, 2^53 ± 1) bit for bit, LZ block roundtrips,
+# and stored streams truncated, byte-flipped or re-framed around a cut
+# payload decoding to a column or an error, never a panic.
+run_gate orc-codec cargo test -q --release -p dt-orcfile --locked --test prop_orc
+
 [ ${#FAILED[@]} -eq 0 ]
