@@ -29,6 +29,12 @@ dt_common::counters! {
         /// cell, no stripe survives the predicates, or no cell is a delete
         /// marker or an overlay on a projected column.
         attached_scans_skipped,
+        /// UNION READs that fanned out over more than one worker
+        /// (DESIGN.md §18).
+        scans_parallel,
+        /// Morsels — master files, and a transaction's buffered inserts —
+        /// that those reads split into.
+        scan_morsels,
         /// Worker threads used by parallel rewrites (OVERWRITE/COMPACT
         /// fan-out), summed over statements.
         write_workers_used,

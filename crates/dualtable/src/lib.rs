@@ -75,4 +75,4 @@ pub use rewrite::RewriteJob;
 pub use shard::{ShardFoldStats, ShardMap, ShardSpec, ShardedDmlReport, ShardedTable};
 pub use store::{Assignment, DmlReport, DualTableStore, PlanPreview, RowSelector, TableStats};
 pub use txn::{Snapshot, Transaction};
-pub use union_read::UnionReadOptions;
+pub use union_read::{ConsumeFn, MapFn, UnionReadOptions};

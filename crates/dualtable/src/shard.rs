@@ -583,7 +583,10 @@ impl ShardedTable {
         let spec = &self.inner.spec;
         let shards = spec.dml_shards(assignments, scan.predicates.as_deref())?;
         let stores: Vec<&DualTableStore> = shards.iter().map(|&i| &self.inner.shards[i]).collect();
-        let reports = dml_all(&stores, selector, assignments, scan, &ratio, statement_key)?;
+        // One worker per locate: shards are read in order on the
+        // statement's thread (DESIGN.md §16).
+        let at = (&ratio, statement_key);
+        let reports = dml_all(&stores, selector, assignments, scan, at, 1)?;
         Ok(ShardedDmlReport {
             rows_matched: reports.iter().map(|r| r.rows_matched).sum(),
             rows_scanned: reports.iter().map(|r| r.rows_scanned).sum(),

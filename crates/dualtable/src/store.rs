@@ -1,7 +1,7 @@
 //! The DualTable store: master + attached storage, DML plans, COMPACT.
 
 use std::borrow::Cow;
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, Range};
 use std::sync::Arc;
 
 use dt_common::{Error, RecordId, Result, Row, Schema, Value};
@@ -21,7 +21,8 @@ use crate::presence::{decode_count, FilePresence, PresenceIndex, PRESENCE_FILE_I
 use crate::rewrite::{Dml, Retire, Rows};
 use crate::txn::{Snapshot, Transaction};
 use crate::union_read::{
-    for_each_row, merge_file, BatchFn, PatchSet, UnionReadOptions, INSERTS_FILE_ID, NO_PATCHES,
+    for_each_row, merge_file, BatchFn, ConsumeFn, MapFn, PatchSet, UnionReadOptions,
+    INSERTS_FILE_ID, NO_PATCHES,
 };
 
 /// Aggregate statistics of one DualTable.
@@ -227,6 +228,46 @@ pub(crate) struct ScanPlan<'a> {
     patches: &'a [AttachedEntry],
 }
 
+/// One master file of a scan, opened, with what its merge reads.
+struct FileScan<'p> {
+    file_id: u32,
+    reader: Arc<OrcReader>,
+    /// The plan's own patches for this file.
+    ours: &'p [AttachedEntry],
+    predicates: Option<Cow<'p, [ColumnPredicate]>>,
+    /// From the first stripe `predicates` leave to the end of the last;
+    /// `None` when they leave none.
+    rows: Option<Range<u64>>,
+}
+
+/// What one worker of a fanned-out UNION READ merges and maps at a time.
+enum Morsel<'p> {
+    File(FileScan<'p>),
+    /// The reader's own buffered inserts, one batch.
+    Inserts,
+}
+
+/// Rows the decoding morsels of one UNION READ must span between them
+/// before it fans out: below this, the worker's spawn, join and hand-over
+/// cost more than its share of the decoding saves (a Q1-shaped aggregate
+/// breaks even at about 3,000 rows on two cores; EXPERIMENTS.md, the
+/// morsel-parallel UNION READ).
+pub(crate) const MIN_FAN_OUT_ROWS: u64 = 4096;
+
+/// The workers a read of `files` plus `inserts` buffered rows, granted
+/// `workers`, runs on: one unless at least two morsels decode and they
+/// span [`MIN_FAN_OUT_ROWS`] rows, and never more than decode.
+fn fan_out(workers: usize, files: &[FileScan<'_>], inserts: usize) -> usize {
+    let spans = files.iter().filter_map(|f| f.rows.as_ref());
+    let spans = spans.map(|r| r.end - r.start);
+    let spans = spans.chain((inserts > 0).then_some(inserts as u64));
+    let (morsels, rows) = spans.fold((0, 0), |(m, r), n| (m + 1, r + n));
+    match morsels >= 2 && rows >= MIN_FAN_OUT_ROWS {
+        true => workers.min(morsels),
+        false => 1,
+    }
+}
+
 /// The directory, inside a table's, where inserted master files wait for
 /// the commit that renames them into a generation ([`crate::commit`]). No
 /// generation listing reaches it.
@@ -262,14 +303,15 @@ pub(crate) fn insert_all(parts: Vec<(&DualTableStore, Vec<Row>)>) -> Result<u64>
 /// builds its next generation under the statement — and falls back to
 /// EDIT if the build fails (DESIGN.md §8), unless the statement itself is
 /// at fault. One commit then writes every patch set and swings every
-/// built generation, and each store logs its observed ratio.
+/// built generation, and each store logs its observed ratio. Each EDIT
+/// locate runs on up to `workers` (see [`DualTableStore::for_each_at`]).
 pub(crate) fn dml_all(
     stores: &[&DualTableStore],
     predicate: &(dyn RowSelector + Sync),
     assignments: Option<&[Assignment<'_>]>,
     scan: &UnionReadOptions,
-    ratio: &RatioHint,
-    statement_key: Option<&str>,
+    (ratio, statement_key): (&RatioHint, Option<&str>),
+    workers: usize,
 ) -> Result<Vec<DmlReport>> {
     let s = Dml {
         predicate,
@@ -316,8 +358,13 @@ pub(crate) fn dml_all(
             }
         }
         let gen = store.current_gen()?;
-        let (rows, scanned) =
-            store.locate_patches(gen, s.scan, &NO_PATCHES, s.predicate, s.assignments)?;
+        let (rows, scanned) = store.locate_patches(
+            gen,
+            (s.scan, &NO_PATCHES),
+            workers,
+            s.predicate,
+            s.assignments,
+        )?;
         (report.rows_matched, report.rows_scanned) = (rows.len() as u64, scanned);
         Ok(Action::Write(Cow::Owned(PatchSet {
             rows,
@@ -614,14 +661,42 @@ impl DualTableStore {
     /// Streams the table as merged column batches — this is the UNION READ
     /// operation; every other scan entry point is an adapter over it. `f`
     /// gets each master file's ID with one of its stripes and may stop the
-    /// scan by returning `Break`.
+    /// scan by returning `Break`. The calling thread does all the work.
     pub fn for_each_batch(
         &self,
         opts: &UnionReadOptions,
         mut f: impl FnMut(u32, ColumnBatch) -> Result<ControlFlow<()>>,
     ) -> Result<()> {
+        self.for_each_mapped_at(opts, 1, &|id, batch| Ok((id, batch)), &mut |(id, batch)| {
+            f(id, batch)
+        })
+    }
+
+    /// [`DualTableStore::for_each_batch`] split in two, so that a large
+    /// read fans out (DESIGN.md §18): `map` turns each batch into a `T`,
+    /// on up to [`dt_engine::read_degree`] workers, a master file at a
+    /// time, and `consume` takes the `T`s on the calling thread, in the
+    /// order `for_each_batch` hands over the batches. `consume` may stop
+    /// the scan by returning `Break`.
+    pub fn for_each_mapped<T: Send>(
+        &self,
+        opts: &UnionReadOptions,
+        map: &MapFn<'_, T>,
+        consume: &mut ConsumeFn<'_, T>,
+    ) -> Result<()> {
+        self.for_each_mapped_at(opts, dt_engine::read_degree(), map, consume)
+    }
+
+    fn for_each_mapped_at<T: Send>(
+        &self,
+        opts: &UnionReadOptions,
+        workers: usize,
+        map: &MapFn<'_, T>,
+        consume: &mut ConsumeFn<'_, T>,
+    ) -> Result<()> {
         let _guard = self.inner.ops.read();
-        let scan = self.for_each_at(self.current_gen()?, opts, &NO_PATCHES, &mut f);
+        let gen = self.current_gen()?;
+        let scan = self.for_each_at(gen, opts, &NO_PATCHES, workers, map, consume);
         scan.map(|_| ())
     }
 
@@ -649,17 +724,27 @@ impl DualTableStore {
             .collect()
     }
 
-    /// Sequential UNION READ at an explicit `(generation,
-    /// opts.snapshot_ts)` epoch, ops lock already held, with the reader's
-    /// own `ours` on top: its patches as every file's second patch source,
-    /// its buffered inserts as one trailing batch under
-    /// [`INSERTS_FILE_ID`]. `Break` iff `f` stopped the scan.
-    pub(crate) fn for_each_at(
+    /// UNION READ at an explicit `(generation, opts.snapshot_ts)` epoch,
+    /// ops lock already held, with the reader's own `ours` on top: its
+    /// patches as every file's second patch source, its buffered inserts as
+    /// one trailing batch under [`INSERTS_FILE_ID`]. Each merged batch goes
+    /// through `map`, and its output to `consume`, in file-ID order.
+    ///
+    /// At one worker that is the whole loop, inline. A read granted more
+    /// fans out over its morsels — each visible master file, and the
+    /// buffered inserts — when at least two of them decode a column and
+    /// their surviving stripes span [`MIN_FAN_OUT_ROWS`] rows: up to
+    /// `workers` threads, the caller's one of them, each merge a morsel
+    /// and map its batches, while the caller consumes them in order
+    /// ([`dt_engine::ordered_map`]). `Break` iff `consume` stopped the scan.
+    pub(crate) fn for_each_at<T: Send>(
         &self,
         gen: u64,
         opts: &UnionReadOptions,
         ours: &PatchSet,
-        f: &mut BatchFn<'_>,
+        workers: usize,
+        map: &MapFn<'_, T>,
+        consume: &mut ConsumeFn<'_, T>,
     ) -> Result<ControlFlow<()>> {
         // Files first, presence index second: the index then covers every
         // delete committed on a listed file before the listing, and a file
@@ -670,9 +755,62 @@ impl DualTableStore {
         let files = self.visible_files(gen, opts.snapshot_ts);
         let plan = self.scan_plan(gen, opts, &ours.rows)?;
         let projection = self.projected(opts);
-        for file_id in files {
+        let inserts = || ColumnBatch::from_rows(&self.inner.schema, &projection, &ours.inserts);
+        let morsels = files.len() + usize::from(!ours.inserts.is_empty());
+        // Footers are read ahead only for a read that may fan out.
+        let planned = match workers > 1 && !projection.is_empty() && morsels >= 2 {
+            true => Some(
+                files
+                    .iter()
+                    .map(|&id| self.plan_file(&plan, id))
+                    .collect::<Result<Vec<_>>>()?,
+            ),
+            false => None,
+        };
+        let workers = match &planned {
+            Some(files) => fan_out(workers, files, ours.inserts.len()),
+            None => 1,
+        };
+        if workers > 1 {
+            let mut morsels: Vec<Morsel<'_>> =
+                planned.into_iter().flatten().map(Morsel::File).collect();
+            if !ours.inserts.is_empty() {
+                morsels.push(Morsel::Inserts);
+            }
+            let health = &self.inner.env.health;
+            health.scans_parallel.inc();
+            health.scan_morsels.add(morsels.len() as u64);
+            let task = |morsel| {
+                let mut out = Vec::new();
+                match morsel {
+                    Morsel::File(file) => {
+                        let _all =
+                            self.merge_planned(&plan, file, &projection, &mut |id, batch| {
+                                out.push(map(id, batch)?);
+                                Ok(ControlFlow::Continue(()))
+                            })?;
+                    }
+                    Morsel::Inserts => out.push(map(INSERTS_FILE_ID, inserts()?)?),
+                }
+                Ok(out)
+            };
+            return dt_engine::ordered_map(workers, morsels, task, &mut |outs: Vec<T>| {
+                for out in outs {
+                    if consume(out)?.is_break() {
+                        return Ok(ControlFlow::Break(()));
+                    }
+                }
+                Ok(ControlFlow::Continue(()))
+            });
+        }
+        let mut f = |id, batch| consume(map(id, batch)?);
+        let files: Box<dyn Iterator<Item = Result<FileScan<'_>>>> = match planned {
+            Some(files) => Box::new(files.into_iter().map(Ok)),
+            None => Box::new(files.into_iter().map(|id| self.plan_file(&plan, id))),
+        };
+        for file in files {
             if self
-                .merge_master(&plan, file_id, &projection, f)?
+                .merge_planned(&plan, file?, &projection, &mut f)?
                 .is_break()
             {
                 return Ok(ControlFlow::Break(()));
@@ -681,9 +819,7 @@ impl DualTableStore {
         if ours.inserts.is_empty() {
             return Ok(ControlFlow::Continue(()));
         }
-        let schema = &self.inner.schema;
-        let batch = ColumnBatch::from_rows(schema, &projection, &ours.inserts)?;
-        f(INSERTS_FILE_ID, batch)
+        f(INSERTS_FILE_ID, inserts()?)
     }
 
     /// The column ordinals a scan decodes: `opts.projection`, or every
@@ -713,12 +849,8 @@ impl DualTableStore {
     }
 
     /// The one place a master file meets its patch sources — its attached
-    /// range and the plan's own patches: opens the file (footer cache),
-    /// keeps the stripe predicates the file's overlays leave sound, and
-    /// runs [`merge_file`] over columns `projection`. The attached scan is
-    /// decided from the footer and the presence index before any KV work:
-    /// it is opened only when a stripe survives and the read can see one
-    /// of the file's cells, and then only over the surviving stripes' rows.
+    /// range and the plan's own patches: [`Self::plan_file`], then
+    /// [`Self::merge_planned`] over columns `projection`.
     pub(crate) fn merge_master(
         &self,
         plan: &ScanPlan<'_>,
@@ -726,6 +858,13 @@ impl DualTableStore {
         projection: &[usize],
         f: &mut BatchFn<'_>,
     ) -> Result<ControlFlow<()>> {
+        let file = self.plan_file(plan, file_id)?;
+        self.merge_planned(plan, file, projection, f)
+    }
+
+    /// Opens one master file of a scan (footer cache) and keeps the stripe
+    /// predicates its overlays leave sound.
+    fn plan_file<'p>(&self, plan: &ScanPlan<'p>, file_id: u32) -> Result<FileScan<'p>> {
         let reader = self.open_master(plan.gen, file_id)?;
         let presence = plan.presence.file(file_id);
         let ours = plan.patches.partition_point(|p| p.record.file_id < file_id);
@@ -733,7 +872,28 @@ impl DualTableStore {
         let ours = &ours[..ours.partition_point(|p| p.record.file_id == file_id)];
         let predicates = file_predicates(presence, ours, plan.opts.predicates.as_deref());
         let rows = reader.surviving_rows(predicates.as_deref());
-        let attached = match (presence, rows) {
+        Ok(FileScan {
+            file_id,
+            reader,
+            ours,
+            predicates,
+            rows,
+        })
+    }
+
+    /// Runs [`merge_file`] over a planned file. The attached scan is
+    /// decided from the footer and the presence index before any KV work:
+    /// it is opened only when a stripe survives and the read can see one
+    /// of the file's cells, and then only over the surviving stripes' rows.
+    fn merge_planned(
+        &self,
+        plan: &ScanPlan<'_>,
+        file: FileScan<'_>,
+        projection: &[usize],
+        f: &mut BatchFn<'_>,
+    ) -> Result<ControlFlow<()>> {
+        let file_id = file.file_id;
+        let attached = match (plan.presence.file(file_id), file.rows) {
             (Some(presence), Some(rows)) if presence.visible_to(projection) => {
                 // A span to the file's last possible row ends at the next
                 // file's first record ID.
@@ -751,11 +911,11 @@ impl DualTableStore {
         };
         merge_file(
             file_id,
-            &reader,
+            &file.reader,
             projection,
-            predicates.as_deref(),
+            file.predicates.as_deref(),
             attached,
-            ours,
+            file.ours,
             f,
         )
     }
@@ -942,7 +1102,8 @@ impl DualTableStore {
         let (columns, width) = (self.projected(&unpushed), self.inner.schema.len());
         let _guard = self.inner.ops.read();
         let gen = self.current_gen()?;
-        self.locate(gen, &unpushed, &NO_PATCHES, &mut |_, mut batch| {
+        let batch = |_, batch| Ok(batch);
+        self.locate(gen, &unpushed, &NO_PATCHES, 1, &batch, &mut |mut batch| {
             // The sample ends inside this batch: only its first rows count.
             let take = (limit - seen).min(batch.selected_len());
             if take < batch.selected_len() {
@@ -1054,7 +1215,9 @@ impl DualTableStore {
         scan: &UnionReadOptions,
     ) -> Result<DmlReport> {
         let key = statement_key;
-        Ok(dml_all(&[self], selector, assignments, scan, &ratio, key)?.remove(0))
+        let workers = dt_engine::read_degree();
+        let reports = dml_all(&[self], selector, assignments, scan, (&ratio, key), workers)?;
+        Ok(reports.into_iter().next().expect("one report per store"))
     }
 
     /// Rejects an UPDATE that assigns a column the table does not have.
@@ -1084,21 +1247,28 @@ impl DualTableStore {
     /// scan.snapshot_ts)` under the caller's own uncommitted `ours` (whose
     /// buffered inserts come last, as records of [`INSERTS_FILE_ID`]), of
     /// the columns `scan.projection` names, minus the stripes
-    /// `scan.predicates` rule out, batch by batch. Returns the table's
+    /// `scan.predicates` rule out, mapped and consumed as
+    /// [`Self::for_each_at`] does on up to `workers`. Returns the table's
     /// visible row count as the cost model's α wants it: rows seen plus,
     /// from their footers, the rows of the stripes skipped.
-    fn locate(
+    fn locate<T: Send>(
         &self,
         gen: u64,
         scan: &UnionReadOptions,
         ours: &PatchSet,
-        f: &mut BatchFn<'_>,
+        workers: usize,
+        map: &MapFn<'_, T>,
+        consume: &mut ConsumeFn<'_, T>,
     ) -> Result<u64> {
         let (mut seen, mut decoded) = (0u64, 0u64);
-        let _stopped = self.for_each_at(gen, scan, ours, &mut |file_id, batch| {
-            decoded += batch.rows() as u64;
-            seen += batch.selected_len() as u64;
-            f(file_id, batch)
+        let counted = |id, batch: ColumnBatch| {
+            let counts = (batch.rows() as u64, batch.selected_len() as u64);
+            Ok((counts, map(id, batch)?))
+        };
+        let _stopped = self.for_each_at(gen, scan, ours, workers, &counted, &mut |(n, out)| {
+            decoded += n.0;
+            seen += n.1;
+            consume(out)
         })?;
         if scan.predicates.is_none() {
             return Ok(seen);
@@ -1140,22 +1310,23 @@ impl DualTableStore {
     }
 
     /// The one way an EDIT finds its rows (ops lock held) — the locating
-    /// half of §V-A's UPDATE and DELETE UDTFs: [`Self::locate`], with the
-    /// [`Self::patch_of`] of each row `predicate` matches collected into
-    /// the statement's patch set in the ascending record order the scan
-    /// meets them in. Returns the patch set (its length is the matched
-    /// count) and the scanned count.
+    /// half of §V-A's UPDATE and DELETE UDTFs: [`Self::locate`] under
+    /// `ours` on up to `workers`, each batch mapped to the
+    /// [`Self::patch_of`] of every row `predicate` matches, and those
+    /// collected into the statement's patch set in the ascending record
+    /// order the scan meets them in. Returns the patch set (its length is
+    /// the matched count) and the scanned count.
     pub(crate) fn locate_patches(
         &self,
         gen: u64,
-        scan: &UnionReadOptions,
-        ours: &PatchSet,
-        predicate: &dyn RowSelector,
+        (scan, ours): (&UnionReadOptions, &PatchSet),
+        workers: usize,
+        predicate: &(dyn RowSelector + Sync),
         assignments: Option<&[Assignment<'_>]>,
     ) -> Result<(Vec<AttachedEntry>, u64)> {
         let (columns, width) = (self.projected(scan), self.inner.schema.len());
-        let mut found = Vec::new();
-        let scanned = self.locate(gen, scan, ours, &mut |file_id, batch| {
+        let patches_of = |file_id, batch: ColumnBatch| {
+            let mut found = Vec::new();
             located_rows(
                 file_id,
                 &batch,
@@ -1167,6 +1338,11 @@ impl DualTableStore {
                     Ok(())
                 },
             )?;
+            Ok(found)
+        };
+        let mut found = Vec::new();
+        let scanned = self.locate(gen, scan, ours, workers, &patches_of, &mut |mut patches| {
+            found.append(&mut patches);
             Ok(ControlFlow::Continue(()))
         })?;
         Ok((found, scanned))
@@ -1288,6 +1464,58 @@ mod tests {
             rows_per_file: 32,
             ..DualTableConfig::default()
         }
+    }
+
+    #[test]
+    fn a_fanned_out_locate_finds_the_same_patch_set_in_the_same_order() {
+        let config = DualTableConfig {
+            rows_per_file: 1_500,
+            plan_mode: PlanMode::AlwaysEdit,
+            writer: dt_orcfile::WriterOptions {
+                stripe_rows: 500,
+                ..Default::default()
+            },
+            ..DualTableConfig::default()
+        };
+        let t = table_with(6_000, config);
+        let ratio = RatioHint::Explicit(0.01);
+        t.delete(|r| r[0].as_i64().unwrap() % 11 == 3, ratio)
+            .unwrap();
+        let gen = t.current_gen().unwrap();
+        // The transaction's own patches and buffered inserts ride along.
+        let ours = PatchSet {
+            rows: vec![AttachedEntry {
+                record: RecordId::new(2, 7),
+                deleted: false,
+                updates: vec![(2, Value::Float64(-1.0))],
+            }],
+            inserts: (10_000..10_300).map(row).collect(),
+        };
+        let hits = |r: &Row| r[2].as_f64().is_some_and(|v| v < 0.0 || v as i64 % 5 == 0);
+        let set: Assignment<'_> = (
+            1,
+            Box::new(|r: &Row| Ok(Value::Utf8(format!("{:?}", r[0])))),
+        );
+        let scan = UnionReadOptions::all();
+        let before = t.inner.env.health.snapshot().scans_parallel;
+        let [one, four] = [1, 4].map(|degree| {
+            let _guard = t.inner.ops.read();
+            dt_engine::with_degree(degree, || {
+                let set = Some(std::slice::from_ref(&set));
+                let workers = dt_engine::read_degree();
+                t.locate_patches(gen, (&scan, &ours), workers, &hits, set)
+                    .unwrap()
+            })
+        });
+        assert_eq!(one, four);
+        // Ascending, those of buffered inserts last.
+        let (found, _) = one;
+        let master = found.partition_point(|p| p.record.file_id != INSERTS_FILE_ID);
+        let ascending = |p: &[AttachedEntry]| p.windows(2).all(|w| w[0].record < w[1].record);
+        assert!(ascending(&found[..master]) && ascending(&found[master..]));
+        assert!(master > 0 && master < found.len());
+        let fanned = t.inner.env.health.snapshot().scans_parallel - before;
+        assert!(fanned == 1 || dt_engine::cores() < 2, "{fanned}");
     }
 
     #[test]

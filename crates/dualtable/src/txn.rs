@@ -37,7 +37,7 @@ use dt_orcfile::ColumnBatch;
 use crate::commit::{commit, Action};
 use crate::shard::ShardSpec;
 use crate::store::{Assignment, DualTableStore, RowSelector};
-use crate::union_read::{for_each_row, BatchFn, PatchSet, UnionReadOptions, NO_PATCHES};
+use crate::union_read::{for_each_row, ConsumeFn, MapFn, PatchSet, UnionReadOptions, NO_PATCHES};
 
 /// A pinned read snapshot: scans see exactly the table as of the pin's
 /// `(generation, timestamp)`, regardless of what commits afterwards — and
@@ -69,18 +69,22 @@ impl Snapshot {
     }
 
     /// UNION READ at the pin under the pin holder's own uncommitted
-    /// `ours`. Takes the ops lock in read mode like any scan — pinned
-    /// readers don't block EDIT writers, only rewrites' commit step.
-    fn scan_under(
+    /// `ours`, on up to `workers` (see [`DualTableStore::for_each_mapped`]).
+    /// Takes the ops lock in read mode like any scan — pinned readers
+    /// don't block EDIT writers, only rewrites' commit step.
+    fn scan_under<T: Send>(
         &self,
         opts: &UnionReadOptions,
         ours: &PatchSet,
-        f: &mut BatchFn<'_>,
+        workers: usize,
+        map: &MapFn<'_, T>,
+        consume: &mut ConsumeFn<'_, T>,
     ) -> Result<ControlFlow<()>> {
         let mut opts = opts.clone();
         opts.snapshot_ts = self.ts;
         let _guard = self.store.inner.ops.read();
-        self.store.for_each_at(self.gen, &opts, ours, f)
+        self.store
+            .for_each_at(self.gen, &opts, ours, workers, map, consume)
     }
 
     /// UNION READ at the pin, as merged column batches (see
@@ -92,7 +96,11 @@ impl Snapshot {
         opts: &UnionReadOptions,
         mut f: impl FnMut(u32, ColumnBatch) -> Result<ControlFlow<()>>,
     ) -> Result<()> {
-        self.scan_under(opts, &NO_PATCHES, &mut f).map(|_| ())
+        let batch = |id, batch| Ok((id, batch));
+        let scan = self.scan_under(opts, &NO_PATCHES, 1, &batch, &mut |(id, batch)| {
+            f(id, batch)
+        });
+        scan.map(|_| ())
     }
 
     /// [`Snapshot::for_each_batch`] unpacked into `(record id, row)` pairs.
@@ -188,7 +196,7 @@ impl Transaction {
     /// matched row count.
     pub fn update(
         &mut self,
-        predicate: impl Fn(&Row) -> bool,
+        predicate: impl Fn(&Row) -> bool + Sync,
         assignments: &[Assignment<'_>],
         scan: &UnionReadOptions,
     ) -> Result<u64> {
@@ -199,7 +207,7 @@ impl Transaction {
     /// [`Transaction::update`]). Returns the matched row count.
     pub fn delete(
         &mut self,
-        predicate: impl Fn(&Row) -> bool,
+        predicate: impl Fn(&Row) -> bool + Sync,
         scan: &UnionReadOptions,
     ) -> Result<u64> {
         self.edit(&predicate, None, scan)
@@ -214,7 +222,7 @@ impl Transaction {
     /// would persist half of it. Returns the matched row count.
     pub fn edit(
         &mut self,
-        selector: &dyn RowSelector,
+        selector: &(dyn RowSelector + Sync),
         assignments: Option<&[Assignment<'_>]>,
         scan: &UnionReadOptions,
     ) -> Result<u64> {
@@ -225,6 +233,7 @@ impl Transaction {
             Some(spec) => spec.dml_shards(assignments, scan.predicates.as_deref())?,
             None => vec![0],
         };
+        let workers = self.read_workers();
         let mut statement = Vec::with_capacity(targets.len());
         for i in targets {
             let (snapshot, ours) = &self.parts[i];
@@ -233,7 +242,8 @@ impl Transaction {
             let store = snapshot.store();
             let _guard = store.inner.ops.read();
             let gen = snapshot.generation();
-            let (patches, _) = store.locate_patches(gen, &at_pin, ours, selector, assignments)?;
+            let scan = (&at_pin, ours);
+            let (patches, _) = store.locate_patches(gen, scan, workers, selector, assignments)?;
             statement.push((i, patches));
         }
         let matched = statement
@@ -276,12 +286,47 @@ impl Transaction {
         opts: &UnionReadOptions,
         mut f: impl FnMut(u32, ColumnBatch) -> Result<ControlFlow<()>>,
     ) -> Result<()> {
+        let batch = |id, batch| Ok((id, batch));
+        self.scan(opts, 1, &batch, &mut |(id, batch)| f(id, batch))
+    }
+
+    /// [`Transaction::for_each_batch`] split in two as
+    /// [`DualTableStore::for_each_mapped`] splits it: a transaction on an
+    /// unsharded table fans out at the [`dt_engine::read_degree`]; one on a
+    /// sharded table reads its shards in order on the calling thread.
+    pub fn for_each_mapped<T: Send>(
+        &self,
+        opts: &UnionReadOptions,
+        map: &MapFn<'_, T>,
+        consume: &mut ConsumeFn<'_, T>,
+    ) -> Result<()> {
+        self.scan(opts, self.read_workers(), map, consume)
+    }
+
+    /// The workers this transaction's reads and locates may fan out over:
+    /// one for a sharded table, whose shards are read in order on the
+    /// calling thread.
+    fn read_workers(&self) -> usize {
+        match self.spec {
+            Some(_) => 1,
+            None => dt_engine::read_degree(),
+        }
+    }
+
+    fn scan<T: Send>(
+        &self,
+        opts: &UnionReadOptions,
+        workers: usize,
+        map: &MapFn<'_, T>,
+        consume: &mut ConsumeFn<'_, T>,
+    ) -> Result<()> {
         let shards = match (&self.spec, &opts.predicates) {
             (Some(spec), Some(p)) => spec.shards_matching(p),
             _ => (0..self.parts.len()).collect(),
         };
         for (snapshot, ours) in shards.into_iter().map(|i| &self.parts[i]) {
-            if snapshot.scan_under(opts, ours, &mut f)?.is_break() {
+            let flow = snapshot.scan_under(opts, ours, workers, map, consume)?;
+            if flow.is_break() {
                 break;
             }
         }

@@ -121,6 +121,14 @@ impl PatchSet {
 /// stripes as a merged [`ColumnBatch`]. `Break` stops the scan.
 pub(crate) type BatchFn<'a> = dyn FnMut(u32, ColumnBatch) -> Result<ControlFlow<()>> + 'a;
 
+/// The half of a UNION READ consumer that may run on any worker: a master
+/// file's ID and one merged batch in, what the consumer keeps out.
+pub type MapFn<'a, T> = dyn Fn(u32, ColumnBatch) -> Result<T> + Sync + 'a;
+
+/// The half that runs on the statement's thread, in scan order; `Break`
+/// stops the scan.
+pub type ConsumeFn<'a, T> = dyn FnMut(T) -> Result<ControlFlow<()>> + 'a;
+
 /// Merges one master file with its two patch sources, batch in, batch out:
 /// each surviving stripe gets its update overlays patched in by row number
 /// and its delete markers applied as the batch's selection vector, then

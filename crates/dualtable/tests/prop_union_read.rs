@@ -907,4 +907,69 @@ mod differential {
             prop_assert_eq!(scatter(&sharded, &UnionReadOptions::all()), by_key);
         }
     }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// The EDIT locate at degree 1 and at degree 4 finds the same
+        /// patch set: over a table large enough to fan out, the same
+        /// UPDATE/DELETE script — autocommit, then buffered in a
+        /// transaction — leaves twin tables with the same reports, the
+        /// same presence index, the same rows under the same record IDs,
+        /// and the transactions with the same read-your-own-writes scan.
+        #[test]
+        fn edit_patch_sets_agree_across_degrees(seed in any::<u64>()) {
+            let mut rng = Rng64::new(seed);
+            let rng = &mut rng;
+            let schema = schema(rng);
+            let config = DualTableConfig {
+                rows_per_file: rng.range_i64(1200, 2000) as usize,
+                plan_mode: PlanMode::AlwaysEdit,
+                writer: WriterOptions {
+                    stripe_rows: rng.range_i64(300, 700) as usize,
+                    ..WriterOptions::default()
+                },
+                ..DualTableConfig::default()
+            };
+            let n = rng.range_i64(4200, 6000) as usize;
+            let base = rows(rng, &schema, 0, n);
+            let script: Vec<Dml> = (0..rng.range_i64(2, 5)).map(|_| dml(rng, &schema)).collect();
+            let twins = [1, 4].map(|degree| {
+                let env = DualTableEnv::in_memory();
+                let t = DualTableStore::create(&env, "t", schema.clone(), config.clone()).unwrap();
+                t.insert_rows(base.clone()).unwrap();
+                (degree, env, t)
+            });
+            for op in &script {
+                let [one, four] = twins.each_ref().map(|(degree, _, t)| {
+                    let report = dt_engine::with_degree(*degree, || op.run(t));
+                    (report, t.presence_index().unwrap(), t.scan_all().unwrap())
+                });
+                prop_assert_eq!(one, four);
+            }
+            let all = UnionReadOptions::all();
+            let [one, four] = twins.each_ref().map(|(degree, _, t)| {
+                dt_engine::with_degree(*degree, || {
+                    let mut txn = t.begin_transaction().unwrap();
+                    txn.insert(rows(&mut Rng64::new(seed), &schema, 1 << 20, 40)).unwrap();
+                    let matched: Vec<u64> = script
+                        .iter()
+                        .map(|op| {
+                            let hits = |row: &Row| op.hits(row);
+                            match op.assignments() {
+                                Some(set) => txn.update(hits, &set, &all).unwrap(),
+                                None => txn.delete(hits, &all).unwrap(),
+                            }
+                        })
+                        .collect();
+                    (matched, scan_txn(&txn, &all))
+                })
+            });
+            prop_assert_eq!(one, four);
+            // The degree-4 twin did fan out, wherever a second core exists.
+            let fanned = twins[1].1.health.snapshot().scans_parallel;
+            prop_assert!(fanned > 0 || dt_engine::cores() < 2);
+            prop_assert_eq!(twins[0].1.health.snapshot().scans_parallel, 0);
+        }
+    }
 }

@@ -3,7 +3,10 @@
 use std::cell::Cell;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::sync::{Mutex, OnceLock};
+use std::ops::ControlFlow;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, OnceLock, PoisonError};
 
 use dt_common::{Error, Result};
 
@@ -37,7 +40,7 @@ thread_local! {
 
 /// Every core of the machine, asked of the OS once: on Linux the question
 /// reads cgroup files, too slow to ask per statement.
-pub(crate) fn cores() -> usize {
+pub fn cores() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     *CORES.get_or_init(|| {
         std::thread::available_parallelism()
@@ -68,56 +71,204 @@ pub fn with_degree<R>(degree: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// Runs `task` over every split on at most `workers` threads, returning
-/// one output per split, in split order; the first error in split order
-/// wins (later splits may still have run). A panicking task fails the
-/// call with `Error::Internal`. With one worker (or one split) every task
-/// runs inline on the caller's thread, in order.
+/// Statements running in this process: what [`read_degree`] leaves the
+/// cores to.
+static IN_FLIGHT: AtomicUsize = AtomicUsize::new(0);
+
+/// One statement in flight, counted from [`InFlight::begin`] until the
+/// guard drops (on unwind too). A session holds one around each statement.
+#[must_use = "the statement counts only while the guard lives"]
+pub struct InFlight(());
+
+impl InFlight {
+    /// Counts the calling statement in flight.
+    pub fn begin() -> Self {
+        IN_FLIGHT.fetch_add(1, Ordering::Relaxed);
+        InFlight(())
+    }
+}
+
+impl Drop for InFlight {
+    fn drop(&mut self) {
+        IN_FLIGHT.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// The most workers a read may fan out over: the granted [`degree`],
+/// capped at its own core plus the cores no in-flight statement holds. A
+/// read beside another running statement therefore runs inline; a
+/// rewrite keeps the whole [`degree`].
+pub fn read_degree() -> usize {
+    let busy = IN_FLIGHT.load(Ordering::Relaxed);
+    degree().min(1 + cores().saturating_sub(busy))
+}
+
+/// Runs `task` over every split on at most `workers` threads, the caller's
+/// one of them, returning one output per split, in split order; the first
+/// error in split order wins (later splits may still have run). A
+/// panicking task fails the call with `Error::Internal`. With one worker
+/// (or one split) every task runs inline on the caller's thread, in order.
+/// It is [`ordered_map`] with no bound on how far ahead a split starts.
 pub fn parallel_map_fallible<I, O, F>(workers: usize, splits: Vec<I>, task: F) -> Result<Vec<O>>
 where
     I: Send,
     O: Send,
     F: Fn(I) -> Result<O> + Sync,
 {
-    let n = splits.len();
-    if n == 0 {
-        return Ok(Vec::new());
-    }
-    let workers = workers.max(1).min(n);
-    if workers == 1 {
-        return splits.into_iter().map(&task).collect();
-    }
-    let inputs: Vec<Mutex<Option<I>>> = splits.into_iter().map(|s| Mutex::new(Some(s))).collect();
-    let outputs: Vec<Mutex<Option<Result<O>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = std::sync::atomic::AtomicUsize::new(0);
+    let mut out = Vec::with_capacity(splits.len());
+    let window = splits.len();
+    let _all = ordered((workers, window), |_| true, splits, task, &mut |o| {
+        out.push(o);
+        Ok(ControlFlow::Continue(()))
+    })?;
+    Ok(out)
+}
 
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= n {
-                    return;
-                }
-                let input = inputs[i]
-                    .lock()
-                    .expect("input mutex poisoned")
-                    .take()
-                    .expect("split taken twice");
-                let out = task(input);
-                *outputs[i].lock().expect("output mutex poisoned") = Some(out);
+/// Runs `task` over every morsel on at most `workers` threads, the
+/// caller's one of them, and hands each output to `consume` on the
+/// calling thread, in morsel order. At most twice `workers` morsels run
+/// or wait ahead of the one being consumed: memory stays flat however
+/// many there are, and a worker seldom waits while the caller, busy with
+/// a morsel of its own, has not consumed. The first error in morsel
+/// order — a task's, or `consume`'s — ends the run, as does `Break` from
+/// `consume`: no further morsel starts, the running ones finish, and the
+/// call returns it. A panicking task fails the call with
+/// `Error::Internal`. With one worker each task runs inline (a panic
+/// unwinds to the caller) and its output is consumed before the next one
+/// starts. A spawned worker steps back — finishes its morsel and starts
+/// no other — once the statements in flight hold its core
+/// ([`read_degree`]): a statement that starts beside the run takes the
+/// core back at the next morsel, and the caller finishes alone.
+pub fn ordered_map<I, O, F>(
+    workers: usize,
+    morsels: Vec<I>,
+    task: F,
+    consume: &mut dyn FnMut(O) -> Result<ControlFlow<()>>,
+) -> Result<ControlFlow<()>>
+where
+    I: Send,
+    O: Send,
+    F: Fn(I) -> Result<O> + Sync,
+{
+    // Cores the statements in flight leave: the caller's own, and one per
+    // core no statement holds.
+    let keeps = |helper| helper < 1 + cores().saturating_sub(IN_FLIGHT.load(Ordering::Relaxed));
+    ordered((workers, 2 * workers), keeps, morsels, task, consume)
+}
+
+/// The shared state of one [`ordered`] run.
+struct Lane<I, O> {
+    inputs: Vec<Option<I>>,
+    outputs: Vec<Option<Result<O>>>,
+    /// The next item to start, and the one being consumed.
+    next: usize,
+    head: usize,
+    /// Set once the caller returns: nothing more starts.
+    stop: bool,
+}
+
+/// Stops an [`ordered`] run when its caller leaves it, by any path.
+struct StopOnExit<'a, I, O>(&'a Mutex<Lane<I, O>>, &'a Condvar);
+
+impl<I, O> Drop for StopOnExit<'_, I, O> {
+    fn drop(&mut self) {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner).stop = true;
+        self.1.notify_all();
+    }
+}
+
+/// [`ordered_map`] with items started at most `window` ahead of the one
+/// being consumed, spawned worker `k` (from 1) starting one only while
+/// `keeps(k)`.
+fn ordered<I, O, F>(
+    (workers, window): (usize, usize),
+    keeps: impl Fn(usize) -> bool + Copy + Send,
+    items: Vec<I>,
+    task: F,
+    consume: &mut dyn FnMut(O) -> Result<ControlFlow<()>>,
+) -> Result<ControlFlow<()>>
+where
+    I: Send,
+    O: Send,
+    F: Fn(I) -> Result<O> + Sync,
+{
+    let n = items.len();
+    let workers = workers.max(1).min(n);
+    if workers <= 1 {
+        for item in items {
+            if consume(task(item)?)?.is_break() {
+                return Ok(ControlFlow::Break(()));
+            }
+        }
+        return Ok(ControlFlow::Continue(()));
+    }
+    let lane = Mutex::new(Lane {
+        inputs: items.into_iter().map(Some).collect(),
+        outputs: (0..n).map(|_| None).collect(),
+        next: 0,
+        head: 0,
+        stop: false,
+    });
+    let changed = Condvar::new();
+    let (lane, changed) = (&lane, &changed);
+    let lock = || lane.lock().unwrap_or_else(PoisonError::into_inner);
+    let claim = |lane: &mut Lane<I, O>| {
+        let i = lane.next;
+        let open = !lane.stop && i < n && i < lane.head + window;
+        open.then(|| {
+            lane.next += 1;
+            (i, lane.inputs[i].take().expect("an item starts once"))
+        })
+    };
+    let run = |(i, item): (usize, I)| {
+        let out = catch_unwind(AssertUnwindSafe(|| task(item)));
+        let out = out.unwrap_or_else(|_| Err(Error::internal("a map task panicked")));
+        lock().outputs[i] = Some(out);
+        changed.notify_all();
+    };
+    let flow = crossbeam::thread::scope(|scope| {
+        for helper in 1..workers {
+            scope.spawn(move |_| loop {
+                let mut lane = lock();
+                let item = loop {
+                    if lane.stop || lane.next >= n || !keeps(helper) {
+                        return;
+                    }
+                    match claim(&mut lane) {
+                        Some(item) => break item,
+                        None => lane = changed.wait(lane).unwrap_or_else(PoisonError::into_inner),
+                    }
+                };
+                drop(lane);
+                run(item);
             });
         }
-    })
-    .map_err(|_| Error::internal("a map task panicked"))?;
-
-    outputs
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("output mutex poisoned")
-                .expect("task completed without output")
-        })
-        .collect()
+        let _stop = StopOnExit(lane, changed);
+        for head in 0..n {
+            let out = loop {
+                let mut lane = lock();
+                if let Some(out) = lane.outputs[head].take() {
+                    break out;
+                }
+                // Work rather than wait: start the next item if the
+                // window has room (it always has for `head` itself).
+                match claim(&mut lane) {
+                    Some(item) => {
+                        drop(lane);
+                        run(item);
+                    }
+                    None => drop(changed.wait(lane)),
+                }
+            };
+            if consume(out?)?.is_break() {
+                return Ok(ControlFlow::Break(()));
+            }
+            lock().head = head + 1;
+            changed.notify_all();
+        }
+        Ok(ControlFlow::Continue(()))
+    });
+    flow.map_err(|_| Error::internal("a map task panicked"))?
 }
 
 fn partition_of<K: Hash>(key: &K, partitions: usize) -> usize {
@@ -201,6 +352,8 @@ where
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
 
     fn config() -> JobConfig {
@@ -280,6 +433,162 @@ mod tests {
         })
         .unwrap_err();
         assert!(matches!(err, Error::Internal(_)), "{err}");
+    }
+
+    /// The threads that ran `splits` tasks of `work`, each task held until
+    /// the second one is running.
+    fn task_threads(workers: usize, splits: usize) -> HashSet<std::thread::ThreadId> {
+        let barrier = std::sync::Barrier::new(2);
+        let seen = Mutex::new(HashSet::new());
+        parallel_map_fallible(workers, (0..splits).collect(), |i: usize| {
+            if i < 2 {
+                barrier.wait();
+            }
+            seen.lock().unwrap().insert(std::thread::current().id());
+            Ok(i)
+        })
+        .unwrap();
+        seen.into_inner().unwrap()
+    }
+
+    #[test]
+    fn the_caller_is_one_of_the_workers() {
+        // Two workers: the caller and exactly one spawned thread, however
+        // many splits there are.
+        for splits in [2, 9] {
+            let threads = task_threads(2, splits);
+            assert_eq!(threads.len(), 2, "{splits} splits");
+            assert!(threads.contains(&std::thread::current().id()));
+        }
+    }
+
+    #[test]
+    fn an_ordered_map_consumes_in_order_within_its_window() {
+        for workers in [1, 2, 3] {
+            let consumed = AtomicUsize::new(0);
+            let mut seen = Vec::new();
+            let flow = ordered_map(
+                workers,
+                (0..40).collect(),
+                |i: usize| {
+                    // Started at most twice `workers` ahead of the one
+                    // consumed.
+                    assert!(i < consumed.load(Ordering::SeqCst) + 2 * workers, "{i}");
+                    if i.is_multiple_of(3) {
+                        std::thread::yield_now();
+                    }
+                    Ok(i * 2)
+                },
+                &mut |o| {
+                    seen.push(o);
+                    consumed.fetch_add(1, Ordering::SeqCst);
+                    Ok(ControlFlow::Continue(()))
+                },
+            )
+            .unwrap();
+            assert_eq!(flow, ControlFlow::Continue(()));
+            assert_eq!(seen, (0..40).map(|i| i * 2).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn an_ordered_map_stops_at_break_and_at_the_first_error_in_order() {
+        for workers in [1, 2, 4] {
+            let started = AtomicUsize::new(0);
+            let mut seen = Vec::new();
+            let flow = ordered_map(
+                workers,
+                (0..100).collect(),
+                |i: usize| {
+                    started.fetch_add(1, Ordering::SeqCst);
+                    Ok(i)
+                },
+                &mut |o| {
+                    seen.push(o);
+                    Ok(match o {
+                        5 => ControlFlow::Break(()),
+                        _ => ControlFlow::Continue(()),
+                    })
+                },
+            )
+            .unwrap();
+            assert_eq!(flow, ControlFlow::Break(()));
+            assert_eq!(seen, (0..=5).collect::<Vec<_>>());
+            assert!(started.load(Ordering::SeqCst) <= 6 + 2 * workers);
+
+            let err = ordered_map(
+                workers,
+                (0..16).collect(),
+                |i: i32| match i {
+                    3.. => Err(Error::internal(format!("morsel {i} failed"))),
+                    _ => Ok(i),
+                },
+                &mut |_| Ok(ControlFlow::Continue(())),
+            )
+            .unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                Error::internal("morsel 3 failed").to_string()
+            );
+            if workers == 1 {
+                continue; // Inline: a panic unwinds to the caller.
+            }
+            let err = ordered_map(
+                workers,
+                vec![0u8, 1, 2],
+                |i| match i {
+                    1 => panic!("boom"),
+                    _ => Ok(i),
+                },
+                &mut |_| Ok(ControlFlow::Continue(())),
+            )
+            .unwrap_err();
+            assert!(matches!(err, Error::Internal(_)), "{err}");
+        }
+    }
+
+    #[test]
+    fn an_ordered_map_leaves_the_cores_statements_hold() {
+        // Every core held: the spawned worker starts nothing, the caller
+        // runs every morsel.
+        let held: Vec<InFlight> = (0..cores()).map(|_| InFlight::begin()).collect();
+        let caller = std::thread::current().id();
+        let mut seen = Vec::new();
+        let flow = ordered_map(
+            2,
+            (0..8).collect(),
+            |i: usize| {
+                assert_eq!(std::thread::current().id(), caller);
+                Ok(i)
+            },
+            &mut |o| {
+                seen.push(o);
+                Ok(ControlFlow::Continue(()))
+            },
+        )
+        .unwrap();
+        drop(held);
+        assert_eq!(flow, ControlFlow::Continue(()));
+        assert_eq!(seen, (0..8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_read_fans_out_only_onto_cores_no_statement_holds() {
+        // Other tests of this binary may hold statements too: only the
+        // bound is certain, and that our guards count.
+        with_degree(64, || {
+            let before = IN_FLIGHT.load(Ordering::SeqCst);
+            let ours = InFlight::begin();
+            assert!(read_degree() <= (1 + cores()).saturating_sub(before + 1).max(1));
+            let others: Vec<InFlight> = (0..cores()).map(|_| InFlight::begin()).collect();
+            assert_eq!(read_degree(), 1, "every core is held");
+            drop(others);
+            drop(ours);
+        });
+        with_degree(1, || {
+            let _ours = InFlight::begin();
+            assert_eq!(read_degree(), 1, "never above the granted degree");
+        });
     }
 
     #[test]

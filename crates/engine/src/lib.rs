@@ -7,11 +7,16 @@
 //! * [`degree`] — the degree granted to the statement on this thread: all
 //!   cores for a session outside a server, and what the [`ServicePool`]
 //!   grants from its load for one inside (set by [`with_degree`]);
-//! * [`parallel_map_fallible`] — the one parallel primitive: splits over
-//!   at most N scoped threads, outputs in split order, the first error in
-//!   split order wins, a panic becomes `Error::Internal`, one worker runs
-//!   inline. The DualTable rewrite fan-out (OVERWRITE, COMPACT) calls it
-//!   with the granted degree;
+//! * [`ordered_map`] — the one parallel primitive: morsels over at most
+//!   N workers, the calling thread one of them (N − 1 scoped threads are
+//!   spawned), outputs consumed on the caller in morsel order with at
+//!   most 2N morsels ahead, the first error in morsel order wins, a panic
+//!   becomes `Error::Internal`, one worker runs inline. UNION READ calls
+//!   it at the [`read_degree`]: the granted degree, capped at the cores
+//!   no other [`InFlight`] statement holds;
+//! * [`parallel_map_fallible`] — the same with every output collected and
+//!   no bound on how far ahead a split starts. The DualTable rewrite
+//!   fan-out (OVERWRITE, COMPACT) calls it with the granted degree;
 //! * [`ServicePool`] — N long-lived workers behind a bounded dispatch
 //!   queue with non-blocking admission, the execution substrate of the
 //!   `dualtabled` server and the one place the degree is granted. Its
@@ -27,5 +32,8 @@ mod job;
 mod service;
 
 pub use counters::JobCounters;
-pub use job::{degree, parallel_map_fallible, run_map_reduce, with_degree, JobConfig};
+pub use job::{
+    cores, degree, ordered_map, parallel_map_fallible, read_degree, run_map_reduce, with_degree,
+    InFlight, JobConfig,
+};
 pub use service::{IdleJob, ServiceJob, ServicePool, SubmitError};

@@ -131,23 +131,52 @@ impl TableHandle {
         deadline: &Deadline,
         f: &mut dyn FnMut(&ColumnBatch) -> Result<()>,
     ) -> Result<()> {
-        let mut checked = |batch: &ColumnBatch| {
+        let batch = |batch| Ok(batch);
+        self.scan_mapped(
+            txn,
+            projection,
+            predicates,
+            deadline,
+            &batch,
+            &mut |batch| f(&batch),
+        )
+    }
+
+    /// [`TableHandle::for_each_batch`] split in two: `map` turns each batch
+    /// into a `T` and `consume` takes the `T`s on the calling thread, in
+    /// scan order. An unsharded DUALTABLE — in a transaction or not — runs
+    /// `map` on the workers of a read that fans out
+    /// ([`DualTableStore::for_each_mapped`]); every other storage maps on
+    /// the calling thread, batch by batch.
+    pub fn scan_mapped<T: Send>(
+        &self,
+        txn: Option<&Transaction>,
+        projection: Option<&[usize]>,
+        predicates: Option<&[ColumnPredicate]>,
+        deadline: &Deadline,
+        map: &(dyn Fn(ColumnBatch) -> Result<T> + Sync),
+        consume: &mut dyn FnMut(T) -> Result<()>,
+    ) -> Result<()> {
+        let checked = |batch| {
             deadline.check()?;
-            f(batch)
+            map(batch)
         };
         let mut opts = UnionReadOptions::all();
         opts.projection = projection.map(<[usize]>::to_vec);
         opts.predicates = predicates.map(<[ColumnPredicate]>::to_vec);
-        let merged = |_, batch: ColumnBatch| checked(&batch).map(ControlFlow::Continue);
+        let merged = |_, batch| checked(batch);
+        let mut consumed = |out| consume(out).map(ControlFlow::Continue);
         if let Some(txn) = txn {
-            return txn.for_each_batch(&opts, merged);
+            return txn.for_each_mapped(&opts, &merged, &mut consumed);
         }
         match self {
-            TableHandle::Baseline(_, t) => {
-                t.for_each_batch(projection, predicates, &mut |batch| checked(&batch))
+            TableHandle::Baseline(_, t) => t.for_each_batch(projection, predicates, &mut |batch| {
+                consume(checked(batch)?)
+            }),
+            TableHandle::Dual(t) => t.for_each_mapped(&opts, &merged, &mut consumed),
+            TableHandle::Sharded(t) => {
+                t.for_each_batch(&opts, deadline, |_, batch| consumed(checked(batch)?))
             }
-            TableHandle::Dual(t) => t.for_each_batch(&opts, merged),
-            TableHandle::Sharded(t) => t.for_each_batch(&opts, deadline, merged),
         }
     }
 

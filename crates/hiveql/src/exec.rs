@@ -11,7 +11,7 @@ use crate::catalog::{SharedCatalog, TableHandle};
 use crate::expr::{
     eval, is_true, normalize_numeric, Binding, EvalContext, GroupKey, HashableValue,
 };
-use crate::vector::{Groups, Input, Kernels, Vector, DEADLINE_CHECK_ROWS};
+use crate::vector::{GroupedRows, Groups, Input, Kernels, Vector, DEADLINE_CHECK_ROWS};
 
 /// Result of executing one statement.
 #[derive(Debug, Clone)]
@@ -161,8 +161,11 @@ impl Executor<'_> {
                     .filter(|p| !p.is_empty());
                 let (projection, predicates) = (Some(&projection[..]), predicates.as_deref());
                 let txn = self.txn_of(&refs[0].name);
-                base.for_each_batch(txn, projection, predicates, deadline, &mut |batch| {
-                    pipeline.push_batch(batch)
+                let Pipeline { plan, acc } = &mut pipeline;
+                let prepare = |batch: ColumnBatch| plan.prepare(&batch);
+                base.scan_mapped(txn, projection, predicates, deadline, &prepare, &mut |p| {
+                    acc.absorb(p);
+                    Ok(())
                 })?;
             }
             _ => {
@@ -404,13 +407,50 @@ enum Acc {
     Rows(Vec<Row>, Vec<GroupKey>),
     /// GROUP BY / aggregation: running states per group.
     Groups(Groups),
+    /// A counts-only statement (see [`Plan::counts_only`]): rows so far.
+    Count(u64),
+}
+
+/// One batch through a [`Plan`], owned: what [`Acc::absorb`] adds.
+enum Prepared {
+    Rows(Vec<Row>, Vec<GroupKey>),
+    Groups(GroupedRows),
+    Count(u64),
+    /// WHERE kept no row.
+    Nothing,
+}
+
+impl Acc {
+    /// Adds one prepared batch — group slots and the aggregates' adds in
+    /// row order, or the rows appended — so the result is the same
+    /// whichever threads prepared the batches.
+    fn absorb(&mut self, prepared: Prepared) {
+        match (self, prepared) {
+            (_, Prepared::Nothing) => {}
+            (Acc::Rows(out, keys), Prepared::Rows(rows, more)) => {
+                out.extend(rows);
+                keys.extend(more);
+            }
+            (Acc::Groups(groups), Prepared::Groups(rows)) => groups.absorb(rows),
+            (Acc::Count(n), Prepared::Count(more)) => *n += more,
+            _ => unreachable!("a plan prepares what its accumulator absorbs"),
+        }
+    }
 }
 
 /// WHERE → projection or aggregation over a stream of column batches, a
-/// batch at a time through the kernels of [`crate::vector`]. Every
-/// expression is bound to a position of the input layout up front, so a
-/// misspelt column fails the statement before anything is read.
+/// batch at a time through the kernels of [`crate::vector`]: each batch
+/// [`Plan::prepare`]d — on whichever thread scanned it — then absorbed
+/// into the [`Acc`] on the statement's thread, in scan order.
 struct Pipeline<'a> {
+    plan: Plan<'a>,
+    acc: Acc,
+}
+
+/// A statement's bound expressions. Every expression is bound to a
+/// position of the input layout up front, so a misspelt column fails the
+/// statement before anything is read.
+struct Plan<'a> {
     filter: Option<Expr>,
     items: Vec<(Expr, String)>,
     group_by: Vec<Expr>,
@@ -418,12 +458,11 @@ struct Pipeline<'a> {
     order_by: Vec<OrderKey>,
     /// The distinct aggregate calls across items, HAVING and ORDER BY.
     specs: Vec<Expr>,
+    aggregating: bool,
     /// The statement is an unfiltered, ungrouped `COUNT(*)` reading no
     /// column: batch cardinalities answer it — for a clean master file,
-    /// its footer's row counts — and add up in `counted`.
+    /// its footer's row counts.
     counts_only: bool,
-    counted: u64,
-    acc: Acc,
     ctx: &'a EvalContext,
     deadline: &'a Deadline,
 }
@@ -480,35 +519,87 @@ impl<'a> Pipeline<'a> {
         }
         let count_star =
             |e: &Expr| matches!(e, Expr::Function { name, wildcard: true, .. } if name == "count");
-        Ok(Pipeline {
-            counts_only: filter.is_none()
-                && group_by.is_empty()
-                && binding.is_empty()
-                && !specs.is_empty()
-                && specs.iter().all(count_star),
+        let counts_only = filter.is_none()
+            && group_by.is_empty()
+            && binding.is_empty()
+            && !specs.is_empty()
+            && specs.iter().all(count_star);
+        let acc = match (counts_only, aggregating) {
+            (true, _) => Acc::Count(0),
+            (false, true) => Acc::Groups(Groups::new(&specs, stmt.group_by.is_empty())),
+            (false, false) => Acc::Rows(Vec::new(), Vec::new()),
+        };
+        let plan = Plan {
             filter,
             items,
             group_by,
             having,
             order_by,
-            acc: if aggregating {
-                Acc::Groups(Groups::new(specs.len(), stmt.group_by.is_empty()))
-            } else {
-                Acc::Rows(Vec::new(), Vec::new())
-            },
             specs,
-            counted: 0,
+            aggregating,
+            counts_only,
             ctx,
             deadline,
-        })
+        };
+        Ok(Pipeline { plan, acc })
     }
 
-    /// Runs one batch through WHERE and the projection or aggregation,
-    /// each expression evaluated once for the batch's selected rows.
+    /// [`Plan::prepare`] then [`Acc::absorb`], on this thread.
     fn push_batch(&mut self, batch: &ColumnBatch) -> Result<()> {
+        let prepared = self.plan.prepare(batch)?;
+        self.acc.absorb(prepared);
+        Ok(())
+    }
+
+    /// Output rows, output names and ORDER BY keys.
+    fn finish(self) -> Result<(Vec<Row>, Vec<String>, Vec<GroupKey>)> {
+        let plan = self.plan;
+        let names = plan.items.iter().map(|(_, n)| n.clone()).collect();
+        let groups = match self.acc {
+            Acc::Rows(out, order_keys) => return Ok((out, names, order_keys)),
+            Acc::Groups(groups) => groups.finish(None)?,
+            Acc::Count(n) => Groups::new(&plan.specs, true).finish(Some(n))?,
+        };
+        let (binding, ctx, specs) = (&Binding::default(), plan.ctx, &plan.specs);
+        let mut out_rows = Vec::with_capacity(groups.len());
+        let mut order_keys = Vec::with_capacity(groups.len());
+        for (rep, agg_values) in &groups {
+            if let Some(h) = &plan.having {
+                let v = eval_with_aggs(h, rep, binding, specs, agg_values, ctx)?;
+                if !is_true(&v) {
+                    continue;
+                }
+            }
+            let mut projected = Vec::with_capacity(plan.items.len());
+            for (e, _) in &plan.items {
+                projected.push(eval_with_aggs(e, rep, binding, specs, agg_values, ctx)?);
+            }
+            if !plan.order_by.is_empty() {
+                let mut key = Vec::with_capacity(plan.order_by.len());
+                for order in &plan.order_by {
+                    key.push(HashableValue(match order {
+                        OrderKey::Input(e) => {
+                            eval_with_aggs(e, rep, binding, specs, agg_values, ctx)?
+                        }
+                        OrderKey::Output(pos) => projected[*pos].clone(),
+                    }));
+                }
+                order_keys.push(GroupKey(key));
+            }
+            out_rows.push(projected);
+        }
+        Ok((out_rows, names, order_keys))
+    }
+}
+
+impl Plan<'_> {
+    /// Runs one batch through WHERE and everything the projection or
+    /// aggregation does per row but add it up: kernels, group codes, and
+    /// aggregate arguments and projected rows as owned values. Each
+    /// expression is evaluated once for the batch's selected rows.
+    fn prepare(&self, batch: &ColumnBatch) -> Result<Prepared> {
         if self.counts_only {
-            self.counted += batch.selected_len() as u64;
-            return Ok(());
+            return Ok(Prepared::Count(batch.selected_len() as u64));
         }
         let input = Input::of(batch);
         let k = Kernels::new(&input, self.ctx, self.deadline);
@@ -517,12 +608,11 @@ impl<'a> Pipeline<'a> {
             sel = k.filter(filter, sel)?;
         }
         if sel.is_empty() {
-            return Ok(());
+            return Ok(Prepared::Nothing);
         }
-        let (out, order_keys) = match &mut self.acc {
-            Acc::Groups(groups) => return groups.push(&k, &self.group_by, &self.specs, &sel),
-            Acc::Rows(out, order_keys) => (out, order_keys),
-        };
+        if self.aggregating {
+            return Groups::prepare(&k, &self.group_by, &self.specs, &sel).map(Prepared::Groups);
+        }
         let items: Vec<Vector> = self
             .items
             .iter()
@@ -536,6 +626,8 @@ impl<'a> Pipeline<'a> {
                 OrderKey::Output(_) => Ok(None),
             })
             .collect::<Result<_>>()?;
+        let mut out = Vec::with_capacity(sel.len());
+        let mut order_keys = Vec::new();
         for &i in &sel {
             let i = i as usize;
             let projected: Row = items.iter().map(|v| v.value(i)).collect();
@@ -551,47 +643,7 @@ impl<'a> Pipeline<'a> {
             }
             out.push(projected);
         }
-        Ok(())
-    }
-
-    /// Output rows, output names and ORDER BY keys.
-    fn finish(self) -> Result<(Vec<Row>, Vec<String>, Vec<GroupKey>)> {
-        let names = self.items.iter().map(|(_, n)| n.clone()).collect();
-        let groups = match self.acc {
-            Acc::Rows(out, order_keys) => return Ok((out, names, order_keys)),
-            Acc::Groups(groups) => groups,
-        };
-        let (binding, ctx, specs) = (&Binding::default(), self.ctx, &self.specs);
-        let counted = self.counts_only.then_some(self.counted);
-        let groups = groups.finish(specs, counted)?;
-        let mut out_rows = Vec::with_capacity(groups.len());
-        let mut order_keys = Vec::with_capacity(groups.len());
-        for (rep, agg_values) in &groups {
-            if let Some(h) = &self.having {
-                let v = eval_with_aggs(h, rep, binding, specs, agg_values, ctx)?;
-                if !is_true(&v) {
-                    continue;
-                }
-            }
-            let mut projected = Vec::with_capacity(self.items.len());
-            for (e, _) in &self.items {
-                projected.push(eval_with_aggs(e, rep, binding, specs, agg_values, ctx)?);
-            }
-            if !self.order_by.is_empty() {
-                let mut key = Vec::with_capacity(self.order_by.len());
-                for order in &self.order_by {
-                    key.push(HashableValue(match order {
-                        OrderKey::Input(e) => {
-                            eval_with_aggs(e, rep, binding, specs, agg_values, ctx)?
-                        }
-                        OrderKey::Output(pos) => projected[*pos].clone(),
-                    }));
-                }
-                order_keys.push(GroupKey(key));
-            }
-            out_rows.push(projected);
-        }
-        Ok((out_rows, names, order_keys))
+        Ok(Prepared::Rows(out, order_keys))
     }
 }
 

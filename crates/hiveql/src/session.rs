@@ -114,8 +114,11 @@ impl Session {
         self.txn = None;
     }
 
-    /// Parses and executes one statement.
+    /// Parses and executes one statement, counted in flight
+    /// ([`dt_engine::InFlight`]) while it runs: a read beside it fans out
+    /// only onto the cores left.
     pub fn execute(&mut self, sql: &str) -> Result<QueryResult> {
+        let _in_flight = dt_engine::InFlight::begin();
         let stmt = parse(sql)?;
         self.execute_statement(stmt, sql)
     }

@@ -697,79 +697,295 @@ pub(crate) struct Groups {
     index: HashMap<GroupKey, usize>,
     groups: Vec<(GroupKey, Row)>,
     states: Vec<Vec<AggState>>,
+    /// Each spec's state before its first row.
+    fresh: Vec<AggState>,
     /// No GROUP BY: the statement has one group even over no row.
     global: bool,
 }
 
+/// One batch's rows ready for [`Groups::absorb`], owned: each row's group
+/// within the batch, each such group's key and first row, and each
+/// aggregate's argument. Everything a row costs but the float adds, which
+/// must stay in row order, so it can be built on any thread.
+pub(crate) struct GroupedRows {
+    /// Per row, its group within the batch, numbered by first row.
+    locals: Vec<u32>,
+    /// Per group within the batch, its key and its first row.
+    firsts: Vec<(GroupKey, Row)>,
+    /// Per aggregate spec, its argument.
+    args: Vec<Arg>,
+    /// The SUM and AVG arguments' numbers, row-major: row `n`'s number
+    /// for the `j`-th of them is `numbers[n * width + j]`; `+0.0` where
+    /// it is NULL, which leaves a running sum as it is (a sum that starts
+    /// at `+0.0` never reaches `-0.0`).
+    numbers: Vec<f64>,
+}
+
+/// One aggregate's argument over a batch. What is exact in any order —
+/// counts, the BIGINT flag, MIN and MAX — is already reduced per group
+/// within the batch.
+enum Arg {
+    /// COUNT: per group, the rows whose argument is not NULL.
+    Count(Vec<u64>),
+    /// SUM, AVG: per group, how many numbers are not NULL and whether all
+    /// of those are BIGINTs. The numbers are a column of
+    /// [`GroupedRows::numbers`].
+    Numbers(Vec<(u64, bool)>),
+    /// MIN, MAX: per group, the batch's best value, the first of equals.
+    Best(Vec<AggState>),
+}
+
+impl Arg {
+    /// COUNT's argument `v` at rows `sel` of the batch, whose groups
+    /// within the batch are `locals`, of `sizes` rows.
+    fn count(v: &Vector, sel: &[u32], locals: &[u32], sizes: &[u64]) -> Arg {
+        let no_null = match &v.data {
+            Data::Const(c) => !c.is_null(),
+            Data::Any(_) => false,
+            _ => v.nulls.is_none(),
+        };
+        if no_null {
+            return Arg::Count(sizes.to_vec());
+        }
+        let mut counts = vec![0; sizes.len()];
+        for (_, &l) in sel
+            .iter()
+            .zip(locals)
+            .filter(|(&i, _)| !v.is_null(i as usize))
+        {
+            counts[l as usize] += 1;
+        }
+        Arg::Count(counts)
+    }
+
+    /// MIN's or MAX's (`spec`'s) argument `v` at rows `sel` (see
+    /// [`Arg::count`]).
+    fn best(spec: &Expr, v: &Vector, sel: &[u32], locals: &[u32], groups: usize) -> Arg {
+        let mut best = vec![AggState::for_spec(spec); groups];
+        for (&i, &l) in sel
+            .iter()
+            .zip(locals)
+            .filter(|(&i, _)| !v.is_null(i as usize))
+        {
+            best[l as usize].add_value(v.value(i as usize));
+        }
+        Arg::Best(best)
+    }
+
+    /// SUM's or AVG's (`name`'s) argument `v` at rows `sel`, whose groups
+    /// within the batch are `locals`, of `sizes` rows: each row's number
+    /// goes to its slot of `column`. Something that is no number fails
+    /// the call at its first such row.
+    fn numbers<'c>(
+        name: &str,
+        v: &Vector,
+        (sel, locals): (&[u32], &[u32]),
+        sizes: &[u64],
+        column: impl Iterator<Item = &'c mut f64>,
+    ) -> Result<Arg> {
+        let rows = sel.iter().map(|&i| i as usize).zip(column);
+        let typed = v.numbers();
+        if let (Some((x, integral)), None) = (&typed, v.mask()) {
+            for (i, slot) in rows {
+                *slot = x[i];
+            }
+            return Ok(Arg::Numbers(
+                sizes.iter().map(|&n| (n, *integral)).collect(),
+            ));
+        }
+        let mut tallies = vec![(0, true); sizes.len()];
+        for ((i, slot), &l) in rows.zip(locals).filter(|((i, _), _)| !v.is_null(*i)) {
+            let (x, integral) = match &typed {
+                Some((x, integral)) => (x[i], *integral),
+                None => v.number(i).ok_or_else(|| {
+                    Error::Plan(format!("{} of {:?}", name.to_uppercase(), v.value(i)))
+                })?,
+            };
+            *slot = x;
+            tallies[l as usize].0 += 1;
+            tallies[l as usize].1 &= integral;
+        }
+        Ok(Arg::Numbers(tallies))
+    }
+}
+
 impl Groups {
-    /// No group yet, for `aggregates` aggregate specs; `global` ⇔ the
+    /// No group yet, for the aggregate calls `specs`; `global` ⇔ the
     /// statement has no GROUP BY.
-    pub(crate) fn new(aggregates: usize, global: bool) -> Self {
+    pub(crate) fn new(specs: &[Expr], global: bool) -> Self {
         Groups {
             index: HashMap::new(),
             groups: Vec::new(),
-            states: (0..aggregates).map(|_| Vec::new()).collect(),
+            states: specs.iter().map(|_| Vec::new()).collect(),
+            fresh: specs.iter().map(AggState::for_spec).collect(),
             global,
         }
     }
 
-    /// Adds rows `sel` of one batch: each row's group found through its
-    /// key's code — a group's first row creates it, as its representative
-    /// — then each aggregate's argument evaluated once for the batch and
-    /// added to the groups' states in row order.
-    pub(crate) fn push(
-        &mut self,
+    /// Rows `sel` of one batch ready to add: each row's group found
+    /// through its key's code, each group's key and first row taken, then
+    /// each aggregate's argument evaluated once for the batch.
+    pub(crate) fn prepare(
         k: &Kernels,
         by: &[Expr],
         specs: &[Expr],
         sel: &[u32],
-    ) -> Result<()> {
+    ) -> Result<GroupedRows> {
         let keys: Vec<Vector> = by.iter().map(|g| k.eval(g, sel)).collect::<Result<_>>()?;
         let (codes, card) = group_codes(&keys, sel);
-        let mut slots = vec![usize::MAX; card];
-        let mut ids = Vec::with_capacity(sel.len());
+        let mut local = vec![u32::MAX; card];
+        // Two codes may share a key (a dictionary may hold a value twice):
+        // the batch's groups are its distinct keys.
+        let mut by_key = HashMap::new();
+        let mut firsts = Vec::new();
+        let mut locals = Vec::with_capacity(sel.len());
         for (&i, &code) in sel.iter().zip(&codes) {
-            let slot = &mut slots[code as usize];
-            if *slot == usize::MAX {
+            let slot = &mut local[code as usize];
+            if *slot == u32::MAX {
                 let i = i as usize;
                 let key = GroupKey(keys.iter().map(|v| HashableValue(v.value(i))).collect());
-                *slot = *self.index.entry(key.clone()).or_insert_with(|| {
-                    for (states, spec) in self.states.iter_mut().zip(specs) {
-                        states.push(AggState::for_spec(spec));
-                    }
-                    self.groups.push((key, k.input.row(i)));
-                    self.groups.len() - 1
+                *slot = *by_key.entry(key.clone()).or_insert_with(|| {
+                    firsts.push((key, k.input.row(i)));
+                    firsts.len() as u32 - 1
                 });
             }
-            ids.push(*slot);
+            locals.push(*slot);
         }
-        for (states, spec) in self.states.iter_mut().zip(specs) {
-            let Expr::Function { args, wildcard, .. } = spec else {
+        let mut sizes = vec![0; firsts.len()];
+        for &l in &locals {
+            sizes[l as usize] += 1;
+        }
+        let summing = |spec: &&Expr| match spec {
+            Expr::Function { name, .. } => name == "sum" || name == "avg",
+            _ => false,
+        };
+        let width = specs.iter().filter(summing).count();
+        let mut numbers = vec![0.0; sel.len() * width];
+        let mut columns = 0..width;
+        let mut args = Vec::with_capacity(specs.len());
+        for spec in specs {
+            let Expr::Function {
+                name,
+                args: arg,
+                wildcard,
+            } = spec
+            else {
                 unreachable!("aggregate specs are function calls");
             };
-            let arg = match wildcard {
+            let v = match wildcard {
                 true => Vector::constant(Value::Bool(true)), // COUNT(*): every row counts.
-                false => k.eval(&args[0], sel)?,
+                false => k.eval(&arg[0], sel)?,
             };
-            AggState::add_rows(states, &arg, sel, &ids)?;
+            let groups = firsts.len();
+            args.push(match name.as_str() {
+                "count" => Arg::count(&v, sel, &locals, &sizes),
+                "sum" | "avg" => {
+                    let j = columns.next().expect("a column per SUM and AVG");
+                    let column = numbers.iter_mut().skip(j).step_by(width);
+                    Arg::numbers(name, &v, (sel, &locals), &sizes, column)?
+                }
+                _ => Arg::best(spec, &v, sel, &locals, groups),
+            });
         }
-        Ok(())
+        Ok(GroupedRows {
+            locals,
+            firsts,
+            args,
+            numbers,
+        })
+    }
+
+    /// Adds one batch's rows: a group's first row creates it, as its
+    /// representative; then each aggregate's argument goes into the
+    /// groups' states. SUM and AVG add their numbers in row order, all of
+    /// a row's at once, so that only the dependent adds stay serial.
+    pub(crate) fn absorb(&mut self, rows: GroupedRows) {
+        let ids: Vec<usize> = rows
+            .firsts
+            .into_iter()
+            .map(|(key, rep)| {
+                *self.index.entry(key.clone()).or_insert_with(|| {
+                    for (states, fresh) in self.states.iter_mut().zip(&self.fresh) {
+                        states.push(fresh.clone());
+                    }
+                    self.groups.push((key, rep));
+                    self.groups.len() - 1
+                })
+            })
+            .collect();
+        let mut summed = Vec::new();
+        for (states, arg) in self.states.iter_mut().zip(rows.args) {
+            let each = ids.iter().copied();
+            match arg {
+                Arg::Count(counts) => {
+                    for (g, n) in each.zip(counts) {
+                        let AggState::Count(count) = &mut states[g] else {
+                            unreachable!("only COUNT counts rows");
+                        };
+                        *count += n;
+                    }
+                }
+                Arg::Best(best) => {
+                    for (g, best) in each.zip(best) {
+                        if let AggState::Min(Some(v)) | AggState::Max(Some(v)) = best {
+                            states[g].add_value(v);
+                        }
+                    }
+                }
+                Arg::Numbers(tallies) => summed.push((states, tallies)),
+            }
+        }
+        let width = summed.len();
+        if width == 0 {
+            return;
+        }
+        // Group-major running sums, `sums[l * width + j]`.
+        let mut sums = vec![0.0; ids.len() * width];
+        for (j, (states, _)) in summed.iter().enumerate() {
+            for (l, &g) in ids.iter().enumerate() {
+                sums[l * width + j] = states[g].sum();
+            }
+        }
+        let locals = rows.locals.iter().map(|&l| l as usize);
+        if width == 1 {
+            // One sum: rows of a group often come in runs, so the running
+            // sum stays in a register until the group changes.
+            let mut run = (0, sums.first().copied().unwrap_or(0.0));
+            for (x, l) in rows.numbers.iter().zip(locals) {
+                if l != run.0 {
+                    sums[run.0] = run.1;
+                    run = (l, sums[l]);
+                }
+                run.1 += x;
+            }
+            if let Some(sum) = sums.get_mut(run.0) {
+                *sum = run.1;
+            }
+        } else {
+            for (xs, l) in rows.numbers.chunks_exact(width).zip(locals) {
+                let acc = &mut sums[l * width..][..width];
+                for (sum, x) in acc.iter_mut().zip(xs) {
+                    *sum += x;
+                }
+            }
+        }
+        for (j, (states, tallies)) in summed.into_iter().enumerate() {
+            for (l, (&g, tally)) in ids.iter().zip(tallies).enumerate() {
+                states[g].add_sum(sums[l * width + j], tally);
+            }
+        }
     }
 
     /// Each group's representative row and aggregate values (one per
     /// spec), ordered by key. A global aggregate over no row has one empty
     /// group, holding `counted` rows when batch cardinalities answered a
     /// counts-only statement.
-    pub(crate) fn finish(
-        mut self,
-        specs: &[Expr],
-        counted: Option<u64>,
-    ) -> Result<Vec<(Row, Vec<Value>)>> {
+    pub(crate) fn finish(mut self, counted: Option<u64>) -> Result<Vec<(Row, Vec<Value>)>> {
         if self.groups.is_empty() && self.global {
-            for (states, spec) in self.states.iter_mut().zip(specs) {
+            for (states, fresh) in self.states.iter_mut().zip(&self.fresh) {
                 states.push(match counted {
                     Some(n) => AggState::Count(n),
-                    None => AggState::for_spec(spec),
+                    None => fresh.clone(),
                 });
             }
             self.groups.push((GroupKey(Vec::new()), Vec::new()));
@@ -823,74 +1039,46 @@ impl AggState {
         }
     }
 
-    /// Adds the aggregate's argument `arg` at rows `sel` to the states of
-    /// their groups `ids`, in row order: SUM and AVG over a column of
-    /// numbers as one loop over its f64 slice, everything else through
-    /// [`AggState::add`].
-    fn add_rows(states: &mut [AggState], arg: &Vector, sel: &[u32], ids: &[usize]) -> Result<()> {
-        let mut rows = sel.iter().zip(ids).map(|(&i, &g)| (i as usize, g));
-        let summing = matches!(
-            states.first(),
-            Some(AggState::Sum { .. } | AggState::Avg { .. })
-        );
-        let Some((x, integral)) = arg.numbers().filter(|_| summing) else {
-            return rows.try_for_each(|(i, g)| states[g].add(arg, i));
-        };
-        let null = arg.mask();
-        for (i, g) in rows.filter(|&(i, _)| !null.is_some_and(|n| n[i])) {
-            states[g].add_number(x[i], integral);
-        }
-        Ok(())
-    }
-
-    /// Adds row `i` of `v`, the aggregate's argument, unless it is NULL.
-    fn add(&mut self, v: &Vector, i: usize) -> Result<()> {
-        if v.is_null(i) {
-            return Ok(());
-        }
+    /// Adds a value, not NULL, to a MIN or MAX state: it replaces the
+    /// current one only if strictly better, so the first of equals stays.
+    fn add_value(&mut self, v: Value) {
         let min = matches!(self, AggState::Min(_));
-        match self {
-            AggState::Count(n) => *n += 1,
-            AggState::Min(cur) | AggState::Max(cur) => {
-                let v = v.value(i);
-                let better = |c: &Value| match min {
-                    true => v.total_cmp(c).is_lt(),
-                    false => v.total_cmp(c).is_gt(),
-                };
-                if cur.as_ref().is_none_or(better) {
-                    *cur = Some(v);
-                }
-            }
-            AggState::Sum { .. } | AggState::Avg { .. } => {
-                let name = if matches!(self, AggState::Sum { .. }) {
-                    "SUM"
-                } else {
-                    "AVG"
-                };
-                let (x, integral) = v
-                    .number(i)
-                    .ok_or_else(|| Error::Plan(format!("{name} of {:?}", v.value(i))))?;
-                self.add_number(x, integral);
-            }
+        let (AggState::Min(cur) | AggState::Max(cur)) = self else {
+            unreachable!("only MIN and MAX add values");
+        };
+        let better = |c: &Value| match min {
+            true => v.total_cmp(c).is_lt(),
+            false => v.total_cmp(c).is_gt(),
+        };
+        if cur.as_ref().is_none_or(better) {
+            *cur = Some(v);
         }
-        Ok(())
     }
 
-    /// Adds a number to a SUM or AVG state; `integral` ⇔ it is a BIGINT.
-    fn add_number(&mut self, x: f64, integral: bool) {
+    /// A SUM's or AVG's running sum.
+    fn sum(&self) -> f64 {
+        match self {
+            AggState::Sum { sum, .. } | AggState::Avg { sum, .. } => *sum,
+            _ => 0.0,
+        }
+    }
+
+    /// Sets a SUM's or AVG's running sum to `sum`, which added `count`
+    /// more numbers, all BIGINTs iff `integral`.
+    fn add_sum(&mut self, sum: f64, (count, integral): (u64, bool)) {
         match self {
             AggState::Sum {
-                sum,
+                sum: s,
                 seen,
                 integral: all_integral,
             } => {
-                *sum += x;
-                *seen = true;
+                *s = sum;
+                *seen |= count > 0;
                 *all_integral &= integral;
             }
-            AggState::Avg { sum, count } => {
-                *sum += x;
-                *count += 1;
+            AggState::Avg { sum: s, count: n } => {
+                *s = sum;
+                *n += count;
             }
             _ => unreachable!("only SUM and AVG add numbers"),
         }

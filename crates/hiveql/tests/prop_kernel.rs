@@ -82,18 +82,29 @@ fn random_rows(rng: &mut Rng64, from: u64, n: u64) -> Vec<Row> {
 /// A dirty DualTable: files of a few stripes each, string overlays,
 /// updated numbers, deletes.
 fn dirty_table(rng: &mut Rng64) -> (DualTableEnv, DualTableStore) {
+    let n = 80 + rng.next_below(120);
+    dirty_table_of(rng, n, 100, 40)
+}
+
+/// A dirty table of `n` rows, `rows_per_file` to a master file and
+/// `stripe_rows` to a stripe, with overlays and delete markers.
+fn dirty_table_of(
+    rng: &mut Rng64,
+    n: u64,
+    rows_per_file: usize,
+    stripe_rows: usize,
+) -> (DualTableEnv, DualTableStore) {
     let env = DualTableEnv::in_memory();
     let config = DualTableConfig {
         writer: WriterOptions {
-            stripe_rows: 40,
+            stripe_rows,
             ..WriterOptions::default()
         },
-        rows_per_file: 100,
+        rows_per_file,
         plan_mode: PlanMode::AlwaysEdit,
         ..DualTableConfig::default()
     };
     let table = DualTableStore::create(&env, "k", schema(), config).unwrap();
-    let n = 80 + rng.next_below(120);
     table.insert_rows(random_rows(rng, 0, n)).unwrap();
     let salt = rng.next_below(4) as i64;
     let hit = move |r: &Row, m: i64| r[0].as_i64().is_some_and(|i| (i + salt).rem_euclid(m) == 0);
@@ -447,6 +458,39 @@ fn check_grouped(rng: &mut Rng64, session: &mut Session, rows: &[Row]) {
     }
 }
 
+/// The statements [`degrees_give_identical_results`] runs at degree 1 and
+/// 4: float SUM/AVG under GROUP BY, MIN/MAX of strings, and projections
+/// without ORDER BY, whose row order is the scan's.
+const DEGREE_QUERIES: [&str; 6] = [
+    "SELECT s, sum(f), avg(f), sum(i), avg(i), count(*) FROM k GROUP BY s",
+    "SELECT b, i % 3, sum(f * (1 - f)), avg(f + i), min(t), max(s) FROM k \
+     WHERE f < 0.5 OR s IS NULL GROUP BY b, i % 3",
+    "SELECT min(s), max(s), min(t), max(t), sum(f), count(f) FROM k",
+    "SELECT upper(s), max(t), sum(CASE WHEN b THEN f END) FROM k GROUP BY upper(s)",
+    "SELECT i, f, s, t FROM k WHERE i > 0",
+    "SELECT t, f * 2, d FROM k WHERE s LIKE '%a%' OR b",
+];
+
+/// Each of [`DEGREE_QUERIES`] at degree 1 and at degree 4, value for value
+/// and bit for bit.
+fn check_degrees(session: &mut Session) {
+    for sql in DEGREE_QUERIES {
+        let [one, four] = [1, 4].map(|degree| {
+            let r = dt_engine::with_degree(degree, || session.execute(sql));
+            r.unwrap().into_rows()
+        });
+        assert_eq!(one.len(), four.len(), "{sql}");
+        for (a, b) in one.iter().zip(&four) {
+            let equal = a.len() == b.len() && a.iter().zip(b).all(|(x, y)| same(x, y));
+            assert!(equal, "{sql}: degree 1 {a:?}, degree 4 {b:?}");
+        }
+    }
+}
+
+/// Statements run in flight narrow every other session's reads
+/// (`dt_engine::read_degree`): the tests that run SQL take turns.
+static SESSIONS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// One aggregate's running state, as the row path keeps it.
 enum State {
     Count(i64),
@@ -589,6 +633,7 @@ proptest! {
     /// GROUP BY over 0–2 keys with SUM/AVG/MIN/MAX/COUNT, bit for bit.
     #[test]
     fn grouped_aggregates_equal_a_fold_with_eval(seed in any::<u64>()) {
+        let _turn = SESSIONS.lock().unwrap_or_else(|e| e.into_inner());
         let mut rng = Rng64::new(seed);
         let (env, table) = dirty_table(&mut rng);
         let mut session = Session::with_shared(env, SharedCatalog::new());
@@ -597,5 +642,36 @@ proptest! {
         for _ in 0..30 {
             check_grouped(&mut rng, &mut session, &rows);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Over a multi-file dirty table large enough to fan out, SELECTs
+    /// give byte-identical results at degree 1 and 4 — outside a
+    /// transaction and inside one with buffered inserts, updates and
+    /// deletes.
+    #[test]
+    fn degrees_give_identical_results(seed in any::<u64>()) {
+        let _turn = SESSIONS.lock().unwrap_or_else(|e| e.into_inner());
+        let mut rng = Rng64::new(seed);
+        let n = 4200 + rng.next_below(1800);
+        let (env, table) = dirty_table_of(&mut rng, n, 1500, 500);
+        let mut session = Session::with_shared(env.clone(), SharedCatalog::new());
+        session.register_dualtable("k", table).unwrap();
+        check_degrees(&mut session);
+        session.execute("BEGIN").unwrap();
+        // Buffered inserts: a copy of every fifth row, NaNs and NULLs too.
+        session
+            .execute("INSERT INTO k SELECT i + 1000, f, d, b, s, t FROM k WHERE i % 5 = 0")
+            .unwrap();
+        session.execute("UPDATE k SET f = f / 3, s = 'beta' WHERE i % 4 = 1").unwrap();
+        session.execute("DELETE FROM k WHERE i % 9 = 2").unwrap();
+        check_degrees(&mut session);
+        session.execute("ROLLBACK").unwrap();
+        // The degree-4 runs fanned out, wherever a second core exists.
+        let fanned = env.health.snapshot().scans_parallel;
+        prop_assert!(fanned > 0 || dt_engine::cores() < 2);
     }
 }

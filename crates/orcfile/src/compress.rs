@@ -43,12 +43,20 @@ const SLACK: usize = 16;
 /// bytes (two varints and the offset) and a decode step, so a match of
 /// four saves nothing and one of five a byte; from six on it pays.
 const MIN_MATCH: usize = 6;
+/// The most bits of the match finder's hash table: 16k slots.
 const HASH_BITS: u32 = 14;
 const MAX_OFFSET: usize = 0xFFFF;
 
-fn hash4(data: &[u8], i: usize) -> usize {
+/// The bits of the hash table for a block of `len` bytes: about a slot per
+/// byte, at most [`HASH_BITS`], so a short stream fills a short table
+/// instead of a 16k-slot one.
+fn hash_bits(len: usize) -> u32 {
+    (usize::BITS - len.leading_zeros()).clamp(4, HASH_BITS)
+}
+
+fn hash4(data: &[u8], i: usize, bits: u32) -> usize {
     let v = u32::from_le_bytes([data[i], data[i + 1], data[i + 2], data[i + 3]]);
-    (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
+    (v.wrapping_mul(0x9E37_79B1) >> (32 - bits)) as usize
 }
 
 /// LZ payload grammar, repeated until input is exhausted:
@@ -56,14 +64,17 @@ fn hash4(data: &[u8], i: usize) -> usize {
 /// A `match_len` of 0 terminates (trailing literals only).
 fn lz_compress(data: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.len() / 2 + 16);
-    let mut table = vec![usize::MAX; 1 << HASH_BITS];
+    let bits = hash_bits(data.len());
+    let mut table = vec![u32::MAX; 1 << bits];
+    // Positions are `u32`s: past 4 GiB the rest is one literal run.
+    let searched = data.len().min(u32::MAX as usize);
     let mut i = 0usize;
     let mut lit_start = 0usize;
-    while i + MIN_MATCH <= data.len() {
-        let h = hash4(data, i);
-        let cand = table[h];
-        table[h] = i;
-        if cand != usize::MAX
+    while i + MIN_MATCH <= searched {
+        let h = hash4(data, i, bits);
+        let cand = table[h] as usize;
+        table[h] = i as u32;
+        if cand != u32::MAX as usize
             && i - cand <= MAX_OFFSET
             && data[cand..cand + MIN_MATCH] == data[i..i + MIN_MATCH]
         {
@@ -80,7 +91,7 @@ fn lz_compress(data: &[u8]) -> Vec<u8> {
             // Seed the table sparsely inside the match.
             let end = i + len;
             while i < end.min(data.len().saturating_sub(MIN_MATCH)) {
-                table[hash4(data, i)] = i;
+                table[hash4(data, i, bits)] = i as u32;
                 i += 2;
             }
             i = end;

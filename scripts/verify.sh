@@ -176,8 +176,11 @@ run_gate sharded-sql cargo test -q -p dt-hiveql --locked --test sharded_sql -- -
 # run SELECT and the DML locate against the row interpreter, on random
 # expressions over dirty DualTable batches (dictionary and direct strings,
 # appended dictionary entries, NULLs, selection vectors) — value for value,
-# error kind for error kind, and as WHERE clauses — and grouped aggregates
-# against a fold with the row interpreter, bit for bit.
+# error kind for error kind, and as WHERE clauses — grouped aggregates
+# against a fold with the row interpreter, bit for bit, and GROUP BY with
+# float SUM/AVG, MIN/MAX of strings and unordered projections byte for
+# byte at degree 1 and 4 over a multi-file dirty table, in and out of a
+# transaction with buffered writes (the degree-4 runs must fan out).
 run_gate kernel-oracle cargo test -q --release -p dt-hiveql --locked --test prop_kernel -- --nocapture
 
 # UNION READ oracle (DESIGN.md §18), in release: scans under a random
@@ -185,7 +188,9 @@ run_gate kernel-oracle cargo test -q --release -p dt-hiveql --locked --test prop
 # snapshot, as time travel, over three shards, and inside transactions
 # whose own patches and inserts ride on top — against the full scan of
 # the same epoch, projected and filtered. It is the differential check
-# on every attached scan UNION READ skips or bounds.
+# on every attached scan UNION READ skips or bounds. Beside it, the EDIT
+# locate at degree 1 and 4 (fanned out) on twin tables: the same reports,
+# presence index, rows under the same record IDs, and transaction scans.
 run_gate union-read cargo test -q --release -p dualtable --locked --test prop_union_read -- --nocapture
 
 # ORC codec oracle (DESIGN.md §1), in release: random schemas and rows
