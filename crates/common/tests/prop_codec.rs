@@ -1,7 +1,7 @@
 //! Property-based tests for the byte codecs in `dt-common`.
 
 use dt_common::codec::*;
-use dt_common::crc32::crc32;
+use dt_common::crc32::{crc32, Crc32};
 use dt_common::types::Value;
 use dt_common::RecordId;
 use proptest::prelude::*;
@@ -86,9 +86,110 @@ proptest! {
         prop_assert_ne!(crc32(&data), crc32(&mutated));
     }
 
+    /// `Crc32::update` over random cuts of random bytes at a random
+    /// alignment equals the bytewise reference over the whole.
+    #[test]
+    fn crc_update_over_any_cuts_equals_the_reference(
+        data in proptest::collection::vec(any::<u8>(), 0..4096),
+        cuts in proptest::collection::vec(any::<prop::sample::Index>(), 0..6),
+    ) {
+        let mut cuts: Vec<usize> = cuts.iter().map(|c| c.index(data.len() + 1)).collect();
+        cuts.sort_unstable();
+        let mut h = Crc32::new();
+        let mut from = 0;
+        for cut in cuts.into_iter().chain([data.len()]) {
+            h.update(&data[from..cut]);
+            from = cut;
+        }
+        prop_assert_eq!(h.finish(), reference_crc32(&data));
+    }
+
     #[test]
     fn decoder_never_panics_on_garbage(data in proptest::collection::vec(any::<u8>(), 0..64)) {
         // Must return Ok or Err, never panic or loop.
         let _ = decode_value(&data);
+    }
+}
+
+/// The CRC-32 register advanced over `data` one bit at a time, with no
+/// table: the reference the table-driven code must equal.
+fn reference_update(mut crc: u32, data: &[u8]) -> u32 {
+    for &b in data {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    crc
+}
+
+fn reference_crc32(data: &[u8]) -> u32 {
+    !reference_update(0xFFFF_FFFF, data)
+}
+
+/// Bytes from a fixed xorshift stream, so every length sees varied data.
+fn noise(len: usize) -> Vec<u8> {
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    (0..len)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 24) as u8
+        })
+        .collect()
+}
+
+/// Every length from 0 to 4,096 bytes at every start alignment of an
+/// 8-byte word: the slicing-by-8 CRC equals the bitwise reference.
+#[test]
+fn crc_equals_the_reference_at_every_length_and_alignment() {
+    let data = noise(4096 + 8);
+    for align in 0..8 {
+        let mut reg = 0xFFFF_FFFF;
+        for len in 0..=4096 {
+            if len > 0 {
+                reg = reference_update(reg, &data[align + len - 1..align + len]);
+            }
+            assert_eq!(
+                crc32(&data[align..align + len]),
+                !reg,
+                "align {align} len {len}"
+            );
+        }
+    }
+}
+
+/// Every split of a buffer into two `Crc32::update` calls, and every
+/// split into three of a shorter one, at every alignment, agrees with
+/// the one-shot value.
+#[test]
+fn crc_update_agrees_at_every_split() {
+    let data = noise(1024 + 8);
+    for align in 0..8 {
+        let buf = &data[align..align + 1024];
+        let whole = reference_crc32(buf);
+        assert_eq!(crc32(buf), whole);
+        for cut in 0..=buf.len() {
+            let mut h = Crc32::new();
+            h.update(&buf[..cut]);
+            h.update(&buf[cut..]);
+            assert_eq!(h.finish(), whole, "align {align} cut {cut}");
+        }
+        let short = &buf[..64];
+        let whole = reference_crc32(short);
+        for a in 0..=short.len() {
+            for b in a..=short.len() {
+                let mut h = Crc32::new();
+                h.update(&short[..a]);
+                h.update(&short[a..b]);
+                h.update(&short[b..]);
+                assert_eq!(h.finish(), whole, "align {align} cuts {a}, {b}");
+            }
+        }
     }
 }

@@ -2,7 +2,6 @@
 
 use std::collections::HashMap;
 use std::fs;
-use std::io::{Read, Seek, SeekFrom};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -21,11 +20,13 @@ pub struct BlockId(pub u64);
 /// checkpoints): named byte streams on the same substrate, so a faulty
 /// wrapper sees journal I/O exactly like block I/O.
 pub trait BlockStore: Send + Sync {
-    /// Stores `data` as a new block.
-    fn put(&self, data: &[u8]) -> Result<BlockId>;
+    /// Stores `data` as a new block. The buffer is handed over, not
+    /// copied: an in-memory store keeps it as the block, so every replica
+    /// put from one buffer shares it; a disk store writes it out.
+    fn put(&self, data: Arc<Vec<u8>>) -> Result<BlockId>;
 
-    /// Reads `buf.len()` bytes starting at `offset` within the block.
-    fn read_at(&self, id: BlockId, offset: u64, buf: &mut [u8]) -> Result<()>;
+    /// The whole block, as stored — the in-memory store's own buffer.
+    fn read_block(&self, id: BlockId) -> Result<Arc<Vec<u8>>>;
 
     /// Releases a block.
     fn delete(&self, id: BlockId) -> Result<()>;
@@ -79,31 +80,18 @@ impl MemBlockStore {
 }
 
 impl BlockStore for MemBlockStore {
-    fn put(&self, data: &[u8]) -> Result<BlockId> {
+    fn put(&self, data: Arc<Vec<u8>>) -> Result<BlockId> {
         let id = BlockId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        self.blocks.write().insert(id, Arc::new(data.to_vec()));
+        self.blocks.write().insert(id, data);
         Ok(id)
     }
 
-    fn read_at(&self, id: BlockId, offset: u64, buf: &mut [u8]) -> Result<()> {
-        let block = self
-            .blocks
+    fn read_block(&self, id: BlockId) -> Result<Arc<Vec<u8>>> {
+        self.blocks
             .read()
             .get(&id)
             .cloned()
-            .ok_or_else(|| Error::not_found(format!("block {id:?}")))?;
-        let start = offset as usize;
-        let end = start
-            .checked_add(buf.len())
-            .ok_or_else(|| Error::invalid("block read range overflow"))?;
-        if end > block.len() {
-            return Err(Error::invalid(format!(
-                "read [{start}, {end}) beyond block of {} bytes",
-                block.len()
-            )));
-        }
-        buf.copy_from_slice(&block[start..end]);
-        Ok(())
+            .ok_or_else(|| Error::not_found(format!("block {id:?}")))
     }
 
     fn delete(&self, id: BlockId) -> Result<()> {
@@ -179,19 +167,34 @@ impl DiskBlockStore {
     /// recovered namenode never sees its blocks overwritten.
     pub fn new(root: PathBuf) -> Result<Self> {
         fs::create_dir_all(&root)?;
-        let mut next_id = 0u64;
-        for entry in fs::read_dir(&root)? {
+        let store = DiskBlockStore {
+            root,
+            next_id: AtomicU64::new(0),
+        };
+        let next_id = store.block_ids()?.iter().map(|id| id.0 + 1).max();
+        store.next_id.store(next_id.unwrap_or(0), Ordering::Relaxed);
+        Ok(store)
+    }
+
+    /// Names of the entries under the root that start with `prefix`, the
+    /// prefix stripped, sorted.
+    fn names(&self, prefix: &str) -> Result<Vec<String>> {
+        let mut names = Vec::new();
+        for entry in fs::read_dir(&self.root)? {
             let name = entry?.file_name();
-            if let Some(hex) = name.to_str().and_then(|n| n.strip_prefix("blk_")) {
-                if let Ok(id) = u64::from_str_radix(hex, 16) {
-                    next_id = next_id.max(id + 1);
-                }
+            if let Some(name) = name.to_str().and_then(|n| n.strip_prefix(prefix)) {
+                names.push(name.to_string());
             }
         }
-        Ok(DiskBlockStore {
-            root,
-            next_id: AtomicU64::new(next_id),
-        })
+        names.sort();
+        Ok(names)
+    }
+
+    /// Ids of the stored blocks, in order: their names are fixed-width hex.
+    fn block_ids(&self) -> Result<Vec<BlockId>> {
+        let hex = self.names("blk_")?;
+        let ids = hex.iter().filter_map(|h| u64::from_str_radix(h, 16).ok());
+        Ok(ids.map(BlockId).collect())
     }
 
     fn path_of(&self, id: BlockId) -> PathBuf {
@@ -204,18 +207,16 @@ impl DiskBlockStore {
 }
 
 impl BlockStore for DiskBlockStore {
-    fn put(&self, data: &[u8]) -> Result<BlockId> {
+    fn put(&self, data: Arc<Vec<u8>>) -> Result<BlockId> {
         let id = BlockId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        fs::write(self.path_of(id), data)?;
+        fs::write(self.path_of(id), &*data)?;
         Ok(id)
     }
 
-    fn read_at(&self, id: BlockId, offset: u64, buf: &mut [u8]) -> Result<()> {
-        let mut f = fs::File::open(self.path_of(id))
-            .map_err(|_| Error::not_found(format!("block {id:?}")))?;
-        f.seek(SeekFrom::Start(offset))?;
-        f.read_exact(buf)?;
-        Ok(())
+    fn read_block(&self, id: BlockId) -> Result<Arc<Vec<u8>>> {
+        fs::read(self.path_of(id))
+            .map(Arc::new)
+            .map_err(|_| Error::not_found(format!("block {id:?}")))
     }
 
     fn delete(&self, id: BlockId) -> Result<()> {
@@ -252,39 +253,11 @@ impl BlockStore for DiskBlockStore {
     }
 
     fn meta_list(&self) -> Vec<String> {
-        let mut names = Vec::new();
-        if let Ok(entries) = fs::read_dir(&self.root) {
-            for entry in entries.flatten() {
-                if let Some(name) = entry
-                    .file_name()
-                    .to_str()
-                    .and_then(|n| n.strip_prefix("nn_"))
-                {
-                    names.push(name.to_string());
-                }
-            }
-        }
-        names.sort();
-        names
+        self.names("nn_").unwrap_or_default()
     }
 
     fn list_blocks(&self) -> Vec<BlockId> {
-        let mut ids = Vec::new();
-        if let Ok(entries) = fs::read_dir(&self.root) {
-            for entry in entries.flatten() {
-                if let Some(hex) = entry
-                    .file_name()
-                    .to_str()
-                    .and_then(|n| n.strip_prefix("blk_"))
-                {
-                    if let Ok(id) = u64::from_str_radix(hex, 16) {
-                        ids.push(BlockId(id));
-                    }
-                }
-            }
-        }
-        ids.sort();
-        ids
+        self.block_ids().unwrap_or_default()
     }
 }
 
@@ -292,32 +265,37 @@ impl BlockStore for DiskBlockStore {
 mod tests {
     use super::*;
 
+    fn block(bytes: &[u8]) -> Arc<Vec<u8>> {
+        Arc::new(bytes.to_vec())
+    }
+
     #[test]
     fn mem_store_roundtrip_and_delete() {
         let store = MemBlockStore::new();
-        let id = store.put(b"hello").unwrap();
-        let mut buf = vec![0u8; 3];
-        store.read_at(id, 1, &mut buf).unwrap();
-        assert_eq!(&buf, b"ell");
+        let id = store.put(block(b"hello")).unwrap();
+        assert_eq!(*store.read_block(id).unwrap(), b"hello");
         store.delete(id).unwrap();
-        assert!(store.read_at(id, 0, &mut buf).is_err());
+        assert!(store.read_block(id).is_err());
         assert_eq!(store.block_count(), 0);
     }
 
     #[test]
-    fn mem_store_rejects_out_of_range() {
+    fn mem_store_shares_one_buffer_across_puts() {
         let store = MemBlockStore::new();
-        let id = store.put(b"abc").unwrap();
-        let mut buf = vec![0u8; 4];
-        assert!(store.read_at(id, 0, &mut buf).is_err());
-        assert!(store.read_at(id, 3, &mut buf[..1]).is_err());
+        let data = block(b"replicated");
+        let a = store.put(data.clone()).unwrap();
+        let b = store.put(data.clone()).unwrap();
+        assert!(Arc::ptr_eq(&store.read_block(a).unwrap(), &data));
+        assert!(Arc::ptr_eq(&store.read_block(b).unwrap(), &data));
+        store.delete(a).unwrap();
+        assert_eq!(*store.read_block(b).unwrap(), b"replicated");
     }
 
     #[test]
     fn ids_are_unique() {
         let store = MemBlockStore::new();
-        let a = store.put(b"a").unwrap();
-        let b = store.put(b"b").unwrap();
+        let a = store.put(block(b"a")).unwrap();
+        let b = store.put(block(b"b")).unwrap();
         assert_ne!(a, b);
     }
 
@@ -363,14 +341,12 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         let a = {
             let store = DiskBlockStore::new(dir.clone()).unwrap();
-            store.put(b"first").unwrap()
+            store.put(block(b"first")).unwrap()
         };
         let store = DiskBlockStore::new(dir.clone()).unwrap();
-        let b = store.put(b"second").unwrap();
+        let b = store.put(block(b"second")).unwrap();
         assert!(b > a, "reopened store must not reuse live block ids");
-        let mut buf = vec![0u8; 5];
-        store.read_at(a, 0, &mut buf).unwrap();
-        assert_eq!(&buf, b"first");
+        assert_eq!(*store.read_block(a).unwrap(), b"first");
         assert_eq!(store.list_blocks(), vec![a, b]);
         let _ = fs::remove_dir_all(&dir);
     }

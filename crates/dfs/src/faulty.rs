@@ -31,7 +31,9 @@ impl FaultyBlockStore {
 }
 
 impl BlockStore for FaultyBlockStore {
-    fn put(&self, data: &[u8]) -> Result<BlockId> {
+    // Torn and corrupt faults mangle a private copy: the buffer handed in
+    // (or the one the store holds) may be every other replica's too.
+    fn put(&self, data: Arc<Vec<u8>>) -> Result<BlockId> {
         match self.plan.on_op(IoOp::Write) {
             None => self.inner.put(data),
             Some(FaultKind::TornWrite) => {
@@ -40,25 +42,25 @@ impl BlockStore for FaultyBlockStore {
                 // pipeline leaves behind. The orphan is invisible (no
                 // namenode reference) and only wastes space.
                 let keep = self.plan.torn_prefix_len(data.len());
-                let _ = self.inner.put(&data[..keep]);
+                let _ = self.inner.put(Arc::new(data[..keep].to_vec()));
                 Err(FaultPlan::error(FaultKind::TornWrite, "block put"))
             }
             Some(FaultKind::CorruptWrite) => {
                 let mut mangled = data.to_vec();
                 self.plan.mangle_byte(&mut mangled);
-                self.inner.put(&mangled)
+                self.inner.put(Arc::new(mangled))
             }
             Some(kind) => Err(FaultPlan::error(kind, "block put")),
         }
     }
 
-    fn read_at(&self, id: BlockId, offset: u64, buf: &mut [u8]) -> Result<()> {
+    fn read_block(&self, id: BlockId) -> Result<Arc<Vec<u8>>> {
         match self.plan.on_op(IoOp::Read) {
-            None => self.inner.read_at(id, offset, buf),
+            None => self.inner.read_block(id),
             Some(FaultKind::CorruptRead) => {
-                self.inner.read_at(id, offset, buf)?;
-                self.plan.mangle_byte(buf);
-                Ok(())
+                let mut mangled = self.inner.read_block(id)?.to_vec();
+                self.plan.mangle_byte(&mut mangled);
+                Ok(Arc::new(mangled))
             }
             Some(kind) => Err(FaultPlan::error(kind, "block read")),
         }
@@ -143,6 +145,10 @@ mod tests {
     use super::*;
     use crate::block_store::MemBlockStore;
 
+    fn block(bytes: &[u8]) -> Arc<Vec<u8>> {
+        Arc::new(bytes.to_vec())
+    }
+
     fn wrapped(plan: FaultPlan) -> (FaultyBlockStore, Arc<FaultPlan>) {
         let plan = Arc::new(plan);
         (
@@ -154,10 +160,8 @@ mod tests {
     #[test]
     fn disarmed_is_transparent() {
         let (store, plan) = wrapped(FaultPlan::none());
-        let id = store.put(b"payload").unwrap();
-        let mut buf = vec![0u8; 7];
-        store.read_at(id, 0, &mut buf).unwrap();
-        assert_eq!(&buf, b"payload");
+        let id = store.put(block(b"payload")).unwrap();
+        assert_eq!(*store.read_block(id).unwrap(), b"payload");
         store.delete(id).unwrap();
         assert_eq!(plan.injected_count(), 0);
     }
@@ -167,43 +171,39 @@ mod tests {
         let inner = Arc::new(MemBlockStore::new());
         let plan = Arc::new(FaultPlan::new(3).fail_at(1, FaultKind::WriteError));
         let store = FaultyBlockStore::new(inner.clone(), plan);
-        assert!(store.put(b"x").unwrap_err().is_injected());
+        assert!(store.put(block(b"x")).unwrap_err().is_injected());
         assert_eq!(inner.block_count(), 0);
         // The next put proceeds normally.
-        store.put(b"x").unwrap();
+        store.put(block(b"x")).unwrap();
         assert_eq!(inner.block_count(), 1);
     }
 
     #[test]
     fn corrupt_read_flips_one_byte() {
         let (store, plan) = wrapped(FaultPlan::new(5).fail_at(2, FaultKind::CorruptRead));
-        let id = store.put(b"0123456789").unwrap();
-        let mut bad = vec![0u8; 10];
-        store.read_at(id, 0, &mut bad).unwrap();
+        let id = store.put(block(b"0123456789")).unwrap();
+        let bad = store.read_block(id).unwrap();
         assert_eq!(plan.injected_count(), 1);
         let diffs = b"0123456789"
             .iter()
-            .zip(&bad)
+            .zip(bad.iter())
             .filter(|(a, b)| a != b)
             .count();
         assert_eq!(diffs, 1);
-        // Subsequent reads are clean again.
-        let mut good = vec![0u8; 10];
-        store.read_at(id, 0, &mut good).unwrap();
-        assert_eq!(&good, b"0123456789");
+        // The stored block is untouched: subsequent reads are clean again.
+        assert_eq!(*store.read_block(id).unwrap(), b"0123456789");
     }
 
     #[test]
     fn torn_write_crashes_and_sticks() {
         let plan = Arc::new(FaultPlan::new(7).fail_at(1, FaultKind::TornWrite));
         let store = FaultyBlockStore::new(Arc::new(MemBlockStore::new()), plan.clone());
-        assert!(store.put(b"doomed block").unwrap_err().is_injected());
+        assert!(store.put(block(b"doomed block")).unwrap_err().is_injected());
         assert!(plan.is_crashed());
         // Everything fails until heal().
-        assert!(store.put(b"next").is_err());
-        let mut buf = [0u8; 1];
-        assert!(store.read_at(BlockId(0), 0, &mut buf).is_err());
+        assert!(store.put(block(b"next")).is_err());
+        assert!(store.read_block(BlockId(0)).is_err());
         plan.heal();
-        store.put(b"after recovery").unwrap();
+        store.put(block(b"after recovery")).unwrap();
     }
 }

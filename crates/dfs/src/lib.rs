@@ -293,6 +293,18 @@ impl Dfs {
         w.close()
     }
 
+    /// Creates `to` as a copy of the closed file `from`. Each block of
+    /// `from` is fetched as a read fetches it — from the block cache, or
+    /// from the first replica that verifies — and placed under new
+    /// replica ids with the checksum already recorded for it, so the copy
+    /// costs no checksum pass (and, in memory, no byte copy).
+    pub fn copy_file(&self, from: &str, to: &str) -> Result<()> {
+        let mut src = self.open(from)?;
+        let mut dst = self.create(to)?;
+        src.copy_to(&mut dst)?;
+        dst.close()
+    }
+
     /// Integrity audit in the spirit of `hdfs fsck`: re-reads every
     /// replica of every block of every closed file and verifies its
     /// stored CRC-32.
@@ -310,14 +322,14 @@ impl Dfs {
             let mut file_under = false;
             for group in &meta.blocks {
                 report.blocks += 1;
-                let mut healthy = 0usize;
-                for replica in &group.replicas {
-                    let mut buf = vec![0u8; group.len as usize];
-                    match self.inner.blocks.read_at(*replica, 0, &mut buf) {
-                        Ok(()) if dt_common::crc32::crc32(&buf) == group.crc => healthy += 1,
-                        _ => {}
-                    }
-                }
+                let healthy = group
+                    .replicas
+                    .iter()
+                    .filter(|r| {
+                        let block = self.inner.blocks.read_block(**r);
+                        block.is_ok_and(|b| group.holds(&b))
+                    })
+                    .count();
                 if healthy == 0 {
                     file_corrupt = true;
                 } else if healthy < group.replicas.len() {
@@ -359,15 +371,14 @@ impl Dfs {
             let mut changed = false;
             let mut unrecoverable = false;
             for group in &mut meta.blocks {
-                let mut healthy_bytes: Option<Vec<u8>> = None;
+                let mut healthy_bytes = None;
                 let mut good = Vec::new();
                 let mut bad = Vec::new();
                 for replica in &group.replicas {
-                    let mut buf = vec![0u8; group.len as usize];
-                    match self.inner.blocks.read_at(*replica, 0, &mut buf) {
-                        Ok(()) if dt_common::crc32::crc32(&buf) == group.crc => {
+                    match self.inner.blocks.read_block(*replica) {
+                        Ok(block) if group.holds(&block) => {
                             good.push(*replica);
-                            healthy_bytes.get_or_insert(buf);
+                            healthy_bytes.get_or_insert(block);
                         }
                         _ => bad.push(*replica),
                     }
@@ -384,7 +395,7 @@ impl Dfs {
                     let _ = self.inner.blocks.delete(dead);
                 }
                 while good.len() < target {
-                    let id = self.inner.blocks.put(&bytes)?;
+                    let id = self.inner.blocks.put(bytes.clone())?;
                     self.inner.stats.bytes_written.add(group.len);
                     self.inner.stats.write_ops.inc();
                     good.push(id);
@@ -630,6 +641,34 @@ mod tests {
         let dfs = Dfs::in_memory(cfg);
         dfs.write_file("/r", &[0u8; 100]).unwrap();
         assert_eq!(dfs.stats().snapshot().bytes_written, 300);
+    }
+
+    /// Every replica of a block group, and every replica of a copy of
+    /// it, is the one buffer the writer filled; the copy carries the
+    /// source's lengths and checksums under replica ids of its own.
+    #[test]
+    fn replicas_and_copies_share_the_written_buffer() {
+        let store = Arc::new(MemBlockStore::new());
+        let cfg = DfsConfig {
+            chunk_size: 16,
+            replication: 2,
+            ..DfsConfig::default()
+        };
+        let dfs = Dfs::with_block_store(store.clone(), cfg).unwrap();
+        dfs.write_file("/a", &(0..40u8).collect::<Vec<_>>())
+            .unwrap();
+        dfs.copy_file("/a", "/b").unwrap();
+        let a = dfs.inner.namenode.get_closed("/a").unwrap();
+        let b = dfs.inner.namenode.get_closed("/b").unwrap();
+        assert_eq!((a.len, a.blocks.len()), (b.len, b.blocks.len()));
+        for (ga, gb) in a.blocks.iter().zip(&b.blocks) {
+            assert_eq!((ga.len, ga.crc), (gb.len, gb.crc));
+            assert!(gb.replicas.iter().all(|r| !ga.replicas.contains(r)));
+            let written = store.read_block(ga.replicas[0]).unwrap();
+            for replica in ga.replicas.iter().chain(&gb.replicas) {
+                assert!(Arc::ptr_eq(&store.read_block(*replica).unwrap(), &written));
+            }
+        }
     }
 
     #[test]

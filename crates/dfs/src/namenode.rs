@@ -27,6 +27,15 @@ pub(crate) struct BlockGroup {
     pub crc: u32,
 }
 
+impl BlockGroup {
+    /// `true` iff `block` is an intact replica of this group. The length
+    /// is checked before the checksum: a replica cut short or grown past
+    /// the group's length is corrupt whatever its bytes.
+    pub fn holds(&self, block: &[u8]) -> bool {
+        block.len() as u64 == self.len && dt_common::crc32::crc32(block) == self.crc
+    }
+}
+
 /// Metadata of one file: ordered block groups plus total length.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct FileMeta {

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use dt_common::{Error, Result};
 
 use crate::namenode::FileMeta;
-use crate::DfsInner;
+use crate::{DfsInner, DfsWriter};
 
 /// Reader over one closed (immutable) file.
 ///
@@ -81,7 +81,8 @@ impl DfsReader {
                 let to = end.min(block_end);
                 let within = (from - block_start) as usize;
                 let n = (to - from) as usize;
-                self.read_group(gi, within, &mut buf[filled..filled + n])?;
+                let block = self.block(gi)?;
+                buf[filled..filled + n].copy_from_slice(&block[within..within + n]);
                 filled += n;
             }
             block_start = block_end;
@@ -90,28 +91,33 @@ impl DfsReader {
         Ok(())
     }
 
-    /// Serves `buf` from offset `within` of block group `gi`, out of a
-    /// checksum-verified block copy.
+    /// Block group `gi`, verified, pinned as the last block served.
+    pub(crate) fn block(&mut self, gi: usize) -> Result<&Arc<Vec<u8>>> {
+        if self
+            .verified
+            .as_ref()
+            .is_none_or(|(pinned, _)| *pinned != gi)
+        {
+            let block = self.fetch(gi)?;
+            self.verified = Some((gi, block));
+        }
+        Ok(&self.verified.as_ref().expect("pinned above").1)
+    }
+
+    /// Block group `gi` from the shared cache, or else from the first
+    /// replica that verifies, which the cache then shares as it is.
     ///
     /// Replicas are tried in placement order, like an HDFS client walking
     /// the datanode list. Per replica: transient failures are retried
     /// under the configured [`RetryPolicy`](dt_common::RetryPolicy)
     /// (a healthy copy behind a brief outage should not be condemned);
-    /// a permanent failure or CRC mismatch quarantines the replica in the
-    /// namenode and fails the read over to the next one. Only when every
-    /// replica is exhausted does the read fail.
-    fn read_group(&mut self, gi: usize, within: usize, buf: &mut [u8]) -> Result<()> {
-        if let Some((cached_gi, block)) = &self.verified {
-            if *cached_gi == gi {
-                buf.copy_from_slice(&block[within..within + buf.len()]);
-                return Ok(());
-            }
-        }
+    /// a permanent failure, a wrong length or a CRC mismatch quarantines
+    /// the replica in the namenode and fails the read over to the next
+    /// one. Only when every replica is exhausted does the read fail.
+    fn fetch(&mut self, gi: usize) -> Result<Arc<Vec<u8>>> {
         if let Some(block) = self.inner.cache().get(&self.path, gi) {
             self.inner.stats().cache_hits.inc();
-            buf.copy_from_slice(&block[within..within + buf.len()]);
-            self.verified = Some((gi, block));
-            return Ok(());
+            return Ok(block);
         }
         let group = self.meta.blocks[gi].clone();
         let inner = self.inner.clone();
@@ -121,25 +127,18 @@ impl DfsReader {
             if attempt > 0 {
                 inner.stats().failovers.inc();
             }
-            let fetched = policy.run(&inner.stats().retry, || {
-                let mut block = vec![0u8; group.len as usize];
-                inner.blocks().read_at(*replica, 0, &mut block)?;
-                Ok(block)
-            });
+            let fetched = policy.run(&inner.stats().retry, || inner.blocks().read_block(*replica));
             match fetched {
-                Ok(block) if dt_common::crc32::crc32(&block) == group.crc => {
-                    buf.copy_from_slice(&block[within..within + buf.len()]);
-                    let block = Arc::new(block);
+                Ok(block) if group.holds(&block) => {
                     inner.stats().cache_misses.inc();
                     let evicted = inner.cache().insert(&self.path, gi, block.clone());
                     inner.stats().cache_evictions.add(evicted);
-                    self.verified = Some((gi, block));
-                    return Ok(());
+                    return Ok(block);
                 }
                 Ok(_) => {
                     self.quarantine(gi, *replica);
                     last_err = Some(Error::corrupt(format!(
-                        "replica {replica:?} of block {gi} of '{}' failed checksum",
+                        "replica {replica:?} of block {gi} of '{}' failed verification",
                         self.path
                     )));
                 }
@@ -150,6 +149,18 @@ impl DfsReader {
             }
         }
         Err(last_err.unwrap_or_else(|| Error::internal("block group with zero replicas")))
+    }
+
+    /// Appends every block of this file, verified, to `dst` as its next
+    /// block group, under the checksum already recorded for it.
+    pub(crate) fn copy_to(&mut self, dst: &mut DfsWriter) -> Result<()> {
+        self.inner.stats().bytes_read.add(self.meta.len);
+        self.inner.stats().read_ops.inc();
+        for gi in 0..self.meta.blocks.len() {
+            let crc = self.meta.blocks[gi].crc;
+            dst.place(self.block(gi)?.clone(), crc)?;
+        }
+        Ok(())
     }
 
     /// Reports a bad replica to the namenode and drops it from this

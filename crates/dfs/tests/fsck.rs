@@ -1,11 +1,13 @@
 //! Integrity audit: fsck must pass on healthy data, flag corrupted,
 //! missing and under-replicated blocks, and repair must restore the
-//! full-replication invariant whenever one healthy replica survives.
+//! full-replication invariant whenever one healthy replica survives. A
+//! fault on one replica never reaches the buffer the others share, and a
+//! file copy verifies under the checksums it carries over.
 
 use std::sync::Arc;
 
 use dt_common::fault::{FaultKind, FaultPlan};
-use dt_dfs::{BlockId, BlockStore, Dfs, DfsConfig, MemBlockStore};
+use dt_dfs::{BlockId, BlockStore, Dfs, DfsConfig, FaultyBlockStore, MemBlockStore};
 
 #[test]
 fn fsck_passes_on_healthy_filesystem() {
@@ -151,4 +153,90 @@ fn repair_reports_unrecoverable_when_no_replica_survives() {
     assert!(dfs.exists("/gone"));
     assert_eq!(dfs.read_to_vec("/fine").unwrap(), vec![4u8; 10]);
     assert!(!dfs.fsck().unwrap().healthy());
+}
+
+fn three_way_over(store: Arc<dyn BlockStore>) -> Dfs {
+    let cfg = DfsConfig {
+        chunk_size: 64,
+        replication: 3,
+        ..DfsConfig::default()
+    };
+    Dfs::with_block_store(store, cfg).unwrap()
+}
+
+/// Every replica of a block group is put from one shared buffer. A
+/// `CorruptWrite` on placement `k` mangles a copy of its own: the other
+/// replicas keep the written bytes, and fsck calls the file
+/// under-replicated, not corrupt.
+#[test]
+fn corrupt_write_on_one_placement_leaves_the_other_replicas_intact() {
+    for k in 0..3u64 {
+        let mem = Arc::new(MemBlockStore::new());
+        // Op 1 is the BeginCreate edit-log append; op 2 + k the k-th put.
+        let plan = Arc::new(FaultPlan::new(43).fail_at(2 + k, FaultKind::CorruptWrite));
+        let dfs = three_way_over(Arc::new(FaultyBlockStore::new(mem.clone(), plan.clone())));
+        let payload: Vec<u8> = (0..48u8).collect();
+        dfs.write_file("/f", &payload).unwrap();
+        plan.set_armed(false);
+        assert_eq!(plan.injected_count(), 1, "k={k}");
+
+        // Block ids are handed out in placement order.
+        let intact: Vec<bool> = mem
+            .list_blocks()
+            .into_iter()
+            .map(|id| *mem.read_block(id).unwrap() == payload)
+            .collect();
+        let want: Vec<bool> = (0..3).map(|i| i != k).collect();
+        assert_eq!(intact, want, "k={k}");
+
+        let report = dfs.fsck().unwrap();
+        assert_eq!(report.under_replicated, vec!["/f".to_string()], "k={k}");
+        assert!(report.corrupt.is_empty(), "k={k}");
+        assert_eq!(dfs.read_to_vec("/f").unwrap(), payload, "k={k}");
+    }
+}
+
+/// A copy keeps the source's checksums, so it verifies; it owns its
+/// replicas, so it outlives the source.
+#[test]
+fn copy_file_verifies_and_outlives_its_source() {
+    let store = Arc::new(MemBlockStore::new());
+    let dfs = Dfs::with_block_store(store.clone(), DfsConfig::small_chunks(16)).unwrap();
+    let payload: Vec<u8> = (0..100u8).collect();
+    dfs.write_file("/src", &payload).unwrap();
+    let before = dfs.stats().snapshot();
+    dfs.copy_file("/src", "/dst").unwrap();
+    let copied = dfs.stats().snapshot().since(&before);
+    assert_eq!(copied.bytes_written, 100, "one replica per block written");
+    assert!(dfs.copy_file("/src", "/dst").is_err(), "write-once");
+    assert!(dfs.copy_file("/missing", "/other").is_err());
+    assert!(!dfs.exists("/other"));
+
+    dfs.delete("/src").unwrap();
+    assert_eq!(dfs.read_to_vec("/dst").unwrap(), payload);
+    let report = dfs.fsck().unwrap();
+    assert!(report.healthy(), "{report:?}");
+    assert_eq!(report.blocks, 7);
+    assert_eq!(report.orphan_blocks, 0);
+    assert_eq!(store.block_count(), 7);
+}
+
+/// A copy fetches its source as a read does: a corrupt source replica is
+/// skipped (and quarantined), and every replica of the copy is healthy.
+#[test]
+fn copy_file_skips_a_corrupt_source_replica() {
+    let mem = Arc::new(MemBlockStore::new());
+    let plan = Arc::new(FaultPlan::new(47).fail_at(2, FaultKind::CorruptWrite));
+    let dfs = three_way_over(Arc::new(FaultyBlockStore::new(mem.clone(), plan.clone())));
+    let payload = vec![0x5Au8; 40];
+    dfs.write_file("/src", &payload).unwrap();
+    plan.set_armed(false);
+    assert_eq!(plan.injected_count(), 1);
+
+    dfs.copy_file("/src", "/dst").unwrap();
+    assert_eq!(dfs.stats().snapshot().quarantined_replicas, 1);
+    dfs.delete("/src").unwrap();
+    let report = dfs.fsck().unwrap();
+    assert!(report.healthy(), "{report:?}");
+    assert_eq!(dfs.read_to_vec("/dst").unwrap(), payload);
 }

@@ -10,7 +10,8 @@
 //!   nothing changed is *carried* — its stored stream copied, never
 //!   decoded. A stripe that lost a row or is short is re-encoded whole and
 //!   coalesces with its neighbours. Files outside the fold set are carried
-//!   by byte copy under their own IDs.
+//!   whole under their own IDs by [`dt_dfs::Dfs::copy_file`], which places
+//!   their verified blocks again without re-checksumming them.
 //! * The swing is an action of the one commit ([`crate::commit`]), which
 //!   puts the generation pointer; [`DualTableStore::stamp_swing`] records
 //!   it under the MVCC mutex and [`DualTableStore::clean_after_swing`]
@@ -238,7 +239,7 @@ impl DualTableStore {
     }
 
     /// Builds generation `next` from the source epoch `(gen, at_ts)`:
-    /// files outside `fold` are byte-copied under their own IDs, and
+    /// files outside `fold` are copied whole under their own IDs, and
     /// `rows` are cut into contiguous partitions — whole output files of a
     /// materialised set, whole source files of a merge — one per worker of
     /// the statement's granted [`dt_engine::degree`] (an incremental fold
@@ -259,15 +260,10 @@ impl DualTableStore {
         let mut workers = dt_engine::degree();
         if let Retire::Files(picked) = fold {
             for &file_id in files.iter().filter(|id| picked.binary_search(id).is_err()) {
-                let bytes = self
-                    .inner
-                    .env
-                    .dfs
-                    .read_to_vec(&self.file_path_at(gen, file_id))?;
-                self.inner
-                    .env
-                    .dfs
-                    .write_file(&self.file_path_at(next, file_id), &bytes)?;
+                self.inner.env.dfs.copy_file(
+                    &self.file_path_at(gen, file_id),
+                    &self.file_path_at(next, file_id),
+                )?;
                 total.written += self.open_master(gen, file_id)?.num_rows();
             }
             files.retain(|id| picked.binary_search(id).is_ok());

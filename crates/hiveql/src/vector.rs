@@ -193,15 +193,19 @@ impl<'a> Vector<'a> {
     }
 
     /// Row `i`, not NULL, as SUM and AVG add it: its value widened to f64
-    /// and whether it is a BIGINT; `None` for a value that is no number.
-    pub(crate) fn number(&self, i: usize) -> Option<(f64, bool)> {
+    /// and, if it is a BIGINT, that; `None` for a value that is no number.
+    pub(crate) fn number(&self, i: usize) -> Option<(f64, Option<i64>)> {
         match &self.data {
-            Data::I64(v) => Some((v[i] as f64, true)),
-            Data::F64(v) => Some((v[i], false)),
-            Data::Date(v) => Some((f64::from(v[i]), false)),
+            Data::I64(v) => Some((v[i] as f64, Some(v[i]))),
+            Data::F64(v) => Some((v[i], None)),
+            Data::Date(v) => Some((f64::from(v[i]), None)),
             Data::Const(_) | Data::Any(_) => {
                 let v = self.value(i);
-                v.as_f64().map(|x| (x, matches!(v, Value::Int64(_))))
+                let int = match v {
+                    Value::Int64(n) => Some(n),
+                    _ => None,
+                };
+                v.as_f64().map(|x| (x, int))
             }
             Data::Bool(_) | Data::Dict(..) | Data::Direct(_) => None,
         }
@@ -230,11 +234,11 @@ impl<'a> Vector<'a> {
         }
     }
 
-    /// A column of numbers as SUM and AVG add them — widened to f64, and
-    /// whether they are BIGINTs — or `None` for anything else.
-    pub(crate) fn numbers(&self) -> Option<(Cow<'_, [f64]>, bool)> {
+    /// A column of numbers as SUM and AVG add them, widened to f64, or
+    /// `None` for anything else.
+    pub(crate) fn numbers(&self) -> Option<Cow<'_, [f64]>> {
         match self.f64s()? {
-            Operand::Slice(x) => Some((x, matches!(self.data, Data::I64(_)))),
+            Operand::Slice(x) => Some(x),
             Operand::Scalar(_) => None,
         }
     }
@@ -722,15 +726,15 @@ pub(crate) struct GroupedRows {
 }
 
 /// One aggregate's argument over a batch. What is exact in any order —
-/// counts, the BIGINT flag, MIN and MAX — is already reduced per group
-/// within the batch.
+/// counts, BIGINT sums, MIN and MAX — is already reduced per group within
+/// the batch.
 enum Arg {
     /// COUNT: per group, the rows whose argument is not NULL.
     Count(Vec<u64>),
-    /// SUM, AVG: per group, how many numbers are not NULL and whether all
-    /// of those are BIGINTs. The numbers are a column of
-    /// [`GroupedRows::numbers`].
-    Numbers(Vec<(u64, bool)>),
+    /// SUM, AVG: per group, how many numbers are not NULL and, while all
+    /// of those are BIGINTs, their exact sum. The numbers, widened to f64,
+    /// are a column of [`GroupedRows::numbers`].
+    Numbers(Vec<(u64, Option<i128>)>),
     /// MIN, MAX: per group, the batch's best value, the first of equals.
     Best(Vec<AggState>),
 }
@@ -785,25 +789,39 @@ impl Arg {
     ) -> Result<Arg> {
         let rows = sel.iter().map(|&i| i as usize).zip(column);
         let typed = v.numbers();
-        if let (Some((x, integral)), None) = (&typed, v.mask()) {
+        let ints = match v.i64s() {
+            Some(Operand::Slice(ints)) => Some(ints),
+            _ => None,
+        };
+        if let (Some(x), None) = (&typed, v.mask()) {
             for (i, slot) in rows {
                 *slot = x[i];
             }
-            return Ok(Arg::Numbers(
-                sizes.iter().map(|&n| (n, *integral)).collect(),
-            ));
+            let mut tallies: Vec<_> = sizes
+                .iter()
+                .map(|&n| (n, ints.is_some().then_some(0)))
+                .collect();
+            if let Some(ints) = ints {
+                for (&i, &l) in sel.iter().zip(locals) {
+                    if let Some(sum) = &mut tallies[l as usize].1 {
+                        *sum += i128::from(ints[i as usize]);
+                    }
+                }
+            }
+            return Ok(Arg::Numbers(tallies));
         }
-        let mut tallies = vec![(0, true); sizes.len()];
+        let mut tallies = vec![(0, Some(0)); sizes.len()];
         for ((i, slot), &l) in rows.zip(locals).filter(|((i, _), _)| !v.is_null(*i)) {
-            let (x, integral) = match &typed {
-                Some((x, integral)) => (x[i], *integral),
-                None => v.number(i).ok_or_else(|| {
+            let (x, int) = match (&typed, &ints) {
+                (Some(x), ints) => (x[i], ints.as_ref().map(|ints| ints[i])),
+                (None, _) => v.number(i).ok_or_else(|| {
                     Error::Plan(format!("{} of {:?}", name.to_uppercase(), v.value(i)))
                 })?,
             };
             *slot = x;
-            tallies[l as usize].0 += 1;
-            tallies[l as usize].1 &= integral;
+            let (count, sum) = &mut tallies[l as usize];
+            *count += 1;
+            *sum = sum.zip(int).map(|(sum, n)| sum + i128::from(n));
         }
         Ok(Arg::Numbers(tallies))
     }
@@ -1007,14 +1025,16 @@ impl Groups {
 #[derive(Debug, Clone)]
 enum AggState {
     Count(u64),
+    /// `ints` is the exact sum while every number added is a BIGINT.
     Sum {
         sum: f64,
         seen: bool,
-        integral: bool,
+        ints: Option<i128>,
     },
     Avg {
         sum: f64,
         count: u64,
+        ints: Option<i128>,
     },
     Min(Option<Value>),
     Max(Option<Value>),
@@ -1030,9 +1050,13 @@ impl AggState {
             "sum" => AggState::Sum {
                 sum: 0.0,
                 seen: false,
-                integral: true,
+                ints: Some(0),
             },
-            "avg" => AggState::Avg { sum: 0.0, count: 0 },
+            "avg" => AggState::Avg {
+                sum: 0.0,
+                count: 0,
+                ints: Some(0),
+            },
             "min" => AggState::Min(None),
             "max" => AggState::Max(None),
             other => unreachable!("not an aggregate: {other}"),
@@ -1064,21 +1088,23 @@ impl AggState {
     }
 
     /// Sets a SUM's or AVG's running sum to `sum`, which added `count`
-    /// more numbers, all BIGINTs iff `integral`.
-    fn add_sum(&mut self, sum: f64, (count, integral): (u64, bool)) {
+    /// more numbers, of exact sum `added` if all are BIGINTs.
+    fn add_sum(&mut self, sum: f64, (count, added): (u64, Option<i128>)) {
+        let exact = |ints: Option<i128>| ints.zip(added).map(|(a, b)| a + b);
         match self {
-            AggState::Sum {
-                sum: s,
-                seen,
-                integral: all_integral,
-            } => {
+            AggState::Sum { sum: s, seen, ints } => {
                 *s = sum;
                 *seen |= count > 0;
-                *all_integral &= integral;
+                *ints = exact(*ints);
             }
-            AggState::Avg { sum: s, count: n } => {
+            AggState::Avg {
+                sum: s,
+                count: n,
+                ints,
+            } => {
                 *s = sum;
                 *n += count;
+                *ints = exact(*ints);
             }
             _ => unreachable!("only SUM and AVG add numbers"),
         }
@@ -1088,26 +1114,20 @@ impl AggState {
     fn finish(&self) -> Result<Value> {
         Ok(match self {
             AggState::Count(n) => Value::Int64(*n as i64),
+            AggState::Sum { seen: false, .. } => Value::Null,
             AggState::Sum {
-                sum,
-                seen,
-                integral,
-            } => {
-                if !seen {
-                    Value::Null
-                } else if *integral {
-                    Value::Int64(*sum as i64)
-                } else {
-                    Value::Float64(*sum)
-                }
-            }
-            AggState::Avg { sum, count } => {
-                if *count == 0 {
-                    Value::Null
-                } else {
-                    Value::Float64(sum / *count as f64)
-                }
-            }
+                ints: Some(ints), ..
+            } => Value::Int64(
+                i64::try_from(*ints).map_err(|_| Error::Plan("SUM overflows BIGINT".into()))?,
+            ),
+            AggState::Sum { sum, .. } => Value::Float64(*sum),
+            AggState::Avg { count: 0, .. } => Value::Null,
+            AggState::Avg {
+                ints: Some(ints),
+                count,
+                ..
+            } => Value::Float64(*ints as f64 / *count as f64),
+            AggState::Avg { sum, count, .. } => Value::Float64(sum / *count as f64),
             AggState::Min(v) | AggState::Max(v) => v.clone().unwrap_or(Value::Null),
         })
     }

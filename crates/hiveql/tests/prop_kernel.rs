@@ -491,11 +491,13 @@ fn check_degrees(session: &mut Session) {
 /// (`dt_engine::read_degree`): the tests that run SQL take turns.
 static SESSIONS: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-/// One aggregate's running state, as the row path keeps it.
+/// One aggregate's running state, as the row path keeps it. A SUM or AVG
+/// keeps its float sum in row order and, while every number is a BIGINT,
+/// the exact sum.
 enum State {
     Count(i64),
-    Sum(f64, bool, bool),
-    Avg(f64, u64),
+    Sum(f64, bool, Option<i128>),
+    Avg(f64, u64, Option<i128>),
     Min(Option<Value>),
     Max(Option<Value>),
 }
@@ -551,14 +553,15 @@ fn fold(sql: &str, rows: &[Row]) -> Option<Vec<Row>> {
             }
             match state {
                 State::Count(n) => *n += 1,
-                State::Sum(sum, seen, integral) => {
+                State::Sum(sum, seen, ints) => {
                     *sum += v.as_f64()?;
                     *seen = true;
-                    *integral &= matches!(v, Value::Int64(_));
+                    *ints = exact(*ints, &v);
                 }
-                State::Avg(sum, n) => {
+                State::Avg(sum, n, ints) => {
                     *sum += v.as_f64()?;
                     *n += 1;
+                    *ints = exact(*ints, &v);
                 }
                 State::Min(cur) => {
                     if cur.as_ref().is_none_or(|c| v.total_cmp(c).is_lt()) {
@@ -578,20 +581,33 @@ fn fold(sql: &str, rows: &[Row]) -> Option<Vec<Row>> {
         groups.push((GroupKey(Vec::new()), Vec::new(), states));
     }
     groups.sort_by(|a, b| a.0.cmp(&b.0));
-    let out = groups.into_iter().map(|(_, rep, states)| {
-        let mut out: Row = by.iter().map(|k| at(k, &rep).unwrap()).collect();
-        out.extend(states.into_iter().map(|s| match s {
-            State::Count(n) => Value::Int64(n),
-            State::Sum(_, false, _) => Value::Null,
-            State::Sum(sum, true, true) => Value::Int64(sum as i64),
-            State::Sum(sum, true, false) => Value::Float64(sum),
-            State::Avg(_, 0) => Value::Null,
-            State::Avg(sum, n) => Value::Float64(sum / n as f64),
-            State::Min(v) | State::Max(v) => v.unwrap_or(Value::Null),
-        }));
-        out
-    });
-    Some(out.collect())
+    let mut out = Vec::with_capacity(groups.len());
+    for (_, rep, states) in groups {
+        let mut row: Row = by.iter().map(|k| at(k, &rep).unwrap()).collect();
+        for state in states {
+            row.push(match state {
+                State::Count(n) => Value::Int64(n),
+                State::Sum(_, false, _) => Value::Null,
+                // A BIGINT SUM outside BIGINT raises, as in the executor.
+                State::Sum(_, true, Some(ints)) => Value::Int64(ints.try_into().ok()?),
+                State::Sum(sum, true, None) => Value::Float64(sum),
+                State::Avg(_, 0, _) => Value::Null,
+                State::Avg(_, n, Some(ints)) => Value::Float64(ints as f64 / n as f64),
+                State::Avg(sum, n, None) => Value::Float64(sum / n as f64),
+                State::Min(v) | State::Max(v) => v.unwrap_or(Value::Null),
+            });
+        }
+        out.push(row);
+    }
+    Some(out)
+}
+
+/// The exact sum `ints` plus `v`, while every number is a BIGINT.
+fn exact(ints: Option<i128>, v: &Value) -> Option<i128> {
+    match (ints, v) {
+        (Some(sum), Value::Int64(n)) => Some(sum + i128::from(*n)),
+        _ => None,
+    }
 }
 
 fn new_state(agg: &Expr) -> State {
@@ -600,8 +616,8 @@ fn new_state(agg: &Expr) -> State {
     };
     match name.as_str() {
         "count" => State::Count(0),
-        "sum" => State::Sum(0.0, false, true),
-        "avg" => State::Avg(0.0, 0),
+        "sum" => State::Sum(0.0, false, Some(0)),
+        "avg" => State::Avg(0.0, 0, Some(0)),
         "min" => State::Min(None),
         _ => State::Max(None),
     }

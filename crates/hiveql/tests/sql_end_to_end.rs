@@ -111,6 +111,51 @@ fn group_by_aggregates() {
     assert_eq!(r.rows()[0][5], Value::Int64(45));
 }
 
+/// A SUM of BIGINTs is exact past 2^53 and raises past BIGINT, and an
+/// AVG of BIGINTs divides the exact sum: on every storage, under WHERE,
+/// under GROUP BY and over a table with deleted rows.
+#[test]
+fn bigint_sums_are_exact_and_raise_on_overflow() {
+    let exact = 9_007_199_254_740_994i64; // 2^53 + 1 + 1
+    for storage in ["DUALTABLE", "ORC", "HBASE"] {
+        let mut s = Session::in_memory();
+        s.execute(&format!(
+            "CREATE TABLE t (k BIGINT, v BIGINT) STORED AS {storage}"
+        ))
+        .unwrap();
+        s.execute("INSERT INTO t VALUES (1, 9007199254740992), (1, 1), (1, 1), (2, 7)")
+            .unwrap();
+        let mut rows = |sql: &str| s.execute(sql).unwrap().rows().to_vec();
+        let sum = rows("SELECT SUM(v), AVG(v) FROM t WHERE k = 1");
+        assert_eq!(sum[0][0], Value::Int64(exact), "{storage}");
+        assert_eq!(sum[0][1], Value::Float64(exact as f64 / 3.0), "{storage}");
+        let grouped = rows("SELECT k, SUM(v) FROM t GROUP BY k ORDER BY k");
+        assert_eq!(
+            grouped,
+            vec![
+                vec![Value::Int64(1), Value::Int64(exact)],
+                vec![Value::Int64(2), Value::Int64(7)]
+            ],
+            "{storage}"
+        );
+        s.execute("DELETE FROM t WHERE k = 2").unwrap();
+        let whole = s.execute("SELECT SUM(v) FROM t").unwrap();
+        assert_eq!(whole.rows()[0][0], Value::Int64(exact), "{storage}");
+
+        s.execute("INSERT INTO t VALUES (3, 9223372036854775807), (3, 1)")
+            .unwrap();
+        for sql in [
+            "SELECT SUM(v) FROM t WHERE k = 3",
+            "SELECT k, SUM(v) FROM t GROUP BY k",
+        ] {
+            let r = s.execute(sql);
+            assert!(r.is_err(), "{storage}: {sql} gave {r:?}");
+        }
+        let r = s.execute("SELECT MAX(v) FROM t").unwrap();
+        assert_eq!(r.rows()[0][0], Value::Int64(i64::MAX), "{storage}");
+    }
+}
+
 #[test]
 fn having_filters_groups() {
     let mut s = setup("ORC");

@@ -200,4 +200,18 @@ run_gate union-read cargo test -q --release -p dualtable --locked --test prop_un
 # payload decoding to a column or an error, never a panic.
 run_gate orc-codec cargo test -q --release -p dt-orcfile --locked --test prop_orc
 
+# DFS integrity (DESIGN.md §8, §10), in release: the slicing-by-8 CRC-32
+# against a bitwise reference at every length to 4 KiB, every start
+# alignment and every split of an incremental update; fsck and repair
+# over rotted, missing and corrupt-on-write replicas (a fault on one
+# replica never reaches the buffer the others share); file copies under
+# the checksums they carry over; and the DFS and namenode-journal
+# property tests. Every stored block, WAL record, SSTable, journal frame
+# and shard map verifies under this CRC.
+dfs_integrity_gate() {
+    cargo test -q --release -p dt-common --locked --test prop_codec &&
+        cargo test -q --release -p dt-dfs --locked --test fsck --test prop_dfs --test prop_journal
+}
+run_gate dfs-integrity dfs_integrity_gate
+
 [ ${#FAILED[@]} -eq 0 ]
