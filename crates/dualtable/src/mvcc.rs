@@ -25,12 +25,15 @@
 //! recovered state (an insert that never committed left only staged
 //! files, which the environment open deletes — see [`crate::commit`]).
 //!
-//! Lock order: a table's `ops` lock (read or write) is always acquired
-//! before its [`TableMvcc`] state mutex; the state mutex is held across
+//! Lock order: a writer's `ops` lock (read or write) is always acquired
+//! before its table's [`TableMvcc`] state mutex — a reader's pin takes
+//! `ops` in read mode, then the mutex, and its unpin the mutex alone; the
+//! state mutex is held across
 //! the commit's KV write so the conflict check, the durable commit and the
 //! bookkeeping update form one atomic step against other committers.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Range;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -66,9 +69,13 @@ pub(crate) struct MvccState {
     retired: BTreeSet<u64>,
     /// Dead (superseded, unpinned) generations awaiting physical GC.
     drained: Vec<u64>,
-    /// File ids strictly below this are retired with the old generations;
-    /// their attached cells may be collected once `retired` empties.
-    attached_floor: Option<u32>,
+    /// File-ID ranges retired with the old generations; their attached
+    /// cells may be collected once `retired` empties.
+    attached_retired: Vec<Range<u32>>,
+    /// A full rewrite swung while a read pinned an older generation, so
+    /// its truncate of the attached table waits for the sweeper
+    /// ([`crate::DualTableStore::sweep_gc`]).
+    pub(crate) truncate_due: bool,
     /// Highest generation number handed to an off-to-the-side build, so
     /// two concurrent rewrites never share a directory.
     build_highwater: u64,
@@ -197,7 +204,7 @@ impl MvccState {
     ) -> bool {
         self.last_swing_ts = swing_ts;
         self.build_highwater = self.build_highwater.max(new_gen);
-        self.attached_floor = Some(self.attached_floor.map_or(floor, |f| f.max(floor)));
+        self.retire_later(std::iter::once(1..floor));
         // Conflict windows only matter within a generation: the swing
         // retires every old record id, and new pins (ts > swing_ts) can
         // only conflict with commits after the swing.
@@ -231,45 +238,56 @@ impl MvccState {
         self.last_swing_ts = u64::MAX;
     }
 
-    /// Forgets the attached-tier floor without sweeping it — a full
-    /// rewrite's swing truncates the whole attached table instead, which
-    /// subsumes any ranged sweep.
-    pub(crate) fn clear_attached_floor(&mut self) {
-        self.attached_floor = None;
+    /// Adds file-ID ranges whose attached cells may be collected once
+    /// `retired` empties: those of a fold set that a pinned read may still
+    /// see.
+    pub(crate) fn retire_later(&mut self, ranges: impl IntoIterator<Item = Range<u32>>) {
+        let ranges = ranges.into_iter().filter(|r| !r.is_empty());
+        self.attached_retired.extend(ranges);
+    }
+
+    /// Forgets the retired attached-tier ranges without sweeping them — a
+    /// full rewrite's swing truncates the whole attached table instead,
+    /// which subsumes any ranged sweep.
+    pub(crate) fn clear_attached_retired(&mut self) {
+        self.attached_retired.clear();
+        self.truncate_due = false;
     }
 
     /// Moves retired generations whose last pin drained into the dead
     /// list, then hands back what to collect: the dead generations (all of
     /// them once they outnumber `max_generations`) and, when no old-
-    /// generation pin remains at all, the attached-tier floor to sweep
-    /// below. Physical deletion is the caller's job — this only updates
-    /// bookkeeping.
-    pub(crate) fn take_sweepable(&mut self, max_generations: usize) -> (Vec<u64>, Option<u32>) {
+    /// generation pin remains at all, the retired attached-tier ranges.
+    /// Physical deletion is the caller's job — this only updates
+    /// bookkeeping. With nothing retired and nothing due it allocates and
+    /// walks nothing: every read's unpin runs it.
+    pub(crate) fn take_sweepable(&mut self, max_generations: usize) -> (Vec<u64>, Vec<Range<u32>>) {
         let newly_dead: Vec<u64> = self
             .retired
             .iter()
             .copied()
             .filter(|g| !self.pins.values().any(|p| p == g))
             .collect();
-        for g in &newly_dead {
-            self.retired.remove(g);
+        if !newly_dead.is_empty() {
+            for g in &newly_dead {
+                self.retired.remove(g);
+            }
+            // A drained generation has no readers left: its file visibility
+            // records (kept alive by note_swing for its pins) can go too.
+            self.file_commits
+                .retain(|(g, _), _| !newly_dead.contains(g));
+            self.drained.extend(newly_dead);
         }
-        // A drained generation has no readers left: its file visibility
-        // records (kept alive by note_swing for its pins) can go too.
-        self.file_commits
-            .retain(|(g, _), _| !newly_dead.contains(g));
-        self.drained.extend(newly_dead);
         let gens = if self.drained.len() > max_generations {
             std::mem::take(&mut self.drained)
         } else {
             Vec::new()
         };
-        let floor = if self.retired.is_empty() && self.attached_floor.is_some() {
-            self.attached_floor.take()
-        } else {
-            None
+        let ranges = match self.retired.is_empty() {
+            true => std::mem::take(&mut self.attached_retired),
+            false => Vec::new(),
         };
-        (gens, floor)
+        (gens, ranges)
     }
 
     /// Generations that must survive stale-generation cleanup: retired
@@ -380,24 +398,26 @@ mod tests {
             s.note_swing(0, 1, 20, 4, None),
             "pinned generation deferred"
         );
+        s.retire_later(std::iter::once(5..6));
         assert_eq!(s.retired_count(), 1);
-        let (gens, floor) = s.take_sweepable(0);
+        let (gens, ranges) = s.take_sweepable(0);
         assert!(gens.is_empty(), "still pinned");
-        assert_eq!(floor, None, "attached floor waits for the pin");
+        assert!(ranges.is_empty(), "retired ranges wait for the pin");
         s.unpin(10);
-        let (gens, floor) = s.take_sweepable(0);
+        let (gens, ranges) = s.take_sweepable(0);
         assert_eq!(gens, vec![0]);
-        assert_eq!(floor, Some(4));
+        assert_eq!(ranges, vec![1..4, 5..6]);
         assert_eq!(s.retired_count(), 0);
+        assert_eq!(s.take_sweepable(0), (vec![], vec![]), "an empty sweep");
     }
 
     #[test]
     fn unpinned_swing_drains_immediately() {
         let mut s = MvccState::default();
         assert!(!s.note_swing(0, 1, 20, 4, None));
-        let (gens, floor) = s.take_sweepable(0);
+        let (gens, ranges) = s.take_sweepable(0);
         assert_eq!(gens, vec![0]);
-        assert_eq!(floor, Some(4));
+        assert_eq!(ranges, vec![1..4]);
     }
 
     #[test]

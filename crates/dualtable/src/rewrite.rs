@@ -17,16 +17,19 @@
 //!   it under the MVCC mutex and [`DualTableStore::clean_after_swing`]
 //!   runs the best-effort cleanup.
 //! * [`DualTableStore::retire_attached`] deletes the attached rows of
-//!   retired file-ID ranges; a whole-table truncate is its fast path.
+//!   retired file-ID ranges once no read pins an older generation; a
+//!   whole-table truncate is its fast path.
 //!
 //! Callers only choose the epoch, the fold set, the rows and the lock
 //! mode. *Exclusive* (`COMPACT`, `INSERT OVERWRITE`, OVERWRITE-plan DML):
 //! the ops write lock is held from build to swing, the epoch is "latest"
 //! and nothing can conflict; every shard of a sharded table swings in the
 //! same commit. *Optimistic* ([`RewriteJob`]): the build
-//! runs under a pin and the read lock, beside concurrent DML, and the
-//! swing takes the write lock only for the pointer flip, losing with a
-//! retryable [`Error::Conflict`] to anything committed since the pin.
+//! runs under a pin alone, beside concurrent DML, and the swing takes the
+//! write lock only for the pointer flip, losing with a retryable
+//! [`Error::Conflict`] to anything committed since the pin. A read holds
+//! the lock only for the instant of its pin (DESIGN.md §13): a swing
+//! never waits for a read in progress.
 
 use std::borrow::Cow;
 use std::collections::BTreeSet;
@@ -455,12 +458,14 @@ impl DualTableStore {
     /// Records a committed swing `old_gen → next` at the commit timestamp
     /// `ts`, under the MVCC state mutex the commit holds: the swing stamp
     /// (which every transaction pinned before it loses to), and the old
-    /// generation handed to the sweeper or — if another session still pins
-    /// it — parked for deferred GC. The swinging job's own pin (`own_pin`)
-    /// is not such a reader. Returns whether the fold set's attached rows
-    /// may be retired now. Past the commit point nothing may fail: a floor
-    /// that cannot be computed degrades to 0 — attached rows of retired
-    /// files leak (space, not correctness) as cleanup debt.
+    /// generation handed to the sweeper or — if another read still pins it
+    /// — parked for deferred GC. The swinging job's own pin (`own_pin`) is
+    /// not such a read. Returns whether the fold set's attached rows may
+    /// be retired now; if not, they are handed to the sweeper, which
+    /// retires them — a full rewrite's by its deferred truncate — once no
+    /// read pins an older generation. Past the commit point nothing may
+    /// fail: a floor that cannot be computed degrades to 0 — attached rows
+    /// of retired files leak (space, not correctness) as cleanup debt.
     pub(crate) fn stamp_swing(
         &self,
         st: &mut MvccState,
@@ -486,22 +491,28 @@ impl DualTableStore {
             self.inner.env.health.generations_deferred.inc();
         }
         let retire_now = !deferred && st.retired_count() == 0;
-        if retire_now && matches!(retire, Retire::All) {
+        match (retire, retire_now) {
             // The truncate below subsumes the ranged floor sweep.
-            st.clear_attached_floor();
+            (Retire::All, true) => st.clear_attached_retired(),
+            (Retire::All, false) => st.truncate_due = true,
+            (Retire::Files(files), false) => {
+                st.retire_later(files.iter().map(|&id| id..id.wrapping_add(1)));
+            }
+            (Retire::Files(_), true) => {}
         }
         retire_now
     }
 
     /// The best-effort cleanup after a swing to `next`, outside the state
-    /// mutex (ops write lock still held): retire the fold set's attached
-    /// rows when `retire_now`, sweep stale directories, run the
-    /// deferred-GC sweeper. Failures are recorded as cleanup debt, never
+    /// mutex (ops write lock still held, so no read pins before it ends):
+    /// retire the fold set's attached rows when `retire_now`, sweep stale
+    /// directories, run the deferred-GC sweeper. Failures are recorded as
+    /// cleanup debt, never
     /// silent. Unretired rows are unreachable — no live file covers their
-    /// record IDs and file IDs are never reused — and the floor sweep or
-    /// the open-time [`Self::sweep_fold_residue`] settles them. Cached
-    /// footers are invalidated per deleted path, not by whole-table purge,
-    /// so pinned readers keep their entries across other sessions' swings.
+    /// record IDs and file IDs are never reused — and the sweeper or the
+    /// open-time [`Self::sweep_fold_residue`] settles them. Cached footers
+    /// are invalidated per deleted path, not by whole-table purge, so
+    /// pinned readers keep their entries across other sessions' swings.
     pub(crate) fn clean_after_swing(&self, next: u64, retire: &Retire, retire_now: bool) {
         if retire_now {
             let retired = match retire {
@@ -595,14 +606,18 @@ impl DualTableStore {
 
     /// Runs the deferred-GC sweeper: physically deletes dead (superseded,
     /// unpinned) generations past the `max_generations` budget and, once
-    /// no old-generation pin remains, the attached rows below the retired
-    /// floor.
+    /// no old-generation pin remains, the attached rows of the retired
+    /// file-ID ranges. Every read's unpin runs it, so a sweep with nothing
+    /// due returns before any work.
     pub(crate) fn sweep_gc(&self) {
-        let (gens, floor) = self
+        let (gens, retired) = self
             .inner
             .mvcc
             .lock()
             .take_sweepable(self.inner.config.max_generations);
+        if gens.is_empty() && retired.is_empty() {
+            return;
+        }
         let gcd = gens
             .into_iter()
             .filter(|&gen| self.delete_generation(gen))
@@ -610,11 +625,42 @@ impl DualTableStore {
         if gcd > 0 {
             self.inner.env.health.generations_gcd.add(gcd);
         }
-        // File IDs start at 1; a floor of 1 retires nothing.
-        let below = floor.filter(|&floor| floor > 1).map(|floor| 1..floor);
-        if self.retire_attached(below).is_err() {
+        if let Some(retired) = self.truncate_retired(retired) {
+            if self.retire_attached(retired).is_err() {
+                self.inner.env.health.cleanup_failures.inc();
+            }
+        }
+    }
+
+    /// The truncate a full rewrite deferred behind a pinned read: when the
+    /// attached table holds rows of retired files only (`retired`), it is
+    /// truncated — under the `ops` write lock and the state mutex with no
+    /// read pinned, so no reader or writer holds the store it replaces —
+    /// and nothing is left to sweep (`None`). While a read is pinned or a
+    /// writer holds `ops`, `retired` waits for the next sweep; once a live
+    /// file has rows, it is swept by range (`Some`).
+    fn truncate_retired(&self, retired: Vec<Range<u32>>) -> Option<Vec<Range<u32>>> {
+        if !self.inner.mvcc.lock().truncate_due {
+            return Some(retired);
+        }
+        let ops = self.inner.ops.try_write();
+        let index = self.attached().and_then(|a| self.load_presence(&a));
+        let dead = |id: &u32| retired.iter().any(|r| r.contains(id));
+        let mut st = self.inner.mvcc.lock();
+        if !index.is_ok_and(|index| index.files.keys().all(dead)) {
+            st.truncate_due = false;
+            return Some(retired);
+        }
+        if ops.is_none() || st.pin_count() > 0 {
+            st.retire_later(retired);
+            return None;
+        }
+        st.clear_attached_retired();
+        let attached = Self::attached_name(&self.inner.name);
+        if self.inner.env.kv.truncate_table(&attached).is_err() {
             self.inner.env.health.cleanup_failures.inc();
         }
+        None
     }
 
     /// Deletes an abandoned (never-committed) build generation. Unlike the
@@ -683,7 +729,7 @@ impl DualTableStore {
 
     /// Starts a two-phase COMPACT: pins a snapshot and rewrites it into a
     /// fresh generation off to the side *without* blocking concurrent DML
-    /// (only the ops read lock is held, like any scan). The returned
+    /// (it holds only the pin, like any read). The returned
     /// [`RewriteJob`] must be `finish()`ed to swing the pointer — which
     /// fails with a retryable [`Error::Conflict`] if anything committed
     /// since the pin.
@@ -711,10 +757,7 @@ impl DualTableStore {
     /// moment the cycle stops being a no-op.
     pub fn begin_incremental(&self, on_build_start: impl FnOnce()) -> Result<Option<RewriteJob>> {
         let snapshot = self.begin_snapshot()?;
-        let picked = {
-            let _guard = self.inner.ops.read();
-            self.fold_candidates_at(snapshot.generation(), snapshot.ts())?
-        };
+        let picked = self.fold_candidates_at(snapshot.generation(), snapshot.ts())?;
         if picked.is_empty() {
             return Ok(None);
         }
@@ -724,14 +767,14 @@ impl DualTableStore {
     }
 
     /// The optimistic build: the next generation, built from the pinned
-    /// epoch under the read lock.
+    /// epoch. It holds no lock — the pin keeps the epoch alive — so no
+    /// writer waits for it.
     fn build_aside(
         &self,
         snapshot: Snapshot,
         retire: Retire,
         rows: Rows<'_>,
     ) -> Result<RewriteJob> {
-        let _guard = self.inner.ops.read();
         let epoch = (snapshot.generation(), snapshot.ts());
         let (next, built) = self.build_next(epoch, &retire, rows)?;
         Ok(RewriteJob {
@@ -748,8 +791,8 @@ impl DualTableStore {
     /// `max_files_per_cycle` dirtiest, ascending by file ID (scan order).
     /// Files the presence index proves clean never appear.
     pub fn fold_candidates(&self) -> Result<Vec<u32>> {
-        let _guard = self.inner.ops.read();
-        self.fold_candidates_at(self.current_gen()?, u64::MAX)
+        let pin = self.begin_snapshot()?;
+        self.fold_candidates_at(pin.generation(), pin.ts())
     }
 
     fn fold_candidates_at(&self, gen: u64, at_ts: u64) -> Result<Vec<u32>> {

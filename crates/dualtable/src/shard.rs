@@ -16,8 +16,9 @@
 //!   the shard *starting* at that split);
 //! * **range-pruned scans**: a predicate on the shard key eliminates
 //!   whole shards *before any I/O* — the pruned shards' masters and
-//!   attached tables are never opened — and the survivors are read one
-//!   after another on the calling thread;
+//!   attached tables are never opened, nor pinned — and the survivors,
+//!   pinned at one timestamp, are read one after another on the calling
+//!   thread;
 //! * **one commit per statement**: an autocommit INSERT, UPDATE, DELETE,
 //!   INSERT OVERWRITE or COMPACT, and a [`Transaction`] over every shard
 //!   pinned at one timestamp, each commit all-or-none through the one
@@ -32,7 +33,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use dt_common::crc32::crc32;
-use dt_common::{DataType, Deadline, Error, Result, Row, Schema, Value};
+use dt_common::{DataType, Error, Result, Row, Schema, Value};
 use dt_orcfile::{ColumnBatch, ColumnPredicate, PredicateOp};
 
 use crate::config::DualTableConfig;
@@ -516,39 +517,40 @@ impl ShardedTable {
     /// The sharded UNION READ: range pruning first (pruned shards see zero
     /// I/O — their files are never opened), then the surviving shards one
     /// after another on the calling thread, in range order, so the batches
-    /// arrive ordered by key range (see module docs). A shard's merged
-    /// batches are read under its `ops` read lock, checking `deadline` at
-    /// every batch, and handed to `f` once the lock is released, so `f`'s
-    /// work never holds off a writer waiting for that lock. `f` may stop
-    /// the scan by returning `Break`. No shard is read on another core: a
-    /// scan fanned out over every core takes them from the statements
-    /// running beside it (DESIGN.md §16).
+    /// arrive ordered by key range (see module docs). `f` may stop the
+    /// scan by returning `Break`. The read is one [`Self::begin_read`]:
+    /// every shard it reads is pinned at one timestamp, so it sees a
+    /// cross-shard commit wholly or not at all, and holds no lock.
     pub fn for_each_batch(
         &self,
         opts: &UnionReadOptions,
-        deadline: &Deadline,
-        mut f: impl FnMut(u32, ColumnBatch) -> Result<ControlFlow<()>>,
+        f: impl FnMut(u32, ColumnBatch) -> Result<ControlFlow<()>>,
     ) -> Result<()> {
+        let read = self.begin_read(opts.predicates.as_deref())?;
+        read.for_each_batch(opts, f)
+    }
+
+    /// The read-only [`Transaction`] of one autocommit read: the shards
+    /// `predicates` leave, pinned at one timestamp; the pruned ones are
+    /// neither pinned nor opened. No shard is read on another core: a scan
+    /// fanned out over every core takes them from the statements running
+    /// beside it (DESIGN.md §16).
+    pub fn begin_read(&self, predicates: Option<&[ColumnPredicate]>) -> Result<Transaction> {
         let health = &self.inner.env.shard_health;
         health.scatter_scans.inc();
-        let matched = self.shards_matching(opts.predicates.as_deref());
+        let matched = self.shards_matching(predicates);
         health
             .shards_pruned_by_range
             .add((self.shard_count() - matched.len()) as u64);
-        for i in matched {
-            let mut batches = Vec::new();
-            self.inner.shards[i].for_each_batch(opts, |file_id, batch| {
-                deadline.check()?;
-                batches.push((file_id, batch));
-                Ok(ControlFlow::Continue(()))
-            })?;
-            for (file_id, batch) in batches {
-                if f(file_id, batch)?.is_break() {
-                    return Ok(());
-                }
-            }
-        }
-        Ok(())
+        let stores: Vec<_> = matched
+            .iter()
+            .map(|&i| self.inner.shards[i].clone())
+            .collect();
+        let pins = matched.into_iter().zip(DualTableStore::pin_all(&stores)?);
+        Ok(Transaction::new(
+            pins.collect(),
+            Some(self.inner.spec.clone()),
+        ))
     }
 
     /// Total row count across shards: a scan that decodes no column (see
@@ -556,7 +558,7 @@ impl ShardedTable {
     pub fn count(&self) -> Result<u64> {
         let opts = UnionReadOptions::all().with_projection(Vec::new());
         let mut rows = 0;
-        self.for_each_batch(&opts, &Deadline::never(), |_, batch| {
+        self.for_each_batch(&opts, |_, batch| {
             rows += batch.selected_len() as u64;
             Ok(ControlFlow::Continue(()))
         })?;
@@ -633,8 +635,9 @@ impl ShardedTable {
     /// one timestamp, so the transaction sees each cross-shard commit
     /// whole or not at all; FCW conflict checks run per shard at commit.
     pub fn begin_transaction(&self) -> Result<Transaction> {
+        let pins = (0..).zip(DualTableStore::pin_all(&self.inner.shards)?);
         Ok(Transaction::new(
-            DualTableStore::pin_all(&self.inner.shards)?,
+            pins.collect(),
             Some(self.inner.spec.clone()),
         ))
     }

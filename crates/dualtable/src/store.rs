@@ -21,8 +21,7 @@ use crate::presence::{decode_count, FilePresence, PresenceIndex, PRESENCE_FILE_I
 use crate::rewrite::{Dml, Retire, Rows};
 use crate::txn::{Snapshot, Transaction};
 use crate::union_read::{
-    for_each_row, merge_file, BatchFn, ConsumeFn, MapFn, PatchSet, UnionReadOptions,
-    INSERTS_FILE_ID, NO_PATCHES,
+    merge_file, BatchFn, ConsumeFn, MapFn, PatchSet, UnionReadOptions, INSERTS_FILE_ID, NO_PATCHES,
 };
 
 /// Aggregate statistics of one DualTable.
@@ -75,9 +74,12 @@ pub(crate) struct Inner {
     pub(crate) schema: Schema,
     pub(crate) env: DualTableEnv,
     pub(crate) config: DualTableConfig,
-    /// Readers/EDIT-DML hold `read`; OVERWRITE-plan DML and COMPACT hold
+    /// Orders writers only (DESIGN.md §13): an autocommit EDIT-plan
+    /// statement and a pinned commit hold `read`; OVERWRITE-plan DML,
+    /// COMPACT, INSERT OVERWRITE, a rewrite job's swing and DROP hold
     /// `write` ("all the other operations will be blocked during COMPACT",
-    /// §III-C).
+    /// §III-C). A read holds `read` only for the instant of its pin
+    /// ([`DualTableStore::pin_all`]), never while it reads.
     pub(crate) ops: RwLock<()>,
     /// Parsed ORC footers of this table's master files (DESIGN.md §10).
     /// Invalidated by table prefix at every generation commit.
@@ -85,9 +87,9 @@ pub(crate) struct Inner {
     /// This table's MVCC state (DESIGN.md §13): snapshot pins, conflict
     /// windows, deferred-GC bookkeeping. Shared through the environment's
     /// registry, so every clone and every session sees the same state.
-    /// Lock order: `ops` (read or write) before this state's mutex; a step
-    /// that takes several tables' locks takes each kind in store-name
-    /// order.
+    /// Lock order: a writer's `ops` (read or write) before this state's
+    /// mutex; a step that takes several tables' locks takes each kind in
+    /// store-name order.
     pub(crate) mvcc: Arc<TableMvcc>,
 }
 
@@ -662,14 +664,18 @@ impl DualTableStore {
     /// operation; every other scan entry point is an adapter over it. `f`
     /// gets each master file's ID with one of its stripes and may stop the
     /// scan by returning `Break`. The calling thread does all the work.
+    ///
+    /// Every read of the table is a [`Snapshot`] read: it pins the
+    /// table's current `(generation, timestamp)` and releases the pin when
+    /// done, so it sees every commit wholly or not at all and blocks no
+    /// writer (DESIGN.md §13). An explicit `opts.snapshot_ts` reads at that
+    /// earlier time instead (time travel).
     pub fn for_each_batch(
         &self,
         opts: &UnionReadOptions,
-        mut f: impl FnMut(u32, ColumnBatch) -> Result<ControlFlow<()>>,
+        f: impl FnMut(u32, ColumnBatch) -> Result<ControlFlow<()>>,
     ) -> Result<()> {
-        self.for_each_mapped_at(opts, 1, &|id, batch| Ok((id, batch)), &mut |(id, batch)| {
-            f(id, batch)
-        })
+        self.begin_snapshot()?.for_each_batch(opts, f)
     }
 
     /// [`DualTableStore::for_each_batch`] split in two, so that a large
@@ -684,20 +690,10 @@ impl DualTableStore {
         map: &MapFn<'_, T>,
         consume: &mut ConsumeFn<'_, T>,
     ) -> Result<()> {
-        self.for_each_mapped_at(opts, dt_engine::read_degree(), map, consume)
-    }
-
-    fn for_each_mapped_at<T: Send>(
-        &self,
-        opts: &UnionReadOptions,
-        workers: usize,
-        map: &MapFn<'_, T>,
-        consume: &mut ConsumeFn<'_, T>,
-    ) -> Result<()> {
-        let _guard = self.inner.ops.read();
-        let gen = self.current_gen()?;
-        let scan = self.for_each_at(gen, opts, &NO_PATCHES, workers, map, consume);
-        scan.map(|_| ())
+        let pin = self.begin_snapshot()?;
+        let workers = dt_engine::read_degree();
+        pin.scan_under(opts, &NO_PATCHES, workers, map, consume)
+            .map(drop)
     }
 
     /// [`DualTableStore::for_each_batch`] unpacked into `(record id, row)`
@@ -705,9 +701,9 @@ impl DualTableStore {
     pub fn for_each(
         &self,
         opts: &UnionReadOptions,
-        mut f: impl FnMut(RecordId, Row) -> Result<ControlFlow<()>>,
+        f: impl FnMut(RecordId, Row) -> Result<ControlFlow<()>>,
     ) -> Result<()> {
-        self.for_each_batch(opts, |file_id, batch| for_each_row(file_id, &batch, &mut f))
+        self.begin_snapshot()?.for_each(opts, f)
     }
 
     /// The master file IDs of `gen` visible to a snapshot at `at_ts`:
@@ -725,9 +721,10 @@ impl DualTableStore {
     }
 
     /// UNION READ at an explicit `(generation, opts.snapshot_ts)` epoch,
-    /// ops lock already held, with the reader's own `ours` on top: its
-    /// patches as every file's second patch source, its buffered inserts as
-    /// one trailing batch under [`INSERTS_FILE_ID`]. Each merged batch goes
+    /// which a pin (or a writer's `ops` lock) keeps alive, with the
+    /// reader's own `ours` on top: its patches as every file's second
+    /// patch source, its buffered inserts as one trailing batch under
+    /// [`INSERTS_FILE_ID`]. Each merged batch goes
     /// through `map`, and its output to `consume`, in file-ID order.
     ///
     /// At one worker that is the whole loop, inline. A read granted more
@@ -975,7 +972,9 @@ impl DualTableStore {
 
     /// The current presence index. Exposed for tests and experiments.
     pub fn presence_index(&self) -> Result<PresenceIndex> {
-        let _guard = self.inner.ops.read();
+        // Pinned, the attached table it resolves is not the one a swing is
+        // truncating.
+        let _pin = self.begin_snapshot()?;
         self.load_presence(&self.attached()?)
     }
 
@@ -992,12 +991,7 @@ impl DualTableStore {
 
     /// Materializes a scan with options.
     pub fn scan(&self, opts: &UnionReadOptions) -> Result<Vec<(RecordId, Row)>> {
-        let mut out = Vec::new();
-        self.for_each(opts, |id, row| {
-            out.push((id, row));
-            Ok(ControlFlow::Continue(()))
-        })?;
-        Ok(out)
+        self.begin_snapshot()?.scan(opts)
     }
 
     /// Counts visible rows: a scan that decodes no column. A file answers
@@ -1005,15 +999,7 @@ impl DualTableStore {
     /// delete markers costs its attached scan, for the markers (update
     /// overlays change no count).
     pub fn count(&self) -> Result<u64> {
-        let mut n = 0u64;
-        self.for_each_batch(
-            &UnionReadOptions::all().with_projection(Vec::new()),
-            |_, batch| {
-                n += batch.selected_len() as u64;
-                Ok(ControlFlow::Continue(()))
-            },
-        )?;
-        Ok(n)
+        self.begin_snapshot()?.count()
     }
 
     /// The attached-tier multi-version history of one cell, newest first:
@@ -1044,13 +1030,13 @@ impl DualTableStore {
     /// from the footer cache — repeated calls (every DML statement takes
     /// one) parse each master footer once per process, not once per call.
     pub fn stats(&self) -> Result<TableStats> {
-        // A swing deletes the generation it supersedes: hold it off while
-        // the current one's files are listed and sized.
-        let _guard = self.inner.ops.read();
+        // The pin keeps the generation's files while they are listed and
+        // sized: a swing defers deleting a pinned generation.
+        let pin = self.begin_snapshot()?;
         let mut master_bytes = 0u64;
         let mut master_rows = 0u64;
         let mut master_files = 0u64;
-        let gen = self.current_gen()?;
+        let gen = pin.generation();
         for file_id in self.master_file_ids_at(gen) {
             let path = self.file_path_at(gen, file_id);
             master_bytes += self.inner.env.dfs.len(&path)?;
@@ -1100,10 +1086,7 @@ impl DualTableStore {
             ..scan.clone()
         };
         let (columns, width) = (self.projected(&unpushed), self.inner.schema.len());
-        let _guard = self.inner.ops.read();
-        let gen = self.current_gen()?;
-        let batch = |_, batch| Ok(batch);
-        self.locate(gen, &unpushed, &NO_PATCHES, 1, &batch, &mut |mut batch| {
+        self.for_each_batch(&unpushed, |_, mut batch| {
             // The sample ends inside this batch: only its first rows count.
             let take = (limit - seen).min(batch.selected_len());
             if take < batch.selected_len() {
@@ -1243,43 +1226,6 @@ impl DualTableStore {
         )))
     }
 
-    /// The EDIT plan's locate-scan (ops lock held): UNION READ at `(gen,
-    /// scan.snapshot_ts)` under the caller's own uncommitted `ours` (whose
-    /// buffered inserts come last, as records of [`INSERTS_FILE_ID`]), of
-    /// the columns `scan.projection` names, minus the stripes
-    /// `scan.predicates` rule out, mapped and consumed as
-    /// [`Self::for_each_at`] does on up to `workers`. Returns the table's
-    /// visible row count as the cost model's α wants it: rows seen plus,
-    /// from their footers, the rows of the stripes skipped.
-    fn locate<T: Send>(
-        &self,
-        gen: u64,
-        scan: &UnionReadOptions,
-        ours: &PatchSet,
-        workers: usize,
-        map: &MapFn<'_, T>,
-        consume: &mut ConsumeFn<'_, T>,
-    ) -> Result<u64> {
-        let (mut seen, mut decoded) = (0u64, 0u64);
-        let counted = |id, batch: ColumnBatch| {
-            let counts = (batch.rows() as u64, batch.selected_len() as u64);
-            Ok((counts, map(id, batch)?))
-        };
-        let _stopped = self.for_each_at(gen, scan, ours, workers, &counted, &mut |(n, out)| {
-            decoded += n.0;
-            seen += n.1;
-            consume(out)
-        })?;
-        if scan.predicates.is_none() {
-            return Ok(seen);
-        }
-        let mut stored = 0u64;
-        for file_id in self.visible_files(gen, scan.snapshot_ts) {
-            stored += self.open_master(gen, file_id)?.num_rows();
-        }
-        Ok(seen + stored.saturating_sub(decoded))
-    }
-
     /// What a statement does to one row its WHERE clause matched — the one
     /// meaning of an UPDATE or DELETE, whichever plan runs it: a DELETE's
     /// (`assignments` absent) marker, or an UPDATE's new column values,
@@ -1309,13 +1255,19 @@ impl DualTableStore {
         })
     }
 
-    /// The one way an EDIT finds its rows (ops lock held) — the locating
-    /// half of §V-A's UPDATE and DELETE UDTFs: [`Self::locate`] under
-    /// `ours` on up to `workers`, each batch mapped to the
-    /// [`Self::patch_of`] of every row `predicate` matches, and those
-    /// collected into the statement's patch set in the ascending record
-    /// order the scan meets them in. Returns the patch set (its length is
-    /// the matched count) and the scanned count.
+    /// The one way an EDIT finds its rows (under a pin or the ops lock) —
+    /// the locating half of §V-A's UPDATE and DELETE UDTFs, the EDIT
+    /// plan's locate-scan: UNION READ at `(gen, scan.snapshot_ts)` under
+    /// the caller's own uncommitted `ours` (whose buffered inserts come
+    /// last, as records of [`INSERTS_FILE_ID`]), of the columns
+    /// `scan.projection` names, minus the stripes `scan.predicates` rule
+    /// out, on up to `workers` as [`Self::for_each_at`] runs it. Each batch
+    /// is mapped to the [`Self::patch_of`] of every row `predicate`
+    /// matches, and those are collected into the statement's patch set in
+    /// the ascending record order the scan meets them in. Returns the
+    /// patch set (its length is the matched count) and the table's visible
+    /// row count as the cost model's α wants it: rows seen plus, from
+    /// their footers, the rows of the stripes skipped.
     pub(crate) fn locate_patches(
         &self,
         gen: u64,
@@ -1326,6 +1278,7 @@ impl DualTableStore {
     ) -> Result<(Vec<AttachedEntry>, u64)> {
         let (columns, width) = (self.projected(scan), self.inner.schema.len());
         let patches_of = |file_id, batch: ColumnBatch| {
+            let counts = (batch.rows() as u64, batch.selected_len() as u64);
             let mut found = Vec::new();
             located_rows(
                 file_id,
@@ -1338,14 +1291,22 @@ impl DualTableStore {
                     Ok(())
                 },
             )?;
-            Ok(found)
+            Ok((counts, found))
         };
-        let mut found = Vec::new();
-        let scanned = self.locate(gen, scan, ours, workers, &patches_of, &mut |mut patches| {
-            found.append(&mut patches);
+        let (mut found, mut seen, mut decoded) = (Vec::new(), 0u64, 0u64);
+        let _all = self.for_each_at(gen, scan, ours, workers, &patches_of, &mut |(n, mut p)| {
+            (decoded, seen) = (decoded + n.0, seen + n.1);
+            found.append(&mut p);
             Ok(ControlFlow::Continue(()))
         })?;
-        Ok((found, scanned))
+        if scan.predicates.is_none() {
+            return Ok((found, seen));
+        }
+        let mut stored = 0u64;
+        for file_id in self.visible_files(gen, scan.snapshot_ts) {
+            stored += self.open_master(gen, file_id)?.num_rows();
+        }
+        Ok((found, seen + stored.saturating_sub(decoded)))
     }
 
     // ------------------------------------------------------------------
@@ -1364,14 +1325,24 @@ impl DualTableStore {
     /// [`lock_order`]. Every EDIT commit holds its participants' mutexes
     /// from its timestamp until its KV writes land, so a commit is wholly
     /// before or wholly after the pin, on every store it spans.
+    ///
+    /// The pin is the one moment a read touches the `ops` lock: each
+    /// store's read mode is held while the pin is taken and released
+    /// before the read starts, so a read never starts inside an exclusive
+    /// rewrite (which holds `ops` from its build to its swing) and no
+    /// writer ever waits for a read in progress (DESIGN.md §13).
     pub(crate) fn pin_all(stores: &[DualTableStore]) -> Result<Vec<Snapshot>> {
+        let Some(env) = stores.first().map(|s| &s.inner.env) else {
+            return Ok(Vec::new());
+        };
         let order = lock_order(stores)?;
-        let mut states: Vec<_> = order.iter().map(|&i| stores[i].inner.mvcc.lock()).collect();
+        let _ops: Vec<_> = order.iter().map(|&i| stores[i].inner.ops.read()).collect();
+        // No swing lands under `ops`: the generations hold until the pins.
         let gens: Vec<u64> = stores
             .iter()
             .map(Self::current_gen)
             .collect::<Result<_>>()?;
-        let env = &stores[0].inner.env;
+        let mut states: Vec<_> = order.iter().map(|&i| stores[i].inner.mvcc.lock()).collect();
         let ts = env.kv.clock().tick();
         for (st, &i) in states.iter_mut().zip(&order) {
             st.pin(gens[i], ts);
@@ -1384,7 +1355,7 @@ impl DualTableStore {
 
     /// Begins a snapshot-isolation transaction (see [`Transaction`]).
     pub fn begin_transaction(&self) -> Result<Transaction> {
-        Ok(Transaction::new(vec![self.begin_snapshot()?], None))
+        Ok(Transaction::new(vec![(0, self.begin_snapshot()?)], None))
     }
 
     /// Releases the pin taken at `ts` and sweeps any generation whose

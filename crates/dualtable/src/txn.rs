@@ -31,7 +31,7 @@
 use std::borrow::Cow;
 use std::ops::ControlFlow;
 
-use dt_common::{RecordId, Result, Row};
+use dt_common::{Error, RecordId, Result, Row};
 use dt_orcfile::ColumnBatch;
 
 use crate::commit::{commit, Action};
@@ -68,11 +68,15 @@ impl Snapshot {
         &self.store
     }
 
-    /// UNION READ at the pin under the pin holder's own uncommitted
-    /// `ours`, on up to `workers` (see [`DualTableStore::for_each_mapped`]).
-    /// Takes the ops lock in read mode like any scan — pinned readers
-    /// don't block EDIT writers, only rewrites' commit step.
-    fn scan_under<T: Send>(
+    /// The one pinned read (DESIGN.md §13): UNION READ at the pin under
+    /// the pin holder's own uncommitted `ours`, on up to `workers` (see
+    /// [`DualTableStore::for_each_mapped`]), at the earlier of
+    /// `opts.snapshot_ts` and the pin's timestamp — so a time-travel read
+    /// still reads at its own time. Holds no lock: the pin keeps the
+    /// generation's files and attached cells alive, and a commit is wholly
+    /// before or wholly after it, so readers never block writers nor see
+    /// half a commit.
+    pub(crate) fn scan_under<T: Send>(
         &self,
         opts: &UnionReadOptions,
         ours: &PatchSet,
@@ -80,17 +84,21 @@ impl Snapshot {
         map: &MapFn<'_, T>,
         consume: &mut ConsumeFn<'_, T>,
     ) -> Result<ControlFlow<()>> {
-        let mut opts = opts.clone();
-        opts.snapshot_ts = self.ts;
-        let _guard = self.store.inner.ops.read();
+        let opts = self.at_pin(opts);
         self.store
             .for_each_at(self.gen, &opts, ours, workers, map, consume)
     }
 
+    /// `opts` read at the pin: at the earlier of its own time and the pin's.
+    fn at_pin(&self, opts: &UnionReadOptions) -> UnionReadOptions {
+        let mut opts = opts.clone();
+        opts.snapshot_ts = opts.snapshot_ts.min(self.ts);
+        opts
+    }
+
     /// UNION READ at the pin, as merged column batches (see
-    /// [`DualTableStore::for_each_batch`]). `opts.snapshot_ts` is
-    /// overridden by the pin's timestamp — a snapshot has exactly one
-    /// point in time.
+    /// [`DualTableStore::for_each_batch`]), at the earlier of
+    /// `opts.snapshot_ts` and the pin's timestamp.
     pub fn for_each_batch(
         &self,
         opts: &UnionReadOptions,
@@ -147,7 +155,10 @@ impl Drop for Snapshot {
 
 /// A snapshot-isolation transaction over one DualTable — over every shard
 /// of it, each with its own pinned snapshot, when the table is
-/// range-sharded.
+/// range-sharded. It is also how an autocommit SQL statement reads a
+/// DUALTABLE: a read-only transaction pinned on just the stores its read
+/// reaches ([`DualTableStore::begin_transaction`],
+/// [`ShardedTable::begin_read`]).
 ///
 /// Reads are UNION READ at the pin with this transaction's own buffered
 /// writes as a second patch source (read-your-own-writes); nothing is
@@ -157,17 +168,24 @@ impl Drop for Snapshot {
 /// to the same record ids (and no OVERWRITE/COMPACT swung the generation)
 /// since this transaction began. The first committer wins; losers get a
 /// retryable [`dt_common::Error::Conflict`] and nothing is applied.
+///
+/// [`ShardedTable::begin_read`]: crate::ShardedTable::begin_read
 pub struct Transaction {
-    /// One pinned snapshot per store, in shard order, each with the
-    /// transaction's buffered effect on that store.
-    parts: Vec<(Snapshot, PatchSet)>,
+    /// One part per pinned store, in shard order: its shard number, its
+    /// pinned snapshot and the transaction's buffered effect on it.
+    parts: Vec<(usize, Snapshot, PatchSet)>,
     /// How rows and statements route to `parts`; `None` = one store.
     spec: Option<ShardSpec>,
 }
 
 impl Transaction {
-    pub(crate) fn new(snapshots: Vec<Snapshot>, spec: Option<ShardSpec>) -> Self {
-        let parts = snapshots.into_iter().map(|s| (s, PatchSet::default()));
+    /// A transaction over `pins`: each shard number (ascending) of a
+    /// table partitioned by `spec` — or 0 for a table's one store — with
+    /// its pin.
+    pub(crate) fn new(pins: Vec<(usize, Snapshot)>, spec: Option<ShardSpec>) -> Self {
+        let parts = pins
+            .into_iter()
+            .map(|(shard, pin)| (shard, pin, PatchSet::default()));
         Transaction {
             parts: parts.collect(),
             spec,
@@ -176,17 +194,17 @@ impl Transaction {
 
     /// The pinned generation this transaction reads (of its first store).
     pub fn generation(&self) -> u64 {
-        self.parts[0].0.generation()
+        self.parts[0].1.generation()
     }
 
     /// The pinned snapshot timestamp (of its first store).
     pub fn snapshot_ts(&self) -> u64 {
-        self.parts[0].0.ts()
+        self.parts[0].1.ts()
     }
 
     /// `true` iff committing would write nothing.
     pub fn is_read_only(&self) -> bool {
-        self.parts.iter().all(|(_, ours)| ours.is_empty())
+        self.parts.iter().all(|(_, _, ours)| ours.is_empty())
     }
 
     /// Buffers `UPDATE ... SET ... WHERE predicate`. Sees (and may touch)
@@ -213,6 +231,13 @@ impl Transaction {
         self.edit(&predicate, None, scan)
     }
 
+    /// The position in `parts` of shard `shard`: a read pins only the
+    /// shards it reads, and writes nowhere else.
+    fn part(&self, shard: usize) -> Result<usize> {
+        let found = self.parts.binary_search_by_key(&shard, |p| p.0);
+        found.map_err(|_| Error::invalid(format!("shard {shard} is not pinned by this read")))
+    }
+
     /// One buffered UPDATE (`assignments` given) or DELETE of the rows
     /// `selector` picks: on every store the statement can touch, the rows
     /// it matches — found by the store's one locate-scan, at the pin, under
@@ -227,7 +252,7 @@ impl Transaction {
         scan: &UnionReadOptions,
     ) -> Result<u64> {
         if let Some(assignments) = assignments {
-            self.parts[0].0.store().check_targets(assignments)?;
+            self.parts[0].1.store().check_targets(assignments)?;
         }
         let targets = match &self.spec {
             Some(spec) => spec.dml_shards(assignments, scan.predicates.as_deref())?,
@@ -235,14 +260,10 @@ impl Transaction {
         };
         let workers = self.read_workers();
         let mut statement = Vec::with_capacity(targets.len());
-        for i in targets {
-            let (snapshot, ours) = &self.parts[i];
-            let mut at_pin = scan.clone();
-            at_pin.snapshot_ts = snapshot.ts();
-            let store = snapshot.store();
-            let _guard = store.inner.ops.read();
-            let gen = snapshot.generation();
-            let scan = (&at_pin, ours);
+        for shard in targets {
+            let i = self.part(shard)?;
+            let (_, pin, ours) = &self.parts[i];
+            let (store, gen, scan) = (pin.store(), pin.generation(), (&pin.at_pin(scan), ours));
             let (patches, _) = store.locate_patches(gen, scan, workers, selector, assignments)?;
             statement.push((i, patches));
         }
@@ -251,7 +272,7 @@ impl Transaction {
             .map(|(_, patches)| patches.len())
             .sum::<usize>();
         for (i, patches) in statement {
-            self.parts[i].1.absorb(patches);
+            self.parts[i].2.absorb(patches);
         }
         Ok(matched as u64)
     }
@@ -260,7 +281,7 @@ impl Transaction {
     /// which stages them and renames them into place with the rest of its
     /// writes.
     pub fn insert(&mut self, rows: Vec<Row>) -> Result<u64> {
-        let schema = self.parts[0].0.store().schema();
+        let schema = self.parts[0].1.store().schema();
         rows.iter().try_for_each(|row| schema.check_row(row))?;
         let n = rows.len() as u64;
         // Every row routes before any is buffered.
@@ -268,7 +289,10 @@ impl Transaction {
             Some(spec) => spec.partition(rows)?,
             None => vec![rows],
         };
-        for ((_, ours), bucket) in self.parts.iter_mut().zip(buckets) {
+        if buckets.len() != self.parts.len() {
+            return Err(Error::invalid("a read pins only the shards it reads"));
+        }
+        for ((_, _, ours), bucket) in self.parts.iter_mut().zip(buckets) {
             ours.inserts.extend(bucket);
         }
         Ok(n)
@@ -276,11 +300,11 @@ impl Transaction {
 
     /// The read-your-own-writes scan: UNION READ at the pin with this
     /// transaction's patches as second patch source (see
-    /// [`DualTableStore::for_each_batch`]; `opts.snapshot_ts` is
-    /// overridden by the pin's), store by store in shard order — a sharded
-    /// table's `opts.predicates` prune whole shards first — each store's
-    /// buffered inserts following its files as one trailing batch under
-    /// file ID 0, which no master file has.
+    /// [`DualTableStore::for_each_batch`] and [`Snapshot::for_each_batch`]
+    /// for the time it reads at), store by store in shard order — a
+    /// sharded table's `opts.predicates` prune whole shards first — each
+    /// store's buffered inserts following its files as one trailing batch
+    /// under file ID 0, which no master file has.
     pub fn for_each_batch(
         &self,
         opts: &UnionReadOptions,
@@ -320,12 +344,12 @@ impl Transaction {
         map: &MapFn<'_, T>,
         consume: &mut ConsumeFn<'_, T>,
     ) -> Result<()> {
-        let shards = match (&self.spec, &opts.predicates) {
-            (Some(spec), Some(p)) => spec.shards_matching(p),
-            _ => (0..self.parts.len()).collect(),
+        let reached = |shard| match (&self.spec, &opts.predicates) {
+            (Some(spec), Some(predicates)) => spec.shard_may_match(shard, predicates),
+            _ => true,
         };
-        for (snapshot, ours) in shards.into_iter().map(|i| &self.parts[i]) {
-            let flow = snapshot.scan_under(opts, ours, workers, map, consume)?;
+        for (_, pin, ours) in self.parts.iter().filter(|part| reached(part.0)) {
+            let flow = pin.scan_under(opts, ours, workers, map, consume)?;
             if flow.is_break() {
                 break;
             }
@@ -346,15 +370,15 @@ impl Transaction {
     /// nothing applied — re-begin and retry. Returns the commit timestamp
     /// (0 when nothing was written).
     pub fn commit_all(txns: impl IntoIterator<Item = Transaction>) -> Result<u64> {
-        let parts: Vec<(Snapshot, PatchSet)> = txns
+        let parts: Vec<_> = txns
             .into_iter()
             .flat_map(|t| t.parts)
-            .filter(|(_, ours)| !ours.is_empty())
+            .filter(|(_, _, ours)| !ours.is_empty())
             .collect();
         let pin = |s: &Snapshot| Some((s.generation(), s.ts()));
         let parts: Vec<_> = parts
             .iter()
-            .map(|(s, ours)| (s.store(), pin(s), Action::Write(Cow::Borrowed(ours))))
+            .map(|(_, s, ours)| (s.store(), pin(s), Action::Write(Cow::Borrowed(ours))))
             .collect();
         commit(&parts)
     }

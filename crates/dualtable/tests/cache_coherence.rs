@@ -757,7 +757,6 @@ fn delta_tier_engages_and_explicit_spill_is_a_read_noop() {
 /// attached scan in every fan-out variant.
 #[test]
 fn delta_sharded_scatter_matches_delta_off() {
-    use dt_common::Deadline;
     use dualtable::{ShardSpec, ShardedTable};
     use std::ops::ControlFlow;
 
@@ -796,7 +795,7 @@ fn delta_sharded_scatter_matches_delta_off() {
     );
     let scatter = |t: &ShardedTable, opts: &UnionReadOptions| -> Vec<Row> {
         let mut rows = Vec::new();
-        t.for_each_batch(opts, &Deadline::never(), |_, batch| {
+        t.for_each_batch(opts, |_, batch| {
             rows.extend(batch.selected_rows());
             Ok(ControlFlow::Continue(()))
         })

@@ -198,14 +198,29 @@ fn concurrent_scans_and_edits() {
                 }
             })
         };
-        // Concurrent scans always see 500 complete rows (row count never
-        // torn by in-flight updates; values are whatever has landed).
+        // Concurrent scans always see 500 complete rows, and each scan is
+        // one pinned read: every round — one UPDATE of the 25 ids of one
+        // `id % 20` class — is whole or absent in it, and the rounds
+        // present are the first k, in commit order.
         for _ in 0..15 {
             let rows = t.scan_all().unwrap();
             assert_eq!(rows.len(), 500);
+            let mut landed = [0usize; 21];
             for (_, r) in &rows {
                 assert_eq!(r.len(), 2);
+                let (id, v) = (r[0].as_i64().unwrap(), r[1].as_i64().unwrap());
+                let round = if id % 20 == 0 { 20 } else { id % 20 };
+                assert!(
+                    v == 0 || v == round,
+                    "id {id}: v {v} from no round of its class"
+                );
+                landed[v as usize] += usize::from(v != 0);
             }
+            let rounds = landed[1..].iter().take_while(|&&n| n == 25).count();
+            assert!(
+                landed[1 + rounds..].iter().all(|&n| n == 0),
+                "a round torn or out of order: {landed:?}"
+            );
         }
         writer.join().unwrap();
     });

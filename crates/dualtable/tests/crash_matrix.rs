@@ -32,7 +32,7 @@ use std::sync::Arc;
 
 use dt_common::crash_matrix::run_crash_matrix;
 use dt_common::fault::{FaultKind, FaultPlan, IoOp};
-use dt_common::{Deadline, Row, Value};
+use dt_common::{Row, Value};
 use dt_dfs::DfsConfig;
 use dt_engine::with_degree;
 use dt_orcfile::{ColumnPredicate, PredicateOp};
@@ -833,7 +833,7 @@ fn a_left_over_decision_record_never_shadows_a_later_write() {
     let scan = |opts: &UnionReadOptions| {
         let mut got: Vec<(i64, i64)> = Vec::new();
         table
-            .for_each_batch(opts, &Deadline::never(), |_, batch| {
+            .for_each_batch(opts, |_, batch| {
                 let rows = batch.selected_rows();
                 got.extend(rows.map(|row| (row[0].as_i64().unwrap(), row[1].as_i64().unwrap())));
                 Ok(ControlFlow::Continue(()))

@@ -16,11 +16,25 @@
 //!
 //! `max_generations` itself is part of the generated input, so the budget
 //! is exercised at 0 (sweep eagerly) through 2 (tolerate leaks).
+//!
+//! Beside the property, directed tests of the read pin: a read takes a
+//! pin and no lock, so it never sees half a commit
+//! (`an_autocommit_read_never_sees_half_a_commit`,
+//! `a_sharded_read_never_sees_half_a_cross_shard_commit`) and no swing or
+//! DROP waits for it (`a_swing_never_waits_for_a_parked_reader`).
 
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
+use std::sync::mpsc;
+use std::thread::{Scope, ScopedJoinHandle};
+use std::time::Duration;
 
-use dt_common::{DataType, RecordId, Row, Schema, Value};
-use dualtable::{DualTableConfig, DualTableEnv, DualTableStore, PlanMode, RatioHint, Snapshot};
+use dt_common::{DataType, RecordId, Result, Row, Schema, Value};
+use dt_orcfile::ColumnBatch;
+use dualtable::{
+    Assignment, DualTableConfig, DualTableEnv, DualTableStore, PlanChoice, PlanMode, RatioHint,
+    ShardSpec, ShardedTable, Snapshot, UnionReadOptions,
+};
 use proptest::prelude::*;
 
 const TABLE: &str = "gc";
@@ -234,6 +248,224 @@ proptest! {
         prop_assert_eq!(
             sorted_pairs(&table.scan_all().unwrap()),
             model.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>()
+        );
+    }
+}
+
+/// How long a directed test waits for the other side of a race: a step
+/// that takes longer is taken to wait for the parked reader.
+const PARK: Duration = Duration::from_secs(10);
+
+/// Two master files of four rows each, `v = id`, both already dirty: a row
+/// of each carries an EDIT overlay, so a scan opens both files' attached
+/// ranges and a fold has candidates.
+fn two_dirty_files(env: &DualTableEnv, name: &str) -> DualTableStore {
+    let config = DualTableConfig {
+        rows_per_file: 4,
+        ..DualTableConfig::default()
+    };
+    let t = DualTableStore::create(env, name, schema(), config).unwrap();
+    t.insert_rows((0..8).map(|i| vec![Value::Int64(i), Value::Int64(i)]))
+        .unwrap();
+    assert_eq!(t.master_file_ids().unwrap().len(), 2);
+    assert_eq!(bump(&t, [0, 4], 100, 0.005).unwrap(), PlanChoice::Edit);
+    t
+}
+
+/// `UPDATE SET v = v + by WHERE id IN ids` under the cost model with
+/// modification ratio `ratio`; returns the plan it ran.
+fn bump(t: &DualTableStore, ids: [i64; 2], by: i64, ratio: f64) -> Result<PlanChoice> {
+    let set = add(by);
+    let all = UnionReadOptions::all();
+    let report = t.dml(
+        &picks(ids),
+        Some(&set),
+        RatioHint::Explicit(ratio),
+        None,
+        &all,
+    )?;
+    Ok(report.plan)
+}
+
+fn picks(ids: [i64; 2]) -> impl Fn(&Row) -> bool + Sync {
+    move |row: &Row| ids.contains(&row[0].as_i64().unwrap())
+}
+
+fn add(by: i64) -> [Assignment<'static>; 1] {
+    [(
+        1,
+        Box::new(move |row: &Row| Ok(Value::Int64(row[1].as_i64().unwrap() + by))),
+    )]
+}
+
+fn v_sum(rows: &[Row]) -> i64 {
+    rows.iter().map(|row| row[1].as_i64().unwrap()).sum()
+}
+
+type Batches<'a> = &'a mut dyn FnMut(ColumnBatch) -> Result<ControlFlow<()>>;
+
+/// Runs `read` — a scan handing each merged batch to its callback — on a
+/// thread of `s`, parked after its first batch until the returned sender
+/// fires; the thread returns every row it read.
+fn parked<'s>(
+    s: &'s Scope<'s, '_>,
+    read: impl FnOnce(Batches<'_>) -> Result<()> + Send + 's,
+) -> (ScopedJoinHandle<'s, Result<Vec<Row>>>, mpsc::Sender<()>) {
+    let (parked_tx, parked_rx) = mpsc::channel();
+    let (go_tx, go_rx) = mpsc::channel::<()>();
+    let reader = s.spawn(move || {
+        let mut rows = Vec::new();
+        let mut first = true;
+        read(&mut |batch| {
+            rows.extend(batch.selected_rows());
+            if std::mem::take(&mut first) {
+                parked_tx.send(()).unwrap();
+                let _ = go_rx.recv();
+            }
+            Ok(ControlFlow::Continue(()))
+        })?;
+        Ok(rows)
+    });
+    parked_rx
+        .recv_timeout(PARK)
+        .expect("the reader parks after its first batch");
+    (reader, go_tx)
+}
+
+/// Runs `op` on a thread of `s`; `None` if it is not done within [`PARK`]
+/// (the thread still runs to its end before the scope closes).
+fn within<'s, T: Send + 's>(s: &'s Scope<'s, '_>, op: impl FnOnce() -> T + Send + 's) -> Option<T> {
+    let (tx, rx) = mpsc::channel();
+    s.spawn(move || tx.send(op()));
+    rx.recv_timeout(PARK).ok()
+}
+
+/// A read parked between two dirty master files while one autocommit
+/// EDIT commits a change to a row of each: the read sees the commit
+/// whole or not at all.
+#[test]
+fn an_autocommit_read_never_sees_half_a_commit() {
+    let env = DualTableEnv::in_memory();
+    let t = two_dirty_files(&env, "torn");
+    let rows: Vec<Row> = t.scan_all().unwrap().into_iter().map(|(_, r)| r).collect();
+    let before = v_sum(&rows);
+    let all = UnionReadOptions::all();
+    std::thread::scope(|s| {
+        let (reader, go) = parked(s, |f| t.for_each_batch(&all, |_, batch| f(batch)));
+        let update = within(s, || bump(&t, [1, 5], 1000, 0.005));
+        go.send(()).unwrap();
+        let got = v_sum(&reader.join().unwrap().unwrap());
+        let plan = update.expect("the EDIT waited for the reader").unwrap();
+        assert_eq!(plan, PlanChoice::Edit);
+        assert!(
+            got == before || got == before + 2000,
+            "a torn read: sum {got}, {before} before the commit and {} after",
+            before + 2000
+        );
+    });
+    assert_eq!(t.pinned_snapshots(), 0);
+}
+
+/// The same across shards: a scan parked between the two shards of a
+/// table while one autocommit UPDATE commits a change in each.
+#[test]
+fn a_sharded_read_never_sees_half_a_cross_shard_commit() {
+    let env = DualTableEnv::in_memory();
+    let spec = ShardSpec::new(0, vec![4]).unwrap();
+    let t = ShardedTable::create(&env, "torn", schema(), DualTableConfig::default(), spec).unwrap();
+    t.insert_rows(
+        (0..8)
+            .map(|i| vec![Value::Int64(i), Value::Int64(i)])
+            .collect(),
+    )
+    .unwrap();
+    let bump = |ids, by| {
+        let (set, ratio) = (add(by), RatioHint::Explicit(0.005));
+        let report = t.dml(&picks(ids), Some(&set), ratio, None, None)?;
+        let plans: Vec<_> = report.per_shard.iter().map(|(_, r)| r.plan).collect();
+        Ok::<_, dt_common::Error>(plans)
+    };
+    // Both shards dirty, so each one's scan opens its attached range.
+    assert_eq!(bump([0, 4], 100).unwrap(), [PlanChoice::Edit; 2]);
+    let mut before = 0;
+    t.for_each_batch(&UnionReadOptions::all(), |_, batch| {
+        before += v_sum(&batch.selected_rows().collect::<Vec<_>>());
+        Ok(ControlFlow::Continue(()))
+    })
+    .unwrap();
+    let all = UnionReadOptions::all();
+    std::thread::scope(|s| {
+        let (reader, go) = parked(s, |f| t.for_each_batch(&all, |_, batch| f(batch)));
+        let update = within(s, || bump([1, 5], 1000));
+        go.send(()).unwrap();
+        let got = v_sum(&reader.join().unwrap().unwrap());
+        let plans = update.expect("the UPDATE waited for the reader").unwrap();
+        assert_eq!(
+            plans,
+            [PlanChoice::Edit; 2],
+            "one commit across both shards"
+        );
+        assert!(
+            got == before || got == before + 2000,
+            "a torn read: sum {got}, {before} before the commit and {} after",
+            before + 2000
+        );
+    });
+    assert!(t.shards().iter().all(|shard| shard.pinned_snapshots() == 0));
+}
+
+/// A reader parked mid-scan holds a pin and no lock: an incremental
+/// fold's swing, an OVERWRITE-plan UPDATE, INSERT OVERWRITE and DROP
+/// TABLE each complete beside it. The parked read returns the table as
+/// it was before the swing (or, across a DROP, an error), and once it
+/// ends nothing stays pinned and the deferred cleanup has run.
+#[test]
+fn a_swing_never_waits_for_a_parked_reader() {
+    for swing in [
+        "fold",
+        "OVERWRITE-plan UPDATE",
+        "INSERT OVERWRITE",
+        "DROP TABLE",
+    ] {
+        let env = DualTableEnv::in_memory();
+        let t = two_dirty_files(&env, "swung");
+        let before: Vec<Row> = t.scan_all().unwrap().into_iter().map(|(_, r)| r).collect();
+        let all = UnionReadOptions::all();
+        std::thread::scope(|s| {
+            let (reader, go) = parked(s, |f| t.for_each_batch(&all, |_, batch| f(batch)));
+            let done = within(s, || match swing {
+                "fold" => t.compact_incremental().map(|o| format!("{o:?}")),
+                "OVERWRITE-plan UPDATE" => bump(&t, [1, 5], 1000, 0.9).map(|p| format!("{p:?}")),
+                "INSERT OVERWRITE" => t.insert_overwrite(before.clone()).map(|n| n.to_string()),
+                _ => t.clone().drop_table().map(|()| "dropped".into()),
+            });
+            go.send(()).unwrap();
+            let read = reader.join().expect("a parked read never panics");
+            let done = done.unwrap_or_else(|| panic!("{swing} waited for the parked reader"));
+            match swing {
+                "DROP TABLE" => assert!(read.is_err() || read.unwrap() == before),
+                _ => assert_eq!(read.unwrap(), before, "{swing}: the pre-swing table"),
+            }
+            let done = done.unwrap();
+            match swing {
+                "fold" => assert!(done.starts_with("Folded"), "{done}"),
+                "OVERWRITE-plan UPDATE" => assert_eq!(done, format!("{:?}", PlanChoice::Overwrite)),
+                _ => {}
+            }
+        });
+        assert_eq!(t.pinned_snapshots(), 0, "{swing}");
+        if swing == "DROP TABLE" {
+            continue;
+        }
+        // The generation the reader held went with its pin, and so did
+        // the attached rows of every file the swing retired.
+        assert_eq!(t.retired_generations(), 0, "{swing}");
+        let live = t.master_file_ids().unwrap();
+        let presence = t.presence_index().unwrap();
+        assert!(
+            presence.files.keys().all(|id| live.contains(id)),
+            "{swing}: retired files left attached rows: {:?} vs live {live:?}",
+            presence.files.keys().collect::<Vec<_>>()
         );
     }
 }

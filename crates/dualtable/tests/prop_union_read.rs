@@ -362,7 +362,7 @@ mod differential {
     use std::ops::ControlFlow;
 
     use dt_common::rng::Rng64;
-    use dt_common::{DataType, Deadline, Field, RecordId, Row, Schema, Value};
+    use dt_common::{DataType, Field, RecordId, Row, Schema, Value};
     use dt_orcfile::{ColumnPredicate, PredicateOp, WriterOptions};
     use dualtable::{
         DualTableConfig, DualTableEnv, DualTableStore, PlanMode, RatioHint, ShardSpec,
@@ -607,7 +607,7 @@ mod differential {
     /// Every row a scatter scan under `opts` returns, in gather order.
     fn scatter(t: &ShardedTable, opts: &UnionReadOptions) -> Vec<Row> {
         let mut rows = Vec::new();
-        t.for_each_batch(opts, &Deadline::never(), |_, batch| {
+        t.for_each_batch(opts, |_, batch| {
             rows.extend(batch.selected_rows());
             Ok(ControlFlow::Continue(()))
         })

@@ -19,7 +19,7 @@
 
 use std::ops::ControlFlow;
 
-use dt_common::{DataType, Deadline, Row, Schema, Value};
+use dt_common::{DataType, Row, Schema, Value};
 use dt_orcfile::{ColumnPredicate, PredicateOp};
 use dualtable::{
     DualTableConfig, DualTableEnv, DualTableStore, PlanChoice, PlanMode, RatioHint, ShardMap,
@@ -55,7 +55,7 @@ fn scatter(t: &ShardedTable, predicates: Option<&[ColumnPredicate]>) -> Vec<Row>
         ..UnionReadOptions::all()
     };
     let mut rows = Vec::new();
-    t.for_each_batch(&opts, &Deadline::never(), |_, batch| {
+    t.for_each_batch(&opts, |_, batch| {
         rows.extend(batch.selected_rows());
         Ok(ControlFlow::Continue(()))
     })
@@ -280,7 +280,7 @@ fn pruned_shards_never_reach_the_file_merge() {
         };
         let before = env.health.snapshot().attached_scans_skipped;
         let mut rows = 0;
-        t.for_each_batch(&opts, &Deadline::never(), |_, batch| {
+        t.for_each_batch(&opts, |_, batch| {
             rows += batch.selected_len();
             Ok(ControlFlow::Continue(()))
         })

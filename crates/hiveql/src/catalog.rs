@@ -144,8 +144,11 @@ impl TableHandle {
 
     /// [`TableHandle::for_each_batch`] split in two: `map` turns each batch
     /// into a `T` and `consume` takes the `T`s on the calling thread, in
-    /// scan order. An unsharded DUALTABLE — in a transaction or not — runs
-    /// `map` on the workers of a read that fans out
+    /// scan order. A DUALTABLE is read through one path, a pinned
+    /// [`Transaction`]: `txn`, or for an autocommit statement a read-only
+    /// one pinned on the stores the read reaches
+    /// ([`ShardedTable::begin_read`]). Unsharded, it runs `map` on the
+    /// workers of a read that fans out
     /// ([`DualTableStore::for_each_mapped`]); every other storage maps on
     /// the calling thread, batch by batch.
     pub fn scan_mapped<T: Send>(
@@ -164,20 +167,21 @@ impl TableHandle {
         let mut opts = UnionReadOptions::all();
         opts.projection = projection.map(<[usize]>::to_vec);
         opts.predicates = predicates.map(<[ColumnPredicate]>::to_vec);
+        // An autocommit read is a read-only transaction of its own, pinned
+        // on the table or on the shards `predicates` leave.
+        let mut own = None;
+        let read = match (txn, self) {
+            (Some(txn), _) => txn,
+            (None, TableHandle::Dual(t)) => &*own.insert(t.begin_transaction()?),
+            (None, TableHandle::Sharded(t)) => &*own.insert(t.begin_read(predicates)?),
+            (None, TableHandle::Baseline(_, t)) => {
+                let mut each = |batch| consume(checked(batch)?);
+                return t.for_each_batch(projection, predicates, &mut each);
+            }
+        };
         let merged = |_, batch| checked(batch);
         let mut consumed = |out| consume(out).map(ControlFlow::Continue);
-        if let Some(txn) = txn {
-            return txn.for_each_mapped(&opts, &merged, &mut consumed);
-        }
-        match self {
-            TableHandle::Baseline(_, t) => t.for_each_batch(projection, predicates, &mut |batch| {
-                consume(checked(batch)?)
-            }),
-            TableHandle::Dual(t) => t.for_each_mapped(&opts, &merged, &mut consumed),
-            TableHandle::Sharded(t) => {
-                t.for_each_batch(&opts, deadline, |_, batch| consumed(checked(batch)?))
-            }
-        }
+        read.for_each_mapped(&opts, &merged, &mut consumed)
     }
 
     /// Appends rows.

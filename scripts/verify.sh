@@ -133,7 +133,13 @@ run_gate parallel-write cargo test -q -p dualtable --locked --test parallel_writ
 run_gate group-commit cargo test -q -p dt-kvstore --locked --test group_commit -- --nocapture
 
 # Generation-GC property test and the SQL transaction surface
-# (DESIGN.md §13).
+# (DESIGN.md §13). `prop_mvcc_gc` also holds the read-pin directed
+# tests: a reader parked mid-scan sees an autocommit EDIT, one store's or
+# a cross-shard one, whole or not at all
+# (`an_autocommit_read_never_sees_half_a_commit`,
+# `a_sharded_read_never_sees_half_a_cross_shard_commit`), and a fold's
+# swing, an OVERWRITE-plan UPDATE, INSERT OVERWRITE and DROP TABLE
+# complete beside it (`a_swing_never_waits_for_a_parked_reader`).
 run_gate mvcc-gc-prop cargo test -q -p dualtable --locked --test prop_mvcc_gc -- --nocapture
 run_gate txn-sessions cargo test -q -p dt-hiveql --locked --test txn_sessions -- --nocapture
 
