@@ -35,7 +35,6 @@ use crate::mvcc::Conflict;
 use crate::presence::{
     decode_count, encode_count, presence_key, presence_qualifier, PresenceDelta,
 };
-use crate::rewrite::Retire;
 use crate::store::{is_staged, DualTableStore};
 use crate::union_read::PatchSet;
 
@@ -55,9 +54,8 @@ pub(crate) enum Action<'a> {
     /// EDIT patches and rows to insert: an autocommit UPDATE, DELETE or
     /// INSERT (owned), or a transaction's buffer (borrowed).
     Write(Cow<'a, PatchSet>),
-    /// The generation `.0`, built aside, becomes the table; `.1` names the
-    /// files it consumed.
-    Swing(u64, &'a Retire),
+    /// The generation `.0`, built aside, becomes the table.
+    Swing(u64),
 }
 
 /// One store's share of a commit: the store, the `(generation, timestamp)`
@@ -113,7 +111,7 @@ pub(crate) fn autocommit(
     })();
     if outcome.is_err() {
         for (store, _, action) in &parts {
-            if let Action::Swing(next, _) = action {
+            if let Action::Swing(next) = action {
                 store.abandon_rewrite(*next);
             }
         }
@@ -216,7 +214,7 @@ fn decide(parts: &[&Participant<'_>], staged: &[Vec<u32>]) -> Result<u64> {
                 batches.push((store, store.batch(ours, ts)?));
             }
             Action::Write(_) => {}
-            &Action::Swing(next, _) => cells.push(generation_cell(store.name(), next)),
+            &Action::Swing(next) => cells.push(generation_cell(store.name(), next)),
         }
         if !ids.is_empty() {
             files.push((store, gen, ids));
@@ -282,9 +280,13 @@ fn decide(parts: &[&Participant<'_>], staged: &[Vec<u32>]) -> Result<u64> {
                 st.note_edit_commit(ours.rows.iter().map(|r| r.record.as_u64()), ts);
                 st.commit_files(gen, ids.iter().copied(), ts);
             }
-            &Action::Swing(next, retire) => {
-                let now = store.stamp_swing(st, gen, next, ts, pin.map(|p| p.1), retire);
-                swung.push((store, next, retire, now));
+            &Action::Swing(next) => {
+                // The swing stamp every transaction pinned before it loses
+                // to; the old generation waits for any read still pinning it.
+                if st.note_swing(gen, next, ts, pin.map(|p| p.1)) {
+                    env.health.generations_deferred.inc();
+                }
+                swung.push(store);
             }
         }
     }
@@ -296,8 +298,9 @@ fn decide(parts: &[&Participant<'_>], staged: &[Vec<u32>]) -> Result<u64> {
     if decided && landed && clear().is_err() {
         env.health.cleanup_failures.inc();
     }
-    for (store, next, retire, now) in swung {
-        store.clean_after_swing(next, retire, now);
+    // Every swing runs under its writer's `ops` write lock.
+    for store in swung {
+        store.sweep(true);
     }
     // Budget enforcement after the locks drop: the batch is already
     // durable, so a failed spill costs nothing — the next commit retries

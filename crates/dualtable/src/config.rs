@@ -74,12 +74,6 @@ pub struct DualTableConfig {
     /// (DESIGN.md §10). `0` disables the cache and re-parses every footer
     /// on every open.
     pub footer_cache_entries: u64,
-    /// How many dead (superseded *and* unpinned) generations may linger
-    /// before the sweeper physically deletes them (DESIGN.md §13).
-    /// Generations pinned by live readers are always kept regardless;
-    /// `0` deletes dead generations as soon as they drain — the
-    /// single-session behaviour.
-    pub max_generations: usize,
     /// Background incremental compaction knobs (DESIGN.md §15).
     pub compaction: CompactionConfig,
     /// Memory budget for the delta (shadow) tier in the attached kvstore
@@ -104,7 +98,6 @@ impl Default for DualTableConfig {
             delete_marker_bytes: 26,
             retry: RetryPolicy::default(),
             footer_cache_entries: 1024,
-            max_generations: 0,
             compaction: CompactionConfig::default(),
             delta_bytes: 0,
         }

@@ -20,7 +20,7 @@ dt_common::counters! {
     /// compactions_started`, asserted by the soaks).
     pub struct TableCounters => TableSnapshot {
         ..retry: RetryCounters => RetrySnapshot,
-        /// Deferred best-effort cleanups (retried on next open).
+        /// Best-effort cleanups that failed (the next sweep retries them).
         cleanup_failures,
         /// Plan fallbacks (OVERWRITE → EDIT) taken to keep a statement alive.
         plan_fallbacks,
@@ -46,7 +46,8 @@ dt_common::counters! {
         swing_conflicts,
         /// Generation GCs deferred because a pinned reader still needs them.
         generations_deferred,
-        /// Superseded generations physically garbage-collected.
+        /// Generation directories the sweep deleted: superseded ones and
+        /// those of abandoned or crashed builds.
         generations_gcd,
         /// Background incremental compactions that began building.
         compactions_started,
@@ -56,8 +57,6 @@ dt_common::counters! {
         compactions_lost_race,
         /// Incremental compactions aborted by a fault or panic pre-swing.
         compactions_aborted,
-        /// Abandoned rewrite generations swept eagerly after a lost race.
-        stale_gens_swept,
         /// Maintenance ticks that fell due while statements held the
         /// service pool's queue, and so waited for it to drain.
         compactor_throttled,

@@ -14,10 +14,13 @@
 //!   `record id → commit ts`; a transaction commits only if no record in
 //!   its write set (and no generation swing) committed after its pin.
 //!   Losers get a retryable [`Error::Conflict`].
-//! * **Deferred generation GC** — a generation swing that would strand a
-//!   pinned reader parks the old generation in a retired set instead of
-//!   deleting it; the files (and their cached footers/blocks) are
-//!   collected only when the last pin on that generation drains.
+//! * **Liveness for the sweep** — the live generations are the current
+//!   one, every pinned one and every one being built
+//!   ([`MvccState::live_generations`]); everything else on disk is garbage
+//!   for [`crate::DualTableStore::sweep`], which works it out from this
+//!   state and the directory and presence listings, so nothing here
+//!   records what is due. An unpin that leaves a superseded generation
+//!   with no pin says so ([`MvccState::unpin`]), and its caller sweeps.
 //!
 //! All state is in-memory and per-process, guarded by one mutex per table:
 //! pins and conflict windows are session metadata, not durable data. After
@@ -27,13 +30,13 @@
 //!
 //! Lock order: a writer's `ops` lock (read or write) is always acquired
 //! before its table's [`TableMvcc`] state mutex — a reader's pin takes
-//! `ops` in read mode, then the mutex, and its unpin the mutex alone; the
-//! state mutex is held across
-//! the commit's KV write so the conflict check, the durable commit and the
-//! bookkeeping update form one atomic step against other committers.
+//! `ops` in read mode, then the mutex, and its unpin the mutex alone (a
+//! sweep after it takes `ops` without waiting, then the mutex); the state
+//! mutex is held across the commit's KV write so the conflict check, the
+//! durable commit and the bookkeeping update form one atomic step against
+//! other committers.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::ops::Range;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -65,24 +68,12 @@ pub(crate) struct MvccState {
     file_commits: HashMap<(u64, u32), u64>,
     /// Live pins: `pin ts → pinned generation`.
     pins: BTreeMap<u64, u64>,
-    /// Superseded generations kept alive for pinned readers.
-    retired: BTreeSet<u64>,
-    /// Dead (superseded, unpinned) generations awaiting physical GC.
-    drained: Vec<u64>,
-    /// File-ID ranges retired with the old generations; their attached
-    /// cells may be collected once `retired` empties.
-    attached_retired: Vec<Range<u32>>,
-    /// A full rewrite swung while a read pinned an older generation, so
-    /// its truncate of the attached table waits for the sweeper
-    /// ([`crate::DualTableStore::sweep_gc`]).
-    pub(crate) truncate_due: bool,
     /// Highest generation number handed to an off-to-the-side build, so
     /// two concurrent rewrites never share a directory.
     build_highwater: u64,
-    /// Generations currently being built off to the side. Stale-generation
-    /// cleanup must not delete them out from under their writers (the
-    /// build would fail with I/O errors instead of a clean swing
-    /// conflict).
+    /// Generations currently being built off to the side. The sweep must
+    /// not delete them out from under their writers (the build would fail
+    /// with I/O errors instead of a clean swing conflict).
     building: BTreeSet<u64>,
 }
 
@@ -92,9 +83,15 @@ impl MvccState {
         self.pins.insert(ts, gen);
     }
 
-    /// Drops the pin taken at `ts`.
-    pub(crate) fn unpin(&mut self, ts: u64) {
-        self.pins.remove(&ts);
+    /// Drops the pin taken at `ts`. Returns `true` iff that leaves a
+    /// superseded generation with no pin — a swing landed after the pin,
+    /// and no other pin holds its generation — so a sweep has work. Any
+    /// other unpin returns before walking the pins.
+    pub(crate) fn unpin(&mut self, ts: u64) -> bool {
+        let Some(gen) = self.pins.remove(&ts) else {
+            return false;
+        };
+        self.last_swing_ts > ts && !self.pins.values().any(|&g| g == gen)
     }
 
     /// Live pins count (diagnostics).
@@ -173,7 +170,7 @@ impl MvccState {
     /// Reserves a generation number for a build: at least `candidate`
     /// (what the directory listing implies) and past every number already
     /// handed out — a build may write zero files, leaving no directory for
-    /// the listing to see — and protects it from stale-generation cleanup
+    /// the listing to see — and protects it from the sweep
     /// until it swings or is abandoned.
     pub(crate) fn reserve_build_gen(&mut self, candidate: u64) -> u64 {
         let gen = candidate.max(self.build_highwater + 1);
@@ -189,22 +186,21 @@ impl MvccState {
     }
 
     /// Records a committed swing `old_gen → new_gen` at `swing_ts`.
-    /// `floor` is the lowest file id belonging to `new_gen`: every id
-    /// below it is retired with the old generations. `own_pin_ts` is the
-    /// swinging rewrite's build pin, which it is about to release and must
-    /// not count as a stranded reader. Returns `true` iff `old_gen` must
-    /// be kept for *another* pinned reader (deferred GC).
+    /// `own_pin_ts` is the swinging rewrite's build pin: its work ends
+    /// with the swing, so it is dropped here and counts as no reader.
+    /// Returns `true` iff another pin still holds `old_gen` (deferred GC).
     pub(crate) fn note_swing(
         &mut self,
         old_gen: u64,
         new_gen: u64,
         swing_ts: u64,
-        floor: u32,
         own_pin_ts: Option<u64>,
     ) -> bool {
         self.last_swing_ts = swing_ts;
         self.build_highwater = self.build_highwater.max(new_gen);
-        self.retire_later(std::iter::once(1..floor));
+        if let Some(ts) = own_pin_ts {
+            self.pins.remove(&ts);
+        }
         // Conflict windows only matter within a generation: the swing
         // retires every old record id, and new pins (ts > swing_ts) can
         // only conflict with commits after the swing.
@@ -212,22 +208,13 @@ impl MvccState {
         // File visibility records of a *pinned* old generation must
         // survive the swing: its readers still rely on them to hide files
         // committed after their pin (an absent record means always
-        // visible). They are pruned when the generation drains
-        // ([`MvccState::take_sweepable`]).
+        // visible). They go when the generation does
+        // ([`MvccState::live_generations`]).
         let pinned_gens: BTreeSet<u64> = self.pins.values().copied().collect();
         self.file_commits
             .retain(|(g, _), _| *g >= new_gen || pinned_gens.contains(g));
         self.building.remove(&new_gen);
-        let pinned = self
-            .pins
-            .iter()
-            .any(|(&ts, &g)| g == old_gen && Some(ts) != own_pin_ts);
-        if pinned {
-            self.retired.insert(old_gen);
-        } else {
-            self.drained.push(old_gen);
-        }
-        pinned
+        pinned_gens.contains(&old_gen)
     }
 
     /// Records a DROP TABLE: a swing no snapshot is ever past. Every
@@ -238,79 +225,29 @@ impl MvccState {
         self.last_swing_ts = u64::MAX;
     }
 
-    /// Adds file-ID ranges whose attached cells may be collected once
-    /// `retired` empties: those of a fold set that a pinned read may still
-    /// see.
-    pub(crate) fn retire_later(&mut self, ranges: impl IntoIterator<Item = Range<u32>>) {
-        let ranges = ranges.into_iter().filter(|r| !r.is_empty());
-        self.attached_retired.extend(ranges);
+    /// Whether the table was dropped ([`MvccState::note_drop`]): its
+    /// name may already belong to a new table, which this state knows
+    /// nothing of, so nothing may be swept through it.
+    pub(crate) fn dropped(&self) -> bool {
+        self.last_swing_ts == u64::MAX
     }
 
-    /// Forgets the retired attached-tier ranges without sweeping them — a
-    /// full rewrite's swing truncates the whole attached table instead,
-    /// which subsumes any ranged sweep.
-    pub(crate) fn clear_attached_retired(&mut self) {
-        self.attached_retired.clear();
-        self.truncate_due = false;
+    /// The generations a sweep must keep — `current`, every pinned one
+    /// and every one being built — after forgetting the file visibility
+    /// records of every other generation: no reader is left to need them.
+    pub(crate) fn live_generations(&mut self, current: u64) -> BTreeSet<u64> {
+        let mut live: BTreeSet<u64> = self.pins.values().copied().collect();
+        live.extend(self.building.iter().copied());
+        live.insert(current);
+        self.file_commits.retain(|(g, _), _| live.contains(g));
+        live
     }
 
-    /// Moves retired generations whose last pin drained into the dead
-    /// list, then hands back what to collect: the dead generations (all of
-    /// them once they outnumber `max_generations`) and, when no old-
-    /// generation pin remains at all, the retired attached-tier ranges.
-    /// Physical deletion is the caller's job — this only updates
-    /// bookkeeping. With nothing retired and nothing due it allocates and
-    /// walks nothing: every read's unpin runs it.
-    pub(crate) fn take_sweepable(&mut self, max_generations: usize) -> (Vec<u64>, Vec<Range<u32>>) {
-        let newly_dead: Vec<u64> = self
-            .retired
-            .iter()
-            .copied()
-            .filter(|g| !self.pins.values().any(|p| p == g))
-            .collect();
-        if !newly_dead.is_empty() {
-            for g in &newly_dead {
-                self.retired.remove(g);
-            }
-            // A drained generation has no readers left: its file visibility
-            // records (kept alive by note_swing for its pins) can go too.
-            self.file_commits
-                .retain(|(g, _), _| !newly_dead.contains(g));
-            self.drained.extend(newly_dead);
-        }
-        let gens = if self.drained.len() > max_generations {
-            std::mem::take(&mut self.drained)
-        } else {
-            Vec::new()
-        };
-        let ranges = match self.retired.is_empty() {
-            true => std::mem::take(&mut self.attached_retired),
-            false => Vec::new(),
-        };
-        (gens, ranges)
-    }
-
-    /// Generations that must survive stale-generation cleanup: retired
-    /// (pinned) ones and dead ones whose deletion is budgeted to the
-    /// sweeper (so `generations_gcd` accounting stays exact).
-    pub(crate) fn protected_gens(&self) -> BTreeSet<u64> {
-        let mut keep: BTreeSet<u64> = self.retired.iter().copied().collect();
-        keep.extend(self.drained.iter().copied());
-        keep.extend(self.pins.values().copied());
-        keep.extend(self.building.iter().copied());
-        keep
-    }
-
-    /// Dead generations currently leaked within the `max_generations`
-    /// budget (tests).
-    #[cfg(test)]
-    pub(crate) fn drained_count(&self) -> usize {
-        self.drained.len()
-    }
-
-    /// Retired (pinned) generation count (tests).
-    pub(crate) fn retired_count(&self) -> usize {
-        self.retired.len()
+    /// Generations pinned by a read other than `current` — superseded
+    /// ones kept alive for their readers (diagnostics).
+    pub(crate) fn retired_count(&self, current: u64) -> usize {
+        let pinned: BTreeSet<u64> = self.pins.values().copied().collect();
+        pinned.into_iter().filter(|&g| g != current).count()
     }
 }
 
@@ -376,7 +313,7 @@ mod tests {
     #[test]
     fn swing_conflicts_every_later_committer() {
         let mut s = MvccState::default();
-        s.note_swing(0, 1, 20, 5, None);
+        s.note_swing(0, 1, 20, None);
         assert_eq!(s.conflict_since(10, &[]), Some(Conflict::Swing));
         assert_eq!(s.conflict_since(25, &[]), None);
     }
@@ -394,46 +331,43 @@ mod tests {
     fn swing_defers_gc_only_for_pinned_generations() {
         let mut s = MvccState::default();
         s.pin(0, 10);
+        s.pin(0, 11);
+        assert!(s.note_swing(0, 1, 20, None), "pinned generation deferred");
+        assert_eq!(s.retired_count(1), 1);
+        assert_eq!(s.live_generations(1), BTreeSet::from([0, 1]));
+        assert!(!s.unpin(10), "another pin still holds generation 0");
+        assert!(s.unpin(11), "the last pin on a superseded generation");
+        assert_eq!(s.retired_count(1), 0);
+        assert_eq!(s.live_generations(1), BTreeSet::from([1]));
+        assert!(!s.unpin(11), "an unpin of nothing drains nothing");
+        s.pin(1, 30);
+        assert!(!s.unpin(30), "a pin on the current generation");
+    }
+
+    #[test]
+    fn a_swing_drops_its_own_pin() {
+        let mut s = MvccState::default();
+        s.pin(0, 10);
+        assert!(!s.note_swing(0, 1, 20, Some(10)));
+        assert_eq!(s.pin_count(), 0);
+        assert!(!s.unpin(10), "the job's later release finds nothing");
+        assert_eq!(s.live_generations(1), BTreeSet::from([1]));
+    }
+
+    #[test]
+    fn live_generations_keep_builds_and_forget_dead_visibility() {
+        let mut s = MvccState::default();
+        s.commit_files(0, [2u32], 15);
+        let building = s.reserve_build_gen(1);
+        assert_eq!(s.live_generations(0), BTreeSet::from([0, building]));
+        s.note_swing(0, building, 20, None);
+        assert_eq!(s.live_generations(building), BTreeSet::from([building]));
         assert!(
-            s.note_swing(0, 1, 20, 4, None),
-            "pinned generation deferred"
+            s.file_visible(0, 2, 10),
+            "the record went with generation 0"
         );
-        s.retire_later(std::iter::once(5..6));
-        assert_eq!(s.retired_count(), 1);
-        let (gens, ranges) = s.take_sweepable(0);
-        assert!(gens.is_empty(), "still pinned");
-        assert!(ranges.is_empty(), "retired ranges wait for the pin");
-        s.unpin(10);
-        let (gens, ranges) = s.take_sweepable(0);
-        assert_eq!(gens, vec![0]);
-        assert_eq!(ranges, vec![1..4, 5..6]);
-        assert_eq!(s.retired_count(), 0);
-        assert_eq!(s.take_sweepable(0), (vec![], vec![]), "an empty sweep");
-    }
-
-    #[test]
-    fn unpinned_swing_drains_immediately() {
-        let mut s = MvccState::default();
-        assert!(!s.note_swing(0, 1, 20, 4, None));
-        let (gens, ranges) = s.take_sweepable(0);
-        assert_eq!(gens, vec![0]);
-        assert_eq!(ranges, vec![1..4]);
-    }
-
-    #[test]
-    fn max_generations_budgets_dead_leak() {
-        let mut s = MvccState::default();
-        s.note_swing(0, 1, 10, 2, None);
-        let (gens, _) = s.take_sweepable(2);
-        assert!(gens.is_empty(), "1 dead <= budget 2");
-        assert_eq!(s.drained_count(), 1);
-        s.note_swing(1, 2, 20, 4, None);
-        let (gens, _) = s.take_sweepable(2);
-        assert!(gens.is_empty(), "2 dead <= budget 2");
-        s.note_swing(2, 3, 30, 6, None);
-        let (gens, _) = s.take_sweepable(2);
-        assert_eq!(gens, vec![0, 1, 2], "over budget: sweep all");
-        assert_eq!(s.drained_count(), 0);
+        s.note_drop();
+        assert!(s.dropped());
     }
 
     #[test]
@@ -441,7 +375,7 @@ mod tests {
         let mut s = MvccState::default();
         assert_eq!(s.reserve_build_gen(1), 1);
         assert_eq!(s.reserve_build_gen(1), 2, "second builder bumped");
-        s.note_swing(0, 5, 10, 2, None);
+        s.note_swing(0, 5, 10, None);
         assert_eq!(s.reserve_build_gen(3), 6, "past the committed swing");
     }
 

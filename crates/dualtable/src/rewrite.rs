@@ -13,12 +13,12 @@
 //!   whole under their own IDs by [`dt_dfs::Dfs::copy_file`], which places
 //!   their verified blocks again without re-checksumming them.
 //! * The swing is an action of the one commit ([`crate::commit`]), which
-//!   puts the generation pointer; [`DualTableStore::stamp_swing`] records
-//!   it under the MVCC mutex and [`DualTableStore::clean_after_swing`]
-//!   runs the best-effort cleanup.
-//! * [`DualTableStore::retire_attached`] deletes the attached rows of
-//!   retired file-ID ranges once no read pins an older generation; a
-//!   whole-table truncate is its fast path.
+//!   puts the generation pointer and records it under the MVCC mutex.
+//! * [`DualTableStore::sweep`] is the one garbage collector: it deletes
+//!   every generation directory and every attached row that no live
+//!   generation needs, working both out from what is on disk and what is
+//!   pinned. It runs after every swing, when an unpin drains a superseded
+//!   generation, at open and after a lost fold race.
 //!
 //! Callers only choose the epoch, the fold set, the rows and the lock
 //! mode. *Exclusive* (`COMPACT`, `INSERT OVERWRITE`, OVERWRITE-plan DML):
@@ -42,17 +42,14 @@ use dt_orcfile::{Column, ColumnBatch, OrcReader, OrcWriter, FILE_ID_METADATA_KEY
 
 use crate::commit::{autocommit, commit, Action};
 use crate::compactor::FoldOutcome;
-use crate::mvcc::MvccState;
 use crate::presence::presence_key;
 use crate::store::{located_rows, Assignment, DualTableStore, RowSelector, ScanPlan};
 use crate::txn::Snapshot;
 use crate::union_read::{patch_batch, positions, UnionReadOptions};
 
-/// The fold set of a rewrite: the master files it consumes, whose
-/// attached rows the swing retires.
+/// The fold set of a rewrite: the master files its build consumes.
 pub(crate) enum Retire {
-    /// Every file of the source epoch; the swing truncates the attached
-    /// table.
+    /// Every file of the source epoch.
     All,
     /// These files only (ascending). Every other file is carried into the
     /// new generation under its own ID, so its record IDs, overlays and
@@ -451,90 +448,6 @@ impl DualTableStore {
             .collect()
     }
 
-    // ------------------------------------------------------------------
-    // Swing
-    // ------------------------------------------------------------------
-
-    /// Records a committed swing `old_gen → next` at the commit timestamp
-    /// `ts`, under the MVCC state mutex the commit holds: the swing stamp
-    /// (which every transaction pinned before it loses to), and the old
-    /// generation handed to the sweeper or — if another read still pins it
-    /// — parked for deferred GC. The swinging job's own pin (`own_pin`) is
-    /// not such a read. Returns whether the fold set's attached rows may
-    /// be retired now; if not, they are handed to the sweeper, which
-    /// retires them — a full rewrite's by its deferred truncate — once no
-    /// read pins an older generation. Past the commit point nothing may
-    /// fail: a floor that cannot be computed degrades to 0 — attached rows
-    /// of retired files leak (space, not correctness) as cleanup debt.
-    pub(crate) fn stamp_swing(
-        &self,
-        st: &mut MvccState,
-        old_gen: u64,
-        next: u64,
-        ts: u64,
-        own_pin: Option<u64>,
-        retire: &Retire,
-    ) -> bool {
-        // The lowest file ID of `next`: every ID below it is retired with
-        // the superseded generations, and its attached cells become
-        // collectible once the last old-generation pin drains. An empty
-        // generation retires *all* existing IDs: a fresh one is the floor.
-        let first = self.master_file_ids_at(next).into_iter().min();
-        let meta = &self.inner.env.meta;
-        let floor = first.map_or_else(|| meta.reserve_file_ids(&self.inner.name, 1), Ok);
-        let floor = floor.unwrap_or_else(|_| {
-            self.inner.env.health.cleanup_failures.inc();
-            0
-        });
-        let deferred = st.note_swing(old_gen, next, ts, floor, own_pin);
-        if deferred {
-            self.inner.env.health.generations_deferred.inc();
-        }
-        let retire_now = !deferred && st.retired_count() == 0;
-        match (retire, retire_now) {
-            // The truncate below subsumes the ranged floor sweep.
-            (Retire::All, true) => st.clear_attached_retired(),
-            (Retire::All, false) => st.truncate_due = true,
-            (Retire::Files(files), false) => {
-                st.retire_later(files.iter().map(|&id| id..id.wrapping_add(1)));
-            }
-            (Retire::Files(_), true) => {}
-        }
-        retire_now
-    }
-
-    /// The best-effort cleanup after a swing to `next`, outside the state
-    /// mutex (ops write lock still held, so no read pins before it ends):
-    /// retire the fold set's attached rows when `retire_now`, sweep stale
-    /// directories, run the deferred-GC sweeper. Failures are recorded as
-    /// cleanup debt, never
-    /// silent. Unretired rows are unreachable — no live file covers their
-    /// record IDs and file IDs are never reused — and the sweeper or the
-    /// open-time [`Self::sweep_fold_residue`] settles them. Cached footers
-    /// are invalidated per deleted path, not by whole-table purge, so
-    /// pinned readers keep their entries across other sessions' swings.
-    pub(crate) fn clean_after_swing(&self, next: u64, retire: &Retire, retire_now: bool) {
-        if retire_now {
-            let retired = match retire {
-                // The presence index lives inside the attached table, so
-                // the truncate resets it for free.
-                Retire::All => self
-                    .inner
-                    .env
-                    .kv
-                    .truncate_table(&Self::attached_name(&self.inner.name)),
-                Retire::Files(files) => {
-                    self.retire_attached(files.iter().map(|&id| id..id.wrapping_add(1)))
-                }
-            };
-            if retired.is_err() {
-                self.inner.env.health.cleanup_failures.inc();
-            }
-        }
-        self.cleanup_stale_generations(next);
-        self.sweep_gc();
-    }
-
     /// The build of an exclusive rewrite (caller holds the ops write lock):
     /// generation `next` from the latest epoch, fold set everything.
     /// Returns `next` with the build's counts; a failed build deletes what
@@ -581,8 +494,8 @@ impl DualTableStore {
 
     /// Best-effort deletion of every file of generation `gen`; `true` iff
     /// all of them went. Failed deletes are recorded as cleanup debt and
-    /// retried by the next sweep or table open; the generation is
-    /// unreachable in the meantime.
+    /// retried by the next sweep; the generation is unreachable in the
+    /// meantime.
     fn delete_generation(&self, gen: u64) -> bool {
         let dir = format!("{}/", self.gen_dir(gen));
         let ok = self.delete_paths(self.inner.env.dfs.list(&dir));
@@ -591,117 +504,81 @@ impl DualTableStore {
         ok
     }
 
-    /// Removes every generation directory outside `current` that is
-    /// neither pinned, parked for deferred GC nor being built — retired
-    /// generations and torn uncommitted ones. Returns how many were fully
-    /// swept.
-    pub(crate) fn cleanup_stale_generations(&self, current: u64) -> u64 {
-        let protected = self.inner.mvcc.lock().protected_gens();
-        self.listed_generations()
-            .into_iter()
-            .filter(|gen| *gen != current && !protected.contains(gen))
-            .filter(|&gen| self.delete_generation(gen))
-            .count() as u64
-    }
-
-    /// Runs the deferred-GC sweeper: physically deletes dead (superseded,
-    /// unpinned) generations past the `max_generations` budget and, once
-    /// no old-generation pin remains, the attached rows of the retired
-    /// file-ID ranges. Every read's unpin runs it, so a sweep with nothing
-    /// due returns before any work.
-    pub(crate) fn sweep_gc(&self) {
-        let (gens, retired) = self
-            .inner
-            .mvcc
-            .lock()
-            .take_sweepable(self.inner.config.max_generations);
-        if gens.is_empty() && retired.is_empty() {
-            return;
+    /// The one garbage collector (DESIGN.md §13). It is told nothing: the
+    /// live generations are the current one, every pinned one and every
+    /// one being built, and every other listed `gen-N` directory is
+    /// deleted (counted by `generations_gcd`). A presence-index file that
+    /// is no master file of a live generation is dead, and its presence
+    /// and data rows go in one ranged delete — or, when every presence key
+    /// is dead, no read is pinned and `ops` is held exclusively (by the
+    /// caller, `holds_ops`, or taken here without waiting), the attached
+    /// table is truncated instead. Without any `ops` hold the attached
+    /// rows wait for the next sweep: a writer holding `ops` exclusively
+    /// ends in a swing, and so in a sweep.
+    ///
+    /// The directory listing and the presence index are read before the
+    /// live set, so nothing they name can turn live after it is read: a
+    /// build's directory appears only after its number is reserved, and a
+    /// commit writes attached rows only for files of the generation it
+    /// commits on, which its pin or `ops` keeps live. Never fails: a
+    /// failure is counted in `cleanup_failures` and the next sweep finds
+    /// the same garbage again.
+    pub(crate) fn sweep(&self, holds_ops: bool) {
+        let write = (!holds_ops).then(|| self.inner.ops.try_write()).flatten();
+        let exclusive = holds_ops || write.is_some();
+        let read = (!exclusive).then(|| self.inner.ops.try_read()).flatten();
+        let listed = self.listed_generations();
+        let index = (exclusive || read.is_some()).then(|| {
+            let attached = self.attached()?;
+            Ok((self.load_presence(&attached)?, attached))
+        });
+        let (live, pinned) = {
+            let mut st = self.inner.mvcc.lock();
+            // Read under the state mutex, under which a swing flips it and
+            // unmarks its build: the new generation is current or building.
+            let current = match self.current_gen() {
+                Ok(gen) if !st.dropped() => gen,
+                _ => return,
+            };
+            (st.live_generations(current), st.pin_count() > 0)
+        };
+        let health = &self.inner.env.health;
+        let retired = index.map_or(Ok(()), |index: Result<_>| {
+            let (index, attached) = index?;
+            let files: BTreeSet<u32> = (live.iter())
+                .flat_map(|&gen| self.master_file_ids_at(gen))
+                .collect();
+            let dead: Vec<u32> = (index.files.keys().copied())
+                .filter(|id| !files.contains(id))
+                .collect();
+            if dead.len() == index.files.len() && !pinned && exclusive && !attached.is_empty() {
+                // The presence index lives inside the attached table, so
+                // the truncate resets it too.
+                let name = Self::attached_name(&self.inner.name);
+                return self.inner.env.kv.truncate_table(&name);
+            }
+            self.retire_attached(dead.iter().map(|&id| id..id.wrapping_add(1)))
+        });
+        if retired.is_err() {
+            health.cleanup_failures.inc();
         }
-        let gcd = gens
+        drop((write, read));
+        let gcd = listed
             .into_iter()
+            .filter(|gen| !live.contains(gen))
             .filter(|&gen| self.delete_generation(gen))
             .count() as u64;
         if gcd > 0 {
-            self.inner.env.health.generations_gcd.add(gcd);
+            health.generations_gcd.add(gcd);
         }
-        if let Some(retired) = self.truncate_retired(retired) {
-            if self.retire_attached(retired).is_err() {
-                self.inner.env.health.cleanup_failures.inc();
-            }
-        }
-    }
-
-    /// The truncate a full rewrite deferred behind a pinned read: when the
-    /// attached table holds rows of retired files only (`retired`), it is
-    /// truncated — under the `ops` write lock and the state mutex with no
-    /// read pinned, so no reader or writer holds the store it replaces —
-    /// and nothing is left to sweep (`None`). While a read is pinned or a
-    /// writer holds `ops`, `retired` waits for the next sweep; once a live
-    /// file has rows, it is swept by range (`Some`).
-    fn truncate_retired(&self, retired: Vec<Range<u32>>) -> Option<Vec<Range<u32>>> {
-        if !self.inner.mvcc.lock().truncate_due {
-            return Some(retired);
-        }
-        let ops = self.inner.ops.try_write();
-        let index = self.attached().and_then(|a| self.load_presence(&a));
-        let dead = |id: &u32| retired.iter().any(|r| r.contains(id));
-        let mut st = self.inner.mvcc.lock();
-        if !index.is_ok_and(|index| index.files.keys().all(dead)) {
-            st.truncate_due = false;
-            return Some(retired);
-        }
-        if ops.is_none() || st.pin_count() > 0 {
-            st.retire_later(retired);
-            return None;
-        }
-        st.clear_attached_retired();
-        let attached = Self::attached_name(&self.inner.name);
-        if self.inner.env.kv.truncate_table(&attached).is_err() {
-            self.inner.env.health.cleanup_failures.inc();
-        }
-        None
     }
 
     /// Deletes an abandoned (never-committed) build generation. Unlike the
-    /// sweeper this never counts toward `generations_gcd` — the generation
+    /// sweep this never counts toward `generations_gcd` — the generation
     /// was never live.
     pub(crate) fn abandon_rewrite(&self, next: u64) {
         self.inner.mvcc.lock().finish_build(next);
         self.delete_generation(next);
-    }
-
-    /// Sweeps attached-tier residue of an interrupted incremental fold: a
-    /// crash between a fold's generation swing and its attached-row
-    /// retirement leaves presence rows and data cells keyed to folded —
-    /// now nonexistent — master files. They are invisible to every scan
-    /// (no live file covers their record-ID ranges), but they would make
-    /// the presence index lie about files that no longer exist, so openers
-    /// retire them here. Skipped while any session still reads an older
-    /// generation — its files are absent from the current listing but are
-    /// not residue.
-    pub(crate) fn sweep_fold_residue(&self) {
-        {
-            let st = self.inner.mvcc.lock();
-            if st.pin_count() > 0 || st.retired_count() > 0 {
-                return;
-            }
-        }
-        let Ok(gen) = self.current_gen() else {
-            return;
-        };
-        let Ok(index) = self.attached().and_then(|a| self.load_presence(&a)) else {
-            return;
-        };
-        let live = self.master_file_ids_at(gen);
-        let orphans = index
-            .files
-            .keys()
-            .filter(|id| live.binary_search(id).is_err())
-            .map(|&id| id..id.wrapping_add(1));
-        if self.retire_attached(orphans).is_err() {
-            self.inner.env.health.cleanup_failures.inc();
-        }
     }
 
     // ------------------------------------------------------------------
@@ -850,9 +727,8 @@ impl DualTableStore {
     /// test in `tests/concurrency_and_disk.rs`.
     ///
     /// A lost swing race is a clean retry, not an error: the abandoned
-    /// generation is already deleted, and the stale-directory sweep is
-    /// retried eagerly (counted by `stale_gens_swept`) rather than waiting
-    /// for the next reopen.
+    /// generation is already deleted, and the sweep (DESIGN.md §13) runs
+    /// at once rather than waiting for the next trigger.
     pub fn compact_incremental(&self) -> Result<FoldOutcome> {
         struct AbortGuard {
             health: Arc<crate::TableCounters>,
@@ -887,10 +763,7 @@ impl DualTableStore {
             Err(e) if e.is_conflict() => {
                 guard.armed.set(false);
                 self.inner.env.health.compactions_lost_race.inc();
-                if let Ok(gen) = self.current_gen() {
-                    let swept = self.cleanup_stale_generations(gen);
-                    self.inner.env.health.stale_gens_swept.add(swept);
-                }
+                self.sweep(false);
                 Ok(FoldOutcome::LostRace)
             }
             Err(e) => Err(e),
@@ -908,7 +781,7 @@ pub(crate) fn overwrite_all(parts: Vec<(&DualTableStore, Vec<Row>)>) -> Result<u
     let (stores, mut rows): (Vec<_>, Vec<_>) = parts.into_iter().unzip();
     autocommit(&stores, &vec![true; stores.len()], |i| {
         let (next, _) = stores[i].build_exclusive(Rows::Given(std::mem::take(&mut rows[i])))?;
-        Ok(Action::Swing(next, &Retire::All))
+        Ok(Action::Swing(next))
     })?;
     Ok(n)
 }
@@ -928,7 +801,7 @@ pub(crate) fn compact_all(stores: &[&DualTableStore]) -> Result<()> {
     policy.run(&stores[0].inner.env.health.retry, || {
         autocommit(stores, &vec![true; stores.len()], |i| {
             let (next, _) = stores[i].build_exclusive(Rows::Merged(None))?;
-            Ok(Action::Swing(next, &Retire::All))
+            Ok(Action::Swing(next))
         })
     })
 }
@@ -985,8 +858,7 @@ impl RewriteJob {
         let store = self.snapshot.store();
         let _guard = store.inner.ops.write();
         let pin = (self.snapshot.generation(), self.snapshot.ts());
-        let swing = Action::Swing(self.next, &self.retire);
-        if let Err(e) = commit(&[(store, Some(pin), swing)]) {
+        if let Err(e) = commit(&[(store, Some(pin), Action::Swing(self.next))]) {
             store.abandon_rewrite(self.next);
             return Err(e);
         }

@@ -18,7 +18,7 @@ use crate::delta::DeltaPolicy;
 use crate::env::DualTableEnv;
 use crate::mvcc::{Conflict, TableMvcc};
 use crate::presence::{decode_count, FilePresence, PresenceIndex, PRESENCE_FILE_ID};
-use crate::rewrite::{Dml, Retire, Rows};
+use crate::rewrite::{Dml, Rows};
 use crate::txn::{Snapshot, Transaction};
 use crate::union_read::{
     merge_file, BatchFn, ConsumeFn, MapFn, PatchSet, UnionReadOptions, INSERTS_FILE_ID, NO_PATCHES,
@@ -85,7 +85,7 @@ pub(crate) struct Inner {
     /// Invalidated by table prefix at every generation commit.
     pub(crate) footers: FooterCache,
     /// This table's MVCC state (DESIGN.md §13): snapshot pins, conflict
-    /// windows, deferred-GC bookkeeping. Shared through the environment's
+    /// windows, builds. Shared through the environment's
     /// registry, so every clone and every session sees the same state.
     /// Lock order: a writer's `ops` (read or write) before this state's
     /// mutex; a step that takes several tables' locks takes each kind in
@@ -348,7 +348,7 @@ pub(crate) fn dml_all(
             match store.build_exclusive(Rows::Merged(Some(s))) {
                 Ok((next, b)) => {
                     (report.rows_matched, report.rows_scanned) = (b.matched, b.scanned);
-                    return Ok(Action::Swing(next, &Retire::All));
+                    return Ok(Action::Swing(next));
                 }
                 // A bad assignment fails the statement, not the plan: EDIT
                 // would reject the same value.
@@ -405,22 +405,11 @@ impl DualTableStore {
             return Err(Error::schema("too many columns for qualifier encoding"));
         }
         env.kv.create_table(&Self::attached_name(name))?;
-        Ok(DualTableStore {
-            inner: Arc::new(Inner {
-                name: name.to_string(),
-                schema,
-                env: env.clone(),
-                footers: FooterCache::new(config.footer_cache_entries),
-                config,
-                ops: RwLock::new(()),
-                mvcc: env.mvcc.table(name),
-            }),
-        })
+        Ok(Self::handle(env, name, schema, config))
     }
 
-    /// Opens an existing DualTable. Retries any garbage collection a
-    /// previous swap left behind (post-commit cleanup is best-effort; the
-    /// debt is recorded in the health counters and settled here).
+    /// Opens an existing DualTable and sweeps what a crash or a failed
+    /// clean-up left behind (DESIGN.md §13).
     pub fn open(
         env: &DualTableEnv,
         name: &str,
@@ -428,7 +417,14 @@ impl DualTableStore {
         config: DualTableConfig,
     ) -> Result<Self> {
         env.kv.table(&Self::attached_name(name))?;
-        let store = DualTableStore {
+        let store = Self::handle(env, name, schema, config);
+        store.sweep(false);
+        Ok(store)
+    }
+
+    /// A handle on table `name`, whose attached table exists.
+    fn handle(env: &DualTableEnv, name: &str, schema: Schema, config: DualTableConfig) -> Self {
+        DualTableStore {
             inner: Arc::new(Inner {
                 name: name.to_string(),
                 schema,
@@ -438,12 +434,7 @@ impl DualTableStore {
                 ops: RwLock::new(()),
                 mvcc: env.mvcc.table(name),
             }),
-        };
-        if let Ok(gen) = store.current_gen() {
-            store.cleanup_stale_generations(gen);
         }
-        store.sweep_fold_residue();
-        Ok(store)
     }
 
     /// Opens the table if its attached KV table exists, otherwise creates
@@ -1358,11 +1349,13 @@ impl DualTableStore {
         Ok(Transaction::new(vec![(0, self.begin_snapshot()?)], None))
     }
 
-    /// Releases the pin taken at `ts` and sweeps any generation whose
-    /// last pin just drained.
+    /// Releases the pin taken at `ts`, and sweeps when that leaves a
+    /// superseded generation with no pin. Any other release reads nothing.
     pub(crate) fn release_pin(&self, ts: u64) {
-        self.inner.mvcc.lock().unpin(ts);
-        self.sweep_gc();
+        let drained = self.inner.mvcc.lock().unpin(ts);
+        if drained {
+            self.sweep(false);
+        }
     }
 
     /// Live snapshot pins on this table (diagnostics and tests).
@@ -1370,10 +1363,11 @@ impl DualTableStore {
         self.inner.mvcc.lock().pin_count()
     }
 
-    /// Retired generations currently kept alive for pinned readers
+    /// Superseded generations currently kept alive for pinned readers
     /// (diagnostics and tests).
     pub fn retired_generations(&self) -> usize {
-        self.inner.mvcc.lock().retired_count()
+        let current = self.current_gen().unwrap_or(u64::MAX);
+        self.inner.mvcc.lock().retired_count(current)
     }
 
     /// The error a first-committer-wins loss returns, naming the store

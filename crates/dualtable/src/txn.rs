@@ -3,8 +3,8 @@
 //! two-phase [`crate::RewriteJob`], lives with the rewrites.)
 //!
 //! All three types wrap a pinned `(generation, timestamp)` epoch and hold
-//! it until dropped; dropping the last pin on a superseded generation
-//! triggers its physical GC (see [`crate::mvcc`]).
+//! it until dropped; dropping the last pin on a superseded generation runs
+//! the sweep that collects it ([`crate::DualTableStore::sweep`]).
 //!
 //! # Panic safety of the `Drop` paths
 //!
@@ -14,9 +14,9 @@
 //! release the pin, or generation GC stalls forever behind a phantom
 //! reader. Three properties make that hold:
 //!
-//! * `Snapshot::drop` → `release_pin` → `sweep_gc` never panics: GC
+//! * `Snapshot::drop` → `release_pin` → `sweep` never panics: GC
 //!   failures are swallowed into the `cleanup_failures` health counter and
-//!   retried by the next sweep, so unwinding through the drop is safe.
+//!   found again by the next sweep, so unwinding through the drop is safe.
 //! * The registry locks are the poison-recovering `parking_lot` shim
 //!   (`unwrap_or_else(|e| e.into_inner())`): a thread that panicked while
 //!   holding one does not wedge every later pin release.

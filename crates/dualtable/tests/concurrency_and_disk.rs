@@ -71,31 +71,36 @@ fn bump() -> [Assignment<'static>; 1] {
     )]
 }
 
-/// Runs `fold` (the compactor's tick) on a thread of its own while this
+/// Runs `fold` (the compactor's tick, returning its outcome and the index
+/// in `stores` of the store it ended on) on a thread of its own while this
 /// thread runs `update(r)` (`v = v + 1` where `id % 8 == r`) until three
 /// ticks lost their swing to an update, or 4,000 rounds. Before every
 /// tick a generation directory that no generation owns is planted in each
 /// of `stores` — what a failed delete leaves — so a lost race must sweep
-/// it at once. Checks the fold ledger, the sweep and every row's value;
-/// returns the lost ticks.
+/// it from its store at once. Checks the fold ledger, the sweep and every
+/// row's value; returns the lost ticks.
 fn fold_race(
     env: &DualTableEnv,
     stores: &[DualTableStore],
     update: impl Fn(i64),
-    fold: impl Fn() -> FoldOutcome + Sync,
+    fold: impl Fn() -> (FoldOutcome, usize) + Sync,
 ) -> u64 {
     let (done, lost) = (AtomicBool::new(false), AtomicU64::new(0));
     let mut hits = [0i64; 8];
     std::thread::scope(|scope| {
         scope.spawn(|| {
             let _stop = Stop(&done);
+            let stale =
+                |store: &DualTableStore| format!("/warehouse/{}/gen-9999999999/left", store.name());
             while !done.load(Ordering::Acquire) {
                 for store in stores {
-                    let stale = format!("/warehouse/{}/gen-9999999999/left", store.name());
-                    let _ = env.dfs.write_file(&stale, b"x");
+                    let _ = env.dfs.write_file(&stale(store), b"x");
                 }
-                if fold() == FoldOutcome::LostRace {
+                let (outcome, i) = fold();
+                if outcome == FoldOutcome::LostRace {
                     lost.fetch_add(1, Ordering::Relaxed);
+                    let planted = stale(&stores[i]);
+                    assert!(!env.dfs.exists(&planted), "a lost tick left {planted}");
                 }
             }
         });
@@ -111,10 +116,6 @@ fn fold_race(
     let (lost, h) = (lost.into_inner(), env.health.snapshot());
     assert!(lost > 0, "no tick lost its swing in 4,000 updates");
     assert_eq!(h.compactions_lost_race, lost, "lost ticks vs the counter");
-    assert_eq!(
-        h.stale_gens_swept, lost,
-        "a lost tick swept the stale generation"
-    );
     let ended = h.compactions_completed + h.compactions_lost_race + h.compactions_aborted;
     assert_eq!(ended, h.compactions_started, "fold ledger out of balance");
     for store in stores {
@@ -153,7 +154,7 @@ fn a_fold_that_loses_its_race_is_a_clean_retry() {
             .unwrap();
     };
     fold_race(&env, std::slice::from_ref(&t), update, || {
-        t.compact_incremental().unwrap()
+        (t.compact_incremental().unwrap(), 0)
     });
 
     let env = DualTableEnv::in_memory();
@@ -165,8 +166,12 @@ fn a_fold_that_loses_its_race_is_a_clean_retry() {
         t.dml(&hit(r), Some(&set), RatioHint::Explicit(0.01), None, None)
             .unwrap();
     };
+    let lost_races = || (0..t.shard_count()).map(|s| t.fold_stats(s).lost_race);
     let lost = fold_race(&env, t.shards(), update, || {
-        t.compact_incremental().unwrap()
+        let before: Vec<u64> = lost_races().collect();
+        let outcome = t.compact_incremental().unwrap();
+        let shard = lost_races().zip(&before).position(|(now, was)| now > *was);
+        (outcome, shard.unwrap_or(0))
     });
     let stats: Vec<_> = (0..t.shard_count()).map(|s| t.fold_stats(s)).collect();
     for (s, f) in stats.iter().enumerate() {

@@ -376,6 +376,13 @@ fn check_recovered(
         if store.pinned_snapshots() != 0 || store.retired_generations() != 0 {
             return Err(format!("{name}: a pin or a deferred GC outlived the crash"));
         }
+        let live = store
+            .master_file_ids()
+            .map_err(|e| format!("{name}: {e}"))?;
+        let index = store.presence_index().map_err(|e| format!("{name}: {e}"))?;
+        if let Some(dead) = index.files.keys().find(|id| !live.contains(id)) {
+            return Err(format!("{name}: the presence index names dead file {dead}"));
+        }
     }
 
     let fsck = env.dfs.fsck().map_err(|e| format!("fsck: {e}"))?;
@@ -653,7 +660,9 @@ fn sharded_autocommit_is_all_or_nothing() {
 }
 
 /// Incremental folds (DESIGN.md §15) against realistic dirt: every
-/// window of a fold — pre-build, mid-build, pre-swing, post-swing.
+/// window of a fold — pre-build, mid-build, pre-swing, post-swing — and
+/// of a fold behind a session's pin, whose end drains the old generation
+/// into the sweep.
 #[test]
 fn compactor_crash_matrix() {
     run(Workload {
@@ -674,10 +683,18 @@ fn compactor_crash_matrix() {
             Fold(MAIN),
             Update(MAIN, (7, 5), To(20)),
             Fold(MAIN),
+            Update(MAIN, (3, 2), To(5)),
+            Begin(R),
+            Fold(MAIN),
+            Check(R),
+            Rollback(R),
         ],
-        windows: &["Fold"],
-        expect: &[("table", "compactions_completed", 3)],
-        min_points: 328,
+        windows: &["Fold", "Rollback"],
+        expect: &[
+            ("table", "compactions_completed", 4),
+            ("table", "generations_deferred", 1),
+        ],
+        min_points: 396,
     });
 }
 

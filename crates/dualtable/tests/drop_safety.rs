@@ -23,7 +23,6 @@ fn config() -> DualTableConfig {
     DualTableConfig {
         rows_per_file: 4,
         plan_mode: PlanMode::AlwaysEdit,
-        max_generations: 0, // sweep eagerly: a stuck pin shows up immediately
         ..DualTableConfig::default()
     }
 }

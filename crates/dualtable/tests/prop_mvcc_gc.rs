@@ -1,21 +1,20 @@
 //! Property test: generation GC under any interleaving of snapshot pins,
 //! unpins, EDIT commits and two-phase generation swings (DESIGN.md §13).
 //!
-//! Two safety properties, checked after every operation at the public API
+//! Three properties, checked after every operation at the public API
 //! level:
 //!
 //! 1. **Never drop a pinned generation** — every live [`Snapshot`] must
 //!    keep returning its pin-time bytes, no matter how many swings have
 //!    retired its generation since. (A deleted master file or a pruned
 //!    visibility record would surface as missing or phantom rows.)
-//! 2. **Never leak dead generations past the budget** — the number of
-//!    `gen-` directories holding files is at most
-//!    `1 (current) + retired (pin-protected) + max_generations (dead
-//!    budget)`. Abandoned builds must not count against anything: their
-//!    directories disappear on abandon.
-//!
-//! `max_generations` itself is part of the generated input, so the budget
-//! is exercised at 0 (sweep eagerly) through 2 (tolerate leaks).
+//! 2. **Never leak a dead generation** — the number of `gen-` directories
+//!    holding files is at most `1 (current) + retired (pin-protected)`.
+//!    Abandoned builds must not count against anything: their directories
+//!    disappear on abandon.
+//! 3. **Never leak dead attached rows** — the presence index names only
+//!    master files of the current and the pinned generations, and once
+//!    the last pin drains, of the current one alone.
 //!
 //! Beside the property, directed tests of the read pin: a read takes a
 //! pin and no lock, so it never sees half a commit
@@ -25,15 +24,16 @@
 
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::thread::{Scope, ScopedJoinHandle};
 use std::time::Duration;
 
+use dt_common::fault::{FaultKind, FaultPlan};
 use dt_common::{DataType, RecordId, Result, Row, Schema, Value};
 use dt_orcfile::ColumnBatch;
 use dualtable::{
-    Assignment, DualTableConfig, DualTableEnv, DualTableStore, PlanChoice, PlanMode, RatioHint,
-    ShardSpec, ShardedTable, Snapshot, UnionReadOptions,
+    Assignment, DualTableConfig, DualTableEnv, DualTableStore, FoldOutcome, PlanChoice, PlanMode,
+    RatioHint, ShardSpec, ShardedTable, Snapshot, UnionReadOptions,
 };
 use proptest::prelude::*;
 
@@ -81,11 +81,10 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn config(max_generations: usize) -> DualTableConfig {
+fn config() -> DualTableConfig {
     DualTableConfig {
         rows_per_file: 8,
         plan_mode: PlanMode::AlwaysEdit,
-        max_generations,
         ..DualTableConfig::default()
     }
 }
@@ -111,6 +110,22 @@ fn gen_dirs(env: &DualTableEnv) -> Vec<String> {
     dirs
 }
 
+/// The master file IDs of generation `gen` of table `name`.
+fn gen_files(env: &DualTableEnv, name: &str, gen: u64) -> Vec<u32> {
+    let prefix = format!("/warehouse/{name}/gen-{gen:010}/part-");
+    let listed = env.dfs.list(&prefix).into_iter();
+    listed
+        .filter_map(|path| path.strip_prefix(&prefix)?.parse().ok())
+        .collect()
+}
+
+/// The files the presence index names that are outside `live`.
+fn dead_presence(table: &DualTableStore, live: &[u32]) -> Vec<u32> {
+    let index = table.presence_index().unwrap();
+    let keys = index.files.into_keys();
+    keys.filter(|id| !live.contains(id)).collect()
+}
+
 fn sorted_pairs(rows: &[(RecordId, Row)]) -> Vec<(i64, i64)> {
     let mut got: Vec<(i64, i64)> = rows
         .iter()
@@ -125,12 +140,10 @@ proptest! {
 
     #[test]
     fn generation_gc_never_drops_pinned_never_leaks(
-        max_generations in 0usize..3,
         ops in proptest::collection::vec(arb_op(), 1..28),
     ) {
         let env = DualTableEnv::in_memory();
-        let table =
-            DualTableStore::create(&env, TABLE, schema(), config(max_generations)).unwrap();
+        let table = DualTableStore::create(&env, TABLE, schema(), config()).unwrap();
         let mut model: BTreeMap<i64, i64> = BTreeMap::new();
         let mut next_id = 0i64;
         // Each live pin with the bytes it must keep seeing.
@@ -219,18 +232,25 @@ proptest! {
                 );
             }
 
-            // Property 2: at most current + pin-protected + dead budget
+            // Property 2: at most the current and the pin-protected
             // generation directories survive on disk. Abandoned builds
             // must not linger.
             let dirs = gen_dirs(&env);
-            let budget = 1 + table.retired_generations() + max_generations;
+            let budget = 1 + table.retired_generations();
             prop_assert!(
                 dirs.len() <= budget,
-                "{} generation dirs on disk exceed budget {budget} \
-                 (retired {}, max_generations {max_generations}): {dirs:?}",
+                "{} generation dirs on disk exceed budget {budget}: {dirs:?}",
                 dirs.len(),
-                table.retired_generations()
             );
+
+            // Property 3: the presence index names files of the current
+            // and the pinned generations only.
+            let mut live = table.master_file_ids().unwrap();
+            for (snap, _) in &pins {
+                live.extend(gen_files(&env, TABLE, snap.generation()));
+            }
+            let dead = dead_presence(&table, &live);
+            prop_assert!(dead.is_empty(), "dead files in the presence index: {dead:?}");
 
             // Latest-state reads stay correct throughout.
             prop_assert_eq!(
@@ -239,12 +259,14 @@ proptest! {
             );
         }
 
-        // Drain every pin: the deferred ledger must empty and the disk
-        // must shrink to the current generation plus the dead budget.
+        // Drain every pin: the disk shrinks to the current generation and
+        // the presence index to its files.
         pins.clear();
         prop_assert_eq!(table.pinned_snapshots(), 0);
         prop_assert_eq!(table.retired_generations(), 0);
-        prop_assert!(gen_dirs(&env).len() <= 1 + max_generations);
+        prop_assert!(gen_dirs(&env).len() <= 1);
+        let dead = dead_presence(&table, &table.master_file_ids().unwrap());
+        prop_assert!(dead.is_empty(), "dead files after the last unpin: {dead:?}");
         prop_assert_eq!(
             sorted_pairs(&table.scan_all().unwrap()),
             model.iter().map(|(&k, &v)| (k, v)).collect::<Vec<_>>()
@@ -468,4 +490,118 @@ fn a_swing_never_waits_for_a_parked_reader() {
             presence.files.keys().collect::<Vec<_>>()
         );
     }
+}
+
+/// When the sweep runs, each case at the public API: with no pin, a
+/// COMPACT or INSERT OVERWRITE swing — exclusive or two-phase — truncates
+/// the attached table at once, and a fold removes its folded files' rows
+/// at once; behind a pin, each waits for the last unpin. An unpin that
+/// drains nothing reads no byte of either tier.
+#[test]
+fn the_sweep_runs_at_the_swing_or_at_the_last_unpin() {
+    for swing in ["COMPACT", "INSERT OVERWRITE", "two-phase COMPACT", "fold"] {
+        for pinned in [false, true] {
+            let plan = Arc::new(FaultPlan::new(1));
+            let env = DualTableEnv::in_memory_faulty(plan.clone()).unwrap();
+            let t = two_dirty_files(&env, "timed");
+            let pin = pinned.then(|| t.begin_snapshot().unwrap());
+            let rows: Vec<Row> = t.scan_all().unwrap().into_iter().map(|(_, r)| r).collect();
+            match swing {
+                "COMPACT" => t.compact().unwrap(),
+                "INSERT OVERWRITE" => drop(t.insert_overwrite(rows).unwrap()),
+                "two-phase COMPACT" => drop(t.begin_compact().unwrap().finish().unwrap()),
+                _ => assert!(matches!(
+                    t.compact_incremental().unwrap(),
+                    FoldOutcome::Folded { .. }
+                )),
+            }
+            let live = t.master_file_ids().unwrap();
+            let case = format!("{swing}, pinned {pinned}");
+            if let Some(pin) = pin {
+                assert_eq!(
+                    dead_presence(&t, &live).len(),
+                    2,
+                    "{case}: swept behind a pin"
+                );
+                // A read of the current generation drains nothing: with the
+                // attached table flushed, any read of it would be I/O.
+                let attached = env.kv.table("att_timed").unwrap();
+                attached.flush().unwrap();
+                let ops = plan.ops_seen();
+                drop(t.begin_snapshot().unwrap());
+                assert_eq!(
+                    plan.ops_seen(),
+                    ops,
+                    "{case}: an unpin that drains nothing read"
+                );
+                drop(pin);
+            }
+            assert!(
+                dead_presence(&t, &live).is_empty(),
+                "{case}: dead rows left"
+            );
+            if swing != "fold" {
+                let entries = t.stats().unwrap().attached_entries;
+                assert_eq!(entries, 0, "{case}: the attached table was not truncated");
+            }
+        }
+    }
+}
+
+/// A sweep that faults reading the attached table leaves its dead rows to
+/// the next sweep — here the next fold's, with no reopen in between.
+#[test]
+fn a_failed_attached_sweep_is_retried_by_the_next_sweep() {
+    let plan = Arc::new(FaultPlan::new(2));
+    let env = DualTableEnv::in_memory_faulty(plan.clone()).unwrap();
+    let config = DualTableConfig {
+        rows_per_file: 4,
+        plan_mode: PlanMode::AlwaysEdit,
+        ..DualTableConfig::default()
+    };
+    let t = DualTableStore::create(&env, "retry", schema(), config).unwrap();
+    t.insert_rows((0..24).map(|i| vec![Value::Int64(i), Value::Int64(i)]))
+        .unwrap();
+    let files = t.master_file_ids().unwrap();
+    assert_eq!(files.len(), 6);
+    // The last two files the dirtiest, the middle two dirty, the first two
+    // clean: the first fold takes the last two and the second the middle
+    // two, so the second fold's own fold set never covers the first's.
+    let hint = RatioHint::Explicit(0.01);
+    let set = |v| [(1, Box::new(move |_: &Row| Ok(Value::Int64(v))) as _)];
+    t.update(|row| row[0].as_i64().unwrap() >= 16, &set(-1), hint)
+        .unwrap();
+    let middle = |row: &Row| (8..16).contains(&row[0].as_i64().unwrap());
+    t.update(
+        move |row| middle(row) && row[0].as_i64().unwrap() % 4 == 0,
+        &set(-2),
+        hint,
+    )
+    .unwrap();
+    env.kv.table("att_retry").unwrap().flush().unwrap();
+
+    let job = t.begin_incremental(|| {}).unwrap().unwrap();
+    assert_eq!(job.folded_files(), Some(&files[4..]));
+    let failures = env.health.snapshot().cleanup_failures;
+    plan.fail_next(FaultKind::ReadError);
+    job.finish().unwrap();
+    assert_eq!(
+        plan.injected_count(),
+        1,
+        "the sweep read the attached table"
+    );
+    assert!(env.health.snapshot().cleanup_failures > failures);
+    let live = t.master_file_ids().unwrap();
+    assert_eq!(dead_presence(&t, &live), files[4..], "the faulted sweep");
+
+    assert!(matches!(
+        t.compact_incremental().unwrap(),
+        FoldOutcome::Folded { files: 2, .. }
+    ));
+    let live = t.master_file_ids().unwrap();
+    let dead = dead_presence(&t, &live);
+    assert!(
+        dead.is_empty(),
+        "dead files {dead:?} outlived the next sweep"
+    );
 }

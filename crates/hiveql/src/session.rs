@@ -436,7 +436,6 @@ impl Session {
                     ("completed".into(), snap.compactions_completed.to_string()),
                     ("lost_race".into(), snap.compactions_lost_race.to_string()),
                     ("aborted".into(), snap.compactions_aborted.to_string()),
-                    ("stale_gens_swept".into(), snap.stale_gens_swept.to_string()),
                     ("throttled".into(), snap.compactor_throttled.to_string()),
                     ("reason".into(), self.env.compaction.reason()),
                 ];

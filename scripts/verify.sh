@@ -105,13 +105,15 @@ run_gate dfs-failover cargo test -q -p dt-dfs --locked --test failover -- --noca
 # interleaved transactions under a pinned reader, a large autocommit
 # EDIT, a three-file autocommit INSERT, a range-sharded table plus a side
 # table (cross-shard and two-table commits, a fold and a spill), sharded
-# autocommit INSERT/UPDATE/DELETE/OVERWRITE/COMPACT, incremental folds,
-# and a COMPACT fanned out over three workers -- and crashes each at
-# every one of its armed I/O-operation indices (~2,200 points). Every
-# recovery is checked against one reference model: each store at a
-# whole-step state, the in-flight step on all of its stores or none, no
-# staging file left, one generation per store, clean fsck/scrub, an
-# empty block cache, and a still-working EDIT, fold and spill. Beside it,
+# autocommit INSERT/UPDATE/DELETE/OVERWRITE/COMPACT, incremental folds
+# (one behind a session's pin), and a COMPACT fanned out over three
+# workers -- and crashes each at every one of its armed I/O-operation
+# indices (~2,400 points). Every recovery is checked against one
+# reference model: each store at a whole-step state, the in-flight step
+# on all of its stores or none, no staging file left, one generation per
+# store, a presence index naming only that store's live master files
+# (the open-time sweep's job), clean fsck/scrub, an empty block cache,
+# and a still-working EDIT, fold and spill. Beside it,
 # the directed decision-record cases: a decided commit whose participant
 # write, or record clear, fails, then a reopen redoes the record.
 run_gate crash-matrix cargo test -q -p dualtable --locked --test crash_matrix -- --nocapture
@@ -133,7 +135,16 @@ run_gate parallel-write cargo test -q -p dualtable --locked --test parallel_writ
 run_gate group-commit cargo test -q -p dt-kvstore --locked --test group_commit -- --nocapture
 
 # Generation-GC property test and the SQL transaction surface
-# (DESIGN.md §13). `prop_mvcc_gc` also holds the read-pin directed
+# (DESIGN.md §13). After every generated step no dead generation
+# directory survives its last pin and the presence index names only
+# files of the current and the pinned generations (the current one's
+# alone once the last pin drains). Directed sweep tests: with no pin a
+# swing's garbage goes at once, behind a pin at the last unpin, and an
+# unpin that drains nothing reads nothing
+# (`the_sweep_runs_at_the_swing_or_at_the_last_unpin`); a sweep that
+# faults is retried by the next one, not only at reopen
+# (`a_failed_attached_sweep_is_retried_by_the_next_sweep`).
+# `prop_mvcc_gc` also holds the read-pin directed
 # tests: a reader parked mid-scan sees an autocommit EDIT, one store's or
 # a cross-shard one, whole or not at all
 # (`an_autocommit_read_never_sees_half_a_commit`,
