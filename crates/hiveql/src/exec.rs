@@ -11,7 +11,7 @@ use crate::catalog::{SharedCatalog, TableHandle};
 use crate::expr::{
     eval, is_true, normalize_numeric, Binding, EvalContext, GroupKey, HashableValue,
 };
-use crate::vector::{GroupedRows, Groups, Input, Kernels, Vector, DEADLINE_CHECK_ROWS};
+use crate::vector::{Groups, Input, Kernels, Partials, Vector, DEADLINE_CHECK_ROWS};
 
 /// Result of executing one statement.
 #[derive(Debug, Clone)]
@@ -164,7 +164,7 @@ impl Executor<'_> {
                 let Pipeline { plan, acc } = &mut pipeline;
                 let prepare = |batch: ColumnBatch| plan.prepare(&batch);
                 base.scan_mapped(txn, projection, predicates, deadline, &prepare, &mut |p| {
-                    acc.absorb(p);
+                    acc.merge(p);
                     Ok(())
                 })?;
             }
@@ -401,47 +401,36 @@ enum OrderKey {
     Output(usize),
 }
 
-/// What the pipeline has produced so far.
-enum Acc {
+/// What the pipeline has produced so far (`G` = [`Groups`]), or what one
+/// batch through a [`Plan`] adds to it (`G` = [`Partials`], a [`Prepared`]).
+enum Acc<G = Groups> {
     /// Plain projection: output rows and their ORDER BY keys.
     Rows(Vec<Row>, Vec<GroupKey>),
-    /// GROUP BY / aggregation: running states per group.
-    Groups(Groups),
-    /// A counts-only statement (see [`Plan::counts_only`]): rows so far.
-    Count(u64),
+    /// GROUP BY / aggregation: states per group.
+    Groups(G),
 }
 
-/// One batch through a [`Plan`], owned: what [`Acc::absorb`] adds.
-enum Prepared {
-    Rows(Vec<Row>, Vec<GroupKey>),
-    Groups(GroupedRows),
-    Count(u64),
-    /// WHERE kept no row.
-    Nothing,
-}
+type Prepared = Acc<Partials>;
 
 impl Acc {
-    /// Adds one prepared batch — group slots and the aggregates' adds in
-    /// row order, or the rows appended — so the result is the same
-    /// whichever threads prepared the batches.
-    fn absorb(&mut self, prepared: Prepared) {
+    /// Takes one prepared batch, in scan order: its rows appended, or its
+    /// groups' partial states merged.
+    fn merge(&mut self, prepared: Prepared) {
         match (self, prepared) {
-            (_, Prepared::Nothing) => {}
             (Acc::Rows(out, keys), Prepared::Rows(rows, more)) => {
                 out.extend(rows);
                 keys.extend(more);
             }
-            (Acc::Groups(groups), Prepared::Groups(rows)) => groups.absorb(rows),
-            (Acc::Count(n), Prepared::Count(more)) => *n += more,
-            _ => unreachable!("a plan prepares what its accumulator absorbs"),
+            (Acc::Groups(groups), Prepared::Groups(partials)) => groups.merge(partials),
+            _ => unreachable!("a plan prepares what its accumulator takes"),
         }
     }
 }
 
 /// WHERE → projection or aggregation over a stream of column batches, a
 /// batch at a time through the kernels of [`crate::vector`]: each batch
-/// [`Plan::prepare`]d — on whichever thread scanned it — then absorbed
-/// into the [`Acc`] on the statement's thread, in scan order.
+/// [`Plan::prepare`]d — on whichever thread scanned it — then merged into
+/// the [`Acc`] on the statement's thread, in scan order.
 struct Pipeline<'a> {
     plan: Plan<'a>,
     acc: Acc,
@@ -524,10 +513,9 @@ impl<'a> Pipeline<'a> {
             && binding.is_empty()
             && !specs.is_empty()
             && specs.iter().all(count_star);
-        let acc = match (counts_only, aggregating) {
-            (true, _) => Acc::Count(0),
-            (false, true) => Acc::Groups(Groups::new(&specs, stmt.group_by.is_empty())),
-            (false, false) => Acc::Rows(Vec::new(), Vec::new()),
+        let acc = match aggregating {
+            true => Acc::Groups(Groups::new(&specs, stmt.group_by.is_empty())),
+            false => Acc::Rows(Vec::new(), Vec::new()),
         };
         let plan = Plan {
             filter,
@@ -544,10 +532,10 @@ impl<'a> Pipeline<'a> {
         Ok(Pipeline { plan, acc })
     }
 
-    /// [`Plan::prepare`] then [`Acc::absorb`], on this thread.
+    /// [`Plan::prepare`] then [`Acc::merge`], on this thread.
     fn push_batch(&mut self, batch: &ColumnBatch) -> Result<()> {
         let prepared = self.plan.prepare(batch)?;
-        self.acc.absorb(prepared);
+        self.acc.merge(prepared);
         Ok(())
     }
 
@@ -557,30 +545,30 @@ impl<'a> Pipeline<'a> {
         let names = plan.items.iter().map(|(_, n)| n.clone()).collect();
         let groups = match self.acc {
             Acc::Rows(out, order_keys) => return Ok((out, names, order_keys)),
-            Acc::Groups(groups) => groups.finish(None)?,
-            Acc::Count(n) => Groups::new(&plan.specs, true).finish(Some(n))?,
+            Acc::Groups(groups) => groups.finish()?,
         };
-        let (binding, ctx, specs) = (&Binding::default(), plan.ctx, &plan.specs);
         let mut out_rows = Vec::with_capacity(groups.len());
         let mut order_keys = Vec::with_capacity(groups.len());
-        for (rep, agg_values) in &groups {
+        for (rep, values) in &groups {
+            let at = |e: &Expr| {
+                let e = with_values(e, &plan.specs, values)?;
+                eval(&e, rep, &Binding::default(), plan.ctx)
+            };
             if let Some(h) = &plan.having {
-                let v = eval_with_aggs(h, rep, binding, specs, agg_values, ctx)?;
-                if !is_true(&v) {
+                if !is_true(&at(h)?) {
                     continue;
                 }
             }
-            let mut projected = Vec::with_capacity(plan.items.len());
-            for (e, _) in &plan.items {
-                projected.push(eval_with_aggs(e, rep, binding, specs, agg_values, ctx)?);
-            }
+            let projected: Row = plan
+                .items
+                .iter()
+                .map(|(e, _)| at(e))
+                .collect::<Result<_>>()?;
             if !plan.order_by.is_empty() {
                 let mut key = Vec::with_capacity(plan.order_by.len());
                 for order in &plan.order_by {
                     key.push(HashableValue(match order {
-                        OrderKey::Input(e) => {
-                            eval_with_aggs(e, rep, binding, specs, agg_values, ctx)?
-                        }
+                        OrderKey::Input(e) => at(e)?,
                         OrderKey::Output(pos) => projected[*pos].clone(),
                     }));
                 }
@@ -593,22 +581,20 @@ impl<'a> Pipeline<'a> {
 }
 
 impl Plan<'_> {
-    /// Runs one batch through WHERE and everything the projection or
-    /// aggregation does per row but add it up: kernels, group codes, and
-    /// aggregate arguments and projected rows as owned values. Each
-    /// expression is evaluated once for the batch's selected rows.
+    /// Runs one batch through WHERE and the projection or aggregation:
+    /// kernels, then projected rows as owned values, or each group's
+    /// partial states. Each expression is evaluated once for the batch's
+    /// selected rows.
     fn prepare(&self, batch: &ColumnBatch) -> Result<Prepared> {
         if self.counts_only {
-            return Ok(Prepared::Count(batch.selected_len() as u64));
+            let n = batch.selected_len() as u64;
+            return Ok(Prepared::Groups(Groups::counted(n, self.specs.len())));
         }
         let input = Input::of(batch);
         let k = Kernels::new(&input, self.ctx, self.deadline);
         let mut sel: Vec<u32> = batch.selected().map(|i| i as u32).collect();
         if let Some(filter) = &self.filter {
             sel = k.filter(filter, sel)?;
-        }
-        if sel.is_empty() {
-            return Ok(Prepared::Nothing);
         }
         if self.aggregating {
             return Groups::prepare(&k, &self.group_by, &self.specs, &sel).map(Prepared::Groups);
@@ -657,66 +643,15 @@ fn collect_aggregates(expr: &Expr, out: &mut Vec<Expr>) {
     }
 }
 
-/// Evaluates an expression in which aggregate calls are replaced by their
-/// computed values; non-aggregate column references resolve against the
-/// group's representative row (first-row semantics for grouped columns).
-fn eval_with_aggs(
-    expr: &Expr,
-    rep: &Row,
-    binding: &Binding,
-    specs: &[Expr],
-    agg_values: &[Value],
-    ctx: &EvalContext,
-) -> Result<Value> {
-    if let Some(i) = specs.iter().position(|s| s == expr) {
-        return Ok(agg_values[i].clone());
-    }
-    match expr {
-        Expr::Binary { op, left, right } => {
-            // Recreate with pre-substituted children via a small detour:
-            // evaluate children first, then fold through a literal tree.
-            let l = eval_with_aggs(left, rep, binding, specs, agg_values, ctx)?;
-            let r = eval_with_aggs(right, rep, binding, specs, agg_values, ctx)?;
-            let folded = Expr::Binary {
-                op: *op,
-                left: Box::new(Expr::Literal(l)),
-                right: Box::new(Expr::Literal(r)),
-            };
-            eval(&folded, rep, binding, ctx)
-        }
-        Expr::Unary { op, operand } => {
-            let v = eval_with_aggs(operand, rep, binding, specs, agg_values, ctx)?;
-            eval(
-                &Expr::Unary {
-                    op: *op,
-                    operand: Box::new(Expr::Literal(v)),
-                },
-                rep,
-                binding,
-                ctx,
-            )
-        }
-        Expr::Function {
-            name,
-            args,
-            wildcard,
-        } if !is_aggregate_name(name) => {
-            let folded: Vec<Expr> = args
-                .iter()
-                .map(|a| eval_with_aggs(a, rep, binding, specs, agg_values, ctx).map(Expr::Literal))
-                .collect::<Result<_>>()?;
-            eval(
-                &Expr::Function {
-                    name: name.clone(),
-                    args: folded,
-                    wildcard: *wildcard,
-                },
-                rep,
-                binding,
-                ctx,
-            )
-        }
-        other => eval(other, rep, binding, ctx),
+/// `expr` with each aggregate call of `specs` replaced by its value, so
+/// that the row interpreter evaluates it over a group's representative row
+/// (first-row semantics for grouped columns).
+fn with_values(expr: &Expr, specs: &[Expr], values: &[Value]) -> Result<Expr> {
+    match specs.iter().position(|s| s == expr) {
+        Some(i) => Ok(Expr::Literal(values[i].clone())),
+        None => expr
+            .clone()
+            .map_children(&mut |child| with_values(&child, specs, values)),
     }
 }
 

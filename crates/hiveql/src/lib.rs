@@ -37,6 +37,7 @@ pub mod expr;
 pub mod lexer;
 pub mod parser;
 mod session;
+pub mod sum;
 pub mod vector;
 
 pub use catalog::{Catalog, DmlOutcome, SharedCatalog, TableHandle};

@@ -26,6 +26,7 @@ use dt_orcfile::{Column, ColumnBatch, ColumnData};
 
 use crate::ast::{BinOp, Expr, UnOp};
 use crate::expr::{self, eval, is_true, Binding, EvalContext, GroupKey, HashableValue, RowRef};
+use crate::sum::Exact;
 
 /// Rows the row interpreter evaluates inside a kernel between two
 /// [`Deadline`] checks: a batch boundary alone is not prompt enough when
@@ -192,25 +193,6 @@ impl<'a> Vector<'a> {
         }
     }
 
-    /// Row `i`, not NULL, as SUM and AVG add it: its value widened to f64
-    /// and, if it is a BIGINT, that; `None` for a value that is no number.
-    pub(crate) fn number(&self, i: usize) -> Option<(f64, Option<i64>)> {
-        match &self.data {
-            Data::I64(v) => Some((v[i] as f64, Some(v[i]))),
-            Data::F64(v) => Some((v[i], None)),
-            Data::Date(v) => Some((f64::from(v[i]), None)),
-            Data::Const(_) | Data::Any(_) => {
-                let v = self.value(i);
-                let int = match v {
-                    Value::Int64(n) => Some(n),
-                    _ => None,
-                };
-                v.as_f64().map(|x| (x, int))
-            }
-            Data::Bool(_) | Data::Dict(..) | Data::Direct(_) => None,
-        }
-    }
-
     /// The numbers, widened to f64 as the row path's `compare` and
     /// `arithmetic` widen them; `None` if the vector holds no numbers.
     fn f64s(&self) -> Option<Operand<'_, f64>> {
@@ -231,15 +213,6 @@ impl<'a> Vector<'a> {
             Data::I64(v) => Some(Operand::Slice(Cow::Borrowed(v))),
             Data::Const(Value::Int64(x)) => Some(Operand::Scalar(*x)),
             _ => None,
-        }
-    }
-
-    /// A column of numbers as SUM and AVG add them, widened to f64, or
-    /// `None` for anything else.
-    pub(crate) fn numbers(&self) -> Option<Cow<'_, [f64]>> {
-        match self.f64s()? {
-            Operand::Slice(x) => Some(x),
-            Operand::Scalar(_) => None,
         }
     }
 
@@ -694,137 +667,23 @@ impl<'i, 'a> Kernels<'i, 'a> {
     }
 }
 
-/// GROUP BY state: the groups in order of their first row — key and
-/// representative row — their index by key, and per aggregate spec one
-/// state per group.
+/// GROUP BY state: the groups so far, with their index by key.
 pub(crate) struct Groups {
     index: HashMap<GroupKey, usize>,
-    groups: Vec<(GroupKey, Row)>,
-    states: Vec<Vec<AggState>>,
+    all: Partials,
     /// Each spec's state before its first row.
     fresh: Vec<AggState>,
     /// No GROUP BY: the statement has one group even over no row.
     global: bool,
 }
 
-/// One batch's rows ready for [`Groups::absorb`], owned: each row's group
-/// within the batch, each such group's key and first row, and each
-/// aggregate's argument. Everything a row costs but the float adds, which
-/// must stay in row order, so it can be built on any thread.
-pub(crate) struct GroupedRows {
-    /// Per row, its group within the batch, numbered by first row.
-    locals: Vec<u32>,
-    /// Per group within the batch, its key and its first row.
-    firsts: Vec<(GroupKey, Row)>,
-    /// Per aggregate spec, its argument.
-    args: Vec<Arg>,
-    /// The SUM and AVG arguments' numbers, row-major: row `n`'s number
-    /// for the `j`-th of them is `numbers[n * width + j]`; `+0.0` where
-    /// it is NULL, which leaves a running sum as it is (a sum that starts
-    /// at `+0.0` never reaches `-0.0`).
-    numbers: Vec<f64>,
-}
-
-/// One aggregate's argument over a batch. What is exact in any order —
-/// counts, BIGINT sums, MIN and MAX — is already reduced per group within
-/// the batch.
-enum Arg {
-    /// COUNT: per group, the rows whose argument is not NULL.
-    Count(Vec<u64>),
-    /// SUM, AVG: per group, how many numbers are not NULL and, while all
-    /// of those are BIGINTs, their exact sum. The numbers, widened to f64,
-    /// are a column of [`GroupedRows::numbers`].
-    Numbers(Vec<(u64, Option<i128>)>),
-    /// MIN, MAX: per group, the batch's best value, the first of equals.
-    Best(Vec<AggState>),
-}
-
-impl Arg {
-    /// COUNT's argument `v` at rows `sel` of the batch, whose groups
-    /// within the batch are `locals`, of `sizes` rows.
-    fn count(v: &Vector, sel: &[u32], locals: &[u32], sizes: &[u64]) -> Arg {
-        let no_null = match &v.data {
-            Data::Const(c) => !c.is_null(),
-            Data::Any(_) => false,
-            _ => v.nulls.is_none(),
-        };
-        if no_null {
-            return Arg::Count(sizes.to_vec());
-        }
-        let mut counts = vec![0; sizes.len()];
-        for (_, &l) in sel
-            .iter()
-            .zip(locals)
-            .filter(|(&i, _)| !v.is_null(i as usize))
-        {
-            counts[l as usize] += 1;
-        }
-        Arg::Count(counts)
-    }
-
-    /// MIN's or MAX's (`spec`'s) argument `v` at rows `sel` (see
-    /// [`Arg::count`]).
-    fn best(spec: &Expr, v: &Vector, sel: &[u32], locals: &[u32], groups: usize) -> Arg {
-        let mut best = vec![AggState::for_spec(spec); groups];
-        for (&i, &l) in sel
-            .iter()
-            .zip(locals)
-            .filter(|(&i, _)| !v.is_null(i as usize))
-        {
-            best[l as usize].add_value(v.value(i as usize));
-        }
-        Arg::Best(best)
-    }
-
-    /// SUM's or AVG's (`name`'s) argument `v` at rows `sel`, whose groups
-    /// within the batch are `locals`, of `sizes` rows: each row's number
-    /// goes to its slot of `column`. Something that is no number fails
-    /// the call at its first such row.
-    fn numbers<'c>(
-        name: &str,
-        v: &Vector,
-        (sel, locals): (&[u32], &[u32]),
-        sizes: &[u64],
-        column: impl Iterator<Item = &'c mut f64>,
-    ) -> Result<Arg> {
-        let rows = sel.iter().map(|&i| i as usize).zip(column);
-        let typed = v.numbers();
-        let ints = match v.i64s() {
-            Some(Operand::Slice(ints)) => Some(ints),
-            _ => None,
-        };
-        if let (Some(x), None) = (&typed, v.mask()) {
-            for (i, slot) in rows {
-                *slot = x[i];
-            }
-            let mut tallies: Vec<_> = sizes
-                .iter()
-                .map(|&n| (n, ints.is_some().then_some(0)))
-                .collect();
-            if let Some(ints) = ints {
-                for (&i, &l) in sel.iter().zip(locals) {
-                    if let Some(sum) = &mut tallies[l as usize].1 {
-                        *sum += i128::from(ints[i as usize]);
-                    }
-                }
-            }
-            return Ok(Arg::Numbers(tallies));
-        }
-        let mut tallies = vec![(0, Some(0)); sizes.len()];
-        for ((i, slot), &l) in rows.zip(locals).filter(|((i, _), _)| !v.is_null(*i)) {
-            let (x, int) = match (&typed, &ints) {
-                (Some(x), ints) => (x[i], ints.as_ref().map(|ints| ints[i])),
-                (None, _) => v.number(i).ok_or_else(|| {
-                    Error::Plan(format!("{} of {:?}", name.to_uppercase(), v.value(i)))
-                })?,
-            };
-            *slot = x;
-            let (count, sum) = &mut tallies[l as usize];
-            *count += 1;
-            *sum = sum.zip(int).map(|(sum, n)| sum + i128::from(n));
-        }
-        Ok(Arg::Numbers(tallies))
-    }
+/// Groups over some rows, in order of their first row: each one's key
+/// and first row, and per aggregate spec its state over those rows.
+#[derive(Default)]
+pub(crate) struct Partials {
+    groups: Vec<(GroupKey, Row)>,
+    /// Group `g`'s states are `states[g * width..][..width]`, one per spec.
+    states: Vec<AggState>,
 }
 
 impl Groups {
@@ -833,29 +692,28 @@ impl Groups {
     pub(crate) fn new(specs: &[Expr], global: bool) -> Self {
         Groups {
             index: HashMap::new(),
-            groups: Vec::new(),
-            states: specs.iter().map(|_| Vec::new()).collect(),
+            all: Partials::default(),
             fresh: specs.iter().map(AggState::for_spec).collect(),
             global,
         }
     }
 
-    /// Rows `sel` of one batch ready to add: each row's group found
-    /// through its key's code, each group's key and first row taken, then
-    /// each aggregate's argument evaluated once for the batch.
+    /// Rows `sel` of one batch as partial states: each row's group found
+    /// through its key's code, then each aggregate's argument evaluated
+    /// once for the batch and reduced group by group, column by column.
     pub(crate) fn prepare(
         k: &Kernels,
         by: &[Expr],
         specs: &[Expr],
         sel: &[u32],
-    ) -> Result<GroupedRows> {
+    ) -> Result<Partials> {
         let keys: Vec<Vector> = by.iter().map(|g| k.eval(g, sel)).collect::<Result<_>>()?;
         let (codes, card) = group_codes(&keys, sel);
         let mut local = vec![u32::MAX; card];
         // Two codes may share a key (a dictionary may hold a value twice):
         // the batch's groups are its distinct keys.
         let mut by_key = HashMap::new();
-        let mut firsts = Vec::new();
+        let mut groups = Vec::new();
         let mut locals = Vec::with_capacity(sel.len());
         for (&i, &code) in sel.iter().zip(&codes) {
             let slot = &mut local[code as usize];
@@ -863,25 +721,36 @@ impl Groups {
                 let i = i as usize;
                 let key = GroupKey(keys.iter().map(|v| HashableValue(v.value(i))).collect());
                 *slot = *by_key.entry(key.clone()).or_insert_with(|| {
-                    firsts.push((key, k.input.row(i)));
-                    firsts.len() as u32 - 1
+                    groups.push((key, k.input.row(i)));
+                    groups.len() as u32 - 1
                 });
             }
             locals.push(*slot);
         }
-        let mut sizes = vec![0; firsts.len()];
-        for &l in &locals {
-            sizes[l as usize] += 1;
-        }
-        let summing = |spec: &&Expr| match spec {
-            Expr::Function { name, .. } => name == "sum" || name == "avg",
-            _ => false,
+        // Each group's rows, in row order: `rows[starts[g]..starts[g + 1]]`.
+        let (starts, rows) = match groups.len() {
+            1 => (vec![0, sel.len()], Cow::Borrowed(sel)),
+            n => {
+                let mut starts = vec![0; n + 1];
+                for &l in &locals {
+                    starts[l as usize + 1] += 1;
+                }
+                for g in 1..=n {
+                    starts[g] += starts[g - 1];
+                }
+                let mut next = starts.clone();
+                let mut rows = vec![0; sel.len()];
+                for (&i, &l) in sel.iter().zip(&locals) {
+                    rows[next[l as usize]] = i;
+                    next[l as usize] += 1;
+                }
+                (starts, Cow::Owned(rows))
+            }
         };
-        let width = specs.iter().filter(summing).count();
-        let mut numbers = vec![0.0; sel.len() * width];
-        let mut columns = 0..width;
-        let mut args = Vec::with_capacity(specs.len());
-        for spec in specs {
+        let width = specs.len();
+        let fresh = specs.iter().map(AggState::for_spec);
+        let mut states: Vec<AggState> = groups.iter().flat_map(|_| fresh.clone()).collect();
+        for (s, spec) in specs.iter().enumerate() {
             let Expr::Function {
                 name,
                 args: arg,
@@ -894,128 +763,68 @@ impl Groups {
                 true => Vector::constant(Value::Bool(true)), // COUNT(*): every row counts.
                 false => k.eval(&arg[0], sel)?,
             };
-            let groups = firsts.len();
-            args.push(match name.as_str() {
-                "count" => Arg::count(&v, sel, &locals, &sizes),
-                "sum" | "avg" => {
-                    let j = columns.next().expect("a column per SUM and AVG");
-                    let column = numbers.iter_mut().skip(j).step_by(width);
-                    Arg::numbers(name, &v, (sel, &locals), &sizes, column)?
-                }
-                _ => Arg::best(spec, &v, sel, &locals, groups),
-            });
+            for (g, group) in states.chunks_exact_mut(width).enumerate() {
+                group[s].add_rows(name, &v, &rows[starts[g]..starts[g + 1]])?;
+            }
         }
-        Ok(GroupedRows {
-            locals,
-            firsts,
-            args,
-            numbers,
-        })
+        Ok(Partials { groups, states })
     }
 
-    /// Adds one batch's rows: a group's first row creates it, as its
-    /// representative; then each aggregate's argument goes into the
-    /// groups' states. SUM and AVG add their numbers in row order, all of
-    /// a row's at once, so that only the dependent adds stay serial.
-    pub(crate) fn absorb(&mut self, rows: GroupedRows) {
-        let ids: Vec<usize> = rows
-            .firsts
-            .into_iter()
-            .map(|(key, rep)| {
-                *self.index.entry(key.clone()).or_insert_with(|| {
-                    for (states, fresh) in self.states.iter_mut().zip(&self.fresh) {
-                        states.push(fresh.clone());
-                    }
-                    self.groups.push((key, rep));
-                    self.groups.len() - 1
-                })
-            })
-            .collect();
-        let mut summed = Vec::new();
-        for (states, arg) in self.states.iter_mut().zip(rows.args) {
-            let each = ids.iter().copied();
-            match arg {
-                Arg::Count(counts) => {
-                    for (g, n) in each.zip(counts) {
-                        let AggState::Count(count) = &mut states[g] else {
-                            unreachable!("only COUNT counts rows");
-                        };
-                        *count += n;
+    /// The one partial of an unfiltered, ungrouped `COUNT(*)` over `n`
+    /// rows, for each of `specs` aggregate specs.
+    pub(crate) fn counted(n: u64, specs: usize) -> Partials {
+        Partials {
+            groups: vec![(GroupKey(Vec::new()), Vec::new())],
+            states: vec![AggState::Count(n); specs],
+        }
+    }
+
+    /// Merges one batch's partials, in scan order: a group's first partial
+    /// creates it, so its representative row is its first row.
+    pub(crate) fn merge(&mut self, partials: Partials) {
+        let width = self.fresh.len();
+        let mut states = partials.states.into_iter();
+        for (key, first) in partials.groups {
+            let batch = states.by_ref().take(width);
+            match self.index.get(&key) {
+                Some(&g) => {
+                    let group = &mut self.all.states[g * width..][..width];
+                    for (state, partial) in group.iter_mut().zip(batch) {
+                        state.merge(partial);
                     }
                 }
-                Arg::Best(best) => {
-                    for (g, best) in each.zip(best) {
-                        if let AggState::Min(Some(v)) | AggState::Max(Some(v)) = best {
-                            states[g].add_value(v);
-                        }
-                    }
+                None => {
+                    self.index.insert(key.clone(), self.all.groups.len());
+                    self.all.groups.push((key, first));
+                    self.all.states.extend(batch);
                 }
-                Arg::Numbers(tallies) => summed.push((states, tallies)),
-            }
-        }
-        let width = summed.len();
-        if width == 0 {
-            return;
-        }
-        // Group-major running sums, `sums[l * width + j]`.
-        let mut sums = vec![0.0; ids.len() * width];
-        for (j, (states, _)) in summed.iter().enumerate() {
-            for (l, &g) in ids.iter().enumerate() {
-                sums[l * width + j] = states[g].sum();
-            }
-        }
-        let locals = rows.locals.iter().map(|&l| l as usize);
-        if width == 1 {
-            // One sum: rows of a group often come in runs, so the running
-            // sum stays in a register until the group changes.
-            let mut run = (0, sums.first().copied().unwrap_or(0.0));
-            for (x, l) in rows.numbers.iter().zip(locals) {
-                if l != run.0 {
-                    sums[run.0] = run.1;
-                    run = (l, sums[l]);
-                }
-                run.1 += x;
-            }
-            if let Some(sum) = sums.get_mut(run.0) {
-                *sum = run.1;
-            }
-        } else {
-            for (xs, l) in rows.numbers.chunks_exact(width).zip(locals) {
-                let acc = &mut sums[l * width..][..width];
-                for (sum, x) in acc.iter_mut().zip(xs) {
-                    *sum += x;
-                }
-            }
-        }
-        for (j, (states, tallies)) in summed.into_iter().enumerate() {
-            for (l, (&g, tally)) in ids.iter().zip(tallies).enumerate() {
-                states[g].add_sum(sums[l * width + j], tally);
             }
         }
     }
 
     /// Each group's representative row and aggregate values (one per
     /// spec), ordered by key. A global aggregate over no row has one empty
-    /// group, holding `counted` rows when batch cardinalities answered a
-    /// counts-only statement.
-    pub(crate) fn finish(mut self, counted: Option<u64>) -> Result<Vec<(Row, Vec<Value>)>> {
-        if self.groups.is_empty() && self.global {
-            for (states, fresh) in self.states.iter_mut().zip(&self.fresh) {
-                states.push(match counted {
-                    Some(n) => AggState::Count(n),
-                    None => fresh.clone(),
-                });
-            }
-            self.groups.push((GroupKey(Vec::new()), Vec::new()));
+    /// group.
+    pub(crate) fn finish(self) -> Result<Vec<(Row, Vec<Value>)>> {
+        let Partials {
+            mut groups,
+            mut states,
+        } = self.all;
+        let width = self.fresh.len();
+        if groups.is_empty() && self.global {
+            groups.push((GroupKey(Vec::new()), Vec::new()));
+            states = self.fresh;
         }
-        let mut order: Vec<usize> = (0..self.groups.len()).collect();
-        order.sort_by(|&a, &b| self.groups[a].0.cmp(&self.groups[b].0));
+        let mut order: Vec<usize> = (0..groups.len()).collect();
+        order.sort_by(|&a, &b| groups[a].0.cmp(&groups[b].0));
         order
             .into_iter()
             .map(|g| {
-                let rep = std::mem::take(&mut self.groups[g].1);
-                let values = self.states.iter().map(|states| states[g].finish());
-                Ok((rep, values.collect::<Result<_>>()?))
+                let values = states[g * width..][..width].iter().map(AggState::finish);
+                Ok((
+                    std::mem::take(&mut groups[g].1),
+                    values.collect::<Result<_>>()?,
+                ))
             })
             .collect()
     }
@@ -1023,21 +832,22 @@ impl Groups {
 
 /// Partial state of one aggregate call.
 #[derive(Debug, Clone)]
-enum AggState {
+pub(crate) enum AggState {
     Count(u64),
-    /// `ints` is the exact sum while every number added is a BIGINT.
-    Sum {
-        sum: f64,
-        seen: bool,
-        ints: Option<i128>,
-    },
-    Avg {
-        sum: f64,
-        count: u64,
-        ints: Option<i128>,
-    },
+    Sum(Sum),
     Min(Option<Value>),
     Max(Option<Value>),
+}
+
+/// SUM (`avg` false) and AVG: how many numbers, the exact sum of the
+/// BIGINTs among them and that of the rest — `None` while every number
+/// is a BIGINT.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Sum {
+    avg: bool,
+    count: u64,
+    ints: i128,
+    floats: Option<Exact>,
 }
 
 impl AggState {
@@ -1047,20 +857,64 @@ impl AggState {
         };
         match name.as_str() {
             "count" => AggState::Count(0),
-            "sum" => AggState::Sum {
-                sum: 0.0,
-                seen: false,
-                ints: Some(0),
-            },
-            "avg" => AggState::Avg {
-                sum: 0.0,
-                count: 0,
-                ints: Some(0),
-            },
+            "sum" | "avg" => AggState::Sum(Sum {
+                avg: name == "avg",
+                ..Sum::default()
+            }),
             "min" => AggState::Min(None),
             "max" => AggState::Max(None),
             other => unreachable!("not an aggregate: {other}"),
         }
+    }
+
+    /// Adds `name`'s argument `v` at `rows`, skipping NULLs. Something
+    /// SUM or AVG cannot add fails the call at its first such row.
+    fn add_rows(&mut self, name: &str, v: &Vector, rows: &[u32]) -> Result<()> {
+        let live: Cow<[u32]> = match (&v.data, &v.nulls) {
+            (Data::Const(c), _) => Cow::Borrowed(if c.is_null() { &[] } else { rows }),
+            (Data::Any(_), _) | (_, Some(_)) => {
+                let live = rows.iter().filter(|&&i| !v.is_null(i as usize));
+                Cow::Owned(live.copied().collect())
+            }
+            _ => Cow::Borrowed(rows),
+        };
+        let sum = match self {
+            AggState::Count(n) => {
+                *n += live.len() as u64;
+                return Ok(());
+            }
+            AggState::Min(_) | AggState::Max(_) => {
+                for &i in live.iter() {
+                    self.add_value(v.value(i as usize));
+                }
+                return Ok(());
+            }
+            AggState::Sum(sum) => sum,
+        };
+        sum.count += live.len() as u64;
+        match &v.data {
+            Data::I64(x) => {
+                sum.ints += live
+                    .iter()
+                    .map(|&i| i128::from(x[i as usize]))
+                    .sum::<i128>()
+            }
+            Data::F64(x) => sum.floats.get_or_insert_default().add_rows(x, &live),
+            _ => {
+                for &i in live.iter() {
+                    match v.value(i as usize) {
+                        Value::Int64(n) => sum.ints += i128::from(n),
+                        x => {
+                            let what = || Error::Plan(format!("{} of {x:?}", name.to_uppercase()));
+                            sum.floats
+                                .get_or_insert_default()
+                                .add(x.as_f64().ok_or_else(what)?);
+                        }
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Adds a value, not NULL, to a MIN or MAX state: it replaces the
@@ -1079,57 +933,47 @@ impl AggState {
         }
     }
 
-    /// A SUM's or AVG's running sum.
-    fn sum(&self) -> f64 {
-        match self {
-            AggState::Sum { sum, .. } | AggState::Avg { sum, .. } => *sum,
-            _ => 0.0,
+    /// Merges the state of the same call over later rows.
+    fn merge(&mut self, later: AggState) {
+        match (self, later) {
+            (AggState::Count(n), AggState::Count(more)) => *n += more,
+            (AggState::Sum(sum), AggState::Sum(more)) => {
+                sum.count += more.count;
+                sum.ints += more.ints;
+                match (&mut sum.floats, more.floats) {
+                    (Some(floats), Some(more)) => floats.merge(&more),
+                    (floats, more) => *floats = floats.take().or(more),
+                }
+            }
+            (best, AggState::Min(Some(v)) | AggState::Max(Some(v))) => best.add_value(v),
+            _ => {}
         }
     }
 
-    /// Sets a SUM's or AVG's running sum to `sum`, which added `count`
-    /// more numbers, of exact sum `added` if all are BIGINTs.
-    fn add_sum(&mut self, sum: f64, (count, added): (u64, Option<i128>)) {
-        let exact = |ints: Option<i128>| ints.zip(added).map(|(a, b)| a + b);
-        match self {
-            AggState::Sum { sum: s, seen, ints } => {
-                *s = sum;
-                *seen |= count > 0;
-                *ints = exact(*ints);
-            }
-            AggState::Avg {
-                sum: s,
-                count: n,
-                ints,
-            } => {
-                *s = sum;
-                *n += count;
-                *ints = exact(*ints);
-            }
-            _ => unreachable!("only SUM and AVG add numbers"),
-        }
-    }
-
-    /// The aggregate's value.
+    /// The aggregate's value. A SUM of BIGINTs is a BIGINT; any other
+    /// sum is the exact sum rounded once to a DOUBLE, and an AVG divides
+    /// that by the count.
     fn finish(&self) -> Result<Value> {
-        Ok(match self {
-            AggState::Count(n) => Value::Int64(*n as i64),
-            AggState::Sum { seen: false, .. } => Value::Null,
-            AggState::Sum {
-                ints: Some(ints), ..
-            } => Value::Int64(
-                i64::try_from(*ints).map_err(|_| Error::Plan("SUM overflows BIGINT".into()))?,
-            ),
-            AggState::Sum { sum, .. } => Value::Float64(*sum),
-            AggState::Avg { count: 0, .. } => Value::Null,
-            AggState::Avg {
-                ints: Some(ints),
-                count,
-                ..
-            } => Value::Float64(*ints as f64 / *count as f64),
-            AggState::Avg { sum, count, .. } => Value::Float64(sum / *count as f64),
-            AggState::Min(v) | AggState::Max(v) => v.clone().unwrap_or(Value::Null),
-        })
+        let sum = match self {
+            AggState::Count(n) => return Ok(Value::Int64(*n as i64)),
+            AggState::Min(v) | AggState::Max(v) => return Ok(v.clone().unwrap_or(Value::Null)),
+            AggState::Sum(sum) => sum,
+        };
+        let total = match (&sum.floats, sum.count, sum.avg) {
+            (_, 0, _) => return Ok(Value::Null),
+            (None, _, false) => {
+                let overflow = |_| Error::Plan("SUM overflows BIGINT".into());
+                return Ok(Value::Int64(i64::try_from(sum.ints).map_err(overflow)?));
+            }
+            (None, _, true) => sum.ints as f64,
+            (Some(floats), _, _) => {
+                let mut exact = floats.clone();
+                exact.add_int(sum.ints);
+                exact.value()
+            }
+        };
+        let n = if sum.avg { sum.count as f64 } else { 1.0 };
+        Ok(Value::Float64(total / n))
     }
 }
 

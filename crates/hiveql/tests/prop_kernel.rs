@@ -3,7 +3,9 @@
 //! value `expr::eval` returns on that row, or fail where it fails with the
 //! same kind of error; as a WHERE clause they must select the rows it
 //! selects; and a grouped aggregate must equal a fold with `eval`, bit for
-//! bit.
+//! bit, whose SUM and AVG are exact. The exact sum is Shewchuk's partials
+//! (as in Python's `math.fsum`), independent of the engine's
+//! superaccumulator, which is checked against it here too.
 //!
 //! The batches are the merged UNION READ batches of a dirty DualTable:
 //! low-cardinality strings dictionary-coded, high-cardinality ones stored
@@ -18,6 +20,7 @@ use dt_common::rng::Rng64;
 use dt_common::{DataType, Deadline, Error, Result, Row, Schema, Value};
 use dt_hiveql::ast::{BinOp, Expr, SelectItem, Statement, UnOp};
 use dt_hiveql::expr::{eval, is_true, Binding, EvalContext, GroupKey, HashableValue};
+use dt_hiveql::sum::Exact;
 use dt_hiveql::vector::{self, Input, Kernels};
 use dt_hiveql::{parse, Session, SharedCatalog};
 use dt_orcfile::{ColumnBatch, WriterOptions};
@@ -56,10 +59,13 @@ fn random_value(rng: &mut Rng64, column: usize, n: u64) -> Value {
             1 => 9_007_199_254_740_993,
             _ => rng.range_i64(-40, 40),
         }),
-        1 => Value::Float64(match rng.next_below(10) {
+        // ±1e16 beside small numbers: a row-order f64 sum loses them.
+        1 => Value::Float64(match rng.next_below(12) {
             0 => -0.0,
             1 => 0.0,
             2 => f64::NAN,
+            3 => 1e16,
+            4 => -1e16,
             _ => rng.range_i64(-400, 400) as f64 / 8.0,
         }),
         2 => Value::Date(rng.range_i64(18_200, 18_400) as i32),
@@ -492,12 +498,12 @@ fn check_degrees(session: &mut Session) {
 static SESSIONS: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// One aggregate's running state, as the row path keeps it. A SUM or AVG
-/// keeps its float sum in row order and, while every number is a BIGINT,
-/// the exact sum.
+/// keeps every number (a BIGINT as the two DOUBLEs [`parts`] gives) and,
+/// while every number is a BIGINT, their exact sum.
 enum State {
     Count(i64),
-    Sum(f64, bool, Option<i128>),
-    Avg(f64, u64, Option<i128>),
+    Sum(Vec<f64>, bool, Option<i128>),
+    Avg(Vec<f64>, u64, Option<i128>),
     Min(Option<Value>),
     Max(Option<Value>),
 }
@@ -553,13 +559,13 @@ fn fold(sql: &str, rows: &[Row]) -> Option<Vec<Row>> {
             }
             match state {
                 State::Count(n) => *n += 1,
-                State::Sum(sum, seen, ints) => {
-                    *sum += v.as_f64()?;
+                State::Sum(numbers, seen, ints) => {
+                    numbers.extend(parts(&v)?);
                     *seen = true;
                     *ints = exact(*ints, &v);
                 }
-                State::Avg(sum, n, ints) => {
-                    *sum += v.as_f64()?;
+                State::Avg(numbers, n, ints) => {
+                    numbers.extend(parts(&v)?);
                     *n += 1;
                     *ints = exact(*ints, &v);
                 }
@@ -590,10 +596,9 @@ fn fold(sql: &str, rows: &[Row]) -> Option<Vec<Row>> {
                 State::Sum(_, false, _) => Value::Null,
                 // A BIGINT SUM outside BIGINT raises, as in the executor.
                 State::Sum(_, true, Some(ints)) => Value::Int64(ints.try_into().ok()?),
-                State::Sum(sum, true, None) => Value::Float64(sum),
+                State::Sum(numbers, true, None) => Value::Float64(fsum(&numbers)),
                 State::Avg(_, 0, _) => Value::Null,
-                State::Avg(_, n, Some(ints)) => Value::Float64(ints as f64 / n as f64),
-                State::Avg(sum, n, None) => Value::Float64(sum / n as f64),
+                State::Avg(numbers, n, _) => Value::Float64(fsum(&numbers) / n as f64),
                 State::Min(v) | State::Max(v) => v.unwrap_or(Value::Null),
             });
         }
@@ -610,14 +615,104 @@ fn exact(ints: Option<i128>, v: &Value) -> Option<i128> {
     }
 }
 
+/// A number as DOUBLEs that sum to it exactly: a BIGINT as its nearest
+/// DOUBLE and the (small) rest; `None` for no number.
+fn parts(v: &Value) -> Option<Vec<f64>> {
+    Some(match v {
+        Value::Int64(n) => {
+            let hi = *n as f64;
+            vec![hi, (i128::from(*n) - hi as i128) as f64]
+        }
+        v => vec![v.as_f64()?],
+    })
+}
+
+/// The exact sum of `xs` rounded once to the nearest DOUBLE, ties to even
+/// (+0.0 when it is zero): Shewchuk's non-overlapping partials and the
+/// final rounding of Python's `math.fsum`. NaN if any number is NaN or
+/// both infinities occur, else ±inf if one does or the sum overflows.
+/// The partials must not overflow: numbers beyond 2^960 are summed
+/// scaled by 2^-64, which needs every other number at least 2^-900.
+fn fsum(xs: &[f64]) -> f64 {
+    let (nan, pos, neg) = (
+        xs.iter().any(|x| x.is_nan()),
+        xs.contains(&f64::INFINITY),
+        xs.contains(&f64::NEG_INFINITY),
+    );
+    if nan || pos && neg {
+        return f64::NAN;
+    } else if pos || neg {
+        return if pos {
+            f64::INFINITY
+        } else {
+            f64::NEG_INFINITY
+        };
+    }
+    if xs.iter().all(|x| x.abs() < 2f64.powi(960)) {
+        return partials_sum(xs);
+    }
+    let scale = 2f64.powi(64);
+    assert!(xs.iter().all(|x| *x == 0.0 || x.abs() >= 2f64.powi(-900)));
+    let scaled: Vec<f64> = xs.iter().map(|x| x / scale).collect();
+    partials_sum(&scaled) * scale
+}
+
+fn partials_sum(xs: &[f64]) -> f64 {
+    let mut partials: Vec<f64> = Vec::new();
+    for &x in xs {
+        let mut x = x;
+        let mut kept = 0;
+        for j in 0..partials.len() {
+            let mut y = partials[j];
+            if x.abs() < y.abs() {
+                std::mem::swap(&mut x, &mut y);
+            }
+            let hi = x + y;
+            let lo = y - (hi - x);
+            if lo != 0.0 {
+                partials[kept] = lo;
+                kept += 1;
+            }
+            x = hi;
+        }
+        assert!(x.is_finite(), "the partials overflowed");
+        partials.truncate(kept);
+        partials.push(x);
+    }
+    // Add the partials from the top down until the sum is inexact; then
+    // a half-way case is decided by the sign of the next partial.
+    let Some(mut hi) = partials.pop() else {
+        return 0.0;
+    };
+    let mut lo = 0.0;
+    while let Some(y) = partials.pop() {
+        let x = hi;
+        hi = x + y;
+        lo = y - (hi - x);
+        if lo != 0.0 {
+            break;
+        }
+    }
+    if let Some(&next) = partials.last() {
+        if lo < 0.0 && next < 0.0 || lo > 0.0 && next > 0.0 {
+            let y = lo * 2.0;
+            let x = hi + y;
+            if y == x - hi {
+                hi = x;
+            }
+        }
+    }
+    hi + 0.0
+}
+
 fn new_state(agg: &Expr) -> State {
     let Expr::Function { name, .. } = agg else {
         unreachable!()
     };
     match name.as_str() {
         "count" => State::Count(0),
-        "sum" => State::Sum(0.0, false, Some(0)),
-        "avg" => State::Avg(0.0, 0, Some(0)),
+        "sum" => State::Sum(Vec::new(), false, Some(0)),
+        "avg" => State::Avg(Vec::new(), 0, Some(0)),
         "min" => State::Min(None),
         _ => State::Max(None),
     }
@@ -690,4 +785,181 @@ proptest! {
         let fanned = env.health.snapshot().scans_parallel;
         prop_assert!(fanned > 0 || dt_engine::cores() < 2);
     }
+}
+
+/// The numbers of one accumulator check.
+#[derive(Clone, Copy, PartialEq)]
+enum Family {
+    /// Subnormals to 2^900.
+    Wide,
+    /// 2^-900 (or 0) to `f64::MAX`, as [`fsum`] needs.
+    Huge,
+    /// Binades `low..=low + span` (biased exponents), as a column of
+    /// prices spans a few: around the limit of the fast path of
+    /// `Exact::add_rows`.
+    Narrow(u64, u64),
+}
+
+/// A DOUBLE of `family` for the accumulator checks, now and then ±inf or
+/// NaN.
+fn random_double(rng: &mut Rng64, family: Family) -> f64 {
+    let sign = if rng.chance(0.5) { -1.0 } else { 1.0 };
+    let huge = family == Family::Huge;
+    let exponents = if huge { 123..2047 } else { 0..1923 };
+    sign * match rng.next_below(12) {
+        _ if rng.chance(0.02) => *rng.choose(&[f64::INFINITY, f64::NAN]),
+        0 => 0.0,
+        _ if let Family::Narrow(low, span) = family => {
+            let e = (low + rng.next_below(span + 1)).min(2046);
+            f64::from_bits(e << 52 | rng.next_u64() >> 12)
+        }
+        1 => 1e16,
+        2 => 0.1,
+        3 => rng.range_i64(-400, 400) as f64 / 8.0,
+        4 if huge => f64::from_bits(f64::MAX.to_bits() - rng.next_below(3)),
+        4 => f64::from_bits(rng.next_below(1 << 52)),
+        // Numbers of a few binades, as a column of prices is.
+        5 | 6 => 1000.0 + rng.next_below(1 << 20) as f64 / 64.0,
+        _ => {
+            let e = exponents.start + rng.next_below(exponents.end - exponents.start);
+            f64::from_bits(e << 52 | rng.next_u64() >> 12)
+        }
+    }
+}
+
+/// A BIGINT for the accumulator checks, the extremes included.
+fn random_int(rng: &mut Rng64) -> i64 {
+    match rng.next_below(4) {
+        0 => *rng.choose(&[i64::MIN, i64::MAX, i64::MIN + 1, 1 << 53, -(1 << 62)]),
+        1 => rng.range_i64(-1000, 1000),
+        _ => rng.next_u64() as i64,
+    }
+}
+
+/// `xs` and `ints` through one accumulator: the DOUBLEs at `column`
+/// (ascending indexes into `xs`) as one column, the rest one by one.
+fn accumulate(xs: &[f64], column: &[u32], ints: &[i64]) -> Exact {
+    let mut sum = Exact::default();
+    sum.add_rows(xs, column);
+    for (i, &x) in xs.iter().enumerate() {
+        if column.binary_search(&(i as u32)).is_err() {
+            sum.add(x);
+        }
+    }
+    // As the engine does: BIGINTs summed in an `i128`, added once.
+    sum.add_int(ints.iter().map(|&n| i128::from(n)).sum());
+    sum
+}
+
+/// Random, now and then empty, ascending indexes into `0..n`.
+fn random_column(rng: &mut Rng64, n: usize) -> Vec<u32> {
+    let p = *rng.choose(&[0.0, 0.5, 1.0]);
+    (0..n as u32).filter(|_| rng.chance(p)).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The superaccumulator against the partials: one pass, a permuted
+    /// pass and two merged halves all give the exact sum's bits, with
+    /// subnormals, ±0, numbers near `f64::MAX`, ±inf, NaN and BIGINTs up
+    /// to ±2^63 among the inputs.
+    #[test]
+    fn exact_sums_equal_the_partials_in_any_order(seed in any::<u64>()) {
+        let mut rng = Rng64::new(seed);
+        for _ in 0..50 {
+            let narrow = Family::Narrow(1 + rng.next_below(2046), rng.next_below(50));
+            let family = *rng.choose(&[Family::Wide, Family::Huge, narrow]);
+            let n = rng.next_below(60);
+            let mut xs: Vec<f64> = (0..n).map(|_| random_double(&mut rng, family)).collect();
+            let ints: Vec<i64> = (0..rng.next_below(4)).map(|_| random_int(&mut rng)).collect();
+            let all: Vec<f64> = xs
+                .iter()
+                .copied()
+                .chain(ints.iter().flat_map(|&n| parts(&Value::Int64(n)).unwrap()))
+                .collect();
+            let want = fsum(&all).to_bits();
+            let column = random_column(&mut rng, xs.len());
+            let got = accumulate(&xs, &column, &ints).value();
+            if xs.iter().all(|x| x.is_finite()) {
+                prop_assert_eq!(exact_column(&xs, &column), 0.0, "{:?}", xs);
+            }
+            prop_assert_eq!(got.to_bits(), want, "{:?} + {:?}: {} against {}", xs, ints, got, fsum(&all));
+            for i in (1..xs.len()).rev() {
+                xs.swap(i, rng.next_below(i as u64 + 1) as usize);
+            }
+            let column = random_column(&mut rng, xs.len());
+            prop_assert_eq!(accumulate(&xs, &column, &ints).value().to_bits(), want, "permuted");
+            let cut = rng.next_below(xs.len() as u64 + 1) as usize;
+            let (a, b) = xs.split_at(cut);
+            let (ca, cb) = (random_column(&mut rng, a.len()), random_column(&mut rng, b.len()));
+            let mut merged = accumulate(a, &ca, &ints[..ints.len() / 2]);
+            merged.merge(&accumulate(b, &cb, &ints[ints.len() / 2..]));
+            prop_assert_eq!(merged.value().to_bits(), want, "merged at {}", cut);
+        }
+    }
+}
+
+/// Directed cases: cancellation, ten 0.1s, the infinities, overflow,
+/// ties, subnormals, BIGINT sums past 2^63 and 2^64, and a column at the
+/// limit of the split.
+#[test]
+fn exact_sums_round_once() {
+    let sum = |xs: &[f64], ints: &[i64]| {
+        let mut s = accumulate(xs, &[], ints);
+        let v = s.clone().value();
+        s.merge(&Exact::default());
+        assert_eq!(s.value().to_bits(), v.to_bits());
+        v
+    };
+    assert_eq!(sum(&[1e16, 1.0, -1e16], &[]), 1.0);
+    assert_eq!(sum(&[0.1; 10], &[]), 1.0);
+    assert_eq!(sum(&[f64::INFINITY, 1.0], &[]), f64::INFINITY);
+    assert!(sum(&[f64::INFINITY, f64::NEG_INFINITY], &[]).is_nan());
+    assert_eq!(sum(&[f64::MAX, f64::MAX], &[]), f64::INFINITY);
+    assert_eq!(sum(&[-f64::MAX, -f64::MAX, f64::MAX], &[]), -f64::MAX);
+    assert_eq!(sum(&[-0.0, -0.0], &[]).to_bits(), 0f64.to_bits());
+    assert_eq!(sum(&[5e-324, 5e-324], &[]), 1e-323);
+    assert_eq!(
+        sum(&[2f64.powi(-1022), -5e-324], &[]),
+        2f64.powi(-1022) - 5e-324
+    );
+    // Ties go to even; anything below the tie breaks it.
+    let two53 = 2f64.powi(53);
+    assert_eq!(sum(&[two53, 1.0], &[]), two53);
+    assert_eq!(sum(&[two53, 1.0, 2f64.powi(-40)], &[]), two53 + 2.0);
+    assert_eq!(sum(&[two53, 1.0, -2f64.powi(-40)], &[]), two53);
+    assert_eq!(sum(&[two53 + 2.0, 1.0], &[]), two53 + 4.0);
+    assert_eq!(sum(&[f64::MAX, 2f64.powi(970)], &[]), f64::INFINITY);
+    assert_eq!(sum(&[f64::MAX, 2f64.powi(970), -5e-324], &[]), f64::MAX);
+    assert_eq!(sum(&[0.5], &[i64::MAX, i64::MAX, i64::MIN, i64::MIN]), -1.5);
+    assert_eq!(sum(&[], &[i64::MAX, 1]), 2f64.powi(63));
+    for n in [i128::MAX / 3, -(1 << 100) - 1, 5 * i128::from(i64::MIN)] {
+        let mut exact = Exact::default();
+        exact.add_int(n);
+        assert_eq!(exact.value(), n as f64, "{n}");
+    }
+    // A column whose rests all lean one way, each just under half the
+    // split's unit, at and past the limit of the split: fifteen numbers
+    // of 2^k and one just above 1.
+    for k in 38..=53 {
+        for sign in [1.0, -1.0] {
+            let big = sign * f64::from_bits((1023 + k) << 52 | 0b1_1111);
+            let mut xs = vec![big; 15];
+            xs.push(sign * (1.0 + f64::EPSILON));
+            let rows: Vec<u32> = (0..16).collect();
+            assert_eq!(exact_column(&xs, &rows), 0.0, "2^{k}");
+        }
+    }
+}
+
+/// A column added by `Exact::add_rows`, then each of its numbers taken
+/// away one by one: exactly zero unless the column path rounded.
+fn exact_column(xs: &[f64], rows: &[u32]) -> f64 {
+    let mut sum = Exact::default();
+    sum.add_rows(xs, rows);
+    for &i in rows {
+        sum.add(-xs[i as usize]);
+    }
+    sum.value()
 }

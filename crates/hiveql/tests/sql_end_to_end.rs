@@ -156,6 +156,87 @@ fn bigint_sums_are_exact_and_raise_on_overflow() {
     }
 }
 
+/// A DOUBLE SUM is the exact sum rounded once, and an AVG divides it:
+/// cancellation loses nothing, infinities and overflow behave as IEEE
+/// adds do, and the result is the same bits at every degree, file layout
+/// and COMPACT — on every storage.
+#[test]
+fn double_sums_are_exact_and_order_free() {
+    let groups: [(i64, &[&str]); 6] = [
+        (1, &["1e16", "1.0", "-1e16"]),
+        (2, &["0.1"; 10]),
+        (3, &["1e309", "1"]),
+        (4, &["1e309", "-1e309"]),
+        (5, &["1.7976931348623157e308"; 2]),
+        (6, &["NULL"; 2]),
+    ];
+    // Group 7: magnitudes from 1e-3 to 1e12 of both signs, whose f64 sum
+    // depends on the order of the adds.
+    let spread: Vec<String> = (0..300i64)
+        .map(|i| {
+            let x = (i * 7919 % 1000 - 500) as f64 * 10f64.powi((i % 16) as i32 - 3);
+            format!("{x:e}")
+        })
+        .collect();
+    let mut values = Vec::new();
+    for (g, vs) in groups
+        .iter()
+        .map(|(g, vs)| (*g, vs.iter().map(|v| v.to_string()).collect()))
+        .chain([(7, spread)])
+    {
+        for v in vs {
+            values.push(format!("({}, {g}, {v})", values.len() + 1));
+        }
+    }
+    let grouped = "SELECT g, SUM(v), AVG(v), COUNT(v) FROM t GROUP BY g ORDER BY g";
+    for storage in ["DUALTABLE", "ORC", "HBASE"] {
+        let mut first: Option<String> = None;
+        for rows_per_file in [Some(1), None] {
+            let mut s = Session::in_memory();
+            if let Some(n) = rows_per_file {
+                s.config.rows_per_file = n;
+                s.config.dualtable.rows_per_file = n;
+            }
+            s.execute(&format!(
+                "CREATE TABLE t (k BIGINT, g BIGINT, v DOUBLE) STORED AS {storage}"
+            ))
+            .unwrap();
+            s.execute(&format!("INSERT INTO t VALUES {}", values.join(", ")))
+                .unwrap();
+            let probe = s.execute("SELECT SUM(v) FROM t WHERE k <= 3").unwrap();
+            assert_eq!(probe.rows()[0][0], Value::Float64(1.0), "{storage}");
+            let r = s.execute(grouped).unwrap();
+            let float = |row: usize, col: usize| r.rows()[row][col].as_f64().unwrap();
+            assert_eq!((float(1, 1), float(1, 2)), (1.0, 0.1), "{storage}");
+            assert_eq!(float(0, 2), 1.0 / 3.0, "{storage}");
+            for row in [2, 4] {
+                assert_eq!(float(row, 1), f64::INFINITY, "{storage} group {}", row + 1);
+                assert_eq!(float(row, 2), f64::INFINITY, "{storage} group {}", row + 1);
+            }
+            assert!(float(3, 1).is_nan() && float(3, 2).is_nan(), "{storage}");
+            assert_eq!(
+                r.rows()[5][1..],
+                [Value::Null, Value::Null, Value::Int64(0)]
+            );
+            let mut layouts = vec![];
+            for degree in [1, 2] {
+                let r = dt_engine::with_degree(degree, || s.execute(grouped));
+                layouts.push(format!("{:?}", r.unwrap().rows()));
+            }
+            if storage == "DUALTABLE" {
+                s.execute("UPDATE t SET v = v WHERE g = 7 AND k % 3 = 0")
+                    .unwrap();
+                s.execute("COMPACT TABLE t").unwrap();
+                layouts.push(format!("{:?}", s.execute(grouped).unwrap().rows()));
+            }
+            for layout in layouts {
+                let first = first.get_or_insert_with(|| layout.clone());
+                assert_eq!(*first, layout, "{storage}, {rows_per_file:?} rows a file");
+            }
+        }
+    }
+}
+
 #[test]
 fn having_filters_groups() {
     let mut s = setup("ORC");

@@ -193,11 +193,13 @@ run_gate sharded-sql cargo test -q -p dt-hiveql --locked --test sharded_sql -- -
 # run SELECT and the DML locate against the row interpreter, on random
 # expressions over dirty DualTable batches (dictionary and direct strings,
 # appended dictionary entries, NULLs, selection vectors) — value for value,
-# error kind for error kind, and as WHERE clauses — grouped aggregates
-# against a fold with the row interpreter, bit for bit, and GROUP BY with
-# float SUM/AVG, MIN/MAX of strings and unordered projections byte for
-# byte at degree 1 and 4 over a multi-file dirty table, in and out of a
-# transaction with buffered writes (the degree-4 runs must fan out).
+# error kind for error kind, and as WHERE clauses — grouped aggregates bit
+# for bit against an exact fold with the row interpreter (its SUM/AVG are
+# Shewchuk's partials, which also check the engine's superaccumulator in
+# any order and merged), and GROUP BY with float SUM/AVG, MIN/MAX of
+# strings and unordered projections byte for byte at degree 1 and 4 over a
+# multi-file dirty table, in and out of a transaction with buffered writes
+# (the degree-4 runs must fan out).
 run_gate kernel-oracle cargo test -q --release -p dt-hiveql --locked --test prop_kernel -- --nocapture
 
 # UNION READ oracle (DESIGN.md §18), in release: scans under a random
