@@ -73,6 +73,8 @@ pub use mvcc::MvccRegistry;
 pub use presence::{FilePresence, PresenceIndex, PRESENCE_FILE_ID};
 pub use rewrite::RewriteJob;
 pub use shard::{ShardFoldStats, ShardMap, ShardSpec, ShardedDmlReport, ShardedTable};
-pub use store::{Assignment, DmlReport, DualTableStore, PlanPreview, RowSelector, TableStats};
+pub use store::{
+    assign_rows, Assignment, DmlReport, DualTableStore, PlanPreview, RowSelector, TableStats,
+};
 pub use txn::{Snapshot, Transaction};
 pub use union_read::{ConsumeFn, MapFn, UnionReadOptions};

@@ -31,7 +31,6 @@
 //! the lock only for the instant of its pin (DESIGN.md §13): a swing
 //! never waits for a read in progress.
 
-use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::ops::{ControlFlow, Range};
 use std::sync::Arc;
@@ -43,9 +42,9 @@ use dt_orcfile::{Column, ColumnBatch, OrcReader, OrcWriter, FILE_ID_METADATA_KEY
 use crate::commit::{autocommit, commit, Action};
 use crate::compactor::FoldOutcome;
 use crate::presence::presence_key;
-use crate::store::{located_rows, Assignment, DualTableStore, RowSelector, ScanPlan};
+use crate::store::{Assignment, DualTableStore, RowSelector, ScanPlan};
 use crate::txn::Snapshot;
-use crate::union_read::{patch_batch, positions, UnionReadOptions};
+use crate::union_read::{deselect, positions, UnionReadOptions};
 
 /// The fold set of a rewrite: the master files its build consumes.
 pub(crate) enum Retire {
@@ -335,7 +334,9 @@ impl DualTableStore {
     /// Folds one source file into `sink`, stripe by stripe. Only the
     /// columns something may change — the file's presence entry or the
     /// statement's SET list names them — and those the statement reads are
-    /// decoded and merged; the statement's matches are patched in; then
+    /// decoded and merged; the statement's matches leave the batch (a
+    /// DELETE) or take their new values, one typed scatter per SET column
+    /// (an UPDATE); then
     /// the stripe is written on with every unchanged column carried. A
     /// stripe that lost a row, or holds less than half of what a stripe
     /// can, is widened to all of its columns instead and joins the sink's
@@ -368,24 +369,20 @@ impl DualTableStore {
         let flow = self.merge_master(plan, file_id, &merged, &mut |_, mut batch| {
             built.scanned += batch.selected_len() as u64;
             if let Some(s) = statement {
-                let mut patches = Vec::new();
-                located_rows(
-                    file_id,
-                    &batch,
-                    &merged,
-                    width,
-                    s.predicate,
-                    |record, row| {
-                        patches.push(self.patch_of(record, row, s.assignments)?);
-                        Ok(())
-                    },
-                )?;
-                built.matched += patches.len() as u64;
-                patch_batch(
-                    &mut batch,
-                    &pos_of,
-                    patches.into_iter().map(|p| Ok(Cow::Owned(p))),
-                )?;
+                let rows = s.predicate.select(&batch, &merged, width);
+                built.matched += rows.len() as u64;
+                match s.assignments {
+                    // Each SET column scattered in place, in SET order: a
+                    // column set twice keeps its last value.
+                    Some(set) => {
+                        let selector = (s.predicate as &dyn RowSelector, set);
+                        for (col, values) in self.new_values(selector, &batch, &merged, &rows)? {
+                            let pos = pos_of[col].expect("a SET column is merged");
+                            batch.column_mut(pos).scatter(&rows, &values)?;
+                        }
+                    }
+                    None => deselect(&mut batch, rows),
+                }
             }
             if batch.selected_len() < batch.rows() || batch.rows() < short {
                 sink.push(reader.widen(stripe, &merged, batch)?)?;

@@ -6,7 +6,8 @@ use std::sync::Arc;
 
 use dt_common::{Error, RecordId, Result, Row, Schema, Value};
 use dt_orcfile::{
-    ColumnBatch, ColumnPredicate, FooterCache, FooterCacheStats, OrcReader, FILE_ID_METADATA_KEY,
+    Column, ColumnBatch, ColumnPredicate, FooterCache, FooterCacheStats, OrcReader,
+    FILE_ID_METADATA_KEY,
 };
 use parking_lot::RwLock;
 
@@ -154,10 +155,12 @@ fn file_predicates<'a>(
     }
 }
 
-/// Picks the rows an UPDATE's or DELETE's WHERE clause matches (DESIGN.md
-/// §18). Every closure `Fn(&Row) -> bool` is one, evaluated row by row; a
-/// query layer that evaluates a column batch at a time overrides
-/// [`RowSelector::select`].
+/// Picks the rows an UPDATE's or DELETE's WHERE clause matches, and
+/// computes an UPDATE's new values (DESIGN.md §18). Every closure
+/// `Fn(&Row) -> bool` is one, evaluated row by row, its SET list the
+/// statement's [`Assignment`] closures; a query layer that evaluates a
+/// column batch at a time overrides [`RowSelector::select`] and
+/// [`RowSelector::assign`].
 pub trait RowSelector {
     /// Whether `row` matches: a full-width row, NULL in every column the
     /// statement's scan does not read.
@@ -178,6 +181,24 @@ pub trait RowSelector {
             .map(|i| i as u32)
             .collect()
     }
+
+    /// What `set` writes at rows `rows` of `batch` (laid out as for
+    /// [`RowSelector::select`], the table's columns `schema`): per
+    /// assignment, in `set`'s order, its column ordinal and a column of
+    /// that column's type holding its value at each of `rows` — every
+    /// value computed from the batch as read, so no assignment sees
+    /// another's result. An override must give [`assign_rows`]'s values
+    /// and fail where it fails, with its error.
+    fn assign(
+        &self,
+        set: &[Assignment<'_>],
+        schema: &Schema,
+        batch: &ColumnBatch,
+        columns: &[usize],
+        rows: &[u32],
+    ) -> Result<Vec<(usize, Column)>> {
+        assign_rows(set, schema, batch, columns, rows)
+    }
 }
 
 impl<F: Fn(&Row) -> bool + ?Sized> RowSelector for F {
@@ -194,28 +215,45 @@ fn fill_row(row: &mut Row, batch: &ColumnBatch, columns: &[usize], i: usize) {
     }
 }
 
-/// The statement's view of a merged batch, under either plan: each row of
-/// `batch` — columns `columns` of file `file_id`, of a table `width` wide —
-/// that `selector` matches, handed to `f` with its record ID as a
-/// full-width row, NULL in every column not read. Only matched rows are
-/// built.
-pub(crate) fn located_rows(
-    file_id: u32,
+/// [`RowSelector::assign`] row by row: each of `rows` as a full-width row,
+/// each assignment's closure on it in turn. The first closure that fails,
+/// or value that does not fit its column, in that order, fails it.
+pub fn assign_rows(
+    set: &[Assignment<'_>],
+    schema: &Schema,
     batch: &ColumnBatch,
     columns: &[usize],
-    width: usize,
-    selector: &dyn RowSelector,
-    mut f: impl FnMut(RecordId, &Row) -> Result<()>,
-) -> Result<()> {
-    let mut row = vec![Value::Null; width];
-    for i in selector.select(batch, columns, width) {
+    rows: &[u32],
+) -> Result<Vec<(usize, Column)>> {
+    let field = |col: usize| {
+        let found = schema.fields().get(col);
+        found.ok_or_else(|| Error::schema(format!("assignment to unknown column {col}")))
+    };
+    let mut out: Vec<(usize, Column)> = set
+        .iter()
+        .map(|(col, _)| Ok((*col, Column::empty(field(*col)?.data_type))))
+        .collect::<Result<_>>()?;
+    let mut row = vec![Value::Null; schema.len()];
+    for &i in rows {
         fill_row(&mut row, batch, columns, i as usize);
-        f(
-            RecordId::new(file_id, (batch.row_start() + u64::from(i)) as u32),
-            &row,
-        )?;
+        for ((col, f), (_, column)) in set.iter().zip(&mut out) {
+            let value = f(&row)?;
+            let field = field(*col)?;
+            if !value.conforms_to(field.data_type) {
+                return Err(Error::schema(format!(
+                    "UPDATE value {value:?} does not fit column '{}'",
+                    field.name
+                )));
+            }
+            column.push(&value)?;
+        }
     }
-    Ok(())
+    Ok(out)
+}
+
+/// The record ID of row `i` of a batch of file `file_id`.
+fn record_of(file_id: u32, batch: &ColumnBatch, i: u32) -> RecordId {
+    RecordId::new(file_id, (batch.row_start() + u64::from(i)) as u32)
 }
 
 /// What every file of one UNION READ shares, resolved once per scan and
@@ -1205,45 +1243,70 @@ impl DualTableStore {
         }
     }
 
-    /// Rejects an UPDATE value that does not fit its column.
-    fn check_assigned(&self, col: usize, value: &Value) -> Result<()> {
-        let field = self.inner.schema.field(col);
-        if value.conforms_to(field.data_type) {
-            return Ok(());
+    /// What an UPDATE's `set` writes at rows `rows` of `batch` (see
+    /// [`RowSelector::assign`]), computed by `selector` — the one meaning
+    /// of a SET list, whichever plan runs it. Each column is checked once
+    /// against its target: of its type, one value per row. A SET
+    /// expression that fails fails the statement.
+    pub(crate) fn new_values(
+        &self,
+        (selector, set): (&dyn RowSelector, &[Assignment<'_>]),
+        batch: &ColumnBatch,
+        columns: &[usize],
+        rows: &[u32],
+    ) -> Result<Vec<(usize, Column)>> {
+        let schema = &self.inner.schema;
+        let values = selector.assign(set, schema, batch, columns, rows)?;
+        let asked = |((col, _), (got, v)): (&Assignment<'_>, &(usize, Column))| {
+            col == got && v.len() == rows.len()
+        };
+        if values.len() != set.len() || !set.iter().zip(&values).all(asked) {
+            return Err(Error::internal("a SET list gave other values than asked"));
         }
-        Err(Error::schema(format!(
-            "UPDATE value {value:?} does not fit column '{}'",
-            field.name
-        )))
+        for (col, column) in &values {
+            let field = schema.field(*col);
+            if column.data_type() != field.data_type {
+                return Err(Error::schema(format!(
+                    "UPDATE values of type {} do not fit column '{}'",
+                    column.data_type(),
+                    field.name
+                )));
+            }
+        }
+        Ok(values)
     }
 
-    /// What a statement does to one row its WHERE clause matched — the one
-    /// meaning of an UPDATE or DELETE, whichever plan runs it: a DELETE's
-    /// (`assignments` absent) marker, or an UPDATE's new column values,
-    /// every SET expression evaluated against the row as read (no
-    /// assignment sees another's result) and checked against its column.
-    /// A SET expression that fails fails the statement.
-    #[inline]
-    pub(crate) fn patch_of(
+    /// The patches a statement makes of rows `rows` of `batch` (of file
+    /// `file_id`, laid out as `columns`): a DELETE's (`set` absent) marker
+    /// per row, or an UPDATE's new values per row from
+    /// [`Self::new_values`]. A column set twice keeps its last value, one
+    /// cell: a commit stamps all its cells at one timestamp.
+    fn patches_of(
         &self,
-        record: RecordId,
-        row: &Row,
-        assignments: Option<&[Assignment<'_>]>,
-    ) -> Result<AttachedEntry> {
-        let mut updates = Vec::new();
-        for (col, f) in assignments.unwrap_or(&[]) {
-            let value = f(row)?;
-            self.check_assigned(*col, &value)?;
-            // A column set twice keeps its last value, one cell: a commit
-            // stamps all its cells at one timestamp.
-            updates.retain(|(c, _)| c != col);
-            updates.push((*col, value));
-        }
-        Ok(AttachedEntry {
-            record,
-            deleted: assignments.is_none(),
-            updates,
-        })
+        (selector, set): (&dyn RowSelector, Option<&[Assignment<'_>]>),
+        (file_id, batch): (u32, &ColumnBatch),
+        columns: &[usize],
+        rows: &[u32],
+    ) -> Result<Vec<AttachedEntry>> {
+        let Some(set) = set else {
+            let marker = |&i: &u32| AttachedEntry {
+                record: record_of(file_id, batch, i),
+                deleted: true,
+                updates: Vec::new(),
+            };
+            return Ok(rows.iter().map(marker).collect());
+        };
+        let values = self.new_values((selector, set), batch, columns, rows)?;
+        let last: Vec<&(usize, Column)> = (0..values.len())
+            .filter(|&k| values[k + 1..].iter().all(|(col, _)| *col != values[k].0))
+            .map(|k| &values[k])
+            .collect();
+        let entry = |(k, &i): (usize, &u32)| AttachedEntry {
+            record: record_of(file_id, batch, i),
+            deleted: false,
+            updates: last.iter().map(|(col, v)| (*col, v.value(k))).collect(),
+        };
+        Ok(rows.iter().enumerate().map(entry).collect())
     }
 
     /// The one way an EDIT finds its rows (under a pin or the ops lock) —
@@ -1253,8 +1316,8 @@ impl DualTableStore {
     /// last, as records of [`INSERTS_FILE_ID`]), of the columns
     /// `scan.projection` names, minus the stripes `scan.predicates` rule
     /// out, on up to `workers` as [`Self::for_each_at`] runs it. Each batch
-    /// is mapped to the [`Self::patch_of`] of every row `predicate`
-    /// matches, and those are collected into the statement's patch set in
+    /// is mapped to the [`Self::patches_of`] the rows `predicate` matches,
+    /// and those are collected into the statement's patch set in
     /// the ascending record order the scan meets them in. Returns the
     /// patch set (its length is the matched count) and the table's visible
     /// row count as the cost model's α wants it: rows seen plus, from
@@ -1270,18 +1333,9 @@ impl DualTableStore {
         let (columns, width) = (self.projected(scan), self.inner.schema.len());
         let patches_of = |file_id, batch: ColumnBatch| {
             let counts = (batch.rows() as u64, batch.selected_len() as u64);
-            let mut found = Vec::new();
-            located_rows(
-                file_id,
-                &batch,
-                &columns,
-                width,
-                predicate,
-                |record, row| {
-                    found.push(self.patch_of(record, row, assignments)?);
-                    Ok(())
-                },
-            )?;
+            let rows = predicate.select(&batch, &columns, width);
+            let statement = (predicate as &dyn RowSelector, assignments);
+            let found = self.patches_of(statement, (file_id, &batch), &columns, &rows)?;
             Ok((counts, found))
         };
         let (mut found, mut seen, mut decoded) = (Vec::new(), 0u64, 0u64);

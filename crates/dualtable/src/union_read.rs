@@ -226,19 +226,26 @@ pub(crate) fn patch_batch<'a>(
             }
         }
     }
-    if !deleted.is_empty() {
-        // Each source ascends; together they need not.
-        deleted.sort_unstable();
-        let mut deleted = deleted.into_iter().peekable();
-        let kept = batch.selected().map(|i| i as u32).filter(|i| {
-            // Skip what an earlier patch already dropped, and duplicates.
-            while deleted.next_if(|d| d < i).is_some() {}
-            deleted.peek() != Some(i)
-        });
-        let kept = kept.collect();
-        batch.select(kept);
-    }
+    // Each source ascends; together they need not.
+    deleted.sort_unstable();
+    deselect(batch, deleted);
     Ok(())
+}
+
+/// Drops rows `deleted` (ascending) from `batch`'s selection; rows it has
+/// already dropped, and duplicates, are skipped.
+pub(crate) fn deselect(batch: &mut ColumnBatch, deleted: Vec<u32>) {
+    if deleted.is_empty() {
+        return;
+    }
+    let mut deleted = deleted.into_iter().peekable();
+    let kept = batch.selected().map(|i| i as u32).filter(|i| {
+        // Skip what an earlier patch already dropped, and duplicates.
+        while deleted.next_if(|d| d < i).is_some() {}
+        deleted.peek() != Some(i)
+    });
+    let kept = kept.collect();
+    batch.select(kept);
 }
 
 /// The row-at-a-time view of a merged batch: `(record id, row)` per

@@ -4,7 +4,7 @@ use std::cmp::Ordering;
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 
-use dt_common::{Error, Result, Row, Schema, Value};
+use dt_common::{DataType, Error, Result, Row, Schema, Value};
 
 use crate::ast::{BinOp, Expr, UnOp};
 
@@ -449,6 +449,18 @@ fn numeric_eq(a: &Value, b: &Value) -> bool {
     match (a.as_f64(), b.as_f64()) {
         (Some(x), Some(y)) => x == y,
         _ => false,
+    }
+}
+
+/// A value written to a column of type `ty` — an INSERT's, an UPDATE's or
+/// a MERGE's — as that column takes it: a BIGINT widens to a DOUBLE or a
+/// DATE (days since the epoch, cast as `i32`); every other value stays
+/// as it is, to be checked against the column.
+pub fn coerce(v: Value, ty: DataType) -> Value {
+    match (v, ty) {
+        (Value::Int64(x), DataType::Float64) => Value::Float64(x as f64),
+        (Value::Int64(x), DataType::Date) => Value::Date(x as i32),
+        (v, _) => v,
     }
 }
 

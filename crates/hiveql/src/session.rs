@@ -5,16 +5,16 @@ use std::sync::Arc;
 
 use dt_baselines::{HiveAcidTable, HiveHbaseTable, HiveHdfsTable, StorageHandler};
 use dt_common::{Deadline, Error, Field, Result, Row, Schema, Value};
-use dt_orcfile::ColumnBatch;
+use dt_orcfile::{Column, ColumnBatch};
 use dualtable::{
-    Assignment, CompactionMode, DualTableConfig, DualTableEnv, DualTableStore, FoldOutcome,
-    RatioHint, RowSelector, ShardSpec, ShardedTable, Transaction, UnionReadOptions,
+    assign_rows, Assignment, CompactionMode, DualTableConfig, DualTableEnv, DualTableStore,
+    FoldOutcome, RatioHint, RowSelector, ShardSpec, ShardedTable, Transaction, UnionReadOptions,
 };
 
 use crate::ast::{InsertSource, ShardBy, Statement, StorageKind};
 use crate::catalog::{DmlOutcome, SharedCatalog, TableHandle};
 use crate::exec::{ExecConfig, Executor, QueryResult};
-use crate::expr::{eval, is_true, Binding, EvalContext};
+use crate::expr::{coerce, eval, is_true, Binding, EvalContext};
 use crate::parser::parse;
 
 /// Session-level configuration.
@@ -671,8 +671,8 @@ impl Session {
     }
 
     /// What UPDATE, DELETE and their EXPLAIN resolve before any row is
-    /// read: the table, its WHERE clause with subqueries planned and every
-    /// column bound, and what the statement reads (`set`: the SET list).
+    /// read: the table, its WHERE clause and SET list with subqueries
+    /// planned and every column bound, and what the statement reads.
     fn dml_target(
         &self,
         table: &str,
@@ -682,10 +682,18 @@ impl Session {
         let handle = self.catalog.get(table)?;
         let binding = Binding::from_schema(table, handle.schema());
         let mut ctx = EvalContext::default();
+        let executor = self.executor();
         let predicate = match predicate {
-            Some(p) => Some(self.executor().plan_subqueries(p, &mut ctx)?),
+            Some(p) => Some(executor.plan_subqueries(p, &mut ctx)?),
             None => None,
         };
+        let set: Vec<(usize, crate::ast::Expr)> = set
+            .iter()
+            .map(|(col, e)| {
+                let planned = executor.plan_subqueries(e.clone(), &mut ctx)?;
+                Ok((handle.schema().require(col)?, planned))
+            })
+            .collect::<Result<_>>()?;
         let mut used = std::collections::BTreeSet::new();
         for expr in predicate.iter().chain(set.iter().map(|(_, e)| e)) {
             expr.columns_into(&binding, &mut used);
@@ -695,8 +703,13 @@ impl Session {
             .as_ref()
             .map(|p| crate::exec::extract_pushdown(p, &binding, handle.schema()))
             .filter(|p| !p.is_empty());
+        let set = set
+            .into_iter()
+            .map(|(col, e)| Ok((col, e.bind(&binding)?)))
+            .collect::<Result<_>>()?;
         Ok(DmlTarget {
             predicate: predicate.map(|p| p.bind(&binding)).transpose()?,
+            set,
             handle,
             binding,
             ctx,
@@ -715,22 +728,23 @@ impl Session {
         sql: &str,
     ) -> Result<QueryResult> {
         let is_update = set.is_some();
-        let set = set.unwrap_or_default();
-        let target = self.dml_target(table, predicate, &set)?;
-        let (handle, binding, scan) = (&target.handle, &target.binding, &target.scan);
-        // Resolve assignments to (ordinal, evaluator) and bind every
-        // column reference, once, before any row is read.
-        let resolved: Vec<(usize, crate::ast::Expr)> = set
-            .into_iter()
-            .map(|(col, e)| Ok((handle.schema().require(&col)?, e.bind(binding)?)))
-            .collect::<Result<_>>()?;
-        let assign_fns: Vec<Assignment<'_>> = resolved
+        let target = self.dml_target(table, predicate, &set.unwrap_or_default())?;
+        let (handle, scan) = (&target.handle, &target.scan);
+        // The SET list row by row, for the storages that evaluate a row at
+        // a time and for a batch the kernels cannot take.
+        let schema = handle.schema();
+        let assign_fns: Vec<Assignment<'_>> = target
+            .set
             .iter()
             .map(|(idx, e)| {
+                let (ty, target) = (schema.field(*idx).data_type, &target);
+                let f = move |row: &Row| {
+                    let v = eval(e, row, &target.binding, &target.ctx)?;
+                    Ok(coerce(v, ty))
+                };
                 (
                     *idx,
-                    Box::new(|row: &Row| eval(e, row, binding, &target.ctx))
-                        as Box<dyn Fn(&Row) -> Result<Value> + Sync + '_>,
+                    Box::new(f) as Box<dyn Fn(&Row) -> Result<Value> + Sync + '_>,
                 )
             })
             .collect();
@@ -878,10 +892,13 @@ impl Session {
                     let combined_binding = &combined_binding;
                     let ctx = &ctx;
                     let full_match = &full_match;
+                    let ty = target_schema.field(*idx).data_type;
                     (
                         *idx,
                         Box::new(move |row: &Row| match full_match(row) {
-                            Some(combined) => eval(e, &combined, combined_binding, ctx),
+                            Some(combined) => {
+                                eval(e, &combined, combined_binding, ctx).map(|v| coerce(v, ty))
+                            }
                             None => Ok(Value::Null),
                         })
                             as Box<dyn Fn(&Row) -> Result<Value> + Sync + '_>,
@@ -1002,6 +1019,9 @@ struct DmlTarget {
     binding: Binding,
     ctx: EvalContext,
     predicate: Option<crate::ast::Expr>,
+    /// The SET list: each assigned column's ordinal and its bound
+    /// right-hand side (empty for a DELETE).
+    set: Vec<(usize, crate::ast::Expr)>,
     /// What the statement reads, for the storage layer: the columns its
     /// WHERE clause and SET right-hand sides reference, and the WHERE
     /// conjuncts that can skip stripes and prune shards.
@@ -1010,7 +1030,9 @@ struct DmlTarget {
 
 /// The WHERE clause as the statement's row selector: no clause matches
 /// every row; NULL, or a row the clause cannot be evaluated on, matches
-/// none. A batch runs through the kernels of [`crate::vector`].
+/// none. A batch runs through the kernels of [`crate::vector`], its SET
+/// list too: the row-by-row closures `set` (the same expressions) decide
+/// only a batch on which a kernel raises or a value does not fit.
 impl RowSelector for DmlTarget {
     fn matches(&self, row: &Row) -> bool {
         let eval = |p| eval(p, row, &self.binding, &self.ctx);
@@ -1024,6 +1046,18 @@ impl RowSelector for DmlTarget {
             Some(p) => crate::vector::select(p, &self.ctx, batch, columns, width),
             None => batch.selected().map(|i| i as u32).collect(),
         }
+    }
+
+    fn assign(
+        &self,
+        set: &[Assignment<'_>],
+        schema: &Schema,
+        batch: &ColumnBatch,
+        columns: &[usize],
+        rows: &[u32],
+    ) -> Result<Vec<(usize, Column)>> {
+        let kernels = crate::vector::assign(&self.set, schema, &self.ctx, batch, columns, rows);
+        kernels.map_or_else(|| assign_rows(set, schema, batch, columns, rows), Ok)
     }
 }
 
@@ -1069,7 +1103,7 @@ fn statement_key(sql: &str) -> String {
         .to_ascii_lowercase()
 }
 
-/// Coerces literal rows to the target schema (int → float/date widening)
+/// Coerces literal rows to the target schema ([`coerce`])
 /// and checks them against it, so `INSERT INTO t VALUES (1, 2)` works for
 /// DOUBLE columns and a row that cannot fit fails before any is written.
 fn coerce_rows(rows: Vec<Row>, schema: &Schema) -> Result<Vec<Row>> {
@@ -1085,11 +1119,7 @@ fn coerce_rows(rows: Vec<Row>, schema: &Schema) -> Result<Vec<Row>> {
             let row: Row = row
                 .into_iter()
                 .zip(schema.fields())
-                .map(|(v, f)| match (v, f.data_type) {
-                    (Value::Int64(x), dt_common::DataType::Float64) => Value::Float64(x as f64),
-                    (Value::Int64(x), dt_common::DataType::Date) => Value::Date(x as i32),
-                    (v, _) => v,
-                })
+                .map(|(v, f)| coerce(v, f.data_type))
                 .collect();
             schema.check_row(&row)?;
             Ok(row)

@@ -21,11 +21,13 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::hash::Hash;
 
-use dt_common::{DataType, Deadline, Error, Result, Row, Value};
+use dt_common::{DataType, Deadline, Error, Result, Row, Schema, Value};
 use dt_orcfile::{Column, ColumnBatch, ColumnData};
 
 use crate::ast::{BinOp, Expr, UnOp};
-use crate::expr::{self, eval, is_true, Binding, EvalContext, GroupKey, HashableValue, RowRef};
+use crate::expr::{
+    self, coerce, eval, is_true, Binding, EvalContext, GroupKey, HashableValue, RowRef,
+};
 use crate::sum::Exact;
 
 /// Rows the row interpreter evaluates inside a kernel between two
@@ -1001,4 +1003,84 @@ pub fn select(
         v.is_ok_and(|v| is_true(&v))
     };
     sel.into_iter().filter(hit).collect()
+}
+
+/// DML's compiled SET list (see [`dualtable::RowSelector::assign`]): each
+/// bound right-hand side of `set` evaluated once over the rows `rows` of
+/// `batch` (laid out as for [`select`]), as a column of its target's type
+/// in `schema`, widened as [`coerce`] widens. `None` if a kernel raises or
+/// a value does not fit its column: the caller then decides the batch row
+/// by row, so every value and every error is the row path's.
+pub fn assign(
+    set: &[(usize, Expr)],
+    schema: &Schema,
+    ctx: &EvalContext,
+    batch: &ColumnBatch,
+    columns: &[usize],
+    rows: &[u32],
+) -> Option<Vec<(usize, Column)>> {
+    let input = Input::mapped(batch, columns, schema.len());
+    let never = Deadline::never();
+    let kernels = Kernels::new(&input, ctx, &never);
+    set.iter()
+        .map(|(col, e)| {
+            let v = kernels.eval(e, rows).ok()?;
+            Some((*col, v.gather(rows, schema.fields().get(*col)?.data_type)?))
+        })
+        .collect()
+}
+
+impl Vector<'_> {
+    /// The values at rows `sel`, in order, as a column of type `ty`, each
+    /// widened as [`coerce`] widens; `None` if one does not fit.
+    fn gather(&self, sel: &[u32], ty: DataType) -> Option<Column> {
+        fn take<T: Copy>(v: &[T], sel: &[u32]) -> Vec<T> {
+            sel.iter().map(|&i| v[i as usize]).collect()
+        }
+        let data = match (&self.data, ty) {
+            (Data::I64(v), DataType::Int64) => ColumnData::Int64(take(v, sel)),
+            (Data::F64(v), DataType::Float64) => ColumnData::Float64(take(v, sel)),
+            (Data::Date(v), DataType::Date) => ColumnData::Date(take(v, sel)),
+            (Data::Bool(v), DataType::Bool) => ColumnData::Bool(take(v, sel)),
+            (Data::Const(v), _) => return filled(coerce(v.clone(), ty), ty, sel.len()),
+            _ => {
+                let mut column = Column::empty(ty);
+                for &i in sel {
+                    let v = coerce(self.value(i as usize), ty);
+                    if !v.conforms_to(ty) {
+                        return None;
+                    }
+                    column.push(&v).ok()?;
+                }
+                return Some(column);
+            }
+        };
+        let nulls = self.mask().map(|n| take(n, sel));
+        Some(Column::from_parts(
+            data,
+            nulls.filter(|n| n.contains(&true)),
+        ))
+    }
+}
+
+/// A column of `n` rows of type `ty`, each `v`; `None` if `v` does not
+/// fit. A string is one dictionary entry, however many rows take it.
+fn filled(v: Value, ty: DataType, n: usize) -> Option<Column> {
+    let data = match (v, ty) {
+        (Value::Int64(x), DataType::Int64) => ColumnData::Int64(vec![x; n]),
+        (Value::Float64(x), DataType::Float64) => ColumnData::Float64(vec![x; n]),
+        (Value::Bool(x), DataType::Bool) => ColumnData::Bool(vec![x; n]),
+        (Value::Date(x), DataType::Date) => ColumnData::Date(vec![x; n]),
+        (Value::Utf8(s), DataType::Utf8) => ColumnData::Dict {
+            dict: vec![s],
+            codes: vec![0; n],
+        },
+        (Value::Null, _) => {
+            let mut column = Column::empty(ty);
+            (0..n).try_for_each(|_| column.push(&Value::Null)).ok()?;
+            return Some(column);
+        }
+        _ => return None,
+    };
+    Some(Column::from_parts(data, None))
 }

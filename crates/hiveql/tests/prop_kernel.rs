@@ -101,15 +101,7 @@ fn dirty_table_of(
     stripe_rows: usize,
 ) -> (DualTableEnv, DualTableStore) {
     let env = DualTableEnv::in_memory();
-    let config = DualTableConfig {
-        writer: WriterOptions {
-            stripe_rows,
-            ..WriterOptions::default()
-        },
-        rows_per_file,
-        plan_mode: PlanMode::AlwaysEdit,
-        ..DualTableConfig::default()
-    };
+    let config = config(rows_per_file, stripe_rows, PlanMode::AlwaysEdit);
     let table = DualTableStore::create(&env, "k", schema(), config).unwrap();
     table.insert_rows(random_rows(rng, 0, n)).unwrap();
     let salt = rng.next_below(4) as i64;
@@ -134,6 +126,20 @@ fn dirty_table_of(
     table.update(|r| hit(r, 5), &nulled, ratio).unwrap();
     table.delete(|r| hit(r, 7), ratio).unwrap();
     (env, table)
+}
+
+/// A table's layout, `rows_per_file` to a master file and `stripe_rows`
+/// to a stripe, and its DML plan.
+fn config(rows_per_file: usize, stripe_rows: usize, plan_mode: PlanMode) -> DualTableConfig {
+    DualTableConfig {
+        writer: WriterOptions {
+            stripe_rows,
+            ..WriterOptions::default()
+        },
+        rows_per_file,
+        plan_mode,
+        ..DualTableConfig::default()
+    }
 }
 
 /// The table's merged batches, then a transaction's buffered inserts.
@@ -493,6 +499,200 @@ fn check_degrees(session: &mut Session) {
     }
 }
 
+/// Right-hand sides that fit their column, by column.
+fn fitting(rng: &mut Rng64, column: &str) -> &'static str {
+    let pick: &[&'static str] = match column {
+        "i" => &[
+            "i + 1",
+            "i * i",
+            "-i",
+            "i % 7",
+            "length(s)",
+            "CASE WHEN b THEN i END",
+        ],
+        "f" => &[
+            "f / 3",
+            "f + i",
+            "f * -150.5",
+            "7",
+            "CASE WHEN i > 0 THEN f ELSE i END",
+        ],
+        "b" => &[
+            "NOT b",
+            "i > 0",
+            "s = 'beta'",
+            "b AND f < 0",
+            "s LIKE '%a%'",
+        ],
+        "d" => &["d", "i + 18300", "NULL", "CASE WHEN b THEN d END"],
+        _ => &[
+            "upper(s)",
+            "'beta'",
+            "t",
+            "CASE WHEN b THEN s ELSE 'é%ü' END",
+            "NULL",
+        ],
+    };
+    rng.choose::<&str>(pick)
+}
+
+/// An UPDATE of `k` whose SET list holds, in random order, a column set
+/// twice, a swap, a NULL-producing right-hand side (`1 / 0`), wrapping
+/// BIGINT arithmetic and a BIGINT assigned to a DOUBLE, a few more, and
+/// now and then one that raises (`i = s + 1`, `upper(i)`) or does not fit
+/// its column (`i = f`).
+fn set_statement(rng: &mut Rng64) -> String {
+    const FAULTS: [&str; 6] = [
+        "i = f",
+        "f = s",
+        "i = s + 1",
+        "b = upper(i)",
+        "d = f",
+        "f = CASE WHEN i > 0 THEN f ELSE 'x' END",
+    ];
+    let twice = *rng.choose(&["i", "f", "b", "d", "s"]);
+    let mut set = vec![
+        "s = t, t = s".to_string(),
+        format!("{twice} = {}", fitting(rng, twice)),
+        format!("{twice} = {}", fitting(rng, twice)),
+        format!("{} = 1 / 0", rng.choose(&["i", "f", "d"])),
+        "i = i * 3037000500 + 9223372036854775807".to_string(),
+        format!("f = {}", rng.choose(&["i * 3", "i", "-9007199254740993"])),
+    ];
+    for _ in 0..1 + rng.next_below(3) {
+        let column = *rng.choose(&["i", "f", "b", "d", "s", "t"]);
+        set.push(format!("{column} = {}", fitting(rng, column)));
+    }
+    if rng.chance(0.3) {
+        set.push(rng.choose(&FAULTS).to_string());
+    }
+    for k in (1..set.len()).rev() {
+        set.swap(k, rng.next_below(k as u64 + 1) as usize);
+    }
+    let mut sql = format!("UPDATE k SET {}", set.join(", "));
+    const WHERES: [&str; 6] = [
+        "i > 0",
+        "s LIKE '%a%'",
+        "b",
+        "i % 3 = 1",
+        "f < 0.5 OR s IS NULL",
+        "t LIKE 't1%'",
+    ];
+    if rng.chance(0.8) {
+        sql.push_str(&format!(" WHERE {}", rng.choose(&WHERES)));
+    }
+    sql
+}
+
+/// An UPDATE by the row interpreter over the model's `rows`, in UNION
+/// READ order: at each row its WHERE clause holds TRUE at, every SET
+/// right-hand side evaluated on the row as read, widened as INSERT widens
+/// and checked against its column, in SET order (a column set twice keeps
+/// its last value). The first raise or misfit, in that order, fails it.
+fn fold_update(sql: &str, rows: &[Row]) -> Result<Vec<Row>> {
+    let Statement::Update {
+        assignments,
+        predicate,
+        ..
+    } = parse(sql).unwrap()
+    else {
+        panic!("an UPDATE")
+    };
+    let schema = schema();
+    let binding = Binding::from_schema("k", &schema);
+    let bind = |e: &Expr| e.clone().bind(&binding).unwrap();
+    let ctx = EvalContext::default();
+    let at = |e: &Expr, row: &Row| eval(e, row, &Binding::default(), &ctx);
+    let filter = predicate.as_ref().map(bind);
+    let set: Vec<(usize, Expr)> = assignments
+        .iter()
+        .map(|(col, e)| (schema.require(col).unwrap(), bind(e)))
+        .collect();
+    let mut out = Vec::with_capacity(rows.len());
+    for row in rows {
+        let mut new = row.clone();
+        if filter
+            .as_ref()
+            .is_none_or(|w| at(w, row).is_ok_and(|v| is_true(&v)))
+        {
+            for (col, e) in &set {
+                let ty = COLUMNS[*col].1;
+                // INSERT's widening, spelt out here for the oracle.
+                let v = match (at(e, row)?, ty) {
+                    (Value::Int64(x), DataType::Float64) => Value::Float64(x as f64),
+                    (Value::Int64(x), DataType::Date) => Value::Date(x as i32),
+                    (v, _) => v,
+                };
+                if !v.conforms_to(ty) {
+                    return Err(Error::schema(format!("{v:?} does not fit")));
+                }
+                new[*col] = v;
+            }
+        }
+        out.push(new);
+    }
+    Ok(out)
+}
+
+/// Rows by value, floats bit for bit.
+fn same_rows(a: &[Row], b: &[Row]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.len() == y.len() && x.iter().zip(y).all(|(u, v)| same(u, v)))
+}
+
+/// Three [`set_statement`]s in turn over the dirty multi-file table `seed`
+/// builds, under `plan`, autocommit or each inside `BEGIN … COMMIT`, at
+/// rewrite degree `degree`: each must leave exactly the rows
+/// [`fold_update`] gives on the rows before it, or fail where it fails
+/// with the same kind of error and leave them as they were.
+fn check_set(seed: u64, plan: PlanMode, in_txn: bool, degree: usize) {
+    let mut rng = Rng64::new(seed);
+    let n = 300 + rng.next_below(200);
+    let (env, _) = dirty_table_of(&mut rng, n, 100, 40);
+    let table = DualTableStore::open(&env, "k", schema(), config(100, 40, plan)).unwrap();
+    let mut session = Session::with_shared(env, SharedCatalog::new());
+    session.register_dualtable("k", table.clone()).unwrap();
+    let scan = || -> Vec<Row> {
+        table
+            .scan_all()
+            .unwrap()
+            .into_iter()
+            .map(|(_, r)| r)
+            .collect()
+    };
+    for _ in 0..3 {
+        let sql = set_statement(&mut rng);
+        let before = scan();
+        let want = fold_update(&sql, &before);
+        let got = dt_engine::with_degree(degree, || {
+            if in_txn {
+                session.execute("BEGIN").unwrap();
+            }
+            let got = session.execute(&sql);
+            if in_txn {
+                session.execute("COMMIT").unwrap();
+            }
+            got
+        });
+        let case = format!("{sql} ({plan:?}, in transaction: {in_txn}, degree {degree})");
+        let after = scan();
+        match (got, want) {
+            (Ok(_), Ok(want)) => assert!(same_rows(&after, &want), "{case}: rows differ"),
+            (Err(got), Err(want)) => {
+                assert!(same_kind(&got, &want), "{case}: {got} vs the fold's {want}");
+                assert!(same_rows(&after, &before), "{case}: a failed UPDATE wrote");
+            }
+            (got, want) => panic!(
+                "{case}: SQL {:?}, fold {:?}",
+                got.map(|_| ()),
+                want.map(|_| ())
+            ),
+        }
+    }
+}
+
 /// Statements run in flight narrow every other session's reads
 /// (`dt_engine::read_degree`): the tests that run SQL take turns.
 static SESSIONS: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -784,6 +984,24 @@ proptest! {
         // The degree-4 runs fanned out, wherever a second core exists.
         let fanned = env.health.snapshot().scans_parallel;
         prop_assert!(fanned > 0 || dt_engine::cores() < 2);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Statement-level SET ([`check_set`]) under forced EDIT and forced
+    /// OVERWRITE, autocommit and inside a transaction, at degrees 1 and 2.
+    #[test]
+    fn set_lists_equal_a_fold_with_eval(seed in any::<u64>()) {
+        let _turn = SESSIONS.lock().unwrap_or_else(|e| e.into_inner());
+        for plan in [PlanMode::AlwaysEdit, PlanMode::AlwaysOverwrite] {
+            for in_txn in [false, true] {
+                for degree in [1, 2] {
+                    check_set(seed, plan, in_txn, degree);
+                }
+            }
+        }
     }
 }
 

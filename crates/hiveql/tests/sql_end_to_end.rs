@@ -13,7 +13,13 @@ fn ints(result: &dt_hiveql::QueryResult, col: usize) -> Vec<i64> {
 }
 
 fn setup(storage: &str) -> Session {
+    setup_planned(storage, PlanMode::CostBased)
+}
+
+/// [`setup`], with DUALTABLE DML under `plan`.
+fn setup_planned(storage: &str, plan: PlanMode) -> Session {
     let mut s = Session::in_memory();
+    s.config.dualtable.plan_mode = plan;
     s.execute(&format!(
         "CREATE TABLE t (id BIGINT, grp STRING, v DOUBLE) STORED AS {storage}"
     ))
@@ -859,4 +865,200 @@ fn a_group_by_over_a_join_checks_the_deadline() {
         .execute_with_deadline(sql, Deadline::after(Duration::from_millis(20)))
         .unwrap_err();
     assert!(err.is_timeout(), "{err}");
+}
+
+/// SET widens a BIGINT to a DOUBLE or a DATE exactly as INSERT does: on
+/// every storage, under either DUALTABLE plan, autocommit (and inside
+/// `BEGIN`, which only DUALTABLE takes), in UPDATE and in MERGE's matched
+/// arm.
+#[test]
+fn set_widens_a_bigint_as_insert_does() {
+    for storage in ["ORC", "HBASE", "DUALTABLE", "ACID"] {
+        for plan in [PlanMode::AlwaysEdit, PlanMode::AlwaysOverwrite] {
+            let txns: &[bool] = match storage {
+                "DUALTABLE" => &[false, true],
+                _ => &[false],
+            };
+            for &in_txn in txns {
+                let case = format!("{storage}, {plan:?}, in transaction: {in_txn}");
+                let mut s = Session::in_memory();
+                s.config.dualtable.plan_mode = plan;
+                s.execute(&format!(
+                    "CREATE TABLE t (id BIGINT, v DOUBLE, d DATE) STORED AS {storage}"
+                ))
+                .unwrap();
+                s.execute("CREATE TABLE src (id BIGINT, w BIGINT)").unwrap();
+                s.execute("INSERT INTO t VALUES (1, 1, 1), (2, 2, 2), (3, 3, 3)")
+                    .unwrap();
+                s.execute("INSERT INTO src VALUES (3, 30)").unwrap();
+                if in_txn {
+                    s.execute("BEGIN").unwrap();
+                }
+                for sql in [
+                    "UPDATE t SET v = 0 WHERE id = 1",
+                    "UPDATE t SET v = id, d = id + 100 WHERE id >= 2",
+                    "MERGE INTO t USING src ON t.id = src.id \
+                     WHEN MATCHED THEN UPDATE SET v = src.w, d = src.w",
+                ] {
+                    s.execute(sql)
+                        .unwrap_or_else(|e| panic!("{case}: {sql}: {e}"));
+                }
+                if in_txn {
+                    s.execute("COMMIT").unwrap();
+                }
+                let r = s.execute("SELECT id, v, d FROM t ORDER BY id").unwrap();
+                let want = [(1, 0.0, 1), (2, 2.0, 102), (3, 30.0, 30)]
+                    .map(|(id, v, d)| vec![Value::Int64(id), Value::Float64(v), Value::Date(d)]);
+                assert_eq!(r.rows(), want, "{case}");
+            }
+        }
+    }
+}
+
+/// A subquery in a SET expression is planned before any row is read, as
+/// one in the WHERE clause is: on every storage, under either plan.
+#[test]
+fn a_subquery_in_a_set_expression_is_planned() {
+    for storage in ["ORC", "HBASE", "DUALTABLE", "ACID"] {
+        for plan in [PlanMode::AlwaysEdit, PlanMode::AlwaysOverwrite] {
+            let mut s = setup_planned(storage, plan);
+            s.execute(
+                "UPDATE t SET v = CASE WHEN id IN (SELECT id FROM t WHERE id > 47) \
+                 THEN 7.0 ELSE 8.0 END WHERE id >= 45",
+            )
+            .unwrap_or_else(|e| panic!("{storage}, {plan:?}: {e}"));
+            let r = s
+                .execute("SELECT v FROM t WHERE id >= 44 ORDER BY id")
+                .unwrap();
+            let v: Vec<f64> = r.rows().iter().map(|r| r[0].as_f64().unwrap()).collect();
+            assert_eq!(v, [44.5, 8.0, 8.0, 8.0, 7.0, 7.0], "{storage}, {plan:?}");
+        }
+    }
+}
+
+/// The same UPDATE through closures — `RowSelector::assign`'s row-by-row
+/// default, `expr::eval` on each row — and through SQL — the kernels —
+/// writes byte-identical master files under OVERWRITE and identical
+/// attached cells under EDIT, over a dirty multi-file table.
+#[test]
+fn closures_and_kernels_write_the_same_bytes() {
+    use dt_common::{DataType, Result, Row, Schema};
+    use dt_hiveql::ast::{Expr, Statement};
+    use dt_hiveql::expr::{coerce, eval, is_true, Binding, EvalContext};
+    use dt_hiveql::{parse, SharedCatalog};
+    use dt_orcfile::WriterOptions;
+    use dualtable::{Assignment, DualTableConfig, DualTableEnv, DualTableStore, RatioHint};
+
+    let schema = Schema::from_pairs(&[
+        ("id", DataType::Int64),
+        ("s", DataType::Utf8),
+        ("v", DataType::Float64),
+        ("d", DataType::Date),
+        ("b", DataType::Bool),
+    ]);
+    let rows: Vec<Row> = (0..300i64)
+        .map(|i| {
+            let s = match i % 11 {
+                0 => Value::Null,
+                _ => Value::Utf8(format!("w{}", i % 7)),
+            };
+            let (v, d) = (Value::Float64(i as f64 / 4.0), Value::Date(i as i32));
+            vec![Value::Int64(i), s, v, d, Value::Bool(i % 2 == 0)]
+        })
+        .collect();
+    let twin = || {
+        let env = DualTableEnv::in_memory();
+        let config = DualTableConfig {
+            writer: WriterOptions {
+                stripe_rows: 32,
+                ..WriterOptions::default()
+            },
+            rows_per_file: 100,
+            ..DualTableConfig::default()
+        };
+        let table = DualTableStore::create(&env, "k", schema.clone(), config).unwrap();
+        table.insert_rows(rows.clone()).unwrap();
+        let edit = RatioHint::Explicit(0.0001);
+        let id = |r: &Row| r[0].as_i64().unwrap();
+        let renamed: [Assignment<'static>; 1] = [(
+            1,
+            Box::new(|r: &Row| Ok(Value::Utf8(format!("{}x", r[1].as_str().unwrap_or(""))))),
+        )];
+        table.update(|r| id(r) % 5 == 0, &renamed, edit).unwrap();
+        table.delete(|r| id(r) % 13 == 0, edit).unwrap();
+        (env, table)
+    };
+    let files = |env: &DualTableEnv| -> Vec<(String, Vec<u8>)> {
+        let mut paths = env.dfs.list("/warehouse/k");
+        paths.sort();
+        let read = |p: String| (p.clone(), env.dfs.read_to_vec(&p).unwrap());
+        paths.into_iter().map(read).collect()
+    };
+    let cells = |env: &DualTableEnv| {
+        let scan = env.kv.table("att_k").unwrap().scan(None, None).unwrap();
+        let cells = |e: dt_kvstore::RowEntry| {
+            let values = e.cells.into_iter().map(|(q, _, v)| (q, v));
+            (e.row, values.collect::<Vec<_>>())
+        };
+        scan.map(|e| cells(e.unwrap())).collect::<Vec<_>>()
+    };
+
+    let sql = "UPDATE k SET v = v * 2 + id, s = upper(s), b = NOT b, d = id + 7, \
+               s = CASE WHEN b THEN s ELSE 'odd' END WHERE id % 3 <> 0 AND v > 2";
+    let Statement::Update {
+        assignments,
+        predicate,
+        ..
+    } = parse(sql).unwrap()
+    else {
+        panic!("an UPDATE")
+    };
+    let binding = Binding::from_schema("k", &schema);
+    let bound = |e: &Expr| e.clone().bind(&binding).unwrap();
+    let filter = bound(predicate.as_ref().unwrap());
+    let set: Vec<(usize, Expr)> = assignments
+        .iter()
+        .map(|(col, e)| (schema.require(col).unwrap(), bound(e)))
+        .collect();
+    let ctx = EvalContext::default();
+    let at = |e: &Expr, r: &Row| eval(e, r, &Binding::default(), &ctx);
+    for (plan, ratio) in [(PlanChoice::Overwrite, 1.0), (PlanChoice::Edit, 0.0001)] {
+        let (by_rows, a) = twin();
+        let closures: Vec<Assignment<'_>> = set
+            .iter()
+            .map(|(col, e)| {
+                let ty = schema.field(*col).data_type;
+                let f = move |r: &Row| -> Result<Value> { Ok(coerce(at(e, r)?, ty)) };
+                (
+                    *col,
+                    Box::new(f) as Box<dyn Fn(&Row) -> Result<Value> + Sync>,
+                )
+            })
+            .collect();
+        let matches = |r: &Row| at(&filter, r).is_ok_and(|v| is_true(&v));
+        let report = a
+            .update(matches, &closures, RatioHint::Explicit(ratio))
+            .unwrap();
+        assert_eq!(report.plan, plan);
+
+        let (by_kernels, b) = twin();
+        let mut session = Session::with_shared(by_kernels.clone(), SharedCatalog::new());
+        session.register_dualtable("k", b).unwrap();
+        session.set_ratio_hint(RatioHint::Explicit(ratio));
+        let r = session.execute(sql).unwrap();
+        assert_eq!(r.dml.unwrap().plan, plan);
+        assert_eq!(r.affected, report.rows_matched, "{plan:?}");
+        assert!(report.rows_matched > 50, "{plan:?}");
+
+        assert_eq!(
+            files(&by_rows),
+            files(&by_kernels),
+            "{plan:?}: master files"
+        );
+        assert_eq!(
+            cells(&by_rows),
+            cells(&by_kernels),
+            "{plan:?}: attached cells"
+        );
+    }
 }

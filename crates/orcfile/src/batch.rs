@@ -6,6 +6,8 @@
 //! over it. Row-at-a-time views ([`ColumnBatch::row`],
 //! [`crate::OrcReader::rows`]) are adapters on top.
 
+use std::collections::HashMap;
+
 use dt_common::{DataType, Error, Result, Row, Schema, Value};
 
 /// One column's values for every row of a batch, by storage type.
@@ -69,14 +71,19 @@ impl Column {
     }
 
     /// A column from positional `data` and its null mask (`None` when no
-    /// row is NULL).
-    pub(crate) fn from_parts(data: ColumnData, nulls: Option<Vec<bool>>) -> Self {
-        Column { data, nulls }
+    /// row is NULL; otherwise one flag per row).
+    pub fn from_parts(data: ColumnData, nulls: Option<Vec<bool>>) -> Self {
+        let column = Column { data, nulls };
+        debug_assert!(column
+            .nulls
+            .as_ref()
+            .is_none_or(|n| n.len() == column.len()));
+        column
     }
 
     /// An empty column of `data_type`, to be filled by [`Column::push`]
     /// and [`Column::extend`]. Strings are stored direct.
-    pub(crate) fn empty(data_type: DataType) -> Self {
+    pub fn empty(data_type: DataType) -> Self {
         let data = match data_type {
             DataType::Int64 => ColumnData::Int64(Vec::new()),
             DataType::Float64 => ColumnData::Float64(Vec::new()),
@@ -121,7 +128,7 @@ impl Column {
     }
 
     /// Appends one row. The value must be NULL or of the column's type.
-    pub(crate) fn push(&mut self, value: &Value) -> Result<()> {
+    pub fn push(&mut self, value: &Value) -> Result<()> {
         match (&mut self.data, value) {
             (ColumnData::Int64(v), Value::Int64(x)) => v.push(*x),
             (ColumnData::Float64(v), Value::Float64(x)) => v.push(*x),
@@ -199,6 +206,11 @@ impl Column {
         &self.data
     }
 
+    /// The column's type.
+    pub fn data_type(&self) -> DataType {
+        self.data.data_type()
+    }
+
     /// `true` iff row `i` is NULL.
     pub fn is_null(&self, i: usize) -> bool {
         self.nulls.as_ref().is_some_and(|n| n[i])
@@ -274,6 +286,68 @@ impl Column {
                 self.nulls = Some(nulls);
             }
             None => {}
+        }
+        Ok(())
+    }
+
+    /// Overwrites row `rows[k]` with row `k` of `values`, for every `k` —
+    /// how an OVERWRITE-plan UPDATE writes its new values in place, one
+    /// typed loop per column. `values` must be of the column's type
+    /// (strings in either form). A dictionary column gains each distinct
+    /// string of `values` once, however many rows take it.
+    pub fn scatter(&mut self, rows: &[u32], values: &Column) -> Result<()> {
+        if values.len() != rows.len() {
+            return Err(Error::internal("scatter needs one value per row"));
+        }
+        fn put<T: Copy>(v: &mut [T], rows: &[u32], src: &[T]) {
+            for (&i, &x) in rows.iter().zip(src) {
+                v[i as usize] = x;
+            }
+        }
+        let at = |k: usize| values.str_at(k);
+        match (&mut self.data, &values.data) {
+            (ColumnData::Int64(v), ColumnData::Int64(s)) => put(v, rows, s),
+            (ColumnData::Float64(v), ColumnData::Float64(s)) => put(v, rows, s),
+            (ColumnData::Bool(v), ColumnData::Bool(s)) => put(v, rows, s),
+            (ColumnData::Date(v), ColumnData::Date(s)) => put(v, rows, s),
+            (
+                ColumnData::Dict { dict, codes },
+                ColumnData::Dict { .. } | ColumnData::Direct { .. },
+            ) => {
+                let mut added: HashMap<&str, u32> = HashMap::new();
+                for (k, &i) in rows.iter().enumerate() {
+                    let Some(s) = at(k) else { continue };
+                    codes[i as usize] = match added.get(s) {
+                        Some(&code) => code,
+                        None => {
+                            let code = u32::try_from(dict.len()).map_err(|_| {
+                                Error::internal("dictionary outgrew its code space")
+                            })?;
+                            dict.push(s.to_string());
+                            added.insert(s, code);
+                            code
+                        }
+                    };
+                }
+            }
+            (
+                ColumnData::Direct { bytes, spans },
+                ColumnData::Dict { .. } | ColumnData::Direct { .. },
+            ) => {
+                for (k, &i) in rows.iter().enumerate() {
+                    if let Some(s) = at(k) {
+                        spans[i as usize] = Self::append_str(bytes, s)?;
+                    }
+                }
+            }
+            (data, _) => return Err(mismatch(data, "a column of another type")),
+        }
+        if self.nulls.is_some() || values.nulls.is_some() {
+            let len = self.len();
+            let nulls = self.nulls.get_or_insert_with(|| vec![false; len]);
+            for (k, &i) in rows.iter().enumerate() {
+                nulls[i as usize] = values.is_null(k);
+            }
         }
         Ok(())
     }
@@ -388,14 +462,20 @@ impl ColumnBatch {
     }
 }
 
+impl ColumnData {
+    /// The type of the values it holds.
+    fn data_type(&self) -> DataType {
+        match self {
+            ColumnData::Int64(_) => DataType::Int64,
+            ColumnData::Float64(_) => DataType::Float64,
+            ColumnData::Bool(_) => DataType::Bool,
+            ColumnData::Date(_) => DataType::Date,
+            ColumnData::Dict { .. } | ColumnData::Direct { .. } => DataType::Utf8,
+        }
+    }
+}
+
 /// The error of a value that does not fit the column it is written to.
 fn mismatch(data: &ColumnData, got: &str) -> Error {
-    let expected = match data {
-        ColumnData::Int64(_) => DataType::Int64,
-        ColumnData::Float64(_) => DataType::Float64,
-        ColumnData::Bool(_) => DataType::Bool,
-        ColumnData::Date(_) => DataType::Date,
-        ColumnData::Dict { .. } | ColumnData::Direct { .. } => DataType::Utf8,
-    };
-    Error::schema(format!("expected {expected}, got {got}"))
+    Error::schema(format!("expected {}, got {got}", data.data_type()))
 }

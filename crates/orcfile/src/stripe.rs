@@ -553,6 +553,60 @@ mod tests {
         assert!((0..values.len()).all(|i| patched.str_at(i) != Some("c")));
     }
 
+    /// `Column::scatter` equals `Column::set` row by row — for every type,
+    /// NULLs in and out, strings into either form — and a dictionary
+    /// column gains each distinct scattered string once.
+    #[test]
+    fn scatter_equals_set_row_by_row() {
+        let n = 24;
+        let value = |ty, i: usize| match (ty, i % 5) {
+            (_, 4) => Value::Null,
+            (DataType::Int64, _) => Value::Int64(i as i64 * 7 - 50),
+            (DataType::Float64, _) => Value::Float64(i as f64 / 3.0),
+            (DataType::Bool, _) => Value::Bool(i.is_multiple_of(3)),
+            (DataType::Date, _) => Value::Date(18_000 + i as i32),
+            (_, _) => Value::from(["p", "q", "r"][i % 3]),
+        };
+        let rows: Vec<u32> = vec![1, 2, 3, 8, 9, 14, 20, 23];
+        for ty in [
+            DataType::Int64,
+            DataType::Float64,
+            DataType::Bool,
+            DataType::Date,
+            DataType::Utf8,
+        ] {
+            let old: Vec<Value> = (0..n).map(|i| value(ty, i + 3)).collect();
+            let new: Vec<Value> = (0..rows.len()).map(|k| value(ty, 2 * k)).collect();
+            let direct = column(ty, &old);
+            let stored = decode_column(ty, &encoded(ty, &old), n).unwrap();
+            for target in [direct, stored] {
+                let mut by_set = target.clone();
+                for (&i, v) in rows.iter().zip(&new) {
+                    by_set.set(i as usize, v.clone()).unwrap();
+                }
+                let mut scattered = target.clone();
+                let values = column(ty, &new);
+                scattered.scatter(&rows, &values).unwrap();
+                let all = |c: &Column| (0..n).map(|i| c.value(i)).collect::<Vec<_>>();
+                assert_eq!(all(&scattered), all(&by_set), "{ty}");
+                let enc = |c: &Column| encode_column(ty, c).unwrap().0;
+                assert_eq!(enc(&scattered), enc(&by_set), "{ty}");
+                if let ColumnData::Dict { dict, .. } = scattered.data() {
+                    let ColumnData::Dict { dict: before, .. } = target.data() else {
+                        unreachable!("a scatter keeps the column's form")
+                    };
+                    assert_eq!(dict.len(), before.len() + 3, "p, q and r, once each");
+                }
+            }
+        }
+        let mut ints = column(DataType::Int64, &[Value::Int64(1)]);
+        let floats = column(DataType::Float64, &[Value::Float64(1.0)]);
+        assert!(ints.scatter(&[0], &floats).is_err());
+        assert!(ints
+            .scatter(&[0, 0], &column(DataType::Int64, &[]))
+            .is_err());
+    }
+
     #[test]
     fn type_mismatch_rejected() {
         assert!(Column::empty(DataType::Int64)

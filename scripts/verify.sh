@@ -199,7 +199,12 @@ run_gate sharded-sql cargo test -q -p dt-hiveql --locked --test sharded_sql -- -
 # any order and merged), and GROUP BY with float SUM/AVG, MIN/MAX of
 # strings and unordered projections byte for byte at degree 1 and 4 over a
 # multi-file dirty table, in and out of a transaction with buffered writes
-# (the degree-4 runs must fan out).
+# (the degree-4 runs must fan out), and whole UPDATE statements
+# (`set_lists_equal_a_fold_with_eval`): SET lists with a column set twice,
+# a swap, NULL-producing and wrapping BIGINT right-hand sides and a BIGINT
+# widened to a DOUBLE, over a dirty multi-file table under forced EDIT and
+# forced OVERWRITE, autocommit and in BEGIN, at degree 1 and 2 — the rows
+# the row interpreter's fold gives, or its error kind.
 run_gate kernel-oracle cargo test -q --release -p dt-hiveql --locked --test prop_kernel -- --nocapture
 
 # UNION READ oracle (DESIGN.md §18), in release: scans under a random
